@@ -69,6 +69,11 @@ STATIC_RULES: Dict[str, str] = {
         "outside the policy layer (go through resolve_design or a "
         "StagePlan so eager validation and policy planning stay the "
         "single dispatch path)"),
+    "VS111": (
+        "process environment read (os.environ / os.getenv) under "
+        "src/repro: an environment variable is a hidden mode switch; "
+        "the simulator has one execution mode, configured through "
+        "arguments"),
 }
 
 
@@ -343,7 +348,8 @@ def _rule_vs108(rel: str, tree: ast.AST) -> Iterable[Tuple[int, str]]:
     and transport turn into wire bytes and MTU-train segmentation; a
     hand-rolled ``Packet(...)`` elsewhere silently ships a one-packet
     train for a multi-MTU RC message, undercounting serialization
-    boundaries under ``REPRO_TRAINS=0`` and skewing packet accounting.
+    boundaries under the per-packet reference and skewing packet
+    accounting.
     """
     if rel.startswith("fabric/"):
         return
@@ -489,6 +495,31 @@ def _rule_vs110(rel: str, tree: ast.AST) -> Iterable[Tuple[int, str]]:
                    "(use resolve_design() or pass a StagePlan)")
 
 
+_ENV_READS = ("environ", "getenv")
+
+
+def _rule_vs111(rel: str, tree: ast.AST) -> Iterable[Tuple[int, str]]:
+    """Process-environment reads anywhere in the package (VS111).
+
+    Results are defined by golden digests of one execution path; a
+    variable read from the environment selects behaviour without
+    appearing in any signature, config or test parametrisation.
+    """
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and node.attr in _ENV_READS
+                and isinstance(node.value, ast.Name)
+                and node.value.id == "os"):
+            yield (node.lineno,
+                   f"reads os.{node.attr} (pass the setting as an "
+                   f"argument instead)")
+        elif isinstance(node, ast.ImportFrom) and node.module == "os":
+            for alias in node.names:
+                if alias.name in _ENV_READS:
+                    yield (node.lineno,
+                           f"imports os.{alias.name} (pass the setting "
+                           f"as an argument instead)")
+
+
 _RULES: Dict[str, Callable[[str, ast.AST], Iterable[Tuple[int, str]]]] = {
     "VS101": _rule_vs101,
     "VS102": _rule_vs102,
@@ -500,6 +531,7 @@ _RULES: Dict[str, Callable[[str, ast.AST], Iterable[Tuple[int, str]]]] = {
     "VS108": _rule_vs108,
     "VS109": _rule_vs109,
     "VS110": _rule_vs110,
+    "VS111": _rule_vs111,
 }
 
 

@@ -7,7 +7,7 @@ Usage (the CI ``perf`` job)::
 Compares a freshly measured kernel-bench document against the committed
 baseline, direction-aware: ``higher_is_better`` metrics (events/sec,
 packets/sec) fail on a drop, wall-clock metrics fail on a rise.  The
-default threshold of 25% absorbs runner-to-runner noise; genuine fast-path
+default threshold of 25% absorbs runner-to-runner noise; genuine hot-path
 regressions are an order of magnitude larger.
 """
 

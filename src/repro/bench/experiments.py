@@ -289,9 +289,7 @@ def fig10_scaleout(network: NetworkConfig = EDR,
     oversubscribed leaf-spine fabric (32 nodes per leaf).  It is the
     flow-level packet-train abstraction that makes the sweep tractable:
     every multi-MTU message crosses each pipe as a single event, so event
-    counts scale with messages rather than packets (`REPRO_TRAINS=0`
-    re-runs it per-packet for auditing, at ~the MTU-count multiple of the
-    cost).
+    counts scale with messages rather than packets.
 
     One thread per node and double buffering keep per-node state minimal;
     the MQ design stops at ``mq_cap`` nodes (n^2 connections cluster-wide)

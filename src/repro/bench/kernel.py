@@ -46,9 +46,8 @@ def bench_dispatch_events(num_events: int = 300_000,
                           chains: int = 64) -> Dict[str, Any]:
     """Raw callback dispatch: self-rescheduling ``call_at`` chains.
 
-    Exercises the scheduling path the fabric fast path lives on: heap
-    churn plus direct-callback carriers (pooled on the fast kernel,
-    Event + lambda on the legacy one — the same code runs on both).
+    Exercises the scheduling path the flat fabric routing lives on:
+    heap churn plus bare-callable queue entries.
     """
     sim = Simulator()
     remaining = [num_events]
@@ -140,11 +139,11 @@ def bench_train_events(num_messages: int = 2_000,
 
     Routes ``num_messages`` 1 MiB RC messages (256-packet trains at the
     4 KiB MTU) through a two-node fabric twice: once charging each train
-    in a single event per pipe (the default), once under the per-packet
-    oracle.  The value gated by ``repro.bench.compare`` is the train
-    path's event throughput; the detail records the event-reduction
-    factor the abstraction buys (the ISSUE target is >= 20x for 1 MiB
-    messages).
+    in a single event per pipe, once under the per-packet oracle
+    (``Fabric.use_packet_oracle``).  The value gated by
+    ``repro.bench.compare`` is the train path's event throughput; the
+    detail records the event-reduction factor the abstraction buys (the
+    ISSUE target is >= 20x for 1 MiB messages).
     """
     from repro.cluster import Cluster
     from repro.fabric.config import EDR, ClusterConfig

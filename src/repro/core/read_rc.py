@@ -124,7 +124,7 @@ class ReadRCSendEndpoint(RuntimeSendEndpoint):
 
         yield from rc_connect_senders(self, registry, bind)
         # The sender's only active work is draining Write completions.
-        CompletionDispatcher(self).start(f"rd-send-cq-{self.endpoint_id}")
+        CompletionDispatcher(self).start()
 
     def _on_free_value(self, dest: int, value: int) -> None:
         """A destination returned a buffer through FreeArr (Alg 3 l.8-14)."""
@@ -220,8 +220,7 @@ class ReadRCReceiveEndpoint(RuntimeReceiveEndpoint):
                 info["freearr_cap"])
 
         yield from rc_connect_receivers(self, registry, bind)
-        CompletionDispatcher(self).on(Opcode.READ, self._on_read) \
-            .start(f"rd-recv-cq-{self.endpoint_id}")
+        CompletionDispatcher(self).on(Opcode.READ, self._on_read).start()
 
     # -- the read pump (Alg 3, GETDATA lines 19-25) ------------------------------
 

@@ -85,7 +85,7 @@ class SRRCSendEndpoint(CreditedSendEndpoint):
 
         yield from rc_connect_senders(self, registry, bind)
         CompletionDispatcher(self).on(Opcode.SEND, self.data_recycler()) \
-            .start(f"sr-rc-send-disp-{self.endpoint_id}")
+            .start()
 
     # -- RC posting policy -------------------------------------------------
 
@@ -136,8 +136,7 @@ class SRRCReceiveEndpoint(CreditedReceiveEndpoint):
             conn.credit_addr = info["credit_addr_by_dest"][self.ctx.node_id]
 
         yield from rc_connect_receivers(self, registry, bind)
-        CompletionDispatcher(self).on(Opcode.RECV, self._on_receive) \
-            .start(f"sr-rc-recv-disp-{self.endpoint_id}")
+        CompletionDispatcher(self).on(Opcode.RECV, self._on_receive).start()
 
     def _on_receive(self, wc) -> None:
         """Route one receive completion into the application inbox."""

@@ -118,7 +118,7 @@ class SRUDSendEndpoint(CreditedSendEndpoint):
         CompletionDispatcher(self) \
             .on(Opcode.SEND, self.data_recycler()) \
             .on(Opcode.RECV, self._on_credit) \
-            .start(f"sr-ud-send-disp-{self.endpoint_id}")
+            .start()
 
     def _on_credit(self, wc) -> None:
         """Apply a credit-datagram arrival and recycle its receive slot."""
@@ -191,8 +191,7 @@ class SRUDReceiveEndpoint(CreditedReceiveEndpoint):
             conn = self.conns[src_ep]
             info = registry.lookup_endpoint(src_ep)
             conn.ah = yield from create_ah(self.ctx, src_node, info["qpn"])
-        CompletionDispatcher(self).on(Opcode.RECV, self._on_receive) \
-            .start(f"sr-ud-recv-disp-{self.endpoint_id}")
+        CompletionDispatcher(self).on(Opcode.RECV, self._on_receive).start()
         self.sim.process(
             self._credit_keepalive(), name=f"sr-ud-keepalive-{self.endpoint_id}")
 

@@ -1,13 +1,12 @@
 """The shared completion-dispatch loop.
 
-Every endpoint design used to run a private ``while True: wc = yield
-cq.wait()`` process with an ad-hoc ``if``/``elif`` ladder.
-:class:`CompletionDispatcher` is that loop with the routing made
-declarative: handlers are registered per opcode, unhandled completions
-are drained silently (the RDMA Read sender, whose only active work is
-draining Write completions, registers no handlers at all).
+:class:`CompletionDispatcher` is every endpoint design's CQ polling
+loop with the routing made declarative: handlers are registered per
+opcode, unhandled completions are drained silently (the RDMA Read
+sender, whose only active work is draining Write completions, registers
+no handlers at all).
 
-Handlers run on the dispatcher process and must not block — they are
+Handlers run in the CQ's delivery tick and must not block — they are
 host-side reactions (recycle a buffer, grant credit, deliver to the
 inbox), mirroring how the real implementation keeps its CQ polling loop
 free of waits.
@@ -17,7 +16,6 @@ from __future__ import annotations
 
 from typing import Callable, Dict
 
-from repro.sim import fastpath
 from repro.verbs.constants import Opcode
 
 __all__ = ["CompletionDispatcher"]
@@ -38,27 +36,14 @@ class CompletionDispatcher:
         self._handlers[opcode] = handler
         return self
 
-    def start(self, name: str) -> "CompletionDispatcher":
-        """Begin consuming the CQ.
-
-        On the fast path the dispatcher subscribes to the CQ directly
-        (event-driven, no process or per-completion wait event); the
-        legacy ``while True: yield cq.wait()`` process is kept as the A/B
-        oracle behind ``REPRO_FASTPATH=0``.  Delivery order is identical
-        either way — see :meth:`CompletionQueue.subscribe`.
-        """
-        if fastpath.enabled():
-            self.cq.subscribe(self._dispatch)
-        else:
-            self.ep.sim.process(self._run(), name=name)
+    def start(self) -> "CompletionDispatcher":
+        """Begin consuming the CQ: subscribe to it directly (event-driven,
+        no process or per-completion wait event — see
+        :meth:`CompletionQueue.subscribe`)."""
+        self.cq.subscribe(self._dispatch)
         return self
 
     def _dispatch(self, wc) -> None:
         handler = self._handlers.get(wc.opcode)
         if handler is not None:
             handler(wc)
-
-    def _run(self):
-        while True:
-            wc = yield self.cq.wait()
-            self._dispatch(wc)

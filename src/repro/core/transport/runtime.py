@@ -19,14 +19,14 @@ Per-message semantics over packet trains
 Everything at this layer observes *messages*: one credit consumed per
 send, one CQE per signaled work request, one RELEASE per delivered
 buffer.  Below the verbs API a multi-MTU RC message traverses the
-fabric as a single :class:`~repro.fabric.packet.PacketTrain` (see
-:mod:`repro.sim.trains`) — the endpoint never sees the segmentation,
+fabric as a single :class:`~repro.fabric.packet.PacketTrain` — the
+endpoint never sees the segmentation,
 exactly as real hardware hides per-packet ACK/retransmit behind one
 work completion.  The ``trains_sent`` / ``train_packets_sent``
 counters record the equivalence (UD messages are MTU-capped, so their
 trains are always one packet); they are diagnostic attributes, kept
 off telemetry snapshots so train bookkeeping can never perturb the
-``REPRO_TRAINS`` A/B oracle.
+train-vs-per-packet reference check.
 """
 
 from __future__ import annotations

@@ -129,7 +129,7 @@ class WriteRCSendEndpoint(RuntimeSendEndpoint):
         # Local buffers recycle once their data Writes complete.
         CompletionDispatcher(self) \
             .on(Opcode.WRITE, self.data_recycler("wdata")) \
-            .start(f"wr-send-cq-{self.endpoint_id}")
+            .start()
 
     def _on_free_value(self, dest: int, value: int) -> None:
         conn = self.conns[dest]

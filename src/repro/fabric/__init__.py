@@ -12,8 +12,7 @@ This package models the hardware substrate the paper's evaluation ran on:
   :class:`~repro.fabric.config.TopologySpec` preset (single-switch,
   oversubscribed leaf-spine, dual-rail).
 * :mod:`repro.fabric.routing` — the generic path-walker executing a
-  route's hop sequence (flat-callback fast path and its legacy
-  generator oracle).
+  route's hop sequence as a flat callback chain.
 * :mod:`repro.fabric.network` — nodes and the switched fabric connecting
   them, including UD out-of-order jitter and optional loss injection.
 """

@@ -5,9 +5,8 @@ The fabric is now three collaborating pieces:
 * :mod:`repro.fabric.topology` — the explicit switch graph: ports,
   links, precomputed per-pair routes (built from the cluster's
   :class:`~repro.fabric.config.TopologySpec`);
-* :mod:`repro.fabric.routing` — the generic path-walker executing a
-  route's hop sequence, in position-isomorphic flat-callback and legacy
-  generator variants;
+* :mod:`repro.fabric.routing` — the generic flat-callback path-walker
+  executing a route's hop sequence;
 * this module — NIC attachment, delivery accounting, and the loss and
   jitter policy (what *unordered*/*lossy* mean).
 
@@ -32,7 +31,7 @@ from repro.fabric.config import ClusterConfig, NetworkConfig
 from repro.fabric.nic import NIC
 from repro.fabric.packet import Packet, clone_for_member
 from repro.fabric.topology import Hop, Topology
-from repro.sim import Event, Simulator, fastpath, trains
+from repro.sim import Event, Simulator
 from repro.telemetry.core import Telemetry
 
 __all__ = ["Node", "Fabric"]
@@ -107,24 +106,15 @@ class Fabric:
         #: to every member at the last common switch, so the sender's
         #: port (and any shared trunk) is charged only once.
         self.mcast_members: dict = {}
-        #: route packets via flat callback chains instead of per-packet
-        #: generator processes.  Both paths are position-isomorphic (same
-        #: heap entries at the same simulated times, same RNG draw order),
-        #: so results are bit-identical; see repro.sim.fastpath.
-        self.flat_routing = fastpath.enabled()
-        #: charge each message's MTU packets as one train per pipe (the
-        #: default) instead of ticking every MTU boundary; both modes
-        #: produce bit-identical end times and metrics — see
-        #: repro.sim.trains.  The live switches live on the pipes
-        #: (RatePipe.split_packets), read once at construction.
-        self.train_routing = trains.enabled()
 
     def use_packet_oracle(self, split: bool = True) -> None:
-        """Flip every fabric pipe between train charging and the
-        per-packet oracle, for in-process A/B runs (tests, the event
-        -reduction benchmark).  Only meaningful on a quiesced fabric —
-        mid-flight trains keep the mode they were submitted under."""
-        self.train_routing = not split
+        """Flip every fabric pipe from train charging (one event per
+        message per pipe) to the per-packet reference, which ticks every
+        MTU boundary instead and must produce bit-identical end times
+        and metrics (``tests/test_train_determinism.py``; the
+        event-reduction benchmark counts the surplus events).  Only
+        meaningful on a quiesced fabric — mid-flight trains keep the
+        mode they were submitted under."""
         for node in self.nodes:
             node.nic.egress.split_packets = split
             node.nic.ingress.split_packets = split
@@ -172,23 +162,12 @@ class Fabric:
         """
         key = (packet.src_node, packet.dst_node)
         self.link_bytes[key] = self.link_bytes.get(key, 0) + packet.wire_bytes
-        loopback = packet.src_node == packet.dst_node
-        if loopback:
+        if packet.src_node == packet.dst_node:  # loopback
             unordered = lossy = False
         hops = self.topology.route_hops(packet.src_node, packet.dst_node)
         done = Event(self.sim)
-        if self.flat_routing:
-            routing.flat_route(self, packet, hops, unordered, lossy, done,
-                               egress_event)
-        else:
-            name = ("route-loopback" if loopback else
-                    f"route-{packet.kind}-"
-                    f"{packet.src_node}->{packet.dst_node}")
-            self.sim.process(
-                routing.proc_route(self, packet, hops, unordered, lossy,
-                                   done, egress_event),
-                name=name,
-            )
+        routing.flat_route(self, packet, hops, unordered, lossy, done,
+                           egress_event)
         return done
 
     def mcast_attach(self, mgid: int, node_id: int, qpn: int) -> None:
@@ -227,14 +206,8 @@ class Fabric:
                                     leg_hops[node_id]))
             done.succeed(deliveries)
 
-        if self.flat_routing:
-            routing.flat_route(self, packet, trunk, False, False, done,
-                               egress_event, terminal=fan_out)
-        else:
-            self.sim.process(
-                routing.proc_route(self, packet, trunk, False, False, done,
-                                   egress_event, terminal=fan_out),
-                name=f"route-mcast-{mgid}")
+        routing.flat_route(self, packet, trunk, False, False, done,
+                           egress_event, terminal=fan_out)
         return done
 
     def _mcast_leg(self, packet: Packet, node_id: int, qpn: int,
@@ -245,9 +218,5 @@ class Fabric:
         self.link_bytes[key] = self.link_bytes.get(key, 0) + packet.wire_bytes
         leg = Event(self.sim)
         copy = clone_for_member(packet, node_id, qpn)
-        if self.flat_routing:
-            routing.flat_leg(self, copy, hops, leg)
-        else:
-            self.sim.process(routing.proc_leg(self, copy, hops, leg),
-                             name="mcast-leg")
+        routing.flat_leg(self, copy, hops, leg)
         return leg

@@ -16,18 +16,17 @@ the degradation of the many-Queue-Pair designs on FDR hardware at 16 nodes
 
 Trains: the tx/rx entry points take the message's MTU packet count and
 charge their pipes per *train* (one event per message, see
-:mod:`repro.sim.trains`).  The QP-context cache and the PCIe miss
-penalty are charged once per train in **both** modes — real NICs hold
-the QP context across a message's back-to-back packets, so per-packet
-touching would both be wrong and break the per-packet oracle's
-bit-identical cache-counter equivalence.
+:meth:`~repro.sim.primitives.RatePipe.submit_train`).  The QP-context
+cache and the PCIe miss penalty are charged once per train, also under
+the per-packet reference — real NICs hold the QP context across a
+message's back-to-back packets, so per-packet touching would both be
+wrong and break the reference's bit-identical cache-counter
+equivalence.
 
 When a :class:`~repro.telemetry.links.FlowRecorder` is installed on
 ``self.links``, every occupancy interval is recorded with its base /
-cache-penalty / DMA-extra decomposition before entering the pipe.  The
-records are appended from the same positions on the generator and
-flat-callback paths (all NIC entry points below are shared by both), so
-recording cannot perturb event order.
+cache-penalty / DMA-extra decomposition before entering the pipe;
+recording only reads pipe state, so it cannot perturb event order.
 """
 
 from __future__ import annotations
@@ -159,38 +158,10 @@ class NIC:
             self._record_proc(penalty, extra_ns, flow)
         return self.processor.occupy(self.config.nic_wr_ns + penalty + extra_ns)
 
-    def transmit(self, wire_bytes: int, flow: int = 0,
-                 n_packets: int = 1) -> Event:
-        """Serialize a train of ``wire_bytes`` onto the outbound link."""
-        self.tx_messages += 1
-        self.tx_packets += n_packets
-        if self.links is not None:
-            self._record_link("egress", self.egress, wire_bytes, 0, flow)
-        return self.egress.transmit_train(wire_bytes, n_packets)
-
-    def receive(self, wire_bytes: int, qpn: int, flow: int = 0,
-                n_packets: int = 1) -> Event:
-        """Serialize a train of ``wire_bytes`` off the inbound link into
-        ``qpn``.
-
-        The receive path also touches the destination QP context, so a
-        node being bombarded across many cold QPs slows down symmetrically
-        with the send path.  The context is touched once per train (the
-        NIC holds it across the message's back-to-back packets), so the
-        miss penalty rides on the train as a whole.
-        """
-        self.rx_messages += 1
-        self.rx_packets += n_packets
-        penalty = self._qp_touch_penalty(qpn)
-        if self.links is not None:
-            self._record_link("ingress", self.ingress, wire_bytes, penalty,
-                              flow)
-        return self.ingress.transmit_train(wire_bytes, n_packets,
-                                           extra_ns=penalty)
-
     def submit_wr(self, qpn: int, func: "Callable[[], None]",
                   extra_ns: int = 0, flow: int = 0) -> None:
-        """Hot-path twin of :meth:`process_wr`."""
+        """Callback form of :meth:`process_wr`: run ``func()`` once the
+        NIC has finished processing instead of returning an event."""
         penalty = self._qp_touch_penalty(qpn)
         if self.links is not None:
             self._record_proc(penalty, extra_ns, flow)
@@ -199,8 +170,8 @@ class NIC:
 
     def submit_tx(self, wire_bytes: int, func: "Callable[[], None]",
                   flow: int = 0, n_packets: int = 1) -> None:
-        """Hot-path twin of :meth:`transmit`: run ``func()`` at completion
-        instead of returning an event (see :meth:`RatePipe.submit`)."""
+        """Serialize a train of ``wire_bytes`` onto the outbound link;
+        runs ``func()`` once it has fully left the NIC."""
         self.tx_messages += 1
         self.tx_packets += n_packets
         if self.links is not None:
@@ -210,7 +181,15 @@ class NIC:
     def submit_rx(self, wire_bytes: int, qpn: int,
                   func: "Callable[[], None]", flow: int = 0,
                   n_packets: int = 1) -> None:
-        """Hot-path twin of :meth:`receive`."""
+        """Serialize a train of ``wire_bytes`` off the inbound link into
+        ``qpn``; runs ``func()`` once it has fully arrived.
+
+        The receive path also touches the destination QP context, so a
+        node being bombarded across many cold QPs slows down symmetrically
+        with the send path.  The context is touched once per train (the
+        NIC holds it across the message's back-to-back packets), so the
+        miss penalty rides on the train as a whole.
+        """
         self.rx_messages += 1
         self.rx_packets += n_packets
         penalty = self._qp_touch_penalty(qpn)

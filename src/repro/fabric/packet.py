@@ -4,8 +4,9 @@
 in (one work request's worth of data).  :class:`PacketTrain` extends it
 with the number of back-to-back MTU packets the message occupies on the
 wire, so the fabric can charge serialization for the whole train in one
-event while the per-packet oracle (``REPRO_TRAINS=0``, see
-:mod:`repro.sim.trains`) can still tick every MTU boundary.
+event while the per-packet reference
+(:meth:`~repro.fabric.network.Fabric.use_packet_oracle`) can still tick
+every MTU boundary.
 
 Endpoints and the verbs layer construct trains through
 :func:`make_train` — the train-aware submit API — rather than building

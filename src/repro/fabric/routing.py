@@ -1,39 +1,29 @@
 """The generic path-walker: one pipeline for every routing shape.
 
 Unicast, loopback and the two halves of multicast (shared trunk,
-per-member legs) were four near-duplicate egress→switch→ingress
-pipelines in the fabric, each duplicated again across the flat-callback
-fast path and the legacy generator path.  This module replaces them with
-one walker over a precomputed hop sequence
-(:class:`~repro.fabric.topology.Route`):
+per-member legs) all run one flat-callback walker over a precomputed
+hop sequence (:class:`~repro.fabric.topology.Route`):
 
     egress pipe → [port pipe?, forwarding latency]* → loss? → ingress
 
-Both variants are position-isomorphic — every heap entry is created at
-the same simulated time and code position, and the jitter/loss RNG
-draws happen in the same order — so ``REPRO_FASTPATH=0`` remains a
-bit-identical oracle (see :mod:`repro.sim.fastpath`):
-
-* the flat walker's entry point stands exactly where the legacy process
-  bootstrap stood (one ``call_soon``),
-* a portless hop is one ``call_later`` in both variants; a port hop is
-  one pipe completion plus one ``call_later``/``timeout``,
+* the walk starts with one ``call_soon``; a portless hop is one
+  ``call_later``, a port hop one pipe completion plus one
+  ``call_later``,
 * forwarding jitter (unordered delivery) is drawn on the *first* hop,
-  after the egress event fires; loss is drawn after the last hop,
+  after the egress pipe completes; loss is drawn after the last hop,
   before the ingress pipe — matching the pre-topology fabric on the
   degenerate single-switch graph.
 
 Latencies arrive here as validated integers
 (:class:`~repro.fabric.topology.Hop` is the rounding boundary); the
-walkers assert that instead of rounding per packet.
+walker asserts that instead of rounding per packet.
 
-The walkers move whole packet *trains*: every pipe along the path —
+The walker moves whole packet *trains*: every pipe along the path —
 egress, trunk ports, ingress — is charged with ``packet.n_packets``
 MTU packets' worth of serialization in one event (or, under the
-``REPRO_TRAINS=0`` oracle, one tick per MTU boundary; see
-:mod:`repro.sim.trains`).  Delivery accounting, loss draws, jitter
-draws and trunk links records all stay per *message*: exactly one per
-train, from the same code positions in both modes.
+per-packet reference of ``Fabric.use_packet_oracle()``, one tick per
+MTU boundary).  Delivery accounting, loss draws, jitter draws and trunk
+links records all stay per *message*: exactly one per train.
 """
 
 from __future__ import annotations
@@ -44,7 +34,7 @@ from repro.fabric.packet import Packet
 from repro.fabric.topology import Hop
 from repro.sim import Event
 
-__all__ = ["flat_route", "proc_route", "flat_leg", "proc_leg"]
+__all__ = ["flat_route", "flat_leg"]
 
 #: a multicast fan-out continuation run instead of ingress delivery.
 Terminal = Optional[Callable[[], None]]
@@ -53,9 +43,9 @@ Terminal = Optional[Callable[[], None]]
 def _record_trunk(fabric, port, packet: Packet) -> None:
     """Record one trunk-port occupancy for the critical-path analyzer.
 
-    Called from the same position on both walkers, immediately before the
-    pipe entry, so the pre-submit ``busy_until`` read gives the interval
-    start and the queueing delay without touching simulation state.
+    Called immediately before the pipe entry, so the pre-submit
+    ``busy_until`` read gives the interval start and the queueing delay
+    without touching simulation state.
     """
     pipe = port.pipe
     busy_until = pipe.busy_until
@@ -72,9 +62,10 @@ class _HopWalk:
     Calling the instance starts the walk at hop 0; each hop schedules
     ``_forward`` (after the port pipe, where there is one), which in
     turn schedules ``_advance`` for the next hop after the forwarding
-    latency.  Identical heap-entry and RNG-draw positions to the old
-    recursive closure, without the closure's self-referential cell — so
-    finished walks are reclaimed by reference counting alone.
+    latency.  An object rather than a recursive closure: a closure
+    that schedules itself refers to its own cell, a reference cycle per
+    message; finished walks here are reclaimed by reference counting
+    alone.
     """
 
     __slots__ = ("fabric", "sim", "config", "rng", "packet", "hops",
@@ -152,8 +143,8 @@ def _flat_walk(fabric, packet: Packet, hops: Sequence[Hop],
 
     finish = terminal if terminal is not None else ingress
 
-    # Specialized shapes for the hot cases — identical heap entries and
-    # RNG draw positions, just without the generic walker's closures.
+    # Specialized shapes for the hot cases — the same heap entries and
+    # RNG draw positions as the generic walker, without its object.
     # Latencies are already validated integers (the Hop constructor is
     # the rounding boundary), so the invariant holds by construction.
     if not hops:  # loopback: the HCA turns the packet around
@@ -173,13 +164,6 @@ def _flat_walk(fabric, packet: Packet, hops: Sequence[Hop],
 
         return single
 
-    # Multi-hop: a slotted walker object instead of a recursive closure.
-    # A closure that schedules itself (``lambda: advance(index + 1)``)
-    # refers to its own cell — a reference cycle per message that only a
-    # full gc pass can reclaim, which is ruinous at mesoscale.  The
-    # walker threads the hop index through instance state instead (the
-    # walk is strictly sequential), keeping every heap entry and RNG
-    # draw at the same position while staying refcount-collectable.
     return _HopWalk(fabric, sim, config, rng, packet, hops, unordered,
                     finish)
 
@@ -188,11 +172,10 @@ def flat_route(fabric, packet: Packet, hops: Tuple[Hop, ...],
                unordered: bool, lossy: bool, done: Event,
                egress_event: Optional[Event] = None,
                terminal: Terminal = None) -> None:
-    """Flat-callback routing: egress pipe, then the hop walk.
+    """Route one train: egress pipe, then the hop walk.
 
-    The initial ``call_soon`` stands exactly where the legacy process
-    bootstrap stood; the only per-packet allocations are the stage
-    closures — no Process, no generator frame.
+    The only per-packet allocations are the stage closures — no
+    Process, no generator frame.
     """
     walk = _flat_walk(fabric, packet, hops, unordered, lossy, done, terminal)
     src_nic = fabric.nodes[packet.src_node].nic
@@ -216,55 +199,3 @@ def flat_leg(fabric, packet: Packet, hops: Tuple[Hop, ...],
     datagrams: always unordered and lossy."""
     fabric.sim.call_soon(
         _flat_walk(fabric, packet, hops, True, True, done, None))
-
-
-def proc_route(fabric, packet: Packet, hops: Tuple[Hop, ...],
-               unordered: bool, lossy: bool, done: Event,
-               egress_event: Optional[Event] = None,
-               terminal: Terminal = None):
-    """Legacy generator twin of :func:`flat_route` (``REPRO_FASTPATH=0``)."""
-    yield fabric.nodes[packet.src_node].nic.transmit(
-        packet.wire_bytes, flow=packet.flow, n_packets=packet.n_packets)
-    if egress_event is not None:
-        egress_event.succeed(packet)
-    yield from _proc_walk(fabric, packet, hops, unordered, lossy, done,
-                          terminal)
-
-
-def proc_leg(fabric, packet: Packet, hops: Tuple[Hop, ...], done: Event):
-    """Legacy generator twin of :func:`flat_leg`."""
-    yield from _proc_walk(fabric, packet, hops, True, True, done, None)
-
-
-def _proc_walk(fabric, packet: Packet, hops: Sequence[Hop],
-               unordered: bool, lossy: bool, done: Event,
-               terminal: Terminal):
-    sim = fabric.sim
-    config = fabric.config
-    rng = fabric._rng
-    for index, hop in enumerate(hops):
-        latency = hop.latency_ns
-        if index == 0 and unordered and config.ud_jitter_ns:
-            latency += rng.randrange(config.ud_jitter_ns)
-        assert type(latency) is int, "hop latency must be integer ns"
-        if hop.port is not None:
-            if fabric.links is not None:
-                _record_trunk(fabric, hop.port, packet)
-            yield hop.port.pipe.transmit_train(packet.wire_bytes,
-                                               packet.n_packets)
-        yield sim.timeout(latency)
-    if terminal is not None:
-        terminal()
-        return
-    if lossy and config.ud_loss_probability > 0:
-        if rng.random() < config.ud_loss_probability:
-            packet.dropped = True
-            fabric.dropped_messages += 1
-            done.succeed(packet)
-            return
-    yield fabric.nodes[packet.dst_node].nic.receive(
-        packet.wire_bytes, packet.dst_qpn, flow=packet.flow,
-        n_packets=packet.n_packets)
-    fabric.delivered_messages += 1
-    fabric.delivered_packets += packet.n_packets
-    done.succeed(packet)

@@ -6,7 +6,7 @@ entries is drained in order, and each entry runs its callbacks when popped.
 Processes are generators; yielding an :class:`Event` suspends the process
 until the event fires.
 
-Hot-path notes (the "kernel fast path", see DESIGN.md):
+Hot-path notes (see DESIGN.md, "Execution path"):
 
 * :meth:`Simulator.run` and :meth:`Simulator.run_process` share a batched
   drain loop that pops all entries of one timestamp in an inner loop with
@@ -530,8 +530,8 @@ class Simulator:
                     # (not before every pop) and counts distinct pending
                     # timestamps, to keep the loop lean; the gauge stays
                     # deterministic but is an approximation — it is one
-                    # of the interpreter self-counters exempt from
-                    # fast-path invariance (see DESIGN.md).
+                    # of the interpreter self-counters the golden
+                    # digests exclude (see DESIGN.md).
                     sample -= 1
                     if sample < 0:
                         sample = 63

@@ -12,7 +12,6 @@ from collections import deque
 from typing import Any, Callable, Deque, Dict, List
 
 from repro.sim.kernel import Event, SimError, Simulator
-from repro.sim.trains import enabled as _trains_enabled
 
 __all__ = ["Queue", "Semaphore", "Mutex", "Notify", "Barrier", "RatePipe"]
 
@@ -22,7 +21,7 @@ def _packet_tick() -> None:
 
     Deliberately a no-op: a train's non-final packets carry no protocol
     action, so the oracle's extra heap entries are observability-only
-    and cannot perturb any other event (see :mod:`repro.sim.trains`).
+    and cannot perturb any other event.
     """
 
 
@@ -185,11 +184,11 @@ class RatePipe:
     Rates are expressed in units per nanosecond (e.g. bytes/ns, which is
     numerically equal to GB/s).
 
-    The ``*_train`` entry points charge a whole packet train (one
-    message's back-to-back MTU packets) in a single event; with
-    ``split_packets`` set (the ``REPRO_TRAINS=0`` oracle) they instead
-    tick every integer MTU boundary — same charge, same ``busy_until``,
-    same counters, just ``n_packets`` completion entries instead of one.
+    :meth:`submit_train` charges a whole packet train (one message's
+    back-to-back MTU packets) in a single event; with ``split_packets``
+    set (the per-packet reference) it instead ticks every integer MTU
+    boundary — same charge, same ``busy_until``, same counters, just
+    ``n_packets`` completion entries instead of one.
     """
 
     def __init__(self, sim: Simulator, rate: float, name: str = ""):
@@ -198,11 +197,10 @@ class RatePipe:
         self.sim = sim
         self.rate = rate
         self.name = name
-        #: per-packet oracle mode (REPRO_TRAINS=0): ``*_train`` calls
-        #: schedule one tick per MTU packet instead of one per train.
-        #: Read once at construction; Fabric.use_packet_oracle() flips it
-        #: on a quiesced fabric for in-process A/B runs.
-        self.split_packets = not _trains_enabled()
+        #: per-packet reference mode: ``submit_train`` schedules one tick
+        #: per MTU packet instead of one per train.  Set only by
+        #: Fabric.use_packet_oracle(), on a quiesced fabric.
+        self.split_packets = False
         self._busy_until: int = 0
         # Serialization delays by unit count.  Real traffic uses a handful
         # of distinct message sizes, so the division in the hot path is
@@ -293,34 +291,15 @@ class RatePipe:
         for i in range(1, n_packets):
             call_later(start + (ser_ns * i) // n_packets - now, _packet_tick)
 
-    def transmit_train(self, units: float, n_packets: int,
-                       extra_ns: int = 0) -> Event:
-        """Charge one packet train; returns the train-arrival event.
-
-        Identical occupancy, counters and completion time to
-        :meth:`transmit` — a train *is* one ``units``-sized transfer —
-        but under the per-packet oracle the serialization interval is
-        additionally ticked at every MTU boundary.
-        """
-        if units < 0:
-            raise SimError(f"cannot transmit negative units: {units}")
-        start = max(self.sim.now, self._busy_until)
-        ser = self._serialization_ns(units)
-        duration = ser + int(extra_ns)
-        self._busy_until = start + duration
-        self.total_units += units
-        self.busy_ns += duration
-        if self._tracer is not None and duration > 0:
-            self._trace_interval(start, duration, units)
-        if n_packets > 1 and self.split_packets:
-            self._packet_boundaries(start, ser, n_packets)
-        event = Event(self.sim)
-        event.succeed(delay=self._busy_until - self.sim.now)
-        return event
-
     def submit_train(self, units: float, n_packets: int,
                      func: Callable[[], None], extra_ns: int = 0) -> None:
-        """Hot-path twin of :meth:`transmit_train` (see :meth:`submit`)."""
+        """Charge one packet train; runs ``func()`` at train arrival.
+
+        Identical occupancy, counters and completion time to
+        :meth:`submit` — a train *is* one ``units``-sized transfer —
+        but under the per-packet reference the serialization interval
+        is additionally ticked at every MTU boundary.
+        """
         if units < 0:
             raise SimError(f"cannot transmit negative units: {units}")
         start = max(self.sim.now, self._busy_until)

@@ -109,8 +109,8 @@ class CompletionQueue:
         position where the blocking :meth:`wait` path would have resumed
         its waiter, and the follow-up tick for a backlogged entry is
         scheduled only after the consumer returns — matching the
-        wait/handle/re-wait cycle of a dispatch process tick for tick (so
-        event order is bit-identical; see DESIGN.md, "Kernel fast path").
+        wait/handle/re-wait cycle of a polling process tick for tick (see
+        DESIGN.md, "Execution path").
         """
         if self._subscriber is not None:
             raise VerbsError("CQ already has a subscriber")

@@ -27,6 +27,7 @@ from repro.fabric.packet import Packet, make_train
 from repro.sim import Event, Queue
 from repro.verbs.constants import (
     MAX_RC_MSG,
+    MCAST_NODE,
     AddressHandle,
     Opcode,
     QPState,
@@ -198,26 +199,20 @@ class QueuePair:
         links = self.ctx.links
         if links is not None:
             wr.flow = self._new_flow(links, wr)
-        # The hot path drives the per-message protocol as a flat callback
-        # chain; the generator processes are the behavioural oracle behind
-        # REPRO_FASTPATH=0 (see repro.sim.fastpath).  RDMA Read/Write stay
-        # on the generator path — they are off the shuffle hot loop.
-        if self.ctx.fabric.flat_routing:
-            if self.qp_type is QPType.UD:
-                self._ud_send_flat(wr)
-                return
-            if wr.opcode is Opcode.SEND:
-                self._rc_send_flat(wr)
-                return
-        if self.qp_type is QPType.RC:
-            handlers = {
-                Opcode.SEND: self._rc_send,
-                Opcode.READ: self._rc_read,
-                Opcode.WRITE: self._rc_write,
-            }
-            proc = handlers[wr.opcode](wr)
+        # Sends run as flat callback chains; RDMA Read/Write are
+        # generator processes — they are off the shuffle hot loop.
+        if self.qp_type is QPType.UD:
+            self._ud_send(wr)
+            return
+        if wr.opcode is Opcode.SEND:
+            self._rc_send(wr)
+            return
+        if wr.opcode is Opcode.READ:
+            proc = self._rc_read(wr)
+        elif wr.opcode is Opcode.WRITE:
+            proc = self._rc_write(wr)
         else:
-            proc = self._ud_send(wr)
+            raise VerbsError(f"cannot post {wr.opcode} to a send queue")
         self.ctx.sim.process(proc, name=f"qp{self.qpn}-{wr.opcode.value}")
 
     def _new_flow(self, links, wr: SendWR) -> int:
@@ -225,9 +220,7 @@ class QueuePair:
 
         The flow kind is the endpoint-protocol tag carried in tuple
         ``wr_id``\\ s ("data", "final", "credit", "read", "valid",
-        "free"...), falling back to the verb opcode.  Runs at post time,
-        before the fast/legacy dispatch split, so both execution paths
-        see identical ids.
+        "free"...), falling back to the verb opcode.
         """
         wid = wr.wr_id
         if type(wid) is tuple and wid and isinstance(wid[0], str):
@@ -271,59 +264,9 @@ class QueuePair:
 
     # -- Reliable Connection data paths -----------------------------------------
 
-    def _rc_send(self, wr: SendWR):
-        config = self.ctx.config
-        nic = self.ctx.nic
-        peer = self._peer
-        assert peer is not None  # post_send validated the connection
-        t0 = self.ctx.sim.now
-        yield nic.process_wr(self.qpn, flow=wr.flow)
-        packet = make_train(
-            config, src_node=self.ctx.node_id, dst_node=peer.node_id,
-            src_qpn=self.qpn, dst_qpn=peer.qpn, kind="SEND",
-            length=wr.length, transport="RC",
-            payload=None if wr.buffer is None else wr.buffer.payload,
-            meta={"imm": wr.imm}, flow=wr.flow,
-        )
-        packet = yield self.ctx.fabric.route(packet)
-        remote = self.ctx.peer_context(peer.node_id)
-        remote_qp = remote.qp(peer.qpn)
-        # Receiver-not-ready: stall until a Receive is posted.  (The
-        # paper's credit protocol exists precisely so this never happens.)
-        rnr_t0 = self.ctx.sim.now
-        rwr = yield remote_qp._rc_recvs.get()
-        stalled = self.ctx.sim.now - rnr_t0
-        if stalled:
-            remote_qp.rnr_events += 1
-            remote_qp.rnr_stall_ns += stalled
-            self.ctx.tracer.complete(
-                peer.node_id, f"qp{peer.qpn}", "rnr-stall",
-                rnr_t0, stalled, "verbs")
-            if self.ctx.links is not None:
-                self.ctx.links.stall(peer.node_id, -1, "rnr-stall",
-                                     rnr_t0, stalled)
-        remote_qp._recv_posted -= 1
-        remote_qp._deposit(rwr, packet)
-        ack = make_train(
-            config, src_node=peer.node_id, dst_node=self.ctx.node_id,
-            src_qpn=peer.qpn, dst_qpn=self.qpn, kind="ACK",
-            length=0, wire_bytes=config.rc_ack_bytes, flow=wr.flow,
-        )
-        yield self.ctx.fabric.route(ack)
-        self._complete_send(wr, wr.length)
-        self.ctx.tracer.complete(
-            self.ctx.node_id, f"qp{self.qpn}", "rc-send", t0,
-            self.ctx.sim.now - t0, "verbs", args={"bytes": wr.length})
-
-    def _rc_send_flat(self, wr: SendWR) -> None:
-        """Flat-callback twin of :meth:`_rc_send`.
-
-        Every heap entry (NIC processing, route stages, the receive-queue
-        get, the ack) is created at the same simulated time and code
-        position as in the generator version, so event order, RNR stall
-        accounting and trace spans are bit-identical — only the Process
-        and generator frame are gone.
-        """
+    def _rc_send(self, wr: SendWR) -> None:
+        """One RC Send as a flat callback chain: NIC processing, route,
+        the receive-queue get (RNR stall), deposit, ack, completion."""
         ctx = self.ctx
         sim = ctx.sim
         config = ctx.config
@@ -450,54 +393,10 @@ class QueuePair:
 
     # -- Unreliable Datagram data path ---------------------------------------
 
-    def _ud_send(self, wr: SendWR):
-        from repro.verbs.constants import MCAST_NODE
-
-        config = self.ctx.config
-        dest = wr.dest
-        assert dest is not None  # post_send validated the destination
-        t0 = self.ctx.sim.now
-        yield self.ctx.nic.process_wr(self.qpn, flow=wr.flow)
-        packet = make_train(
-            config, src_node=self.ctx.node_id, dst_node=max(dest.node_id, 0),
-            src_qpn=self.qpn, dst_qpn=dest.qpn, kind="SEND",
-            length=wr.length, transport="UD",
-            payload=None if wr.buffer is None else wr.buffer.payload,
-            meta={"imm": wr.imm}, flow=wr.flow,
-        )
-        egress_done = Event(self.ctx.sim)
-        if dest.node_id == MCAST_NODE:
-            # InfiniBand multicast: the switch replicates the datagram to
-            # every attached QP; the sender's port is charged only once.
-            fanout = self.ctx.fabric.route_mcast(
-                packet, mgid=dest.qpn, egress_event=egress_done)
-            self.ctx.sim.process(
-                self._ud_mcast_deliver(fanout),
-                name=f"qp{self.qpn}-ud-mcast")
-        else:
-            arrival = self.ctx.fabric.route(
-                packet, unordered=True, lossy=True,
-                egress_event=egress_done)
-            self.ctx.sim.process(
-                self._ud_deliver(arrival), name=f"qp{self.qpn}-ud-deliver")
-        # No ack in UD: local completion once the NIC drained the buffer.
-        yield egress_done
-        self._complete_send(wr, wr.length)
-        self.ctx.tracer.complete(
-            self.ctx.node_id, f"qp{self.qpn}", "ud-send", t0,
-            self.ctx.sim.now - t0, "verbs", args={"bytes": wr.length})
-
-    def _ud_send_flat(self, wr: SendWR) -> None:
-        """Flat-callback twin of :meth:`_ud_send` and its deliver helpers.
-
-        The deliver callback replaces the per-datagram ``_ud_deliver``
-        process; registering it directly on the arrival event (instead of
-        via a helper process bootstrap) removes heap entries that carry no
-        observable action, which shifts later sequence numbers uniformly
-        and therefore cannot reorder anything.
-        """
-        from repro.verbs.constants import MCAST_NODE
-
+    def _ud_send(self, wr: SendWR) -> None:
+        """One UD Send as a flat callback chain: NIC processing, route
+        (unicast or multicast fan-out), completion at egress; delivery
+        runs as a callback on each arrival event."""
         ctx = self.ctx
         sim = ctx.sim
         config = ctx.config
@@ -518,6 +417,8 @@ class QueuePair:
             )
             egress_done = Event(sim)
             if dest.node_id == MCAST_NODE:
+                # InfiniBand multicast: the switch replicates the datagram
+                # to every attached QP; the sender's port is charged once.
                 fanout = ctx.fabric.route_mcast(
                     packet, mgid=dest.qpn, egress_event=egress_done)
                 fanout.add_callback(fan_out)
@@ -525,14 +426,14 @@ class QueuePair:
                 arrival = ctx.fabric.route(
                     packet, unordered=True, lossy=True,
                     egress_event=egress_done)
-                arrival.add_callback(self._ud_deliver_flat)
+                arrival.add_callback(self._ud_deliver)
             # No ack in UD: local completion once the NIC drained the
             # buffer.
             egress_done.add_callback(complete)
 
         def fan_out(fanout: Event) -> None:
             for leg in fanout.value:
-                leg.add_callback(self._ud_deliver_flat)
+                leg.add_callback(self._ud_deliver)
 
         def complete(_evt: Event) -> None:
             self._complete_send(wr, wr.length)
@@ -542,33 +443,8 @@ class QueuePair:
 
         sim.call_soon(start)
 
-    def _ud_deliver_flat(self, arrival: Event) -> None:
+    def _ud_deliver(self, arrival: Event) -> None:
         packet = arrival.value
-        if packet.dropped:
-            return
-        remote = self.ctx.peer_context(packet.dst_node)
-        try:
-            remote_qp = remote.qp(packet.dst_qpn)
-        except VerbsError:
-            return  # destination QP vanished; datagram evaporates
-        if remote_qp.qp_type is not QPType.UD:
-            return
-        if not remote_qp._ud_recvs:
-            # No Receive posted: the datagram is silently dropped (§2.2.1).
-            remote_qp.ud_drops += 1
-            return
-        rwr = remote_qp._ud_recvs.popleft()
-        remote_qp._recv_posted -= 1
-        remote_qp._deposit(rwr, packet)
-
-    def _ud_mcast_deliver(self, fanout: Event):
-        deliveries = yield fanout
-        for leg in deliveries:
-            self.ctx.sim.process(
-                self._ud_deliver(leg), name=f"qp{self.qpn}-ud-mcast-leg")
-
-    def _ud_deliver(self, arrival: Event):
-        packet = yield arrival
         if packet.dropped:
             return
         remote = self.ctx.peer_context(packet.dst_node)

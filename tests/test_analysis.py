@@ -376,6 +376,31 @@ class TestVS110RawDesignDispatch:
         assert lint_source("bench/evil.py", source) == []
 
 
+class TestVS111EnvironmentRead:
+    """The simulator has one execution mode; an environment variable
+    read anywhere in the package is a mode knob coming back."""
+
+    def test_environ_lookup_flagged(self):
+        source = (
+            "import os\n"
+            "def enabled():\n"
+            "    return os.environ.get('REPRO_MODE') != '0'\n"
+        )
+        violations = lint_source("sim/evil.py", source)
+        assert rules_of(violations) == ["VS111"]
+        assert violations[0].line == 3
+
+    def test_getenv_and_from_import_flagged(self):
+        assert rules_of(lint_source(
+            "bench/evil.py", "import os\nx = os.getenv('X')\n")) == ["VS111"]
+        assert rules_of(lint_source(
+            "telemetry/evil.py", "from os import environ\n")) == ["VS111"]
+
+    def test_other_os_uses_do_not_fire(self):
+        source = "import os\nok = os.path.exists(os.sep)\n"
+        assert lint_source("bench/fine.py", source) == []
+
+
 class TestSelectValidation:
     """parse_select is the single gate for --select and
     --repro-lint-select: a typo'd rule id must error, not lint nothing

@@ -30,6 +30,23 @@ DTYPE = np.dtype([("a", np.int64), ("b", np.int64)])
 
 DESIGN_NAMES = ["MEMQ/SR", "MESQ/SR", "MEMQ/RD", "MEMQ/WR", "MESQ/SR+MC"]
 
+#: interpreter self-counters that measure the host cost of a run, not its
+#: simulated result; exempt wherever two runs are compared across
+#: execution strategies (train vs per-packet reference, golden digests).
+SIM_SELF_COUNTERS = {
+    "sim.events_dispatched",
+    "sim.process_wakeups",
+    "sim.processes_started",
+    "sim.max_queue_depth",
+}
+
+
+def _comparable(snapshot):
+    """The snapshot minus the exempt interpreter self-counters."""
+    fabric = {k: v for k, v in snapshot["fabric"].items()
+              if k not in SIM_SELF_COUNTERS}
+    return dict(snapshot, fabric=fabric)
+
 
 def run_once(design, nodes=2, threads=2, rows_per_node=1500, report=False):
     """One complete small shuffle; returns (metrics snapshot, span count,

@@ -1,0 +1,139 @@
+"""Golden digests: the committed reference for every simulated result.
+
+``tests/golden/digests.json`` freezes what a user can measure from the
+small train-sized shuffle of ``tests/test_train_determinism.py`` — for
+every endpoint design on every topology preset — plus the multicast
+jitter + loss outcome per preset and one ``credit_frequency=1`` point.
+The fixture is the oracle: a change to the simulator either reproduces
+every digest or is a deliberate modeling change, in which case the
+fixture is regenerated and the diff is reviewed as data:
+
+    PYTHONPATH=src python -m tests.test_golden_digests
+
+The four interpreter self-counters (events dispatched, wakeups,
+processes started, queue depth) are excluded from the metrics digest:
+they measure the host cost of the run, not its simulated result.
+"""
+
+import hashlib
+import json
+import os
+
+import pytest
+
+from repro.fabric import EDR, ClusterConfig, Fabric, Packet
+from repro.sim import Simulator
+from tests.test_determinism import DESIGN_NAMES, _comparable
+from tests.test_train_determinism import (
+    TOPOLOGIES,
+    TOPOLOGY_IDS,
+    run_shuffle,
+)
+
+GOLDEN_PATH = os.path.join(os.path.dirname(__file__), "golden",
+                           "digests.json")
+
+PRESETS = list(zip(TOPOLOGIES, TOPOLOGY_IDS))
+
+
+def _sha256(obj):
+    canonical = json.dumps(obj, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(canonical.encode()).hexdigest()
+
+
+def shuffle_digest(design, topology, **kwargs):
+    snapshot, spans, end_ns, report_json, messages, packets = run_shuffle(
+        design, topology, **kwargs)
+    return {
+        "end_ns": end_ns,
+        "trace_spans": spans,
+        "delivered_messages": messages,
+        "delivered_packets": packets,
+        "metrics_sha256": _sha256(_comparable(snapshot)),
+        "report_sha256": hashlib.sha256(report_json.encode()).hexdigest(),
+    }
+
+
+def mcast_digest(topology):
+    """Blast multicast datagrams with jitter and 25 % loss injection;
+    digests every per-leg outcome in completion order.  Multicast
+    exercises walker paths unicast cannot: the trunk hands over to a
+    fan-out terminal, and every leg draws jitter *and* loss."""
+    sim = Simulator()
+    config = ClusterConfig(network=EDR, num_nodes=8,
+                           topology=topology).with_network(
+        ud_jitter_ns=2600, ud_loss_probability=0.25)
+    fabric = Fabric(sim, config)
+    mgid = 7
+    for node in range(1, 8):
+        fabric.mcast_attach(mgid, node, 200 + node)
+    outcomes = []
+
+    def wait_leg(leg):
+        copy = yield leg
+        outcomes.append((sim.now, copy.dst_node, copy.dropped))
+
+    def collect(fanned_out):
+        legs = yield fanned_out
+        for leg in legs:
+            sim.process(wait_leg(leg))
+
+    for seq in range(16):
+        pkt = Packet(0, 0, 11, 0, "SEND", 2048, 2108, meta={"seq": seq})
+        sim.process(collect(fabric.route_mcast(pkt, mgid)))
+    sim.run()
+    assert fabric.delivered_messages + fabric.dropped_messages \
+        == len(outcomes) == 16 * 7
+    return {
+        "end_ns": sim.now,
+        "delivered_messages": fabric.delivered_messages,
+        "dropped_messages": fabric.dropped_messages,
+        "outcomes_sha256": _sha256(outcomes),
+    }
+
+
+def _load():
+    with open(GOLDEN_PATH) as fh:
+        return json.load(fh)
+
+
+@pytest.mark.parametrize("topology,topology_id", PRESETS, ids=TOPOLOGY_IDS)
+@pytest.mark.parametrize("design", DESIGN_NAMES)
+def test_shuffle_matches_golden(design, topology, topology_id):
+    assert shuffle_digest(design, topology) == \
+        _load()["shuffle"][f"{design}@{topology_id}"]
+
+
+@pytest.mark.parametrize("topology,topology_id", PRESETS, ids=TOPOLOGY_IDS)
+def test_mcast_jitter_loss_matches_golden(topology, topology_id):
+    digest = mcast_digest(topology)
+    assert digest == _load()["mcast"][topology_id]
+    assert digest["dropped_messages"] > 0, "loss injection dropped nothing"
+    assert digest["delivered_messages"] > 0
+
+
+def test_credit_every_message_matches_golden():
+    """Multi-packet trains interleaved with a credit grant per message."""
+    assert shuffle_digest("MEMQ/SR", TOPOLOGIES[0], credit_frequency=1) == \
+        _load()["credit_frequency_1"]
+
+
+def collect():
+    """Every golden entry, recomputed from the current tree."""
+    return {
+        "shuffle": {
+            f"{design}@{topology_id}": shuffle_digest(design, topology)
+            for design in DESIGN_NAMES for topology, topology_id in PRESETS
+        },
+        "mcast": {topology_id: mcast_digest(topology)
+                  for topology, topology_id in PRESETS},
+        "credit_frequency_1": shuffle_digest("MEMQ/SR", TOPOLOGIES[0],
+                                             credit_frequency=1),
+    }
+
+
+if __name__ == "__main__":
+    os.makedirs(os.path.dirname(GOLDEN_PATH), exist_ok=True)
+    with open(GOLDEN_PATH, "w") as fh:
+        json.dump(collect(), fh, indent=2, sort_keys=True)
+        fh.write("\n")

@@ -1,6 +1,8 @@
 """Unit tests for the discrete-event simulation kernel."""
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.sim import (
     AllOf,
@@ -279,3 +281,94 @@ class TestRunUntil:
         sim.call_at(42, lambda: fired.append(sim.now))
         sim.run()
         assert fired == [42]
+
+
+# -- same-timestamp FIFO ----------------------------------------------------
+
+@given(st.lists(st.integers(min_value=0, max_value=15),
+                min_size=1, max_size=80))
+def test_batched_same_timestamp_dispatch_is_fifo(delays):
+    """Callbacks fire in (time, schedule order) — batching a timestamp's
+    entries into one bucket must not reorder them."""
+    sim = Simulator()
+    fired = []
+    for index, delay in enumerate(delays):
+        sim.call_at(delay, lambda d=delay, i=index: fired.append((d, i)))
+    sim.run()
+    assert fired == sorted(fired)
+    assert len(fired) == len(delays)
+
+
+def test_mid_batch_same_time_entries_run_after_the_batch():
+    """An entry scheduled *during* a batch for the same timestamp runs
+    after everything already queued for that timestamp."""
+    sim = Simulator()
+    fired = []
+    sim.call_at(5, lambda: (fired.append("a"),
+                            sim.call_soon(lambda: fired.append("late"))))
+    sim.call_at(5, lambda: fired.append("b"))
+    sim.run()
+    assert fired == ["a", "b", "late"]
+    assert sim.now == 5
+
+
+def test_run_process_preserves_rest_of_final_batch():
+    """Entries queued behind the stop event at the same timestamp must
+    survive ``run_process`` returning and fire on the next run."""
+    sim = Simulator()
+    fired = []
+    ev = sim.event()
+
+    def other():
+        yield sim.timeout(5)
+        ev.succeed()
+
+    def sched():
+        yield sim.timeout(5)
+        sim.call_soon(lambda: sim.call_soon(lambda: fired.append("tail")))
+
+    def main():
+        yield ev
+
+    sim.process(other())
+    sim.process(sched())
+    sim.run_process(main())
+    assert fired == []
+    assert sim.now == 5
+    sim.run()
+    assert fired == ["tail"]
+    assert sim.now == 5
+
+
+# -- run(until=...) boundary ------------------------------------------------
+
+def test_run_until_bound_is_exclusive():
+    sim = Simulator()
+    fired = []
+    sim.call_at(10, lambda: fired.append("at10"))
+    assert sim.run(until=10) == 10
+    assert sim.now == 10
+    assert fired == [], "event exactly at the bound must stay queued"
+    # A later run picks the boundary event up at the current time.
+    assert sim.run(until=11) == 11
+    assert fired == ["at10"]
+
+
+def test_run_until_advances_clock_on_early_drain():
+    sim = Simulator()
+    sim.call_at(3, lambda: None)
+    assert sim.run(until=100) == 100
+    assert sim.now == 100
+
+
+def test_run_until_never_moves_clock_backwards():
+    sim = Simulator()
+    sim.call_at(7, lambda: None)
+    sim.run()
+    assert sim.now == 7
+    fired = []
+    sim.call_at(20, lambda: fired.append("later"))
+    assert sim.run(until=5) == 7, "until <= now is a no-op"
+    assert fired == []
+    sim.run()
+    assert fired == ["later"]

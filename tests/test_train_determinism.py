@@ -1,8 +1,8 @@
-"""A/B regression for flow-level packet trains (REPRO_TRAINS).
+"""Reference check for flow-level packet trains.
 
-With trains enabled (the default), every pipe charges one message's
-back-to-back MTU packets in a single event; with ``REPRO_TRAINS=0`` the
-per-packet oracle ticks every MTU boundary instead.  Everything a user
+Every pipe charges one message's back-to-back MTU packets in a single
+event; the per-packet reference (``Fabric.use_packet_oracle()``) ticks
+every MTU boundary instead.  Everything a user
 can measure — simulated end times, modeled metrics, trace span counts,
 critical-path attribution — must come out bit-identical, for every
 endpoint design on every topology preset.  Only the four interpreter
@@ -34,8 +34,11 @@ from repro.core.stage import ShuffleStage
 from repro.engine import CollectSink, QueryFragment, run_fragments
 from repro.engine.scan import ScanOperator
 from repro.fabric import DUAL_RAIL, LEAF_SPINE, SINGLE_SWITCH
-from tests.test_determinism import DESIGN_NAMES
-from tests.test_fastpath_determinism import SIM_SELF_COUNTERS, _comparable
+from tests.test_determinism import (
+    DESIGN_NAMES,
+    SIM_SELF_COUNTERS,
+    _comparable,
+)
 
 DTYPE = np.dtype([("a", np.int64), ("b", np.int64)])
 
@@ -48,15 +51,18 @@ TOPOLOGY_IDS = ["single-switch", "leaf-spine", "dual-rail"]
 
 
 def run_shuffle(design, topology=SINGLE_SWITCH, nodes=2, threads=2,
-                credit_frequency=None):
+                credit_frequency=None, oracle=False):
     """One small shuffle with train-sized messages; returns
     ``(metrics snapshot, span count, end time, report JSON,
-    delivered_messages, delivered_packets)``."""
+    delivered_messages, delivered_packets)``.  ``oracle`` runs it on the
+    per-packet reference instead of packet trains."""
     cluster = Cluster(ClusterConfig(network=EDR, num_nodes=nodes,
                                     threads_per_node=threads,
                                     topology=topology))
     tracer = cluster.enable_tracing()
     cluster.enable_reporting()
+    if oracle:
+        cluster.fabric.use_packet_oracle()
     groups = TransmissionGroups.repartition(nodes)
     message_size = 4096 if design in UD_DESIGNS else 65536
     kwargs = {}
@@ -96,11 +102,9 @@ def run_shuffle(design, topology=SINGLE_SWITCH, nodes=2, threads=2,
 
 @pytest.mark.parametrize("topology", TOPOLOGIES, ids=TOPOLOGY_IDS)
 @pytest.mark.parametrize("design", DESIGN_NAMES)
-def test_trains_match_per_packet_oracle(design, topology, monkeypatch):
-    monkeypatch.delenv("REPRO_TRAINS", raising=False)
+def test_trains_match_per_packet_oracle(design, topology):
     train = run_shuffle(design, topology)
-    monkeypatch.setenv("REPRO_TRAINS", "0")
-    oracle = run_shuffle(design, topology)
+    oracle = run_shuffle(design, topology, oracle=True)
     assert train[2] == oracle[2], "simulated end times diverge"
     assert train[1] == oracle[1], "trace span counts diverge"
     assert _comparable(train[0]) == _comparable(oracle[0]), \
@@ -116,27 +120,23 @@ def test_trains_match_per_packet_oracle(design, topology, monkeypatch):
         assert oracle[0]["fabric"][events] > train[0]["fabric"][events]
 
 
-def test_exempt_counters_are_the_only_divergence(monkeypatch):
+def test_exempt_counters_are_the_only_divergence():
     """Sanity check on the exemption set: everything the oracle changes
     is one of the four interpreter self-counters."""
-    monkeypatch.delenv("REPRO_TRAINS", raising=False)
     train = run_shuffle("MEMQ/SR")
-    monkeypatch.setenv("REPRO_TRAINS", "0")
-    oracle = run_shuffle("MEMQ/SR")
+    oracle = run_shuffle("MEMQ/SR", oracle=True)
     diverged = {k for k in train[0]["fabric"]
                 if train[0]["fabric"][k] != oracle[0]["fabric"].get(k)}
     assert diverged, "oracle should dispatch extra no-op events"
     assert diverged <= SIM_SELF_COUNTERS
 
 
-def test_train_crossing_credit_grant(monkeypatch):
+def test_train_crossing_credit_grant():
     """Boundary case: with a credit granted back after every message,
     multi-packet trains interleave with credit traffic at every pipe;
     the oracle must still be bit-identical."""
-    monkeypatch.delenv("REPRO_TRAINS", raising=False)
     train = run_shuffle("MEMQ/SR", credit_frequency=1)
-    monkeypatch.setenv("REPRO_TRAINS", "0")
-    oracle = run_shuffle("MEMQ/SR", credit_frequency=1)
+    oracle = run_shuffle("MEMQ/SR", credit_frequency=1, oracle=True)
     assert train[2] == oracle[2], "simulated end times diverge"
     assert _comparable(train[0]) == _comparable(oracle[0])
     assert train[3] == oracle[3], "critical-path attribution diverges"

@@ -148,7 +148,7 @@ def test_train_boundaries_unobservable_end_to_end(topology, wire_bytes,
 
 def _mcast_trains(topology, oracle):
     """Blast multicast trains with jitter and loss; returns every
-    per-leg outcome in completion order (mirrors the fastpath A/B)."""
+    per-leg outcome in completion order."""
     sim = Simulator()
     config = ClusterConfig(network=EDR, num_nodes=8,
                            topology=topology).with_network(
