@@ -5,7 +5,6 @@ from conftest import run_once, show
 from repro.bench.experiments import table1
 from repro.cluster import Cluster
 from repro.core.groups import TransmissionGroups
-from repro.core.stage import ShuffleStage
 from repro.fabric.config import EDR, ClusterConfig
 
 
@@ -23,8 +22,7 @@ def test_table1(benchmark):
     for name, per_table in qps.items():
         cluster = Cluster(ClusterConfig(network=EDR, num_nodes=16,
                                         threads_per_node=8))
-        stage = ShuffleStage(cluster.fabric, name,
-                             TransmissionGroups.repartition(16),
-                             registry=cluster.registry)
+        stage = cluster.shuffle_stage(
+            name, TransmissionGroups.repartition(16))
         cluster.run_process(stage.setup())  # QPs are created at setup
         assert stage.qps_created(0) == 2 * per_table, name

@@ -65,10 +65,11 @@ STATIC_RULES: Dict[str, str] = {
         "captures creates a reference cycle the event loop keeps "
         "alive — the _HopWalk leak class)"),
     "VS110": (
-        "raw design-string dispatch (DESIGNS[...] / DESIGNS.get) "
-        "outside the policy layer (go through resolve_design or a "
-        "StagePlan so eager validation and policy planning stay the "
-        "single dispatch path)"),
+        "raw design-string dispatch (DESIGNS[...] / DESIGNS.get, a "
+        "string handed to ShuffleStage, a membership test against the "
+        "baseline names) outside the policy layer (go through "
+        "resolve_design or a StagePlan so eager validation and policy "
+        "planning stay the single dispatch path)"),
     "VS111": (
         "process environment read (os.environ / os.getenv) under "
         "src/repro: an environment variable is a hidden mode switch; "
@@ -463,6 +464,7 @@ def _rule_vs109(rel: str, tree: ast.AST) -> Iterable[Tuple[int, str]]:
 #: the only modules that may dispatch on raw design strings: the design
 #: registry itself and the policy layer built directly on it.
 _VS110_ALLOWED = ("core/designs.py", "core/policy.py")
+_BASELINE_NAMES = ("MPI", "IPoIB")
 
 
 def _rule_vs110(rel: str, tree: ast.AST) -> Iterable[Tuple[int, str]]:
@@ -475,10 +477,36 @@ def _rule_vs110(rel: str, tree: ast.AST) -> Iterable[Tuple[int, str]]:
     the policy layer must resolve through
     :func:`repro.core.designs.resolve_design` (eager, with a helpful
     error) or receive a planned :class:`~repro.core.policy.StagePlan`.
+    The same rule keeps the boundary below ``Cluster.shuffle_stage``
+    closed: ``ShuffleStage`` takes a plan, never a string literal, and
+    nothing branches on ``in ("MPI", "IPoIB")`` — the baselines are
+    ordinary designs.
     """
     if not rel.endswith(".py") or rel in _VS110_ALLOWED:
         return
     for node in ast.walk(tree):
+        if (isinstance(node, ast.Call)
+                and getattr(node.func, "id",
+                            getattr(node.func, "attr", "")) == "ShuffleStage"):
+            plan = (node.args[1] if len(node.args) > 1 else next(
+                (kw.value for kw in node.keywords if kw.arg == "plan"),
+                None))
+            if isinstance(plan, ast.Constant) and isinstance(plan.value, str):
+                yield (node.lineno,
+                       f"ShuffleStage(..., {plan.value!r}, ...): a design "
+                       f"string below the API boundary (build the stage "
+                       f"with Cluster.shuffle_stage or pass a StagePlan)")
+        elif (isinstance(node, ast.Compare)
+              and any(isinstance(op, (ast.In, ast.NotIn)) for op in node.ops)
+              and any(isinstance(elt, ast.Constant)
+                      and elt.value in _BASELINE_NAMES
+                      for seq in node.comparators
+                      if isinstance(seq, (ast.Tuple, ast.List, ast.Set))
+                      for elt in seq.elts)):
+            yield (node.lineno,
+                   "membership test against the baseline design names "
+                   "(MPI/IPoIB are ordinary designs: resolve_design() or "
+                   "a StagePlan reaches them like any other)")
         if (isinstance(node, ast.Subscript)
                 and isinstance(node.value, ast.Name)
                 and node.value.id == "DESIGNS"):

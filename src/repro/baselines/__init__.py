@@ -15,14 +15,14 @@ The paper compares its RDMA-aware designs against:
   sender posting RC Sends from a single buffer, a receiver that never
   touches the data.
 
-MPI and IPoIB implement the §4.2 endpoint interface, so every workload
-and experiment driver treats them exactly like the six RDMA designs.
+MPI and IPoIB implement the §4.2 endpoint interface and register their
+endpoint kinds like the RDMA implementations do, so they are ordinary
+entries of :data:`repro.core.designs.DESIGNS` (``"MPI"``, ``"IPoIB"``).
 """
 
 from repro.baselines.mpi import MPIReceiveEndpoint, MPIRuntime, MPISendEndpoint
 from repro.baselines.ipoib import IPoIBReceiveEndpoint, IPoIBSendEndpoint
 from repro.baselines.qperf import run_qperf
-from repro.baselines.stage import baseline_stage
 
 __all__ = [
     "IPoIBReceiveEndpoint",
@@ -30,6 +30,5 @@ __all__ = [
     "MPIReceiveEndpoint",
     "MPIRuntime",
     "MPISendEndpoint",
-    "baseline_stage",
     "run_qperf",
 ]

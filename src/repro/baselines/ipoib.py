@@ -27,6 +27,7 @@ from repro.core.endpoint import (
     ReceiveEndpoint,
     SendEndpoint,
 )
+from repro.core.transport.registry import register_endpoint_kind
 from repro.fabric.packet import Packet, make_train
 from repro.memory import Buffer, BufferPool
 from repro.sim import Notify, RatePipe
@@ -244,3 +245,8 @@ class IPoIBReceiveEndpoint(ReceiveEndpoint):
         self._avail.append(local)
         return
         yield  # pragma: no cover - nothing to repost for sockets
+
+
+register_endpoint_kind(
+    "IPOIB", IPoIBSendEndpoint, IPoIBReceiveEndpoint,
+    description="TCP sockets over InfiniBand baseline (§5.1)")

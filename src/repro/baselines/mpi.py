@@ -38,6 +38,7 @@ from repro.core.endpoint import (
     ReceiveEndpoint,
     SendEndpoint,
 )
+from repro.core.transport.registry import register_endpoint_kind
 from repro.fabric.packet import Packet, make_train
 from repro.memory import Buffer, BufferPool
 from repro.sim import Event, Mutex, Notify
@@ -415,3 +416,8 @@ class MPIReceiveEndpoint(ReceiveEndpoint):
         self._avail.append(local)
         return
         yield  # pragma: no cover - nothing to post in MPI
+
+
+register_endpoint_kind(
+    "MPI", MPISendEndpoint, MPIReceiveEndpoint,
+    description="simulated MVAPICH2 baseline (§5.1)")

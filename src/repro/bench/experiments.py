@@ -21,10 +21,10 @@ from repro.baselines.qperf import run_qperf
 from repro.bench.report import ExperimentResult, Series
 from repro.bench.workloads import run_broadcast, run_repartition
 from repro.cluster import Cluster
-from repro.core.designs import design_properties
+from repro.core.designs import PAPER_ORDER, design_properties
 from repro.core.endpoint import EndpointConfig
 from repro.core.groups import TransmissionGroups
-from repro.core.stage import ShuffleStage
+from repro.core.policy import HierarchicalPolicy, StageContext, parse_policy
 from repro.fabric.config import (
     EDR,
     FDR,
@@ -43,18 +43,12 @@ __all__ = [
 
 MIB = 1 << 20
 
-#: the paper's plotting order for the six designs.
-SIX = ["MEMQ/SR", "MEMQ/RD", "MESQ/SR", "SEMQ/SR", "SEMQ/RD", "SESQ/SR"]
-SR_DESIGNS = ["SEMQ/SR", "MEMQ/SR", "SESQ/SR", "MESQ/SR"]
-
 
 def _volume(design: str, scale: float, nodes: int = 8,
             pattern: str = "repartition") -> int:
-    """Per-node transfer volume: UD runs cost more host time per byte."""
-    base = 24 * MIB if design.endswith("SQ/SR") else 72 * MIB
-    if design in ("MPI", "IPoIB"):
-        base = 24 * MIB
-    base = int(base * scale)
+    """Per-node transfer volume: UD datagrams and the baselines' per-packet
+    models cost more host time per byte than the MQ designs' RC messages."""
+    base = int((72 if "MQ/" in design else 24) * MIB * scale)
     if pattern == "broadcast":
         base = base // max(1, nodes - 1)
     return max(2 * MIB, base)
@@ -74,6 +68,15 @@ def _run(network: NetworkConfig, design: str, nodes: int,
                     bytes_per_node=_volume(design, scale, nodes, pattern),
                     config=config, num_endpoints=num_endpoints)
     return cluster, result
+
+
+def _peak_trunk_util(cluster: Cluster, result) -> float:
+    """Peak switch-trunk utilization (0..1) over the transfer window
+    (setup excluded: trunk ports only carry shuffle data)."""
+    elapsed = max(1, result.elapsed_ns)
+    return min(1.0, max((p.pipe.busy_ns / elapsed
+                         for p in cluster.fabric.topology.ports()),
+                        default=0.0))
 
 
 def _throughput(network: NetworkConfig, design: str, nodes: int,
@@ -130,17 +133,13 @@ def fig9(network: NetworkConfig = EDR, nodes: int = 8,
                                  1 << 20),
          scale: float = 1.0):
     """Fig 9(a,b): RC message size vs throughput and registered memory."""
-    throughput = {d: [] for d in SIX}
-    memory = {d: [] for d in SIX}
+    throughput = {d: [] for d in PAPER_ORDER}
+    memory = {d: [] for d in PAPER_ORDER}
     for size in sizes:
-        for design in SIX:
-            cfg = EndpointConfig(message_size=size)
-            cluster = Cluster(ClusterConfig(network=network,
-                                            num_nodes=nodes))
-            result = run_repartition(
-                cluster, design,
-                bytes_per_node=_volume(design, scale, nodes),
-                config=cfg)
+        for design in PAPER_ORDER:
+            _cluster, result = _run(
+                network, design, nodes, "repartition", scale,
+                config=EndpointConfig(message_size=size))
             throughput[design].append(
                 result.receive_throughput_gib_per_node())
             memory[design].append(
@@ -150,7 +149,7 @@ def fig9(network: NetworkConfig = EDR, nodes: int = 8,
         title=f"Effect of message size ({network.name}): throughput",
         x_label="message size (B)", x=list(sizes),
         y_label="receive throughput per node (GiB/s)",
-        series=[Series(d, throughput[d]) for d in SIX],
+        series=[Series(d, throughput[d]) for d in PAPER_ORDER],
         notes="UD designs are pinned at the 4 KiB MTU regardless of the "
               "requested size (§2.2.2)",
     )
@@ -159,7 +158,7 @@ def fig9(network: NetworkConfig = EDR, nodes: int = 8,
         title=f"Effect of message size ({network.name}): pinned memory",
         x_label="message size (B)", x=list(sizes),
         y_label="registered memory per node (MiB)",
-        series=[Series(d, memory[d]) for d in SIX],
+        series=[Series(d, memory[d]) for d in PAPER_ORDER],
         notes="double buffering per thread per destination (§5.1.2)",
     )
     return thr, mem
@@ -178,7 +177,7 @@ def fig10(networks: Sequence[NetworkConfig] = (FDR, EDR),
     for network in networks:
         for pattern in ("repartition", "broadcast"):
             series = []
-            for design in SIX + ["MPI", "IPoIB"]:
+            for design in PAPER_ORDER + ["MPI", "IPoIB"]:
                 ys = [
                     _throughput(network, design, n, pattern, scale)
                     for n in node_counts
@@ -266,10 +265,8 @@ def _scaleout_point(network: NetworkConfig, design: str, n: int,
                              config=cfg)
     note = None
     if want_trunk_note:
-        elapsed = max(1, result.elapsed_ns)
-        peak = max((p.pipe.busy_ns / elapsed
-                    for p in cluster.fabric.topology.ports()), default=0.0)
-        note = f"n={n} peak trunk util {100.0 * min(1.0, peak):.0f}%"
+        note = (f"n={n} peak trunk util "
+                f"{100.0 * _peak_trunk_util(cluster, result):.0f}%")
     y = result.receive_throughput_gib_per_node()
     cluster.dispose()
     return y, note
@@ -376,27 +373,32 @@ def fig11(network: NetworkConfig = EDR, nodes: int = 16,
 # -- Figure 12: connection setup cost --------------------------------------------------
 
 
+def _setup_ns(network: NetworkConfig, design: str, nodes: int,
+              threads: int = 0) -> int:
+    """Slowest node's connection build time for one repartition stage."""
+    cluster = Cluster(ClusterConfig(network=network, num_nodes=nodes,
+                                    threads_per_node=threads))
+    stage = cluster.shuffle_stage(
+        design, TransmissionGroups.repartition(nodes))
+    cluster.run_process(stage.setup())
+    return stage.max_setup_ns
+
+
 def fig12(network: NetworkConfig = EDR,
           node_counts: Sequence[int] = (2, 4, 6, 8, 10, 12, 14, 16),
           threads: int = 0) -> ExperimentResult:
     """Fig 12: time to build the RDMA connections vs cluster size."""
-    series = {d: [] for d in SIX}
+    series = {d: [] for d in PAPER_ORDER}
     for nodes in node_counts:
-        for design in SIX:
-            cluster = Cluster(ClusterConfig(network=network,
-                                            num_nodes=nodes,
-                                            threads_per_node=threads))
-            stage = ShuffleStage(cluster.fabric, design,
-                                 TransmissionGroups.repartition(nodes),
-                                 registry=cluster.registry)
-            cluster.run_process(stage.setup())
-            series[design].append(stage.max_setup_ns / 1e6)
+        for design in PAPER_ORDER:
+            series[design].append(
+                _setup_ns(network, design, nodes, threads) / 1e6)
     return ExperimentResult(
         experiment="fig12",
         title=f"Time to build RDMA connections ({network.name})",
         x_label="nodes", x=list(node_counts),
         y_label="time (ms)",
-        series=[Series(d, series[d]) for d in SIX],
+        series=[Series(d, series[d]) for d in PAPER_ORDER],
         notes="per-node setup: QP creation + handshake + registration; "
               "MQ designs grow linearly, SQ designs stay flat (§5.1.5)",
     )
@@ -406,12 +408,7 @@ def setup_crossover_mb(network: NetworkConfig = EDR, nodes: int = 8,
                        scale: float = 1.0) -> float:
     """§5.1.5 claim: the shuffle volume above which MESQ/SR with runtime
     connection setup beats IPoIB (which needs none worth counting)."""
-    cluster = Cluster(ClusterConfig(network=network, num_nodes=nodes))
-    stage = ShuffleStage(cluster.fabric, "MESQ/SR",
-                         TransmissionGroups.repartition(nodes),
-                         registry=cluster.registry)
-    cluster.run_process(stage.setup())
-    setup_s = stage.max_setup_ns / 1e9
+    setup_s = _setup_ns(network, "MESQ/SR", nodes) / 1e9
     mesq = _throughput(network, "MESQ/SR", nodes, "repartition", scale)
     ipoib = _throughput(network, "IPoIB", nodes, "repartition", scale)
     if mesq <= ipoib:
@@ -438,7 +435,7 @@ def fig13(network: NetworkConfig = EDR, nodes: int = 8,
     """
     batch = 32 * 1024
     series = []
-    for design in SIX + ["MPI", "IPoIB"]:
+    for design in PAPER_ORDER + ["MPI", "IPoIB"]:
         ys = []
         for c_us in compute_us:
             cluster = Cluster(ClusterConfig(network=network,
@@ -562,15 +559,9 @@ def abl_oversub(network: NetworkConfig = EDR, nodes: int = 8,
                 bytes_per_node=_volume(design, scale, nodes))
             ys.append(result.receive_throughput_gib_per_node())
             if design == designs[0]:
-                # Utilization over the transfer window (setup excluded):
-                # trunk ports only carry shuffle data.
-                elapsed = max(1, result.elapsed_ns)
-                peak = max(
-                    (p.pipe.busy_ns / elapsed
-                     for p in cluster.fabric.topology.ports()),
-                    default=0.0)
-                trunk_notes.append(f"{k}:1 peak trunk util "
-                                   f"{100.0 * min(1.0, peak):.0f}%")
+                trunk_notes.append(
+                    f"{k}:1 peak trunk util "
+                    f"{100.0 * _peak_trunk_util(cluster, result):.0f}%")
         series.append(Series(design, ys))
     return ExperimentResult(
         experiment=f"abl-oversub-{network.name}",
@@ -605,7 +596,7 @@ _ADAPTIVE_GRID = [
 
 def abl_adaptive(scale: float = 1.0, nodes: Optional[int] = None,
                  policy: str = "adaptive",
-                 designs: Sequence[str] = SIX) -> ExperimentResult:
+                 designs: Sequence[str] = PAPER_ORDER) -> ExperimentResult:
     """Adaptive design selection vs the static grid (the policy ablation).
 
     Re-runs one repartition point from each regime of the fig8–fig11
@@ -620,8 +611,6 @@ def abl_adaptive(scale: float = 1.0, nodes: Optional[int] = None,
     adaptive series *is* a normal planned run — including the clamp
     path — not a post-hoc argmax over the static series.
     """
-    from repro.core.policy import StageContext, parse_policy
-
     names, best_ys, policy_ys, notes = [], [], [], []
     for label, network, default_n, cfg in _ADAPTIVE_GRID:
         n = _n(nodes, default_n)
@@ -641,7 +630,7 @@ def abl_adaptive(scale: float = 1.0, nodes: Optional[int] = None,
             bytes_per_node=_volume("SEMQ/SR", scale, n)))
         result = run_repartition(
             cluster, pol,
-            bytes_per_node=_volume(plan.design, scale, n),
+            bytes_per_node=_volume(plan.design.name, scale, n),
             config=cfg)
         pol_y = result.receive_throughput_gib_per_node()
         cluster.dispose()
@@ -681,8 +670,6 @@ def abl_hierarchical(network: NetworkConfig = EDR, nodes: int = 8,
     (EXPERIMENTS.md, abl-oversub) — and the recoverable scheduling
     part, and report how much of each the two-phase plan wins back.
     """
-    from repro.core.policy import HierarchicalPolicy
-
     cfg = EndpointConfig(message_size=4096, buffers_per_connection=2,
                          credit_frequency=2, ud_window_factor=1)
     volume = max(2 * MIB, int(24 * MIB * scale))
@@ -694,12 +681,10 @@ def abl_hierarchical(network: NetworkConfig = EDR, nodes: int = 8,
                                         topology=topology))
         result = run_repartition(cluster, design, bytes_per_node=volume,
                                  config=cfg)
-        elapsed = max(1, result.elapsed_ns)
-        trunk = max((p.pipe.busy_ns / elapsed
-                     for p in cluster.fabric.topology.ports()), default=0.0)
+        trunk = _peak_trunk_util(cluster, result)
         cluster.dispose()
         return (result.design, result.receive_throughput_gib_per_node(),
-                100.0 * min(1.0, trunk))
+                100.0 * trunk)
 
     flat1 = point("MESQ/SR", 1)
     flat_k = point("MESQ/SR", oversubscription)

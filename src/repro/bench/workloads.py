@@ -1,12 +1,9 @@
 """Synthetic shuffle workloads (§5.1).
 
-The paper's receive-throughput experiments scan a replicated table R of
-16-byte tuples (two long integers, uniformly random key) on every node
-and repartition or broadcast it.  The simulation reproduces that with a
-template batch re-served up to a per-node byte budget; the *striped*
-partitioner gives every destination an equal slice of each batch -- the
-exact traffic pattern per-tuple hashing of a uniform key produces --
-while keeping host-side numpy work off the critical path.
+The paper's receive-throughput experiments scan a replicated table R on
+every node and repartition or broadcast it; :mod:`repro.core.synthetic`
+builds those fragments, and the runners here set up the stage(s) a plan
+asks for, run the fragments, and report.
 
 Absolute volumes are scaled down from the paper's 160 GiB per node — the
 simulation measures steady-state throughput, which converges within tens
@@ -17,47 +14,26 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Union
-
-import numpy as np
+from typing import List, Optional, Sequence
 
 from repro.cluster import Cluster
-from repro.core.designs import Design
 from repro.core.endpoint import EndpointConfig
 from repro.core.groups import TransmissionGroups
 from repro.core.policy import (
-    ShufflePolicy,
+    DesignLike,
     StageContext,
     StagePlan,
     TelemetrySnapshot,
+    resolve_plan,
 )
-from repro.core.receive import ReceiveOperator
-from repro.core.shuffle import ShuffleOperator, striped_partitioner
 from repro.core.stage import ShuffleStage
-from repro.engine.compute import ComputeOperator
-from repro.engine.fragment import CountSink, QueryFragment, run_fragments
-from repro.engine.scan import RepeatedSourceOperator
-from repro.sim import AllOf
+from repro.core.synthetic import R_DTYPE, SyntheticShuffle
+from repro.engine.fragment import QueryFragment, run_fragments
 
-__all__ = ["ShuffleRunResult", "run_repartition", "run_broadcast",
-           "run_hierarchical"]
-
-#: what the workload runners accept as a design selector.
-DesignLike = Union[str, Design, StagePlan, ShufflePolicy]
+__all__ = ["R_DTYPE", "ShuffleRunResult", "run_repartition",
+           "run_broadcast", "run_hierarchical"]
 
 GIB = float(1 << 30)
-
-#: the synthetic table R: two long integers per tuple (§5.1).
-R_DTYPE = np.dtype([("a", np.int64), ("b", np.int64)])
-
-
-def make_template_batch(rows: int = 16 * 1024, seed: int = 7) -> np.ndarray:
-    """A batch of R tuples with a uniformly random key column."""
-    rng = np.random.default_rng(seed)
-    batch = np.empty(rows, dtype=R_DTYPE)
-    batch["a"] = rng.integers(0, 1 << 62, rows)
-    batch["b"] = rng.integers(0, 1 << 62, rows)
-    return batch
 
 
 @dataclass
@@ -106,34 +82,41 @@ class ShuffleRunResult:
         return max(0.0, 1.0 - self.recv_data_wait_ns / total)
 
 
-def _resolve_stage(cluster: Cluster, design, groups_for, config,
-                   num_endpoints, threads):
-    """Build the stage for an RDMA design or a baseline (MPI / IPoIB)."""
-    if design in ("MPI", "IPoIB"):
-        # Imported lazily: baselines depend on core, not vice versa.
-        from repro.baselines import baseline_stage
-        return baseline_stage(cluster.fabric, design, groups_for,
-                              config=config, threads=threads,
-                              registry=cluster.registry)
-    return ShuffleStage(cluster.fabric, design, groups_for, config=config,
-                        num_endpoints=num_endpoints, threads=threads,
-                        registry=cluster.registry)
-
-
-def _plan_stage(cluster: Cluster, design: DesignLike, pattern: str,
-                bytes_per_node: int, config: Optional[EndpointConfig],
-                num_endpoints: Optional[int]) -> Optional[StagePlan]:
-    """Resolve a policy selector into a plan; None for plain designs."""
-    if isinstance(design, StagePlan):
-        return design
-    if not isinstance(design, ShufflePolicy):
-        return None
-    ctx = StageContext.from_cluster(
-        cluster, config=config, bytes_per_node=bytes_per_node,
-        pattern=pattern, num_endpoints=num_endpoints,
-        allow_hierarchical=(pattern == "repartition"),
-        telemetry=TelemetrySnapshot.from_cluster(cluster))
-    return design.plan(ctx)
+def _execute(cluster: Cluster, plan: StagePlan, pattern: str,
+             bytes_per_node: int, stages: Sequence[ShuffleStage],
+             shuffle: SyntheticShuffle, immediate: List[QueryFragment],
+             chains: Sequence[List[QueryFragment]] = ()) -> ShuffleRunResult:
+    """Set ``stages`` up, run the fragments built over them, report."""
+    setup_ns = 0
+    for stage in stages:
+        cluster.run_process(stage.setup(), name="stage-setup")
+        setup_ns += stage.max_setup_ns
+    messages_before = cluster.fabric.delivered_messages
+    elapsed = cluster.run_process(
+        run_fragments(cluster.sim, immediate, chains), name="shuffle-query")
+    n = cluster.num_nodes
+    stats = [stage.stats() for stage in stages]
+    return ShuffleRunResult(
+        design=plan.describe(),
+        pattern=pattern,
+        network=cluster.config.network.name,
+        num_nodes=n,
+        threads=cluster.threads_per_node,
+        bytes_per_node=bytes_per_node,
+        elapsed_ns=elapsed,
+        setup_ns=setup_ns,
+        total_received_bytes=sum(s.nbytes for s in shuffle.sinks),
+        total_received_rows=sum(s.rows for s in shuffle.sinks),
+        registered_bytes_per_node=max(
+            sum(stage.registered_bytes(i) for stage in stages)
+            for i in range(n)),
+        qps_per_node=max(
+            sum(stage.qps_created(i) for stage in stages)
+            for i in range(n)),
+        messages_sent=cluster.fabric.delivered_messages - messages_before,
+        recv_data_wait_ns=sum(s.recv_data_wait_ns for s in stats),
+        send_credit_wait_ns=sum(s.credit_wait_ns for s in stats),
+    )
 
 
 def _run_shuffle(cluster: Cluster, design: DesignLike, pattern: str,
@@ -142,84 +125,25 @@ def _run_shuffle(cluster: Cluster, design: DesignLike, pattern: str,
                  num_endpoints: Optional[int],
                  compute_ns_per_batch: float,
                  receive_output_bytes: int) -> ShuffleRunResult:
-    plan = _plan_stage(cluster, design, pattern, bytes_per_node, config,
-                       num_endpoints)
-    if plan is not None:
-        if plan.hierarchical:
-            if pattern != "repartition":
-                raise ValueError(
-                    f"hierarchical plans only support repartition, "
-                    f"not {pattern!r}")
-            return run_hierarchical(
-                cluster, plan, bytes_per_node=bytes_per_node, config=config,
-                compute_ns_per_batch=compute_ns_per_batch,
-                receive_output_bytes=receive_output_bytes)
-        design = plan
-    n = cluster.num_nodes
-    threads = cluster.threads_per_node
-    stage = _resolve_stage(cluster, design, groups_for, config,
-                           num_endpoints, threads)
-    cluster.run_process(stage.setup(), name="stage-setup")
-    setup_ns = stage.max_setup_ns
-
-    template = make_template_batch()
-    per_thread = max(template.nbytes, bytes_per_node // threads)
-    fragments: List[QueryFragment] = []
-    sinks: List[CountSink] = []
-    messages_before = cluster.fabric.delivered_messages
-
-    for node_id in range(n):
-        node = cluster.nodes[node_id]
-        groups = stage.groups_for[node_id]
-        source = RepeatedSourceOperator(node, template, threads, per_thread)
-        shuffle = ShuffleOperator(
-            node, source, stage.send_endpoints[node_id], groups,
-            striped_partitioner(groups.num_groups), threads)
-        fragments.append(QueryFragment(node, shuffle, threads,
-                                       name=f"shuffle-{node_id}"))
-        receive = ReceiveOperator(node, stage.recv_endpoints[node_id],
-                                  threads, output_bytes=receive_output_bytes)
-        root = receive
-        if compute_ns_per_batch:
-            root = ComputeOperator(node, receive,
-                                   ns_per_batch=compute_ns_per_batch)
-        sink = CountSink()
-        sinks.append(sink)
-        fragments.append(QueryFragment(node, root, threads, sink=sink,
-                                       name=f"receive-{node_id}"))
-
-    elapsed = cluster.run_process(
-        run_fragments(cluster.sim, fragments), name="shuffle-query")
-
-    if isinstance(design, str):
-        label = design
-    elif isinstance(design, StagePlan):
-        label = design.design
-    else:
-        label = design.name
-
-    return ShuffleRunResult(
-        design=label,
-        pattern=pattern,
-        network=cluster.config.network.name,
-        num_nodes=n,
-        threads=threads,
-        bytes_per_node=bytes_per_node,
-        elapsed_ns=elapsed,
-        setup_ns=setup_ns,
-        total_received_bytes=sum(s.nbytes for s in sinks),
-        total_received_rows=sum(s.rows for s in sinks),
-        registered_bytes_per_node=max(
-            stage.registered_bytes(i) for i in range(n)),
-        qps_per_node=max(stage.qps_created(i) for i in range(n)),
-        messages_sent=cluster.fabric.delivered_messages - messages_before,
-        recv_data_wait_ns=sum(
-            ep.data_wait_ns
-            for eps in stage.recv_endpoints.values() for ep in eps),
-        send_credit_wait_ns=sum(
-            getattr(ep, "credit_wait_ns", 0)
-            for eps in stage.send_endpoints.values() for ep in eps),
-    )
+    plan = resolve_plan(design, StageContext.from_cluster(
+        cluster, config=config, bytes_per_node=bytes_per_node,
+        pattern=pattern, num_endpoints=num_endpoints,
+        allow_hierarchical=(pattern == "repartition"),
+        telemetry=TelemetrySnapshot.from_cluster(cluster)))
+    if plan.hierarchical:
+        if pattern != "repartition":
+            raise ValueError(
+                f"hierarchical plans only support repartition, "
+                f"not {pattern!r}")
+        return run_hierarchical(
+            cluster, plan, bytes_per_node=bytes_per_node, config=config,
+            compute_ns_per_batch=compute_ns_per_batch,
+            receive_output_bytes=receive_output_bytes)
+    stage = cluster.shuffle_stage(plan, groups_for, config)
+    shuffle = SyntheticShuffle(cluster, compute_ns_per_batch,
+                               receive_output_bytes)
+    return _execute(cluster, plan, pattern, bytes_per_node, [stage],
+                    shuffle, shuffle.fragments(stage, bytes_per_node))
 
 
 def run_repartition(cluster: Cluster, design: DesignLike,
@@ -231,8 +155,9 @@ def run_repartition(cluster: Cluster, design: DesignLike,
     """Uniform repartition of table R across all nodes (§5.1, Fig 10a/c).
 
     ``design`` may be a design name, a :class:`Design`, a
-    :class:`StagePlan`, or a :class:`ShufflePolicy` (planned against the
-    live cluster; hierarchical plans run via :func:`run_hierarchical`).
+    :class:`StagePlan`, or a :class:`ShufflePolicy`; it is coerced once
+    to a plan (against the live cluster), and hierarchical plans run
+    via :func:`run_hierarchical`.
     """
     groups = TransmissionGroups.repartition(cluster.num_nodes)
     return _run_shuffle(cluster, design, "repartition", groups,
@@ -260,26 +185,6 @@ def run_broadcast(cluster: Cluster, design: DesignLike,
 # ---------------------------------------------------------------------------
 # two-phase (hierarchical) repartition for oversubscribed leaf-spine
 # ---------------------------------------------------------------------------
-
-
-def _chained_fragments(fragments: Sequence[QueryFragment]):
-    """Run fragments strictly one after another (a sender chain)."""
-    for fragment in fragments:
-        yield fragment.start()
-
-
-def _hierarchical_query(sim, immediate: List[QueryFragment],
-                        chains: List[List[QueryFragment]]):
-    """Start the concurrent fragments plus one process per sender chain;
-    wait for everything.  Mirrors :func:`run_fragments`' timing."""
-    start = sim.now
-    events = [fragment.start() for fragment in immediate]
-    events += [
-        sim.process(_chained_fragments(chain), name=f"inter-chain-{i}")
-        for i, chain in enumerate(chains) if chain
-    ]
-    yield AllOf(sim, events)
-    return sim.now - start
 
 
 def run_hierarchical(cluster: Cluster, plan: StagePlan,
@@ -312,7 +217,6 @@ def run_hierarchical(cluster: Cluster, plan: StagePlan,
         raise ValueError("run_hierarchical needs a plan with an inter-leaf "
                          "sub-plan; use run_repartition for flat plans")
     n = cluster.num_nodes
-    threads = cluster.threads_per_node
     per_leaf = cluster.config.topology.nodes_per_leaf
     leaves = [list(range(lo, min(lo + per_leaf, n)))
               for lo in range(0, n, per_leaf)]
@@ -335,61 +239,22 @@ def run_hierarchical(cluster: Cluster, plan: StagePlan,
         return TransmissionGroups(
             [(dest,) for dest in range(n) if leaf_of[dest] != leaf_of[node]])
 
-    intra_cfg = plan.apply(config)
-    inter_cfg = plan.inter.apply(config)
-    intra_stage = ShuffleStage(
-        cluster.fabric, plan.design, intra_groups, config=intra_cfg,
-        num_endpoints=plan.num_endpoints, threads=threads,
-        registry=cluster.registry)
-    inter_stage = ShuffleStage(
-        cluster.fabric, plan.inter.design, inter_groups, config=inter_cfg,
-        num_endpoints=plan.inter.num_endpoints, threads=threads,
-        registry=cluster.registry)
-    cluster.run_process(intra_stage.setup(), name="hier-intra-setup")
-    cluster.run_process(inter_stage.setup(), name="hier-inter-setup")
-    setup_ns = intra_stage.max_setup_ns + inter_stage.max_setup_ns
-
-    template = make_template_batch()
+    intra_stage = cluster.shuffle_stage(
+        dataclasses.replace(plan, inter=None), intra_groups, config)
+    inter_stage = cluster.shuffle_stage(plan.inter, inter_groups, config)
+    shuffle = SyntheticShuffle(cluster, compute_ns_per_batch,
+                               receive_output_bytes)
     immediate: List[QueryFragment] = []
     inter_senders: List[QueryFragment] = []
-    sinks: List[CountSink] = []
-    messages_before = cluster.fabric.delivered_messages
-
-    def receive_fragment(stage, node_id: int, tag: str) -> QueryFragment:
-        node = cluster.nodes[node_id]
-        receive = ReceiveOperator(node, stage.recv_endpoints[node_id],
-                                  threads, output_bytes=receive_output_bytes)
-        root = receive
-        if compute_ns_per_batch:
-            root = ComputeOperator(node, receive,
-                                   ns_per_batch=compute_ns_per_batch)
-        sink = CountSink()
-        sinks.append(sink)
-        return QueryFragment(node, root, threads, sink=sink,
-                             name=f"{tag}-receive-{node_id}")
-
-    def shuffle_fragment(stage, node_id: int, nbytes: int,
-                         tag: str) -> QueryFragment:
-        node = cluster.nodes[node_id]
-        groups = stage.groups_for[node_id]
-        per_thread = max(template.nbytes, nbytes // threads)
-        source = RepeatedSourceOperator(node, template, threads, per_thread)
-        shuffle = ShuffleOperator(
-            node, source, stage.send_endpoints[node_id], groups,
-            striped_partitioner(groups.num_groups), threads)
-        return QueryFragment(node, shuffle, threads,
-                             name=f"{tag}-shuffle-{node_id}")
-
     for node_id in range(n):
         own = len(leaves[leaf_of[node_id]])
         intra_bytes = bytes_per_node * own // n
-        inter_bytes = bytes_per_node - intra_bytes
         immediate.append(
-            shuffle_fragment(intra_stage, node_id, intra_bytes, "intra"))
-        immediate.append(receive_fragment(intra_stage, node_id, "intra"))
-        immediate.append(receive_fragment(inter_stage, node_id, "inter"))
-        inter_senders.append(
-            shuffle_fragment(inter_stage, node_id, inter_bytes, "inter"))
+            shuffle.sender(intra_stage, node_id, intra_bytes, "intra-"))
+        immediate.append(shuffle.receiver(intra_stage, node_id, "intra-"))
+        immediate.append(shuffle.receiver(inter_stage, node_id, "inter-"))
+        inter_senders.append(shuffle.sender(
+            inter_stage, node_id, bytes_per_node - intra_bytes, "inter-"))
 
     # Round-robin each leaf's inter-leaf senders into c sequential
     # chains: at most c senders per source leaf are active at any time.
@@ -402,33 +267,5 @@ def run_hierarchical(cluster: Cluster, plan: StagePlan,
             leaf_chains[slot % concurrency].append(inter_senders[node_id])
         chains.extend(chain for chain in leaf_chains if chain)
 
-    elapsed = cluster.run_process(
-        _hierarchical_query(cluster.sim, immediate, chains),
-        name="hier-shuffle-query")
-
-    stages = (intra_stage, inter_stage)
-    return ShuffleRunResult(
-        design=plan.describe(),
-        pattern="repartition",
-        network=cluster.config.network.name,
-        num_nodes=n,
-        threads=threads,
-        bytes_per_node=bytes_per_node,
-        elapsed_ns=elapsed,
-        setup_ns=setup_ns,
-        total_received_bytes=sum(s.nbytes for s in sinks),
-        total_received_rows=sum(s.rows for s in sinks),
-        registered_bytes_per_node=max(
-            sum(stage.registered_bytes(i) for stage in stages)
-            for i in range(n)),
-        qps_per_node=max(
-            sum(stage.qps_created(i) for stage in stages)
-            for i in range(n)),
-        messages_sent=cluster.fabric.delivered_messages - messages_before,
-        recv_data_wait_ns=sum(
-            ep.data_wait_ns for stage in stages
-            for eps in stage.recv_endpoints.values() for ep in eps),
-        send_credit_wait_ns=sum(
-            getattr(ep, "credit_wait_ns", 0) for stage in stages
-            for eps in stage.send_endpoints.values() for ep in eps),
-    )
+    return _execute(cluster, plan, "repartition", bytes_per_node,
+                    (intra_stage, inter_stage), shuffle, immediate, chains)

@@ -147,31 +147,26 @@ class Cluster:
         """Harvest a JSON-ready metrics snapshot of the whole cluster."""
         return self.telemetry.snapshot()
 
-    def shuffle_stage(self, design, groups, context=None, **kwargs):
+    def shuffle_stage(self, design, groups, config=None, *,
+                      num_endpoints=None):
         """Build a :class:`~repro.core.stage.ShuffleStage` on this cluster,
-        wired to the cluster-wide endpoint registry by default.
+        wired to the cluster-wide endpoint registry.
 
-        ``design`` may be a design name, a :class:`~repro.core.designs.
-        Design`, a flat :class:`~repro.core.policy.StagePlan`, or a
-        :class:`~repro.core.policy.ShufflePolicy` (planned against
-        ``context``, or a context built from this cluster).  The
-        argument is validated *eagerly*: an unknown design or endpoint
-        kind raises here, naming the known designs and registered
-        kinds, instead of failing deep in the transport registry.
+        This is the API boundary for stage construction: ``design`` may
+        be a design name, a :class:`~repro.core.designs.Design`, a flat
+        :class:`~repro.core.policy.StagePlan`, or a
+        :class:`~repro.core.policy.ShufflePolicy`, and is coerced here,
+        once, to the plan the stage runs (a policy plans against a
+        context built from this cluster).  Validation is *eager*:
+        an unknown design or endpoint kind raises here, naming the
+        known designs and registered kinds.
         """
-        from repro.core.designs import resolve_design
-        from repro.core.policy import ShufflePolicy, StageContext, StagePlan
+        from repro.core.policy import StageContext, resolve_plan
         from repro.core.stage import ShuffleStage
-        if isinstance(design, ShufflePolicy):
-            if context is None:
-                context = StageContext.from_cluster(
-                    self, config=kwargs.get("config"),
-                    num_endpoints=kwargs.get("num_endpoints"))
-            design = design.plan(context)
-        if not isinstance(design, StagePlan):
-            resolve_design(design)
-        kwargs.setdefault("registry", self.registry)
-        return ShuffleStage(self.fabric, design, groups, **kwargs)
+        plan = resolve_plan(design, StageContext.from_cluster(
+            self, config=config, num_endpoints=num_endpoints))
+        return ShuffleStage(self.fabric, plan, groups, config,
+                            registry=self.registry)
 
     def _check_usable(self) -> None:
         if self._disposed:

@@ -10,7 +10,8 @@ Two orthogonal dimensions:
 
 ``WR_RC`` (RDMA Write over RC) implements the paper's first future-work
 item and is exposed as two extra designs (SEMQ/WR, MEMQ/WR) for the
-extension benchmarks.
+extension benchmarks.  The MPI and IPoIB baselines of §5.1 implement
+the same endpoint interface and are ordinary entries of :data:`DESIGNS`.
 
 Endpoint implementations self-register with the backend registry
 (:mod:`repro.core.transport.registry`) at import time; a :class:`Design`
@@ -21,15 +22,16 @@ what populates it for the built-in kinds.
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass
-from typing import Dict, List, Type
+from typing import Dict, List, Optional, Tuple, Type, Union
 
-from typing import Union
-
-from repro.core.endpoint import ReceiveEndpoint, SendEndpoint
+from repro.core.endpoint import EndpointConfig, ReceiveEndpoint, SendEndpoint
 from repro.core.transport.registry import backend, register_endpoint_kind
 
 # Importing an implementation module registers its endpoint kind.
+import repro.baselines.ipoib  # noqa: F401  (IPOIB)
+import repro.baselines.mpi   # noqa: F401  (MPI)
 import repro.core.mcast      # noqa: F401  (SR_UD_MC)
 import repro.core.read_rc    # noqa: F401  (RD_RC)
 import repro.core.sr_rc      # noqa: F401  (SR_RC)
@@ -39,6 +41,7 @@ import repro.core.write_rc   # noqa: F401  (WR_RC)
 __all__ = [
     "Design",
     "DESIGNS",
+    "PAPER_ORDER",
     "UnknownDesignError",
     "design_properties",
     "register_endpoint_kind",
@@ -93,6 +96,32 @@ class Design:
         per_endpoint = 1 if self.uses_ud else num_nodes
         return self.num_endpoints(threads) * per_endpoint
 
+    def stage_config(self, threads: int,
+                     num_endpoints: Optional[int] = None,
+                     base: Optional[EndpointConfig] = None,
+                     mtu: Optional[int] = None
+                     ) -> Tuple[int, EndpointConfig]:
+        """Endpoint count and effective endpoint config of one stage.
+
+        The one derivation the stage runs with and the footprint
+        estimate sizes from: the threads are split over the endpoints,
+        and UD caps the message size at the MTU (§2.2.2) and widens the
+        buffer window to keep comparable in-flight bytes per
+        connection.  ``mtu=None`` (network unknown) leaves the size
+        uncapped, which only makes an estimate more generous.
+        """
+        k = num_endpoints or self.num_endpoints(threads)
+        base = base or EndpointConfig()
+        message_size = base.message_size
+        buffers = base.buffers_per_connection
+        if self.uses_ud:
+            if mtu is not None:
+                message_size = min(message_size, mtu)
+            buffers *= base.ud_window_factor
+        return k, dataclasses.replace(
+            base, message_size=message_size, buffers_per_connection=buffers,
+            threads_per_endpoint=-(-threads // k))
+
     # -- Table 1 descriptive columns -----------------------------------------
 
     @property
@@ -130,8 +159,11 @@ class Design:
                 else "Two-sided, flow control in software")
 
 
-#: the six designs of the paper, plus the future-work variants: the
-#: hardware-multicast MESQ/SR and the RDMA Write endpoint (§7).
+#: the six designs of the paper, the future-work variants (the
+#: hardware-multicast MESQ/SR and the RDMA Write endpoint, §7), and the
+#: §5.1 baselines.  The baselines run one endpoint per thread so the
+#: comparison isolates the transport, not the endpoint-sharing dimension
+#: (the MPI runtime and kernel TCP stack serialize per node regardless).
 DESIGNS: Dict[str, Design] = {
     "MEMQ/RD": Design("MEMQ/RD", "RD_RC", multi_endpoint=True),
     "SEMQ/RD": Design("SEMQ/RD", "RD_RC", multi_endpoint=False),
@@ -142,6 +174,8 @@ DESIGNS: Dict[str, Design] = {
     "MESQ/SR+MC": Design("MESQ/SR+MC", "SR_UD_MC", multi_endpoint=True),
     "MEMQ/WR": Design("MEMQ/WR", "WR_RC", multi_endpoint=True),
     "SEMQ/WR": Design("SEMQ/WR", "WR_RC", multi_endpoint=False),
+    "MPI": Design("MPI", "MPI", multi_endpoint=True),
+    "IPoIB": Design("IPoIB", "IPOIB", multi_endpoint=True),
 }
 
 #: the order the paper lists the six designs in.

@@ -31,14 +31,17 @@ coordinated inter-leaf streams (one active stream per leaf pair).
 
 This module (with :mod:`repro.core.designs`) is the *only* place that
 may dispatch on raw design strings — lint rule VS110 enforces that the
-rest of the tree goes through :func:`resolve_design` / plans.
+rest of the tree goes through :func:`resolve_design` / plans.  The
+boundary rule: public entry points coerce whatever the caller named
+(string, :class:`Design`, plan, policy) once, through
+:func:`resolve_plan`; below them only a :class:`StagePlan` travels.
 """
 
 from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, NamedTuple, Optional, Tuple, Union
 
 from repro.core.designs import DESIGNS, Design, resolve_design
 from repro.core.endpoint import EndpointConfig
@@ -51,9 +54,13 @@ __all__ = [
     "StaticPolicy",
     "AdaptivePolicy",
     "HierarchicalPolicy",
+    "DesignLike",
+    "Footprint",
     "SHUFFLE_POLICIES",
+    "as_policy",
     "parse_policy",
     "plan_footprint",
+    "resolve_plan",
 ]
 
 
@@ -140,7 +147,6 @@ class StageContext:
 
     @classmethod
     def from_cluster(cls, cluster: Any, *,
-                     message_size: Optional[int] = None,
                      bytes_per_node: int = 0,
                      pattern: str = "repartition",
                      config: Optional[EndpointConfig] = None,
@@ -153,12 +159,10 @@ class StageContext:
         """Build a context from a live :class:`~repro.cluster.Cluster`."""
         net = cluster.config.network
         spec = cluster.config.topology
-        if message_size is None:
-            message_size = (config or EndpointConfig()).message_size
         return cls(
             num_nodes=cluster.num_nodes,
             threads=cluster.threads_per_node,
-            message_size=message_size,
+            message_size=(config or EndpointConfig()).message_size,
             bytes_per_node=bytes_per_node,
             pattern=pattern,
             mtu=net.mtu,
@@ -196,14 +200,15 @@ class StageContext:
 class StagePlan:
     """A policy's decision for one stage.
 
-    ``design`` names a registered :class:`~repro.core.designs.Design`
-    (the endpoint kind + endpoint-multiplicity pair); the optional
-    fields override the workload's base :class:`EndpointConfig` only
-    where set, so an all-``None`` plan runs exactly like the legacy
-    design-string path.
+    ``design`` is the resolved :class:`~repro.core.designs.Design` (the
+    endpoint kind + endpoint-multiplicity pair); a registered name is
+    accepted and resolved — eagerly, once — at construction.  The
+    optional fields override the workload's base
+    :class:`EndpointConfig` only where set, so an all-``None`` plan
+    runs exactly like the bare design.
     """
 
-    design: str
+    design: Design
     #: endpoint count (None: the design's natural count).
     num_endpoints: Optional[int] = None
     #: credit/window parameter overrides (None: keep the caller's).
@@ -226,21 +231,17 @@ class StagePlan:
     reason: str = ""
 
     def __post_init__(self):
-        resolve_design(self.design)
+        object.__setattr__(self, "design", resolve_design(self.design))
+        if self.num_endpoints is not None and self.num_endpoints < 1:
+            raise ValueError(
+                f"num_endpoints must be None (the design's natural "
+                f"count) or >= 1, not {self.num_endpoints}")
         if self.inter is not None and self.inter.inter is not None:
             raise ValueError("inter-leaf plans cannot nest further")
 
     @property
     def hierarchical(self) -> bool:
         return self.inter is not None
-
-    @property
-    def endpoint_kind(self) -> str:
-        """The transport kind this plan resolves to (registry lookup)."""
-        return resolve_design(self.design).endpoint_kind
-
-    def resolve(self) -> Design:
-        return resolve_design(self.design)
 
     def apply(self, base: Optional[EndpointConfig] = None) -> EndpointConfig:
         """Overlay this plan's parameter overrides on ``base``.
@@ -261,11 +262,10 @@ class StagePlan:
         return dataclasses.replace(config, **changes)
 
     def describe(self) -> str:
-        if self.hierarchical:
-            assert self.inter is not None
-            return (f"{self.design}+{self.inter.design}/hier"
+        if self.inter is not None:
+            return (f"{self.design.name}+{self.inter.design.name}/hier"
                     f"(x{self.inter_concurrency})")
-        return self.design
+        return self.design.name
 
 
 # ---------------------------------------------------------------------------
@@ -274,36 +274,36 @@ class StagePlan:
 # ---------------------------------------------------------------------------
 
 
-def plan_footprint(design: Any, nodes: int, threads: int,
-                   num_endpoints: Optional[int] = None,
-                   config: Optional[EndpointConfig] = None
-                   ) -> Tuple[int, int]:
-    """Generous cluster-wide ``(qps, registered_bytes)`` estimate.
+class Footprint(NamedTuple):
+    """Estimated cluster-wide resource footprint of one job."""
 
-    Mirrors the stage's config derivation (UD MTU cap and window
-    factor, per-endpoint thread split), then applies a 2x safety margin
-    so admission — which compares this estimate against a tenant's
-    remaining headroom — over-rejects rather than admitting a job the
-    hard verbs-layer cap would kill halfway through setup.  The
-    conformance test asserts estimate >= actual for every design.
+    qps: int
+    registered_bytes: int
+
+
+def plan_footprint(design: Union[str, Design], nodes: int, threads: int,
+                   num_endpoints: Optional[int] = None,
+                   config: Optional[EndpointConfig] = None) -> Footprint:
+    """Generous cluster-wide footprint estimate for one shuffle job.
+
+    The one formula admission (as ``service.estimate_footprint``),
+    policy clamping and planning share: it sizes from the config the
+    stage itself derives (:meth:`Design.stage_config`), then applies a
+    2x safety margin so admission — which compares this estimate
+    against a tenant's remaining headroom — over-rejects rather than
+    admitting a job the hard verbs-layer cap would kill halfway through
+    setup.  The conformance test asserts estimate >= actual for every
+    design.
     """
     d = resolve_design(design)
-    k = num_endpoints or d.num_endpoints(threads)
-    base = config or EndpointConfig()
-    threads_per_ep = -(-threads // k)
-    message_size = base.message_size
-    buffers = base.buffers_per_connection
-    if d.uses_ud:
-        buffers *= base.ud_window_factor
-    # message_size is capped at the MTU for UD, but keeping the uncapped
-    # value only makes the estimate more generous.
+    k, cfg = d.stage_config(threads, num_endpoints, config)
     per_ep_qps = 1 if d.uses_ud else nodes
     qps = 2 * nodes * k * per_ep_qps
-    window = buffers * threads_per_ep * message_size
+    window = cfg.buffers_per_link * cfg.message_size
     # send pool (window x groups) + recv pool (window x sources) per
     # node, plus aux pools/boards absorbed by the margin.
     registered = 2 * nodes * k * nodes * window
-    return 2 * qps, 2 * registered
+    return Footprint(qps=2 * qps, registered_bytes=2 * registered)
 
 
 def _clamp_plan(plan: StagePlan, ctx: StageContext) -> StagePlan:
@@ -318,12 +318,11 @@ def _clamp_plan(plan: StagePlan, ctx: StageContext) -> StagePlan:
     """
     if not ctx.capped or plan.hierarchical:
         return plan
-    design = resolve_design(plan.design)
-    natural = plan.num_endpoints or design.num_endpoints(ctx.threads)
+    natural = plan.num_endpoints or plan.design.num_endpoints(ctx.threads)
     config = plan.apply(ctx.base_config)
     for candidate in range(natural, 0, -1):
         qps, registered = plan_footprint(
-            design, ctx.num_nodes, ctx.threads,
+            plan.design, ctx.num_nodes, ctx.threads,
             num_endpoints=candidate, config=config)
         if ctx.max_qps is not None and qps > ctx.max_qps:
             continue
@@ -370,23 +369,20 @@ class ShufflePolicy:
 
 
 class StaticPolicy(ShufflePolicy):
-    """The legacy fixed-design path, as a policy object.
+    """A fixed design as a policy object — what a design name means.
 
-    Plans are bit-identical to passing the design string directly: no
-    parameter overrides, the same quota clamp the scheduler used to
-    apply inline.
+    Plans carry no parameter overrides; only the caller's endpoint
+    count and the tenant's quota clamp apply.
     """
 
     name = "static"
 
-    def __init__(self, design: Any, num_endpoints: Optional[int] = None):
+    def __init__(self, design: Union[str, Design]):
         self.design = resolve_design(design)
-        self.num_endpoints = num_endpoints
 
     def plan(self, ctx: StageContext) -> StagePlan:
         plan = StagePlan(
-            design=self.design.name,
-            num_endpoints=self.num_endpoints or ctx.num_endpoints,
+            design=self.design, num_endpoints=ctx.num_endpoints,
             reason=f"static: fixed design {self.design.name}")
         return _clamp_plan(plan, ctx)
 
@@ -501,7 +497,8 @@ class AdaptivePolicy(ShufflePolicy):
                           f"{observed.credit_stall_share:.2f} >= "
                           f"{self.stall_threshold}: deepening window to "
                           f"{buffers} buffers")
-        plan = StagePlan(design=design, num_endpoints=ctx.num_endpoints,
+        plan = StagePlan(design=resolve_design(design),
+                         num_endpoints=ctx.num_endpoints,
                          buffers_per_connection=buffers, reason=reason)
         return _clamp_plan(plan, ctx)
 
@@ -549,7 +546,7 @@ class HierarchicalPolicy(ShufflePolicy):
         if not ctx.allow_hierarchical or ctx.topology_kind != "leaf-spine" \
                 or ctx.num_leaves < 2 or ctx.pattern != "repartition":
             plan = StagePlan(
-                design=self.intra.name, num_endpoints=ctx.num_endpoints,
+                design=self.intra, num_endpoints=ctx.num_endpoints,
                 reason="hierarchical: flat fallback (no leaf-spine "
                        "locality to exploit here)")
             return _clamp_plan(plan, ctx)
@@ -557,12 +554,12 @@ class HierarchicalPolicy(ShufflePolicy):
             ctx.nodes_per_leaf,
             max(2, ctx.nodes_per_leaf // ctx.oversubscription))
         inter = StagePlan(
-            design=self.inter.name,
+            design=self.inter,
             buffers_per_connection=self.inter_buffers,
             message_size=max(ctx.message_size, 64 * 1024),
             reason=f"inter-leaf: deep-window {self.inter.name}")
         plan = StagePlan(
-            design=self.intra.name,
+            design=self.intra,
             num_endpoints=ctx.num_endpoints,
             inter=inter,
             inter_concurrency=concurrency,
@@ -577,8 +574,35 @@ class HierarchicalPolicy(ShufflePolicy):
 
 
 # ---------------------------------------------------------------------------
-# registry / CLI parsing
+# the API-boundary resolver, registry, CLI parsing
 # ---------------------------------------------------------------------------
+
+#: what the public entry points accept as a design selector.
+DesignLike = Union[str, Design, StagePlan, ShufflePolicy]
+
+
+def as_policy(selector: Union[str, Design, ShufflePolicy]) -> ShufflePolicy:
+    """A design name or :class:`Design` *is* its :class:`StaticPolicy`."""
+    if isinstance(selector, ShufflePolicy):
+        return selector
+    return StaticPolicy(selector)
+
+
+def resolve_plan(selector: DesignLike, ctx: StageContext) -> StagePlan:
+    """Coerce a design selector to the :class:`StagePlan` it means.
+
+    The single coercion behind ``Cluster.shuffle_stage``, the workload
+    runners, ``run_query`` and the service's tenants: a ready plan is
+    taken as is (the caller's endpoint count fills in only where the
+    plan names none), anything else is planned against ``ctx``.  An
+    unknown design name raises :class:`UnknownDesignError` here.
+    """
+    if not isinstance(selector, StagePlan):
+        return as_policy(selector).plan(ctx)
+    if selector.num_endpoints is None and ctx.num_endpoints is not None:
+        return dataclasses.replace(selector, num_endpoints=ctx.num_endpoints)
+    return selector
+
 
 SHUFFLE_POLICIES = {
     "adaptive": AdaptivePolicy,

@@ -12,21 +12,18 @@ and exposes the endpoints for building SHUFFLE / RECEIVE operators.
 from __future__ import annotations
 
 import itertools
-from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, \
-    Union
+from dataclasses import dataclass
+from typing import Callable, Dict, FrozenSet, List, Optional, Sequence, Union
 
-from repro.core.designs import Design, resolve_design
 from repro.core.endpoint import EndpointConfig, ReceiveEndpoint, SendEndpoint
 from repro.core.groups import TransmissionGroups
+from repro.core.policy import StagePlan
 from repro.fabric.network import Fabric
 from repro.sim import AllOf
 from repro.verbs.cm import EndpointRegistry
 from repro.verbs.device import VerbsContext
 
-if TYPE_CHECKING:  # pragma: no cover
-    from repro.core.policy import StagePlan
-
-__all__ = ["ShuffleStage", "get_context"]
+__all__ = ["ShuffleStage", "StageStats", "get_context"]
 
 _endpoint_ids = itertools.count(1)
 
@@ -39,78 +36,63 @@ def get_context(fabric: Fabric, node_id: int) -> VerbsContext:
     return ctx
 
 
+@dataclass(frozen=True)
+class StageStats:
+    """Transport stats of one stage, summed over all its endpoints."""
+
+    #: time receiver threads spent blocked waiting for data.
+    recv_data_wait_ns: int
+    #: time sender threads spent stalled for flow-control credit.
+    credit_wait_ns: int
+    credit_stalls: int
+    #: every Queue Pair number the stage created, cluster-wide.
+    qpns: FrozenSet[int]
+
+
 class ShuffleStage:
     """All endpoints of one shuffle operator pair across the cluster."""
 
     def __init__(
         self,
         fabric: Fabric,
-        design: Union[str, Design, "StagePlan"],
+        plan: StagePlan,
         groups: Union[TransmissionGroups,
                       Callable[[int], TransmissionGroups]],
         config: Optional[EndpointConfig] = None,
+        *,
         sender_nodes: Optional[Sequence[int]] = None,
-        num_endpoints: Optional[int] = None,
         threads: Optional[int] = None,
         registry: Optional[EndpointRegistry] = None,
     ):
+        if not isinstance(plan, StagePlan):
+            raise TypeError(
+                f"ShuffleStage runs a StagePlan, not {plan!r}: build stages "
+                f"with Cluster.shuffle_stage(design, groups), which resolves "
+                f"design names, Designs and policies to a plan")
+        if plan.hierarchical:
+            raise ValueError(
+                f"plan {plan.describe()!r} is hierarchical; a single "
+                f"ShuffleStage runs flat plans only — use the "
+                f"two-phase runner in repro.bench.workloads")
         self.fabric = fabric
-        #: the plan this stage executes, when one was supplied (a flat
-        #: :class:`~repro.core.policy.StagePlan`); its design resolves
-        #: through the same eager path as a plain name.
-        self.plan: Optional["StagePlan"] = None
-        if hasattr(design, "apply"):  # a StagePlan (duck-typed: no cycle)
-            plan = design
-            if plan.hierarchical:
-                raise ValueError(
-                    f"plan {plan.describe()!r} is hierarchical; a single "
-                    f"ShuffleStage runs flat plans only — use the "
-                    f"two-phase runner in repro.bench.workloads")
-            self.plan = plan
-            num_endpoints = num_endpoints or plan.num_endpoints
-            config = plan.apply(config)
-            design = plan.design
-        # Eager validation: an unknown design name or unregistered
-        # endpoint kind fails here with the known-design/kind lists.
-        self.design = resolve_design(design)
+        #: the flat plan this stage executes.
+        self.plan = plan
+        self.design = plan.design
         self.threads = threads or fabric.cluster.threads_per_node
-        self.k = num_endpoints or self.design.num_endpoints(self.threads)
+        self.k, self.config = self.design.stage_config(
+            self.threads, plan.num_endpoints, plan.apply(config),
+            mtu=fabric.config.mtu)
         if self.k > self.threads:
             raise ValueError(
                 f"more endpoints ({self.k}) than threads ({self.threads})")
         self.registry = registry if registry is not None else EndpointRegistry()
 
-        if callable(groups):
-            self.groups_for: Dict[int, TransmissionGroups] = {}
-            group_fn = groups
-        else:
-            self.groups_for = {}
-            group_fn = lambda _node: groups  # noqa: E731 - tiny adapter
-
+        group_fn = groups if callable(groups) else (lambda _node: groups)
         self.sender_nodes = tuple(
             sender_nodes if sender_nodes is not None
             else range(fabric.num_nodes))
-        for s in self.sender_nodes:
-            self.groups_for[s] = group_fn(s)
-
-        # UD caps the message size at the MTU (§2.2.2) and widens the
-        # buffer window to keep comparable in-flight bytes per connection.
-        base = config or EndpointConfig()
-        threads_per_ep = -(-self.threads // self.k)
-        message_size = base.message_size
-        buffers = base.buffers_per_connection
-        if self.design.uses_ud:
-            message_size = min(message_size, fabric.config.mtu)
-            buffers = buffers * base.ud_window_factor
-        self.config = EndpointConfig(
-            message_size=message_size,
-            buffers_per_connection=buffers,
-            credit_frequency=base.credit_frequency,
-            threads_per_endpoint=threads_per_ep,
-            drain_timeout_ns=base.drain_timeout_ns,
-            ud_window_factor=base.ud_window_factor,
-            tenant=base.tenant,
-        )
+        self.groups_for: Dict[int, TransmissionGroups] = {
+            s: group_fn(s) for s in self.sender_nodes}
 
         self.receiver_nodes = tuple(sorted({
             dest
@@ -241,3 +223,14 @@ class ShuffleStage:
         return sum(mr.length
                    for ep in self._node_endpoints(node)
                    for mr in ep.registered_regions())
+
+    def stats(self) -> StageStats:
+        """Harvest the stage's transport stats (any time after setup)."""
+        senders = [ep for eps in self.send_endpoints.values() for ep in eps]
+        receivers = [ep for eps in self.recv_endpoints.values() for ep in eps]
+        return StageStats(
+            recv_data_wait_ns=sum(ep.data_wait_ns for ep in receivers),
+            credit_wait_ns=sum(ep.credit_wait_ns for ep in senders),
+            credit_stalls=sum(ep.credit_stalls for ep in senders),
+            qpns=frozenset(qp.qpn for ep in senders + receivers
+                           for qp in ep.qps()))

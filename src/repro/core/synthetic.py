@@ -1,0 +1,98 @@
+"""The synthetic table R of §5.1 and the fragments that shuffle it.
+
+The receive-throughput experiments scan a replicated table R of 16-byte
+tuples (two long integers, uniformly random key) on every node and
+repartition or broadcast it.  The simulation reproduces that with a
+template batch re-served up to a per-node byte budget; the *striped*
+partitioner gives every destination an equal slice of each batch -- the
+exact traffic pattern per-tuple hashing of a uniform key produces --
+while keeping host-side numpy work off the critical path.
+
+The workload runners of :mod:`repro.bench.workloads` (flat and
+two-phase) and the jobs of :mod:`repro.service` all build their
+fragments here.
+"""
+
+from __future__ import annotations
+
+from typing import List
+
+import numpy as np
+
+from repro.core.receive import ReceiveOperator
+from repro.core.shuffle import ShuffleOperator, striped_partitioner
+from repro.core.stage import ShuffleStage
+from repro.engine.compute import ComputeOperator
+from repro.engine.fragment import CountSink, QueryFragment
+from repro.engine.operator import Operator
+from repro.engine.scan import RepeatedSourceOperator
+
+__all__ = ["R_DTYPE", "SyntheticShuffle", "make_template_batch"]
+
+#: the synthetic table R: two long integers per tuple (§5.1).
+R_DTYPE = np.dtype([("a", np.int64), ("b", np.int64)])
+
+
+def make_template_batch(rows: int = 16 * 1024, seed: int = 7) -> np.ndarray:
+    """A batch of R tuples with a uniformly random key column."""
+    rng = np.random.default_rng(seed)
+    batch = np.empty(rows, dtype=R_DTYPE)
+    batch["a"] = rng.integers(0, 1 << 62, rows)
+    batch["b"] = rng.integers(0, 1 << 62, rows)
+    return batch
+
+
+class SyntheticShuffle:
+    """Builds one run's R-shuffling fragments and counts what arrives.
+
+    ``sender`` is source -> SHUFFLE on one node of a stage; ``receiver``
+    is RECEIVE -> optional per-batch compute -> a counting sink.  Every
+    sink is kept in ``sinks``, whichever stage its fragment drains.
+    """
+
+    def __init__(self, cluster, compute_ns_per_batch: float = 0.0,
+                 receive_output_bytes: int = 32 * 1024):
+        self.cluster = cluster
+        self.threads = cluster.threads_per_node
+        self.compute_ns_per_batch = compute_ns_per_batch
+        self.receive_output_bytes = receive_output_bytes
+        self.template = make_template_batch()
+        self.sinks: List[CountSink] = []
+
+    def sender(self, stage: ShuffleStage, node_id: int, nbytes: int,
+               tag: str = "") -> QueryFragment:
+        """The fragment streaming ``nbytes`` of R out of ``node_id``."""
+        node = self.cluster.nodes[node_id]
+        groups = stage.groups_for[node_id]
+        per_thread = max(self.template.nbytes, nbytes // self.threads)
+        source = RepeatedSourceOperator(node, self.template, self.threads,
+                                        per_thread)
+        shuffle = ShuffleOperator(
+            node, source, stage.send_endpoints[node_id], groups,
+            striped_partitioner(groups.num_groups), self.threads)
+        return QueryFragment(node, shuffle, self.threads,
+                             name=f"{tag}shuffle-{node_id}")
+
+    def receiver(self, stage: ShuffleStage, node_id: int,
+                 tag: str = "") -> QueryFragment:
+        """The fragment draining the stage's endpoints on ``node_id``."""
+        node = self.cluster.nodes[node_id]
+        root: Operator = ReceiveOperator(
+            node, stage.recv_endpoints[node_id], self.threads,
+            output_bytes=self.receive_output_bytes)
+        if self.compute_ns_per_batch:
+            root = ComputeOperator(node, root,
+                                   ns_per_batch=self.compute_ns_per_batch)
+        sink = CountSink()
+        self.sinks.append(sink)
+        return QueryFragment(node, root, self.threads, sink=sink,
+                             name=f"{tag}receive-{node_id}")
+
+    def fragments(self, stage: ShuffleStage, nbytes: int,
+                  tag: str = "") -> List[QueryFragment]:
+        """Every node's sender and receiver over one flat stage."""
+        out: List[QueryFragment] = []
+        for node_id in range(self.cluster.num_nodes):
+            out.append(self.sender(stage, node_id, nbytes, tag))
+            out.append(self.receiver(stage, node_id, tag))
+        return out

@@ -24,7 +24,6 @@ __all__ = [
     "backend",
     "register_endpoint_kind",
     "registered_kinds",
-    "resolve_backend",
 ]
 
 
@@ -90,21 +89,6 @@ def backend(kind: str) -> EndpointBackend:
         return _BACKENDS[kind]
     except KeyError:
         raise UnknownEndpointKindError(kind, tuple(_BACKENDS)) from None
-
-
-def resolve_backend(spec) -> EndpointBackend:
-    """Resolve a kind name *or* any object that names one.
-
-    Accepts a plain kind string, or anything exposing an
-    ``endpoint_kind`` attribute — a :class:`~repro.core.designs.Design`
-    or a :class:`~repro.core.policy.StagePlan` — so stage construction
-    can look its transport up directly from a plan.
-    """
-    kind = getattr(spec, "endpoint_kind", spec)
-    if not isinstance(kind, str):
-        raise TypeError(
-            f"cannot resolve an endpoint backend from {spec!r}")
-    return backend(kind)
 
 
 def registered_kinds() -> Tuple[str, ...]:

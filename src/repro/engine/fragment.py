@@ -9,7 +9,7 @@ sink.
 
 from __future__ import annotations
 
-from typing import Any, List, Optional
+from typing import Any, List, Optional, Sequence
 
 import numpy as np
 
@@ -92,12 +92,22 @@ class QueryFragment:
         return self.finished_at - self.started_at
 
 
-def run_fragments(sim: Simulator, fragments: List[QueryFragment]):
-    """Process fragment: start every fragment, wait for all to finish.
+def _chained(fragments: Sequence[QueryFragment]):
+    """Run fragments strictly one after another (a sender chain)."""
+    for fragment in fragments:
+        yield fragment.start()
+
+
+def run_fragments(sim: Simulator, fragments: List[QueryFragment],
+                  chains: Sequence[Sequence[QueryFragment]] = ()):
+    """Process fragment: start every fragment, plus one process per
+    chain running its fragments sequentially; wait for all to finish.
 
     Returns the wall-clock nanoseconds from start to the last finisher.
     """
     start = sim.now
     done = [frag.start() for frag in fragments]
+    done += [sim.process(_chained(chain), name=f"chain-{i}")
+             for i, chain in enumerate(chains)]
     yield AllOf(sim, done)
     return sim.now - start

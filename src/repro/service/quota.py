@@ -20,13 +20,12 @@ everyone (the Fig 10/11 degradation mechanism, now cross-tenant).  The
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, Optional, Union
+from typing import Any, Dict, Optional
 
-from repro.core.designs import Design
-from repro.core.endpoint import EndpointConfig
-from repro.core.policy import plan_footprint
+from repro.core.policy import Footprint, plan_footprint
 
 __all__ = [
+    "Footprint",
     "QuotaExceededError",
     "TenantUsage",
     "QuotaManager",
@@ -58,14 +57,6 @@ class TenantQuota:
 
     max_qps: Optional[int] = None
     max_registered_bytes: Optional[int] = None
-
-
-@dataclass(frozen=True)
-class Footprint:
-    """Estimated cluster-wide resource footprint of one job."""
-
-    qps: int
-    registered_bytes: int
 
 
 class QuotaManager:
@@ -173,18 +164,5 @@ class QuotaManager:
         }
 
 
-def estimate_footprint(design: Union[str, Design], nodes: int, threads: int,
-                       num_endpoints: Optional[int] = None,
-                       config: Optional[EndpointConfig] = None) -> Footprint:
-    """Generous cluster-wide footprint estimate for one shuffle job.
-
-    A thin wrapper over :func:`repro.core.policy.plan_footprint` — the
-    one shared formula that admission, policy clamping, and planning
-    all use (it mirrors the stage's config derivation and applies a 2x
-    safety margin; the conformance test asserts estimate >= actual for
-    every design).
-    """
-    qps, registered = plan_footprint(design, nodes, threads,
-                                     num_endpoints=num_endpoints,
-                                     config=config)
-    return Footprint(qps=qps, registered_bytes=registered)
+#: the admission-side name of the one shared footprint formula.
+estimate_footprint = plan_footprint

@@ -40,16 +40,15 @@ from typing import Any, Dict, List, Optional
 from repro.cluster import Cluster
 from repro.core.endpoint import EndpointConfig
 from repro.core.groups import TransmissionGroups
-from repro.core.receive import ReceiveOperator
 from repro.core.policy import (
     StageContext,
     StagePlan,
-    StaticPolicy,
     TelemetrySnapshot,
+    as_policy,
+    resolve_plan,
 )
-from repro.core.shuffle import ShuffleOperator, striped_partitioner
-from repro.engine.fragment import CountSink, QueryFragment, run_fragments
-from repro.engine.scan import RepeatedSourceOperator
+from repro.core.synthetic import SyntheticShuffle
+from repro.engine.fragment import run_fragments
 from repro.sim import AllOf
 from repro.telemetry.metrics import latency_summary
 
@@ -58,6 +57,7 @@ from repro.service.quota import (
     Footprint,
     QuotaExceededError,
     QuotaManager,
+    TenantQuota,
     estimate_footprint,
 )
 
@@ -147,27 +147,20 @@ class ShuffleService:
         self.failed: List[Job] = []
         self.started_by_tenant: Dict[str, int] = {}
         self.running = 0
-        #: per-tenant shuffle policies: the tenant's own, or a
-        #: StaticPolicy of its fixed design (bit-identical to the
-        #: historical inline design/clamp logic).
+        #: per-tenant shuffle policies: the tenant's own, or the static
+        #: policy its fixed design means.  They persist across jobs so
+        #: :meth:`_observe` can feed telemetry back.
         self._policies = {
-            t.name: (t.policy if t.policy is not None
-                     else StaticPolicy(t.design,
-                                       num_endpoints=t.num_endpoints))
+            t.name: as_policy(t.policy if t.policy is not None else t.design)
             for t in tenants
         }
-        #: the plan each admitted job was reserved under, so admission
-        #: accounting and execution cannot diverge for adaptive tenants.
-        self._plans: Dict[str, StagePlan] = {}
         self._decisions = cluster.telemetry.fabric_registry.counter(
             "service.policy_decisions")
         #: footprints reserved by admitted-but-unfinished jobs, so two
         #: concurrent admissions of one tenant cannot overshoot its cap.
         self._reserved: Dict[str, List[Footprint]] = {}
-        #: every QPN a tenant's jobs ever created (QPNs are not reused,
-        #: so per-job cache-miss attribution is exact after the fact).
-        self._job_qpns: Dict[str, set] = {}
-        # Per-QPN context-miss attribution on every NIC.
+        # Per-QPN context-miss attribution on every NIC (QPNs are not
+        # reused, so per-job attribution is exact after the fact).
         for node in cluster.nodes:
             if node.nic.qp_miss_by_qpn is None:
                 node.nic.qp_miss_by_qpn = {}
@@ -181,33 +174,23 @@ class ShuffleService:
         cluster shape, the tenant's quota caps (the clamping inputs),
         and a live telemetry snapshot for adaptive policies."""
         quota = self.quotas.quota(tenant.name) \
-            if self.quotas is not None else None
+            if self.quotas is not None else TenantQuota()
         return StageContext.from_cluster(
             self.cluster,
-            message_size=(tenant.config or EndpointConfig()).message_size,
             bytes_per_node=tenant.bytes_per_job,
             config=tenant.config,
             num_endpoints=tenant.num_endpoints,
-            max_qps=quota.max_qps if quota is not None else None,
-            max_registered_bytes=(quota.max_registered_bytes
-                                  if quota is not None else None),
+            max_qps=quota.max_qps,
+            max_registered_bytes=quota.max_registered_bytes,
             telemetry=TelemetrySnapshot.from_cluster(self.cluster),
         )
 
     def plan_for(self, tenant: TenantSpec) -> StagePlan:
-        """Plan one job of ``tenant`` right now (clamping included).
+        """Plan one job of ``tenant`` right now (clamping included)."""
+        return resolve_plan(self._policies[tenant.name],
+                            self.stage_context(tenant))
 
-        The per-design endpoint-count/clamping logic that used to be
-        duplicated here and in ``service/quota.py`` now lives once, in
-        the policy layer (:func:`repro.core.policy.plan_footprint` and
-        the policies' quota clamp).
-        """
-        return self._policies[tenant.name].plan(self.stage_context(tenant))
-
-    def job_footprint(self, job: Job,
-                      plan: Optional[StagePlan] = None) -> Footprint:
-        if plan is None:
-            plan = self._plans.get(job.name) or self.plan_for(job.tenant)
+    def job_footprint(self, job: Job, plan: StagePlan) -> Footprint:
         return estimate_footprint(
             plan.design, self.cluster.num_nodes,
             self.cluster.threads_per_node,
@@ -222,7 +205,7 @@ class ShuffleService:
         plan = self.plan_for(job.tenant)
         if not plan.runnable:
             return False
-        fp = self.job_footprint(job, plan=plan)
+        fp = self.job_footprint(job, plan)
         reserved = self._reserved.get(tenant, [])
         combined = Footprint(
             qps=fp.qps + sum(r.qps for r in reserved),
@@ -294,61 +277,52 @@ class ShuffleService:
         # Plan once at admission: the same plan backs the reservation,
         # the decision trace, and the stage the job runs.
         plan = self.plan_for(job.tenant)
-        self._plans[job.name] = plan
         self._record_decision(job, plan)
         if self.quotas is not None:
             self._reserved.setdefault(tenant, []).append(
-                self.job_footprint(job, plan=plan))
+                self.job_footprint(job, plan))
         self.running += 1
-        self.sim.process(self._run_job(job), name=f"job-{job.name}")
+        self.sim.process(self._run_job(job, plan), name=f"job-{job.name}")
 
     def _record_decision(self, job: Job, plan: StagePlan) -> None:
         """Policy-decision telemetry: a counter, job metadata, and a
         trace instant on the scheduler track."""
         self._decisions.inc()
-        job.meta["design"] = plan.design
+        job.meta["design"] = plan.design.name
         job.meta["policy"] = self._policies[job.tenant.name].describe()
         self.cluster.telemetry.tracer.instant(
             0, "scheduler", "policy-decision",
             args={"job": job.name, "design": plan.describe(),
                   "reason": plan.reason})
 
-    def _run_job(self, job: Job):
+    def _run_job(self, job: Job, plan: StagePlan):
         cluster = self.cluster
         tenant = job.tenant
         stage = None
         try:
-            plan = self._plans.pop(job.name, None)
-            if plan is None:
-                plan = self.plan_for(tenant)
             if not plan.runnable:
                 raise QuotaExceededError(
                     f"tenant {tenant.name!r} cannot fit any job under "
                     "its caps")
-            base = plan.apply(tenant.config or EndpointConfig())
-            config = dataclasses.replace(base, tenant=tenant.name)
+            config = dataclasses.replace(
+                tenant.config or EndpointConfig(), tenant=tenant.name)
             if plan.clamped:
                 job.meta["clamped_endpoints"] = plan.num_endpoints
             groups = TransmissionGroups.repartition(cluster.num_nodes)
-            stage = cluster.shuffle_stage(plan, groups, config=config)
+            stage = cluster.shuffle_stage(plan, groups, config)
             yield from stage.setup()
-            qpns = {qp.qpn
-                    for node in range(cluster.num_nodes)
-                    for ep in stage._node_endpoints(node)
-                    for qp in ep.qps()}
-            self._job_qpns.setdefault(tenant.name, set()).update(qpns)
-            job.qps_created = len(qpns)
-            elapsed, sinks = yield from self._run_fragments(stage)
+            shuffle = SyntheticShuffle(cluster)
+            elapsed = yield from run_fragments(
+                self.sim,
+                shuffle.fragments(stage, tenant.bytes_per_job, "svc-"))
+            stats = stage.stats()
             job.finished_ns = self.sim.now
             job.meta["service_ns"] = elapsed
-            job.bytes_received = sum(s.nbytes for s in sinks)
-            job.credit_wait_ns = sum(
-                ep.credit_wait_ns
-                for eps in stage.send_endpoints.values() for ep in eps)
-            job.credit_stalls = sum(
-                ep.credit_stalls
-                for eps in stage.send_endpoints.values() for ep in eps)
-            job.qp_cache_misses = self._misses_for(qpns)
+            job.qps_created = len(stats.qpns)
+            job.bytes_received = sum(s.nbytes for s in shuffle.sinks)
+            job.credit_wait_ns = stats.credit_wait_ns
+            job.credit_stalls = stats.credit_stalls
+            job.qp_cache_misses = self._misses_for(stats.qpns)
             self._observe(job, elapsed)
             self.completed.append(job)
             self.completion_order.append(job.name)
@@ -386,45 +360,6 @@ class ShuffleService:
             base,
             credit_stall_share=min(1.0, job.credit_wait_ns / budget))
         self._policies[job.tenant.name].observe(observed)
-
-    def _run_fragments(self, stage):
-        """Build and run the §5.1 repartition fragments on ``stage``."""
-        cluster = self.cluster
-        threads = cluster.threads_per_node
-        # Imported lazily: the template generator lives with the bench
-        # workloads but has no dependency back on the service.
-        from repro.bench.workloads import make_template_batch
-        template = make_template_batch()
-        fragments: List[QueryFragment] = []
-        sinks: List[CountSink] = []
-        bytes_per_node = self._bytes_per_node(stage)
-        per_thread = max(template.nbytes, bytes_per_node // threads)
-        for node_id in range(cluster.num_nodes):
-            node = cluster.nodes[node_id]
-            groups = stage.groups_for[node_id]
-            source = RepeatedSourceOperator(node, template, threads,
-                                            per_thread)
-            shuffle = ShuffleOperator(
-                node, source, stage.send_endpoints[node_id], groups,
-                striped_partitioner(groups.num_groups), threads)
-            fragments.append(QueryFragment(
-                node, shuffle, threads, name=f"svc-shuffle-{node_id}"))
-            receive = ReceiveOperator(node, stage.recv_endpoints[node_id],
-                                      threads)
-            sink = CountSink()
-            sinks.append(sink)
-            fragments.append(QueryFragment(
-                node, receive, threads, sink=sink,
-                name=f"svc-receive-{node_id}"))
-        elapsed = yield from run_fragments(self.sim, fragments)
-        return elapsed, sinks
-
-    def _bytes_per_node(self, stage) -> int:
-        tenant = stage.config.tenant
-        for spec in self.tenants:
-            if spec.name == tenant:
-                return spec.bytes_per_job
-        return 2 << 20
 
     def _misses_for(self, qpns) -> int:
         total = 0

@@ -20,6 +20,7 @@ import numpy as np
 from repro.cluster import Cluster
 from repro.core.endpoint import EndpointConfig
 from repro.core.groups import TransmissionGroups
+from repro.core.policy import DesignLike, StageContext, resolve_plan
 from repro.core.receive import ReceiveOperator
 from repro.core.shuffle import ShuffleOperator, hash_partitioner
 from repro.core.stage import ShuffleStage
@@ -57,12 +58,14 @@ class QueryResult:
 class _PlanContext:
     """Carries everything the per-query builders need."""
 
-    def __init__(self, cluster: Cluster, design: str, data: TPCHData,
+    def __init__(self, cluster: Cluster, design: DesignLike, data: TPCHData,
                  config: Optional[EndpointConfig], local_data: bool):
         self.cluster = cluster
-        self.design = design
         self.data = data
         self.config = config or EndpointConfig()
+        #: the one plan every stage of the query runs.
+        self.plan = resolve_plan(design, StageContext.from_cluster(
+            cluster, config=self.config))
         self.local_data = local_data
         self.threads = cluster.threads_per_node
         self.n = cluster.num_nodes
@@ -73,15 +76,7 @@ class _PlanContext:
     # -- stage/operator helpers ------------------------------------------------
 
     def make_stage(self, groups) -> ShuffleStage:
-        if self.design in ("MPI", "IPoIB"):
-            from repro.baselines import baseline_stage
-            stage = baseline_stage(self.cluster.fabric, self.design, groups,
-                                   config=self.config, threads=self.threads,
-                                   registry=self.cluster.registry)
-        else:
-            stage = ShuffleStage(self.cluster.fabric, self.design, groups,
-                                 config=self.config, threads=self.threads,
-                                 registry=self.cluster.registry)
+        stage = self.cluster.shuffle_stage(self.plan, groups, self.config)
         self.stages.append(stage)
         return stage
 
@@ -323,7 +318,7 @@ _BUILDERS = {
 
 
 def run_query(cluster: Cluster, query: str, data: TPCHData,
-              design: str = "MESQ/SR",
+              design: DesignLike = "MESQ/SR",
               config: Optional[EndpointConfig] = None,
               local_data: bool = False) -> QueryResult:
     """Execute one TPC-H query on a simulated cluster.
@@ -346,7 +341,8 @@ def run_query(cluster: Cluster, query: str, data: TPCHData,
     elapsed = cluster.run_process(
         run_fragments(cluster.sim, ctx.fragments), name=f"tpch-{query}")
     return QueryResult(
-        query=query, design=design, num_nodes=cluster.num_nodes,
+        query=query, design=ctx.plan.describe(),
+        num_nodes=cluster.num_nodes,
         answer=extract(ctx.sink.result()), response_time_ns=elapsed,
         setup_ns=setup_ns,
     )

@@ -375,6 +375,33 @@ class TestVS110RawDesignDispatch:
         source = "policy = SHUFFLE_POLICIES[name]\n"
         assert lint_source("bench/evil.py", source) == []
 
+    def test_string_plan_to_shuffle_stage_flagged(self):
+        for call in ('ShuffleStage(fabric, "MESQ/SR", groups)',
+                     'stage.ShuffleStage(fabric, plan="MPI", groups=g)'):
+            violations = lint_source("tpch/evil.py", f"s = {call}\n")
+            assert rules_of(violations) == ["VS110"], call
+            assert "Cluster.shuffle_stage" in violations[0].message
+
+    def test_plan_object_to_shuffle_stage_is_fine(self):
+        source = "s = ShuffleStage(fabric, StagePlan('MESQ/SR'), groups)\n"
+        assert lint_source("bench/fine.py", source) == []
+
+    def test_baseline_name_dispatch_flagged(self):
+        source = (
+            "def make_stage(design):\n"
+            "    if design in (\"MPI\", \"IPoIB\"):\n"
+            "        return baseline_stage(design)\n"
+        )
+        violations = lint_source("bench/evil.py", source)
+        assert rules_of(violations) == ["VS110"]
+        assert violations[0].line == 2
+        assert rules_of(lint_source(
+            "tpch/evil.py", "ok = name not in ['IPoIB']\n")) == ["VS110"]
+
+    def test_iterating_baseline_names_is_fine(self):
+        source = "for design in (\"MPI\", \"MESQ/SR\"):\n    run(design)\n"
+        assert lint_source("bench/fine.py", source) == []
+
 
 class TestVS111EnvironmentRead:
     """The simulator has one execution mode; an environment variable

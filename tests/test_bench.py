@@ -8,7 +8,6 @@ from repro import Cluster, ClusterConfig, EDR
 from repro.bench.report import ExperimentResult, Series, render
 from repro.bench.workloads import (
     ShuffleRunResult,
-    make_template_batch,
     run_broadcast,
     run_repartition,
 )
@@ -20,6 +19,7 @@ from repro.bench.experiments import (
     table1,
 )
 from repro.bench.cli import main as cli_main
+from repro.core.synthetic import make_template_batch
 
 MIB = 1 << 20
 

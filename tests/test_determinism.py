@@ -22,7 +22,6 @@ from repro import (
 )
 from repro.core import ReceiveOperator, ShuffleOperator
 from repro.core.shuffle import striped_partitioner
-from repro.core.stage import ShuffleStage
 from repro.engine import CollectSink, QueryFragment, run_fragments
 from repro.engine.scan import ScanOperator
 
@@ -58,8 +57,7 @@ def run_once(design, nodes=2, threads=2, rows_per_node=1500, report=False):
         cluster.enable_reporting()
     groups = TransmissionGroups.repartition(nodes)
     cfg = EndpointConfig(message_size=4096)
-    stage = ShuffleStage(cluster.fabric, design, groups, config=cfg,
-                         threads=threads, registry=cluster.registry)
+    stage = cluster.shuffle_stage(design, groups, config=cfg)
     cluster.run_process(stage.setup())
     fragments, sinks = [], []
     for n in range(nodes):

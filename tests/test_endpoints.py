@@ -19,7 +19,6 @@ from repro import (
 )
 from repro.core import ReceiveOperator, ShuffleOperator
 from repro.core.shuffle import striped_partitioner
-from repro.core.stage import ShuffleStage
 from repro.engine import CollectSink, QueryFragment, run_fragments
 from repro.engine.scan import ScanOperator
 
@@ -39,8 +38,7 @@ def run_stage_query(cluster, design, rows_per_node=3000, config=None,
     threads = cluster.threads_per_node
     groups = groups or TransmissionGroups.repartition(nodes)
     cfg = config or EndpointConfig(message_size=4096)
-    stage = ShuffleStage(cluster.fabric, design, groups, config=cfg,
-                         threads=threads, registry=cluster.registry)
+    stage = cluster.shuffle_stage(design, groups, config=cfg)
     cluster.run_process(stage.setup())
     fragments, sinks = [], []
     for n in range(nodes):
@@ -214,27 +212,22 @@ class TestSharedEndpointContention:
 
 
 # ---------------------------------------------------------------------------
-# Conformance suite: every endpoint kind in the transport registry must
-# honour the §4.2 interface contract.  New backends registered via
-# ``register_endpoint_kind`` are picked up automatically, as long as some
-# design in DESIGNS exposes them.
+# Conformance suite: every endpoint kind a design in DESIGNS names — the
+# five RDMA kinds plus the MPI and IPoIB baselines, a set fixed by
+# ``repro.core.designs`` alone, whatever else a test run registered —
+# must honour the §4.2 interface contract.
 # ---------------------------------------------------------------------------
 
 from repro.core.designs import DESIGNS  # noqa: E402
-from repro.core.transport.registry import registered_kinds  # noqa: E402
 
 
 def _design_for_kind(kind):
     """A representative design for an endpoint kind (prefer multi-endpoint)."""
     candidates = [d for d in DESIGNS.values() if d.endpoint_kind == kind]
-    for d in candidates:
-        if d.multi_endpoint:
-            return d
-    return candidates[0] if candidates else None
+    return next((d for d in candidates if d.multi_endpoint), candidates[0])
 
 
-CONFORMANCE_KINDS = [k for k in registered_kinds()
-                     if _design_for_kind(k) is not None]
+CONFORMANCE_KINDS = sorted({d.endpoint_kind for d in DESIGNS.values()})
 
 
 @pytest.mark.parametrize("kind", CONFORMANCE_KINDS)
@@ -267,7 +260,7 @@ class TestEndpointConformance:
         for eps in stage.send_endpoints.values():
             for ep in eps:
                 # More messages than pool buffers proves buffer reuse.
-                assert ep.messages_sent > ep.send_pool_buffers
+                assert ep.messages_sent > len(ep.pool.buffers)
 
     def test_network_error_surfaces_as_shuffle_error(self, kind):
         """Unreliable transports must convert missing datagrams into a

@@ -35,7 +35,6 @@ from repro.core.designs import Design, register_endpoint_kind
 from repro.core.read_rc import ReadRCReceiveEndpoint, ReadRCSendEndpoint
 from repro.core.shuffle import striped_partitioner
 from repro.core.sr_rc import SRRCReceiveEndpoint, SRRCSendEndpoint
-from repro.core.stage import ShuffleStage
 from repro.core.transport.credit import CreditWordBoard, RingBoard
 from repro.core.transport.credit import post_credit_word
 from repro.engine import CollectSink, QueryFragment, run_fragments
@@ -138,8 +137,7 @@ def build_stage_query(cluster, design, rows_per_node=600, config=None):
     groups = TransmissionGroups.repartition(nodes)
     cfg = config or EndpointConfig(message_size=1024,
                                    buffers_per_connection=4)
-    stage = ShuffleStage(cluster.fabric, design, groups, config=cfg,
-                         threads=threads, registry=cluster.registry)
+    stage = cluster.shuffle_stage(design, groups, config=cfg)
     cluster.run_process(stage.setup())
     fragments, sinks = [], []
     for n in range(nodes):

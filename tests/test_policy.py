@@ -34,7 +34,6 @@ from repro.core.policy import (
     parse_policy,
     plan_footprint,
 )
-from repro.core.stage import ShuffleStage
 from repro.service import (
     QuotaManager,
     ServiceConfig,
@@ -126,6 +125,20 @@ class TestEagerValidation:
         with pytest.raises(ValueError, match="nest"):
             StagePlan(design="MESQ/SR", inter=mid)
 
+    @pytest.mark.parametrize("bad", [0, -1, -2])
+    def test_bad_endpoint_counts_name_the_field(self, bad):
+        """A non-positive count fails at the plan, naming num_endpoints —
+        not as a negative ceil-division deep in the config derivation,
+        and 0 is not silently the natural count."""
+        cluster = make_cluster(nodes=2)
+        groups = TransmissionGroups.repartition(2)
+        with pytest.raises(ValueError, match="num_endpoints"):
+            StagePlan("MESQ/SR", num_endpoints=bad)
+        with pytest.raises(ValueError, match="num_endpoints"):
+            cluster.shuffle_stage("MEMQ/SR", groups, num_endpoints=bad)
+        with pytest.raises(ValueError, match="num_endpoints"):
+            run_repartition(cluster, "MESQ/SR", num_endpoints=bad)
+
     def test_shuffle_stage_rejects_hierarchical_plans(self):
         cluster = make_cluster(nodes=2)
         plan = StagePlan(design="MESQ/SR",
@@ -212,6 +225,40 @@ class TestStaticBitIdentity:
             return dataclasses.asdict(result)
         assert run(design) == run(selector(design))
 
+    @pytest.mark.parametrize("design", ["MPI", "IPoIB"])
+    def test_baselines_run_through_the_policy_path(self, design):
+        """MPI and IPoIB are ordinary designs: name, policy and plan all
+        reach the same stage."""
+        def run(chooser):
+            cluster = make_cluster(nodes=2, threads=2)
+            result = run_repartition(cluster, chooser,
+                                     bytes_per_node=1 << 20)
+            return dataclasses.asdict(result)
+        by_name = run(design)
+        assert by_name["design"] == design
+        assert by_name["total_received_bytes"] >= 2 << 20
+        assert run(StaticPolicy(design)) == by_name
+        assert run(StagePlan(design)) == by_name
+        assert run(parse_policy(f"static:{design}")) == by_name
+
+    def test_unknown_design_error_always_lists_the_baselines(self):
+        # A fresh interpreter that imports nothing but the design table:
+        # the known-design list must not depend on what was imported.
+        import os
+        import subprocess
+        import sys
+
+        import repro
+        code = ("from repro.core.designs import resolve_design\n"
+                "try:\n    resolve_design('NOPE/XX')\n"
+                "except KeyError as exc:\n    print(exc)\n")
+        src = os.path.dirname(os.path.dirname(repro.__file__))
+        out = subprocess.run(
+            [sys.executable, "-c", code], check=True, capture_output=True,
+            text=True, env={**os.environ, "PYTHONPATH": src}).stdout
+        for name in ("MPI", "IPoIB", "MESQ/SR", "IPOIB", "SR_UD"):
+            assert name in out
+
     def test_empty_plan_apply_is_identity(self):
         base = EndpointConfig(message_size=4096)
         assert StagePlan(design="SEMQ/SR").apply(base) is base
@@ -225,7 +272,7 @@ class TestStaticBitIdentity:
 class TestAdaptiveRules:
     def test_datagram_sized_messages_pick_ud(self):
         plan = AdaptivePolicy().plan(make_context(message_size=4096))
-        assert plan.design == "MESQ/SR"
+        assert plan.design.name == "MESQ/SR"
         assert "datagram" in plan.reason
 
     def test_starved_windows_pick_ud(self):
@@ -233,33 +280,33 @@ class TestAdaptiveRules:
         # never fills and the window drains as serialized EOS flushes.
         ctx = make_context(message_size=1 << 20, bytes_per_node=2 << 20)
         plan = AdaptivePolicy().plan(ctx)
-        assert plan.design == "MESQ/SR"
+        assert plan.design.name == "MESQ/SR"
         assert "never" in plan.reason
 
     def test_qp_cache_pressure_picks_ud(self):
         # FDR's 144-entry cache: 2*16*8 = 256 QPs >> the 25% budget.
         ctx = make_context(nodes=16, qp_cache_entries=144)
         plan = AdaptivePolicy().plan(ctx)
-        assert plan.design == "MESQ/SR"
+        assert plan.design.name == "MESQ/SR"
         assert "cache" in plan.reason
 
     def test_cache_resident_regime_picks_rc(self):
         # EDR n=8 t=8: 128 QPs < 25% of 1024 entries -> SEMQ/SR.
         plan = AdaptivePolicy().plan(make_context())
-        assert plan.design == "SEMQ/SR"
+        assert plan.design.name == "SEMQ/SR"
 
     def test_observed_misses_force_ud(self):
         policy = AdaptivePolicy()
         policy.observe(TelemetrySnapshot(qp_cache_miss_rate=0.5))
         plan = policy.plan(make_context())
-        assert plan.design == "MESQ/SR"
+        assert plan.design.name == "MESQ/SR"
         assert "observed" in plan.reason
 
     def test_observed_stalls_deepen_the_window(self):
         policy = AdaptivePolicy()
         policy.observe(TelemetrySnapshot(credit_stall_share=0.5))
         plan = policy.plan(make_context())
-        assert plan.design == "SEMQ/SR"
+        assert plan.design.name == "SEMQ/SR"
         assert plan.buffers_per_connection == AdaptivePolicy.deep_buffers
 
     def test_quiet_telemetry_changes_nothing(self):
@@ -285,7 +332,7 @@ class TestHierarchicalPolicy:
         plan = HierarchicalPolicy().plan(
             make_context(allow_hierarchical=True))
         assert not plan.hierarchical
-        assert plan.design == "MESQ/SR"
+        assert plan.design.name == "MESQ/SR"
         assert "fallback" in plan.reason
 
     def test_flat_fallback_for_broadcast(self):
@@ -298,9 +345,9 @@ class TestHierarchicalPolicy:
         ctx = make_context(topology_kind="leaf-spine", oversubscription=4,
                            nodes_per_leaf=4, allow_hierarchical=True)
         plan = HierarchicalPolicy().plan(ctx)
-        assert plan.design == "MESQ/SR"
+        assert plan.design.name == "MESQ/SR"
         assert plan.inter is not None
-        assert plan.inter.design == "SEMQ/SR"
+        assert plan.inter.design.name == "SEMQ/SR"
         assert plan.inter.buffers_per_connection == 16
         # Inter-leaf streams run at the Fig 9 sweet spot or above.
         assert plan.inter.message_size >= 64 * 1024

@@ -17,7 +17,6 @@ from repro import (
 )
 from repro.core import ReceiveOperator, ShuffleOperator
 from repro.core.shuffle import hash_partitioner, striped_partitioner
-from repro.core.stage import ShuffleStage
 from repro.engine import CollectSink, QueryFragment, run_fragments
 from repro.engine.scan import ScanOperator
 
@@ -47,14 +46,7 @@ def run_shuffle_query(design, nodes=2, threads=2, rows_per_node=4000,
         groups = TransmissionGroups.repartition(nodes)
     cfg = config or EndpointConfig(message_size=message_size,
                                    buffers_per_connection=2)
-    if design in BASELINES:
-        from repro.baselines import baseline_stage
-        stage = baseline_stage(cluster.fabric, design, groups,
-                               config=cfg, threads=threads,
-                               registry=cluster.registry)
-    else:
-        stage = ShuffleStage(cluster.fabric, design, groups, config=cfg,
-                             threads=threads, registry=cluster.registry)
+    stage = cluster.shuffle_stage(design, groups, config=cfg)
     cluster.run_process(stage.setup(), name="setup")
 
     fragments, sinks, sent = [], [], []
@@ -157,9 +149,7 @@ class TestEndpointConfigurations:
         cc = ClusterConfig(network=EDR, num_nodes=2, threads_per_node=4)
         cluster = Cluster(cc)
         groups = TransmissionGroups.repartition(2)
-        stage = ShuffleStage(cluster.fabric, "MEMQ/SR", groups,
-                             num_endpoints=2, threads=4,
-                             registry=cluster.registry)
+        stage = cluster.shuffle_stage("MEMQ/SR", groups, num_endpoints=2)
         assert len(stage.send_endpoints[0]) == 2
         assert stage.config.threads_per_endpoint == 2
 
@@ -167,10 +157,9 @@ class TestEndpointConfigurations:
         cluster = Cluster(ClusterConfig(network=EDR, num_nodes=2,
                                         threads_per_node=2))
         with pytest.raises(ValueError):
-            ShuffleStage(cluster.fabric, "MEMQ/SR",
-                         TransmissionGroups.repartition(2),
-                         num_endpoints=4, threads=2,
-                         registry=cluster.registry)
+            cluster.shuffle_stage("MEMQ/SR",
+                                  TransmissionGroups.repartition(2),
+                                  num_endpoints=4)
 
     def test_ud_message_size_clamped_to_mtu(self):
         _s, _k, _e, stage, _cl = run_shuffle_query(
@@ -226,9 +215,8 @@ class TestSetupTiming:
         def setup_ns(design, nodes):
             cluster = Cluster(ClusterConfig(network=EDR, num_nodes=nodes,
                                             threads_per_node=2))
-            stage = ShuffleStage(cluster.fabric, design,
-                                 TransmissionGroups.repartition(nodes),
-                                 threads=2, registry=cluster.registry)
+            stage = cluster.shuffle_stage(
+                design, TransmissionGroups.repartition(nodes))
             cluster.run_process(stage.setup())
             return stage.max_setup_ns
 

@@ -3,6 +3,7 @@
 import pytest
 
 from repro import Cluster, ClusterConfig, EDR, EndpointConfig, TransmissionGroups
+from repro.core.policy import StagePlan
 from repro.core.stage import ShuffleStage, get_context
 from repro.verbs.cm import EndpointRegistry
 from repro.verbs import VerbsError
@@ -36,7 +37,7 @@ class TestStageWiring:
     def test_send_endpoints_pair_with_same_index_receivers(self):
         cluster = make_cluster()
         groups = TransmissionGroups.repartition(3)
-        stage = ShuffleStage(cluster.fabric, "MEMQ/SR", groups,
+        stage = ShuffleStage(cluster.fabric, StagePlan("MEMQ/SR"), groups,
                              threads=2, registry=cluster.registry)
         # ME with t=2: send ep j on node s peers with recv ep j on dest d.
         for s in range(3):
@@ -48,7 +49,7 @@ class TestStageWiring:
     def test_receive_sources_are_complete(self):
         cluster = make_cluster()
         groups = TransmissionGroups.repartition(3)
-        stage = ShuffleStage(cluster.fabric, "SEMQ/SR", groups,
+        stage = ShuffleStage(cluster.fabric, StagePlan("SEMQ/SR"), groups,
                              threads=2, registry=cluster.registry)
         for d in range(3):
             recv = stage.recv_endpoints[d][0]
@@ -57,7 +58,7 @@ class TestStageWiring:
 
     def test_gather_stage_receivers_only_on_targets(self):
         cluster = make_cluster()
-        stage = ShuffleStage(cluster.fabric, "SEMQ/SR",
+        stage = ShuffleStage(cluster.fabric, StagePlan("SEMQ/SR"),
                              TransmissionGroups([(0,)]),
                              threads=2, registry=cluster.registry)
         assert list(stage.recv_endpoints) == [0]
@@ -69,7 +70,7 @@ class TestStageWiring:
         def groups_for(node):
             return TransmissionGroups.broadcast(3, exclude=node)
 
-        stage = ShuffleStage(cluster.fabric, "SEMQ/SR", groups_for,
+        stage = ShuffleStage(cluster.fabric, StagePlan("SEMQ/SR"), groups_for,
                              threads=2, registry=cluster.registry)
         assert stage.groups_for[0].all_destinations == (1, 2)
         assert stage.groups_for[1].all_destinations == (0, 2)
@@ -79,9 +80,9 @@ class TestStageWiring:
     def test_two_stages_share_registry_without_collision(self):
         cluster = make_cluster()
         groups = TransmissionGroups.repartition(3)
-        s1 = ShuffleStage(cluster.fabric, "SEMQ/SR", groups, threads=2,
+        s1 = ShuffleStage(cluster.fabric, StagePlan("SEMQ/SR"), groups, threads=2,
                           registry=cluster.registry)
-        s2 = ShuffleStage(cluster.fabric, "MESQ/SR", groups, threads=2,
+        s2 = ShuffleStage(cluster.fabric, StagePlan("MESQ/SR"), groups, threads=2,
                           registry=cluster.registry)
         cluster.run_process(s1.setup())
         cluster.run_process(s2.setup())
@@ -93,7 +94,7 @@ class TestStageWiring:
 
     def test_setup_records_per_node_time(self):
         cluster = make_cluster()
-        stage = ShuffleStage(cluster.fabric, "MEMQ/SR",
+        stage = ShuffleStage(cluster.fabric, StagePlan("MEMQ/SR"),
                              TransmissionGroups.repartition(3),
                              threads=2, registry=cluster.registry)
         cluster.run_process(stage.setup())
@@ -105,7 +106,7 @@ class TestStageWiring:
         cluster = make_cluster()
         cfg = EndpointConfig(message_size=64 * 1024,
                              buffers_per_connection=2, ud_window_factor=4)
-        stage = ShuffleStage(cluster.fabric, "MESQ/SR",
+        stage = ShuffleStage(cluster.fabric, StagePlan("MESQ/SR"),
                              TransmissionGroups.repartition(3),
                              config=cfg, threads=2,
                              registry=cluster.registry)
@@ -122,6 +123,22 @@ class TestStageWiring:
     def test_unknown_design_rejected(self):
         cluster = make_cluster()
         with pytest.raises(KeyError):
-            ShuffleStage(cluster.fabric, "NOPE/XX",
-                         TransmissionGroups.repartition(3),
-                         registry=cluster.registry)
+            cluster.shuffle_stage("NOPE/XX",
+                                  TransmissionGroups.repartition(3))
+
+    def test_only_a_plan_crosses_the_boundary(self):
+        """Names, Designs and policies are coerced by the entry points;
+        the stage itself takes nothing but a StagePlan."""
+        cluster = make_cluster()
+        with pytest.raises(TypeError, match="Cluster.shuffle_stage"):
+            ShuffleStage(cluster.fabric, "MESQ/SR",
+                         TransmissionGroups.repartition(3))
+
+    def test_stats_cover_every_endpoint(self):
+        cluster = make_cluster()
+        stage = cluster.shuffle_stage(
+            "MEMQ/SR", TransmissionGroups.repartition(3))
+        cluster.run_process(stage.setup())
+        stats = stage.stats()
+        assert len(stats.qpns) == sum(stage.qps_created(n) for n in range(3))
+        assert stats.credit_stalls == stats.credit_wait_ns == 0

@@ -30,7 +30,6 @@ from repro import (
 )
 from repro.core import ReceiveOperator, ShuffleOperator
 from repro.core.shuffle import striped_partitioner
-from repro.core.stage import ShuffleStage
 from repro.engine import CollectSink, QueryFragment, run_fragments
 from repro.engine.scan import ScanOperator
 from repro.fabric import DUAL_RAIL, LEAF_SPINE, SINGLE_SWITCH
@@ -69,8 +68,7 @@ def run_shuffle(design, topology=SINGLE_SWITCH, nodes=2, threads=2,
     if credit_frequency is not None:
         kwargs["credit_frequency"] = credit_frequency
     cfg = EndpointConfig(message_size=message_size, **kwargs)
-    stage = ShuffleStage(cluster.fabric, design, groups, config=cfg,
-                         threads=threads, registry=cluster.registry)
+    stage = cluster.shuffle_stage(design, groups, config=cfg)
     cluster.run_process(stage.setup())
     rows_per_node = 8192
     fragments, sinks = [], []
