@@ -75,6 +75,12 @@ STATIC_RULES: Dict[str, str] = {
         "src/repro: an environment variable is a hidden mode switch; "
         "the simulator has one execution mode, configured through "
         "arguments"),
+    "VS112": (
+        "observer stored outside the bundle (an attribute named "
+        "sanitizer / tracer / _tracer / qp_miss_by_qpn, or a recorder "
+        "in .links, assigned outside telemetry/ and cluster.py): the "
+        "cluster's Telemetry is the single store; hold the bundle and "
+        "read its field at the use site"),
 }
 
 
@@ -548,6 +554,36 @@ def _rule_vs111(rel: str, tree: ast.AST) -> Iterable[Tuple[int, str]]:
                            f"as an argument instead)")
 
 
+_OBSERVER_FIELDS = frozenset(
+    {"sanitizer", "tracer", "_tracer", "qp_miss_by_qpn"})
+_VS112_ALLOWED = ("telemetry/", "cluster.py")
+
+
+def _rule_vs112(rel: str, tree: ast.AST) -> Iterable[Tuple[int, str]]:
+    """A second home for an observer (VS112).
+
+    Observers are off as ``None`` on one object per cluster and every
+    site reads them from there, which is what lets them be enabled at
+    any time.  A copy kept anywhere else goes stale the moment the
+    bundle's field is set.  ``.links`` is also the topology's physical
+    link list, so only a non-list value counts there.
+    """
+    if rel.startswith(_VS112_ALLOWED):
+        return
+    for node in ast.walk(tree):
+        if not isinstance(node, (ast.Assign, ast.AnnAssign, ast.AugAssign)):
+            continue
+        link_list = isinstance(node.value, (ast.List, ast.ListComp))
+        for target in getattr(node, "targets", None) or [node.target]:
+            for leaf in getattr(target, "elts", [target]):
+                if isinstance(leaf, ast.Attribute) and (
+                        leaf.attr in _OBSERVER_FIELDS
+                        or (leaf.attr == "links" and not link_list)):
+                    yield (node.lineno,
+                           f"assigns .{leaf.attr} (observers live on the "
+                           f"cluster's Telemetry bundle only)")
+
+
 _RULES: Dict[str, Callable[[str, ast.AST], Iterable[Tuple[int, str]]]] = {
     "VS101": _rule_vs101,
     "VS102": _rule_vs102,
@@ -560,6 +596,7 @@ _RULES: Dict[str, Callable[[str, ast.AST], Iterable[Tuple[int, str]]]] = {
     "VS109": _rule_vs109,
     "VS110": _rule_vs110,
     "VS111": _rule_vs111,
+    "VS112": _rule_vs112,
 }
 
 

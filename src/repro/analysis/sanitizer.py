@@ -9,11 +9,14 @@ these invariants implicitly; a *new* backend registered through
 :mod:`repro.core.transport.registry` can silently violate them and still
 produce a plausible-looking simulation result.
 
-:class:`Sanitizer` is a zero-overhead-when-off checker wired into the
+:class:`Sanitizer` is a zero-overhead-when-off checker consulted by the
 verbs objects (:mod:`repro.verbs.qp` / ``cq`` / ``memory``), the buffer
-layer and the transport runtime.  Every hook site guards with
-``if sanitizer is not None`` on an attribute that defaults to ``None``,
-so an unsanitized run executes exactly the code it executed before.
+layer and the transport runtime.  It lives in one place — the
+``sanitizer`` field of the cluster's observer bundle
+(:class:`~repro.telemetry.core.Telemetry`), ``None`` when off — and every
+hook site reads that field and guards with ``if san is not None``, so an
+unsanitized run executes exactly the code it executed before and a
+sanitizer enabled at any time is seen by objects built earlier.
 
 Checks **observe, never perturb**: no hook yields, charges simulated
 time, or touches a metrics counter, so simulated end times and telemetry
@@ -30,7 +33,7 @@ Enable with :meth:`repro.cluster.Cluster.enable_sanitizer` or
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Tuple
 
 __all__ = [
     "ProtocolViolationError",
@@ -114,8 +117,8 @@ def _wr_id_buffers(ref: Any) -> Tuple[Any, ...]:
 
 
 class Sanitizer:
-    """Collects protocol violations from the hooks wired through the
-    verbs layer and the transport runtime.
+    """Collects protocol violations from the hook sites in the verbs
+    layer and the transport runtime.
 
     One instance watches one simulation (one :class:`~repro.cluster.Cluster`).
     All state is plain Python bookkeeping keyed by ``(node_id, addr)`` —
@@ -142,8 +145,9 @@ class Sanitizer:
         """Record one violation (never perturbs simulated time)."""
         violation = Violation(rule, message, node_id, self.sim.now, details)
         self.violations.append(violation)
-        if self.telemetry is not None and node_id >= 0:
-            self.telemetry.tracer.instant(
+        tracer = None if self.telemetry is None else self.telemetry.tracer
+        if tracer is not None and node_id >= 0:
+            tracer.instant(
                 node_id, "sanitizer", rule, cat="sanitizer",
                 args={"message": message})
         if self.strict:
@@ -320,21 +324,8 @@ class Sanitizer:
 # -- wiring ----------------------------------------------------------------
 
 def attach_sanitizer(fabric, sanitizer: Sanitizer) -> Sanitizer:
-    """Wire ``sanitizer`` into every verbs object of ``fabric`` — existing
-    contexts, CQs and memory regions, plus (via the fabric attribute) any
-    created afterwards.  Idempotent."""
-    fabric.sanitizer = sanitizer
-    for ctx in fabric.verbs_contexts.values():
-        attach_context(ctx, sanitizer)
-    return sanitizer
-
-
-def attach_context(ctx, sanitizer: Optional[Sanitizer]) -> None:
-    """Wire one :class:`~repro.verbs.device.VerbsContext` (and everything
-    it already created) to ``sanitizer``."""
-    ctx.sanitizer = sanitizer
-    ctx.memory.sanitizer = sanitizer
-    for mr in ctx.memory.regions():
-        mr.sanitizer = sanitizer
-    for cq in ctx._cqs:
-        cq.sanitizer = sanitizer
+    """Install ``sanitizer`` on the observer bundle of a bare ``fabric``
+    (what :meth:`~repro.cluster.Cluster.enable_sanitizer` does for a
+    cluster); every verbs object of the fabric, existing or not yet
+    created, reads it from there."""
+    return fabric.telemetry.enable_sanitizer(sanitizer)

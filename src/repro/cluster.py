@@ -41,8 +41,6 @@ class Cluster:
             for i in range(config.num_nodes)
         ]
         self.registry = EndpointRegistry()
-        self.sanitizer = None
-        self.quotas = None
         self._disposed = False
         if session is not None and getattr(session, "sanitize", False):
             self.enable_sanitizer()
@@ -55,17 +53,21 @@ class Cluster:
         default records violations for inspection via
         ``cluster.sanitizer.report()``.
         """
-        if self.sanitizer is not None:
-            return self.sanitizer
-        # Imported lazily: clusters that never sanitize pay nothing.
-        from repro.analysis.sanitizer import Sanitizer, attach_sanitizer
-        self.sanitizer = Sanitizer(self.sim, telemetry=self.telemetry,
-                                   strict=strict)
-        attach_sanitizer(self.fabric, self.sanitizer)
-        active = current_session()
-        if active is not None:
-            active.register_sanitizer(self.sanitizer)
-        return self.sanitizer
+        telemetry = self.telemetry
+        if telemetry.sanitizer is None:
+            # Imported lazily: clusters that never sanitize pay nothing.
+            from repro.analysis.sanitizer import Sanitizer
+            telemetry.enable_sanitizer(
+                Sanitizer(self.sim, telemetry=telemetry, strict=strict))
+            active = current_session()
+            if active is not None:
+                active.register_sanitizer(telemetry.sanitizer)
+        return telemetry.sanitizer
+
+    @property
+    def sanitizer(self):
+        """The runtime sanitizer, or ``None`` until enable_sanitizer()."""
+        return self.telemetry.sanitizer
 
     def enable_quotas(self, manager):
         """Install a per-tenant resource arbiter on this cluster's fabric.
@@ -76,7 +78,6 @@ class Cluster:
         tenant-tagged resource.  Idempotent for the same manager;
         installing a different one replaces it.
         """
-        self.quotas = manager
         self.fabric.quotas = manager
         return manager
 
@@ -126,15 +127,15 @@ class Cluster:
     def enable_tracing(self, max_events: int = 500_000) -> Tracer:
         """Record trace events for this cluster's run (Chrome trace JSON).
 
-        Call before building stages; export with
+        Idempotent: returns the live tracer, also when a ``--trace``
+        session already enabled it.  Export with
         ``cluster.telemetry.tracer.export(path)``.
         """
         return self.telemetry.enable_tracing(max_events=max_events)
 
     def enable_reporting(self, budget=None):
         """Record causal link records so :meth:`run_report` can attribute
-        this cluster's time (see repro.obs).  Idempotent; call before
-        building stages, like :meth:`enable_tracing`.
+        this cluster's time (see repro.obs).  Idempotent.
         """
         return self.telemetry.enable_links(budget=budget)
 

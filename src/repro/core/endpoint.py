@@ -231,10 +231,13 @@ class _EndpointBase:
         """Emit a stall span on this endpoint's track if time elapsed."""
         waited = self.sim.now - t0
         if waited > 0:
-            self.ctx.tracer.complete(
-                self.ctx.node_id, f"ep{self.endpoint_id}", name, t0,
-                waited, "endpoint")
-            links = self.ctx.links
+            telemetry = self.ctx.telemetry
+            tracer = telemetry.tracer
+            if tracer is not None:
+                tracer.complete(
+                    self.ctx.node_id, f"ep{self.endpoint_id}", name, t0,
+                    waited, "endpoint")
+            links = telemetry.links
             if links is not None:
                 links.stall(self.ctx.node_id, self.endpoint_id, name, t0,
                             waited)
@@ -394,7 +397,7 @@ class ReceiveEndpoint(_EndpointBase):
         self.messages_received += 1
         self.bytes_received += local.length
         if flow:
-            links = self.ctx.links
+            links = self.ctx.telemetry.links
             if links is not None:
                 links.on_deliver(flow, local)
         self._inbox.put((DataState.MORE_DATA, src_endpoint, remote_addr,

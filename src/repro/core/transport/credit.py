@@ -77,7 +77,7 @@ def post_credit_word(conn: PeerConnection, value: Optional[int] = None) -> None:
     """
     if value is None:
         value = conn.posted
-    san = conn.qp.ctx.sanitizer
+    san = conn.qp.ctx.telemetry.sanitizer
     if san is not None:
         san.on_credit_issued(conn, value)
     conn.qp.post_send(SendWR(
@@ -181,7 +181,7 @@ class RingBoard:
             return
         for lo, hi, key in self._regions:
             if lo <= addr < hi:
-                san = self._ep.ctx.sanitizer
+                san = self._ep.ctx.telemetry.sanitizer
                 if san is not None:
                     san.on_ring_consume(self, lo, key, value)
                 self._on_value(key, value)
@@ -234,7 +234,7 @@ class CreditDatagramPort:
         from repro.core.endpoint import Frame, FrameCarrier
         if value is None:
             value = conn.posted
-        san = self.ep.ctx.sanitizer
+        san = self.ep.ctx.telemetry.sanitizer
         if san is not None:
             san.on_credit_issued(conn, value, node_id=self.ep.ctx.node_id)
         self._cursor += 1

@@ -126,7 +126,7 @@ def post_ring_write(qp, cursor: RingCursor, value: int, wr_id: Any) -> None:
     """Produce ``value`` into the remote circular queue behind ``cursor``
     by an inlined, unsignaled RDMA Write (the FreeArr/ValidArr and
     credit-word update primitive)."""
-    san = qp.ctx.sanitizer
+    san = qp.ctx.telemetry.sanitizer
     if san is not None:
         san.on_ring_produce(qp, cursor)
     qp.post_send(SendWR(

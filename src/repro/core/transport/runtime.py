@@ -126,7 +126,7 @@ class CreditedSendEndpoint(RuntimeSendEndpoint):
         send path must come through here so the sanitizer can observe
         credit underflow at the exact posting site."""
         conn.sent += 1
-        san = self.ctx.sanitizer
+        san = self.ctx.telemetry.sanitizer
         if san is not None:
             san.on_credit_consumed(self, conn)
 
@@ -217,7 +217,7 @@ class CreditedReceiveEndpoint(RuntimeReceiveEndpoint):
             # Credit is issued strictly after the Receive is reposted and
             # amortized over credit_frequency Receives (§5.1.1).
             yield self._cpu(self.net.post_wr_ns)
-            links = self.ctx.links
+            links = self.ctx.telemetry.links
             if links is not None:
                 # Causal edge: the credit WR posted synchronously below is
                 # triggered by the data flow that occupied this buffer.

@@ -40,11 +40,12 @@ __all__ = ["Node", "Fabric"]
 class Node:
     """One cluster machine: an adapter plus CPU cost helpers."""
 
-    def __init__(self, sim: Simulator, node_id: int, config: NetworkConfig):
+    def __init__(self, sim: Simulator, node_id: int, config: NetworkConfig,
+                 telemetry: Telemetry):
         self.sim = sim
         self.id = node_id
         self.config = config
-        self.nic = NIC(sim, node_id, config)
+        self.nic = NIC(sim, node_id, config, telemetry)
 
     def cpu_delay(self, ns: float) -> Event:
         """A timeout scaled by this node's CPU speed.
@@ -67,8 +68,13 @@ class Fabric:
         self.sim = sim
         self.cluster = cluster
         self.config = cluster.network
+        #: the cluster's observer bundle; everything built on this
+        #: fabric holds the same object and reads its fields per use.
+        self.telemetry = telemetry if telemetry is not None else \
+            Telemetry(sim, cluster.num_nodes)
         self.nodes: List[Node] = [
-            Node(sim, i, cluster.network) for i in range(cluster.num_nodes)
+            Node(sim, i, cluster.network, self.telemetry)
+            for i in range(cluster.num_nodes)
         ]
         #: the live switch graph; owns trunk-port pipes and routes.
         self.topology = Topology(sim, cluster.topology, cluster.network,
@@ -82,25 +88,16 @@ class Fabric:
         #: wire bytes carried per directed (src, dst) pair, including
         #: loopback traffic; feeds the link-contention telemetry.
         self.link_bytes: Dict[Tuple[int, int], int] = {}
-        self.telemetry = telemetry if telemetry is not None else \
-            Telemetry(sim, cluster.num_nodes)
         self.telemetry.attach_fabric(self)
         #: verbs contexts register themselves here (node_id -> VerbsContext)
         #: so Queue Pairs can resolve their peers.
         self.verbs_contexts: dict = {}
-        #: runtime sanitizer; ``None`` unless Cluster.enable_sanitizer()
-        #: (or repro.analysis.sanitizer.attach_sanitizer) installed one.
-        self.sanitizer: Optional[Any] = None
-        #: per-tenant resource arbiter; ``None`` unless
-        #: Cluster.enable_quotas() installed one.  Duck-typed like the
-        #: sanitizer hook: the verbs layer calls ``on_qp_created`` /
+        #: per-tenant resource arbiter (it can refuse, so it is not an
+        #: observer); ``None`` unless Cluster.enable_quotas() installed
+        #: one.  Duck-typed: the verbs layer calls ``on_qp_created`` /
         #: ``on_qp_destroyed`` / ``on_mr_registered`` /
         #: ``on_mr_deregistered`` without importing the service layer.
         self.quotas: Optional[Any] = None
-        #: causal link recorder, mirrored here by Telemetry.enable_links()
-        #: so the routing walkers can record trunk occupancy without an
-        #: attribute chase; None keeps recording a single branch.
-        self.links = getattr(self.telemetry, "links", None)
         #: InfiniBand multicast groups: mgid -> set of (node_id, qpn)
         #: attached UD QPs.  The fabric replicates a single sender packet
         #: to every member at the last common switch, so the sender's

@@ -23,21 +23,23 @@ message's back-to-back packets, so per-packet touching would both be
 wrong and break the reference's bit-identical cache-counter
 equivalence.
 
-When a :class:`~repro.telemetry.links.FlowRecorder` is installed on
-``self.links``, every occupancy interval is recorded with its base /
-cache-penalty / DMA-extra decomposition before entering the pipe;
-recording only reads pipe state, so it cannot perturb event order.
+While ``telemetry.links`` holds a
+:class:`~repro.telemetry.links.FlowRecorder`, every occupancy interval
+is recorded with its base / cache-penalty / DMA-extra decomposition
+before entering the pipe; recording only reads pipe state, so it cannot
+perturb event order.
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import TYPE_CHECKING, Callable, Dict, Optional
+from typing import TYPE_CHECKING, Callable
 
 from repro.sim import Event, RatePipe, Simulator
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.fabric.config import NetworkConfig
+    from repro.telemetry.core import Telemetry
 
 __all__ = ["QPContextCache", "NIC"]
 
@@ -90,10 +92,12 @@ class NIC:
     """One node's network adapter."""
 
     def __init__(self, sim: Simulator, node_id: int, config: "NetworkConfig",
-                 disable_qp_cache: bool = False):
+                 telemetry: "Telemetry", disable_qp_cache: bool = False):
         self.sim = sim
         self.node_id = node_id
         self.config = config
+        #: observer bundle; ``links`` / ``qp_miss_by_qpn`` read per use.
+        self.telemetry = telemetry
         self.egress = RatePipe(sim, config.link_bytes_per_ns, f"egress[{node_id}]")
         self.ingress = RatePipe(sim, config.link_bytes_per_ns, f"ingress[{node_id}]")
         # The processing engine is a unit-rate pipe used via occupy():
@@ -112,40 +116,26 @@ class NIC:
         #: cumulative processing-engine stall waiting on PCIe round trips
         #: for cold QP contexts (the Fig 10/11 degradation mechanism).
         self.pcie_stall_ns = 0
-        #: causal link recorder (repro.telemetry.links), installed by
-        #: Telemetry.enable_links(); None keeps the hot path branch-only.
-        self.links = None
-        #: optional per-QPN context-miss counter, installed by the service
-        #: layer for tenant attribution (QPNs are never reused, so misses
-        #: can be rolled up per job after the fact).  ``None`` keeps the
-        #: hot path a single branch.
-        self.qp_miss_by_qpn: Optional[Dict[int, int]] = None
 
     def _qp_touch_penalty(self, qpn: int) -> int:
         if self.disable_qp_cache:
             return 0
         if self.qp_cache.touch(qpn):
             return 0
-        if self.qp_miss_by_qpn is not None:
-            self.qp_miss_by_qpn[qpn] = self.qp_miss_by_qpn.get(qpn, 0) + 1
+        by_qpn = self.telemetry.qp_miss_by_qpn
+        if by_qpn is not None:
+            by_qpn[qpn] = by_qpn.get(qpn, 0) + 1
         self.pcie_stall_ns += self.config.qp_cache_miss_ns
         return self.config.qp_cache_miss_ns
 
-    def _record_proc(self, penalty: int, extra_ns: int, flow: int) -> None:
-        busy_until = self.processor.busy_until
-        now = self.sim.now
-        start = busy_until if busy_until > now else now
-        self.links.pipe("proc", self.node_id, start, self.config.nic_wr_ns,
-                        penalty, extra_ns, max(0, busy_until - now), flow)
-
-    def _record_link(self, kind: str, pipe: RatePipe, wire_bytes: int,
-                     penalty: int, flow: int) -> None:
-        busy_until = pipe.busy_until
-        now = self.sim.now
-        start = busy_until if busy_until > now else now
-        self.links.pipe(kind, self.node_id, start,
-                        pipe._serialization_ns(wire_bytes), penalty, 0,
-                        max(0, busy_until - now), flow)
+    def _wr_ns(self, qpn: int, extra_ns: int, flow: int) -> int:
+        """Touch ``qpn``'s context and price one work request on it."""
+        penalty = self._qp_touch_penalty(qpn)
+        links = self.telemetry.links
+        if links is not None:
+            links.pipe("proc", self.node_id, self.processor,
+                       self.config.nic_wr_ns, penalty, extra_ns, flow)
+        return self.config.nic_wr_ns + penalty + extra_ns
 
     def process_wr(self, qpn: int, extra_ns: int = 0, flow: int = 0) -> Event:
         """Occupy the processing engine for one work request on ``qpn``.
@@ -153,20 +143,13 @@ class NIC:
         Returns the event fired when the NIC has finished processing (the
         point at which the message starts serializing onto the wire).
         """
-        penalty = self._qp_touch_penalty(qpn)
-        if self.links is not None:
-            self._record_proc(penalty, extra_ns, flow)
-        return self.processor.occupy(self.config.nic_wr_ns + penalty + extra_ns)
+        return self.processor.occupy(self._wr_ns(qpn, extra_ns, flow))
 
     def submit_wr(self, qpn: int, func: "Callable[[], None]",
                   extra_ns: int = 0, flow: int = 0) -> None:
         """Callback form of :meth:`process_wr`: run ``func()`` once the
         NIC has finished processing instead of returning an event."""
-        penalty = self._qp_touch_penalty(qpn)
-        if self.links is not None:
-            self._record_proc(penalty, extra_ns, flow)
-        self.processor.submit_occupy(
-            self.config.nic_wr_ns + penalty + extra_ns, func)
+        self.processor.submit_occupy(self._wr_ns(qpn, extra_ns, flow), func)
 
     def submit_tx(self, wire_bytes: int, func: "Callable[[], None]",
                   flow: int = 0, n_packets: int = 1) -> None:
@@ -174,8 +157,10 @@ class NIC:
         runs ``func()`` once it has fully left the NIC."""
         self.tx_messages += 1
         self.tx_packets += n_packets
-        if self.links is not None:
-            self._record_link("egress", self.egress, wire_bytes, 0, flow)
+        links = self.telemetry.links
+        if links is not None:
+            links.pipe("egress", self.node_id, self.egress,
+                       self.egress._serialization_ns(wire_bytes), flow=flow)
         self.egress.submit_train(wire_bytes, n_packets, func)
 
     def submit_rx(self, wire_bytes: int, qpn: int,
@@ -193,8 +178,10 @@ class NIC:
         self.rx_messages += 1
         self.rx_packets += n_packets
         penalty = self._qp_touch_penalty(qpn)
-        if self.links is not None:
-            self._record_link("ingress", self.ingress, wire_bytes, penalty,
-                              flow)
+        links = self.telemetry.links
+        if links is not None:
+            links.pipe("ingress", self.node_id, self.ingress,
+                       self.ingress._serialization_ns(wire_bytes), penalty,
+                       flow=flow)
         self.ingress.submit_train(wire_bytes, n_packets, func,
                                   extra_ns=penalty)

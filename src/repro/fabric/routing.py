@@ -40,22 +40,6 @@ __all__ = ["flat_route", "flat_leg"]
 Terminal = Optional[Callable[[], None]]
 
 
-def _record_trunk(fabric, port, packet: Packet) -> None:
-    """Record one trunk-port occupancy for the critical-path analyzer.
-
-    Called immediately before the pipe entry, so the pre-submit
-    ``busy_until`` read gives the interval start and the queueing delay
-    without touching simulation state.
-    """
-    pipe = port.pipe
-    busy_until = pipe.busy_until
-    now = fabric.sim.now
-    start = busy_until if busy_until > now else now
-    fabric.links.pipe("trunk", port.name, start,
-                      pipe._serialization_ns(packet.wire_bytes), 0, 0,
-                      max(0, busy_until - now), packet.flow)
-
-
 class _HopWalk:
     """The multi-hop walk of :func:`_flat_walk` as a slotted object.
 
@@ -103,10 +87,15 @@ class _HopWalk:
         if hop.port is None:
             self._forward()
         else:
-            if self.fabric.links is not None:
-                _record_trunk(self.fabric, hop.port, self.packet)
-            hop.port.pipe.submit_train(self.packet.wire_bytes,
-                                       self.packet.n_packets, self._forward)
+            pipe = hop.port.pipe
+            wire_bytes = self.packet.wire_bytes
+            links = self.fabric.telemetry.links
+            if links is not None:
+                links.pipe("trunk", hop.port.name, pipe,
+                           pipe._serialization_ns(wire_bytes),
+                           flow=self.packet.flow)
+            pipe.submit_train(wire_bytes, self.packet.n_packets,
+                              self._forward)
 
     def _forward(self) -> None:
         self.sim.call_later(self.latency, self._advance)

@@ -55,7 +55,7 @@ class Buffer:
             )
         if length < 0:
             raise ValueError(f"negative payload length: {length}")
-        san = self.mr.sanitizer
+        san = self.mr.telemetry.sanitizer
         if san is not None:
             san.on_buffer_write(self, "fill")
         self.payload = payload
@@ -75,7 +75,7 @@ class Buffer:
 
     def reset(self) -> None:
         """Clear the buffer for reuse."""
-        san = self.mr.sanitizer
+        san = self.mr.telemetry.sanitizer
         if san is not None:
             san.on_buffer_write(self, "reset")
         self.payload = None

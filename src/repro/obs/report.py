@@ -65,8 +65,7 @@ def build_run_report(telemetry, t0: int = 0,
         if flow.kind in _LATENCY_KINDS and flow.delivered_ns is not None
     ]
     snapshot = telemetry.snapshot()
-    fabric = getattr(telemetry, "_fabric", None)
-    sanitizer = getattr(fabric, "sanitizer", None)
+    sanitizer = telemetry.sanitizer
     if sanitizer is None:
         sanitizer_summary: Dict[str, Any] = {"attached": False,
                                              "violations": 0}

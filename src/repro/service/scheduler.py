@@ -159,11 +159,9 @@ class ShuffleService:
         #: footprints reserved by admitted-but-unfinished jobs, so two
         #: concurrent admissions of one tenant cannot overshoot its cap.
         self._reserved: Dict[str, List[Footprint]] = {}
-        # Per-QPN context-miss attribution on every NIC (QPNs are not
+        # Context misses per QPN (QPNs are cluster-unique and never
         # reused, so per-job attribution is exact after the fact).
-        for node in cluster.nodes:
-            if node.nic.qp_miss_by_qpn is None:
-                node.nic.qp_miss_by_qpn = {}
+        cluster.telemetry.enable_qp_miss_map()
         cluster.telemetry.fabric_registry.register_callback(
             "service_tenants", self._telemetry_callback)
 
@@ -290,10 +288,12 @@ class ShuffleService:
         self._decisions.inc()
         job.meta["design"] = plan.design.name
         job.meta["policy"] = self._policies[job.tenant.name].describe()
-        self.cluster.telemetry.tracer.instant(
-            0, "scheduler", "policy-decision",
-            args={"job": job.name, "design": plan.describe(),
-                  "reason": plan.reason})
+        tracer = self.cluster.telemetry.tracer
+        if tracer is not None:
+            tracer.instant(
+                0, "scheduler", "policy-decision",
+                args={"job": job.name, "design": plan.describe(),
+                      "reason": plan.reason})
 
     def _run_job(self, job: Job, plan: StagePlan):
         cluster = self.cluster
@@ -362,14 +362,8 @@ class ShuffleService:
         self._policies[job.tenant.name].observe(observed)
 
     def _misses_for(self, qpns) -> int:
-        total = 0
-        for node in self.cluster.nodes:
-            by_qpn = node.nic.qp_miss_by_qpn
-            if not by_qpn:
-                continue
-            total += sum(count for qpn, count in by_qpn.items()
-                         if qpn in qpns)
-        return total
+        by_qpn = self.cluster.telemetry.qp_miss_by_qpn
+        return sum(by_qpn.get(qpn, 0) for qpn in qpns)
 
     # -- reporting ----------------------------------------------------------
 

@@ -210,26 +210,21 @@ class RatePipe:
         self.total_units: float = 0.0
         #: cumulative occupied time (drives utilization telemetry).
         self.busy_ns: int = 0
-        # Optional tracing hook, bound by repro.telemetry.  Because the
-        # pipe is FIFO-serial, its occupancy intervals never overlap and
-        # can be emitted as well-formed B/E span pairs.
-        self._tracer = None
+        # Optional tracing hook (see bind_trace).  Because the pipe is
+        # FIFO-serial, its occupancy intervals never overlap and can be
+        # emitted as well-formed B/E span pairs.
+        self._trace_obs = None
         self._trace_node = 0
         self._trace_track = ""
         self._trace_name = ""
 
-    def bind_trace(self, tracer, node_id: int, track: str, name: str) -> None:
-        """Record every occupancy interval as a span on ``node/track``."""
-        self._tracer = tracer
+    def bind_trace(self, obs, node_id: int, track: str, name: str) -> None:
+        """Record every occupancy interval as a span on ``node/track``
+        of ``obs.tracer``, read per interval: ``None`` means off."""
+        self._trace_obs = obs
         self._trace_node = node_id
         self._trace_track = track
         self._trace_name = name
-
-    def _trace_interval(self, start: int, duration: int, units: float) -> None:
-        self._tracer.span(
-            self._trace_node, self._trace_track, self._trace_name,
-            start, start + duration, cat="fabric",
-            args={"bytes": int(units)} if units else None)
 
     def _serialization_ns(self, units: float) -> int:
         cache = self._ser_cache
@@ -240,6 +235,26 @@ class RatePipe:
                 cache[units] = duration
         return duration
 
+    def _charge(self, units: float, duration: int) -> int:
+        """Queue ``duration`` ns carrying ``units`` behind everything
+        already submitted; returns the delay until it completes."""
+        now = self.sim.now
+        start = self._busy_until
+        if start < now:
+            start = now
+        end = self._busy_until = start + duration
+        self.total_units += units
+        self.busy_ns += duration
+        obs = self._trace_obs
+        if obs is not None and duration > 0:
+            tracer = obs.tracer
+            if tracer is not None:
+                tracer.span(
+                    self._trace_node, self._trace_track, self._trace_name,
+                    start, end, cat="fabric",
+                    args={"bytes": int(units)} if units else None)
+        return end - now
+
     def transmit(self, units: float, extra_ns: int = 0) -> Event:
         """Submit ``units`` of work; returns the completion event.
 
@@ -248,32 +263,11 @@ class RatePipe:
         """
         if units < 0:
             raise SimError(f"cannot transmit negative units: {units}")
-        start = max(self.sim.now, self._busy_until)
-        duration = self._serialization_ns(units) + int(extra_ns)
-        self._busy_until = start + duration
-        self.total_units += units
-        self.busy_ns += duration
-        if self._tracer is not None and duration > 0:
-            self._trace_interval(start, duration, units)
+        delay = self._charge(
+            units, self._serialization_ns(units) + int(extra_ns))
         event = Event(self.sim)
-        event.succeed(delay=self._busy_until - self.sim.now)
+        event.succeed(delay=delay)
         return event
-
-    def submit(self, units: float, func: Callable[[], None],
-               extra_ns: int = 0) -> None:
-        """Hot-path twin of :meth:`transmit`: identical bookkeeping and
-        completion time, but runs ``func()`` at completion via a pooled
-        kernel carrier instead of allocating an :class:`Event`."""
-        if units < 0:
-            raise SimError(f"cannot transmit negative units: {units}")
-        start = max(self.sim.now, self._busy_until)
-        duration = self._serialization_ns(units) + int(extra_ns)
-        self._busy_until = start + duration
-        self.total_units += units
-        self.busy_ns += duration
-        if self._tracer is not None and duration > 0:
-            self._trace_interval(start, duration, units)
-        self.sim.call_later(self._busy_until - self.sim.now, func)
 
     def _packet_boundaries(self, start: int, ser_ns: int,
                            n_packets: int) -> None:
@@ -296,46 +290,31 @@ class RatePipe:
         """Charge one packet train; runs ``func()`` at train arrival.
 
         Identical occupancy, counters and completion time to
-        :meth:`submit` — a train *is* one ``units``-sized transfer —
+        :meth:`transmit` — a train *is* one ``units``-sized transfer —
         but under the per-packet reference the serialization interval
         is additionally ticked at every MTU boundary.
         """
         if units < 0:
             raise SimError(f"cannot transmit negative units: {units}")
-        start = max(self.sim.now, self._busy_until)
         ser = self._serialization_ns(units)
         duration = ser + int(extra_ns)
-        self._busy_until = start + duration
-        self.total_units += units
-        self.busy_ns += duration
-        if self._tracer is not None and duration > 0:
-            self._trace_interval(start, duration, units)
+        delay = self._charge(units, duration)
         if n_packets > 1 and self.split_packets:
-            self._packet_boundaries(start, ser, n_packets)
-        self.sim.call_later(self._busy_until - self.sim.now, func)
+            self._packet_boundaries(self._busy_until - duration, ser,
+                                    n_packets)
+        self.sim.call_later(delay, func)
 
     def occupy(self, duration_ns: int) -> Event:
         """Occupy the pipe for a fixed duration (rate-independent work)."""
-        start = max(self.sim.now, self._busy_until)
-        duration = int(duration_ns)
-        self._busy_until = start + duration
-        self.busy_ns += duration
-        if self._tracer is not None and duration > 0:
-            self._trace_interval(start, duration, 0)
         event = Event(self.sim)
-        event.succeed(delay=self._busy_until - self.sim.now)
+        event.succeed(delay=self._charge(0, int(duration_ns)))
         return event
 
     def submit_occupy(self, duration_ns: int,
                       func: Callable[[], None]) -> None:
-        """Hot-path twin of :meth:`occupy` (see :meth:`submit`)."""
-        start = max(self.sim.now, self._busy_until)
-        duration = int(duration_ns)
-        self._busy_until = start + duration
-        self.busy_ns += duration
-        if self._tracer is not None and duration > 0:
-            self._trace_interval(start, duration, 0)
-        self.sim.call_later(self._busy_until - self.sim.now, func)
+        """Callback form of :meth:`occupy`: runs ``func()`` at completion
+        instead of allocating an :class:`Event`."""
+        self.sim.call_later(self._charge(0, int(duration_ns)), func)
 
     @property
     def busy_until(self) -> int:

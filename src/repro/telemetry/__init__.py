@@ -43,7 +43,7 @@ from repro.telemetry.session import (
     format_digest,
     session,
 )
-from repro.telemetry.trace import NULL_TRACER, NullTracer, TraceBudget, Tracer
+from repro.telemetry.trace import TraceBudget, Tracer
 
 __all__ = [
     "Counter",
@@ -55,9 +55,7 @@ __all__ = [
     "percentile",
     "MetricsRegistry",
     "NullRegistry",
-    "NullTracer",
     "NULL_REGISTRY",
-    "NULL_TRACER",
     "Telemetry",
     "TelemetrySession",
     "TraceBudget",

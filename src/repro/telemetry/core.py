@@ -23,7 +23,7 @@ from typing import TYPE_CHECKING, Any, Dict, List, Optional
 
 from repro.telemetry.links import FlowRecorder
 from repro.telemetry.metrics import MetricsRegistry, NULL_REGISTRY
-from repro.telemetry.trace import NULL_TRACER, TraceBudget, Tracer
+from repro.telemetry.trace import TraceBudget, Tracer
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.sim import Simulator
@@ -56,22 +56,23 @@ def is_enabled() -> bool:
 
 
 class Telemetry:
-    """Metrics registries and a tracer for one simulated cluster.
+    """The observer bundle of one simulated cluster.
 
-    Owned by :class:`~repro.cluster.Cluster` (one registry per node plus
-    a fabric-wide one) and threaded through the fabric so every layer can
-    reach it as ``ctx.telemetry`` / ``fabric.telemetry``.
+    Owned by :class:`~repro.cluster.Cluster` and handed, once, to every
+    object that consults an observer (fabric, NICs, pipes, verbs
+    contexts, CQs, memory regions).  It is the only place an observer is
+    stored: ``tracer``, ``links``, ``sanitizer`` and ``qp_miss_by_qpn``
+    are ``None`` when off, each site reads the field where it uses it,
+    and enabling one — at any time — sets that one field.
     """
 
     def __init__(self, sim: "Simulator", num_nodes: int,
-                 enabled: Optional[bool] = None,
-                 tracer: Optional[Tracer] = None):
+                 enabled: Optional[bool] = None):
         if enabled is None:
             enabled = _ENABLED
         self.sim = sim
         self.num_nodes = num_nodes
         self.enabled = enabled
-        self.tracer = tracer if tracer is not None else NULL_TRACER
         if enabled:
             self.fabric_registry = MetricsRegistry("fabric")
             self._node_registries: Dict[int, MetricsRegistry] = {
@@ -82,9 +83,16 @@ class Telemetry:
             self._node_registries = {}
         self._fabric = None
         self._endpoints: List[Any] = []
-        #: causal link recorder (repro.obs substrate); None keeps every
-        #: instrumentation site a single is-None branch.
+        #: trace-event recorder (Chrome trace JSON).
+        self.tracer: Optional[Tracer] = None
+        #: causal link recorder (repro.obs substrate).
         self.links: Optional[FlowRecorder] = None
+        #: runtime protocol sanitizer (repro.analysis; duck-typed).
+        self.sanitizer: Optional[Any] = None
+        #: QP-context misses per QPN, for the service layer's tenant
+        #: attribution.  QPNs are cluster-unique and never reused, so a
+        #: job's misses are the sum over its own QPNs after the fact.
+        self.qp_miss_by_qpn: Optional[Dict[int, int]] = None
 
     # -- access ------------------------------------------------------------
 
@@ -106,12 +114,28 @@ class Telemetry:
     # -- wiring ------------------------------------------------------------
 
     def attach_fabric(self, fabric) -> None:
-        """Bind to the fabric whose nodes this object observes."""
+        """Bind to the fabric whose nodes this object observes and give
+        its pipes their trace tracks: one pid per node, and — after the
+        real nodes — one pseudo-node per switch with a thread per trunk
+        port."""
         self._fabric = fabric
-        if self.tracer is not NULL_TRACER:
-            self._wire_pipes()
-        if self.links is not None:
-            self._wire_links()
+        for node in fabric.nodes:
+            nic = node.nic
+            nic.egress.bind_trace(self, node.id, "egress", "tx")
+            nic.ingress.bind_trace(self, node.id, "ingress", "rx")
+            nic.processor.bind_trace(self, node.id, "nicproc", "wr")
+        for switch in fabric.topology.switches:
+            for port in switch.ports:
+                port.pipe.bind_trace(self, self.num_nodes + switch.index,
+                                     port.local_name, "fwd")
+        if self.tracer is not None:
+            self._name_switches()
+
+    def _name_switches(self) -> None:
+        for switch in self._fabric.topology.switches:
+            if switch.ports:
+                self.tracer.name_process(self.num_nodes + switch.index,
+                                         switch.name)
 
     def register_endpoint(self, endpoint) -> None:
         """Called by endpoint constructors so stalls/skew can be harvested."""
@@ -123,15 +147,17 @@ class Telemetry:
                        pid_base: int = 0, label: str = "") -> Tracer:
         """Start recording trace events; returns the live tracer.
 
-        Call before building endpoints/stages — components capture the
-        tracer when constructed; NIC pipes are rewired here.
+        Idempotent: a second call returns the tracer already recording
+        (its budget and pid namespace stand).
         """
-        self.tracer = Tracer(
-            self.sim,
-            budget=budget if budget is not None else TraceBudget(max_events),
-            pid_base=pid_base, label=label)
-        if self._fabric is not None:
-            self._wire_pipes()
+        if self.tracer is None:
+            self.tracer = Tracer(
+                self.sim,
+                budget=budget if budget is not None
+                else TraceBudget(max_events),
+                pid_base=pid_base, label=label)
+            if self._fabric is not None:
+                self._name_switches()
         return self.tracer
 
     def enable_links(self, budget: Optional[TraceBudget] = None
@@ -144,33 +170,17 @@ class Telemetry:
         """
         if self.links is None:
             self.links = FlowRecorder(self.sim, budget=budget)
-            if self._fabric is not None:
-                self._wire_links()
         return self.links
 
-    def _wire_links(self) -> None:
-        self._fabric.links = self.links
-        for node in self._fabric.nodes:
-            node.nic.links = self.links
+    def enable_sanitizer(self, sanitizer):
+        """Install the runtime protocol sanitizer; returns it."""
+        self.sanitizer = sanitizer
+        return sanitizer
 
-    def _wire_pipes(self) -> None:
-        for node in self._fabric.nodes:
-            nic = node.nic
-            nic.egress.bind_trace(self.tracer, node.id, "egress", "tx")
-            nic.ingress.bind_trace(self.tracer, node.id, "ingress", "rx")
-            nic.processor.bind_trace(self.tracer, node.id, "nicproc", "wr")
-        # Switches trace as pseudo-nodes after the real ones: one pid
-        # per switch, one thread per trunk port.
-        topology = getattr(self._fabric, "topology", None)
-        if topology is not None:
-            for switch in topology.switches:
-                if not switch.ports:
-                    continue
-                pseudo_node = self.num_nodes + switch.index
-                self.tracer.name_process(pseudo_node, switch.name)
-                for port in switch.ports:
-                    port.pipe.bind_trace(self.tracer, pseudo_node,
-                                         port.local_name, "fwd")
+    def enable_qp_miss_map(self) -> None:
+        """Start counting QP-context misses per QPN (idempotent)."""
+        if self.qp_miss_by_qpn is None:
+            self.qp_miss_by_qpn = {}
 
     # -- harvesting --------------------------------------------------------
 

@@ -151,14 +151,20 @@ class FlowRecorder:
 
     # -- intervals ---------------------------------------------------------
 
-    def pipe(self, kind: str, owner, start: int, base_ns: int,
-             penalty_ns: int = 0, extra_ns: int = 0, waited_ns: int = 0,
-             flow: int = 0) -> None:
+    def pipe(self, kind: str, owner, pipe, base_ns: int,
+             penalty_ns: int = 0, extra_ns: int = 0, flow: int = 0) -> None:
+        """Record the interval ``pipe`` is about to be charged with.
+
+        Call immediately before the pipe entry: the pre-submit
+        ``busy_until`` gives the interval start and the queueing delay
+        without touching simulation state."""
         if not self.budget.take(1):
             self.truncated = True
             return
+        now = self.sim.now
+        start = max(pipe.busy_until, now)
         self.pipes.append(PipeInterval(kind, owner, start, base_ns,
-                                       penalty_ns, extra_ns, waited_ns,
+                                       penalty_ns, extra_ns, start - now,
                                        flow))
 
     def stall(self, node: int, ep: int, kind: str, start: int,

@@ -35,7 +35,7 @@ from typing import TYPE_CHECKING, Any, Dict, List, Optional, Tuple
 if TYPE_CHECKING:  # pragma: no cover
     from repro.sim import Simulator
 
-__all__ = ["TraceBudget", "Tracer", "NullTracer", "NULL_TRACER"]
+__all__ = ["TraceBudget", "Tracer"]
 
 
 class TraceBudget:
@@ -206,40 +206,3 @@ class Tracer:
     def export(self, path: str) -> None:
         with open(path, "w") as fh:
             json.dump(self.to_dict(), fh)
-
-
-class NullTracer:
-    """Discards everything; the default when tracing is not requested.
-
-    Instrumented code calls tracer methods unconditionally — the null
-    methods return immediately, keeping the disabled path branch-free.
-    """
-
-    __slots__ = ()
-
-    events: tuple = ()
-
-    def complete(self, *args, **kwargs) -> None:
-        pass
-
-    def name_process(self, *args, **kwargs) -> None:
-        pass
-
-    def span(self, *args, **kwargs) -> None:
-        pass
-
-    def begin(self, *args, **kwargs) -> None:
-        pass
-
-    def end(self, *args, **kwargs) -> None:
-        pass
-
-    def instant(self, *args, **kwargs) -> None:
-        pass
-
-    def counter(self, *args, **kwargs) -> None:
-        pass
-
-
-#: the shared no-op tracer.
-NULL_TRACER = NullTracer()

@@ -7,6 +7,7 @@ from dataclasses import dataclass
 from typing import Any, Callable, Deque, List, Optional
 
 from repro.sim import Event, Queue, Simulator
+from repro.telemetry.core import Telemetry
 from repro.verbs.constants import Opcode, VerbsError, WCStatus
 
 __all__ = ["WorkCompletion", "CompletionQueue"]
@@ -54,7 +55,8 @@ class CompletionQueue:
       entry.  A CQ is either subscribed or polled/waited on, never both.
     """
 
-    def __init__(self, sim: Simulator, depth: int = 4096):
+    def __init__(self, sim: Simulator, telemetry: Telemetry,
+                 depth: int = 4096):
         if depth < 1:
             raise VerbsError(f"CQ depth must be >= 1, got {depth}")
         self.sim = sim
@@ -66,8 +68,8 @@ class CompletionQueue:
         self._subscriber: Optional[Callable[[WorkCompletion], None]] = None
         self._pending: Deque[WorkCompletion] = deque()
         self._tick_scheduled = False
-        #: runtime sanitizer hook; ``None`` keeps the hot path branch-only.
-        self.sanitizer: Optional[Any] = None
+        #: the owning cluster's observer bundle.
+        self.telemetry = telemetry
         #: owning node, stamped by VerbsContext.create_cq for reporting.
         self.node_id = -1
 
@@ -87,8 +89,9 @@ class CompletionQueue:
 
     def push(self, wc: WorkCompletion) -> None:
         """Deposit a completion (called by the simulated NIC)."""
-        if self.sanitizer is not None:
-            self.sanitizer.on_cq_push(self, wc)
+        san = self.telemetry.sanitizer
+        if san is not None:
+            san.on_cq_push(self, wc)
         if len(self) >= self.depth:
             # A real adapter raises a fatal async "CQ overrun" event.
             raise VerbsError(f"CQ overrun (depth={self.depth})")
@@ -129,8 +132,9 @@ class CompletionQueue:
     def _tick(self) -> None:
         wc = self._pending.popleft()
         self.polled += 1
-        if self.sanitizer is not None:
-            self.sanitizer.on_cq_consumed(self, wc)
+        san = self.telemetry.sanitizer
+        if san is not None:
+            san.on_cq_consumed(self, wc)
         self._subscriber(wc)  # type: ignore[misc]
         # Re-armed only now: the consumer's own scheduling must land
         # before the next delivery, as it does in the blocking-wait cycle.
@@ -150,9 +154,10 @@ class CompletionQueue:
                 break
             out.append(wc)
         self.polled += len(out)
-        if self.sanitizer is not None:
+        san = self.telemetry.sanitizer
+        if san is not None:
             for wc in out:
-                self.sanitizer.on_cq_consumed(self, wc)
+                san.on_cq_consumed(self, wc)
         return out
 
     def wait(self) -> Event:
@@ -170,5 +175,6 @@ class CompletionQueue:
 
     def _on_waited(self, event: Event) -> None:
         self.polled += 1
-        if self.sanitizer is not None:
-            self.sanitizer.on_cq_consumed(self, event.value)
+        san = self.telemetry.sanitizer
+        if san is not None:
+            san.on_cq_consumed(self, event.value)

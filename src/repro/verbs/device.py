@@ -32,11 +32,10 @@ class VerbsContext:
         self.node = fabric.node(node_id)
         self.nic = self.node.nic
         self.config = fabric.config
-        self.memory = AddressSpace(node_id)
-        #: runtime sanitizer; inherited from the fabric so contexts created
-        #: after Cluster.enable_sanitizer() are covered automatically.
-        self.sanitizer = fabric.sanitizer
-        self.memory.sanitizer = self.sanitizer
+        #: the cluster's observer bundle (tracer / links / sanitizer,
+        #: read per use so one enabled later is still seen).
+        self.telemetry = fabric.telemetry
+        self.memory = AddressSpace(node_id, self.telemetry)
         self._qps: Dict[int, QueuePair] = {}
         self._cqs: List[CompletionQueue] = []
         self._qpn_counter = 0
@@ -44,28 +43,6 @@ class VerbsContext:
         #: cumulative simulated time spent pinning/registering memory.
         self.mr_register_ns = 0
         fabric.verbs_contexts[node_id] = self
-
-    @property
-    def quotas(self):
-        """The per-tenant resource arbiter, or None (dynamic: quotas may
-        be enabled on the fabric after this context was created)."""
-        return self.fabric.quotas
-
-    @property
-    def telemetry(self):
-        """The cluster's telemetry bundle (dynamic: tracing may be
-        enabled on the fabric after this context was created)."""
-        return self.fabric.telemetry
-
-    @property
-    def tracer(self):
-        return self.fabric.telemetry.tracer
-
-    @property
-    def links(self):
-        """The causal link recorder, or None (dynamic: reporting may be
-        enabled on the fabric after this context was created)."""
-        return self.fabric.links
 
     def dispose(self) -> None:
         """Break this context's QP<->CQ<->endpoint reference cycles.
@@ -92,9 +69,8 @@ class VerbsContext:
         return qpn
 
     def create_cq(self, depth: int = 4096) -> CompletionQueue:
-        cq = CompletionQueue(self.sim, depth)
+        cq = CompletionQueue(self.sim, self.telemetry, depth)
         cq.node_id = self.node_id
-        cq.sanitizer = self.sanitizer
         self._cqs.append(cq)
         return cq
 

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 from typing import Any, Dict, Optional
 
+from repro.telemetry.core import Telemetry
 from repro.verbs.constants import VerbsError
 
 __all__ = ["MemoryRegion", "AddressSpace"]
@@ -29,7 +30,8 @@ __all__ = ["MemoryRegion", "AddressSpace"]
 class MemoryRegion:
     """A registered, pinned region of one node's memory."""
 
-    def __init__(self, node_id: int, addr: int, length: int, lkey: int):
+    def __init__(self, node_id: int, addr: int, length: int, lkey: int,
+                 telemetry: Telemetry):
         if length <= 0:
             raise VerbsError(f"memory region length must be positive: {length}")
         self.node_id = node_id
@@ -46,20 +48,22 @@ class MemoryRegion:
         #: credit words) to avoid busy-spinning in simulated time; a real
         #: implementation polls the cache line instead.
         self.on_write: list = []
-        #: runtime sanitizer hook; ``None`` keeps every access zero-cost.
-        self.sanitizer: Optional[Any] = None
+        #: observer bundle (buffers carved here read it per write).
+        self.telemetry = telemetry
         #: owning tenant (service-layer accounting); None outside the
         #: multi-tenant service.
         self.tenant: Optional[str] = None
 
     def _check(self, addr: int, nbytes: int = 1) -> None:
         if self.deregistered:
-            if self.sanitizer is not None:
-                self.sanitizer.on_mr_error(self, "deregistered", addr)
+            san = self.telemetry.sanitizer
+            if san is not None:
+                san.on_mr_error(self, "deregistered", addr)
             raise VerbsError(f"access to deregistered MR lkey={self.lkey}")
         if not (self.addr <= addr and addr + nbytes <= self.addr + self.length):
-            if self.sanitizer is not None:
-                self.sanitizer.on_mr_error(self, "out-of-bounds", addr)
+            san = self.telemetry.sanitizer
+            if san is not None:
+                san.on_mr_error(self, "out-of-bounds", addr)
             raise VerbsError(
                 f"address {addr:#x}+{nbytes} outside MR "
                 f"[{self.addr:#x}, {self.addr + self.length:#x})"
@@ -103,20 +107,20 @@ class AddressSpace:
     #: regions start away from zero so a zero address is always invalid.
     _BASE = 0x10000
 
-    def __init__(self, node_id: int):
+    def __init__(self, node_id: int, telemetry: Telemetry):
         self.node_id = node_id
         self._next_addr = self._BASE
         self._next_key = 1
         self._regions: Dict[int, MemoryRegion] = {}
         self.registered_bytes = 0
         self.peak_registered_bytes = 0
-        #: runtime sanitizer propagated to every region registered here.
-        self.sanitizer: Optional[Any] = None
+        #: observer bundle of every region registered here.
+        self.telemetry = telemetry
 
     def register(self, length: int) -> MemoryRegion:
         """Allocate and register a fresh region of ``length`` bytes."""
-        mr = MemoryRegion(self.node_id, self._next_addr, length, self._next_key)
-        mr.sanitizer = self.sanitizer
+        mr = MemoryRegion(self.node_id, self._next_addr, length,
+                          self._next_key, self.telemetry)
         # Leave a guard gap so off-by-one addressing bugs fault loudly.
         self._next_addr += length + 4096
         self._next_key += 1
@@ -129,16 +133,13 @@ class AddressSpace:
 
     def deregister(self, mr: MemoryRegion) -> None:
         if mr.lkey not in self._regions:
-            if self.sanitizer is not None:
-                self.sanitizer.on_mr_error(mr, "double-deregister", mr.addr)
+            san = self.telemetry.sanitizer
+            if san is not None:
+                san.on_mr_error(mr, "double-deregister", mr.addr)
             raise VerbsError(f"MR lkey={mr.lkey} is not registered on this node")
         del self._regions[mr.lkey]
         mr.deregistered = True
         self.registered_bytes -= mr.length
-
-    def regions(self) -> Any:
-        """Live view of the registered regions (for sanitizer attachment)."""
-        return self._regions.values()
 
     def resolve(self, addr: int) -> MemoryRegion:
         """Find the registered region containing ``addr``.

@@ -139,7 +139,7 @@ class QueuePair:
 
     def post_recv(self, wr: RecvWR) -> None:
         """``ibv_post_recv``: queue a receive buffer."""
-        san = self.ctx.sanitizer
+        san = self.ctx.telemetry.sanitizer
         if san is not None:
             san.check_post_recv(self, wr)
         if self.state not in (QPState.INIT, QPState.RTS):
@@ -168,7 +168,8 @@ class QueuePair:
         Returns immediately (the verb is asynchronous); completion is
         reported through the send CQ if ``wr.signaled``.
         """
-        san = self.ctx.sanitizer
+        telemetry = self.ctx.telemetry
+        san = telemetry.sanitizer
         if san is not None:
             san.check_post_send(self, wr)
         if self.state is not QPState.RTS:
@@ -196,7 +197,7 @@ class QueuePair:
             san.track_post_send(self, wr)
         self._send_outstanding += 1
         self.sends_posted += 1
-        links = self.ctx.links
+        links = telemetry.links
         if links is not None:
             wr.flow = self._new_flow(links, wr)
         # Sends run as flat callback chains; RDMA Read/Write are
@@ -239,13 +240,19 @@ class QueuePair:
 
     # -- completion helpers ----------------------------------------------------
 
-    def _complete_send(self, wr: SendWR, byte_len: int) -> None:
+    def _complete_send(self, wr: SendWR, name: str, t0: int) -> None:
+        """Retire ``wr`` (posted at ``t0``): completion, then its span."""
         self._send_outstanding -= 1
         if wr.signaled:
             self.send_cq.push(WorkCompletion(
-                wr_id=wr.wr_id, opcode=wr.opcode, byte_len=byte_len,
+                wr_id=wr.wr_id, opcode=wr.opcode, byte_len=wr.length,
                 qpn=self.qpn, flow=wr.flow,
             ))
+        tracer = self.ctx.telemetry.tracer
+        if tracer is not None:
+            tracer.complete(
+                self.ctx.node_id, f"qp{self.qpn}", name, t0,
+                self.ctx.sim.now - t0, "verbs", args={"bytes": wr.length})
 
     def _deposit(self, rwr: RecvWR, packet: Packet) -> None:
         """Copy an arriving message into the posted receive buffer."""
@@ -302,12 +309,15 @@ class QueuePair:
                 if stalled:
                     remote_qp.rnr_events += 1
                     remote_qp.rnr_stall_ns += stalled
-                    ctx.tracer.complete(
-                        peer.node_id, f"qp{peer.qpn}", "rnr-stall",
-                        rnr_t0, stalled, "verbs")
-                    if ctx.links is not None:
-                        ctx.links.stall(peer.node_id, -1, "rnr-stall",
-                                        rnr_t0, stalled)
+                    tracer = ctx.telemetry.tracer
+                    if tracer is not None:
+                        tracer.complete(
+                            peer.node_id, f"qp{peer.qpn}", "rnr-stall",
+                            rnr_t0, stalled, "verbs")
+                    links = ctx.telemetry.links
+                    if links is not None:
+                        links.stall(peer.node_id, -1, "rnr-stall",
+                                    rnr_t0, stalled)
                 remote_qp._recv_posted -= 1
                 remote_qp._deposit(rwr, packet)
                 ack = make_train(
@@ -320,10 +330,7 @@ class QueuePair:
             remote_qp._rc_recvs.get().add_callback(got_recv)
 
         def acked(_evt: Event) -> None:
-            self._complete_send(wr, wr.length)
-            ctx.tracer.complete(
-                ctx.node_id, f"qp{self.qpn}", "rc-send", t0,
-                sim.now - t0, "verbs", args={"bytes": wr.length})
+            self._complete_send(wr, "rc-send", t0)
 
         sim.call_soon(start)
 
@@ -352,10 +359,7 @@ class QueuePair:
         response = yield self.ctx.fabric.route(response)
         if wr.buffer is not None:
             wr.buffer.deposit(response.payload, wr.length)
-        self._complete_send(wr, wr.length)
-        self.ctx.tracer.complete(
-            self.ctx.node_id, f"qp{self.qpn}", "rc-read", t0,
-            self.ctx.sim.now - t0, "verbs", args={"bytes": wr.length})
+        self._complete_send(wr, "rc-read", t0)
 
     def _rc_write(self, wr: SendWR):
         config = self.ctx.config
@@ -386,10 +390,7 @@ class QueuePair:
             length=0, wire_bytes=config.rc_ack_bytes, flow=wr.flow,
         )
         yield self.ctx.fabric.route(ack)
-        self._complete_send(wr, wr.length)
-        self.ctx.tracer.complete(
-            self.ctx.node_id, f"qp{self.qpn}", "rc-write", t0,
-            self.ctx.sim.now - t0, "verbs", args={"bytes": wr.length})
+        self._complete_send(wr, "rc-write", t0)
 
     # -- Unreliable Datagram data path ---------------------------------------
 
@@ -436,10 +437,7 @@ class QueuePair:
                 leg.add_callback(self._ud_deliver)
 
         def complete(_evt: Event) -> None:
-            self._complete_send(wr, wr.length)
-            ctx.tracer.complete(
-                ctx.node_id, f"qp{self.qpn}", "ud-send", t0,
-                sim.now - t0, "verbs", args={"bytes": wr.length})
+            self._complete_send(wr, "ud-send", t0)
 
         sim.call_soon(start)
 

@@ -197,8 +197,10 @@ class TestVS107TimestamplessTracerEvents:
 
     BAD = (
         "def poll(self):\n"
-        "    self.ctx.tracer.instant(0, 'qp', 'wakeup')\n"
-        "    tracer.begin(0, 'qp', 'drain', cat='cq')\n"
+        "    tracer = self.ctx.telemetry.tracer\n"
+        "    if tracer is not None:\n"
+        "        tracer.instant(0, 'qp', 'wakeup')\n"
+        "        tracer.begin(0, 'qp', 'drain', cat='cq')\n"
     )
 
     def test_timestampless_events_flagged(self):
@@ -209,8 +211,10 @@ class TestVS107TimestamplessTracerEvents:
     def test_explicit_timestamp_is_clean(self):
         source = (
             "def poll(self, t0):\n"
-            "    self.ctx.tracer.instant(0, 'qp', 'wakeup', t0)\n"
-            "    tracer.end(0, 'qp', 'drain', ts_ns=t0)\n"
+            "    tracer = self.ctx.telemetry.tracer\n"
+            "    if tracer is not None:\n"
+            "        tracer.instant(0, 'qp', 'wakeup', t0)\n"
+            "        tracer.end(0, 'qp', 'drain', ts_ns=t0)\n"
         )
         assert lint_source("verbs/evil.py", source) == []
 
@@ -218,8 +222,10 @@ class TestVS107TimestamplessTracerEvents:
         # complete()/span() carry explicit start times by construction.
         source = (
             "def poll(self, t0):\n"
-            "    self.ctx.tracer.complete(0, 'qp', 'stall', t0, 10)\n"
-            "    tracer.span(0, 'qp', 'stall', t0, t0 + 10)\n"
+            "    tracer = self.ctx.telemetry.tracer\n"
+            "    if tracer is not None:\n"
+            "        tracer.complete(0, 'qp', 'stall', t0, 10)\n"
+            "        tracer.span(0, 'qp', 'stall', t0, t0 + 10)\n"
         )
         assert lint_source("verbs/evil.py", source) == []
 
@@ -426,6 +432,46 @@ class TestVS111EnvironmentRead:
     def test_other_os_uses_do_not_fire(self):
         source = "import os\nok = os.path.exists(os.sep)\n"
         assert lint_source("bench/fine.py", source) == []
+
+
+class TestVS112SingleObserverStore:
+    """Observers live on the cluster's Telemetry bundle and nowhere
+    else; a copy stored on another object goes stale when the bundle's
+    field is set later."""
+
+    def test_mirrored_observer_fields_flagged(self):
+        source = (
+            "class NIC:\n"
+            "    def __init__(self, fabric):\n"
+            "        self.sanitizer = fabric.sanitizer\n"
+            "        self.links = None\n"
+            "        self.qp_miss_by_qpn: dict = {}\n"
+            "    def bind_trace(self, tracer):\n"
+            "        self._tracer = tracer\n"
+            "def wire(ctx, cq, san):\n"
+            "    ctx.tracer, cq.sanitizer = None, san\n"
+        )
+        violations = lint_source("fabric/evil.py", source)
+        assert rules_of(violations) == ["VS112"] * 6
+        assert [v.line for v in violations] == [3, 4, 5, 7, 9, 9]
+
+    def test_the_bundle_and_the_cluster_may_store(self):
+        source = "def enable(self, san):\n    self.sanitizer = san\n"
+        assert lint_source("telemetry/core.py", source) == []
+        assert lint_source("cluster.py", source) == []
+
+    def test_physical_link_list_and_reads_are_clean(self):
+        source = (
+            "class Topology:\n"
+            "    def __init__(self):\n"
+            "        self.links: list = []\n"
+            "        self.links = [l for l in ()]\n"
+            "def site(self):\n"
+            "    san = self.ctx.telemetry.sanitizer\n"
+            "    links = self.telemetry.links\n"
+            "    self.telemetry = self.fabric.telemetry\n"
+        )
+        assert lint_source("fabric/topology.py", source) == []
 
 
 class TestSelectValidation:

@@ -25,6 +25,7 @@ from repro.fabric import EDR, ClusterConfig, Fabric, Packet
 from repro.sim import Simulator
 from tests.test_determinism import DESIGN_NAMES, _comparable
 from tests.test_train_determinism import (
+    OBSERVE_AT,
     TOPOLOGIES,
     TOPOLOGY_IDS,
     run_shuffle,
@@ -102,6 +103,21 @@ def _load():
 def test_shuffle_matches_golden(design, topology, topology_id):
     assert shuffle_digest(design, topology) == \
         _load()["shuffle"][f"{design}@{topology_id}"]
+
+
+@pytest.mark.parametrize("design", DESIGN_NAMES)
+def test_enabling_order_does_not_matter(design):
+    """Observers are read off the cluster's one bundle at every site, so
+    tracer + reporting + sanitizer may be switched on before the stage
+    exists, after it is built, or after setup has created every CQ, QP
+    and memory region: the result is the same, and it is the golden
+    one (whose RunReport alone differs, by saying no sanitizer was
+    attached)."""
+    digests = [shuffle_digest(design, TOPOLOGIES[0], observe_at=point,
+                              sanitize=True) for point in OBSERVE_AT]
+    assert digests[1:] == digests[:-1]
+    golden = _load()["shuffle"][f"{design}@{TOPOLOGY_IDS[0]}"]
+    assert dict(digests[0], report_sha256=golden["report_sha256"]) == golden
 
 
 @pytest.mark.parametrize("topology,topology_id", PRESETS, ids=TOPOLOGY_IDS)

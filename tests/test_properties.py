@@ -12,6 +12,7 @@ from repro.core.shuffle import (
 )
 from repro.fabric import EDR, FDR, QPContextCache
 from repro.sim import Barrier, RatePipe, Simulator
+from repro.telemetry import Telemetry
 from repro.verbs.memory import AddressSpace
 
 
@@ -167,7 +168,7 @@ class TestMemoryProperties:
         st.tuples(st.integers(0, 120), st.integers(0, 1 << 62)),
         min_size=1, max_size=50))
     def test_word_store_last_write_wins(self, values):
-        space = AddressSpace(0)
+        space = AddressSpace(0, Telemetry(Simulator(), 0))
         mr = space.register(1024)
         expected = {}
         for offset, value in values:
@@ -180,7 +181,7 @@ class TestMemoryProperties:
     @given(lengths=st.lists(st.integers(1, 10_000), min_size=1,
                             max_size=30))
     def test_registration_accounting_balances(self, lengths):
-        space = AddressSpace(0)
+        space = AddressSpace(0, Telemetry(Simulator(), 0))
         mrs = [space.register(length) for length in lengths]
         assert space.registered_bytes == sum(lengths)
         assert space.peak_registered_bytes == sum(lengths)
@@ -191,7 +192,7 @@ class TestMemoryProperties:
 
     @given(lengths=st.lists(st.integers(1, 1000), min_size=2, max_size=20))
     def test_regions_never_overlap(self, lengths):
-        space = AddressSpace(0)
+        space = AddressSpace(0, Telemetry(Simulator(), 0))
         mrs = [space.register(length) for length in lengths]
         spans = sorted((mr.addr, mr.addr + mr.length) for mr in mrs)
         for (lo1, hi1), (lo2, hi2) in zip(spans, spans[1:]):

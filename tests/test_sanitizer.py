@@ -16,7 +16,8 @@ from repro import Cluster, ClusterConfig, EDR
 from repro.analysis import ProtocolViolationError
 from repro.bench import cli as bench_cli
 from repro.telemetry.session import session
-from repro.verbs import VerbsError
+from repro.memory import BufferPool
+from repro.verbs import Opcode, QPType, SendWR, VerbsError
 
 from tests.test_determinism import DESIGN_NAMES
 from tests.test_endpoints import make_cluster, run_stage_query
@@ -51,13 +52,19 @@ def test_designs_are_clean_and_sanitizer_is_invisible(design):
 
 
 class TestWiring:
-    def test_off_by_default(self):
+    def test_off_by_default_and_stored_once(self):
         cluster = make_cluster()
         assert cluster.sanitizer is None
-        assert cluster.fabric.sanitizer is None
+        assert cluster.telemetry.sanitizer is None
         ctx = first_context(cluster)
-        assert ctx.sanitizer is None
-        assert ctx.memory.sanitizer is None
+        # Everything holds the cluster's one bundle, and nothing but the
+        # bundle has a sanitizer (or links) attribute of its own.
+        holders = (cluster.fabric, cluster.nodes[0].nic, ctx, ctx.memory,
+                   ctx.create_cq(), ctx.reg_mr(64))
+        for obj in holders:
+            assert obj.telemetry is cluster.telemetry
+            assert not hasattr(obj, "sanitizer")
+            assert not hasattr(obj, "links")
 
     def test_enable_is_idempotent_and_reaches_existing_objects(self):
         cluster = make_cluster()
@@ -66,12 +73,30 @@ class TestWiring:
         mr = ctx.reg_mr(64)  # created before enable_sanitizer()
         san = cluster.enable_sanitizer()
         assert cluster.enable_sanitizer() is san
-        assert ctx.sanitizer is san
-        assert cq.sanitizer is san
-        assert mr.sanitizer is san
-        # ... and objects created afterwards inherit it too.
-        assert ctx.create_cq().sanitizer is san
-        assert ctx.reg_mr(64).sanitizer is san
+        assert cluster.sanitizer is san
+        assert ctx.telemetry.sanitizer is san
+        assert cq.telemetry.sanitizer is san
+        assert mr.telemetry.sanitizer is san
+        # ... and objects created afterwards see it too.
+        assert ctx.create_cq().telemetry.sanitizer is san
+        assert ctx.reg_mr(64).telemetry.sanitizer is san
+
+    @pytest.mark.parametrize("enable_first", [True, False])
+    def test_planted_bug_is_seen_whenever_enabled(self, enable_first):
+        """A post_send on an unconnected RC QP is reported whether the
+        sanitizer came before or after the QP's CQ and memory region."""
+        cluster = make_cluster()
+        ctx = first_context(cluster)
+        if enable_first:
+            cluster.enable_sanitizer()
+        cq = ctx.create_cq()
+        qp = ctx.create_qp(QPType.RC, cq, cq)
+        pool = BufferPool(ctx, 1, 64)
+        san = cluster.enable_sanitizer()
+        with pytest.raises(VerbsError):
+            qp.post_send(SendWR(wr_id="x", opcode=Opcode.SEND,
+                                buffer=pool.buffers[0], length=64))
+        assert [v.rule for v in san.violations] == ["qp-state"]
 
     def test_strict_mode_raises_at_first_violation(self):
         cluster = make_cluster()

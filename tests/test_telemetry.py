@@ -180,6 +180,15 @@ class TestIntegration:
         cats = {e.get("cat") for e in data}
         assert {"fabric", "verbs", "endpoint"} <= cats
 
+    def test_enable_tracing_is_idempotent(self):
+        cluster, _ = _small_shuffle(trace=True)
+        tracer = cluster.telemetry.tracer
+        recorded = len(tracer.events)
+        assert recorded
+        assert cluster.enable_tracing() is tracer
+        assert cluster.telemetry.tracer is tracer
+        assert len(tracer.events) == recorded
+
     def test_cold_cache_counters_nonzero(self):
         cluster, _ = _small_shuffle(qp_cache_entries=1)
         snap = cluster.metrics_snapshot()
@@ -237,6 +246,19 @@ class TestSession:
         # The two runs occupy disjoint pid namespaces.
         pids = {e["pid"] for e in data}
         assert any(p < 1000 for p in pids) and any(p >= 1000 for p in pids)
+
+    def test_enable_tracing_under_trace_session_keeps_its_tracer(self):
+        # The session enabled tracing when the cluster attached; a later
+        # cluster.enable_tracing() must hand back that tracer, not
+        # replace it behind the session's back.
+        with session(trace=True) as sess:
+            cluster = Cluster(ClusterConfig(network=EDR, num_nodes=2))
+            cluster.enable_tracing()
+            run_repartition(cluster, "SEMQ/SR", bytes_per_node=2 * MIB)
+        data = [e for e in sess.trace_document()["traceEvents"]
+                if e["ph"] != "M"]
+        assert data
+        assert len(data) == len(cluster.telemetry.tracer.events)
 
     def test_digest_of_nothing(self):
         digest = digest_snapshots([])

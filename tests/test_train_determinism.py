@@ -49,17 +49,32 @@ TOPOLOGIES = [SINGLE_SWITCH, LEAF_SPINE(oversubscription=2), DUAL_RAIL]
 TOPOLOGY_IDS = ["single-switch", "leaf-spine", "dual-rail"]
 
 
+#: the points of :func:`run_shuffle` at which the observers can be
+#: switched on; nothing simulated has happened before the last of them.
+OBSERVE_AT = ("cluster-built", "stage-built", "setup-done")
+
+
 def run_shuffle(design, topology=SINGLE_SWITCH, nodes=2, threads=2,
-                credit_frequency=None, oracle=False):
+                credit_frequency=None, oracle=False,
+                observe_at="cluster-built", sanitize=False):
     """One small shuffle with train-sized messages; returns
     ``(metrics snapshot, span count, end time, report JSON,
     delivered_messages, delivered_packets)``.  ``oracle`` runs it on the
-    per-packet reference instead of packet trains."""
+    per-packet reference instead of packet trains.  Tracing and
+    reporting (and, with ``sanitize``, the sanitizer, which must then
+    stay silent) are enabled at ``observe_at``."""
     cluster = Cluster(ClusterConfig(network=EDR, num_nodes=nodes,
                                     threads_per_node=threads,
                                     topology=topology))
-    tracer = cluster.enable_tracing()
-    cluster.enable_reporting()
+
+    def observe(point):
+        if point == observe_at:
+            cluster.enable_tracing()
+            cluster.enable_reporting()
+            if sanitize:
+                cluster.enable_sanitizer()
+
+    observe("cluster-built")
     if oracle:
         cluster.fabric.use_packet_oracle()
     groups = TransmissionGroups.repartition(nodes)
@@ -69,7 +84,9 @@ def run_shuffle(design, topology=SINGLE_SWITCH, nodes=2, threads=2,
         kwargs["credit_frequency"] = credit_frequency
     cfg = EndpointConfig(message_size=message_size, **kwargs)
     stage = cluster.shuffle_stage(design, groups, config=cfg)
+    observe("stage-built")
     cluster.run_process(stage.setup())
+    observe("setup-done")
     rows_per_node = 8192
     fragments, sinks = [], []
     for n in range(nodes):
@@ -92,9 +109,14 @@ def run_shuffle(design, topology=SINGLE_SWITCH, nodes=2, threads=2,
     cluster.run()  # drain trailing completions
     got = sum(len(s.result()) for s in sinks if s.result() is not None)
     assert got == nodes * rows_per_node
-    report_json = json.dumps(cluster.run_report(), sort_keys=True)
-    return (cluster.metrics_snapshot(), len(tracer.events), cluster.sim.now,
-            report_json, cluster.fabric.delivered_messages,
+    report = cluster.run_report()
+    if sanitize:
+        assert cluster.sanitizer.violations == []
+        assert report["sanitizer"] == {"attached": True, "violations": 0,
+                                       "messages": []}
+    report_json = json.dumps(report, sort_keys=True)
+    return (cluster.metrics_snapshot(), len(cluster.telemetry.tracer.events),
+            cluster.sim.now, report_json, cluster.fabric.delivered_messages,
             cluster.fabric.delivered_packets)
 
 

@@ -84,7 +84,7 @@ def test_oracle_packet_boundaries_are_monotone_and_end_at_busy_until(
     assert sim.now == pipe.busy_until
 
 
-def test_one_packet_train_is_exactly_submit():
+def test_one_packet_train_is_exactly_transmit():
     """Boundary case: n == 1 schedules precisely one completion, even in
     oracle mode — a single-MTU message has no internal boundaries."""
     sim = Simulator()
@@ -96,7 +96,8 @@ def test_one_packet_train_is_exactly_submit():
     reference = Simulator()
     ref_pipe = RatePipe(reference, 12.4)
     ref_fired = []
-    ref_pipe.submit(4096, lambda: ref_fired.append(reference.now))
+    ref_pipe.transmit(4096).add_callback(
+        lambda _event: ref_fired.append(reference.now))
     reference.run()
     assert fired == ref_fired
     assert sim.now == reference.now

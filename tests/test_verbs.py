@@ -5,6 +5,7 @@ import pytest
 from repro.fabric import EDR, ClusterConfig, Fabric
 from repro.memory import BufferPool
 from repro.sim import Simulator
+from repro.telemetry import Telemetry
 from repro.verbs import (
     AddressHandle,
     CompletionQueue,
@@ -131,27 +132,27 @@ class TestBufferPool:
 
 class TestCompletionQueue:
     def test_poll_drains_in_order(self, sim):
-        cq = CompletionQueue(sim)
+        cq = CompletionQueue(sim, Telemetry(sim, 0))
         for i in range(3):
             cq.push(WorkCompletion(wr_id=i, opcode=Opcode.SEND))
         assert [wc.wr_id for wc in cq.poll()] == [0, 1, 2]
         assert cq.poll() == []
 
     def test_poll_respects_max_entries(self, sim):
-        cq = CompletionQueue(sim)
+        cq = CompletionQueue(sim, Telemetry(sim, 0))
         for i in range(5):
             cq.push(WorkCompletion(wr_id=i, opcode=Opcode.SEND))
         assert len(cq.poll(max_entries=2)) == 2
         assert len(cq) == 3
 
     def test_overrun_raises(self, sim):
-        cq = CompletionQueue(sim, depth=1)
+        cq = CompletionQueue(sim, Telemetry(sim, 0), depth=1)
         cq.push(WorkCompletion(wr_id=0, opcode=Opcode.SEND))
         with pytest.raises(VerbsError):
             cq.push(WorkCompletion(wr_id=1, opcode=Opcode.SEND))
 
     def test_blocking_wait(self, sim):
-        cq = CompletionQueue(sim)
+        cq = CompletionQueue(sim, Telemetry(sim, 0))
 
         def proc():
             wc = yield cq.wait()
