@@ -22,10 +22,18 @@ def run_once(benchmark, fn, *args, **kwargs):
                               rounds=1, iterations=1, warmup_rounds=0)
 
 
-#: rendered tables are also appended here, because pytest captures (and,
+#: rendered tables are also written here, because pytest captures (and,
 #: for passing tests, discards) stdout; this file keeps the reproduced
-#: rows/series of every figure from the latest benchmark run.
+#: rows/series of every figure from the latest benchmark run.  It is a
+#: build product (git-ignored); ``results_full_scale.txt`` is the
+#: archived full-scale copy EXPERIMENTS.md cites.
 RESULTS_PATH = os.path.join(os.path.dirname(__file__), "results.txt")
+
+
+@pytest.fixture(scope="session", autouse=True)
+def _fresh_results_file():
+    """Start every benchmark session with an empty results file."""
+    open(RESULTS_PATH, "w").close()
 
 
 def show(result) -> None:

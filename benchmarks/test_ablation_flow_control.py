@@ -1,49 +1,16 @@
 """Ablation: buffer depth (double vs deeper buffering) in flow control.
 
-DESIGN.md calls out the buffers-per-connection choice as the memory /
-stall trade-off behind §5.1.1-§5.1.2.  This ablation quantifies it
-through the credit-stall profiling counter: a one-buffer window keeps the
-sender blocked for credit, double buffering removes most of the stall,
-and beyond four buffers the gains vanish while pinned memory keeps
-growing linearly.
+Shape checks for ``abl-buffer-depth`` (see
+:func:`repro.bench.experiments.abl_buffer_depth`).
 """
 
 from conftest import run_once, show
 
-from repro.bench.report import ExperimentResult, Series
-from repro.bench.workloads import run_repartition
-from repro.cluster import Cluster
-from repro.core.endpoint import EndpointConfig
-from repro.fabric.config import EDR, ClusterConfig
-
-MIB = 1 << 20
-
-
-def ablate():
-    depths = (1, 2, 4, 8)
-    throughput, memory, stall_ms = [], [], []
-    for depth in depths:
-        cluster = Cluster(ClusterConfig(network=EDR, num_nodes=8))
-        cfg = EndpointConfig(buffers_per_connection=depth,
-                             credit_frequency=1)
-        result = run_repartition(cluster, "MEMQ/SR",
-                                 bytes_per_node=36 * MIB, config=cfg)
-        throughput.append(result.receive_throughput_gib_per_node())
-        memory.append(result.registered_bytes_per_node / MIB)
-        stall_ms.append(result.send_credit_wait_ns / 1e6)
-    return ExperimentResult(
-        experiment="ablation-buffer-depth",
-        title="MEMQ/SR on EDR: buffers per connection (window depth)",
-        x_label="buffers per connection", x=list(depths),
-        y_label="GiB/s | credit-stall ms | pinned MiB",
-        series=[Series("throughput (GiB/s)", throughput),
-                Series("credit stall (ms, all threads)", stall_ms),
-                Series("pinned memory (MiB)", memory)],
-    )
+from repro.bench.experiments import abl_buffer_depth
 
 
 def test_buffer_depth_ablation(benchmark):
-    result = run_once(benchmark, ablate)
+    result = run_once(benchmark, abl_buffer_depth)
     show(result)
     thr = result.series_by_label("throughput (GiB/s)").y
     stall = result.series_by_label("credit stall (ms, all threads)").y

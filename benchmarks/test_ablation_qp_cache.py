@@ -1,60 +1,16 @@
 """Ablation: the NIC Queue-Pair context cache.
 
-Isolates the mechanism DESIGN.md and the paper ([8,16,17]) hold
-responsible for the many-Queue-Pair designs' collapse on FDR at 16 nodes:
-re-run MEMQ/SR with the context cache disabled (infinite cache) and show
-the degradation disappears.  The telemetry layer surfaces the cache's
-hit/miss counters directly, attributing the collapse to PCIe round trips
-rather than inferring it from throughput alone.
+Shape checks for ``abl-qp-cache`` (see
+:func:`repro.bench.experiments.abl_qp_cache`).
 """
 
 from conftest import run_once, show
 
-from repro.bench.report import ExperimentResult, Series
-from repro.bench.workloads import run_repartition
-from repro.cluster import Cluster
-from repro.fabric.config import FDR, ClusterConfig
-from repro.telemetry import nic_cache_stats
-
-MIB = 1 << 20
-
-
-def _measure(nodes: int, disable_cache: bool):
-    """One run; returns (throughput GiB/s, aggregate QP-cache stats)."""
-    cluster = Cluster(ClusterConfig(network=FDR, num_nodes=nodes))
-    for node in cluster.nodes:
-        node.nic.disable_qp_cache = disable_cache
-    result = run_repartition(cluster, "MEMQ/SR", bytes_per_node=36 * MIB)
-    return result.receive_throughput_gib_per_node(), nic_cache_stats(cluster)
-
-
-def ablate():
-    node_counts = (8, 16)
-    with_cache, without, miss_rates, stall_ms = [], [], [], []
-    for n in node_counts:
-        thr, stats = _measure(n, disable_cache=False)
-        with_cache.append(thr)
-        miss_rates.append(100.0 * stats["miss_rate"])
-        stall_ms.append(stats["pcie_stall_ns"] / 1e6)
-        thr, _ = _measure(n, disable_cache=True)
-        without.append(thr)
-    cache_note = "; ".join(
-        f"{n} nodes: miss {m:.1f}%, pcie-stall {s:.1f}ms"
-        for n, m, s in zip(node_counts, miss_rates, stall_ms))
-    return ExperimentResult(
-        experiment="ablation-qp-cache",
-        title="MEMQ/SR on FDR with and without the QP context-cache limit",
-        x_label="nodes", x=list(node_counts),
-        y_label="receive throughput per node (GiB/s)",
-        series=[Series("finite cache (real NIC)", with_cache),
-                Series("infinite cache (ablated)", without),
-                Series("miss rate (%)", miss_rates)],
-        notes=f"finite-cache runs: {cache_note}",
-    )
+from repro.bench.experiments import abl_qp_cache
 
 
 def test_qp_cache_ablation(benchmark):
-    result = run_once(benchmark, ablate)
+    result = run_once(benchmark, abl_qp_cache)
     show(result)
     real = result.series_by_label("finite cache (real NIC)")
     ablated = result.series_by_label("infinite cache (ablated)")

@@ -1,49 +1,16 @@
 """Extension: MESQ/SR with native InfiniBand multicast (§7 future work #3).
 
-Quantifies the paper's hypothesis: hardware multicast should cut the
-sender's CPU and port load during broadcast while sustaining the same
-receive throughput.
+Shape checks for ``ext-multicast`` (see
+:func:`repro.bench.experiments.ext_multicast`).
 """
 
 from conftest import run_once, show
 
-from repro.bench.report import ExperimentResult, Series
-from repro.bench.workloads import run_broadcast
-from repro.cluster import Cluster
-from repro.fabric.config import EDR, ClusterConfig
-
-MIB = 1 << 20
-
-
-def compare():
-    node_counts = (4, 8, 16)
-    thr = {"MESQ/SR": [], "MESQ/SR+MC": []}
-    egress_gb = {"MESQ/SR": [], "MESQ/SR+MC": []}
-    for nodes in node_counts:
-        for design in thr:
-            cluster = Cluster(ClusterConfig(network=EDR, num_nodes=nodes))
-            result = run_broadcast(
-                cluster, design,
-                bytes_per_node=max(1, 12 // (nodes - 1)) * MIB)
-            thr[design].append(result.receive_throughput_gib_per_node())
-            egress_gb[design].append(sum(
-                n.nic.egress.total_units for n in cluster.nodes) / 1e9)
-    return ExperimentResult(
-        experiment="extension-multicast",
-        title="Broadcast with native InfiniBand multicast (EDR)",
-        x_label="nodes", x=list(node_counts),
-        y_label="GiB/s per node | total egress GB",
-        series=[
-            Series("MESQ/SR (GiB/s)", thr["MESQ/SR"]),
-            Series("MESQ/SR+MC (GiB/s)", thr["MESQ/SR+MC"]),
-            Series("MESQ/SR egress (GB)", egress_gb["MESQ/SR"]),
-            Series("MESQ/SR+MC egress (GB)", egress_gb["MESQ/SR+MC"]),
-        ],
-    )
+from repro.bench.experiments import ext_multicast
 
 
 def test_multicast_extension(benchmark):
-    result = run_once(benchmark, compare)
+    result = run_once(benchmark, ext_multicast)
     show(result)
     for i, nodes in enumerate(result.x):
         base_thr = result.series_by_label("MESQ/SR (GiB/s)").y[i]

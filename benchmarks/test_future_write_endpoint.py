@@ -1,45 +1,16 @@
 """Extension: the RDMA Write endpoint (the paper's §7 future work).
 
-Compares the Write-based one-sided endpoint against the paper's
-Read-based one on both communication patterns.  The interesting result:
-Write does not inherit Read's broadcast weakness, because each receiver
-owns its own destination buffers — there is no single sender buffer whose
-reuse waits on the slowest reader.
+Shape checks for ``ext-write`` (see
+:func:`repro.bench.experiments.ext_write`).
 """
 
 from conftest import run_once, show
 
-from repro.bench.report import ExperimentResult, Series
-from repro.bench.workloads import run_broadcast, run_repartition
-from repro.cluster import Cluster
-from repro.fabric.config import EDR, ClusterConfig
-
-MIB = 1 << 20
-
-
-def compare():
-    designs = ("MEMQ/RD", "MEMQ/WR", "SEMQ/RD", "SEMQ/WR")
-    rep, bc = [], []
-    for design in designs:
-        cluster = Cluster(ClusterConfig(network=EDR, num_nodes=8))
-        rep.append(run_repartition(
-            cluster, design,
-            bytes_per_node=36 * MIB).receive_throughput_gib_per_node())
-        cluster = Cluster(ClusterConfig(network=EDR, num_nodes=8))
-        bc.append(run_broadcast(
-            cluster, design,
-            bytes_per_node=5 * MIB).receive_throughput_gib_per_node())
-    return ExperimentResult(
-        experiment="future-work-write",
-        title="One-sided endpoints: RDMA Read vs RDMA Write (EDR, 8 nodes)",
-        x_label="design", x=list(designs),
-        y_label="receive throughput per node (GiB/s)",
-        series=[Series("repartition", rep), Series("broadcast", bc)],
-    )
+from repro.bench.experiments import Point, ext_write, measure
 
 
 def test_write_vs_read_endpoint(benchmark):
-    result = run_once(benchmark, compare)
+    result = run_once(benchmark, ext_write)
     show(result)
     # Write at least matches Read on repartition...
     assert result.value("repartition", "MEMQ/WR") > \
@@ -52,12 +23,9 @@ def test_write_vs_read_endpoint(benchmark):
 def test_write_vs_read_broadcast_value(benchmark):
     """Hypothesis from §7 quantified for the summary table."""
     def ratio():
-        cluster = Cluster(ClusterConfig(network=EDR, num_nodes=8))
-        wr = run_broadcast(cluster, "SEMQ/WR", bytes_per_node=5 * MIB)
-        cluster = Cluster(ClusterConfig(network=EDR, num_nodes=8))
-        rd = run_broadcast(cluster, "SEMQ/RD", bytes_per_node=5 * MIB)
-        return (wr.receive_throughput_gib_per_node() /
-                rd.receive_throughput_gib_per_node())
+        wr, rd = (measure(Point(design, 5 << 20, pattern="broadcast")).gib_s
+                  for design in ("SEMQ/WR", "SEMQ/RD"))
+        return wr / rd
 
     speedup = run_once(benchmark, ratio)
     print(f"\nSEMQ/WR over SEMQ/RD broadcast speedup: {speedup:.2f}x")

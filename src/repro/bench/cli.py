@@ -18,7 +18,7 @@ import json
 import sys
 import time
 
-from repro.bench.experiments import ALL_EXPERIMENTS
+from repro.bench.experiments import ALL_EXPERIMENTS, Options
 from repro.bench.report import render
 from repro.telemetry.session import format_digest, session
 
@@ -47,17 +47,16 @@ def main(argv=None) -> int:
     parser.add_argument("--nodes", type=int, default=None, metavar="N",
                         help="override the cluster size: fixed-size "
                              "experiments run at N nodes, node-count "
-                             "sweeps collapse to N, and fig10-scaleout "
-                             "truncates its 64..1024 sweep at N")
+                             "sweeps collapse to N, and the mesoscale "
+                             "sweep truncates its 64..1024 range at N")
     parser.add_argument("--tenants", type=int, default=3, metavar="N",
-                        help="tenant count for the service experiments "
-                             "(svc-*): one MESQ/SR victim plus N-1 "
-                             "MEMQ/SR aggressors (default 3)")
+                        help="tenant count for the service experiments: "
+                             "one MESQ/SR victim plus N-1 MEMQ/SR "
+                             "aggressors (default 3)")
     parser.add_argument("--policy", metavar="SPEC", default="adaptive",
-                        help="shuffle policy for the policy experiments "
-                             "(abl-adaptive): adaptive, hierarchical, "
-                             "static:<DESIGN>, or a bare design name "
-                             "(default adaptive)")
+                        help="shuffle policy for the policy experiments: "
+                             "adaptive, hierarchical, static:<DESIGN>, or "
+                             "a bare design name (default adaptive)")
     parser.add_argument("--topology", metavar="SPEC", default=None,
                         help="switch topology for every simulated cluster: "
                              "single-switch (default), leaf-spine[:K[:M]] "
@@ -92,8 +91,6 @@ def main(argv=None) -> int:
                              "benchmark (default 0.05)")
     args = parser.parse_args(argv)
 
-    if args.nodes is not None and args.nodes < 2:
-        parser.error("--nodes must be >= 2 (shuffles need a peer)")
     if args.tenants < 2:
         parser.error("--tenants must be >= 2 (a victim and an aggressor)")
     # Validate eagerly so a typo fails before any experiment runs.
@@ -138,6 +135,14 @@ def _run(args, parser) -> int:
     unknown = [n for n in names if n not in ALL_EXPERIMENTS]
     if unknown:
         parser.error(f"unknown experiments: {', '.join(unknown)}")
+    opts = Options(scale=args.scale, nodes=args.nodes,
+                   tenants=args.tenants, policy=args.policy)
+    # Validate eagerly so a bad --nodes fails before any experiment runs.
+    try:
+        for name in names:
+            ALL_EXPERIMENTS[name].nodes(opts.nodes)
+    except ValueError as exc:
+        parser.error(str(exc))
 
     experiments_out = []
     with session(trace=args.trace is not None,
@@ -145,12 +150,7 @@ def _run(args, parser) -> int:
                  report=args.report is not None) as sess:
         for name in names:
             start = time.time()
-            kwargs = {"scale": args.scale, "nodes": args.nodes}
-            if name.startswith("svc"):
-                kwargs["tenants"] = args.tenants
-            if name == "abl-adaptive":
-                kwargs["policy"] = args.policy
-            results = ALL_EXPERIMENTS[name](**kwargs)
+            results = ALL_EXPERIMENTS[name](opts)
             digest = sess.checkpoint(name)
             if digest["runs"]:
                 line = format_digest(digest)

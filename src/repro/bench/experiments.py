@@ -1,21 +1,30 @@
 """Drivers that regenerate every table and figure of the evaluation (§5).
 
-Each ``figN`` function reproduces the corresponding figure's data; the
-returned :class:`~repro.bench.report.ExperimentResult` holds the same
-x-axis and series the paper plots.  A global ``scale`` parameter shrinks
-transfer volumes for quick runs (the benchmarks use ``scale=0.25``); the
-shapes are volume-independent once past warmup.
+The evaluation is one experiment repeated — build a cluster, shuffle R
+under one design, read one number — swept over a row axis and an x axis,
+and so is this module: :func:`measure` runs one :class:`Point` (the only
+place a shuffle experiment builds a cluster), :func:`sweep` runs a
+rows × x grid of them into a :class:`Grid`, and each ``figN`` function
+is what is specific to its figure — rows, x axis, point, metric, title
+and notes — returning the same x-axis and series the paper plots.
+:data:`ALL_EXPERIMENTS` registers them for the CLI with one call shape.
 
-Simulated volumes are far below the paper's 160 GiB per node — throughput
-is steady-state within tens of MiB — and TPC-H scale factors are reduced
-proportionally; EXPERIMENTS.md records the paper-vs-measured comparison.
+A ``scale`` parameter shrinks transfer volumes for quick runs (the
+benchmarks use ``scale=0.25``); the shapes are volume-independent once
+past warmup.  Simulated volumes are far below the paper's 160 GiB per
+node — throughput is steady-state within tens of MiB — and TPC-H scale
+factors are reduced proportionally; EXPERIMENTS.md records the
+paper-vs-measured comparison.
 """
 
 from __future__ import annotations
 
 import gc
 from contextlib import contextmanager
-from typing import Dict, List, Optional, Sequence
+from dataclasses import dataclass
+from functools import partial
+from operator import attrgetter
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.baselines.qperf import run_qperf
 from repro.bench.report import ExperimentResult, Series
@@ -31,17 +40,221 @@ from repro.fabric.config import (
     LEAF_SPINE,
     ClusterConfig,
     NetworkConfig,
+    TopologySpec,
+)
+from repro.service import (
+    FairSharePolicy,
+    QuotaManager,
+    ServiceConfig,
+    ShuffleService,
+    TenantSpec,
+    estimate_footprint,
 )
 from repro.telemetry import nic_cache_stats
 from repro.tpch import generate, run_query
 
 __all__ = [
-    "fig8", "fig9", "fig10", "fig10_scaleout", "fig11", "fig12", "fig13",
-    "fig14a", "fig14_scaling", "table1", "abl_oversub", "abl_adaptive",
-    "abl_hierarchical", "svc_tenants", "ALL_EXPERIMENTS",
+    "Options", "Point", "Measurement", "measure", "Grid", "sweep",
+    "fig8", "fig9", "fig10", "fig10_scaleout", "fig11", "fig12",
+    "setup_crossover_mb", "fig13", "fig14a", "fig14_scaling", "table1",
+    "abl_oversub", "abl_adaptive", "abl_hierarchical", "abl_buffer_depth",
+    "abl_qp_cache", "ext_multicast", "ext_write", "svc_tenants",
+    "Entry", "FIXED", "COLLAPSE", "TRUNCATE", "ALL_EXPERIMENTS",
 ]
 
 MIB = 1 << 20
+
+Y_THROUGHPUT = "receive throughput per node (GiB/s)"
+_GIB_S = attrgetter("gib_s")
+
+
+# -- one point ------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class Point:
+    """Everything that varies between two shuffle measurements."""
+
+    #: a design name or a shuffle policy (anything ``run_repartition``
+    #: accepts).
+    design: Any
+    #: bytes per node; or, for a run sized by what a policy picks, a
+    #: function of the built cluster (abl-adaptive).
+    volume: Union[int, Callable[[Cluster], int]] = 0
+    network: NetworkConfig = EDR
+    nodes: int = 8
+    #: 0: the network's cores per node.
+    threads: int = 0
+    #: ``None``: the ambient default (single switch, or ``--topology``).
+    topology: Optional[TopologySpec] = None
+    #: run every NIC with an unbounded QP-context cache (abl-qp-cache).
+    disable_qp_cache: bool = False
+    pattern: str = "repartition"
+    config: Optional[EndpointConfig] = None
+    num_endpoints: Optional[int] = None
+    compute_ns_per_batch: float = 0.0
+    #: build the stage's connections and stop (fig12).
+    setup_only: bool = False
+
+
+@dataclass(frozen=True)
+class Measurement:
+    """Everything any figure reads from one shuffle run."""
+
+    gib_s: float = 0.0
+    registered_mib: float = 0.0
+    #: receiving threads' share of time not blocked on data (Fig 13).
+    busy_pct: float = 0.0
+    #: sender time stalled for credit, summed over all threads.
+    credit_stall_ms: float = 0.0
+    #: the slowest node's connection build time.
+    setup_ns: int = 0
+    #: ``plan.describe()`` of what actually ran.
+    plan: str = ""
+    #: peak switch-trunk utilization (0..1) over the transfer window.
+    peak_trunk_util: float = 0.0
+    qp_miss_rate: float = 0.0
+    pcie_stall_ms: float = 0.0
+    #: bytes that left all NICs.
+    egress_bytes: float = 0
+
+
+@contextmanager
+def _gc_paused():
+    """Pause the cyclic collector for one run.
+
+    A 1024-node cluster holds millions of live objects (connections,
+    buffer pools, address handles); full collections traverse all of
+    them and come to dominate wall-clock (~2x at 256 nodes, worse
+    beyond).  Reference counting still reclaims the simulator's acyclic
+    churn; one collection after the run picks up the cycles.  It is a
+    young-generation collection: with the collector off nothing the run
+    allocated was promoted, so its cycles are all there, and the old
+    generation — under ``--trace`` / ``--report`` every earlier run's
+    retained records — is not traversed again after every point.
+    """
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if was_enabled:
+            gc.enable()
+        gc.collect(1)
+
+
+# A decorator, not a with-block inside: the cluster's lifetime then
+# ends with measure()'s frame, so it is already dead when _gc_paused
+# collects on exit and the collector traverses surviving cycles, not a
+# ~10 GB live heap (tens of seconds at 1024 nodes).  Reference counting
+# frees the acyclic bulk as the frame unwinds.
+@_gc_paused()
+def measure(point: Point) -> Measurement:
+    """Build one cluster, run one shuffle point on it, harvest, dispose.
+
+    The only place an experiment builds a cluster for a shuffle point.
+    """
+    config = ClusterConfig(network=point.network, num_nodes=point.nodes,
+                           threads_per_node=point.threads)
+    if point.topology is not None:
+        config = config.with_topology(point.topology)
+    cluster = Cluster(config)
+    if point.disable_qp_cache:
+        for node in cluster.nodes:
+            node.nic.disable_qp_cache = True
+    if point.setup_only:
+        stage = cluster.shuffle_stage(
+            point.design, TransmissionGroups.repartition(point.nodes))
+        cluster.run_process(stage.setup())
+        measurement = Measurement(setup_ns=stage.max_setup_ns)
+    else:
+        run = (run_repartition if point.pattern == "repartition"
+               else run_broadcast)
+        volume = point.volume
+        if callable(volume):
+            volume = volume(cluster)
+        result = run(cluster, point.design, bytes_per_node=volume,
+                     config=point.config,
+                     num_endpoints=point.num_endpoints,
+                     compute_ns_per_batch=point.compute_ns_per_batch)
+        cache = nic_cache_stats(cluster)
+        # Setup excluded: trunk ports only carry shuffle data.
+        elapsed = max(1, result.elapsed_ns)
+        measurement = Measurement(
+            gib_s=result.receive_throughput_gib_per_node(),
+            registered_mib=result.registered_bytes_per_node / MIB,
+            busy_pct=100.0 * result.receiver_busy_fraction(),
+            credit_stall_ms=result.send_credit_wait_ns / 1e6,
+            setup_ns=result.setup_ns,
+            plan=result.design,
+            peak_trunk_util=min(1.0, max(
+                (p.pipe.busy_ns / elapsed
+                 for p in cluster.fabric.topology.ports()), default=0.0)),
+            qp_miss_rate=cache["miss_rate"],
+            pcie_stall_ms=cache["pcie_stall_ns"] / 1e6,
+            egress_bytes=sum(n.nic.egress.total_units
+                             for n in cluster.nodes),
+        )
+    cluster.dispose()
+    return measurement
+
+
+# -- one grid -------------------------------------------------------------------------
+
+
+@dataclass
+class Grid:
+    """The raw records of one rows × x sweep; tables are derived from it."""
+
+    rows: Tuple[Any, ...]
+    xs: Tuple[Any, ...]
+    #: ``(row, x)`` -> record; a missing or ``None`` cell renders as "-".
+    cells: Dict[Tuple[Any, Any], Any]
+
+    def row(self, row: Any) -> List[Any]:
+        """One row's records along the x axis."""
+        return [self.cells.get((row, x)) for x in self.xs]
+
+    def series(self, row: Any, metric: Callable[[Any], Any],
+               label: Optional[str] = None) -> Series:
+        return Series(str(row) if label is None else label,
+                      [None if record is None else metric(record)
+                       for record in self.row(row)])
+
+    def table(self, metric: Callable[[Any], Any],
+              **fields: Any) -> ExperimentResult:
+        """One series per row, every cell reduced by ``metric``."""
+        return ExperimentResult(
+            x=list(self.xs),
+            series=[self.series(row, metric) for row in self.rows],
+            **fields)
+
+
+def sweep(rows: Sequence[Any], xs: Sequence[Any],
+          point: Callable[[Any, Any], Any], x_major: bool = False,
+          run: Callable[[Any], Any] = measure) -> Grid:
+    """Run ``run(point(row, x))`` for every cell of the rows × x grid.
+
+    ``point`` returning ``None`` skips the cell.  Cells run row by row,
+    or column by column with ``x_major``: every cell is an independent
+    deterministic simulation, so the order shows only in the order of
+    runs in ``--metrics`` / ``--report`` / ``--trace`` documents, which
+    stays what each figure has always produced.
+    """
+    rows, xs = tuple(rows), tuple(xs)
+    order = ([(row, x) for x in xs for row in rows] if x_major
+             else [(row, x) for row in rows for x in xs])
+    cells = {}
+    for row, x in order:
+        p = point(row, x)
+        cells[row, x] = None if p is None else run(p)
+    return Grid(rows, xs, cells)
+
+
+def _scaled(mib: int, scale: float) -> int:
+    """``mib`` MiB at full scale, floored at 2 MiB so warmup never
+    dominates a quick run."""
+    return max(2 * MIB, int(mib * MIB * scale))
 
 
 def _volume(design: str, scale: float, nodes: int = 8,
@@ -54,43 +267,24 @@ def _volume(design: str, scale: float, nodes: int = 8,
     return max(2 * MIB, base)
 
 
-def _run(network: NetworkConfig, design: str, nodes: int,
-         pattern: str, scale: float,
-         config: Optional[EndpointConfig] = None,
-         num_endpoints: Optional[int] = None,
-         threads: int = 0):
-    """One shuffle run; returns ``(cluster, workload result)`` so callers
-    can harvest transport telemetry alongside the throughput number."""
-    cluster = Cluster(ClusterConfig(network=network, num_nodes=nodes,
-                                    threads_per_node=threads))
-    runner = run_repartition if pattern == "repartition" else run_broadcast
-    result = runner(cluster, design,
-                    bytes_per_node=_volume(design, scale, nodes, pattern),
-                    config=config, num_endpoints=num_endpoints)
-    return cluster, result
-
-
-def _peak_trunk_util(cluster: Cluster, result) -> float:
-    """Peak switch-trunk utilization (0..1) over the transfer window
-    (setup excluded: trunk ports only carry shuffle data)."""
-    elapsed = max(1, result.elapsed_ns)
-    return min(1.0, max((p.pipe.busy_ns / elapsed
-                         for p in cluster.fabric.topology.ports()),
-                        default=0.0))
-
-
-def _throughput(network: NetworkConfig, design: str, nodes: int,
-                pattern: str, scale: float,
-                config: Optional[EndpointConfig] = None,
-                num_endpoints: Optional[int] = None,
-                threads: int = 0) -> float:
-    _cluster, result = _run(network, design, nodes, pattern, scale,
-                            config=config, num_endpoints=num_endpoints,
-                            threads=threads)
-    return result.receive_throughput_gib_per_node()
+def _mesoscale_config(message_size: int) -> EndpointConfig:
+    """The per-node state budget a leaf-spine fabric is operated at:
+    double buffering, credit every other receive, no deep UD window."""
+    # ud_window_factor=1: at mesoscale fan-out each link carries ~1
+    # message per batch, so the deep UD byte window of §5.1.1 buys
+    # nothing and costs O(n^2) receive buffers cluster-wide.
+    return EndpointConfig(message_size=message_size,
+                          buffers_per_connection=2, credit_frequency=2,
+                          ud_window_factor=1)
 
 
 # -- Figure 8: credit write-back frequency ------------------------------------------
+
+
+def _fig8_config(frequency: int) -> EndpointConfig:
+    """§5.1.1's setup: 16 RDMA buffers per remote node per thread."""
+    return EndpointConfig(buffers_per_connection=16,
+                          credit_frequency=frequency, ud_window_factor=1)
 
 
 def fig8(network: NetworkConfig = EDR, nodes: int = 8,
@@ -102,99 +296,88 @@ def fig8(network: NetworkConfig = EDR, nodes: int = 8,
     the x axis is how many Receives the receiver posts before writing
     credit back.
     """
-    series = []
-    for design in ["SEMQ/SR", "MEMQ/SR", "SESQ/SR", "MESQ/SR"]:
-        ys = []
-        for freq in frequencies:
-            cfg = EndpointConfig(buffers_per_connection=16,
-                                 credit_frequency=freq, ud_window_factor=1)
-            ys.append(_throughput(network, design, nodes, "repartition",
-                                  scale, config=cfg))
-        series.append(Series(design, ys))
-    mpi = _throughput(network, "MPI", nodes, "repartition", scale)
-    series.append(Series("MPI", [mpi] * len(frequencies)))
-    qperf = run_qperf(network)
-    series.append(Series("qperf", [qperf] * len(frequencies)))
-    return ExperimentResult(
-        experiment=f"fig8-{network.name}",
+    result = sweep(
+        ["SEMQ/SR", "MEMQ/SR", "SESQ/SR", "MESQ/SR"], frequencies,
+        lambda design, freq: Point(
+            design, _volume(design, scale, nodes), network, nodes,
+            config=_fig8_config(freq)),
+    ).table(
+        _GIB_S, experiment=f"fig8-{network.name}",
         title=f"Credit write-back frequency, {network.name} "
               f"({nodes} nodes)",
-        x_label="credit update frequency", x=list(frequencies),
-        y_label="receive throughput per node (GiB/s)", series=series,
-        notes="16 buffers per remote node per thread (§5.1.1)",
-    )
+        x_label="credit update frequency", y_label=Y_THROUGHPUT,
+        notes="16 buffers per remote node per thread (§5.1.1)")
+    mpi = measure(Point("MPI", _volume("MPI", scale, nodes), network, nodes))
+    flat = len(frequencies)
+    result.series.append(Series("MPI", [mpi.gib_s] * flat))
+    result.series.append(Series("qperf", [run_qperf(network)] * flat))
+    return result
 
 
 # -- Figure 9: message size (throughput + pinned memory) ------------------------------
 
 
-def fig9(network: NetworkConfig = EDR, nodes: int = 8,
+def fig9(nodes: int = 8,
          sizes: Sequence[int] = (4 << 10, 16 << 10, 64 << 10, 256 << 10,
                                  1 << 20),
-         scale: float = 1.0):
+         scale: float = 1.0) -> Tuple[ExperimentResult, ExperimentResult]:
     """Fig 9(a,b): RC message size vs throughput and registered memory."""
-    throughput = {d: [] for d in PAPER_ORDER}
-    memory = {d: [] for d in PAPER_ORDER}
-    for size in sizes:
-        for design in PAPER_ORDER:
-            _cluster, result = _run(
-                network, design, nodes, "repartition", scale,
-                config=EndpointConfig(message_size=size))
-            throughput[design].append(
-                result.receive_throughput_gib_per_node())
-            memory[design].append(
-                result.registered_bytes_per_node / MIB)
-    thr = ExperimentResult(
-        experiment=f"fig9a-{network.name}",
-        title=f"Effect of message size ({network.name}): throughput",
-        x_label="message size (B)", x=list(sizes),
-        y_label="receive throughput per node (GiB/s)",
-        series=[Series(d, throughput[d]) for d in PAPER_ORDER],
+    grid = sweep(
+        PAPER_ORDER, sizes,
+        lambda design, size: Point(
+            design, _volume(design, scale, nodes), nodes=nodes,
+            config=EndpointConfig(message_size=size)),
+        x_major=True)
+    thr = grid.table(
+        _GIB_S, experiment="fig9a-EDR",
+        title="Effect of message size (EDR): throughput",
+        x_label="message size (B)", y_label=Y_THROUGHPUT,
         notes="UD designs are pinned at the 4 KiB MTU regardless of the "
-              "requested size (§2.2.2)",
-    )
-    mem = ExperimentResult(
-        experiment=f"fig9b-{network.name}",
-        title=f"Effect of message size ({network.name}): pinned memory",
-        x_label="message size (B)", x=list(sizes),
+              "requested size (§2.2.2)")
+    mem = grid.table(
+        attrgetter("registered_mib"), experiment="fig9b-EDR",
+        title="Effect of message size (EDR): pinned memory",
+        x_label="message size (B)",
         y_label="registered memory per node (MiB)",
-        series=[Series(d, memory[d]) for d in PAPER_ORDER],
-        notes="double buffering per thread per destination (§5.1.2)",
-    )
+        notes="double buffering per thread per destination (§5.1.2)")
     return thr, mem
 
 
 # -- Figure 10: throughput when scaling out --------------------------------------------
 
 
-def fig10(networks: Sequence[NetworkConfig] = (FDR, EDR),
-          node_counts: Sequence[int] = (2, 4, 8, 16),
+FIG10_PANELS = {("FDR", "repartition"): "fig10a",
+                ("FDR", "broadcast"): "fig10b",
+                ("EDR", "repartition"): "fig10c",
+                ("EDR", "broadcast"): "fig10d"}
+
+
+def _fig10_panel(network: NetworkConfig, pattern: str,
+                 node_counts: Sequence[int],
+                 scale: float) -> ExperimentResult:
+    result = sweep(
+        PAPER_ORDER + ["MPI", "IPoIB"], node_counts,
+        lambda design, n: Point(
+            design, _volume(design, scale, n, pattern), network, n,
+            pattern=pattern),
+    ).table(
+        _GIB_S, experiment=FIG10_PANELS[network.name, pattern],
+        title=f"{pattern.capitalize()} throughput, "
+              f"{network.name} InfiniBand",
+        x_label="nodes", y_label=Y_THROUGHPUT)
+    if pattern == "repartition":  # qperf has no broadcast mode
+        result.series.append(
+            Series("qperf", [run_qperf(network)] * len(node_counts)))
+    return result
+
+
+def fig10(node_counts: Sequence[int] = (2, 4, 8, 16),
+          networks: Sequence[NetworkConfig] = (FDR, EDR),
           scale: float = 1.0) -> List[ExperimentResult]:
     """Fig 10(a-d): repartition and broadcast throughput vs cluster size."""
-    results = []
-    panel = {("FDR", "repartition"): "fig10a", ("FDR", "broadcast"): "fig10b",
-             ("EDR", "repartition"): "fig10c", ("EDR", "broadcast"): "fig10d"}
-    for network in networks:
-        for pattern in ("repartition", "broadcast"):
-            series = []
-            for design in PAPER_ORDER + ["MPI", "IPoIB"]:
-                ys = [
-                    _throughput(network, design, n, pattern, scale)
-                    for n in node_counts
-                ]
-                series.append(Series(design, ys))
-            qperf = run_qperf(network)
-            if pattern == "repartition":  # qperf has no broadcast mode
-                series.append(Series("qperf", [qperf] * len(node_counts)))
-            results.append(ExperimentResult(
-                experiment=panel[(network.name, pattern)],
-                title=f"{pattern.capitalize()} throughput, "
-                      f"{network.name} InfiniBand",
-                x_label="nodes", x=list(node_counts),
-                y_label="receive throughput per node (GiB/s)",
-                series=series,
-            ))
-    return results
+    return [_fig10_panel(network, pattern, node_counts, scale)
+            for network in networks
+            for pattern in ("repartition", "broadcast")]
 
 
 # -- Mesoscale scale-out: 64..1024 nodes on leaf-spine --------------------------------
@@ -207,26 +390,10 @@ SCALEOUT_COUNTS = (64, 128, 256, 512, 1024)
 #: connections cluster-wide, so the sweep caps it and reports "-" above.
 SCALEOUT_MQ_CAP = 256
 
-
-@contextmanager
-def _gc_paused():
-    """Pause the cyclic collector for one mesoscale run.
-
-    A 1024-node cluster holds millions of live objects (connections,
-    buffer pools, address handles); full collections traverse all of
-    them and come to dominate wall-clock (~2x at 256 nodes, worse
-    beyond).  Reference counting still reclaims the simulator's acyclic
-    churn; one collection after the run picks up the cycles.
-    """
-    gc.collect()
-    was_enabled = gc.isenabled()
-    gc.disable()
-    try:
-        yield
-    finally:
-        if was_enabled:
-            gc.enable()
-        gc.collect()
+#: the two designs that survive Fig 10, SQ first (it runs the full sweep).
+SCALEOUT_DESIGNS = ("MESQ/SR", "MEMQ/SR")
+SCALEOUT_NODES_PER_LEAF = 32
+SCALEOUT_OVERSUBSCRIPTION = 2
 
 
 def _scaleout_volume(nodes: int, scale: float) -> int:
@@ -241,44 +408,8 @@ def _scaleout_volume(nodes: int, scale: float) -> int:
     return max(256 << 10, int(32 * MIB * scale * (64.0 / nodes) ** 2))
 
 
-def _scaleout_point(network: NetworkConfig, design: str, n: int,
-                    scale: float, nodes_per_leaf: int,
-                    oversubscription: int, want_trunk_note: bool):
-    """Run one (design, node count) point; the cluster dies on return.
-
-    Keeping the cluster's lifetime inside this frame is what makes the
-    caller's post-point ``gc.collect()`` cheap: reference counting frees
-    the acyclic bulk as the frame unwinds.
-    """
-    topology = LEAF_SPINE(oversubscription=oversubscription,
-                          nodes_per_leaf=nodes_per_leaf)
-    cluster = Cluster(ClusterConfig(network=network, num_nodes=n,
-                                    threads_per_node=1, topology=topology))
-    # ud_window_factor=1: at mesoscale fan-out each link carries ~1
-    # message per batch, so the deep UD byte window of §5.1.1 buys
-    # nothing and costs O(n^2) receive buffers cluster-wide.
-    cfg = EndpointConfig(
-        message_size=4096 if design.startswith("MESQ") else 65536,
-        buffers_per_connection=2, credit_frequency=2, ud_window_factor=1)
-    result = run_repartition(cluster, design,
-                             bytes_per_node=_scaleout_volume(n, scale),
-                             config=cfg)
-    note = None
-    if want_trunk_note:
-        note = (f"n={n} peak trunk util "
-                f"{100.0 * _peak_trunk_util(cluster, result):.0f}%")
-    y = result.receive_throughput_gib_per_node()
-    cluster.dispose()
-    return y, note
-
-
-def fig10_scaleout(network: NetworkConfig = EDR,
-                   node_counts: Sequence[int] = SCALEOUT_COUNTS,
-                   scale: float = 1.0,
-                   nodes_per_leaf: int = 32,
-                   oversubscription: int = 2,
-                   designs: Sequence[str] = ("MESQ/SR", "MEMQ/SR"),
-                   mq_cap: int = SCALEOUT_MQ_CAP) -> ExperimentResult:
+def fig10_scaleout(node_counts: Sequence[int] = SCALEOUT_COUNTS,
+                   scale: float = 1.0) -> ExperimentResult:
     """Repartition throughput from 64 to 1024 nodes on a leaf-spine fabric.
 
     The paper stops at 16 nodes on one switch (Fig 10); this extrapolation
@@ -289,46 +420,44 @@ def fig10_scaleout(network: NetworkConfig = EDR,
     counts scale with messages rather than packets.
 
     One thread per node and double buffering keep per-node state minimal;
-    the MQ design stops at ``mq_cap`` nodes (n^2 connections cluster-wide)
-    while the SQ design runs the full sweep — the paper's §5.1.4 argument
-    about QP-context thrash, restated as a scale-out feasibility boundary.
+    the MQ design stops at ``SCALEOUT_MQ_CAP`` nodes (n^2 connections
+    cluster-wide) while the SQ design runs the full sweep — the paper's
+    §5.1.4 argument about QP-context thrash, restated as a scale-out
+    feasibility boundary.
     """
-    series = []
-    trunk_notes = []
-    for design in designs:
-        ys = []
-        for n in node_counts:
-            if "MQ/" in design and n > mq_cap:
-                ys.append(None)  # rendered as "-": beyond the MQ cap
-                continue
-            with _gc_paused():
-                # The point runs in a helper so the cluster is already
-                # dead when _gc_paused collects on exit: the collector
-                # then traverses surviving cycles, not a ~10 GB live
-                # heap (tens of seconds at 1024 nodes).
-                y, note = _scaleout_point(
-                    network, design, n, scale, nodes_per_leaf,
-                    oversubscription, want_trunk_note=design == designs[0])
-            ys.append(y)
-            if note is not None:
-                trunk_notes.append(note)
-        series.append(Series(design, ys))
-    return ExperimentResult(
-        experiment=f"fig10-scaleout-{network.name}",
-        title=f"Mesoscale repartition scale-out ({network.name}, "
-              f"leaf-spine {oversubscription}:1, {nodes_per_leaf}/leaf)",
-        x_label="nodes", x=list(node_counts),
-        y_label="receive throughput per node (GiB/s)", series=series,
-        notes=f"1 thread/node, double buffering; MQ capped at {mq_cap} "
-              f"nodes; {designs[0]}: " + ", ".join(trunk_notes),
-    )
+    def point(design: str, n: int) -> Optional[Point]:
+        if "MQ/" in design and n > SCALEOUT_MQ_CAP:
+            return None  # rendered as "-": beyond the MQ cap
+        return Point(
+            design, _scaleout_volume(n, scale), nodes=n, threads=1,
+            topology=LEAF_SPINE(SCALEOUT_OVERSUBSCRIPTION,
+                                SCALEOUT_NODES_PER_LEAF),
+            config=_mesoscale_config(
+                4096 if design.startswith("MESQ") else 65536))
+
+    grid = sweep(SCALEOUT_DESIGNS, node_counts, point)
+    first = SCALEOUT_DESIGNS[0]
+    trunk_notes = [
+        f"n={n} peak trunk util {100.0 * m.peak_trunk_util:.0f}%"
+        for n, m in zip(node_counts, grid.row(first))]
+    return grid.table(
+        _GIB_S, experiment="fig10-scaleout-EDR",
+        title="Mesoscale repartition scale-out (EDR, leaf-spine "
+              f"{SCALEOUT_OVERSUBSCRIPTION}:1, "
+              f"{SCALEOUT_NODES_PER_LEAF}/leaf)",
+        x_label="nodes", y_label=Y_THROUGHPUT,
+        notes=f"1 thread/node, double buffering; MQ capped at "
+              f"{SCALEOUT_MQ_CAP} nodes; {first}: " + ", ".join(trunk_notes))
 
 
 # -- Figure 11: number of Queue Pairs --------------------------------------------------
 
 
-def fig11(network: NetworkConfig = EDR, nodes: int = 16,
-          endpoint_counts: Sequence[int] = (1, 2, 4, 8),
+#: the three endpoint implementations of Fig 11, at their ME extreme.
+FIG11_KINDS = {"SQ/SR": "MESQ/SR", "MQ/SR": "MEMQ/SR", "MQ/RD": "MEMQ/RD"}
+
+
+def fig11(nodes: int = 16, endpoint_counts: Sequence[int] = (1, 2, 4, 8),
           scale: float = 1.0) -> ExperimentResult:
     """Fig 11: throughput vs Queue Pairs per operator (EDR, 16 nodes).
 
@@ -336,155 +465,139 @@ def fig11(network: NetworkConfig = EDR, nodes: int = 16,
     extremes; the resulting QPs per operator are k for SQ designs and
     n*k for MQ designs.
     """
-    x_qps: List[int] = []
-    rows: Dict[str, Dict[int, float]] = {"SQ/SR": {}, "MQ/SR": {}, "MQ/RD": {}}
-    miss_rates: Dict[str, Dict[int, float]] = {k: {} for k in rows}
-    for k in endpoint_counts:
-        for kind, design in (("SQ/SR", "MESQ/SR"), ("MQ/SR", "MEMQ/SR"),
-                             ("MQ/RD", "MEMQ/RD")):
-            qps = k if kind == "SQ/SR" else k * nodes
-            cluster, result = _run(network, design, nodes, "repartition",
-                                   scale, num_endpoints=k)
-            rows[kind][qps] = result.receive_throughput_gib_per_node()
-            miss_rates[kind][qps] = nic_cache_stats(cluster)["miss_rate"]
-            if qps not in x_qps:
-                x_qps.append(qps)
-    x_qps.sort()
-    series = [
-        Series(kind, [rows[kind].get(q) for q in x_qps])
-        for kind in ("SQ/SR", "MQ/SR", "MQ/RD")
-    ]
+    by_k = sweep(
+        FIG11_KINDS, endpoint_counts,
+        lambda kind, k: Point(
+            FIG11_KINDS[kind], _volume(FIG11_KINDS[kind], scale, nodes),
+            nodes=nodes, num_endpoints=k),
+        x_major=True)
+    by_qps = {(kind, k if kind == "SQ/SR" else k * nodes): m
+              for (kind, k), m in by_k.cells.items()}
     # The degradation mechanism (§5.1.4): once QPs outgrow the NIC's
     # context cache, every work request risks a PCIe round trip.
     cache_note = ", ".join(
-        f"{kind} {100.0 * miss_rates[kind][max(miss_rates[kind])]:.0f}%"
-        for kind in ("SQ/SR", "MQ/SR", "MQ/RD")
-    )
-    return ExperimentResult(
-        experiment="fig11",
-        title=f"Effect of many Queue Pairs ({network.name}, {nodes} nodes)",
-        x_label="QPs per operator", x=x_qps,
-        y_label="receive throughput per node (GiB/s)", series=series,
+        f"{kind} "
+        f"{100.0 * by_k.cells[kind, max(endpoint_counts)].qp_miss_rate:.0f}%"
+        for kind in FIG11_KINDS)
+    return Grid(by_k.rows, tuple(sorted({q for _, q in by_qps})),
+                by_qps).table(
+        _GIB_S, experiment="fig11",
+        title=f"Effect of many Queue Pairs (EDR, {nodes} nodes)",
+        x_label="QPs per operator", y_label=Y_THROUGHPUT,
         notes="endpoint count sweeps 1..t; QPs = k (SQ) or n*k (MQ); "
-              f"QP-cache miss rate at max QPs: {cache_note}",
-    )
+              f"QP-cache miss rate at max QPs: {cache_note}")
 
 
 # -- Figure 12: connection setup cost --------------------------------------------------
 
 
-def _setup_ns(network: NetworkConfig, design: str, nodes: int,
-              threads: int = 0) -> int:
-    """Slowest node's connection build time for one repartition stage."""
-    cluster = Cluster(ClusterConfig(network=network, num_nodes=nodes,
-                                    threads_per_node=threads))
-    stage = cluster.shuffle_stage(
-        design, TransmissionGroups.repartition(nodes))
-    cluster.run_process(stage.setup())
-    return stage.max_setup_ns
-
-
-def fig12(network: NetworkConfig = EDR,
-          node_counts: Sequence[int] = (2, 4, 6, 8, 10, 12, 14, 16),
-          threads: int = 0) -> ExperimentResult:
+def fig12(
+        node_counts: Sequence[int] = (2, 4, 6, 8, 10, 12, 14, 16),
+) -> ExperimentResult:
     """Fig 12: time to build the RDMA connections vs cluster size."""
-    series = {d: [] for d in PAPER_ORDER}
-    for nodes in node_counts:
-        for design in PAPER_ORDER:
-            series[design].append(
-                _setup_ns(network, design, nodes, threads) / 1e6)
-    return ExperimentResult(
-        experiment="fig12",
-        title=f"Time to build RDMA connections ({network.name})",
-        x_label="nodes", x=list(node_counts),
-        y_label="time (ms)",
-        series=[Series(d, series[d]) for d in PAPER_ORDER],
+    return sweep(
+        PAPER_ORDER, node_counts,
+        lambda design, n: Point(design, nodes=n, setup_only=True),
+        x_major=True,
+    ).table(
+        lambda m: m.setup_ns / 1e6, experiment="fig12",
+        title="Time to build RDMA connections (EDR)",
+        x_label="nodes", y_label="time (ms)",
         notes="per-node setup: QP creation + handshake + registration; "
-              "MQ designs grow linearly, SQ designs stay flat (§5.1.5)",
-    )
+              "MQ designs grow linearly, SQ designs stay flat (§5.1.5)")
 
 
-def setup_crossover_mb(network: NetworkConfig = EDR, nodes: int = 8,
-                       scale: float = 1.0) -> float:
+def setup_crossover_mb(scale: float = 1.0) -> float:
     """§5.1.5 claim: the shuffle volume above which MESQ/SR with runtime
-    connection setup beats IPoIB (which needs none worth counting)."""
-    setup_s = _setup_ns(network, "MESQ/SR", nodes) / 1e9
-    mesq = _throughput(network, "MESQ/SR", nodes, "repartition", scale)
-    ipoib = _throughput(network, "IPoIB", nodes, "repartition", scale)
-    if mesq <= ipoib:
+    connection setup beats IPoIB (which needs none worth counting), on
+    8 EDR nodes."""
+    mesq = measure(Point("MESQ/SR", _volume("MESQ/SR", scale)))
+    ipoib = measure(Point("IPoIB", _volume("IPoIB", scale))).gib_s
+    if mesq.gib_s <= ipoib:
         return float("inf")
     # volume V satisfying V/ipoib == setup + V/mesq (GiB/s -> MB).
-    volume_gib = setup_s / (1.0 / ipoib - 1.0 / mesq)
+    volume_gib = (mesq.setup_ns / 1e9) / (1.0 / ipoib - 1.0 / mesq.gib_s)
     return volume_gib * 1024.0
 
 
 # -- Figure 13: compute-intensive receiving fragment -----------------------------------
 
 
-def fig13(network: NetworkConfig = EDR, nodes: int = 8,
+def fig13(nodes: int = 8,
           compute_us: Sequence[float] = (0.0, 2.5, 5.0, 10.0, 15.0, 25.0,
                                          40.0),
           scale: float = 1.0) -> ExperimentResult:
     """Fig 13: relative shuffling throughput as the receiving fragment
-    becomes compute intensive (batches of 32 KiB, §5.1.6).
+    becomes compute intensive (batches of 32 KiB, §5.1.6 — the runners'
+    default ``receive_output_bytes``).
 
     The y-axis is the receiving fragment's busy fraction — the measured
     share of receiver-thread time not blocked waiting for data.  It
     reaches 100% exactly when communication is completely overlapped
     with computation, matching the paper's definition.
     """
-    batch = 32 * 1024
-    series = []
-    for design in PAPER_ORDER + ["MPI", "IPoIB"]:
-        ys = []
-        for c_us in compute_us:
-            cluster = Cluster(ClusterConfig(network=network,
-                                            num_nodes=nodes))
-            result = run_repartition(
-                cluster, design,
-                bytes_per_node=_volume(design, scale, nodes),
-                compute_ns_per_batch=c_us * 1000.0,
-                receive_output_bytes=batch)
-            ys.append(100.0 * result.receiver_busy_fraction())
-        series.append(Series(design, ys))
-    return ExperimentResult(
-        experiment="fig13",
-        title=f"Compute-intensive receiving fragment ({network.name})",
-        x_label="compute per 32KiB batch (us)", x=list(compute_us),
+    return sweep(
+        PAPER_ORDER + ["MPI", "IPoIB"], compute_us,
+        lambda design, c_us: Point(
+            design, _volume(design, scale, nodes), nodes=nodes,
+            compute_ns_per_batch=c_us * 1000.0),
+    ).table(
+        attrgetter("busy_pct"), experiment="fig13",
+        title="Compute-intensive receiving fragment (EDR)",
+        x_label="compute per 32KiB batch (us)",
         y_label="relative shuffling throughput (%)",
-        series=series,
-        notes="100% = communication fully hidden behind computation",
-    )
+        notes="100% = communication fully hidden behind computation")
 
 
 # -- Figure 14: TPC-H ------------------------------------------------------------------
 
 
+def _tpch_point(query: str, network: NetworkConfig, nodes: int,
+                threads: int, scale_factor: float) -> Dict[str, float]:
+    """One TPC-H point: response time (ms) of the MPI and the MESQ/SR
+    plan over the same randomly placed database and — for Q4 — of the
+    "local data" plan, where co-partitioned tables need no shuffle
+    (§5.2.1)."""
+    def response_ms(data, design: str, **plan: Any) -> float:
+        cluster = Cluster(ClusterConfig(network=network, num_nodes=nodes,
+                                        threads_per_node=threads))
+        ms = run_query(cluster, query, data, design=design,
+                       **plan).response_time_ms()
+        cluster.dispose()
+        return ms
+
+    data = generate(scale_factor, nodes, seed=42)
+    point = {design: response_ms(data, design)
+             for design in ("MPI", "MESQ/SR")}
+    if query == "Q4":
+        local = generate(scale_factor, nodes, seed=42, copartition=True)
+        point["local data"] = response_ms(local, "MESQ/SR", local_data=True)
+    return point
+
+
+def _tpch_table(query: str, threads: int,
+                columns: Dict[Any, Tuple[NetworkConfig, int, float]],
+                **fields: Any) -> ExperimentResult:
+    """``columns`` maps each x to its (network, nodes, scale factor)."""
+    cells = {(label, x): ms
+             for x, (network, nodes, scale_factor) in columns.items()
+             for label, ms in _tpch_point(query, network, nodes, threads,
+                                          scale_factor).items()}
+    rows = tuple(dict.fromkeys(label for label, _ in cells))
+    return Grid(rows, tuple(columns), cells).table(
+        float, y_label="response time (ms)", **fields)
+
+
 def fig14a(scale_factor: float = 0.06, nodes: int = 8,
            threads: int = 0) -> ExperimentResult:
     """Fig 14(a): TPC-H Q4 response time, FDR vs EDR, 8 nodes."""
-    series = {"MPI": [], "MESQ/SR": [], "local data": []}
-    for network in (FDR, EDR):
-        data = generate(scale_factor, nodes, seed=42)
-        for design in ("MPI", "MESQ/SR"):
-            cluster = Cluster(ClusterConfig(network=network,
-                                            num_nodes=nodes,
-                                            threads_per_node=threads))
-            res = run_query(cluster, "Q4", data, design=design)
-            series[design].append(res.response_time_ms())
-        local = generate(scale_factor, nodes, seed=42, copartition=True)
-        cluster = Cluster(ClusterConfig(network=network, num_nodes=nodes,
-                                        threads_per_node=threads))
-        res = run_query(cluster, "Q4", local, design="MESQ/SR",
-                        local_data=True)
-        series["local data"].append(res.response_time_ms())
-    return ExperimentResult(
+    return _tpch_table(
+        "Q4", threads,
+        {network.name: (network, nodes, scale_factor)
+         for network in (FDR, EDR)},
         experiment="fig14a",
         title=f"TPC-H Q4 response time, {nodes} nodes, SF={scale_factor}",
-        x_label="network", x=["FDR", "EDR"],
-        y_label="response time (ms)",
-        series=[Series(k, v) for k, v in series.items()],
-    )
+        x_label="network")
 
 
 def fig14_scaling(query: str, scale_factor_per_node: float = 0.0075,
@@ -492,44 +605,26 @@ def fig14_scaling(query: str, scale_factor_per_node: float = 0.0075,
                   threads: int = 0) -> ExperimentResult:
     """Fig 14(b,c,d): query response time as the database grows in
     proportion to the cluster (Q4, Q3, Q10)."""
-    labels = {"Q4": "fig14b", "Q3": "fig14c", "Q10": "fig14d"}
-    series = {"MPI": [], "MESQ/SR": []}
-    if query == "Q4":
-        series["local data"] = []
-    for nodes in node_counts:
-        sf = scale_factor_per_node * nodes
-        data = generate(sf, nodes, seed=42)
-        for design in ("MPI", "MESQ/SR"):
-            cluster = Cluster(ClusterConfig(network=EDR, num_nodes=nodes,
-                                            threads_per_node=threads))
-            res = run_query(cluster, query, data, design=design)
-            series[design].append(res.response_time_ms())
-        if query == "Q4":
-            local = generate(sf, nodes, seed=42, copartition=True)
-            cluster = Cluster(ClusterConfig(network=EDR, num_nodes=nodes,
-                                            threads_per_node=threads))
-            res = run_query(cluster, "Q4", local, design="MESQ/SR",
-                            local_data=True)
-            series["local data"].append(res.response_time_ms())
-    return ExperimentResult(
-        experiment=labels[query],
+    return _tpch_table(
+        query, threads,
+        {nodes: (EDR, nodes, scale_factor_per_node * nodes)
+         for nodes in node_counts},
+        experiment={"Q4": "fig14b", "Q3": "fig14c", "Q10": "fig14d"}[query],
         title=f"TPC-H {query} response time, EDR, DB grows with cluster",
-        x_label="nodes", x=list(node_counts),
-        y_label="response time (ms)",
-        series=[Series(k, v) for k, v in series.items()],
+        x_label="nodes",
         notes=f"SF = {scale_factor_per_node} per node (scaled-down "
-              "stand-in for the paper's 100 GiB per node)",
-    )
+              "stand-in for the paper's 100 GiB per node)")
 
 
 # -- Ablation: trunk oversubscription --------------------------------------------------
 
 
-def abl_oversub(network: NetworkConfig = EDR, nodes: int = 8,
-                nodes_per_leaf: int = 4,
-                factors: Sequence[int] = (1, 2, 4),
-                designs: Sequence[str] = ("MESQ/SR", "MEMQ/SR"),
-                scale: float = 1.0) -> ExperimentResult:
+OVERSUB_DESIGNS = ("MESQ/SR", "MEMQ/SR")
+OVERSUB_FACTORS = (1, 2, 4)
+OVERSUB_NODES_PER_LEAF = 4
+
+
+def abl_oversub(nodes: int = 8, scale: float = 1.0) -> ExperimentResult:
     """Repartition throughput vs leaf-spine trunk oversubscription.
 
     The paper's single-switch platform (§5) cannot exhibit cross-rack
@@ -544,33 +639,21 @@ def abl_oversub(network: NetworkConfig = EDR, nodes: int = 8,
     the notes (and in ``--metrics`` snapshots) attributes the collapse
     to the trunk pipes directly.
     """
-    series = []
-    trunk_notes = []
-    for design in designs:
-        ys = []
-        for k in factors:
-            topology = LEAF_SPINE(oversubscription=k,
-                                  nodes_per_leaf=nodes_per_leaf)
-            cluster = Cluster(ClusterConfig(network=network,
-                                            num_nodes=nodes,
-                                            topology=topology))
-            result = run_repartition(
-                cluster, design,
-                bytes_per_node=_volume(design, scale, nodes))
-            ys.append(result.receive_throughput_gib_per_node())
-            if design == designs[0]:
-                trunk_notes.append(
-                    f"{k}:1 peak trunk util "
-                    f"{100.0 * _peak_trunk_util(cluster, result):.0f}%")
-        series.append(Series(design, ys))
-    return ExperimentResult(
-        experiment=f"abl-oversub-{network.name}",
-        title=f"Trunk oversubscription ({network.name}, {nodes} nodes, "
-              f"{nodes_per_leaf}/leaf)",
-        x_label="oversubscription (k:1)", x=list(factors),
-        y_label="receive throughput per node (GiB/s)", series=series,
-        notes=f"leaf-spine, {designs[0]}: " + ", ".join(trunk_notes),
-    )
+    grid = sweep(
+        OVERSUB_DESIGNS, OVERSUB_FACTORS,
+        lambda design, k: Point(
+            design, _volume(design, scale, nodes), nodes=nodes,
+            topology=LEAF_SPINE(k, OVERSUB_NODES_PER_LEAF)))
+    first = OVERSUB_DESIGNS[0]
+    trunk_notes = [
+        f"{k}:1 peak trunk util {100.0 * m.peak_trunk_util:.0f}%"
+        for k, m in zip(OVERSUB_FACTORS, grid.row(first))]
+    return grid.table(
+        _GIB_S, experiment="abl-oversub-EDR",
+        title=f"Trunk oversubscription (EDR, {nodes} nodes, "
+              f"{OVERSUB_NODES_PER_LEAF}/leaf)",
+        x_label="oversubscription (k:1)", y_label=Y_THROUGHPUT,
+        notes=f"leaf-spine, {first}: " + ", ".join(trunk_notes))
 
 
 # -- Ablation: adaptive policy vs the static grid --------------------------------------
@@ -580,12 +663,8 @@ def abl_oversub(network: NetworkConfig = EDR, nodes: int = 8,
 #: point per regime of the fig8–fig11 sweeps (label, network, nodes,
 #: config).  ``None`` config = the workload defaults.
 _ADAPTIVE_GRID = [
-    ("fig8-edr-f1", EDR, 8,
-     EndpointConfig(buffers_per_connection=16, credit_frequency=1,
-                    ud_window_factor=1)),
-    ("fig8-fdr-f16", FDR, 8,
-     EndpointConfig(buffers_per_connection=16, credit_frequency=16,
-                    ud_window_factor=1)),
+    ("fig8-edr-f1", EDR, 8, _fig8_config(1)),
+    ("fig8-fdr-f16", FDR, 8, _fig8_config(16)),
     ("fig9-4k", EDR, 8, EndpointConfig(message_size=4 << 10)),
     ("fig9-1m", EDR, 8, EndpointConfig(message_size=1 << 20)),
     ("fig10-edr-n8", EDR, 8, None),
@@ -595,8 +674,7 @@ _ADAPTIVE_GRID = [
 
 
 def abl_adaptive(scale: float = 1.0, nodes: Optional[int] = None,
-                 policy: str = "adaptive",
-                 designs: Sequence[str] = PAPER_ORDER) -> ExperimentResult:
+                 policy: str = "adaptive") -> ExperimentResult:
     """Adaptive design selection vs the static grid (the policy ablation).
 
     Re-runs one repartition point from each regime of the fig8–fig11
@@ -609,58 +687,64 @@ def abl_adaptive(scale: float = 1.0, nodes: Optional[int] = None,
 
     The policy plans against the same context the run uses, so the
     adaptive series *is* a normal planned run — including the clamp
-    path — not a post-hoc argmax over the static series.
+    path — not a post-hoc argmax over the static series.  ``nodes``
+    overrides every grid point's own cluster size.
     """
-    names, best_ys, policy_ys, notes = [], [], [], []
-    for label, network, default_n, cfg in _ADAPTIVE_GRID:
-        n = _n(nodes, default_n)
-        best_design, best_y = "", 0.0
-        for design in designs:
-            y = _throughput(network, design, n, "repartition", scale,
-                            config=cfg)
-            if y > best_y:
-                best_design, best_y = design, y
-        pol = parse_policy(policy)
-        cluster = Cluster(ClusterConfig(network=network, num_nodes=n))
-        # Pre-plan with the RC-class volume to pick the run's volume;
-        # the runner re-plans with the chosen design's own volume (the
-        # starved-window rule keeps the two picks consistent).
-        plan = pol.plan(StageContext.from_cluster(
-            cluster, config=cfg,
-            bytes_per_node=_volume("SEMQ/SR", scale, n)))
-        result = run_repartition(
-            cluster, pol,
-            bytes_per_node=_volume(plan.design.name, scale, n),
-            config=cfg)
-        pol_y = result.receive_throughput_gib_per_node()
-        cluster.dispose()
-        gap = 100.0 * (best_y - pol_y) / max(1e-9, best_y)
-        names.append(label)
+    regimes = {label: (network, size if nodes is None else nodes, cfg)
+               for label, network, size, cfg in _ADAPTIVE_GRID}
+
+    def static_point(design: str, label: str) -> Point:
+        network, n, cfg = regimes[label]
+        return Point(design, _volume(design, scale, n), network, n,
+                     config=cfg)
+
+    def policy_point(spec: str, label: str) -> Point:
+        network, n, cfg = regimes[label]
+        pol = parse_policy(spec)
+
+        def volume(cluster: Cluster) -> int:
+            # Pre-plan with the RC-class volume to pick the run's volume;
+            # the runner re-plans with the chosen design's own volume (the
+            # starved-window rule keeps the two picks consistent).
+            plan = pol.plan(StageContext.from_cluster(
+                cluster, config=cfg,
+                bytes_per_node=_volume("SEMQ/SR", scale, n)))
+            return _volume(plan.design.name, scale, n)
+
+        return Point(pol, volume, network, n, config=cfg)
+
+    static = sweep(PAPER_ORDER, regimes, static_point, x_major=True)
+    planned = sweep([policy], regimes, policy_point)
+    best_ys, notes = [], []
+    for label, run in zip(regimes, planned.row(policy)):
+        best = max(PAPER_ORDER,
+                   key=lambda d, label=label: static.cells[d, label].gib_s)
+        best_y = static.cells[best, label].gib_s
+        gap = 100.0 * (best_y - run.gib_s) / max(1e-9, best_y)
         best_ys.append(best_y)
-        policy_ys.append(pol_y)
-        notes.append(f"{label}: {result.design} vs best {best_design} "
+        notes.append(f"{label}: {run.plan} vs best {best} "
                      f"(gap {gap:+.1f}%)")
     return ExperimentResult(
         experiment="abl-adaptive",
         title=f"Adaptive policy vs static grid ({policy})",
-        x_label="grid point", x=names,
-        y_label="receive throughput per node (GiB/s)",
+        x_label="grid point", x=list(regimes), y_label=Y_THROUGHPUT,
         series=[Series("best static", best_ys),
-                Series(policy, policy_ys)],
-        notes="; ".join(notes),
-    )
+                planned.series(policy, _GIB_S)],
+        notes="; ".join(notes))
 
 
-def abl_hierarchical(network: NetworkConfig = EDR, nodes: int = 8,
-                     nodes_per_leaf: int = 4, oversubscription: int = 4,
-                     scale: float = 1.0) -> ExperimentResult:
+HIER_NODES_PER_LEAF = 4
+HIER_OVERSUBSCRIPTION = 4
+
+
+def abl_hierarchical(nodes: int = 8, scale: float = 1.0) -> ExperimentResult:
     """Two-phase shuffle vs the flat design on an oversubscribed fabric.
 
     Runs the abl-oversub repartition point at the mesoscale per-node
     state budget (4 KiB UD messages, double buffering, no deep UD
     window — the fig10-scaleout configuration, which is how a
     leaf-spine fabric is actually operated) three ways: the flat UD
-    design on a 1:1 fabric, the same on a ``oversubscription``:1
+    design on a 1:1 fabric, the same on a ``HIER_OVERSUBSCRIPTION``:1
     fabric, and the :class:`~repro.core.policy.HierarchicalPolicy`
     two-phase plan on the constrained fabric.
 
@@ -669,72 +753,192 @@ def abl_hierarchical(network: NetworkConfig = EDR, nodes: int = 8,
     ``link_rate * n / (k * (n - m))``, no matter the shuffle design
     (EXPERIMENTS.md, abl-oversub) — and the recoverable scheduling
     part, and report how much of each the two-phase plan wins back.
+    It needs more than one leaf (``nodes > HIER_NODES_PER_LEAF``): with
+    one there is no inter-leaf traffic to schedule.
     """
-    cfg = EndpointConfig(message_size=4096, buffers_per_connection=2,
-                         credit_frequency=2, ud_window_factor=1)
-    volume = max(2 * MIB, int(24 * MIB * scale))
+    k, per_leaf = HIER_OVERSUBSCRIPTION, HIER_NODES_PER_LEAF
+    runs = {"flat 1:1": ("MESQ/SR", 1),
+            f"flat {k}:1": ("MESQ/SR", k),
+            f"hier {k}:1": (HierarchicalPolicy(), k)}
 
-    def point(design, factor):
-        topology = LEAF_SPINE(oversubscription=factor,
-                              nodes_per_leaf=nodes_per_leaf)
-        cluster = Cluster(ClusterConfig(network=network, num_nodes=nodes,
-                                        topology=topology))
-        result = run_repartition(cluster, design, bytes_per_node=volume,
-                                 config=cfg)
-        trunk = _peak_trunk_util(cluster, result)
-        cluster.dispose()
-        return (result.design, result.receive_throughput_gib_per_node(),
-                100.0 * trunk)
+    def point(_row: str, label: str) -> Point:
+        design, factor = runs[label]
+        return Point(design, _scaled(24, scale), nodes=nodes,
+                     topology=LEAF_SPINE(factor, per_leaf),
+                     config=_mesoscale_config(4096))
 
-    flat1 = point("MESQ/SR", 1)
-    flat_k = point("MESQ/SR", oversubscription)
-    hier = point(HierarchicalPolicy(), oversubscription)
+    grid = sweep(["throughput"], runs, point)
+    flat1, flat_k, hier = (m.gib_s for m in grid.row("throughput"))
 
     # The bisection bound: every byte for a remote leaf crosses one
     # trunk of rate m*link/k shared by the leaf's m senders.
-    remote = nodes - nodes_per_leaf
-    ceiling = (network.link_bytes_per_ns * nodes /
-               (oversubscription * remote)) / (1 << 30) * 1e9
-    loss = max(1e-9, flat1[1] - flat_k[1])
-    recoverable = max(0.0, min(ceiling, flat1[1]) - flat_k[1])
-    won = hier[1] - flat_k[1]
-    labels = ["flat 1:1", f"flat {oversubscription}:1",
-              f"hier {oversubscription}:1"]
+    ceiling = (EDR.link_bytes_per_ns * nodes /
+               (k * (nodes - per_leaf))) / (1 << 30) * 1e9
+    loss = max(1e-9, flat1 - flat_k)
+    recoverable = max(0.0, min(ceiling, flat1) - flat_k)
+    won = hier - flat_k
     return ExperimentResult(
-        experiment=f"abl-hierarchical-{network.name}",
-        title=f"Two-phase shuffle under {oversubscription}:1 "
-              f"oversubscription ({network.name}, {nodes} nodes, "
-              f"{nodes_per_leaf}/leaf)",
-        x_label="configuration", x=labels,
-        y_label="receive throughput per node (GiB/s)",
-        series=[Series("throughput", [flat1[1], flat_k[1], hier[1]]),
-                Series("peak trunk util %", [flat1[2], flat_k[2],
-                                             hier[2]])],
-        notes=(f"{hier[0]}; bisection ceiling {ceiling:.2f} GiB/s; "
+        experiment="abl-hierarchical-EDR",
+        title=f"Two-phase shuffle under {k}:1 oversubscription (EDR, "
+              f"{nodes} nodes, {per_leaf}/leaf)",
+        x_label="configuration", x=list(runs), y_label=Y_THROUGHPUT,
+        series=[grid.series("throughput", _GIB_S),
+                grid.series("throughput",
+                            lambda m: 100.0 * m.peak_trunk_util,
+                            "peak trunk util %")],
+        notes=(f"{grid.row('throughput')[-1].plan}; bisection ceiling "
+               f"{ceiling:.2f} GiB/s; "
                f"flat loss {loss:.2f} GiB/s of which "
                f"{recoverable:.2f} recoverable; two-phase wins back "
                f"{100.0 * won / loss:.0f}% of the loss "
                f"({100.0 * won / max(1e-9, recoverable):.0f}% of the "
-               f"recoverable part)"),
-    )
+               f"recoverable part)"))
+
+
+# -- Ablation: flow-control window depth -----------------------------------------------
+
+
+BUFFER_DEPTHS = (1, 2, 4, 8)
+
+
+def abl_buffer_depth(nodes: int = 8, scale: float = 1.0) -> ExperimentResult:
+    """Buffer depth (double vs deeper buffering) in flow control.
+
+    DESIGN.md calls out the buffers-per-connection choice as the memory /
+    stall trade-off behind §5.1.1-§5.1.2.  This ablation quantifies it
+    through the credit-stall profiling counter: a one-buffer window
+    keeps the sender blocked for credit, double buffering removes most
+    of the stall, and beyond four buffers the gains vanish while pinned
+    memory keeps growing linearly.
+    """
+    design = "MEMQ/SR"
+    grid = sweep(
+        [design], BUFFER_DEPTHS,
+        lambda row, depth: Point(
+            row, _scaled(36, scale), nodes=nodes,
+            config=EndpointConfig(buffers_per_connection=depth,
+                                  credit_frequency=1)))
+    return ExperimentResult(
+        experiment="ablation-buffer-depth",
+        title="MEMQ/SR on EDR: buffers per connection (window depth)",
+        x_label="buffers per connection", x=list(BUFFER_DEPTHS),
+        y_label="GiB/s | credit-stall ms | pinned MiB",
+        series=[
+            grid.series(design, _GIB_S, "throughput (GiB/s)"),
+            grid.series(design, attrgetter("credit_stall_ms"),
+                        "credit stall (ms, all threads)"),
+            grid.series(design, attrgetter("registered_mib"),
+                        "pinned memory (MiB)"),
+        ])
+
+
+# -- Ablation: the NIC Queue-Pair context cache ----------------------------------------
+
+
+def abl_qp_cache(node_counts: Sequence[int] = (8, 16),
+                 scale: float = 1.0) -> ExperimentResult:
+    """MEMQ/SR on FDR with and without the QP context-cache limit.
+
+    Isolates the mechanism DESIGN.md and the paper ([8,16,17]) hold
+    responsible for the many-Queue-Pair designs' collapse on FDR at 16
+    nodes: re-run MEMQ/SR with the context cache disabled (infinite
+    cache) and show the degradation disappears.  The cache's hit/miss
+    counters attribute the collapse to PCIe round trips rather than
+    inferring it from throughput alone.
+    """
+    real, ablated = "finite cache (real NIC)", "infinite cache (ablated)"
+    grid = sweep(
+        [real, ablated], node_counts,
+        lambda cache, n: Point(
+            "MEMQ/SR", _scaled(36, scale), FDR, n,
+            disable_qp_cache=cache == ablated),
+        x_major=True)
+    cache_note = "; ".join(
+        f"{n} nodes: miss {100.0 * m.qp_miss_rate:.1f}%, "
+        f"pcie-stall {m.pcie_stall_ms:.1f}ms"
+        for n, m in zip(node_counts, grid.row(real)))
+    result = grid.table(
+        _GIB_S, experiment="ablation-qp-cache",
+        title="MEMQ/SR on FDR with and without the QP context-cache limit",
+        x_label="nodes", y_label=Y_THROUGHPUT,
+        notes=f"finite-cache runs: {cache_note}")
+    result.series.append(grid.series(
+        real, lambda m: 100.0 * m.qp_miss_rate, "miss rate (%)"))
+    return result
+
+
+# -- Extension: native InfiniBand multicast (§7 future work #3) -----------------------
+
+
+def ext_multicast(node_counts: Sequence[int] = (4, 8, 16),
+                  scale: float = 1.0) -> ExperimentResult:
+    """MESQ/SR broadcast with native InfiniBand multicast.
+
+    Quantifies the paper's hypothesis: hardware multicast should cut the
+    sender's CPU and port load during broadcast while sustaining the same
+    receive throughput.
+    """
+    designs = ("MESQ/SR", "MESQ/SR+MC")
+    # 12 MiB leave each node in total: whole MiB per receiver, at least 1.
+    grid = sweep(
+        designs, node_counts,
+        lambda design, n: Point(
+            design, max(1, int(12 * scale) // (n - 1)) * MIB, nodes=n,
+            pattern="broadcast"),
+        x_major=True)
+    return ExperimentResult(
+        experiment="extension-multicast",
+        title="Broadcast with native InfiniBand multicast (EDR)",
+        x_label="nodes", x=list(node_counts),
+        y_label="GiB/s per node | total egress GB",
+        series=[grid.series(d, _GIB_S, f"{d} (GiB/s)") for d in designs]
+        + [grid.series(d, lambda m: m.egress_bytes / 1e9, f"{d} egress (GB)")
+           for d in designs])
+
+
+# -- Extension: the RDMA Write endpoint (§7 future work #1) ---------------------------
+
+
+def ext_write(nodes: int = 8, scale: float = 1.0) -> ExperimentResult:
+    """One-sided endpoints: RDMA Read vs RDMA Write on both patterns.
+
+    The interesting result: Write does not inherit Read's broadcast
+    weakness, because each receiver owns its own destination buffers —
+    there is no single sender buffer whose reuse waits on the slowest
+    reader.
+    """
+    volumes = {"repartition": _scaled(36, scale),
+               "broadcast": _scaled(5, scale)}
+    return sweep(
+        volumes, ("MEMQ/RD", "MEMQ/WR", "SEMQ/RD", "SEMQ/WR"),
+        lambda pattern, design: Point(
+            design, volumes[pattern], nodes=nodes, pattern=pattern),
+        x_major=True,
+    ).table(
+        _GIB_S, experiment="future-work-write",
+        title=f"One-sided endpoints: RDMA Read vs RDMA Write (EDR, "
+              f"{nodes} nodes)",
+        x_label="design", y_label=Y_THROUGHPUT)
 
 
 # -- Multi-tenant service ablation ----------------------------------------------------
 
 
-def _svc_run(network: NetworkConfig, nodes: int, threads: int,
-             specs, quota_caps, seed: int, qp_cache_entries: int):
+SVC_THREADS = 4
+SVC_LOAD_FACTORS = (0.5, 1.0, 2.0)
+#: shrunk so the simulated working set (n=8 rather than the paper's 16+
+#: nodes) still overflows it, like the real 144-entry ConnectX-3 cache
+#: does at scale.
+SVC_QP_CACHE_ENTRIES = 64
+SVC_SEED = 1
+
+
+def _svc_run(nodes: int, specs: List[TenantSpec],
+             quota_caps: Dict[str, int]) -> Dict[str, Any]:
     """One service run; returns the per-tenant rollup."""
-    # Imported lazily: the service layer sits above bench's usual deps.
-    from repro.service import (
-        FairSharePolicy,
-        QuotaManager,
-        ServiceConfig,
-        ShuffleService,
-    )
     config = ClusterConfig(
-        network=network, num_nodes=nodes, threads_per_node=threads,
-        seed=seed).with_network(qp_cache_entries=qp_cache_entries)
+        network=FDR, num_nodes=nodes, threads_per_node=SVC_THREADS,
+        seed=SVC_SEED).with_network(qp_cache_entries=SVC_QP_CACHE_ENTRIES)
     cluster = Cluster(config)
     quotas = None
     if quota_caps:
@@ -743,17 +947,14 @@ def _svc_run(network: NetworkConfig, nodes: int, threads: int,
             quotas.set_quota(tenant, max_qps=max_qps)
     service = ShuffleService(
         cluster, specs, policy=FairSharePolicy(), quotas=quotas,
-        config=ServiceConfig(max_concurrent=len(specs) + 1, seed=seed))
+        config=ServiceConfig(max_concurrent=len(specs) + 1, seed=SVC_SEED))
     report = service.run()
     cluster.dispose()
     return report["tenants"]
 
 
-def svc_tenants(network: NetworkConfig = FDR, nodes: int = 8,
-                tenants: int = 3, threads: int = 4, scale: float = 1.0,
-                load_factors: Sequence[float] = (0.5, 1.0, 2.0),
-                qp_cache_entries: int = 64,
-                seed: int = 1) -> ExperimentResult:
+def svc_tenants(nodes: int = 8, tenants: int = 3,
+                scale: float = 1.0) -> ExperimentResult:
     """Isolation vs sharing on one fabric (the service-shape ablation).
 
     A MESQ/SR *victim* tenant shares the cluster with ``tenants - 1``
@@ -767,98 +968,61 @@ def svc_tenants(network: NetworkConfig = FDR, nodes: int = 8,
     single-endpoint footprint.
 
     Runs on the FDR-era NIC with its context cache shrunk to
-    ``qp_cache_entries`` so the simulated working set (n=8 rather than
-    the paper's 16+ nodes) still overflows it, like the real 144-entry
-    ConnectX-3 cache does at scale.
+    ``SVC_QP_CACHE_ENTRIES``.
     """
-    from repro.service import estimate_footprint
-
     victim = "tenant-a"
     aggressors = [f"tenant-{chr(ord('b') + i)}" for i in range(tenants - 1)]
-    bytes_per_job = max(2 * MIB, int(8 * MIB * scale))
     jobs = 4 if scale >= 0.25 else 2
     base_gap_ns = 30_000_000
+    mixed = {victim: "MESQ/SR", **{a: "MEMQ/SR" for a in aggressors}}
+    aggressor_cap = estimate_footprint(
+        "MEMQ/SR", nodes, SVC_THREADS, num_endpoints=1).qps
+    # mode -> (tenant designs, per-tenant QP caps)
+    modes = {"solo": ({victim: "MESQ/SR"}, {}),
+             "shared": (mixed, {}),
+             "quota": (mixed, {a: aggressor_cap for a in aggressors})}
 
-    def specs_for(names_designs, gap_ns):
-        from repro.service import TenantSpec
+    def job(mode: str, factor: float):
+        designs, caps = modes[mode]
         return [
             TenantSpec(name=name, design=design,
-                       bytes_per_job=bytes_per_job,
-                       mean_interarrival_ns=gap_ns, jobs=jobs)
-            for name, design in names_designs
-        ]
+                       bytes_per_job=_scaled(8, scale),
+                       mean_interarrival_ns=max(1, int(base_gap_ns / factor)),
+                       jobs=jobs)
+            for name, design in designs.items()], caps
 
-    aggressor_cap = estimate_footprint(
-        "MEMQ/SR", nodes, threads, num_endpoints=1).qps
+    grid = sweep(modes, SVC_LOAD_FACTORS, job, x_major=True,
+                 run=lambda specs_caps: _svc_run(nodes, *specs_caps))
 
-    labels = {}
-    for mode in ("solo", "shared", "quota"):
-        for q in ("p50", "p99"):
-            labels[(mode, "victim", q)] = []
-        if mode != "solo":
-            labels[(mode, "aggressor", "p99")] = []
-    miss_notes = []
+    def victim_ms(quantile: str):
+        return lambda rollup: (
+            rollup[victim]["latency_ns"].get(quantile, 0.0) / 1e6)
 
-    for factor in load_factors:
-        gap_ns = max(1, int(base_gap_ns / factor))
-        solo = _svc_run(network, nodes, threads,
-                        specs_for([(victim, "MESQ/SR")], gap_ns),
-                        None, seed, qp_cache_entries)
-        mixed = [(victim, "MESQ/SR")] + [(a, "MEMQ/SR") for a in aggressors]
-        shared = _svc_run(network, nodes, threads,
-                          specs_for(mixed, gap_ns),
-                          None, seed, qp_cache_entries)
-        quota = _svc_run(network, nodes, threads,
-                         specs_for(mixed, gap_ns),
-                         {a: aggressor_cap for a in aggressors},
-                         seed, qp_cache_entries)
-        for mode, rollup in (("solo", solo), ("shared", shared),
-                             ("quota", quota)):
-            lat = rollup[victim]["latency_ns"]
-            for q in ("p50", "p99"):
-                labels[(mode, "victim", q)].append(
-                    lat.get(q, 0.0) / 1e6)
-            if mode != "solo":
-                worst = max(
-                    rollup[a]["latency_ns"].get("p99", 0.0)
-                    for a in aggressors)
-                labels[(mode, "aggressor", "p99")].append(worst / 1e6)
-        if factor == load_factors[-1]:
-            shared_deg = (labels[("shared", "victim", "p99")][-1] /
-                          max(1e-9, labels[("solo", "victim", "p99")][-1]))
-            quota_deg = (labels[("quota", "victim", "p99")][-1] /
-                         max(1e-9, labels[("solo", "victim", "p99")][-1]))
-            shared_misses = sum(
-                shared[a]["qp_cache_misses"] for a in aggressors)
-            quota_misses = sum(
-                quota[a]["qp_cache_misses"] for a in aggressors)
-            miss_notes.append(
-                f"victim p99 degradation at load x{factor:g}: "
-                f"{shared_deg:.2f}x shared, {quota_deg:.2f}x with quotas; "
-                f"aggressor cache misses {shared_misses} -> {quota_misses}")
+    def worst_aggressor_ms(rollup) -> float:
+        return max(rollup[a]["latency_ns"].get("p99", 0.0)
+                   for a in aggressors) / 1e6
 
-    series = [
-        Series("victim p50 (solo)", labels[("solo", "victim", "p50")]),
-        Series("victim p99 (solo)", labels[("solo", "victim", "p99")]),
-        Series("victim p50 (shared)", labels[("shared", "victim", "p50")]),
-        Series("victim p99 (shared)", labels[("shared", "victim", "p99")]),
-        Series("victim p50 (quota)", labels[("quota", "victim", "p50")]),
-        Series("victim p99 (quota)", labels[("quota", "victim", "p99")]),
-        Series("aggressor p99 (shared)",
-               labels[("shared", "aggressor", "p99")]),
-        Series("aggressor p99 (quota)",
-               labels[("quota", "aggressor", "p99")]),
-    ]
+    solo, shared, quota = (grid.row(mode)[-1] for mode in modes)
+    p99 = victim_ms("p99")
+    note = (
+        f"victim p99 degradation at load x{SVC_LOAD_FACTORS[-1]:g}: "
+        f"{p99(shared) / max(1e-9, p99(solo)):.2f}x shared, "
+        f"{p99(quota) / max(1e-9, p99(solo)):.2f}x with quotas; "
+        "aggressor cache misses "
+        f"{sum(shared[a]['qp_cache_misses'] for a in aggressors)} -> "
+        f"{sum(quota[a]['qp_cache_misses'] for a in aggressors)}")
     return ExperimentResult(
-        experiment=f"svc-tenants-{network.name}",
-        title=f"Tenant isolation vs sharing ({network.name}, {nodes} "
-              f"nodes, {tenants} tenants, {qp_cache_entries}-entry QP "
-              "cache)",
-        x_label="offered load (x base rate)", x=list(load_factors),
-        y_label="job latency (ms)", series=series,
+        experiment="svc-tenants-FDR",
+        title=f"Tenant isolation vs sharing (FDR, {nodes} nodes, "
+              f"{tenants} tenants, {SVC_QP_CACHE_ENTRIES}-entry QP cache)",
+        x_label="offered load (x base rate)", x=list(SVC_LOAD_FACTORS),
+        y_label="job latency (ms)",
+        series=[grid.series(mode, victim_ms(q), f"victim {q} ({mode})")
+                for mode in modes for q in ("p50", "p99")]
+        + [grid.series(mode, worst_aggressor_ms, f"aggressor p99 ({mode})")
+           for mode in ("shared", "quota")],
         notes=f"MESQ/SR victim + {tenants - 1}x MEMQ/SR aggressors, "
-              f"fair-share, {jobs} jobs/tenant; " + "; ".join(miss_notes),
-    )
+              f"fair-share, {jobs} jobs/tenant; {note}")
 
 
 # -- Table 1 ---------------------------------------------------------------------------
@@ -881,62 +1045,123 @@ def table1(nodes: int = 16, threads: int = 8) -> ExperimentResult:
     )
 
 
-def _n(nodes: Optional[int], default: int) -> int:
-    """The ``--nodes`` override for fixed-size experiments."""
-    return default if nodes is None else nodes
+# -- the registry ---------------------------------------------------------------------
 
 
-def _counts(nodes: Optional[int],
-            default: Sequence[int]) -> Sequence[int]:
-    """The ``--nodes`` override for node-count sweeps: collapse the sweep
-    to the one requested size."""
-    return default if nodes is None else (nodes,)
+@dataclass(frozen=True)
+class Options:
+    """What the CLI knows; every registry entry is called with one."""
+
+    scale: float = 1.0
+    #: the ``--nodes`` override (``None``: each entry's paper default).
+    nodes: Optional[int] = None
+    tenants: int = 3
+    policy: str = "adaptive"
 
 
-def _scaleout_counts(nodes: Optional[int]) -> Sequence[int]:
-    """``--nodes N`` truncates the mesoscale sweep at N (the CI smoke job
-    runs ``fig10-scaleout --nodes 128``); an off-grid N runs alone."""
-    if nodes is None:
-        return SCALEOUT_COUNTS
-    kept = tuple(c for c in SCALEOUT_COUNTS if c <= nodes)
-    return kept if kept and kept[-1] == nodes else (nodes,)
+#: how ``--nodes N`` applies to an entry whose paper default is ``D``:
+#: a fixed-size experiment runs at N instead of D; a node-count sweep D
+#: collapses to the one requested size; the mesoscale sweep D is
+#: truncated at N (the CI smoke job runs ``fig10-scaleout --nodes
+#: 128``), and an off-grid N runs alone rather than silently rounding.
+FIXED, COLLAPSE, TRUNCATE = "fixed", "collapse", "truncate"
 
 
-#: experiment registry for the CLI.  Every entry takes ``scale`` and the
-#: ``--nodes`` override (``None`` = each experiment's paper default).
+@dataclass(frozen=True)
+class Entry:
+    """One registered experiment: ``entry(opts)`` returns its results."""
+
+    #: ``run(opts, nodes)``, ``nodes`` already resolved by the rule;
+    #: returns one result or several.
+    run: Callable[[Options, Any], Any]
+    rule: str
+    #: the paper's cluster size (FIXED) or node-count sweep.
+    default: Any
+    #: ``--nodes`` must exceed this, because of ``why``.
+    above: int = 1
+    why: str = "shuffles need a peer"
+
+    def nodes(self, requested: Optional[int]) -> Any:
+        """Apply the ``--nodes`` override to this entry."""
+        if requested is None:
+            return self.default
+        if requested <= self.above:
+            raise ValueError(f"{self.why}: --nodes > {self.above}")
+        if self.rule == FIXED:
+            return requested
+        if self.rule == COLLAPSE:
+            return (requested,)
+        kept = tuple(c for c in self.default if c <= requested)
+        return kept if kept and kept[-1] == requested else (requested,)
+
+    def __call__(self, opts: Options) -> List[ExperimentResult]:
+        results = self.run(opts, self.nodes(opts.nodes))
+        if isinstance(results, ExperimentResult):
+            return [results]
+        return list(results)
+
+
+def _at_scale(figure):
+    """The common entry body: ``figure(nodes, scale=...)``."""
+    def run(opts, nodes):
+        return figure(nodes, scale=opts.scale)
+    return run
+
+
+def _fig8(opts, nodes):
+    return [fig8(network, nodes, scale=opts.scale) for network in (EDR, FDR)]
+
+
+def _fig12(opts, nodes):
+    return fig12(nodes)
+
+
+def _fig14a(opts, nodes):
+    return fig14a(0.06 * opts.scale, nodes)
+
+
+def _fig14_scaling(query, opts, nodes):
+    return fig14_scaling(query, 0.0075 * opts.scale, nodes)
+
+
+def _table1(opts, nodes):
+    return table1(nodes)
+
+
+def _abl_adaptive(opts, nodes):
+    # abl_adaptive takes the raw override: its grid points have their
+    # own default sizes.
+    return [abl_adaptive(opts.scale, opts.nodes, opts.policy),
+            abl_hierarchical(nodes, scale=opts.scale)]
+
+
+def _svc_tenants(opts, nodes):
+    return svc_tenants(nodes, opts.tenants, scale=opts.scale)
+
+
+_FIG14_COUNTS = (2, 4, 8, 16)
+
+#: experiment registry for the CLI, in ``--all`` order.
 ALL_EXPERIMENTS = {
-    "fig8": lambda scale=1.0, nodes=None: [
-        fig8(EDR, nodes=_n(nodes, 8), scale=scale),
-        fig8(FDR, nodes=_n(nodes, 8), scale=scale)],
-    "fig9": lambda scale=1.0, nodes=None: list(
-        fig9(nodes=_n(nodes, 8), scale=scale)),
-    "fig10": lambda scale=1.0, nodes=None: fig10(
-        node_counts=_counts(nodes, (2, 4, 8, 16)), scale=scale),
-    "fig10-scaleout": lambda scale=1.0, nodes=None: [fig10_scaleout(
-        node_counts=_scaleout_counts(nodes), scale=scale)],
-    "fig11": lambda scale=1.0, nodes=None: [
-        fig11(nodes=_n(nodes, 16), scale=scale)],
-    "fig12": lambda scale=1.0, nodes=None: [fig12(
-        node_counts=_counts(nodes, (2, 4, 6, 8, 10, 12, 14, 16)))],
-    "fig13": lambda scale=1.0, nodes=None: [
-        fig13(nodes=_n(nodes, 8), scale=scale)],
-    "fig14a": lambda scale=1.0, nodes=None: [fig14a(
-        scale_factor=0.06 * scale, nodes=_n(nodes, 8))],
-    "fig14b": lambda scale=1.0, nodes=None: [fig14_scaling(
-        "Q4", scale_factor_per_node=0.0075 * scale,
-        node_counts=_counts(nodes, (2, 4, 8, 16)))],
-    "fig14c": lambda scale=1.0, nodes=None: [fig14_scaling(
-        "Q3", scale_factor_per_node=0.0075 * scale,
-        node_counts=_counts(nodes, (2, 4, 8, 16)))],
-    "fig14d": lambda scale=1.0, nodes=None: [fig14_scaling(
-        "Q10", scale_factor_per_node=0.0075 * scale,
-        node_counts=_counts(nodes, (2, 4, 8, 16)))],
-    "table1": lambda scale=1.0, nodes=None: [table1(nodes=_n(nodes, 16))],
-    "abl-oversub": lambda scale=1.0, nodes=None: [abl_oversub(
-        nodes=_n(nodes, 8), scale=scale)],
-    "abl-adaptive": lambda scale=1.0, nodes=None, policy="adaptive": [
-        abl_adaptive(scale=scale, nodes=nodes, policy=policy),
-        abl_hierarchical(nodes=_n(nodes, 8), scale=scale)],
-    "svc-tenants": lambda scale=1.0, nodes=None, tenants=3: [svc_tenants(
-        nodes=_n(nodes, 8), tenants=tenants, scale=scale)],
+    "fig8": Entry(_fig8, FIXED, 8),
+    "fig9": Entry(_at_scale(fig9), FIXED, 8),
+    "fig10": Entry(_at_scale(fig10), COLLAPSE, (2, 4, 8, 16)),
+    "fig10-scaleout": Entry(_at_scale(fig10_scaleout), TRUNCATE,
+                            SCALEOUT_COUNTS),
+    "fig11": Entry(_at_scale(fig11), FIXED, 16),
+    "fig12": Entry(_fig12, COLLAPSE, (2, 4, 6, 8, 10, 12, 14, 16)),
+    "fig13": Entry(_at_scale(fig13), FIXED, 8),
+    "fig14a": Entry(_fig14a, FIXED, 8),
+    "fig14b": Entry(partial(_fig14_scaling, "Q4"), COLLAPSE, _FIG14_COUNTS),
+    "fig14c": Entry(partial(_fig14_scaling, "Q3"), COLLAPSE, _FIG14_COUNTS),
+    "fig14d": Entry(partial(_fig14_scaling, "Q10"), COLLAPSE, _FIG14_COUNTS),
+    "table1": Entry(_table1, FIXED, 16),
+    "abl-oversub": Entry(_at_scale(abl_oversub), FIXED, 8),
+    "abl-adaptive": Entry(_abl_adaptive, FIXED, 8, above=HIER_NODES_PER_LEAF,
+                          why="abl-hierarchical needs more than one leaf"),
+    "svc-tenants": Entry(_svc_tenants, FIXED, 8),
+    "abl-buffer-depth": Entry(_at_scale(abl_buffer_depth), FIXED, 8),
+    "abl-qp-cache": Entry(_at_scale(abl_qp_cache), COLLAPSE, (8, 16)),
+    "ext-multicast": Entry(_at_scale(ext_multicast), COLLAPSE, (4, 8, 16)),
+    "ext-write": Entry(_at_scale(ext_write), FIXED, 8),
 }

@@ -188,10 +188,10 @@ def bench_train_events(num_messages: int = 2_000,
 
 def bench_fig8_wall_clock(scale: float = 0.05) -> Dict[str, Any]:
     """Wall-clock of the full fig8 experiment (both networks)."""
-    from repro.bench.experiments import ALL_EXPERIMENTS
+    from repro.bench.experiments import ALL_EXPERIMENTS, Options
 
     start = time.perf_counter()
-    ALL_EXPERIMENTS["fig8"](scale=scale)
+    ALL_EXPERIMENTS["fig8"](Options(scale=scale))
     elapsed = time.perf_counter() - start
     return {
         "name": "fig8_wall_clock_s",

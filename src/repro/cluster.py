@@ -117,6 +117,7 @@ class Cluster:
         if self._disposed:
             return
         self._disposed = True
+        self.telemetry.seal()
         for ctx in self.contexts:
             ctx.dispose()
         self.contexts.clear()

@@ -93,6 +93,8 @@ class Telemetry:
         #: attribution.  QPNs are cluster-unique and never reused, so a
         #: job's misses are the sum over its own QPNs after the fact.
         self.qp_miss_by_qpn: Optional[Dict[int, int]] = None
+        #: the final snapshot, once the cluster has been disposed.
+        self._sealed: Optional[Dict[str, Any]] = None
 
     # -- access ------------------------------------------------------------
 
@@ -184,8 +186,25 @@ class Telemetry:
 
     # -- harvesting --------------------------------------------------------
 
+    def seal(self) -> None:
+        """Take the final snapshot and let go of the cluster.
+
+        Called by :meth:`Cluster.dispose` while ``fabric.nodes`` is still
+        populated: a session that checkpoints after the experiment
+        disposed its clusters (and ``build_run_report``, which needs only
+        the snapshot, the link records and ``sim.now``) still sees every
+        per-node counter, and the endpoints stop pinning the dead
+        cluster's object graph until then.
+        """
+        self._sealed = self.snapshot()
+        self._fabric = None
+        self._endpoints.clear()
+
     def snapshot(self) -> Dict[str, Any]:
-        """One JSON-ready snapshot: fabric-wide plus per-node metrics."""
+        """One JSON-ready snapshot: fabric-wide plus per-node metrics
+        (the sealed one once the cluster is disposed)."""
+        if self._sealed is not None:
+            return self._sealed
         sim = self.sim
         fabric: Dict[str, Any] = {
             "sim.now_ns": sim.now,

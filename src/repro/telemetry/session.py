@@ -117,8 +117,10 @@ class TelemetrySession:
     def checkpoint(self, experiment: str) -> Dict[str, Any]:
         """Seal all live runs under ``experiment``; returns their digest."""
         if self.report:
-            # Build RunReports while the clusters are still alive; the
-            # snapshots below drop every simulator reference.
+            # Build RunReports while the telemetries are still tracked;
+            # the snapshots below drop every simulator reference.  (A
+            # cluster disposed before this point sealed its snapshot in
+            # Cluster.dispose(), so both still see its counters.)
             from repro.obs.report import aggregate_reports, build_run_report
             runs = [build_run_report(tel) for tel in self.telemetries
                     if tel.links is not None]

@@ -1,5 +1,6 @@
 """Tests for the benchmark harness: workloads, report, experiments, CLI."""
 
+import inspect
 import json
 
 import pytest
@@ -14,7 +15,7 @@ from repro.bench.workloads import (
 from repro.bench.compare import breached, compare
 from repro.bench.compare import main as compare_main
 from repro.bench.experiments import (
-    _scaleout_counts,
+    ALL_EXPERIMENTS,
     _scaleout_volume,
     table1,
 )
@@ -170,12 +171,48 @@ class TestExperiments:
         with pytest.raises(SystemExit):
             cli_main(["fig12", "--nodes", "1"])
 
-    def test_scaleout_counts_truncate_at_nodes(self):
-        assert _scaleout_counts(None) == (64, 128, 256, 512, 1024)
-        assert _scaleout_counts(128) == (64, 128)
-        assert _scaleout_counts(1024) == (64, 128, 256, 512, 1024)
+    def test_cli_nodes_rejects_single_leaf_two_phase(self, capsys):
+        """abl-hierarchical schedules inter-leaf traffic: one four-node
+        leaf used to die with ZeroDivisionError mid-run."""
+        with pytest.raises(SystemExit):
+            cli_main(["abl-adaptive", "--nodes", "4"])
+        assert ("abl-hierarchical needs more than one leaf: --nodes > 4"
+                in capsys.readouterr().err)
+
+    def test_cli_digests_runs_whose_clusters_were_disposed(self, capsys):
+        """svc-tenants disposes each cluster as soon as its service run
+        ends; the telemetry line used to read "qp-cache miss 0.0% (0/0)"."""
+        assert cli_main(["svc-tenants", "--scale", "0.01", "--nodes", "2",
+                         "--tenants", "2"]) == 0
+        out = capsys.readouterr().out
+        assert "telemetry[9 runs]" in out
+        assert "(0/0)" not in out
+
+    def test_every_entry_has_one_call_shape(self):
+        for name, entry in ALL_EXPERIMENTS.items():
+            assert list(inspect.signature(entry).parameters) == ["opts"], name
+
+    def test_cli_lists_the_absorbed_experiments(self, capsys):
+        with pytest.raises(SystemExit):
+            cli_main(["--help"])
+        listed = "".join(capsys.readouterr().out.split())
+        for name in ("abl-buffer-depth", "abl-qp-cache", "ext-multicast",
+                     "ext-write"):
+            assert name in ALL_EXPERIMENTS and name in listed
+
+    def test_nodes_rules(self):
+        """The three ways ``--nodes`` applies, as each entry declares."""
+        fixed = ALL_EXPERIMENTS["fig11"].nodes
+        assert fixed(None) == 16 and fixed(4) == 4
+        collapse = ALL_EXPERIMENTS["fig12"].nodes
+        assert collapse(None) == (2, 4, 6, 8, 10, 12, 14, 16)
+        assert collapse(4) == (4,)
+        truncate = ALL_EXPERIMENTS["fig10-scaleout"].nodes
+        assert truncate(None) == (64, 128, 256, 512, 1024)
+        assert truncate(128) == (64, 128)
+        assert truncate(1024) == (64, 128, 256, 512, 1024)
         # Off-grid sizes run alone rather than silently rounding.
-        assert _scaleout_counts(100) == (100,)
+        assert truncate(100) == (100,)
 
     def test_scaleout_volume_decays_but_floors(self):
         assert _scaleout_volume(64, 1.0) == 32 * MIB

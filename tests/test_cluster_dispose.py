@@ -3,6 +3,8 @@
 import pytest
 
 from repro import Cluster, ClusterConfig, EDR, TransmissionGroups
+from repro.bench.workloads import run_repartition
+from repro.telemetry.session import session
 
 
 def make_cluster(nodes=3, threads=2):
@@ -46,3 +48,22 @@ def test_run_process_after_dispose_raises():
 
     with pytest.raises(RuntimeError, match="disposed"):
         cluster.run_process(nop(), name="nop")
+
+
+def test_disposed_cluster_still_reports_its_telemetry():
+    """dispose() seals the telemetry first: an experiment may dispose its
+    clusters before the session checkpoints (fabric.nodes is empty by
+    then) without losing a counter."""
+    with session(report=True) as sess:
+        cluster = make_cluster(nodes=2)
+        run_repartition(cluster, "SEMQ/SR", bytes_per_node=2 << 20)
+        before = cluster.metrics_snapshot()
+        report = cluster.run_report()
+        cluster.dispose()
+        assert cluster.metrics_snapshot() == before
+        assert cluster.run_report() == report
+        digest = sess.checkpoint("x")
+    assert digest["qp_cache_hits"] > 0
+    (record,) = sess.records
+    assert record["runs"] == [before] and before["nodes"]
+    assert sess.reports[0]["runs"] == [report]

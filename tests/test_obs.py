@@ -20,7 +20,6 @@ import json
 import pytest
 
 from repro import Cluster, ClusterConfig, EDR, FDR, EndpointConfig
-from repro.bench.experiments import _run
 from repro.bench.workloads import run_repartition
 from repro.fabric.config import parse_topology
 from repro.obs import (
@@ -36,6 +35,17 @@ from repro.obs.diff import diff, main as diff_main
 from repro.obs.__main__ import main as obs_main
 from repro.telemetry import FlowRecorder, TraceBudget, latency_summary, percentile
 from repro.telemetry.session import session
+
+
+def _run(network, design, nodes, scale, **kwargs):
+    """One repartition under ``session(report=True)`` at the volume the
+    experiment drivers use for ``scale``; returns ``(cluster, result)``."""
+    volume = int((72 if "MQ/" in design else 24) * (1 << 20) * scale)
+    with session(report=True):
+        cluster = Cluster(ClusterConfig(network=network, num_nodes=nodes))
+        result = run_repartition(cluster, design, bytes_per_node=volume,
+                                 **kwargs)
+    return cluster, result
 
 
 def shuffle_attribution(cluster, result):
@@ -103,27 +113,21 @@ TABLE1_DESIGNS = ["MEMQ/SR", "MEMQ/RD", "MESQ/SR",
 class TestConservation:
     @pytest.mark.parametrize("design", TABLE1_DESIGNS)
     def test_table1_designs_conserve_at_scale_01(self, design):
-        with session(report=True):
-            cluster, result = _run(EDR, design, 4, "repartition", 0.1)
+        cluster, result = _run(EDR, design, 4, 0.1)
         assert_conserved(shuffle_attribution(cluster, result))
 
     def test_fig8_config_conserves_at_scale_01(self):
         cfg = EndpointConfig(buffers_per_connection=16, credit_frequency=16,
                              ud_window_factor=1)
-        with session(report=True):
-            cluster, result = _run(EDR, "MESQ/SR", 8, "repartition", 0.1,
-                                   config=cfg)
+        cluster, result = _run(EDR, "MESQ/SR", 8, 0.1, config=cfg)
         assert_conserved(shuffle_attribution(cluster, result))
 
     def test_fig11_config_conserves_at_scale_01(self):
-        with session(report=True):
-            cluster, result = _run(FDR, "MEMQ/SR", 8, "repartition", 0.1,
-                                   num_endpoints=4)
+        cluster, result = _run(FDR, "MEMQ/SR", 8, 0.1, num_endpoints=4)
         assert_conserved(shuffle_attribution(cluster, result))
 
     def test_full_window_conserves_including_setup(self):
-        with session(report=True):
-            cluster, result = _run(EDR, "MESQ/SR", 4, "repartition", 0.1)
+        cluster, result = _run(EDR, "MESQ/SR", 4, 0.1)
         full = attribute(cluster.telemetry.links, 0, cluster.sim.now)
         assert_conserved(full)
         # The window before the first WR post is setup time.
@@ -146,9 +150,7 @@ class TestValidationMechanisms:
         """fig11's MQ degradation on FDR: 16 nodes x 8 endpoints create
         enough QP state to thrash the 144-entry FDR context cache; the
         analyzer must attribute the slowdown to qp_cache_miss."""
-        with session(report=True):
-            cluster, result = _run(FDR, "MEMQ/SR", 16, "repartition", 0.05,
-                                   num_endpoints=8)
+        cluster, result = _run(FDR, "MEMQ/SR", 16, 0.05, num_endpoints=8)
         attribution = shuffle_attribution(cluster, result)
         assert_conserved(attribution)
         assert attribution["top"] == "qp_cache_miss"

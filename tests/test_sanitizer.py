@@ -15,6 +15,7 @@ import pytest
 from repro import Cluster, ClusterConfig, EDR
 from repro.analysis import ProtocolViolationError
 from repro.bench import cli as bench_cli
+from repro.bench.experiments import FIXED, Entry
 from repro.telemetry.session import session
 from repro.memory import BufferPool
 from repro.verbs import Opcode, QPType, SendWR, VerbsError
@@ -164,34 +165,34 @@ class TestBenchCLI:
                                                            capsys):
         seen = {}
 
-        def tiny(scale=1.0, nodes=None):
+        def tiny(opts, nodes):
             cluster = Cluster(ClusterConfig(network=EDR, num_nodes=2))
             seen["sanitizer"] = cluster.sanitizer
             return []
 
-        monkeypatch.setattr(bench_cli, "ALL_EXPERIMENTS", {"tiny": tiny})
+        monkeypatch.setattr(bench_cli, "ALL_EXPERIMENTS", {"tiny": Entry(tiny, FIXED, 2)})
         assert bench_cli.main(["tiny", "--sanitize"]) == 0
         assert seen["sanitizer"] is not None
         assert "sanitizer" in capsys.readouterr().err
 
     def test_violation_forces_nonzero_exit(self, monkeypatch, capsys):
-        def bad(scale=1.0, nodes=None):
+        def bad(opts, nodes):
             cluster = Cluster(ClusterConfig(network=EDR, num_nodes=2))
             cluster.sanitizer.record("qp-state", "planted", node_id=0)
             return []
 
-        monkeypatch.setattr(bench_cli, "ALL_EXPERIMENTS", {"bad": bad})
+        monkeypatch.setattr(bench_cli, "ALL_EXPERIMENTS", {"bad": Entry(bad, FIXED, 2)})
         assert bench_cli.main(["bad", "--sanitize"]) == 1
         assert "qp-state" in capsys.readouterr().err
 
     def test_without_flag_cluster_is_unsanitized(self, monkeypatch):
         seen = {}
 
-        def tiny(scale=1.0, nodes=None):
+        def tiny(opts, nodes):
             cluster = Cluster(ClusterConfig(network=EDR, num_nodes=2))
             seen["sanitizer"] = cluster.sanitizer
             return []
 
-        monkeypatch.setattr(bench_cli, "ALL_EXPERIMENTS", {"tiny": tiny})
+        monkeypatch.setattr(bench_cli, "ALL_EXPERIMENTS", {"tiny": Entry(tiny, FIXED, 2)})
         assert bench_cli.main(["tiny"]) == 0
         assert seen["sanitizer"] is None
