@@ -3,7 +3,7 @@
 The instrumentation strategy (DESIGN.md, "Observability") keeps hot paths
 to plain integer adds and harvests lazily at snapshot time, so the
 default-enabled mode should cost the same wall-clock time as the global
-no-op mode.  This guard fails if someone adds per-event registry or
+no-op mode.  This guard fails if someone adds per-event instrument or
 tracer work to a hot path.
 """
 

@@ -1,9 +1,6 @@
-"""Repo-root pytest config: make ``src`` importable and load the
-repro.analysis lint plugin (adds the ``--repro-lint`` option)."""
+"""Repo-root pytest config: make ``src`` importable."""
 
 import os
 import sys
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "src"))
-
-pytest_plugins = ("repro.analysis.pytest_plugin",)

@@ -4,11 +4,11 @@ Three prongs (see DESIGN.md "Analysis & sanitizer" and "Protocol model
 checking"):
 
 * :mod:`repro.analysis.linter` — AST-based protocol lint over
-  ``src/repro`` (``python -m repro.analysis`` / ``pytest --repro-lint``);
+  ``src/repro`` (``python -m repro.analysis``);
 * :mod:`repro.analysis.sanitizer` — the runtime race detector enabled by
   ``Cluster.enable_sanitizer()`` / ``repro-bench --sanitize``;
 * :mod:`repro.analysis.model` — the bounded protocol model checker
-  (``python -m repro.analysis model`` / ``pytest --repro-model``),
+  (``python -m repro.analysis model``),
   verifying each endpoint kind's flow-control protocol exhaustively at
   small instance sizes.
 """

@@ -7,11 +7,11 @@ exclusion list for the legitimate counterexamples (e.g. the stage wiring
 is *supposed* to reach the fabric).
 
 Rules are deliberately syntactic — they inspect one file's AST with no
-type inference — so a clean pass is cheap enough for CI and the pytest
-hook, and a new rule is one visitor function plus a catalogue entry (see
+type inference — so a clean pass is cheap enough for CI and tier-1,
+and a new rule is one visitor function plus a catalogue entry (see
 DESIGN.md "Adding a rule").
 
-Run with ``python -m repro.analysis`` or ``pytest --repro-lint``.
+Run with ``python -m repro.analysis``.
 """
 
 from __future__ import annotations
@@ -333,12 +333,6 @@ def _rule_vs107(rel: str, tree: ast.AST) -> Iterable[Tuple[int, str]]:
                 and isinstance(node.func, ast.Attribute)
                 and node.func.attr in _TS_EVENT_METHODS):
             continue
-        base = node.func.value
-        mentions_tracer = (
-            (isinstance(base, ast.Name) and "tracer" in base.id)
-            or (isinstance(base, ast.Attribute) and "tracer" in base.attr))
-        if not mentions_tracer:
-            continue  # e.g. registry.counter(name): a metrics instrument
         has_ts = (len(node.args) >= 4
                   or any(kw.arg == "ts_ns" for kw in node.keywords))
         if not has_ts:
@@ -606,8 +600,6 @@ def parse_select(spec: Optional[str]) -> Optional[Tuple[str, ...]]:
     Returns ``None`` for "run everything" (no selection given).  Raises
     ``ValueError`` on unknown rule ids or an empty selection — a typo'd
     ``--select VS999`` must not silently lint nothing and exit green.
-    Both the CLI and the pytest plugin route selections through here, so
-    the two entry points agree on what a selection means.
     """
     if spec is None:
         return None

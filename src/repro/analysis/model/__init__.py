@@ -10,9 +10,8 @@ checking deadlock-freedom, credit conservation, ring consistency and
 eventual delivery.  Violations come back as minimal counterexample
 traces, exported in the telemetry layer's Chrome-trace format.
 
-Entry points: ``python -m repro.analysis model`` (CLI), ``pytest
---repro-model`` (test items), :func:`check_kind` / :func:`check_all`
-(library).
+Entry points: ``python -m repro.analysis model`` (CLI),
+:func:`check_kind` / :func:`check_all` (library).
 """
 
 from repro.analysis.model.checker import (

@@ -890,9 +890,8 @@ def modeled_kinds(include_test: bool = False) -> Tuple[str, ...]:
 
     Kinds named ``*_TEST`` are fault-injection scratch kinds registered
     by the test suite (planted bugs); they are excluded from default
-    sweeps so ``--all-kinds`` and ``pytest --repro-model`` verify only
-    the real designs — pass ``include_test=True`` (or name them with
-    ``--kind``) to reach them.
+    sweeps so ``--all-kinds`` verifies only the real designs — pass
+    ``include_test=True`` (or name them with ``--kind``) to reach them.
     """
     import repro.core.designs  # noqa: F401
     return tuple(

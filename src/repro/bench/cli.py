@@ -81,14 +81,6 @@ def main(argv=None) -> int:
                         help="run every simulation under the protocol "
                              "sanitizer (repro.analysis); exit non-zero "
                              "if any violation is detected")
-    parser.add_argument("--kernel-bench", metavar="PATH",
-                        help="run the kernel hot-path benchmark suite and "
-                             "write its BENCH_kernel.json trajectory to "
-                             "PATH (see repro.bench.compare for the CI "
-                             "regression gate)")
-    parser.add_argument("--kernel-bench-scale", type=float, default=0.05,
-                        help="scale for the fig8 wall-clock kernel "
-                             "benchmark (default 0.05)")
     args = parser.parse_args(argv)
 
     if args.tenants < 2:
@@ -118,16 +110,6 @@ def main(argv=None) -> int:
 
 
 def _run(args, parser) -> int:
-    if args.kernel_bench:
-        from repro.bench.kernel import emit
-        document = emit(args.kernel_bench,
-                        fig8_scale=args.kernel_bench_scale)
-        for name, bench in document["benchmarks"].items():
-            print(f"{name}: {bench['value']:,.1f} {bench['unit']}")
-        print(f"wrote {args.kernel_bench}", file=sys.stderr)
-        if not (args.all or args.experiments):
-            return 0
-
     names = list(ALL_EXPERIMENTS) if args.all else args.experiments
     if not names:
         parser.print_help()

@@ -1,45 +1,25 @@
-"""Kernel hot-path microbenchmarks and the ``BENCH_kernel.json`` format.
+"""Kernel hot-path microbenchmarks.
 
-These benchmarks measure the simulator itself — events dispatched per
-wall-clock second, process wakeups, fabric packets routed, and the
-wall-clock of a full fig8 run — so performance regressions in the event
-kernel are caught by CI the same way behavioural regressions are.
-
-The emitted document is a *trajectory* file: every emission keeps a
-bounded history of previous measurements, so the committed baseline
-doubles as a record of how kernel throughput evolved over time.
-
-Run via ``repro-bench --kernel-bench BENCH_kernel.json`` or the
-pytest-benchmark suite in ``benchmarks/test_kernel_hotpath.py``; gate
-with ``python -m repro.bench.compare``.
+These measure the simulator itself — events dispatched per wall-clock
+second, process wakeups, fabric packets routed, train events.  They are
+the bottom rungs of the benchmark ladder (``benchmarks/ladder/rungs.py``
+calls them as ``rung.sim.*`` / ``rung.fabric.*``), which compares parent
+and change on one machine; see README, "Performance gating".
 """
 
 from __future__ import annotations
 
-import json
-import os
 import time
-from typing import Any, Dict, Optional
+from typing import Any, Dict
 
 from repro.sim import Simulator
 
 __all__ = [
-    "KERNEL_BENCH_SCHEMA_VERSION",
     "bench_dispatch_events",
     "bench_process_wakeups",
     "bench_fabric_packets",
     "bench_train_events",
-    "bench_fig8_wall_clock",
-    "run_all",
-    "emit",
 ]
-
-#: version of the ``BENCH_kernel.json`` document layout.
-#: v2 adds the gated ``fabric_train_events_per_sec`` train-path entry.
-KERNEL_BENCH_SCHEMA_VERSION = 2
-
-#: how many historical entries a trajectory file retains.
-_HISTORY_LIMIT = 50
 
 
 def bench_dispatch_events(num_events: int = 300_000,
@@ -140,10 +120,9 @@ def bench_train_events(num_messages: int = 2_000,
     Routes ``num_messages`` 1 MiB RC messages (256-packet trains at the
     4 KiB MTU) through a two-node fabric twice: once charging each train
     in a single event per pipe, once under the per-packet oracle
-    (``Fabric.use_packet_oracle``).  The value gated by
-    ``repro.bench.compare`` is the train path's event throughput; the
-    detail records the event-reduction factor the abstraction buys (the
-    ISSUE target is >= 20x for 1 MiB messages).
+    (``Fabric.use_packet_oracle``).  The value is the train path's
+    event throughput; the detail records the event-reduction factor the
+    abstraction buys (the target is >= 20x for 1 MiB messages).
     """
     from repro.cluster import Cluster
     from repro.fabric.config import EDR, ClusterConfig
@@ -184,75 +163,3 @@ def bench_train_events(num_messages: int = 2_000,
             "oracle_wall_clock_s": round(oracle_elapsed, 4),
         },
     }
-
-
-def bench_fig8_wall_clock(scale: float = 0.05) -> Dict[str, Any]:
-    """Wall-clock of the full fig8 experiment (both networks)."""
-    from repro.bench.experiments import ALL_EXPERIMENTS, Options
-
-    start = time.perf_counter()
-    ALL_EXPERIMENTS["fig8"](Options(scale=scale))
-    elapsed = time.perf_counter() - start
-    return {
-        "name": "fig8_wall_clock_s",
-        "value": elapsed,
-        "unit": "s",
-        "higher_is_better": False,
-        "detail": {"scale": scale},
-    }
-
-
-def run_all(fig8_scale: float = 0.05) -> Dict[str, Any]:
-    """Run the whole suite; returns a ``BENCH_kernel.json`` document."""
-    results = [
-        bench_dispatch_events(),
-        bench_process_wakeups(),
-        bench_fabric_packets(),
-        bench_train_events(),
-        bench_fig8_wall_clock(scale=fig8_scale),
-    ]
-    return {
-        "schema": {"name": "repro-bench-kernel",
-                   "version": KERNEL_BENCH_SCHEMA_VERSION},
-        "benchmarks": {
-            r["name"]: {k: v for k, v in r.items() if k != "name"}
-            for r in results
-        },
-        "history": [],
-    }
-
-
-def emit(path: str, document: Optional[Dict[str, Any]] = None,
-         fig8_scale: float = 0.05) -> Dict[str, Any]:
-    """Write ``document`` (or a fresh run) to ``path`` as a trajectory.
-
-    If ``path`` already holds a kernel-bench document, its measurement is
-    prepended to the new document's bounded history, so successive
-    emissions accumulate the performance trajectory.
-    """
-    if document is None:
-        document = run_all(fig8_scale=fig8_scale)
-    history = list(document.get("history", ()))
-    if os.path.exists(path):
-        try:
-            with open(path) as fh:
-                previous = json.load(fh)
-        except (OSError, ValueError):
-            previous = None
-        if isinstance(previous, dict) and "benchmarks" in previous:
-            entry = {
-                "timestamp": previous.get("timestamp"),
-                "benchmarks": {
-                    name: bench.get("value")
-                    for name, bench in previous["benchmarks"].items()
-                },
-            }
-            history = ([entry] + previous.get("history", []))[:_HISTORY_LIMIT]
-    document = dict(document)
-    document["timestamp"] = time.strftime("%Y-%m-%dT%H:%M:%SZ",
-                                          time.gmtime())
-    document["history"] = history
-    with open(path, "w") as fh:
-        json.dump(document, fh, indent=2)
-        fh.write("\n")
-    return document

@@ -248,8 +248,11 @@ class SRUDReceiveEndpoint(CreditedReceiveEndpoint):
         interval = max(1, self.config.drain_timeout_ns // 4)
         while self._active_sources:
             yield self.sim.timeout(interval)
-            for src_ep in list(self._active_sources):
-                self._credit_out.post_credit(self.conns[src_ep])
+            # Wiring order, not set order: which credit datagram leaves
+            # first must not depend on the integer values of endpoint ids.
+            for _src_node, src_ep in self.sources:
+                if src_ep in self._active_sources:
+                    self._credit_out.post_credit(self.conns[src_ep])
 
     # -- UD posting policy -------------------------------------------------
 

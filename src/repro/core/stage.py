@@ -11,7 +11,6 @@ and exposes the endpoints for building SHUFFLE / RECEIVE operators.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Callable, Dict, FrozenSet, List, Optional, Sequence, Union
 
@@ -24,8 +23,6 @@ from repro.verbs.cm import EndpointRegistry
 from repro.verbs.device import VerbsContext
 
 __all__ = ["ShuffleStage", "StageStats", "get_context"]
-
-_endpoint_ids = itertools.count(1)
 
 
 def get_context(fabric: Fabric, node_id: int) -> VerbsContext:
@@ -100,13 +97,13 @@ class ShuffleStage:
             for dest in self.groups_for[s].all_destinations
         }))
 
-        # Allocate globally-unique endpoint ids first, then build objects.
+        # Allocate cluster-unique endpoint ids first, then build objects.
         send_ids = {
-            (s, j): next(_endpoint_ids)
+            (s, j): next(fabric.endpoint_ids)
             for s in self.sender_nodes for j in range(self.k)
         }
         recv_ids = {
-            (d, r): next(_endpoint_ids)
+            (d, r): next(fabric.endpoint_ids)
             for d in self.receiver_nodes for r in range(self.k)
         }
 

@@ -26,8 +26,8 @@ Submodules:
   :class:`ConnectionTable`, and the RC connect loops.
 * :mod:`~repro.core.transport.credit` — the §4.4 credit schemes as
   policy objects (credit words, credit datagrams, ring boards).
-* :mod:`~repro.core.transport.rings` — buffer pools behind
-  GETFREE/RELEASE, pending-buffer refcounts, circular-queue cursors.
+* :mod:`~repro.core.transport.rings` — registration cost,
+  pending-buffer refcounts, circular-queue cursors.
 * :mod:`~repro.core.transport.dispatch` — the completion-dispatch loop.
 * :mod:`~repro.core.transport.runtime` — endpoint base classes wiring
   it all together (the credited two-sided data path lives here).
@@ -54,7 +54,6 @@ from repro.core.transport.registry import (
     registered_kinds,
 )
 from repro.core.transport.rings import (
-    BufferRing,
     PendingTable,
     RingCursor,
     charge_registration,
@@ -62,7 +61,6 @@ from repro.core.transport.rings import (
 )
 
 __all__ = [
-    "BufferRing",
     "CompletionDispatcher",
     "ConnectionTable",
     "EndpointBackend",

@@ -1,9 +1,10 @@
-"""Buffer rings and circular-queue bookkeeping.
+"""Buffer and circular-queue bookkeeping.
 
-Three pieces every endpoint design used to reimplement privately:
+Pieces every endpoint design used to reimplement privately (the
+GETFREE/RELEASE free list itself lives on the endpoint:
+``RuntimeSendEndpoint.provision_send_pool`` / ``recycle``):
 
-* :class:`BufferRing` — the registered transmission-buffer pool plus the
-  FIFO free list behind GETFREE/RELEASE (§4.2);
+* :func:`charge_registration` — the pin+register cost of a pool (§4.2);
 * :class:`PendingTable` — refcounts for buffers in flight to several
   destinations of a transmission group (a buffer becomes reusable only
   once every member has consumed it, §5.1.3);
@@ -13,16 +14,13 @@ Three pieces every endpoint design used to reimplement privately:
 
 from __future__ import annotations
 
-from typing import Any, Dict, Optional
+from typing import Any, Dict
 
-from repro.memory import Buffer, BufferPool
-from repro.sim import Queue
 from repro.verbs.constants import Opcode
 from repro.verbs.device import VerbsContext
 from repro.verbs.wr import SendWR
 
 __all__ = [
-    "BufferRing",
     "PendingTable",
     "RingCursor",
     "charge_registration",
@@ -39,39 +37,6 @@ def charge_registration(ctx: VerbsContext, nbytes: int):
             + pages * config.mr_register_ns_per_page)
     ctx.mr_register_ns += cost
     yield ctx.sim.timeout(cost)
-
-
-class BufferRing:
-    """A registered buffer pool feeding the GETFREE free list.
-
-    SEND endpoints draw transmission buffers from ``free`` (GETFREE),
-    and completions recycle them back through :meth:`recycle` — the
-    ring that bounds pinned memory per connection (Fig 9b).
-    """
-
-    __slots__ = ("ctx", "free", "pool")
-
-    def __init__(self, ctx: VerbsContext):
-        self.ctx = ctx
-        self.free = Queue(ctx.sim)
-        self.pool: Optional[BufferPool] = None
-
-    def provision(self, count: int, size: int,
-                  feed: Optional[int] = None,
-                  tenant: Optional[str] = None) -> Any:
-        """Process fragment: charge registration for ``count * size``
-        bytes, carve the pool, and feed the first ``feed`` buffers
-        (default: all) to the free list."""
-        yield from charge_registration(self.ctx, count * size)
-        self.pool = BufferPool(self.ctx, count, size, tenant=tenant)
-        for buf in self.pool.buffers[:count if feed is None else feed]:
-            self.free.put(buf)
-        return self.pool
-
-    def recycle(self, buf: Buffer) -> None:
-        """Return a transmission buffer to the free list."""
-        buf.reset()
-        self.free.put(buf)
 
 
 class PendingTable:

@@ -23,6 +23,7 @@ for failure testing and defaults to off.
 
 from __future__ import annotations
 
+import itertools
 import random
 from typing import Any, Dict, List, Optional, Tuple
 
@@ -98,6 +99,9 @@ class Fabric:
         #: ``on_qp_destroyed`` / ``on_mr_registered`` /
         #: ``on_mr_deregistered`` without importing the service layer.
         self.quotas: Optional[Any] = None
+        #: shuffle-endpoint id allocator: ids are unique per cluster,
+        #: which is all multicast mgids and the EndpointRegistry need.
+        self.endpoint_ids = itertools.count(1)
         #: InfiniBand multicast groups: mgid -> set of (node_id, qpn)
         #: attached UD QPs.  The fabric replicates a single sender packet
         #: to every member at the last common switch, so the sender's

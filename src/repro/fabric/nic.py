@@ -35,7 +35,7 @@ from __future__ import annotations
 from collections import OrderedDict
 from typing import TYPE_CHECKING, Callable
 
-from repro.sim import Event, RatePipe, Simulator
+from repro.sim import RatePipe, Simulator
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.fabric.config import NetworkConfig
@@ -137,18 +137,11 @@ class NIC:
                        self.config.nic_wr_ns, penalty, extra_ns, flow)
         return self.config.nic_wr_ns + penalty + extra_ns
 
-    def process_wr(self, qpn: int, extra_ns: int = 0, flow: int = 0) -> Event:
-        """Occupy the processing engine for one work request on ``qpn``.
-
-        Returns the event fired when the NIC has finished processing (the
-        point at which the message starts serializing onto the wire).
-        """
-        return self.processor.occupy(self._wr_ns(qpn, extra_ns, flow))
-
     def submit_wr(self, qpn: int, func: "Callable[[], None]",
                   extra_ns: int = 0, flow: int = 0) -> None:
-        """Callback form of :meth:`process_wr`: run ``func()`` once the
-        NIC has finished processing instead of returning an event."""
+        """Occupy the processing engine for one work request on ``qpn``;
+        runs ``func()`` once the NIC has finished processing (the point
+        at which the message starts serializing onto the wire)."""
         self.processor.submit_occupy(self._wr_ns(qpn, extra_ns, flow), func)
 
     def submit_tx(self, wire_bytes: int, func: "Callable[[], None]",

@@ -116,7 +116,3 @@ class BufferPool:
             raise ValueError(
                 f"address {addr:#x} is not a buffer start in this pool"
             ) from None
-
-    def release_memory(self) -> None:
-        """Deregister the backing region (end-of-query teardown)."""
-        self.ctx.dereg_mr(self.mr)

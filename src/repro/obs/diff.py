@@ -4,12 +4,12 @@ Usage (the CI observability job, and by hand when chasing a perf bug)::
 
     python -m repro.obs diff baseline.json fresh.json
 
-Mirrors the discipline of :mod:`repro.bench.compare`: compares a fresh
-report against a committed baseline experiment-by-experiment and fails
-(exit 1, ``REGRESSION:`` lines on stderr) when
+Compares a fresh report against a committed baseline
+experiment-by-experiment and fails (exit 1, ``REGRESSION:`` lines on
+stderr) when
 
 * an aggregate message-latency percentile (p50/p90/p99) *rose* more than
-  ``--threshold`` (default 25%, matching the kernel-perf gate), or
+  ``--threshold`` (default 25%), or
 * an attribution share *shifted* more than ``--attr-threshold-pp``
   percentage points in either direction — time silently migrating from
   ``wire_serialization`` into ``credit_stall`` is exactly the kind of

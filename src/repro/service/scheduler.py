@@ -154,16 +154,17 @@ class ShuffleService:
             t.name: as_policy(t.policy if t.policy is not None else t.design)
             for t in tenants
         }
-        self._decisions = cluster.telemetry.fabric_registry.counter(
-            "service.policy_decisions")
+        #: plans made, one per admitted job (harvested by callback below).
+        self.policy_decisions = 0
         #: footprints reserved by admitted-but-unfinished jobs, so two
         #: concurrent admissions of one tenant cannot overshoot its cap.
         self._reserved: Dict[str, List[Footprint]] = {}
         # Context misses per QPN (QPNs are cluster-unique and never
         # reused, so per-job attribution is exact after the fact).
         cluster.telemetry.enable_qp_miss_map()
-        cluster.telemetry.fabric_registry.register_callback(
-            "service_tenants", self._telemetry_callback)
+        callbacks = cluster.telemetry.callbacks
+        callbacks["service.policy_decisions"] = lambda: self.policy_decisions
+        callbacks["service_tenants"] = self._telemetry_callback
 
     # -- planning & quota headroom ------------------------------------------
 
@@ -285,7 +286,7 @@ class ShuffleService:
     def _record_decision(self, job: Job, plan: StagePlan) -> None:
         """Policy-decision telemetry: a counter, job metadata, and a
         trace instant on the scheduler track."""
-        self._decisions.inc()
+        self.policy_decisions += 1
         job.meta["design"] = plan.design.name
         job.meta["policy"] = self._policies[job.tenant.name].describe()
         tracer = self.cluster.telemetry.tracer

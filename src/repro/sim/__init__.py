@@ -1,10 +1,11 @@
 """Discrete-event simulation kernel.
 
 The whole reproduction runs inside a deterministic discrete-event
-simulation: simulated time is an integer number of nanoseconds, concurrent
-activities (worker threads, NIC engines, links) are generator-based
-processes, and every measurement reported by the benchmarks is simulated
-wall-clock time.
+simulation: simulated time is an integer number of nanoseconds, CPU
+threads (workers, software stacks, the service) are generator-based
+processes, hardware (pipes, NICs, the fabric walk, QP state machines) is
+plain scheduled callbacks, and every measurement reported by the
+benchmarks is simulated wall-clock time.
 
 The kernel is intentionally small and simpy-like:
 
@@ -18,9 +19,7 @@ The kernel is intentionally small and simpy-like:
 
 from repro.sim.kernel import (
     AllOf,
-    AnyOf,
     Event,
-    Interrupt,
     Process,
     SimError,
     Simulator,
@@ -37,10 +36,8 @@ from repro.sim.primitives import (
 
 __all__ = [
     "AllOf",
-    "AnyOf",
     "Barrier",
     "Event",
-    "Interrupt",
     "Mutex",
     "Notify",
     "Process",

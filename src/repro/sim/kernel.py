@@ -41,11 +41,9 @@ _heappop = heapq.heappop
 
 __all__ = [
     "SimError",
-    "Interrupt",
     "Event",
     "Timeout",
     "Process",
-    "AnyOf",
     "AllOf",
     "Simulator",
 ]
@@ -53,18 +51,6 @@ __all__ = [
 
 class SimError(Exception):
     """Raised for misuse of the simulation kernel."""
-
-
-class Interrupt(Exception):
-    """Thrown into a process that another process interrupted.
-
-    The ``cause`` attribute carries the value passed to
-    :meth:`Process.interrupt`.
-    """
-
-    def __init__(self, cause: Any = None):
-        super().__init__(cause)
-        self.cause = cause
 
 
 # Event lifecycle states.
@@ -202,15 +188,13 @@ class Process(Event):
     the process.
     """
 
-    __slots__ = ("_generator", "_send", "_throw", "_waiting_on", "_observed",
-                 "name")
+    __slots__ = ("_generator", "_send", "_throw", "_observed", "name")
 
     def __init__(self, sim: "Simulator", generator: Generator, name: str = ""):
         super().__init__(sim)
         self._generator = generator
         self._send = generator.send
         self._throw = generator.throw
-        self._waiting_on: Optional[Event] = None
         self._observed = False
         self.name = name or getattr(generator, "__name__", "process")
         sim.processes_started += 1
@@ -223,37 +207,9 @@ class Process(Event):
         # ``ok=True, value=None`` — the legacy bootstrap's trigger value.
         self._resume(self.sim._init_event)
 
-    @property
-    def is_alive(self) -> bool:
-        """True while the generator has not finished."""
-        return self._state == _PENDING
-
-    def interrupt(self, cause: Any = None) -> None:
-        """Throw :class:`Interrupt` into the process at the current time.
-
-        Interrupting a finished process is an error; interrupting a process
-        that is waiting on an event detaches it from that event.
-        """
-        if not self.is_alive:
-            raise SimError(f"cannot interrupt finished process {self.name!r}")
-        poker = Event(self.sim)
-        poker.add_callback(self._resume)
-        poker.fail(Interrupt(cause))
-
     def _resume(self, event: Event) -> None:
-        if self._state != _PENDING:
-            # The process already ended (e.g. interrupted); stale wakeup.
-            return
-        waiting = self._waiting_on
-        if waiting is not None and event is not waiting:
-            # An interrupt arrived while waiting; the original event may
-            # still fire later, and must then be ignored.
-            if isinstance(event.value, Interrupt):
-                self._waiting_on = None
-            else:
-                return
-        else:
-            self._waiting_on = None
+        # Only the one event the generator last yielded holds this
+        # callback, so every call is a live wakeup.
         self.sim.process_wakeups += 1
         try:
             if event._ok:
@@ -273,7 +229,6 @@ class Process(Event):
             )
             self._throw(exc)
             return
-        self._waiting_on = target
         target.add_callback(self._resume)
 
     def add_callback(self, callback: Callable[["Event"], None]) -> None:
@@ -286,8 +241,11 @@ class Process(Event):
         return self
 
 
-class _Condition(Event):
-    """Base for AnyOf / AllOf composite events."""
+class AllOf(Event):
+    """Fires when every given event has fired; value is the value list.
+
+    A failing child event fails the condition.
+    """
 
     __slots__ = ("_events", "_count")
 
@@ -300,33 +258,6 @@ class _Condition(Event):
             return
         for event in self._events:
             event.add_callback(self._check)
-
-    def _check(self, event: Event) -> None:
-        raise NotImplementedError
-
-
-class AnyOf(_Condition):
-    """Fires when the first of the given events fires.
-
-    The value is the ``(event, value)`` pair of the first event.  A failing
-    child event fails the condition.
-    """
-
-    __slots__ = ()
-
-    def _check(self, event: Event) -> None:
-        if self.triggered:
-            return
-        if event.ok:
-            self.succeed((event, event.value))
-        else:
-            self.fail(event.value)
-
-
-class AllOf(_Condition):
-    """Fires when every given event has fired; value is the value list."""
-
-    __slots__ = ()
 
     def _check(self, event: Event) -> None:
         if self.triggered:
@@ -455,12 +386,6 @@ class Simulator:
         """Start a new process from a generator."""
         return Process(self, generator, name=name)
 
-    def any_of(self, events: Iterable[Event]) -> AnyOf:
-        return AnyOf(self, events)
-
-    def all_of(self, events: Iterable[Event]) -> AllOf:
-        return AllOf(self, events)
-
     # -- execution -------------------------------------------------------
 
     def _reap_defunct(self) -> None:
@@ -478,27 +403,6 @@ class Simulator:
                 defunct[:] = still_pending
                 raise proc.value
         defunct[:] = still_pending
-
-    def step(self) -> None:
-        """Process the next entry on the queue."""
-        heap = self._heap
-        when = heap[0]
-        depth = len(heap)
-        if depth > self.max_queue_depth:
-            self.max_queue_depth = depth
-        self.events_dispatched += 1
-        bucket = self._buckets[when]
-        entry = bucket.pop(0)
-        if not bucket:
-            del self._buckets[when]
-            _heappop(heap)
-        self.now = when
-        if isinstance(entry, Event):
-            entry._run_callbacks()
-        else:
-            entry()
-        if self._defunct:
-            self._reap_defunct()
 
     def _drain(self, until: Optional[int], stop: Optional[Event]) -> None:
         """The shared hot loop: dispatch entries in (time, sequence) order.

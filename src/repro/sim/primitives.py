@@ -87,13 +87,6 @@ class Semaphore:
             self._waiters.append(event)
         return event
 
-    def try_acquire(self) -> bool:
-        """Acquire without blocking; returns True on success."""
-        if self._value > 0:
-            self._value -= 1
-            return True
-        return False
-
     def release(self) -> None:
         """Release one unit, waking the oldest waiter if any."""
         if self._waiters:
@@ -319,8 +312,3 @@ class RatePipe:
     @property
     def busy_until(self) -> int:
         return self._busy_until
-
-    def utilization(self, since: int = 0) -> float:
-        """Approximate utilization: busy time over elapsed time."""
-        elapsed = max(1, self.sim.now - since)
-        return min(1.0, (self._busy_until - since) / elapsed)

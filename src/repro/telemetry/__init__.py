@@ -1,17 +1,19 @@
-"""repro.telemetry — metrics registry + simulated-time tracing.
+"""repro.telemetry — harvested metrics + simulated-time tracing.
 
 A lightweight observability layer threaded through every level of the
 stack (sim kernel, NIC, fabric, verbs, shuffle endpoints):
 
-* :class:`MetricsRegistry` — counters, gauges, fixed-bucket histograms;
-  cheap enough to stay enabled by default, with a global no-op mode
-  (:func:`set_enabled`) for benchmarks.
+* :class:`Telemetry` — the per-cluster observer bundle, owned by
+  :class:`~repro.cluster.Cluster`: its snapshot harvests the plain
+  integer attributes the simulated objects keep anyway, plus a dict of
+  snapshot-time callbacks; cheap enough to stay enabled by default,
+  with a global off switch (:func:`set_enabled`) for benchmarks.
 * :class:`Tracer` — spans and instants recorded in simulated
   nanoseconds, exported as Chrome trace-event JSON (open the file in
   ``chrome://tracing`` or https://ui.perfetto.dev): one trace process
   per node, one thread per QP/endpoint/NIC pipe.
-* :class:`Telemetry` — the per-cluster bundle (one registry per node
-  plus a fabric-wide one), owned by :class:`~repro.cluster.Cluster`.
+* :func:`latency_summary` / :func:`percentile` / :class:`Histogram` —
+  summaries of a latency population.
 * :class:`TelemetrySession` — cross-cluster collection for the
   ``repro-bench --metrics/--trace`` flags.
 
@@ -27,12 +29,7 @@ from repro.telemetry.core import (
 from repro.telemetry.links import FlowRecorder
 from repro.telemetry.metrics import (
     DEFAULT_NS_BUCKETS,
-    NULL_REGISTRY,
-    Counter,
-    Gauge,
     Histogram,
-    MetricsRegistry,
-    NullRegistry,
     latency_summary,
     percentile,
 )
@@ -46,16 +43,11 @@ from repro.telemetry.session import (
 from repro.telemetry.trace import TraceBudget, Tracer
 
 __all__ = [
-    "Counter",
     "DEFAULT_NS_BUCKETS",
     "FlowRecorder",
-    "Gauge",
     "Histogram",
     "latency_summary",
     "percentile",
-    "MetricsRegistry",
-    "NullRegistry",
-    "NULL_REGISTRY",
     "Telemetry",
     "TelemetrySession",
     "TraceBudget",

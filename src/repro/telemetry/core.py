@@ -1,16 +1,17 @@
-"""The per-cluster telemetry object: registries + tracer + harvesting.
+"""The per-cluster telemetry object: observers + harvesting.
 
 Design notes
 ------------
 
-Hot paths (the NIC work-request loop, the QP state machines, the
-endpoint send loop) do **not** call into the registry per event — they
-keep plain integer attributes (``nic.tx_messages += 1``), exactly as the
-seed code already did for a handful of values.  :meth:`Telemetry.snapshot`
-harvests those attributes lazily, so the instrumentation cost per event
-is one integer add regardless of whether telemetry is enabled.  The
-registries exist for control-path instruments, user extensions, and as
-the uniform output format; callback metrics bridge the two worlds.
+Nothing calls into telemetry per event: the NIC work-request loop, the
+QP state machines, the endpoint send loop and the service keep plain
+integer attributes (``nic.tx_messages += 1``), and
+:meth:`Telemetry.snapshot` harvests those attributes lazily, so the
+instrumentation cost per event is one integer add regardless of whether
+telemetry is enabled.  What the harvest cannot reach by attribute (the
+service layer, which this module must not import) registers a
+zero-argument callable in :attr:`Telemetry.callbacks`, polled at
+snapshot time.
 
 To avoid import cycles this module never imports the fabric/verbs/core
 layers — harvesting is duck-typed over the objects handed to
@@ -19,10 +20,9 @@ layers — harvesting is duck-typed over the objects handed to
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Dict, List, Optional
+from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional
 
 from repro.telemetry.links import FlowRecorder
-from repro.telemetry.metrics import MetricsRegistry, NULL_REGISTRY
 from repro.telemetry.trace import TraceBudget, Tracer
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -42,10 +42,9 @@ _ENABLED = True
 def set_enabled(flag: bool) -> None:
     """Set the global default mode for new :class:`Telemetry` objects.
 
-    Disabling routes all registries to the shared no-op instances and
-    stops endpoint tracking, so no per-instrument state is allocated.
-    The always-on plain counters keep counting (they cost one int add
-    each) and still appear in snapshots.
+    Disabling stops endpoint tracking and the polling of snapshot
+    callbacks.  The always-on plain counters keep counting (they cost
+    one int add each) and still appear in snapshots.
     """
     global _ENABLED
     _ENABLED = bool(flag)
@@ -73,14 +72,9 @@ class Telemetry:
         self.sim = sim
         self.num_nodes = num_nodes
         self.enabled = enabled
-        if enabled:
-            self.fabric_registry = MetricsRegistry("fabric")
-            self._node_registries: Dict[int, MetricsRegistry] = {
-                i: MetricsRegistry(f"node{i}") for i in range(num_nodes)
-            }
-        else:
-            self.fabric_registry = NULL_REGISTRY
-            self._node_registries = {}
+        #: name -> zero-argument callable, polled into the fabric
+        #: section of every snapshot taken while ``enabled``.
+        self.callbacks: Dict[str, Callable[[], Any]] = {}
         self._fabric = None
         self._endpoints: List[Any] = []
         #: trace-event recorder (Chrome trace JSON).
@@ -103,15 +97,6 @@ class Telemetry:
         """Every endpoint registered with this telemetry object (the
         harvest surface policies read credit-stall totals from)."""
         return tuple(self._endpoints)
-
-    def node_registry(self, node_id: int) -> MetricsRegistry:
-        if not self.enabled:
-            return NULL_REGISTRY
-        reg = self._node_registries.get(node_id)
-        if reg is None:
-            reg = self._node_registries[node_id] = MetricsRegistry(
-                f"node{node_id}")
-        return reg
 
     # -- wiring ------------------------------------------------------------
 
@@ -193,12 +178,13 @@ class Telemetry:
         populated: a session that checkpoints after the experiment
         disposed its clusters (and ``build_run_report``, which needs only
         the snapshot, the link records and ``sim.now``) still sees every
-        per-node counter, and the endpoints stop pinning the dead
-        cluster's object graph until then.
+        per-node counter, and the endpoints and callbacks stop pinning
+        the dead cluster's object graph until then.
         """
         self._sealed = self.snapshot()
         self._fabric = None
         self._endpoints.clear()
+        self.callbacks.clear()
 
     def snapshot(self) -> Dict[str, Any]:
         """One JSON-ready snapshot: fabric-wide plus per-node metrics
@@ -242,9 +228,9 @@ class Telemetry:
             self._merge_endpoint(nodes.setdefault(str(ep.ctx.node_id), {}), ep)
         for metrics in nodes.values():
             self._finish_skew(metrics)
-        fabric.update(self.fabric_registry.snapshot())
-        for node_id, reg in self._node_registries.items():
-            nodes.setdefault(str(node_id), {}).update(reg.snapshot())
+        if self.enabled:
+            for name, poll in self.callbacks.items():
+                fabric[name] = poll()
         return {"fabric": fabric, "nodes": nodes}
 
     def _node_snapshot(self, node) -> Dict[str, Any]:

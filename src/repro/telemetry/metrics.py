@@ -1,36 +1,23 @@
-"""Metric instruments and the per-node / fabric-wide registry.
+"""Latency summaries: exact percentiles and the large-N histogram.
 
-Three instrument types cover everything the simulator needs to report:
+Every number in a telemetry snapshot is harvested from plain attributes
+of the simulated objects (see :mod:`repro.telemetry.core`), so this
+module holds only what summarises a *population* of samples:
 
-* :class:`Counter` — a monotonically increasing integer (messages sent,
-  cache misses, stall nanoseconds).
-* :class:`Gauge` — a point-in-time value that may go up or down (frames
-  in flight, queue depth).
-* :class:`Histogram` — fixed upper-bound buckets with count/sum/min/max,
-  for distributions such as credit-stall durations or message sizes.
-
-A :class:`MetricsRegistry` hands out instruments by dotted name
-(``nic.qp_cache.hits``) with get-or-create semantics, and additionally
-supports *callback* metrics: a zero-argument callable polled only at
-:meth:`MetricsRegistry.snapshot` time.  Callbacks are how hot paths stay
-cheap — the NIC, kernel and endpoints keep plain integer attributes (one
-``+=`` per event, no indirection) and the registry harvests them lazily.
-
-The global no-op mode (:data:`NULL_REGISTRY`) hands out shared inert
-instruments so instrumented code needs no ``if enabled`` branches.
+* :func:`percentile` — the exact q-quantile of a small sample;
+* :func:`latency_summary` — count/mean/min/max plus p50/p90/p99, exact
+  up to :data:`EXACT_PERCENTILE_MAX` samples;
+* :class:`Histogram` — fixed upper-bound buckets with
+  count/sum/min/max, whose interpolated percentile keeps
+  :func:`latency_summary` O(n) beyond that.
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, Optional, Sequence
+from typing import Any, Dict, Optional, Sequence
 
 __all__ = [
-    "Counter",
-    "Gauge",
     "Histogram",
-    "MetricsRegistry",
-    "NullRegistry",
-    "NULL_REGISTRY",
     "DEFAULT_NS_BUCKETS",
     "EXACT_PERCENTILE_MAX",
     "percentile",
@@ -98,38 +85,6 @@ def latency_summary(values: Sequence[float],
         for q in quantiles:
             out[f"p{round(q * 100):d}"] = hist.percentile(q)
     return out
-
-
-class Counter:
-    """A monotonically increasing value."""
-
-    __slots__ = ("name", "value")
-
-    def __init__(self, name: str):
-        self.name = name
-        self.value = 0
-
-    def inc(self, amount: int = 1) -> None:
-        self.value += amount
-
-
-class Gauge:
-    """A point-in-time value."""
-
-    __slots__ = ("name", "value")
-
-    def __init__(self, name: str):
-        self.name = name
-        self.value = 0
-
-    def set(self, value) -> None:
-        self.value = value
-
-    def inc(self, amount=1) -> None:
-        self.value += amount
-
-    def dec(self, amount=1) -> None:
-        self.value -= amount
 
 
 class Histogram:
@@ -214,145 +169,3 @@ class Histogram:
                 "+Inf": self.counts[-1],
             },
         }
-
-
-class MetricsRegistry:
-    """Named instruments plus lazily polled callbacks.
-
-    Snapshots are flat ``{name: value}`` dicts — histograms appear as the
-    nested dict of :meth:`Histogram.to_dict` — so they serialize straight
-    to JSON.
-    """
-
-    def __init__(self, name: str = ""):
-        self.name = name
-        self._counters: Dict[str, Counter] = {}
-        self._gauges: Dict[str, Gauge] = {}
-        self._histograms: Dict[str, Histogram] = {}
-        self._callbacks: Dict[str, Callable[[], Any]] = {}
-
-    # -- instrument access (get-or-create) -------------------------------
-
-    def counter(self, name: str) -> Counter:
-        inst = self._counters.get(name)
-        if inst is None:
-            self._check_fresh(name)
-            inst = self._counters[name] = Counter(name)
-        return inst
-
-    def gauge(self, name: str) -> Gauge:
-        inst = self._gauges.get(name)
-        if inst is None:
-            self._check_fresh(name)
-            inst = self._gauges[name] = Gauge(name)
-        return inst
-
-    def histogram(self, name: str,
-                  buckets: Sequence[float] = DEFAULT_NS_BUCKETS) -> Histogram:
-        inst = self._histograms.get(name)
-        if inst is None:
-            self._check_fresh(name)
-            inst = self._histograms[name] = Histogram(name, buckets)
-        elif tuple(buckets) != inst.buckets:
-            raise ValueError(
-                f"histogram {name!r} already exists with buckets {inst.buckets}"
-            )
-        return inst
-
-    def register_callback(self, name: str, fn: Callable[[], Any]) -> None:
-        """Poll ``fn()`` at snapshot time under ``name`` (last wins)."""
-        if name in self._counters or name in self._gauges or \
-                name in self._histograms:
-            raise ValueError(f"metric {name!r} already registered")
-        self._callbacks[name] = fn
-
-    def _check_fresh(self, name: str) -> None:
-        owners = (self._counters, self._gauges, self._histograms,
-                  self._callbacks)
-        if any(name in o for o in owners):
-            raise ValueError(
-                f"metric {name!r} already registered with a different type")
-
-    # -- output ------------------------------------------------------------
-
-    def snapshot(self) -> Dict[str, Any]:
-        out: Dict[str, Any] = {}
-        for name, c in self._counters.items():
-            out[name] = c.value
-        for name, g in self._gauges.items():
-            out[name] = g.value
-        for name, h in self._histograms.items():
-            out[name] = h.to_dict()
-        for name, fn in self._callbacks.items():
-            out[name] = fn()
-        return out
-
-    def reset(self) -> None:
-        """Zero all instruments (callbacks are left registered)."""
-        for c in self._counters.values():
-            c.value = 0
-        for g in self._gauges.values():
-            g.value = 0
-        for name, h in list(self._histograms.items()):
-            self._histograms[name] = Histogram(name, h.buckets)
-
-
-class _NullCounter(Counter):
-    __slots__ = ()
-
-    def inc(self, amount: int = 1) -> None:
-        pass
-
-
-class _NullGauge(Gauge):
-    __slots__ = ()
-
-    def set(self, value) -> None:
-        pass
-
-    def inc(self, amount=1) -> None:
-        pass
-
-    def dec(self, amount=1) -> None:
-        pass
-
-
-class _NullHistogram(Histogram):
-    __slots__ = ()
-
-    def observe(self, value) -> None:
-        pass
-
-
-class NullRegistry(MetricsRegistry):
-    """The no-op registry: every instrument it hands out discards updates.
-
-    Shared singletons keep the disabled path allocation-free; snapshots
-    are empty.
-    """
-
-    def __init__(self):
-        super().__init__("null")
-        self._null_counter = _NullCounter("null")
-        self._null_gauge = _NullGauge("null")
-        self._null_histogram = _NullHistogram("null")
-
-    def counter(self, name: str) -> Counter:
-        return self._null_counter
-
-    def gauge(self, name: str) -> Gauge:
-        return self._null_gauge
-
-    def histogram(self, name: str,
-                  buckets: Sequence[float] = DEFAULT_NS_BUCKETS) -> Histogram:
-        return self._null_histogram
-
-    def register_callback(self, name: str, fn: Callable[[], Any]) -> None:
-        pass
-
-    def snapshot(self) -> Dict[str, Any]:
-        return {}
-
-
-#: the shared no-op registry used when telemetry is globally disabled.
-NULL_REGISTRY = NullRegistry()

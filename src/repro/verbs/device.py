@@ -178,12 +178,6 @@ class VerbsContext:
         if quotas is not None:
             quotas.on_mr_deregistered(self.node_id, mr.tenant, mr)
 
-    def dereg_mr_timed(self, mr: MemoryRegion):
-        """Process fragment: deregister memory, charging unpin time."""
-        pages = max(1, -(-mr.length // self.config.page_size))
-        yield self.sim.timeout(pages * self.config.mr_deregister_ns_per_page)
-        self.dereg_mr(mr)
-
     # -- accounting ------------------------------------------------------------
 
     @property

@@ -200,21 +200,19 @@ class QueuePair:
         links = telemetry.links
         if links is not None:
             wr.flow = self._new_flow(links, wr)
-        # Sends run as flat callback chains; RDMA Read/Write are
-        # generator processes — they are off the shuffle hot loop.
+        # Every work request runs as a flat callback chain: the QP state
+        # machine is hardware, not a CPU thread (DESIGN.md, "Execution
+        # path").
         if self.qp_type is QPType.UD:
             self._ud_send(wr)
-            return
-        if wr.opcode is Opcode.SEND:
+        elif wr.opcode is Opcode.SEND:
             self._rc_send(wr)
-            return
-        if wr.opcode is Opcode.READ:
-            proc = self._rc_read(wr)
+        elif wr.opcode is Opcode.READ:
+            self._rc_read(wr)
         elif wr.opcode is Opcode.WRITE:
-            proc = self._rc_write(wr)
+            self._rc_write(wr)
         else:
             raise VerbsError(f"cannot post {wr.opcode} to a send queue")
-        self.ctx.sim.process(proc, name=f"qp{self.qpn}-{wr.opcode.value}")
 
     def _new_flow(self, links, wr: SendWR) -> int:
         """Allocate a causal flow id for a freshly posted work request.
@@ -334,63 +332,92 @@ class QueuePair:
 
         sim.call_soon(start)
 
-    def _rc_read(self, wr: SendWR):
-        config = self.ctx.config
+    def _rc_read(self, wr: SendWR) -> None:
+        """One RDMA Read as a flat callback chain: NIC processing, the
+        request route, the remote NIC serving it, the response route,
+        deposit, completion."""
+        ctx = self.ctx
+        config = ctx.config
         peer = self._peer
         assert peer is not None  # post_send validated the connection
-        t0 = self.ctx.sim.now
-        yield self.ctx.nic.process_wr(self.qpn, flow=wr.flow)
-        request = make_train(
-            config, src_node=self.ctx.node_id, dst_node=peer.node_id,
-            src_qpn=self.qpn, dst_qpn=peer.qpn, kind="READ_REQ",
-            length=0, wire_bytes=config.rc_header_bytes, flow=wr.flow,
-        )
-        yield self.ctx.fabric.route(request)
-        # The remote CPU stays passive: the remote *NIC* serves the read.
-        remote = self.ctx.peer_context(peer.node_id)
-        yield remote.nic.process_wr(peer.qpn, flow=wr.flow)
-        mr = remote.memory.resolve(wr.remote_addr)
-        response = make_train(
-            config, src_node=peer.node_id, dst_node=self.ctx.node_id,
-            src_qpn=peer.qpn, dst_qpn=self.qpn, kind="READ_RESP",
-            length=wr.length, transport="RC",
-            payload=mr.get_object(wr.remote_addr), flow=wr.flow,
-        )
-        response = yield self.ctx.fabric.route(response)
-        if wr.buffer is not None:
-            wr.buffer.deposit(response.payload, wr.length)
-        self._complete_send(wr, "rc-read", t0)
+        t0 = ctx.sim.now
 
-    def _rc_write(self, wr: SendWR):
-        config = self.ctx.config
+        def start() -> None:
+            ctx.nic.submit_wr(self.qpn, after_wr, flow=wr.flow)
+
+        def after_wr() -> None:
+            request = make_train(
+                config, src_node=ctx.node_id, dst_node=peer.node_id,
+                src_qpn=self.qpn, dst_qpn=peer.qpn, kind="READ_REQ",
+                length=0, wire_bytes=config.rc_header_bytes, flow=wr.flow,
+            )
+            ctx.fabric.route(request).add_callback(requested)
+
+        def requested(_evt: Event) -> None:
+            # The remote CPU stays passive: the remote *NIC* serves the read.
+            ctx.peer_context(peer.node_id).nic.submit_wr(
+                peer.qpn, served, flow=wr.flow)
+
+        def served() -> None:
+            mr = ctx.peer_context(peer.node_id).memory.resolve(wr.remote_addr)
+            response = make_train(
+                config, src_node=peer.node_id, dst_node=ctx.node_id,
+                src_qpn=peer.qpn, dst_qpn=self.qpn, kind="READ_RESP",
+                length=wr.length, transport="RC",
+                payload=mr.get_object(wr.remote_addr), flow=wr.flow,
+            )
+            ctx.fabric.route(response).add_callback(responded)
+
+        def responded(arrival: Event) -> None:
+            if wr.buffer is not None:
+                wr.buffer.deposit(arrival.value.payload, wr.length)
+            self._complete_send(wr, "rc-read", t0)
+
+        ctx.sim.call_soon(start)
+
+    def _rc_write(self, wr: SendWR) -> None:
+        """One RDMA Write as a flat callback chain: NIC processing, route,
+        the remote memory update, ack, completion."""
+        ctx = self.ctx
+        config = ctx.config
         peer = self._peer
         assert peer is not None  # post_send validated the connection
-        t0 = self.ctx.sim.now
-        # Inlined payloads skip the extra DMA fetch of the payload [16].
-        extra = 0 if wr.inline else config.nic_wr_ns
-        yield self.ctx.nic.process_wr(self.qpn, extra_ns=extra, flow=wr.flow)
-        packet = make_train(
-            config, src_node=self.ctx.node_id, dst_node=peer.node_id,
-            src_qpn=self.qpn, dst_qpn=peer.qpn, kind="WRITE",
-            length=max(wr.length, 8 if wr.value is not None else 0),
-            transport="RC",
-            payload=None if wr.buffer is None else wr.buffer.payload,
-            flow=wr.flow,
-        )
-        packet = yield self.ctx.fabric.route(packet)
-        remote = self.ctx.peer_context(peer.node_id)
-        mr = remote.memory.resolve(wr.remote_addr)
-        if wr.value is not None:
-            mr.write_u64(wr.remote_addr, wr.value)
-        else:
-            mr.set_object(wr.remote_addr, packet.payload)
-        ack = make_train(
-            config, src_node=peer.node_id, dst_node=self.ctx.node_id,
-            src_qpn=peer.qpn, dst_qpn=self.qpn, kind="ACK",
-            length=0, wire_bytes=config.rc_ack_bytes, flow=wr.flow,
-        )
-        yield self.ctx.fabric.route(ack)
-        self._complete_send(wr, "rc-write", t0)
+        t0 = ctx.sim.now
+
+        def start() -> None:
+            # Inlined payloads skip the extra DMA fetch of the payload [16].
+            extra = 0 if wr.inline else config.nic_wr_ns
+            ctx.nic.submit_wr(self.qpn, after_wr, extra_ns=extra,
+                              flow=wr.flow)
+
+        def after_wr() -> None:
+            packet = make_train(
+                config, src_node=ctx.node_id, dst_node=peer.node_id,
+                src_qpn=self.qpn, dst_qpn=peer.qpn, kind="WRITE",
+                length=max(wr.length, 8 if wr.value is not None else 0),
+                transport="RC",
+                payload=None if wr.buffer is None else wr.buffer.payload,
+                flow=wr.flow,
+            )
+            ctx.fabric.route(packet).add_callback(arrived)
+
+        def arrived(arrival: Event) -> None:
+            mr = ctx.peer_context(peer.node_id).memory.resolve(wr.remote_addr)
+            if wr.value is not None:
+                mr.write_u64(wr.remote_addr, wr.value)
+            else:
+                mr.set_object(wr.remote_addr, arrival.value.payload)
+            ack = make_train(
+                config, src_node=peer.node_id, dst_node=ctx.node_id,
+                src_qpn=peer.qpn, dst_qpn=self.qpn, kind="ACK",
+                length=0, wire_bytes=config.rc_ack_bytes, flow=wr.flow,
+            )
+            ctx.fabric.route(ack).add_callback(acked)
+
+        def acked(_evt: Event) -> None:
+            self._complete_send(wr, "rc-write", t0)
+
+        ctx.sim.call_soon(start)
 
     # -- Unreliable Datagram data path ---------------------------------------
 

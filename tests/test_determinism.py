@@ -8,6 +8,7 @@ dict iteration order — this suite catches that class of regression for
 all five endpoint kinds.
 """
 
+import itertools
 import json
 
 import numpy as np
@@ -20,10 +21,18 @@ from repro import (
     EndpointConfig,
     TransmissionGroups,
 )
+from repro.bench.experiments import (
+    HIER_NODES_PER_LEAF,
+    HIER_OVERSUBSCRIPTION,
+    _mesoscale_config,
+)
+from repro.bench.workloads import run_repartition
 from repro.core import ReceiveOperator, ShuffleOperator
+from repro.core.policy import HierarchicalPolicy
 from repro.core.shuffle import striped_partitioner
 from repro.engine import CollectSink, QueryFragment, run_fragments
 from repro.engine.scan import ScanOperator
+from repro.fabric import LEAF_SPINE
 
 DTYPE = np.dtype([("a", np.int64), ("b", np.int64)])
 
@@ -103,3 +112,36 @@ def test_identical_runs_produce_byte_identical_reports(design):
     second = run_once(design, report=True)
     assert first[2] == second[2], "simulated end times diverge"
     assert first[3] == second[3], "run reports diverge"
+
+
+def _hierarchical_point(first_id=1):
+    """The two-phase row of ``abl-adaptive`` at 8 nodes; returns the
+    simulated transfer time."""
+    cluster = Cluster(ClusterConfig(network=EDR, num_nodes=8).with_topology(
+        LEAF_SPINE(HIER_OVERSUBSCRIPTION, HIER_NODES_PER_LEAF)))
+    cluster.fabric.endpoint_ids = itertools.count(first_id)
+    result = run_repartition(
+        cluster, HierarchicalPolicy(), bytes_per_node=2 << 20,
+        config=_mesoscale_config(4096))
+    cluster.dispose()
+    return result.elapsed_ns
+
+
+def test_results_do_not_depend_on_process_history():
+    """Endpoint ids are per cluster: a stage built earlier on another
+    cluster (98 ids here) cannot move a later run's last digits."""
+    fresh = _hierarchical_point()
+    other = Cluster(ClusterConfig(network=EDR, num_nodes=7,
+                                  threads_per_node=7))
+    stage = other.shuffle_stage("MEMQ/SR", TransmissionGroups.repartition(7))
+    assert sum(len(eps) for eps in (*stage.send_endpoints.values(),
+                                    *stage.recv_endpoints.values())) == 98
+    assert _hierarchical_point() == fresh
+
+
+@pytest.mark.parametrize("first_id", [2, 17, 100, 1000, 4097])
+def test_results_do_not_depend_on_endpoint_id_values(first_id):
+    """The root cause behind the test above: the SR/UD credit keepalive
+    once iterated a *set* of endpoint ids, so credit datagrams left in
+    integer-hash order and the id values leaked into the timing."""
+    assert _hierarchical_point(first_id) == _hierarchical_point()

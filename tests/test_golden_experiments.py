@@ -10,12 +10,10 @@ written, so the fixture is the oracle the harness was refactored
 against; like ``tests/golden/digests.json`` it changes only with a
 deliberate modeling change.
 
-Every entry is pinned as if it ran first in a fresh process: the
-two-phase run of ``abl-adaptive`` depends, in the last digits, on the
-values of the process-global endpoint-id counter of
-``repro.core.stage``, i.e. on how many endpoints earlier runs built, so
-:func:`replay` restarts that counter (found while freezing this
-fixture; every other entry is indifferent to it).
+Results do not depend on what ran earlier in the process: endpoint ids
+are allocated per cluster and nothing iterates a set of them (the
+hierarchical row of ``abl-adaptive`` once did, through the SR/UD credit
+keepalive; ``tests/test_determinism.py`` pins the fix).
 
 Tier-1 replays the entries that take under 2 s.  The full replay and
 the regeneration are the module's command line:
@@ -25,14 +23,12 @@ the regeneration are the module's command line:
 """
 
 import dataclasses
-import itertools
 import json
 import os
 import sys
 
 import pytest
 
-import repro.core.stage
 from repro.bench.experiments import ALL_EXPERIMENTS, Options
 
 GOLDEN_PATH = os.path.join(os.path.dirname(__file__), "golden",
@@ -50,7 +46,6 @@ def _load():
 
 def replay(name, scale, nodes):
     """One entry's results as the JSON the fixture stores."""
-    repro.core.stage._endpoint_ids = itertools.count(1)
     results = ALL_EXPERIMENTS[name](Options(scale=scale, nodes=nodes))
     return json.loads(json.dumps([dataclasses.asdict(r) for r in results]))
 

@@ -1,8 +1,7 @@
 """Planted-deadlock corpus: broken protocols the checker must catch.
 
 Three intentionally broken endpoint kinds, registered only here (the
-``_TEST`` suffix keeps them out of ``--all-kinds`` / ``--repro-model``
-sweeps).  Each carries the *same* bug twice — once in its protocol
+``_TEST`` suffix keeps them out of ``--all-kinds`` sweeps).  Each carries the *same* bug twice — once in its protocol
 model, once in its runtime endpoint code — and each test asserts both
 detectors agree:
 

@@ -11,7 +11,7 @@ from repro.core.shuffle import (
     striped_partitioner,
 )
 from repro.fabric import EDR, FDR, QPContextCache
-from repro.sim import Barrier, RatePipe, Simulator
+from repro.sim import AllOf, Barrier, RatePipe, Simulator
 from repro.telemetry import Telemetry
 from repro.verbs.memory import AddressSpace
 
@@ -32,20 +32,10 @@ class TestSimulatorProperties:
         sim = Simulator()
 
         def proc():
-            yield sim.all_of([sim.timeout(d) for d in delays])
+            yield AllOf(sim, [sim.timeout(d) for d in delays])
             return sim.now
 
         assert sim.run_process(proc()) == max(delays)
-
-    @given(delays=st.lists(st.integers(0, 5_000), min_size=1, max_size=20))
-    def test_any_of_completes_at_min_delay(self, delays):
-        sim = Simulator()
-
-        def proc():
-            yield sim.any_of([sim.timeout(d) for d in delays])
-            return sim.now
-
-        assert sim.run_process(proc()) == min(delays)
 
     @given(parties=st.integers(1, 12))
     def test_barrier_releases_everyone_together(self, parties):

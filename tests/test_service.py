@@ -19,6 +19,7 @@ from repro.service import (
     TenantSpec,
     estimate_footprint,
 )
+from repro.telemetry import set_enabled
 from repro.verbs import QPType
 
 
@@ -187,6 +188,21 @@ class TestServiceRuns:
         assert svc["running"] == 0
         assert svc["usage"]["a"]["qps"] == 0
         assert svc["usage"]["a"]["peak_qps"] > 0
+        # One policy decision per admitted job.
+        assert snapshot["fabric"]["service.policy_decisions"] == 2
+
+    def test_disabled_telemetry_snapshot_omits_service_callbacks(self):
+        set_enabled(False)
+        try:
+            cluster = make_cluster()
+        finally:
+            set_enabled(True)
+        service, report = run_service(cluster, [TenantSpec(name="a", **FAST)])
+        assert len(report["completion_order"]) == 2
+        assert service.policy_decisions == 2
+        fabric = cluster.telemetry.snapshot()["fabric"]
+        assert "service_tenants" not in fabric
+        assert "service.policy_decisions" not in fabric
 
 
 class TestPolicies:

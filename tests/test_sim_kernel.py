@@ -6,9 +6,7 @@ from hypothesis import strategies as st
 
 from repro.sim import (
     AllOf,
-    AnyOf,
     Event,
-    Interrupt,
     SimError,
     Simulator,
 )
@@ -166,62 +164,7 @@ class TestProcess:
         assert order == ["first", "second"]
 
 
-class TestInterrupt:
-    def test_interrupt_wakes_waiting_process(self, sim):
-        forever = sim.event()
-
-        def proc():
-            try:
-                yield forever
-            except Interrupt as intr:
-                return ("interrupted", intr.cause, sim.now)
-
-        p = sim.process(proc())
-        sim.call_at(77, lambda: p.interrupt("deadline"))
-        assert sim.run_process(p_wait(sim, p)) == ("interrupted", "deadline", 77)
-
-    def test_interrupting_finished_process_raises(self, sim):
-        def proc():
-            yield sim.timeout(1)
-
-        p = sim.process(proc())
-        sim.run()
-        with pytest.raises(SimError):
-            p.interrupt()
-
-    def test_stale_event_after_interrupt_is_ignored(self, sim):
-        slow = sim.timeout(1000)
-
-        def proc():
-            try:
-                yield slow
-                return "slow won"
-            except Interrupt:
-                yield sim.timeout(2000)
-                return "resumed after interrupt"
-
-        p = sim.process(proc())
-        sim.call_at(10, lambda: p.interrupt())
-        sim.run()
-        assert p.value == "resumed after interrupt"
-
-
-def p_wait(sim, proc):
-    """Helper process: wait for proc and return its value."""
-    result = yield proc
-    return result
-
-
 class TestConditions:
-    def test_any_of_returns_first(self, sim):
-        def proc():
-            fast = sim.timeout(10, value="fast")
-            slow = sim.timeout(100, value="slow")
-            event, value = yield AnyOf(sim, [fast, slow])
-            return (sim.now, value)
-
-        assert sim.run_process(proc()) == (10, "fast")
-
     def test_all_of_waits_for_all(self, sim):
         def proc():
             values = yield AllOf(
@@ -238,11 +181,11 @@ class TestConditions:
 
         assert sim.run_process(proc()) == []
 
-    def test_any_of_failure_propagates(self, sim):
+    def test_all_of_failure_propagates(self, sim):
         bad = sim.event()
 
         def proc():
-            yield AnyOf(sim, [sim.timeout(100), bad])
+            yield AllOf(sim, [sim.timeout(100), bad])
 
         bad.fail(OSError("link down"))
         with pytest.raises(OSError):

@@ -111,13 +111,6 @@ class TestSemaphore:
         with pytest.raises(SimError):
             Semaphore(sim, -1)
 
-    def test_try_acquire(self, sim):
-        sem = Semaphore(sim, 1)
-        assert sem.try_acquire()
-        assert not sem.try_acquire()
-        sem.release()
-        assert sem.try_acquire()
-
     def test_fifo_wakeup(self, sim):
         sem = Semaphore(sim, 0)
         order = []

@@ -1,4 +1,5 @@
-"""Tests for repro.telemetry: instruments, tracer, harvesting, sessions."""
+"""Tests for repro.telemetry: histogram, callbacks, tracer, harvesting,
+sessions."""
 
 import json
 
@@ -7,11 +8,8 @@ import pytest
 from repro import Cluster, ClusterConfig, EDR
 from repro.bench.workloads import run_repartition
 from repro.telemetry import (
-    NULL_REGISTRY,
-    Counter,
-    Gauge,
     Histogram,
-    MetricsRegistry,
+    Telemetry,
     TraceBudget,
     Tracer,
     current_session,
@@ -27,19 +25,6 @@ MIB = 1 << 20
 
 
 class TestInstruments:
-    def test_counter(self):
-        c = Counter("x")
-        c.inc()
-        c.inc(5)
-        assert c.value == 6
-
-    def test_gauge(self):
-        g = Gauge("x")
-        g.set(10)
-        g.inc(3)
-        g.dec()
-        assert g.value == 12
-
     def test_histogram_buckets(self):
         h = Histogram("x", buckets=(10, 100))
         for v in (5, 50, 500, 7):
@@ -56,47 +41,22 @@ class TestInstruments:
             Histogram("x", buckets=(100, 10))
 
 
-class TestRegistry:
-    def test_get_or_create_returns_same_instrument(self):
-        reg = MetricsRegistry("n")
-        assert reg.counter("a") is reg.counter("a")
-        assert reg.gauge("b") is reg.gauge("b")
-        assert reg.histogram("c") is reg.histogram("c")
-
-    def test_type_conflict_raises(self):
-        reg = MetricsRegistry("n")
-        reg.counter("a")
-        with pytest.raises(ValueError):
-            reg.gauge("a")
-        with pytest.raises(ValueError):
-            reg.register_callback("a", lambda: 1)
-
+class TestSnapshotCallbacks:
     def test_snapshot_and_callbacks(self):
-        reg = MetricsRegistry("n")
-        reg.counter("c").inc(2)
-        reg.gauge("g").set(7)
-        reg.histogram("h", buckets=(1,)).observe(0)
-        reg.register_callback("cb", lambda: 42)
-        snap = reg.snapshot()
-        assert snap["c"] == 2 and snap["g"] == 7 and snap["cb"] == 42
-        assert snap["h"]["count"] == 1
+        tel = Telemetry(Simulator(), 2)
+        tel.callbacks["cb"] = lambda: 42
+        tel.callbacks["nested"] = lambda: {"a": [1, 2]}
+        snap = tel.snapshot()
+        assert snap["fabric"]["cb"] == 42
+        assert snap["fabric"]["nested"] == {"a": [1, 2]}
         json.dumps(snap)  # must be JSON-serializable
 
-    def test_reset(self):
-        reg = MetricsRegistry("n")
-        reg.counter("c").inc(9)
-        reg.histogram("h").observe(5)
-        reg.reset()
-        snap = reg.snapshot()
-        assert snap["c"] == 0
-        assert snap["h"]["count"] == 0
-
-    def test_null_registry_discards(self):
-        NULL_REGISTRY.counter("x").inc(100)
-        NULL_REGISTRY.gauge("y").set(1)
-        NULL_REGISTRY.histogram("z").observe(1)
-        NULL_REGISTRY.register_callback("w", lambda: 1)
-        assert NULL_REGISTRY.snapshot() == {}
+    def test_disabled_telemetry_polls_no_callback(self):
+        tel = Telemetry(Simulator(), 2, enabled=False)
+        tel.callbacks["cb"] = lambda: pytest.fail("polled while disabled")
+        snap = tel.snapshot()
+        assert "cb" not in snap["fabric"]
+        assert "sim.now_ns" in snap["fabric"]  # plain harvest still runs
 
 
 class TestTracer:

@@ -1,7 +1,8 @@
 """Property tests (hypothesis) for the transport-runtime primitives.
 
-Random interleavings over the credit policies (transport/credit.py) and
-the buffer-ring bookkeeping (transport/rings.py), executed under the
+Random interleavings over the credit policies (transport/credit.py),
+the ring bookkeeping (transport/rings.py) and the send endpoint's
+GETFREE free list (transport/runtime.py), executed under the
 runtime sanitizer: whatever order posts, completions and recycles land
 in, the protocol invariants must hold and the sanitizer must stay quiet.
 """
@@ -9,9 +10,11 @@ in, the protocol invariants must hold and the sanitizer must stay quiet.
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro.core.endpoint import EndpointConfig
 from repro.core.transport.connections import PeerConnection
 from repro.core.transport.credit import grant_credit
-from repro.core.transport.rings import BufferRing, PendingTable, RingCursor
+from repro.core.transport.rings import PendingTable, RingCursor
+from repro.core.transport.runtime import RuntimeSendEndpoint
 from repro.memory import BufferPool
 from repro.sim import Notify, Simulator
 from repro.verbs import Opcode, SendWR
@@ -69,7 +72,7 @@ class TestPendingTableProperties:
         assert len(table) == 0
 
 
-class TestBufferRingUnderSanitizer:
+class TestSendPoolUnderSanitizer:
     @given(ops=st.lists(st.sampled_from(["post", "drain"]), max_size=24))
     @settings(max_examples=25, deadline=None,
               suppress_health_check=[HealthCheck.too_slow])
@@ -79,11 +82,18 @@ class TestBufferRingUnderSanitizer:
         sim = Simulator()
         _, ctxs, san = sanitized_cluster(sim)
         qps, cqs = rc_pair(ctxs)
-        ring = BufferRing(ctxs[0])
-        sim.run_process(ring.provision(4, 256))
+        ep = RuntimeSendEndpoint(
+            ctxs[0], 1, EndpointConfig(message_size=256,
+                                       buffers_per_connection=4),
+            destinations=[1], num_groups=1, peers={1: 2})
+        sim.run_process(ep.provision_send_pool())
         rpool = BufferPool(ctxs[1], len(ops) + 1, 256)
 
-        available = list(ring.pool.buffers)
+        # GETFREE hands out every transmission buffer exactly once.
+        available = [ep._free.try_get()[1] for _ in ep.pool.buffers]
+        assert sorted(b.addr for b in available) == \
+            sorted(b.addr for b in ep.pool.buffers)
+        assert ep._free.try_get() == (False, None)
         in_flight = 0
         recv_idx = 0
 
@@ -91,8 +101,8 @@ class TestBufferRingUnderSanitizer:
             nonlocal in_flight
             sim.run()
             for wc in cqs[0].poll():
-                ring.recycle(wc.wr_id)  # reset() runs under the sanitizer
-                available.append(wc.wr_id)
+                ep.recycle(wc.wr_id)  # reset() runs under the sanitizer
+                available.append(ep._free.try_get()[1])
                 in_flight -= 1
             cqs[1].poll()
 
@@ -110,5 +120,7 @@ class TestBufferRingUnderSanitizer:
         drain()
 
         assert in_flight == 0
-        assert len(available) == 4, "buffer leaked or duplicated"
+        assert sorted(b.addr for b in available) == \
+            sorted(b.addr for b in ep.pool.buffers), \
+            "buffer leaked or duplicated"
         assert san.violations == []

@@ -264,19 +264,25 @@ class TestRdmaWrite:
 
         def proc():
             wc = yield cq0.wait()
-            return wc
+            # The completion follows the ack: the word has landed.
+            return wc, target.read_u64(target.addr + 16)
 
-        wc = sim.run_process(proc())
+        wc, seen = sim.run_process(proc())
         assert wc.opcode is Opcode.WRITE and wc.ok
-        assert target.read_u64(target.addr + 16) == 99
+        assert wc.wr_id == "w" and seen == 99
+        sim.run()
+        assert cq0.pushed == 1 and cq0.poll() == []
+        # The QP is hardware: the only process is the test's own.
+        assert sim.processes_started == 1
 
     def test_write_to_unregistered_memory_fails(self, sim):
         _, ctxs = make_cluster(sim)
-        (qp0, _), _ = rc_pair(ctxs)
+        (qp0, _), (cq0, _) = rc_pair(ctxs)
         qp0.post_send(SendWR(wr_id="w", opcode=Opcode.WRITE,
                              remote_addr=0xBAD, value=1))
         with pytest.raises(VerbsError):
             sim.run()
+        assert cq0.pushed == 0
 
     def test_write_requires_value_or_buffer(self, sim):
         with pytest.raises(VerbsError):
@@ -296,11 +302,26 @@ class TestRdmaRead:
 
         def proc():
             wc = yield cq0.wait()
-            return wc
+            # The completion follows the response: the data is local.
+            return wc, lpool.buffers[0].payload
 
-        wc = sim.run_process(proc())
+        wc, seen = sim.run_process(proc())
         assert wc.opcode is Opcode.READ and wc.ok
-        assert lpool.buffers[0].payload == {"rows": [1, 2, 3]}
+        assert wc.wr_id == "rd" and seen == {"rows": [1, 2, 3]}
+        sim.run()
+        assert cq0.pushed == 1 and cq0.poll() == []
+        assert sim.processes_started == 1
+
+    def test_read_from_unregistered_memory_fails(self, sim):
+        _, ctxs = make_cluster(sim)
+        (qp0, _), (cq0, _) = rc_pair(ctxs)
+        lpool = BufferPool(ctxs[0], 1, 4096)
+        qp0.post_send(SendWR(wr_id="rd", opcode=Opcode.READ,
+                             buffer=lpool.buffers[0], length=4096,
+                             remote_addr=0xBAD))
+        with pytest.raises(VerbsError):
+            sim.run()
+        assert cq0.pushed == 0
 
     def test_read_needs_local_buffer(self):
         with pytest.raises(VerbsError):
