@@ -25,7 +25,7 @@ import numpy as np
 
 from repro.core.endpoint import DataState, SendEndpoint
 from repro.core.groups import TransmissionGroups
-from repro.engine.operator import Operator, OpState
+from repro.engine.operator import Operator, OpState, concat_batches
 
 __all__ = [
     "ShuffleOperator",
@@ -120,20 +120,25 @@ class _GroupAccumulator:
 
     def take(self, rows: int) -> np.ndarray:
         """Remove and return exactly ``rows`` tuples (caller checks rows)."""
+        chunks = self.chunks
         taken: List[np.ndarray] = []
         need = rows
+        used = 0  # whole chunks consumed from the front
         while need > 0:
-            head = self.chunks[0]
+            head = chunks[used]
             if len(head) <= need:
                 taken.append(head)
                 need -= len(head)
-                self.chunks.pop(0)
+                used += 1
             else:
                 taken.append(head[:need])
-                self.chunks[0] = head[need:]
+                chunks[used] = head[need:]
                 need = 0
+        del chunks[:used]
         self.rows -= rows
-        return np.concatenate(taken) if len(taken) > 1 else taken[0]
+        chunk = concat_batches(taken)
+        assert chunk is not None  # rows >= 1: at least one piece was taken
+        return chunk
 
 
 class ShuffleOperator(Operator):

@@ -3,15 +3,20 @@
 Each worker thread accumulates thread-local partial aggregates while
 draining its child; a barrier then lets thread 0 merge the partials and
 emit the final groups.  Supported aggregate functions: count, sum.
+
+On the host a thread's partial is a set of columns (distinct keys, one
+running total per aggregate) and each batch is folded into it by sorting
+the keys and one ``bincount`` per aggregate: whole-column numpy passes,
+no per-row Python.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.engine.operator import Operator, OpState
+from repro.engine.operator import Operator, OpState, pack_columns
 from repro.sim import Barrier
 
 __all__ = ["HashAggregateOperator"]
@@ -20,13 +25,40 @@ __all__ = ["HashAggregateOperator"]
 AGG_NS_PER_TUPLE = 9.0
 
 
+#: key columns and value columns, all of one length.
+_Columns = Tuple[List[np.ndarray], List[np.ndarray]]
+
+
+def _fold(parts: Sequence[_Columns]) -> _Columns:
+    """Sum the value columns of ``parts``, laid end to end, per distinct key.
+
+    Keys come back in sorted order.  Every total adds its rows in the
+    order given (``bincount`` is one sequential pass), so folding a
+    running partial in ahead of a new batch rounds exactly as adding the
+    batch's rows to it one at a time would.
+    """
+    keys = [np.concatenate(cols) for cols in zip(*(k for k, _ in parts))]
+    values = [np.concatenate(cols) for cols in zip(*(v for _, v in parts))]
+    order = np.lexsort(keys[::-1]) if keys else np.arange(len(values[0]))
+    keys = [k[order] for k in keys]
+    # Rows that open a new key in sorted order; numbering them numbers
+    # the groups, and undoing the sort gives every row its group.
+    opens = np.ones(len(order), dtype=bool)
+    opens[1:] = np.logical_or.reduce([k[1:] != k[:-1] for k in keys])
+    group_of = np.empty(len(order), dtype=np.intp)
+    group_of[order] = np.cumsum(opens) - 1
+    return ([k[opens] for k in keys],
+            [np.bincount(group_of, weights=v) for v in values])
+
+
 class HashAggregateOperator(Operator):
     """``GROUP BY group_cols`` with count/sum aggregates.
 
     ``aggregates`` is a list of ``(func, column, output_name)`` where
     ``func`` is "count" or "sum" ("count" ignores the column).  Thread 0
-    returns the merged result as one batch; other threads return Depleted
-    with no data.
+    returns the merged result as one batch, sorted by group key, with
+    ``int64`` integer group columns and ``float64`` for everything else;
+    other threads return Depleted with no data.
     """
 
     def __init__(self, node, child: Operator, group_cols: Sequence[str],
@@ -39,9 +71,8 @@ class HashAggregateOperator(Operator):
         self.group_cols = list(group_cols)
         self.aggregates = list(aggregates)
         self.num_threads = num_threads
-        self._partials: List[Dict[tuple, List[float]]] = [
-            {} for _ in range(num_threads)
-        ]
+        #: per thread: the groups seen so far, None before the first batch.
+        self._partials: List[Optional[_Columns]] = [None] * num_threads
         self._barrier = Barrier(node.sim, num_threads)
         self._done = [False] * num_threads
 
@@ -49,13 +80,12 @@ class HashAggregateOperator(Operator):
         if self._done[tid]:
             return (OpState.DEPLETED, None)
             yield  # pragma: no cover
-        partial = self._partials[tid]
         while True:
             state, batch = yield from self.child.next(tid)
             if batch is not None and len(batch):
                 yield self.per_tuple_cost(len(batch),
                                           ns_per_tuple=AGG_NS_PER_TUPLE)
-                self._accumulate(partial, batch)
+                self._accumulate(tid, batch)
             if state == OpState.DEPLETED:
                 break
         yield self._barrier.arrive()
@@ -64,45 +94,28 @@ class HashAggregateOperator(Operator):
             return (OpState.DEPLETED, None)
         return (OpState.DEPLETED, self._merge())
 
-    def _accumulate(self, partial: Dict[tuple, List[float]],
-                    batch: np.ndarray) -> None:
-        group_arrays = [batch[c] for c in self.group_cols]
-        agg_arrays = [
-            batch[col] if func == "sum" else None
+    def _accumulate(self, tid: int, batch: np.ndarray) -> None:
+        keys = []
+        for name in self.group_cols:
+            column = self.column(batch, name, "group")
+            wide = (np.float64 if np.issubdtype(column.dtype, np.floating)
+                    else np.int64)
+            keys.append(column.astype(wide, copy=False))
+        values = [
+            np.ones(len(batch)) if func == "count"
+            else self.column(batch, col, "sum").astype(np.float64, copy=False)
             for func, col, _name in self.aggregates
         ]
-        for i in range(len(batch)):
-            key = tuple(arr[i].item() for arr in group_arrays)
-            acc = partial.get(key)
-            if acc is None:
-                acc = [0.0] * len(self.aggregates)
-                partial[key] = acc
-            for j, (func, _col, _name) in enumerate(self.aggregates):
-                if func == "count":
-                    acc[j] += 1
-                else:
-                    acc[j] += agg_arrays[j][i].item()
+        seen = self._partials[tid]
+        self._partials[tid] = _fold(
+            [(keys, values)] if seen is None else [seen, (keys, values)])
 
     def _merge(self) -> Optional[np.ndarray]:
-        merged: Dict[tuple, List[float]] = {}
-        for partial in self._partials:
-            for key, acc in partial.items():
-                into = merged.get(key)
-                if into is None:
-                    merged[key] = list(acc)
-                else:
-                    for j, value in enumerate(acc):
-                        into[j] += value
-        if not merged:
+        partials = [p for p in self._partials if p is not None]
+        if not partials:
             return None
-        sample_key = next(iter(merged))
-        dtype = [(c, np.float64 if isinstance(sample_key[i], float)
-                  else np.int64) for i, c in enumerate(self.group_cols)]
-        dtype += [(name, np.float64) for _f, _c, name in self.aggregates]
-        out = np.empty(len(merged), dtype=dtype)
-        for row, (key, acc) in enumerate(sorted(merged.items())):
-            for i, col in enumerate(self.group_cols):
-                out[row][col] = key[i]
-            for j, (_f, _c, name) in enumerate(self.aggregates):
-                out[row][name] = acc[j]
-        return out
+        keys, totals = _fold(partials)
+        return pack_columns(
+            list(zip(self.group_cols, keys))
+            + [(name, total) for (_f, _c, name), total
+               in zip(self.aggregates, totals)])

@@ -1,20 +1,29 @@
 """In-memory hash join.
 
 The build side is drained cooperatively by all worker threads into a
-shared hash table the first time any thread calls NEXT; a barrier then
+shared table the first time any thread calls NEXT; a barrier then
 separates the build and probe phases, after which threads probe their own
 batches independently — the standard parallel hash-join structure of
 in-memory engines [20].
+
+That is the *simulated* operator, and what the per-tuple build and probe
+costs charge for.  On the host the table is the build keys in sorted
+order (one stable ``argsort``) and a probe is two ``searchsorted`` calls
+per batch: whole-column numpy passes, no per-row Python.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import List, Optional, Tuple
 
 import numpy as np
-from numpy.lib import recfunctions as rfn
 
-from repro.engine.operator import Operator, OpState, concat_batches
+from repro.engine.operator import (
+    Operator,
+    OpState,
+    concat_batches,
+    pack_columns,
+)
 from repro.sim import Barrier, Mutex
 
 __all__ = ["HashJoinOperator"]
@@ -28,10 +37,11 @@ PROBE_NS_PER_TUPLE = 10.0
 class HashJoinOperator(Operator):
     """Equi-join: ``build.key == probe.key``.
 
-    Output batches concatenate the probe columns with the build columns
-    (build columns may be renamed through ``build_prefix`` to avoid
-    clashes).  ``semi=True`` turns it into a left semi-join on the probe
-    side (used by TPC-H Q4's EXISTS).
+    Output batches hold the probe columns followed by the build columns
+    named in ``build_payload`` (default: all but the build key) as one
+    packed record; matches come in probe-row order and, for one probe
+    row, in build insertion order.  ``semi=True`` turns it into a left
+    semi-join on the probe side (used by TPC-H Q4's EXISTS).
     """
 
     def __init__(self, node, build: Operator, probe: Operator,
@@ -45,13 +55,14 @@ class HashJoinOperator(Operator):
         self.semi = semi
         self.build_payload = build_payload
         self.num_threads = num_threads
-        self._table: Dict[int, List[int]] = {}
         self._build_rows: List[np.ndarray] = []
         self._build_lock = Mutex(node.sim)
         self._barrier = Barrier(node.sim, num_threads)
         self._built = [False] * num_threads
-        self._build_array: Optional[np.ndarray] = None
-        self._right_array: Optional[np.ndarray] = None
+        #: the build keys in sorted order (None while the side is empty)
+        #: and the build columns carried to the output, in that same order.
+        self._sorted_keys: Optional[np.ndarray] = None
+        self._payload: List[Tuple[str, np.ndarray]] = []
 
     # -- build phase ---------------------------------------------------------
 
@@ -77,23 +88,24 @@ class HashJoinOperator(Operator):
         array = concat_batches(self._build_rows)
         self._build_rows = []
         if array is None:
-            self._build_array = None
-            self._right_array = None
             return
-        self._build_array = array
-        keys = array[self.build_key]
-        for i, key in enumerate(keys.tolist()):
-            self._table.setdefault(key, []).append(i)
+        keys = self.column(array, self.build_key, "build_key")
+        names = list(array.dtype.names)
         # The columns carried to the output: the requested payload, or
         # everything except the (redundant) build key.
-        names = list(array.dtype.names)
         payload = (self.build_payload if self.build_payload is not None
                    else [c for c in names if c != self.build_key])
-        payload = [c for c in payload if c in names]
-        if payload:
-            self._right_array = rfn.repack_fields(array[payload])
-        else:
-            self._right_array = None
+        missing = [c for c in payload if c not in names]
+        if missing:
+            raise ValueError(
+                f"{type(self).__name__}: build_payload columns {missing} "
+                f"are not on the build side (columns: {names})")
+        # A stable sort keeps equal keys in insertion order, which is the
+        # order their matches are emitted in.
+        order = np.argsort(keys, kind="stable")
+        self._sorted_keys = keys[order]
+        if not self.semi:
+            self._payload = [(c, array[c][order]) for c in payload]
 
     # -- probe phase -----------------------------------------------------------
 
@@ -114,26 +126,26 @@ class HashJoinOperator(Operator):
                 return (state, joined)
 
     def _probe_batch(self, batch: np.ndarray) -> Optional[np.ndarray]:
-        if self._build_array is None and not self.semi:
+        """Matches in probe-row order, then build insertion order."""
+        keys = self.column(batch, self.probe_key, "probe_key")
+        if self._sorted_keys is None:
             return None
-        keys = batch[self.probe_key].tolist()
+        lo = np.searchsorted(self._sorted_keys, keys, side="left")
+        hi = np.searchsorted(self._sorted_keys, keys, side="right")
+        counts = hi - lo
         if self.semi:
-            mask = np.fromiter(
-                (k in self._table for k in keys), dtype=bool, count=len(keys))
-            kept = batch[mask]
+            kept = batch[counts > 0]
             return kept if len(kept) else None
-        probe_idx: List[int] = []
-        build_idx: List[int] = []
-        for i, key in enumerate(keys):
-            for j in self._table.get(key, ()):
-                probe_idx.append(i)
-                build_idx.append(j)
-        if not probe_idx:
+        ends = np.cumsum(counts)
+        total = int(ends[-1])
+        if not total:
             return None
-        left = batch[np.asarray(probe_idx)]
-        if self._right_array is None:
-            return left
-        right = self._right_array[np.asarray(build_idx)]
-        merged = rfn.merge_arrays((left, right), flatten=True,
-                                  usemask=False, asrecarray=False)
-        return merged
+        probe_idx = np.repeat(np.arange(len(keys)), counts)
+        if not self._payload:
+            return batch[probe_idx]
+        # Where each match sits in the sorted build side: the start of
+        # its key's run plus its rank within the run.
+        match = np.arange(total) + np.repeat(lo - (ends - counts), counts)
+        return pack_columns(
+            [(c, batch[c][probe_idx]) for c in batch.dtype.names]
+            + [(c, values[match]) for c, values in self._payload])

@@ -13,7 +13,7 @@ arithmetic so operators stay small.
 from __future__ import annotations
 
 import enum
-from typing import List, Optional
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -23,6 +23,7 @@ __all__ = [
     "batch_rows",
     "batch_nbytes",
     "concat_batches",
+    "pack_columns",
 ]
 
 
@@ -44,12 +45,38 @@ def batch_nbytes(batch: Optional[np.ndarray]) -> int:
 
 
 def concat_batches(batches: List[np.ndarray]) -> Optional[np.ndarray]:
-    """Concatenate batches, tolerating the empty list."""
+    """Concatenate batches, tolerating the empty list.
+
+    Batches of one record dtype are joined as raw bytes: numpy would
+    otherwise walk the fields to "promote" a dtype to itself on every
+    call.  Mixed dtypes still go through that promotion.
+    """
     if not batches:
         return None
     if len(batches) == 1:
         return batches[0]
+    dtype = batches[0].dtype
+    if dtype.names is not None and not dtype.hasobject and all(
+            b.dtype == dtype and b.ndim == 1 and b.flags.c_contiguous
+            for b in batches):
+        raw = np.concatenate([b.view(np.uint8) for b in batches])
+        return raw.view(dtype)
     return np.concatenate(batches)
+
+
+def pack_columns(columns: Sequence[Tuple[str, np.ndarray]]) -> np.ndarray:
+    """One packed record array holding equal-length ``(name, values)``
+    columns in the given order; a repeated name is a ``ValueError``.
+
+    Every batch an operator widens (a join's output, a derived column,
+    an aggregate's result) is built here, so record sizes — and with
+    them the bytes a later shuffle charges for — never carry padding.
+    """
+    dtype = np.dtype([(name, values.dtype) for name, values in columns])
+    out = np.empty(len(columns[0][1]), dtype=dtype)
+    for name, values in columns:
+        out[name] = values
+    return out
 
 
 class Operator:
@@ -74,6 +101,17 @@ class Operator:
         """
         raise NotImplementedError
         yield  # pragma: no cover - marks this as a generator signature
+
+    def column(self, batch: np.ndarray, name: str, role: str) -> np.ndarray:
+        """``batch[name]``, or a ``ValueError`` saying which operator asked
+        for which column and what the batch has instead."""
+        try:
+            return batch[name]
+        except (ValueError, IndexError):  # numpy: "no field of name ..."
+            raise ValueError(
+                f"{type(self).__name__}: {role} column {name!r} is not in "
+                f"the batch (columns: {list(batch.dtype.names or ())})"
+            ) from None
 
     def cpu(self, ns: float):
         """Charge CPU time to the calling worker thread."""

@@ -1,20 +1,19 @@
 """Sort / top-N operators.
 
-TPC-H Q3 and Q10 end with ``ORDER BY revenue DESC LIMIT 10/20``; the
-coordinator applies :class:`TopNOperator` to the final aggregate.  The
-operator drains its child completely (sorting is a pipeline breaker),
-keeps a bounded heap per thread, merges at a barrier, and emits the
-globally best rows from thread 0.
+``ORDER BY key [DESC] LIMIT n``, the clause TPC-H Q3 and Q10 end with.
+:class:`TopNOperator` drains its child completely (sorting is a pipeline
+breaker), keeps each thread's ``limit`` best rows, merges them at a
+barrier, and emits the globally best rows from thread 0.  Rows with
+equal keys rank in arrival order: thread by thread, batch by batch.
 """
 
 from __future__ import annotations
 
-import heapq
-from typing import List, Optional, Tuple
+from typing import List, Optional
 
 import numpy as np
 
-from repro.engine.operator import Operator, OpState
+from repro.engine.operator import Operator, OpState, concat_batches
 from repro.sim import Barrier
 
 __all__ = ["TopNOperator"]
@@ -35,51 +34,38 @@ class TopNOperator(Operator):
         self.limit = limit
         self.descending = descending
         self.num_threads = num_threads
-        self._partials: List[List[Tuple[float, int, np.ndarray]]] = [
-            [] for _ in range(num_threads)
-        ]
+        #: per thread: its best rows so far, best first.
+        self._partials: List[Optional[np.ndarray]] = [None] * num_threads
         self._barrier = Barrier(node.sim, num_threads)
         self._done = [False] * num_threads
-        self._tiebreak = 0
 
-    def _push(self, heap, key: float, row) -> None:
-        # heapq is a min-heap: for descending order the smallest of the
-        # kept keys sits on top and is evicted first.
-        entry_key = key if self.descending else -key
-        self._tiebreak += 1
-        if len(heap) < self.limit:
-            heapq.heappush(heap, (entry_key, self._tiebreak, row))
-        elif entry_key > heap[0][0]:
-            heapq.heapreplace(heap, (entry_key, self._tiebreak, row))
+    def _best(self, batches: List[np.ndarray]) -> Optional[np.ndarray]:
+        """The ``limit`` best rows of ``batches`` laid end to end, best
+        first; the stable sort leaves equal keys in the order given."""
+        rows = concat_batches(batches)
+        if rows is None:
+            return None
+        keys = self.column(rows, self.key_column, "key").astype(np.float64)
+        order = np.argsort(-keys if self.descending else keys, kind="stable")
+        return rows[order[:self.limit]]
 
     def next(self, tid: int):
         if self._done[tid]:
             return (OpState.DEPLETED, None)
             yield  # pragma: no cover
-        heap = self._partials[tid]
         while True:
             state, batch = yield from self.child.next(tid)
             if batch is not None and len(batch):
                 yield self.per_tuple_cost(len(batch),
                                           ns_per_tuple=TOPN_NS_PER_TUPLE)
-                keys = batch[self.key_column]
-                for i in range(len(batch)):
-                    self._push(heap, float(keys[i]), batch[i])
+                kept = self._partials[tid]
+                self._partials[tid] = self._best(
+                    [batch] if kept is None else [kept, batch])
             if state == OpState.DEPLETED:
                 break
         yield self._barrier.arrive()
         self._done[tid] = True
         if tid != 0:
             return (OpState.DEPLETED, None)
-        return (OpState.DEPLETED, self._merge())
-
-    def _merge(self) -> Optional[np.ndarray]:
-        entries = [e for heap in self._partials for e in heap]
-        if not entries:
-            return None
-        entries.sort(key=lambda e: e[0], reverse=True)
-        rows = [e[2] for e in entries[:self.limit]]
-        out = np.empty(len(rows), dtype=rows[0].dtype)
-        for i, row in enumerate(rows):
-            out[i] = row
-        return out
+        return (OpState.DEPLETED,
+                self._best([p for p in self._partials if p is not None]))

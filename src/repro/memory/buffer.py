@@ -103,16 +103,15 @@ class BufferPool:
         self.buffers: List[Buffer] = [
             Buffer(self.mr, self.mr.addr + i * size, size) for i in range(count)
         ]
-        self._by_addr = {buf.addr: buf for buf in self.buffers}
 
     def __len__(self) -> int:
         return len(self.buffers)
 
     def at(self, addr: int) -> Buffer:
         """Resolve a buffer by its registered address."""
-        try:
-            return self._by_addr[addr]
-        except KeyError:
+        index, within = divmod(addr - self.mr.addr, self.size)
+        if within or not 0 <= index < len(self.buffers):
             raise ValueError(
                 f"address {addr:#x} is not a buffer start in this pool"
-            ) from None
+            )
+        return self.buffers[index]

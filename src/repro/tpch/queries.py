@@ -29,6 +29,7 @@ from repro.engine.filter import FilterOperator
 from repro.engine.fragment import CollectSink, QueryFragment, run_fragments
 from repro.engine.join import HashJoinOperator
 from repro.engine.map import MapOperator
+from repro.engine.operator import pack_columns
 from repro.engine.project import ProjectOperator
 from repro.engine.scan import ScanOperator
 from repro.tpch.datagen import TPCHData
@@ -124,9 +125,9 @@ class _PlanContext:
 
 
 def _revenue(batch: np.ndarray) -> np.ndarray:
-    from numpy.lib import recfunctions as rfn
     revenue = batch["l_extendedprice"] * (1.0 - batch["l_discount"])
-    return rfn.append_fields(batch, "revenue", revenue, usemask=False)
+    return pack_columns([(c, batch[c]) for c in batch.dtype.names]
+                        + [("revenue", revenue)])
 
 
 # -- Q4 -------------------------------------------------------------------------

@@ -114,6 +114,19 @@ class TestBufferPool:
         with pytest.raises(ValueError):
             pool.at(12345)
 
+    def test_at_rejects_what_is_not_a_buffer_start(self, sim):
+        _, ctxs = make_cluster(sim)
+        ahead = BufferPool(ctxs[0], count=1, size=64)
+        pool = BufferPool(ctxs[0], count=3, size=64)
+        first, last = pool.buffers[0].addr, pool.buffers[-1].addr
+        assert pool.at(first) is pool.buffers[0]
+        assert pool.at(last) is pool.buffers[-1]
+        for addr in (first + 1, last - 1,      # inside a buffer
+                     first - 64, last + 64,    # one slot off either end
+                     ahead.buffers[0].addr):   # another pool's buffer
+            with pytest.raises(ValueError, match="not a buffer start"):
+                pool.at(addr)
+
     def test_fill_publishes_for_rdma_read(self, sim):
         _, ctxs = make_cluster(sim)
         pool = BufferPool(ctxs[0], count=1, size=64)
