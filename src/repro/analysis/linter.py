@@ -383,8 +383,10 @@ def _rule_vs109(rel: str, tree: ast.AST) -> Iterable[Tuple[int, str]]:
 
     * a nested function that references *its own name* — the closure
       cell then points back at the function object, a cycle only the
-      cyclic GC can reclaim, so every captured local (buffers, QPs,
-      endpoints) outlives its last event until a collection happens;
+      cyclic GC can reclaim, and ``Simulator._drain`` pauses the cyclic
+      GC: every captured local (buffers, QPs, endpoints) outlives its
+      last event until the drain returns, so a per-message cycle is
+      memory that grows for the length of the run;
     * a closure capturing ``self`` that is stored onto ``self`` (attr
       assignment, or appended/registered into one of ``self``'s
       containers) — ``self -> attr -> closure -> self``.
@@ -417,8 +419,8 @@ def _rule_vs109(rel: str, tree: ast.AST) -> Iterable[Tuple[int, str]]:
                                    f"nested function {inner.name}() "
                                    f"references itself: the closure cell "
                                    f"cycle keeps every captured local "
-                                   f"alive until a GC pass (pass the "
-                                   f"callback explicitly instead)")
+                                   f"alive until the drain returns (pass "
+                                   f"the callback explicitly instead)")
                             break
                         if ref.id == "self":
                             refs_self = True

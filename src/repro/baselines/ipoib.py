@@ -47,19 +47,10 @@ WINDOW_BYTES = 1 << 20
 class TcpStack:
     """Per-node kernel TCP state: the rate-capped softirq path."""
 
-    _CACHE_ATTR = "_tcp_stacks"
-
     @classmethod
     def get(cls, ctx: VerbsContext) -> "TcpStack":
-        cache = getattr(ctx.fabric, cls._CACHE_ATTR, None)
-        if cache is None:
-            cache = {}
-            setattr(ctx.fabric, cls._CACHE_ATTR, cache)
-        stack = cache.get(ctx.node_id)
-        if stack is None:
-            stack = cls(ctx)
-            cache[ctx.node_id] = stack
-        return stack
+        """The one stack of ``ctx``'s node (built on first use)."""
+        return ctx.fabric.node_service(cls, ctx)
 
     def __init__(self, ctx: VerbsContext):
         self.ctx = ctx

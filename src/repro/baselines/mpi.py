@@ -63,20 +63,10 @@ class _PendingRecv:
 class MPIRuntime:
     """Per-node MPI library state."""
 
-    #: fabric attribute caching one runtime per node.
-    _CACHE_ATTR = "_mpi_runtimes"
-
     @classmethod
     def get(cls, ctx: VerbsContext) -> "MPIRuntime":
-        cache = getattr(ctx.fabric, cls._CACHE_ATTR, None)
-        if cache is None:
-            cache = {}
-            setattr(ctx.fabric, cls._CACHE_ATTR, cache)
-        runtime = cache.get(ctx.node_id)
-        if runtime is None:
-            runtime = cls(ctx)
-            cache[ctx.node_id] = runtime
-        return runtime
+        """The one runtime of ``ctx``'s node (built on first use)."""
+        return ctx.fabric.node_service(cls, ctx)
 
     def __init__(self, ctx: VerbsContext):
         self.ctx = ctx

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import gc
 import json
 import sys
 import time
@@ -28,6 +29,11 @@ __all__ = ["main"]
 #: v5 records the ``--tenants`` override in the document header.
 #: v6 records the ``--policy`` selection in the document header.
 RESULTS_SCHEMA_VERSION = 6
+
+
+def _gc_passes() -> int:
+    """Cyclic-collector passes this process has made so far."""
+    return sum(stats["collections"] for stats in gc.get_stats())
 
 
 def main(argv=None) -> int:
@@ -131,7 +137,8 @@ def _run(args, parser) -> int:
                  sanitize=args.sanitize,
                  report=args.report is not None) as sess:
         for name in names:
-            start = time.time()
+            start = time.perf_counter()
+            passes = _gc_passes()
             results = ALL_EXPERIMENTS[name](opts)
             digest = sess.checkpoint(name)
             if digest["runs"]:
@@ -139,17 +146,23 @@ def _run(args, parser) -> int:
                 for result in results:
                     result.notes = (
                         f"{result.notes}; {line}" if result.notes else line)
-            wall = time.time() - start
+            wall = time.perf_counter() - start
+            passes = _gc_passes() - passes
             for result in results:
                 print(render(result))
                 print()
             experiments_out.append({
                 "name": name,
                 "wall_clock_s": round(wall, 3),
+                # Collector passes the experiment triggered: a run shows
+                # here that it was collector-quiet (DESIGN.md,
+                # "Collector-free drain").
+                "gc_passes": passes,
                 "results": [dataclasses.asdict(r) for r in results],
                 "metrics_digest": digest if digest["runs"] else None,
             })
-            print(f"[{name} done in {wall:.1f}s]", file=sys.stderr)
+            print(f"[{name} done in {wall:.1f}s, {passes} gc passes]",
+                  file=sys.stderr)
         if args.json:
             document = {
                 "schema": {"name": "repro-bench-results",

@@ -121,17 +121,17 @@ class Measurement:
 
 @contextmanager
 def _gc_paused():
-    """Pause the cyclic collector for one run.
+    """Pause the cyclic collector around one point.
 
-    A 1024-node cluster holds millions of live objects (connections,
-    buffer pools, address handles); full collections traverse all of
-    them and come to dominate wall-clock (~2x at 256 nodes, worse
-    beyond).  Reference counting still reclaims the simulator's acyclic
-    churn; one collection after the run picks up the cycles.  It is a
-    young-generation collection: with the collector off nothing the run
-    allocated was promoted, so its cycles are all there, and the old
-    generation — under ``--trace`` / ``--report`` every earlier run's
-    retained records — is not traversed again after every point.
+    ``Simulator._drain`` pauses it for the run itself; this covers what
+    surrounds the drains — ``Cluster(...)``, stage construction, harvest
+    and teardown.  A 1024-node cluster holds millions of live objects,
+    and a pass that starts while it is being built, or the young pass
+    that falls due when a drain re-enables the collector, traverses all
+    of them to free nothing (~2x wall-clock at 256 nodes, worse beyond).
+    Nothing is collected on exit: a run creates no cycles and
+    ``Cluster.dispose()`` leaves none (tests/test_collector_free.py), so
+    reference counting has freed the cluster when measure() returns.
     """
     was_enabled = gc.isenabled()
     gc.disable()
@@ -140,14 +140,8 @@ def _gc_paused():
     finally:
         if was_enabled:
             gc.enable()
-        gc.collect(1)
 
 
-# A decorator, not a with-block inside: the cluster's lifetime then
-# ends with measure()'s frame, so it is already dead when _gc_paused
-# collects on exit and the collector traverses surviving cycles, not a
-# ~10 GB live heap (tens of seconds at 1024 nodes).  Reference counting
-# frees the acyclic bulk as the frame unwinds.
 @_gc_paused()
 def measure(point: Point) -> Measurement:
     """Build one cluster, run one shuffle point on it, harvest, dispose.

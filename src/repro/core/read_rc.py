@@ -26,7 +26,7 @@ read pump joining ValidArr with LocalArr.
 from __future__ import annotations
 
 from collections import deque
-from typing import Dict, Sequence, Tuple
+from typing import Dict, Sequence
 
 from repro.core.endpoint import (
     DataState,
@@ -83,7 +83,6 @@ class ReadRCSendEndpoint(RuntimeSendEndpoint):
         super().__init__(ctx, endpoint_id, config, destinations,
                          num_groups, peers)
         self._final_bufs: Dict[int, Buffer] = {}
-        self._free_board: RingBoard = None
 
     def setup(self, registry: EndpointRegistry):
         self.cq = self.ctx.create_cq()
@@ -100,14 +99,14 @@ class ReadRCSendEndpoint(RuntimeSendEndpoint):
         # FreeArr: one circular region per destination, written remotely.
         # A returned address must name a buffer this sender actually has
         # in flight; anything else is a board inconsistency.
-        self._free_board = yield from RingBoard.install(
+        free_board = yield from RingBoard.install(
             self, self.destinations, self._free_cap, self._on_free_value,
             name="freearr",
             validator=lambda dest, value: value in self._pending)
         registry.publish_endpoint(self.endpoint_id, {
             "node": self.ctx.node_id,
             "qpn_by_dest": {d: c.qp.qpn for d, c in self.conns.items()},
-            "freearr_base_by_dest": self._free_board.base_by_key,
+            "freearr_base_by_dest": free_board.base_by_key,
             "freearr_cap": self._free_cap,
         })
 
@@ -168,19 +167,13 @@ class ReadRCReceiveEndpoint(RuntimeReceiveEndpoint):
 
     transport = "MQ/RD"
 
-    def __init__(self, ctx: VerbsContext, endpoint_id: int,
-                 config: EndpointConfig,
-                 sources: Sequence[Tuple[int, int]]):
-        super().__init__(ctx, endpoint_id, config, sources)
-        self._valid_board: RingBoard = None
-
     def setup(self, registry: EndpointRegistry):
         self.cq = self.ctx.create_cq()
         per_link = self.config.buffers_per_link
         yield from self.provision_recv_pool()
         # ValidArr: one circular region per source, written remotely; must
         # hold every buffer the sender could have outstanding plus finals.
-        self._valid_board = yield from RingBoard.install(
+        valid_board = yield from RingBoard.install(
             self, [src_ep for _node, src_ep in self.sources],
             self._valid_cap, self._on_valid_value, min_one=True,
             name="validarr")
@@ -200,7 +193,7 @@ class ReadRCReceiveEndpoint(RuntimeReceiveEndpoint):
             "qpn_by_source": {
                 src_ep: c.qp.qpn for src_ep, c in self.conns.items()
             },
-            "validarr_base_by_source": self._valid_board.base_by_key,
+            "validarr_base_by_source": valid_board.base_by_key,
             "validarr_cap": self._valid_cap,
         })
 

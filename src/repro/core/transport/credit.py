@@ -117,8 +117,10 @@ class CreditWordBoard:
             addr_by_dest[dest] = conn.credit_addr
             conns.append(conn)
 
+        base = board.mr.addr
+
         def on_write(addr: int, value: int) -> None:
-            grant_credit(conns[(addr - board.mr.addr) // 8], value)
+            grant_credit(conns[(addr - base) // 8], value)
 
         board.mr.on_write.append(on_write)
         ep.aux_mrs.append(board.mr)
@@ -129,7 +131,10 @@ class RingBoard:
     """Consumer side of per-peer circular message queues (FreeArr or
     ValidArr): one registered region carved into ``cap``-slot rings, one
     per peer, updated by inlined remote Writes.  Every write of a
-    non-zero value is routed to ``on_value(key, value)``."""
+    non-zero value is routed to ``on_value(key, value)``.
+
+    The region's write hook owns the board; the endpoint it routes to
+    must not keep it, or the two form a cycle no ``dispose()`` sees."""
 
     __slots__ = ("mr", "cap", "base_by_key", "_regions", "_on_value",
                  "_ep", "name", "validator")
@@ -194,7 +199,7 @@ class CreditDatagramPort:
     the sender, send slots for outgoing credit on the receiver (credit
     datagrams complete fast, so a short rotation per peer suffices)."""
 
-    __slots__ = ("ep", "pool", "_cursor")
+    __slots__ = ("qp", "endpoint_id", "pool", "_cursor")
 
     @classmethod
     def model(cls) -> CreditModel:
@@ -206,7 +211,11 @@ class CreditDatagramPort:
                            ordered=False, keepalive=True)
 
     def __init__(self, ep, peer_count: int):
-        self.ep = ep
+        # The port keeps the endpoint's shared UD QP and id, not the
+        # endpoint: the endpoint holds the port, and a pointer back
+        # would be a cycle dispose() cannot see.
+        self.qp = ep.qp
+        self.endpoint_id = ep.endpoint_id
         slots = min(CREDIT_RECV_SLOTS * max(1, peer_count), CREDIT_SLOT_CAP)
         self.pool = BufferPool(ep.ctx, slots, CREDIT_MSG_BYTES,
                                tenant=ep.config.tenant)
@@ -216,14 +225,14 @@ class CreditDatagramPort:
     def post_recv_slots(self) -> None:
         """Post every slot as a Receive for incoming credit datagrams."""
         for buf in self.pool.buffers:
-            self.ep.qp.post_recv(RecvWR(wr_id=buf, buffer=buf,
-                                        length=CREDIT_MSG_BYTES))
+            self.qp.post_recv(RecvWR(wr_id=buf, buffer=buf,
+                                     length=CREDIT_MSG_BYTES))
 
     def repost(self, buf) -> None:
         """Recycle a consumed credit-receive slot."""
         buf.reset()
-        self.ep.qp.post_recv(RecvWR(wr_id=buf, buffer=buf,
-                                    length=CREDIT_MSG_BYTES))
+        self.qp.post_recv(RecvWR(wr_id=buf, buffer=buf,
+                                 length=CREDIT_MSG_BYTES))
 
     def post_credit(self, conn: PeerConnection,
                     value: Optional[int] = None) -> None:
@@ -234,13 +243,14 @@ class CreditDatagramPort:
         from repro.core.endpoint import Frame, FrameCarrier
         if value is None:
             value = conn.posted
-        san = self.ep.ctx.telemetry.sanitizer
+        ctx = self.qp.ctx
+        san = ctx.telemetry.sanitizer
         if san is not None:
-            san.on_credit_issued(conn, value, node_id=self.ep.ctx.node_id)
+            san.on_credit_issued(conn, value, node_id=ctx.node_id)
         self._cursor += 1
-        frame = Frame(kind="credit", src_endpoint=self.ep.endpoint_id,
+        frame = Frame(kind="credit", src_endpoint=self.endpoint_id,
                       credit=value)
-        self.ep.qp.post_send(SendWR(
+        self.qp.post_send(SendWR(
             wr_id=("credit", conn.endpoint), opcode=Opcode.SEND,
             buffer=FrameCarrier(frame), length=CREDIT_MSG_BYTES,
             dest=conn.ah, signaled=False,

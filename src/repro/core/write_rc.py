@@ -29,7 +29,7 @@ transport runtime; this module is the RDMA Write posting policy.
 
 from __future__ import annotations
 
-from typing import Dict, Sequence, Tuple
+from typing import Dict, Sequence
 
 from repro.core.endpoint import (
     DataState,
@@ -86,7 +86,6 @@ class WriteRCSendEndpoint(RuntimeSendEndpoint):
                  num_groups: int, peers: Dict[int, int]):
         super().__init__(ctx, endpoint_id, config, destinations,
                          num_groups, peers)
-        self._free_board: RingBoard = None
         #: receiver buffer addresses learned at connect, per destination —
         #: the ground truth the FreeArr sanitizer validator checks against.
         self._known_remote: Dict[int, frozenset] = {}
@@ -104,7 +103,7 @@ class WriteRCSendEndpoint(RuntimeSendEndpoint):
         cap = self.config.buffers_per_link + 2
         # A returned address must be one of the receiver-side buffers this
         # sender was granted at connect time.
-        self._free_board = yield from RingBoard.install(
+        free_board = yield from RingBoard.install(
             self, self.destinations, cap, self._on_free_value,
             name="freearr",
             validator=lambda dest, value:
@@ -112,7 +111,7 @@ class WriteRCSendEndpoint(RuntimeSendEndpoint):
         registry.publish_endpoint(self.endpoint_id, {
             "node": self.ctx.node_id,
             "qpn_by_dest": {d: c.qp.qpn for d, c in self.conns.items()},
-            "freearr_base_by_dest": self._free_board.base_by_key,
+            "freearr_base_by_dest": free_board.base_by_key,
             "freearr_cap": cap,
         })
 
@@ -178,12 +177,6 @@ class WriteRCReceiveEndpoint(RuntimeReceiveEndpoint):
 
     transport = "MQ/WR"
 
-    def __init__(self, ctx: VerbsContext, endpoint_id: int,
-                 config: EndpointConfig,
-                 sources: Sequence[Tuple[int, int]]):
-        super().__init__(ctx, endpoint_id, config, sources)
-        self._valid_board: RingBoard = None
-
     def setup(self, registry: EndpointRegistry):
         self.cq = self.ctx.create_cq()
         per_link = self.config.buffers_per_link
@@ -191,7 +184,7 @@ class WriteRCReceiveEndpoint(RuntimeReceiveEndpoint):
         cap = per_link * 2 + 4
         # A notified address must land inside this receiver's own pool.
         pool_addrs = frozenset(buf.addr for buf in self.pool.buffers)
-        self._valid_board = yield from RingBoard.install(
+        valid_board = yield from RingBoard.install(
             self, [src_ep for _node, src_ep in self.sources], cap,
             self._on_valid_value, min_one=True, name="validarr",
             validator=lambda src_ep, value: value in pool_addrs)
@@ -211,7 +204,7 @@ class WriteRCReceiveEndpoint(RuntimeReceiveEndpoint):
             "qpn_by_source": {
                 src_ep: c.qp.qpn for src_ep, c in self.conns.items()
             },
-            "validarr_base_by_source": self._valid_board.base_by_key,
+            "validarr_base_by_source": valid_board.base_by_key,
             "validarr_cap": cap,
             "buffer_addrs_by_source": buffer_addrs,
         })

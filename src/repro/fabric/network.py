@@ -93,6 +93,10 @@ class Fabric:
         #: verbs contexts register themselves here (node_id -> VerbsContext)
         #: so Queue Pairs can resolve their peers.
         self.verbs_contexts: dict = {}
+        #: per-node software stacks the baselines layer on this fabric
+        #: (MPI runtime, kernel TCP stack): (class, node_id) -> instance,
+        #: filled by :meth:`node_service`.
+        self.node_services: Dict[Tuple[type, int], Any] = {}
         #: per-tenant resource arbiter (it can refuse, so it is not an
         #: observer); ``None`` unless Cluster.enable_quotas() installed
         #: one.  Duck-typed: the verbs layer calls ``on_qp_created`` /
@@ -123,16 +127,29 @@ class Fabric:
             port.pipe.split_packets = split
 
     def dispose(self) -> None:
-        """Release the fabric's node and context tables on teardown.
+        """Release the fabric's node, context and service tables.
 
-        Breaks the fabric<->context hub edges so a finished cluster can
-        be reclaimed by reference counting (see :meth:`Cluster.dispose`);
-        the fabric is unusable afterwards.
+        Breaks the fabric<->context and fabric<->baseline-stack hub
+        edges.  Zero-remainder contract (see :meth:`Cluster.dispose`):
+        every table through which something built on this fabric is
+        reachable *from* it is declared above and cleared here, so no
+        cycle through the fabric survives; the fabric is unusable
+        afterwards.
         """
         self.verbs_contexts.clear()
+        self.node_services.clear()
         self.mcast_members.clear()
         self.link_bytes.clear()
         self.nodes.clear()
+
+    def node_service(self, kind: type, ctx: Any) -> Any:
+        """The one ``kind`` instance of ``ctx``'s node, built as
+        ``kind(ctx)`` on first use (``ctx`` is the node's VerbsContext)."""
+        key = (kind, ctx.node_id)
+        service = self.node_services.get(key)
+        if service is None:
+            service = self.node_services[key] = kind(ctx)
+        return service
 
     @property
     def num_nodes(self) -> int:

@@ -79,10 +79,9 @@ class Switch:
 class SwitchPort:
     """A rate-limited switch port, shared by every route crossing it."""
 
-    __slots__ = ("switch", "local_name", "name", "pipe")
+    __slots__ = ("local_name", "name", "pipe")
 
     def __init__(self, switch: Switch, local_name: str, pipe: RatePipe):
-        self.switch = switch
         self.local_name = local_name
         #: globally unique name, e.g. ``leaf0.up`` / ``spine0.down2``.
         self.name = f"{switch.name}.{local_name}"

@@ -25,6 +25,9 @@ Hot-path notes (see DESIGN.md, "Execution path"):
   use a fresh :class:`Event` for that.
 * Starting a :class:`Process` schedules its first resumption directly
   instead of allocating a bootstrap :class:`Event`.
+* The drain pauses CPython's cyclic garbage collector and restores the
+  state it found: a run creates no reference cycles, so reference
+  counting frees everything and a collector pass only traverses.
 
 None of this changes observable behaviour: heap entries are created at the
 same simulated times in the same relative order as before, so simulated
@@ -33,6 +36,7 @@ end times are bit-identical.
 
 from __future__ import annotations
 
+import gc
 import heapq
 from typing import Any, Callable, Dict, Generator, Iterable, List, Optional
 
@@ -144,6 +148,17 @@ class Event:
         return f"<{type(self).__name__} {state[self._state]} at t={self.sim.now}>"
 
 
+#: What every process's first resumption receives: an already-processed
+#: event with ``ok=True, value=None``.  It is never scheduled, so it
+#: carries no simulator — one per simulator pointing back at its owner
+#: would make every Simulator a reference cycle (DESIGN.md,
+#: "Collector-free drain").
+_STARTED = Event.__new__(Event)
+_STARTED._state = _PROCESSED
+_STARTED._ok = True
+_STARTED._value = None
+
+
 class Timeout(Event):
     """An event that fires after a fixed delay.
 
@@ -203,9 +218,7 @@ class Process(Event):
         sim.call_soon(self._bootstrap)
 
     def _bootstrap(self) -> None:
-        # ``_init_event`` is a shared, already-processed Event carrying
-        # ``ok=True, value=None`` — the legacy bootstrap's trigger value.
-        self._resume(self.sim._init_event)
+        self._resume(_STARTED)
 
     def _resume(self, event: Event) -> None:
         # Only the one event the generator last yielded holds this
@@ -295,9 +308,6 @@ class Simulator:
         self.max_queue_depth = 0
         # Free list for pooled Timeouts (see module docstring).
         self._timeout_pool: List[Timeout] = []
-        # Shared bootstrap event handed to every process's first resume.
-        self._init_event = Event(self)
-        self._init_event._state = _PROCESSED
 
     # -- scheduling ------------------------------------------------------
 
@@ -413,6 +423,13 @@ class Simulator:
         attribute loads happen once per timestamp, not once per event.
         Telemetry counters are accumulated in locals and flushed on exit
         (including on exceptions).
+
+        The cyclic garbage collector is paused for the drain and left as
+        it was found on every exit: a run creates no reference cycles
+        (``tests/test_collector_free.py`` pins it), so the passes the
+        allocation rate would trigger traverse the whole model to free
+        nothing.  Restoring the found state rather than forcing it on
+        lets this nest under a caller's own pause.
         """
         heap = self._heap
         buckets = self._buckets
@@ -421,6 +438,8 @@ class Simulator:
         dispatched = 0
         max_depth = self.max_queue_depth
         sample = 0
+        gc_was_enabled = gc.isenabled()
+        gc.disable()
         try:
             # The loop is duplicated for the unbounded stop-less case
             # (plain ``run()``, which is every figure run and benchmark)
@@ -490,6 +509,8 @@ class Simulator:
                                     existing[:0] = rest
                             return
         finally:
+            if gc_was_enabled:
+                gc.enable()
             self.events_dispatched += dispatched
             self.max_queue_depth = max_depth
 

@@ -183,6 +183,10 @@ class Telemetry:
         """
         self._sealed = self.snapshot()
         self._fabric = None
+        if self.sanitizer is not None:
+            # Nothing runs after this, so nothing is left to mirror onto
+            # the tracer; the sanitizer's way back here would be a cycle.
+            self.sanitizer.telemetry = None
         self._endpoints.clear()
         self.callbacks.clear()
 

@@ -45,10 +45,15 @@ class VerbsContext:
         fabric.verbs_contexts[node_id] = self
 
     def dispose(self) -> None:
-        """Break this context's QP<->CQ<->endpoint reference cycles.
+        """Break every reference cycle that runs through this context.
 
-        Called on end-of-query teardown (see :meth:`Cluster.dispose`);
-        the context is unusable afterwards.
+        Two loops close here: QP -> CQ -> subscribed endpoint -> QP, and
+        context -> address space -> region write hook -> endpoint -> QP
+        -> context.  Zero-remainder contract (see
+        :meth:`Cluster.dispose`): once every context of a cluster is
+        disposed, nothing built on it is kept alive by a cycle through
+        the verbs layer.  Called on end-of-query teardown; the context
+        is unusable afterwards.
         """
         for qp in self._qps.values():
             qp.send_cq = None
@@ -57,6 +62,7 @@ class VerbsContext:
             cq.dispose()
         self._qps.clear()
         self._cqs.clear()
+        self.memory.dispose()
 
     # -- object creation ---------------------------------------------------
 

@@ -19,7 +19,8 @@ Registered-byte accounting feeds the memory-consumption experiment
 
 from __future__ import annotations
 
-from typing import Any, Dict, Optional
+from bisect import bisect_left, bisect_right
+from typing import Any, Dict, List, Optional
 
 from repro.telemetry.core import Telemetry
 from repro.verbs.constants import VerbsError
@@ -111,7 +112,11 @@ class AddressSpace:
         self.node_id = node_id
         self._next_addr = self._BASE
         self._next_key = 1
-        self._regions: Dict[int, MemoryRegion] = {}
+        #: the live regions and, beside them, their base addresses —
+        #: both in address order (bases only grow), so resolve() and
+        #: deregister() are a bisect.
+        self._regions: List[MemoryRegion] = []
+        self._bases: List[int] = []
         self.registered_bytes = 0
         self.peak_registered_bytes = 0
         #: observer bundle of every region registered here.
@@ -124,7 +129,8 @@ class AddressSpace:
         # Leave a guard gap so off-by-one addressing bugs fault loudly.
         self._next_addr += length + 4096
         self._next_key += 1
-        self._regions[mr.lkey] = mr
+        self._regions.append(mr)
+        self._bases.append(mr.addr)
         self.registered_bytes += length
         self.peak_registered_bytes = max(
             self.peak_registered_bytes, self.registered_bytes
@@ -132,14 +138,32 @@ class AddressSpace:
         return mr
 
     def deregister(self, mr: MemoryRegion) -> None:
-        if mr.lkey not in self._regions:
+        i = bisect_left(self._bases, mr.addr)
+        if i == len(self._bases) or self._regions[i] is not mr:
             san = self.telemetry.sanitizer
             if san is not None:
                 san.on_mr_error(mr, "double-deregister", mr.addr)
             raise VerbsError(f"MR lkey={mr.lkey} is not registered on this node")
-        del self._regions[mr.lkey]
+        del self._regions[i]
+        del self._bases[i]
         mr.deregistered = True
+        # Every access now faults, so the write hooks are dead; they
+        # point at the endpoint that still lists this region.
+        mr.on_write.clear()
         self.registered_bytes -= mr.length
+
+    def dispose(self) -> None:
+        """Forget every region and unhook its write callbacks.
+
+        A write hook is a board or closure that reaches its endpoint,
+        whose QPs reach the context that owns this address space; with
+        the hooks and the table gone nothing here closes that loop (see
+        :meth:`VerbsContext.dispose`).
+        """
+        for mr in self._regions:
+            mr.on_write.clear()
+        self._regions.clear()
+        self._bases.clear()
 
     def resolve(self, addr: int) -> MemoryRegion:
         """Find the registered region containing ``addr``.
@@ -147,7 +171,9 @@ class AddressSpace:
         Remote access to unregistered memory is a remote-access error on
         real hardware; here it raises :class:`VerbsError`.
         """
-        for mr in self._regions.values():
+        i = bisect_right(self._bases, addr) - 1
+        if i >= 0:
+            mr = self._regions[i]
             if mr.contains(addr):
                 return mr
         raise VerbsError(

@@ -1,10 +1,13 @@
-"""Cluster.dispose() lifecycle: idempotence and use-after-dispose."""
+"""Cluster.dispose() lifecycle: idempotence, use-after-dispose, and the
+zero-remainder contract (a disposed cluster holds no reference cycle)."""
 
 import pytest
 
 from repro import Cluster, ClusterConfig, EDR, TransmissionGroups
 from repro.bench.workloads import run_repartition
+from repro.core.designs import DESIGNS
 from repro.telemetry.session import session
+from tests.test_collector_free import unreachable_after
 
 
 def make_cluster(nodes=3, threads=2):
@@ -30,6 +33,20 @@ def test_dispose_after_real_run():
     cluster.dispose()
     cluster.dispose()
     assert cluster.disposed
+
+
+@pytest.mark.parametrize("nodes", [4, 8])
+@pytest.mark.parametrize("design", list(DESIGNS))
+def test_disposed_cluster_is_freed_by_reference_counting(design, nodes):
+    """After ``dispose()`` and dropping the cluster, a full collection
+    finds nothing: no QP, buffer or endpoint waits for the collector,
+    and the count does not depend on the node count."""
+    def run():
+        cluster = make_cluster(nodes=nodes)
+        run_repartition(cluster, design, bytes_per_node=1 << 20)
+        cluster.dispose()
+
+    assert unreachable_after(run) == 0
 
 
 def test_run_after_dispose_raises():

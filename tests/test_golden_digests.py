@@ -55,16 +55,12 @@ def shuffle_digest(design, topology, **kwargs):
     }
 
 
-def mcast_digest(topology):
-    """Blast multicast datagrams with jitter and 25 % loss injection;
-    digests every per-leg outcome in completion order.  Multicast
-    exercises walker paths unicast cannot: the trunk hands over to a
-    fan-out terminal, and every leg draws jitter *and* loss."""
-    sim = Simulator()
-    config = ClusterConfig(network=EDR, num_nodes=8,
-                           topology=topology).with_network(
-        ud_jitter_ns=2600, ud_loss_probability=0.25)
-    fabric = Fabric(sim, config)
+MCAST_NETWORK = dict(ud_jitter_ns=2600, ud_loss_probability=0.25)
+
+
+def mcast_blast(sim, fabric):
+    """Blast 16 multicast datagrams at 7 members of an 8-node ``fabric``;
+    returns every per-leg outcome in completion order."""
     mgid = 7
     for node in range(1, 8):
         fabric.mcast_attach(mgid, node, 200 + node)
@@ -85,6 +81,19 @@ def mcast_digest(topology):
     sim.run()
     assert fabric.delivered_messages + fabric.dropped_messages \
         == len(outcomes) == 16 * 7
+    return outcomes
+
+
+def mcast_digest(topology):
+    """Blast multicast datagrams with jitter and 25 % loss injection;
+    digests every per-leg outcome in completion order.  Multicast
+    exercises walker paths unicast cannot: the trunk hands over to a
+    fan-out terminal, and every leg draws jitter *and* loss."""
+    sim = Simulator()
+    config = ClusterConfig(network=EDR, num_nodes=8,
+                           topology=topology).with_network(**MCAST_NETWORK)
+    fabric = Fabric(sim, config)
+    outcomes = mcast_blast(sim, fabric)
     return {
         "end_ns": sim.now,
         "delivered_messages": fabric.delivered_messages,

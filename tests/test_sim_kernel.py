@@ -1,5 +1,7 @@
 """Unit tests for the discrete-event simulation kernel."""
 
+import gc
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -315,3 +317,114 @@ def test_run_until_never_moves_clock_backwards():
     assert fired == []
     sim.run()
     assert fired == ["later"]
+
+
+# -- the drain pauses the cyclic collector and puts it back -----------------
+
+def _exhaust(sim):
+    inside = []
+    sim.call_later(1, lambda: inside.append(gc.isenabled()))
+    sim.run()
+    assert inside == [False], "the collector is off inside a callback"
+
+
+def _stop_at_until(sim):
+    fired = []
+    sim.call_at(50, lambda: fired.append("late"))
+    sim.run(until=20)
+    assert fired == [] and sim.now == 20
+
+
+def _stop_mid_bucket(sim):
+    fired = []
+    done = sim.event()
+
+    def main():
+        yield done
+
+    def finish():
+        done.succeed()
+        # Lands in the bucket of main's termination event, behind it.
+        sim.call_soon(lambda: sim.call_soon(lambda: fired.append("tail")))
+
+    sim.call_at(5, finish)
+    sim.run_process(main())
+    assert fired == []
+    sim.run()
+    assert fired == ["tail"]
+
+
+def _callback_raises(sim):
+    def boom():
+        raise ValueError("boom")
+
+    sim.call_later(1, boom)
+    with pytest.raises(ValueError, match="boom"):
+        sim.run()
+
+
+def _unobserved_process_fails(sim):
+    def bad():
+        yield sim.timeout(1)
+        raise KeyError("unobserved")
+
+    sim.process(bad())
+    with pytest.raises(KeyError, match="unobserved"):
+        sim.run()
+
+
+def _deadlock(sim):
+    def stuck():
+        yield sim.event()
+
+    with pytest.raises(SimError, match="deadlocked"):
+        sim.run_process(stuck())
+
+
+DRAIN_EXITS = [_exhaust, _stop_at_until, _stop_mid_bucket, _callback_raises,
+               _unobserved_process_fails, _deadlock]
+
+
+@pytest.fixture
+def collector():
+    """Set the collector's state for a test; put it back afterwards."""
+    was_enabled = gc.isenabled()
+
+    def set_enabled(enabled):
+        (gc.enable if enabled else gc.disable)()
+
+    yield set_enabled
+    set_enabled(was_enabled)
+
+
+@pytest.mark.parametrize("enabled", [True, False],
+                         ids=["gc-enabled", "gc-disabled"])
+@pytest.mark.parametrize("drive", DRAIN_EXITS,
+                         ids=[f.__name__.strip("_") for f in DRAIN_EXITS])
+def test_drain_leaves_the_collector_as_it_found_it(collector, drive, enabled):
+    collector(enabled)
+    drive(Simulator())
+    assert gc.isenabled() is enabled
+
+
+def test_collector_makes_no_pass_during_a_drain(collector):
+    """50 000 events that each allocate containers: far past the young
+    generation's threshold, and yet no collection has started by the
+    time the last event runs.  (Re-enabling on exit lets the overdue
+    young pass run, so the count is read from inside the drain.)"""
+    def passes():
+        return sum(s["collections"] for s in gc.get_stats())
+
+    sim = Simulator()
+    kept = []
+    for i in range(50_000):
+        sim.call_at(i // 8, lambda: kept.append([{}, []]))
+    at_last_event = []
+    sim.call_at(50_000, lambda: at_last_event.append(passes()))
+    collector(True)
+    gc.collect()  # start the allocation counts from zero
+    before = passes()
+    sim.run()
+    assert len(kept) == 50_000
+    assert at_last_event == [before]
+    assert gc.isenabled()

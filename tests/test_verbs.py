@@ -88,6 +88,38 @@ class TestMemoryRegion:
         with pytest.raises(VerbsError):
             ctxs[0].memory.resolve(0xDEAD)
 
+    @pytest.mark.parametrize("where", [
+        "below the first region", "in a guard gap", "past the last region",
+        "in a deregistered region"])
+    def test_resolve_rejects_an_address_outside_every_live_region(
+            self, sim, where):
+        _, ctxs = make_cluster(sim)
+        first, middle, last = (ctxs[0].reg_mr(100) for _ in range(3))
+        ctxs[0].dereg_mr(middle)
+        addr = {
+            "below the first region": first.addr - 1,
+            "in a guard gap": first.addr + first.length,
+            "past the last region": last.addr + last.length,
+            "in a deregistered region": middle.addr + 50,
+        }[where]
+        with pytest.raises(VerbsError, match=(
+                f"address {addr:#x} not in any registered region of node 0")):
+            ctxs[0].memory.resolve(addr)
+
+    def test_resolve_after_deregistering_a_middle_region(self, sim):
+        _, ctxs = make_cluster(sim)
+        memory = ctxs[0].memory
+        regions = [ctxs[0].reg_mr(64 * (i + 1)) for i in range(5)]
+        ctxs[0].dereg_mr(regions[2])
+        ctxs[0].dereg_mr(regions[0])
+        for mr in (regions[1], regions[3], regions[4]):
+            assert memory.resolve(mr.addr) is mr
+            assert memory.resolve(mr.addr + mr.length - 1) is mr
+        later = ctxs[0].reg_mr(32)
+        assert memory.resolve(later.addr + 31) is later
+        with pytest.raises(VerbsError, match="not registered"):
+            ctxs[0].dereg_mr(regions[2])
+
     def test_timed_registration_charges_time(self, sim):
         _, ctxs = make_cluster(sim)
 
