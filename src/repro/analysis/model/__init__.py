@@ -11,7 +11,7 @@ eventual delivery.  Violations come back as minimal counterexample
 traces, exported in the telemetry layer's Chrome-trace format.
 
 Entry points: ``python -m repro.analysis model`` (CLI),
-:func:`check_kind` / :func:`check_all` (library).
+:func:`check_kind` (library).
 """
 
 from repro.analysis.model.checker import (
@@ -19,7 +19,6 @@ from repro.analysis.model.checker import (
     CheckResult,
     PropertyStatus,
     Witness,
-    check_all,
     check_kind,
     check_model,
 )
@@ -54,7 +53,6 @@ __all__ = [
     "ProtocolModel",
     "RingProtocolModel",
     "Witness",
-    "check_all",
     "check_kind",
     "check_model",
     "explore",

@@ -38,7 +38,6 @@ __all__ = [
     "PROPERTIES",
     "PropertyStatus",
     "Witness",
-    "check_all",
     "check_kind",
     "check_model",
 ]
@@ -213,11 +212,3 @@ def check_kind(kind: str, bound: Optional[ModelBound] = None,
                por: bool = True) -> CheckResult:
     """Extract and check the protocol model of a registered kind."""
     return check_model(extract_model(kind, bound), por=por)
-
-
-def check_all(bound: Optional[ModelBound] = None, por: bool = True,
-              kinds: Optional[List[str]] = None) -> List[CheckResult]:
-    """Check every endpoint kind that exposes a protocol model."""
-    from repro.analysis.model.protocols import modeled_kinds
-    names = list(kinds) if kinds is not None else list(modeled_kinds())
-    return [check_kind(k, bound, por=por) for k in names]

@@ -14,22 +14,23 @@ those cycles to the communicating threads, plus:
 
 Delivery is reliable and ordered per connection (TCP), so end-of-stream
 uses simple final markers.
+
+``send()`` / ``recv()`` are process fragments charged to the calling
+thread; a segment's trip through softirq pipe, wire and softirq pipe is
+not a thread's work and runs as a flat callback chain.  The endpoints
+stand on the shared ``SendEndpoint`` / ``ReceiveEndpoint`` base; what
+sockets change is that their malloc'd buffers cost no registration.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Sequence
 
-from repro.core.endpoint import (
-    DataState,
-    EndpointConfig,
-    Frame,
-    ReceiveEndpoint,
-    SendEndpoint,
-)
+from repro.core.endpoint import DataState, Frame
 from repro.core.transport.registry import register_endpoint_kind
+from repro.core.transport.runtime import ReceiveEndpoint, SendEndpoint
 from repro.fabric.packet import Packet, make_train
-from repro.memory import Buffer, BufferPool
+from repro.memory import Buffer
 from repro.sim import Notify, RatePipe
 from repro.verbs.cm import EndpointRegistry
 from repro.verbs.device import VerbsContext
@@ -53,12 +54,11 @@ class TcpStack:
         return ctx.fabric.node_service(cls, ctx)
 
     def __init__(self, ctx: VerbsContext):
-        self.ctx = ctx
         rate = ctx.config.link_bytes_per_ns * ctx.config.ipoib_efficiency
         self.tx = RatePipe(ctx.sim, rate, f"ipoib-tx[{ctx.node_id}]")
         self.rx = RatePipe(ctx.sim, rate, f"ipoib-rx[{ctx.node_id}]")
-        #: (dst_node, conn_key) -> receiver-side delivery queue hook.
-        self.listeners: Dict[Any, "TcpConnection"] = {}
+        #: connection key -> the receiving endpoint's segment handler.
+        self.listeners: Dict[Any, Callable[[Packet], None]] = {}
 
 
 class TcpConnection:
@@ -71,13 +71,11 @@ class TcpConnection:
         self.dst_node = dst_node
         self.key = key
         self.stack = TcpStack.get(ctx)
+        self.remote = TcpStack.get(ctx.peer_context(dst_node))
         self._in_flight = 0
         self._window_open = Notify(ctx.sim)
-        #: receiver side sets this to receive delivered segments.
-        self.deliveries: Optional[Any] = None
-        self.segments_sent = 0
 
-    def send(self, payload: Any, length: int, meta: dict):
+    def send(self, payload: Any, length: int):
         """Process fragment: blocking socket send of one message.
 
         Charges the kernel copy to the calling thread, segments the
@@ -86,21 +84,17 @@ class TcpConnection:
         yield self.ctx.node.cpu_delay(
             self.net.tcp_syscall_ns + length * self.net.tcp_ns_per_byte)
         remaining = length
-        first = True
-        while remaining > 0 or first:
-            seg = min(SEGMENT_BYTES, remaining) if remaining else 0
-            first = False
+        while True:  # at least one segment: a final marker has no bytes
+            seg = min(SEGMENT_BYTES, remaining)
             while self._in_flight + seg > WINDOW_BYTES:
                 yield self._window_open.wait()
             self._in_flight += seg
-            self._transmit_segment(seg, payload, meta,
-                                   last=(remaining - seg <= 0))
             remaining -= seg
-            if seg == 0:
+            self._transmit_segment(seg, payload, last=not remaining)
+            if not remaining:
                 break
 
-    def _transmit_segment(self, seg: int, payload: Any, meta: dict,
-                          last: bool) -> None:
+    def _transmit_segment(self, seg: int, payload: Any, last: bool) -> None:
         # One TCP segment is one wire unit: the stack's own
         # segmentation already runs at MTU-or-smaller granularity, so
         # these are single-packet trains by construction.
@@ -109,93 +103,78 @@ class TcpConnection:
             src_qpn=0, dst_qpn=0, kind="TCP",
             length=seg, wire_bytes=seg + HEADER_BYTES,
             payload=payload if last else None,
-            meta=dict(meta, last=last, conn=self.key),
+            meta={"last": last},
         )
-        sim = self.sim
 
-        def proc():
-            yield self.stack.tx.transmit(packet.wire_bytes)
-            arrived = yield self.ctx.fabric.route(packet)
-            remote = TcpStack.get(self.ctx.peer_context(self.dst_node))
-            yield remote.rx.transmit(packet.wire_bytes)
+        def start() -> None:
+            self.stack.tx.submit_train(packet.wire_bytes, 1, after_tx)
+
+        def after_tx() -> None:
+            self.ctx.fabric.route(packet, arrived)
+
+        def arrived(_packet: Packet) -> None:
+            self.remote.rx.submit_train(packet.wire_bytes, 1, delivered)
+
+        def delivered() -> None:
             self._in_flight -= seg
             self._window_open.notify_all()
-            listener = remote.listeners.get(self.key)
+            listener = self.remote.listeners.get(self.key)
             if listener is not None:
-                listener(arrived)
+                listener(packet)
 
-        sim.process(proc(), name="tcp-seg")
+        self.sim.call_soon(start)
+
+
+def _no_registration(self, nbytes: int):
+    """Plain malloc'd buffers: sockets pin and register nothing."""
+    return
+    yield  # pragma: no cover - nothing to wait for
 
 
 class IPoIBSendEndpoint(SendEndpoint):
     """Socket-based SEND endpoint (one connection per destination)."""
 
     transport = "IPoIB"
-
-    def __init__(self, ctx: VerbsContext, endpoint_id: int,
-                 config: EndpointConfig, destinations: Sequence[int],
-                 num_groups: int, peers: Dict[int, int]):
-        super().__init__(ctx, endpoint_id, config, destinations, num_groups)
-        self.peers = dict(peers)
-        self._conns: Dict[int, TcpConnection] = {}
-        self.pool: BufferPool = None
+    _charge_registration = _no_registration
 
     def setup(self, registry: EndpointRegistry):
-        pool_buffers = (self.config.buffers_per_connection * self.num_groups *
-                        self.config.threads_per_endpoint)
-        # Plain malloc'd buffers: no registration cost for sockets.
-        self.pool = BufferPool(self.ctx, pool_buffers, self.config.message_size)
-        for buf in self.pool.buffers:
-            self._free.put(buf)
+        yield from self.provision_send_pool()
         registry.publish_endpoint(self.endpoint_id, {"node": self.ctx.node_id})
-        return
-        yield  # pragma: no cover - setup is immediate for sockets
 
     def connect(self, registry: EndpointRegistry):
+        self._sockets: Dict[int, TcpConnection] = {}
         for dest in self.destinations:
             # TCP three-way handshake: about one round trip.
             yield self.sim.timeout(2 * self.net.switch_latency_ns)
             key = (self.endpoint_id, self.peers[dest])
-            self._conns[dest] = TcpConnection(self.ctx, dest, key)
+            self._sockets[dest] = TcpConnection(self.ctx, dest, key)
 
     def send(self, buf: Buffer, dests: Sequence[int], state: DataState):
         frame = Frame(kind="data", state=state, src_endpoint=self.endpoint_id,
                       payload=buf.payload, length=buf.length,
                       remote_addr=buf.addr)
         for dest in dests:
-            yield from self._conns[dest].send(frame, buf.length, {})
-            self.messages_sent += 1
-            self.bytes_sent += buf.length
-        buf.reset()
-        self._free.put(buf)
+            yield from self._sockets[dest].send(frame, buf.length)
+            self.record_send(dest, buf.length)
+        self.recycle(buf)
 
     def _send_finals(self):
         for dest in self.destinations:
             frame = Frame(kind="final", state=DataState.DEPLETED,
                           src_endpoint=self.endpoint_id)
-            yield from self._conns[dest].send(frame, 0, {})
+            yield from self._sockets[dest].send(frame, 0)
 
 
 class IPoIBReceiveEndpoint(ReceiveEndpoint):
     """Socket-based RECEIVE endpoint: select() over per-source sockets."""
 
     transport = "IPoIB"
-
-    def __init__(self, ctx: VerbsContext, endpoint_id: int,
-                 config: EndpointConfig,
-                 sources: Sequence[Tuple[int, int]]):
-        super().__init__(ctx, endpoint_id, config, sources)
-        self.pool: BufferPool = None
-        self._avail: List[Buffer] = []
+    _charge_registration = _no_registration
 
     def setup(self, registry: EndpointRegistry):
-        per_link = self.config.buffers_per_link
-        total = per_link * max(1, len(self.sources))
-        self.pool = BufferPool(self.ctx, total, self.config.message_size)
-        self._avail = list(self.pool.buffers)
+        pool = yield from self.provision_recv_pool()
+        self._avail: List[Buffer] = list(pool.buffers)
         registry.publish_endpoint(self.endpoint_id, {"node": self.ctx.node_id})
-        return
-        yield  # pragma: no cover - setup is immediate for sockets
 
     def connect(self, registry: EndpointRegistry):
         stack = TcpStack.get(self.ctx)
@@ -218,7 +197,7 @@ class IPoIBReceiveEndpoint(ReceiveEndpoint):
     def get_data(self):
         t0 = self.sim.now
         item = yield self._inbox.get()
-        self.data_wait_ns += self.sim.now - t0
+        self._account_data_wait(t0)
         # select() wakeup + recv() copy out of the kernel buffer.
         state, src, remote, frame = item
         if frame is None:

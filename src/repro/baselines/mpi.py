@@ -23,6 +23,12 @@ shuffle performance relative to bespoke RDMA endpoints:
 
 Broadcast uses a binomial tree (``MPI_Ibcast``), with intermediate nodes
 forwarding when their progress engine runs.
+
+The MPI *calls* are process fragments run by the calling CPU thread;
+everything below ``_transmit`` — doorbell, wire, deposit at the peer —
+is a flat callback chain like the verbs work requests.  The endpoints
+stand on the shared ``SendEndpoint`` / ``ReceiveEndpoint`` base and
+inherit pool provisioning, recycling and accounting from it.
 """
 
 from __future__ import annotations
@@ -32,32 +38,20 @@ from typing import Any, Deque, Dict, Sequence, Tuple
 from collections import deque
 
 from repro.core.endpoint import (
+    DEPLETED_SENTINEL,
     DataState,
     EndpointConfig,
     Frame,
-    ReceiveEndpoint,
-    SendEndpoint,
 )
 from repro.core.transport.registry import register_endpoint_kind
+from repro.core.transport.runtime import ReceiveEndpoint, SendEndpoint
 from repro.fabric.packet import Packet, make_train
-from repro.memory import Buffer, BufferPool
-from repro.sim import Event, Mutex, Notify
+from repro.memory import Buffer
+from repro.sim import Event, Mutex
 from repro.verbs.cm import EndpointRegistry
 from repro.verbs.device import VerbsContext
 
 __all__ = ["MPIRuntime", "MPISendEndpoint", "MPIReceiveEndpoint"]
-
-_seq = itertools.count(1)
-
-
-class _PendingRecv:
-    """An outstanding MPI_Irecv: (tag, any-source) plus its wake event."""
-
-    __slots__ = ("tag", "event")
-
-    def __init__(self, tag: int, event: Event):
-        self.tag = tag
-        self.event = event
 
 
 class MPIRuntime:
@@ -73,23 +67,25 @@ class MPIRuntime:
         self.sim = ctx.sim
         self.node = ctx.node
         self.net = ctx.config
-        self.fabric = ctx.fabric
         self.lock = Mutex(ctx.sim)
         #: threads currently blocked inside an MPI call.
         self.in_mpi = 0
-        #: eager/unexpected messages awaiting a matching receive, per tag.
-        self._unexpected: Dict[int, Deque[Tuple[int, Any, int]]] = {}
-        #: posted receives not yet matched, per tag (FIFO).
-        self._recvs: Dict[int, Deque[_PendingRecv]] = {}
+        #: eager/unexpected messages ``(src, payload, length)`` awaiting a
+        #: matching receive, per tag; parked RTS packets per ("rts", tag).
+        self._unexpected: Dict[Any, Deque[Any]] = {}
+        #: posted receives (the wake event of each outstanding
+        #: MPI_Irecv) not yet matched, per tag (FIFO).
+        self._recvs: Dict[Any, Deque[Event]] = {}
         #: arrived-but-unprocessed runtime work (progress gating).
         self._backlog: Deque[Packet] = deque()
         #: sender-side rendezvous requests waiting for CTS.
         self._rndv_waiting: Dict[int, Event] = {}
-        self._progress_signal = Notify(ctx.sim)
+        #: rendezvous request ids of this node; a receiver keys them
+        #: with the source node, so two senders cannot collide.
+        self._rndv_ids = itertools.count(1)
         # Internal eager buffers: a fixed registered region, as MVAPICH
         # pre-registers its eager RDMA buffers.
         self._eager_mr = ctx.reg_mr(64 * self.net.mpi_eager_threshold)
-        self.calls = 0
 
     # -- call gating ------------------------------------------------------------
 
@@ -97,7 +93,6 @@ class MPIRuntime:
         """Process fragment: enter the MPI library (charges the lock)."""
         yield from self.lock.critical_section(
             self.net.cpu(self.net.mpi_overhead_ns))
-        self.calls += 1
         self.in_mpi += 1
         self._drain_backlog()
 
@@ -118,6 +113,9 @@ class MPIRuntime:
 
     def _transmit(self, dest: int, kind: str, length: int, payload: Any,
                   meta: dict) -> Event:
+        """Ship one runtime message as a flat callback chain (the NIC and
+        the wire are hardware, not a CPU thread); returns the event an
+        MPI call may block on until the message has been deposited."""
         packet = make_train(
             self.net, src_node=self.ctx.node_id, dst_node=dest,
             src_qpn=0, dst_qpn=0, kind=kind, length=length,
@@ -126,14 +124,19 @@ class MPIRuntime:
         )
         done = Event(self.sim)
 
-        def proc():
+        def start() -> None:
             # NIC doorbell + WQE processing, then the wire.
-            yield self.node.nic.processor.occupy(self.net.nic_wr_ns)
-            arrived = yield self.fabric.route(packet)
-            MPIRuntime.get(self.ctx.peer_context(dest))._on_wire(arrived)
-            done.succeed(arrived)
+            self.node.nic.processor.submit_occupy(self.net.nic_wr_ns,
+                                                  after_wr)
 
-        self.sim.process(proc(), name=f"mpi-tx-{kind}")
+        def after_wr() -> None:
+            self.ctx.fabric.route(packet, arrived)
+
+        def arrived(packet: Packet) -> None:
+            MPIRuntime.get(self.ctx.peer_context(dest))._on_wire(packet)
+            done.succeed(packet)
+
+        self.sim.call_soon(start)
         return done
 
     # -- receive-side handling (progress engine) ---------------------------------------
@@ -165,11 +168,11 @@ class MPIRuntime:
         tag = rts.meta["tag"]
         queue = self._recvs.get(tag)
         if queue:
-            recv = queue.popleft()
             # Hand the pending-recv straight to the data message.
-            self._recvs.setdefault(("rndv", rts.meta["req"]), deque()).append(recv)
-            self._transmit(rts.src_node, "MPI_CTS", 0, None,
-                           {"req": rts.meta["req"]})
+            req = rts.meta["req"]
+            self._recvs.setdefault(("rndv", rts.src_node, req),
+                                   deque()).append(queue.popleft())
+            self._transmit(rts.src_node, "MPI_CTS", 0, None, {"req": req})
         else:
             # No matching receive yet: park the RTS; re-examined whenever
             # a receive is posted while progress runs.
@@ -179,8 +182,7 @@ class MPIRuntime:
                  eager: bool) -> None:
         queue = self._recvs.get(tag)
         if queue:
-            recv = queue.popleft()
-            recv.event.succeed((src, payload, length, eager))
+            queue.popleft().succeed((src, payload, length, eager))
         else:
             self._unexpected.setdefault(tag, deque()).append(
                 (src, payload, length))
@@ -244,13 +246,13 @@ class MPIRuntime:
                 yield self.node.cpu_delay(length * self.net.mpi_copy_ns_per_byte)
                 yield self._transmit(dest, "MPI_EAGER", length, payload, meta)
             else:
-                req = next(_seq)
+                req = next(self._rndv_ids)
                 cts = Event(self.sim)
                 self._rndv_waiting[req] = cts
                 self._transmit(dest, "MPI_RTS", 0, None,
                                {"tag": tag, "req": req})
                 yield cts
-                meta["tag"] = ("rndv", req)
+                meta["tag"] = ("rndv", self.ctx.node_id, req)
                 yield self._transmit(dest, "MPI_DATA", length, payload, meta)
         finally:
             self._exit()
@@ -272,8 +274,7 @@ class MPIRuntime:
                     * self.net.mpi_copy_ns_per_byte)
                 return (src, payload, length)
             event = Event(self.sim)
-            self._recvs.setdefault(tag, deque()).append(
-                _PendingRecv(tag, event))
+            self._recvs.setdefault(tag, deque()).append(event)
             # A parked RTS may now be matchable.
             parked = self._unexpected.get(("rts", tag))
             if parked:
@@ -294,19 +295,12 @@ class MPISendEndpoint(SendEndpoint):
     def __init__(self, ctx: VerbsContext, endpoint_id: int,
                  config: EndpointConfig, destinations: Sequence[int],
                  num_groups: int, peers: Dict[int, int]):
-        super().__init__(ctx, endpoint_id, config, destinations, num_groups)
-        self.peers = dict(peers)
+        super().__init__(ctx, endpoint_id, config, destinations,
+                         num_groups, peers)
         self.runtime = MPIRuntime.get(ctx)
-        self.pool: BufferPool = None
 
     def setup(self, registry: EndpointRegistry):
-        pool_buffers = (self.config.buffers_per_connection * self.num_groups *
-                        self.config.threads_per_endpoint)
-        yield from self._charge_registration(
-            pool_buffers * self.config.message_size)
-        self.pool = BufferPool(self.ctx, pool_buffers, self.config.message_size)
-        for buf in self.pool.buffers:
-            self._free.put(buf)
+        yield from self.provision_send_pool()
         registry.publish_endpoint(self.endpoint_id, {"node": self.ctx.node_id})
 
     def connect(self, registry: EndpointRegistry):
@@ -329,11 +323,10 @@ class MPISendEndpoint(SendEndpoint):
             for dest in dests:
                 yield from self.runtime.mpi_send(
                     dest, self.peers[dest], frame, buf.length)
-        self.messages_sent += len(dests)
-        self.bytes_sent += buf.length * len(dests)
+        for dest in dests:
+            self.record_send(dest, buf.length)
         # Blocking send: the buffer is reusable as soon as send returns.
-        buf.reset()
-        self._free.put(buf)
+        self.recycle(buf)
 
     def _send_finals(self):
         for dest in self.destinations:
@@ -352,15 +345,10 @@ class MPIReceiveEndpoint(ReceiveEndpoint):
                  sources: Sequence[Tuple[int, int]]):
         super().__init__(ctx, endpoint_id, config, sources)
         self.runtime = MPIRuntime.get(ctx)
-        self.pool: BufferPool = None
-        self._expected_finals = len(self.sources)
 
     def setup(self, registry: EndpointRegistry):
-        per_link = self.config.buffers_per_link
-        total = per_link * max(1, len(self.sources))
-        yield from self._charge_registration(total * self.config.message_size)
-        self.pool = BufferPool(self.ctx, total, self.config.message_size)
-        self._avail = list(self.pool.buffers)
+        pool = yield from self.provision_recv_pool()
+        self._avail = list(pool.buffers)
         registry.publish_endpoint(self.endpoint_id, {"node": self.ctx.node_id})
 
     def connect(self, registry: EndpointRegistry):
@@ -369,32 +357,29 @@ class MPIReceiveEndpoint(ReceiveEndpoint):
 
     def get_data(self):
         t0 = self.sim.now
-        while True:
-            if not self._active_sources:
-                self.data_wait_ns += self.sim.now - t0
-                return (DataState.DEPLETED, -1, 0, None)
+        while self._active_sources:
             src, frame, length = yield from self.runtime.mpi_recv(
                 self.endpoint_id)
-            if frame.kind == "final":
-                self._source_depleted(frame.src_endpoint)
-                if not self._active_sources:
-                    # Wake sibling threads parked in MPI_Recv on this tag.
-                    parked = self.runtime._recvs.get(self.endpoint_id)
-                    while parked:
-                        parked.popleft().event.succeed(
-                            (self.ctx.node_id,
-                             Frame(kind="final", src_endpoint=-1), 0, False))
-                    self.data_wait_ns += self.sim.now - t0
-                    return (DataState.DEPLETED, -1, 0, None)
-                continue
-            self.data_wait_ns += self.sim.now - t0
-            self.messages_received += 1
-            self.bytes_received += frame.length
-            local = self._avail.pop() if self._avail else Buffer(
-                self.pool.mr, self.pool.mr.addr, self.config.message_size)
-            local.deposit(frame.payload, frame.length)
-            return (DataState.MORE_DATA, frame.src_endpoint,
-                    frame.remote_addr, local)
+            if frame.kind != "final":
+                self._account_data_wait(t0)
+                local = self._avail.pop() if self._avail else Buffer(
+                    self.pool.mr, self.pool.mr.addr, self.config.message_size)
+                local.deposit(frame.payload, frame.length)
+                # Through the shared delivery point and straight back
+                # out: every thread blocks in its own MPI_Recv, so the
+                # inbox never holds more than this one item.
+                self._deliver(frame.src_endpoint, frame.remote_addr, local)
+                return self._inbox.try_get()[1]
+            self._source_depleted(frame.src_endpoint)
+            if not self._active_sources:
+                # Wake sibling threads parked in MPI_Recv on this tag.
+                parked = self.runtime._recvs.get(self.endpoint_id)
+                while parked:
+                    parked.popleft().succeed(
+                        (self.ctx.node_id,
+                         Frame(kind="final", src_endpoint=-1), 0, False))
+        self._account_data_wait(t0)
+        return DEPLETED_SENTINEL
 
     def _source_depleted(self, src_endpoint: int) -> None:
         # MPI threads each block in mpi_recv; no shared inbox sentinel is

@@ -10,7 +10,7 @@ and change on one machine; see README, "Performance gating".
 from __future__ import annotations
 
 import time
-from typing import Any, Dict
+from typing import Any, Callable, Dict
 
 from repro.sim import Simulator
 
@@ -82,6 +82,23 @@ def bench_process_wakeups(num_wakeups: int = 150_000,
     }
 
 
+def _pump(cluster, count: int, make_packet: Callable[[], Any]) -> None:
+    """Route ``count`` packets back to back, each one's arrival
+    continuation sending the next; runs the cluster until the last
+    has arrived."""
+    fabric = cluster.fabric
+    remaining = count
+
+    def send_next(_arrived: Any = None) -> None:
+        nonlocal remaining
+        if remaining:
+            remaining -= 1
+            fabric.route(make_packet(), send_next)
+
+    send_next()
+    cluster.run()
+
+
 def bench_fabric_packets(num_packets: int = 30_000) -> Dict[str, Any]:
     """End-to-end packet routing on a two-node fabric (no QPs).
 
@@ -92,16 +109,11 @@ def bench_fabric_packets(num_packets: int = 30_000) -> Dict[str, Any]:
     from repro.fabric.packet import make_train
 
     cluster = Cluster(ClusterConfig(network=EDR, num_nodes=2))
-    fabric = cluster.fabric
-
-    def pump():
-        for i in range(num_packets):
-            yield fabric.route(make_train(
-                EDR, src_node=0, dst_node=1, src_qpn=1, dst_qpn=2,
-                kind="SEND", length=256, wire_bytes=300))
 
     start = time.perf_counter()
-    cluster.run_process(pump(), name="bench-pump")
+    _pump(cluster, num_packets, lambda: make_train(
+        EDR, src_node=0, dst_node=1, src_qpn=1, dst_qpn=2,
+        kind="SEND", length=256, wire_bytes=300))
     elapsed = time.perf_counter() - start
     return {
         "name": "fabric_packets_per_sec",
@@ -130,17 +142,12 @@ def bench_train_events(num_messages: int = 2_000,
 
     def run(oracle: bool):
         cluster = Cluster(ClusterConfig(network=EDR, num_nodes=2))
-        fabric = cluster.fabric
-        fabric.use_packet_oracle(oracle)
-
-        def pump():
-            for i in range(num_messages):
-                yield fabric.route(make_train(
-                    EDR, src_node=0, dst_node=1, src_qpn=1, dst_qpn=2,
-                    kind="SEND", length=message_bytes, transport="RC"))
+        cluster.fabric.use_packet_oracle(oracle)
 
         start = time.perf_counter()
-        cluster.run_process(pump(), name="bench-train-pump")
+        _pump(cluster, num_messages, lambda: make_train(
+            EDR, src_node=0, dst_node=1, src_qpn=1, dst_qpn=2,
+            kind="SEND", length=message_bytes, transport="RC"))
         elapsed = time.perf_counter() - start
         return cluster.sim.events_dispatched, elapsed
 

@@ -4,11 +4,11 @@ Contents (section numbers refer to the paper):
 
 * :mod:`repro.core.groups` — the transmission-group abstraction
   encapsulating repartition / multicast / broadcast patterns (§4.1).
-* :mod:`repro.core.endpoint` — the communication-endpoint abstraction and
-  its interface (§4.2), plus shared machinery (framing, buffer pools).
+* :mod:`repro.core.endpoint` — the vocabulary of the communication-
+  endpoint abstraction (§4.2): transmission state, configuration, framing.
 * :mod:`repro.core.transport` — the shared transport runtime under the
-  designs: connection tables, credit schemes, buffer rings, completion
-  dispatch, and the endpoint-backend registry.
+  designs: the endpoint base classes, connection tables, credit schemes,
+  buffer rings, completion dispatch, and the endpoint-backend registry.
 * :mod:`repro.core.sr_rc` — RDMA Send/Receive over Reliable Connection
   with the stateless credit protocol (§4.4.1).
 * :mod:`repro.core.sr_ud` — RDMA Send/Receive over Unreliable Datagram
@@ -28,14 +28,13 @@ from repro.core.designs import DESIGNS, Design, design_properties
 from repro.core.endpoint import (
     DataState,
     EndpointConfig,
-    ReceiveEndpoint,
-    SendEndpoint,
     ShuffleNetworkError,
 )
 from repro.core.groups import TransmissionGroups
 from repro.core.receive import ReceiveOperator
 from repro.core.shuffle import ShuffleOperator
 from repro.core.stage import ShuffleStage
+from repro.core.transport.runtime import ReceiveEndpoint, SendEndpoint
 
 __all__ = [
     "DESIGNS",

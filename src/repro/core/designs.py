@@ -26,8 +26,9 @@ import dataclasses
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple, Type, Union
 
-from repro.core.endpoint import EndpointConfig, ReceiveEndpoint, SendEndpoint
+from repro.core.endpoint import EndpointConfig
 from repro.core.transport.registry import backend, register_endpoint_kind
+from repro.core.transport.runtime import ReceiveEndpoint, SendEndpoint
 
 # Importing an implementation module registers its endpoint kind.
 import repro.baselines.ipoib  # noqa: F401  (IPOIB)

@@ -96,8 +96,7 @@ class TelemetrySnapshot:
         stall_share = 0.0
         budget = sim.now * cluster.threads_per_node * cluster.num_nodes
         if budget > 0:
-            waited = sum(getattr(ep, "credit_wait_ns", 0)
-                         for ep in telemetry.endpoints)
+            waited = sum(ep.credit_wait_ns for ep in telemetry.endpoints)
             stall_share = min(1.0, waited / budget)
         trunk = 0.0
         topology = getattr(cluster.fabric, "topology", None)

@@ -42,10 +42,7 @@ from repro.core.transport.credit import RingBoard
 from repro.core.transport.dispatch import CompletionDispatcher
 from repro.core.transport.registry import register_endpoint_kind
 from repro.core.transport.rings import RingCursor, post_ring_write
-from repro.core.transport.runtime import (
-    RuntimeReceiveEndpoint,
-    RuntimeSendEndpoint,
-)
+from repro.core.transport.runtime import ReceiveEndpoint, SendEndpoint
 from repro.memory import Buffer
 from repro.verbs.cm import EndpointRegistry
 from repro.verbs.constants import Opcode, QPType
@@ -55,7 +52,7 @@ from repro.verbs.wr import SendWR
 __all__ = ["ReadRCSendEndpoint", "ReadRCReceiveEndpoint"]
 
 
-class ReadRCSendEndpoint(RuntimeSendEndpoint):
+class ReadRCSendEndpoint(SendEndpoint):
     """Passive SEND endpoint for the RDMA Read design (Figure 7a)."""
 
     transport = "MQ/RD"
@@ -162,7 +159,7 @@ class ReadRCSendEndpoint(RuntimeSendEndpoint):
             post_ring_write(conn.qp, conn.valid, buf.addr, ("valid", dest))
 
 
-class ReadRCReceiveEndpoint(RuntimeReceiveEndpoint):
+class ReadRCReceiveEndpoint(ReceiveEndpoint):
     """Active RECEIVE endpoint for the RDMA Read design (Figure 7b)."""
 
     transport = "MQ/RD"

@@ -12,7 +12,7 @@ from typing import List, Sequence
 
 import numpy as np
 
-from repro.core.endpoint import ReceiveEndpoint
+from repro.core.transport.runtime import ReceiveEndpoint
 from repro.engine.operator import Operator, OpState, concat_batches
 
 __all__ = ["ReceiveOperator"]

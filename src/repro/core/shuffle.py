@@ -23,8 +23,9 @@ from typing import Callable, List, Sequence
 
 import numpy as np
 
-from repro.core.endpoint import DataState, SendEndpoint
+from repro.core.endpoint import DataState
 from repro.core.groups import TransmissionGroups
+from repro.core.transport.runtime import SendEndpoint
 from repro.engine.operator import Operator, OpState, concat_batches
 
 __all__ = [

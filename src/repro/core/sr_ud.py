@@ -83,7 +83,6 @@ class SRUDSendEndpoint(CreditedSendEndpoint):
         #: receiving endpoint id -> connection (credit datagrams carry the
         #: receiver's endpoint id, not the node id).
         self._conn_by_peer: Dict[int, PeerConnection] = {}
-        self.qp = None
         self._credit_in: CreditDatagramPort = None
 
     def setup(self, registry: EndpointRegistry):
@@ -158,7 +157,6 @@ class SRUDReceiveEndpoint(CreditedReceiveEndpoint):
                  sources: Sequence[Tuple[int, int]]):
         ensure_ud_message_size(ctx, config)
         super().__init__(ctx, endpoint_id, config, sources)
-        self.qp = None
         self._credit_out: CreditDatagramPort = None
 
     def setup(self, registry: EndpointRegistry):

@@ -14,9 +14,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Dict, FrozenSet, List, Optional, Sequence, Union
 
-from repro.core.endpoint import EndpointConfig, ReceiveEndpoint, SendEndpoint
+from repro.core.endpoint import EndpointConfig
 from repro.core.groups import TransmissionGroups
 from repro.core.policy import StagePlan
+from repro.core.transport.runtime import ReceiveEndpoint, SendEndpoint
 from repro.fabric.network import Fabric
 from repro.sim import AllOf
 from repro.verbs.cm import EndpointRegistry
@@ -200,9 +201,8 @@ class ShuffleStage:
                 for mr in ep.registered_regions():
                     if not mr.deregistered:
                         ctx.dereg_mr(mr)
-                cq = getattr(ep, "cq", None)
-                if cq is not None:
-                    ctx.release_cq(cq)
+                if ep.cq is not None:
+                    ctx.release_cq(ep.cq)
                 self.registry.unpublish_endpoint(ep.endpoint_id)
 
     @property

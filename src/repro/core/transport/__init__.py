@@ -26,17 +26,16 @@ Submodules:
   :class:`ConnectionTable`, and the RC connect loops.
 * :mod:`~repro.core.transport.credit` — the §4.4 credit schemes as
   policy objects (credit words, credit datagrams, ring boards).
-* :mod:`~repro.core.transport.rings` — registration cost,
-  pending-buffer refcounts, circular-queue cursors.
+* :mod:`~repro.core.transport.rings` — pending-buffer refcounts,
+  circular-queue cursors.
 * :mod:`~repro.core.transport.dispatch` — the completion-dispatch loop.
-* :mod:`~repro.core.transport.runtime` — endpoint base classes wiring
-  it all together (the credited two-sided data path lives here).
+* :mod:`~repro.core.transport.runtime` — the four endpoint base
+  classes wiring it all together: ``SendEndpoint`` / ``ReceiveEndpoint``
+  (every design and both baselines descend from them) and the credited
+  two-sided pair ``CreditedSendEndpoint`` / ``CreditedReceiveEndpoint``.
 
-Import note: :mod:`.runtime` and :mod:`.credit` depend on
-:mod:`repro.core.endpoint`, which itself imports :mod:`.rings` — design
-modules import them directly (``from repro.core.transport.runtime
-import ...``) rather than through this package root, keeping the
-package importable while ``endpoint`` is still initialising.
+The §4.2 vocabulary (:mod:`repro.core.endpoint`) sits below this
+package and imports nothing from it.
 """
 
 from repro.core.transport.connections import (
@@ -56,7 +55,6 @@ from repro.core.transport.registry import (
 from repro.core.transport.rings import (
     PendingTable,
     RingCursor,
-    charge_registration,
     post_ring_write,
 )
 
@@ -69,7 +67,6 @@ __all__ = [
     "RingCursor",
     "UnknownEndpointKindError",
     "backend",
-    "charge_registration",
     "post_ring_write",
     "rc_connect_receivers",
     "rc_connect_senders",

@@ -27,6 +27,7 @@ from repro.memory import BufferPool
 from repro.verbs.constants import Opcode
 from repro.verbs.wr import RecvWR, SendWR
 
+from repro.core.endpoint import Frame, FrameCarrier
 from repro.core.transport.connections import PeerConnection
 from repro.core.transport.modeling import CreditModel, RingModel
 
@@ -238,9 +239,6 @@ class CreditDatagramPort:
                     value: Optional[int] = None) -> None:
         """Send ``conn.posted`` (or an explicit ``value``, which the
         sanitizer checks against it) as an absolute-credit datagram."""
-        # Imported here: this module loads while repro.core.endpoint is
-        # still initialising (endpoint -> transport.rings -> package).
-        from repro.core.endpoint import Frame, FrameCarrier
         if value is None:
             value = conn.posted
         ctx = self.qp.ctx

@@ -24,11 +24,10 @@ __all__ = ["CompletionDispatcher"]
 class CompletionDispatcher:
     """Routes work completions of one CQ to per-opcode handlers."""
 
-    __slots__ = ("ep", "cq", "_handlers")
+    __slots__ = ("cq", "_handlers")
 
-    def __init__(self, ep, cq=None):
-        self.ep = ep
-        self.cq = ep.cq if cq is None else cq
+    def __init__(self, ep):
+        self.cq = ep.cq
         self._handlers: Dict[Opcode, Callable] = {}
 
     def on(self, opcode: Opcode, handler: Callable) -> "CompletionDispatcher":

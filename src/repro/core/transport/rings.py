@@ -1,10 +1,9 @@
 """Buffer and circular-queue bookkeeping.
 
 Pieces every endpoint design used to reimplement privately (the
-GETFREE/RELEASE free list itself lives on the endpoint:
-``RuntimeSendEndpoint.provision_send_pool`` / ``recycle``):
+GETFREE/RELEASE free list and the pin+register charge of a pool live
+on the endpoint: ``SendEndpoint.provision_send_pool`` / ``recycle``):
 
-* :func:`charge_registration` — the pin+register cost of a pool (§4.2);
 * :class:`PendingTable` — refcounts for buffers in flight to several
   destinations of a transmission group (a buffer becomes reusable only
   once every member has consumed it, §5.1.3);
@@ -17,26 +16,13 @@ from __future__ import annotations
 from typing import Any, Dict
 
 from repro.verbs.constants import Opcode
-from repro.verbs.device import VerbsContext
 from repro.verbs.wr import SendWR
 
 __all__ = [
     "PendingTable",
     "RingCursor",
-    "charge_registration",
     "post_ring_write",
 ]
-
-
-def charge_registration(ctx: VerbsContext, nbytes: int):
-    """Process fragment: charge memory pin+register time for ``nbytes``
-    (the region itself is created separately, e.g. by a BufferPool)."""
-    config = ctx.config
-    pages = max(1, -(-nbytes // config.page_size))
-    cost = (config.mr_register_base_ns
-            + pages * config.mr_register_ns_per_page)
-    ctx.mr_register_ns += cost
-    yield ctx.sim.timeout(cost)
 
 
 class PendingTable:

@@ -1,11 +1,15 @@
-"""Shared endpoint runtime: the algorithms the designs are policies over.
+"""The endpoints: the one base every design and baseline descends from.
 
-:class:`RuntimeSendEndpoint` / :class:`RuntimeReceiveEndpoint` add the
-transport plumbing every design needs — the per-peer
+:class:`SendEndpoint` / :class:`ReceiveEndpoint` implement the §4.2
+interface (:mod:`repro.core.endpoint` is its vocabulary) over the
+plumbing every implementation needs — the per-peer
 :class:`~.connections.ConnectionTable`, the in-flight
-:class:`~.rings.PendingTable`, and pool provisioning sized by the §4.2
+:class:`~.rings.PendingTable`, pool provisioning sized by the §4.2
 rules (sender pools scale with transmission groups, receiver pools with
-sources).
+sources), the GETFREE/GETDATA queues and the shared instrumentation
+points.  An implementation supplies ``setup`` / ``connect``, ``send`` /
+``_send_finals`` and ``release``; the MPI and IPoIB baselines do so
+like the RDMA designs.
 
 :class:`CreditedSendEndpoint` / :class:`CreditedReceiveEndpoint` add the
 credit-synchronized two-sided data path shared verbatim by the SR/RC and
@@ -13,6 +17,11 @@ SR/UD designs (Algorithm 1's SEND loop and the RELEASE/credit write-back
 of §4.4.1-2); subclasses supply only the posting primitives
 (:meth:`_post_data` / :meth:`_post_final` / :meth:`_repost` /
 :meth:`_return_credit`).
+
+Implementation style note: methods that may block are generator *process
+fragments* — callers invoke them as ``yield from endpoint.send(...)``
+inside a simulation process, mirroring how the real (blocking) C++ calls
+occupy a worker thread.
 
 Per-message semantics over packet trains
 ----------------------------------------
@@ -22,26 +31,24 @@ buffer.  Below the verbs API a multi-MTU RC message traverses the
 fabric as a single :class:`~repro.fabric.packet.PacketTrain` — the
 endpoint never sees the segmentation,
 exactly as real hardware hides per-packet ACK/retransmit behind one
-work completion.  The ``trains_sent`` / ``train_packets_sent``
-counters record the equivalence (UD messages are MTU-capped, so their
-trains are always one packet); they are diagnostic attributes, kept
-off telemetry snapshots so train bookkeeping can never perturb the
-train-vs-per-packet reference check.
+work completion.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Sequence, Tuple
+from typing import Callable, Dict, List, Sequence, Tuple
 
 from repro.memory import Buffer, BufferPool
+from repro.sim import Mutex, Queue
+from repro.verbs.cm import EndpointRegistry
 from repro.verbs.device import VerbsContext
 
 from repro.core.endpoint import (
+    DEPLETED_SENTINEL,
     DataState,
     EndpointConfig,
     Frame,
-    ReceiveEndpoint,
-    SendEndpoint,
+    ShuffleNetworkError,
 )
 from repro.core.transport.connections import ConnectionTable, PeerConnection
 from repro.core.transport.rings import PendingTable
@@ -49,8 +56,8 @@ from repro.core.transport.rings import PendingTable
 __all__ = [
     "CreditedReceiveEndpoint",
     "CreditedSendEndpoint",
-    "RuntimeReceiveEndpoint",
-    "RuntimeSendEndpoint",
+    "ReceiveEndpoint",
+    "SendEndpoint",
     "ensure_ud_message_size",
 ]
 
@@ -64,24 +71,132 @@ def ensure_ud_message_size(ctx: VerbsContext, config: EndpointConfig) -> None:
         )
 
 
-class RuntimeSendEndpoint(SendEndpoint):
-    """SEND endpoint on the shared transport runtime."""
+class _EndpointBase:
+    """State shared by send and receive endpoints."""
+
+    def __init__(self, ctx: VerbsContext, endpoint_id: int,
+                 config: EndpointConfig):
+        self.ctx = ctx
+        self.sim = ctx.sim
+        self.node = ctx.node
+        self.endpoint_id = endpoint_id
+        self.config = config
+        self.net = ctx.config
+        #: serializes bookkeeping when several threads share the endpoint.
+        self.lock = Mutex(ctx.sim)
+        #: per-peer transport state.  SEND endpoints key by destination
+        #: node id, RECEIVE endpoints by source *endpoint* id (frames
+        #: and circular-queue updates carry endpoint ids).
+        self.conns = ConnectionTable()
+        #: the completion queue, once ``setup`` created one.
+        self.cq = None
+        #: the one Queue Pair all peers share (UD designs); ``None``
+        #: where Queue Pairs are per peer (``conns``) or absent.
+        self.qp = None
+        #: the main registered transmission/receive buffer pool.
+        self.pool = None
+        #: auxiliary registered pools (e.g. UD credit-datagram slots).
+        self.aux_pools: List = []
+        #: auxiliary registered regions (credit words, FreeArr/ValidArr).
+        self.aux_mrs: List = []
+        #: profiling: time threads spent blocked for credit / free
+        #: buffers / data (the §5.1.3 "blocked for credit" vs "blocked
+        #: on completions" distinction).  Every endpoint carries all
+        #: four so harvests read them plainly; a side only ever
+        #: advances its own.
+        self.credit_wait_ns = 0
+        self.credit_stalls = 0
+        self.free_wait_ns = 0
+        self.data_wait_ns = 0
+        ctx.telemetry.register_endpoint(self)
+
+    # -- lifecycle ---------------------------------------------------------
+
+    def setup(self, registry: EndpointRegistry):
+        """Phase 1 (process fragment): create resources, publish wiring."""
+        raise NotImplementedError
+
+    def connect(self, registry: EndpointRegistry):
+        """Phase 2 (process fragment): resolve peers, build connections."""
+        raise NotImplementedError
+
+    # -- introspection ------------------------------------------------------
+
+    def qps(self) -> List:
+        """Queue Pairs owned by this endpoint (Table 1 accounting)."""
+        shared = [] if self.qp is None else [self.qp]
+        return shared + self.conns.qps()
+
+    def registered_regions(self) -> List:
+        """Registered memory regions pinned by this endpoint (Fig 9b)."""
+        regions = []
+        if self.pool is not None:
+            regions.append(self.pool.mr)
+        regions.extend(self.aux_mrs)
+        regions.extend(pool.mr for pool in self.aux_pools)
+        return regions
+
+    def _cpu(self, ns: float):
+        """Charge scaled CPU time to the calling thread."""
+        return self.node.cpu_delay(ns)
+
+    def _trace_stall(self, name: str, t0: int) -> None:
+        """Emit a stall span on this endpoint's track if time elapsed."""
+        waited = self.sim.now - t0
+        if waited > 0:
+            telemetry = self.ctx.telemetry
+            tracer = telemetry.tracer
+            if tracer is not None:
+                tracer.complete(
+                    self.ctx.node_id, f"ep{self.endpoint_id}", name, t0,
+                    waited, "endpoint")
+            links = telemetry.links
+            if links is not None:
+                links.stall(self.ctx.node_id, self.endpoint_id, name, t0,
+                            waited)
+
+    def _charge_registration(self, nbytes: int):
+        """Process fragment: what pinning ``nbytes`` of pool costs this
+        transport (sockets override it: malloc'd memory costs nothing)."""
+        yield from self.ctx.charge_registration(nbytes)
+
+    def _provision_pool(self, buffers: int):
+        """Process fragment: charge registration and carve the pool."""
+        yield from self._charge_registration(
+            buffers * self.config.message_size)
+        self.pool = BufferPool(self.ctx, buffers, self.config.message_size,
+                               tenant=self.config.tenant)
+        return self.pool
+
+
+class SendEndpoint(_EndpointBase):
+    """The data-transmitting side."""
 
     def __init__(self, ctx: VerbsContext, endpoint_id: int,
                  config: EndpointConfig, destinations: Sequence[int],
                  num_groups: int, peers: Dict[int, int]):
-        super().__init__(ctx, endpoint_id, config, destinations, num_groups)
+        super().__init__(ctx, endpoint_id, config)
+        #: node ids this endpoint may transmit to.
+        self.destinations = tuple(destinations)
+        #: number of transmission groups (sizes the buffer pool).
+        self.num_groups = num_groups
         #: destination node id -> receiving endpoint id.
         self.peers = dict(peers)
-        #: per-destination transport state, keyed by destination node id.
-        self.conns = ConnectionTable()
         #: buffers in flight, refcounted per destination (§5.1.3).
         self._pending = PendingTable()
-        self.cq = None
-        #: messages posted and the MTU packets their trains carry
-        #: (diagnostic only — deliberately off telemetry snapshots).
-        self.trains_sent = 0
-        self.train_packets_sent = 0
+        self._free = Queue(ctx.sim)
+        self._attached_threads = 0
+        self._finished_threads = 0
+        self.messages_sent = 0
+        self.bytes_sent = 0
+        #: bytes transmitted per destination node (skew telemetry).
+        self.bytes_by_dest: Dict[int, int] = {}
+
+    # -- threads and buffers -------------------------------------------------
+
+    def attach_thread(self) -> None:
+        """Declare one worker thread as a user of this endpoint."""
+        self._attached_threads += 1
 
     @property
     def send_pool_buffers(self) -> int:
@@ -93,13 +208,10 @@ class RuntimeSendEndpoint(SendEndpoint):
         """Process fragment: charge registration, carve the transmission
         pool (plus ``extra`` reserved buffers, e.g. final markers), and
         feed the non-reserved buffers to the GETFREE free list."""
-        total = self.send_pool_buffers + extra
-        yield from self._charge_registration(total * self.config.message_size)
-        self.pool = BufferPool(self.ctx, total, self.config.message_size,
-                               tenant=self.config.tenant)
-        for buf in self.pool.buffers[:self.send_pool_buffers]:
+        pool = yield from self._provision_pool(self.send_pool_buffers + extra)
+        for buf in pool.buffers[:self.send_pool_buffers]:
             self._free.put(buf)
-        return self.pool
+        return pool
 
     def recycle(self, buf: Buffer) -> None:
         """Return a transmission buffer to the free list."""
@@ -117,8 +229,54 @@ class RuntimeSendEndpoint(SendEndpoint):
                 self.recycle(ref)
         return handler
 
+    # -- the §4.2 interface ---------------------------------------------------
 
-class CreditedSendEndpoint(RuntimeSendEndpoint):
+    def send(self, buf: Buffer, dests: Sequence[int], state: DataState):
+        """Process fragment implementing SEND (may wait for flow control)."""
+        raise NotImplementedError
+
+    def record_send(self, dest: int, nbytes: int) -> None:
+        """Account one transmitted message (per-destination skew feeds
+        the telemetry snapshot)."""
+        self.messages_sent += 1
+        self.bytes_sent += nbytes
+        self.bytes_by_dest[dest] = self.bytes_by_dest.get(dest, 0) + nbytes
+
+    def get_free(self):
+        """Process fragment implementing GETFREE; returns a Buffer."""
+        t0 = self.sim.now
+        buf = yield self._free.get()
+        self.free_wait_ns += self.sim.now - t0
+        self._trace_stall("free-wait", t0)
+        yield self._cpu(self.net.poll_cq_ns)
+        return buf
+
+    def _wait_credit(self, conn):
+        """Block until the connection has credit, tracking stall time."""
+        t0 = self.sim.now
+        while conn.sent >= conn.credit:
+            yield conn.notify.wait()
+        waited = self.sim.now - t0
+        if waited > 0:
+            self.credit_stalls += 1
+            self.credit_wait_ns += waited
+            self._trace_stall("credit-stall", t0)
+
+    def finish(self):
+        """Process fragment: the calling thread is done sending.
+
+        When the last attached thread finishes, end-of-stream markers are
+        transmitted on every connection (Algorithm 1, lines 14-17).
+        """
+        self._finished_threads += 1
+        if self._finished_threads == self._attached_threads:
+            yield from self._send_finals()
+
+    def _send_finals(self):
+        raise NotImplementedError
+
+
+class CreditedSendEndpoint(SendEndpoint):
     """Two-sided SEND data path under stateless credit (§4.4.1-2)."""
 
     def _consume_credit(self, conn: PeerConnection) -> None:
@@ -147,9 +305,6 @@ class CreditedSendEndpoint(RuntimeSendEndpoint):
             )
             yield self._cpu(self.net.post_wr_ns)
             self._post_data(conn, buf, frame)
-            self.trains_sent += 1
-            self.train_packets_sent += max(
-                1, -(-buf.length // self.ctx.config.mtu))
             self.record_send(dest, buf.length)
 
     def _send_finals(self):
@@ -178,16 +333,19 @@ class CreditedSendEndpoint(RuntimeSendEndpoint):
         raise NotImplementedError
 
 
-class RuntimeReceiveEndpoint(ReceiveEndpoint):
-    """RECEIVE endpoint on the shared transport runtime."""
+class ReceiveEndpoint(_EndpointBase):
+    """The data-receiving side."""
 
     def __init__(self, ctx: VerbsContext, endpoint_id: int,
                  config: EndpointConfig, sources: Sequence[Tuple[int, int]]):
-        super().__init__(ctx, endpoint_id, config, sources)
-        #: per-source transport state, keyed by source *endpoint* id
-        #: (frames and circular-queue updates carry endpoint ids).
-        self.conns = ConnectionTable()
-        self.cq = None
+        super().__init__(ctx, endpoint_id, config)
+        #: (source node id, source endpoint id) pairs feeding this endpoint.
+        self.sources = tuple(sources)
+        #: delivered items: (state, src_endpoint, remote_addr, local Buffer).
+        self._inbox = Queue(ctx.sim)
+        self._active_sources = {src_ep for _node, src_ep in self.sources}
+        self.messages_received = 0
+        self.bytes_received = 0
 
     @property
     def recv_pool_buffers(self) -> int:
@@ -196,14 +354,71 @@ class RuntimeReceiveEndpoint(ReceiveEndpoint):
 
     def provision_recv_pool(self):
         """Process fragment: charge registration and carve the pool."""
-        total = self.recv_pool_buffers
-        yield from self._charge_registration(total * self.config.message_size)
-        self.pool = BufferPool(self.ctx, total, self.config.message_size,
-                               tenant=self.config.tenant)
-        return self.pool
+        return (yield from self._provision_pool(self.recv_pool_buffers))
+
+    # -- the §4.2 interface ---------------------------------------------------
+
+    def get_data(self):
+        """Process fragment implementing GETDATA.
+
+        Returns ``(state, src, remote, local)``; ``local`` is None on the
+        end-of-stream sentinel.  Raises :class:`ShuffleNetworkError` if
+        unreliable delivery lost data beyond the drain timeout.
+        """
+        t0 = self.sim.now
+        item = yield self._inbox.get()
+        self._account_data_wait(t0)
+        yield self._cpu(self.net.poll_cq_ns)
+        if isinstance(item, ShuffleNetworkError):
+            # Leave the error visible for the other consumer threads too.
+            self._inbox.put(item)
+            raise item
+        return item
+
+    def release(self, remote_addr: int, local: Buffer, src: int):
+        """Process fragment implementing RELEASE."""
+        raise NotImplementedError
+
+    # -- shared internals ------------------------------------------------------
+
+    def _account_data_wait(self, t0: int) -> None:
+        """Close one GETDATA wait begun at ``t0``: the counter, and the
+        ``data-wait`` stall on tracer and link recorder."""
+        self.data_wait_ns += self.sim.now - t0
+        self._trace_stall("data-wait", t0)
+
+    def _deliver(self, src_endpoint: int, remote_addr: int, local,
+                 flow: int = 0) -> None:
+        """Hand one received buffer to the application inbox.
+
+        The single receive-side instrumentation point: every transport
+        routes arriving data through here, so message/byte accounting is
+        uniform across designs.  ``flow`` closes the causal DAG edge when
+        link recording is on: the flow's delivery time is stamped and the
+        buffer remembered, so a later credit return can name the data
+        message that freed it.
+        """
+        self.messages_received += 1
+        self.bytes_received += local.length
+        if flow:
+            links = self.ctx.telemetry.links
+            if links is not None:
+                links.on_deliver(flow, local)
+        self._inbox.put((DataState.MORE_DATA, src_endpoint, remote_addr,
+                         local))
+
+    def _source_depleted(self, src_endpoint: int) -> None:
+        """Mark one source finished; emit sentinels when all are done."""
+        self._active_sources.discard(src_endpoint)
+        if not self._active_sources:
+            for _ in range(self.config.threads_per_endpoint):
+                self._inbox.put(DEPLETED_SENTINEL)
+
+    def _fail(self, error: ShuffleNetworkError) -> None:
+        self._inbox.put(error)
 
 
-class CreditedReceiveEndpoint(RuntimeReceiveEndpoint):
+class CreditedReceiveEndpoint(ReceiveEndpoint):
     """Two-sided RELEASE path issuing stateless credit (§4.4.1-2)."""
 
     def release(self, remote_addr: int, local: Buffer, src: int):

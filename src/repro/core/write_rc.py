@@ -46,10 +46,7 @@ from repro.core.transport.credit import RingBoard
 from repro.core.transport.dispatch import CompletionDispatcher
 from repro.core.transport.registry import register_endpoint_kind
 from repro.core.transport.rings import RingCursor, post_ring_write
-from repro.core.transport.runtime import (
-    RuntimeReceiveEndpoint,
-    RuntimeSendEndpoint,
-)
+from repro.core.transport.runtime import ReceiveEndpoint, SendEndpoint
 from repro.memory import Buffer
 from repro.sim import Notify
 from repro.verbs.cm import EndpointRegistry
@@ -60,7 +57,7 @@ from repro.verbs.wr import SendWR
 __all__ = ["WriteRCSendEndpoint", "WriteRCReceiveEndpoint"]
 
 
-class WriteRCSendEndpoint(RuntimeSendEndpoint):
+class WriteRCSendEndpoint(SendEndpoint):
     """Active SEND endpoint pushing data with one-sided RDMA Writes."""
 
     transport = "MQ/WR"
@@ -172,7 +169,7 @@ class WriteRCSendEndpoint(RuntimeSendEndpoint):
                                   signaled=False)
 
 
-class WriteRCReceiveEndpoint(RuntimeReceiveEndpoint):
+class WriteRCReceiveEndpoint(ReceiveEndpoint):
     """Passive RECEIVE endpoint: data appears in its registered buffers."""
 
     transport = "MQ/WR"

@@ -78,7 +78,6 @@ class NetworkConfig:
     #: memory registration: fixed cost plus per-4KiB-page pinning cost.
     mr_register_base_ns: int
     mr_register_ns_per_page: int
-    mr_deregister_ns_per_page: int
 
     # ---- CPU cost model ---------------------------------------------------
     #: multiplier on all CPU-side costs (FDR cluster has older, slower
@@ -117,8 +116,6 @@ class NetworkConfig:
     mpi_overhead_ns: int
     #: per-byte copy cost through MPI internal buffers (eager path).
     mpi_copy_ns_per_byte: float
-    #: round trips for the rendezvous handshake.
-    mpi_rndv_rtt: int
 
     # ---- unreliable datagram behaviour ------------------------------------
     #: max extra random delay a UD packet may see (drives out-of-order
@@ -166,7 +163,6 @@ FDR = NetworkConfig(
     ah_create_ns=int(0.02 * MS),
     mr_register_base_ns=int(0.08 * MS),
     mr_register_ns_per_page=180,
-    mr_deregister_ns_per_page=35,
     cpu_scale=1.4,
     cores_per_node=8,
     hash_ns_per_tuple=5.0,
@@ -180,7 +176,6 @@ FDR = NetworkConfig(
     mpi_eager_threshold=16 * KIB,
     mpi_overhead_ns=450,
     mpi_copy_ns_per_byte=0.10,
-    mpi_rndv_rtt=2,
     ud_jitter_ns=2600,
 )
 
@@ -202,7 +197,6 @@ EDR = NetworkConfig(
     ah_create_ns=int(0.02 * MS),
     mr_register_base_ns=int(0.08 * MS),
     mr_register_ns_per_page=150,
-    mr_deregister_ns_per_page=30,
     cpu_scale=1.0,
     cores_per_node=8,
     hash_ns_per_tuple=5.0,
@@ -216,7 +210,6 @@ EDR = NetworkConfig(
     mpi_eager_threshold=16 * KIB,
     mpi_overhead_ns=450,
     mpi_copy_ns_per_byte=0.10,
-    mpi_rndv_rtt=2,
     ud_jitter_ns=2200,
 )
 

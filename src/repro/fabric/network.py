@@ -25,13 +25,13 @@ from __future__ import annotations
 
 import itertools
 import random
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.fabric import routing
 from repro.fabric.config import ClusterConfig, NetworkConfig
 from repro.fabric.nic import NIC
 from repro.fabric.packet import Packet, clone_for_member
-from repro.fabric.topology import Hop, Topology
+from repro.fabric.topology import Topology
 from repro.sim import Event, Simulator
 from repro.telemetry.core import Telemetry
 
@@ -158,19 +158,24 @@ class Fabric:
     def node(self, node_id: int) -> Node:
         return self.nodes[node_id]
 
-    def route(self, packet: Packet, unordered: bool = False,
-              lossy: bool = False,
-              egress_event: Optional[Event] = None) -> Event:
+    def route(self, packet: Packet, on_arrival: routing.Arrival,
+              unordered: bool = False, lossy: bool = False,
+              on_egress: Optional[Callable[[], None]] = None) -> None:
         """Carry ``packet`` from source to destination.
 
-        Returns an event that fires with the packet once it has fully
-        arrived at the destination NIC (or, for a dropped packet, once the
-        fabric has discarded it; ``packet.dropped`` is then True).
+        ``on_arrival(packet)`` runs once the packet has fully arrived at
+        the destination NIC (or, for a dropped packet, once the fabric
+        has discarded it; ``packet.dropped`` is then True).  The wire
+        rule: below the verbs API a completion is a continuation — an
+        ``Event`` is something a CPU thread waits on, and a caller that
+        has one waiting passes ``event.succeed``.  Continuations are
+        scheduled with ``call_soon`` at their instant, never called
+        synchronously.
 
         ``unordered`` adds random forwarding jitter so that messages can
         overtake each other — the Unreliable Datagram behaviour.
         ``lossy`` enables loss injection at the configured probability.
-        ``egress_event``, if given, fires once the packet has fully left
+        ``on_egress()``, if given, runs once the packet has fully left
         the sender's NIC (the point at which an unacknowledged transport
         considers the send complete).
 
@@ -183,10 +188,9 @@ class Fabric:
         if packet.src_node == packet.dst_node:  # loopback
             unordered = lossy = False
         hops = self.topology.route_hops(packet.src_node, packet.dst_node)
-        done = Event(self.sim)
-        routing.flat_route(self, packet, hops, unordered, lossy, done,
-                           egress_event)
-        return done
+        routing.flat_route(
+            self, packet, hops, unordered,
+            routing.ingress(self, packet, lossy, on_arrival), on_egress)
 
     def mcast_attach(self, mgid: int, node_id: int, qpn: int) -> None:
         """Attach a UD QP to a multicast group."""
@@ -196,15 +200,16 @@ class Fabric:
         self.mcast_members.get(mgid, set()).discard((node_id, qpn))
 
     def route_mcast(self, packet: Packet, mgid: int,
-                    egress_event: Optional[Event] = None) -> Event:
+                    on_arrival: routing.Arrival,
+                    on_egress: Optional[Callable[[], None]] = None) -> None:
         """Replicate one datagram to every group member.
 
         The sender's egress port serializes the packet *once*; the
         topology splits the member paths into a shared trunk (walked
         once) and per-member legs that start at the last common switch,
         where replication happens.  Each member's ingress port is
-        charged individually.  Returns an event firing with the list of
-        per-member delivery events.  The sender, if attached, does not
+        charged individually, and ``on_arrival`` runs once per member
+        with that member's copy.  The sender, if attached, does not
         hear its own packet (IB loopback suppression is the common HCA
         default).
         """
@@ -214,27 +219,15 @@ class Fabric:
         ]
         trunk, leg_hops = self.topology.mcast_route(
             packet.src_node, tuple(m[0] for m in members))
-        done = Event(self.sim)
 
         def fan_out() -> None:
-            deliveries = []
+            # Legs are datagrams (jitter and loss both apply).
             for node_id, qpn in members:
-                deliveries.append(
-                    self._mcast_leg(packet, node_id, qpn,
-                                    leg_hops[node_id]))
-            done.succeed(deliveries)
+                key = (packet.src_node, node_id)
+                self.link_bytes[key] = \
+                    self.link_bytes.get(key, 0) + packet.wire_bytes
+                routing.flat_leg(
+                    self, clone_for_member(packet, node_id, qpn),
+                    leg_hops[node_id], on_arrival)
 
-        routing.flat_route(self, packet, trunk, False, False, done,
-                           egress_event, terminal=fan_out)
-        return done
-
-    def _mcast_leg(self, packet: Packet, node_id: int, qpn: int,
-                   hops: Tuple[Hop, ...]) -> Event:
-        """One member's copy: its leg of the distribution tree, then its
-        ingress.  Legs are datagrams (jitter and loss both apply)."""
-        key = (packet.src_node, node_id)
-        self.link_bytes[key] = self.link_bytes.get(key, 0) + packet.wire_bytes
-        leg = Event(self.sim)
-        copy = clone_for_member(packet, node_id, qpn)
-        routing.flat_leg(self, copy, hops, leg)
-        return leg
+        routing.flat_route(self, packet, trunk, False, fan_out, on_egress)

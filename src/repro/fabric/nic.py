@@ -100,7 +100,7 @@ class NIC:
         self.telemetry = telemetry
         self.egress = RatePipe(sim, config.link_bytes_per_ns, f"egress[{node_id}]")
         self.ingress = RatePipe(sim, config.link_bytes_per_ns, f"ingress[{node_id}]")
-        # The processing engine is a unit-rate pipe used via occupy():
+        # The processing engine is a unit-rate pipe used via submit_occupy():
         # each work element holds it for its processing time.
         self.processor = RatePipe(sim, 1.0, f"nicproc[{node_id}]")
         self.qp_cache = QPContextCache(config.qp_cache_entries)
@@ -109,10 +109,6 @@ class NIC:
         self.disable_qp_cache = disable_qp_cache
         self.tx_messages = 0
         self.rx_messages = 0
-        #: MTU packets carried (mode-invariant train accounting; kept
-        #: out of telemetry snapshots, which stay per-message).
-        self.tx_packets = 0
-        self.rx_packets = 0
         #: cumulative processing-engine stall waiting on PCIe round trips
         #: for cold QP contexts (the Fig 10/11 degradation mechanism).
         self.pcie_stall_ns = 0
@@ -149,7 +145,6 @@ class NIC:
         """Serialize a train of ``wire_bytes`` onto the outbound link;
         runs ``func()`` once it has fully left the NIC."""
         self.tx_messages += 1
-        self.tx_packets += n_packets
         links = self.telemetry.links
         if links is not None:
             links.pipe("egress", self.node_id, self.egress,
@@ -169,7 +164,6 @@ class NIC:
         miss penalty rides on the train as a whole.
         """
         self.rx_messages += 1
-        self.rx_packets += n_packets
         penalty = self._qp_touch_penalty(qpn)
         links = self.telemetry.links
         if links is not None:

@@ -28,16 +28,17 @@ links records all stay per *message*: exactly one per train.
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Callable, Optional, Sequence, Tuple
 
 from repro.fabric.packet import Packet
 from repro.fabric.topology import Hop
-from repro.sim import Event
 
-__all__ = ["flat_route", "flat_leg"]
+__all__ = ["Arrival", "flat_route", "flat_leg", "ingress"]
 
-#: a multicast fan-out continuation run instead of ingress delivery.
-Terminal = Optional[Callable[[], None]]
+#: the arrival continuation of a route: scheduled with the packet once
+#: it has fully arrived (or been dropped; ``packet.dropped`` says which).
+Arrival = Callable[[Packet], None]
 
 
 class _HopWalk:
@@ -101,36 +102,50 @@ class _HopWalk:
         self.sim.call_later(self.latency, self._advance)
 
 
-def _flat_walk(fabric, packet: Packet, hops: Sequence[Hop],
-               unordered: bool, lossy: bool, done: Event,
-               terminal: Terminal) -> Callable[[], None]:
-    """Build the flat-callback hop walk; returns its entry point.
+def ingress(fabric, packet: Packet, lossy: bool,
+            on_arrival: Arrival) -> Callable[[], None]:
+    """The end of a delivered walk: the loss draw, the destination's
+    ingress pipe, then ``on_arrival(packet)``.
 
-    With ``terminal`` the walk ends there (the multicast trunk hands
-    over to the fan-out); otherwise it ends in the loss draw and the
-    destination's ingress pipe.
+    The continuation is scheduled with ``call_soon`` — its own queue
+    entry behind everything already due at the arrival instant, never a
+    synchronous call, so same-time entries keep their order.
     """
     sim = fabric.sim
     config = fabric.config
     rng = fabric._rng
+    arrived = partial(on_arrival, packet)
 
     def deliver() -> None:
         fabric.delivered_messages += 1
         fabric.delivered_packets += packet.n_packets
-        done.succeed(packet)
+        sim.call_soon(arrived)
 
-    def ingress() -> None:
+    def enter() -> None:
         if lossy and config.ud_loss_probability > 0:
             if rng.random() < config.ud_loss_probability:
                 packet.dropped = True
                 fabric.dropped_messages += 1
-                done.succeed(packet)
+                sim.call_soon(arrived)
                 return
         fabric.nodes[packet.dst_node].nic.submit_rx(
             packet.wire_bytes, packet.dst_qpn, deliver, flow=packet.flow,
             n_packets=packet.n_packets)
 
-    finish = terminal if terminal is not None else ingress
+    return enter
+
+
+def _flat_walk(fabric, packet: Packet, hops: Sequence[Hop],
+               unordered: bool,
+               finish: Callable[[], None]) -> Callable[[], None]:
+    """Build the flat-callback hop walk; returns its entry point.
+
+    The walk ends in ``finish``: :func:`ingress` for a delivery, the
+    fan-out for a multicast trunk.
+    """
+    sim = fabric.sim
+    config = fabric.config
+    rng = fabric._rng
 
     # Specialized shapes for the hot cases — the same heap entries and
     # RNG draw positions as the generic walker, without its object.
@@ -158,33 +173,35 @@ def _flat_walk(fabric, packet: Packet, hops: Sequence[Hop],
 
 
 def flat_route(fabric, packet: Packet, hops: Tuple[Hop, ...],
-               unordered: bool, lossy: bool, done: Event,
-               egress_event: Optional[Event] = None,
-               terminal: Terminal = None) -> None:
-    """Route one train: egress pipe, then the hop walk.
+               unordered: bool, finish: Callable[[], None],
+               on_egress: Optional[Callable[[], None]] = None) -> None:
+    """Route one train: egress pipe, then the hop walk into ``finish``.
 
     The only per-packet allocations are the stage closures — no
-    Process, no generator frame.
+    Process, no generator frame, no Event.  ``on_egress()`` is scheduled
+    (``call_soon``, like an arrival) once the train has left the
+    sender's port.
     """
-    walk = _flat_walk(fabric, packet, hops, unordered, lossy, done, terminal)
+    walk = _flat_walk(fabric, packet, hops, unordered, finish)
     src_nic = fabric.nodes[packet.src_node].nic
+    sim = fabric.sim
 
     def start() -> None:
         src_nic.submit_tx(packet.wire_bytes, after_egress, flow=packet.flow,
                           n_packets=packet.n_packets)
 
     def after_egress() -> None:
-        if egress_event is not None:
-            egress_event.succeed(packet)
+        if on_egress is not None:
+            sim.call_soon(on_egress)
         walk()
 
-    fabric.sim.call_soon(start)
+    sim.call_soon(start)
 
 
 def flat_leg(fabric, packet: Packet, hops: Tuple[Hop, ...],
-             done: Event) -> None:
+             on_arrival: Arrival) -> None:
     """One multicast leg: the walk without an egress stage (the trunk
     already paid the sender's port once for the whole group).  Legs are
     datagrams: always unordered and lossy."""
-    fabric.sim.call_soon(
-        _flat_walk(fabric, packet, hops, True, True, done, None))
+    fabric.sim.call_soon(_flat_walk(
+        fabric, packet, hops, True, ingress(fabric, packet, True, on_arrival)))

@@ -2,19 +2,19 @@
 
 The whole reproduction runs inside a deterministic discrete-event
 simulation: simulated time is an integer number of nanoseconds, CPU
-threads (workers, software stacks, the service) are generator-based
-processes, hardware (pipes, NICs, the fabric walk, QP state machines) is
-plain scheduled callbacks, and every measurement reported by the
-benchmarks is simulated wall-clock time.
+threads (workers, the service and its jobs) are generator-based
+processes, hardware (pipes, NICs, the fabric walk, QP state machines,
+what lies beneath the MPI and socket calls) is plain scheduled callbacks,
+and every measurement reported by the benchmarks is simulated time.
 
 The kernel is intentionally small and simpy-like:
 
 * :class:`~repro.sim.kernel.Simulator` owns the clock and the event queue.
 * Processes are plain generators that ``yield`` :class:`Event` objects and
   resume when the event fires.
-* :mod:`repro.sim.primitives` provides the blocking building blocks used by
-  the fabric and the endpoints: FIFO queues, semaphores, mutexes, broadcast
-  signals and rate-limited pipes.
+* :mod:`repro.sim.primitives` provides the blocking building blocks CPU
+  threads wait on (FIFO queues, semaphores, mutexes, broadcast signals)
+  and the callback-driven rate-limited pipe hardware is charged through.
 """
 
 from repro.sim.kernel import (

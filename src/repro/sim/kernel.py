@@ -8,10 +8,10 @@ until the event fires.
 
 Hot-path notes (see DESIGN.md, "Execution path"):
 
-* :meth:`Simulator.run` and :meth:`Simulator.run_process` share a batched
-  drain loop that pops all entries of one timestamp in an inner loop with
-  locally bound heap operations, and flushes the telemetry counters once
-  per drain instead of once per event.
+* :meth:`Simulator.run` and :meth:`Simulator.run_process` share the one
+  batched drain loop, which pops all entries of one timestamp in an inner
+  loop with locally bound heap operations, and flushes the telemetry
+  counters once per drain instead of once per event.
 * Plain callback scheduling (:meth:`Simulator.call_soon` /
   :meth:`Simulator.call_at` / :meth:`Simulator.call_later`) pushes the
   bare callable as the heap payload — no :class:`Event`, no carrier
@@ -441,73 +441,50 @@ class Simulator:
         gc_was_enabled = gc.isenabled()
         gc.disable()
         try:
-            # The loop is duplicated for the unbounded stop-less case
-            # (plain ``run()``, which is every figure run and benchmark)
-            # so the common path pays neither a per-batch ``until`` check
-            # nor a per-event stop check.
-            if until is None and stop is None:
-                while heap:
-                    when = pop(heap)
-                    self.now = when
-                    # Queue depth is sampled every 64th timestamp batch
-                    # (not before every pop) and counts distinct pending
-                    # timestamps, to keep the loop lean; the gauge stays
-                    # deterministic but is an approximation — it is one
-                    # of the interpreter self-counters the golden
-                    # digests exclude (see DESIGN.md).
-                    sample -= 1
-                    if sample < 0:
-                        sample = 63
-                        depth = len(heap)
-                        if depth > max_depth:
-                            max_depth = depth
-                    # Entries scheduled for ``when`` mid-batch go to a
-                    # fresh bucket that the outer loop dispatches next,
-                    # exactly where their sequence numbers would have
-                    # placed them; this bucket cannot grow under us.
-                    for entry in buckets.pop(when):
-                        dispatched += 1
-                        if isinstance(entry, Event):
-                            entry._run_callbacks()
-                        else:
-                            entry()
-                        if defunct:
-                            self._reap_defunct()
-            else:
-                while heap:
-                    when = heap[0]
-                    if until is not None and when >= until:
-                        break
-                    pop(heap)
-                    self.now = when
-                    sample -= 1
-                    if sample < 0:
-                        sample = 63
-                        depth = len(heap)
-                        if depth > max_depth:
-                            max_depth = depth
-                    bucket = buckets.pop(when)
-                    for i, entry in enumerate(bucket):
-                        dispatched += 1
-                        if isinstance(entry, Event):
-                            entry._run_callbacks()
-                        else:
-                            entry()
-                        if defunct:
-                            self._reap_defunct()
-                        if stop is not None and stop._state == _PROCESSED:
-                            # Preserve the rest of the batch for a later
-                            # run; mid-batch entries at ``when`` may have
-                            # re-created the bucket and must come after.
-                            rest = bucket[i + 1:]
-                            if rest:
-                                existing = buckets.get(when)
-                                if existing is None:
-                                    buckets[when] = rest
-                                    _heappush(heap, when)
-                                else:
-                                    existing[:0] = rest
-                            return
+            while heap:
+                when = heap[0]
+                if until is not None and when >= until:
+                    break
+                pop(heap)
+                self.now = when
+                # Queue depth is sampled every 64th timestamp batch (not
+                # before every pop) and counts distinct pending
+                # timestamps, to keep the loop lean; the gauge stays
+                # deterministic but is an approximation — it is one of
+                # the interpreter self-counters the golden digests
+                # exclude (see DESIGN.md).
+                sample -= 1
+                if sample < 0:
+                    sample = 63
+                    depth = len(heap)
+                    if depth > max_depth:
+                        max_depth = depth
+                # Entries scheduled for ``when`` mid-batch go to a fresh
+                # bucket that the outer loop dispatches next, exactly
+                # where their sequence numbers would have placed them;
+                # this bucket cannot grow under us.
+                bucket = buckets.pop(when)
+                for i, entry in enumerate(bucket):
+                    dispatched += 1
+                    if isinstance(entry, Event):
+                        entry._run_callbacks()
+                    else:
+                        entry()
+                    if defunct:
+                        self._reap_defunct()
+                    if stop is not None and stop._state == _PROCESSED:
+                        # Preserve the rest of the batch for a later
+                        # run; mid-batch entries at ``when`` may have
+                        # re-created the bucket and must come after.
+                        rest = bucket[i + 1:]
+                        if rest:
+                            existing = buckets.get(when)
+                            if existing is None:
+                                buckets[when] = rest
+                                _heappush(heap, when)
+                            else:
+                                existing[:0] = rest
+                        return
         finally:
             if gc_was_enabled:
                 gc.enable()

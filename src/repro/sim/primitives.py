@@ -248,20 +248,6 @@ class RatePipe:
                     args={"bytes": int(units)} if units else None)
         return end - now
 
-    def transmit(self, units: float, extra_ns: int = 0) -> Event:
-        """Submit ``units`` of work; returns the completion event.
-
-        ``extra_ns`` adds fixed per-item overhead that also occupies the
-        pipe (e.g. per-work-request processing time).
-        """
-        if units < 0:
-            raise SimError(f"cannot transmit negative units: {units}")
-        delay = self._charge(
-            units, self._serialization_ns(units) + int(extra_ns))
-        event = Event(self.sim)
-        event.succeed(delay=delay)
-        return event
-
     def _packet_boundaries(self, start: int, ser_ns: int,
                            n_packets: int) -> None:
         """Schedule the oracle's intermediate MTU-boundary ticks.
@@ -282,10 +268,11 @@ class RatePipe:
                      func: Callable[[], None], extra_ns: int = 0) -> None:
         """Charge one packet train; runs ``func()`` at train arrival.
 
-        Identical occupancy, counters and completion time to
-        :meth:`transmit` — a train *is* one ``units``-sized transfer —
-        but under the per-packet reference the serialization interval
-        is additionally ticked at every MTU boundary.
+        A train *is* one ``units``-sized transfer: one charge, one
+        completion; only under the per-packet reference is the
+        serialization interval additionally ticked at every MTU
+        boundary.  ``extra_ns`` adds fixed per-item overhead that also
+        occupies the pipe (e.g. per-work-request processing time).
         """
         if units < 0:
             raise SimError(f"cannot transmit negative units: {units}")
@@ -297,16 +284,10 @@ class RatePipe:
                                     n_packets)
         self.sim.call_later(delay, func)
 
-    def occupy(self, duration_ns: int) -> Event:
-        """Occupy the pipe for a fixed duration (rate-independent work)."""
-        event = Event(self.sim)
-        event.succeed(delay=self._charge(0, int(duration_ns)))
-        return event
-
     def submit_occupy(self, duration_ns: int,
                       func: Callable[[], None]) -> None:
-        """Callback form of :meth:`occupy`: runs ``func()`` at completion
-        instead of allocating an :class:`Event`."""
+        """Occupy the pipe for a fixed duration (rate-independent work);
+        runs ``func()`` at completion."""
         self.sim.call_later(self._charge(0, int(duration_ns)), func)
 
     @property

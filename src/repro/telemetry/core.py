@@ -287,19 +287,18 @@ class Telemetry:
         if hasattr(ep, "messages_sent"):  # send side
             add("ep.messages_sent", ep.messages_sent)
             add("ep.bytes_sent", ep.bytes_sent)
-            add("ep.credit_wait_ns", getattr(ep, "credit_wait_ns", 0))
-            add("ep.credit_stalls", getattr(ep, "credit_stalls", 0))
-            add("ep.free_wait_ns", getattr(ep, "free_wait_ns", 0))
-            by_dest = getattr(ep, "bytes_by_dest", None)
-            if by_dest:
+            add("ep.credit_wait_ns", ep.credit_wait_ns)
+            add("ep.credit_stalls", ep.credit_stalls)
+            add("ep.free_wait_ns", ep.free_wait_ns)
+            if ep.bytes_by_dest:
                 merged = metrics.setdefault("ep.bytes_by_dest", {})
-                for dest, nbytes in by_dest.items():
+                for dest, nbytes in ep.bytes_by_dest.items():
                     key = str(dest)
                     merged[key] = merged.get(key, 0) + nbytes
         if hasattr(ep, "messages_received"):  # receive side
             add("ep.messages_received", ep.messages_received)
             add("ep.bytes_received", ep.bytes_received)
-            add("ep.data_wait_ns", getattr(ep, "data_wait_ns", 0))
+            add("ep.data_wait_ns", ep.data_wait_ns)
 
     @staticmethod
     def _finish_skew(metrics: Dict[str, Any]) -> None:

@@ -166,16 +166,22 @@ class VerbsContext:
                 raise
         return mr
 
-    def reg_mr_timed(self, length: int, tenant: Optional[str] = None):
-        """Process fragment: register memory, charging pin time.
-
-        Usage: ``mr = yield from ctx.reg_mr_timed(nbytes)``.
-        """
+    def charge_registration(self, length: int):
+        """Process fragment: charge the pin+register time of ``length``
+        bytes (the region itself is created separately, e.g. by a
+        BufferPool)."""
         config = self.config
         pages = max(1, -(-length // config.page_size))
         cost = config.mr_register_base_ns + pages * config.mr_register_ns_per_page
         self.mr_register_ns += cost
         yield self.sim.timeout(cost)
+
+    def reg_mr_timed(self, length: int, tenant: Optional[str] = None):
+        """Process fragment: register memory, charging pin time.
+
+        Usage: ``mr = yield from ctx.reg_mr_timed(nbytes)``.
+        """
+        yield from self.charge_registration(length)
         return self.reg_mr(length, tenant=tenant)
 
     def dereg_mr(self, mr: MemoryRegion) -> None:

@@ -290,10 +290,9 @@ class QueuePair:
                 payload=None if wr.buffer is None else wr.buffer.payload,
                 meta={"imm": wr.imm}, flow=wr.flow,
             )
-            ctx.fabric.route(packet).add_callback(arrived)
+            ctx.fabric.route(packet, arrived)
 
-        def arrived(arrival: Event) -> None:
-            packet = arrival.value
+        def arrived(packet: Packet) -> None:
             remote = ctx.peer_context(peer.node_id)
             remote_qp = remote.qp(peer.qpn)
             # Receiver-not-ready: stall until a Receive is posted.  (The
@@ -323,11 +322,11 @@ class QueuePair:
                     src_qpn=peer.qpn, dst_qpn=self.qpn, kind="ACK",
                     length=0, wire_bytes=config.rc_ack_bytes, flow=wr.flow,
                 )
-                ctx.fabric.route(ack).add_callback(acked)
+                ctx.fabric.route(ack, acked)
 
             remote_qp._rc_recvs.get().add_callback(got_recv)
 
-        def acked(_evt: Event) -> None:
+        def acked(_ack: Packet) -> None:
             self._complete_send(wr, "rc-send", t0)
 
         sim.call_soon(start)
@@ -351,9 +350,9 @@ class QueuePair:
                 src_qpn=self.qpn, dst_qpn=peer.qpn, kind="READ_REQ",
                 length=0, wire_bytes=config.rc_header_bytes, flow=wr.flow,
             )
-            ctx.fabric.route(request).add_callback(requested)
+            ctx.fabric.route(request, requested)
 
-        def requested(_evt: Event) -> None:
+        def requested(_request: Packet) -> None:
             # The remote CPU stays passive: the remote *NIC* serves the read.
             ctx.peer_context(peer.node_id).nic.submit_wr(
                 peer.qpn, served, flow=wr.flow)
@@ -366,11 +365,11 @@ class QueuePair:
                 length=wr.length, transport="RC",
                 payload=mr.get_object(wr.remote_addr), flow=wr.flow,
             )
-            ctx.fabric.route(response).add_callback(responded)
+            ctx.fabric.route(response, responded)
 
-        def responded(arrival: Event) -> None:
+        def responded(response: Packet) -> None:
             if wr.buffer is not None:
-                wr.buffer.deposit(arrival.value.payload, wr.length)
+                wr.buffer.deposit(response.payload, wr.length)
             self._complete_send(wr, "rc-read", t0)
 
         ctx.sim.call_soon(start)
@@ -399,22 +398,22 @@ class QueuePair:
                 payload=None if wr.buffer is None else wr.buffer.payload,
                 flow=wr.flow,
             )
-            ctx.fabric.route(packet).add_callback(arrived)
+            ctx.fabric.route(packet, arrived)
 
-        def arrived(arrival: Event) -> None:
+        def arrived(packet: Packet) -> None:
             mr = ctx.peer_context(peer.node_id).memory.resolve(wr.remote_addr)
             if wr.value is not None:
                 mr.write_u64(wr.remote_addr, wr.value)
             else:
-                mr.set_object(wr.remote_addr, arrival.value.payload)
+                mr.set_object(wr.remote_addr, packet.payload)
             ack = make_train(
                 config, src_node=peer.node_id, dst_node=ctx.node_id,
                 src_qpn=peer.qpn, dst_qpn=self.qpn, kind="ACK",
                 length=0, wire_bytes=config.rc_ack_bytes, flow=wr.flow,
             )
-            ctx.fabric.route(ack).add_callback(acked)
+            ctx.fabric.route(ack, acked)
 
-        def acked(_evt: Event) -> None:
+        def acked(_ack: Packet) -> None:
             self._complete_send(wr, "rc-write", t0)
 
         ctx.sim.call_soon(start)
@@ -424,7 +423,7 @@ class QueuePair:
     def _ud_send(self, wr: SendWR) -> None:
         """One UD Send as a flat callback chain: NIC processing, route
         (unicast or multicast fan-out), completion at egress; delivery
-        runs as a callback on each arrival event."""
+        is the arrival continuation, run once per receiving member."""
         ctx = self.ctx
         sim = ctx.sim
         config = ctx.config
@@ -443,33 +442,23 @@ class QueuePair:
                 payload=None if wr.buffer is None else wr.buffer.payload,
                 meta={"imm": wr.imm}, flow=wr.flow,
             )
-            egress_done = Event(sim)
+            # No ack in UD: local completion (``on_egress``) once the NIC
+            # drained the buffer.
             if dest.node_id == MCAST_NODE:
                 # InfiniBand multicast: the switch replicates the datagram
                 # to every attached QP; the sender's port is charged once.
-                fanout = ctx.fabric.route_mcast(
-                    packet, mgid=dest.qpn, egress_event=egress_done)
-                fanout.add_callback(fan_out)
+                ctx.fabric.route_mcast(packet, dest.qpn, self._ud_deliver,
+                                       on_egress=complete)
             else:
-                arrival = ctx.fabric.route(
-                    packet, unordered=True, lossy=True,
-                    egress_event=egress_done)
-                arrival.add_callback(self._ud_deliver)
-            # No ack in UD: local completion once the NIC drained the
-            # buffer.
-            egress_done.add_callback(complete)
+                ctx.fabric.route(packet, self._ud_deliver, unordered=True,
+                                 lossy=True, on_egress=complete)
 
-        def fan_out(fanout: Event) -> None:
-            for leg in fanout.value:
-                leg.add_callback(self._ud_deliver)
-
-        def complete(_evt: Event) -> None:
+        def complete() -> None:
             self._complete_send(wr, "ud-send", t0)
 
         sim.call_soon(start)
 
-    def _ud_deliver(self, arrival: Event) -> None:
-        packet = arrival.value
+    def _ud_deliver(self, packet: Packet) -> None:
         if packet.dropped:
             return
         remote = self.ctx.peer_context(packet.dst_node)

@@ -79,6 +79,31 @@ class TestMPIRuntime:
         # The blocking send cannot complete before the receiver matched.
         assert send_done["at"] >= 200_000
 
+    def test_rendezvous_ids_of_two_senders_do_not_collide(self):
+        """Request ids are per runtime, so two nodes' first rendezvous
+        both carry id 1; the receiver keys them with the source node and
+        hands each data message to the receive its own RTS matched."""
+        cluster = Cluster(ClusterConfig(network=EDR, num_nodes=3,
+                                        threads_per_node=2))
+        runtimes = [MPIRuntime.get(ctx) for ctx in cluster.contexts]
+        got = {}
+
+        def sender(node, tag, length):
+            yield from runtimes[node].mpi_send(
+                2, tag=tag, payload=f"from-{node}", length=length)
+
+        def receiver(tag):
+            got[tag] = yield from runtimes[2].mpi_recv(tag=tag)
+
+        # Node 1's smaller message overtakes node 0's on the wire.
+        cluster.sim.process(sender(0, 3, 1024 * 1024))
+        cluster.sim.process(sender(1, 4, 64 * 1024))
+        cluster.sim.process(receiver(3))
+        cluster.sim.process(receiver(4))
+        cluster.run()
+        assert got == {3: (0, "from-0", 1024 * 1024),
+                       4: (1, "from-1", 64 * 1024)}
+
     def test_progress_gated_on_mpi_calls(self):
         """An arriving message is not matched while no thread is inside
         the MPI library (the overlap-failure mechanism)."""
@@ -111,6 +136,24 @@ class TestBaselineShuffles:
                 bytes_per_node=8 * MIB).receive_throughput_gib_per_node()
 
         assert thr("MESQ/SR") > thr("MPI")
+
+    @pytest.mark.parametrize("design", ["MPI", "IPoIB"])
+    def test_baselines_account_through_the_shared_points(self, design):
+        """record_send and the data-wait helper are the same ones every
+        RDMA design reports through: per-destination bytes reach the
+        snapshot, data-wait stalls reach the link recorder."""
+        cluster = Cluster(ClusterConfig(network=EDR, num_nodes=4,
+                                        threads_per_node=2))
+        links = cluster.enable_reporting()
+        result = run_repartition(cluster, design, bytes_per_node=1 * MIB)
+        for metrics in cluster.metrics_snapshot()["nodes"].values():
+            by_dest = metrics["ep.bytes_by_dest"]
+            assert sorted(by_dest) == ["0", "1", "2", "3"]
+            assert sum(by_dest.values()) == metrics["ep.bytes_sent"]
+            assert metrics["ep.dest_skew"] >= 1.0
+        waits = [s for s in links.stalls if s.kind == "data-wait"]
+        assert waits
+        assert sum(s.duration for s in waits) == result.recv_data_wait_ns
 
     def test_ipoib_slowest(self):
         def thr(design):

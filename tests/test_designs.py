@@ -2,10 +2,17 @@
 
 import pytest
 
+from repro import EDR, Cluster, ClusterConfig, TransmissionGroups
 from repro.core import DESIGNS, design_properties
 from repro.core.read_rc import ReadRCSendEndpoint
 from repro.core.sr_rc import SRRCSendEndpoint
 from repro.core.sr_ud import SRUDSendEndpoint
+from repro.core.transport.runtime import (
+    CreditedReceiveEndpoint,
+    CreditedSendEndpoint,
+    ReceiveEndpoint,
+    SendEndpoint,
+)
 
 
 class TestRegistry:
@@ -22,6 +29,43 @@ class TestRegistry:
     def test_endpoint_counts(self):
         assert DESIGNS["MESQ/SR"].num_endpoints(threads=8) == 8
         assert DESIGNS["SESQ/SR"].num_endpoints(threads=8) == 1
+
+
+@pytest.mark.parametrize("name", sorted(DESIGNS))
+class TestOneEndpointBase:
+    """Every design and both baselines stand on the one SendEndpoint /
+    ReceiveEndpoint; nothing about an endpoint has to be probed for."""
+
+    def test_classes_descend_from_the_one_base(self, name):
+        implementations = {cls for d in DESIGNS.values()
+                           for cls in (d.send_cls, d.recv_cls)}
+        for cls, base, credited in (
+                (DESIGNS[name].send_cls, SendEndpoint, CreditedSendEndpoint),
+                (DESIGNS[name].recv_cls, ReceiveEndpoint,
+                 CreditedReceiveEndpoint)):
+            assert issubclass(cls, base)
+            between = cls.__mro__[:cls.__mro__.index(base)]
+            assert all(c in implementations or c is credited
+                       for c in between), between
+
+    def test_every_endpoint_answers_the_harvests_plainly(self, name):
+        cluster = Cluster(ClusterConfig(network=EDR, num_nodes=2,
+                                        threads_per_node=1))
+        stage = cluster.shuffle_stage(name, TransmissionGroups.repartition(2))
+        cluster.run_process(stage.setup())
+        endpoints = [ep for eps in (*stage.send_endpoints.values(),
+                                    *stage.recv_endpoints.values())
+                     for ep in eps]
+        assert len(endpoints) == 4
+        for ep in endpoints:
+            assert isinstance(ep.qps(), list)
+            assert ep.registered_regions()
+            assert ep.conns is not None
+            assert ep.cq is None or ep.cq in cluster.contexts[
+                ep.ctx.node_id]._cqs
+            assert ep.credit_wait_ns == ep.data_wait_ns == 0
+        stage.dispose()
+        cluster.dispose()
 
 
 class TestTable1:

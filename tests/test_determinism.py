@@ -145,3 +145,19 @@ def test_results_do_not_depend_on_endpoint_id_values(first_id):
     once iterated a *set* of endpoint ids, so credit datagrams left in
     integer-hash order and the id values leaked into the timing."""
     assert _hierarchical_point(first_id) == _hierarchical_point()
+
+
+def test_mpi_rendezvous_does_not_depend_on_process_history():
+    """Rendezvous request ids are per MPI runtime, like endpoint ids are
+    per fabric: an MPI run that came earlier in the process (of another
+    size, so it drew another number of ids) cannot move a later one."""
+    def point(mib):
+        cluster = Cluster(ClusterConfig(network=EDR, num_nodes=4,
+                                        threads_per_node=2))
+        result = run_repartition(cluster, "MPI", bytes_per_node=mib << 20)
+        cluster.dispose()
+        return result.elapsed_ns
+
+    fresh = point(2)
+    point(1)
+    assert point(2) == fresh

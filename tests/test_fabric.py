@@ -3,7 +3,7 @@
 import pytest
 
 from repro.fabric import EDR, FDR, ClusterConfig, Fabric, Packet, QPContextCache
-from repro.sim import Event, Simulator
+from repro.sim import Event, RatePipe, Simulator
 
 
 @pytest.fixture
@@ -79,13 +79,21 @@ class TestWireBytes:
         assert EDR.wire_bytes(100, "RC") == 100 + EDR.rc_header_bytes
 
 
+def routed(sim, fabric, pkt, **kwargs):
+    """Route ``pkt``; the Event a test thread waits on for its arrival
+    (the fabric itself takes continuations and constructs no Event)."""
+    arrival = Event(sim)
+    fabric.route(pkt, arrival.succeed, **kwargs)
+    return arrival
+
+
 class TestRouting:
     def test_delivery_latency_includes_serialization_and_switch(self, sim):
         fabric = make_fabric(sim, network=EDR, ud_jitter_ns=0)
         pkt = Packet(0, 1, 1, 2, "SEND", 65536, 65536)
 
         def proc():
-            arrived = yield fabric.route(pkt)
+            arrived = yield routed(sim, fabric, pkt)
             return (sim.now, arrived)
 
         t, arrived = sim.run_process(proc())
@@ -101,9 +109,9 @@ class TestRouting:
         times = {}
 
         def proc():
-            egress = Event(sim)
-            egress.add_callback(lambda e: times.setdefault("egress", sim.now))
-            yield fabric.route(pkt, egress_event=egress)
+            yield routed(
+                sim, fabric, pkt,
+                on_egress=lambda: times.setdefault("egress", sim.now))
             times["arrival"] = sim.now
 
         sim.run_process(proc())
@@ -115,7 +123,7 @@ class TestRouting:
 
         def send(dst):
             pkt = Packet(0, dst, 1, 2, "SEND", 65536, 65536)
-            yield fabric.route(pkt)
+            yield routed(sim, fabric, pkt)
             done.append(sim.now)
 
         # Two messages to different destinations share node 0's egress port.
@@ -134,7 +142,7 @@ class TestRouting:
         pkt = Packet(0, 0, 1, 2, "SEND", 1 << 20, 1 << 20)
 
         def proc():
-            yield fabric.route(pkt)
+            yield routed(sim, fabric, pkt)
             return sim.now
 
         t = sim.run_process(proc())
@@ -149,7 +157,7 @@ class TestRouting:
         pkt = Packet(0, 1, 1, 2, "SEND", 100, 160)
 
         def proc():
-            arrived = yield fabric.route(pkt, lossy=True)
+            arrived = yield routed(sim, fabric, pkt, lossy=True)
             return arrived
 
         arrived = sim.run_process(proc())
@@ -161,7 +169,7 @@ class TestRouting:
         pkt = Packet(0, 1, 1, 2, "SEND", 100, 160)
 
         def proc():
-            arrived = yield fabric.route(pkt, lossy=False)
+            arrived = yield routed(sim, fabric, pkt, lossy=False)
             return arrived
 
         assert not sim.run_process(proc()).dropped
@@ -175,7 +183,7 @@ class TestRouting:
 
         def send(seq):
             pkt = Packet(0, 1, 1, 2, "SEND", 64, 124, meta={"seq": seq})
-            arrived = yield fabric.route(pkt, unordered=True)
+            arrived = yield routed(sim, fabric, pkt, unordered=True)
             arrivals.append(arrived.meta["seq"])
 
         for seq in range(50):
@@ -183,6 +191,35 @@ class TestRouting:
         sim.run()
         assert sorted(arrivals) == list(range(50))
         assert arrivals != list(range(50)), "jitter should reorder someone"
+
+    def test_the_wire_allocates_no_event(self, sim, monkeypatch):
+        """Below the verbs API a completion is a continuation: routing
+        packets (unicast and multicast) and charging a pipe construct
+        no Event — those are what CPU threads wait on."""
+        fabric = make_fabric(sim, nodes=3)
+        for node in (1, 2):
+            fabric.mcast_attach(9, node, 100 + node)
+        pipe = RatePipe(sim, 2.0)
+        created = []
+        init = Event.__init__
+
+        def counting_init(self, *args, **kwargs):
+            created.append(type(self).__name__)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(Event, "__init__", counting_init)
+        arrivals, left = [], []
+        for seq in range(20):
+            fabric.route(Packet(0, 1, 1, 2, "SEND", 4096, 4156),
+                         arrivals.append, unordered=True, lossy=True,
+                         on_egress=lambda: left.append(sim.now))
+            fabric.route_mcast(Packet(0, 0, 1, 0, "SEND", 2048, 2108), 9,
+                               arrivals.append)
+            pipe.submit_train(8192, 2, lambda: None, extra_ns=5)
+            pipe.submit_occupy(40, lambda: None)
+        sim.run()
+        assert len(arrivals) == 20 * 3 and len(left) == 20
+        assert created == []
 
     def test_cluster_validation(self):
         with pytest.raises(ValueError):

@@ -66,18 +66,12 @@ def mcast_blast(sim, fabric):
         fabric.mcast_attach(mgid, node, 200 + node)
     outcomes = []
 
-    def wait_leg(leg):
-        copy = yield leg
+    def on_leg(copy):
         outcomes.append((sim.now, copy.dst_node, copy.dropped))
-
-    def collect(fanned_out):
-        legs = yield fanned_out
-        for leg in legs:
-            sim.process(wait_leg(leg))
 
     for seq in range(16):
         pkt = Packet(0, 0, 11, 0, "SEND", 2048, 2108, meta={"seq": seq})
-        sim.process(collect(fabric.route_mcast(pkt, mgid)))
+        fabric.route_mcast(pkt, mgid, on_leg)
     sim.run()
     assert fabric.delivered_messages + fabric.dropped_messages \
         == len(outcomes) == 16 * 7

@@ -64,8 +64,7 @@ class TestRatePipeProperties:
         pipe = RatePipe(sim, rate)
         completions = []
         for size in sizes:
-            pipe.transmit(size).add_callback(
-                lambda _e: completions.append(sim.now))
+            pipe.submit_train(size, 1, lambda: completions.append(sim.now))
         sim.run()
         # FIFO: completion times nondecreasing.
         assert completions == sorted(completions)

@@ -2,7 +2,16 @@
 
 import pytest
 
-from repro.sim import Mutex, Notify, Queue, RatePipe, Semaphore, SimError, Simulator
+from repro.sim import (
+    Event,
+    Mutex,
+    Notify,
+    Queue,
+    RatePipe,
+    Semaphore,
+    SimError,
+    Simulator,
+)
 
 
 @pytest.fixture
@@ -179,12 +188,20 @@ class TestNotify:
         assert woken == []  # missed the earlier broadcast
 
 
+def _sent(sim, pipe, units, extra_ns=0):
+    """Charge one single-packet train; the Event a test thread waits on
+    (the pipe itself is callback-only: it constructs no Event)."""
+    done = Event(sim)
+    pipe.submit_train(units, 1, done.succeed, extra_ns=extra_ns)
+    return done
+
+
 class TestRatePipe:
     def test_single_transfer_duration(self, sim):
         pipe = RatePipe(sim, rate=1.0)  # 1 byte/ns
 
         def proc():
-            yield pipe.transmit(1000)
+            yield _sent(sim, pipe, 1000)
             return sim.now
 
         assert sim.run_process(proc()) == 1000
@@ -194,7 +211,7 @@ class TestRatePipe:
         done = []
 
         def sender(name, nbytes):
-            yield pipe.transmit(nbytes)
+            yield _sent(sim, pipe, nbytes)
             done.append((name, sim.now))
 
         sim.process(sender("a", 1000))  # 500 ns
@@ -206,7 +223,7 @@ class TestRatePipe:
         pipe = RatePipe(sim, rate=1.0)
 
         def proc():
-            yield pipe.transmit(100, extra_ns=50)
+            yield _sent(sim, pipe, 100, extra_ns=50)
             return sim.now
 
         assert sim.run_process(proc()) == 150
@@ -216,7 +233,7 @@ class TestRatePipe:
 
         def proc():
             yield sim.timeout(500)
-            yield pipe.transmit(100)
+            yield _sent(sim, pipe, 100)
             return sim.now
 
         assert sim.run_process(proc()) == 600
@@ -225,10 +242,13 @@ class TestRatePipe:
         pipe = RatePipe(sim, rate=1.0)
 
         def proc():
-            yield pipe.occupy(42)
+            done = Event(sim)
+            pipe.submit_occupy(42, done.succeed)
+            yield done
             return sim.now
 
         assert sim.run_process(proc()) == 42
+        assert pipe.busy_ns == 42 and pipe.total_units == 0
 
     def test_rejects_bad_rate(self, sim):
         with pytest.raises(SimError):
@@ -238,8 +258,12 @@ class TestRatePipe:
         pipe = RatePipe(sim, rate=1.0)
 
         def proc():
-            yield pipe.transmit(100)
-            yield pipe.transmit(200)
+            yield _sent(sim, pipe, 100)
+            yield _sent(sim, pipe, 200)
+            yield _sent(sim, pipe, 0)  # zero duration: fires at once
 
         sim.run_process(proc())
         assert pipe.total_units == 300
+        assert pipe.busy_ns == sim.now == 300
+        with pytest.raises(SimError):
+            pipe.submit_train(-1, 1, lambda: None)

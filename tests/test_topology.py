@@ -238,13 +238,10 @@ class TestEndToEnd:
                 network=EDR, num_nodes=8,
                 topology=LEAF_SPINE(oversubscription=k)))
 
-            def proc():
-                # Cross-leaf transfer: must squeeze through leaf0.up.
-                pkt = Packet(0, 4, 1, 2, "SEND", 4 * MIB, 4 * MIB)
-                yield fabric.route(pkt)
-                return sim.now
-
-            return sim.run_process(proc())
+            # Cross-leaf transfer: must squeeze through leaf0.up.
+            pkt = Packet(0, 4, 1, 2, "SEND", 4 * MIB, 4 * MIB)
+            fabric.route(pkt, lambda _pkt: None)
+            return sim.run()
 
         assert elapsed(4) > elapsed(1)
 

@@ -96,11 +96,11 @@ def test_one_packet_train_is_exactly_transmit():
     reference = Simulator()
     ref_pipe = RatePipe(reference, 12.4)
     ref_fired = []
-    ref_pipe.transmit(4096).add_callback(
-        lambda _event: ref_fired.append(reference.now))
+    ref_pipe.submit_train(4096, 1, lambda: ref_fired.append(reference.now))
     reference.run()
-    assert fired == ref_fired
+    assert fired == ref_fired == [int(4096 / 12.4)]
     assert sim.now == reference.now
+    assert sim.events_dispatched == reference.events_dispatched == 1
 
 
 # -- fabric-level equivalence ------------------------------------------------
@@ -114,15 +114,10 @@ def _route_train(topology, wire_bytes, n_packets, oracle, pairs):
     if oracle:
         fabric.use_packet_oracle()
     arrivals = []
-
-    def wait(done):
-        pkt = yield done
-        arrivals.append((sim.now, pkt.dst_node))
-
     for src, dst in pairs:
         pkt = PacketTrain(src, dst, 11, 22, "SEND", 0, wire_bytes,
                           n_packets=n_packets)
-        sim.process(wait(fabric.route(pkt)))
+        fabric.route(pkt, lambda p: arrivals.append((sim.now, p.dst_node)))
     sim.run()
     ports = {p.name: p.pipe.total_units for p in fabric.topology.ports()}
     nics = [(n.nic.egress.total_units, n.nic.ingress.total_units)
@@ -162,20 +157,14 @@ def _mcast_trains(topology, oracle):
         fabric.mcast_attach(mgid, node, 200 + node)
     outcomes = []
 
-    def wait_leg(leg):
-        copy = yield leg
+    def on_leg(copy):
         outcomes.append((sim.now, copy.dst_node, copy.dropped,
                          copy.n_packets))
-
-    def collect(fanned_out):
-        legs = yield fanned_out
-        for leg in legs:
-            sim.process(wait_leg(leg))
 
     for seq in range(16):
         pkt = PacketTrain(0, 0, 11, 0, "SEND", 12288, 12378,
                           meta={"seq": seq}, n_packets=3)
-        sim.process(collect(fabric.route_mcast(pkt, mgid)))
+        fabric.route_mcast(pkt, mgid, on_leg)
     sim.run()
     return (tuple(outcomes), sim.now,
             fabric.delivered_messages, fabric.delivered_packets,

@@ -14,7 +14,7 @@ from repro.core.endpoint import EndpointConfig
 from repro.core.transport.connections import PeerConnection
 from repro.core.transport.credit import grant_credit
 from repro.core.transport.rings import PendingTable, RingCursor
-from repro.core.transport.runtime import RuntimeSendEndpoint
+from repro.core.transport.runtime import SendEndpoint
 from repro.memory import BufferPool
 from repro.sim import Notify, Simulator
 from repro.verbs import Opcode, SendWR
@@ -82,7 +82,7 @@ class TestSendPoolUnderSanitizer:
         sim = Simulator()
         _, ctxs, san = sanitized_cluster(sim)
         qps, cqs = rc_pair(ctxs)
-        ep = RuntimeSendEndpoint(
+        ep = SendEndpoint(
             ctxs[0], 1, EndpointConfig(message_size=256,
                                        buffers_per_connection=4),
             destinations=[1], num_groups=1, peers={1: 2})
