@@ -7,13 +7,16 @@ place a shuffle experiment builds a cluster), :func:`sweep` runs a
 rows × x grid of them into a :class:`Grid`, and each ``figN`` function
 is what is specific to its figure — rows, x axis, point, metric, title
 and notes — returning the same x-axis and series the paper plots.
-:data:`ALL_EXPERIMENTS` registers them for the CLI with one call shape.
+Every figure function has the registry's one call shape,
+``figN(opts, nodes)``, and :data:`ALL_EXPERIMENTS` registers them for
+the CLI; what the paper claims about their results is the table in
+:mod:`repro.bench.claims`.
 
-A ``scale`` parameter shrinks transfer volumes for quick runs (the
-benchmarks use ``scale=0.25``); the shapes are volume-independent once
-past warmup.  Simulated volumes are far below the paper's 160 GiB per
-node — throughput is steady-state within tens of MiB — and TPC-H scale
-factors are reduced proportionally; EXPERIMENTS.md records the
+``opts.scale`` shrinks transfer volumes for quick runs (the claims
+scorecard checks most entries at 0.2); the shapes are volume-independent
+once past warmup.  Simulated volumes are far below the paper's 160 GiB
+per node — throughput is steady-state within tens of MiB — and TPC-H
+scale factors are reduced proportionally; EXPERIMENTS.md records the
 paper-vs-measured comparison.
 """
 
@@ -56,7 +59,7 @@ from repro.tpch import generate, run_query
 __all__ = [
     "Options", "Point", "Measurement", "measure", "Grid", "sweep",
     "fig8", "fig9", "fig10", "fig10_scaleout", "fig11", "fig12",
-    "setup_crossover_mb", "fig13", "fig14a", "fig14_scaling", "table1",
+    "setup_crossover", "fig13", "fig14a", "fig14_scaling", "table1",
     "abl_oversub", "abl_adaptive", "abl_hierarchical", "abl_buffer_depth",
     "abl_qp_cache", "ext_multicast", "ext_write", "svc_tenants",
     "Entry", "FIXED", "COLLAPSE", "TRUNCATE", "ALL_EXPERIMENTS",
@@ -66,6 +69,22 @@ MIB = 1 << 20
 
 Y_THROUGHPUT = "receive throughput per node (GiB/s)"
 _GIB_S = attrgetter("gib_s")
+TRUNK_UTIL = "peak trunk util %"
+
+
+def _trunk_util_pct(m: Measurement) -> float:
+    return 100.0 * m.peak_trunk_util
+
+
+@dataclass(frozen=True)
+class Options:
+    """What the CLI knows; every figure function is called with one."""
+
+    scale: float = 1.0
+    #: the ``--nodes`` override (``None``: each entry's paper default).
+    nodes: Optional[int] = None
+    tenants: int = 3
+    policy: str = "adaptive"
 
 
 # -- one point ------------------------------------------------------------------------
@@ -281,17 +300,13 @@ def _fig8_config(frequency: int) -> EndpointConfig:
                           credit_frequency=frequency, ud_window_factor=1)
 
 
-def fig8(network: NetworkConfig = EDR, nodes: int = 8,
-         frequencies: Sequence[int] = (1, 2, 3, 4, 8, 16),
-         scale: float = 1.0) -> ExperimentResult:
-    """Fig 8: flow-control overhead of the Send/Receive designs.
+FIG8_FREQUENCIES = (1, 2, 3, 4, 8, 16)
 
-    Matches §5.1.1's setup: 16 RDMA buffers per remote node per thread;
-    the x axis is how many Receives the receiver posts before writing
-    credit back.
-    """
+
+def _fig8_panel(network: NetworkConfig, nodes: int,
+                scale: float) -> ExperimentResult:
     result = sweep(
-        ["SEMQ/SR", "MEMQ/SR", "SESQ/SR", "MESQ/SR"], frequencies,
+        ["SEMQ/SR", "MEMQ/SR", "SESQ/SR", "MESQ/SR"], FIG8_FREQUENCIES,
         lambda design, freq: Point(
             design, _volume(design, scale, nodes), network, nodes,
             config=_fig8_config(freq)),
@@ -302,24 +317,36 @@ def fig8(network: NetworkConfig = EDR, nodes: int = 8,
         x_label="credit update frequency", y_label=Y_THROUGHPUT,
         notes="16 buffers per remote node per thread (§5.1.1)")
     mpi = measure(Point("MPI", _volume("MPI", scale, nodes), network, nodes))
-    flat = len(frequencies)
+    flat = len(FIG8_FREQUENCIES)
     result.series.append(Series("MPI", [mpi.gib_s] * flat))
     result.series.append(Series("qperf", [run_qperf(network)] * flat))
     return result
 
 
+def fig8(opts: Options, nodes: int) -> List[ExperimentResult]:
+    """Fig 8(a,b): flow-control overhead of the Send/Receive designs.
+
+    Matches §5.1.1's setup: 16 RDMA buffers per remote node per thread;
+    the x axis is how many Receives the receiver posts before writing
+    credit back.
+    """
+    return [_fig8_panel(network, nodes, opts.scale)
+            for network in (EDR, FDR)]
+
+
 # -- Figure 9: message size (throughput + pinned memory) ------------------------------
 
 
-def fig9(nodes: int = 8,
-         sizes: Sequence[int] = (4 << 10, 16 << 10, 64 << 10, 256 << 10,
-                                 1 << 20),
-         scale: float = 1.0) -> Tuple[ExperimentResult, ExperimentResult]:
+FIG9_SIZES = (4 << 10, 16 << 10, 64 << 10, 256 << 10, 1 << 20)
+
+
+def fig9(opts: Options,
+         nodes: int) -> Tuple[ExperimentResult, ExperimentResult]:
     """Fig 9(a,b): RC message size vs throughput and registered memory."""
     grid = sweep(
-        PAPER_ORDER, sizes,
+        PAPER_ORDER, FIG9_SIZES,
         lambda design, size: Point(
-            design, _volume(design, scale, nodes), nodes=nodes,
+            design, _volume(design, opts.scale, nodes), nodes=nodes,
             config=EndpointConfig(message_size=size)),
         x_major=True)
     thr = grid.table(
@@ -365,12 +392,11 @@ def _fig10_panel(network: NetworkConfig, pattern: str,
     return result
 
 
-def fig10(node_counts: Sequence[int] = (2, 4, 8, 16),
-          networks: Sequence[NetworkConfig] = (FDR, EDR),
-          scale: float = 1.0) -> List[ExperimentResult]:
+def fig10(opts: Options,
+          node_counts: Sequence[int]) -> List[ExperimentResult]:
     """Fig 10(a-d): repartition and broadcast throughput vs cluster size."""
-    return [_fig10_panel(network, pattern, node_counts, scale)
-            for network in networks
+    return [_fig10_panel(network, pattern, node_counts, opts.scale)
+            for network in (FDR, EDR)
             for pattern in ("repartition", "broadcast")]
 
 
@@ -402,8 +428,8 @@ def _scaleout_volume(nodes: int, scale: float) -> int:
     return max(256 << 10, int(32 * MIB * scale * (64.0 / nodes) ** 2))
 
 
-def fig10_scaleout(node_counts: Sequence[int] = SCALEOUT_COUNTS,
-                   scale: float = 1.0) -> ExperimentResult:
+def fig10_scaleout(opts: Options,
+                   node_counts: Sequence[int]) -> ExperimentResult:
     """Repartition throughput from 64 to 1024 nodes on a leaf-spine fabric.
 
     The paper stops at 16 nodes on one switch (Fig 10); this extrapolation
@@ -423,7 +449,7 @@ def fig10_scaleout(node_counts: Sequence[int] = SCALEOUT_COUNTS,
         if "MQ/" in design and n > SCALEOUT_MQ_CAP:
             return None  # rendered as "-": beyond the MQ cap
         return Point(
-            design, _scaleout_volume(n, scale), nodes=n, threads=1,
+            design, _scaleout_volume(n, opts.scale), nodes=n, threads=1,
             topology=LEAF_SPINE(SCALEOUT_OVERSUBSCRIPTION,
                                 SCALEOUT_NODES_PER_LEAF),
             config=_mesoscale_config(
@@ -434,7 +460,7 @@ def fig10_scaleout(node_counts: Sequence[int] = SCALEOUT_COUNTS,
     trunk_notes = [
         f"n={n} peak trunk util {100.0 * m.peak_trunk_util:.0f}%"
         for n, m in zip(node_counts, grid.row(first))]
-    return grid.table(
+    result = grid.table(
         _GIB_S, experiment="fig10-scaleout-EDR",
         title="Mesoscale repartition scale-out (EDR, leaf-spine "
               f"{SCALEOUT_OVERSUBSCRIPTION}:1, "
@@ -442,6 +468,8 @@ def fig10_scaleout(node_counts: Sequence[int] = SCALEOUT_COUNTS,
         x_label="nodes", y_label=Y_THROUGHPUT,
         notes=f"1 thread/node, double buffering; MQ capped at "
               f"{SCALEOUT_MQ_CAP} nodes; {first}: " + ", ".join(trunk_notes))
+    result.series.append(grid.series(first, _trunk_util_pct, TRUNK_UTIL))
+    return result
 
 
 # -- Figure 11: number of Queue Pairs --------------------------------------------------
@@ -451,8 +479,10 @@ def fig10_scaleout(node_counts: Sequence[int] = SCALEOUT_COUNTS,
 FIG11_KINDS = {"SQ/SR": "MESQ/SR", "MQ/SR": "MEMQ/SR", "MQ/RD": "MEMQ/RD"}
 
 
-def fig11(nodes: int = 16, endpoint_counts: Sequence[int] = (1, 2, 4, 8),
-          scale: float = 1.0) -> ExperimentResult:
+FIG11_ENDPOINT_COUNTS = (1, 2, 4, 8)
+
+
+def fig11(opts: Options, nodes: int) -> ExperimentResult:
     """Fig 11: throughput vs Queue Pairs per operator (EDR, 16 nodes).
 
     The endpoint count k sweeps between the SE (k=1) and ME (k=t)
@@ -460,9 +490,9 @@ def fig11(nodes: int = 16, endpoint_counts: Sequence[int] = (1, 2, 4, 8),
     n*k for MQ designs.
     """
     by_k = sweep(
-        FIG11_KINDS, endpoint_counts,
+        FIG11_KINDS, FIG11_ENDPOINT_COUNTS,
         lambda kind, k: Point(
-            FIG11_KINDS[kind], _volume(FIG11_KINDS[kind], scale, nodes),
+            FIG11_KINDS[kind], _volume(FIG11_KINDS[kind], opts.scale, nodes),
             nodes=nodes, num_endpoints=k),
         x_major=True)
     by_qps = {(kind, k if kind == "SQ/SR" else k * nodes): m
@@ -471,7 +501,7 @@ def fig11(nodes: int = 16, endpoint_counts: Sequence[int] = (1, 2, 4, 8),
     # context cache, every work request risks a PCIe round trip.
     cache_note = ", ".join(
         f"{kind} "
-        f"{100.0 * by_k.cells[kind, max(endpoint_counts)].qp_miss_rate:.0f}%"
+        f"{100.0 * by_k.cells[kind, max(FIG11_ENDPOINT_COUNTS)].qp_miss_rate:.0f}%"
         for kind in FIG11_KINDS)
     return Grid(by_k.rows, tuple(sorted({q for _, q in by_qps})),
                 by_qps).table(
@@ -485,10 +515,9 @@ def fig11(nodes: int = 16, endpoint_counts: Sequence[int] = (1, 2, 4, 8),
 # -- Figure 12: connection setup cost --------------------------------------------------
 
 
-def fig12(
-        node_counts: Sequence[int] = (2, 4, 6, 8, 10, 12, 14, 16),
-) -> ExperimentResult:
-    """Fig 12: time to build the RDMA connections vs cluster size."""
+def fig12(opts: Options, node_counts: Sequence[int]) -> ExperimentResult:
+    """Fig 12: time to build the RDMA connections vs cluster size (no
+    data moves, so ``opts.scale`` changes nothing)."""
     return sweep(
         PAPER_ORDER, node_counts,
         lambda design, n: Point(design, nodes=n, setup_only=True),
@@ -501,26 +530,36 @@ def fig12(
               "MQ designs grow linearly, SQ designs stay flat (§5.1.5)")
 
 
-def setup_crossover_mb(scale: float = 1.0) -> float:
+def setup_crossover(opts: Options, nodes: int) -> ExperimentResult:
     """§5.1.5 claim: the shuffle volume above which MESQ/SR with runtime
-    connection setup beats IPoIB (which needs none worth counting), on
-    8 EDR nodes."""
-    mesq = measure(Point("MESQ/SR", _volume("MESQ/SR", scale)))
-    ipoib = measure(Point("IPoIB", _volume("IPoIB", scale))).gib_s
-    if mesq.gib_s <= ipoib:
-        return float("inf")
-    # volume V satisfying V/ipoib == setup + V/mesq (GiB/s -> MB).
-    volume_gib = (mesq.setup_ns / 1e9) / (1.0 / ipoib - 1.0 / mesq.gib_s)
-    return volume_gib * 1024.0
+    connection setup beats IPoIB (which needs none worth counting)."""
+    mesq, ipoib = (
+        measure(Point(design, _volume(design, opts.scale, nodes),
+                      nodes=nodes))
+        for design in ("MESQ/SR", "IPoIB"))
+    crossover_mb = None  # MESQ/SR no faster: no volume pays for its setup
+    if mesq.gib_s > ipoib.gib_s:
+        # volume V satisfying V/ipoib == setup + V/mesq (GiB/s -> MB).
+        crossover_mb = 1024.0 * (mesq.setup_ns / 1e9) / (
+            1.0 / ipoib.gib_s - 1.0 / mesq.gib_s)
+    return ExperimentResult(
+        experiment="setup-crossover",
+        title="Shuffle volume that pays for runtime connection setup (EDR)",
+        x_label="nodes", x=[nodes],
+        y_label="GiB/s | ms | MB",
+        series=[Series("MESQ/SR (GiB/s)", [mesq.gib_s]),
+                Series("IPoIB (GiB/s)", [ipoib.gib_s]),
+                Series("MESQ/SR setup (ms)", [mesq.setup_ns / 1e6]),
+                Series("crossover (MB)", [crossover_mb])])
 
 
 # -- Figure 13: compute-intensive receiving fragment -----------------------------------
 
 
-def fig13(nodes: int = 8,
-          compute_us: Sequence[float] = (0.0, 2.5, 5.0, 10.0, 15.0, 25.0,
-                                         40.0),
-          scale: float = 1.0) -> ExperimentResult:
+FIG13_COMPUTE_US = (0.0, 2.5, 5.0, 10.0, 15.0, 25.0, 40.0)
+
+
+def fig13(opts: Options, nodes: int) -> ExperimentResult:
     """Fig 13: relative shuffling throughput as the receiving fragment
     becomes compute intensive (batches of 32 KiB, §5.1.6 — the runners'
     default ``receive_output_bytes``).
@@ -531,9 +570,9 @@ def fig13(nodes: int = 8,
     with computation, matching the paper's definition.
     """
     return sweep(
-        PAPER_ORDER + ["MPI", "IPoIB"], compute_us,
+        PAPER_ORDER + ["MPI", "IPoIB"], FIG13_COMPUTE_US,
         lambda design, c_us: Point(
-            design, _volume(design, scale, nodes), nodes=nodes,
+            design, _volume(design, opts.scale, nodes), nodes=nodes,
             compute_ns_per_batch=c_us * 1000.0),
     ).table(
         attrgetter("busy_pct"), experiment="fig13",
@@ -547,14 +586,13 @@ def fig13(nodes: int = 8,
 
 
 def _tpch_point(query: str, network: NetworkConfig, nodes: int,
-                threads: int, scale_factor: float) -> Dict[str, float]:
+                scale_factor: float) -> Dict[str, float]:
     """One TPC-H point: response time (ms) of the MPI and the MESQ/SR
     plan over the same randomly placed database and — for Q4 — of the
     "local data" plan, where co-partitioned tables need no shuffle
     (§5.2.1)."""
     def response_ms(data, design: str, **plan: Any) -> float:
-        cluster = Cluster(ClusterConfig(network=network, num_nodes=nodes,
-                                        threads_per_node=threads))
+        cluster = Cluster(ClusterConfig(network=network, num_nodes=nodes))
         ms = run_query(cluster, query, data, design=design,
                        **plan).response_time_ms()
         cluster.dispose()
@@ -569,24 +607,30 @@ def _tpch_point(query: str, network: NetworkConfig, nodes: int,
     return point
 
 
-def _tpch_table(query: str, threads: int,
+def _tpch_table(query: str,
                 columns: Dict[Any, Tuple[NetworkConfig, int, float]],
                 **fields: Any) -> ExperimentResult:
     """``columns`` maps each x to its (network, nodes, scale factor)."""
     cells = {(label, x): ms
              for x, (network, nodes, scale_factor) in columns.items()
-             for label, ms in _tpch_point(query, network, nodes, threads,
+             for label, ms in _tpch_point(query, network, nodes,
                                           scale_factor).items()}
     rows = tuple(dict.fromkeys(label for label, _ in cells))
     return Grid(rows, tuple(columns), cells).table(
         float, y_label="response time (ms)", **fields)
 
 
-def fig14a(scale_factor: float = 0.06, nodes: int = 8,
-           threads: int = 0) -> ExperimentResult:
+#: TPC-H scale factors at ``scale=1.0``: Fig 14(a)'s database, and the
+#: per-node share of Fig 14(b-d)'s, which grows with the cluster.
+FIG14A_SCALE_FACTOR = 0.06
+FIG14_SCALE_FACTOR_PER_NODE = 0.0075
+
+
+def fig14a(opts: Options, nodes: int) -> ExperimentResult:
     """Fig 14(a): TPC-H Q4 response time, FDR vs EDR, 8 nodes."""
+    scale_factor = FIG14A_SCALE_FACTOR * opts.scale
     return _tpch_table(
-        "Q4", threads,
+        "Q4",
         {network.name: (network, nodes, scale_factor)
          for network in (FDR, EDR)},
         experiment="fig14a",
@@ -594,13 +638,13 @@ def fig14a(scale_factor: float = 0.06, nodes: int = 8,
         x_label="network")
 
 
-def fig14_scaling(query: str, scale_factor_per_node: float = 0.0075,
-                  node_counts: Sequence[int] = (2, 4, 8, 16),
-                  threads: int = 0) -> ExperimentResult:
+def fig14_scaling(query: str, opts: Options,
+                  node_counts: Sequence[int]) -> ExperimentResult:
     """Fig 14(b,c,d): query response time as the database grows in
     proportion to the cluster (Q4, Q3, Q10)."""
+    scale_factor_per_node = FIG14_SCALE_FACTOR_PER_NODE * opts.scale
     return _tpch_table(
-        query, threads,
+        query,
         {nodes: (EDR, nodes, scale_factor_per_node * nodes)
          for nodes in node_counts},
         experiment={"Q4": "fig14b", "Q3": "fig14c", "Q10": "fig14d"}[query],
@@ -618,7 +662,7 @@ OVERSUB_FACTORS = (1, 2, 4)
 OVERSUB_NODES_PER_LEAF = 4
 
 
-def abl_oversub(nodes: int = 8, scale: float = 1.0) -> ExperimentResult:
+def abl_oversub(opts: Options, nodes: int) -> ExperimentResult:
     """Repartition throughput vs leaf-spine trunk oversubscription.
 
     The paper's single-switch platform (§5) cannot exhibit cross-rack
@@ -629,25 +673,27 @@ def abl_oversub(nodes: int = 8, scale: float = 1.0) -> ExperimentResult:
     traffic — a fraction (n - m)/(n - 1) of every byte crosses the
     spine — the trunks saturate once k exceeds roughly the inverse of
     that fraction, and throughput collapses no matter how good the
-    NIC-level shuffle design is.  The per-switch-port utilization in
-    the notes (and in ``--metrics`` snapshots) attributes the collapse
-    to the trunk pipes directly.
+    NIC-level shuffle design is.  The peak trunk-port utilization
+    series (also in ``--metrics`` snapshots) attributes the collapse to
+    the trunk pipes directly.
     """
     grid = sweep(
         OVERSUB_DESIGNS, OVERSUB_FACTORS,
         lambda design, k: Point(
-            design, _volume(design, scale, nodes), nodes=nodes,
+            design, _volume(design, opts.scale, nodes), nodes=nodes,
             topology=LEAF_SPINE(k, OVERSUB_NODES_PER_LEAF)))
     first = OVERSUB_DESIGNS[0]
     trunk_notes = [
         f"{k}:1 peak trunk util {100.0 * m.peak_trunk_util:.0f}%"
         for k, m in zip(OVERSUB_FACTORS, grid.row(first))]
-    return grid.table(
+    result = grid.table(
         _GIB_S, experiment="abl-oversub-EDR",
         title=f"Trunk oversubscription (EDR, {nodes} nodes, "
               f"{OVERSUB_NODES_PER_LEAF}/leaf)",
         x_label="oversubscription (k:1)", y_label=Y_THROUGHPUT,
         notes=f"leaf-spine, {first}: " + ", ".join(trunk_notes))
+    result.series.append(grid.series(first, _trunk_util_pct, TRUNK_UTIL))
+    return result
 
 
 # -- Ablation: adaptive policy vs the static grid --------------------------------------
@@ -656,7 +702,7 @@ def abl_oversub(nodes: int = 8, scale: float = 1.0) -> ExperimentResult:
 #: the measurement grid the AdaptivePolicy rule table is judged on: one
 #: point per regime of the fig8–fig11 sweeps (label, network, nodes,
 #: config).  ``None`` config = the workload defaults.
-_ADAPTIVE_GRID = [
+ADAPTIVE_GRID = [
     ("fig8-edr-f1", EDR, 8, _fig8_config(1)),
     ("fig8-fdr-f16", FDR, 8, _fig8_config(16)),
     ("fig9-4k", EDR, 8, EndpointConfig(message_size=4 << 10)),
@@ -667,9 +713,9 @@ _ADAPTIVE_GRID = [
 ]
 
 
-def abl_adaptive(scale: float = 1.0, nodes: Optional[int] = None,
-                 policy: str = "adaptive") -> ExperimentResult:
-    """Adaptive design selection vs the static grid (the policy ablation).
+def abl_adaptive(opts: Options, nodes: int) -> List[ExperimentResult]:
+    """Adaptive design selection vs the static grid (the policy ablation),
+    followed by :func:`abl_hierarchical` at ``nodes``.
 
     Re-runs one repartition point from each regime of the fig8–fig11
     measurement grid with every static design plus the ``--policy``
@@ -681,11 +727,13 @@ def abl_adaptive(scale: float = 1.0, nodes: Optional[int] = None,
 
     The policy plans against the same context the run uses, so the
     adaptive series *is* a normal planned run — including the clamp
-    path — not a post-hoc argmax over the static series.  ``nodes``
-    overrides every grid point's own cluster size.
+    path — not a post-hoc argmax over the static series.  The grid
+    points have their own cluster sizes, so it is the raw ``--nodes``
+    override (``opts.nodes``), when given, that replaces them.
     """
-    regimes = {label: (network, size if nodes is None else nodes, cfg)
-               for label, network, size, cfg in _ADAPTIVE_GRID}
+    scale, policy = opts.scale, opts.policy
+    regimes = {label: (network, opts.nodes or size, cfg)
+               for label, network, size, cfg in ADAPTIVE_GRID}
 
     def static_point(design: str, label: str) -> Point:
         network, n, cfg = regimes[label]
@@ -718,20 +766,20 @@ def abl_adaptive(scale: float = 1.0, nodes: Optional[int] = None,
         best_ys.append(best_y)
         notes.append(f"{label}: {run.plan} vs best {best} "
                      f"(gap {gap:+.1f}%)")
-    return ExperimentResult(
+    return [ExperimentResult(
         experiment="abl-adaptive",
         title=f"Adaptive policy vs static grid ({policy})",
         x_label="grid point", x=list(regimes), y_label=Y_THROUGHPUT,
         series=[Series("best static", best_ys),
                 planned.series(policy, _GIB_S)],
-        notes="; ".join(notes))
+        notes="; ".join(notes)), abl_hierarchical(opts, nodes)]
 
 
 HIER_NODES_PER_LEAF = 4
 HIER_OVERSUBSCRIPTION = 4
 
 
-def abl_hierarchical(nodes: int = 8, scale: float = 1.0) -> ExperimentResult:
+def abl_hierarchical(opts: Options, nodes: int) -> ExperimentResult:
     """Two-phase shuffle vs the flat design on an oversubscribed fabric.
 
     Runs the abl-oversub repartition point at the mesoscale per-node
@@ -757,7 +805,7 @@ def abl_hierarchical(nodes: int = 8, scale: float = 1.0) -> ExperimentResult:
 
     def point(_row: str, label: str) -> Point:
         design, factor = runs[label]
-        return Point(design, _scaled(24, scale), nodes=nodes,
+        return Point(design, _scaled(24, opts.scale), nodes=nodes,
                      topology=LEAF_SPINE(factor, per_leaf),
                      config=_mesoscale_config(4096))
 
@@ -777,9 +825,7 @@ def abl_hierarchical(nodes: int = 8, scale: float = 1.0) -> ExperimentResult:
               f"{nodes} nodes, {per_leaf}/leaf)",
         x_label="configuration", x=list(runs), y_label=Y_THROUGHPUT,
         series=[grid.series("throughput", _GIB_S),
-                grid.series("throughput",
-                            lambda m: 100.0 * m.peak_trunk_util,
-                            "peak trunk util %")],
+                grid.series("throughput", _trunk_util_pct, TRUNK_UTIL)],
         notes=(f"{grid.row('throughput')[-1].plan}; bisection ceiling "
                f"{ceiling:.2f} GiB/s; "
                f"flat loss {loss:.2f} GiB/s of which "
@@ -795,7 +841,7 @@ def abl_hierarchical(nodes: int = 8, scale: float = 1.0) -> ExperimentResult:
 BUFFER_DEPTHS = (1, 2, 4, 8)
 
 
-def abl_buffer_depth(nodes: int = 8, scale: float = 1.0) -> ExperimentResult:
+def abl_buffer_depth(opts: Options, nodes: int) -> ExperimentResult:
     """Buffer depth (double vs deeper buffering) in flow control.
 
     DESIGN.md calls out the buffers-per-connection choice as the memory /
@@ -809,7 +855,7 @@ def abl_buffer_depth(nodes: int = 8, scale: float = 1.0) -> ExperimentResult:
     grid = sweep(
         [design], BUFFER_DEPTHS,
         lambda row, depth: Point(
-            row, _scaled(36, scale), nodes=nodes,
+            row, _scaled(36, opts.scale), nodes=nodes,
             config=EndpointConfig(buffers_per_connection=depth,
                                   credit_frequency=1)))
     return ExperimentResult(
@@ -829,8 +875,8 @@ def abl_buffer_depth(nodes: int = 8, scale: float = 1.0) -> ExperimentResult:
 # -- Ablation: the NIC Queue-Pair context cache ----------------------------------------
 
 
-def abl_qp_cache(node_counts: Sequence[int] = (8, 16),
-                 scale: float = 1.0) -> ExperimentResult:
+def abl_qp_cache(opts: Options,
+                 node_counts: Sequence[int]) -> ExperimentResult:
     """MEMQ/SR on FDR with and without the QP context-cache limit.
 
     Isolates the mechanism DESIGN.md and the paper ([8,16,17]) hold
@@ -844,7 +890,7 @@ def abl_qp_cache(node_counts: Sequence[int] = (8, 16),
     grid = sweep(
         [real, ablated], node_counts,
         lambda cache, n: Point(
-            "MEMQ/SR", _scaled(36, scale), FDR, n,
+            "MEMQ/SR", _scaled(36, opts.scale), FDR, n,
             disable_qp_cache=cache == ablated),
         x_major=True)
     cache_note = "; ".join(
@@ -864,8 +910,8 @@ def abl_qp_cache(node_counts: Sequence[int] = (8, 16),
 # -- Extension: native InfiniBand multicast (§7 future work #3) -----------------------
 
 
-def ext_multicast(node_counts: Sequence[int] = (4, 8, 16),
-                  scale: float = 1.0) -> ExperimentResult:
+def ext_multicast(opts: Options,
+                  node_counts: Sequence[int]) -> ExperimentResult:
     """MESQ/SR broadcast with native InfiniBand multicast.
 
     Quantifies the paper's hypothesis: hardware multicast should cut the
@@ -877,7 +923,7 @@ def ext_multicast(node_counts: Sequence[int] = (4, 8, 16),
     grid = sweep(
         designs, node_counts,
         lambda design, n: Point(
-            design, max(1, int(12 * scale) // (n - 1)) * MIB, nodes=n,
+            design, max(1, int(12 * opts.scale) // (n - 1)) * MIB, nodes=n,
             pattern="broadcast"),
         x_major=True)
     return ExperimentResult(
@@ -893,7 +939,7 @@ def ext_multicast(node_counts: Sequence[int] = (4, 8, 16),
 # -- Extension: the RDMA Write endpoint (§7 future work #1) ---------------------------
 
 
-def ext_write(nodes: int = 8, scale: float = 1.0) -> ExperimentResult:
+def ext_write(opts: Options, nodes: int) -> ExperimentResult:
     """One-sided endpoints: RDMA Read vs RDMA Write on both patterns.
 
     The interesting result: Write does not inherit Read's broadcast
@@ -901,8 +947,8 @@ def ext_write(nodes: int = 8, scale: float = 1.0) -> ExperimentResult:
     there is no single sender buffer whose reuse waits on the slowest
     reader.
     """
-    volumes = {"repartition": _scaled(36, scale),
-               "broadcast": _scaled(5, scale)}
+    volumes = {"repartition": _scaled(36, opts.scale),
+               "broadcast": _scaled(5, opts.scale)}
     return sweep(
         volumes, ("MEMQ/RD", "MEMQ/WR", "SEMQ/RD", "SEMQ/WR"),
         lambda pattern, design: Point(
@@ -947,11 +993,10 @@ def _svc_run(nodes: int, specs: List[TenantSpec],
     return report["tenants"]
 
 
-def svc_tenants(nodes: int = 8, tenants: int = 3,
-                scale: float = 1.0) -> ExperimentResult:
+def svc_tenants(opts: Options, nodes: int) -> ExperimentResult:
     """Isolation vs sharing on one fabric (the service-shape ablation).
 
-    A MESQ/SR *victim* tenant shares the cluster with ``tenants - 1``
+    A MESQ/SR *victim* tenant shares the cluster with ``opts.tenants - 1``
     MQ-style *aggressors* (MEMQ/SR, one endpoint per thread): each
     aggressor job creates O(n*t) Queue Pairs that thrash the NIC's
     QP-context cache — the Fig 10/11 degradation mechanism, now
@@ -964,6 +1009,7 @@ def svc_tenants(nodes: int = 8, tenants: int = 3,
     Runs on the FDR-era NIC with its context cache shrunk to
     ``SVC_QP_CACHE_ENTRIES``.
     """
+    scale, tenants = opts.scale, opts.tenants
     victim = "tenant-a"
     aggressors = [f"tenant-{chr(ord('b') + i)}" for i in range(tenants - 1)]
     jobs = 4 if scale >= 0.25 else 2
@@ -1022,12 +1068,19 @@ def svc_tenants(nodes: int = 8, tenants: int = 3,
 # -- Table 1 ---------------------------------------------------------------------------
 
 
-def table1(nodes: int = 16, threads: int = 8) -> ExperimentResult:
-    """Table 1: the design-property matrix, including live QP counts."""
-    rows = design_properties(nodes, threads)
+TABLE1_THREADS = 8
+
+
+def table1(opts: Options, nodes: int) -> ExperimentResult:
+    """Table 1: the design-property matrix at ``nodes`` nodes and
+    ``TABLE1_THREADS`` threads, computed from the design definitions
+    (``tests/test_shuffle_integration.py::TestTable1Measured`` checks the
+    QP columns against the Queue Pairs live stages create)."""
+    rows = design_properties(nodes, TABLE1_THREADS)
     return ExperimentResult(
         experiment="table1",
-        title=f"Design alternatives (n={nodes} nodes, t={threads} threads)",
+        title=f"Design alternatives (n={nodes} nodes, "
+              f"t={TABLE1_THREADS} threads)",
         x_label="design", x=[r["design"] for r in rows],
         y_label="properties",
         series=[
@@ -1042,17 +1095,6 @@ def table1(nodes: int = 16, threads: int = 8) -> ExperimentResult:
 # -- the registry ---------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Options:
-    """What the CLI knows; every registry entry is called with one."""
-
-    scale: float = 1.0
-    #: the ``--nodes`` override (``None``: each entry's paper default).
-    nodes: Optional[int] = None
-    tenants: int = 3
-    policy: str = "adaptive"
-
-
 #: how ``--nodes N`` applies to an entry whose paper default is ``D``:
 #: a fixed-size experiment runs at N instead of D; a node-count sweep D
 #: collapses to the one requested size; the mesoscale sweep D is
@@ -1065,12 +1107,16 @@ FIXED, COLLAPSE, TRUNCATE = "fixed", "collapse", "truncate"
 class Entry:
     """One registered experiment: ``entry(opts)`` returns its results."""
 
-    #: ``run(opts, nodes)``, ``nodes`` already resolved by the rule;
-    #: returns one result or several.
+    #: the figure function, ``run(opts, nodes)`` with ``nodes`` already
+    #: resolved by the rule; returns one result or several.
     run: Callable[[Options, Any], Any]
     rule: str
     #: the paper's cluster size (FIXED) or node-count sweep.
     default: Any
+    #: the ``ExperimentResult.experiment`` ids ``run`` returns, in order;
+    #: what a claim (:mod:`repro.bench.claims`) or a ``--json`` consumer
+    #: addresses a result by.
+    results: Tuple[str, ...] = ()
     #: ``--nodes`` must exceed this, because of ``why``.
     above: int = 1
     why: str = "shuffles need a peer"
@@ -1091,71 +1137,49 @@ class Entry:
     def __call__(self, opts: Options) -> List[ExperimentResult]:
         results = self.run(opts, self.nodes(opts.nodes))
         if isinstance(results, ExperimentResult):
-            return [results]
+            results = [results]
+        returned = tuple(r.experiment for r in results)
+        if returned != self.results:
+            raise RuntimeError(f"{self.run} returned results {returned}, "
+                               f"its entry declares {self.results}")
         return list(results)
-
-
-def _at_scale(figure):
-    """The common entry body: ``figure(nodes, scale=...)``."""
-    def run(opts, nodes):
-        return figure(nodes, scale=opts.scale)
-    return run
-
-
-def _fig8(opts, nodes):
-    return [fig8(network, nodes, scale=opts.scale) for network in (EDR, FDR)]
-
-
-def _fig12(opts, nodes):
-    return fig12(nodes)
-
-
-def _fig14a(opts, nodes):
-    return fig14a(0.06 * opts.scale, nodes)
-
-
-def _fig14_scaling(query, opts, nodes):
-    return fig14_scaling(query, 0.0075 * opts.scale, nodes)
-
-
-def _table1(opts, nodes):
-    return table1(nodes)
-
-
-def _abl_adaptive(opts, nodes):
-    # abl_adaptive takes the raw override: its grid points have their
-    # own default sizes.
-    return [abl_adaptive(opts.scale, opts.nodes, opts.policy),
-            abl_hierarchical(nodes, scale=opts.scale)]
-
-
-def _svc_tenants(opts, nodes):
-    return svc_tenants(nodes, opts.tenants, scale=opts.scale)
 
 
 _FIG14_COUNTS = (2, 4, 8, 16)
 
 #: experiment registry for the CLI, in ``--all`` order.
 ALL_EXPERIMENTS = {
-    "fig8": Entry(_fig8, FIXED, 8),
-    "fig9": Entry(_at_scale(fig9), FIXED, 8),
-    "fig10": Entry(_at_scale(fig10), COLLAPSE, (2, 4, 8, 16)),
-    "fig10-scaleout": Entry(_at_scale(fig10_scaleout), TRUNCATE,
-                            SCALEOUT_COUNTS),
-    "fig11": Entry(_at_scale(fig11), FIXED, 16),
-    "fig12": Entry(_fig12, COLLAPSE, (2, 4, 6, 8, 10, 12, 14, 16)),
-    "fig13": Entry(_at_scale(fig13), FIXED, 8),
-    "fig14a": Entry(_fig14a, FIXED, 8),
-    "fig14b": Entry(partial(_fig14_scaling, "Q4"), COLLAPSE, _FIG14_COUNTS),
-    "fig14c": Entry(partial(_fig14_scaling, "Q3"), COLLAPSE, _FIG14_COUNTS),
-    "fig14d": Entry(partial(_fig14_scaling, "Q10"), COLLAPSE, _FIG14_COUNTS),
-    "table1": Entry(_table1, FIXED, 16),
-    "abl-oversub": Entry(_at_scale(abl_oversub), FIXED, 8),
-    "abl-adaptive": Entry(_abl_adaptive, FIXED, 8, above=HIER_NODES_PER_LEAF,
+    "fig8": Entry(fig8, FIXED, 8, ("fig8-EDR", "fig8-FDR")),
+    "fig9": Entry(fig9, FIXED, 8, ("fig9a-EDR", "fig9b-EDR")),
+    "fig10": Entry(fig10, COLLAPSE, (2, 4, 8, 16),
+                   ("fig10a", "fig10b", "fig10c", "fig10d")),
+    "fig10-scaleout": Entry(fig10_scaleout, TRUNCATE, SCALEOUT_COUNTS,
+                            ("fig10-scaleout-EDR",)),
+    "fig11": Entry(fig11, FIXED, 16, ("fig11",)),
+    "fig12": Entry(fig12, COLLAPSE, (2, 4, 6, 8, 10, 12, 14, 16),
+                   ("fig12",)),
+    "setup-crossover": Entry(setup_crossover, FIXED, 8,
+                             ("setup-crossover",)),
+    "fig13": Entry(fig13, FIXED, 8, ("fig13",)),
+    "fig14a": Entry(fig14a, FIXED, 8, ("fig14a",)),
+    "fig14b": Entry(partial(fig14_scaling, "Q4"), COLLAPSE, _FIG14_COUNTS,
+                    ("fig14b",)),
+    "fig14c": Entry(partial(fig14_scaling, "Q3"), COLLAPSE, _FIG14_COUNTS,
+                    ("fig14c",)),
+    "fig14d": Entry(partial(fig14_scaling, "Q10"), COLLAPSE, _FIG14_COUNTS,
+                    ("fig14d",)),
+    "table1": Entry(table1, FIXED, 16, ("table1",)),
+    "abl-oversub": Entry(abl_oversub, FIXED, 8, ("abl-oversub-EDR",)),
+    "abl-adaptive": Entry(abl_adaptive, FIXED, 8,
+                          ("abl-adaptive", "abl-hierarchical-EDR"),
+                          above=HIER_NODES_PER_LEAF,
                           why="abl-hierarchical needs more than one leaf"),
-    "svc-tenants": Entry(_svc_tenants, FIXED, 8),
-    "abl-buffer-depth": Entry(_at_scale(abl_buffer_depth), FIXED, 8),
-    "abl-qp-cache": Entry(_at_scale(abl_qp_cache), COLLAPSE, (8, 16)),
-    "ext-multicast": Entry(_at_scale(ext_multicast), COLLAPSE, (4, 8, 16)),
-    "ext-write": Entry(_at_scale(ext_write), FIXED, 8),
+    "svc-tenants": Entry(svc_tenants, FIXED, 8, ("svc-tenants-FDR",)),
+    "abl-buffer-depth": Entry(abl_buffer_depth, FIXED, 8,
+                              ("ablation-buffer-depth",)),
+    "abl-qp-cache": Entry(abl_qp_cache, COLLAPSE, (8, 16),
+                          ("ablation-qp-cache",)),
+    "ext-multicast": Entry(ext_multicast, COLLAPSE, (4, 8, 16),
+                           ("extension-multicast",)),
+    "ext-write": Entry(ext_write, FIXED, 8, ("future-work-write",)),
 }

@@ -40,7 +40,10 @@ class ExperimentResult:
         raise KeyError(f"no series {label!r} in {self.experiment}")
 
     def value(self, label: str, x: Any) -> float:
-        return self.series_by_label(label).y[self.x.index(x)]
+        series = self.series_by_label(label)
+        if x not in self.x:
+            raise KeyError(f"no x {x!r} in {self.experiment}")
+        return series.y[self.x.index(x)]
 
 
 def _fmt(value: Any) -> str:

@@ -20,6 +20,7 @@ from repro.bench.workloads import (
 )
 from repro.bench.experiments import (
     ALL_EXPERIMENTS,
+    Options,
     _scaleout_volume,
     table1,
 )
@@ -135,7 +136,7 @@ class TestReport:
 
 class TestExperiments:
     def test_table1_values(self):
-        result = table1(nodes=16, threads=8)
+        result = table1(Options(), 16)
         assert result.value("QPs/op", "MEMQ/SR") == 128
         assert result.value("QPs/op", "SESQ/SR") == 1
 
@@ -212,8 +213,13 @@ class TestExperiments:
         assert "(0/0)" not in out
 
     def test_every_entry_has_one_call_shape(self):
+        """``entry(opts)``, and the figure function behind it is called
+        as ``figure(opts, nodes)`` with no parameter the registry does
+        not pass."""
         for name, entry in ALL_EXPERIMENTS.items():
             assert list(inspect.signature(entry).parameters) == ["opts"], name
+            figure = list(inspect.signature(entry.run).parameters)
+            assert figure in (["opts", "nodes"], ["opts", "node_counts"]), name
 
     def test_cli_lists_the_absorbed_experiments(self, capsys):
         with pytest.raises(SystemExit):

@@ -56,21 +56,21 @@ class TestSimulatorProperties:
 
 
 class TestRatePipeProperties:
-    @given(sizes=st.lists(st.integers(1, 1_000_000), min_size=1,
+    @given(units=st.lists(st.integers(1, 1_000_000), min_size=1,
                           max_size=30),
            rate=st.floats(0.5, 20.0))
-    def test_fifo_serialization_conserves_work(self, sizes, rate):
+    def test_fifo_serialization_conserves_work(self, units, rate):
         sim = Simulator()
         pipe = RatePipe(sim, rate)
         completions = []
-        for size in sizes:
+        for size in units:
             pipe.submit_train(size, 1, lambda: completions.append(sim.now))
         sim.run()
         # FIFO: completion times nondecreasing.
         assert completions == sorted(completions)
         # Total busy time is at least the work divided by the rate.
-        assert completions[-1] >= int(sum(s / rate for s in sizes)) - len(sizes)
-        assert pipe.total_units == sum(sizes)
+        assert completions[-1] >= int(sum(s / rate for s in units)) - len(units)
+        assert pipe.total_units == sum(units)
 
 
 class TestQPCacheProperties:
