@@ -56,7 +56,7 @@ STATIC_RULES: Dict[str, str] = {
         "(pass ts_ns= or the event lands at poll time, skewing the "
         "critical-path analyzer)"),
     "VS108": (
-        "Packet/PacketTrain constructed directly outside fabric/ "
+        "Packet constructed directly outside fabric/ "
         "(use fabric.packet.make_train so RC messages are segmented "
         "into MTU trains consistently)"),
     "VS109": (
@@ -64,23 +64,6 @@ STATIC_RULES: Dict[str, str] = {
         "callback capturing itself or stored onto the object it "
         "captures creates a reference cycle the event loop keeps "
         "alive — the _HopWalk leak class)"),
-    "VS110": (
-        "raw design-string dispatch (DESIGNS[...] / DESIGNS.get, a "
-        "string handed to ShuffleStage, a membership test against the "
-        "baseline names) outside the policy layer (go through "
-        "resolve_design or a StagePlan so eager validation and policy "
-        "planning stay the single dispatch path)"),
-    "VS111": (
-        "process environment read (os.environ / os.getenv) under "
-        "src/repro: an environment variable is a hidden mode switch; "
-        "the simulator has one execution mode, configured through "
-        "arguments"),
-    "VS112": (
-        "observer stored outside the bundle (an attribute named "
-        "sanitizer / tracer / _tracer / qp_miss_by_qpn, or a recorder "
-        "in .links, assigned outside telemetry/ and cluster.py): the "
-        "cluster's Telemetry is the single store; hold the bundle and "
-        "read its field at the use site"),
 }
 
 
@@ -343,7 +326,7 @@ def _rule_vs107(rel: str, tree: ast.AST) -> Iterable[Tuple[int, str]]:
 
 
 def _rule_vs108(rel: str, tree: ast.AST) -> Iterable[Tuple[int, str]]:
-    """Direct Packet/PacketTrain construction outside fabric/ (VS108).
+    """Direct Packet construction outside fabric/ (VS108).
 
     ``make_train`` is the one place that knows how a message's length
     and transport turn into wire bytes and MTU-train segmentation; a
@@ -363,10 +346,10 @@ def _rule_vs108(rel: str, tree: ast.AST) -> Iterable[Tuple[int, str]]:
             name = func.id
         elif isinstance(func, ast.Attribute):
             name = func.attr
-        if name in ("Packet", "PacketTrain"):
+        if name == "Packet":
             yield (node.lineno,
-                   f"constructs {name} directly (use "
-                   f"fabric.packet.make_train for MTU-train segmentation)")
+                   "constructs Packet directly (use "
+                   "fabric.packet.make_train for MTU-train segmentation)")
 
 
 #: sites where a self-referential callback is the accepted idiom (each
@@ -463,123 +446,6 @@ def _rule_vs109(rel: str, tree: ast.AST) -> Iterable[Tuple[int, str]]:
                        f"fields the callback needs instead)")
 
 
-#: the only modules that may dispatch on raw design strings: the design
-#: registry itself and the policy layer built directly on it.
-_VS110_ALLOWED = ("core/designs.py", "core/policy.py")
-_BASELINE_NAMES = ("MPI", "IPoIB")
-
-
-def _rule_vs110(rel: str, tree: ast.AST) -> Iterable[Tuple[int, str]]:
-    """Raw design-string dispatch outside the policy layer (VS110).
-
-    ``DESIGNS[name]`` (or ``DESIGNS.get(name)``) scattered through the
-    tree is how the pre-policy code wired a design choice to a stage:
-    unvalidated strings flowed through three layers before a KeyError
-    surfaced deep in stage setup.  Everything outside the registry and
-    the policy layer must resolve through
-    :func:`repro.core.designs.resolve_design` (eager, with a helpful
-    error) or receive a planned :class:`~repro.core.policy.StagePlan`.
-    The same rule keeps the boundary below ``Cluster.shuffle_stage``
-    closed: ``ShuffleStage`` takes a plan, never a string literal, and
-    nothing branches on ``in ("MPI", "IPoIB")`` — the baselines are
-    ordinary designs.
-    """
-    if not rel.endswith(".py") or rel in _VS110_ALLOWED:
-        return
-    for node in ast.walk(tree):
-        if (isinstance(node, ast.Call)
-                and getattr(node.func, "id",
-                            getattr(node.func, "attr", "")) == "ShuffleStage"):
-            plan = (node.args[1] if len(node.args) > 1 else next(
-                (kw.value for kw in node.keywords if kw.arg == "plan"),
-                None))
-            if isinstance(plan, ast.Constant) and isinstance(plan.value, str):
-                yield (node.lineno,
-                       f"ShuffleStage(..., {plan.value!r}, ...): a design "
-                       f"string below the API boundary (build the stage "
-                       f"with Cluster.shuffle_stage or pass a StagePlan)")
-        elif (isinstance(node, ast.Compare)
-              and any(isinstance(op, (ast.In, ast.NotIn)) for op in node.ops)
-              and any(isinstance(elt, ast.Constant)
-                      and elt.value in _BASELINE_NAMES
-                      for seq in node.comparators
-                      if isinstance(seq, (ast.Tuple, ast.List, ast.Set))
-                      for elt in seq.elts)):
-            yield (node.lineno,
-                   "membership test against the baseline design names "
-                   "(MPI/IPoIB are ordinary designs: resolve_design() or "
-                   "a StagePlan reaches them like any other)")
-        if (isinstance(node, ast.Subscript)
-                and isinstance(node.value, ast.Name)
-                and node.value.id == "DESIGNS"):
-            yield (node.lineno,
-                   "DESIGNS[...] subscript outside the policy layer "
-                   "(use resolve_design() or pass a StagePlan)")
-        elif (isinstance(node, ast.Call)
-              and isinstance(node.func, ast.Attribute)
-              and node.func.attr == "get"
-              and isinstance(node.func.value, ast.Name)
-              and node.func.value.id == "DESIGNS"):
-            yield (node.lineno,
-                   "DESIGNS.get(...) outside the policy layer "
-                   "(use resolve_design() or pass a StagePlan)")
-
-
-_ENV_READS = ("environ", "getenv")
-
-
-def _rule_vs111(rel: str, tree: ast.AST) -> Iterable[Tuple[int, str]]:
-    """Process-environment reads anywhere in the package (VS111).
-
-    Results are defined by golden digests of one execution path; a
-    variable read from the environment selects behaviour without
-    appearing in any signature, config or test parametrisation.
-    """
-    for node in ast.walk(tree):
-        if (isinstance(node, ast.Attribute) and node.attr in _ENV_READS
-                and isinstance(node.value, ast.Name)
-                and node.value.id == "os"):
-            yield (node.lineno,
-                   f"reads os.{node.attr} (pass the setting as an "
-                   f"argument instead)")
-        elif isinstance(node, ast.ImportFrom) and node.module == "os":
-            for alias in node.names:
-                if alias.name in _ENV_READS:
-                    yield (node.lineno,
-                           f"imports os.{alias.name} (pass the setting "
-                           f"as an argument instead)")
-
-
-_OBSERVER_FIELDS = frozenset(
-    {"sanitizer", "tracer", "_tracer", "qp_miss_by_qpn"})
-_VS112_ALLOWED = ("telemetry/", "cluster.py")
-
-
-def _rule_vs112(rel: str, tree: ast.AST) -> Iterable[Tuple[int, str]]:
-    """A second home for an observer (VS112).
-
-    Observers are off as ``None`` on one object per cluster and every
-    site reads them from there, which is what lets them be enabled at
-    any time.  A copy kept anywhere else goes stale the moment the
-    bundle's field is set.  ``.links`` is also the topology's physical
-    link list, so only a non-list value counts there.
-    """
-    if rel.startswith(_VS112_ALLOWED):
-        return
-    for node in ast.walk(tree):
-        if not isinstance(node, (ast.Assign, ast.AnnAssign, ast.AugAssign)):
-            continue
-        link_list = isinstance(node.value, (ast.List, ast.ListComp))
-        for target in getattr(node, "targets", None) or [node.target]:
-            for leaf in getattr(target, "elts", [target]):
-                if isinstance(leaf, ast.Attribute) and (
-                        leaf.attr in _OBSERVER_FIELDS
-                        or (leaf.attr == "links" and not link_list)):
-                    yield (node.lineno,
-                           f"assigns .{leaf.attr} (observers live on the "
-                           f"cluster's Telemetry bundle only)")
-
-
 _RULES: Dict[str, Callable[[str, ast.AST], Iterable[Tuple[int, str]]]] = {
     "VS101": _rule_vs101,
     "VS102": _rule_vs102,
@@ -590,9 +456,6 @@ _RULES: Dict[str, Callable[[str, ast.AST], Iterable[Tuple[int, str]]]] = {
     "VS107": _rule_vs107,
     "VS108": _rule_vs108,
     "VS109": _rule_vs109,
-    "VS110": _rule_vs110,
-    "VS111": _rule_vs111,
-    "VS112": _rule_vs112,
 }
 
 

@@ -191,8 +191,6 @@ def measure(point: Point) -> Measurement:
                      num_endpoints=point.num_endpoints,
                      compute_ns_per_batch=point.compute_ns_per_batch)
         cache = nic_cache_stats(cluster)
-        # Setup excluded: trunk ports only carry shuffle data.
-        elapsed = max(1, result.elapsed_ns)
         measurement = Measurement(
             gib_s=result.receive_throughput_gib_per_node(),
             registered_mib=result.registered_bytes_per_node / MIB,
@@ -200,9 +198,9 @@ def measure(point: Point) -> Measurement:
             credit_stall_ms=result.send_credit_wait_ns / 1e6,
             setup_ns=result.setup_ns,
             plan=result.design,
-            peak_trunk_util=min(1.0, max(
-                (p.pipe.busy_ns / elapsed
-                 for p in cluster.fabric.topology.ports()), default=0.0)),
+            # Setup excluded: trunk ports only carry shuffle data.
+            peak_trunk_util=cluster.fabric.topology.peak_utilization(
+                result.elapsed_ns),
             qp_miss_rate=cache["miss_rate"],
             pcie_stall_ms=cache["pcie_stall_ns"] / 1e6,
             egress_bytes=sum(n.nic.egress.total_units

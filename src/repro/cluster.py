@@ -42,7 +42,7 @@ class Cluster:
         ]
         self.registry = EndpointRegistry()
         self._disposed = False
-        if session is not None and getattr(session, "sanitize", False):
+        if session is not None and session.sanitize:
             self.enable_sanitizer()
 
     def enable_sanitizer(self, strict: bool = False):

@@ -98,6 +98,8 @@ class EndpointConfig:
             raise ValueError("need at least one buffer per connection")
         if self.credit_frequency < 1:
             raise ValueError("credit frequency must be >= 1")
+        if self.threads_per_endpoint < 1:
+            raise ValueError("threads_per_endpoint must be >= 1")
         if (self.credit_frequency
                 > self.buffers_per_connection * self.threads_per_endpoint):
             # Otherwise the final write-back never happens and the sender
@@ -107,8 +109,6 @@ class EndpointConfig:
                 f"({self.credit_frequency} > "
                 f"{self.buffers_per_connection * self.threads_per_endpoint})"
             )
-        if self.threads_per_endpoint < 1:
-            raise ValueError("threads_per_endpoint must be >= 1")
 
     @property
     def buffers_per_link(self) -> int:

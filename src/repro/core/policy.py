@@ -29,12 +29,11 @@ overrides, and :class:`HierarchicalPolicy` decomposes a repartition on
 an oversubscribed leaf-spine fabric into an intra-leaf exchange plus
 coordinated inter-leaf streams (one active stream per leaf pair).
 
-This module (with :mod:`repro.core.designs`) is the *only* place that
-may dispatch on raw design strings — lint rule VS110 enforces that the
-rest of the tree goes through :func:`resolve_design` / plans.  The
-boundary rule: public entry points coerce whatever the caller named
-(string, :class:`Design`, plan, policy) once, through
-:func:`resolve_plan`; below them only a :class:`StagePlan` travels.
+This module (with :mod:`repro.core.designs`) is the only place that
+dispatches on raw design strings.  The boundary rule: public entry
+points coerce whatever the caller named (string, :class:`Design`, plan,
+policy) once, through :func:`resolve_plan`; below them only a
+:class:`StagePlan` travels.
 """
 
 from __future__ import annotations
@@ -98,13 +97,7 @@ class TelemetrySnapshot:
         if budget > 0:
             waited = sum(ep.credit_wait_ns for ep in telemetry.endpoints)
             stall_share = min(1.0, waited / budget)
-        trunk = 0.0
-        topology = getattr(cluster.fabric, "topology", None)
-        if topology is not None and sim.now > 0:
-            trunk = max(
-                (min(1.0, port.pipe.busy_ns / sim.now)
-                 for port in topology.ports()),
-                default=0.0)
+        trunk = cluster.fabric.topology.peak_utilization(sim.now)
         return cls(qp_cache_miss_rate=miss_rate,
                    credit_stall_share=stall_share,
                    trunk_utilization=trunk)
@@ -439,15 +432,7 @@ class AdaptivePolicy(ShufflePolicy):
     stall_threshold = 0.20
     deep_buffers = 16
 
-    def __init__(self,
-                 miss_threshold: Optional[float] = None,
-                 stall_threshold: Optional[float] = None,
-                 hierarchical: Optional["HierarchicalPolicy"] = None):
-        if miss_threshold is not None:
-            self.miss_threshold = miss_threshold
-        if stall_threshold is not None:
-            self.stall_threshold = stall_threshold
-        self._hierarchical = hierarchical or HierarchicalPolicy()
+    def __init__(self):
         self._observed: Optional[TelemetrySnapshot] = None
 
     # -- the rule table ----------------------------------------------------
@@ -479,7 +464,7 @@ class AdaptivePolicy(ShufflePolicy):
     def plan(self, ctx: StageContext) -> StagePlan:
         if ctx.allow_hierarchical and ctx.topology_kind == "leaf-spine" \
                 and ctx.oversubscription > 1 and ctx.num_leaves > 1:
-            return self._hierarchical.plan(ctx)
+            return HierarchicalPolicy().plan(ctx)
         design, reason = self._rule_pick(ctx)
         buffers: Optional[int] = None
         observed = self._observed
@@ -535,11 +520,9 @@ class HierarchicalPolicy(ShufflePolicy):
 
     name = "hierarchical"
 
-    def __init__(self, intra: str = "MESQ/SR", inter: str = "SEMQ/SR",
-                 inter_buffers: int = 16):
-        self.intra = resolve_design(intra)
-        self.inter = resolve_design(inter)
-        self.inter_buffers = inter_buffers
+    intra = resolve_design("MESQ/SR")
+    inter = resolve_design("SEMQ/SR")
+    inter_buffers = 16
 
     def plan(self, ctx: StageContext) -> StagePlan:
         if not ctx.allow_hierarchical or ctx.topology_kind != "leaf-spine" \

@@ -28,7 +28,7 @@ Per-message semantics over packet trains
 Everything at this layer observes *messages*: one credit consumed per
 send, one CQE per signaled work request, one RELEASE per delivered
 buffer.  Below the verbs API a multi-MTU RC message traverses the
-fabric as a single :class:`~repro.fabric.packet.PacketTrain` — the
+fabric as a single :class:`~repro.fabric.packet.Packet` — the
 endpoint never sees the segmentation,
 exactly as real hardware hides per-packet ACK/retransmit behind one
 work completion.

@@ -289,21 +289,23 @@ def parse_topology(text: str) -> TopologySpec:
     ``leaf-spine:K`` (K:1 oversubscription) and ``leaf-spine:K:M``
     (M nodes per leaf).
     """
+    accepted = "expected single-switch, leaf-spine[:K[:M]] or dual-rail"
     parts = text.strip().split(":")
     kind = parts[0]
     if kind == "leaf-spine":
-        oversub = int(parts[1]) if len(parts) > 1 else 1
-        per_leaf = int(parts[2]) if len(parts) > 2 else 4
-        return LEAF_SPINE(oversubscription=oversub, nodes_per_leaf=per_leaf)
+        if len(parts) > 3 or not all(p.isdecimal() for p in parts[1:]):
+            raise ValueError(
+                f"bad leaf-spine topology {text!r}: K and M must be positive "
+                f"integers; {accepted}")
+        return LEAF_SPINE(*(int(p) for p in parts[1:]))
     if len(parts) > 1:
-        raise ValueError(f"topology {kind!r} takes no parameters: {text!r}")
+        raise ValueError(
+            f"topology {kind!r} takes no parameters: {text!r}; {accepted}")
     if kind == "single-switch":
         return SINGLE_SWITCH
     if kind == "dual-rail":
         return DUAL_RAIL
-    raise ValueError(
-        f"unknown topology {text!r}; expected single-switch, "
-        f"leaf-spine[:K[:M]] or dual-rail")
+    raise ValueError(f"unknown topology {text!r}; {accepted}")
 
 
 #: process-wide default for newly built ClusterConfigs; the

@@ -1,14 +1,14 @@
 """Wire-level message descriptors exchanged between simulated NICs.
 
 :class:`Packet` is one message at the granularity the verbs layer deals
-in (one work request's worth of data).  :class:`PacketTrain` extends it
-with the number of back-to-back MTU packets the message occupies on the
-wire, so the fabric can charge serialization for the whole train in one
-event while the per-packet reference
+in (one work request's worth of data), together with the number of
+back-to-back MTU packets it occupies on the wire, so the fabric can
+charge serialization for the whole train in one event while the
+per-packet reference
 (:meth:`~repro.fabric.network.Fabric.use_packet_oracle`) can still tick
 every MTU boundary.
 
-Endpoints and the verbs layer construct trains through
+Endpoints and the verbs layer construct messages through
 :func:`make_train` — the train-aware submit API — rather than building
 ``Packet`` objects by hand; linter rule VS108 enforces this outside
 ``fabric/``.
@@ -22,16 +22,17 @@ from typing import TYPE_CHECKING, Any, Optional
 if TYPE_CHECKING:  # pragma: no cover
     from repro.fabric.config import NetworkConfig
 
-__all__ = ["Packet", "PacketTrain", "make_train", "clone_for_member"]
+__all__ = ["Packet", "make_train", "clone_for_member"]
 
 
 @dataclass(slots=True)
 class Packet:
-    """One message travelling through the fabric.
+    """One message travelling through the fabric: ``n_packets``
+    back-to-back MTU packets totalling ``wire_bytes`` on the wire.
 
-    A packet is a *message* at the granularity the verbs layer deals in
-    (one work request's worth of data); MTU segmentation is folded into
-    the wire-byte count rather than simulated packet by packet.
+    The message is the unit the fabric charges pipes with; per-message
+    semantics (credits, CQEs, delivery accounting, links records) are
+    unaffected by how many MTU packets it spans.
     """
 
     src_node: int
@@ -52,11 +53,8 @@ class Packet:
     dropped: bool = False
     #: causal flow id (repro.telemetry.links); 0 when recording is off.
     flow: int = 0
-
-    #: MTU packets in this unit; a bare Packet is always one.  Class
-    #: attribute (not a dataclass field) so reprs, ``asdict`` and every
-    #: existing constructor call stay unchanged.
-    n_packets = 1
+    #: back-to-back MTU packets the message occupies on the wire.
+    n_packets: int = 1
 
     def __post_init__(self):
         if self.length < 0:
@@ -66,25 +64,6 @@ class Packet:
                 f"wire bytes ({self.wire_bytes}) smaller than payload "
                 f"({self.length})"
             )
-
-
-@dataclass(slots=True)
-class PacketTrain(Packet):
-    """A message plus its MTU segmentation: ``n_packets`` back-to-back
-    packets totalling ``wire_bytes`` on the wire.
-
-    The train is the unit the fabric charges pipes with; per-message
-    semantics (credits, CQEs, delivery accounting, links records) are
-    unaffected by how many MTU packets it spans.
-    """
-
-    #: back-to-back MTU packets the message occupies on the wire.
-    n_packets: int = 1
-
-    def __post_init__(self):
-        # Explicit base call: @dataclass(slots=True) rebuilds the class,
-        # which breaks zero-argument super() in methods defined here.
-        Packet.__post_init__(self)
         if self.n_packets < 1:
             raise ValueError(f"train needs >= 1 packets: {self.n_packets}")
 
@@ -93,7 +72,7 @@ def make_train(config: "NetworkConfig", *, src_node: int, dst_node: int,
                src_qpn: int, dst_qpn: int, kind: str, length: int = 0,
                transport: Optional[str] = None,
                wire_bytes: Optional[int] = None, payload: Any = None,
-               meta: Optional[dict] = None, flow: int = 0) -> PacketTrain:
+               meta: Optional[dict] = None, flow: int = 0) -> Packet:
     """Build the train for one message — the only sanctioned way to
     construct fabric traffic outside ``fabric/`` (linter rule VS108).
 
@@ -113,7 +92,7 @@ def make_train(config: "NetworkConfig", *, src_node: int, dst_node: int,
             n_packets = 1
     else:
         n_packets = 1
-    return PacketTrain(
+    return Packet(
         src_node=src_node, dst_node=dst_node, src_qpn=src_qpn,
         dst_qpn=dst_qpn, kind=kind, length=length, wire_bytes=wire_bytes,
         payload=payload, meta=meta if meta is not None else {}, flow=flow,
@@ -128,14 +107,7 @@ def clone_for_member(packet: Packet, node_id: int, qpn: int) -> Packet:
     path identically to the trunk; ``dropped`` is reset — loss is drawn
     per leg.
     """
-    if type(packet) is Packet:
-        return Packet(
-            src_node=packet.src_node, dst_node=node_id,
-            src_qpn=packet.src_qpn, dst_qpn=qpn, kind=packet.kind,
-            length=packet.length, wire_bytes=packet.wire_bytes,
-            payload=packet.payload, meta=packet.meta, flow=packet.flow,
-        )
-    return PacketTrain(
+    return Packet(
         src_node=packet.src_node, dst_node=node_id,
         src_qpn=packet.src_qpn, dst_qpn=qpn, kind=packet.kind,
         length=packet.length, wire_bytes=packet.wire_bytes,

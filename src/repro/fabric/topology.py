@@ -87,6 +87,10 @@ class SwitchPort:
         self.name = f"{switch.name}.{local_name}"
         self.pipe = pipe
 
+    def utilization(self, elapsed_ns: int) -> float:
+        """Share (0..1) of ``elapsed_ns`` this port spent serializing."""
+        return min(1.0, self.pipe.busy_ns / max(1, elapsed_ns))
+
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<SwitchPort {self.name} @ {self.pipe.rate} B/ns>"
 
@@ -334,6 +338,11 @@ class Topology:
     def ports(self) -> List[SwitchPort]:
         """Every switch port, in deterministic (switch, port) order."""
         return [port for switch in self.switches for port in switch.ports]
+
+    def peak_utilization(self, elapsed_ns: int) -> float:
+        """The busiest port's utilization; 0 on a port-less fabric."""
+        return max((port.utilization(elapsed_ns) for port in self.ports()),
+                   default=0.0)
 
     def describe(self) -> str:
         """A human-readable summary of the wired graph."""

@@ -70,6 +70,12 @@ __all__ = [
 ]
 
 
+#: quiesce window between a job's last fragment completing and its
+#: stage teardown: trailing completions (RC acks, credit write-backs)
+#: must land while the job's QPs and MRs still exist.
+TEARDOWN_GRACE_NS = 2_000_000
+
+
 @dataclass(frozen=True)
 class ServiceConfig:
     """Scheduler tunables."""
@@ -78,10 +84,6 @@ class ServiceConfig:
     max_concurrent: int = 2
     #: seed for the per-tenant arrival processes.
     seed: int = 1
-    #: quiesce window between a job's last fragment completing and its
-    #: stage teardown: trailing completions (RC acks, credit write-backs)
-    #: must land while the job's QPs and MRs still exist.
-    teardown_grace_ns: int = 2_000_000
 
 
 class FifoPolicy:
@@ -327,9 +329,7 @@ class ShuffleService:
             self._observe(job, elapsed)
             self.completed.append(job)
             self.completion_order.append(job.name)
-            # Let trailing completions (acks, credit write-backs) land
-            # before destroying the QPs and MRs they reference.
-            yield self.sim.timeout(self.config.teardown_grace_ns)
+            yield self.sim.timeout(TEARDOWN_GRACE_NS)
         except QuotaExceededError:
             # Admission underestimated (should not happen: the estimator
             # is deliberately generous).  Record and release the job.
@@ -401,8 +401,7 @@ class ShuffleService:
                 "qp_cache_misses": sum(j.qp_cache_misses for j in jobs),
                 "deferrals": sum(j.deferrals for j in jobs),
                 "queue_wait_ns": sum(j.queue_wait_ns for j in jobs),
-                "latency_ns": latency_summary(latencies,
-                                              quantiles=(0.5, 0.9, 0.99)),
+                "latency_ns": latency_summary(latencies),
             }
             if self.quotas is not None:
                 entry["usage"] = self.quotas.snapshot().get(spec.name, {})

@@ -104,17 +104,17 @@ class Event:
         """The value the event fired with."""
         return self._value
 
-    def succeed(self, value: Any = None, delay: int = 0) -> "Event":
-        """Trigger the event successfully, firing after ``delay`` ns."""
+    def succeed(self, value: Any = None) -> "Event":
+        """Trigger the event successfully, firing at the current time."""
         if self._state != _PENDING:
             raise SimError(f"{self!r} has already been triggered")
         self._state = _TRIGGERED
         self._ok = True
         self._value = value
-        self.sim._enqueue(delay, self)
+        self.sim._enqueue(0, self)
         return self
 
-    def fail(self, exc: BaseException, delay: int = 0) -> "Event":
+    def fail(self, exc: BaseException) -> "Event":
         """Trigger the event with a failure; waiters get ``exc`` thrown."""
         if self._state != _PENDING:
             raise SimError(f"{self!r} has already been triggered")
@@ -123,7 +123,7 @@ class Event:
         self._state = _TRIGGERED
         self._ok = False
         self._value = exc
-        self.sim._enqueue(delay, self)
+        self.sim._enqueue(0, self)
         return self
 
     def add_callback(self, callback: Callable[["Event"], None]) -> None:
@@ -248,8 +248,8 @@ class Process(Event):
         self._observed = True
         super().add_callback(callback)
 
-    def fail(self, exc: BaseException, delay: int = 0) -> "Event":
-        super().fail(exc, delay)
+    def fail(self, exc: BaseException) -> "Event":
+        super().fail(exc)
         self.sim._defunct.append(self)
         return self
 

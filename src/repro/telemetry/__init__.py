@@ -12,8 +12,8 @@ stack (sim kernel, NIC, fabric, verbs, shuffle endpoints):
   nanoseconds, exported as Chrome trace-event JSON (open the file in
   ``chrome://tracing`` or https://ui.perfetto.dev): one trace process
   per node, one thread per QP/endpoint/NIC pipe.
-* :func:`latency_summary` / :func:`percentile` / :class:`Histogram` —
-  summaries of a latency population.
+* :func:`latency_summary` / :func:`percentile` — summaries of a latency
+  population.
 * :class:`TelemetrySession` — cross-cluster collection for the
   ``repro-bench --metrics/--trace`` flags.
 
@@ -27,12 +27,7 @@ from repro.telemetry.core import (
     set_enabled,
 )
 from repro.telemetry.links import FlowRecorder
-from repro.telemetry.metrics import (
-    DEFAULT_NS_BUCKETS,
-    Histogram,
-    latency_summary,
-    percentile,
-)
+from repro.telemetry.metrics import latency_summary, percentile
 from repro.telemetry.session import (
     TelemetrySession,
     current_session,
@@ -43,9 +38,7 @@ from repro.telemetry.session import (
 from repro.telemetry.trace import TraceBudget, Tracer
 
 __all__ = [
-    "DEFAULT_NS_BUCKETS",
     "FlowRecorder",
-    "Histogram",
     "latency_summary",
     "percentile",
     "Telemetry",

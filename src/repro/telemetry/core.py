@@ -212,20 +212,15 @@ class Telemetry:
                 f"{s}->{d}": v
                 for (s, d), v in sorted(fb.link_bytes.items())
             }
-            topology = getattr(fb, "topology", None)
-            if topology is not None:
-                fabric["topology.kind"] = topology.spec.kind
-                elapsed = max(1, sim.now)
-                ports: Dict[str, Any] = {}
-                for port in topology.ports():
-                    ports[port.name] = {
-                        "bytes": int(port.pipe.total_units),
-                        "busy_ns": port.pipe.busy_ns,
-                        "utilization": round(
-                            min(1.0, port.pipe.busy_ns / elapsed), 4),
-                    }
-                if ports:
-                    fabric["topology.ports"] = ports
+            fabric["topology.kind"] = fb.topology.spec.kind
+            ports = {
+                port.name: {
+                    "bytes": int(port.pipe.total_units),
+                    "busy_ns": port.pipe.busy_ns,
+                    "utilization": round(port.utilization(sim.now), 4),
+                } for port in fb.topology.ports()}
+            if ports:
+                fabric["topology.ports"] = ports
             for node in fb.nodes:
                 nodes[str(node.id)] = self._node_snapshot(node)
         for ep in self._endpoints:

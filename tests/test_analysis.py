@@ -241,8 +241,8 @@ class TestVS108DirectPacketConstruction:
     BAD = (
         "def send(self, config):\n"
         "    pkt = Packet(0, 1, 11, 22, 'SEND', 4096, 4222)\n"
-        "    train = packet.PacketTrain(0, 1, 11, 22, 'SEND', 0, 64,\n"
-        "                               n_packets=2)\n"
+        "    train = packet.Packet(0, 1, 11, 22, 'SEND', 0, 64,\n"
+        "                          n_packets=2)\n"
     )
 
     def test_direct_construction_flagged(self):
@@ -350,123 +350,6 @@ class TestVS109SelfReferentialClosures:
             "    self._cb = render\n"
         )
         assert lint_source("telemetry/evil.py", source) == []
-
-
-class TestVS110RawDesignDispatch:
-    """PR 10 moved design selection behind the policy layer; raw
-    DESIGNS[...] dispatch anywhere else reintroduces the hard-wired
-    string paths the refactor removed."""
-
-    def test_subscript_dispatch_flagged(self):
-        source = "def pick(name):\n    return DESIGNS[name]\n"
-        violations = lint_source("service/evil.py", source)
-        assert rules_of(violations) == ["VS110"]
-        assert "resolve_design" in violations[0].message
-
-    def test_get_dispatch_flagged(self):
-        source = "design = DESIGNS.get(name)\n"
-        assert rules_of(lint_source("bench/evil.py", source)) == ["VS110"]
-
-    def test_policy_layer_is_exempt(self):
-        source = "def pick(name):\n    return DESIGNS[name]\n"
-        assert lint_source("core/policy.py", source) == []
-        assert lint_source("core/designs.py", source) == []
-
-    def test_other_registries_do_not_fire(self):
-        source = "policy = SHUFFLE_POLICIES[name]\n"
-        assert lint_source("bench/evil.py", source) == []
-
-    def test_string_plan_to_shuffle_stage_flagged(self):
-        for call in ('ShuffleStage(fabric, "MESQ/SR", groups)',
-                     'stage.ShuffleStage(fabric, plan="MPI", groups=g)'):
-            violations = lint_source("tpch/evil.py", f"s = {call}\n")
-            assert rules_of(violations) == ["VS110"], call
-            assert "Cluster.shuffle_stage" in violations[0].message
-
-    def test_plan_object_to_shuffle_stage_is_fine(self):
-        source = "s = ShuffleStage(fabric, StagePlan('MESQ/SR'), groups)\n"
-        assert lint_source("bench/fine.py", source) == []
-
-    def test_baseline_name_dispatch_flagged(self):
-        source = (
-            "def make_stage(design):\n"
-            "    if design in (\"MPI\", \"IPoIB\"):\n"
-            "        return baseline_stage(design)\n"
-        )
-        violations = lint_source("bench/evil.py", source)
-        assert rules_of(violations) == ["VS110"]
-        assert violations[0].line == 2
-        assert rules_of(lint_source(
-            "tpch/evil.py", "ok = name not in ['IPoIB']\n")) == ["VS110"]
-
-    def test_iterating_baseline_names_is_fine(self):
-        source = "for design in (\"MPI\", \"MESQ/SR\"):\n    run(design)\n"
-        assert lint_source("bench/fine.py", source) == []
-
-
-class TestVS111EnvironmentRead:
-    """The simulator has one execution mode; an environment variable
-    read anywhere in the package is a mode knob coming back."""
-
-    def test_environ_lookup_flagged(self):
-        source = (
-            "import os\n"
-            "def enabled():\n"
-            "    return os.environ.get('REPRO_MODE') != '0'\n"
-        )
-        violations = lint_source("sim/evil.py", source)
-        assert rules_of(violations) == ["VS111"]
-        assert violations[0].line == 3
-
-    def test_getenv_and_from_import_flagged(self):
-        assert rules_of(lint_source(
-            "bench/evil.py", "import os\nx = os.getenv('X')\n")) == ["VS111"]
-        assert rules_of(lint_source(
-            "telemetry/evil.py", "from os import environ\n")) == ["VS111"]
-
-    def test_other_os_uses_do_not_fire(self):
-        source = "import os\nok = os.path.exists(os.sep)\n"
-        assert lint_source("bench/fine.py", source) == []
-
-
-class TestVS112SingleObserverStore:
-    """Observers live on the cluster's Telemetry bundle and nowhere
-    else; a copy stored on another object goes stale when the bundle's
-    field is set later."""
-
-    def test_mirrored_observer_fields_flagged(self):
-        source = (
-            "class NIC:\n"
-            "    def __init__(self, fabric):\n"
-            "        self.sanitizer = fabric.sanitizer\n"
-            "        self.links = None\n"
-            "        self.qp_miss_by_qpn: dict = {}\n"
-            "    def bind_trace(self, tracer):\n"
-            "        self._tracer = tracer\n"
-            "def wire(ctx, cq, san):\n"
-            "    ctx.tracer, cq.sanitizer = None, san\n"
-        )
-        violations = lint_source("fabric/evil.py", source)
-        assert rules_of(violations) == ["VS112"] * 6
-        assert [v.line for v in violations] == [3, 4, 5, 7, 9, 9]
-
-    def test_the_bundle_and_the_cluster_may_store(self):
-        source = "def enable(self, san):\n    self.sanitizer = san\n"
-        assert lint_source("telemetry/core.py", source) == []
-        assert lint_source("cluster.py", source) == []
-
-    def test_physical_link_list_and_reads_are_clean(self):
-        source = (
-            "class Topology:\n"
-            "    def __init__(self):\n"
-            "        self.links: list = []\n"
-            "        self.links = [l for l in ()]\n"
-            "def site(self):\n"
-            "    san = self.ctx.telemetry.sanitizer\n"
-            "    links = self.telemetry.links\n"
-            "    self.telemetry = self.fabric.telemetry\n"
-        )
-        assert lint_source("fabric/topology.py", source) == []
 
 
 class TestSelectValidation:

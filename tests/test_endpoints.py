@@ -104,6 +104,10 @@ class TestCreditProtocol:
             EndpointConfig(buffers_per_connection=2, credit_frequency=3,
                            threads_per_endpoint=1)
 
+    def test_zero_threads_per_endpoint_rejected_by_name(self):
+        with pytest.raises(ValueError, match="threads_per_endpoint"):
+            EndpointConfig(threads_per_endpoint=0)
+
 
 class TestUnreliableDatagram:
     def test_out_of_order_delivery_reconciles_totals(self):

@@ -16,6 +16,7 @@ Three layers of coverage:
 
 import copy
 import json
+import random
 
 import pytest
 
@@ -89,15 +90,13 @@ class TestPercentileHelpers:
         assert summary["p50"] == percentile(values, 0.5)
         assert summary["p99"] == percentile(values, 0.99)
 
-    def test_latency_summary_large_population_interpolates(self):
-        values = list(range(200))
-        exact = latency_summary(values)
-        bucketed = latency_summary(values, exact_max=50,
-                                   buckets=(50, 100, 150, 200))
-        assert bucketed["count"] == exact["count"]
-        # Interpolation error is bounded by one bucket width.
-        for key in ("p50", "p90", "p99"):
-            assert abs(bucketed[key] - exact[key]) <= 50
+    def test_latency_summary_large_population_is_exact(self):
+        rng = random.Random(7)
+        values = [rng.lognormvariate(10.0, 1.5) for _ in range(50_000)]
+        summary = latency_summary(values)
+        assert summary["count"] == 50_000
+        for key, q in (("p50", 0.5), ("p90", 0.9), ("p99", 0.99)):
+            assert summary[key] == percentile(values, q)
 
     def test_latency_summary_empty(self):
         assert latency_summary([]) == {"count": 0}

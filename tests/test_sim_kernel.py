@@ -48,14 +48,6 @@ class TestEvent:
         with pytest.raises(SimError):
             ev.fail("not an exception")
 
-    def test_delayed_succeed(self, sim):
-        ev = sim.event()
-        times = []
-        ev.add_callback(lambda e: times.append(sim.now))
-        ev.succeed(delay=500)
-        sim.run()
-        assert times == [500]
-
 
 class TestTimeout:
     def test_timeout_advances_clock(self, sim):

@@ -1,4 +1,4 @@
-"""Tests for repro.telemetry: histogram, callbacks, tracer, harvesting,
+"""Tests for repro.telemetry: callbacks, tracer, harvesting,
 sessions."""
 
 import json
@@ -8,7 +8,6 @@ import pytest
 from repro import Cluster, ClusterConfig, EDR
 from repro.bench.workloads import run_repartition
 from repro.telemetry import (
-    Histogram,
     Telemetry,
     TraceBudget,
     Tracer,
@@ -22,23 +21,6 @@ from repro.telemetry import (
 from repro.sim import Simulator
 
 MIB = 1 << 20
-
-
-class TestInstruments:
-    def test_histogram_buckets(self):
-        h = Histogram("x", buckets=(10, 100))
-        for v in (5, 50, 500, 7):
-            h.observe(v)
-        d = h.to_dict()
-        assert d["count"] == 4
-        assert d["sum"] == 562
-        assert d["min"] == 5 and d["max"] == 500
-        assert d["buckets"] == {"10": 2, "100": 1, "+Inf": 1}
-        assert h.mean == pytest.approx(562 / 4)
-
-    def test_histogram_rejects_unsorted_buckets(self):
-        with pytest.raises(ValueError):
-            Histogram("x", buckets=(100, 10))
 
 
 class TestSnapshotCallbacks:

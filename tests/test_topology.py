@@ -59,6 +59,11 @@ class TestTopologySpec:
             parse_topology("single-switch:2")
         with pytest.raises(ValueError):
             parse_topology("dual-rail:3")
+        for spec in ("leaf-spine:2:4:9", "leaf-spine:x"):
+            with pytest.raises(ValueError) as err:
+                parse_topology(spec)
+            assert spec in str(err.value)
+            assert "leaf-spine[:K[:M]]" in str(err.value)
 
     def test_default_topology_is_single_switch(self):
         assert default_topology() == SINGLE_SWITCH

@@ -22,7 +22,7 @@ from repro.fabric import (
     ClusterConfig,
     Fabric,
 )
-from repro.fabric.packet import PacketTrain, make_train
+from repro.fabric.packet import Packet, make_train
 from repro.sim import RatePipe, Simulator
 
 TOPOLOGIES = [SINGLE_SWITCH, LEAF_SPINE(oversubscription=2), DUAL_RAIL]
@@ -115,7 +115,7 @@ def _route_train(topology, wire_bytes, n_packets, oracle, pairs):
         fabric.use_packet_oracle()
     arrivals = []
     for src, dst in pairs:
-        pkt = PacketTrain(src, dst, 11, 22, "SEND", 0, wire_bytes,
+        pkt = Packet(src, dst, 11, 22, "SEND", 0, wire_bytes,
                           n_packets=n_packets)
         fabric.route(pkt, lambda p: arrivals.append((sim.now, p.dst_node)))
     sim.run()
@@ -162,7 +162,7 @@ def _mcast_trains(topology, oracle):
                          copy.n_packets))
 
     for seq in range(16):
-        pkt = PacketTrain(0, 0, 11, 0, "SEND", 12288, 12378,
+        pkt = Packet(0, 0, 11, 0, "SEND", 12288, 12378,
                           meta={"seq": seq}, n_packets=3)
         fabric.route_mcast(pkt, mgid, on_leg)
     sim.run()
@@ -206,4 +206,4 @@ def test_make_train_segments_rc_by_mtu():
         make_train(net, src_node=0, dst_node=1, src_qpn=1, dst_qpn=2,
                    kind="SEND", length=64)
     with pytest.raises(ValueError):
-        PacketTrain(0, 1, 1, 2, "SEND", 0, 30, n_packets=0)
+        Packet(0, 1, 1, 2, "SEND", 0, 30, n_packets=0)
