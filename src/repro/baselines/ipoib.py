@@ -145,7 +145,7 @@ class IPoIBSendEndpoint(SendEndpoint):
         self._sockets: Dict[int, TcpConnection] = {}
         for dest in self.destinations:
             # TCP three-way handshake: about one round trip.
-            yield self.sim.timeout(2 * self.net.switch_latency_ns)
+            yield 2 * self.net.switch_latency_ns
             key = (self.endpoint_id, self.peers[dest])
             self._sockets[dest] = TcpConnection(self.ctx, dest, key)
 

@@ -56,16 +56,17 @@ def bench_dispatch_events(num_events: int = 300_000,
 
 def bench_process_wakeups(num_wakeups: int = 150_000,
                           procs: int = 64) -> Dict[str, Any]:
-    """Generator processes in a ``yield sim.timeout(...)`` loop.
+    """Generator processes in a ``yield period`` sleep loop.
 
-    Measures the process resume path and Timeout pooling.
+    Measures the process resume path: one bare heap entry and one
+    generator ``send`` per wakeup.
     """
     sim = Simulator()
     per_proc = num_wakeups // procs
 
     def worker(period: int):
         for _ in range(per_proc):
-            yield sim.timeout(period)
+            yield period
 
     for i in range(procs):
         sim.process(worker(11 + (i % 7)), name=f"bench-worker-{i}")

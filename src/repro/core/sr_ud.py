@@ -229,7 +229,7 @@ class SRUDReceiveEndpoint(CreditedReceiveEndpoint):
                 name=f"sr-ud-drain-{self.endpoint_id}-{conn.endpoint}")
 
     def _drain_watch(self, conn: PeerConnection):
-        yield self.sim.timeout(self.config.drain_timeout_ns)
+        yield self.config.drain_timeout_ns
         if conn.expected is not None and conn.received < conn.expected:
             self._fail(ShuffleNetworkError(
                 f"endpoint {self.endpoint_id}: source {conn.endpoint} "
@@ -245,7 +245,7 @@ class SRUDReceiveEndpoint(CreditedReceiveEndpoint):
         """
         interval = max(1, self.config.drain_timeout_ns // 4)
         while self._active_sources:
-            yield self.sim.timeout(interval)
+            yield interval
             # Wiring order, not set order: which credit datagram leaves
             # first must not depend on the integer values of endpoint ids.
             for _src_node, src_ep in self.sources:

@@ -136,8 +136,8 @@ class _EndpointBase:
         regions.extend(pool.mr for pool in self.aux_pools)
         return regions
 
-    def _cpu(self, ns: float):
-        """Charge scaled CPU time to the calling thread."""
+    def _cpu(self, ns: float) -> int:
+        """Scaled CPU time to charge the calling thread (``yield`` it)."""
         return self.node.cpu_delay(ns)
 
     def _trace_stall(self, name: str, t0: int) -> None:
@@ -245,7 +245,11 @@ class SendEndpoint(_EndpointBase):
     def get_free(self):
         """Process fragment implementing GETFREE; returns a Buffer."""
         t0 = self.sim.now
-        buf = yield self._free.get()
+        ok, buf = self._free.try_get()
+        if ok:
+            yield 0
+        else:
+            buf = yield self._free.get()
         self.free_wait_ns += self.sim.now - t0
         self._trace_stall("free-wait", t0)
         yield self._cpu(self.net.poll_cq_ns)
@@ -366,7 +370,11 @@ class ReceiveEndpoint(_EndpointBase):
         unreliable delivery lost data beyond the drain timeout.
         """
         t0 = self.sim.now
-        item = yield self._inbox.get()
+        ok, item = self._inbox.try_get()
+        if ok:
+            yield 0
+        else:
+            item = yield self._inbox.get()
         self._account_data_wait(t0)
         yield self._cpu(self.net.poll_cq_ns)
         if isinstance(item, ShuffleNetworkError):

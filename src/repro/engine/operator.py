@@ -113,12 +113,12 @@ class Operator:
                 f"the batch (columns: {list(batch.dtype.names or ())})"
             ) from None
 
-    def cpu(self, ns: float):
-        """Charge CPU time to the calling worker thread."""
+    def cpu(self, ns: float) -> int:
+        """CPU time to charge the calling worker thread (``yield`` it)."""
         return self.node.cpu_delay(ns)
 
     def per_tuple_cost(self, rows: int, nbytes: int = 0,
                        ns_per_tuple: float = 0.0,
-                       ns_per_byte: float = 0.0):
-        """Charge a vectorized per-batch cost in one timeout."""
+                       ns_per_byte: float = 0.0) -> int:
+        """A vectorized per-batch cost as one CPU sleep (``yield`` it)."""
         return self.node.cpu_delay(rows * ns_per_tuple + nbytes * ns_per_byte)

@@ -32,7 +32,7 @@ from repro.fabric.config import ClusterConfig, NetworkConfig
 from repro.fabric.nic import NIC
 from repro.fabric.packet import Packet, clone_for_member
 from repro.fabric.topology import Topology
-from repro.sim import Event, Simulator
+from repro.sim import Simulator
 from repro.telemetry.core import Telemetry
 
 __all__ = ["Node", "Fabric"]
@@ -48,14 +48,15 @@ class Node:
         self.config = config
         self.nic = NIC(sim, node_id, config, telemetry)
 
-    def cpu_delay(self, ns: float) -> Event:
-        """A timeout scaled by this node's CPU speed.
+    def cpu_delay(self, ns: float) -> int:
+        """A CPU sleep scaled by this node's CPU speed, in integer ns —
+        what a thread yields to spend it (``yield node.cpu_delay(ns)``).
 
         ``ns`` may be fractional (per-tuple cost models multiply);
         :meth:`NetworkConfig.cpu` rounds to integer nanoseconds exactly
         once, here at the simulation boundary.
         """
-        return self.sim.timeout(self.config.cpu(ns))
+        return self.config.cpu(ns)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<Node {self.id} ({self.config.name})>"
@@ -168,9 +169,11 @@ class Fabric:
         has discarded it; ``packet.dropped`` is then True).  The wire
         rule: below the verbs API a completion is a continuation — an
         ``Event`` is something a CPU thread waits on, and a caller that
-        has one waiting passes ``event.succeed``.  Continuations are
-        scheduled with ``call_soon`` at their instant, never called
-        synchronously.
+        has one waiting passes ``event.succeed``.  The egress pipe is
+        charged during this call and ``on_egress`` runs in place at the
+        egress completion; ``on_arrival`` is scheduled with ``call_soon``
+        at its instant, never called synchronously (DESIGN.md, "The wire
+        rule", says which hops may run in place and why).
 
         ``unordered`` adds random forwarding jitter so that messages can
         overtake each other — the Unreliable Datagram behaviour.

@@ -6,9 +6,10 @@ hop sequence (:class:`~repro.fabric.topology.Route`):
 
     egress pipe → [port pipe?, forwarding latency]* → loss? → ingress
 
-* the walk starts with one ``call_soon``; a portless hop is one
-  ``call_later``, a port hop one pipe completion plus one
-  ``call_later``,
+* the egress pipe is charged at the call (no queue entry to start a
+  walk); a portless hop is one ``call_later``, a port hop one pipe
+  completion plus one ``call_later``; the sender's ``on_egress`` runs
+  in place at the egress completion,
 * forwarding jitter (unordered delivery) is drawn on the *first* hop,
   after the egress pipe completes; loss is drawn after the last hop,
   before the ingress pipe — matching the pre-topology fabric on the
@@ -108,8 +109,9 @@ def ingress(fabric, packet: Packet, lossy: bool,
     ingress pipe, then ``on_arrival(packet)``.
 
     The continuation is scheduled with ``call_soon`` — its own queue
-    entry behind everything already due at the arrival instant, never a
-    synchronous call, so same-time entries keep their order.
+    entry behind everything already due at the arrival instant.  Unlike
+    the egress hops it must not run in place: that reorders same-instant
+    work and moves simulated results (DESIGN.md, "The wire rule").
     """
     sim = fabric.sim
     config = fabric.config
@@ -177,25 +179,21 @@ def flat_route(fabric, packet: Packet, hops: Tuple[Hop, ...],
                on_egress: Optional[Callable[[], None]] = None) -> None:
     """Route one train: egress pipe, then the hop walk into ``finish``.
 
-    The only per-packet allocations are the stage closures — no
-    Process, no generator frame, no Event.  ``on_egress()`` is scheduled
-    (``call_soon``, like an arrival) once the train has left the
-    sender's port.
+    The egress pipe is charged here, at the call; ``on_egress()`` runs
+    in place once the train has left the sender's port, right after the
+    walk's first hop is scheduled.  The only per-packet allocations are
+    the stage closures — no Process, no generator frame, no Event.
     """
     walk = _flat_walk(fabric, packet, hops, unordered, finish)
-    src_nic = fabric.nodes[packet.src_node].nic
-    sim = fabric.sim
-
-    def start() -> None:
-        src_nic.submit_tx(packet.wire_bytes, after_egress, flow=packet.flow,
-                          n_packets=packet.n_packets)
 
     def after_egress() -> None:
-        if on_egress is not None:
-            sim.call_soon(on_egress)
         walk()
+        if on_egress is not None:
+            on_egress()
 
-    sim.call_soon(start)
+    fabric.nodes[packet.src_node].nic.submit_tx(
+        packet.wire_bytes, after_egress, flow=packet.flow,
+        n_packets=packet.n_packets)
 
 
 def flat_leg(fabric, packet: Packet, hops: Tuple[Hop, ...],

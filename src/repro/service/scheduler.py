@@ -244,7 +244,7 @@ class ShuffleService:
         for i in range(tenant.jobs):
             gap = max(1, int(rng.expovariate(
                 1.0 / tenant.mean_interarrival_ns)))
-            yield self.sim.timeout(gap)
+            yield gap
             self.queue.push(Job(tenant=tenant, index=i))
 
     def _scheduler(self):
@@ -329,7 +329,7 @@ class ShuffleService:
             self._observe(job, elapsed)
             self.completed.append(job)
             self.completion_order.append(job.name)
-            yield self.sim.timeout(TEARDOWN_GRACE_NS)
+            yield TEARDOWN_GRACE_NS
         except QuotaExceededError:
             # Admission underestimated (should not happen: the estimator
             # is deliberately generous).  Record and release the job.

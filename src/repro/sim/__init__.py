@@ -11,7 +11,8 @@ The kernel is intentionally small and simpy-like:
 
 * :class:`~repro.sim.kernel.Simulator` owns the clock and the event queue.
 * Processes are plain generators that ``yield`` :class:`Event` objects and
-  resume when the event fires.
+  resume when the event fires, or ``yield`` an ``int`` of nanoseconds to
+  sleep (how CPU time is charged).
 * :mod:`repro.sim.primitives` provides the blocking building blocks CPU
   threads wait on (FIFO queues, semaphores, mutexes, broadcast signals)
   and the callback-driven rate-limited pipe hardware is charged through.

@@ -4,7 +4,8 @@ Time is an integer number of simulated nanoseconds.  The design follows the
 classic event-loop model: a priority queue of ``(time, sequence, entry)``
 entries is drained in order, and each entry runs its callbacks when popped.
 Processes are generators; yielding an :class:`Event` suspends the process
-until the event fires.
+until the event fires, and yielding a plain ``int`` n >= 0 sleeps n ns
+and resumes with ``None``.
 
 Hot-path notes (see DESIGN.md, "Execution path"):
 
@@ -17,21 +18,18 @@ Hot-path notes (see DESIGN.md, "Execution path"):
   bare callable as the heap payload — no :class:`Event`, no carrier
   object, no callback list.  The drain loop distinguishes payloads with
   one ``isinstance(entry, Event)`` check.
-* :class:`Timeout` objects consumed by exactly one waiting process (the
-  ubiquitous ``yield sim.timeout(...)`` pattern) are returned to a
-  per-simulator free list and reused by the next ``timeout()`` call.
-  Retaining a fired Timeout past the resumption of its waiter and reading
-  ``.value`` / ``.processed`` later is unsupported; attach a callback or
-  use a fresh :class:`Event` for that.
-* Starting a :class:`Process` schedules its first resumption directly
-  instead of allocating a bootstrap :class:`Event`.
+* A CPU sleep (``yield n``) is one such bare entry, ``call_later(n,
+  process._wake)``: it takes the heap slot a ``sim.timeout(n)`` created
+  at the same yield would have taken, without the Timeout.  Starting a
+  :class:`Process` schedules the same ``_wake`` instead of allocating a
+  bootstrap :class:`Event`.
 * The drain pauses CPython's cyclic garbage collector and restores the
   state it found: a run creates no reference cycles, so reference
   counting frees everything and a collector pass only traverses.
 
-None of this changes observable behaviour: heap entries are created at the
-same simulated times in the same relative order as before, so simulated
-end times are bit-identical.
+None of this changes simulated results: every wakeup is scheduled at the
+same simulated time in the same relative order as an Event-based wait
+would have been, so simulated end times are bit-identical.
 """
 
 from __future__ import annotations
@@ -61,9 +59,6 @@ class SimError(Exception):
 _PENDING = 0  # not triggered yet
 _TRIGGERED = 1  # queued, callbacks will run when popped
 _PROCESSED = 2  # callbacks have run
-
-#: cap on the per-simulator Timeout free list (bounds idle memory).
-_POOL_MAX = 4096
 
 
 class Event:
@@ -148,23 +143,12 @@ class Event:
         return f"<{type(self).__name__} {state[self._state]} at t={self.sim.now}>"
 
 
-#: What every process's first resumption receives: an already-processed
-#: event with ``ok=True, value=None``.  It is never scheduled, so it
-#: carries no simulator — one per simulator pointing back at its owner
-#: would make every Simulator a reference cycle (DESIGN.md,
-#: "Collector-free drain").
-_STARTED = Event.__new__(Event)
-_STARTED._state = _PROCESSED
-_STARTED._ok = True
-_STARTED._value = None
-
-
 class Timeout(Event):
     """An event that fires after a fixed delay.
 
-    Instances consumed by a single waiting process are pooled: prefer
-    ``sim.timeout(...)`` over direct construction so reuse can kick in,
-    and do not retain a fired Timeout past its waiter's resumption.
+    A process that only sleeps yields the delay itself (``yield n``); a
+    Timeout is for callers that need an :class:`Event` — an
+    :class:`AllOf` over delays, or a callback.
     """
 
     __slots__ = ()
@@ -177,30 +161,17 @@ class Timeout(Event):
         self._value = value
         sim._enqueue(delay, self)
 
-    def _run_callbacks(self) -> None:
-        self._state = _PROCESSED
-        callbacks, self._callbacks = self._callbacks, []
-        for callback in callbacks:
-            callback(self)
-        # Recycle the ``yield sim.timeout(...)`` pattern: exactly one
-        # waiter, and that waiter is a process resumption.  Condition
-        # events (_check callbacks), multi-waiter timeouts and explicit
-        # user callbacks keep the object alive and are never pooled.
-        if len(callbacks) == 1 and \
-                getattr(callbacks[0], "__func__", None) is Process._resume:
-            pool = self.sim._timeout_pool
-            if len(pool) < _POOL_MAX:
-                self._value = None
-                pool.append(self)
-
 
 class Process(Event):
     """A running generator; doubles as the event fired at termination.
 
-    The process resumes each time the event it yielded fires.  A failed
-    event is thrown into the generator; an uncaught exception fails the
-    process event, and escapes to :meth:`Simulator.run` if nothing waits on
-    the process.
+    The process resumes each time what it yielded comes due: an
+    :class:`Event` when it fires (a failed event is thrown into the
+    generator), a plain ``int`` n >= 0 after n ns, resuming with
+    ``None``.  Yielding anything else throws :class:`SimError` into the
+    generator, which may catch it and go on.  An uncaught exception
+    fails the process event, and escapes to :meth:`Simulator.run` if
+    nothing waits on the process.
     """
 
     __slots__ = ("_generator", "_send", "_throw", "_observed", "name")
@@ -213,36 +184,44 @@ class Process(Event):
         self._observed = False
         self.name = name or getattr(generator, "__name__", "process")
         sim.processes_started += 1
-        # Kick the process off at the current time (directly scheduled —
-        # no bootstrap Event allocation).
-        sim.call_soon(self._bootstrap)
-
-    def _bootstrap(self) -> None:
-        self._resume(_STARTED)
+        # The first resumption is a bare entry at the current time.
+        sim.call_soon(self._wake)
 
     def _resume(self, event: Event) -> None:
-        # Only the one event the generator last yielded holds this
-        # callback, so every call is a live wakeup.
-        self.sim.process_wakeups += 1
-        try:
-            if event._ok:
-                target = self._send(event._value)
-            else:
-                target = self._throw(event._value)
-        except StopIteration as stop:
-            self.succeed(stop.value)
-            return
-        except BaseException as exc:
-            self.fail(exc)
-            return
-        if not isinstance(target, Event):
-            exc = SimError(
+        self._step(event._ok, event._value)
+
+    def _wake(self) -> None:
+        self._step(True, None)
+
+    def _step(self, ok: bool, value: Any) -> None:
+        # Only what the generator last yielded holds a way back here
+        # (the event's callback or the sleep's entry), so every call is
+        # a live wakeup.
+        sim = self.sim
+        sim.process_wakeups += 1
+        while True:
+            try:
+                if ok:
+                    target = self._send(value)
+                else:
+                    target = self._throw(value)
+            except StopIteration as stop:
+                self.succeed(stop.value)
+                return
+            except BaseException as exc:
+                self.fail(exc)
+                return
+            if type(target) is int and target >= 0:
+                sim.call_later(target, self._wake)
+                return
+            if isinstance(target, Event):
+                target.add_callback(self._resume)
+                return
+            ok = False
+            value = SimError(
                 f"process {self.name!r} yielded {target!r}; processes must "
-                "yield Event instances"
+                "yield an Event or an int >= 0 (ns to sleep)"
             )
-            self._throw(exc)
-            return
-        target.add_callback(self._resume)
 
     def add_callback(self, callback: Callable[["Event"], None]) -> None:
         self._observed = True
@@ -306,8 +285,6 @@ class Simulator:
         self.process_wakeups = 0
         self.processes_started = 0
         self.max_queue_depth = 0
-        # Free list for pooled Timeouts (see module docstring).
-        self._timeout_pool: List[Timeout] = []
 
     # -- scheduling ------------------------------------------------------
 
@@ -323,7 +300,7 @@ class Simulator:
             bucket.append(event)
 
     def dispose(self) -> None:
-        """Drop every pending event, parked process and pooled timeout.
+        """Drop every pending event and parked process.
 
         End-of-simulation teardown: pending entries (unexpired drain
         watches, parked processes) hold generator frames whose locals
@@ -335,7 +312,6 @@ class Simulator:
         self._heap.clear()
         self._buckets.clear()
         self._defunct.clear()
-        self._timeout_pool.clear()
 
     def call_soon(self, func: Callable[[], None]) -> None:
         """Run ``func()`` at the current simulated time, after everything
@@ -380,16 +356,7 @@ class Simulator:
         return Event(self)
 
     def timeout(self, delay: int, value: Any = None) -> Timeout:
-        """Create an event that fires ``delay`` ns from now (pooled)."""
-        pool = self._timeout_pool
-        if pool:
-            if delay < 0:
-                raise SimError(f"negative timeout delay: {delay}")
-            t = pool.pop()
-            t._state = _TRIGGERED
-            t._value = value
-            self._enqueue(delay, t)
-            return t
+        """Create an event that fires ``delay`` ns from now."""
         return Timeout(self, delay, value)
 
     def process(self, generator: Generator, name: str = "") -> Process:

@@ -99,21 +99,22 @@ class CompletionQueue:
         if self._subscriber is not None:
             self._pending.append(wc)
             if not self._tick_scheduled:
+                # Idle: deliver in place (see :meth:`subscribe`).
                 self._tick_scheduled = True
-                self.sim.call_soon(self._tick)
+                self._tick()
         else:
             self._entries.put(wc)
 
     def subscribe(self, consumer: Callable[[WorkCompletion], None]) -> None:
         """Consume every completion with ``consumer(wc)``, event-driven.
 
-        Completions are delivered one per kernel dispatch in FIFO order:
-        a push onto an idle CQ schedules a delivery tick at the exact heap
-        position where the blocking :meth:`wait` path would have resumed
-        its waiter, and the follow-up tick for a backlogged entry is
-        scheduled only after the consumer returns — matching the
-        wait/handle/re-wait cycle of a polling process tick for tick (see
-        DESIGN.md, "Execution path").
+        Completions reach the consumer in FIFO order.  A push onto an
+        idle CQ calls the consumer in place, inside :meth:`push`; a push
+        made while a delivery is running (by the consumer itself) or
+        still queued joins a backlog that is delivered one entry per
+        kernel dispatch, each follow-up tick scheduled only after the
+        consumer returns, so what the consumer schedules lands before the
+        next delivery (see DESIGN.md, "Execution path").
         """
         if self._subscriber is not None:
             raise VerbsError("CQ already has a subscriber")

@@ -174,7 +174,7 @@ class VerbsContext:
         pages = max(1, -(-length // config.page_size))
         cost = config.mr_register_base_ns + pages * config.mr_register_ns_per_page
         self.mr_register_ns += cost
-        yield self.sim.timeout(cost)
+        yield cost
 
     def reg_mr_timed(self, length: int, tenant: Optional[str] = None):
         """Process fragment: register memory, charging pin time.

@@ -147,6 +147,33 @@ def test_results_do_not_depend_on_endpoint_id_values(first_id):
     assert _hierarchical_point(first_id) == _hierarchical_point()
 
 
+#: host cost per message, pinned exactly (8 nodes, EDR, 8 MiB per node,
+#: stage setup included): (sim.events_dispatched, sim.process_wakeups,
+#: ep.messages_sent).  Heap entries per message are SEMQ/SR 27.9,
+#: MESQ/SR 19.7, MEMQ/RD 58.9, MPI 37.3.  A same-instant hop that comes
+#: back as its own queue entry, or a CPU wakeup that appears or
+#: vanishes, moves these counts while every simulated result may hold.
+EVENTS_PER_MESSAGE = {
+    "SEMQ/SR": (28616, 11773, 1024),
+    "MESQ/SR": (322938, 175387, 16384),
+    "MEMQ/RD": (60270, 13845, 1024),
+    "MPI": (38192, 14926, 1024),
+}
+
+
+@pytest.mark.parametrize("design", sorted(EVENTS_PER_MESSAGE))
+def test_heap_entries_per_message(design):
+    cluster = Cluster(ClusterConfig(network=EDR, num_nodes=8))
+    run_repartition(cluster, design, bytes_per_node=8 << 20)
+    snapshot = cluster.metrics_snapshot()
+    messages = sum(node.get("ep.messages_sent", 0)
+                   for node in snapshot["nodes"].values())
+    sim = cluster.sim
+    cluster.dispose()
+    assert (sim.events_dispatched, sim.process_wakeups,
+            messages) == EVENTS_PER_MESSAGE[design]
+
+
 def test_mpi_rendezvous_does_not_depend_on_process_history():
     """Rendezvous request ids are per MPI runtime, like endpoint ids are
     per fabric: an MPI run that came earlier in the process (of another

@@ -29,7 +29,8 @@ import sys
 
 import pytest
 
-from repro.bench.experiments import ALL_EXPERIMENTS, Options
+from repro import EndpointConfig
+from repro.bench.experiments import ALL_EXPERIMENTS, Options, Point, _volume, measure
 
 GOLDEN_PATH = os.path.join(os.path.dirname(__file__), "golden",
                            "experiments.json")
@@ -54,6 +55,28 @@ def replay(name, scale, nodes):
 def test_entry_matches_golden(name):
     golden = _load()[name]
     assert replay(name, golden["scale"], golden["nodes"]) == golden["results"]
+
+
+#: fig9a points at 4096 B that a same-instant reordering moves while
+#: every tier-1 entry and ``digests.json`` stay green: a READ's remote
+#: ``requested`` hop and a local post's ``start`` hop meet at one NIC
+#: processor (DESIGN.md, "The wire rule").  fig9 itself is too slow for
+#: tier-1, so these two of its points stand in for it.
+FIG9_READ_DESIGNS = ["MEMQ/RD", "SEMQ/RD"]
+
+
+@pytest.mark.parametrize("design", FIG9_READ_DESIGNS)
+def test_fig9_read_point_matches_golden(design):
+    golden = _load()["fig9"]
+    fig9a = golden["results"][0]
+    assert fig9a["experiment"] == "fig9a-EDR"
+    size = 4096
+    want = next(series["y"][fig9a["x"].index(size)]
+                for series in fig9a["series"] if series["label"] == design)
+    nodes, scale = golden["nodes"], golden["scale"]
+    got = measure(Point(design, _volume(design, scale, nodes), nodes=nodes,
+                        config=EndpointConfig(message_size=size)))
+    assert got.gib_s == want
 
 
 def test_golden_covers_the_registry():

@@ -116,11 +116,59 @@ class TestProcess:
 
         assert sim.run_process(parent()) == (100, "child result")
 
-    def test_yielding_non_event_is_error(self, sim):
+    def test_yielding_an_int_sleeps_and_resumes_with_none(self, sim):
         def proc():
-            yield 42
+            first = yield 42
+            second = yield 0
+            return (sim.now, first, second)
 
-        with pytest.raises(SimError, match="must.*yield Event"):
+        assert sim.run_process(proc()) == (42, None, None)
+        assert sim.process_wakeups == 3  # start + two sleeps
+
+    @pytest.mark.parametrize("first", ["int", "timeout"])
+    def test_int_sleep_and_timeout_tie_in_schedule_order(self, sim, first):
+        """``yield n`` takes the heap slot ``yield sim.timeout(n)`` would
+        have taken: two processes sleeping to the same instant, one each
+        way, resume in the order their sleeps were scheduled."""
+        order = []
+
+        def sleeper(kind):
+            yield 10 if kind == "int" else sim.timeout(10)
+            order.append(kind)
+
+        kinds = ["int", "timeout"] if first == "int" else ["timeout", "int"]
+        for kind in kinds:
+            sim.process(sleeper(kind))
+        sim.run()
+        assert order == kinds
+
+    @pytest.mark.parametrize("bad", [-1, 1.5, True, "x", None],
+                             ids=["negative", "float", "bool", "str", "none"])
+    def test_bad_yield_is_thrown_into_the_process(self, sim, bad):
+        """A yield that is neither an Event nor an int >= 0 raises
+        SimError inside the generator; one that catches it carries on,
+        and what it yields next is waited on as usual."""
+        log = []
+
+        def proc():
+            try:
+                yield bad
+            except SimError as exc:
+                log.append(str(exc))
+            yield sim.timeout(5)
+            log.append("resumed")
+            return sim.now
+
+        process = sim.process(proc())
+        sim.run()
+        assert log[1:] == ["resumed"] and "yielded" in log[0]
+        assert process.triggered and process.value == 5
+
+    def test_uncaught_bad_yield_fails_the_process(self, sim):
+        def proc():
+            yield "x"
+
+        with pytest.raises(SimError, match="must yield an Event or an int"):
             sim.run_process(proc())
 
     def test_unobserved_process_failure_raises_from_run(self, sim):

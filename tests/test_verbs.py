@@ -207,6 +207,30 @@ class TestCompletionQueue:
         sim.call_at(100, lambda: cq.push(late))
         assert sim.run_process(proc()) == (100, "late")
 
+    def test_subscribed_idle_push_is_in_place_and_backlog_per_dispatch(
+            self, sim):
+        """A push onto an idle subscribed CQ reaches the consumer inside
+        ``push``; pushes the consumer makes meanwhile form a backlog that
+        is delivered in FIFO order, one entry per kernel dispatch, so what
+        a consumer schedules lands before the next delivery."""
+        cq = CompletionQueue(sim, Telemetry(sim, 0))
+        seen = []
+
+        def consumer(wc):
+            seen.append(wc.wr_id)
+            if wc.wr_id == 0:
+                for i in (1, 2):
+                    cq.push(WorkCompletion(wr_id=i, opcode=Opcode.SEND))
+                assert seen == [0], "a backlogged push must not re-enter"
+            sim.call_soon(lambda: seen.append(f"after {wc.wr_id}"))
+
+        cq.subscribe(consumer)
+        cq.push(WorkCompletion(wr_id=0, opcode=Opcode.SEND))
+        assert seen == [0]
+        sim.run()
+        assert seen == [0, "after 0", 1, "after 1", 2, "after 2"]
+        assert cq.polled == 3 and len(cq) == 0
+
 
 class TestRCSendRecv:
     def test_roundtrip_delivers_payload(self, sim):
