@@ -109,11 +109,9 @@ def _in_scope(rel: str, prefixes: Sequence[str],
 
 def _rule_vs101(rel: str, tree: ast.AST) -> Iterable[Tuple[int, str]]:
     """Endpoint code touching fabric/NIC internals (VS101)."""
-    # The stage wiring legitimately builds on the Fabric, and the policy
-    # layer reads cluster/fabric telemetry to plan stages; everything
+    # The stage wiring legitimately builds on the Fabric; everything
     # else under core/ must speak verbs only.
-    if not _in_scope(rel, ("core/",),
-                     exclude=("core/stage.py", "core/policy.py")):
+    if not _in_scope(rel, ("core/",), exclude=("core/stage.py",)):
         return
     for node in ast.walk(tree):
         if isinstance(node, ast.ImportFrom) and node.module:

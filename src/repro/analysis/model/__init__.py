@@ -3,11 +3,12 @@
 The transport layer's flow-control machinery — credit words, credit
 datagrams, FreeArr/ValidArr circular queues — is small enough to verify
 exhaustively at bounded instance sizes.  This package extracts each
-endpoint kind's protocol as a finite transition system (from the same
-policy objects the simulator runs, via their ``model()`` hooks) and
-explores every interleaving of sender, receivers and fabric faults,
-checking deadlock-freedom, credit conservation, ring consistency and
-eventual delivery.  Violations come back as minimal counterexample
+endpoint kind's protocol as a finite transition system (one table,
+:data:`~repro.analysis.model.protocols.MODELS`, whose models run the
+transport's own credit and ring-cap rules) and explores every
+interleaving of sender, receivers and fabric faults, checking
+deadlock-freedom, credit conservation, ring consistency and eventual
+delivery.  Violations come back as minimal counterexample
 traces, exported in the telemetry layer's Chrome-trace format.
 
 Entry points: ``python -m repro.analysis model`` (CLI),
@@ -30,8 +31,8 @@ from repro.analysis.model.core import (
 )
 from repro.analysis.model.explorer import ExploreResult, explore
 from repro.analysis.model.protocols import (
+    MODELS,
     CreditProtocolModel,
-    NoProtocolModelError,
     RingProtocolModel,
     extract_model,
     modeled_kinds,
@@ -46,8 +47,8 @@ __all__ = [
     "CheckResult",
     "CreditProtocolModel",
     "ExploreResult",
+    "MODELS",
     "ModelBound",
-    "NoProtocolModelError",
     "PROPERTIES",
     "PropertyStatus",
     "ProtocolModel",

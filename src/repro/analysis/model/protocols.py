@@ -10,13 +10,16 @@ Two families cover all five designs:
   (§4.4.3): RD_RC (receiver pulls with RDMA Read), WR_RC (sender pushes
   with RDMA Write).
 
-Models are assembled from the transport layer's own introspection hooks
-(:meth:`CreditWordBoard.model`, :meth:`CreditDatagramPort.model`,
-:meth:`RingBoard.model`, :func:`repro.verbs.qp.fault_actions`), and the
-credit-arrival transition applies values through the *production*
-:func:`~repro.core.transport.credit.grant_credit` on a real
-:class:`~repro.core.transport.connections.PeerConnection` — the
-max-merge semantics is executed, not re-implemented.
+One table, :data:`MODELS`, maps each of the five endpoint kinds to its
+model.  The models run the transport's own rules, looked up on their
+modules at call time: the credit write-back
+(:func:`~repro.core.transport.credit.release_credit`), the sender's
+max-merge (:func:`~repro.core.transport.credit.merge_credit`) and each
+one-sided design's ring caps (``read_rc.ring_caps`` /
+``write_rc.ring_caps``).  Whether a credited kind rides UD — lossy,
+unordered credit datagrams with keepalive, message loss, completions at
+send time, one shared QP — is the registry's ``uses_ud`` bit; every
+kind may lose a QP to the error state.
 
 State layout (all plain nested tuples, hashable):
 
@@ -32,58 +35,21 @@ transition, so the checker explores both "straggler arrived first" and
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
-from repro.core.transport.connections import PeerConnection
-from repro.core.transport.credit import grant_credit
-from repro.core.transport.modeling import CreditModel, RingModel
-from repro.core.transport.registry import backend, registered_kinds
-from repro.core.transport.rings import RingCursor
+from repro.core import read_rc, write_rc
+from repro.core.transport import credit
+from repro.core.transport.registry import backend
 
 from repro.analysis.model.core import Action, ModelBound, ProtocolModel
 
 __all__ = [
     "CreditProtocolModel",
-    "NoProtocolModelError",
+    "MODELS",
     "RingProtocolModel",
     "extract_model",
     "modeled_kinds",
 ]
-
-
-class _ModelNotify:
-    """Stands in for the sim Notify on the model's PeerConnection."""
-
-    __slots__ = ()
-
-    def notify_all(self) -> None:
-        return None
-
-
-_NOTIFY = _ModelNotify()
-
-
-def _merge_credit(credit: int, value: int) -> int:
-    """Apply an absolute credit through the production max-merge."""
-    conn = PeerConnection(0)
-    conn.credit = credit
-    conn.notify = _NOTIFY
-    grant_credit(conn, value)
-    return conn.credit
-
-
-def _check_ring(ring: RingModel) -> RingModel:
-    """Sanity-check the occupancy invariant against the production
-    cursor arithmetic: a :class:`RingCursor` over ``cap`` slots visits
-    ``cap`` distinct slots before wrapping, so at most ``cap`` produced-
-    but-unconsumed values can coexist without overwriting a live slot."""
-    cursor = RingCursor(0, ring.cap)
-    distinct = {cursor.next_slot() for _ in range(ring.cap)}
-    if len(distinct) != ring.cap:
-        raise ValueError(
-            f"ring {ring.name!r}: cursor arithmetic visits "
-            f"{len(distinct)} distinct slots for cap {ring.cap}")
-    return ring
 
 
 # -- credit family ----------------------------------------------------------
@@ -119,40 +85,16 @@ class CreditProtocolModel(ProtocolModel):
 
     family = "credit"
 
-    def __init__(self, name: str, bound: ModelBound, credit: CreditModel,
-                 faults: Tuple[str, ...], multicast: bool = False):
+    def __init__(self, name: str, bound: ModelBound,
+                 multicast: bool = False):
         self.name = name
         self.bound = bound
-        self.credit = credit
-        self.faults = tuple(faults)
         self.multicast = multicast
-        self.lossy = credit.lossy
-        self.ordered = credit.ordered
-        self.keepalive = credit.keepalive
-        if self.lossy != ("message_loss" in self.faults):
-            raise ValueError(
-                f"{name}: credit scheme {credit.scheme!r} disagrees with "
-                f"the transport fault model {self.faults!r} about loss")
-        #: UD completes the signaled send locally (no ack); RC completes
-        #: only after the hardware ack, i.e. after delivery.
-        self.cqe_on_send = self.lossy
-        #: UD multiplexes every peer over one shared QP, so a QP error
-        #: takes down all streams at once.
-        self.shared_qp = self.lossy
-
-    # -- bug hooks (overridden by the planted-corpus models) ---------------
-
-    def _release_credit_values(self, posted: int) -> Tuple[int, ...]:
-        """Credit values advertised by a release that took ``posted`` to
-        its new value (§5.1.1 write-back amortization)."""
-        if posted % self.bound.credit_frequency == 0:
-            return (posted,)
-        return ()
-
-    def _final_credit_values(self, posted: int) -> Tuple[int, ...]:
-        """Credit values advertised when the final marker is consumed
-        (a correct receiver advertises none — the stream is over)."""
-        return ()
+        #: UD: lossy, unordered credit datagrams backed by the keepalive;
+        #: the signaled send completes locally (RC: after the hardware
+        #: ack, i.e. after delivery); one shared QP, so a QP error takes
+        #: down every stream at once.
+        self.ud = backend(name).uses_ud
 
     # -- state helpers ------------------------------------------------------
 
@@ -161,13 +103,13 @@ class CreditProtocolModel(ProtocolModel):
         per_peer_messages = 0 if self.multicast else b.messages
         peer = (per_peer_messages, 0, b.window, 0, F_UNSENT, 0,
                 b.window, 0, 0, (), 0, 0)
-        lossy = self.lossy
+        ud = self.ud
         shared = (b.sender_buffers,
                   b.messages if self.multicast else 0, 0,
-                  b.data_loss if lossy else 0,
-                  b.credit_loss if lossy else 0,
-                  b.final_loss if lossy else 0,
-                  b.qp_errors if "qp_error" in self.faults else 0)
+                  b.data_loss if ud else 0,
+                  b.credit_loss if ud else 0,
+                  b.final_loss if ud else 0,
+                  b.qp_errors)
         return (shared,) + (peer,) * b.peers
 
     @staticmethod
@@ -194,7 +136,7 @@ class CreditProtocolModel(ProtocolModel):
                 and p[CP_DATA_FLY] == 0)
 
     def _cfly_add(self, cfly: Tuple[int, ...], value: int) -> Tuple[int, ...]:
-        if self.ordered:
+        if not self.ud:
             return cfly + (value,)
         return tuple(sorted(cfly + (value,)))
 
@@ -203,7 +145,7 @@ class CreditProtocolModel(ProtocolModel):
         """(value, remaining) choices for the next credit arrival."""
         if not cfly:
             return []
-        if self.ordered:
+        if not self.ud:
             return [(cfly[0], cfly[1:])]
         out = []
         for v in dict.fromkeys(cfly):  # distinct, insertion order
@@ -263,7 +205,7 @@ class CreditProtocolModel(ProtocolModel):
                 q[CP_TO_SEND] -= 1
                 q[CP_SENT] += 1
                 q[CP_DATA_FLY] += 1
-                if self.cqe_on_send:
+                if self.ud:  # UD completes the send locally
                     q[CP_CQE] += 1
                 nsh = list(sh)
                 nsh[CS_FREE] -= 1
@@ -286,14 +228,14 @@ class CreditProtocolModel(ProtocolModel):
                 q[CP_CONSUMED] += 1
                 q[CP_ARRIVED] += 1
                 q[CP_HELD] += 1
-                if not self.cqe_on_send:  # RC: ack completes the send
+                if not self.ud:  # RC: ack completes the send
                     q[CP_CQE] += 1
                 emit("deliver_data", i, "receiver", True, False,
                      sh, with_peer(i, q))
 
             # UD only: a datagram with no Receive is silently dropped
             # (unreachable for correct protocols — credit prevents it)
-            if self.lossy and p[CP_DATA_FLY] > 0 and self._avail(p) == 0:
+            if self.ud and p[CP_DATA_FLY] > 0 and self._avail(p) == 0:
                 q = list(p)
                 q[CP_DATA_FLY] -= 1
                 emit("drop_no_recv", i, "receiver", True, False,
@@ -301,15 +243,13 @@ class CreditProtocolModel(ProtocolModel):
 
             # receiver: the final marker lands (RC: ordered after data)
             if p[CP_FINAL] == F_FLY and self._avail(p) > 0 and (
-                    self.lossy or p[CP_DATA_FLY] == 0):
+                    self.ud or p[CP_DATA_FLY] == 0):
                 q = list(p)
                 q[CP_FINAL] = F_SEEN
                 q[CP_CONSUMED] += 1
-                for v in self._final_credit_values(q[CP_POSTED]):
-                    q[CP_CFLY] = self._cfly_add(q[CP_CFLY], v)
                 emit("deliver_final", i, "receiver", True, False,
                      sh, with_peer(i, q))
-            if (self.lossy and p[CP_FINAL] == F_FLY
+            if (self.ud and p[CP_FINAL] == F_FLY
                     and self._avail(p) == 0):
                 q = list(p)
                 q[CP_FINAL] = F_LOST
@@ -322,7 +262,9 @@ class CreditProtocolModel(ProtocolModel):
                 q = list(p)
                 q[CP_HELD] -= 1
                 q[CP_POSTED] += 1
-                for v in self._release_credit_values(q[CP_POSTED]):
+                v = credit.release_credit(q[CP_POSTED],
+                                          self.bound.credit_frequency)
+                if v is not None:
                     q[CP_CFLY] = self._cfly_add(q[CP_CFLY], v)
                 emit("release", i, "receiver", True, False,
                      sh, with_peer(i, q))
@@ -331,7 +273,7 @@ class CreditProtocolModel(ProtocolModel):
             for value, rest in self._cfly_arrivals(p[CP_CFLY]):
                 q = list(p)
                 q[CP_CFLY] = rest
-                q[CP_CREDIT] = _merge_credit(q[CP_CREDIT], value)
+                q[CP_CREDIT] = credit.merge_credit(q[CP_CREDIT], value)
                 emit("credit_arrive", i, "sender", True, False,
                      sh, with_peer(i, q))
 
@@ -344,14 +286,13 @@ class CreditProtocolModel(ProtocolModel):
                 emit("poll_cqe", i, "sender", False, False,
                      tuple(nsh), with_peer(i, q))
 
-            if self.lossy:
+            if self.ud:
                 # receiver: keepalive re-advertises the absolute credit
                 # while the source is still active (idempotent, so a
                 # value already in flight is not duplicated)
                 active = not (p[CP_FINAL] == F_SEEN
                               and p[CP_ARRIVED] >= self.bound.messages)
-                if (self.keepalive and active
-                        and p[CP_POSTED] not in p[CP_CFLY]):
+                if active and p[CP_POSTED] not in p[CP_CFLY]:
                     q = list(p)
                     q[CP_CFLY] = self._cfly_add(q[CP_CFLY], q[CP_POSTED])
                     emit("keepalive", i, "receiver", True, False,
@@ -399,14 +340,14 @@ class CreditProtocolModel(ProtocolModel):
         for i, p in enumerate(peers):
             if p[CP_FLAGS]:
                 continue
-            if self.lossy and sh[CS_DLOSS] > 0 and p[CP_DATA_FLY] > 0:
+            if self.ud and sh[CS_DLOSS] > 0 and p[CP_DATA_FLY] > 0:
                 q = list(p)
                 q[CP_DATA_FLY] -= 1
                 nsh = list(sh)
                 nsh[CS_DLOSS] -= 1
                 emit("lose_data", i, "fabric", False, True,
                      tuple(nsh), peers[:i] + (tuple(q),) + peers[i + 1:])
-            if self.lossy and sh[CS_CLOSS] > 0 and p[CP_CFLY]:
+            if self.ud and sh[CS_CLOSS] > 0 and p[CP_CFLY]:
                 for value, rest in self._cfly_arrivals(p[CP_CFLY]):
                     q = list(p)
                     q[CP_CFLY] = rest
@@ -414,15 +355,15 @@ class CreditProtocolModel(ProtocolModel):
                     nsh[CS_CLOSS] -= 1
                     emit("lose_credit", i, "fabric", False, True,
                          tuple(nsh), peers[:i] + (tuple(q),) + peers[i + 1:])
-            if self.lossy and sh[CS_FLOSS] > 0 and p[CP_FINAL] == F_FLY:
+            if self.ud and sh[CS_FLOSS] > 0 and p[CP_FINAL] == F_FLY:
                 q = list(p)
                 q[CP_FINAL] = F_LOST
                 nsh = list(sh)
                 nsh[CS_FLOSS] -= 1
                 emit("lose_final", i, "fabric", False, True,
                      tuple(nsh), peers[:i] + (tuple(q),) + peers[i + 1:])
-        if "qp_error" in self.faults and sh[CS_QPERR] > 0:
-            if self.shared_qp:
+        if sh[CS_QPERR] > 0:
+            if self.ud:
                 # one shared UD QP: every stream dies at once
                 if any(not p[CP_FLAGS] for p in peers):
                     nsh = list(sh)
@@ -447,7 +388,7 @@ class CreditProtocolModel(ProtocolModel):
         still recycle, held buffers and credit state are abandoned."""
         q = list(p)
         q[CP_FLAGS] = p[CP_FLAGS] | WEDGED
-        if not self.cqe_on_send:
+        if not self.ud:
             q[CP_CQE] += q[CP_DATA_FLY]  # flushed error CQEs
         q[CP_DATA_FLY] = 0
         if q[CP_FINAL] == F_FLY:
@@ -486,7 +427,7 @@ class CreditProtocolModel(ProtocolModel):
                 in_use += p[CP_CQE]
                 continue
             in_use += p[CP_CQE]
-            if not self.cqe_on_send:
+            if not self.ud:
                 in_use += p[CP_DATA_FLY]
             if p[CP_SENT] > p[CP_CREDIT]:
                 found.append((
@@ -570,28 +511,30 @@ class RingProtocolModel(ProtocolModel):
     one QP makes the data land first, which is why the notification
     arrival alone hands the buffer over), and the receiver returns
     addresses through FreeArr on release.
+
+    ``valid_cap`` / ``free_cap`` are the slots per ring: more in-flight
+    values than slots overwrite a live slot (a ring overrun).
     """
 
     family = "ring"
 
     def __init__(self, name: str, bound: ModelBound, role: str,
-                 valid: RingModel, free: RingModel,
-                 faults: Tuple[str, ...]):
+                 valid_cap: int, free_cap: int):
         if role not in ("read", "write"):
             raise ValueError(f"unknown ring role {role!r}")
+        if min(valid_cap, free_cap) < 1:
+            raise ValueError(f"{name}: a ring needs at least one slot")
         self.name = name
         self.bound = bound
         self.role = role
-        self.valid = _check_ring(valid)
-        self.free = _check_ring(free)
-        self.faults = tuple(faults)
+        self.valid_cap = valid_cap
+        self.free_cap = free_cap
 
     # -- state helpers ------------------------------------------------------
 
     def initial(self) -> Any:
         b = self.bound
-        shared = (b.sender_buffers,
-                  b.qp_errors if "qp_error" in self.faults else 0)
+        shared = (b.sender_buffers, b.qp_errors)
         if self.role == "read":
             peer = (b.messages, 0, 0, 0, 0, 0, 0, b.window, 0, 0, 0, 0, 0, 0)
         else:
@@ -649,7 +592,7 @@ class RingProtocolModel(ProtocolModel):
                     emit("poll_write_cqe", i, "sender", False, False, nsh, q)
                 continue
             step(sh, p, i, emit)
-            if "qp_error" in self.faults and sh[RS_QPERR] > 0:
+            if sh[RS_QPERR] > 0:
                 emit("qp_error", i, "fabric", False, True,
                      (sh[RS_FREE], sh[RS_QPERR] - 1), self._wedge(p))
         return out
@@ -828,16 +771,16 @@ class RingProtocolModel(ProtocolModel):
                         "credit-conservation",
                         f"peer {i}: remote-buffer leak — {window} addresses "
                         f"accounted for a window of {self.bound.window}"))
-            if valid_fly > self.valid.cap:
+            if valid_fly > self.valid_cap:
                 found.append((
                     "ring-consistency",
-                    f"peer {i}: {valid_fly} in-flight {self.valid.name} "
-                    f"values for {self.valid.cap} slots (overrun)"))
-            if free_fly > self.free.cap:
+                    f"peer {i}: {valid_fly} in-flight validarr "
+                    f"values for {self.valid_cap} slots (overrun)"))
+            if free_fly > self.free_cap:
                 found.append((
                     "ring-consistency",
-                    f"peer {i}: {free_fly} in-flight {self.free.name} "
-                    f"values for {self.free.cap} slots (overrun)"))
+                    f"peer {i}: {free_fly} in-flight freearr "
+                    f"values for {self.free_cap} slots (overrun)"))
         if not wedged and sh[RS_FREE] + pool_out != self.bound.sender_buffers:
             found.append((
                 "credit-conservation",
@@ -855,47 +798,35 @@ class RingProtocolModel(ProtocolModel):
         }
 
 
-# -- extraction -------------------------------------------------------------
+# -- the table -------------------------------------------------------------
 
-class NoProtocolModelError(LookupError):
-    """The endpoint kind exposes no ``protocol_model`` hook."""
-
-    def __init__(self, kind: str):
-        super().__init__(kind)
-        self.kind = kind
-
-    def __str__(self) -> str:
-        return (f"endpoint kind {self.kind!r} exposes no protocol_model() "
-                f"hook; modeled kinds: {', '.join(modeled_kinds())}")
+#: endpoint kind -> its model at a bound (registration order).  Ring
+#: caps come from the design module at build time, so a test that
+#: replaces ``ring_caps`` there changes the runtime and the model alike.
+MODELS: Dict[str, Callable[[ModelBound], ProtocolModel]] = {
+    "SR_UD": lambda b: CreditProtocolModel("SR_UD", b),
+    "SR_UD_MC": lambda b: CreditProtocolModel("SR_UD_MC", b,
+                                              multicast=True),
+    "RD_RC": lambda b: RingProtocolModel(
+        "RD_RC", b, "read", *read_rc.ring_caps(b.sender_buffers)),
+    "SR_RC": lambda b: CreditProtocolModel("SR_RC", b),
+    "WR_RC": lambda b: RingProtocolModel(
+        "WR_RC", b, "write", *write_rc.ring_caps(b.window)),
+}
 
 
 def extract_model(kind: str, bound: Optional[ModelBound] = None
                   ) -> ProtocolModel:
-    """Build the protocol model of a registered endpoint kind.
-
-    Resolves the kind through the transport registry and calls the send
-    class's ``protocol_model(bound)`` classmethod — the hook each design
-    module defines next to the code it models.
-    """
-    import repro.core.designs  # noqa: F401  (registers the built-in kinds)
-    be = backend(kind)
-    hook = getattr(be.send_cls, "protocol_model", None)
-    if hook is None:
-        raise NoProtocolModelError(kind)
-    return hook(bound if bound is not None else ModelBound())
+    """Build the protocol model of ``kind`` (default bound if none)."""
+    try:
+        build = MODELS[kind]
+    except KeyError:
+        raise LookupError(
+            f"endpoint kind {kind!r} has no protocol model; modeled "
+            f"kinds: {', '.join(MODELS)}") from None
+    return build(bound if bound is not None else ModelBound())
 
 
-def modeled_kinds(include_test: bool = False) -> Tuple[str, ...]:
-    """Registered endpoint kinds that expose a protocol model.
-
-    Kinds named ``*_TEST`` are fault-injection scratch kinds registered
-    by the test suite (planted bugs); they are excluded from default
-    sweeps so ``--all-kinds`` verifies only the real designs — pass
-    ``include_test=True`` (or name them with ``--kind``) to reach them.
-    """
-    import repro.core.designs  # noqa: F401
-    return tuple(
-        k for k in registered_kinds()
-        if (include_test or not k.endswith("_TEST"))
-        and getattr(backend(k).send_cls, "protocol_model", None)
-        is not None)
+def modeled_kinds() -> Tuple[str, ...]:
+    """The endpoint kinds the checker has a model for."""
+    return tuple(MODELS)

@@ -23,7 +23,6 @@ from repro.core.policy import (
     DesignLike,
     StageContext,
     StagePlan,
-    TelemetrySnapshot,
     resolve_plan,
 )
 from repro.core.stage import ShuffleStage
@@ -128,8 +127,7 @@ def _run_shuffle(cluster: Cluster, design: DesignLike, pattern: str,
     plan = resolve_plan(design, StageContext.from_cluster(
         cluster, config=config, bytes_per_node=bytes_per_node,
         pattern=pattern, num_endpoints=num_endpoints,
-        allow_hierarchical=(pattern == "repartition"),
-        telemetry=TelemetrySnapshot.from_cluster(cluster)))
+        allow_hierarchical=(pattern == "repartition")))
     if plan.hierarchical:
         if pattern != "repartition":
             raise ValueError(

@@ -42,19 +42,6 @@ class McastSRUDSendEndpoint(SRUDSendEndpoint):
 
     transport = "SQ/SR+MC"
 
-    @classmethod
-    def protocol_model(cls, bound):
-        """Model-checker hook: like SR_UD, but a group send serves every
-        member with one datagram — paying one credit and one Receive on
-        each member (§4.5)."""
-        from repro.analysis.model.protocols import CreditProtocolModel
-        from repro.core.transport.credit import CreditDatagramPort
-        from repro.verbs.constants import QPType
-        from repro.verbs.qp import fault_actions
-        return CreditProtocolModel(
-            "SR_UD_MC", bound, credit=CreditDatagramPort.model(),
-            faults=fault_actions(QPType.UD), multicast=True)
-
     def setup(self, registry: EndpointRegistry):
         yield from super().setup(registry)
         # The endpoint id doubles as the MGID; receivers join it.

@@ -12,15 +12,15 @@ object:
 
 * :class:`StageContext` — everything known about a stage before it
   runs: cluster shape, message-size estimate, topology and
-  oversubscription, tenant quota caps, and a live
-  :class:`TelemetrySnapshot`.
+  oversubscription, tenant quota caps.
 * :class:`StagePlan` — what a policy decides: the design (endpoint
   kind + endpoint count) plus optional credit/window parameter
   overrides, and, for two-phase leaf-spine shuffles, a nested
   inter-leaf plan.
 * :class:`ShufflePolicy` — ``plan(ctx) -> StagePlan``, with an
-  :meth:`~ShufflePolicy.observe` hook the service scheduler feeds
-  measured telemetry between jobs so a policy can re-plan mid-run.
+  :meth:`~ShufflePolicy.observe` hook the service scheduler feeds a
+  measured :class:`TelemetrySnapshot` between jobs so a policy can
+  re-plan mid-run.
 
 Three built-in policies: :class:`StaticPolicy` reproduces the legacy
 fixed-design paths bit-for-bit, :class:`AdaptivePolicy` encodes the
@@ -70,10 +70,10 @@ __all__ = [
 
 @dataclass(frozen=True)
 class TelemetrySnapshot:
-    """The three live signals a policy may react to.
+    """The two live signals a policy may react to.
 
-    All values are cumulative-to-now ratios, so repeated runs with one
-    seed produce identical snapshots at identical simulated times.
+    Both values are cumulative ratios, so repeated runs with one seed
+    produce identical snapshots at identical simulated times.
     """
 
     #: aggregate NIC QP-context-cache miss rate (0..1) — the Fig 10/11
@@ -82,25 +82,6 @@ class TelemetrySnapshot:
     #: share of total worker-thread time spent stalled for flow-control
     #: credit (0..1) — the §5.1.1 starvation signal.
     credit_stall_share: float = 0.0
-    #: peak switch-trunk utilization (0..1); 0 on single-switch fabrics.
-    trunk_utilization: float = 0.0
-
-    @classmethod
-    def from_cluster(cls, cluster: Any) -> "TelemetrySnapshot":
-        """Harvest the cumulative counters of a live cluster."""
-        from repro.telemetry.core import nic_cache_stats
-        miss_rate = nic_cache_stats(cluster)["miss_rate"]
-        sim = cluster.sim
-        telemetry = cluster.telemetry
-        stall_share = 0.0
-        budget = sim.now * cluster.threads_per_node * cluster.num_nodes
-        if budget > 0:
-            waited = sum(ep.credit_wait_ns for ep in telemetry.endpoints)
-            stall_share = min(1.0, waited / budget)
-        trunk = cluster.fabric.topology.peak_utilization(sim.now)
-        return cls(qp_cache_miss_rate=miss_rate,
-                   credit_stall_share=stall_share,
-                   trunk_utilization=trunk)
 
 
 @dataclass(frozen=True)
@@ -118,7 +99,6 @@ class StageContext:
     #: network parameters the rule table keys on.
     mtu: int = 4096
     qp_cache_entries: int = 1024
-    network: str = ""
     #: switch wiring (matches :class:`repro.fabric.config.TopologySpec`).
     topology_kind: str = "single-switch"
     oversubscription: int = 1
@@ -134,8 +114,6 @@ class StageContext:
     #: whether the runner can execute a two-phase (hierarchical) plan;
     #: only the workload runners can, the service scheduler cannot.
     allow_hierarchical: bool = False
-    #: live cluster telemetry at planning time.
-    telemetry: Optional[TelemetrySnapshot] = None
 
     @classmethod
     def from_cluster(cls, cluster: Any, *,
@@ -146,7 +124,6 @@ class StageContext:
                      max_qps: Optional[int] = None,
                      max_registered_bytes: Optional[int] = None,
                      allow_hierarchical: bool = False,
-                     telemetry: Optional[TelemetrySnapshot] = None,
                      ) -> "StageContext":
         """Build a context from a live :class:`~repro.cluster.Cluster`."""
         net = cluster.config.network
@@ -159,7 +136,6 @@ class StageContext:
             pattern=pattern,
             mtu=net.mtu,
             qp_cache_entries=net.qp_cache_entries,
-            network=net.name,
             topology_kind=spec.kind,
             oversubscription=spec.oversubscription,
             nodes_per_leaf=spec.nodes_per_leaf,
@@ -168,7 +144,6 @@ class StageContext:
             num_endpoints=num_endpoints,
             base_config=config,
             allow_hierarchical=allow_hierarchical,
-            telemetry=telemetry,
         )
 
     @property

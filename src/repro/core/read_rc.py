@@ -26,7 +26,7 @@ read pump joining ValidArr with LocalArr.
 from __future__ import annotations
 
 from collections import deque
-from typing import Dict, Sequence
+from typing import Dict, Sequence, Tuple
 
 from repro.core.endpoint import (
     DataState,
@@ -49,30 +49,21 @@ from repro.verbs.constants import Opcode, QPType
 from repro.verbs.device import VerbsContext
 from repro.verbs.wr import SendWR
 
-__all__ = ["ReadRCSendEndpoint", "ReadRCReceiveEndpoint"]
+__all__ = ["ReadRCSendEndpoint", "ReadRCReceiveEndpoint", "ring_caps"]
+
+
+def ring_caps(sender_buffers: int) -> Tuple[int, int]:
+    """``(ValidArr, FreeArr)`` slots per peer for a sender pool of
+    ``sender_buffers``: either ring may hold every pool buffer at once,
+    ValidArr the final marker too, plus slack (§4.4.3).  The model
+    checker sizes its rings with this function."""
+    return sender_buffers + 4, sender_buffers + 2
 
 
 class ReadRCSendEndpoint(SendEndpoint):
     """Passive SEND endpoint for the RDMA Read design (Figure 7a)."""
 
     transport = "MQ/RD"
-
-    @classmethod
-    def protocol_model(cls, bound):
-        """Model-checker hook: one-sided pull — ValidArr announces full
-        buffers, the receiver joins them with its local window, issues
-        RDMA Reads and returns consumed addresses via FreeArr
-        (Algorithm 3).  Ring caps mirror :attr:`_free_cap` (every pool
-        buffer could be pending, plus slack) at the bound's pool size.
-        """
-        from repro.analysis.model.protocols import RingProtocolModel
-        from repro.verbs.qp import fault_actions
-        cap = bound.sender_buffers + 2
-        return RingProtocolModel(
-            "RD_RC", bound, role="read",
-            valid=RingBoard.model("validarr", cap),
-            free=RingBoard.model("freearr", cap),
-            faults=fault_actions(QPType.RC))
 
     def __init__(self, ctx: VerbsContext, endpoint_id: int,
                  config: EndpointConfig, destinations: Sequence[int],
@@ -96,21 +87,17 @@ class ReadRCSendEndpoint(SendEndpoint):
         # FreeArr: one circular region per destination, written remotely.
         # A returned address must name a buffer this sender actually has
         # in flight; anything else is a board inconsistency.
+        _, free_cap = ring_caps(self.send_pool_buffers)
         free_board = yield from RingBoard.install(
-            self, self.destinations, self._free_cap, self._on_free_value,
+            self, self.destinations, free_cap, self._on_free_value,
             name="freearr",
             validator=lambda dest, value: value in self._pending)
         registry.publish_endpoint(self.endpoint_id, {
             "node": self.ctx.node_id,
             "qpn_by_dest": {d: c.qp.qpn for d, c in self.conns.items()},
             "freearr_base_by_dest": free_board.base_by_key,
-            "freearr_cap": self._free_cap,
+            "freearr_cap": free_cap,
         })
-
-    @property
-    def _free_cap(self) -> int:
-        """FreeArr slots per destination: every buffer could be pending."""
-        return self.send_pool_buffers + 2
 
     def connect(self, registry: EndpointRegistry):
         def bind(conn, info):
@@ -170,9 +157,13 @@ class ReadRCReceiveEndpoint(ReceiveEndpoint):
         yield from self.provision_recv_pool()
         # ValidArr: one circular region per source, written remotely; must
         # hold every buffer the sender could have outstanding plus finals.
+        # The sender's exact pool depends on its group count, so assume
+        # 64 per-thread windows' worth (slots are 8 bytes each).
+        valid_cap, _ = ring_caps(64 * self.config.buffers_per_connection
+                                 * self.config.threads_per_endpoint)
         valid_board = yield from RingBoard.install(
             self, [src_ep for _node, src_ep in self.sources],
-            self._valid_cap, self._on_valid_value, min_one=True,
+            valid_cap, self._on_valid_value, min_one=True,
             name="validarr")
         next_buffer = 0
         for src_node, src_ep in self.sources:
@@ -191,17 +182,8 @@ class ReadRCReceiveEndpoint(ReceiveEndpoint):
                 src_ep: c.qp.qpn for src_ep, c in self.conns.items()
             },
             "validarr_base_by_source": valid_board.base_by_key,
-            "validarr_cap": self._valid_cap,
+            "validarr_cap": valid_cap,
         })
-
-    @property
-    def _valid_cap(self) -> int:
-        sender_pool = (self.config.buffers_per_connection *
-                       self.config.threads_per_endpoint)
-        # A sender could funnel its entire pool at one destination; the
-        # exact pool size depends on the sender's group count, so leave
-        # generous headroom (slots are 8 bytes each).
-        return sender_pool * 64 + 4
 
     def connect(self, registry: EndpointRegistry):
         def bind(conn, info):

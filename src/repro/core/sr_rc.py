@@ -53,16 +53,6 @@ class SRRCSendEndpoint(CreditedSendEndpoint):
 
     transport = "MQ/SR"
 
-    @classmethod
-    def protocol_model(cls, bound):
-        """Model-checker hook: credited two-sided flow over per-peer RC
-        QPs, with the §4.4.1 credit-word scheme."""
-        from repro.analysis.model.protocols import CreditProtocolModel
-        from repro.verbs.qp import fault_actions
-        return CreditProtocolModel(
-            "SR_RC", bound, credit=CreditWordBoard.model(),
-            faults=fault_actions(QPType.RC))
-
     def setup(self, registry: EndpointRegistry):
         self.cq = self.ctx.create_cq()
         for dest in self.destinations:
@@ -159,8 +149,8 @@ class SRRCReceiveEndpoint(CreditedReceiveEndpoint):
     def _repost(self, conn: PeerConnection, local: Buffer) -> None:
         conn.qp.post_recv_buffer(local, self.config.message_size)
 
-    def _return_credit(self, conn: PeerConnection) -> None:
-        post_credit_word(conn)
+    def _return_credit(self, conn: PeerConnection, value: int) -> None:
+        post_credit_word(conn, value)
 
 
 register_endpoint_kind(

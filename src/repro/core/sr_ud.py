@@ -62,18 +62,6 @@ class SRUDSendEndpoint(CreditedSendEndpoint):
 
     transport = "SQ/SR"
 
-    @classmethod
-    def protocol_model(cls, bound):
-        """Model-checker hook: credited two-sided flow over the one
-        shared UD QP — lossy datagram credits with keepalive, message
-        counting against the final's total, and the drain timeout
-        (§4.4.2)."""
-        from repro.analysis.model.protocols import CreditProtocolModel
-        from repro.verbs.qp import fault_actions
-        return CreditProtocolModel(
-            "SR_UD", bound, credit=CreditDatagramPort.model(),
-            faults=fault_actions(QPType.UD))
-
     def __init__(self, ctx: VerbsContext, endpoint_id: int,
                  config: EndpointConfig, destinations: Sequence[int],
                  num_groups: int, peers: Dict[int, int]):
@@ -257,8 +245,8 @@ class SRUDReceiveEndpoint(CreditedReceiveEndpoint):
     def _repost(self, conn: PeerConnection, local: Buffer) -> None:
         self.qp.post_recv_buffer(local, self.config.message_size)
 
-    def _return_credit(self, conn: PeerConnection) -> None:
-        self._credit_out.post_credit(conn)
+    def _return_credit(self, conn: PeerConnection, value: int) -> None:
+        self._credit_out.post_credit(conn, value)
 
 
 register_endpoint_kind(

@@ -29,7 +29,6 @@ from repro.verbs.wr import RecvWR, SendWR
 
 from repro.core.endpoint import Frame, FrameCarrier
 from repro.core.transport.connections import PeerConnection
-from repro.core.transport.modeling import CreditModel, RingModel
 
 __all__ = [
     "CREDIT_MSG_BYTES",
@@ -39,7 +38,9 @@ __all__ = [
     "CreditWordBoard",
     "RingBoard",
     "grant_credit",
+    "merge_credit",
     "post_credit_word",
+    "release_credit",
 ]
 
 #: wire size of a credit-return datagram (header-only message).
@@ -55,14 +56,27 @@ CREDIT_RECV_SLOTS = 8
 CREDIT_SLOT_CAP = 2048
 
 
-def grant_credit(conn: PeerConnection, value: int) -> None:
-    """Apply an absolute credit value to a sender-side connection.
+def release_credit(posted: int, frequency: int) -> Optional[int]:
+    """The absolute credit a receiver writes back once a release has
+    brought its reposted Receives to ``posted``, or ``None`` between
+    write-backs: one write-back per ``frequency`` Receives (§5.1.1)."""
+    if posted % frequency == 0:
+        return posted
+    return None
 
-    Stale (reordered or duplicated) values are superseded by construction
-    — the property that keeps the protocol stateless (§4.4.1-2).
-    """
-    if value > conn.credit:
-        conn.credit = value
+
+def merge_credit(credit: int, value: int) -> int:
+    """A sender's credit after an absolute ``value`` arrives: stale
+    (reordered or duplicated) values are superseded by construction —
+    the property that keeps the protocol stateless (§4.4.1-2)."""
+    return value if value > credit else credit
+
+
+def grant_credit(conn: PeerConnection, value: int) -> None:
+    """Apply an absolute credit value to a sender-side connection."""
+    credit = merge_credit(conn.credit, value)
+    if credit != conn.credit:
+        conn.credit = credit
         conn.notify.notify_all()
 
 
@@ -72,9 +86,8 @@ def post_credit_word(conn: PeerConnection, value: Optional[int] = None) -> None:
     the WQE to save the payload DMA fetch [16].
 
     ``value`` defaults to ``conn.posted`` — the only value a correct
-    receiver may advertise.  The parameter exists so the sanitizer can
-    observe (and flag) endpoints that overgrant credit they have no
-    Receives behind.
+    receiver may advertise; the sanitizer flags any value beyond it
+    (credit with no Receives behind it).
     """
     if value is None:
         value = conn.posted
@@ -93,14 +106,6 @@ class CreditWordBoard:
     written remotely by receivers; arrivals grant credit."""
 
     __slots__ = ("mr",)
-
-    @classmethod
-    def model(cls) -> CreditModel:
-        """Protocol semantics for the model checker: credit words ride
-        inlined RDMA Writes on the data RC QP — lossless and ordered, so
-        no keepalive is needed (§4.4.1)."""
-        return CreditModel(scheme="credit-word", lossy=False,
-                           ordered=True, keepalive=False)
 
     @classmethod
     def install(cls, ep):
@@ -139,13 +144,6 @@ class RingBoard:
 
     __slots__ = ("mr", "cap", "base_by_key", "_regions", "_on_value",
                  "_ep", "name", "validator")
-
-    @classmethod
-    def model(cls, name: str, cap: int) -> RingModel:
-        """Protocol semantics for the model checker: one circular queue
-        of ``cap`` slots whose producer cursor wraps modulo ``cap``
-        (§4.4.3) — more in-flight values than slots is an overrun."""
-        return RingModel(name=name, cap=cap)
 
     @classmethod
     def install(cls, ep, keys: Sequence[Any], cap: int,
@@ -201,15 +199,6 @@ class CreditDatagramPort:
     datagrams complete fast, so a short rotation per peer suffices)."""
 
     __slots__ = ("qp", "endpoint_id", "pool", "_cursor")
-
-    @classmethod
-    def model(cls) -> CreditModel:
-        """Protocol semantics for the model checker: credit datagrams
-        ride UD — lossy and unordered, which the absolute values
-        tolerate by construction, backed by the receiver's keepalive
-        re-advertisement (§4.4.2)."""
-        return CreditModel(scheme="credit-datagram", lossy=True,
-                           ordered=False, keepalive=True)
 
     def __init__(self, ep, peer_count: int):
         # The port keeps the endpoint's shared UD QP and id, not the

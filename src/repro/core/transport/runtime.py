@@ -50,6 +50,7 @@ from repro.core.endpoint import (
     Frame,
     ShuffleNetworkError,
 )
+from repro.core.transport import credit
 from repro.core.transport.connections import ConnectionTable, PeerConnection
 from repro.core.transport.rings import PendingTable
 
@@ -436,21 +437,23 @@ class CreditedReceiveEndpoint(ReceiveEndpoint):
         local.reset()
         self._repost(conn, local)
         conn.posted += 1
-        if conn.posted % self.config.credit_frequency == 0:
-            # Credit is issued strictly after the Receive is reposted and
-            # amortized over credit_frequency Receives (§5.1.1).
+        # Credit is issued strictly after the Receive is reposted; the
+        # model checker runs the same rule (looked up on the module).
+        value = credit.release_credit(conn.posted,
+                                      self.config.credit_frequency)
+        if value is not None:
             yield self._cpu(self.net.post_wr_ns)
             links = self.ctx.telemetry.links
             if links is not None:
                 # Causal edge: the credit WR posted synchronously below is
                 # triggered by the data flow that occupied this buffer.
                 links.pending_trigger = links.buffer_flow(local)
-            self._return_credit(conn)
+            self._return_credit(conn, value)
 
     # -- posting policy supplied by the design -----------------------------
 
     def _repost(self, conn: PeerConnection, local: Buffer) -> None:
         raise NotImplementedError
 
-    def _return_credit(self, conn: PeerConnection) -> None:
+    def _return_credit(self, conn: PeerConnection, value: int) -> None:
         raise NotImplementedError

@@ -29,7 +29,7 @@ transport runtime; this module is the RDMA Write posting policy.
 
 from __future__ import annotations
 
-from typing import Dict, Sequence
+from typing import Dict, Sequence, Tuple
 
 from repro.core.endpoint import (
     DataState,
@@ -54,29 +54,20 @@ from repro.verbs.constants import Opcode, QPType
 from repro.verbs.device import VerbsContext
 from repro.verbs.wr import SendWR
 
-__all__ = ["WriteRCSendEndpoint", "WriteRCReceiveEndpoint"]
+__all__ = ["WriteRCSendEndpoint", "WriteRCReceiveEndpoint", "ring_caps"]
+
+
+def ring_caps(window: int) -> Tuple[int, int]:
+    """``(ValidArr, FreeArr)`` slots per link for a receive window of
+    ``window`` buffers, with slack (§4.4.3).  The model checker sizes
+    its rings with this function."""
+    return window * 2 + 4, window + 2
 
 
 class WriteRCSendEndpoint(SendEndpoint):
     """Active SEND endpoint pushing data with one-sided RDMA Writes."""
 
     transport = "MQ/WR"
-
-    @classmethod
-    def protocol_model(cls, bound):
-        """Model-checker hook: one-sided push — the sender pops a
-        known-free remote buffer, Writes data then the ValidArr
-        notification (RC ordering hands the buffer over), the receiver
-        returns addresses via FreeArr on release.  Ring caps mirror the
-        ``setup`` formulas (per-link window, plus slack) at the bound's
-        window size."""
-        from repro.analysis.model.protocols import RingProtocolModel
-        from repro.verbs.qp import fault_actions
-        return RingProtocolModel(
-            "WR_RC", bound, role="write",
-            valid=RingBoard.model("validarr", bound.window * 2 + 4),
-            free=RingBoard.model("freearr", bound.window + 2),
-            faults=fault_actions(QPType.RC))
 
     def __init__(self, ctx: VerbsContext, endpoint_id: int,
                  config: EndpointConfig, destinations: Sequence[int],
@@ -97,7 +88,7 @@ class WriteRCSendEndpoint(SendEndpoint):
             #: addresses of free buffers at the receiver (LIFO).
             conn.remote_free = []
         yield from self.provision_send_pool()
-        cap = self.config.buffers_per_link + 2
+        _, cap = ring_caps(self.config.buffers_per_link)
         # A returned address must be one of the receiver-side buffers this
         # sender was granted at connect time.
         free_board = yield from RingBoard.install(
@@ -178,7 +169,7 @@ class WriteRCReceiveEndpoint(ReceiveEndpoint):
         self.cq = self.ctx.create_cq()
         per_link = self.config.buffers_per_link
         yield from self.provision_recv_pool()
-        cap = per_link * 2 + 4
+        cap, _ = ring_caps(per_link)
         # A notified address must land inside this receiver's own pool.
         pool_addrs = frozenset(buf.addr for buf in self.pool.buffers)
         valid_board = yield from RingBoard.install(

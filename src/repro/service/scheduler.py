@@ -50,6 +50,7 @@ from repro.core.policy import (
 from repro.core.synthetic import SyntheticShuffle
 from repro.engine.fragment import run_fragments
 from repro.sim import AllOf
+from repro.telemetry.core import nic_cache_stats
 from repro.telemetry.metrics import latency_summary
 
 from repro.service.jobs import Job, JobQueue, TenantSpec
@@ -172,8 +173,9 @@ class ShuffleService:
 
     def stage_context(self, tenant: TenantSpec) -> StageContext:
         """The :class:`StageContext` a job of ``tenant`` plans against:
-        cluster shape, the tenant's quota caps (the clamping inputs),
-        and a live telemetry snapshot for adaptive policies."""
+        cluster shape and the tenant's quota caps (the clamping
+        inputs); adaptive policies learn telemetry through
+        :meth:`_observe`."""
         quota = self.quotas.quota(tenant.name) \
             if self.quotas is not None else TenantQuota()
         return StageContext.from_cluster(
@@ -183,7 +185,6 @@ class ShuffleService:
             num_endpoints=tenant.num_endpoints,
             max_qps=quota.max_qps,
             max_registered_bytes=quota.max_registered_bytes,
-            telemetry=TelemetrySnapshot.from_cluster(self.cluster),
         )
 
     def plan_for(self, tenant: TenantSpec) -> StagePlan:
@@ -354,11 +355,10 @@ class ShuffleService:
         predict); the credit-stall share is the job's own.
         """
         cluster = self.cluster
-        base = TelemetrySnapshot.from_cluster(cluster)
         budget = max(1, elapsed_ns * cluster.threads_per_node *
                      cluster.num_nodes)
-        observed = dataclasses.replace(
-            base,
+        observed = TelemetrySnapshot(
+            qp_cache_miss_rate=nic_cache_stats(cluster)["miss_rate"],
             credit_stall_share=min(1.0, job.credit_wait_ns / budget))
         self._policies[job.tenant.name].observe(observed)
 

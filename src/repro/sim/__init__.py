@@ -24,7 +24,6 @@ from repro.sim.kernel import (
     Process,
     SimError,
     Simulator,
-    Timeout,
 )
 from repro.sim.primitives import (
     Barrier,
@@ -47,5 +46,4 @@ __all__ = [
     "Semaphore",
     "SimError",
     "Simulator",
-    "Timeout",
 ]

@@ -19,10 +19,10 @@ Hot-path notes (see DESIGN.md, "Execution path"):
   object, no callback list.  The drain loop distinguishes payloads with
   one ``isinstance(entry, Event)`` check.
 * A CPU sleep (``yield n``) is one such bare entry, ``call_later(n,
-  process._wake)``: it takes the heap slot a ``sim.timeout(n)`` created
-  at the same yield would have taken, without the Timeout.  Starting a
+  process._wake)`` — the one way to wait for time to pass.  Starting a
   :class:`Process` schedules the same ``_wake`` instead of allocating a
-  bootstrap :class:`Event`.
+  bootstrap :class:`Event`.  A triggered Event is queued the same way,
+  as the payload of a ``call_soon``.
 * The drain pauses CPython's cyclic garbage collector and restores the
   state it found: a run creates no reference cycles, so reference
   counting frees everything and a collector pass only traverses.
@@ -44,7 +44,6 @@ _heappop = heapq.heappop
 __all__ = [
     "SimError",
     "Event",
-    "Timeout",
     "Process",
     "AllOf",
     "Simulator",
@@ -106,7 +105,7 @@ class Event:
         self._state = _TRIGGERED
         self._ok = True
         self._value = value
-        self.sim._enqueue(0, self)
+        self.sim.call_soon(self)
         return self
 
     def fail(self, exc: BaseException) -> "Event":
@@ -118,7 +117,7 @@ class Event:
         self._state = _TRIGGERED
         self._ok = False
         self._value = exc
-        self.sim._enqueue(0, self)
+        self.sim.call_soon(self)
         return self
 
     def add_callback(self, callback: Callable[["Event"], None]) -> None:
@@ -141,25 +140,6 @@ class Event:
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = {_PENDING: "pending", _TRIGGERED: "triggered", _PROCESSED: "processed"}
         return f"<{type(self).__name__} {state[self._state]} at t={self.sim.now}>"
-
-
-class Timeout(Event):
-    """An event that fires after a fixed delay.
-
-    A process that only sleeps yields the delay itself (``yield n``); a
-    Timeout is for callers that need an :class:`Event` — an
-    :class:`AllOf` over delays, or a callback.
-    """
-
-    __slots__ = ()
-
-    def __init__(self, sim: "Simulator", delay: int, value: Any = None):
-        if delay < 0:
-            raise SimError(f"negative timeout delay: {delay}")
-        super().__init__(sim)
-        self._state = _TRIGGERED
-        self._value = value
-        sim._enqueue(delay, self)
 
 
 class Process(Event):
@@ -288,17 +268,6 @@ class Simulator:
 
     # -- scheduling ------------------------------------------------------
 
-    def _enqueue(self, delay: int, event: Event) -> None:
-        if delay < 0:
-            raise SimError(f"cannot schedule into the past (delay={delay})")
-        when = self.now + int(delay)
-        bucket = self._buckets.get(when)
-        if bucket is None:
-            self._buckets[when] = [event]
-            _heappush(self._heap, when)
-        else:
-            bucket.append(event)
-
     def dispose(self) -> None:
         """Drop every pending event and parked process.
 
@@ -313,9 +282,10 @@ class Simulator:
         self._buckets.clear()
         self._defunct.clear()
 
-    def call_soon(self, func: Callable[[], None]) -> None:
+    def call_soon(self, func: Callable[[], None] | Event) -> None:
         """Run ``func()`` at the current simulated time, after everything
-        already queued for this timestamp."""
+        already queued for this timestamp (a triggered :class:`Event`
+        queued here runs its callbacks instead)."""
         when = self.now
         bucket = self._buckets.get(when)
         if bucket is None:
@@ -349,15 +319,7 @@ class Simulator:
         else:
             bucket.append(func)
 
-    # -- event factories -------------------------------------------------
-
-    def event(self) -> Event:
-        """Create a fresh untriggered event."""
-        return Event(self)
-
-    def timeout(self, delay: int, value: Any = None) -> Timeout:
-        """Create an event that fires ``delay`` ns from now."""
-        return Timeout(self, delay, value)
+    # -- processes -------------------------------------------------------
 
     def process(self, generator: Generator, name: str = "") -> Process:
         """Start a new process from a generator."""

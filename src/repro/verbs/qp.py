@@ -41,23 +41,7 @@ from repro.verbs.wr import RecvWR, SendWR
 if TYPE_CHECKING:  # pragma: no cover
     from repro.verbs.device import VerbsContext
 
-__all__ = ["QP_FAULT_ACTIONS", "QueuePair", "fault_actions"]
-
-#: fault transitions a transport type exposes to the protocol model
-#: checker (repro.analysis.model).  RC retransmits in hardware — the
-#: only protocol-visible fault is the whole QP entering ERROR (flushed
-#: completions, dead connection).  UD additionally drops individual
-#: messages in flight, the loss the §4.4.2 software error handling
-#: (absolute credits, keepalive, message counting) exists to absorb.
-QP_FAULT_ACTIONS = {
-    QPType.RC: ("qp_error",),
-    QPType.UD: ("message_loss", "qp_error"),
-}
-
-
-def fault_actions(qp_type: QPType):
-    """The fault transitions the model checker explores for ``qp_type``."""
-    return QP_FAULT_ACTIONS[qp_type]
+__all__ = ["QueuePair"]
 
 
 class QueuePair:
@@ -129,11 +113,6 @@ class QueuePair:
         if self.state is not QPState.INIT:
             raise VerbsError(f"cannot activate QP in state {self.state}")
         self.state = QPState.RTS
-
-    def fault_actions(self):
-        """Fault transitions the model checker explores for this QP's
-        transport type (see :data:`QP_FAULT_ACTIONS`)."""
-        return QP_FAULT_ACTIONS[self.qp_type]
 
     # -- posting -------------------------------------------------------------
 

@@ -70,7 +70,7 @@ class TestMPIRuntime:
             send_done["at"] = cluster.sim.now
 
         def receiver():
-            yield cluster.sim.timeout(200_000)  # receiver shows up late
+            yield 200_000  # receiver shows up late
             src, payload, length = yield from rt1.mpi_recv(tag=3)
             return length
 

@@ -61,7 +61,7 @@ def test_run_process_after_dispose_raises():
     cluster.dispose()
 
     def nop():
-        yield cluster.sim.timeout(1)
+        yield 1
 
     with pytest.raises(RuntimeError, match="disposed"):
         cluster.run_process(nop(), name="nop")

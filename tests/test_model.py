@@ -23,7 +23,7 @@ import pytest
 from repro.analysis.__main__ import main
 from repro.analysis.model import (
     ModelBound,
-    NoProtocolModelError,
+    RingProtocolModel,
     check_kind,
     check_model,
     explore,
@@ -32,15 +32,17 @@ from repro.analysis.model import (
     parse_bound,
     render_counterexample,
 )
-from repro.analysis.model.protocols import _merge_credit
-from repro.core.designs import register_endpoint_kind
-from repro.core.sr_rc import SRRCReceiveEndpoint, SRRCSendEndpoint
-from repro.core.transport.modeling import RingModel
+from repro.core.transport.credit import merge_credit
 
 #: UD kinds explore ~100x more states than RC at the default bound
 #: (loss interleavings); one peer keeps the suite fast without losing
 #: any per-stream behaviour (streams only couple through the pool).
 FAST = {"SR_UD": parse_bound("peers=1"), "SR_UD_MC": parse_bound("peers=1")}
+
+#: (states, transitions) each kind explores at its bound above: a change
+#: to how a model is built must not change what it explores.
+SIZES = {"SR_UD": (720, 2738), "SR_UD_MC": (720, 2794),
+         "RD_RC": (1106, 2204), "SR_RC": (423, 878), "WR_RC": (2113, 5818)}
 
 #: §4.4.1 starvation instance: 4 messages, window 2, write-back only
 #: every 4th Receive — the sender runs dry two messages short.
@@ -55,6 +57,8 @@ class TestRealKindsVerify:
         assert result.explored.complete
         assert result.passed, [
             (p.name, p.status, p.detail) for p in result.properties]
+        assert (result.explored.states,
+                result.explored.transitions) == SIZES[kind]
 
     def test_ring_consistency_not_applicable_to_credit_family(self):
         result = check_kind("SR_RC")
@@ -129,23 +133,18 @@ class TestBoundsAndExtraction:
         assert parse_bound("") == ModelBound()
 
     def test_unmodeled_kind_raises(self):
-        class NoModelSend(SRRCSendEndpoint):
-            protocol_model = None
-
-        register_endpoint_kind("SR_RC_NOMODEL_TEST", NoModelSend,
-                               SRRCReceiveEndpoint,
-                               description="scratch kind without a model")
-        with pytest.raises(NoProtocolModelError, match="SR_RC_NOMODEL_TEST"):
-            extract_model("SR_RC_NOMODEL_TEST")
-        assert "SR_RC_NOMODEL_TEST" not in modeled_kinds(include_test=True)
+        with pytest.raises(LookupError, match="'MPI'"):
+            extract_model("MPI")
+        assert "MPI" not in modeled_kinds()
 
     def test_ring_model_rejects_empty_ring(self):
-        with pytest.raises(ValueError):
-            RingModel("freearr", 0)
+        with pytest.raises(ValueError, match="at least one slot"):
+            RingProtocolModel("RD_RC", ModelBound(), "read",
+                              valid_cap=4, free_cap=0)
 
     def test_credit_merge_is_max_merge(self):
-        assert _merge_credit(5, 3) == 5  # stale arrival never regresses
-        assert _merge_credit(3, 5) == 5
+        assert merge_credit(5, 3) == 5  # stale arrival never regresses
+        assert merge_credit(3, 5) == 5
 
 
 class TestCounterexampleTraces:

@@ -1,20 +1,19 @@
-"""Planted-deadlock corpus: broken protocols the checker must catch.
+"""Planted-bug corpus: broken protocols the checker must catch.
 
-Three intentionally broken endpoint kinds, registered only here (the
-``_TEST`` suffix keeps them out of ``--all-kinds`` sweeps).  Each carries the *same* bug twice — once in its protocol
-model, once in its runtime endpoint code — and each test asserts both
-detectors agree:
+Each bug is planted once, by replacing a rule the transport and the
+model checker share where both look it up, and each test asserts that
+both detectors see it:
 
-* ``SR_RC_LEAK_TEST`` — the receiver never writes credit back: the
+* **leak** — ``credit.release_credit`` never writes credit back: the
   model checker proves a deadlock, the simulator wedges (empty event
   queue) with the senders stalled on credit.
-* ``RD_RC_TIGHTRING_TEST`` — the sender publishes a one-slot FreeArr:
-  the model checker proves a ring overrun, the runtime sanitizer flags
-  ``ring-overrun`` on the same board.
-* ``SR_RC_OVERGRANT_TEST`` — the receiver advertises two more credits
-  than it has Receives posted: the model checker proves a credit-
+* **overgrant** — ``credit.release_credit`` writes back two more
+  credits than Receives posted: the model checker proves a credit-
   conservation violation, the runtime sanitizer flags
   ``credit-overgrant``.
+* **tight ring** — ``read_rc.ring_caps`` gives FreeArr one slot: the
+  model checker proves a ring overrun, the runtime sanitizer flags
+  ``ring-overrun`` on the same board.
 
 Counterexamples are minimal (BFS over the unreduced graph) and export
 as Perfetto-loadable Chrome trace JSON.
@@ -26,99 +25,41 @@ import numpy as np
 import pytest
 
 from repro import EndpointConfig, TransmissionGroups
-from repro.analysis.model import check_kind, parse_bound
-from repro.analysis.model.protocols import CreditProtocolModel
+from repro.analysis.model import check_kind, modeled_kinds, parse_bound
 from repro.analysis.model.trace import write_counterexample
-from repro.core import ReceiveOperator, ShuffleOperator
-from repro.core.designs import Design, register_endpoint_kind
-from repro.core.read_rc import ReadRCReceiveEndpoint, ReadRCSendEndpoint
+from repro.core import ReceiveOperator, ShuffleOperator, read_rc
 from repro.core.shuffle import striped_partitioner
-from repro.core.sr_rc import SRRCReceiveEndpoint, SRRCSendEndpoint
-from repro.core.transport.credit import CreditWordBoard, RingBoard
-from repro.core.transport.credit import post_credit_word
+from repro.core.transport import credit
 from repro.engine import CollectSink, QueryFragment, run_fragments
 from repro.engine.scan import ScanOperator
 from repro.sim import SimError
-from repro.verbs.constants import QPType
-from repro.verbs.qp import fault_actions
 
 from tests.test_endpoints import DTYPE, make_cluster, run_stage_query
 
 
-# -- the planted kinds ------------------------------------------------------
+# -- the planted bugs -------------------------------------------------------
 
-class _LeakyCreditModel(CreditProtocolModel):
-    """Model of a receiver that never writes credit back."""
-
-    def _release_credit_values(self, posted):
-        return ()
-
-
-class LeakySRRCSendEndpoint(SRRCSendEndpoint):
-    @classmethod
-    def protocol_model(cls, bound):
-        return _LeakyCreditModel(
-            "SR_RC_LEAK_TEST", bound, credit=CreditWordBoard.model(),
-            faults=fault_actions(QPType.RC))
+@pytest.fixture
+def leak(monkeypatch):
+    """Releases never write credit back to the sender."""
+    monkeypatch.setattr(credit, "release_credit",
+                        lambda posted, frequency: None)
 
 
-class LeakySRRCReceiveEndpoint(SRRCReceiveEndpoint):
-    def _return_credit(self, conn):
-        pass  # the planted bug: releases never reach the sender
+@pytest.fixture
+def overgrant(monkeypatch):
+    """Every release advertises two credits with no Receive behind them."""
+    monkeypatch.setattr(credit, "release_credit",
+                        lambda posted, frequency: posted + 2)
 
 
-class _OvergrantCreditModel(CreditProtocolModel):
-    """Model of a receiver advertising credit beyond its Receives."""
+@pytest.fixture
+def tight_ring(monkeypatch):
+    """One FreeArr slot for a whole sender pool."""
+    real = read_rc.ring_caps
+    monkeypatch.setattr(read_rc, "ring_caps",
+                        lambda sender_buffers: (real(sender_buffers)[0], 1))
 
-    def _release_credit_values(self, posted):
-        return (posted + 2,)
-
-
-class OvergrantSRRCSendEndpoint(SRRCSendEndpoint):
-    @classmethod
-    def protocol_model(cls, bound):
-        return _OvergrantCreditModel(
-            "SR_RC_OVERGRANT_TEST", bound, credit=CreditWordBoard.model(),
-            faults=fault_actions(QPType.RC))
-
-
-class OvergrantSRRCReceiveEndpoint(SRRCReceiveEndpoint):
-    def _return_credit(self, conn):
-        post_credit_word(conn, conn.posted + 2)  # the planted bug
-
-
-class TightRingRDSendEndpoint(ReadRCSendEndpoint):
-    @classmethod
-    def protocol_model(cls, bound):
-        from repro.analysis.model.protocols import RingProtocolModel
-        return RingProtocolModel(
-            "RD_RC_TIGHTRING_TEST", bound, role="read",
-            valid=RingBoard.model("validarr", bound.sender_buffers + 2),
-            free=RingBoard.model("freearr", 1),  # the planted bug
-            faults=fault_actions(QPType.RC))
-
-    @property
-    def _free_cap(self):
-        return 1  # the planted bug: one FreeArr slot for a whole pool
-
-
-register_endpoint_kind(
-    "SR_RC_LEAK_TEST", LeakySRRCSendEndpoint, LeakySRRCReceiveEndpoint,
-    description="fault injection: SR/RC receiver that leaks credit")
-register_endpoint_kind(
-    "SR_RC_OVERGRANT_TEST", OvergrantSRRCSendEndpoint,
-    OvergrantSRRCReceiveEndpoint,
-    description="fault injection: SR/RC receiver that overgrants credit")
-register_endpoint_kind(
-    "RD_RC_TIGHTRING_TEST", TightRingRDSendEndpoint, ReadRCReceiveEndpoint,
-    one_sided=True,
-    description="fault injection: RD/RC sender with a one-slot FreeArr")
-
-LEAK_DESIGN = Design("LEAK/SR", "SR_RC_LEAK_TEST", multi_endpoint=True)
-OVERGRANT_DESIGN = Design("OVERGRANT/SR", "SR_RC_OVERGRANT_TEST",
-                          multi_endpoint=True)
-TIGHTRING_DESIGN = Design("TIGHT/RD", "RD_RC_TIGHTRING_TEST",
-                          multi_endpoint=True)
 
 #: a small instance keeps counterexamples short and exploration instant.
 CORPUS_BOUND = parse_bound("peers=1")
@@ -157,8 +98,8 @@ def build_stage_query(cluster, design, rows_per_node=600, config=None):
 
 
 class TestCreditLeak:
-    def test_model_finds_deadlock(self, tmp_path):
-        result = check_kind("SR_RC_LEAK_TEST", CORPUS_BOUND)
+    def test_model_finds_deadlock(self, leak, tmp_path):
+        result = check_kind("SR_RC", CORPUS_BOUND)
         assert not result.passed
         dead = result.status_of("deadlock-freedom")
         assert dead.status == "fail"
@@ -175,11 +116,11 @@ class TestCreditLeak:
         trace = json.load(open(path))
         assert trace["otherData"]["property"] == "deadlock-freedom"
 
-    def test_runtime_wedges_on_credit(self):
+    def test_runtime_wedges_on_credit(self, leak):
         cluster = make_cluster()
         cfg = EndpointConfig(message_size=1024, buffers_per_connection=2,
                              credit_frequency=1)
-        stage, fragments, _ = build_stage_query(cluster, LEAK_DESIGN,
+        stage, fragments, _ = build_stage_query(cluster, "MEMQ/SR",
                                                 rows_per_node=6000,
                                                 config=cfg)
         with pytest.raises(SimError, match="deadlock"):
@@ -194,8 +135,8 @@ class TestCreditLeak:
 
 
 class TestCreditOvergrant:
-    def test_model_finds_conservation_violation(self, tmp_path):
-        result = check_kind("SR_RC_OVERGRANT_TEST", CORPUS_BOUND)
+    def test_model_finds_conservation_violation(self, overgrant, tmp_path):
+        result = check_kind("SR_RC", CORPUS_BOUND)
         assert not result.passed
         cons = result.status_of("credit-conservation")
         assert cons.status == "fail"
@@ -208,11 +149,11 @@ class TestCreditOvergrant:
                                     str(tmp_path))
         json.load(open(path))
 
-    def test_runtime_sanitizer_flags_overgrant(self):
+    def test_runtime_sanitizer_flags_overgrant(self, overgrant):
         cluster = make_cluster()
         san = cluster.enable_sanitizer()
         cfg = EndpointConfig(message_size=1024, buffers_per_connection=4)
-        _, sinks, _ = run_stage_query(cluster, OVERGRANT_DESIGN,
+        _, sinks, _ = run_stage_query(cluster, "MEMQ/SR",
                                       rows_per_node=600, config=cfg)
         assert sum(len(s.result()) for s in sinks) == 2 * 600
         assert "credit-overgrant" in rules_of(san)
@@ -222,8 +163,8 @@ class TestCreditOvergrant:
 
 
 class TestTightRing:
-    def test_model_finds_ring_overrun(self, tmp_path):
-        result = check_kind("RD_RC_TIGHTRING_TEST", CORPUS_BOUND)
+    def test_model_finds_ring_overrun(self, tight_ring, tmp_path):
+        result = check_kind("RD_RC", CORPUS_BOUND)
         assert not result.passed
         ring = result.status_of("ring-consistency")
         assert ring.status == "fail"
@@ -231,24 +172,19 @@ class TestTightRing:
         path = write_counterexample(result.model, ring.witness,
                                     str(tmp_path))
         trace = json.load(open(path))
-        assert trace["otherData"]["model"] == "RD_RC_TIGHTRING_TEST"
+        assert trace["otherData"]["model"] == "RD_RC"
 
-    def test_runtime_sanitizer_flags_ring_overrun(self):
+    def test_runtime_sanitizer_flags_ring_overrun(self, tight_ring):
         cluster = make_cluster()
         san = cluster.enable_sanitizer()
         cfg = EndpointConfig(message_size=1024, buffers_per_connection=4)
-        run_stage_query(cluster, TIGHTRING_DESIGN, rows_per_node=600,
-                        config=cfg)
+        run_stage_query(cluster, "MEMQ/RD", rows_per_node=600, config=cfg)
         assert "ring-overrun" in rules_of(san)
         first = next(v for v in san.violations if v.rule == "ring-overrun")
         assert first.details["outstanding"] > 1
 
 
 def test_corpus_kinds_stay_out_of_default_sweeps():
-    from repro.analysis.model import modeled_kinds
-    default = modeled_kinds()
-    assert not any(k.endswith("_TEST") for k in default)
-    everything = modeled_kinds(include_test=True)
-    for kind in ("SR_RC_LEAK_TEST", "SR_RC_OVERGRANT_TEST",
-                 "RD_RC_TIGHTRING_TEST"):
-        assert kind in everything
+    """Planting a bug adds no kind: the sweep is the five designs."""
+    assert modeled_kinds() == ("SR_UD", "SR_UD_MC", "RD_RC", "SR_RC",
+                               "WR_RC")

@@ -22,7 +22,7 @@ class TestSimulatorProperties:
         sim = Simulator()
         fired = []
         for d in delays:
-            sim.timeout(d).add_callback(lambda _e, d=d: fired.append(sim.now))
+            sim.call_later(d, lambda: fired.append(sim.now))
         sim.run()
         assert fired == sorted(fired)
         assert len(fired) == len(delays)
@@ -31,8 +31,11 @@ class TestSimulatorProperties:
     def test_all_of_completes_at_max_delay(self, delays):
         sim = Simulator()
 
+        def sleeper(d):
+            yield d
+
         def proc():
-            yield AllOf(sim, [sim.timeout(d) for d in delays])
+            yield AllOf(sim, [sim.process(sleeper(d)) for d in delays])
             return sim.now
 
         assert sim.run_process(proc()) == max(delays)
@@ -44,7 +47,7 @@ class TestSimulatorProperties:
         times = []
 
         def waiter(i):
-            yield sim.timeout(i * 10)
+            yield i * 10
             yield barrier.arrive()
             times.append(sim.now)
 

@@ -22,20 +22,20 @@ def sim():
 class TestEvent:
     def test_succeed_fires_callbacks_with_value(self, sim):
         seen = []
-        ev = sim.event()
+        ev = Event(sim)
         ev.add_callback(lambda e: seen.append(e.value))
         ev.succeed(42)
         sim.run()
         assert seen == [42]
 
     def test_succeed_twice_raises(self, sim):
-        ev = sim.event()
+        ev = Event(sim)
         ev.succeed()
         with pytest.raises(SimError):
             ev.succeed()
 
     def test_callback_on_processed_event_still_runs(self, sim):
-        ev = sim.event()
+        ev = Event(sim)
         ev.succeed("late")
         sim.run()
         seen = []
@@ -44,7 +44,7 @@ class TestEvent:
         assert seen == ["late"]
 
     def test_fail_requires_exception(self, sim):
-        ev = sim.event()
+        ev = Event(sim)
         with pytest.raises(SimError):
             ev.fail("not an exception")
 
@@ -52,26 +52,29 @@ class TestEvent:
 class TestTimeout:
     def test_timeout_advances_clock(self, sim):
         def proc():
-            yield sim.timeout(100)
-            yield sim.timeout(250)
+            yield 100
+            yield 250
             return sim.now
 
         assert sim.run_process(proc()) == 350
 
     def test_zero_timeout_allowed(self, sim):
         def proc():
-            yield sim.timeout(0)
+            yield 0
             return sim.now
 
         assert sim.run_process(proc()) == 0
 
     def test_negative_timeout_rejected(self, sim):
         with pytest.raises(SimError):
-            sim.timeout(-1)
+            sim.call_later(-1, lambda: None)
 
     def test_timeout_carries_value(self, sim):
+        ev = Event(sim)
+        sim.call_later(10, lambda: ev.succeed("payload"))
+
         def proc():
-            got = yield sim.timeout(10, value="payload")
+            got = yield ev
             return got
 
         assert sim.run_process(proc()) == "payload"
@@ -80,21 +83,21 @@ class TestTimeout:
 class TestProcess:
     def test_return_value_propagates(self, sim):
         def proc():
-            yield sim.timeout(1)
+            yield 1
             return "done"
 
         assert sim.run_process(proc()) == "done"
 
     def test_exception_propagates(self, sim):
         def proc():
-            yield sim.timeout(1)
+            yield 1
             raise ValueError("boom")
 
         with pytest.raises(ValueError, match="boom"):
             sim.run_process(proc())
 
     def test_failed_event_thrown_into_process(self, sim):
-        ev = sim.event()
+        ev = Event(sim)
 
         def proc():
             try:
@@ -107,7 +110,7 @@ class TestProcess:
 
     def test_process_is_waitable_event(self, sim):
         def child():
-            yield sim.timeout(100)
+            yield 100
             return "child result"
 
         def parent():
@@ -125,23 +128,6 @@ class TestProcess:
         assert sim.run_process(proc()) == (42, None, None)
         assert sim.process_wakeups == 3  # start + two sleeps
 
-    @pytest.mark.parametrize("first", ["int", "timeout"])
-    def test_int_sleep_and_timeout_tie_in_schedule_order(self, sim, first):
-        """``yield n`` takes the heap slot ``yield sim.timeout(n)`` would
-        have taken: two processes sleeping to the same instant, one each
-        way, resume in the order their sleeps were scheduled."""
-        order = []
-
-        def sleeper(kind):
-            yield 10 if kind == "int" else sim.timeout(10)
-            order.append(kind)
-
-        kinds = ["int", "timeout"] if first == "int" else ["timeout", "int"]
-        for kind in kinds:
-            sim.process(sleeper(kind))
-        sim.run()
-        assert order == kinds
-
     @pytest.mark.parametrize("bad", [-1, 1.5, True, "x", None],
                              ids=["negative", "float", "bool", "str", "none"])
     def test_bad_yield_is_thrown_into_the_process(self, sim, bad):
@@ -155,7 +141,7 @@ class TestProcess:
                 yield bad
             except SimError as exc:
                 log.append(str(exc))
-            yield sim.timeout(5)
+            yield 5
             log.append("resumed")
             return sim.now
 
@@ -173,7 +159,7 @@ class TestProcess:
 
     def test_unobserved_process_failure_raises_from_run(self, sim):
         def proc():
-            yield sim.timeout(5)
+            yield 5
             raise KeyError("lost")
 
         sim.process(proc())
@@ -185,7 +171,7 @@ class TestProcess:
 
         def proc(name, delays):
             for d in delays:
-                yield sim.timeout(d)
+                yield d
                 order.append((sim.now, name))
 
         sim.process(proc("a", [10, 10]))
@@ -197,7 +183,7 @@ class TestProcess:
         order = []
 
         def proc(name):
-            yield sim.timeout(10)
+            yield 10
             order.append(name)
 
         sim.process(proc("first"))
@@ -208,10 +194,14 @@ class TestProcess:
 
 class TestConditions:
     def test_all_of_waits_for_all(self, sim):
+        def sleeper(delay, value):
+            yield delay
+            return value
+
         def proc():
-            values = yield AllOf(
-                sim, [sim.timeout(10, "a"), sim.timeout(30, "b"), sim.timeout(20, "c")]
-            )
+            values = yield AllOf(sim, [
+                sim.process(sleeper(10, "a")), sim.process(sleeper(30, "b")),
+                sim.process(sleeper(20, "c"))])
             return (sim.now, values)
 
         assert sim.run_process(proc()) == (30, ["a", "b", "c"])
@@ -224,10 +214,13 @@ class TestConditions:
         assert sim.run_process(proc()) == []
 
     def test_all_of_failure_propagates(self, sim):
-        bad = sim.event()
+        bad = Event(sim)
+
+        def sleeper():
+            yield 100
 
         def proc():
-            yield AllOf(sim, [sim.timeout(100), bad])
+            yield AllOf(sim, [sim.process(sleeper()), bad])
 
         bad.fail(OSError("link down"))
         with pytest.raises(OSError):
@@ -240,7 +233,7 @@ class TestRunUntil:
 
         def proc():
             while True:
-                yield sim.timeout(10)
+                yield 10
                 ticks.append(sim.now)
 
         sim.process(proc())
@@ -249,14 +242,14 @@ class TestRunUntil:
 
     def test_run_returns_final_time(self, sim):
         def proc():
-            yield sim.timeout(123)
+            yield 123
 
         sim.process(proc())
         assert sim.run() == 123
 
     def test_run_process_detects_deadlock(self, sim):
         def proc():
-            yield sim.event()  # nobody ever triggers this
+            yield Event(sim)  # nobody ever triggers this
 
         with pytest.raises(SimError, match="deadlock"):
             sim.run_process(proc())
@@ -302,14 +295,14 @@ def test_run_process_preserves_rest_of_final_batch():
     survive ``run_process`` returning and fire on the next run."""
     sim = Simulator()
     fired = []
-    ev = sim.event()
+    ev = Event(sim)
 
     def other():
-        yield sim.timeout(5)
+        yield 5
         ev.succeed()
 
     def sched():
-        yield sim.timeout(5)
+        yield 5
         sim.call_soon(lambda: sim.call_soon(lambda: fired.append("tail")))
 
     def main():
@@ -377,7 +370,7 @@ def _stop_at_until(sim):
 
 def _stop_mid_bucket(sim):
     fired = []
-    done = sim.event()
+    done = Event(sim)
 
     def main():
         yield done
@@ -405,7 +398,7 @@ def _callback_raises(sim):
 
 def _unobserved_process_fails(sim):
     def bad():
-        yield sim.timeout(1)
+        yield 1
         raise KeyError("unobserved")
 
     sim.process(bad())
@@ -415,7 +408,7 @@ def _unobserved_process_fails(sim):
 
 def _deadlock(sim):
     def stuck():
-        yield sim.event()
+        yield Event(sim)
 
     with pytest.raises(SimError, match="deadlocked"):
         sim.run_process(stuck())

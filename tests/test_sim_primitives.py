@@ -38,7 +38,7 @@ class TestQueue:
             return (sim.now, item)
 
         def putter():
-            yield sim.timeout(50)
+            yield 50
             q.put("late")
 
         sim.process(putter())
@@ -69,7 +69,7 @@ class TestQueue:
         sim.process(getter("second"))
 
         def putter():
-            yield sim.timeout(1)
+            yield 1
             q.put("a")
             q.put("b")
 
@@ -104,7 +104,7 @@ class TestSemaphore:
 
         def holder():
             yield sem.acquire()
-            yield sim.timeout(100)
+            yield 100
             sem.release()
 
         def waiter():
@@ -133,7 +133,7 @@ class TestSemaphore:
         sim.process(waiter("c"))
 
         def releaser():
-            yield sim.timeout(1)
+            yield 1
             for _ in range(3):
                 sem.release()
 
@@ -232,7 +232,7 @@ class TestRatePipe:
         pipe = RatePipe(sim, rate=1.0)
 
         def proc():
-            yield sim.timeout(500)
+            yield 500
             yield _sent(sim, pipe, 100)
             return sim.now
 

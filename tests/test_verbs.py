@@ -263,7 +263,7 @@ class TestRCSendRecv:
                              buffer=spool.buffers[0], length=100))
 
         def late_recv():
-            yield sim.timeout(50_000)
+            yield 50_000
             qp1.post_recv(RecvWR(wr_id="r", buffer=rpool.buffers[0], length=4096))
 
         sim.process(late_recv())
