@@ -106,9 +106,6 @@ class TcpConnection:
             meta={"last": last},
         )
 
-        def start() -> None:
-            self.stack.tx.submit_train(packet.wire_bytes, 1, after_tx)
-
         def after_tx() -> None:
             self.ctx.fabric.route(packet, arrived)
 
@@ -122,7 +119,7 @@ class TcpConnection:
             if listener is not None:
                 listener(packet)
 
-        self.sim.call_soon(start)
+        self.stack.tx.submit_train(packet.wire_bytes, 1, after_tx)
 
 
 def _no_registration(self, nbytes: int):
@@ -196,7 +193,9 @@ class IPoIBReceiveEndpoint(ReceiveEndpoint):
 
     def get_data(self):
         t0 = self.sim.now
-        item = yield self._inbox.get()
+        ok, item = self._inbox.try_get()
+        if not ok:
+            item = yield self._inbox.get()
         self._account_data_wait(t0)
         # select() wakeup + recv() copy out of the kernel buffer.
         state, src, remote, frame = item

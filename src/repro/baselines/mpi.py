@@ -124,11 +124,6 @@ class MPIRuntime:
         )
         done = Event(self.sim)
 
-        def start() -> None:
-            # NIC doorbell + WQE processing, then the wire.
-            self.node.nic.processor.submit_occupy(self.net.nic_wr_ns,
-                                                  after_wr)
-
         def after_wr() -> None:
             self.ctx.fabric.route(packet, arrived)
 
@@ -136,7 +131,8 @@ class MPIRuntime:
             MPIRuntime.get(self.ctx.peer_context(dest))._on_wire(packet)
             done.succeed(packet)
 
-        self.sim.call_soon(start)
+        # NIC doorbell + WQE processing, then the wire.
+        self.node.nic.processor.submit_occupy(self.net.nic_wr_ns, after_wr)
         return done
 
     # -- receive-side handling (progress engine) ---------------------------------------

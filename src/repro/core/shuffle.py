@@ -87,6 +87,10 @@ class striped_partitioner:
     def __init__(self, num_groups: int):
         self.num_groups = num_groups
         self._offset = 0
+        # Slice bounds of the last batch length: a scan emits equal-length
+        # batches, so they are computed once per run of that length.
+        self._bounds_len = -1
+        self._bounds: List[int] = []
 
     def split(self, batch: np.ndarray):
         """Yields ``(group, slice)`` pairs covering the batch evenly.
@@ -95,7 +99,11 @@ class striped_partitioner:
         onto group 0.
         """
         n = self.num_groups
-        bounds = np.linspace(0, len(batch), n + 1).astype(np.int64)
+        if len(batch) != self._bounds_len:
+            self._bounds_len = len(batch)
+            self._bounds = np.linspace(
+                0, len(batch), n + 1).astype(np.int64).tolist()
+        bounds = self._bounds
         start = self._offset
         self._offset = (self._offset + 1) % n
         for i in range(n):

@@ -247,9 +247,7 @@ class SendEndpoint(_EndpointBase):
         """Process fragment implementing GETFREE; returns a Buffer."""
         t0 = self.sim.now
         ok, buf = self._free.try_get()
-        if ok:
-            yield 0
-        else:
+        if not ok:
             buf = yield self._free.get()
         self.free_wait_ns += self.sim.now - t0
         self._trace_stall("free-wait", t0)
@@ -372,9 +370,7 @@ class ReceiveEndpoint(_EndpointBase):
         """
         t0 = self.sim.now
         ok, item = self._inbox.try_get()
-        if ok:
-            yield 0
-        else:
+        if not ok:
             item = yield self._inbox.get()
         self._account_data_wait(t0)
         yield self._cpu(self.net.poll_cq_ns)

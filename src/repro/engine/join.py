@@ -24,7 +24,7 @@ from repro.engine.operator import (
     concat_batches,
     pack_columns,
 )
-from repro.sim import Barrier, Mutex
+from repro.sim import Barrier
 
 __all__ = ["HashJoinOperator"]
 
@@ -56,7 +56,6 @@ class HashJoinOperator(Operator):
         self.build_payload = build_payload
         self.num_threads = num_threads
         self._build_rows: List[np.ndarray] = []
-        self._build_lock = Mutex(node.sim)
         self._barrier = Barrier(node.sim, num_threads)
         self._built = [False] * num_threads
         #: the build keys in sorted order (None while the side is empty)
@@ -72,9 +71,9 @@ class HashJoinOperator(Operator):
             if batch is not None and len(batch):
                 yield self.per_tuple_cost(len(batch),
                                           ns_per_tuple=BUILD_NS_PER_TUPLE)
-                yield self._build_lock.acquire()
+                # No thread can interleave with an append that has no
+                # yield inside it, so it needs no lock.
                 self._build_rows.append(batch)
-                self._build_lock.unlock()
             if state == OpState.DEPLETED:
                 break
         yield self._barrier.arrive()

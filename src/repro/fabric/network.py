@@ -107,11 +107,12 @@ class Fabric:
         #: shuffle-endpoint id allocator: ids are unique per cluster,
         #: which is all multicast mgids and the EndpointRegistry need.
         self.endpoint_ids = itertools.count(1)
-        #: InfiniBand multicast groups: mgid -> set of (node_id, qpn)
-        #: attached UD QPs.  The fabric replicates a single sender packet
-        #: to every member at the last common switch, so the sender's
-        #: port (and any shared trunk) is charged only once.
-        self.mcast_members: dict = {}
+        #: InfiniBand multicast groups: mgid -> the attached UD QPs as
+        #: (node_id, qpn) keys of an insertion-ordered dict, so legs
+        #: leave in attach order.  The fabric replicates a single sender
+        #: packet to every member at the last common switch, so the
+        #: sender's port (and any shared trunk) is charged only once.
+        self.mcast_members: Dict[int, Dict[Tuple[int, int], None]] = {}
 
     def use_packet_oracle(self, split: bool = True) -> None:
         """Flip every fabric pipe from train charging (one event per
@@ -170,10 +171,9 @@ class Fabric:
         rule: below the verbs API a completion is a continuation — an
         ``Event`` is something a CPU thread waits on, and a caller that
         has one waiting passes ``event.succeed``.  The egress pipe is
-        charged during this call and ``on_egress`` runs in place at the
-        egress completion; ``on_arrival`` is scheduled with ``call_soon``
-        at its instant, never called synchronously (DESIGN.md, "The wire
-        rule", says which hops may run in place and why).
+        charged during this call; ``on_egress`` and ``on_arrival`` run in
+        place at the completions that end their stages, never
+        synchronously inside this call (DESIGN.md, "The wire rule").
 
         ``unordered`` adds random forwarding jitter so that messages can
         overtake each other — the Unreliable Datagram behaviour.
@@ -197,10 +197,10 @@ class Fabric:
 
     def mcast_attach(self, mgid: int, node_id: int, qpn: int) -> None:
         """Attach a UD QP to a multicast group."""
-        self.mcast_members.setdefault(mgid, set()).add((node_id, qpn))
+        self.mcast_members.setdefault(mgid, {})[(node_id, qpn)] = None
 
     def mcast_detach(self, mgid: int, node_id: int, qpn: int) -> None:
-        self.mcast_members.get(mgid, set()).discard((node_id, qpn))
+        self.mcast_members.get(mgid, {}).pop((node_id, qpn), None)
 
     def route_mcast(self, packet: Packet, mgid: int,
                     on_arrival: routing.Arrival,

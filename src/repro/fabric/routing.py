@@ -9,7 +9,9 @@ hop sequence (:class:`~repro.fabric.topology.Route`):
 * the egress pipe is charged at the call (no queue entry to start a
   walk); a portless hop is one ``call_later``, a port hop one pipe
   completion plus one ``call_later``; the sender's ``on_egress`` runs
-  in place at the egress completion,
+  in place at the egress completion, and the arrival continuation in
+  place at the ingress completion — every queue entry is a time
+  advance,
 * forwarding jitter (unordered delivery) is drawn on the *first* hop,
   after the egress pipe completes; loss is drawn after the last hop,
   before the ingress pipe — matching the pre-topology fabric on the
@@ -29,7 +31,6 @@ links records all stay per *message*: exactly one per train.
 
 from __future__ import annotations
 
-from functools import partial
 from typing import Callable, Optional, Sequence, Tuple
 
 from repro.fabric.packet import Packet
@@ -37,8 +38,8 @@ from repro.fabric.topology import Hop
 
 __all__ = ["Arrival", "flat_route", "flat_leg", "ingress"]
 
-#: the arrival continuation of a route: scheduled with the packet once
-#: it has fully arrived (or been dropped; ``packet.dropped`` says which).
+#: the arrival continuation of a route: called with the packet once it
+#: has fully arrived (or been dropped; ``packet.dropped`` says which).
 Arrival = Callable[[Packet], None]
 
 
@@ -106,29 +107,23 @@ class _HopWalk:
 def ingress(fabric, packet: Packet, lossy: bool,
             on_arrival: Arrival) -> Callable[[], None]:
     """The end of a delivered walk: the loss draw, the destination's
-    ingress pipe, then ``on_arrival(packet)``.
-
-    The continuation is scheduled with ``call_soon`` — its own queue
-    entry behind everything already due at the arrival instant.  Unlike
-    the egress hops it must not run in place: that reorders same-instant
-    work and moves simulated results (DESIGN.md, "The wire rule").
+    ingress pipe, then ``on_arrival(packet)`` — called in place at the
+    ingress completion (or at the drop), no queue entry of its own.
     """
-    sim = fabric.sim
     config = fabric.config
     rng = fabric._rng
-    arrived = partial(on_arrival, packet)
 
     def deliver() -> None:
         fabric.delivered_messages += 1
         fabric.delivered_packets += packet.n_packets
-        sim.call_soon(arrived)
+        on_arrival(packet)
 
     def enter() -> None:
         if lossy and config.ud_loss_probability > 0:
             if rng.random() < config.ud_loss_probability:
                 packet.dropped = True
                 fabric.dropped_messages += 1
-                sim.call_soon(arrived)
+                on_arrival(packet)
                 return
         fabric.nodes[packet.dst_node].nic.submit_rx(
             packet.wire_bytes, packet.dst_qpn, deliver, flow=packet.flow,
@@ -200,6 +195,6 @@ def flat_leg(fabric, packet: Packet, hops: Tuple[Hop, ...],
              on_arrival: Arrival) -> None:
     """One multicast leg: the walk without an egress stage (the trunk
     already paid the sender's port once for the whole group).  Legs are
-    datagrams: always unordered and lossy."""
-    fabric.sim.call_soon(_flat_walk(
-        fabric, packet, hops, True, ingress(fabric, packet, True, on_arrival)))
+    datagrams: always unordered and lossy.  The walk starts in place."""
+    _flat_walk(fabric, packet, hops, True,
+               ingress(fabric, packet, True, on_arrival))()

@@ -4,8 +4,14 @@ Time is an integer number of simulated nanoseconds.  The design follows the
 classic event-loop model: a priority queue of ``(time, sequence, entry)``
 entries is drained in order, and each entry runs its callbacks when popped.
 Processes are generators; yielding an :class:`Event` suspends the process
-until the event fires, and yielding a plain ``int`` n >= 0 sleeps n ns
-and resumes with ``None``.
+until the event fires, and yielding a plain ``int`` n > 0 sleeps n ns
+and resumes with ``None``; a zero sleep continues in place.
+
+One rule says what becomes a queue entry (DESIGN.md, "The wire rule"):
+an entry is either a **time advance** — a CPU sleep of n > 0 ns, a pipe
+completion, a hop latency — or a **thread's wakeup**: its first step, or
+its resumption from an :class:`Event` it blocked on.  Every other
+same-instant step runs in place.
 
 Hot-path notes (see DESIGN.md, "Execution path"):
 
@@ -13,23 +19,17 @@ Hot-path notes (see DESIGN.md, "Execution path"):
   batched drain loop, which pops all entries of one timestamp in an inner
   loop with locally bound heap operations, and flushes the telemetry
   counters once per drain instead of once per event.
-* Plain callback scheduling (:meth:`Simulator.call_soon` /
-  :meth:`Simulator.call_at` / :meth:`Simulator.call_later`) pushes the
-  bare callable as the heap payload — no :class:`Event`, no carrier
-  object, no callback list.  The drain loop distinguishes payloads with
-  one ``isinstance(entry, Event)`` check.
+* Every payload is a bare callable (:meth:`Simulator.call_soon` /
+  :meth:`Simulator.call_at` / :meth:`Simulator.call_later`) — no carrier
+  object, no callback list — and the drain loop calls each one.  A
+  triggered :class:`Event` queues its bound ``_run_callbacks``.
 * A CPU sleep (``yield n``) is one such bare entry, ``call_later(n,
   process._wake)`` — the one way to wait for time to pass.  Starting a
   :class:`Process` schedules the same ``_wake`` instead of allocating a
-  bootstrap :class:`Event`.  A triggered Event is queued the same way,
-  as the payload of a ``call_soon``.
+  bootstrap :class:`Event`.
 * The drain pauses CPython's cyclic garbage collector and restores the
   state it found: a run creates no reference cycles, so reference
   counting frees everything and a collector pass only traverses.
-
-None of this changes simulated results: every wakeup is scheduled at the
-same simulated time in the same relative order as an Event-based wait
-would have been, so simulated end times are bit-identical.
 """
 
 from __future__ import annotations
@@ -105,7 +105,7 @@ class Event:
         self._state = _TRIGGERED
         self._ok = True
         self._value = value
-        self.sim.call_soon(self)
+        self.sim.call_soon(self._run_callbacks)
         return self
 
     def fail(self, exc: BaseException) -> "Event":
@@ -117,7 +117,7 @@ class Event:
         self._state = _TRIGGERED
         self._ok = False
         self._value = exc
-        self.sim.call_soon(self)
+        self.sim.call_soon(self._run_callbacks)
         return self
 
     def add_callback(self, callback: Callable[["Event"], None]) -> None:
@@ -147,11 +147,13 @@ class Process(Event):
 
     The process resumes each time what it yielded comes due: an
     :class:`Event` when it fires (a failed event is thrown into the
-    generator), a plain ``int`` n >= 0 after n ns, resuming with
-    ``None``.  Yielding anything else throws :class:`SimError` into the
-    generator, which may catch it and go on.  An uncaught exception
-    fails the process event, and escapes to :meth:`Simulator.run` if
-    nothing waits on the process.
+    generator), a plain ``int`` n > 0 after n ns, resuming with
+    ``None``.  A zero sleep lets no time pass, so the process continues
+    in place with ``None``: no queue entry, no wakeup, no same-instant
+    peer running first.  Yielding anything else throws
+    :class:`SimError` into the generator, which may catch it and go
+    on.  An uncaught exception fails the process event, and escapes to
+    :meth:`Simulator.run` if nothing waits on the process.
     """
 
     __slots__ = ("_generator", "_send", "_throw", "_observed", "name")
@@ -192,8 +194,13 @@ class Process(Event):
                 self.fail(exc)
                 return
             if type(target) is int and target >= 0:
-                sim.call_later(target, self._wake)
-                return
+                if target:
+                    sim.call_later(target, self._wake)
+                    return
+                # A zero sleep lets no time pass: continue in place.
+                ok = True
+                value = None
+                continue
             if isinstance(target, Event):
                 target.add_callback(self._resume)
                 return
@@ -282,10 +289,9 @@ class Simulator:
         self._buckets.clear()
         self._defunct.clear()
 
-    def call_soon(self, func: Callable[[], None] | Event) -> None:
+    def call_soon(self, func: Callable[[], None]) -> None:
         """Run ``func()`` at the current simulated time, after everything
-        already queued for this timestamp (a triggered :class:`Event`
-        queued here runs its callbacks instead)."""
+        already queued for this timestamp."""
         when = self.now
         bucket = self._buckets.get(when)
         if bucket is None:
@@ -395,10 +401,7 @@ class Simulator:
                 bucket = buckets.pop(when)
                 for i, entry in enumerate(bucket):
                     dispatched += 1
-                    if isinstance(entry, Event):
-                        entry._run_callbacks()
-                    else:
-                        entry()
+                    entry()
                     if defunct:
                         self._reap_defunct()
                     if stop is not None and stop._state == _PROCESSED:

@@ -112,12 +112,11 @@ class Mutex(Semaphore):
 
         Usage: ``yield from mutex.critical_section(250)``.  Models a short
         serialized critical section such as posting to a shared Queue Pair.
-        An uncontended acquire is a zero-length sleep, in the slot the
-        already-triggered acquire event would have fired in.
+        An uncontended acquire takes the unit in place; only a contended
+        one blocks on the acquire event.
         """
         if self._value > 0:
             self._value -= 1
-            yield 0
         else:
             yield self.acquire()
         if hold_ns:

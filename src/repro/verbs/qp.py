@@ -82,6 +82,8 @@ class QueuePair:
         #: because the credit protocol exists to keep them at zero).
         self.rnr_events = 0
         self.rnr_stall_ns = 0
+        #: Sends stalled on this QP's receive queue, not yet delivered.
+        self._rnr_waiting = 0
         #: last flow id posted on this QP — the FIFO ``prev`` edge of the
         #: causal DAG (repro.telemetry.links); only advanced while a
         #: recorder is installed.
@@ -258,9 +260,6 @@ class QueuePair:
         assert peer is not None  # post_send validated the connection
         t0 = sim.now
 
-        def start() -> None:
-            ctx.nic.submit_wr(self.qpn, after_wr, flow=wr.flow)
-
         def after_wr() -> None:
             packet = make_train(
                 config, src_node=ctx.node_id, dst_node=peer.node_id,
@@ -272,15 +271,23 @@ class QueuePair:
             ctx.fabric.route(packet, arrived)
 
         def arrived(packet: Packet) -> None:
-            remote = ctx.peer_context(peer.node_id)
-            remote_qp = remote.qp(peer.qpn)
+            remote_qp = ctx.peer_context(peer.node_id).qp(peer.qpn)
+            recvs = remote_qp._rc_recvs
+            # A posted Receive is taken at once, unless an earlier Send
+            # is still stalled on this QP (RC delivers in order).
+            if not remote_qp._rnr_waiting:
+                ok, rwr = recvs.try_get()
+                if ok:
+                    received(remote_qp, rwr, packet)
+                    return
             # Receiver-not-ready: stall until a Receive is posted.  (The
             # paper's credit protocol exists precisely so this never
             # happens.)
             rnr_t0 = sim.now
+            remote_qp._rnr_waiting += 1
 
             def got_recv(evt: Event) -> None:
-                rwr = evt.value
+                remote_qp._rnr_waiting -= 1
                 stalled = sim.now - rnr_t0
                 if stalled:
                     remote_qp.rnr_events += 1
@@ -294,21 +301,25 @@ class QueuePair:
                     if links is not None:
                         links.stall(peer.node_id, -1, "rnr-stall",
                                     rnr_t0, stalled)
-                remote_qp._recv_posted -= 1
-                remote_qp._deposit(rwr, packet)
-                ack = make_train(
-                    config, src_node=peer.node_id, dst_node=ctx.node_id,
-                    src_qpn=peer.qpn, dst_qpn=self.qpn, kind="ACK",
-                    length=0, wire_bytes=config.rc_ack_bytes, flow=wr.flow,
-                )
-                ctx.fabric.route(ack, acked)
+                received(remote_qp, evt.value, packet)
 
-            remote_qp._rc_recvs.get().add_callback(got_recv)
+            recvs.get().add_callback(got_recv)
+
+        def received(remote_qp: "QueuePair", rwr: RecvWR,
+                     packet: Packet) -> None:
+            remote_qp._recv_posted -= 1
+            remote_qp._deposit(rwr, packet)
+            ack = make_train(
+                config, src_node=peer.node_id, dst_node=ctx.node_id,
+                src_qpn=peer.qpn, dst_qpn=self.qpn, kind="ACK",
+                length=0, wire_bytes=config.rc_ack_bytes, flow=wr.flow,
+            )
+            ctx.fabric.route(ack, acked)
 
         def acked(_ack: Packet) -> None:
             self._complete_send(wr, "rc-send", t0)
 
-        sim.call_soon(start)
+        ctx.nic.submit_wr(self.qpn, after_wr, flow=wr.flow)
 
     def _rc_read(self, wr: SendWR) -> None:
         """One RDMA Read as a flat callback chain: NIC processing, the
@@ -319,9 +330,6 @@ class QueuePair:
         peer = self._peer
         assert peer is not None  # post_send validated the connection
         t0 = ctx.sim.now
-
-        def start() -> None:
-            ctx.nic.submit_wr(self.qpn, after_wr, flow=wr.flow)
 
         def after_wr() -> None:
             request = make_train(
@@ -351,7 +359,7 @@ class QueuePair:
                 wr.buffer.deposit(response.payload, wr.length)
             self._complete_send(wr, "rc-read", t0)
 
-        ctx.sim.call_soon(start)
+        ctx.nic.submit_wr(self.qpn, after_wr, flow=wr.flow)
 
     def _rc_write(self, wr: SendWR) -> None:
         """One RDMA Write as a flat callback chain: NIC processing, route,
@@ -361,12 +369,6 @@ class QueuePair:
         peer = self._peer
         assert peer is not None  # post_send validated the connection
         t0 = ctx.sim.now
-
-        def start() -> None:
-            # Inlined payloads skip the extra DMA fetch of the payload [16].
-            extra = 0 if wr.inline else config.nic_wr_ns
-            ctx.nic.submit_wr(self.qpn, after_wr, extra_ns=extra,
-                              flow=wr.flow)
 
         def after_wr() -> None:
             packet = make_train(
@@ -395,7 +397,9 @@ class QueuePair:
         def acked(_ack: Packet) -> None:
             self._complete_send(wr, "rc-write", t0)
 
-        ctx.sim.call_soon(start)
+        # Inlined payloads skip the extra DMA fetch of the payload [16].
+        extra = 0 if wr.inline else config.nic_wr_ns
+        ctx.nic.submit_wr(self.qpn, after_wr, extra_ns=extra, flow=wr.flow)
 
     # -- Unreliable Datagram data path ---------------------------------------
 
@@ -409,9 +413,6 @@ class QueuePair:
         dest = wr.dest
         assert dest is not None  # post_send validated the destination
         t0 = sim.now
-
-        def start() -> None:
-            ctx.nic.submit_wr(self.qpn, after_wr, flow=wr.flow)
 
         def after_wr() -> None:
             packet = make_train(
@@ -435,7 +436,7 @@ class QueuePair:
         def complete() -> None:
             self._complete_send(wr, "ud-send", t0)
 
-        sim.call_soon(start)
+        ctx.nic.submit_wr(self.qpn, after_wr, flow=wr.flow)
 
     def _ud_deliver(self, packet: Packet) -> None:
         if packet.dropped:

@@ -32,7 +32,8 @@ from repro.core.policy import HierarchicalPolicy
 from repro.core.shuffle import striped_partitioner
 from repro.engine import CollectSink, QueryFragment, run_fragments
 from repro.engine.scan import ScanOperator
-from repro.fabric import LEAF_SPINE
+from repro.fabric import LEAF_SPINE, Fabric, Packet
+from repro.sim import Simulator
 
 DTYPE = np.dtype([("a", np.int64), ("b", np.int64)])
 
@@ -149,15 +150,17 @@ def test_results_do_not_depend_on_endpoint_id_values(first_id):
 
 #: host cost per message, pinned exactly (8 nodes, EDR, 8 MiB per node,
 #: stage setup included): (sim.events_dispatched, sim.process_wakeups,
-#: ep.messages_sent).  Heap entries per message are SEMQ/SR 27.9,
-#: MESQ/SR 19.7, MEMQ/RD 58.9, MPI 37.3.  A same-instant hop that comes
-#: back as its own queue entry, or a CPU wakeup that appears or
-#: vanishes, moves these counts while every simulated result may hold.
+#: ep.messages_sent).  Heap entries / wakeups per message are SEMQ/SR
+#: 20.2 / 9.5, MESQ/SR 13.4 / 7.5, MEMQ/RD 42.4 / 10.5, MPI 25.8 / 10.1.
+#: Every entry is a time advance or a blocked thread's wakeup; a
+#: same-instant hop that comes back as its own queue entry, or a CPU
+#: wakeup that appears or vanishes, moves these counts while every
+#: simulated result may hold.
 EVENTS_PER_MESSAGE = {
-    "SEMQ/SR": (28616, 11773, 1024),
-    "MESQ/SR": (322938, 175387, 16384),
-    "MEMQ/RD": (60270, 13845, 1024),
-    "MPI": (38192, 14926, 1024),
+    "SEMQ/SR": (20646, 9689, 1024),
+    "MESQ/SR": (220274, 122898, 16384),
+    "MEMQ/RD": (43400, 10713, 1024),
+    "MPI": (26407, 10309, 1024),
 }
 
 
@@ -172,6 +175,27 @@ def test_heap_entries_per_message(design):
     cluster.dispose()
     assert (sim.events_dispatched, sim.process_wakeups,
             messages) == EVENTS_PER_MESSAGE[design]
+
+
+def test_multicast_legs_leave_in_attach_order():
+    """Group members are kept in attach order (a re-attached member goes
+    last), not in the hash order of their ``(node, qpn)`` keys: without
+    jitter every leg lands at one instant, in the order it left."""
+    sim = Simulator()
+    fabric = Fabric(sim, ClusterConfig(network=EDR, num_nodes=8).with_network(
+        ud_jitter_ns=0, ud_loss_probability=0.0))
+    for node, qpn in [(5, 300), (2, 17), (7, 9), (1, 120), (6, 4), (3, 55)]:
+        fabric.mcast_attach(3, node, qpn)
+    fabric.mcast_detach(3, 2, 17)
+    fabric.mcast_attach(3, 2, 17)
+    legs = []
+    fabric.route_mcast(Packet(0, 0, 11, 0, "SEND", 2048, 2108), 3,
+                       lambda copy: legs.append((sim.now, copy.dst_node,
+                                                 copy.dst_qpn)))
+    sim.run()
+    assert len({when for when, _node, _qpn in legs}) == 1
+    assert [leg[1:] for leg in legs] == [
+        (5, 300), (7, 9), (1, 120), (6, 4), (3, 55), (2, 17)]
 
 
 def test_mpi_rendezvous_does_not_depend_on_process_history():

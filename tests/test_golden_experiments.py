@@ -59,9 +59,9 @@ def test_entry_matches_golden(name):
 
 #: fig9a points at 4096 B that a same-instant reordering moves while
 #: every tier-1 entry and ``digests.json`` stay green: a READ's remote
-#: ``requested`` hop and a local post's ``start`` hop meet at one NIC
-#: processor (DESIGN.md, "The wire rule").  fig9 itself is too slow for
-#: tier-1, so these two of its points stand in for it.
+#: ``requested`` hop and a local post meet at one NIC processor
+#: (DESIGN.md, "The wire rule").  fig9 itself is too slow for tier-1,
+#: so these two of its points stand in for it.
 FIG9_READ_DESIGNS = ["MEMQ/RD", "SEMQ/RD"]
 
 

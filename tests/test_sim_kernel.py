@@ -126,7 +126,48 @@ class TestProcess:
             return (sim.now, first, second)
 
         assert sim.run_process(proc()) == (42, None, None)
-        assert sim.process_wakeups == 3  # start + two sleeps
+        assert sim.process_wakeups == 2  # start + the 42 ns sleep
+
+    def test_zero_sleep_continues_in_place(self, sim):
+        """``yield 0`` queues nothing: a same-instant peer queued
+        earlier does not get to run in between."""
+        order = []
+
+        def a():
+            order.append("a1")
+            yield 0
+            order.append("a2")
+            yield 5
+
+        def b():
+            order.append("b")
+            yield 5
+
+        sim.process(a())
+        sim.process(b())
+        sim.run()
+        assert order == ["a1", "a2", "b"]
+        # Two starts, two 5 ns sleeps, two terminations: nothing for
+        # the zero sleep.
+        assert sim.events_dispatched == 6
+        assert sim.process_wakeups == 4
+
+    def test_bad_yield_after_a_zero_sleep_is_thrown_in(self, sim):
+        log = []
+
+        def proc():
+            yield 0
+            try:
+                yield "x"
+            except SimError:
+                log.append("caught")
+            yield 3
+            return sim.now
+
+        process = sim.process(proc())
+        sim.run()
+        assert log == ["caught"]
+        assert process.value == 3
 
     @pytest.mark.parametrize("bad", [-1, 1.5, True, "x", None],
                              ids=["negative", "float", "bool", "str", "none"])

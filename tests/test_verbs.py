@@ -323,6 +323,91 @@ class TestRCSendRecv:
             qp0.post_send(SendWR(wr_id=0, opcode=Opcode.SEND, length=(1 << 30) + 1))
 
 
+class TestReceiverNotReady:
+    """An RC Send takes an already-posted Receive at once; one that
+    arrives before any is posted stalls the connection until the post."""
+
+    def send_and_receive(self, sim, post_recv_at=None):
+        """Post one 100 B RC Send at t=0, and its Receive either before
+        it (``None``) or at ``post_recv_at``; returns the receiving QP,
+        the receive completion, its time and the receive buffer."""
+        _, ctxs = make_cluster(sim)
+        (qp0, qp1), (_, cq1) = rc_pair(ctxs)
+        sbuf = BufferPool(ctxs[0], 1, 4096).buffers[0]
+        rbuf = BufferPool(ctxs[1], 1, 4096).buffers[0]
+        sbuf.fill("payload", 100)
+
+        def post_recv():
+            qp1.post_recv(RecvWR(wr_id="r", buffer=rbuf, length=4096))
+
+        if post_recv_at is None:
+            post_recv()
+        else:
+            sim.call_at(post_recv_at, post_recv)
+        qp0.post_send(SendWR(wr_id="s", opcode=Opcode.SEND, buffer=sbuf,
+                             length=100))
+
+        def proc():
+            wc = yield cq1.wait()
+            return sim.now, wc
+
+        t, wc = sim.run_process(proc())
+        return qp1, wc, t, rbuf
+
+    def test_posted_receive_is_taken_without_a_stall(self, sim):
+        qp, wc, _t, rbuf = self.send_and_receive(sim)
+        assert (qp.rnr_events, qp.rnr_stall_ns) == (0, 0)
+        assert wc.ok and wc.byte_len == 100 and rbuf.payload == "payload"
+
+    def test_send_before_any_receive_stalls_until_the_post(self, sim):
+        _, _, arrival, _ = self.send_and_receive(Simulator())
+        post_at = arrival + 50_000
+        qp, wc, t, rbuf = self.send_and_receive(sim, post_recv_at=post_at)
+        assert t == post_at
+        assert (qp.rnr_events, qp.rnr_stall_ns) == (1, post_at - arrival)
+        assert wc.ok and wc.byte_len == 100 and rbuf.payload == "payload"
+
+    @staticmethod
+    def two_sends(sim, post_recvs_at=None):
+        """Two RC Sends posted at t=0; both Receives posted before them
+        (``None``) or together at ``post_recvs_at``.  Returns the
+        receive completions as (time, wr_id) and the payloads landed."""
+        _, ctxs = make_cluster(sim)
+        (qp0, qp1), (_, cq1) = rc_pair(ctxs)
+        rpool = BufferPool(ctxs[1], 2, 4096)
+
+        def post_recvs():
+            for i, rbuf in enumerate(rpool.buffers):
+                qp1.post_recv(RecvWR(wr_id=i, buffer=rbuf, length=4096))
+
+        if post_recvs_at is None:
+            post_recvs()
+        else:
+            sim.call_at(post_recvs_at, post_recvs)
+        for i, sbuf in enumerate(BufferPool(ctxs[0], 2, 4096).buffers):
+            sbuf.fill(f"msg{i}", 100)
+            qp0.post_send(SendWR(wr_id=i, opcode=Opcode.SEND, buffer=sbuf,
+                                 length=100))
+
+        def proc():
+            seen = []
+            for _ in range(2):
+                wc = yield cq1.wait()
+                seen.append((sim.now, wc.wr_id))
+            return seen
+
+        return sim.run_process(proc()), [b.payload for b in rpool.buffers]
+
+    def test_a_send_behind_a_stalled_one_waits_its_turn(self, sim):
+        """The Receives are posted at the instant the second Send
+        arrives, while the first is still stalled: the second must not
+        overtake it, though a Receive is already there for it."""
+        (_, (second_arrival, _)), _ = self.two_sends(Simulator())
+        seen, payloads = self.two_sends(sim, post_recvs_at=second_arrival)
+        assert seen == [(second_arrival, 0), (second_arrival, 1)]
+        assert payloads == ["msg0", "msg1"]
+
+
 class TestRdmaWrite:
     def test_write_word_to_remote_memory(self, sim):
         _, ctxs = make_cluster(sim)
