@@ -35,6 +35,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Tuple
 
+from repro.verbs.constants import QPState, QPType
+
 __all__ = [
     "ProtocolViolationError",
     "RUNTIME_RULES",
@@ -171,7 +173,6 @@ class Sanitizer:
     def check_post_send(self, qp, wr) -> None:
         """Pre-validation send check (records what post_send will reject,
         plus protocol states the verbs layer itself tolerates)."""
-        from repro.verbs.constants import QPState, QPType
         if qp.state is not QPState.RTS:
             self.record(
                 "qp-state",
@@ -194,7 +195,6 @@ class Sanitizer:
             self._inflight[key] = self._inflight.get(key, 0) + 1
 
     def check_post_recv(self, qp, wr) -> None:
-        from repro.verbs.constants import QPState
         if qp.state not in (QPState.INIT, QPState.RTS):
             self.record(
                 "qp-state",

@@ -16,6 +16,7 @@ import argparse
 import dataclasses
 import gc
 import json
+import resource
 import sys
 import time
 
@@ -28,12 +29,20 @@ __all__ = ["main"]
 #: version of the ``--json`` result document layout.
 #: v5 records the ``--tenants`` override in the document header.
 #: v6 records the ``--policy`` selection in the document header.
-RESULTS_SCHEMA_VERSION = 6
+#: v7 records each experiment's ``peak_rss_mib``.
+RESULTS_SCHEMA_VERSION = 7
 
 
 def _gc_passes() -> int:
     """Cyclic-collector passes this process has made so far."""
     return sum(stats["collections"] for stats in gc.get_stats())
+
+
+def _peak_rss_mib() -> float:
+    """The process's resident-set high-water mark so far, in MiB
+    (``ru_maxrss``: KiB on Linux, bytes on macOS)."""
+    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    return peak / (1 << 20) if sys.platform == "darwin" else peak / 1024
 
 
 def main(argv=None) -> int:
@@ -148,6 +157,7 @@ def _run(args, parser) -> int:
                         f"{result.notes}; {line}" if result.notes else line)
             wall = time.perf_counter() - start
             passes = _gc_passes() - passes
+            rss = _peak_rss_mib()
             for result in results:
                 print(render(result))
                 print()
@@ -158,11 +168,15 @@ def _run(args, parser) -> int:
                 # here that it was collector-quiet (DESIGN.md,
                 # "Collector-free drain").
                 "gc_passes": passes,
+                # The process high-water mark, not this experiment's
+                # own peak: it only rises across the experiments of one
+                # invocation.
+                "peak_rss_mib": round(rss, 1),
                 "results": [dataclasses.asdict(r) for r in results],
                 "metrics_digest": digest if digest["runs"] else None,
             })
-            print(f"[{name} done in {wall:.1f}s, {passes} gc passes]",
-                  file=sys.stderr)
+            print(f"[{name} done in {wall:.1f}s, peak RSS {rss:.0f} MiB, "
+                  f"{passes} gc passes]", file=sys.stderr)
         if args.json:
             document = {
                 "schema": {"name": "repro-bench-results",

@@ -1,9 +1,12 @@
 """The RECEIVE operator (§4.3.2, Algorithm 2).
 
 Each worker thread asks its endpoint for received buffers, copies them
-into its thread-partitioned output buffer (cost charged through the CPU
-model), releases the transmission buffer back to the endpoint, and
-returns the output batch to the parent once full.
+into its thread-partitioned output buffer, releases the transmission
+buffer back to the endpoint, and returns the output batch to the parent
+once full.  The copy out of the transmission buffer is charged in
+simulated time through the CPU model, not performed per buffer on the
+host: a buffer's payload is the tuple of views SHUFFLE staged, and the
+concatenation into the output batch is the one host copy of the shuffle.
 """
 
 from __future__ import annotations
@@ -36,6 +39,12 @@ class ReceiveOperator(Operator):
     def _endpoint(self, tid: int) -> ReceiveEndpoint:
         return self.endpoints[tid % len(self.endpoints)]
 
+    def _emit(self, acc: List[np.ndarray]):
+        batch = concat_batches(acc)
+        if batch is not None:
+            self.tuples_in += len(batch)
+        return batch
+
     def next(self, tid: int):
         target = self._endpoint(tid)
         net = self.node.config
@@ -45,21 +54,15 @@ class ReceiveOperator(Operator):
             state, src, remote, local = yield from target.get_data()
             if local is None:
                 # End-of-stream sentinel: every source is depleted.
-                batch = concat_batches(acc)
-                if batch is not None:
-                    self.tuples_in += len(batch)
-                return (OpState.DEPLETED, batch)
+                return (OpState.DEPLETED, self._emit(acc))
             payload, length = local.payload, local.length
             # Copy out of the registered buffer (Alg 2 l.8) and return it
             # to the endpoint (l.9).
             yield self.per_tuple_cost(0, length,
                                       ns_per_byte=net.copy_ns_per_byte)
-            if payload is not None and len(payload):
-                acc.append(np.asarray(payload))
+            if payload:
+                acc.extend(payload)
                 acc_bytes += length
             yield from target.release(remote, local, src)
             if acc_bytes >= self.output_bytes:
-                batch = concat_batches(acc)
-                if batch is not None:
-                    self.tuples_in += len(batch)
-                return (OpState.MORE_DATA, batch)
+                return (OpState.MORE_DATA, self._emit(acc))

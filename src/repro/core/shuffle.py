@@ -5,7 +5,10 @@ operator, hashes every tuple to a transmission group, packs tuples into
 RDMA-registered transmission buffers, and hands full buffers to the
 endpoint.  Following the paper's measurement (§4.3.1, [18]), tuples are
 always *copied* into registered buffers — no zero-copy — because tuples
-are small; the copy cost is charged through the CPU model.
+are small.  That copy is charged in simulated time through the CPU model,
+not performed on the host: a buffer's payload is the tuple of views of
+the staged tuples, in order, and RECEIVE makes the one host copy when it
+assembles its output batch.
 
 Two partitioning modes are provided:
 
@@ -19,14 +22,14 @@ Two partitioning modes are provided:
 
 from __future__ import annotations
 
-from typing import Callable, List, Sequence
+from typing import Callable, List, Sequence, Tuple
 
 import numpy as np
 
 from repro.core.endpoint import DataState
 from repro.core.groups import TransmissionGroups
 from repro.core.transport.runtime import SendEndpoint
-from repro.engine.operator import Operator, OpState, concat_batches
+from repro.engine.operator import Operator, OpState
 
 __all__ = [
     "ShuffleOperator",
@@ -127,8 +130,9 @@ class _GroupAccumulator:
             self.chunks.append(arr)
             self.rows += len(arr)
 
-    def take(self, rows: int) -> np.ndarray:
-        """Remove and return exactly ``rows`` tuples (caller checks rows)."""
+    def take(self, rows: int) -> Tuple[np.ndarray, ...]:
+        """Remove exactly ``rows`` tuples (caller checks rows) and return
+        them as views of the appended arrays, in order — no copy."""
         chunks = self.chunks
         taken: List[np.ndarray] = []
         need = rows
@@ -145,9 +149,7 @@ class _GroupAccumulator:
                 need = 0
         del chunks[:used]
         self.rows -= rows
-        chunk = concat_batches(taken)
-        assert chunk is not None  # rows >= 1: at least one piece was taken
-        return chunk
+        return tuple(taken)
 
 
 class ShuffleOperator(Operator):
@@ -220,8 +222,8 @@ class ShuffleOperator(Operator):
                     busy = False
                     for g, bucket in enumerate(acc):
                         if bucket.rows >= capacity_rows:
-                            chunk = bucket.take(capacity_rows)
-                            yield from self._transmit(target, chunk, g)
+                            parts = bucket.take(capacity_rows)
+                            yield from self._transmit(target, parts, g)
                             busy = busy or bucket.rows >= capacity_rows
             if state == OpState.DEPLETED:
                 break
@@ -230,8 +232,8 @@ class ShuffleOperator(Operator):
         # thread finishes (Alg 1 l.14-17).
         for g, bucket in enumerate(acc):
             if bucket.rows:
-                chunk = bucket.take(bucket.rows)
-                yield from self._transmit(target, chunk, g)
+                parts = bucket.take(bucket.rows)
+                yield from self._transmit(target, parts, g)
         yield from target.finish()
         return (OpState.DEPLETED, None)
 
@@ -254,7 +256,8 @@ class ShuffleOperator(Operator):
             if hi > lo:
                 acc[g].append(sorted_batch[lo:hi])
 
-    def _transmit(self, target: SendEndpoint, chunk: np.ndarray, g: int):
+    def _transmit(self, target: SendEndpoint, parts: Tuple[np.ndarray, ...],
+                  g: int):
         buf = yield from target.get_free()
-        buf.fill(chunk, chunk.nbytes)
+        buf.fill(parts, sum(part.nbytes for part in parts))
         yield from target.send(buf, self.groups[g], DataState.MORE_DATA)

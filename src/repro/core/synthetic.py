@@ -34,11 +34,16 @@ R_DTYPE = np.dtype([("a", np.int64), ("b", np.int64)])
 
 
 def make_template_batch(rows: int = 16 * 1024, seed: int = 7) -> np.ndarray:
-    """A batch of R tuples with a uniformly random key column."""
+    """A read-only batch of R tuples with a uniformly random key column.
+
+    Read-only because in-flight messages hold views of it: a write would
+    otherwise change tuples already on the wire.
+    """
     rng = np.random.default_rng(seed)
     batch = np.empty(rows, dtype=R_DTYPE)
     batch["a"] = rng.integers(0, 1 << 62, rows)
     batch["b"] = rng.integers(0, 1 << 62, rows)
+    batch.flags.writeable = False
     return batch
 
 

@@ -125,4 +125,11 @@ def generate(scale_factor: float, num_nodes: int, seed: int = 2017,
         }
     # NATION is tiny (25 rows) and replicated to every node.
     data.partitions["nation"] = [nation] * num_nodes
+    # Read-only: in-flight messages hold views of the partitions, so a
+    # write must raise rather than change tuples already on the wire.
+    for array in (customer, orders, lineitem, nation):
+        array.flags.writeable = False
+    for parts in data.partitions.values():
+        for array in parts:
+            array.flags.writeable = False
     return data

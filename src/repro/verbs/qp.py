@@ -20,8 +20,7 @@ trade-off in the paper's Figure 2 is exercised by these code paths.
 
 from __future__ import annotations
 
-from collections import deque
-from typing import TYPE_CHECKING, Deque, Optional
+from typing import TYPE_CHECKING, Optional
 
 from repro.fabric.packet import Packet, make_train
 from repro.sim import Event, Queue
@@ -67,11 +66,10 @@ class QueuePair:
         self.tenant: Optional[str] = None
         self.state = QPState.INIT
         self._peer: Optional[AddressHandle] = None
-        # RC receives queue up and Sends block on them (RNR); the FIFO
-        # getter order of Queue preserves in-order delivery.
-        self._rc_recvs = Queue(ctx.sim)
-        # UD receives are matched non-blocking; unmatched Sends drop.
-        self._ud_recvs: Deque[RecvWR] = deque()
+        # Posted receives.  RC Sends block on them (RNR), and the FIFO
+        # getter order of Queue preserves in-order delivery; UD Sends
+        # take one non-blocking and drop when none is posted.
+        self._recvs = Queue(ctx.sim)
         self._recv_posted = 0
         self._send_outstanding = 0
         self.sends_posted = 0
@@ -133,10 +131,7 @@ class QueuePair:
             san.track_post_recv(self, wr)
         self._recv_posted += 1
         self.recvs_posted += 1
-        if self.qp_type is QPType.RC:
-            self._rc_recvs.put(wr)
-        else:
-            self._ud_recvs.append(wr)
+        self._recvs.put(wr)
 
     def post_recv_buffer(self, buf, length: int) -> None:
         """Post ``buf`` as a Receive identified by the buffer itself —
@@ -272,7 +267,7 @@ class QueuePair:
 
         def arrived(packet: Packet) -> None:
             remote_qp = ctx.peer_context(peer.node_id).qp(peer.qpn)
-            recvs = remote_qp._rc_recvs
+            recvs = remote_qp._recvs
             # A posted Receive is taken at once, unless an earlier Send
             # is still stalled on this QP (RC delivers in order).
             if not remote_qp._rnr_waiting:
@@ -448,10 +443,10 @@ class QueuePair:
             return  # destination QP vanished; datagram evaporates
         if remote_qp.qp_type is not QPType.UD:
             return
-        if not remote_qp._ud_recvs:
+        ok, rwr = remote_qp._recvs.try_get()
+        if not ok:
             # No Receive posted: the datagram is silently dropped (§2.2.1).
             remote_qp.ud_drops += 1
             return
-        rwr = remote_qp._ud_recvs.popleft()
         remote_qp._recv_posted -= 1
         remote_qp._deposit(rwr, packet)

@@ -155,6 +155,8 @@ class TestExperiments:
         assert exp["wall_clock_s"] >= 0
         assert exp["gc_passes"] >= 0
         assert f"{exp['gc_passes']} gc passes]" in captured.err
+        assert exp["peak_rss_mib"] > 0
+        assert "peak RSS " in captured.err
         assert exp["results"][0]["experiment"] == "table1"
         # table1 builds no cluster, so there is nothing to digest.
         assert exp["metrics_digest"] is None

@@ -121,22 +121,28 @@ class TestPartitionerProperties:
            chunk=st.integers(1, 64))
     def test_group_accumulator_take_preserves_order(self, appends, chunk):
         acc = _GroupAccumulator()
-        expected = []
+        appended = []
         counter = 0
         for n in appends:
             arr = np.arange(counter, counter + n, dtype=np.int64)
             counter += n
             acc.append(arr)
-            expected.extend(arr.tolist())
-        taken = []
+            appended.append(arr)
+        messages = []
         while acc.rows >= chunk:
-            part = acc.take(chunk)
-            assert len(part) == chunk
-            taken.extend(part.tolist())
+            parts = acc.take(chunk)
+            assert sum(len(p) for p in parts) == chunk
+            messages.append(parts)
         if acc.rows:
-            taken.extend(acc.take(acc.rows).tolist())
-        assert taken == expected
+            messages.append(acc.take(acc.rows))
         assert acc.rows == 0
+        # The parts are views of the appended arrays (no host copy) and,
+        # concatenated, give back every tuple in append order.
+        for parts in messages:
+            for part in parts:
+                assert any(np.shares_memory(part, arr) for arr in appended)
+        taken = np.concatenate([p for parts in messages for p in parts])
+        assert taken.tolist() == list(range(counter))
 
 
 class TestGroupProperties:
