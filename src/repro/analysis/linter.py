@@ -52,7 +52,7 @@ STATIC_RULES: Dict[str, str] = {
         "verbs/ (topology bypass: go through the verbs API so the "
         "switch-path model applies)"),
     "VS107": (
-        "tracer event emitted without a simulated-ns timestamp "
+        "tracer instant emitted without a simulated-ns timestamp "
         "(pass ts_ns= or the event lands at poll time, skewing the "
         "critical-path analyzer)"),
     "VS108": (
@@ -291,14 +291,14 @@ def _rule_vs106(rel: str, tree: ast.AST) -> Iterable[Tuple[int, str]]:
 
 
 #: tracer methods whose 4th positional parameter is the ``ts_ns`` stamp.
-_TS_EVENT_METHODS = frozenset({"begin", "end", "instant", "counter"})
+_TS_EVENT_METHODS = frozenset({"instant"})
 
 
 def _rule_vs107(rel: str, tree: ast.AST) -> Iterable[Tuple[int, str]]:
-    """Timestamp-less tracer events in simulation-ordered code (VS107).
+    """Timestamp-less tracer instants in simulation-ordered code (VS107).
 
-    ``Tracer.begin/end/instant/counter`` default ``ts_ns`` to the *call
-    moment* (``sim.now``).  Instrumentation sites inside the simulation
+    ``Tracer.instant`` defaults ``ts_ns`` to the *call moment*
+    (``sim.now``).  Instrumentation sites inside the simulation
     frequently record an event for an earlier or later instant (a span
     reconstructed after a poll, a stall noticed on wakeup); relying on
     the default silently stamps those at emission time, which skews the
@@ -318,9 +318,9 @@ def _rule_vs107(rel: str, tree: ast.AST) -> Iterable[Tuple[int, str]]:
                   or any(kw.arg == "ts_ns" for kw in node.keywords))
         if not has_ts:
             yield (node.lineno,
-                   f"tracer.{node.func.attr}() without ts_ns: the event "
-                   f"is stamped at emission time, not the instant it "
-                   f"describes (pass ts_ns= explicitly)")
+                   "tracer.instant() without ts_ns: the event is stamped "
+                   "at emission time, not the instant it describes (pass "
+                   "ts_ns= explicitly)")
 
 
 def _rule_vs108(rel: str, tree: ast.AST) -> Iterable[Tuple[int, str]]:

@@ -35,6 +35,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Tuple
 
+from repro.memory import Buffer
 from repro.verbs.constants import QPState, QPType
 
 __all__ = [
@@ -98,24 +99,21 @@ class Violation:
                 f"{self.message}")
 
 
-def _buffer_like(obj: Any) -> bool:
-    """Registered-buffer duck test: owned by an MR, at a fixed address.
+def _wr_id_buffers(ref: Any) -> Tuple[Buffer, ...]:
+    """Registered buffers carried by a ``wr_id``: the endpoints put the
+    real buffer either as the wr_id itself or inside a tag tuple.
 
-    Matches :class:`repro.memory.Buffer`; deliberately does not match
-    :class:`~repro.core.endpoint.FrameCarrier` (payload only) or plain
-    wr_id tags, so untracked WRs cost nothing.
-    """
-    return hasattr(obj, "mr") and hasattr(obj, "addr")
-
-
-def _wr_id_buffers(ref: Any) -> Tuple[Any, ...]:
-    """Buffer-like objects reachable from a ``wr_id`` (the endpoints put
-    the real buffer either as the wr_id itself or inside a tag tuple)."""
-    if _buffer_like(ref):
+    The test is type identity with :class:`~repro.memory.Buffer`, so a
+    :class:`~repro.core.endpoint.FrameCarrier` (payload only) or a plain
+    tag is untracked and costs nothing."""
+    if type(ref) is Buffer:
         return (ref,)
-    if isinstance(ref, tuple):
-        return tuple(el for el in ref if _buffer_like(el))
-    return ()
+    found: Tuple[Buffer, ...] = ()
+    if type(ref) is tuple:
+        for el in ref:
+            if type(el) is Buffer:
+                found += (el,)
+    return found
 
 
 class Sanitizer:
@@ -188,8 +186,8 @@ class Sanitizer:
         """Post-validation: account the signaled WR's buffer in flight."""
         if not wr.signaled:
             return
-        buf = wr.buffer if _buffer_like(wr.buffer) else None
-        bufs = (buf,) if buf is not None else _wr_id_buffers(wr.wr_id)
+        buf = wr.buffer
+        bufs = (buf,) if type(buf) is Buffer else _wr_id_buffers(wr.wr_id)
         for tracked in bufs:
             key = (tracked.mr.node_id, tracked.addr)
             self._inflight[key] = self._inflight.get(key, 0) + 1
@@ -203,7 +201,7 @@ class Sanitizer:
 
     def track_post_recv(self, qp, wr) -> None:
         """Receives always complete signaled; track the posted buffer."""
-        if _buffer_like(wr.buffer):
+        if type(wr.buffer) is Buffer:
             key = (wr.buffer.mr.node_id, wr.buffer.addr)
             self._inflight[key] = self._inflight.get(key, 0) + 1
 

@@ -148,7 +148,7 @@ class NIC:
         links = self.telemetry.links
         if links is not None:
             links.pipe("egress", self.node_id, self.egress,
-                       self.egress._serialization_ns(wire_bytes), flow=flow)
+                       self.egress._serialization_ns(wire_bytes), 0, 0, flow)
         self.egress.submit_train(wire_bytes, n_packets, func)
 
     def submit_rx(self, wire_bytes: int, qpn: int,
@@ -169,6 +169,6 @@ class NIC:
         if links is not None:
             links.pipe("ingress", self.node_id, self.ingress,
                        self.ingress._serialization_ns(wire_bytes), penalty,
-                       flow=flow)
+                       0, flow)
         self.ingress.submit_train(wire_bytes, n_packets, func,
                                   extra_ns=penalty)

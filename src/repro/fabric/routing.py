@@ -95,8 +95,8 @@ class _HopWalk:
             links = self.fabric.telemetry.links
             if links is not None:
                 links.pipe("trunk", hop.port.name, pipe,
-                           pipe._serialization_ns(wire_bytes),
-                           flow=self.packet.flow)
+                           pipe._serialization_ns(wire_bytes), 0, 0,
+                           self.packet.flow)
             pipe.submit_train(wire_bytes, self.packet.n_packets,
                               self._forward)
 

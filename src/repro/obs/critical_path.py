@@ -7,8 +7,8 @@ attribution always conserves: ``sum(categories.values()) == t1 - t0``
 holds by construction, not by fixup.
 
 The algorithm is a single sweep over all recorded resource intervals
-(:class:`~repro.telemetry.links.PipeInterval`) and endpoint stalls
-(:class:`~repro.telemetry.links.StallInterval`).  At any instant several
+and endpoint stalls (the pipe and stall tuples of
+:class:`~repro.telemetry.links.FlowRecorder`).  At any instant several
 explanations can be active at once — a QP-cache miss is being charged on
 one NIC while a trunk is congested and a sender sits in a credit stall.
 Ranking them would require a full causal closure; instead we impose a
@@ -44,6 +44,8 @@ from __future__ import annotations
 
 from typing import Any, Dict, List, Optional
 
+import numpy as np
+
 from repro.telemetry.links import FlowRecorder
 
 __all__ = ["CATEGORIES", "attribute", "critical_path"]
@@ -64,9 +66,9 @@ CATEGORIES = (
     "receiver_drain",
 )
 
-#: priority index -> category for swept (interval-backed) categories.
-_PRIO_NAMES = CATEGORIES[:7]
-_NUM_PRIOS = len(_PRIO_NAMES)
+#: the swept (interval-backed) categories lead CATEGORIES; priority =
+#: index, 0 highest.
+_NUM_PRIOS = 7
 
 #: endpoint stall kinds that participate in the sweep.  ``data-wait`` is
 #: intentionally absent (see module docstring).
@@ -76,32 +78,55 @@ _STALL_PRIO = {
     "free-wait": 6,
 }
 
-#: sentinel priority for zero-delta boundary cut events.
-_CUT = _NUM_PRIOS
+#: category index of each positional remainder.
+_SETUP, _COMPUTE, _DRAIN = (CATEGORIES.index(name) for name in
+                            ("setup", "sender_compute", "receiver_drain"))
 
 
 def _flow_bounds(recorder: FlowRecorder, t0: int, t1: int):
-    """(first WR post, last delivery) clamped into the window."""
-    first_post = t1
-    last_delivery = t0
-    any_post = False
-    any_delivery = False
-    for flow in recorder.flows.values():
-        any_post = True
-        if flow.posted_ns < first_post:
-            first_post = flow.posted_ns
-        if flow.delivered_ns is not None:
-            any_delivery = True
-            if flow.delivered_ns > last_delivery:
-                last_delivery = flow.delivered_ns
-    if not any_post:
-        # No WR was ever posted: the whole window is setup work
-        # (fig12-style connection-establishment runs).
-        first_post = t1
-    if not any_delivery:
-        last_delivery = t1
+    """(first WR post, last delivery) clamped into the window.
+
+    With no WR ever posted the whole window is setup work (fig12-style
+    connection-establishment runs)."""
+    flows = recorder.flows.values()
+    first_post = min((flow.posted_ns for flow in flows), default=t1)
+    last_delivery = max((flow.delivered_ns for flow in flows
+                         if flow.delivered_ns is not None), default=t1)
     return (max(t0, min(first_post, t1)),
             max(t0, min(last_delivery, t1)))
+
+
+def _intervals(recorder: FlowRecorder) -> np.ndarray:
+    """Rows ``start, end, prio`` of every interval the sweep charges.
+
+    A pipe record charges its base part (wire, trunk or NIC processing
+    time), then its QP-cache-miss penalty, then its payload-fetch extra,
+    back to back; a stall charges its whole duration."""
+    parts = [np.zeros((3, 0), dtype=np.int64)]
+    pipes = recorder.pipes
+    if pipes:
+        columns = list(zip(*pipes))
+        kind = np.array(columns[0])
+        start, base, penalty, extra, waited = (
+            np.fromiter(column, np.int64, len(pipes))
+            for column in columns[2:7])
+        base_end = start + base
+        penalty_end = base_end + penalty
+        # A trunk hop that queued at least its own serialization time is
+        # congestion; otherwise it is plain wire time, like the links.
+        base_prio = np.where(kind == "proc", 4,
+                             np.where((kind == "trunk") & (waited >= base),
+                                      2, 3))
+        parts += [np.stack((start, base_end, base_prio)),
+                  np.stack((base_end, penalty_end, np.zeros_like(start))),
+                  np.stack((penalty_end, penalty_end + extra,
+                            np.ones_like(start)))]
+    swept = [(start, start + duration, _STALL_PRIO[kind])
+             for _node, _ep, kind, start, duration in recorder.stalls
+             if kind in _STALL_PRIO]
+    if swept:
+        parts.append(np.array(swept, dtype=np.int64).T)
+    return np.concatenate(parts, axis=1)
 
 
 def attribute(recorder: FlowRecorder, t0: int, t1: int) -> Dict[str, Any]:
@@ -115,83 +140,42 @@ def attribute(recorder: FlowRecorder, t0: int, t1: int) -> Dict[str, Any]:
     if t1 < t0:
         raise ValueError(f"empty attribution window [{t0}, {t1})")
     total = t1 - t0
-    categories: Dict[str, int] = {name: 0 for name in CATEGORIES}
     first_post, last_delivery = _flow_bounds(recorder, t0, t1)
 
-    # -- collect (time, priority, delta) events -------------------------
-    events: List = []
-
-    def add(start: int, end: int, prio: int) -> None:
-        start = max(start, t0)
-        end = min(end, t1)
-        if end > start:
-            events.append((start, prio, 1))
-            events.append((end, prio, -1))
-
-    for rec in recorder.pipes:
-        base_end = rec.start + rec.base_ns
-        if rec.kind == "proc":
-            add(rec.start, base_end, 4)                       # nic_processing
-        elif rec.kind == "trunk":
-            # A trunk hop that queued at least its own serialization time
-            # is congestion; otherwise it is plain wire time.
-            prio = 2 if rec.waited_ns >= rec.base_ns else 3
-            add(rec.start, base_end, prio)
-        else:                                                 # egress/ingress
-            add(rec.start, base_end, 3)                       # wire
-        penalty_end = base_end + rec.penalty_ns
-        if rec.penalty_ns:
-            add(base_end, penalty_end, 0)                     # qp_cache_miss
-        if rec.extra_ns:
-            add(penalty_end, penalty_end + rec.extra_ns, 1)   # pcie_stall
-
-    for stall in recorder.stalls:
-        prio = _STALL_PRIO.get(stall.kind)
-        if prio is not None:
-            add(stall.start, stall.start + stall.duration, prio)
-
-    # Boundary cuts so no elementary slice straddles a remainder change.
-    for cut in (first_post, last_delivery):
-        if t0 < cut < t1:
-            events.append((cut, _CUT, 0))
+    # -- clip every interval into the window ----------------------------
+    start, end, prio = _intervals(recorder)
+    start = np.maximum(start, t0)
+    end = np.minimum(end, t1)
+    live = end > start
+    start, end, prio = start[live], end[live], prio[live]
 
     # -- the sweep ------------------------------------------------------
-    def remainder_at(t: int) -> str:
-        if t < first_post:
-            return "setup"
-        if t >= last_delivery:
-            return "receiver_drain"
-        return "sender_compute"
+    # Elementary slices run between consecutive distinct boundaries:
+    # every interval end, the window ends and the two remainder changes
+    # (so no slice straddles one; the bounds are clamped into the
+    # window).  A slice sees the intervals opened, and not yet closed,
+    # at or before its start.
+    bounds = np.array((t0, first_post, last_delivery, t1), dtype=np.int64)
+    times = np.concatenate((start, end, bounds))
+    order = np.argsort(times)
+    times = times[order]
+    last = np.flatnonzero(np.append(times[1:] != times[:-1], True))
+    edges = times[last]
+    begin = edges[:-1]
+    width = np.diff(edges)
 
-    events.sort(key=lambda e: e[0])
-    counts = [0] * _NUM_PRIOS
-    prev = t0
-    i = 0
-    n = len(events)
-    while i < n:
-        t = events[i][0]
-        if t > prev:
-            width = t - prev
-            for prio in range(_NUM_PRIOS):
-                if counts[prio]:
-                    categories[_PRIO_NAMES[prio]] += width
-                    break
-            else:
-                categories[remainder_at(prev)] += width
-            prev = t
-        while i < n and events[i][0] == t:
-            _, prio, delta = events[i]
-            if delta:
-                counts[prio] += delta
-            i += 1
-    if t1 > prev:
-        width = t1 - prev
-        for prio in range(_NUM_PRIOS):
-            if counts[prio]:
-                categories[_PRIO_NAMES[prio]] += width
-                break
-        else:
-            categories[remainder_at(prev)] += width
+    # Each slice goes to the highest-priority explanation active in it,
+    # or else to the remainder its position names.
+    category = np.where(begin < first_post, _SETUP,
+                        np.where(begin >= last_delivery, _DRAIN, _COMPUTE))
+    no_bounds = np.zeros(len(bounds), dtype=np.int64)
+    for level in range(_NUM_PRIOS - 1, -1, -1):
+        opened = (prio == level).astype(np.int64)
+        delta = np.concatenate((opened, -opened, no_bounds))[order]
+        category[np.cumsum(delta)[last][:-1] > 0] = level
+    totals = np.zeros(len(CATEGORIES), dtype=np.int64)
+    np.add.at(totals, category, width)
+    categories = {name: int(ns) for name, ns in zip(CATEGORIES, totals)}
 
     explained = sum(categories.values())
     shares = {

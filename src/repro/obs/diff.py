@@ -1,6 +1,7 @@
 """Run-diff gate for ``repro.obs`` report documents.
 
-Usage (the CI observability job, and by hand when chasing a perf bug)::
+Usage (the human summary of the CI observability job, and by hand when
+chasing a perf bug)::
 
     python -m repro.obs diff baseline.json fresh.json
 
@@ -16,6 +17,7 @@ stderr) when
   behavioral drift a throughput number can hide.
 
 ``--warn-only`` downgrades failures to warnings for advisory CI lanes.
+The thresholds pass real model changes; CI enforces :func:`exact`.
 """
 
 from __future__ import annotations
@@ -23,12 +25,12 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import Any, Dict, List
+from typing import Any, Dict, List, Optional
 
 from repro.obs.critical_path import CATEGORIES
 from repro.obs.report import REPORT_SCHEMA
 
-__all__ = ["diff", "main"]
+__all__ = ["diff", "exact", "main"]
 
 #: default tolerated relative rise of a latency percentile.
 DEFAULT_THRESHOLD = 0.25
@@ -100,6 +102,42 @@ def diff(baseline: Dict[str, Any], fresh: Dict[str, Any],
                         f"({100.0 * base_shares.get(category, 0.0):.1f}% "
                         f"-> "
                         f"{100.0 * cur_shares.get(category, 0.0):.1f}%)")
+    return failures
+
+
+def _first_difference(base: Any, fresh: Any, path: str) -> Optional[str]:
+    """The first key path where ``fresh`` differs from ``base``, if any."""
+    if type(base) is not dict or type(fresh) is not dict:
+        return None if base == fresh else path
+    for key in {**base, **fresh}:  # baseline order, then fresh-only keys
+        where = f"{path}.{key}"
+        if key not in base or key not in fresh:
+            return where
+        found = _first_difference(base[key], fresh[key], where)
+        if found:
+            return found
+    return None
+
+
+def exact(baseline: Dict[str, Any], fresh: Dict[str, Any]) -> List[str]:
+    """The enforcing gate: each baseline experiment's ``aggregate`` must
+    equal the fresh one (the simulation is deterministic); a failure
+    names the experiment and the first differing key."""
+    failures = _check_schema(baseline, "baseline") + _check_schema(
+        fresh, "fresh")
+    if failures:
+        return failures
+    fresh_exps = {e["name"]: e for e in fresh.get("experiments", [])}
+    for base in baseline.get("experiments", []):
+        name = base["name"]
+        if name not in fresh_exps:
+            failures.append(f"{name}: missing from fresh report")
+            continue
+        where = _first_difference(base.get("aggregate"),
+                                  fresh_exps[name].get("aggregate"),
+                                  "aggregate")
+        if where:
+            failures.append(f"{name}: {where} differs from the baseline")
     return failures
 
 

@@ -247,10 +247,9 @@ class RatePipe:
         if obs is not None and duration > 0:
             tracer = obs.tracer
             if tracer is not None:
-                tracer.span(
-                    self._trace_node, self._trace_track, self._trace_name,
-                    start, end, cat="fabric",
-                    args={"bytes": int(units)} if units else None)
+                tracer.span(self._trace_node, self._trace_track,
+                            self._trace_name, start, end, "fabric",
+                            units or None)
         return end - now
 
     def _packet_boundaries(self, start: int, ser_ns: int,

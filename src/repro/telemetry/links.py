@@ -11,12 +11,18 @@ of record accumulate:
   release produced it.  Posting and delivery timestamps give per-message
   latencies.
 * **pipe intervals** — every resource-occupancy interval of a NIC
-  processor, host link, or switch trunk, split into its base
-  (serialization / WR processing) and penalty (QP-context-cache miss,
-  payload-DMA fetch) components, plus how long the unit waited behind
-  the pipe's FIFO backlog.
-* **stalls** — endpoint-visible waiting: credit stalls, free-buffer
-  waits, receiver data waits, RNR backoff.
+  processor, host link, or switch trunk, one flat tuple
+  ``(kind, owner, start, base_ns, penalty_ns, extra_ns, waited_ns,
+  flow)``: ``kind`` is ``proc`` (NIC WR processor), ``egress`` /
+  ``ingress`` (host links) or ``trunk`` (switch port); the interval
+  spans ``[start, start + base_ns + penalty_ns + extra_ns)``, where
+  ``base_ns`` is serialization or baseline WR processing, ``penalty_ns``
+  a QP-context-cache miss and ``extra_ns`` the payload DMA fetch of a
+  non-inlined Write; ``waited_ns`` is how long the unit queued behind
+  the pipe's FIFO backlog before ``start``.
+* **stalls** — endpoint-visible waiting (``credit-stall``,
+  ``free-wait``, ``data-wait``, ``rnr-stall``), one flat tuple
+  ``(node, ep, kind, start, duration)``.
 
 Recording is append-only and never touches the event heap, RNG, or any
 process state, so enabling it cannot perturb simulated time — the same
@@ -32,8 +38,7 @@ from typing import Dict, List, Optional
 
 from repro.telemetry.trace import TraceBudget
 
-__all__ = ["FlowRecord", "PipeInterval", "StallInterval", "FlowRecorder",
-           "DEFAULT_LINK_RECORDS"]
+__all__ = ["FlowRecord", "FlowRecorder", "DEFAULT_LINK_RECORDS"]
 
 #: default budget for link records (flows + intervals + stalls combined).
 DEFAULT_LINK_RECORDS = 2_000_000
@@ -60,47 +65,6 @@ class FlowRecord:
         self.trigger = trigger
 
 
-class PipeInterval:
-    """One occupancy interval of a rate pipe, decomposed by cause.
-
-    ``kind`` is one of ``proc`` (NIC WR processor), ``egress`` /
-    ``ingress`` (host links), ``trunk`` (switch port).  The interval
-    spans ``[start, start + base_ns + penalty_ns + extra_ns)``:
-    ``base_ns`` is serialization or baseline WR processing,
-    ``penalty_ns`` a QP-context-cache miss, ``extra_ns`` the payload DMA
-    fetch of a non-inlined Write.  ``waited_ns`` is how long the unit
-    queued behind the pipe's backlog before ``start``.
-    """
-
-    __slots__ = ("kind", "owner", "start", "base_ns", "penalty_ns",
-                 "extra_ns", "waited_ns", "flow")
-
-    def __init__(self, kind: str, owner, start: int, base_ns: int,
-                 penalty_ns: int, extra_ns: int, waited_ns: int, flow: int):
-        self.kind = kind
-        self.owner = owner
-        self.start = start
-        self.base_ns = base_ns
-        self.penalty_ns = penalty_ns
-        self.extra_ns = extra_ns
-        self.waited_ns = waited_ns
-        self.flow = flow
-
-
-class StallInterval:
-    """One endpoint-visible wait (credit-stall, free-wait, data-wait...)."""
-
-    __slots__ = ("node", "ep", "kind", "start", "duration")
-
-    def __init__(self, node: int, ep: int, kind: str, start: int,
-                 duration: int):
-        self.node = node
-        self.ep = ep
-        self.kind = kind
-        self.start = start
-        self.duration = duration
-
-
 class FlowRecorder:
     """Accumulates flow/interval/stall records for one cluster run."""
 
@@ -109,8 +73,8 @@ class FlowRecorder:
         self.budget = budget if budget is not None else TraceBudget(
             DEFAULT_LINK_RECORDS)
         self.flows: Dict[int, FlowRecord] = {}
-        self.pipes: List[PipeInterval] = []
-        self.stalls: List[StallInterval] = []
+        self.pipes: List[tuple] = []
+        self.stalls: List[tuple] = []
         #: set when the budget ran dry and records were dropped.
         self.truncated = False
         #: one-shot trigger edge: set by the receive endpoint immediately
@@ -162,10 +126,11 @@ class FlowRecorder:
             self.truncated = True
             return
         now = self.sim.now
-        start = max(pipe.busy_until, now)
-        self.pipes.append(PipeInterval(kind, owner, start, base_ns,
-                                       penalty_ns, extra_ns, start - now,
-                                       flow))
+        start = pipe._busy_until
+        if start < now:
+            start = now
+        self.pipes.append((kind, owner, start, base_ns, penalty_ns, extra_ns,
+                           start - now, flow))
 
     def stall(self, node: int, ep: int, kind: str, start: int,
               duration: int) -> None:
@@ -174,14 +139,10 @@ class FlowRecorder:
         if not self.budget.take(1):
             self.truncated = True
             return
-        self.stalls.append(StallInterval(node, ep, kind, start, duration))
+        self.stalls.append((node, ep, kind, start, duration))
 
     # -- accounting --------------------------------------------------------
 
     @property
     def dropped_records(self) -> int:
         return self.budget.dropped
-
-    @property
-    def recorded(self) -> int:
-        return len(self.flows) + len(self.pipes) + len(self.stalls)

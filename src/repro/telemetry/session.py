@@ -185,7 +185,7 @@ class TelemetrySession:
         data: List[Dict[str, Any]] = []
         for tracer in self._tracers:
             meta.extend(tracer._metadata_events())
-            data.extend(tracer.sorted_events())
+            data.extend(tracer.events)
         data.sort(key=lambda e: e["ts"])
         dropped = self.budget.dropped if self.budget else 0
         return {

@@ -21,16 +21,22 @@ Two span styles are used deliberately:
   where operations on one track interleave freely) emits ``X``
   *complete* events carrying their own duration.
 
+Each call appends one record ``(ph, pid, tid, name, cat, ts_ns,
+dur_or_end_ns, args)``; ``ph`` ``"B"`` is a whole span, and ``args``
+is ``None``, a dict or a byte count (``{"bytes": n}``).  The Chrome
+dicts are built only when :attr:`Tracer.events` is read.
+
 A shared :class:`TraceBudget` bounds the total event count across every
 tracer of a session, so ``repro-bench --trace`` on a full-scale figure
 produces a file a browser can still open; once exhausted, further events
-are counted as dropped, not recorded.
+are counted as dropped, not recorded.  A span counts as two events.
 """
 
 from __future__ import annotations
 
 import json
-from typing import TYPE_CHECKING, Any, Dict, List, Optional, Tuple
+from collections.abc import Sequence
+from typing import TYPE_CHECKING, Any, Dict, Iterator, List, Optional, Tuple
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.sim import Simulator
@@ -56,6 +62,41 @@ class TraceBudget:
         return False
 
 
+class TraceEvents(Sequence):
+    """A tracer's events, read-only: ``len()`` counts a span as two
+    events and builds nothing; iterating or indexing renders the Chrome
+    event dicts."""
+
+    __slots__ = ("_tracer",)
+
+    def __init__(self, tracer: "Tracer"):
+        self._tracer = tracer
+
+    def __len__(self) -> int:
+        return len(self._tracer._records) + self._tracer._spans
+
+    def __getitem__(self, index):
+        return list(self)[index]
+
+    def __iter__(self) -> Iterator[Dict[str, Any]]:
+        for ph, pid, tid, name, cat, ts_ns, dur_or_end_ns, args in (
+                self._tracer._records):
+            event = {"ph": ph, "pid": pid, "tid": tid, "name": name,
+                     "cat": cat, "ts": ts_ns / 1000.0}
+            if ph == "X":
+                event["dur"] = dur_or_end_ns / 1000.0
+            elif ph == "i":
+                event["s"] = "t"
+            if args is not None and type(args) is not dict:
+                event["args"] = {"bytes": int(args)}
+            elif args:
+                event["args"] = args
+            yield event
+            if ph == "B":
+                yield {"ph": "E", "pid": pid, "tid": tid, "name": name,
+                       "cat": cat, "ts": dur_or_end_ns / 1000.0}
+
+
 class Tracer:
     """Records trace events in simulated nanoseconds.
 
@@ -70,19 +111,19 @@ class Tracer:
         self.budget = budget if budget is not None else TraceBudget()
         self.pid_base = pid_base
         self.label = label
-        self.events: List[Dict[str, Any]] = []
-        self._tids: Dict[Tuple[int, str], int] = {}
+        self._records: List[tuple] = []
+        #: how many records are spans (each is two events).
+        self._spans = 0
+        #: (node_id, track) -> (pid, tid); tids count up in first-use order.
+        self._ids: Dict[Tuple[int, str], Tuple[int, int]] = {}
         self._pids: Dict[int, str] = {}
-        self._next_tid = 1
+
+    @property
+    def events(self) -> TraceEvents:
+        """Every recorded event, in recording order (read-only)."""
+        return TraceEvents(self)
 
     # -- identity ---------------------------------------------------------
-
-    def _pid(self, node_id: int) -> int:
-        pid = self.pid_base + node_id
-        if pid not in self._pids:
-            name = f"{self.label}/node{node_id}" if self.label else f"node{node_id}"
-            self._pids[pid] = name
-        return pid
 
     def name_process(self, node_id: int, name: str) -> None:
         """Pre-name a trace process before any event lands on it.
@@ -95,33 +136,29 @@ class Tracer:
         pid = self.pid_base + node_id
         self._pids[pid] = f"{self.label}/{name}" if self.label else name
 
-    def _tid(self, pid: int, track: str) -> int:
-        key = (pid, track)
-        tid = self._tids.get(key)
-        if tid is None:
-            tid = self._tids[key] = self._next_tid
-            self._next_tid += 1
-        return tid
+    def _resolve(self, node_id: int, track: str) -> Tuple[int, int]:
+        """Name ``node_id``'s process and ``track``'s thread on first use."""
+        pid = self.pid_base + node_id
+        if pid not in self._pids:
+            name = f"{self.label}/node{node_id}" if self.label else f"node{node_id}"
+            self._pids[pid] = name
+        ids = self._ids[(node_id, track)] = (pid, len(self._ids) + 1)
+        return ids
 
     # -- emission ---------------------------------------------------------
 
-    def _emit(self, event: Dict[str, Any]) -> None:
-        if self.budget.take():
-            self.events.append(event)
-
     def complete(self, node_id: int, track: str, name: str, start_ns: int,
-                 dur_ns: int, cat: str = "", args: Optional[dict] = None) -> None:
+                 dur_ns: int, cat: str = "", args: Any = None) -> None:
         """One ``X`` span with explicit start and duration."""
-        pid = self._pid(node_id)
-        event = {"ph": "X", "pid": pid, "tid": self._tid(pid, track),
-                 "name": name, "cat": cat, "ts": start_ns / 1000.0,
-                 "dur": dur_ns / 1000.0}
-        if args:
-            event["args"] = args
-        self._emit(event)
+        ids = self._ids.get((node_id, track))
+        if ids is None:
+            ids = self._resolve(node_id, track)
+        if self.budget.take():
+            self._records.append(
+                ("X", ids[0], ids[1], name, cat, start_ns, dur_ns, args))
 
     def span(self, node_id: int, track: str, name: str, start_ns: int,
-             end_ns: int, cat: str = "", args: Optional[dict] = None) -> None:
+             end_ns: int, cat: str = "", args: Any = None) -> None:
         """A ``B``/``E`` pair with both timestamps known up front.
 
         Budgeted atomically so a trace never ends on an unmatched begin.
@@ -130,52 +167,23 @@ class Tracer:
         """
         if not self.budget.take(2):
             return
-        pid = self._pid(node_id)
-        tid = self._tid(pid, track)
-        begin = {"ph": "B", "pid": pid, "tid": tid, "name": name,
-                 "cat": cat, "ts": start_ns / 1000.0}
-        if args:
-            begin["args"] = args
-        self.events.append(begin)
-        self.events.append({"ph": "E", "pid": pid, "tid": tid, "name": name,
-                            "cat": cat, "ts": end_ns / 1000.0})
-
-    def begin(self, node_id: int, track: str, name: str,
-              ts_ns: Optional[int] = None, cat: str = "",
-              args: Optional[dict] = None) -> None:
-        pid = self._pid(node_id)
-        ts = self.sim.now if ts_ns is None else ts_ns
-        event = {"ph": "B", "pid": pid, "tid": self._tid(pid, track),
-                 "name": name, "cat": cat, "ts": ts / 1000.0}
-        if args:
-            event["args"] = args
-        self._emit(event)
-
-    def end(self, node_id: int, track: str, name: str,
-            ts_ns: Optional[int] = None, cat: str = "") -> None:
-        pid = self._pid(node_id)
-        ts = self.sim.now if ts_ns is None else ts_ns
-        self._emit({"ph": "E", "pid": pid, "tid": self._tid(pid, track),
-                    "name": name, "cat": cat, "ts": ts / 1000.0})
+        ids = self._ids.get((node_id, track))
+        if ids is None:
+            ids = self._resolve(node_id, track)
+        self._spans += 1
+        self._records.append(
+            ("B", ids[0], ids[1], name, cat, start_ns, end_ns, args))
 
     def instant(self, node_id: int, track: str, name: str,
                 ts_ns: Optional[int] = None, cat: str = "",
-                args: Optional[dict] = None) -> None:
-        pid = self._pid(node_id)
+                args: Any = None) -> None:
+        ids = self._ids.get((node_id, track))
+        if ids is None:
+            ids = self._resolve(node_id, track)
         ts = self.sim.now if ts_ns is None else ts_ns
-        event = {"ph": "i", "pid": pid, "tid": self._tid(pid, track),
-                 "name": name, "cat": cat, "ts": ts / 1000.0, "s": "t"}
-        if args:
-            event["args"] = args
-        self._emit(event)
-
-    def counter(self, node_id: int, name: str, values: Dict[str, float],
-                ts_ns: Optional[int] = None) -> None:
-        """One sample of a ``C`` counter timeline (e.g. queue depth)."""
-        pid = self._pid(node_id)
-        ts = self.sim.now if ts_ns is None else ts_ns
-        self._emit({"ph": "C", "pid": pid, "tid": 0, "name": name,
-                    "ts": ts / 1000.0, "args": dict(values)})
+        if self.budget.take():
+            self._records.append(
+                ("i", ids[0], ids[1], name, cat, ts, None, args))
 
     # -- export -----------------------------------------------------------
 
@@ -184,7 +192,9 @@ class Tracer:
         for pid, name in sorted(self._pids.items()):
             meta.append({"ph": "M", "pid": pid, "tid": 0, "ts": 0,
                          "name": "process_name", "args": {"name": name}})
-        for (pid, track), tid in sorted(self._tids.items()):
+        for pid, track, tid in sorted(
+                (pid, track, tid)
+                for (_node, track), (pid, tid) in self._ids.items()):
             meta.append({"ph": "M", "pid": pid, "tid": tid, "ts": 0,
                          "name": "thread_name", "args": {"name": track}})
         return meta

@@ -61,6 +61,8 @@ class QueuePair:
         self.max_send_wr = max_send_wr
         self.max_recv_wr = max_recv_wr
         self.qpn = ctx._assign_qpn(self)
+        #: this QP's thread in the trace.
+        self.track = f"qp{self.qpn}"
         #: owning tenant (service-layer accounting); None outside the
         #: multi-tenant service.
         self.tenant: Optional[str] = None
@@ -224,9 +226,8 @@ class QueuePair:
             ))
         tracer = self.ctx.telemetry.tracer
         if tracer is not None:
-            tracer.complete(
-                self.ctx.node_id, f"qp{self.qpn}", name, t0,
-                self.ctx.sim.now - t0, "verbs", args={"bytes": wr.length})
+            tracer.complete(self.ctx.node_id, self.track, name, t0,
+                            self.ctx.sim.now - t0, "verbs", wr.length)
 
     def _deposit(self, rwr: RecvWR, packet: Packet) -> None:
         """Copy an arriving message into the posted receive buffer."""
@@ -289,9 +290,8 @@ class QueuePair:
                     remote_qp.rnr_stall_ns += stalled
                     tracer = ctx.telemetry.tracer
                     if tracer is not None:
-                        tracer.complete(
-                            peer.node_id, f"qp{peer.qpn}", "rnr-stall",
-                            rnr_t0, stalled, "verbs")
+                        tracer.complete(peer.node_id, remote_qp.track,
+                                        "rnr-stall", rnr_t0, stalled, "verbs")
                     links = ctx.telemetry.links
                     if links is not None:
                         links.stall(peer.node_id, -1, "rnr-stall",

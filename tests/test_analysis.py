@@ -200,7 +200,7 @@ class TestVS107TimestamplessTracerEvents:
         "    tracer = self.ctx.telemetry.tracer\n"
         "    if tracer is not None:\n"
         "        tracer.instant(0, 'qp', 'wakeup')\n"
-        "        tracer.begin(0, 'qp', 'drain', cat='cq')\n"
+        "        tracer.instant(0, 'qp', 'drain', cat='cq')\n"
     )
 
     def test_timestampless_events_flagged(self):
@@ -214,7 +214,7 @@ class TestVS107TimestamplessTracerEvents:
             "    tracer = self.ctx.telemetry.tracer\n"
             "    if tracer is not None:\n"
             "        tracer.instant(0, 'qp', 'wakeup', t0)\n"
-            "        tracer.end(0, 'qp', 'drain', ts_ns=t0)\n"
+            "        tracer.instant(0, 'qp', 'drain', ts_ns=t0)\n"
         )
         assert lint_source("verbs/evil.py", source) == []
 

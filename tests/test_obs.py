@@ -32,7 +32,7 @@ from repro.obs import (
     critical_path,
     render_markdown,
 )
-from repro.obs.diff import diff, main as diff_main
+from repro.obs.diff import diff, exact, main as diff_main
 from repro.obs.__main__ import main as obs_main
 from repro.telemetry import FlowRecorder, TraceBudget, latency_summary, percentile
 from repro.telemetry.session import session
@@ -227,7 +227,7 @@ class TestRecordingIsInvisible:
         result = run_repartition(cluster, "MESQ/SR", bytes_per_node=2 << 20)
         assert links.truncated
         assert links.dropped_records > 0
-        assert links.recorded <= 200
+        assert len(links.flows) + len(links.pipes) + len(links.stalls) <= 200
         # The attribution explains less, but still conserves exactly,
         # and the report still builds and serializes.
         assert_conserved(shuffle_attribution(cluster, result))
@@ -389,6 +389,32 @@ class TestDiffGate:
     def test_threshold_is_respected(self):
         failures = diff(_document(p99=1000.0), _document(p99=1100.0))
         assert failures == []  # 10% < 25% default gate
+
+    def test_exact_gate_fails_what_the_thresholds_let_through(self):
+        # 1.5 pp of wire time moved into setup, percentiles up 20 %:
+        # under both thresholds, and still a model change.
+        shifted = _document(p99=1200.0)
+        attribution = shifted["experiments"][0]["aggregate"]["attribution"]
+        attribution["categories"]["wire_serialization"] -= 15
+        attribution["categories"]["setup"] += 15
+        for name in ("wire_serialization", "setup"):
+            attribution["shares"][name] = (
+                attribution["categories"][name] / 1000)
+        assert diff(_document(), shifted) == []
+        assert exact(_document(), shifted) == [
+            "fig8: aggregate.attribution.categories.wire_serialization "
+            "differs from the baseline"]
+
+    def test_exact_gate_passes_equal_aggregates_only(self):
+        fresh = _document()
+        fresh["experiments"][0]["runs"] = [{"ignored": True}]
+        assert exact(_document(), fresh) == []
+        fresh["experiments"][0]["aggregate"]["latency_ns"]["extra"] = 1
+        assert exact(_document(), fresh) == [
+            "fig8: aggregate.latency_ns.extra differs from the baseline"]
+        fresh["experiments"][0]["name"] = "fig9"
+        assert exact(_document(), fresh) == [
+            "fig8: missing from fresh report"]
 
     def write(self, tmp_path, name, document):
         path = tmp_path / name
