@@ -51,9 +51,6 @@ def model_main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument("--bound", metavar="SPEC", default="",
                         help="exploration bound overrides, e.g. "
                              "'messages=4,window=2,qp_errors=1'")
-    parser.add_argument("--no-por", action="store_true",
-                        help="disable the partial-order reduction "
-                             "(explore every interleaving directly)")
     parser.add_argument("--trace-dir", metavar="DIR",
                         help="write counterexample traces (Chrome trace "
                              "JSON, Perfetto-loadable) into DIR")
@@ -91,7 +88,7 @@ def model_main(argv: Optional[List[str]] = None) -> int:
     results = []
     failed = False
     for kind in kinds:
-        result = check_kind(kind, bound, por=not args.no_por)
+        result = check_kind(kind, bound)
         results.append(result)
         failed = failed or not result.passed
         if args.trace_dir:

@@ -6,10 +6,11 @@ exhaustively at bounded instance sizes.  This package extracts each
 endpoint kind's protocol as a finite transition system (one table,
 :data:`~repro.analysis.model.protocols.MODELS`, whose models run the
 transport's own credit and ring-cap rules) and explores every
-interleaving of sender, receivers and fabric faults, checking
-deadlock-freedom, credit conservation, ring consistency and eventual
-delivery.  Violations come back as minimal counterexample
-traces, exported in the telemetry layer's Chrome-trace format.
+interleaving of sender, receivers and fabric faults — the full state
+graph, by one breadth-first search — checking deadlock-freedom, credit
+conservation, ring consistency and eventual delivery.  Violations come
+back as minimal counterexample traces, exported in the telemetry
+layer's Chrome-trace format.
 
 Entry points: ``python -m repro.analysis model`` (CLI),
 :func:`check_kind` (library).

@@ -17,11 +17,9 @@ checking"):
   terminal outcome ("done", or "degraded" when a failure was cleanly
   detected); a state that cannot is a silent wedge.
 
-The partial-order reduction is an accelerator for the passing case:
-whenever a reduced exploration flags anything, the checker re-explores
-the full graph, so every failing verdict and every counterexample below
-is drawn from the unreduced state space (and is minimal — BFS parent
-pointers give shortest paths).
+Every verdict and every counterexample below is drawn from the full
+state graph, and a counterexample is minimal — BFS parent pointers give
+shortest paths.
 """
 
 from __future__ import annotations
@@ -110,7 +108,6 @@ class CheckResult:
             "states": ex.states,
             "transitions": ex.transitions,
             "complete": ex.complete,
-            "reduced": ex.por,
             "terminals": dict(ex.terminals),
             "elapsed_s": round(ex.elapsed, 3),
             "passed": self.passed,
@@ -129,20 +126,12 @@ def _witness(res: ExploreResult, prop: str, state_id: int,
                    steps=res.path_to(state_id))
 
 
-def check_model(model: ProtocolModel, por: bool = True) -> CheckResult:
+def check_model(model: ProtocolModel) -> CheckResult:
     """Explore ``model`` and evaluate the four properties."""
-    res = explore(model, por=por)
-    flagged = bool(res.deadlocks or res.violations
-                   or res.no_terminal_path)
-    if por and flagged:
-        # Confirm on the full graph; counterexamples must be minimal
-        # paths of the unreduced state space.
-        res = explore(model, por=False)
-
+    res = explore(model)
     props: List[PropertyStatus] = []
     size = (f"{res.states} states, {res.transitions} transitions"
-            + ("" if res.complete else " (truncated)")
-            + (", reduced" if res.por else ""))
+            + ("" if res.complete else " (truncated)"))
 
     # deadlock-freedom
     if res.deadlocks:
@@ -208,7 +197,6 @@ def check_model(model: ProtocolModel, por: bool = True) -> CheckResult:
                        properties=props)
 
 
-def check_kind(kind: str, bound: Optional[ModelBound] = None,
-               por: bool = True) -> CheckResult:
+def check_kind(kind: str, bound: Optional[ModelBound] = None) -> CheckResult:
     """Extract and check the protocol model of a registered kind."""
-    return check_model(extract_model(kind, bound), por=por)
+    return check_model(extract_model(kind, bound))

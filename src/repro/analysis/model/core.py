@@ -21,6 +21,12 @@ __all__ = [
 ]
 
 
+#: bound fields where 0 is a legal instance (no messages, no faults);
+#: every other field needs at least 1.
+_MAY_BE_ZERO = frozenset({"messages", "data_loss", "credit_loss",
+                          "final_loss", "qp_errors"})
+
+
 @dataclass(frozen=True)
 class ModelBound:
     """Exploration bounds: the finite instance of the protocol checked.
@@ -60,6 +66,14 @@ class ModelBound:
     #: explorer cap on distinct states before giving up (incomplete).
     max_states: int = 500_000
 
+    def __post_init__(self) -> None:
+        for f in fields(self):
+            least = 0 if f.name in _MAY_BE_ZERO else 1
+            value = getattr(self, f.name)
+            if value < least:
+                raise ValueError(
+                    f"bound {f.name} must be >= {least}, got {value}")
+
     def describe(self) -> Dict[str, int]:
         return {f.name: getattr(self, f.name) for f in fields(self)}
 
@@ -92,18 +106,14 @@ class Action(NamedTuple):
     """One labelled transition.
 
     ``peer`` is the peer-stream index the action belongs to (``None``
-    for group actions touching every stream).  ``local`` marks actions
-    that read and write only that peer-stream's variables — the
-    commutativity the partial-order reduction exploits; anything that
-    touches shared state (the sender buffer pool) is non-local.
-    ``site`` ("sender" / "receiver" / "fabric") picks the trace process
-    a counterexample step renders under.
+    for group actions touching every stream).  ``site`` ("sender" /
+    "receiver" / "fabric") picks the trace process a counterexample
+    step renders under; ``fault`` marks injected faults.
     """
 
     name: str
     peer: Optional[int]
     site: str
-    local: bool
     fault: bool
 
 
@@ -138,17 +148,3 @@ class ProtocolModel:
 
     def describe_state(self, state: Any) -> Dict[str, Any]:
         raise NotImplementedError
-
-    def por_shared_gated(self, state: Any, peer: int) -> bool:
-        """Partial-order-reduction side condition (ample-set C1).
-
-        Return ``True`` if this peer-stream has a *currently disabled*
-        transition whose guard reads shared state and could therefore be
-        flipped by other peers' actions alone (e.g. a send blocked only
-        on the shared buffer pool).  Such a peer must not serve as an
-        ample candidate: another peer could free a buffer and run the
-        dependent send before the deferred local action, an interleaving
-        the reduced graph would miss.  The conservative default refuses
-        every candidate, i.e. disables the reduction.
-        """
-        return True

@@ -1,28 +1,11 @@
-"""Bounded explicit-state exploration with ample-set reduction.
+"""Bounded explicit-state exploration.
 
 Breadth-first search over a :class:`~repro.analysis.model.core.
 ProtocolModel`'s reachable states, interning every state once and
 keeping parent pointers so the first path found to any state is a
-shortest one — counterexamples come out minimal for free.
-
-The optional partial-order reduction picks, per state, one peer-stream
-whose enabled transitions provably commute with every other enabled
-transition and expands only that stream (an *ample set*).  The
-conditions enforced:
-
-* every enabled transition of the candidate stream is local to it and
-  not a fault, and no group transition (touching all streams) is
-  enabled;
-* the stream has no disabled shared-gated transition another stream
-  could enable (:meth:`ProtocolModel.por_shared_gated` — condition C1);
-* each ample successor satisfies exactly the invariants the current
-  state satisfies (per-occurrence invisibility — condition C2);
-* each ample successor is a fresh state (cycle proviso — condition C3).
-
-The reduction is used as an accelerator for the passing case only: the
-checker re-explores without it whenever anything is flagged, so every
-reported verdict and every counterexample comes from the full graph
-(see :mod:`repro.analysis.model.checker`).
+shortest one — counterexamples come out minimal for free.  Every
+enabled transition of every state is taken: the graph explored is the
+full one, so each verdict and each witness is drawn from it.
 """
 
 from __future__ import annotations
@@ -41,10 +24,9 @@ class ExploreResult:
     """Everything one exploration learned about the state graph."""
 
     model: ProtocolModel
-    por: bool
     #: distinct states interned.
     states: int
-    #: transitions taken (after reduction, if any).
+    #: transitions taken.
     transitions: int
     #: False when the max_states cap truncated the search.
     complete: bool
@@ -57,10 +39,6 @@ class ExploreResult:
     violations: Dict[str, Tuple[int, str]]
     #: ids of states from which no terminal state is reachable, i.e.
     #: eventual-delivery offenders (None when the search was truncated).
-    #: Computed on the graph as explored: with the reduction on, a clean
-    #: result covers the reduced state set (each visited state's reduced
-    #: path to a terminal is also a full-graph path); the checker
-    #: re-explores without the reduction to confirm any offender.
     no_terminal_path: Optional[List[int]]
     elapsed: float
     #: interned states, id -> state.
@@ -86,45 +64,7 @@ class ExploreResult:
         return steps
 
 
-def _ample(model: ProtocolModel, state: Any, current_id: int,
-           trans: List[Tuple[Action, Any]],
-           seen: Dict[Any, int],
-           cur_checks: Tuple[Tuple[str, str], ...],
-           ) -> List[Tuple[Action, Any]]:
-    """Pick an ample subset of ``trans``, or return ``trans`` unchanged."""
-    by_peer: Dict[int, List[Tuple[Action, Any]]] = {}
-    disqualified = set()
-    for act, ns in trans:
-        if act.peer is None:
-            return trans  # a group action touches every stream
-        if act.local and not act.fault:
-            by_peer.setdefault(act.peer, []).append((act, ns))
-        else:
-            disqualified.add(act.peer)
-    for peer in sorted(by_peer):
-        if peer in disqualified:
-            continue
-        if model.por_shared_gated(state, peer):
-            continue
-        candidate = by_peer[peer]
-        ok = True
-        for _act, ns in candidate:
-            # C3 (BFS cycle proviso): the successor must not be an
-            # already-expanded state — any cycle then contains at least
-            # one fully expanded state, so no action is ignored forever.
-            j = seen.get(ns)
-            if j is not None and j <= current_id:
-                ok = False
-                break
-            if model.check(ns) != cur_checks:  # C2: invisible here
-                ok = False
-                break
-        if ok:
-            return candidate
-    return trans
-
-
-def explore(model: ProtocolModel, por: bool = True) -> ExploreResult:
+def explore(model: ProtocolModel) -> ExploreResult:
     """Explore the model's reachable states breadth-first."""
     t0 = time.perf_counter()
     max_states = model.bound.max_states
@@ -143,8 +83,7 @@ def explore(model: ProtocolModel, por: bool = True) -> ExploreResult:
     i = 0
     while i < len(states):
         s = states[i]
-        found = model.check(s)
-        for prop, msg in found:
+        for prop, msg in model.check(s):
             violations.setdefault(prop, (i, msg))
         term = model.terminal(s)
         if term is not None:
@@ -159,8 +98,6 @@ def explore(model: ProtocolModel, por: bool = True) -> ExploreResult:
             succ_ids.append([])
             i += 1
             continue
-        if por:
-            trans = _ample(model, s, i, trans, seen, found)
         row: List[int] = []
         for act, ns in trans:
             j = seen.get(ns)
@@ -198,7 +135,7 @@ def explore(model: ProtocolModel, por: bool = True) -> ExploreResult:
         no_terminal_path = [u for u in range(len(states)) if not reach[u]]
 
     return ExploreResult(
-        model=model, por=por, states=len(states), transitions=transitions,
+        model=model, states=len(states), transitions=transitions,
         complete=complete, terminals=terminals, deadlocks=deadlocks,
         violations=violations, no_terminal_path=no_terminal_path,
         elapsed=time.perf_counter() - t0,

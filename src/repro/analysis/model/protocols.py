@@ -154,19 +154,6 @@ class CreditProtocolModel(ProtocolModel):
             out.append((v, tuple(rest)))
         return out
 
-    def por_shared_gated(self, state: Any, peer: int) -> bool:
-        # Group sends read every peer's credit *and* the shared pool, so
-        # any local action can flip their guard — no reduction at all.
-        if self.multicast:
-            return True
-        p = state[1 + peer]
-        # send_data is the one shared-gated guard: blocked on the pool
-        # alone (to_send > 0, credit available), another peer's poll_cqe
-        # would enable it.  Every other guard reads only this stream
-        # (loss budgets only ever shrink, so a disabled fault with
-        # nothing in flight stays disabled until this peer acts).
-        return p[CP_TO_SEND] > 0 and p[CP_SENT] < p[CP_CREDIT]
-
     # -- transitions --------------------------------------------------------
 
     def successors(self, state: Any) -> List[Tuple[Action, Any]]:
@@ -174,9 +161,9 @@ class CreditProtocolModel(ProtocolModel):
         peers = state[1:]
         out: List[Tuple[Action, Any]] = []
 
-        def emit(name: str, peer: Optional[int], site: str, local: bool,
-                 fault: bool, nsh: Tuple, npeers: Tuple) -> None:
-            out.append((Action(name, peer, site, local, fault),
+        def emit(name: str, peer: Optional[int], site: str, fault: bool,
+                 nsh: Tuple, npeers: Tuple) -> None:
+            out.append((Action(name, peer, site, fault),
                         (nsh,) + npeers))
 
         def with_peer(i: int, q: List) -> Tuple:
@@ -194,7 +181,7 @@ class CreditProtocolModel(ProtocolModel):
                     q[CP_CQE] -= 1
                     nsh = list(sh)
                     nsh[CS_FREE] += 1
-                    emit("poll_cqe", i, "sender", False, False,
+                    emit("poll_cqe", i, "sender", False,
                          tuple(nsh), with_peer(i, q))
                 continue
 
@@ -209,7 +196,7 @@ class CreditProtocolModel(ProtocolModel):
                     q[CP_CQE] += 1
                 nsh = list(sh)
                 nsh[CS_FREE] -= 1
-                emit("send_data", i, "sender", False, False,
+                emit("send_data", i, "sender", False,
                      tuple(nsh), with_peer(i, q))
 
             # sender: post the final marker (consumes credit, no buffer)
@@ -218,8 +205,7 @@ class CreditProtocolModel(ProtocolModel):
                 q = list(p)
                 q[CP_SENT] += 1
                 q[CP_FINAL] = F_FLY
-                emit("send_final", i, "sender", True, False,
-                     sh, with_peer(i, q))
+                emit("send_final", i, "sender", False, sh, with_peer(i, q))
 
             # receiver: one data message lands in a posted Receive
             if p[CP_DATA_FLY] > 0 and self._avail(p) > 0:
@@ -230,16 +216,14 @@ class CreditProtocolModel(ProtocolModel):
                 q[CP_HELD] += 1
                 if not self.ud:  # RC: ack completes the send
                     q[CP_CQE] += 1
-                emit("deliver_data", i, "receiver", True, False,
-                     sh, with_peer(i, q))
+                emit("deliver_data", i, "receiver", False, sh, with_peer(i, q))
 
             # UD only: a datagram with no Receive is silently dropped
             # (unreachable for correct protocols — credit prevents it)
             if self.ud and p[CP_DATA_FLY] > 0 and self._avail(p) == 0:
                 q = list(p)
                 q[CP_DATA_FLY] -= 1
-                emit("drop_no_recv", i, "receiver", True, False,
-                     sh, with_peer(i, q))
+                emit("drop_no_recv", i, "receiver", False, sh, with_peer(i, q))
 
             # receiver: the final marker lands (RC: ordered after data)
             if p[CP_FINAL] == F_FLY and self._avail(p) > 0 and (
@@ -247,13 +231,13 @@ class CreditProtocolModel(ProtocolModel):
                 q = list(p)
                 q[CP_FINAL] = F_SEEN
                 q[CP_CONSUMED] += 1
-                emit("deliver_final", i, "receiver", True, False,
+                emit("deliver_final", i, "receiver", False,
                      sh, with_peer(i, q))
             if (self.ud and p[CP_FINAL] == F_FLY
                     and self._avail(p) == 0):
                 q = list(p)
                 q[CP_FINAL] = F_LOST
-                emit("drop_final_no_recv", i, "receiver", True, False,
+                emit("drop_final_no_recv", i, "receiver", False,
                      sh, with_peer(i, q))
 
             # receiver: application releases a held buffer -> repost the
@@ -266,16 +250,14 @@ class CreditProtocolModel(ProtocolModel):
                                           self.bound.credit_frequency)
                 if v is not None:
                     q[CP_CFLY] = self._cfly_add(q[CP_CFLY], v)
-                emit("release", i, "receiver", True, False,
-                     sh, with_peer(i, q))
+                emit("release", i, "receiver", False, sh, with_peer(i, q))
 
             # sender: an in-flight credit value arrives (max-merge)
             for value, rest in self._cfly_arrivals(p[CP_CFLY]):
                 q = list(p)
                 q[CP_CFLY] = rest
                 q[CP_CREDIT] = credit.merge_credit(q[CP_CREDIT], value)
-                emit("credit_arrive", i, "sender", True, False,
-                     sh, with_peer(i, q))
+                emit("credit_arrive", i, "sender", False, sh, with_peer(i, q))
 
             # sender: poll one signaled completion -> buffer reusable
             if not self.multicast and p[CP_CQE] > 0:
@@ -283,7 +265,7 @@ class CreditProtocolModel(ProtocolModel):
                 q[CP_CQE] -= 1
                 nsh = list(sh)
                 nsh[CS_FREE] += 1
-                emit("poll_cqe", i, "sender", False, False,
+                emit("poll_cqe", i, "sender", False,
                      tuple(nsh), with_peer(i, q))
 
             if self.ud:
@@ -295,7 +277,7 @@ class CreditProtocolModel(ProtocolModel):
                 if active and p[CP_POSTED] not in p[CP_CFLY]:
                     q = list(p)
                     q[CP_CFLY] = self._cfly_add(q[CP_CFLY], q[CP_POSTED])
-                    emit("keepalive", i, "receiver", True, False,
+                    emit("keepalive", i, "receiver", False,
                          sh, with_peer(i, q))
 
                 # receiver: drain timeout fires -> detected failure
@@ -305,7 +287,7 @@ class CreditProtocolModel(ProtocolModel):
                         and p[CP_DATA_FLY] == 0):
                     q = list(p)
                     q[CP_FLAGS] = flags | DETECTED
-                    emit("drain_timeout", i, "receiver", True, False,
+                    emit("drain_timeout", i, "receiver", False,
                          sh, with_peer(i, q))
 
         self._fault_successors(sh, peers, emit)
@@ -327,14 +309,13 @@ class CreditProtocolModel(ProtocolModel):
             nsh[CS_FREE] -= 1
             nsh[CS_MC_TOSEND] -= 1
             nsh[CS_MC_CQE] += 1
-            emit("send_group", None, "sender", False, False,
+            emit("send_group", None, "sender", False,
                  tuple(nsh), tuple(npeers))
         if sh[CS_MC_CQE] > 0:
             nsh = list(sh)
             nsh[CS_MC_CQE] -= 1
             nsh[CS_FREE] += 1
-            emit("poll_group_cqe", None, "sender", False, False,
-                 tuple(nsh), peers)
+            emit("poll_group_cqe", None, "sender", False, tuple(nsh), peers)
 
     def _fault_successors(self, sh: Tuple, peers: Tuple, emit) -> None:
         for i, p in enumerate(peers):
@@ -345,7 +326,7 @@ class CreditProtocolModel(ProtocolModel):
                 q[CP_DATA_FLY] -= 1
                 nsh = list(sh)
                 nsh[CS_DLOSS] -= 1
-                emit("lose_data", i, "fabric", False, True,
+                emit("lose_data", i, "fabric", True,
                      tuple(nsh), peers[:i] + (tuple(q),) + peers[i + 1:])
             if self.ud and sh[CS_CLOSS] > 0 and p[CP_CFLY]:
                 for value, rest in self._cfly_arrivals(p[CP_CFLY]):
@@ -353,14 +334,14 @@ class CreditProtocolModel(ProtocolModel):
                     q[CP_CFLY] = rest
                     nsh = list(sh)
                     nsh[CS_CLOSS] -= 1
-                    emit("lose_credit", i, "fabric", False, True,
+                    emit("lose_credit", i, "fabric", True,
                          tuple(nsh), peers[:i] + (tuple(q),) + peers[i + 1:])
             if self.ud and sh[CS_FLOSS] > 0 and p[CP_FINAL] == F_FLY:
                 q = list(p)
                 q[CP_FINAL] = F_LOST
                 nsh = list(sh)
                 nsh[CS_FLOSS] -= 1
-                emit("lose_final", i, "fabric", False, True,
+                emit("lose_final", i, "fabric", True,
                      tuple(nsh), peers[:i] + (tuple(q),) + peers[i + 1:])
         if sh[CS_QPERR] > 0:
             if self.ud:
@@ -369,8 +350,7 @@ class CreditProtocolModel(ProtocolModel):
                     nsh = list(sh)
                     nsh[CS_QPERR] -= 1
                     npeers = tuple(self._wedge(p) for p in peers)
-                    emit("qp_error", None, "fabric", False, True,
-                         tuple(nsh), npeers)
+                    emit("qp_error", None, "fabric", True, tuple(nsh), npeers)
             else:
                 for i, p in enumerate(peers):
                     if p[CP_FLAGS]:
@@ -379,8 +359,7 @@ class CreditProtocolModel(ProtocolModel):
                     nsh[CS_QPERR] -= 1
                     npeers = (peers[:i] + (self._wedge(p),)
                               + peers[i + 1:])
-                    emit("qp_error", i, "fabric", False, True,
-                         tuple(nsh), npeers)
+                    emit("qp_error", i, "fabric", True, tuple(nsh), npeers)
 
     def _wedge(self, p: Tuple) -> Tuple:
         """QP enters ERROR: in-flight messages vanish, outstanding
@@ -557,16 +536,6 @@ class RingProtocolModel(ProtocolModel):
                 and p[WR_HELD] == 0 and p[WR_FFLY] == 0
                 and p[WR_RFREE] == self.bound.window)
 
-    def por_shared_gated(self, state: Any, peer: int) -> bool:
-        p = state[1 + peer]
-        if self.role == "read":
-            # produce_valid is blocked on the shared pool alone while
-            # data remains; another peer's free_arrive would enable it.
-            return p[RD_TO_SEND] > 0
-        # write_data with a known-free remote buffer is blocked on the
-        # shared pool alone; another peer's poll_write_cqe enables it.
-        return p[WR_TO_SEND] > 0 and p[WR_RFREE] > 0
-
     # -- transitions --------------------------------------------------------
 
     def successors(self, state: Any) -> List[Tuple[Action, Any]]:
@@ -574,10 +543,10 @@ class RingProtocolModel(ProtocolModel):
         peers = state[1:]
         out: List[Tuple[Action, Any]] = []
 
-        def emit(name: str, peer: int, site: str, local: bool, fault: bool,
+        def emit(name: str, peer: int, site: str, fault: bool,
                  nsh: Tuple, q: List) -> None:
             npeers = peers[:peer] + (tuple(q),) + peers[peer + 1:]
-            out.append((Action(name, peer, site, local, fault),
+            out.append((Action(name, peer, site, fault),
                         (nsh,) + npeers))
 
         step = (self._read_successors if self.role == "read"
@@ -589,11 +558,11 @@ class RingProtocolModel(ProtocolModel):
                     q = list(p)
                     q[WR_WCQE] -= 1
                     nsh = (sh[RS_FREE] + 1, sh[RS_QPERR])
-                    emit("poll_write_cqe", i, "sender", False, False, nsh, q)
+                    emit("poll_write_cqe", i, "sender", False, nsh, q)
                 continue
             step(sh, p, i, emit)
             if sh[RS_QPERR] > 0:
-                emit("qp_error", i, "fabric", False, True,
+                emit("qp_error", i, "fabric", True,
                      (sh[RS_FREE], sh[RS_QPERR] - 1), self._wedge(p))
         return out
 
@@ -603,25 +572,25 @@ class RingProtocolModel(ProtocolModel):
             q = list(p)
             q[RD_TO_SEND] -= 1
             q[RD_VFLY_D] += 1
-            emit("produce_valid", i, "sender", False, False,
+            emit("produce_valid", i, "sender", False,
                  (sh[RS_FREE] - 1, sh[RS_QPERR]), q)
         # sender: produce the final marker (reserved buffer, no pool)
         if p[RD_TO_SEND] == 0 and not p[RD_FINAL_SENT]:
             q = list(p)
             q[RD_FINAL_SENT] = 1
             q[RD_VFLY_F] += 1
-            emit("produce_valid_final", i, "sender", True, False, sh, q)
+            emit("produce_valid_final", i, "sender", False, sh, q)
         # receiver: a ValidArr write lands (RC FIFO: finals after data)
         if p[RD_VFLY_D] > 0:
             q = list(p)
             q[RD_VFLY_D] -= 1
             q[RD_PEND_D] += 1
-            emit("valid_arrive", i, "receiver", True, False, sh, q)
+            emit("valid_arrive", i, "receiver", False, sh, q)
         if p[RD_VFLY_F] > 0 and p[RD_VFLY_D] == 0:
             q = list(p)
             q[RD_VFLY_F] -= 1
             q[RD_PEND_F] += 1
-            emit("valid_arrive_final", i, "receiver", True, False, sh, q)
+            emit("valid_arrive_final", i, "receiver", False, sh, q)
         # receiver: the pump joins pending addresses with local buffers
         # (FIFO over pending_remote, so the final reads after the data)
         if p[RD_PEND_D] > 0 and p[RD_LFREE] > 0:
@@ -629,43 +598,43 @@ class RingProtocolModel(ProtocolModel):
             q[RD_PEND_D] -= 1
             q[RD_LFREE] -= 1
             q[RD_RFLY_D] += 1
-            emit("post_read", i, "receiver", True, False, sh, q)
+            emit("post_read", i, "receiver", False, sh, q)
         if p[RD_PEND_F] > 0 and p[RD_PEND_D] == 0 and p[RD_LFREE] > 0:
             q = list(p)
             q[RD_PEND_F] -= 1
             q[RD_LFREE] -= 1
             q[RD_RFLY_F] += 1
-            emit("post_read_final", i, "receiver", True, False, sh, q)
+            emit("post_read_final", i, "receiver", False, sh, q)
         # receiver: a Read completes
         if p[RD_RFLY_D] > 0:
             q = list(p)
             q[RD_RFLY_D] -= 1
             q[RD_HELD] += 1
-            emit("read_done", i, "receiver", True, False, sh, q)
+            emit("read_done", i, "receiver", False, sh, q)
         if p[RD_RFLY_F] > 0:
             q = list(p)
             q[RD_RFLY_F] -= 1
             q[RD_FINAL_SEEN] = 1
             q[RD_LFREE] += 1      # marker read: local buffer recycles now
             q[RD_FFLY_F] += 1     # return the marker through FreeArr
-            emit("read_done_final", i, "receiver", True, False, sh, q)
+            emit("read_done_final", i, "receiver", False, sh, q)
         # receiver: application releases a held buffer
         if p[RD_HELD] > 0:
             q = list(p)
             q[RD_HELD] -= 1
             q[RD_LFREE] += 1
             q[RD_FFLY_D] += 1
-            emit("release", i, "receiver", True, False, sh, q)
+            emit("release", i, "receiver", False, sh, q)
         # sender: a FreeArr return lands -> pool buffer recycles
         if p[RD_FFLY_D] > 0:
             q = list(p)
             q[RD_FFLY_D] -= 1
-            emit("free_arrive", i, "sender", False, False,
+            emit("free_arrive", i, "sender", False,
                  (sh[RS_FREE] + 1, sh[RS_QPERR]), q)
         if p[RD_FFLY_F] > 0:
             q = list(p)
             q[RD_FFLY_F] -= 1
-            emit("free_arrive_final", i, "sender", True, False, sh, q)
+            emit("free_arrive_final", i, "sender", False, sh, q)
 
     def _write_successors(self, sh: Tuple, p: Tuple, i: int, emit) -> None:
         # sender: pop a free remote buffer, Write data + notification
@@ -675,13 +644,13 @@ class RingProtocolModel(ProtocolModel):
             q[WR_RFREE] -= 1
             q[WR_WCQE] += 1
             q[WR_NVALID_D] += 1
-            emit("write_data", i, "sender", False, False,
+            emit("write_data", i, "sender", False,
                  (sh[RS_FREE] - 1, sh[RS_QPERR]), q)
         # sender: the signaled data Write completes -> local buffer free
         if p[WR_WCQE] > 0:
             q = list(p)
             q[WR_WCQE] -= 1
-            emit("poll_write_cqe", i, "sender", False, False,
+            emit("poll_write_cqe", i, "sender", False,
                  (sh[RS_FREE] + 1, sh[RS_QPERR]), q)
         # sender: the final marker still consumes a remote buffer
         if p[WR_TO_SEND] == 0 and not p[WR_FINAL_SENT] and p[WR_RFREE] > 0:
@@ -689,32 +658,32 @@ class RingProtocolModel(ProtocolModel):
             q[WR_RFREE] -= 1
             q[WR_FINAL_SENT] = 1
             q[WR_NVALID_F] += 1
-            emit("write_final", i, "sender", True, False, sh, q)
+            emit("write_final", i, "sender", False, sh, q)
         # receiver: a ValidArr notification lands (RC ordering: the data
         # Write on the same QP landed first; finals after data)
         if p[WR_NVALID_D] > 0:
             q = list(p)
             q[WR_NVALID_D] -= 1
             q[WR_HELD] += 1
-            emit("valid_arrive", i, "receiver", True, False, sh, q)
+            emit("valid_arrive", i, "receiver", False, sh, q)
         if p[WR_NVALID_F] > 0 and p[WR_NVALID_D] == 0:
             q = list(p)
             q[WR_NVALID_F] -= 1
             q[WR_FINAL_SEEN] = 1
             q[WR_FFLY] += 1       # final's buffer returns straight away
-            emit("valid_arrive_final", i, "receiver", True, False, sh, q)
+            emit("valid_arrive_final", i, "receiver", False, sh, q)
         # receiver: application releases a held buffer through FreeArr
         if p[WR_HELD] > 0:
             q = list(p)
             q[WR_HELD] -= 1
             q[WR_FFLY] += 1
-            emit("release", i, "receiver", True, False, sh, q)
+            emit("release", i, "receiver", False, sh, q)
         # sender: a FreeArr return lands -> remote buffer known free
         if p[WR_FFLY] > 0:
             q = list(p)
             q[WR_FFLY] -= 1
             q[WR_RFREE] += 1
-            emit("free_arrive", i, "sender", True, False, sh, q)
+            emit("free_arrive", i, "sender", False, sh, q)
 
     def _wedge(self, p: Tuple) -> List:
         q = [0] * len(p)

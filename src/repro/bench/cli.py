@@ -86,8 +86,9 @@ def main(argv=None) -> int:
                         help="record causal link telemetry and dump a "
                              "schema-versioned RunReport (latency "
                              "attribution, percentiles, port utilization) "
-                             "as JSON; diff two reports with "
-                             "'python -m repro.obs diff'")
+                             "as JSON; 'python -m repro.obs diff BASE "
+                             "FRESH' fails unless the aggregates are "
+                             "equal")
     parser.add_argument("--trace", metavar="PATH",
                         help="record a Chrome trace-event file of every "
                              "simulated run (load in Perfetto / "

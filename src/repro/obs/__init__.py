@@ -10,7 +10,7 @@ turns one simulated shuffle into an explanation:
   delivery;
 * :func:`build_run_report` / :func:`render_markdown` — schema-versioned
   JSON reports (``repro-bench --report``) and their human rendering;
-* :func:`diff` — the regression gate behind ``python -m repro.obs diff``.
+* :func:`diff` — the exact baseline check behind ``python -m repro.obs diff``.
 
 See the "Observability" section of DESIGN.md for the model.
 """

@@ -2,7 +2,7 @@
 
 Subcommands::
 
-    python -m repro.obs diff baseline.json fresh.json   # regression gate
+    python -m repro.obs diff baseline.json fresh.json   # exact baseline check
     python -m repro.obs render report.json [-o out.md]  # markdown view
 """
 
@@ -23,7 +23,7 @@ def main(argv=None) -> int:
 
     sub.add_parser(
         "diff", add_help=False,
-        help="compare a fresh report against a baseline (see "
+        help="check a fresh report equals a baseline (see "
              "repro.obs.diff)")
 
     render = sub.add_parser("render", help="render a report as markdown")

@@ -1,23 +1,23 @@
 """Run-diff gate for ``repro.obs`` report documents.
 
-Usage (the human summary of the CI observability job, and by hand when
-chasing a perf bug)::
+Usage (the CI observability gate, and by hand when chasing a perf
+bug)::
 
     python -m repro.obs diff baseline.json fresh.json
 
-Compares a fresh report against a committed baseline
-experiment-by-experiment and fails (exit 1, ``REGRESSION:`` lines on
-stderr) when
+The simulation is deterministic, so the check is exact: each baseline
+experiment's ``aggregate`` must equal the fresh one (``==``), the
+schema must match, and an experiment missing from the fresh report
+fails.  Any difference is a model change; when one is intended,
+regenerate the baseline (``repro-bench ... --report``, strip ``runs``)
+in the same change.
 
-* an aggregate message-latency percentile (p50/p90/p99) *rose* more than
-  ``--threshold`` (default 25%), or
-* an attribution share *shifted* more than ``--attr-threshold-pp``
-  percentage points in either direction — time silently migrating from
-  ``wire_serialization`` into ``credit_stall`` is exactly the kind of
-  behavioral drift a throughput number can hide.
-
-``--warn-only`` downgrades failures to warnings for advisory CI lanes.
-The thresholds pass real model changes; CI enforces :func:`exact`.
+The command prints one summary line per fresh experiment and exits 1
+iff anything differs.  For each experiment that differs it names the
+first differing key, the p50/p90/p99 change in %, and every non-zero
+attribution-share shift in percentage points, largest first — time
+migrating from ``wire_serialization`` into ``credit_stall`` is exactly
+the kind of behavioral drift a throughput number can hide.
 """
 
 from __future__ import annotations
@@ -30,15 +30,9 @@ from typing import Any, Dict, List, Optional
 from repro.obs.critical_path import CATEGORIES
 from repro.obs.report import REPORT_SCHEMA
 
-__all__ = ["diff", "exact", "main"]
+__all__ = ["diff", "main"]
 
-#: default tolerated relative rise of a latency percentile.
-DEFAULT_THRESHOLD = 0.25
-
-#: default tolerated attribution-share shift, in percentage points.
-DEFAULT_ATTR_THRESHOLD_PP = 5.0
-
-#: aggregate percentile keys the gate watches (latency: higher is worse).
+#: aggregate latency percentiles whose change a difference reports.
 PERCENTILE_KEYS = ("p50", "p90", "p99")
 
 
@@ -51,58 +45,6 @@ def _check_schema(document: Dict[str, Any], label: str) -> List[str]:
         return [f"{label}: schema version {schema.get('version')!r} != "
                 f"expected {REPORT_SCHEMA['version']}"]
     return []
-
-
-def diff(baseline: Dict[str, Any], fresh: Dict[str, Any],
-         threshold: float = DEFAULT_THRESHOLD,
-         attr_threshold_pp: float = DEFAULT_ATTR_THRESHOLD_PP) -> List[str]:
-    """Return a list of human-readable failures (empty = gate passes)."""
-    failures: List[str] = []
-    failures += _check_schema(baseline, "baseline")
-    failures += _check_schema(fresh, "fresh")
-    if failures:
-        return failures
-    base_exps = {e["name"]: e for e in baseline.get("experiments", [])}
-    fresh_exps = {e["name"]: e for e in fresh.get("experiments", [])}
-    if not base_exps:
-        return ["baseline document has no experiments"]
-    for name, base in base_exps.items():
-        current = fresh_exps.get(name)
-        if current is None:
-            failures.append(f"{name}: missing from fresh report")
-            continue
-        base_agg = base.get("aggregate") or {}
-        cur_agg = current.get("aggregate") or {}
-
-        base_lat = base_agg.get("latency_ns", {})
-        cur_lat = cur_agg.get("latency_ns", {})
-        for key in PERCENTILE_KEYS:
-            base_value = base_lat.get(key)
-            cur_value = cur_lat.get(key)
-            if not base_value or cur_value is None:
-                continue
-            change = (cur_value - base_value) / base_value
-            if change > threshold:
-                failures.append(
-                    f"{name}: latency {key} rose {change:.1%} past the "
-                    f"{threshold:.0%} gate ({base_value:,.0f}ns -> "
-                    f"{cur_value:,.0f}ns)")
-
-        base_shares = base_agg.get("attribution", {}).get("shares", {})
-        cur_shares = cur_agg.get("attribution", {}).get("shares", {})
-        if base_shares and cur_shares:
-            for category in CATEGORIES:
-                shift_pp = 100.0 * (cur_shares.get(category, 0.0)
-                                    - base_shares.get(category, 0.0))
-                if abs(shift_pp) > attr_threshold_pp:
-                    failures.append(
-                        f"{name}: {category} share shifted "
-                        f"{shift_pp:+.1f}pp past the "
-                        f"{attr_threshold_pp:.0f}pp gate "
-                        f"({100.0 * base_shares.get(category, 0.0):.1f}% "
-                        f"-> "
-                        f"{100.0 * cur_shares.get(category, 0.0):.1f}%)")
-    return failures
 
 
 def _first_difference(base: Any, fresh: Any, path: str) -> Optional[str]:
@@ -119,25 +61,52 @@ def _first_difference(base: Any, fresh: Any, path: str) -> Optional[str]:
     return None
 
 
-def exact(baseline: Dict[str, Any], fresh: Dict[str, Any]) -> List[str]:
-    """The enforcing gate: each baseline experiment's ``aggregate`` must
-    equal the fresh one (the simulation is deterministic); a failure
-    names the experiment and the first differing key."""
+def _changes(base: Dict[str, Any], fresh: Dict[str, Any]) -> List[str]:
+    """The latency-percentile changes and attribution-share shifts
+    between two differing aggregates, one indented line each."""
+    lines: List[str] = []
+    base_lat = base.get("latency_ns", {})
+    fresh_lat = fresh.get("latency_ns", {})
+    moves = [f"{key} {(fresh_lat[key] - base_lat[key]) / base_lat[key]:+.1%}"
+             for key in PERCENTILE_KEYS
+             if base_lat.get(key) and fresh_lat.get(key) is not None]
+    if moves:
+        lines.append("  latency " + ", ".join(moves))
+    base_shares = base.get("attribution", {}).get("shares", {})
+    fresh_shares = fresh.get("attribution", {}).get("shares", {})
+    shifts = [(fresh_shares.get(c, 0.0), base_shares.get(c, 0.0), c)
+              for c in CATEGORIES
+              if fresh_shares.get(c, 0.0) != base_shares.get(c, 0.0)]
+    shifts.sort(key=lambda s: -abs(s[0] - s[1]))
+    lines += [f"  {c} share {100.0 * (new - old):+.1f}pp "
+              f"({100.0 * old:.1f}% -> {100.0 * new:.1f}%)"
+              for new, old, c in shifts]
+    return lines
+
+
+def diff(baseline: Dict[str, Any], fresh: Dict[str, Any]) -> List[str]:
+    """Every way ``fresh`` differs from ``baseline``, as human-readable
+    lines (empty = the gate passes).  A differing experiment contributes
+    ``"<name>: <first differing key> differs from the baseline"``
+    followed by its :func:`_changes` lines."""
     failures = _check_schema(baseline, "baseline") + _check_schema(
         fresh, "fresh")
     if failures:
         return failures
+    if not baseline.get("experiments"):
+        return ["baseline document has no experiments"]
     fresh_exps = {e["name"]: e for e in fresh.get("experiments", [])}
-    for base in baseline.get("experiments", []):
+    for base in baseline["experiments"]:
         name = base["name"]
         if name not in fresh_exps:
             failures.append(f"{name}: missing from fresh report")
             continue
-        where = _first_difference(base.get("aggregate"),
-                                  fresh_exps[name].get("aggregate"),
-                                  "aggregate")
+        base_agg = base.get("aggregate")
+        fresh_agg = fresh_exps[name].get("aggregate")
+        where = _first_difference(base_agg, fresh_agg, "aggregate")
         if where:
             failures.append(f"{name}: {where} differs from the baseline")
+            failures += _changes(base_agg or {}, fresh_agg or {})
     return failures
 
 
@@ -154,22 +123,11 @@ def _summary_line(name: str, entry: Dict[str, Any]) -> str:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro.obs diff",
-        description="Fail if a fresh obs report regressed past the "
-                    "committed baseline.",
+        description="Fail unless every experiment's aggregate in a fresh "
+                    "obs report equals the committed baseline's.",
     )
     parser.add_argument("baseline", help="committed baseline report JSON")
     parser.add_argument("fresh", help="freshly generated report JSON")
-    parser.add_argument("--threshold", type=float,
-                        default=DEFAULT_THRESHOLD,
-                        help="tolerated relative latency-percentile rise "
-                             "(default 0.25 = 25%%)")
-    parser.add_argument("--attr-threshold-pp", type=float,
-                        default=DEFAULT_ATTR_THRESHOLD_PP,
-                        help="tolerated attribution-share shift in "
-                             "percentage points (default 5.0)")
-    parser.add_argument("--warn-only", action="store_true",
-                        help="report regressions but exit 0 (advisory "
-                             "CI lanes)")
     args = parser.parse_args(argv)
 
     with open(args.baseline) as fh:
@@ -177,23 +135,14 @@ def main(argv=None) -> int:
     with open(args.fresh) as fh:
         fresh = json.load(fh)
 
-    fresh_exps = {e["name"]: e for e in fresh.get("experiments", [])}
-    for name, entry in fresh_exps.items():
-        print(_summary_line(name, entry))
+    for entry in fresh.get("experiments", []):
+        print(_summary_line(entry["name"], entry))
 
-    failures = diff(baseline, fresh, threshold=args.threshold,
-                    attr_threshold_pp=args.attr_threshold_pp)
+    failures = diff(baseline, fresh)
     if failures:
-        print()
-        for failure in failures:
-            print(f"REGRESSION: {failure}", file=sys.stderr)
-        if args.warn_only:
-            print("obs diff: regressions found (warn-only mode)",
-                  file=sys.stderr)
-            return 0
+        print(*failures, sep="\n", file=sys.stderr)
         return 1
-    print(f"\nobs diff passed (latency {args.threshold:.0%}, "
-          f"attribution {args.attr_threshold_pp:.0f}pp)")
+    print("obs diff: every experiment equals the baseline")
     return 0
 
 

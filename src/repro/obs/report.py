@@ -6,8 +6,8 @@ utilization + sanitizer summary per simulated cluster, grouped by
 experiment.  The document is fully deterministic — it contains only
 simulated-time quantities, never wall-clock — so two identical runs
 produce *byte-identical* reports (asserted by the determinism suite) and
-``python -m repro.obs diff`` can gate regressions against a committed
-baseline.
+``python -m repro.obs diff`` checks them for equality against a
+committed baseline.
 
 Produced by ``repro-bench <experiment> --report out.json`` (via
 :class:`~repro.telemetry.session.TelemetrySession`) or directly from a

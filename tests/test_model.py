@@ -1,7 +1,7 @@
 """Bounded model checking of the shuffle flow-control protocols.
 
-Covers the checker itself (exploration, partial-order reduction,
-property evaluation, counterexample rendering, CLI) and the protocol
+Covers the checker itself (exploration, bound validation, property
+evaluation, counterexample rendering, CLI) and the protocol
 facts it proves about the real designs:
 
 * all five registered kinds verify clean at small bounds;
@@ -25,8 +25,6 @@ from repro.analysis.model import (
     ModelBound,
     RingProtocolModel,
     check_kind,
-    check_model,
-    explore,
     extract_model,
     modeled_kinds,
     parse_bound,
@@ -39,10 +37,11 @@ from repro.core.transport.credit import merge_credit
 #: any per-stream behaviour (streams only couple through the pool).
 FAST = {"SR_UD": parse_bound("peers=1"), "SR_UD_MC": parse_bound("peers=1")}
 
-#: (states, transitions) each kind explores at its bound above: a change
-#: to how a model is built must not change what it explores.
+#: (states, transitions) of each kind's full state graph at its bound
+#: above: a change to how a model is built must not change what it
+#: explores.
 SIZES = {"SR_UD": (720, 2738), "SR_UD_MC": (720, 2794),
-         "RD_RC": (1106, 2204), "SR_RC": (423, 878), "WR_RC": (2113, 5818)}
+         "RD_RC": (2080, 6226), "SR_RC": (562, 1548), "WR_RC": (3121, 11812)}
 
 #: §4.4.1 starvation instance: 4 messages, window 2, write-back only
 #: every 4th Receive — the sender runs dry two messages short.
@@ -95,26 +94,6 @@ class TestFaultBudgets:
         assert result.status_of("eventual-delivery").status == "fail"
 
 
-class TestPartialOrderReduction:
-    @pytest.mark.parametrize("kind", ["SR_RC", "WR_RC"])
-    def test_reduction_preserves_verdicts(self, kind):
-        full = check_model(extract_model(kind), por=False)
-        reduced = check_model(extract_model(kind), por=True)
-        assert [(p.name, p.status) for p in full.properties] == \
-            [(p.name, p.status) for p in reduced.properties]
-        assert reduced.explored.states <= full.explored.states
-
-    def test_reduction_actually_reduces(self):
-        full = explore(extract_model("SR_RC"), por=False)
-        reduced = explore(extract_model("SR_RC"), por=True)
-        assert reduced.states < full.states
-
-    def test_failing_verdicts_come_from_the_full_graph(self):
-        result = check_kind("SR_RC", STARVE, por=True)
-        assert not result.passed
-        assert not result.explored.por  # checker re-ran without POR
-
-
 class TestBoundsAndExtraction:
     def test_parse_bound_overrides(self):
         bound = parse_bound("messages=4,window=3")
@@ -128,6 +107,30 @@ class TestBoundsAndExtraction:
     def test_parse_bound_rejects_non_integer(self):
         with pytest.raises(ValueError):
             parse_bound("messages=two")
+
+    @pytest.mark.parametrize("spec, field, value", [
+        ("peers=0", "peers", 0),
+        ("window=0", "window", 0),
+        ("credit_frequency=0", "credit_frequency", 0),
+        ("sender_buffers=0", "sender_buffers", 0),
+        ("max_states=0", "max_states", 0),
+        ("messages=-1", "messages", -1),
+        ("data_loss=-1", "data_loss", -1),
+        ("credit_loss=-1", "credit_loss", -1),
+        ("final_loss=-1", "final_loss", -1),
+        ("qp_errors=-1", "qp_errors", -1),
+    ])
+    def test_bound_rejects_out_of_range_values(self, spec, field, value,
+                                               capsys):
+        with pytest.raises(ValueError, match=f"{field} .*got {value}$"):
+            parse_bound(spec)
+        with pytest.raises(SystemExit) as exit_info:
+            main(["model", "--kind", "SR_RC", "--bound", spec])
+        assert exit_info.value.code == 2
+        assert f"{field} must be >=" in capsys.readouterr().err
+
+    def test_zero_messages_is_a_legal_bound(self):
+        assert check_kind("SR_RC", parse_bound("messages=0")).passed
 
     def test_empty_spec_is_the_default_bound(self):
         assert parse_bound("") == ModelBound()

@@ -11,7 +11,7 @@ Three layers of coverage:
 * the recording substrate — enabling it must not move simulated time by
   a single nanosecond, and a dry budget degrades gracefully;
 * the tooling — percentile helpers, report documents, markdown
-  rendering, and the ``python -m repro.obs diff`` regression gate.
+  rendering, and the ``python -m repro.obs diff`` exact baseline check.
 """
 
 import copy
@@ -32,7 +32,7 @@ from repro.obs import (
     critical_path,
     render_markdown,
 )
-from repro.obs.diff import diff, exact, main as diff_main
+from repro.obs.diff import diff, main as diff_main
 from repro.obs.__main__ import main as obs_main
 from repro.telemetry import FlowRecorder, TraceBudget, latency_summary, percentile
 from repro.telemetry.session import session
@@ -368,52 +368,59 @@ def _document(p99=1000.0, wire=0.8, credit=0.1):
     }
 
 
+def _shifted():
+    """1.5 pp of wire time moved into setup, percentiles up 20 %: small,
+    and still a model change."""
+    shifted = _document(p99=1200.0)
+    attribution = shifted["experiments"][0]["aggregate"]["attribution"]
+    attribution["categories"]["wire_serialization"] -= 15
+    attribution["categories"]["setup"] += 15
+    for name in ("wire_serialization", "setup"):
+        attribution["shares"][name] = attribution["categories"][name] / 1000
+    return shifted
+
+
 class TestDiffGate:
     def test_identical_reports_pass(self):
         assert diff(_document(), _document()) == []
 
     def test_percentile_regression_fails(self):
         failures = diff(_document(p99=1000.0), _document(p99=1400.0))
-        assert any("p99 rose" in f for f in failures)
+        assert "  latency p50 +40.0%, p90 +40.0%, p99 +40.0%" in failures
 
     def test_attribution_shift_fails(self):
         failures = diff(_document(wire=0.8, credit=0.1),
                         _document(wire=0.6, credit=0.3))
-        assert any("credit_stall share shifted" in f for f in failures)
+        assert "  credit_stall share +20.0pp (10.0% -> 30.0%)" in failures
 
     def test_schema_mismatch_fails(self):
         bad = _document()
         bad["schema"]["version"] = 99
         assert diff(_document(), bad)
 
-    def test_threshold_is_respected(self):
-        failures = diff(_document(p99=1000.0), _document(p99=1100.0))
-        assert failures == []  # 10% < 25% default gate
+    def test_empty_baseline_fails(self):
+        empty = {"schema": dict(REPORT_SCHEMA), "experiments": []}
+        assert diff(empty, _document()) == [
+            "baseline document has no experiments"]
 
-    def test_exact_gate_fails_what_the_thresholds_let_through(self):
-        # 1.5 pp of wire time moved into setup, percentiles up 20 %:
-        # under both thresholds, and still a model change.
-        shifted = _document(p99=1200.0)
-        attribution = shifted["experiments"][0]["aggregate"]["attribution"]
-        attribution["categories"]["wire_serialization"] -= 15
-        attribution["categories"]["setup"] += 15
-        for name in ("wire_serialization", "setup"):
-            attribution["shares"][name] = (
-                attribution["categories"][name] / 1000)
-        assert diff(_document(), shifted) == []
-        assert exact(_document(), shifted) == [
+    def test_small_shift_fails_with_key_percentiles_and_shares(self):
+        assert diff(_document(), _shifted()) == [
             "fig8: aggregate.attribution.categories.wire_serialization "
-            "differs from the baseline"]
+            "differs from the baseline",
+            "  latency p50 +20.0%, p90 +20.0%, p99 +20.0%",
+            "  wire_serialization share -1.5pp (80.0% -> 78.5%)",
+            "  setup share +1.5pp (0.0% -> 1.5%)"]
 
     def test_exact_gate_passes_equal_aggregates_only(self):
         fresh = _document()
         fresh["experiments"][0]["runs"] = [{"ignored": True}]
-        assert exact(_document(), fresh) == []
+        assert diff(_document(), fresh) == []
         fresh["experiments"][0]["aggregate"]["latency_ns"]["extra"] = 1
-        assert exact(_document(), fresh) == [
-            "fig8: aggregate.latency_ns.extra differs from the baseline"]
+        assert diff(_document(), fresh) == [
+            "fig8: aggregate.latency_ns.extra differs from the baseline",
+            "  latency p50 +0.0%, p90 +0.0%, p99 +0.0%"]
         fresh["experiments"][0]["name"] = "fig9"
-        assert exact(_document(), fresh) == [
+        assert diff(_document(), fresh) == [
             "fig8: missing from fresh report"]
 
     def write(self, tmp_path, name, document):
@@ -421,26 +428,30 @@ class TestDiffGate:
         path.write_text(json.dumps(document))
         return str(path)
 
-    def test_cli_exits_nonzero_on_injected_regression(self, tmp_path,
-                                                      capsys):
-        base = self.write(tmp_path, "base.json", _document(p99=1000.0))
-        regressed = self.write(tmp_path, "fresh.json",
-                               _document(p99=2000.0))
-        assert diff_main([base, regressed]) == 1
-        assert "REGRESSION" in capsys.readouterr().err
-
     def test_cli_passes_identical_reports(self, tmp_path, capsys):
         base = self.write(tmp_path, "base.json", _document())
         fresh = self.write(tmp_path, "fresh.json", _document())
         assert diff_main([base, fresh]) == 0
-        assert "passed" in capsys.readouterr().out
+        out = capsys.readouterr().out
+        assert "fig8: top=wire_serialization p99=1,000ns runs=1" in out
+        assert "equals the baseline" in out
 
-    def test_cli_warn_only_downgrades_to_zero(self, tmp_path, capsys):
-        base = self.write(tmp_path, "base.json", _document(p99=1000.0))
-        regressed = self.write(tmp_path, "fresh.json",
-                               _document(p99=2000.0))
-        assert diff_main([base, regressed, "--warn-only"]) == 0
-        assert "REGRESSION" in capsys.readouterr().err
+    def test_cli_exits_nonzero_on_injected_regression(self, tmp_path,
+                                                      capsys):
+        base = self.write(tmp_path, "base.json", _document())
+        fresh = self.write(tmp_path, "fresh.json", _shifted())
+        assert diff_main([base, fresh]) == 1
+        err = capsys.readouterr().err
+        assert "aggregate.attribution.categories.wire_serialization" in err
+        assert "p99 +20.0%" in err
+        assert "setup share +1.5pp" in err
+
+    def test_cli_has_no_warn_only(self, tmp_path, capsys):
+        base = self.write(tmp_path, "base.json", _document())
+        fresh = self.write(tmp_path, "fresh.json", _shifted())
+        with pytest.raises(SystemExit) as exit_info:
+            diff_main([base, fresh, "--warn-only"])
+        assert exit_info.value.code == 2
 
     def test_module_entry_point_dispatches_diff(self, tmp_path):
         base = self.write(tmp_path, "base.json", _document())
