@@ -198,5 +198,5 @@ def check_model(model: ProtocolModel) -> CheckResult:
 
 
 def check_kind(kind: str, bound: Optional[ModelBound] = None) -> CheckResult:
-    """Extract and check the protocol model of a registered kind."""
+    """Extract and check the protocol model of an endpoint kind."""
     return check_model(extract_model(kind, bound))

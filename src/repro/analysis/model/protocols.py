@@ -18,8 +18,9 @@ max-merge (:func:`~repro.core.transport.credit.merge_credit`) and each
 one-sided design's ring caps (``read_rc.ring_caps`` /
 ``write_rc.ring_caps``).  Whether a credited kind rides UD — lossy,
 unordered credit datagrams with keepalive, message loss, completions at
-send time, one shared QP — is the registry's ``uses_ud`` bit; every
-kind may lose a QP to the error state.
+send time, one shared QP — is the ``uses_ud`` bit of its row in
+:data:`~repro.core.designs.ENDPOINT_KINDS`; every kind may lose a QP to
+the error state.
 
 State layout (all plain nested tuples, hashable):
 
@@ -38,8 +39,8 @@ from __future__ import annotations
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.core import read_rc, write_rc
+from repro.core.designs import ENDPOINT_KINDS
 from repro.core.transport import credit
-from repro.core.transport.registry import backend
 
 from repro.analysis.model.core import Action, ModelBound, ProtocolModel
 
@@ -94,7 +95,7 @@ class CreditProtocolModel(ProtocolModel):
         #: the signaled send completes locally (RC: after the hardware
         #: ack, i.e. after delivery); one shared QP, so a QP error takes
         #: down every stream at once.
-        self.ud = backend(name).uses_ud
+        self.ud = ENDPOINT_KINDS[name].uses_ud
 
     # -- state helpers ------------------------------------------------------
 

@@ -4,10 +4,11 @@ The endpoint designs live or die by protocol discipline (§4.2, §4.4):
 receives are provisioned before the matching sends, a transmission buffer
 is untouchable until its signaled completion has been polled, credit is
 never driven negative, and the FreeArr/ValidArr circular queues only ever
-carry addresses their consumer exposed.  The five built-in designs honour
-these invariants implicitly; a *new* backend registered through
-:mod:`repro.core.transport.registry` can silently violate them and still
-produce a plausible-looking simulation result.
+carry addresses their consumer exposed.  The built-in endpoint kinds honour
+these invariants implicitly; a *new* endpoint kind — a send/receive
+class pair in an :class:`~repro.core.designs.EndpointKind` — can
+silently violate them and still produce a plausible-looking simulation
+result.
 
 :class:`Sanitizer` is a zero-overhead-when-off checker consulted by the
 verbs objects (:mod:`repro.verbs.qp` / ``cq`` / ``memory``), the buffer

@@ -15,8 +15,8 @@ The paper compares its RDMA-aware designs against:
   sender posting RC Sends from a single buffer, a receiver that never
   touches the data.
 
-MPI and IPoIB implement the §4.2 endpoint interface and register their
-endpoint kinds like the RDMA implementations do, so they are ordinary
+MPI and IPoIB implement the §4.2 endpoint interface and are rows of the
+endpoint-kind table like the RDMA implementations, so they are ordinary
 entries of :data:`repro.core.designs.DESIGNS` (``"MPI"``, ``"IPoIB"``).
 """
 

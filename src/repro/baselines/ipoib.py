@@ -27,7 +27,6 @@ from __future__ import annotations
 from typing import Any, Callable, Dict, List, Sequence
 
 from repro.core.endpoint import DataState, Frame
-from repro.core.transport.registry import register_endpoint_kind
 from repro.core.transport.runtime import ReceiveEndpoint, SendEndpoint
 from repro.fabric.packet import Packet, make_train
 from repro.memory import Buffer
@@ -131,7 +130,6 @@ def _no_registration(self, nbytes: int):
 class IPoIBSendEndpoint(SendEndpoint):
     """Socket-based SEND endpoint (one connection per destination)."""
 
-    transport = "IPoIB"
     _charge_registration = _no_registration
 
     def setup(self, registry: EndpointRegistry):
@@ -165,7 +163,6 @@ class IPoIBSendEndpoint(SendEndpoint):
 class IPoIBReceiveEndpoint(ReceiveEndpoint):
     """Socket-based RECEIVE endpoint: select() over per-source sockets."""
 
-    transport = "IPoIB"
     _charge_registration = _no_registration
 
     def setup(self, registry: EndpointRegistry):
@@ -214,8 +211,3 @@ class IPoIBReceiveEndpoint(ReceiveEndpoint):
         self._avail.append(local)
         return
         yield  # pragma: no cover - nothing to repost for sockets
-
-
-register_endpoint_kind(
-    "IPOIB", IPoIBSendEndpoint, IPoIBReceiveEndpoint,
-    description="TCP sockets over InfiniBand baseline (§5.1)")

@@ -43,7 +43,6 @@ from repro.core.endpoint import (
     EndpointConfig,
     Frame,
 )
-from repro.core.transport.registry import register_endpoint_kind
 from repro.core.transport.runtime import ReceiveEndpoint, SendEndpoint
 from repro.fabric.packet import Packet, make_train
 from repro.memory import Buffer
@@ -286,8 +285,6 @@ class MPIRuntime:
 class MPISendEndpoint(SendEndpoint):
     """The paper's MPI endpoint, send side (blocking MPI_Send per peer)."""
 
-    transport = "MPI"
-
     def __init__(self, ctx: VerbsContext, endpoint_id: int,
                  config: EndpointConfig, destinations: Sequence[int],
                  num_groups: int, peers: Dict[int, int]):
@@ -333,8 +330,6 @@ class MPISendEndpoint(SendEndpoint):
 
 class MPIReceiveEndpoint(ReceiveEndpoint):
     """The paper's MPI endpoint, receive side (MPI_Irecv + Test)."""
-
-    transport = "MPI"
 
     def __init__(self, ctx: VerbsContext, endpoint_id: int,
                  config: EndpointConfig,
@@ -387,8 +382,3 @@ class MPIReceiveEndpoint(ReceiveEndpoint):
         self._avail.append(local)
         return
         yield  # pragma: no cover - nothing to post in MPI
-
-
-register_endpoint_kind(
-    "MPI", MPISendEndpoint, MPIReceiveEndpoint,
-    description="simulated MVAPICH2 baseline (§5.1)")

@@ -167,8 +167,8 @@ class Cluster:
         :class:`~repro.core.policy.ShufflePolicy`, and is coerced here,
         once, to the plan the stage runs (a policy plans against a
         context built from this cluster).  Validation is *eager*:
-        an unknown design or endpoint kind raises here, naming the
-        known designs and registered kinds.
+        an unknown design name raises here, naming the known designs
+        and endpoint kinds.
         """
         from repro.core.policy import StageContext, resolve_plan
         from repro.core.stage import ShuffleStage

@@ -8,7 +8,7 @@ Contents (section numbers refer to the paper):
   endpoint abstraction (§4.2): transmission state, configuration, framing.
 * :mod:`repro.core.transport` — the shared transport runtime under the
   designs: the endpoint base classes, connection tables, credit schemes,
-  buffer rings, completion dispatch, and the endpoint-backend registry.
+  buffer rings and completion dispatch.
 * :mod:`repro.core.sr_rc` — RDMA Send/Receive over Reliable Connection
   with the stateless credit protocol (§4.4.1).
 * :mod:`repro.core.sr_ud` — RDMA Send/Receive over Unreliable Datagram
@@ -19,7 +19,8 @@ Contents (section numbers refer to the paper):
   paper's first future-work item, §7).
 * :mod:`repro.core.shuffle` / :mod:`repro.core.receive` — the SHUFFLE and
   RECEIVE operators (Algorithms 1 and 2).
-* :mod:`repro.core.designs` — the six-design registry of Table 1.
+* :mod:`repro.core.designs` — the design table of Table 1 and the
+  endpoint-kind table behind it.
 * :mod:`repro.core.stage` — wiring: builds endpoints on every node of a
   cluster, runs connection setup, exposes the operators.
 """

@@ -1,4 +1,4 @@
-"""The six shuffling-operator designs (§4.5, Table 1).
+"""The shuffling-operator designs (§4.5, Table 1).
 
 Two orthogonal dimensions:
 
@@ -13,11 +13,10 @@ item and is exposed as two extra designs (SEMQ/WR, MEMQ/WR) for the
 extension benchmarks.  The MPI and IPoIB baselines of §5.1 implement
 the same endpoint interface and are ordinary entries of :data:`DESIGNS`.
 
-Endpoint implementations self-register with the backend registry
-(:mod:`repro.core.transport.registry`) at import time; a :class:`Design`
-merely *names* a kind, and resolves classes and transport properties
-through the registry.  Importing the implementation modules below is
-what populates it for the built-in kinds.
+:data:`ENDPOINT_KINDS` is the implementation dimension: one
+:class:`EndpointKind` per send/receive class pair.  A :class:`Design`
+holds its kind record plus the endpoint-count choice; a design built
+outside :data:`DESIGNS` is ``Design(name, EndpointKind(...), multi)``.
 """
 
 from __future__ import annotations
@@ -26,28 +25,55 @@ import dataclasses
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple, Type, Union
 
+from repro.baselines.ipoib import IPoIBReceiveEndpoint, IPoIBSendEndpoint
+from repro.baselines.mpi import MPIReceiveEndpoint, MPISendEndpoint
 from repro.core.endpoint import EndpointConfig
-from repro.core.transport.registry import backend, register_endpoint_kind
+from repro.core.mcast import McastSRUDReceiveEndpoint, McastSRUDSendEndpoint
+from repro.core.read_rc import ReadRCReceiveEndpoint, ReadRCSendEndpoint
+from repro.core.sr_rc import SRRCReceiveEndpoint, SRRCSendEndpoint
+from repro.core.sr_ud import SRUDReceiveEndpoint, SRUDSendEndpoint
 from repro.core.transport.runtime import ReceiveEndpoint, SendEndpoint
-
-# Importing an implementation module registers its endpoint kind.
-import repro.baselines.ipoib  # noqa: F401  (IPOIB)
-import repro.baselines.mpi   # noqa: F401  (MPI)
-import repro.core.mcast      # noqa: F401  (SR_UD_MC)
-import repro.core.read_rc    # noqa: F401  (RD_RC)
-import repro.core.sr_rc      # noqa: F401  (SR_RC)
-import repro.core.sr_ud      # noqa: F401  (SR_UD)
-import repro.core.write_rc   # noqa: F401  (WR_RC)
+from repro.core.write_rc import WriteRCReceiveEndpoint, WriteRCSendEndpoint
 
 __all__ = [
     "Design",
     "DESIGNS",
+    "ENDPOINT_KINDS",
+    "EndpointKind",
     "PAPER_ORDER",
     "UnknownDesignError",
     "design_properties",
-    "register_endpoint_kind",
     "resolve_design",
 ]
+
+
+@dataclass(frozen=True)
+class EndpointKind:
+    """One endpoint implementation: a send/receive class pair."""
+
+    name: str
+    send_cls: Type[SendEndpoint]
+    recv_cls: Type[ReceiveEndpoint]
+    #: rides on Unreliable Datagram: MTU-capped messages, software error
+    #: control (drives the message-size cap and Table 1 columns).
+    uses_ud: bool = False
+    #: one-sided data path (RDMA Read/Write): flow control in hardware.
+    one_sided: bool = False
+
+
+ENDPOINT_KINDS: Dict[str, EndpointKind] = {k.name: k for k in (
+    EndpointKind("MPI", MPISendEndpoint, MPIReceiveEndpoint),
+    EndpointKind("IPOIB", IPoIBSendEndpoint, IPoIBReceiveEndpoint),
+    EndpointKind("SR_UD", SRUDSendEndpoint, SRUDReceiveEndpoint,
+                 uses_ud=True),
+    EndpointKind("SR_UD_MC", McastSRUDSendEndpoint, McastSRUDReceiveEndpoint,
+                 uses_ud=True),
+    EndpointKind("RD_RC", ReadRCSendEndpoint, ReadRCReceiveEndpoint,
+                 one_sided=True),
+    EndpointKind("SR_RC", SRRCSendEndpoint, SRRCReceiveEndpoint),
+    EndpointKind("WR_RC", WriteRCSendEndpoint, WriteRCReceiveEndpoint,
+                 one_sided=True),
+)}
 
 
 class UnknownDesignError(KeyError):
@@ -58,10 +84,9 @@ class UnknownDesignError(KeyError):
         self.name = name
 
     def __str__(self) -> str:
-        from repro.core.transport.registry import registered_kinds
         return (f"unknown shuffle design {self.name!r}; known designs: "
                 f"{', '.join(sorted(DESIGNS))} (registered endpoint "
-                f"kinds: {', '.join(registered_kinds())})")
+                f"kinds: {', '.join(ENDPOINT_KINDS)})")
 
 
 @dataclass(frozen=True)
@@ -69,24 +94,24 @@ class Design:
     """One point in the design space of Table 1."""
 
     name: str
-    endpoint_kind: str  # key into the endpoint-backend registry
+    kind: EndpointKind
     multi_endpoint: bool
 
     @property
     def send_cls(self) -> Type[SendEndpoint]:
-        return backend(self.endpoint_kind).send_cls
+        return self.kind.send_cls
 
     @property
     def recv_cls(self) -> Type[ReceiveEndpoint]:
-        return backend(self.endpoint_kind).recv_cls
+        return self.kind.recv_cls
 
     @property
     def uses_ud(self) -> bool:
-        return backend(self.endpoint_kind).uses_ud
+        return self.kind.uses_ud
 
     @property
     def one_sided(self) -> bool:
-        return backend(self.endpoint_kind).one_sided
+        return self.kind.one_sided
 
     def num_endpoints(self, threads: int) -> int:
         """Endpoints per operator: 1 (SE) or t (ME)."""
@@ -165,19 +190,19 @@ class Design:
 #: §5.1 baselines.  The baselines run one endpoint per thread so the
 #: comparison isolates the transport, not the endpoint-sharing dimension
 #: (the MPI runtime and kernel TCP stack serialize per node regardless).
-DESIGNS: Dict[str, Design] = {
-    "MEMQ/RD": Design("MEMQ/RD", "RD_RC", multi_endpoint=True),
-    "SEMQ/RD": Design("SEMQ/RD", "RD_RC", multi_endpoint=False),
-    "MEMQ/SR": Design("MEMQ/SR", "SR_RC", multi_endpoint=True),
-    "SEMQ/SR": Design("SEMQ/SR", "SR_RC", multi_endpoint=False),
-    "MESQ/SR": Design("MESQ/SR", "SR_UD", multi_endpoint=True),
-    "SESQ/SR": Design("SESQ/SR", "SR_UD", multi_endpoint=False),
-    "MESQ/SR+MC": Design("MESQ/SR+MC", "SR_UD_MC", multi_endpoint=True),
-    "MEMQ/WR": Design("MEMQ/WR", "WR_RC", multi_endpoint=True),
-    "SEMQ/WR": Design("SEMQ/WR", "WR_RC", multi_endpoint=False),
-    "MPI": Design("MPI", "MPI", multi_endpoint=True),
-    "IPoIB": Design("IPoIB", "IPOIB", multi_endpoint=True),
-}
+DESIGNS: Dict[str, Design] = {d.name: d for d in (
+    Design("MEMQ/RD", ENDPOINT_KINDS["RD_RC"], multi_endpoint=True),
+    Design("SEMQ/RD", ENDPOINT_KINDS["RD_RC"], multi_endpoint=False),
+    Design("MEMQ/SR", ENDPOINT_KINDS["SR_RC"], multi_endpoint=True),
+    Design("SEMQ/SR", ENDPOINT_KINDS["SR_RC"], multi_endpoint=False),
+    Design("MESQ/SR", ENDPOINT_KINDS["SR_UD"], multi_endpoint=True),
+    Design("SESQ/SR", ENDPOINT_KINDS["SR_UD"], multi_endpoint=False),
+    Design("MESQ/SR+MC", ENDPOINT_KINDS["SR_UD_MC"], multi_endpoint=True),
+    Design("MEMQ/WR", ENDPOINT_KINDS["WR_RC"], multi_endpoint=True),
+    Design("SEMQ/WR", ENDPOINT_KINDS["WR_RC"], multi_endpoint=False),
+    Design("MPI", ENDPOINT_KINDS["MPI"], multi_endpoint=True),
+    Design("IPoIB", ENDPOINT_KINDS["IPOIB"], multi_endpoint=True),
+)}
 
 #: the order the paper lists the six designs in.
 PAPER_ORDER = ["MEMQ/SR", "MEMQ/RD", "MESQ/SR", "SEMQ/SR", "SEMQ/RD", "SESQ/SR"]
@@ -187,21 +212,15 @@ def resolve_design(design: Union[str, "Design"]) -> Design:
     """Resolve a design name (or pass a :class:`Design` through), eagerly.
 
     The single sanctioned name→design lookup: it raises
-    :class:`UnknownDesignError` listing the known designs for a bad
-    name, and probes the endpoint-backend registry so a design naming
-    an unregistered kind fails here — at stage/policy construction —
-    with the registered-kind list, instead of deep inside the transport
-    layer at send time.
+    :class:`UnknownDesignError` listing the known designs and endpoint
+    kinds for a bad name, at stage/policy construction.
     """
     if isinstance(design, Design):
-        d = design
-    else:
-        try:
-            d = DESIGNS[design]
-        except (KeyError, TypeError):
-            raise UnknownDesignError(str(design)) from None
-    backend(d.endpoint_kind)  # raises UnknownEndpointKindError eagerly
-    return d
+        return design
+    try:
+        return DESIGNS[design]
+    except (KeyError, TypeError):
+        raise UnknownDesignError(str(design)) from None
 
 
 def design_properties(num_nodes: int, threads: int) -> List[dict]:

@@ -28,7 +28,6 @@ from typing import Sequence
 
 from repro.core.endpoint import DataState, Frame, FrameCarrier
 from repro.core.sr_ud import SRUDReceiveEndpoint, SRUDSendEndpoint
-from repro.core.transport.registry import register_endpoint_kind
 from repro.memory import Buffer
 from repro.verbs.cm import EndpointRegistry
 from repro.verbs.constants import Opcode, mcast_ah
@@ -39,8 +38,6 @@ __all__ = ["McastSRUDSendEndpoint", "McastSRUDReceiveEndpoint"]
 
 class McastSRUDSendEndpoint(SRUDSendEndpoint):
     """SRUD send endpoint using hardware multicast for group sends."""
-
-    transport = "SQ/SR+MC"
 
     def setup(self, registry: EndpointRegistry):
         yield from super().setup(registry)
@@ -99,8 +96,6 @@ class McastSRUDSendEndpoint(SRUDSendEndpoint):
 class McastSRUDReceiveEndpoint(SRUDReceiveEndpoint):
     """SRUD receive endpoint that joins its sources' multicast groups."""
 
-    transport = "SQ/SR+MC"
-
     def connect(self, registry: EndpointRegistry):
         yield from super().connect(registry)
         for _src_node, src_ep in self.sources:
@@ -108,9 +103,3 @@ class McastSRUDReceiveEndpoint(SRUDReceiveEndpoint):
             mgid = info.get("mgid")
             if mgid is not None:
                 self.ctx.mcast_attach(mgid, self.qp)
-
-
-register_endpoint_kind(
-    "SR_UD_MC", McastSRUDSendEndpoint, McastSRUDReceiveEndpoint,
-    uses_ud=True,
-    description="MESQ/SR with native InfiniBand multicast (§7 future work)")

@@ -40,7 +40,6 @@ from repro.core.transport.connections import (
 )
 from repro.core.transport.credit import RingBoard
 from repro.core.transport.dispatch import CompletionDispatcher
-from repro.core.transport.registry import register_endpoint_kind
 from repro.core.transport.rings import RingCursor, post_ring_write
 from repro.core.transport.runtime import ReceiveEndpoint, SendEndpoint
 from repro.memory import Buffer
@@ -63,8 +62,6 @@ def ring_caps(sender_buffers: int) -> Tuple[int, int]:
 class ReadRCSendEndpoint(SendEndpoint):
     """Passive SEND endpoint for the RDMA Read design (Figure 7a)."""
 
-    transport = "MQ/RD"
-
     def __init__(self, ctx: VerbsContext, endpoint_id: int,
                  config: EndpointConfig, destinations: Sequence[int],
                  num_groups: int, peers: Dict[int, int]):
@@ -75,7 +72,7 @@ class ReadRCSendEndpoint(SendEndpoint):
     def setup(self, registry: EndpointRegistry):
         self.cq = self.ctx.create_cq()
         for dest in self.destinations:
-            conn = self.conns.add(dest, PeerConnection(dest))
+            conn = self.conns[dest] = PeerConnection(dest)
             conn.qp = self.ctx.create_qp(QPType.RC, self.cq, self.cq,
                                          tenant=self.config.tenant)
         # Reserve one extra buffer per destination for the final markers.
@@ -149,8 +146,6 @@ class ReadRCSendEndpoint(SendEndpoint):
 class ReadRCReceiveEndpoint(ReceiveEndpoint):
     """Active RECEIVE endpoint for the RDMA Read design (Figure 7b)."""
 
-    transport = "MQ/RD"
-
     def setup(self, registry: EndpointRegistry):
         self.cq = self.ctx.create_cq()
         per_link = self.config.buffers_per_link
@@ -167,7 +162,7 @@ class ReadRCReceiveEndpoint(ReceiveEndpoint):
             name="validarr")
         next_buffer = 0
         for src_node, src_ep in self.sources:
-            conn = self.conns.add(src_ep, PeerConnection(src_node, src_ep))
+            conn = self.conns[src_ep] = PeerConnection(src_node, src_ep)
             conn.qp = self.ctx.create_qp(QPType.RC, self.cq, self.cq,
                                          tenant=self.config.tenant)
             #: LocalArr: unused registered destination buffers (a stack).
@@ -238,9 +233,3 @@ class ReadRCReceiveEndpoint(ReceiveEndpoint):
         local.reset()
         conn.local_arr.append(local)
         self._pump(conn)
-
-
-register_endpoint_kind(
-    "RD_RC", ReadRCSendEndpoint, ReadRCReceiveEndpoint, one_sided=True,
-    description="one-sided RDMA Read over RC, FreeArr/ValidArr "
-                "circular queues (§4.4.3)")

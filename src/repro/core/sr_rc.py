@@ -34,7 +34,6 @@ from repro.core.transport.credit import (
     post_credit_word,
 )
 from repro.core.transport.dispatch import CompletionDispatcher
-from repro.core.transport.registry import register_endpoint_kind
 from repro.core.transport.runtime import (
     CreditedReceiveEndpoint,
     CreditedSendEndpoint,
@@ -51,12 +50,10 @@ __all__ = ["SRRCSendEndpoint", "SRRCReceiveEndpoint"]
 class SRRCSendEndpoint(CreditedSendEndpoint):
     """SEND endpoint using RDMA Send over Reliable Connection."""
 
-    transport = "MQ/SR"
-
     def setup(self, registry: EndpointRegistry):
         self.cq = self.ctx.create_cq()
         for dest in self.destinations:
-            conn = self.conns.add(dest, PeerConnection(dest))
+            conn = self.conns[dest] = PeerConnection(dest)
             conn.notify = Notify(self.sim)
             conn.qp = self.ctx.create_qp(QPType.RC, self.cq, self.cq,
                                          tenant=self.config.tenant)
@@ -97,15 +94,13 @@ class SRRCSendEndpoint(CreditedSendEndpoint):
 class SRRCReceiveEndpoint(CreditedReceiveEndpoint):
     """RECEIVE endpoint using RDMA Receive over Reliable Connection."""
 
-    transport = "MQ/SR"
-
     def setup(self, registry: EndpointRegistry):
         self.cq = self.ctx.create_cq()
         per_link = self.config.buffers_per_link
         yield from self.provision_recv_pool()
         next_buffer = 0
         for src_node, src_ep in self.sources:
-            conn = self.conns.add(src_ep, PeerConnection(src_node, src_ep))
+            conn = self.conns[src_ep] = PeerConnection(src_node, src_ep)
             conn.qp = self.ctx.create_qp(QPType.RC, self.cq, self.cq,
                                          tenant=self.config.tenant)
             for _ in range(per_link):
@@ -151,8 +146,3 @@ class SRRCReceiveEndpoint(CreditedReceiveEndpoint):
 
     def _return_credit(self, conn: PeerConnection, value: int) -> None:
         post_credit_word(conn, value)
-
-
-register_endpoint_kind(
-    "SR_RC", SRRCSendEndpoint, SRRCReceiveEndpoint,
-    description="Send/Receive over RC, stateless credit (§4.4.1)")

@@ -36,12 +36,10 @@ from repro.core.endpoint import (
 )
 from repro.core.transport.connections import PeerConnection
 from repro.core.transport.credit import (
-    CREDIT_MSG_BYTES,
     CreditDatagramPort,
     grant_credit,
 )
 from repro.core.transport.dispatch import CompletionDispatcher
-from repro.core.transport.registry import register_endpoint_kind
 from repro.core.transport.runtime import (
     CreditedReceiveEndpoint,
     CreditedSendEndpoint,
@@ -59,8 +57,6 @@ __all__ = ["SRUDSendEndpoint", "SRUDReceiveEndpoint"]
 
 class SRUDSendEndpoint(CreditedSendEndpoint):
     """SEND endpoint using RDMA Send over Unreliable Datagram."""
-
-    transport = "SQ/SR"
 
     def __init__(self, ctx: VerbsContext, endpoint_id: int,
                  config: EndpointConfig, destinations: Sequence[int],
@@ -84,7 +80,7 @@ class SRUDSendEndpoint(CreditedSendEndpoint):
             tenant=self.config.tenant)
         yield from setup_ud_qp(self.ctx, self.qp)
         for dest in self.destinations:
-            conn = self.conns.add(dest, PeerConnection(dest))
+            conn = self.conns[dest] = PeerConnection(dest)
             conn.notify = Notify(self.sim)
         yield from self.provision_send_pool()
         # Small receive slots for incoming credit datagrams.
@@ -138,8 +134,6 @@ class SRUDSendEndpoint(CreditedSendEndpoint):
 class SRUDReceiveEndpoint(CreditedReceiveEndpoint):
     """RECEIVE endpoint using RDMA Receive over Unreliable Datagram."""
 
-    transport = "SQ/SR"
-
     def __init__(self, ctx: VerbsContext, endpoint_id: int,
                  config: EndpointConfig,
                  sources: Sequence[Tuple[int, int]]):
@@ -161,7 +155,7 @@ class SRUDReceiveEndpoint(CreditedReceiveEndpoint):
         for buf in self.pool.buffers:
             self.qp.post_recv_buffer(buf, self.config.message_size)
         for src_node, src_ep in self.sources:
-            conn = self.conns.add(src_ep, PeerConnection(src_node, src_ep))
+            conn = self.conns[src_ep] = PeerConnection(src_node, src_ep)
             conn.posted = per_link
         # Tiny buffers for outgoing credit datagrams; they complete fast,
         # so a small rotation per source suffices.
@@ -247,9 +241,3 @@ class SRUDReceiveEndpoint(CreditedReceiveEndpoint):
 
     def _return_credit(self, conn: PeerConnection, value: int) -> None:
         self._credit_out.post_credit(conn, value)
-
-
-register_endpoint_kind(
-    "SR_UD", SRUDSendEndpoint, SRUDReceiveEndpoint, uses_ud=True,
-    description="Send/Receive over UD, credit datagrams + "
-                "message counting (§4.4.2)")

@@ -8,9 +8,10 @@ runtime, so each design is a thin posting policy:
 
 ::
 
-    designs        sr_ud / sr_rc / read_rc / write_rc / mcast / baselines
+    designs        sr_ud / sr_rc / read_rc / write_rc / mcast / baselines,
+                   one class pair per row of designs.ENDPOINT_KINDS
                         |  (posting policy: what WR to post where)
-    transport      registry . connections . credit . rings . dispatch . runtime
+    transport      connections . credit . rings . dispatch . runtime
                         |  (verbs objects, process fragments)
     verbs          QPs, CQs, MRs, connection manager
                         |  (NIC model, packets)
@@ -20,10 +21,8 @@ runtime, so each design is a thin posting policy:
 
 Submodules:
 
-* :mod:`~repro.core.transport.registry` — the endpoint-backend registry
-  (kind -> send/receive class pair + transport properties).
-* :mod:`~repro.core.transport.connections` — :class:`PeerConnection`,
-  :class:`ConnectionTable`, and the RC connect loops.
+* :mod:`~repro.core.transport.connections` — :class:`PeerConnection`
+  and the RC connect loops.
 * :mod:`~repro.core.transport.credit` — the §4.4 credit schemes as
   policy objects (credit words, credit datagrams, ring boards).
 * :mod:`~repro.core.transport.rings` — pending-buffer refcounts,
@@ -39,19 +38,11 @@ package and imports nothing from it.
 """
 
 from repro.core.transport.connections import (
-    ConnectionTable,
     PeerConnection,
     rc_connect_receivers,
     rc_connect_senders,
 )
 from repro.core.transport.dispatch import CompletionDispatcher
-from repro.core.transport.registry import (
-    EndpointBackend,
-    UnknownEndpointKindError,
-    backend,
-    register_endpoint_kind,
-    registered_kinds,
-)
 from repro.core.transport.rings import (
     PendingTable,
     RingCursor,
@@ -60,16 +51,10 @@ from repro.core.transport.rings import (
 
 __all__ = [
     "CompletionDispatcher",
-    "ConnectionTable",
-    "EndpointBackend",
     "PeerConnection",
     "PendingTable",
     "RingCursor",
-    "UnknownEndpointKindError",
-    "backend",
     "post_ring_write",
     "rc_connect_receivers",
     "rc_connect_senders",
-    "register_endpoint_kind",
-    "registered_kinds",
 ]

@@ -3,7 +3,7 @@
 :class:`SendEndpoint` / :class:`ReceiveEndpoint` implement the §4.2
 interface (:mod:`repro.core.endpoint` is its vocabulary) over the
 plumbing every implementation needs — the per-peer
-:class:`~.connections.ConnectionTable`, the in-flight
+:class:`~.connections.PeerConnection` dict, the in-flight
 :class:`~.rings.PendingTable`, pool provisioning sized by the §4.2
 rules (sender pools scale with transmission groups, receiver pools with
 sources), the GETFREE/GETDATA queues and the shared instrumentation
@@ -51,7 +51,7 @@ from repro.core.endpoint import (
     ShuffleNetworkError,
 )
 from repro.core.transport import credit
-from repro.core.transport.connections import ConnectionTable, PeerConnection
+from repro.core.transport.connections import PeerConnection
 from repro.core.transport.rings import PendingTable
 
 __all__ = [
@@ -88,7 +88,7 @@ class _EndpointBase:
         #: per-peer transport state.  SEND endpoints key by destination
         #: node id, RECEIVE endpoints by source *endpoint* id (frames
         #: and circular-queue updates carry endpoint ids).
-        self.conns = ConnectionTable()
+        self.conns: Dict[int, PeerConnection] = {}
         #: the completion queue, once ``setup`` created one.
         self.cq = None
         #: the one Queue Pair all peers share (UD designs); ``None``
@@ -126,7 +126,8 @@ class _EndpointBase:
     def qps(self) -> List:
         """Queue Pairs owned by this endpoint (Table 1 accounting)."""
         shared = [] if self.qp is None else [self.qp]
-        return shared + self.conns.qps()
+        return shared + [c.qp for c in self.conns.values()
+                         if c.qp is not None]
 
     def registered_regions(self) -> List:
         """Registered memory regions pinned by this endpoint (Fig 9b)."""

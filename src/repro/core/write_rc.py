@@ -44,7 +44,6 @@ from repro.core.transport.connections import (
 )
 from repro.core.transport.credit import RingBoard
 from repro.core.transport.dispatch import CompletionDispatcher
-from repro.core.transport.registry import register_endpoint_kind
 from repro.core.transport.rings import RingCursor, post_ring_write
 from repro.core.transport.runtime import ReceiveEndpoint, SendEndpoint
 from repro.memory import Buffer
@@ -67,8 +66,6 @@ def ring_caps(window: int) -> Tuple[int, int]:
 class WriteRCSendEndpoint(SendEndpoint):
     """Active SEND endpoint pushing data with one-sided RDMA Writes."""
 
-    transport = "MQ/WR"
-
     def __init__(self, ctx: VerbsContext, endpoint_id: int,
                  config: EndpointConfig, destinations: Sequence[int],
                  num_groups: int, peers: Dict[int, int]):
@@ -81,7 +78,7 @@ class WriteRCSendEndpoint(SendEndpoint):
     def setup(self, registry: EndpointRegistry):
         self.cq = self.ctx.create_cq()
         for dest in self.destinations:
-            conn = self.conns.add(dest, PeerConnection(dest))
+            conn = self.conns[dest] = PeerConnection(dest)
             conn.qp = self.ctx.create_qp(QPType.RC, self.cq, self.cq,
                                          tenant=self.config.tenant)
             conn.notify = Notify(self.sim)
@@ -163,8 +160,6 @@ class WriteRCSendEndpoint(SendEndpoint):
 class WriteRCReceiveEndpoint(ReceiveEndpoint):
     """Passive RECEIVE endpoint: data appears in its registered buffers."""
 
-    transport = "MQ/WR"
-
     def setup(self, registry: EndpointRegistry):
         self.cq = self.ctx.create_cq()
         per_link = self.config.buffers_per_link
@@ -179,7 +174,7 @@ class WriteRCReceiveEndpoint(ReceiveEndpoint):
         buffer_addrs = {}
         next_buffer = 0
         for src_node, src_ep in self.sources:
-            conn = self.conns.add(src_ep, PeerConnection(src_node, src_ep))
+            conn = self.conns[src_ep] = PeerConnection(src_node, src_ep)
             conn.qp = self.ctx.create_qp(QPType.RC, self.cq, self.cq,
                                          tenant=self.config.tenant)
             addrs = []
@@ -224,9 +219,3 @@ class WriteRCReceiveEndpoint(ReceiveEndpoint):
         local.reset()
         yield self._cpu(self.net.post_wr_ns)
         post_ring_write(conn.qp, conn.free, remote_addr, ("free", src))
-
-
-register_endpoint_kind(
-    "WR_RC", WriteRCSendEndpoint, WriteRCReceiveEndpoint, one_sided=True,
-    description="one-sided RDMA Write over RC, roles of the Read design "
-                "swapped (§7 future work)")

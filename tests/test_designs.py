@@ -1,18 +1,23 @@
-"""Unit tests for the design registry (Table 1)."""
+"""Unit tests for the design table and its endpoint kinds (Table 1)."""
 
+import numpy as np
 import pytest
 
 from repro import EDR, Cluster, ClusterConfig, TransmissionGroups
 from repro.core import DESIGNS, design_properties
+from repro.core.designs import ENDPOINT_KINDS, Design, EndpointKind
 from repro.core.read_rc import ReadRCSendEndpoint
-from repro.core.sr_rc import SRRCSendEndpoint
+from repro.core.sr_rc import SRRCReceiveEndpoint, SRRCSendEndpoint
 from repro.core.sr_ud import SRUDSendEndpoint
+from repro.core.write_rc import WriteRCReceiveEndpoint, WriteRCSendEndpoint
 from repro.core.transport.runtime import (
     CreditedReceiveEndpoint,
     CreditedSendEndpoint,
     ReceiveEndpoint,
     SendEndpoint,
 )
+
+from tests.test_endpoints import make_cluster, run_stage_query
 
 
 class TestRegistry:
@@ -25,10 +30,58 @@ class TestRegistry:
         assert DESIGNS["MESQ/SR"].send_cls is SRUDSendEndpoint
         assert DESIGNS["MEMQ/SR"].send_cls is SRRCSendEndpoint
         assert DESIGNS["MEMQ/RD"].send_cls is ReadRCSendEndpoint
+        assert DESIGNS["SEMQ/WR"].send_cls is WriteRCSendEndpoint
+        assert DESIGNS["SEMQ/WR"].recv_cls is WriteRCReceiveEndpoint
 
     def test_endpoint_counts(self):
         assert DESIGNS["MESQ/SR"].num_endpoints(threads=8) == 8
         assert DESIGNS["SESQ/SR"].num_endpoints(threads=8) == 1
+
+
+class TestKindTable:
+    def test_kind_table_rows(self):
+        assert list(ENDPOINT_KINDS) == [
+            "MPI", "IPOIB", "SR_UD", "SR_UD_MC", "RD_RC", "SR_RC", "WR_RC"]
+        for name, kind in ENDPOINT_KINDS.items():
+            assert kind.name == name
+        assert [k for k, v in ENDPOINT_KINDS.items() if v.uses_ud] == [
+            "SR_UD", "SR_UD_MC"]
+        assert [k for k, v in ENDPOINT_KINDS.items() if v.one_sided] == [
+            "RD_RC", "WR_RC"]
+
+    def test_every_design_kind_is_a_table_row(self):
+        for design in DESIGNS.values():
+            assert ENDPOINT_KINDS[design.kind.name] is design.kind
+            assert design.send_cls is design.kind.send_cls
+            assert design.recv_cls is design.kind.recv_cls
+            assert design.uses_ud == design.kind.uses_ud
+            assert design.one_sided == design.kind.one_sided
+
+    def test_design_outside_designs_runs_its_own_classes(self):
+        """A design built outside DESIGNS runs a full shuffle through its
+        own send/receive classes."""
+        class DemoSendEndpoint(SRRCSendEndpoint):
+            pass
+
+        class DemoReceiveEndpoint(SRRCReceiveEndpoint):
+            pass
+
+        design = Design(
+            "DEMO/SR",
+            EndpointKind("DEMO_SR", DemoSendEndpoint, DemoReceiveEndpoint),
+            multi_endpoint=True)
+        assert design.name not in DESIGNS
+        cluster = make_cluster()
+        stage, sinks, _ = run_stage_query(cluster, design, rows_per_node=1000)
+        got = np.sum([len(s.result()) for s in sinks
+                      if s.result() is not None])
+        assert got == cluster.num_nodes * 1000
+        for eps in stage.send_endpoints.values():
+            for ep in eps:
+                assert type(ep) is DemoSendEndpoint
+        for eps in stage.recv_endpoints.values():
+            for ep in eps:
+                assert type(ep) is DemoReceiveEndpoint
 
 
 @pytest.mark.parametrize("name", sorted(DESIGNS))

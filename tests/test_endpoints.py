@@ -217,9 +217,8 @@ class TestSharedEndpointContention:
 
 # ---------------------------------------------------------------------------
 # Conformance suite: every endpoint kind a design in DESIGNS names — the
-# five RDMA kinds plus the MPI and IPoIB baselines, a set fixed by
-# ``repro.core.designs`` alone, whatever else a test run registered —
-# must honour the §4.2 interface contract.
+# five RDMA kinds plus the MPI and IPoIB baselines — must honour the §4.2
+# interface contract.
 # ---------------------------------------------------------------------------
 
 from repro.core.designs import DESIGNS  # noqa: E402
@@ -227,11 +226,11 @@ from repro.core.designs import DESIGNS  # noqa: E402
 
 def _design_for_kind(kind):
     """A representative design for an endpoint kind (prefer multi-endpoint)."""
-    candidates = [d for d in DESIGNS.values() if d.endpoint_kind == kind]
+    candidates = [d for d in DESIGNS.values() if d.kind.name == kind]
     return next((d for d in candidates if d.multi_endpoint), candidates[0])
 
 
-CONFORMANCE_KINDS = sorted({d.endpoint_kind for d in DESIGNS.values()})
+CONFORMANCE_KINDS = sorted({d.kind.name for d in DESIGNS.values()})
 
 
 @pytest.mark.parametrize("kind", CONFORMANCE_KINDS)

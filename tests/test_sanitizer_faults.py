@@ -12,7 +12,7 @@ import pytest
 
 from repro import ClusterConfig, EDR, EndpointConfig
 from repro.analysis import RUNTIME_RULES, Sanitizer, attach_sanitizer
-from repro.core.designs import Design, register_endpoint_kind
+from repro.core.designs import Design, EndpointKind
 from repro.core.sr_rc import SRRCReceiveEndpoint, SRRCSendEndpoint
 from repro.core.transport.connections import PeerConnection
 from repro.core.transport.credit import RingBoard, post_credit_word
@@ -185,17 +185,17 @@ class TestCQRules:
 
 
 # A send endpoint that skips the credit gate: the planted bug for the
-# credit-underflow rule.  Registered once at import under a scratch kind.
+# credit-underflow rule, run as a design of its own.
 class GreedySRRCSendEndpoint(SRRCSendEndpoint):
     def _wait_credit(self, conn):
         return
         yield  # pragma: no cover  (keeps this a process fragment)
 
 
-register_endpoint_kind(
-    "SR_RC_GREEDY_TEST", GreedySRRCSendEndpoint, SRRCReceiveEndpoint,
-    description="fault injection: SR/RC sender that ignores credit")
-GREEDY_DESIGN = Design("GREEDY/SR", "SR_RC_GREEDY_TEST", multi_endpoint=True)
+GREEDY_DESIGN = Design(
+    "GREEDY/SR",
+    EndpointKind("SR_RC_GREEDY", GreedySRRCSendEndpoint, SRRCReceiveEndpoint),
+    multi_endpoint=True)
 
 
 class TestCreditUnderflowRule:
