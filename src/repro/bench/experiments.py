@@ -36,7 +36,12 @@ from repro.cluster import Cluster
 from repro.core.designs import PAPER_ORDER, design_properties
 from repro.core.endpoint import EndpointConfig
 from repro.core.groups import TransmissionGroups
-from repro.core.policy import HierarchicalPolicy, StageContext, parse_policy
+from repro.core.policy import (
+    HierarchicalPolicy,
+    StageContext,
+    parse_policy,
+    resolve_plan,
+)
 from repro.fabric.config import (
     EDR,
     FDR,
@@ -746,7 +751,7 @@ def abl_adaptive(opts: Options, nodes: int) -> List[ExperimentResult]:
             # Pre-plan with the RC-class volume to pick the run's volume;
             # the runner re-plans with the chosen design's own volume (the
             # starved-window rule keeps the two picks consistent).
-            plan = pol.plan(StageContext.from_cluster(
+            plan = resolve_plan(pol, StageContext.from_cluster(
                 cluster, config=cfg,
                 bytes_per_node=_volume("SEMQ/SR", scale, n)))
             return _volume(plan.design.name, scale, n)

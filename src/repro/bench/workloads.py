@@ -126,7 +126,7 @@ def _run_shuffle(cluster: Cluster, design: DesignLike, pattern: str,
                  receive_output_bytes: int) -> ShuffleRunResult:
     plan = resolve_plan(design, StageContext.from_cluster(
         cluster, config=config, bytes_per_node=bytes_per_node,
-        pattern=pattern, num_endpoints=num_endpoints,
+        num_endpoints=num_endpoints,
         allow_hierarchical=(pattern == "repartition")))
     if plan.hierarchical:
         if pattern != "repartition":
@@ -257,7 +257,7 @@ def run_hierarchical(cluster: Cluster, plan: StagePlan,
     # Round-robin each leaf's inter-leaf senders into c sequential
     # chains: at most c senders per source leaf are active at any time.
     chains: List[List[QueryFragment]] = []
-    concurrency = max(1, plan.inter_concurrency)
+    concurrency = plan.inter_concurrency
     for members in leaves:
         leaf_chains: List[List[QueryFragment]] = [
             [] for _ in range(concurrency)]

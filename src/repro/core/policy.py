@@ -17,16 +17,15 @@ object:
   kind + endpoint count) plus optional credit/window parameter
   overrides, and, for two-phase leaf-spine shuffles, a nested
   inter-leaf plan.
-* :class:`ShufflePolicy` — ``plan(ctx) -> StagePlan``, with an
-  :meth:`~ShufflePolicy.observe` hook the service scheduler feeds a
-  measured :class:`TelemetrySnapshot` between jobs so a policy can
-  re-plan mid-run.
+* :class:`ShufflePolicy` — ``plan(ctx) -> StagePlan``, a function of
+  the context alone.
 
-Three built-in policies: :class:`StaticPolicy` reproduces the legacy
-fixed-design paths bit-for-bit, :class:`AdaptivePolicy` encodes the
-fig8–fig11 measurement grid as a rule table plus observed-telemetry
-overrides, and :class:`HierarchicalPolicy` decomposes a repartition on
-an oversubscribed leaf-spine fabric into an intra-leaf exchange plus
+A design name or :class:`Design` plans as itself: the fixed design
+with the caller's endpoint count and the tenant's quota clamp.  Two
+built-in policies choose instead: :class:`AdaptivePolicy` encodes the
+fig8–fig11 measurement grid as a rule table, and
+:class:`HierarchicalPolicy` decomposes a repartition on an
+oversubscribed leaf-spine fabric into an intra-leaf exchange plus
 coordinated inter-leaf streams (one active stream per leaf pair).
 
 This module (with :mod:`repro.core.designs`) is the only place that
@@ -46,17 +45,14 @@ from repro.core.designs import DESIGNS, Design, resolve_design
 from repro.core.endpoint import EndpointConfig
 
 __all__ = [
-    "TelemetrySnapshot",
     "StageContext",
     "StagePlan",
     "ShufflePolicy",
-    "StaticPolicy",
     "AdaptivePolicy",
     "HierarchicalPolicy",
     "DesignLike",
     "Footprint",
     "SHUFFLE_POLICIES",
-    "as_policy",
     "parse_policy",
     "plan_footprint",
     "resolve_plan",
@@ -69,22 +65,6 @@ __all__ = [
 
 
 @dataclass(frozen=True)
-class TelemetrySnapshot:
-    """The two live signals a policy may react to.
-
-    Both values are cumulative ratios, so repeated runs with one seed
-    produce identical snapshots at identical simulated times.
-    """
-
-    #: aggregate NIC QP-context-cache miss rate (0..1) — the Fig 10/11
-    #: collapse signal.
-    qp_cache_miss_rate: float = 0.0
-    #: share of total worker-thread time spent stalled for flow-control
-    #: credit (0..1) — the §5.1.1 starvation signal.
-    credit_stall_share: float = 0.0
-
-
-@dataclass(frozen=True)
 class StageContext:
     """Everything a policy may consult when planning one stage."""
 
@@ -94,8 +74,6 @@ class StageContext:
     message_size: int = 64 * 1024
     #: per-node shuffle volume estimate (0: unknown).
     bytes_per_node: int = 0
-    #: "repartition" or "broadcast" (Fig 3 traffic patterns).
-    pattern: str = "repartition"
     #: network parameters the rule table keys on.
     mtu: int = 4096
     qp_cache_entries: int = 1024
@@ -112,13 +90,13 @@ class StageContext:
     #: caller's base endpoint configuration (None: defaults).
     base_config: Optional[EndpointConfig] = None
     #: whether the runner can execute a two-phase (hierarchical) plan;
-    #: only the workload runners can, the service scheduler cannot.
+    #: only the repartition runner can, the broadcast runner and the
+    #: service scheduler cannot.
     allow_hierarchical: bool = False
 
     @classmethod
     def from_cluster(cls, cluster: Any, *,
                      bytes_per_node: int = 0,
-                     pattern: str = "repartition",
                      config: Optional[EndpointConfig] = None,
                      num_endpoints: Optional[int] = None,
                      max_qps: Optional[int] = None,
@@ -133,7 +111,6 @@ class StageContext:
             threads=cluster.threads_per_node,
             message_size=(config or EndpointConfig()).message_size,
             bytes_per_node=bytes_per_node,
-            pattern=pattern,
             mtu=net.mtu,
             qp_cache_entries=net.qp_cache_entries,
             topology_kind=spec.kind,
@@ -203,6 +180,10 @@ class StagePlan:
             raise ValueError(
                 f"num_endpoints must be None (the design's natural "
                 f"count) or >= 1, not {self.num_endpoints}")
+        if self.inter_concurrency < 1:
+            raise ValueError(
+                f"inter_concurrency must be >= 1, not "
+                f"{self.inter_concurrency}")
         if self.inter is not None and self.inter.inter is not None:
             raise ValueError("inter-leaf plans cannot nest further")
 
@@ -214,7 +195,7 @@ class StagePlan:
         """Overlay this plan's parameter overrides on ``base``.
 
         Returns ``base`` unchanged (identity) when the plan overrides
-        nothing — the bit-compatibility guarantee of StaticPolicy.
+        nothing — so a plan of a bare design name runs bit-identically.
         """
         config = base if base is not None else EndpointConfig()
         changes: Dict[str, Any] = {}
@@ -317,44 +298,13 @@ def _clamp_plan(plan: StagePlan, ctx: StageContext) -> StagePlan:
 class ShufflePolicy:
     """Base class: map a :class:`StageContext` to a :class:`StagePlan`.
 
-    ``plan`` must be deterministic in its inputs (context plus any state
-    accumulated through :meth:`observe`) — repeated runs with one seed
-    must produce identical plans, which the policy-determinism tests
+    ``plan`` is a function of the context alone — the same context
+    always yields the same plan, which the policy-determinism tests
     assert.
     """
 
-    name = "policy"
-
     def plan(self, ctx: StageContext) -> StagePlan:
         raise NotImplementedError
-
-    def observe(self, observed: TelemetrySnapshot) -> None:
-        """Feed measured telemetry back (between service jobs)."""
-
-    def describe(self) -> str:
-        return self.name
-
-
-class StaticPolicy(ShufflePolicy):
-    """A fixed design as a policy object — what a design name means.
-
-    Plans carry no parameter overrides; only the caller's endpoint
-    count and the tenant's quota clamp apply.
-    """
-
-    name = "static"
-
-    def __init__(self, design: Union[str, Design]):
-        self.design = resolve_design(design)
-
-    def plan(self, ctx: StageContext) -> StagePlan:
-        plan = StagePlan(
-            design=self.design, num_endpoints=ctx.num_endpoints,
-            reason=f"static: fixed design {self.design.name}")
-        return _clamp_plan(plan, ctx)
-
-    def describe(self) -> str:
-        return f"static:{self.design.name}"
 
 
 class AdaptivePolicy(ShufflePolicy):
@@ -385,32 +335,13 @@ class AdaptivePolicy(ShufflePolicy):
        n≤8: 10.5–11.0 GiB/s, ahead of or tied with every alternative)
        at moderate resource cost (Table 1).
 
-    Two observed-telemetry overrides re-plan between service jobs:
-    a measured QP-cache miss rate above ``miss_threshold`` forces the
-    UD design even where the rules predicted a cache fit (neighbours'
-    QPs share the cache; the tenant cannot see them at plan time), and
-    a credit-stall share above ``stall_threshold`` deepens the buffer
-    window (fig8's starvation mechanism).
-
     On an oversubscribed leaf-spine fabric (and a runner that supports
     two-phase plans) it delegates to :class:`HierarchicalPolicy`.
     """
 
-    name = "adaptive"
-
     #: fraction of the QP context cache an MQ working set may use
     #: before the rules predict thrash.
     cache_pressure = 0.25
-    #: observed miss rate that forces the UD design on the next plan.
-    miss_threshold = 0.15
-    #: observed credit-stall share that deepens the window.
-    stall_threshold = 0.20
-    deep_buffers = 16
-
-    def __init__(self):
-        self._observed: Optional[TelemetrySnapshot] = None
-
-    # -- the rule table ----------------------------------------------------
 
     def _rule_pick(self, ctx: StageContext) -> Tuple[str, str]:
         if ctx.message_size <= ctx.mtu:
@@ -441,28 +372,9 @@ class AdaptivePolicy(ShufflePolicy):
                 and ctx.oversubscription > 1 and ctx.num_leaves > 1:
             return HierarchicalPolicy().plan(ctx)
         design, reason = self._rule_pick(ctx)
-        buffers: Optional[int] = None
-        observed = self._observed
-        if observed is not None:
-            if observed.qp_cache_miss_rate >= self.miss_threshold:
-                design = "MESQ/SR"
-                reason = (f"observed: QP-cache miss rate "
-                          f"{observed.qp_cache_miss_rate:.2f} >= "
-                          f"{self.miss_threshold} (shared cache under "
-                          f"pressure); switching to UD")
-            elif observed.credit_stall_share >= self.stall_threshold:
-                buffers = self.deep_buffers
-                reason = (f"{reason}; observed credit-stall share "
-                          f"{observed.credit_stall_share:.2f} >= "
-                          f"{self.stall_threshold}: deepening window to "
-                          f"{buffers} buffers")
         plan = StagePlan(design=resolve_design(design),
-                         num_endpoints=ctx.num_endpoints,
-                         buffers_per_connection=buffers, reason=reason)
+                         num_endpoints=ctx.num_endpoints, reason=reason)
         return _clamp_plan(plan, ctx)
-
-    def observe(self, observed: TelemetrySnapshot) -> None:
-        self._observed = observed
 
 
 class HierarchicalPolicy(ShufflePolicy):
@@ -493,15 +405,13 @@ class HierarchicalPolicy(ShufflePolicy):
     two-phase plans) it degrades to a flat plan of the intra design.
     """
 
-    name = "hierarchical"
-
     intra = resolve_design("MESQ/SR")
     inter = resolve_design("SEMQ/SR")
     inter_buffers = 16
 
     def plan(self, ctx: StageContext) -> StagePlan:
         if not ctx.allow_hierarchical or ctx.topology_kind != "leaf-spine" \
-                or ctx.num_leaves < 2 or ctx.pattern != "repartition":
+                or ctx.num_leaves < 2:
             plan = StagePlan(
                 design=self.intra, num_endpoints=ctx.num_endpoints,
                 reason="hierarchical: flat fallback (no leaf-spine "
@@ -526,9 +436,6 @@ class HierarchicalPolicy(ShufflePolicy):
                     f"{ctx.oversubscription}:1 fabric"))
         return _clamp_plan(plan, ctx)
 
-    def describe(self) -> str:
-        return f"hierarchical:{self.intra.name}+{self.inter.name}"
-
 
 # ---------------------------------------------------------------------------
 # the API-boundary resolver, registry, CLI parsing
@@ -538,27 +445,28 @@ class HierarchicalPolicy(ShufflePolicy):
 DesignLike = Union[str, Design, StagePlan, ShufflePolicy]
 
 
-def as_policy(selector: Union[str, Design, ShufflePolicy]) -> ShufflePolicy:
-    """A design name or :class:`Design` *is* its :class:`StaticPolicy`."""
-    if isinstance(selector, ShufflePolicy):
-        return selector
-    return StaticPolicy(selector)
-
-
 def resolve_plan(selector: DesignLike, ctx: StageContext) -> StagePlan:
     """Coerce a design selector to the :class:`StagePlan` it means.
 
     The single coercion behind ``Cluster.shuffle_stage``, the workload
     runners, ``run_query`` and the service's tenants: a ready plan is
     taken as is (the caller's endpoint count fills in only where the
-    plan names none), anything else is planned against ``ctx``.  An
+    plan names none), a policy plans against ``ctx``, and a design name
+    or :class:`Design` plans as itself — no parameter overrides, only
+    the caller's endpoint count and the tenant's quota clamp.  An
     unknown design name raises :class:`UnknownDesignError` here.
     """
-    if not isinstance(selector, StagePlan):
-        return as_policy(selector).plan(ctx)
-    if selector.num_endpoints is None and ctx.num_endpoints is not None:
-        return dataclasses.replace(selector, num_endpoints=ctx.num_endpoints)
-    return selector
+    if isinstance(selector, ShufflePolicy):
+        return selector.plan(ctx)
+    if isinstance(selector, StagePlan):
+        if selector.num_endpoints is None and ctx.num_endpoints is not None:
+            return dataclasses.replace(
+                selector, num_endpoints=ctx.num_endpoints)
+        return selector
+    design = resolve_design(selector)
+    return _clamp_plan(StagePlan(
+        design, num_endpoints=ctx.num_endpoints,
+        reason=f"static: fixed design {design.name}"), ctx)
 
 
 SHUFFLE_POLICIES = {
@@ -567,12 +475,12 @@ SHUFFLE_POLICIES = {
 }
 
 
-def parse_policy(spec: Any) -> ShufflePolicy:
-    """Turn a ``--policy`` argument into a policy instance.
+def parse_policy(spec: Any) -> Union[str, ShufflePolicy]:
+    """Turn a ``--policy`` argument into a design selector.
 
     Accepts a policy object (returned unchanged), a registered policy
-    name (``adaptive``, ``hierarchical``), ``static:<DESIGN>``, or a
-    bare design name (shorthand for the static policy).
+    name (``adaptive``, ``hierarchical``; a fresh instance), or
+    ``static:<DESIGN>`` or a bare design name (the design name).
     """
     if isinstance(spec, ShufflePolicy):
         return spec
@@ -583,7 +491,7 @@ def parse_policy(spec: Any) -> ShufflePolicy:
         return factory()
     name = spec[len("static:"):] if spec.startswith("static:") else spec
     if name in DESIGNS:
-        return StaticPolicy(name)
+        return name
     known: List[str] = sorted(SHUFFLE_POLICIES) + ["static:<DESIGN>"]
     raise ValueError(
         f"unknown policy {spec!r}; expected one of {', '.join(known)} "

@@ -12,7 +12,7 @@ and exposes the endpoints for building SHUFFLE / RECEIVE operators.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, FrozenSet, List, Optional, Sequence, Union
+from typing import Callable, Dict, FrozenSet, List, Optional, Union
 
 from repro.core.endpoint import EndpointConfig
 from repro.core.groups import TransmissionGroups
@@ -58,8 +58,6 @@ class ShuffleStage:
                       Callable[[int], TransmissionGroups]],
         config: Optional[EndpointConfig] = None,
         *,
-        sender_nodes: Optional[Sequence[int]] = None,
-        threads: Optional[int] = None,
         registry: Optional[EndpointRegistry] = None,
     ):
         if not isinstance(plan, StagePlan):
@@ -76,7 +74,7 @@ class ShuffleStage:
         #: the flat plan this stage executes.
         self.plan = plan
         self.design = plan.design
-        self.threads = threads or fabric.cluster.threads_per_node
+        self.threads = fabric.cluster.threads_per_node
         self.k, self.config = self.design.stage_config(
             self.threads, plan.num_endpoints, plan.apply(config),
             mtu=fabric.config.mtu)
@@ -86,9 +84,8 @@ class ShuffleStage:
         self.registry = registry if registry is not None else EndpointRegistry()
 
         group_fn = groups if callable(groups) else (lambda _node: groups)
-        self.sender_nodes = tuple(
-            sender_nodes if sender_nodes is not None
-            else range(fabric.num_nodes))
+        #: every node sends; receivers are the nodes some group names.
+        self.sender_nodes = tuple(range(fabric.num_nodes))
         self.groups_for: Dict[int, TransmissionGroups] = {
             s: group_fn(s) for s in self.sender_nodes}
 
@@ -153,7 +150,7 @@ class ShuffleStage:
         node, as in the real system); nodes proceed in parallel.
         """
         sim = self.fabric.sim
-        nodes = sorted(set(self.sender_nodes) | set(self.receiver_nodes))
+        nodes = self.sender_nodes
         start = sim.now
 
         def phase1(node):
@@ -190,8 +187,7 @@ class ShuffleStage:
         if self._disposed:
             return
         self._disposed = True
-        nodes = sorted(set(self.sender_nodes) | set(self.receiver_nodes))
-        for node in nodes:
+        for node in self.sender_nodes:
             ctx = self.fabric.verbs_contexts.get(node)
             if ctx is None:
                 continue

@@ -1,4 +1,4 @@
-"""The switch/route layer: an explicit Port/Switch/Link graph.
+"""The switch/route layer: an explicit Switch/Port graph.
 
 The paper's clusters hang every node off one full-bisection switch, so
 the original fabric hard-coded a single ``switch_latency_ns`` hop.  This
@@ -13,8 +13,6 @@ Structure
 * :class:`SwitchPort` — a rate-limited port, backed by the same FIFO
   :class:`~repro.sim.primitives.RatePipe` that models NIC link ports, so
   trunk contention, per-port byte counters and trace spans come for free.
-* :class:`Link` — one cable of the graph (pure description; feeds
-  :meth:`Topology.describe` and the docs diagram).
 * :class:`Hop` — one step of a precomputed path: an optional port to
   serialize through plus an integer forwarding latency.  Hop *identity*
   is meaningful: paths that traverse the same physical resource share
@@ -43,14 +41,13 @@ nanoseconds instead of rounding per packet.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.fabric.config import NetworkConfig, TopologySpec
 from repro.sim import Simulator
 from repro.sim.primitives import RatePipe
 
-__all__ = ["Hop", "Link", "Route", "Switch", "SwitchPort", "Topology"]
+__all__ = ["Hop", "Route", "Switch", "SwitchPort", "Topology"]
 
 
 class Switch:
@@ -93,16 +90,6 @@ class SwitchPort:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<SwitchPort {self.name} @ {self.pipe.rate} B/ns>"
-
-
-@dataclass(frozen=True)
-class Link:
-    """One cable of the topology graph (description only — contention is
-    modeled by the :class:`SwitchPort` pipes, not by Link objects)."""
-
-    a: str
-    b: str
-    bytes_per_ns: float
 
 
 class Hop:
@@ -162,7 +149,6 @@ class Topology:
         self.network = network
         self.num_nodes = num_nodes
         self.switches: List[Switch] = []
-        self.links: List[Link] = []
         #: per-kind lookup of the (shared) hop tuple for a non-loopback
         #: pair; assigned by the builder below.
         self._pair_hops: "Callable[[int, int], Tuple[Hop, ...]]"
@@ -191,12 +177,8 @@ class Topology:
         pre-topology pipeline: egress, one switch latency, ingress —
         bit-identical heap entries and RNG draws.
         """
-        switch = self._add_switch("sw0")
-        hop = Hop(None, self.network.switch_latency_ns)
-        rate = self.network.link_bytes_per_ns
-        for node in range(self.num_nodes):
-            self.links.append(Link(f"node{node}", switch.name, rate))
-        shared = (hop,)
+        self._add_switch("sw0")
+        shared = (Hop(None, self.network.switch_latency_ns),)
         self._pair_hops = lambda src, dst: shared
 
     def _build_leaf_spine(self) -> None:
@@ -217,10 +199,6 @@ class Topology:
         leaves = [self._add_switch(f"leaf{i}") for i in range(num_leaves)]
         #: forwarding inside one's own leaf: no trunk crossed.
         local_hop = [Hop(None, latency) for _ in leaves]
-        for node in range(self.num_nodes):
-            self.links.append(Link(f"node{node}",
-                                   leaves[node // per_leaf].name,
-                                   net.link_bytes_per_ns))
 
         up_hop: List[Hop] = []
         down_hop: List[Hop] = []
@@ -232,10 +210,6 @@ class Topology:
                 down = spine.add_port(self.sim, f"down{i}", trunk_rate)
                 up_hop.append(Hop(up, latency))
                 down_hop.append(Hop(down, latency))
-                self.links.append(Link(f"{leaf.name}.up", spine.name,
-                                       trunk_rate))
-                self.links.append(Link(f"{spine.name}.down{i}", leaf.name,
-                                       trunk_rate))
 
         # One shared hop tuple per (src leaf, dst leaf) pair — O(leaves²)
         # route state regardless of node count.
@@ -268,9 +242,6 @@ class Topology:
                                      net.link_bytes_per_ns)
                 hops_for_rail.append(Hop(port, latency))
             out_hop.append(hops_for_rail)
-            for node in range(self.num_nodes):
-                self.links.append(Link(f"node{node}", rail.name,
-                                       net.link_bytes_per_ns))
         num_rails = len(rails)
         # One shared 1-tuple per (rail, dst) output port — O(rails · n)
         # route state instead of O(n²).

@@ -1,8 +1,9 @@
 """Tenants, jobs, and the arrival queue of the shuffle service.
 
-A *tenant* is a traffic class: a shuffle design, a per-job volume, and
-an open-loop arrival rate.  A *job* is one shuffle query submitted by a
-tenant — the unit the scheduler admits, places, runs, and accounts.
+A *tenant* is a traffic class: a shuffle design (or a policy that
+plans one per job), a per-job volume, and an open-loop arrival rate.
+A *job* is one shuffle query submitted by a tenant — the unit the
+scheduler admits, places, runs, and accounts.
 """
 
 from __future__ import annotations
@@ -11,6 +12,7 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional
 
 from repro.core.endpoint import EndpointConfig
+from repro.core.policy import DesignLike
 from repro.sim import Notify, Simulator
 
 __all__ = ["TenantSpec", "Job", "JobQueue"]
@@ -21,8 +23,10 @@ class TenantSpec:
     """One tenant's traffic class."""
 
     name: str
-    #: shuffle design this tenant's queries use (DESIGNS key).
-    design: str = "MESQ/SR"
+    #: what plans this tenant's queries: a design name, a ``Design``, a
+    #: ``StagePlan`` or a ``ShufflePolicy`` (coerced per job through
+    #: :func:`~repro.core.policy.resolve_plan`).
+    design: DesignLike = "MESQ/SR"
     #: per-node shuffle volume of one job.
     bytes_per_job: int = 2 << 20
     #: open-loop mean inter-arrival gap (exponential); the offered-load
@@ -34,12 +38,16 @@ class TenantSpec:
     num_endpoints: Optional[int] = None
     #: base endpoint configuration (None: EndpointConfig() defaults).
     config: Optional[EndpointConfig] = None
-    #: per-job design selection (a :class:`~repro.core.policy.
-    #: ShufflePolicy`); None runs a StaticPolicy of ``design`` —
-    #: bit-identical to the historical fixed-design scheduler.  The
-    #: scheduler feeds measured telemetry back to the policy between
-    #: jobs, so an adaptive tenant can switch designs mid-run.
-    policy: Optional[Any] = None
+
+    def __post_init__(self):
+        for field_name, minimum in (("bytes_per_job", 1),
+                                    ("mean_interarrival_ns", 1),
+                                    ("jobs", 0)):
+            value = getattr(self, field_name)
+            if value < minimum:
+                raise ValueError(
+                    f"TenantSpec {self.name!r}: {field_name} must be "
+                    f">= {minimum}, not {value}")
 
 
 @dataclass

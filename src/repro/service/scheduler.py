@@ -12,14 +12,13 @@ tenants on one fabric.  :class:`ShuffleService` closes that gap:
   concurrency limit, optionally arbitrated by a
   :class:`~repro.service.quota.QuotaManager` (defer while a tenant's
   headroom is exhausted);
-* each job is *planned* by its tenant's
-  :class:`~repro.core.policy.ShufflePolicy` (a StaticPolicy of the
-  tenant's fixed design unless the spec carries one): the policy picks
-  the design, clamps the endpoint count under the tenant's caps (an MQ
-  tenant degrades toward SQ rather than monopolizing the NIC's context
-  cache), and — fed measured telemetry between jobs via
-  :meth:`~repro.core.policy.ShufflePolicy.observe` — may switch designs
-  mid-run when QP-cache misses or credit stalls cross its thresholds;
+* each job is *planned* at admission from its tenant's ``design``
+  (a design name, ``Design``, ``StagePlan`` or
+  :class:`~repro.core.policy.ShufflePolicy`) and a
+  :class:`~repro.core.policy.StageContext` of the cluster and the
+  tenant's caps: the plan names the design and clamps the endpoint
+  count under the caps (an MQ tenant degrades toward SQ rather than
+  monopolizing the NIC's context cache);
 * each admitted job builds a tenant-tagged
   :class:`~repro.core.stage.ShuffleStage` from its plan, runs the §5.1
   repartition fragments, harvests per-tenant transport stats (bytes,
@@ -40,17 +39,10 @@ from typing import Any, Dict, List, Optional
 from repro.cluster import Cluster
 from repro.core.endpoint import EndpointConfig
 from repro.core.groups import TransmissionGroups
-from repro.core.policy import (
-    StageContext,
-    StagePlan,
-    TelemetrySnapshot,
-    as_policy,
-    resolve_plan,
-)
+from repro.core.policy import StageContext, StagePlan, resolve_plan
 from repro.core.synthetic import SyntheticShuffle
 from repro.engine.fragment import run_fragments
 from repro.sim import AllOf
-from repro.telemetry.core import nic_cache_stats
 from repro.telemetry.metrics import latency_summary
 
 from repro.service.jobs import Job, JobQueue, TenantSpec
@@ -85,6 +77,11 @@ class ServiceConfig:
     max_concurrent: int = 2
     #: seed for the per-tenant arrival processes.
     seed: int = 1
+
+    def __post_init__(self):
+        if self.max_concurrent < 1:
+            raise ValueError(
+                f"max_concurrent must be >= 1, not {self.max_concurrent}")
 
 
 class FifoPolicy:
@@ -150,13 +147,6 @@ class ShuffleService:
         self.failed: List[Job] = []
         self.started_by_tenant: Dict[str, int] = {}
         self.running = 0
-        #: per-tenant shuffle policies: the tenant's own, or the static
-        #: policy its fixed design means.  They persist across jobs so
-        #: :meth:`_observe` can feed telemetry back.
-        self._policies = {
-            t.name: as_policy(t.policy if t.policy is not None else t.design)
-            for t in tenants
-        }
         #: plans made, one per admitted job (harvested by callback below).
         self.policy_decisions = 0
         #: footprints reserved by admitted-but-unfinished jobs, so two
@@ -174,8 +164,7 @@ class ShuffleService:
     def stage_context(self, tenant: TenantSpec) -> StageContext:
         """The :class:`StageContext` a job of ``tenant`` plans against:
         cluster shape and the tenant's quota caps (the clamping
-        inputs); adaptive policies learn telemetry through
-        :meth:`_observe`."""
+        inputs)."""
         quota = self.quotas.quota(tenant.name) \
             if self.quotas is not None else TenantQuota()
         return StageContext.from_cluster(
@@ -189,8 +178,7 @@ class ShuffleService:
 
     def plan_for(self, tenant: TenantSpec) -> StagePlan:
         """Plan one job of ``tenant`` right now (clamping included)."""
-        return resolve_plan(self._policies[tenant.name],
-                            self.stage_context(tenant))
+        return resolve_plan(tenant.design, self.stage_context(tenant))
 
     def job_footprint(self, job: Job, plan: StagePlan) -> Footprint:
         return estimate_footprint(
@@ -291,7 +279,6 @@ class ShuffleService:
         trace instant on the scheduler track."""
         self.policy_decisions += 1
         job.meta["design"] = plan.design.name
-        job.meta["policy"] = self._policies[job.tenant.name].describe()
         tracer = self.cluster.telemetry.tracer
         if tracer is not None:
             tracer.instant(
@@ -327,7 +314,6 @@ class ShuffleService:
             job.credit_wait_ns = stats.credit_wait_ns
             job.credit_stalls = stats.credit_stalls
             job.qp_cache_misses = self._misses_for(stats.qpns)
-            self._observe(job, elapsed)
             self.completed.append(job)
             self.completion_order.append(job.name)
             yield TEARDOWN_GRACE_NS
@@ -346,21 +332,6 @@ class ShuffleService:
                     reserved.pop()
             self.running -= 1
             self.queue.kick()
-
-    def _observe(self, job: Job, elapsed_ns: int) -> None:
-        """Feed measured telemetry back to the tenant's policy — the
-        mid-run re-plan hook.  The cache miss rate is cluster-wide and
-        cumulative (the cache is shared: a tenant suffers its
-        neighbours' thrash, which its plan-time context cannot
-        predict); the credit-stall share is the job's own.
-        """
-        cluster = self.cluster
-        budget = max(1, elapsed_ns * cluster.threads_per_node *
-                     cluster.num_nodes)
-        observed = TelemetrySnapshot(
-            qp_cache_miss_rate=nic_cache_stats(cluster)["miss_rate"],
-            credit_stall_share=min(1.0, job.credit_wait_ns / budget))
-        self._policies[job.tenant.name].observe(observed)
 
     def _misses_for(self, qpns) -> int:
         by_qpn = self.cluster.telemetry.qp_miss_by_qpn

@@ -1,12 +1,11 @@
 """Tests for the shuffle-policy layer (repro.core.policy).
 
-Covers the PR-10 guarantees: plans are deterministic functions of their
-context, StaticPolicy is bit-identical to the legacy design-string path,
-design/kind validation is eager with actionable errors, the adaptive
-rule table and observed-telemetry overrides fire as documented, the
-hierarchical plan/runner pair round-trips every byte, and the quota
-clamp the service scheduler used to apply inline now lives behind
-``ShufflePolicy.plan``.
+Covers the policy-layer guarantees: plans are deterministic functions
+of their context, a design name plans bit-identically to the bare
+design, design/kind validation is eager with actionable errors, the
+adaptive rule table fires as documented, the hierarchical plan/runner
+pair round-trips every byte, and the quota clamp lives behind
+``resolve_plan``.
 """
 
 import dataclasses
@@ -20,7 +19,7 @@ from repro.bench.workloads import (
     run_hierarchical,
     run_repartition,
 )
-from repro.core.designs import DESIGNS, UnknownDesignError
+from repro.core.designs import DESIGNS, UnknownDesignError, resolve_design
 from repro.core.endpoint import EndpointConfig
 from repro.core.policy import (
     AdaptivePolicy,
@@ -29,10 +28,9 @@ from repro.core.policy import (
     ShufflePolicy,
     StageContext,
     StagePlan,
-    StaticPolicy,
-    TelemetrySnapshot,
     parse_policy,
     plan_footprint,
+    resolve_plan,
 )
 from repro.service import (
     QuotaManager,
@@ -73,12 +71,8 @@ class TestParsePolicy:
         assert set(SHUFFLE_POLICIES) == {"adaptive", "hierarchical"}
 
     def test_static_prefix_and_bare_design(self):
-        static = parse_policy("static:SEMQ/SR")
-        assert isinstance(static, StaticPolicy)
-        assert static.design.name == "SEMQ/SR"
-        bare = parse_policy("MESQ/SR")
-        assert isinstance(bare, StaticPolicy)
-        assert bare.design.name == "MESQ/SR"
+        assert parse_policy("static:SEMQ/SR") == "SEMQ/SR"
+        assert parse_policy("MESQ/SR") == "MESQ/SR"
 
     def test_policy_object_passes_through(self):
         policy = AdaptivePolicy()
@@ -168,28 +162,19 @@ class TestPlanDeterminism:
         assert ctx_a == ctx_b
 
     @pytest.mark.parametrize("policy_factory", [
-        lambda: StaticPolicy("SEMQ/SR"),
+        lambda: "SEMQ/SR",
         AdaptivePolicy,
         HierarchicalPolicy,
     ])
     def test_same_context_same_plan(self, policy_factory):
         ctx_a, ctx_b = self.context_pair(nodes=4, threads=2,
                                          topology=LEAF4X2)
-        assert policy_factory().plan(ctx_a) == policy_factory().plan(ctx_b)
-
-    def test_same_observations_same_plan(self):
-        ctx, _ = self.context_pair(nodes=4, threads=2)
-        snap = TelemetrySnapshot(qp_cache_miss_rate=0.5)
-        plans = []
-        for _ in range(2):
-            policy = AdaptivePolicy()
-            policy.observe(snap)
-            plans.append(policy.plan(ctx))
-        assert plans[0] == plans[1]
+        assert resolve_plan(policy_factory(), ctx_a) == \
+            resolve_plan(policy_factory(), ctx_b)
 
     @pytest.mark.parametrize("selector", [
         AdaptivePolicy,
-        lambda: StaticPolicy("MESQ/SR"),
+        lambda: resolve_design("MESQ/SR"),
     ])
     def test_run_digests_are_bit_identical(self, selector):
         def digest():
@@ -209,12 +194,12 @@ class TestPlanDeterminism:
 
 
 class TestStaticBitIdentity:
-    """StaticPolicy (and an override-free StagePlan) must reproduce the
-    legacy design-string path bit-for-bit."""
+    """A resolved Design and an override-free StagePlan must reproduce
+    the design-string path bit-for-bit."""
 
     @pytest.mark.parametrize("design", ["MESQ/SR", "SEMQ/SR"])
     @pytest.mark.parametrize("selector", [
-        lambda d: StaticPolicy(d),
+        lambda d: resolve_design(d),
         lambda d: StagePlan(design=d),
     ])
     def test_selector_matches_design_string(self, design, selector):
@@ -227,8 +212,8 @@ class TestStaticBitIdentity:
 
     @pytest.mark.parametrize("design", ["MPI", "IPoIB"])
     def test_baselines_run_through_the_policy_path(self, design):
-        """MPI and IPoIB are ordinary designs: name, policy and plan all
-        reach the same stage."""
+        """MPI and IPoIB are ordinary designs: name, Design, plan and
+        ``--policy static:`` spelling all reach the same stage."""
         def run(chooser):
             cluster = make_cluster(nodes=2, threads=2)
             result = run_repartition(cluster, chooser,
@@ -237,7 +222,7 @@ class TestStaticBitIdentity:
         by_name = run(design)
         assert by_name["design"] == design
         assert by_name["total_received_bytes"] >= 2 << 20
-        assert run(StaticPolicy(design)) == by_name
+        assert run(resolve_design(design)) == by_name
         assert run(StagePlan(design)) == by_name
         assert run(parse_policy(f"static:{design}")) == by_name
 
@@ -265,7 +250,7 @@ class TestStaticBitIdentity:
 
 
 # ---------------------------------------------------------------------------
-# the adaptive rule table and observed-telemetry overrides
+# the adaptive rule table
 # ---------------------------------------------------------------------------
 
 
@@ -295,27 +280,6 @@ class TestAdaptiveRules:
         plan = AdaptivePolicy().plan(make_context())
         assert plan.design.name == "SEMQ/SR"
 
-    def test_observed_misses_force_ud(self):
-        policy = AdaptivePolicy()
-        policy.observe(TelemetrySnapshot(qp_cache_miss_rate=0.5))
-        plan = policy.plan(make_context())
-        assert plan.design.name == "MESQ/SR"
-        assert "observed" in plan.reason
-
-    def test_observed_stalls_deepen_the_window(self):
-        policy = AdaptivePolicy()
-        policy.observe(TelemetrySnapshot(credit_stall_share=0.5))
-        plan = policy.plan(make_context())
-        assert plan.design.name == "SEMQ/SR"
-        assert plan.buffers_per_connection == AdaptivePolicy.deep_buffers
-
-    def test_quiet_telemetry_changes_nothing(self):
-        policy = AdaptivePolicy()
-        baseline = policy.plan(make_context())
-        policy.observe(TelemetrySnapshot(qp_cache_miss_rate=0.01,
-                                         credit_stall_share=0.01))
-        assert policy.plan(make_context()) == baseline
-
     def test_oversubscribed_leaf_spine_delegates_to_hierarchical(self):
         ctx = make_context(topology_kind="leaf-spine", oversubscription=4,
                            nodes_per_leaf=4, allow_hierarchical=True)
@@ -334,12 +298,6 @@ class TestHierarchicalPolicy:
         assert not plan.hierarchical
         assert plan.design.name == "MESQ/SR"
         assert "fallback" in plan.reason
-
-    def test_flat_fallback_for_broadcast(self):
-        ctx = make_context(topology_kind="leaf-spine", oversubscription=4,
-                           nodes_per_leaf=4, allow_hierarchical=True,
-                           pattern="broadcast")
-        assert not HierarchicalPolicy().plan(ctx).hierarchical
 
     def test_two_phase_plan_shape(self):
         ctx = make_context(topology_kind="leaf-spine", oversubscription=4,
@@ -373,7 +331,7 @@ class TestQuotaClamp:
         return plan_footprint("MEMQ/SR", 3, threads)
 
     def test_uncapped_context_never_clamps(self):
-        plan = StaticPolicy("MEMQ/SR").plan(make_context(nodes=3, threads=2))
+        plan = resolve_plan("MEMQ/SR", make_context(nodes=3, threads=2))
         assert not plan.clamped
         assert plan.runnable
         assert plan.num_endpoints is None
@@ -383,7 +341,7 @@ class TestQuotaClamp:
         natural_qps, _ = self.natural_footprint()
         assert single_qps < natural_qps
         ctx = make_context(nodes=3, threads=2, max_qps=single_qps)
-        plan = StaticPolicy("MEMQ/SR").plan(ctx)
+        plan = resolve_plan("MEMQ/SR", ctx)
         assert plan.clamped
         assert plan.runnable
         assert plan.num_endpoints == 1
@@ -392,13 +350,13 @@ class TestQuotaClamp:
     def test_impossible_cap_marks_unrunnable(self):
         single_qps, _ = plan_footprint("MEMQ/SR", 3, 2, num_endpoints=1)
         ctx = make_context(nodes=3, threads=2, max_qps=single_qps - 1)
-        plan = StaticPolicy("MEMQ/SR").plan(ctx)
+        plan = resolve_plan("MEMQ/SR", ctx)
         assert not plan.runnable
         assert "unrunnable" in plan.reason
 
     def test_plan_footprint_covers_stage_with_overrides(self):
         # The conformance guarantee must survive a plan's parameter
-        # overrides (the adaptive deep-window path), not just defaults.
+        # overrides (the deep-window path), not just defaults.
         nodes, threads = 3, 2
         cluster = make_cluster(nodes=nodes, threads=threads)
         quotas = QuotaManager()
@@ -465,20 +423,19 @@ class TestHierarchicalRunner:
 
 
 # ---------------------------------------------------------------------------
-# service integration: observe() -> mid-run re-plan
+# service integration: a tenant's design may be a policy
 # ---------------------------------------------------------------------------
 
 
 class TestServiceAdaptiveSwitch:
     def test_adaptive_tenant_switches_under_neighbour_thrash(self):
-        """An adaptive tenant starts in the RC regime (its own working
-        set fits the 64-entry cache), an MEMQ/SR aggressor drives the
-        shared cache's measured miss rate over the threshold, and the
-        victim's later jobs switch to the UD design — recorded per job
-        in ``job.meta['design']``."""
+        """An adaptive tenant plans from its context alone: its own
+        working set fits the 64-entry cache, so every job runs the RC
+        design even while an MEMQ/SR aggressor thrashes the shared
+        cache — recorded per job in ``job.meta['design']``."""
         cluster = make_cluster(nodes=4, threads=1, qp_cache_entries=64)
         tenants = [
-            TenantSpec("adapt", policy=AdaptivePolicy(),
+            TenantSpec("adapt", design=AdaptivePolicy(),
                        bytes_per_job=256 << 10,
                        mean_interarrival_ns=1_000_000, jobs=4),
             TenantSpec("mq", design="MEMQ/SR", bytes_per_job=512 << 10,
@@ -490,12 +447,9 @@ class TestServiceAdaptiveSwitch:
         assert report["failed"] == []
         jobs = [j for j in service.completed if j.tenant.name == "adapt"]
         assert len(jobs) == 4
-        designs = [j.meta["design"] for j in jobs]
-        # Plan-time rules picked RC (2*4*1 = 8 QPs < 16-entry budget)...
-        assert designs[0] == "SEMQ/SR"
-        # ...and the observed shared-cache miss rate forced the switch.
-        assert designs[-1] == "MESQ/SR"
-        assert all(j.meta["policy"] == "adaptive" for j in jobs)
+        # The rules pick RC (2*4*1 = 8 QPs < 16-entry budget), and the
+        # neighbour's thrash does not feed back into later plans.
+        assert [j.meta["design"] for j in jobs] == ["SEMQ/SR"] * 4
 
     def test_static_tenants_record_their_fixed_design(self):
         cluster = make_cluster(nodes=2, threads=2)
@@ -505,16 +459,9 @@ class TestServiceAdaptiveSwitch:
         service.run()
         assert [j.meta["design"] for j in service.completed] == \
             ["SEMQ/SR", "SEMQ/SR"]
-        assert service.completed[0].meta["policy"] == "static:SEMQ/SR"
 
 
 class TestPolicyProtocol:
     def test_base_policy_is_abstract(self):
         with pytest.raises(NotImplementedError):
             ShufflePolicy().plan(make_context())
-
-    def test_describe_round_trips(self):
-        assert StaticPolicy("SEMQ/SR").describe() == "static:SEMQ/SR"
-        assert AdaptivePolicy().describe() == "adaptive"
-        assert HierarchicalPolicy().describe() == \
-            "hierarchical:MESQ/SR+SEMQ/SR"

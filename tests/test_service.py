@@ -8,6 +8,7 @@ import pytest
 from repro import Cluster, ClusterConfig, FDR, TransmissionGroups
 from repro.core.designs import DESIGNS
 from repro.core.endpoint import EndpointConfig
+from repro.core.policy import StagePlan
 from repro.service import (
     FairSharePolicy,
     FifoPolicy,
@@ -175,6 +176,22 @@ class TestServiceRuns:
         with pytest.raises(ValueError, match="duplicate tenant"):
             ShuffleService(cluster, [TenantSpec(name="a"),
                                      TenantSpec(name="a")])
+
+    @pytest.mark.parametrize("build, field", [
+        (lambda: TenantSpec("t", mean_interarrival_ns=0),
+         "mean_interarrival_ns"),
+        (lambda: TenantSpec("t", bytes_per_job=-5), "bytes_per_job"),
+        (lambda: TenantSpec("t", jobs=-1), "jobs"),
+        (lambda: ServiceConfig(max_concurrent=0), "max_concurrent"),
+        (lambda: StagePlan("MESQ/SR", inter_concurrency=0),
+         "inter_concurrency"),
+    ], ids=["interarrival", "bytes", "jobs", "max_concurrent",
+            "inter_concurrency"])
+    def test_bad_inputs_rejected_at_construction(self, build, field):
+        """Out-of-range inputs fail where they are given, naming the
+        field — not mid-run, silently or behind a later clamp."""
+        with pytest.raises(ValueError, match=field):
+            build()
 
     def test_tenant_metrics_in_telemetry_snapshot(self):
         cluster = make_cluster()

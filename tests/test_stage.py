@@ -38,7 +38,7 @@ class TestStageWiring:
         cluster = make_cluster()
         groups = TransmissionGroups.repartition(3)
         stage = ShuffleStage(cluster.fabric, StagePlan("MEMQ/SR"), groups,
-                             threads=2, registry=cluster.registry)
+                             registry=cluster.registry)
         # ME with t=2: send ep j on node s peers with recv ep j on dest d.
         for s in range(3):
             for j, ep in enumerate(stage.send_endpoints[s]):
@@ -50,7 +50,7 @@ class TestStageWiring:
         cluster = make_cluster()
         groups = TransmissionGroups.repartition(3)
         stage = ShuffleStage(cluster.fabric, StagePlan("SEMQ/SR"), groups,
-                             threads=2, registry=cluster.registry)
+                             registry=cluster.registry)
         for d in range(3):
             recv = stage.recv_endpoints[d][0]
             source_nodes = sorted(node for node, _ep in recv.sources)
@@ -60,7 +60,7 @@ class TestStageWiring:
         cluster = make_cluster()
         stage = ShuffleStage(cluster.fabric, StagePlan("SEMQ/SR"),
                              TransmissionGroups([(0,)]),
-                             threads=2, registry=cluster.registry)
+                             registry=cluster.registry)
         assert list(stage.recv_endpoints) == [0]
         assert sorted(stage.send_endpoints) == [0, 1, 2]
 
@@ -71,7 +71,7 @@ class TestStageWiring:
             return TransmissionGroups.broadcast(3, exclude=node)
 
         stage = ShuffleStage(cluster.fabric, StagePlan("SEMQ/SR"), groups_for,
-                             threads=2, registry=cluster.registry)
+                             registry=cluster.registry)
         assert stage.groups_for[0].all_destinations == (1, 2)
         assert stage.groups_for[1].all_destinations == (0, 2)
         # everyone still receives (union of all destinations).
@@ -80,9 +80,9 @@ class TestStageWiring:
     def test_two_stages_share_registry_without_collision(self):
         cluster = make_cluster()
         groups = TransmissionGroups.repartition(3)
-        s1 = ShuffleStage(cluster.fabric, StagePlan("SEMQ/SR"), groups, threads=2,
+        s1 = ShuffleStage(cluster.fabric, StagePlan("SEMQ/SR"), groups,
                           registry=cluster.registry)
-        s2 = ShuffleStage(cluster.fabric, StagePlan("MESQ/SR"), groups, threads=2,
+        s2 = ShuffleStage(cluster.fabric, StagePlan("MESQ/SR"), groups,
                           registry=cluster.registry)
         cluster.run_process(s1.setup())
         cluster.run_process(s2.setup())
@@ -96,7 +96,7 @@ class TestStageWiring:
         cluster = make_cluster()
         stage = ShuffleStage(cluster.fabric, StagePlan("MEMQ/SR"),
                              TransmissionGroups.repartition(3),
-                             threads=2, registry=cluster.registry)
+                             registry=cluster.registry)
         cluster.run_process(stage.setup())
         assert sorted(stage.setup_ns) == [0, 1, 2]
         assert all(ns > 0 for ns in stage.setup_ns.values())
@@ -108,8 +108,7 @@ class TestStageWiring:
                              buffers_per_connection=2, ud_window_factor=4)
         stage = ShuffleStage(cluster.fabric, StagePlan("MESQ/SR"),
                              TransmissionGroups.repartition(3),
-                             config=cfg, threads=2,
-                             registry=cluster.registry)
+                             config=cfg, registry=cluster.registry)
         assert stage.config.message_size == EDR.mtu
         assert stage.config.buffers_per_connection == 8
 
