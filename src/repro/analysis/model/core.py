@@ -13,6 +13,8 @@ from __future__ import annotations
 from dataclasses import dataclass, fields, replace
 from typing import Any, Dict, List, NamedTuple, Optional, Tuple
 
+from repro.core.endpoint import EndpointConfig
+
 __all__ = [
     "Action",
     "ModelBound",
@@ -39,7 +41,7 @@ class ModelBound:
     executions are always a subset of the explored space.
 
     ``qp_errors`` defaults to 0: none of the five paper designs
-    implements QP-error recovery yet (ROADMAP direction 5), so a QP
+    implements QP-error recovery yet (ROADMAP direction 1(d)), so a QP
     error provably wedges the stage — raise the budget to make the
     checker produce that trace.
     """
@@ -48,7 +50,8 @@ class ModelBound:
     peers: int = 2
     #: data messages per peer-stream (plus one final marker each).
     messages: int = 2
-    #: receiver window: Receives initially posted = initial credit.
+    #: receiver window: Receives initially posted = initial credit (the
+    #: endpoints' ``buffers_per_connection`` at one thread per endpoint).
     window: int = 2
     #: Receives per credit write-back (§5.1.1).
     credit_frequency: int = 2
@@ -73,6 +76,9 @@ class ModelBound:
             if value < least:
                 raise ValueError(
                     f"bound {f.name} must be >= {least}, got {value}")
+        # The runtime's window rule: no bound the endpoints refuse.
+        EndpointConfig(buffers_per_connection=self.window,
+                       credit_frequency=self.credit_frequency)
 
     def describe(self) -> Dict[str, int]:
         return {f.name: getattr(self, f.name) for f in fields(self)}

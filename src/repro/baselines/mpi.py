@@ -287,9 +287,9 @@ class MPISendEndpoint(SendEndpoint):
 
     def __init__(self, ctx: VerbsContext, endpoint_id: int,
                  config: EndpointConfig, destinations: Sequence[int],
-                 num_groups: int, peers: Dict[int, int]):
+                 num_groups: int, peers: Dict[int, int], threads: int = 1):
         super().__init__(ctx, endpoint_id, config, destinations,
-                         num_groups, peers)
+                         num_groups, peers, threads)
         self.runtime = MPIRuntime.get(ctx)
 
     def setup(self, registry: EndpointRegistry):
@@ -333,8 +333,8 @@ class MPIReceiveEndpoint(ReceiveEndpoint):
 
     def __init__(self, ctx: VerbsContext, endpoint_id: int,
                  config: EndpointConfig,
-                 sources: Sequence[Tuple[int, int]]):
-        super().__init__(ctx, endpoint_id, config, sources)
+                 sources: Sequence[Tuple[int, int]], threads: int = 1):
+        super().__init__(ctx, endpoint_id, config, sources, threads)
         self.runtime = MPIRuntime.get(ctx)
 
     def setup(self, registry: EndpointRegistry):

@@ -126,8 +126,9 @@ class Design:
                      num_endpoints: Optional[int] = None,
                      base: Optional[EndpointConfig] = None,
                      mtu: Optional[int] = None
-                     ) -> Tuple[int, EndpointConfig]:
-        """Endpoint count and effective endpoint config of one stage.
+                     ) -> Tuple[int, int, EndpointConfig]:
+        """Endpoint count, threads per endpoint and effective endpoint
+        config of one stage.
 
         The one derivation the stage runs with and the footprint
         estimate sizes from: the threads are split over the endpoints,
@@ -144,9 +145,8 @@ class Design:
             if mtu is not None:
                 message_size = min(message_size, mtu)
             buffers *= base.ud_window_factor
-        return k, dataclasses.replace(
-            base, message_size=message_size, buffers_per_connection=buffers,
-            threads_per_endpoint=-(-threads // k))
+        return k, -(-threads // k), dataclasses.replace(
+            base, message_size=message_size, buffers_per_connection=buffers)
 
     # -- Table 1 descriptive columns -----------------------------------------
 

@@ -72,10 +72,6 @@ class EndpointConfig:
     #: credit write-back frequency: the receiver returns credit after this
     #: many Receive requests have been reposted (§4.4.1, Fig 8).
     credit_frequency: int = 2
-    #: number of worker threads sharing this endpoint (1 in the
-    #: multi-endpoint configuration, t in the single-endpoint one);
-    #: buffer pools are sized per thread served.
-    threads_per_endpoint: int = 1
     #: how long an Unreliable Datagram receiver waits for outstanding
     #: packets after the sent/received totals disagree, before declaring a
     #: network error and forcing a query restart (§4.4.2).
@@ -98,22 +94,12 @@ class EndpointConfig:
             raise ValueError("need at least one buffer per connection")
         if self.credit_frequency < 1:
             raise ValueError("credit frequency must be >= 1")
-        if self.threads_per_endpoint < 1:
-            raise ValueError("threads_per_endpoint must be >= 1")
-        if (self.credit_frequency
-                > self.buffers_per_connection * self.threads_per_endpoint):
+        if self.credit_frequency > self.buffers_per_connection:
             # Otherwise the final write-back never happens and the sender
             # can starve for credit at end of stream (§5.1.1 discussion).
             raise ValueError(
                 "credit_frequency must not exceed buffers per connection "
-                f"({self.credit_frequency} > "
-                f"{self.buffers_per_connection * self.threads_per_endpoint})"
-            )
-
-    @property
-    def buffers_per_link(self) -> int:
-        """Registered buffers provisioned per connection on each side."""
-        return self.buffers_per_connection * self.threads_per_endpoint
+                f"({self.credit_frequency} > {self.buffers_per_connection})")
 
 
 @dataclass(slots=True)

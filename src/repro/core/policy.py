@@ -155,8 +155,7 @@ class StagePlan:
     design: Design
     #: endpoint count (None: the design's natural count).
     num_endpoints: Optional[int] = None
-    #: credit/window parameter overrides (None: keep the caller's).
-    credit_frequency: Optional[int] = None
+    #: window parameter overrides (None: keep the caller's).
     buffers_per_connection: Optional[int] = None
     message_size: Optional[int] = None
     #: two-phase leaf-spine decomposition: when set, the stage runs as
@@ -199,8 +198,6 @@ class StagePlan:
         """
         config = base if base is not None else EndpointConfig()
         changes: Dict[str, Any] = {}
-        if self.credit_frequency is not None:
-            changes["credit_frequency"] = self.credit_frequency
         if self.buffers_per_connection is not None:
             changes["buffers_per_connection"] = self.buffers_per_connection
         if self.message_size is not None:
@@ -244,10 +241,10 @@ def plan_footprint(design: Union[str, Design], nodes: int, threads: int,
     design.
     """
     d = resolve_design(design)
-    k, cfg = d.stage_config(threads, num_endpoints, config)
+    k, ep_threads, cfg = d.stage_config(threads, num_endpoints, config)
     per_ep_qps = 1 if d.uses_ud else nodes
     qps = 2 * nodes * k * per_ep_qps
-    window = cfg.buffers_per_link * cfg.message_size
+    window = cfg.buffers_per_connection * ep_threads * cfg.message_size
     # send pool (window x groups) + recv pool (window x sources) per
     # node, plus aux pools/boards absorbed by the margin.
     registered = 2 * nodes * k * nodes * window

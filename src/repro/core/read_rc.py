@@ -64,9 +64,9 @@ class ReadRCSendEndpoint(SendEndpoint):
 
     def __init__(self, ctx: VerbsContext, endpoint_id: int,
                  config: EndpointConfig, destinations: Sequence[int],
-                 num_groups: int, peers: Dict[int, int]):
+                 num_groups: int, peers: Dict[int, int], threads: int = 1):
         super().__init__(ctx, endpoint_id, config, destinations,
-                         num_groups, peers)
+                         num_groups, peers, threads)
         self._final_bufs: Dict[int, Buffer] = {}
 
     def setup(self, registry: EndpointRegistry):
@@ -148,14 +148,13 @@ class ReadRCReceiveEndpoint(ReceiveEndpoint):
 
     def setup(self, registry: EndpointRegistry):
         self.cq = self.ctx.create_cq()
-        per_link = self.config.buffers_per_link
+        per_link = self.buffers_per_link
         yield from self.provision_recv_pool()
         # ValidArr: one circular region per source, written remotely; must
         # hold every buffer the sender could have outstanding plus finals.
         # The sender's exact pool depends on its group count, so assume
-        # 64 per-thread windows' worth (slots are 8 bytes each).
-        valid_cap, _ = ring_caps(64 * self.config.buffers_per_connection
-                                 * self.config.threads_per_endpoint)
+        # 64 link windows' worth (slots are 8 bytes each).
+        valid_cap, _ = ring_caps(64 * per_link)
         valid_board = yield from RingBoard.install(
             self, [src_ep for _node, src_ep in self.sources],
             valid_cap, self._on_valid_value, min_one=True,

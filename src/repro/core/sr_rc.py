@@ -96,7 +96,7 @@ class SRRCReceiveEndpoint(CreditedReceiveEndpoint):
 
     def setup(self, registry: EndpointRegistry):
         self.cq = self.ctx.create_cq()
-        per_link = self.config.buffers_per_link
+        per_link = self.buffers_per_link
         yield from self.provision_recv_pool()
         next_buffer = 0
         for src_node, src_ep in self.sources:

@@ -60,10 +60,10 @@ class SRUDSendEndpoint(CreditedSendEndpoint):
 
     def __init__(self, ctx: VerbsContext, endpoint_id: int,
                  config: EndpointConfig, destinations: Sequence[int],
-                 num_groups: int, peers: Dict[int, int]):
+                 num_groups: int, peers: Dict[int, int], threads: int = 1):
         ensure_ud_message_size(ctx, config)
         super().__init__(ctx, endpoint_id, config, destinations,
-                         num_groups, peers)
+                         num_groups, peers, threads)
         #: receiving endpoint id -> connection (credit datagrams carry the
         #: receiver's endpoint id, not the node id).
         self._conn_by_peer: Dict[int, PeerConnection] = {}
@@ -136,9 +136,9 @@ class SRUDReceiveEndpoint(CreditedReceiveEndpoint):
 
     def __init__(self, ctx: VerbsContext, endpoint_id: int,
                  config: EndpointConfig,
-                 sources: Sequence[Tuple[int, int]]):
+                 sources: Sequence[Tuple[int, int]], threads: int = 1):
         ensure_ud_message_size(ctx, config)
-        super().__init__(ctx, endpoint_id, config, sources)
+        super().__init__(ctx, endpoint_id, config, sources, threads)
         self._credit_out: CreditDatagramPort = None
 
     def setup(self, registry: EndpointRegistry):
@@ -150,7 +150,7 @@ class SRUDReceiveEndpoint(CreditedReceiveEndpoint):
             max_recv_wr=self.ctx.config.max_qp_depth,
             tenant=self.config.tenant)
         yield from setup_ud_qp(self.ctx, self.qp)
-        per_link = self.config.buffers_per_link
+        per_link = self.buffers_per_link
         yield from self.provision_recv_pool()
         for buf in self.pool.buffers:
             self.qp.post_recv_buffer(buf, self.config.message_size)

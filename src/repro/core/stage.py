@@ -75,7 +75,7 @@ class ShuffleStage:
         self.plan = plan
         self.design = plan.design
         self.threads = fabric.cluster.threads_per_node
-        self.k, self.config = self.design.stage_config(
+        self.k, ep_threads, self.config = self.design.stage_config(
             self.threads, plan.num_endpoints, plan.apply(config),
             mtu=fabric.config.mtu)
         if self.k > self.threads:
@@ -119,7 +119,7 @@ class ShuffleStage:
                 peers = {d: recv_ids[(d, j % self.k)] for d in destinations}
                 ep = self.design.send_cls(
                     ctx, send_ids[(s, j)], self.config, destinations,
-                    self.groups_for[s].num_groups, peers)
+                    self.groups_for[s].num_groups, peers, ep_threads)
                 endpoints.append(ep)
                 for d in destinations:
                     sources[peers[d]].append((s, ep.endpoint_id))
@@ -129,7 +129,8 @@ class ShuffleStage:
             ctx = get_context(fabric, d)
             self.recv_endpoints[d] = [
                 self.design.recv_cls(
-                    ctx, recv_ids[(d, r)], self.config, sources[recv_ids[(d, r)]])
+                    ctx, recv_ids[(d, r)], self.config,
+                    sources[recv_ids[(d, r)]], ep_threads)
                 for r in range(self.k)
             ]
 

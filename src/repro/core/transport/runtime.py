@@ -76,12 +76,18 @@ class _EndpointBase:
     """State shared by send and receive endpoints."""
 
     def __init__(self, ctx: VerbsContext, endpoint_id: int,
-                 config: EndpointConfig):
+                 config: EndpointConfig, threads: int):
         self.ctx = ctx
         self.sim = ctx.sim
         self.node = ctx.node
         self.endpoint_id = endpoint_id
         self.config = config
+        #: worker threads sharing this endpoint (1 in the multi-endpoint
+        #: configuration, ``⌈t/k⌉`` otherwise; the stage derives it):
+        #: buffer pools are sized per thread served.
+        self.threads = threads
+        #: registered buffers provisioned per connection on each side.
+        self.buffers_per_link = config.buffers_per_connection * threads
         self.net = ctx.config
         #: serializes bookkeeping when several threads share the endpoint.
         self.lock = Mutex(ctx.sim)
@@ -176,8 +182,8 @@ class SendEndpoint(_EndpointBase):
 
     def __init__(self, ctx: VerbsContext, endpoint_id: int,
                  config: EndpointConfig, destinations: Sequence[int],
-                 num_groups: int, peers: Dict[int, int]):
-        super().__init__(ctx, endpoint_id, config)
+                 num_groups: int, peers: Dict[int, int], threads: int = 1):
+        super().__init__(ctx, endpoint_id, config, threads)
         #: node ids this endpoint may transmit to.
         self.destinations = tuple(destinations)
         #: number of transmission groups (sizes the buffer pool).
@@ -202,9 +208,8 @@ class SendEndpoint(_EndpointBase):
 
     @property
     def send_pool_buffers(self) -> int:
-        """Transmission buffers: per-connection window x groups x threads."""
-        return (self.config.buffers_per_connection * self.num_groups *
-                self.config.threads_per_endpoint)
+        """Transmission buffers: the per-link window for every group."""
+        return self.buffers_per_link * self.num_groups
 
     def provision_send_pool(self, extra: int = 0):
         """Process fragment: charge registration, carve the transmission
@@ -341,8 +346,9 @@ class ReceiveEndpoint(_EndpointBase):
     """The data-receiving side."""
 
     def __init__(self, ctx: VerbsContext, endpoint_id: int,
-                 config: EndpointConfig, sources: Sequence[Tuple[int, int]]):
-        super().__init__(ctx, endpoint_id, config)
+                 config: EndpointConfig, sources: Sequence[Tuple[int, int]],
+                 threads: int = 1):
+        super().__init__(ctx, endpoint_id, config, threads)
         #: (source node id, source endpoint id) pairs feeding this endpoint.
         self.sources = tuple(sources)
         #: delivered items: (state, src_endpoint, remote_addr, local Buffer).
@@ -354,7 +360,7 @@ class ReceiveEndpoint(_EndpointBase):
     @property
     def recv_pool_buffers(self) -> int:
         """Receive buffers: the per-link window for every source."""
-        return self.config.buffers_per_link * max(1, len(self.sources))
+        return self.buffers_per_link * max(1, len(self.sources))
 
     def provision_recv_pool(self):
         """Process fragment: charge registration and carve the pool."""
@@ -417,7 +423,7 @@ class ReceiveEndpoint(_EndpointBase):
         """Mark one source finished; emit sentinels when all are done."""
         self._active_sources.discard(src_endpoint)
         if not self._active_sources:
-            for _ in range(self.config.threads_per_endpoint):
+            for _ in range(self.threads):
                 self._inbox.put(DEPLETED_SENTINEL)
 
     def _fail(self, error: ShuffleNetworkError) -> None:

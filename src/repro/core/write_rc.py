@@ -68,9 +68,9 @@ class WriteRCSendEndpoint(SendEndpoint):
 
     def __init__(self, ctx: VerbsContext, endpoint_id: int,
                  config: EndpointConfig, destinations: Sequence[int],
-                 num_groups: int, peers: Dict[int, int]):
+                 num_groups: int, peers: Dict[int, int], threads: int = 1):
         super().__init__(ctx, endpoint_id, config, destinations,
-                         num_groups, peers)
+                         num_groups, peers, threads)
         #: receiver buffer addresses learned at connect, per destination —
         #: the ground truth the FreeArr sanitizer validator checks against.
         self._known_remote: Dict[int, frozenset] = {}
@@ -85,7 +85,7 @@ class WriteRCSendEndpoint(SendEndpoint):
             #: addresses of free buffers at the receiver (LIFO).
             conn.remote_free = []
         yield from self.provision_send_pool()
-        _, cap = ring_caps(self.config.buffers_per_link)
+        _, cap = ring_caps(self.buffers_per_link)
         # A returned address must be one of the receiver-side buffers this
         # sender was granted at connect time.
         free_board = yield from RingBoard.install(
@@ -162,7 +162,7 @@ class WriteRCReceiveEndpoint(ReceiveEndpoint):
 
     def setup(self, registry: EndpointRegistry):
         self.cq = self.ctx.create_cq()
-        per_link = self.config.buffers_per_link
+        per_link = self.buffers_per_link
         yield from self.provision_recv_pool()
         cap, _ = ring_caps(per_link)
         # A notified address must land inside this receiver's own pool.

@@ -101,12 +101,7 @@ class TestCreditProtocol:
 
     def test_credit_frequency_above_buffers_rejected(self):
         with pytest.raises(ValueError, match="credit_frequency"):
-            EndpointConfig(buffers_per_connection=2, credit_frequency=3,
-                           threads_per_endpoint=1)
-
-    def test_zero_threads_per_endpoint_rejected_by_name(self):
-        with pytest.raises(ValueError, match="threads_per_endpoint"):
-            EndpointConfig(threads_per_endpoint=0)
+            EndpointConfig(buffers_per_connection=2, credit_frequency=3)
 
 
 class TestUnreliableDatagram:
@@ -194,7 +189,7 @@ class TestRdmaReadEndpoint:
         for eps in stage.recv_endpoints.values():
             for ep in eps:
                 for conn in ep.conns.values():
-                    assert len(conn.local_arr) == ep.config.buffers_per_link
+                    assert len(conn.local_arr) == ep.buffers_per_link
                     assert not conn.pending_remote
 
 

@@ -5,15 +5,15 @@ evaluation, counterexample rendering, CLI) and the protocol
 facts it proves about the real designs:
 
 * all five registered kinds verify clean at small bounds;
-* the §4.4.1 starvation law: with fewer write-back opportunities than
-  the window needs (``credit_frequency > messages`` remaining), SR/RC
-  deadlocks — and SR/UD survives the same bound because its keepalive
-  re-advertises credit;
+* the §4.4.1 starvation law: a write-back frequency above the window
+  can starve the sender at end of stream, so a bound takes the
+  endpoints' own guard and refuses it; below that rule every lossless
+  stream verifies;
 * a lost final-credit datagram silently wedges SR/UD (caught by
   eventual-delivery, not deadlock-freedom: keepalive cycles keep the
   system live but never delivering);
 * a QP error is terminal for SR/RC at this layer (no recovery path —
-  the ROADMAP direction-5 gate).
+  the ROADMAP direction-1(d) gate).
 """
 
 import json
@@ -30,6 +30,7 @@ from repro.analysis.model import (
     parse_bound,
     render_counterexample,
 )
+from repro.core.endpoint import EndpointConfig
 from repro.core.transport.credit import merge_credit
 
 #: UD kinds explore ~100x more states than RC at the default bound
@@ -44,9 +45,12 @@ SIZES = {"SR_UD": (720, 2738), "SR_UD_MC": (720, 2794),
          "RD_RC": (2080, 6226), "SR_RC": (562, 1548), "WR_RC": (3121, 11812)}
 
 #: §4.4.1 starvation instance: 4 messages, window 2, write-back only
-#: every 4th Receive — the sender runs dry two messages short.
-STARVE = parse_bound("peers=1,messages=4,window=2,credit_frequency=4,"
-                     "data_loss=0,credit_loss=0")
+#: every 4th Receive — the sender would run dry two messages short.
+STARVE = ("peers=1,messages=4,window=2,credit_frequency=4,"
+          "data_loss=0,credit_loss=0")
+
+#: one QP error on an RC link: no recovery path, so the stage wedges.
+QP_ERROR = parse_bound("peers=1,qp_errors=1")
 
 
 class TestRealKindsVerify:
@@ -67,20 +71,45 @@ class TestRealKindsVerify:
 
 
 class TestStarvationLaw:
-    def test_sr_rc_deadlocks_when_frequency_exceeds_remaining(self):
-        result = check_kind("SR_RC", STARVE)
-        dead = result.status_of("deadlock-freedom")
-        assert dead.status == "fail"
-        # Shortest wedge: 2 sends + 2 deliveries + 2 releases (below the
-        # write-back threshold) + 2 CQEs, then the same again minus the
-        # sends that can no longer go -- 17 actions, found by BFS.
-        assert len(dead.witness) == 17
-        assert result.status_of("eventual-delivery").status == "fail"
+    def test_starvation_bound_is_refused(self):
+        with pytest.raises(ValueError, match="credit_frequency"):
+            parse_bound(STARVE)
+        with pytest.raises(ValueError, match="credit_frequency"):
+            EndpointConfig(buffers_per_connection=2, credit_frequency=4)
+        with pytest.raises(SystemExit) as exit_info:
+            main(["model", "--kind", "SR_RC", "--bound", STARVE])
+        assert exit_info.value.code == 2
 
-    def test_sr_ud_keepalive_rescues_the_same_bound(self):
-        result = check_kind("SR_UD", STARVE)
-        assert result.explored.complete
-        assert result.passed
+    @pytest.mark.parametrize("window, frequency", [
+        (1, 1), (1, 2), (2, 1), (2, 3), (3, 3), (3, 4), (16, 16), (16, 17),
+    ])
+    def test_bound_and_endpoint_config_accept_together(self, window,
+                                                       frequency):
+        def accepts(build):
+            try:
+                build()
+            except ValueError:
+                return False
+            return True
+
+        endpoint = accepts(lambda: EndpointConfig(
+            buffers_per_connection=window, credit_frequency=frequency))
+        bound = accepts(lambda: parse_bound(
+            f"window={window},credit_frequency={frequency}"))
+        assert endpoint == bound == (frequency <= window)
+
+    @pytest.mark.parametrize("kind", modeled_kinds())
+    def test_every_accepted_lossless_stream_verifies(self, kind):
+        for window in range(1, 4):
+            for frequency in range(1, window + 1):
+                for messages in range(1, 5):
+                    spec = (f"peers=1,data_loss=0,credit_loss=0,"
+                            f"window={window},credit_frequency={frequency},"
+                            f"messages={messages}")
+                    result = check_kind(kind, parse_bound(spec))
+                    assert result.explored.complete, spec
+                    assert result.passed, (spec, [
+                        (p.name, p.status) for p in result.properties])
 
 
 class TestFaultBudgets:
@@ -89,7 +118,7 @@ class TestFaultBudgets:
         assert result.status_of("eventual-delivery").status == "fail"
 
     def test_sr_rc_qp_error_is_terminal(self):
-        result = check_kind("SR_RC", parse_bound("peers=1,qp_errors=1"))
+        result = check_kind("SR_RC", QP_ERROR)
         assert not result.passed
         assert result.status_of("eventual-delivery").status == "fail"
 
@@ -152,7 +181,7 @@ class TestBoundsAndExtraction:
 
 class TestCounterexampleTraces:
     def test_trace_is_chrome_trace_shaped(self):
-        result = check_kind("SR_RC", STARVE)
+        result = check_kind("SR_RC", QP_ERROR)
         witness = result.status_of("deadlock-freedom").witness
         trace = render_counterexample(result.model, witness)
         events = trace["traceEvents"]
@@ -185,7 +214,7 @@ class TestCli:
 
     def test_failing_bound_writes_traces_and_fails(self, tmp_path, capsys):
         code = main(["model", "--kind", "SR_RC",
-                     "--bound", "peers=1,messages=4,credit_frequency=4",
+                     "--bound", "peers=1,qp_errors=1",
                      "--trace-dir", str(tmp_path)])
         assert code == 1
         written = list(tmp_path.glob("*.trace.json"))

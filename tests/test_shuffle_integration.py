@@ -134,16 +134,24 @@ class TestPatterns:
         assert max(counts) - min(counts) < 0.15 * max(counts)
 
 
+def recv_buffers_per_source(stage):
+    """Receive buffers per source over buffers per connection, for
+    every RECEIVE endpoint of ``stage``: the threads each one serves."""
+    return {ep.recv_pool_buffers
+            // (len(ep.sources) * stage.config.buffers_per_connection)
+            for eps in stage.recv_endpoints.values() for ep in eps}
+
+
 class TestEndpointConfigurations:
     def test_single_endpoint_shares_one_endpoint(self):
         _s, _k, _e, stage, _cl = run_shuffle_query("SEMQ/SR", threads=4)
         assert len(stage.send_endpoints[0]) == 1
-        assert stage.config.threads_per_endpoint == 4
+        assert recv_buffers_per_source(stage) == {4}
 
     def test_multi_endpoint_one_per_thread(self):
         _s, _k, _e, stage, _cl = run_shuffle_query("MEMQ/SR", threads=4)
         assert len(stage.send_endpoints[0]) == 4
-        assert stage.config.threads_per_endpoint == 1
+        assert recv_buffers_per_source(stage) == {1}
 
     def test_intermediate_endpoint_count(self):
         cc = ClusterConfig(network=EDR, num_nodes=2, threads_per_node=4)
@@ -151,7 +159,7 @@ class TestEndpointConfigurations:
         groups = TransmissionGroups.repartition(2)
         stage = cluster.shuffle_stage("MEMQ/SR", groups, num_endpoints=2)
         assert len(stage.send_endpoints[0]) == 2
-        assert stage.config.threads_per_endpoint == 2
+        assert recv_buffers_per_source(stage) == {2}
 
     def test_more_endpoints_than_threads_rejected(self):
         cluster = Cluster(ClusterConfig(network=EDR, num_nodes=2,

@@ -46,11 +46,10 @@ class TestWriteBufferProtocol:
         """Every remote buffer lent to a sender must be returned."""
         _s, _k, _e, stage, cluster = run_shuffle_query("MEMQ/WR")
         cluster.run()  # drain in-flight FreeArr writes
-        per_link = stage.config.buffers_per_link
         for eps in stage.send_endpoints.values():
             for ep in eps:
                 for conn in ep.conns.values():
-                    assert len(conn.remote_free) == per_link
+                    assert len(conn.remote_free) == ep.buffers_per_link
 
     def test_sender_buffers_all_freed(self):
         _s, _k, _e, stage, cluster = run_shuffle_query("SEMQ/WR")
