@@ -57,8 +57,8 @@ STATIC_RULES: Dict[str, str] = {
         "critical-path analyzer)"),
     "VS108": (
         "Packet constructed directly outside fabric/ "
-        "(use fabric.packet.make_train so RC messages are segmented "
-        "into MTU trains consistently)"),
+        "(use fabric.packet.make_train so wire bytes are derived from "
+        "the transport in one place)"),
     "VS109": (
         "self-referential closure in simulation code (a nested "
         "callback capturing itself or stored onto the object it "
@@ -327,11 +327,10 @@ def _rule_vs108(rel: str, tree: ast.AST) -> Iterable[Tuple[int, str]]:
     """Direct Packet construction outside fabric/ (VS108).
 
     ``make_train`` is the one place that knows how a message's length
-    and transport turn into wire bytes and MTU-train segmentation; a
-    hand-rolled ``Packet(...)`` elsewhere silently ships a one-packet
-    train for a multi-MTU RC message, undercounting serialization
-    boundaries under the per-packet reference and skewing packet
-    accounting.
+    and transport turn into wire bytes; a hand-rolled ``Packet(...)``
+    elsewhere carries whatever wire bytes its author computed, so a
+    multi-MTU RC message can silently lose its per-packet headers and
+    undercharge every pipe it crosses.
     """
     if rel.startswith("fabric/"):
         return
@@ -347,7 +346,7 @@ def _rule_vs108(rel: str, tree: ast.AST) -> Iterable[Tuple[int, str]]:
         if name == "Packet":
             yield (node.lineno,
                    "constructs Packet directly (use "
-                   "fabric.packet.make_train for MTU-train segmentation)")
+                   "fabric.packet.make_train to derive wire bytes)")
 
 
 #: sites where a self-referential callback is the accepted idiom (each

@@ -95,8 +95,7 @@ class TcpConnection:
 
     def _transmit_segment(self, seg: int, payload: Any, last: bool) -> None:
         # One TCP segment is one wire unit: the stack's own
-        # segmentation already runs at MTU-or-smaller granularity, so
-        # these are single-packet trains by construction.
+        # segmentation already runs at MTU-or-smaller granularity.
         packet = make_train(
             self.net, src_node=self.ctx.node_id, dst_node=self.dst_node,
             src_qpn=0, dst_qpn=0, kind="TCP",
@@ -109,7 +108,7 @@ class TcpConnection:
             self.ctx.fabric.route(packet, arrived)
 
         def arrived(_packet: Packet) -> None:
-            self.remote.rx.submit_train(packet.wire_bytes, 1, delivered)
+            self.remote.rx.submit_train(packet.wire_bytes, delivered)
 
         def delivered() -> None:
             self._in_flight -= seg
@@ -118,7 +117,7 @@ class TcpConnection:
             if listener is not None:
                 listener(packet)
 
-        self.stack.tx.submit_train(packet.wire_bytes, 1, after_tx)
+        self.stack.tx.submit_train(packet.wire_bytes, after_tx)
 
 
 def _no_registration(self, nbytes: int):

@@ -19,7 +19,9 @@ them — exactly the CPU and port-bandwidth saving the paper hypothesizes.
 Flow control still operates per member (credit must be available on
 *every* member before the single Send is posted), and the per-member
 message counting of §4.4.2 is unchanged, so loss handling and
-end-of-stream detection work exactly as in the base design.
+end-of-stream detection work exactly as in the base design.  The
+end-of-stream finals carry per-destination totals, so they keep the
+base design's point-to-point sends.
 """
 
 from __future__ import annotations
@@ -87,10 +89,6 @@ class McastSRUDSendEndpoint(SRUDSendEndpoint):
                 dest=self.conns[me].ah,
             ))
             self.record_send(me, buf.length)
-
-    def _send_finals(self):
-        # Finals carry per-destination totals, so they go point-to-point.
-        yield from super()._send_finals()
 
 
 class McastSRUDReceiveEndpoint(SRUDReceiveEndpoint):

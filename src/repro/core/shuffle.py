@@ -14,8 +14,8 @@ Two partitioning modes are provided:
 
 * :func:`hash_partitioner` — real hash partitioning on a key column
   (used by the TPC-H queries and correctness tests);
-* :func:`round_robin_partitioner` — assigns each child batch to the next
-  group in turn.  Statistically equivalent to hashing the paper's
+* :class:`striped_partitioner` — splits every batch evenly across all
+  groups.  Statistically equivalent to hashing the paper's
   uniformly-random R.a key, and what the synthetic throughput benchmarks
   use so host-side numpy work stays off the critical path.
 """
@@ -34,7 +34,6 @@ from repro.engine.operator import Operator, OpState
 __all__ = [
     "ShuffleOperator",
     "hash_partitioner",
-    "round_robin_partitioner",
     "striped_partitioner",
 ]
 
@@ -56,24 +55,6 @@ def hash_partitioner(key_of: Callable[[np.ndarray], np.ndarray],
                 % np.uint64(num_groups)).astype(np.int64)
 
     return partition
-
-
-class round_robin_partitioner:
-    """Whole-batch assignment cycling through groups.
-
-    Coarse: an entire child batch lands on one destination, which is far
-    burstier than per-tuple hashing.  Prefer :class:`striped_partitioner`
-    for uniform workloads; this class remains for skew experiments.
-    """
-
-    def __init__(self, num_groups: int):
-        self.num_groups = num_groups
-        self._counter = 0
-
-    def __call__(self, batch: np.ndarray) -> int:
-        group = self._counter % self.num_groups
-        self._counter += 1
-        return group
 
 
 class striped_partitioner:

@@ -83,9 +83,6 @@ class Fabric:
                                  cluster.num_nodes)
         self._rng = random.Random(cluster.seed)
         self.delivered_messages = 0
-        #: MTU packets delivered (mode-invariant train accounting; the
-        #: message counter above is what telemetry snapshots report).
-        self.delivered_packets = 0
         self.dropped_messages = 0
         #: wire bytes carried per directed (src, dst) pair, including
         #: loopback traffic; feeds the link-contention telemetry.
@@ -113,20 +110,6 @@ class Fabric:
         #: packet to every member at the last common switch, so the
         #: sender's port (and any shared trunk) is charged only once.
         self.mcast_members: Dict[int, Dict[Tuple[int, int], None]] = {}
-
-    def use_packet_oracle(self, split: bool = True) -> None:
-        """Flip every fabric pipe from train charging (one event per
-        message per pipe) to the per-packet reference, which ticks every
-        MTU boundary instead and must produce bit-identical end times
-        and metrics (``tests/test_train_determinism.py``; the
-        event-reduction benchmark counts the surplus events).  Only
-        meaningful on a quiesced fabric — mid-flight trains keep the
-        mode they were submitted under."""
-        for node in self.nodes:
-            node.nic.egress.split_packets = split
-            node.nic.ingress.split_packets = split
-        for port in self.topology.ports():
-            port.pipe.split_packets = split
 
     def dispose(self) -> None:
         """Release the fabric's node, context and service tables.

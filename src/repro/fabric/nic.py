@@ -14,14 +14,11 @@ trip.  This is the documented mechanism ([8, 16, 17] in the paper) behind
 the degradation of the many-Queue-Pair designs on FDR hardware at 16 nodes
 (Figs 10 and 11), so it is modeled explicitly.
 
-Trains: the tx/rx entry points take the message's MTU packet count and
-charge their pipes per *train* (one event per message, see
-:meth:`~repro.sim.primitives.RatePipe.submit_train`).  The QP-context
-cache and the PCIe miss penalty are charged once per train, also under
-the per-packet reference — real NICs hold the QP context across a
-message's back-to-back packets, so per-packet touching would both be
-wrong and break the reference's bit-identical cache-counter
-equivalence.
+Trains: the tx/rx entry points charge their pipes once per message
+(one event, see :meth:`~repro.sim.primitives.RatePipe.submit_train`).
+The QP-context cache and the PCIe miss penalty are charged once per
+message too — real NICs hold the QP context across a message's
+back-to-back packets.
 
 While ``telemetry.links`` holds a
 :class:`~repro.telemetry.links.FlowRecorder`, every occupancy interval
@@ -141,20 +138,19 @@ class NIC:
         self.processor.submit_occupy(self._wr_ns(qpn, extra_ns, flow), func)
 
     def submit_tx(self, wire_bytes: int, func: "Callable[[], None]",
-                  flow: int = 0, n_packets: int = 1) -> None:
-        """Serialize a train of ``wire_bytes`` onto the outbound link;
+                  flow: int = 0) -> None:
+        """Serialize a message of ``wire_bytes`` onto the outbound link;
         runs ``func()`` once it has fully left the NIC."""
         self.tx_messages += 1
         links = self.telemetry.links
         if links is not None:
             links.pipe("egress", self.node_id, self.egress,
                        self.egress._serialization_ns(wire_bytes), 0, 0, flow)
-        self.egress.submit_train(wire_bytes, n_packets, func)
+        self.egress.submit_train(wire_bytes, func)
 
     def submit_rx(self, wire_bytes: int, qpn: int,
-                  func: "Callable[[], None]", flow: int = 0,
-                  n_packets: int = 1) -> None:
-        """Serialize a train of ``wire_bytes`` off the inbound link into
+                  func: "Callable[[], None]", flow: int = 0) -> None:
+        """Serialize a message of ``wire_bytes`` off the inbound link into
         ``qpn``; runs ``func()`` once it has fully arrived.
 
         The receive path also touches the destination QP context, so a
@@ -170,5 +166,4 @@ class NIC:
             links.pipe("ingress", self.node_id, self.ingress,
                        self.ingress._serialization_ns(wire_bytes), penalty,
                        0, flow)
-        self.ingress.submit_train(wire_bytes, n_packets, func,
-                                  extra_ns=penalty)
+        self.ingress.submit_train(wire_bytes, func, extra_ns=penalty)

@@ -1,17 +1,14 @@
 """Wire-level message descriptors exchanged between simulated NICs.
 
 :class:`Packet` is one message at the granularity the verbs layer deals
-in (one work request's worth of data), together with the number of
-back-to-back MTU packets it occupies on the wire, so the fabric can
-charge serialization for the whole train in one event while the
-per-packet reference
-(:meth:`~repro.fabric.network.Fabric.use_packet_oracle`) can still tick
-every MTU boundary.
+in (one work request's worth of data); the fabric charges every pipe
+once per message for its ``wire_bytes``, the headers of all its
+back-to-back MTU packets included.
 
 Endpoints and the verbs layer construct messages through
-:func:`make_train` — the train-aware submit API — rather than building
-``Packet`` objects by hand; linter rule VS108 enforces this outside
-``fabric/``.
+:func:`make_train`, which derives wire bytes from the transport, rather
+than building ``Packet`` objects by hand; linter rule VS108 enforces
+this outside ``fabric/``.
 """
 
 from __future__ import annotations
@@ -27,12 +24,12 @@ __all__ = ["Packet", "make_train", "clone_for_member"]
 
 @dataclass(slots=True)
 class Packet:
-    """One message travelling through the fabric: ``n_packets``
-    back-to-back MTU packets totalling ``wire_bytes`` on the wire.
+    """One message travelling through the fabric, ``wire_bytes`` on
+    the wire.
 
-    The message is the unit the fabric charges pipes with; per-message
-    semantics (credits, CQEs, delivery accounting, links records) are
-    unaffected by how many MTU packets it spans.
+    The message is the unit the fabric charges pipes with, and the
+    unit of every per-message count (credits, CQEs, delivery
+    accounting, links records).
     """
 
     src_node: int
@@ -53,8 +50,6 @@ class Packet:
     dropped: bool = False
     #: causal flow id (repro.telemetry.links); 0 when recording is off.
     flow: int = 0
-    #: back-to-back MTU packets the message occupies on the wire.
-    n_packets: int = 1
 
     def __post_init__(self):
         if self.length < 0:
@@ -64,8 +59,6 @@ class Packet:
                 f"wire bytes ({self.wire_bytes}) smaller than payload "
                 f"({self.length})"
             )
-        if self.n_packets < 1:
-            raise ValueError(f"train needs >= 1 packets: {self.n_packets}")
 
 
 def make_train(config: "NetworkConfig", *, src_node: int, dst_node: int,
@@ -76,41 +69,32 @@ def make_train(config: "NetworkConfig", *, src_node: int, dst_node: int,
     """Build the train for one message — the only sanctioned way to
     construct fabric traffic outside ``fabric/`` (linter rule VS108).
 
-    With ``transport`` given ("RC" or "UD"), wire bytes and the MTU
-    packet count are derived from ``config`` exactly as
-    :meth:`NetworkConfig.wire_bytes` does; an explicit ``wire_bytes``
-    (control messages: ACKs, read requests, emulated-protocol frames)
-    is a single-packet train.
+    With ``transport`` given ("RC" or "UD"), wire bytes are derived from
+    ``config`` by :meth:`NetworkConfig.wire_bytes`; control messages
+    (ACKs, read requests, emulated-protocol frames) pass an explicit
+    ``wire_bytes`` instead.
     """
     if wire_bytes is None:
         if transport is None:
             raise ValueError("make_train needs transport= or wire_bytes=")
         wire_bytes = config.wire_bytes(length, transport)
-        if transport == "RC":
-            n_packets = max(1, -(-length // config.mtu))
-        else:  # UD: one datagram, at most one MTU
-            n_packets = 1
-    else:
-        n_packets = 1
     return Packet(
         src_node=src_node, dst_node=dst_node, src_qpn=src_qpn,
         dst_qpn=dst_qpn, kind=kind, length=length, wire_bytes=wire_bytes,
         payload=payload, meta=meta if meta is not None else {}, flow=flow,
-        n_packets=n_packets,
     )
 
 
 def clone_for_member(packet: Packet, node_id: int, qpn: int) -> Packet:
     """A multicast member's private copy of a replicated datagram.
 
-    Preserves the train shape (``n_packets``) so each leg charges its
-    path identically to the trunk; ``dropped`` is reset — loss is drawn
-    per leg.
+    Carries the trunk's ``wire_bytes``, so each leg charges its path
+    identically to the trunk; ``dropped`` is reset — loss is drawn per
+    leg.
     """
     return Packet(
         src_node=packet.src_node, dst_node=node_id,
         src_qpn=packet.src_qpn, dst_qpn=qpn, kind=packet.kind,
         length=packet.length, wire_bytes=packet.wire_bytes,
         payload=packet.payload, meta=packet.meta, flow=packet.flow,
-        n_packets=packet.n_packets,
     )

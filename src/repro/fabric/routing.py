@@ -21,12 +21,10 @@ Latencies arrive here as validated integers
 (:class:`~repro.fabric.topology.Hop` is the rounding boundary); the
 walker asserts that instead of rounding per packet.
 
-The walker moves whole packet *trains*: every pipe along the path —
-egress, trunk ports, ingress — is charged with ``packet.n_packets``
-MTU packets' worth of serialization in one event (or, under the
-per-packet reference of ``Fabric.use_packet_oracle()``, one tick per
-MTU boundary).  Delivery accounting, loss draws, jitter draws and trunk
-links records all stay per *message*: exactly one per train.
+The walker moves whole messages as packet *trains*: every pipe along
+the path — egress, trunk ports, ingress — is charged once per message
+for its ``wire_bytes``.  Delivery accounting, loss draws, jitter draws
+and trunk links records are per message too: exactly one per train.
 """
 
 from __future__ import annotations
@@ -97,8 +95,7 @@ class _HopWalk:
                 links.pipe("trunk", hop.port.name, pipe,
                            pipe._serialization_ns(wire_bytes), 0, 0,
                            self.packet.flow)
-            pipe.submit_train(wire_bytes, self.packet.n_packets,
-                              self._forward)
+            pipe.submit_train(wire_bytes, self._forward)
 
     def _forward(self) -> None:
         self.sim.call_later(self.latency, self._advance)
@@ -115,7 +112,6 @@ def ingress(fabric, packet: Packet, lossy: bool,
 
     def deliver() -> None:
         fabric.delivered_messages += 1
-        fabric.delivered_packets += packet.n_packets
         on_arrival(packet)
 
     def enter() -> None:
@@ -126,8 +122,7 @@ def ingress(fabric, packet: Packet, lossy: bool,
                 on_arrival(packet)
                 return
         fabric.nodes[packet.dst_node].nic.submit_rx(
-            packet.wire_bytes, packet.dst_qpn, deliver, flow=packet.flow,
-            n_packets=packet.n_packets)
+            packet.wire_bytes, packet.dst_qpn, deliver, flow=packet.flow)
 
     return enter
 
@@ -187,8 +182,7 @@ def flat_route(fabric, packet: Packet, hops: Tuple[Hop, ...],
             on_egress()
 
     fabric.nodes[packet.src_node].nic.submit_tx(
-        packet.wire_bytes, after_egress, flow=packet.flow,
-        n_packets=packet.n_packets)
+        packet.wire_bytes, after_egress, flow=packet.flow)
 
 
 def flat_leg(fabric, packet: Packet, hops: Tuple[Hop, ...],

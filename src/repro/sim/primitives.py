@@ -16,15 +16,6 @@ from repro.sim.kernel import Event, SimError, Simulator
 __all__ = ["Queue", "Semaphore", "Mutex", "Notify", "Barrier", "RatePipe"]
 
 
-def _packet_tick() -> None:
-    """The per-packet oracle's intermediate MTU-boundary tick.
-
-    Deliberately a no-op: a train's non-final packets carry no protocol
-    action, so the oracle's extra heap entries are observability-only
-    and cannot perturb any other event.
-    """
-
-
 class Queue:
     """An unbounded FIFO channel between processes.
 
@@ -182,11 +173,8 @@ class RatePipe:
     Rates are expressed in units per nanosecond (e.g. bytes/ns, which is
     numerically equal to GB/s).
 
-    :meth:`submit_train` charges a whole packet train (one message's
-    back-to-back MTU packets) in a single event; with ``split_packets``
-    set (the per-packet reference) it instead ticks every integer MTU
-    boundary — same charge, same ``busy_until``, same counters, just
-    ``n_packets`` completion entries instead of one.
+    :meth:`submit_train` charges a whole message (all its back-to-back
+    MTU packets) in a single event.
     """
 
     def __init__(self, sim: Simulator, rate: float, name: str = ""):
@@ -195,10 +183,6 @@ class RatePipe:
         self.sim = sim
         self.rate = rate
         self.name = name
-        #: per-packet reference mode: ``submit_train`` schedules one tick
-        #: per MTU packet instead of one per train.  Set only by
-        #: Fabric.use_packet_oracle(), on a quiesced fabric.
-        self.split_packets = False
         self._busy_until: int = 0
         # Serialization delays by unit count.  Real traffic uses a handful
         # of distinct message sizes, so the division in the hot path is
@@ -252,40 +236,18 @@ class RatePipe:
                             units or None)
         return end - now
 
-    def _packet_boundaries(self, start: int, ser_ns: int,
-                           n_packets: int) -> None:
-        """Schedule the oracle's intermediate MTU-boundary ticks.
-
-        Packet ``i`` (1-based) of ``n`` completes at
-        ``start + (ser * i) // n`` — integer boundaries, monotone
-        non-decreasing, with the final packet's completion (scheduled by
-        the caller, carrying any ``extra_ns``) landing exactly at the
-        pipe's ``busy_until``.  All ticks are enqueued consecutively, so
-        they cannot reorder any foreign event in a shared time bucket.
-        """
-        now = self.sim.now
-        call_later = self.sim.call_later
-        for i in range(1, n_packets):
-            call_later(start + (ser_ns * i) // n_packets - now, _packet_tick)
-
-    def submit_train(self, units: float, n_packets: int,
-                     func: Callable[[], None], extra_ns: int = 0) -> None:
-        """Charge one packet train; runs ``func()`` at train arrival.
+    def submit_train(self, units: float, func: Callable[[], None],
+                     extra_ns: int = 0) -> None:
+        """Charge one message's train; runs ``func()`` at train arrival.
 
         A train *is* one ``units``-sized transfer: one charge, one
-        completion; only under the per-packet reference is the
-        serialization interval additionally ticked at every MTU
-        boundary.  ``extra_ns`` adds fixed per-item overhead that also
+        completion.  ``extra_ns`` adds fixed per-item overhead that also
         occupies the pipe (e.g. per-work-request processing time).
         """
         if units < 0:
             raise SimError(f"cannot transmit negative units: {units}")
-        ser = self._serialization_ns(units)
-        duration = ser + int(extra_ns)
-        delay = self._charge(units, duration)
-        if n_packets > 1 and self.split_packets:
-            self._packet_boundaries(self._busy_until - duration, ser,
-                                    n_packets)
+        delay = self._charge(units,
+                             self._serialization_ns(units) + int(extra_ns))
         self.sim.call_later(delay, func)
 
     def submit_occupy(self, duration_ns: int,

@@ -236,13 +236,13 @@ class TestVS107TimestamplessTracerEvents:
 
 class TestVS108DirectPacketConstruction:
     """Only fabric/ may build Packets; everything above must go through
-    make_train so RC messages are segmented into MTU trains."""
+    make_train so wire bytes are derived from the transport."""
 
     BAD = (
         "def send(self, config):\n"
         "    pkt = Packet(0, 1, 11, 22, 'SEND', 4096, 4222)\n"
         "    train = packet.Packet(0, 1, 11, 22, 'SEND', 0, 64,\n"
-        "                          n_packets=2)\n"
+        "                          flow=2)\n"
     )
 
     def test_direct_construction_flagged(self):
@@ -252,7 +252,7 @@ class TestVS108DirectPacketConstruction:
 
     def test_planted_bug_in_verbs_layer_is_caught(self):
         # The realistic regression: a verbs-layer send path hand-rolls a
-        # Packet and ships a multi-MTU RC message as a one-packet train.
+        # Packet and computes a multi-MTU RC message's wire bytes itself.
         source = (
             "def _rc_send(self, wr):\n"
             "    pkt = Packet(self.node, peer, self.qpn, dqpn, 'SEND',\n"

@@ -270,3 +270,10 @@ class TestKernelRungs:
         detail = bench_train_events(num_messages=8)["detail"]
         assert detail["n_packets"] == 256
         assert detail["oracle_events"] / detail["train_events"] >= 20.0
+        # The ladder's smallest run: three events per message (egress,
+        # switch hop, ingress), and the events a per-packet model that
+        # ticks every MTU boundary dispatched.  An extra event per hop
+        # fails here.
+        detail = bench_train_events(32)["detail"]
+        assert detail["train_events"] == 96
+        assert detail["oracle_events"] == 16416

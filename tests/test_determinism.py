@@ -40,8 +40,8 @@ DTYPE = np.dtype([("a", np.int64), ("b", np.int64)])
 DESIGN_NAMES = ["MEMQ/SR", "MESQ/SR", "MEMQ/RD", "MEMQ/WR", "MESQ/SR+MC"]
 
 #: interpreter self-counters that measure the host cost of a run, not its
-#: simulated result; exempt wherever two runs are compared across
-#: execution strategies (train vs per-packet reference, golden digests).
+#: simulated result; exempt wherever a run is compared with its golden
+#: digest.
 SIM_SELF_COUNTERS = {
     "sim.events_dispatched",
     "sim.process_wakeups",

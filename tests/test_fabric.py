@@ -3,6 +3,7 @@
 import pytest
 
 from repro.fabric import EDR, FDR, ClusterConfig, Fabric, Packet, QPContextCache
+from repro.fabric.packet import make_train
 from repro.sim import Event, RatePipe, Simulator
 
 
@@ -77,6 +78,19 @@ class TestWireBytes:
 
     def test_rc_small_message_single_packet(self):
         assert EDR.wire_bytes(100, "RC") == 100 + EDR.rc_header_bytes
+
+    def test_make_train_derives_wire_bytes_from_transport(self):
+        ends = dict(src_node=0, dst_node=1, src_qpn=1, dst_qpn=2,
+                    kind="SEND")
+        rc = make_train(EDR, length=1 << 20, transport="RC", **ends)
+        assert rc.wire_bytes == EDR.wire_bytes(1 << 20, "RC")
+        ud = make_train(EDR, length=4096, transport="UD", **ends)
+        assert ud.wire_bytes == EDR.wire_bytes(4096, "UD")
+
+    def test_make_train_needs_transport_or_wire_bytes(self):
+        with pytest.raises(ValueError):
+            make_train(EDR, src_node=0, dst_node=1, src_qpn=1, dst_qpn=2,
+                       kind="SEND", length=64)
 
 
 def routed(sim, fabric, pkt, **kwargs):
@@ -215,7 +229,7 @@ class TestRouting:
                          on_egress=lambda: left.append(sim.now))
             fabric.route_mcast(Packet(0, 0, 1, 0, "SEND", 2048, 2108), 9,
                                arrivals.append)
-            pipe.submit_train(8192, 2, lambda: None, extra_ns=5)
+            pipe.submit_train(8192, lambda: None, extra_ns=5)
             pipe.submit_occupy(40, lambda: None)
         sim.run()
         assert len(arrivals) == 20 * 3 and len(left) == 20

@@ -1,9 +1,9 @@
 """Golden digests: the committed reference for every simulated result.
 
-``tests/golden/digests.json`` freezes what a user can measure from the
-small train-sized shuffle of ``tests/test_train_determinism.py`` — for
-every endpoint design on every topology preset — plus the multicast
-jitter + loss outcome per preset and one ``credit_frequency=1`` point.
+``tests/golden/digests.json`` freezes what a user can measure from a
+small train-sized shuffle (:func:`run_shuffle`) — for every endpoint
+design on every topology preset — plus the multicast jitter + loss
+outcome per preset and one ``credit_frequency=1`` point.
 The fixture is the oracle: a change to the simulator either reproduces
 every digest or is a deliberate modeling change, in which case the
 fixture is regenerated and the diff is reviewed as data:
@@ -13,23 +13,109 @@ fixture is regenerated and the diff is reviewed as data:
 The four interpreter self-counters (events dispatched, wakeups,
 processes started, queue depth) are excluded from the metrics digest:
 they measure the host cost of the run, not its simulated result.
+
+The shuffles use 64 KiB messages on the RC designs so that multi-MTU
+messages (16 packets each) cross the fabric; the UD designs are
+MTU-bound by the verbs layer, so their datagrams are single-packet
+messages by construction.
 """
 
 import hashlib
 import json
 import os
 
+import numpy as np
 import pytest
 
-from repro.fabric import EDR, ClusterConfig, Fabric, Packet
+from repro import (
+    Cluster,
+    ClusterConfig,
+    EDR,
+    EndpointConfig,
+    TransmissionGroups,
+)
+from repro.core import ReceiveOperator, ShuffleOperator
+from repro.core.shuffle import striped_partitioner
+from repro.engine import CollectSink, QueryFragment, run_fragments
+from repro.engine.scan import ScanOperator
+from repro.fabric import DUAL_RAIL, LEAF_SPINE, SINGLE_SWITCH, Fabric, Packet
 from repro.sim import Simulator
 from tests.test_determinism import DESIGN_NAMES, _comparable
-from tests.test_train_determinism import (
-    OBSERVE_AT,
-    TOPOLOGIES,
-    TOPOLOGY_IDS,
-    run_shuffle,
-)
+
+DTYPE = np.dtype([("a", np.int64), ("b", np.int64)])
+
+#: UD transports cap messages at the MTU; RC designs get 64 KiB messages
+#: (16 MTU packets at the 4 KiB MTU).
+UD_DESIGNS = {"MESQ/SR", "MESQ/SR+MC"}
+
+TOPOLOGIES = [SINGLE_SWITCH, LEAF_SPINE(oversubscription=2), DUAL_RAIL]
+TOPOLOGY_IDS = ["single-switch", "leaf-spine", "dual-rail"]
+
+#: the points of :func:`run_shuffle` at which the observers can be
+#: switched on; nothing simulated has happened before the last of them.
+OBSERVE_AT = ("cluster-built", "stage-built", "setup-done")
+
+
+def run_shuffle(design, topology=SINGLE_SWITCH, nodes=2, threads=2,
+                credit_frequency=None, observe_at="cluster-built",
+                sanitize=False):
+    """One small shuffle with multi-MTU messages; returns ``(metrics
+    snapshot, span count, end time, report JSON, delivered_messages)``.
+    Tracing and reporting (and, with ``sanitize``, the sanitizer, which
+    must then stay silent) are enabled at ``observe_at``."""
+    cluster = Cluster(ClusterConfig(network=EDR, num_nodes=nodes,
+                                    threads_per_node=threads,
+                                    topology=topology))
+
+    def observe(point):
+        if point == observe_at:
+            cluster.enable_tracing()
+            cluster.enable_reporting()
+            if sanitize:
+                cluster.enable_sanitizer()
+
+    observe("cluster-built")
+    groups = TransmissionGroups.repartition(nodes)
+    message_size = 4096 if design in UD_DESIGNS else 65536
+    kwargs = {}
+    if credit_frequency is not None:
+        kwargs["credit_frequency"] = credit_frequency
+    cfg = EndpointConfig(message_size=message_size, **kwargs)
+    stage = cluster.shuffle_stage(design, groups, config=cfg)
+    observe("stage-built")
+    cluster.run_process(stage.setup())
+    observe("setup-done")
+    rows_per_node = 8192
+    fragments, sinks = [], []
+    for n in range(nodes):
+        node = cluster.nodes[n]
+        table = np.empty(rows_per_node, dtype=DTYPE)
+        table["a"] = np.arange(rows_per_node)
+        table["b"] = n
+        # Large batches so per-destination slices exceed one MTU on the
+        # RC designs — that is what makes the messages multi-packet.
+        scan = ScanOperator(node, table, threads, batch_rows=4096)
+        shuffle = ShuffleOperator(node, scan, stage.send_endpoints[n],
+                                  groups, striped_partitioner(len(groups)),
+                                  threads)
+        fragments.append(QueryFragment(node, shuffle, threads))
+        recv = ReceiveOperator(node, stage.recv_endpoints[n], threads)
+        sink = CollectSink()
+        sinks.append(sink)
+        fragments.append(QueryFragment(node, recv, threads, sink=sink))
+    cluster.run_process(run_fragments(cluster.sim, fragments))
+    cluster.run()  # drain trailing completions
+    got = sum(len(s.result()) for s in sinks if s.result() is not None)
+    assert got == nodes * rows_per_node
+    report = cluster.run_report()
+    if sanitize:
+        assert cluster.sanitizer.violations == []
+        assert report["sanitizer"] == {"attached": True, "violations": 0,
+                                       "messages": []}
+    report_json = json.dumps(report, sort_keys=True)
+    return (cluster.metrics_snapshot(), len(cluster.telemetry.tracer.events),
+            cluster.sim.now, report_json, cluster.fabric.delivered_messages)
+
 
 GOLDEN_PATH = os.path.join(os.path.dirname(__file__), "golden",
                            "digests.json")
@@ -43,13 +129,12 @@ def _sha256(obj):
 
 
 def shuffle_digest(design, topology, **kwargs):
-    snapshot, spans, end_ns, report_json, messages, packets = run_shuffle(
+    snapshot, spans, end_ns, report_json, messages = run_shuffle(
         design, topology, **kwargs)
     return {
         "end_ns": end_ns,
         "trace_spans": spans,
         "delivered_messages": messages,
-        "delivered_packets": packets,
         "metrics_sha256": _sha256(_comparable(snapshot)),
         "report_sha256": hashlib.sha256(report_json.encode()).hexdigest(),
     }
@@ -132,7 +217,7 @@ def test_mcast_jitter_loss_matches_golden(topology, topology_id):
 
 
 def test_credit_every_message_matches_golden():
-    """Multi-packet trains interleaved with a credit grant per message."""
+    """Multi-MTU messages interleaved with a credit grant per message."""
     assert shuffle_digest("MEMQ/SR", TOPOLOGIES[0], credit_frequency=1) == \
         _load()["credit_frequency_1"]
 

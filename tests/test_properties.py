@@ -67,7 +67,7 @@ class TestRatePipeProperties:
         pipe = RatePipe(sim, rate)
         completions = []
         for size in units:
-            pipe.submit_train(size, 1, lambda: completions.append(sim.now))
+            pipe.submit_train(size, lambda: completions.append(sim.now))
         sim.run()
         # FIFO: completion times nondecreasing.
         assert completions == sorted(completions)

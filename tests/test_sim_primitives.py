@@ -189,10 +189,10 @@ class TestNotify:
 
 
 def _sent(sim, pipe, units, extra_ns=0):
-    """Charge one single-packet train; the Event a test thread waits on
-    (the pipe itself is callback-only: it constructs no Event)."""
+    """Charge one message; the Event a test thread waits on (the pipe
+    itself is callback-only: it constructs no Event)."""
     done = Event(sim)
-    pipe.submit_train(units, 1, done.succeed, extra_ns=extra_ns)
+    pipe.submit_train(units, done.succeed, extra_ns=extra_ns)
     return done
 
 
@@ -266,4 +266,4 @@ class TestRatePipe:
         assert pipe.total_units == 300
         assert pipe.busy_ns == sim.now == 300
         with pytest.raises(SimError):
-            pipe.submit_train(-1, 1, lambda: None)
+            pipe.submit_train(-1, lambda: None)
