@@ -26,8 +26,7 @@ def main() -> None:
             cluster = Cluster(ClusterConfig(network=EDR, num_nodes=4))
             result = run_repartition(
                 cluster, design, bytes_per_node=8 * MIB,
-                compute_ns_per_batch=compute_us * 1000.0,
-                receive_output_bytes=32 * 1024)
+                compute_ns_per_batch=compute_us * 1000.0)
             row.append(f"{100 * result.receiver_busy_fraction():7.1f}%")
         print("  ".join(row))
     print("\n100% = communication completely hidden behind computation")

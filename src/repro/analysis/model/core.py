@@ -84,9 +84,9 @@ class ModelBound:
         return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
-def parse_bound(spec: str, base: Optional[ModelBound] = None) -> ModelBound:
-    """Parse ``"key=value,key=value"`` overrides onto ``base``."""
-    bound = base if base is not None else ModelBound()
+def parse_bound(spec: str) -> ModelBound:
+    """Parse ``"key=value,key=value"`` overrides onto the default bound."""
+    bound = ModelBound()
     if not spec:
         return bound
     known = {f.name for f in fields(ModelBound)}

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import json
 import os
-from typing import Any, Dict, Optional
+from typing import Any, Dict
 
 from repro.telemetry.trace import TraceBudget, Tracer
 
@@ -91,14 +91,12 @@ def render_counterexample(model: ProtocolModel,
 
 
 def write_counterexample(model: ProtocolModel, witness: Witness,
-                         directory: str,
-                         filename: Optional[str] = None) -> str:
-    """Write one counterexample trace under ``directory``; returns the
-    file path."""
+                         directory: str) -> str:
+    """Write one counterexample trace under ``directory`` as
+    ``<model>.<property>.trace.json``; returns the file path."""
     os.makedirs(directory, exist_ok=True)
     prop = witness.property.replace("/", "-")
-    name = filename or f"{model.name}.{prop}.trace.json"
-    path = os.path.join(directory, name)
+    path = os.path.join(directory, f"{model.name}.{prop}.trace.json")
     with open(path, "w") as fh:
         json.dump(render_counterexample(model, witness), fh, indent=None)
     return path

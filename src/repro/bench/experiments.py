@@ -564,8 +564,8 @@ FIG13_COMPUTE_US = (0.0, 2.5, 5.0, 10.0, 15.0, 25.0, 40.0)
 
 def fig13(opts: Options, nodes: int) -> ExperimentResult:
     """Fig 13: relative shuffling throughput as the receiving fragment
-    becomes compute intensive (batches of 32 KiB, §5.1.6 — the runners'
-    default ``receive_output_bytes``).
+    becomes compute intensive (batches of 32 KiB, §5.1.6 — RECEIVE's
+    ``OUTPUT_BATCH_BYTES``).
 
     The y-axis is the receiving fragment's busy fraction — the measured
     share of receiver-thread time not blocked waiting for data.  It

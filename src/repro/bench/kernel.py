@@ -21,10 +21,16 @@ __all__ = [
     "bench_train_events",
 ]
 
+#: concurrent call_at chains / sleeping processes the kernel rungs run.
+CHAINS = 64
 
-def bench_dispatch_events(num_events: int = 300_000,
-                          chains: int = 64) -> Dict[str, Any]:
-    """Raw callback dispatch: self-rescheduling ``call_at`` chains.
+#: message size of the train rung: a 256-packet train at the 4 KiB MTU.
+TRAIN_MESSAGE_BYTES = 1 << 20
+
+
+def bench_dispatch_events(num_events: int = 300_000) -> Dict[str, Any]:
+    """Raw callback dispatch: :data:`CHAINS` self-rescheduling ``call_at``
+    chains.
 
     Exercises the scheduling path the flat fabric routing lives on:
     heap churn plus bare-callable queue entries.
@@ -39,7 +45,7 @@ def bench_dispatch_events(num_events: int = 300_000,
                 sim.call_at(sim.now + period, tick)
         return tick
 
-    for i in range(chains):
+    for i in range(CHAINS):
         sim.call_at(i + 1, make_tick(7 + (i % 5)))
     start = time.perf_counter()
     sim.run()
@@ -54,21 +60,21 @@ def bench_dispatch_events(num_events: int = 300_000,
     }
 
 
-def bench_process_wakeups(num_wakeups: int = 150_000,
-                          procs: int = 64) -> Dict[str, Any]:
-    """Generator processes in a ``yield period`` sleep loop.
+def bench_process_wakeups(num_wakeups: int = 150_000) -> Dict[str, Any]:
+    """:data:`CHAINS` generator processes in a ``yield period`` sleep
+    loop.
 
     Measures the process resume path: one bare heap entry and one
     generator ``send`` per wakeup.
     """
     sim = Simulator()
-    per_proc = num_wakeups // procs
+    per_proc = num_wakeups // CHAINS
 
     def worker(period: int):
         for _ in range(per_proc):
             yield period
 
-    for i in range(procs):
+    for i in range(CHAINS):
         sim.process(worker(11 + (i % 7)), name=f"bench-worker-{i}")
     start = time.perf_counter()
     sim.run()
@@ -126,8 +132,7 @@ def bench_fabric_packets(num_packets: int = 30_000) -> Dict[str, Any]:
     }
 
 
-def bench_train_events(num_messages: int = 2_000,
-                       message_bytes: int = 1 << 20) -> Dict[str, Any]:
+def bench_train_events(num_messages: int = 2_000) -> Dict[str, Any]:
     """Train-path throughput and the event reduction trains buy.
 
     Routes ``num_messages`` 1 MiB RC messages (256-packet trains at the
@@ -147,10 +152,10 @@ def bench_train_events(num_messages: int = 2_000,
     start = time.perf_counter()
     _pump(cluster, num_messages, lambda: make_train(
         EDR, src_node=0, dst_node=1, src_qpn=1, dst_qpn=2,
-        kind="SEND", length=message_bytes, transport="RC"))
+        kind="SEND", length=TRAIN_MESSAGE_BYTES, transport="RC"))
     elapsed = time.perf_counter() - start
     train_events = cluster.sim.events_dispatched
-    n_packets = max(1, -(-message_bytes // EDR.mtu))
+    n_packets = max(1, -(-TRAIN_MESSAGE_BYTES // EDR.mtu))
     oracle_events = train_events + 2 * (n_packets - 1) * num_messages
     return {
         "name": "fabric_train_events_per_sec",
@@ -159,7 +164,7 @@ def bench_train_events(num_messages: int = 2_000,
         "higher_is_better": True,
         "detail": {
             "messages": num_messages,
-            "message_bytes": message_bytes,
+            "message_bytes": TRAIN_MESSAGE_BYTES,
             "n_packets": n_packets,
             "train_events": train_events,
             "oracle_events": oracle_events,

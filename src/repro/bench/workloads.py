@@ -122,8 +122,7 @@ def _run_shuffle(cluster: Cluster, design: DesignLike, pattern: str,
                  groups_for,
                  bytes_per_node: int, config: Optional[EndpointConfig],
                  num_endpoints: Optional[int],
-                 compute_ns_per_batch: float,
-                 receive_output_bytes: int) -> ShuffleRunResult:
+                 compute_ns_per_batch: float) -> ShuffleRunResult:
     plan = resolve_plan(design, StageContext.from_cluster(
         cluster, config=config, bytes_per_node=bytes_per_node,
         num_endpoints=num_endpoints,
@@ -135,11 +134,9 @@ def _run_shuffle(cluster: Cluster, design: DesignLike, pattern: str,
                 f"not {pattern!r}")
         return run_hierarchical(
             cluster, plan, bytes_per_node=bytes_per_node, config=config,
-            compute_ns_per_batch=compute_ns_per_batch,
-            receive_output_bytes=receive_output_bytes)
+            compute_ns_per_batch=compute_ns_per_batch)
     stage = cluster.shuffle_stage(plan, groups_for, config)
-    shuffle = SyntheticShuffle(cluster, compute_ns_per_batch,
-                               receive_output_bytes)
+    shuffle = SyntheticShuffle(cluster, compute_ns_per_batch)
     return _execute(cluster, plan, pattern, bytes_per_node, [stage],
                     shuffle, shuffle.fragments(stage, bytes_per_node))
 
@@ -148,8 +145,7 @@ def run_repartition(cluster: Cluster, design: DesignLike,
                     bytes_per_node: int = 16 << 20,
                     config: Optional[EndpointConfig] = None,
                     num_endpoints: Optional[int] = None,
-                    compute_ns_per_batch: float = 0.0,
-                    receive_output_bytes: int = 32 * 1024) -> ShuffleRunResult:
+                    compute_ns_per_batch: float = 0.0) -> ShuffleRunResult:
     """Uniform repartition of table R across all nodes (§5.1, Fig 10a/c).
 
     ``design`` may be a design name, a :class:`Design`, a
@@ -160,15 +156,14 @@ def run_repartition(cluster: Cluster, design: DesignLike,
     groups = TransmissionGroups.repartition(cluster.num_nodes)
     return _run_shuffle(cluster, design, "repartition", groups,
                         bytes_per_node, config, num_endpoints,
-                        compute_ns_per_batch, receive_output_bytes)
+                        compute_ns_per_batch)
 
 
 def run_broadcast(cluster: Cluster, design: DesignLike,
                   bytes_per_node: int = 4 << 20,
                   config: Optional[EndpointConfig] = None,
                   num_endpoints: Optional[int] = None,
-                  compute_ns_per_batch: float = 0.0,
-                  receive_output_bytes: int = 32 * 1024) -> ShuffleRunResult:
+                  compute_ns_per_batch: float = 0.0) -> ShuffleRunResult:
     """Every node broadcasts R to every other node (§5.1, Fig 10b/d)."""
     n = cluster.num_nodes
 
@@ -177,7 +172,7 @@ def run_broadcast(cluster: Cluster, design: DesignLike,
 
     return _run_shuffle(cluster, design, "broadcast", groups_for,
                         bytes_per_node, config, num_endpoints,
-                        compute_ns_per_batch, receive_output_bytes)
+                        compute_ns_per_batch)
 
 
 # ---------------------------------------------------------------------------
@@ -188,8 +183,7 @@ def run_broadcast(cluster: Cluster, design: DesignLike,
 def run_hierarchical(cluster: Cluster, plan: StagePlan,
                      bytes_per_node: int = 16 << 20,
                      config: Optional[EndpointConfig] = None,
-                     compute_ns_per_batch: float = 0.0,
-                     receive_output_bytes: int = 32 * 1024
+                     compute_ns_per_batch: float = 0.0
                      ) -> ShuffleRunResult:
     """Two-phase leaf-spine repartition from a hierarchical StagePlan.
 
@@ -224,8 +218,7 @@ def run_hierarchical(cluster: Cluster, plan: StagePlan,
         flat = dataclasses.replace(plan, inter=None, inter_concurrency=1)
         return run_repartition(
             cluster, flat, bytes_per_node=bytes_per_node, config=config,
-            compute_ns_per_batch=compute_ns_per_batch,
-            receive_output_bytes=receive_output_bytes)
+            compute_ns_per_batch=compute_ns_per_batch)
     leaf_of = {node: i for i, members in enumerate(leaves)
                for node in members}
 
@@ -240,8 +233,7 @@ def run_hierarchical(cluster: Cluster, plan: StagePlan,
     intra_stage = cluster.shuffle_stage(
         dataclasses.replace(plan, inter=None), intra_groups, config)
     inter_stage = cluster.shuffle_stage(plan.inter, inter_groups, config)
-    shuffle = SyntheticShuffle(cluster, compute_ns_per_batch,
-                               receive_output_bytes)
+    shuffle = SyntheticShuffle(cluster, compute_ns_per_batch)
     immediate: List[QueryFragment] = []
     inter_senders: List[QueryFragment] = []
     for node_id in range(n):

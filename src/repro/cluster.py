@@ -132,32 +132,32 @@ class Cluster:
         self.fabric.dispose()
         self.sim.dispose()
 
-    def enable_tracing(self, max_events: int = 500_000) -> Tracer:
+    def enable_tracing(self) -> Tracer:
         """Record trace events for this cluster's run (Chrome trace JSON).
 
         Idempotent: returns the live tracer, also when a ``--trace``
         session already enabled it.  Export with
         ``cluster.telemetry.tracer.export(path)``.
         """
-        return self.telemetry.enable_tracing(max_events=max_events)
+        return self.telemetry.enable_tracing()
 
-    def enable_reporting(self, budget=None):
+    def enable_reporting(self):
         """Record causal link records so :meth:`run_report` can attribute
         this cluster's time (see repro.obs).  Idempotent.
         """
-        return self.telemetry.enable_links(budget=budget)
+        return self.telemetry.enable_links()
 
-    def run_report(self, t0: int = 0, t1: int = None) -> Dict[str, Any]:
-        """Build this cluster's RunReport (requires enable_reporting())."""
+    def run_report(self) -> Dict[str, Any]:
+        """Build this cluster's RunReport over ``[0, sim.now)`` (requires
+        enable_reporting())."""
         from repro.obs.report import build_run_report
-        return build_run_report(self.telemetry, t0=t0, t1=t1)
+        return build_run_report(self.telemetry)
 
     def metrics_snapshot(self) -> Dict[str, Any]:
         """Harvest a JSON-ready metrics snapshot of the whole cluster."""
         return self.telemetry.snapshot()
 
-    def shuffle_stage(self, design, groups, config=None, *,
-                      num_endpoints=None):
+    def shuffle_stage(self, design, groups, config=None):
         """Build a :class:`~repro.core.stage.ShuffleStage` on this cluster,
         wired to the cluster-wide endpoint registry.
 
@@ -166,14 +166,15 @@ class Cluster:
         :class:`~repro.core.policy.StagePlan`, or a
         :class:`~repro.core.policy.ShufflePolicy`, and is coerced here,
         once, to the plan the stage runs (a policy plans against a
-        context built from this cluster).  Validation is *eager*:
+        context built from this cluster; an endpoint-count override rides
+        on the plan).  Validation is *eager*:
         an unknown design name raises here, naming the known designs
         and endpoint kinds.
         """
         from repro.core.policy import StageContext, resolve_plan
         from repro.core.stage import ShuffleStage
-        plan = resolve_plan(design, StageContext.from_cluster(
-            self, config=config, num_endpoints=num_endpoints))
+        plan = resolve_plan(design,
+                            StageContext.from_cluster(self, config=config))
         return ShuffleStage(self.fabric, plan, groups, config,
                             registry=self.registry)
 

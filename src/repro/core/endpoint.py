@@ -94,6 +94,10 @@ class EndpointConfig:
             raise ValueError("need at least one buffer per connection")
         if self.credit_frequency < 1:
             raise ValueError("credit frequency must be >= 1")
+        for field_name in ("drain_timeout_ns", "ud_window_factor"):
+            value = getattr(self, field_name)
+            if value < 1:
+                raise ValueError(f"{field_name} must be >= 1, not {value}")
         if self.credit_frequency > self.buffers_per_connection:
             # Otherwise the final write-back never happens and the sender
             # can starve for credit at end of stream (§5.1.1 discussion).

@@ -18,22 +18,23 @@ import numpy as np
 from repro.core.transport.runtime import ReceiveEndpoint
 from repro.engine.operator import Operator, OpState, concat_batches
 
-__all__ = ["ReceiveOperator"]
+__all__ = ["OUTPUT_BATCH_BYTES", "ReceiveOperator"]
+
+#: RECEIVE emits an output batch once this many bytes have accumulated
+#: (the paper uses 32 KiB, the L1 data cache size, in §5.1.6).
+OUTPUT_BATCH_BYTES = 32 * 1024
 
 
 class ReceiveOperator(Operator):
     """Algorithm 2: fetch, copy, release, emit."""
 
     def __init__(self, node, endpoints: Sequence[ReceiveEndpoint],
-                 num_threads: int, output_bytes: int = 32 * 1024):
+                 num_threads: int):
         super().__init__(node, child=None)
         if not endpoints:
             raise ValueError("receive needs at least one endpoint")
         self.endpoints = list(endpoints)
         self.num_threads = num_threads
-        #: emit an output batch once this many bytes have accumulated
-        #: (the paper uses 32 KiB, the L1 data cache size, in §5.1.6).
-        self.output_bytes = output_bytes
         self.tuples_in = 0
 
     def _endpoint(self, tid: int) -> ReceiveEndpoint:
@@ -64,5 +65,5 @@ class ReceiveOperator(Operator):
                 acc.extend(payload)
                 acc_bytes += length
             yield from target.release(remote, local, src)
-            if acc_bytes >= self.output_bytes:
+            if acc_bytes >= OUTPUT_BATCH_BYTES:
                 return (OpState.MORE_DATA, self._emit(acc))

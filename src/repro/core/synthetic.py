@@ -55,12 +55,10 @@ class SyntheticShuffle:
     sink is kept in ``sinks``, whichever stage its fragment drains.
     """
 
-    def __init__(self, cluster, compute_ns_per_batch: float = 0.0,
-                 receive_output_bytes: int = 32 * 1024):
+    def __init__(self, cluster, compute_ns_per_batch: float = 0.0):
         self.cluster = cluster
         self.threads = cluster.threads_per_node
         self.compute_ns_per_batch = compute_ns_per_batch
-        self.receive_output_bytes = receive_output_bytes
         self.template = make_template_batch()
         self.sinks: List[CountSink] = []
 
@@ -83,8 +81,7 @@ class SyntheticShuffle:
         """The fragment draining the stage's endpoints on ``node_id``."""
         node = self.cluster.nodes[node_id]
         root: Operator = ReceiveOperator(
-            node, stage.recv_endpoints[node_id], self.threads,
-            output_bytes=self.receive_output_bytes)
+            node, stage.recv_endpoints[node_id], self.threads)
         if self.compute_ns_per_batch:
             root = ComputeOperator(node, root,
                                    ns_per_batch=self.compute_ns_per_batch)

@@ -214,6 +214,10 @@ EDR = NetworkConfig(
 )
 
 
+#: independent switch planes of a ``dual-rail`` topology.
+RAILS = 2
+
+
 @dataclass(frozen=True)
 class TopologySpec:
     """How the cluster's switches are wired.
@@ -229,9 +233,9 @@ class TopologySpec:
       spine; each leaf's uplink/downlink trunks run at
       ``nodes_per_leaf * link_rate / oversubscription``, so
       ``oversubscription > 1`` starves cross-leaf traffic.
-    * ``dual-rail`` — ``rails`` independent full-bisection planes with
-      per-destination output ports; traffic is striped over the rails by
-      ``(src + dst) % rails``, exposing output-port incast.
+    * ``dual-rail`` — :data:`RAILS` independent full-bisection planes
+      with per-destination output ports; traffic is striped over the
+      rails by ``(src + dst) % RAILS``, exposing output-port incast.
     """
 
     kind: str = "single-switch"
@@ -239,8 +243,6 @@ class TopologySpec:
     oversubscription: int = 1
     #: nodes attached to each leaf switch (leaf-spine only).
     nodes_per_leaf: int = 4
-    #: independent switch planes (dual-rail only).
-    rails: int = 2
 
     _KINDS = ("single-switch", "leaf-spine", "dual-rail")
 
@@ -255,15 +257,13 @@ class TopologySpec:
         if self.nodes_per_leaf < 1:
             raise ValueError(
                 f"nodes_per_leaf must be >= 1, got {self.nodes_per_leaf}")
-        if self.rails < 1:
-            raise ValueError(f"rails must be >= 1, got {self.rails}")
 
     def describe(self) -> str:
         if self.kind == "leaf-spine":
             return (f"leaf-spine {self.oversubscription}:1, "
                     f"{self.nodes_per_leaf} nodes/leaf")
         if self.kind == "dual-rail":
-            return f"dual-rail ({self.rails} planes)"
+            return f"dual-rail ({RAILS} planes)"
         return "single-switch (full bisection)"
 
 

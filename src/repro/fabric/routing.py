@@ -2,7 +2,7 @@
 
 Unicast, loopback and the two halves of multicast (shared trunk,
 per-member legs) all run one flat-callback walker over a precomputed
-hop sequence (:class:`~repro.fabric.topology.Route`):
+hop sequence (:meth:`~repro.fabric.topology.Topology.route_hops`):
 
     egress pipe → [port pipe?, forwarding latency]* → loss? → ingress
 

@@ -18,12 +18,13 @@ Structure
   is meaningful: paths that traverse the same physical resource share
   the same Hop object, which is what lets multicast find the last
   common switch by comparing hops.
-* :class:`Route` / :class:`Topology` — per-pair hop sequences, derived
-  on lookup from a :class:`~repro.fabric.config.TopologySpec`.  Hop
-  tuples are shared per *equivalence class* (same leaf pair, same rail
-  and destination, the one single-switch hop) instead of materialised
-  per node pair, so route state is O(switches), not O(nodes²) — the
-  difference between 16 paper nodes and the 1024-node mesoscale sweep.
+* :class:`Topology` — per-pair hop sequences
+  (:meth:`Topology.route_hops`), derived on lookup from a
+  :class:`~repro.fabric.config.TopologySpec`.  Hop tuples are shared
+  per *equivalence class* (same leaf pair, same rail and destination,
+  the one single-switch hop) instead of materialised per node pair, so
+  route state is O(switches), not O(nodes²) — the difference between 16
+  paper nodes and the 1024-node mesoscale sweep.
 
 The walkers in :mod:`repro.fabric.routing` execute these hop sequences;
 the :class:`~repro.fabric.network.Fabric` itself no longer knows what a
@@ -43,11 +44,11 @@ from __future__ import annotations
 
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from repro.fabric.config import NetworkConfig, TopologySpec
+from repro.fabric.config import RAILS, NetworkConfig, TopologySpec
 from repro.sim import Simulator
 from repro.sim.primitives import RatePipe
 
-__all__ = ["Hop", "Route", "Switch", "SwitchPort", "Topology"]
+__all__ = ["Hop", "Switch", "SwitchPort", "Topology"]
 
 
 class Switch:
@@ -117,20 +118,6 @@ class Hop:
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         where = self.port.name if self.port is not None else "-"
         return f"<Hop {where} +{self.latency_ns}ns>"
-
-
-class Route:
-    """The hop sequence carrying traffic from ``src`` to ``dst``."""
-
-    __slots__ = ("src", "dst", "hops")
-
-    def __init__(self, src: int, dst: int, hops: Tuple[Hop, ...]):
-        self.src = src
-        self.dst = dst
-        self.hops = hops
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"<Route {self.src}->{self.dst} via {len(self.hops)} hops>"
 
 
 class Topology:
@@ -225,15 +212,14 @@ class Topology:
 
     def _build_dual_rail(self) -> None:
         """Independent full-bisection planes with per-destination output
-        ports; traffic is striped over the rails by ``(src + dst) %
-        rails``.  The output port makes receiver incast explicit: two
-        senders converging on one destination over the same rail
-        serialize at its switch port before reaching the NIC.
+        ports; traffic is striped over the :data:`RAILS` rails by
+        ``(src + dst) % RAILS``.  The output port makes receiver incast
+        explicit: two senders converging on one destination over the
+        same rail serialize at its switch port before reaching the NIC.
         """
         net = self.network
         latency = net.switch_latency_ns
-        rails = [self._add_switch(f"rail{r}")
-                 for r in range(self.spec.rails)]
+        rails = [self._add_switch(f"rail{r}") for r in range(RAILS)]
         out_hop: List[List[Hop]] = []
         for rail in rails:
             hops_for_rail = []
@@ -242,32 +228,26 @@ class Topology:
                                      net.link_bytes_per_ns)
                 hops_for_rail.append(Hop(port, latency))
             out_hop.append(hops_for_rail)
-        num_rails = len(rails)
         # One shared 1-tuple per (rail, dst) output port — O(rails · n)
         # route state instead of O(n²).
         rail_hops = [tuple((hop,) for hop in hops_for_rail)
                      for hops_for_rail in out_hop]
         self._pair_hops = (
-            lambda src, dst: rail_hops[(src + dst) % num_rails][dst])
+            lambda src, dst: rail_hops[(src + dst) % RAILS][dst])
 
     # -- lookup ------------------------------------------------------------
 
     def route_hops(self, src: int, dst: int) -> Tuple[Hop, ...]:
         """The (shared) hop tuple for one directed pair.
 
-        This is the hot-path lookup: no ``Route`` object is allocated,
-        and the returned tuple is shared by every pair of the same
+        This is the one route lookup: nothing is allocated, and the
+        returned tuple is shared by every pair of the same
         equivalence class, so Hop-identity comparisons (multicast's
         last-common-switch split) keep working.
         """
         if src == dst:
             return ()
         return self._pair_hops(src, dst)
-
-    def route(self, src: int, dst: int) -> Route:
-        """The route for one directed pair (introspection/tests; the
-        fabric itself uses :meth:`route_hops`)."""
-        return Route(src, dst, self.route_hops(src, dst))
 
     def mcast_route(self, src: int, members: Sequence[int]
                     ) -> Tuple[Tuple[Hop, ...], Dict[int, Tuple[Hop, ...]]]:
@@ -314,17 +294,3 @@ class Topology:
         """The busiest port's utilization; 0 on a port-less fabric."""
         return max((port.utilization(elapsed_ns) for port in self.ports()),
                    default=0.0)
-
-    def describe(self) -> str:
-        """A human-readable summary of the wired graph."""
-        lines = [f"topology: {self.spec.describe()}, "
-                 f"{self.num_nodes} nodes, {len(self.switches)} switches"]
-        for switch in self.switches:
-            if switch.ports:
-                ports = ", ".join(
-                    f"{p.local_name}@{p.pipe.rate:g}B/ns"
-                    for p in switch.ports)
-            else:
-                ports = "non-blocking"
-            lines.append(f"  {switch.name}: {ports}")
-        return "\n".join(lines)

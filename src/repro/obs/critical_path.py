@@ -50,6 +50,9 @@ from repro.telemetry.links import FlowRecorder
 
 __all__ = ["CATEGORIES", "attribute", "critical_path"]
 
+#: the most links :func:`critical_path` returns (the newest ones).
+CRITICAL_PATH_LINKS = 32
+
 #: every attribution category, in report order.  The first seven are
 #: explained by recorded intervals (priority = position); the last three
 #: are positional remainders.
@@ -194,9 +197,9 @@ def attribute(recorder: FlowRecorder, t0: int, t1: int) -> Dict[str, Any]:
     }
 
 
-def critical_path(recorder: FlowRecorder,
-                  limit: int = 32) -> List[Dict[str, Any]]:
-    """The causal chain ending at the last delivered message.
+def critical_path(recorder: FlowRecorder) -> List[Dict[str, Any]]:
+    """The causal chain ending at the last delivered message, at most
+    :data:`CRITICAL_PATH_LINKS` links long.
 
     Walks the flow DAG backwards from the final delivery, preferring the
     cross-endpoint ``trigger`` edge (credit return -> the data flow whose
@@ -214,7 +217,7 @@ def critical_path(recorder: FlowRecorder,
     chain: List[Dict[str, Any]] = []
     seen = set()
     cursor = last
-    while cursor and cursor not in seen and len(chain) < limit:
+    while cursor and cursor not in seen and len(chain) < CRITICAL_PATH_LINKS:
         seen.add(cursor)
         flow = recorder.flows.get(cursor)
         if flow is None:

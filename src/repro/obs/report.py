@@ -16,7 +16,7 @@ cluster with ``Cluster.enable_reporting()`` + ``Cluster.run_report()``.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List
 
 from repro.obs.critical_path import CATEGORIES, attribute, critical_path
 from repro.telemetry.metrics import latency_summary
@@ -42,13 +42,12 @@ _LATENCY_KINDS = ("data", "read")
 _MAX_SANITIZER_MESSAGES = 10
 
 
-def build_run_report(telemetry, t0: int = 0,
-                     t1: Optional[int] = None) -> Dict[str, Any]:
-    """One cluster's report: attribution + latencies + ports + sanitizer.
+def build_run_report(telemetry) -> Dict[str, Any]:
+    """One cluster's report over ``[0, sim.now)``: attribution +
+    latencies + ports + sanitizer.
 
     Requires link recording (``telemetry.enable_links()`` /
     ``Cluster.enable_reporting()``) to have been active for the run.
-    The window defaults to ``[0, sim.now)``.
     """
     links = telemetry.links
     if links is None:
@@ -56,8 +55,6 @@ def build_run_report(telemetry, t0: int = 0,
             "link recording is not enabled on this cluster; call "
             "Cluster.enable_reporting() (or Telemetry.enable_links()) "
             "before building endpoints")
-    if t1 is None:
-        t1 = telemetry.sim.now
 
     latencies = [
         flow.delivered_ns - flow.posted_ns
@@ -80,7 +77,7 @@ def build_run_report(telemetry, t0: int = 0,
         }
 
     return {
-        "attribution": attribute(links, t0, t1),
+        "attribution": attribute(links, 0, telemetry.sim.now),
         "latency_ns": latency_summary(latencies),
         "ports": snapshot["fabric"].get("topology.ports", {}),
         "sanitizer": sanitizer_summary,

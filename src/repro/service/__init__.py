@@ -15,7 +15,6 @@ from repro.service.quota import (
     estimate_footprint,
 )
 from repro.service.scheduler import (
-    POLICIES,
     FairSharePolicy,
     FifoPolicy,
     ServiceConfig,
@@ -31,7 +30,6 @@ __all__ = [
     "QuotaManager",
     "TenantUsage",
     "estimate_footprint",
-    "POLICIES",
     "FairSharePolicy",
     "FifoPolicy",
     "ServiceConfig",

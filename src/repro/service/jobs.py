@@ -11,7 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional
 
-from repro.core.endpoint import EndpointConfig
 from repro.core.policy import DesignLike
 from repro.sim import Notify, Simulator
 
@@ -36,8 +35,6 @@ class TenantSpec:
     jobs: int = 4
     #: endpoint-count override (None: the design's natural count).
     num_endpoints: Optional[int] = None
-    #: base endpoint configuration (None: EndpointConfig() defaults).
-    config: Optional[EndpointConfig] = None
 
     def __post_init__(self):
         for field_name, minimum in (("bytes_per_job", 1),
@@ -48,6 +45,10 @@ class TenantSpec:
                 raise ValueError(
                     f"TenantSpec {self.name!r}: {field_name} must be "
                     f">= {minimum}, not {value}")
+        if self.num_endpoints is not None and self.num_endpoints < 1:
+            raise ValueError(
+                f"TenantSpec {self.name!r}: num_endpoints must be >= 1, "
+                f"not {self.num_endpoints}")
 
 
 @dataclass

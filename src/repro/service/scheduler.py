@@ -31,7 +31,6 @@ same completion order and metrics bit-for-bit.
 
 from __future__ import annotations
 
-import dataclasses
 import random
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional
@@ -58,7 +57,6 @@ __all__ = [
     "ServiceConfig",
     "FifoPolicy",
     "FairSharePolicy",
-    "POLICIES",
     "ShuffleService",
 ]
 
@@ -119,9 +117,6 @@ class FairSharePolicy:
         ))
 
 
-POLICIES = {"fifo": FifoPolicy, "fair": FairSharePolicy}
-
-
 class ShuffleService:
     """Run N tenants' open-loop shuffle streams on one shared cluster."""
 
@@ -170,7 +165,6 @@ class ShuffleService:
         return StageContext.from_cluster(
             self.cluster,
             bytes_per_node=tenant.bytes_per_job,
-            config=tenant.config,
             num_endpoints=tenant.num_endpoints,
             max_qps=quota.max_qps,
             max_registered_bytes=quota.max_registered_bytes,
@@ -185,7 +179,7 @@ class ShuffleService:
             plan.design, self.cluster.num_nodes,
             self.cluster.threads_per_node,
             num_endpoints=plan.num_endpoints,
-            config=plan.apply(job.tenant.config))
+            config=plan.apply())
 
     def headroom_ok(self, job: Job) -> bool:
         """May ``job`` be admitted right now under its tenant's caps?"""
@@ -295,8 +289,7 @@ class ShuffleService:
                 raise QuotaExceededError(
                     f"tenant {tenant.name!r} cannot fit any job under "
                     "its caps")
-            config = dataclasses.replace(
-                tenant.config or EndpointConfig(), tenant=tenant.name)
+            config = EndpointConfig(tenant=tenant.name)
             if plan.clamped:
                 job.meta["clamped_endpoints"] = plan.num_endpoints
             groups = TransmissionGroups.repartition(cluster.num_nodes)

@@ -87,16 +87,10 @@ class Semaphore:
 
 
 class Mutex(Semaphore):
-    """A binary semaphore with lock/unlock naming and hold-time helper."""
+    """A binary semaphore with a hold-time helper."""
 
     def __init__(self, sim: Simulator):
         super().__init__(sim, value=1)
-
-    def lock(self) -> Event:
-        return self.acquire()
-
-    def unlock(self) -> None:
-        self.release()
 
     def critical_section(self, hold_ns: int):
         """A process fragment: acquire, hold for ``hold_ns``, release.
@@ -118,8 +112,8 @@ class Mutex(Semaphore):
 class Notify:
     """A broadcast signal: ``wait()`` events all fire on ``notify_all()``.
 
-    Unlike :class:`Queue`, a notification wakes *every* current waiter and
-    carries an optional value.  Used for condition-variable style "state
+    Unlike :class:`Queue`, a notification wakes *every* current waiter
+    and carries no value.  Used for condition-variable style "state
     changed, re-check your predicate" wakeups.
     """
 
@@ -132,10 +126,10 @@ class Notify:
         self._waiters.append(event)
         return event
 
-    def notify_all(self, value: Any = None) -> None:
+    def notify_all(self) -> None:
         waiters, self._waiters = self._waiters, []
         for event in waiters:
-            event.succeed(value)
+            event.succeed()
 
 
 class Barrier:

@@ -65,13 +65,10 @@ class Telemetry:
     and enabling one — at any time — sets that one field.
     """
 
-    def __init__(self, sim: "Simulator", num_nodes: int,
-                 enabled: Optional[bool] = None):
-        if enabled is None:
-            enabled = _ENABLED
+    def __init__(self, sim: "Simulator", num_nodes: int):
         self.sim = sim
         self.num_nodes = num_nodes
-        self.enabled = enabled
+        self.enabled = _ENABLED
         #: name -> zero-argument callable, polled into the fabric
         #: section of every snapshot taken while ``enabled``.
         self.callbacks: Dict[str, Callable[[], Any]] = {}
@@ -89,14 +86,6 @@ class Telemetry:
         self.qp_miss_by_qpn: Optional[Dict[int, int]] = None
         #: the final snapshot, once the cluster has been disposed.
         self._sealed: Optional[Dict[str, Any]] = None
-
-    # -- access ------------------------------------------------------------
-
-    @property
-    def endpoints(self):
-        """Every endpoint registered with this telemetry object (the
-        harvest surface policies read credit-stall totals from)."""
-        return tuple(self._endpoints)
 
     # -- wiring ------------------------------------------------------------
 
@@ -129,20 +118,18 @@ class Telemetry:
         if self.enabled:
             self._endpoints.append(endpoint)
 
-    def enable_tracing(self, max_events: int = 500_000,
-                       budget: Optional[TraceBudget] = None,
+    def enable_tracing(self, budget: Optional[TraceBudget] = None,
                        pid_base: int = 0, label: str = "") -> Tracer:
         """Start recording trace events; returns the live tracer.
 
-        Idempotent: a second call returns the tracer already recording
-        (its budget and pid namespace stand).
+        Without a shared ``budget`` the tracer gets a default
+        :class:`TraceBudget` of its own.  Idempotent: a second call
+        returns the tracer already recording (its budget and pid
+        namespace stand).
         """
         if self.tracer is None:
-            self.tracer = Tracer(
-                self.sim,
-                budget=budget if budget is not None
-                else TraceBudget(max_events),
-                pid_base=pid_base, label=label)
+            self.tracer = Tracer(self.sim, budget=budget,
+                                 pid_base=pid_base, label=label)
             if self._fabric is not None:
                 self._name_switches()
         return self.tracer
@@ -306,9 +293,9 @@ class Telemetry:
         metrics["ep.dest_skew"] = round(max(values) / mean, 4) if mean else 0.0
 
 
-def nic_cache_stats(cluster_or_fabric) -> Dict[str, Any]:
+def nic_cache_stats(cluster) -> Dict[str, Any]:
     """Aggregate QP-context-cache counters across all NICs of a cluster."""
-    fabric = getattr(cluster_or_fabric, "fabric", cluster_or_fabric)
+    fabric = cluster.fabric
     hits = sum(n.nic.qp_cache.hits for n in fabric.nodes)
     misses = sum(n.nic.qp_cache.misses for n in fabric.nodes)
     total = hits + misses

@@ -23,7 +23,7 @@ from typing import Any, Dict, List, Optional
 
 from repro.telemetry.core import Telemetry
 from repro.telemetry.links import DEFAULT_LINK_RECORDS
-from repro.telemetry.trace import TraceBudget, Tracer
+from repro.telemetry.trace import TraceBudget, Tracer, trace_document
 
 __all__ = [
     "TelemetrySession",
@@ -32,6 +32,9 @@ __all__ = [
     "digest_snapshots",
     "format_digest",
 ]
+
+#: trace events shared by every run of a ``trace=True`` session.
+SESSION_TRACE_EVENTS = 400_000
 
 _ACTIVE: Optional["TelemetrySession"] = None
 
@@ -42,19 +45,15 @@ def current_session() -> Optional["TelemetrySession"]:
 
 
 @contextmanager
-def session(trace: bool = False, trace_budget_events: int = 400_000,
-            sanitize: bool = False, report: bool = False,
-            link_budget_records: int = DEFAULT_LINK_RECORDS):
+def session(trace: bool = False, sanitize: bool = False,
+            report: bool = False):
     """Activate a TelemetrySession for the duration of the ``with`` block."""
     global _ACTIVE
     if _ACTIVE is not None:
         # Nested sessions would double-count; inner scopes just reuse.
         yield _ACTIVE
         return
-    sess = TelemetrySession(trace=trace,
-                            trace_budget_events=trace_budget_events,
-                            sanitize=sanitize, report=report,
-                            link_budget_records=link_budget_records)
+    sess = TelemetrySession(trace=trace, sanitize=sanitize, report=report)
     _ACTIVE = sess
     try:
         yield sess
@@ -68,17 +67,15 @@ class TelemetrySession:
     #: pid offset between runs in the merged trace.
     PID_STRIDE = 1000
 
-    def __init__(self, trace: bool = False,
-                 trace_budget_events: int = 400_000,
-                 sanitize: bool = False, report: bool = False,
-                 link_budget_records: int = DEFAULT_LINK_RECORDS):
+    def __init__(self, trace: bool = False, sanitize: bool = False,
+                 report: bool = False):
         self.trace = trace
-        self.budget = TraceBudget(trace_budget_events) if trace else None
+        self.budget = TraceBudget(SESSION_TRACE_EVENTS) if trace else None
         #: record causal links on every cluster and seal RunReports at
         #: checkpoint() (repro-bench --report).  One budget is shared
         #: across all runs so report memory stays bounded session-wide.
         self.report = report
-        self.link_budget = (TraceBudget(link_budget_records)
+        self.link_budget = (TraceBudget(DEFAULT_LINK_RECORDS)
                             if report else None)
         #: sealed per-experiment report entries: {"name", "runs",
         #: "aggregate"} (see repro.obs.report).
@@ -181,22 +178,9 @@ class TelemetrySession:
 
     def trace_document(self) -> Dict[str, Any]:
         """Merge every run's trace into one Chrome trace-event document."""
-        meta: List[Dict[str, Any]] = []
-        data: List[Dict[str, Any]] = []
-        for tracer in self._tracers:
-            meta.extend(tracer._metadata_events())
-            data.extend(tracer.events)
-        data.sort(key=lambda e: e["ts"])
-        dropped = self.budget.dropped if self.budget else 0
-        return {
-            "traceEvents": meta + data,
-            "displayTimeUnit": "ns",
-            "otherData": {
-                "clock": "simulated nanoseconds (exported as microseconds)",
-                "runs": len(self._tracers),
-                "dropped_events": dropped,
-            },
-        }
+        return trace_document(self._tracers,
+                              self.budget.dropped if self.budget else 0,
+                              runs=len(self._tracers))
 
     def export_trace(self, path: str) -> None:
         import json

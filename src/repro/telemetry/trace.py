@@ -36,12 +36,13 @@ from __future__ import annotations
 
 import json
 from collections.abc import Sequence
-from typing import TYPE_CHECKING, Any, Dict, Iterator, List, Optional, Tuple
+from typing import (TYPE_CHECKING, Any, Dict, Iterable, Iterator, List,
+                    Optional, Tuple)
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.sim import Simulator
 
-__all__ = ["TraceBudget", "Tracer"]
+__all__ = ["TraceBudget", "Tracer", "trace_document"]
 
 
 class TraceBudget:
@@ -199,20 +200,31 @@ class Tracer:
                          "name": "thread_name", "args": {"name": track}})
         return meta
 
-    def sorted_events(self) -> List[Dict[str, Any]]:
-        """Data events in non-decreasing ``ts`` order (stable)."""
-        return sorted(self.events, key=lambda e: e["ts"])
-
     def to_dict(self) -> Dict[str, Any]:
-        return {
-            "traceEvents": self._metadata_events() + self.sorted_events(),
-            "displayTimeUnit": "ns",
-            "otherData": {
-                "clock": "simulated nanoseconds (exported as microseconds)",
-                "dropped_events": self.budget.dropped,
-            },
-        }
+        return trace_document([self], self.budget.dropped)
 
     def export(self, path: str) -> None:
         with open(path, "w") as fh:
             json.dump(self.to_dict(), fh)
+
+
+def trace_document(tracers: Iterable[Tracer], dropped: int,
+                   **other_data: Any) -> Dict[str, Any]:
+    """One Chrome trace-event document over ``tracers``: every tracer's
+    metadata events, then all their data events in non-decreasing ``ts``
+    order (stable).  ``other_data`` joins the ``otherData`` section."""
+    meta: List[Dict[str, Any]] = []
+    data: List[Dict[str, Any]] = []
+    for tracer in tracers:
+        meta.extend(tracer._metadata_events())
+        data.extend(tracer.events)
+    data.sort(key=lambda e: e["ts"])
+    return {
+        "traceEvents": meta + data,
+        "displayTimeUnit": "ns",
+        "otherData": {
+            "clock": "simulated nanoseconds (exported as microseconds)",
+            **other_data,
+            "dropped_events": dropped,
+        },
+    }

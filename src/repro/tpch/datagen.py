@@ -45,11 +45,6 @@ class TPCHData:
     def partition(self, table: str, node: int) -> np.ndarray:
         return self.partitions[table][node]
 
-    @property
-    def total_bytes(self) -> int:
-        return (self.customer.nbytes + self.orders.nbytes +
-                self.lineitem.nbytes + self.nation.nbytes)
-
 
 def _scatter(rng: np.random.Generator, table: np.ndarray,
              num_nodes: int) -> List[np.ndarray]:

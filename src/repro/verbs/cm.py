@@ -30,18 +30,20 @@ class EndpointRegistry:
     """
 
     def __init__(self):
-        self._published: Dict[Any, Any] = {}
+        self._published: Dict[int, Dict[str, Any]] = {}
 
     def dispose(self) -> None:
         """Forget every published endpoint (end-of-query teardown)."""
         self._published.clear()
 
-    def publish(self, endpoint_id: Any, info: Any) -> None:
+    def publish_endpoint(self, endpoint_id: int, info: Dict[str, Any]) -> None:
+        """Publish one endpoint's bootstrap info under its integer id."""
         if endpoint_id in self._published:
             raise VerbsError(f"endpoint id {endpoint_id!r} already published")
         self._published[endpoint_id] = info
 
-    def lookup(self, endpoint_id: Any) -> Any:
+    def lookup_endpoint(self, endpoint_id: int) -> Dict[str, Any]:
+        """Resolve the bootstrap info published for an endpoint id."""
         try:
             return self._published[endpoint_id]
         except KeyError:
@@ -49,21 +51,10 @@ class EndpointRegistry:
                 f"endpoint id {endpoint_id!r} has not been published"
             ) from None
 
-    def publish_endpoint(self, endpoint_id: int, info: Dict[str, Any]) -> None:
-        """Publish one endpoint's bootstrap info under its integer id."""
-        self.publish(("ep", endpoint_id), info)
-
-    def lookup_endpoint(self, endpoint_id: int) -> Dict[str, Any]:
-        """Resolve the bootstrap info published for an endpoint id."""
-        return self.lookup(("ep", endpoint_id))
-
     def unpublish_endpoint(self, endpoint_id: int) -> None:
         """Forget one endpoint's bootstrap info (end-of-job teardown in
         the multi-tenant service; a no-op for unknown ids)."""
-        self._published.pop(("ep", endpoint_id), None)
-
-    def __contains__(self, endpoint_id: Any) -> bool:
-        return endpoint_id in self._published
+        self._published.pop(endpoint_id, None)
 
 
 def connect_rc_pair(ctx: VerbsContext, qp: QueuePair,

@@ -103,6 +103,18 @@ class TestCreditProtocol:
         with pytest.raises(ValueError, match="credit_frequency"):
             EndpointConfig(buffers_per_connection=2, credit_frequency=3)
 
+    @pytest.mark.parametrize("value", [0, -1])
+    @pytest.mark.parametrize("field", ["drain_timeout_ns", "ud_window_factor"])
+    def test_ud_knobs_below_one_rejected(self, field, value):
+        """Checked here, not at run time: a negative drain timeout would
+        clamp the UD keepalive interval to 1 ns and flood the send
+        queue, and a zero window factor would fail stage setup naming
+        buffers_per_connection."""
+        with pytest.raises(ValueError,
+                           match=f"^{field} must be >= 1, not {value}$"):
+            EndpointConfig(**{field: value})
+        assert getattr(EndpointConfig(**{field: 1}), field) == 1
+
 
 class TestUnreliableDatagram:
     def test_out_of_order_delivery_reconciles_totals(self):

@@ -223,7 +223,7 @@ class TestRecordingIsInvisible:
 
     def test_budget_exhaustion_degrades_gracefully(self):
         cluster = Cluster(ClusterConfig(network=EDR, num_nodes=4))
-        links = cluster.enable_reporting(budget=TraceBudget(200))
+        links = cluster.telemetry.enable_links(budget=TraceBudget(200))
         result = run_repartition(cluster, "MESQ/SR", bytes_per_node=2 << 20)
         assert links.truncated
         assert links.dropped_records > 0

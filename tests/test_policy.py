@@ -125,11 +125,10 @@ class TestEagerValidation:
         not as a negative ceil-division deep in the config derivation,
         and 0 is not silently the natural count."""
         cluster = make_cluster(nodes=2)
-        groups = TransmissionGroups.repartition(2)
         with pytest.raises(ValueError, match="num_endpoints"):
             StagePlan("MESQ/SR", num_endpoints=bad)
         with pytest.raises(ValueError, match="num_endpoints"):
-            cluster.shuffle_stage("MEMQ/SR", groups, num_endpoints=bad)
+            TenantSpec("t", design="MEMQ/SR", num_endpoints=bad)
         with pytest.raises(ValueError, match="num_endpoints"):
             run_repartition(cluster, "MESQ/SR", num_endpoints=bad)
 

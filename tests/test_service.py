@@ -12,7 +12,6 @@ from repro.core.policy import StagePlan
 from repro.service import (
     FairSharePolicy,
     FifoPolicy,
-    POLICIES,
     QuotaExceededError,
     QuotaManager,
     ServiceConfig,
@@ -182,11 +181,12 @@ class TestServiceRuns:
          "mean_interarrival_ns"),
         (lambda: TenantSpec("t", bytes_per_job=-5), "bytes_per_job"),
         (lambda: TenantSpec("t", jobs=-1), "jobs"),
+        (lambda: TenantSpec("t", num_endpoints=0), "num_endpoints"),
         (lambda: ServiceConfig(max_concurrent=0), "max_concurrent"),
         (lambda: StagePlan("MESQ/SR", inter_concurrency=0),
          "inter_concurrency"),
-    ], ids=["interarrival", "bytes", "jobs", "max_concurrent",
-            "inter_concurrency"])
+    ], ids=["interarrival", "bytes", "jobs", "num_endpoints",
+            "max_concurrent", "inter_concurrency"])
     def test_bad_inputs_rejected_at_construction(self, build, field):
         """Out-of-range inputs fail where they are given, naming the
         field — not mid-run, silently or behind a later clamp."""
@@ -252,16 +252,12 @@ class TestPolicies:
         flood = [name for name in order if name.startswith("flood")]
         assert flood == [f"flood/{i}" for i in range(6)]
 
-    def test_policy_registry(self):
-        assert POLICIES["fifo"] is FifoPolicy
-        assert POLICIES["fair"] is FairSharePolicy
-
 
 class TestDeterminism:
     """Identical seeds must reproduce identical completion order and
     per-tenant metrics, for every admission policy."""
 
-    def _run_once(self, policy_name):
+    def _run_once(self, policy_cls):
         cluster = make_cluster(qp_cache_entries=64)
         quotas = QuotaManager()
         cap = estimate_footprint("MEMQ/SR", 4, 2, num_endpoints=1).qps
@@ -269,14 +265,15 @@ class TestDeterminism:
         tenants = [TenantSpec(name="a", design="MESQ/SR", **FAST),
                    TenantSpec(name="b", design="MEMQ/SR", **FAST)]
         service, report = run_service(
-            cluster, tenants, policy=POLICIES[policy_name](),
+            cluster, tenants, policy=policy_cls(),
             quotas=quotas, max_concurrent=2, seed=7)
         return report
 
-    @pytest.mark.parametrize("policy_name", sorted(POLICIES))
-    def test_repeated_runs_are_identical(self, policy_name):
-        first = self._run_once(policy_name)
-        second = self._run_once(policy_name)
+    @pytest.mark.parametrize("policy_cls", [FairSharePolicy, FifoPolicy],
+                             ids=["fair", "fifo"])
+    def test_repeated_runs_are_identical(self, policy_cls):
+        first = self._run_once(policy_cls)
+        second = self._run_once(policy_cls)
         assert first["completion_order"] == second["completion_order"]
         assert json.dumps(first["tenants"], sort_keys=True) == \
             json.dumps(second["tenants"], sort_keys=True)

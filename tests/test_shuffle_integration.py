@@ -16,6 +16,7 @@ from repro import (
     TransmissionGroups,
 )
 from repro.core import ReceiveOperator, ShuffleOperator
+from repro.core.policy import StagePlan
 from repro.core.shuffle import hash_partitioner, striped_partitioner
 from repro.engine import CollectSink, QueryFragment, run_fragments
 from repro.engine.scan import ScanOperator
@@ -157,7 +158,8 @@ class TestEndpointConfigurations:
         cc = ClusterConfig(network=EDR, num_nodes=2, threads_per_node=4)
         cluster = Cluster(cc)
         groups = TransmissionGroups.repartition(2)
-        stage = cluster.shuffle_stage("MEMQ/SR", groups, num_endpoints=2)
+        stage = cluster.shuffle_stage(
+            StagePlan("MEMQ/SR", num_endpoints=2), groups)
         assert len(stage.send_endpoints[0]) == 2
         assert recv_buffers_per_source(stage) == {2}
 
@@ -165,9 +167,8 @@ class TestEndpointConfigurations:
         cluster = Cluster(ClusterConfig(network=EDR, num_nodes=2,
                                         threads_per_node=2))
         with pytest.raises(ValueError):
-            cluster.shuffle_stage("MEMQ/SR",
-                                  TransmissionGroups.repartition(2),
-                                  num_endpoints=4)
+            cluster.shuffle_stage(StagePlan("MEMQ/SR", num_endpoints=4),
+                                  TransmissionGroups.repartition(2))
 
     def test_ud_message_size_clamped_to_mtu(self):
         _s, _k, _e, stage, _cl = run_shuffle_query(

@@ -170,9 +170,9 @@ class TestNotify:
 
         sim.process(waiter("x"))
         sim.process(waiter("y"))
-        sim.call_at(30, lambda: cond.notify_all("go"))
+        sim.call_at(30, cond.notify_all)
         sim.run()
-        assert woken == [("x", "go", 30), ("y", "go", 30)]
+        assert woken == [("x", None, 30), ("y", None, 30)]
 
     def test_waiters_registered_after_notify_need_new_notify(self, sim):
         cond = Notify(sim)

@@ -17,20 +17,22 @@ def make_cluster(nodes=3, threads=2):
 class TestEndpointRegistry:
     def test_publish_lookup_roundtrip(self):
         reg = EndpointRegistry()
-        reg.publish(("ep", 1), {"qpn": 42})
-        assert reg.lookup(("ep", 1)) == {"qpn": 42}
-        assert ("ep", 1) in reg
+        reg.publish_endpoint(1, {"qpn": 42})
+        assert reg.lookup_endpoint(1) == {"qpn": 42}
+        reg.unpublish_endpoint(1)
+        with pytest.raises(VerbsError, match="not been published"):
+            reg.lookup_endpoint(1)
 
     def test_double_publish_rejected(self):
         reg = EndpointRegistry()
-        reg.publish("x", 1)
+        reg.publish_endpoint(7, {"qpn": 1})
         with pytest.raises(VerbsError, match="already published"):
-            reg.publish("x", 2)
+            reg.publish_endpoint(7, {"qpn": 2})
 
     def test_missing_lookup_raises(self):
         reg = EndpointRegistry()
         with pytest.raises(VerbsError, match="not been published"):
-            reg.lookup("ghost")
+            reg.lookup_endpoint(99)
 
 
 class TestStageWiring:

@@ -34,7 +34,11 @@ class TestSnapshotCallbacks:
         json.dumps(snap)  # must be JSON-serializable
 
     def test_disabled_telemetry_polls_no_callback(self):
-        tel = Telemetry(Simulator(), 2, enabled=False)
+        set_enabled(False)
+        try:
+            tel = Telemetry(Simulator(), 2)
+        finally:
+            set_enabled(True)
         tel.callbacks["cb"] = lambda: pytest.fail("polled while disabled")
         snap = tel.snapshot()
         assert "cb" not in snap["fabric"]
@@ -201,6 +205,19 @@ class TestSession:
                 if e["ph"] != "M"]
         assert data
         assert len(data) == len(cluster.telemetry.tracer.events)
+
+    def test_one_run_session_document_equals_the_tracers(self):
+        # The session document and Tracer.to_dict() come from one
+        # builder: for a single run only otherData may differ.
+        with session(trace=True) as sess:
+            cluster = Cluster(ClusterConfig(network=EDR, num_nodes=2))
+            run_repartition(cluster, "SEMQ/SR", bytes_per_node=2 * MIB)
+        merged = sess.trace_document()
+        own = cluster.telemetry.tracer.to_dict()
+        assert len(merged["traceEvents"]) > 100
+        assert merged["traceEvents"] == own["traceEvents"]
+        assert merged["displayTimeUnit"] == own["displayTimeUnit"]
+        assert merged["otherData"] == dict(own["otherData"], runs=1)
 
     def test_digest_of_nothing(self):
         digest = digest_snapshots([])
