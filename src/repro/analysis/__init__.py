@@ -26,7 +26,6 @@ from repro.analysis.sanitizer import (
     ProtocolViolationError,
     Sanitizer,
     Violation,
-    attach_sanitizer,
 )
 
 __all__ = [
@@ -36,7 +35,6 @@ __all__ = [
     "STATIC_RULES",
     "Sanitizer",
     "Violation",
-    "attach_sanitizer",
     "lint_paths",
     "lint_source",
     "package_root",

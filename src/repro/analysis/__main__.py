@@ -5,8 +5,8 @@ Two entry points share the module:
 * ``python -m repro.analysis [paths...]`` — static VS1xx protocol lint
   over ``src/repro`` (or the given files/directories); exits non-zero
   if anything is found.
-* ``python -m repro.analysis model [--all-kinds|--kind K] [--bound
-  k=v,...]`` — the bounded protocol model checker: verifies every
+* ``python -m repro.analysis model [--kind K] [--bound k=v,...]`` —
+  the bounded protocol model checker: verifies every (or each ``--kind``)
   modeled endpoint kind's flow-control protocol for deadlock-
   freedom, credit conservation, ring consistency and eventual delivery,
   and renders counterexamples as Chrome trace JSON.
@@ -45,9 +45,6 @@ def model_main(argv: Optional[List[str]] = None) -> int:
                         metavar="KIND",
                         help="endpoint kind to check (repeatable; "
                              "default: every modeled kind)")
-    parser.add_argument("--all-kinds", action="store_true",
-                        help="check every endpoint kind that has a "
-                             "protocol model (the default)")
     parser.add_argument("--bound", metavar="SPEC", default="",
                         help="exploration bound overrides, e.g. "
                              "'messages=4,window=2,qp_errors=1'")

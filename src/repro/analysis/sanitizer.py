@@ -44,7 +44,6 @@ __all__ = [
     "RUNTIME_RULES",
     "Sanitizer",
     "Violation",
-    "attach_sanitizer",
 ]
 
 #: runtime rule catalogue: rule id -> what a report of it means.
@@ -319,12 +318,3 @@ class Sanitizer:
                 f"never exposed (peer key {key!r})",
                 node_id=node, base=region_base, value=value, key=key)
 
-
-# -- wiring ----------------------------------------------------------------
-
-def attach_sanitizer(fabric, sanitizer: Sanitizer) -> Sanitizer:
-    """Install ``sanitizer`` on the observer bundle of a bare ``fabric``
-    (what :meth:`~repro.cluster.Cluster.enable_sanitizer` does for a
-    cluster); every verbs object of the fabric, existing or not yet
-    created, reads it from there."""
-    return fabric.telemetry.enable_sanitizer(sanitizer)

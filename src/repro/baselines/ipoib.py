@@ -133,7 +133,6 @@ class IPoIBSendEndpoint(SendEndpoint):
 
     def setup(self, registry: EndpointRegistry):
         yield from self.provision_send_pool()
-        registry.publish_endpoint(self.endpoint_id, {"node": self.ctx.node_id})
 
     def connect(self, registry: EndpointRegistry):
         self._sockets: Dict[int, TcpConnection] = {}
@@ -167,7 +166,6 @@ class IPoIBReceiveEndpoint(ReceiveEndpoint):
     def setup(self, registry: EndpointRegistry):
         pool = yield from self.provision_recv_pool()
         self._avail: List[Buffer] = list(pool.buffers)
-        registry.publish_endpoint(self.endpoint_id, {"node": self.ctx.node_id})
 
     def connect(self, registry: EndpointRegistry):
         stack = TcpStack.get(self.ctx)

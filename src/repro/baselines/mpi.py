@@ -294,7 +294,6 @@ class MPISendEndpoint(SendEndpoint):
 
     def setup(self, registry: EndpointRegistry):
         yield from self.provision_send_pool()
-        registry.publish_endpoint(self.endpoint_id, {"node": self.ctx.node_id})
 
     def connect(self, registry: EndpointRegistry):
         return
@@ -340,7 +339,6 @@ class MPIReceiveEndpoint(ReceiveEndpoint):
     def setup(self, registry: EndpointRegistry):
         pool = yield from self.provision_recv_pool()
         self._avail = list(pool.buffers)
-        registry.publish_endpoint(self.endpoint_id, {"node": self.ctx.node_id})
 
     def connect(self, registry: EndpointRegistry):
         return

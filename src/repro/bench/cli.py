@@ -99,6 +99,8 @@ def main(argv=None) -> int:
                              "if any violation is detected")
     args = parser.parse_args(argv)
 
+    if not args.scale > 0:
+        parser.error(f"--scale must be positive, got {args.scale}")
     if args.tenants < 2:
         parser.error("--tenants must be >= 2 (a victim and an aggressor)")
     # Validate eagerly so a typo fails before any experiment runs.

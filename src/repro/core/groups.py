@@ -5,7 +5,7 @@ selects a group index; the buffer is then transmitted to *every* node in
 that group.  The three patterns of Figure 3:
 
 * repartition — ``G`` contains singletons, one per node;
-* multicast   — groups contain several nodes each;
+* multicast   — groups contain several nodes each (the constructor);
 * broadcast   — one group holding every (other) node.
 """
 
@@ -61,12 +61,7 @@ class TransmissionGroups:
             seen.update(group)
         return tuple(sorted(seen))
 
-    @property
-    def fanout(self) -> int:
-        """The largest number of recipients a single buffer can have."""
-        return max(len(group) for group in self._groups)
-
-    # -- the three patterns of Figure 3 -------------------------------------
+    # -- Figure 3a and 3c (3b, multicast, is the plain constructor) ---------
 
     @classmethod
     def repartition(cls, num_nodes: int) -> "TransmissionGroups":
@@ -74,11 +69,6 @@ class TransmissionGroups:
         if num_nodes < 1:
             raise ValueError(f"num_nodes must be >= 1, got {num_nodes}")
         return cls([(i,) for i in range(num_nodes)])
-
-    @classmethod
-    def multicast(cls, groups: Sequence[Iterable[int]]) -> "TransmissionGroups":
-        """Arbitrary user-defined groups (Figure 3b)."""
-        return cls(groups)
 
     @classmethod
     def broadcast(cls, num_nodes: int,

@@ -39,13 +39,9 @@ __all__ = ["McastSRUDSendEndpoint", "McastSRUDReceiveEndpoint"]
 
 
 class McastSRUDSendEndpoint(SRUDSendEndpoint):
-    """SRUD send endpoint using hardware multicast for group sends."""
+    """SRUD send endpoint using hardware multicast for group sends.
 
-    def setup(self, registry: EndpointRegistry):
-        yield from super().setup(registry)
-        # The endpoint id doubles as the MGID; receivers join it.
-        info = registry.lookup_endpoint(self.endpoint_id)
-        info["mgid"] = self.endpoint_id
+    The endpoint id doubles as the MGID its receivers join."""
 
     def send(self, buf: Buffer, dests: Sequence[int], state: DataState):
         # The HCA does not loop a multicast datagram back to its sender,
@@ -97,7 +93,4 @@ class McastSRUDReceiveEndpoint(SRUDReceiveEndpoint):
     def connect(self, registry: EndpointRegistry):
         yield from super().connect(registry)
         for _src_node, src_ep in self.sources:
-            info = registry.lookup_endpoint(src_ep)
-            mgid = info.get("mgid")
-            if mgid is not None:
-                self.ctx.mcast_attach(mgid, self.qp)
+            self.ctx.mcast_attach(src_ep, self.qp)

@@ -472,17 +472,13 @@ SHUFFLE_POLICIES = {
 }
 
 
-def parse_policy(spec: Any) -> Union[str, ShufflePolicy]:
+def parse_policy(spec: str) -> Union[str, ShufflePolicy]:
     """Turn a ``--policy`` argument into a design selector.
 
-    Accepts a policy object (returned unchanged), a registered policy
-    name (``adaptive``, ``hierarchical``; a fresh instance), or
-    ``static:<DESIGN>`` or a bare design name (the design name).
+    Accepts a registered policy name (``adaptive``, ``hierarchical``; a
+    fresh instance), or ``static:<DESIGN>`` or a bare design name (the
+    design name).
     """
-    if isinstance(spec, ShufflePolicy):
-        return spec
-    if not isinstance(spec, str):
-        raise TypeError(f"cannot parse policy from {spec!r}")
     factory = SHUFFLE_POLICIES.get(spec)
     if factory is not None:
         return factory()

@@ -90,7 +90,6 @@ class ReadRCSendEndpoint(SendEndpoint):
             name="freearr",
             validator=lambda dest, value: value in self._pending)
         registry.publish_endpoint(self.endpoint_id, {
-            "node": self.ctx.node_id,
             "qpn_by_dest": {d: c.qp.qpn for d, c in self.conns.items()},
             "freearr_base_by_dest": free_board.base_by_key,
             "freearr_cap": free_cap,
@@ -171,7 +170,6 @@ class ReadRCReceiveEndpoint(ReceiveEndpoint):
                 conn.local_arr.append(self.pool.buffers[next_buffer])
                 next_buffer += 1
         registry.publish_endpoint(self.endpoint_id, {
-            "node": self.ctx.node_id,
             "qpn_by_source": {
                 src_ep: c.qp.qpn for src_ep, c in self.conns.items()
             },

@@ -34,7 +34,6 @@ class ReceiveOperator(Operator):
         if not endpoints:
             raise ValueError("receive needs at least one endpoint")
         self.endpoints = list(endpoints)
-        self.num_threads = num_threads
         self.tuples_in = 0
 
     def _endpoint(self, tid: int) -> ReceiveEndpoint:

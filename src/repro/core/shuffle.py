@@ -154,7 +154,6 @@ class ShuffleOperator(Operator):
         self.endpoints = list(endpoints)
         self.groups = groups
         self.partition_fn = partition_fn
-        self.num_threads = num_threads
         self._acc = [
             [_GroupAccumulator() for _ in range(groups.num_groups)]
             for _ in range(num_threads)

@@ -61,7 +61,6 @@ class SRRCSendEndpoint(CreditedSendEndpoint):
         # One credit word per destination, written remotely by receivers.
         addr_by_dest = yield from CreditWordBoard.install(self)
         registry.publish_endpoint(self.endpoint_id, {
-            "node": self.ctx.node_id,
             "qpn_by_dest": {d: c.qp.qpn for d, c in self.conns.items()},
             "credit_addr_by_dest": addr_by_dest,
         })
@@ -109,7 +108,6 @@ class SRRCReceiveEndpoint(CreditedReceiveEndpoint):
                 conn.qp.post_recv_buffer(buf, self.config.message_size)
                 conn.posted += 1
         registry.publish_endpoint(self.endpoint_id, {
-            "node": self.ctx.node_id,
             "qpn_by_source": {
                 src_ep: c.qp.qpn for src_ep, c in self.conns.items()
             },

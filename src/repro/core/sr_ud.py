@@ -87,7 +87,6 @@ class SRUDSendEndpoint(CreditedSendEndpoint):
         self._credit_in = CreditDatagramPort(self, len(self.destinations))
         self._credit_in.post_recv_slots()
         registry.publish_endpoint(self.endpoint_id, {
-            "node": self.ctx.node_id,
             "qpn": self.qp.qpn,
         })
 
@@ -161,7 +160,6 @@ class SRUDReceiveEndpoint(CreditedReceiveEndpoint):
         # so a small rotation per source suffices.
         self._credit_out = CreditDatagramPort(self, len(self.sources))
         registry.publish_endpoint(self.endpoint_id, {
-            "node": self.ctx.node_id,
             "qpn": self.qp.qpn,
             "initial_credit": per_link,
         })

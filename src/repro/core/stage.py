@@ -21,17 +21,8 @@ from repro.core.transport.runtime import ReceiveEndpoint, SendEndpoint
 from repro.fabric.network import Fabric
 from repro.sim import AllOf
 from repro.verbs.cm import EndpointRegistry
-from repro.verbs.device import VerbsContext
 
-__all__ = ["ShuffleStage", "StageStats", "get_context"]
-
-
-def get_context(fabric: Fabric, node_id: int) -> VerbsContext:
-    """Fetch (or lazily create) the verbs context of a node."""
-    ctx = fabric.verbs_contexts.get(node_id)
-    if ctx is None:
-        ctx = VerbsContext(fabric.sim, fabric, node_id)
-    return ctx
+__all__ = ["ShuffleStage", "StageStats"]
 
 
 @dataclass(frozen=True)
@@ -112,7 +103,7 @@ class ShuffleStage:
         sources: Dict[int, List] = {eid: [] for eid in recv_ids.values()}
 
         for s in self.sender_nodes:
-            ctx = get_context(fabric, s)
+            ctx = fabric.verbs_contexts[s]
             destinations = self.groups_for[s].all_destinations
             endpoints = []
             for j in range(self.k):
@@ -126,7 +117,7 @@ class ShuffleStage:
             self.send_endpoints[s] = endpoints
 
         for d in self.receiver_nodes:
-            ctx = get_context(fabric, d)
+            ctx = fabric.verbs_contexts[d]
             self.recv_endpoints[d] = [
                 self.design.recv_cls(
                     ctx, recv_ids[(d, r)], self.config,

@@ -80,17 +80,14 @@ def grant_credit(conn: PeerConnection, value: int) -> None:
         conn.notify.notify_all()
 
 
-def post_credit_word(conn: PeerConnection, value: Optional[int] = None) -> None:
+def post_credit_word(conn: PeerConnection, value: int) -> None:
     """Receiver half of the §4.4.1 scheme: write the absolute credit
     (Receives posted so far) into the sender's credit word, inlined into
     the WQE to save the payload DMA fetch [16].
 
-    ``value`` defaults to ``conn.posted`` — the only value a correct
-    receiver may advertise; the sanitizer flags any value beyond it
-    (credit with no Receives behind it).
+    A correct receiver advertises at most ``conn.posted``; the sanitizer
+    flags any value beyond it (credit with no Receives behind it).
     """
-    if value is None:
-        value = conn.posted
     san = conn.qp.ctx.telemetry.sanitizer
     if san is not None:
         san.on_credit_issued(conn, value)

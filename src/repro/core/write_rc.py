@@ -94,7 +94,6 @@ class WriteRCSendEndpoint(SendEndpoint):
             validator=lambda dest, value:
                 value in self._known_remote.get(dest, ()))
         registry.publish_endpoint(self.endpoint_id, {
-            "node": self.ctx.node_id,
             "qpn_by_dest": {d: c.qp.qpn for d, c in self.conns.items()},
             "freearr_base_by_dest": free_board.base_by_key,
             "freearr_cap": cap,
@@ -183,7 +182,6 @@ class WriteRCReceiveEndpoint(ReceiveEndpoint):
                 next_buffer += 1
             buffer_addrs[src_ep] = addrs
         registry.publish_endpoint(self.endpoint_id, {
-            "node": self.ctx.node_id,
             "qpn_by_source": {
                 src_ep: c.qp.qpn for src_ep, c in self.conns.items()
             },

@@ -12,7 +12,6 @@ from repro.engine.operator import (
     Operator,
     OpState,
     batch_nbytes,
-    batch_rows,
     concat_batches,
 )
 from repro.engine.scan import ScanOperator
@@ -35,7 +34,6 @@ __all__ = [
     "QueryFragment",
     "ScanOperator",
     "batch_nbytes",
-    "batch_rows",
     "concat_batches",
     "run_fragments",
 ]

@@ -70,7 +70,6 @@ class HashAggregateOperator(Operator):
                 raise ValueError(f"unsupported aggregate function: {func}")
         self.group_cols = list(group_cols)
         self.aggregates = list(aggregates)
-        self.num_threads = num_threads
         #: per thread: the groups seen so far, None before the first batch.
         self._partials: List[Optional[_Columns]] = [None] * num_threads
         self._barrier = Barrier(node.sim, num_threads)

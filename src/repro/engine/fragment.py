@@ -45,9 +45,6 @@ class CountSink:
             self.rows += len(batch)
             self.nbytes += batch.nbytes
 
-    def result(self):
-        return (self.rows, self.nbytes)
-
 
 class QueryFragment:
     """One fragment: a root operator plus its worker threads."""
@@ -60,22 +57,13 @@ class QueryFragment:
         self.threads = threads
         self.sink = sink
         self.name = name or f"fragment-n{node.id}"
-        self.started_at: Optional[int] = None
-        self.finished_at: Optional[int] = None
 
     def start(self) -> Event:
         """Launch the worker threads; returns an all-done event."""
-        self.started_at = self.sim.now
-        procs = [
+        return AllOf(self.sim, [
             self.sim.process(self._worker(tid), name=f"{self.name}-t{tid}")
             for tid in range(self.threads)
-        ]
-        done = AllOf(self.sim, procs)
-        done.add_callback(lambda _e: self._mark_finished())
-        return done
-
-    def _mark_finished(self) -> None:
-        self.finished_at = self.sim.now
+        ])
 
     def _worker(self, tid: int):
         while True:
@@ -84,12 +72,6 @@ class QueryFragment:
                 self.sink.consume(tid, batch)
             if state == OpState.DEPLETED:
                 return
-
-    @property
-    def elapsed_ns(self) -> int:
-        if self.started_at is None or self.finished_at is None:
-            raise RuntimeError(f"{self.name} has not completed")
-        return self.finished_at - self.started_at
 
 
 def _chained(fragments: Sequence[QueryFragment]):

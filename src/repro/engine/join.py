@@ -54,7 +54,6 @@ class HashJoinOperator(Operator):
         self.probe_key = probe_key
         self.semi = semi
         self.build_payload = build_payload
-        self.num_threads = num_threads
         self._build_rows: List[np.ndarray] = []
         self._barrier = Barrier(node.sim, num_threads)
         self._built = [False] * num_threads

@@ -20,7 +20,6 @@ import numpy as np
 __all__ = [
     "OpState",
     "Operator",
-    "batch_rows",
     "batch_nbytes",
     "concat_batches",
     "pack_columns",
@@ -32,11 +31,6 @@ class OpState(enum.IntEnum):
 
     MORE_DATA = 0
     DEPLETED = 1
-
-
-def batch_rows(batch: Optional[np.ndarray]) -> int:
-    """Number of tuples in a batch (0 for None)."""
-    return 0 if batch is None else len(batch)
 
 
 def batch_nbytes(batch: Optional[np.ndarray]) -> int:

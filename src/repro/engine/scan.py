@@ -26,7 +26,6 @@ class ScanOperator(Operator):
         if batch_rows < 1:
             raise ValueError(f"batch_rows must be >= 1, got {batch_rows}")
         self.table = table
-        self.num_threads = num_threads
         self.batch_rows = batch_rows
         bounds = np.linspace(0, len(table), num_threads + 1).astype(np.int64)
         self._cursor = list(bounds[:-1])
@@ -60,8 +59,6 @@ class RepeatedSourceOperator(Operator):
         if not len(template):
             raise ValueError("template batch must not be empty")
         self.template = template
-        self.num_threads = num_threads
-        self.total_bytes_per_thread = total_bytes_per_thread
         self._remaining = [total_bytes_per_thread] * num_threads
 
     def next(self, tid: int):

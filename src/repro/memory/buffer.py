@@ -9,7 +9,7 @@ accounting of Fig 9(b) meaningful.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional
+from typing import Any, List, Optional
 
 from repro.verbs.device import VerbsContext
 from repro.verbs.memory import MemoryRegion
@@ -27,7 +27,7 @@ class Buffer:
     one-sided reads see whatever currently sits in registered memory.
     """
 
-    __slots__ = ("mr", "addr", "capacity", "payload", "length", "_meta")
+    __slots__ = ("mr", "addr", "capacity", "payload", "length")
 
     def __init__(self, mr: MemoryRegion, addr: int, capacity: int):
         self.mr = mr
@@ -35,16 +35,6 @@ class Buffer:
         self.capacity = capacity
         self.payload: Any = None
         self.length = 0
-        # Lazily allocated: a mesoscale cluster carves millions of
-        # buffers, and an eager empty dict per slot is real memory.
-        self._meta: Dict[str, Any] | None = None
-
-    @property
-    def meta(self) -> Dict[str, Any]:
-        """Scratch metadata, allocated on first use."""
-        if self._meta is None:
-            self._meta = {}
-        return self._meta
 
     def fill(self, payload: Any, length: int) -> None:
         """Place ``length`` bytes of payload into the buffer."""
@@ -80,8 +70,6 @@ class Buffer:
             san.on_buffer_write(self, "reset")
         self.payload = None
         self.length = 0
-        if self._meta:
-            self._meta.clear()
         self.mr.set_object(self.addr, None)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

@@ -14,7 +14,7 @@ The kernel is intentionally small and simpy-like:
   resume when the event fires, or ``yield`` an ``int`` of nanoseconds to
   sleep (how CPU time is charged).
 * :mod:`repro.sim.primitives` provides the blocking building blocks CPU
-  threads wait on (FIFO queues, semaphores, mutexes, broadcast signals)
+  threads wait on (FIFO queues, mutexes, broadcast signals, barriers)
   and the callback-driven rate-limited pipe hardware is charged through.
 """
 
@@ -31,7 +31,6 @@ from repro.sim.primitives import (
     Notify,
     Queue,
     RatePipe,
-    Semaphore,
 )
 
 __all__ = [
@@ -43,7 +42,6 @@ __all__ = [
     "Process",
     "Queue",
     "RatePipe",
-    "Semaphore",
     "SimError",
     "Simulator",
 ]

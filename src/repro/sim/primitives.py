@@ -1,9 +1,9 @@
 """Blocking primitives built on the simulation kernel.
 
 These are the concurrency building blocks the fabric, verbs layer and
-shuffle endpoints are written against: FIFO queues, counting semaphores,
-mutexes, broadcast signals, and rate-limited pipes that model link
-serialization without per-packet events.
+shuffle endpoints are written against: FIFO queues, mutexes, broadcast
+signals, barriers, and rate-limited pipes that model link serialization
+without per-packet events.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ from typing import Any, Callable, Deque, Dict, List
 
 from repro.sim.kernel import Event, SimError, Simulator
 
-__all__ = ["Queue", "Semaphore", "Mutex", "Notify", "Barrier", "RatePipe"]
+__all__ = ["Queue", "Mutex", "Notify", "Barrier", "RatePipe"]
 
 
 class Queue:
@@ -54,59 +54,35 @@ class Queue:
         return False, None
 
 
-class Semaphore:
-    """A counting semaphore with FIFO waiter wakeup."""
-
-    def __init__(self, sim: Simulator, value: int = 1):
-        if value < 0:
-            raise SimError(f"semaphore initial value must be >= 0, got {value}")
-        self.sim = sim
-        self._value = value
-        self._waiters: Deque[Event] = deque()
-
-    @property
-    def value(self) -> int:
-        return self._value
-
-    def acquire(self) -> Event:
-        """Return an event that fires once a unit has been acquired."""
-        event = Event(self.sim)
-        if self._value > 0:
-            self._value -= 1
-            event.succeed()
-        else:
-            self._waiters.append(event)
-        return event
-
-    def release(self) -> None:
-        """Release one unit, waking the oldest waiter if any."""
-        if self._waiters:
-            self._waiters.popleft().succeed()
-        else:
-            self._value += 1
-
-
-class Mutex(Semaphore):
-    """A binary semaphore with a hold-time helper."""
+class Mutex:
+    """A lock whose waiters take it in arrival order."""
 
     def __init__(self, sim: Simulator):
-        super().__init__(sim, value=1)
+        self.sim = sim
+        self._held = False
+        self._waiters: Deque[Event] = deque()
 
     def critical_section(self, hold_ns: int):
         """A process fragment: acquire, hold for ``hold_ns``, release.
 
         Usage: ``yield from mutex.critical_section(250)``.  Models a short
         serialized critical section such as posting to a shared Queue Pair.
-        An uncontended acquire takes the unit in place; only a contended
-        one blocks on the acquire event.
+        An uncontended acquire takes the lock in place; a contended one
+        blocks until the holder hands the lock straight to the oldest
+        waiter.
         """
-        if self._value > 0:
-            self._value -= 1
+        if self._held:
+            event = Event(self.sim)
+            self._waiters.append(event)
+            yield event
         else:
-            yield self.acquire()
+            self._held = True
         if hold_ns:
             yield hold_ns
-        self.release()
+        if self._waiters:
+            self._waiters.popleft().succeed()
+        else:
+            self._held = False
 
 
 class Notify:
@@ -249,7 +225,3 @@ class RatePipe:
         """Occupy the pipe for a fixed duration (rate-independent work);
         runs ``func()`` at completion."""
         self.sim.call_later(self._charge(0, int(duration_ns)), func)
-
-    @property
-    def busy_until(self) -> int:
-        return self._busy_until

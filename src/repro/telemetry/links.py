@@ -120,7 +120,7 @@ class FlowRecorder:
         """Record the interval ``pipe`` is about to be charged with.
 
         Call immediately before the pipe entry: the pre-submit
-        ``busy_until`` gives the interval start and the queueing delay
+        ``_busy_until`` gives the interval start and the queueing delay
         without touching simulation state."""
         if not self.budget.take(1):
             self.truncated = True

@@ -24,8 +24,8 @@ class EndpointRegistry:
     """Cluster-wide name service mapping endpoint ids to bootstrap info.
 
     In the real system this is a TCP-based exchange performed once at
-    query start; the information published here (node ids, QP numbers,
-    registered buffer addresses and rkeys) is exactly what the C++
+    query start; the information published here (QP numbers, registered
+    buffer addresses, credit and ring words) is exactly what the C++
     implementation ships over that side channel.
     """
 

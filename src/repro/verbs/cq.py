@@ -2,9 +2,8 @@
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
-from typing import Any, Callable, Deque, List, Optional
+from typing import Any, Callable, List, Optional
 
 from repro.sim import Event, Queue, Simulator
 from repro.telemetry.core import Telemetry
@@ -51,8 +50,9 @@ class CompletionQueue:
       spinning (a real thread busy-polls; burning simulated events to model
       an idle spin would add nothing but cost);
     * :meth:`subscribe` — the event-driven hot path: one callback consumes
-      every completion without a process, a getter event, or a re-arm per
-      entry.  A CQ is either subscribed or polled/waited on, never both.
+      every completion, inside the push that deposits it, without a
+      process or a getter event.  A CQ is either subscribed or
+      polled/waited on, never both.
     """
 
     def __init__(self, sim: Simulator, telemetry: Telemetry,
@@ -66,15 +66,13 @@ class CompletionQueue:
         self.polled = 0
         #: event-driven consumer (see :meth:`subscribe`).
         self._subscriber: Optional[Callable[[WorkCompletion], None]] = None
-        self._pending: Deque[WorkCompletion] = deque()
-        self._tick_scheduled = False
         #: the owning cluster's observer bundle.
         self.telemetry = telemetry
         #: owning node, stamped by VerbsContext.create_cq for reporting.
         self.node_id = -1
 
     def __len__(self) -> int:
-        return len(self._entries) + len(self._pending)
+        return len(self._entries)
 
     def dispose(self) -> None:
         """Drop queued completions and the subscriber callback.
@@ -83,7 +81,6 @@ class CompletionQueue:
         CQ<->endpoint pair a reference cycle; teardown breaks it so a
         finished cluster can be reclaimed by reference counting."""
         self._subscriber = None
-        self._pending.clear()
         self._entries._items.clear()
         self._entries._getters.clear()
 
@@ -95,54 +92,38 @@ class CompletionQueue:
         if len(self) >= self.depth:
             # A real adapter raises a fatal async "CQ overrun" event.
             raise VerbsError(f"CQ overrun (depth={self.depth})")
-        self.pushed += 1
-        if self._subscriber is not None:
-            self._pending.append(wc)
-            if not self._tick_scheduled:
-                # Idle: deliver in place (see :meth:`subscribe`).
-                self._tick_scheduled = True
-                self._tick()
-        else:
+        consumer = self._subscriber
+        if consumer is None:
+            self.pushed += 1
             self._entries.put(wc)
+            return
+        # ``polled`` counts deliveries the consumer has returned from, so
+        # the two counters differ only while the consumer is running.
+        if self.polled != self.pushed:
+            raise VerbsError(
+                "completion pushed onto a subscribed CQ from inside its "
+                "own consumer")
+        self.pushed += 1
+        if san is not None:
+            san.on_cq_consumed(self, wc)
+        consumer(wc)
+        self.polled += 1
 
     def subscribe(self, consumer: Callable[[WorkCompletion], None]) -> None:
         """Consume every completion with ``consumer(wc)``, event-driven.
 
-        Completions reach the consumer in FIFO order.  A push onto an
-        idle CQ calls the consumer in place, inside :meth:`push`; a push
-        made while a delivery is running (by the consumer itself) or
-        still queued joins a backlog that is delivered one entry per
-        kernel dispatch, each follow-up tick scheduled only after the
-        consumer returns, so what the consumer schedules lands before the
-        next delivery (see DESIGN.md, "Execution path").
+        Each push calls the consumer in place, inside :meth:`push`, so
+        completions reach it in FIFO order.  A completion only arrives
+        at a pipe or hop completion, never inside a consumer, so a push
+        from inside the consumer is a ``VerbsError``, as is subscribing
+        a CQ that already holds completions (see DESIGN.md, "Execution
+        path").
         """
         if self._subscriber is not None:
             raise VerbsError("CQ already has a subscriber")
+        if self.polled != self.pushed:
+            raise VerbsError("cannot subscribe a CQ that holds completions")
         self._subscriber = consumer
-        # Robustness: adopt anything already queued (none in practice —
-        # endpoints subscribe at construction time, before the run).
-        while True:
-            ok, wc = self._entries.try_get()
-            if not ok:
-                break
-            self._pending.append(wc)
-        if self._pending and not self._tick_scheduled:
-            self._tick_scheduled = True
-            self.sim.call_soon(self._tick)
-
-    def _tick(self) -> None:
-        wc = self._pending.popleft()
-        self.polled += 1
-        san = self.telemetry.sanitizer
-        if san is not None:
-            san.on_cq_consumed(self, wc)
-        self._subscriber(wc)  # type: ignore[misc]
-        # Re-armed only now: the consumer's own scheduling must land
-        # before the next delivery, as it does in the blocking-wait cycle.
-        if self._pending:
-            self.sim.call_soon(self._tick)
-        else:
-            self._tick_scheduled = False
 
     def poll(self, max_entries: int = 16) -> List[WorkCompletion]:
         """Non-blocking poll; returns up to ``max_entries`` completions."""

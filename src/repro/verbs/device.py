@@ -105,11 +105,17 @@ class VerbsContext:
         return qp
 
     def destroy_qp(self, qp: QueuePair) -> None:
-        """``ibv_destroy_qp``: drop the QP and its cached NIC context.
+        """``ibv_destroy_qp``: drop the QP, its multicast memberships and
+        its cached NIC context.
 
         Used by end-of-job teardown in the multi-tenant service; the QP
-        must be quiesced (no completions in flight).
+        must be quiesced (no completions in flight).  Real hardware
+        refuses to destroy a QP still attached to a group, so the QP is
+        detached from every group it joined first.
         """
+        if qp.qp_type is QPType.UD:
+            for mgid in self.fabric.mcast_members:
+                self.mcast_detach(mgid, qp)
         self._qps.pop(qp.qpn, None)
         qp.send_cq = None
         qp.recv_cq = None

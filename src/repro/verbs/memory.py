@@ -39,8 +39,6 @@ class MemoryRegion:
         self.addr = addr
         self.length = length
         self.lkey = lkey
-        #: rkey would differ from lkey on real hardware; one key suffices.
-        self.rkey = lkey
         self._words: Dict[int, int] = {}
         self._objects: Dict[int, Any] = {}
         self.deregistered = False

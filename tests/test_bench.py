@@ -193,6 +193,17 @@ class TestExperiments:
         # The node-count sweep collapses to the one requested size.
         assert data["experiments"][0]["results"][0]["x"] == [4]
 
+    def test_cli_rejects_non_positive_scale_before_running(self, capsys):
+        """``--scale 0`` used to print table1, then die in the first
+        shuffle figure; a negative scale was silently floored there."""
+        for scale in ("0", "-0.5"):
+            with pytest.raises(SystemExit) as exc:
+                cli_main(["table1", "fig14a", "--scale", scale])
+            assert exc.value.code == 2
+            captured = capsys.readouterr()
+            assert "--scale must be positive" in captured.err
+            assert captured.out == ""
+
     def test_cli_nodes_rejects_degenerate_cluster(self):
         with pytest.raises(SystemExit):
             cli_main(["fig12", "--nodes", "1"])

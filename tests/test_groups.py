@@ -10,13 +10,11 @@ class TestConstruction:
         g = TransmissionGroups.repartition(4)
         assert len(g) == 4
         assert [g[i] for i in range(4)] == [(0,), (1,), (2,), (3,)]
-        assert g.fanout == 1
 
     def test_broadcast_single_group(self):
         g = TransmissionGroups.broadcast(4, exclude=0)
         assert len(g) == 1
         assert g[0] == (1, 2, 3)
-        assert g.fanout == 3
 
     def test_broadcast_without_exclusion(self):
         g = TransmissionGroups.broadcast(3)
@@ -24,10 +22,9 @@ class TestConstruction:
 
     def test_multicast_figure_3b(self):
         # Figure 3(b): node A multicasts to G = {{B,C},{D}}.
-        g = TransmissionGroups.multicast([(1, 2), (3,)])
+        g = TransmissionGroups([(1, 2), (3,)])
         assert g[0] == (1, 2)
         assert g[1] == (3,)
-        assert g.fanout == 2
 
     def test_all_destinations_deduplicates(self):
         g = TransmissionGroups([(1, 2), (2, 3), (1,)])

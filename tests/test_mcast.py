@@ -123,3 +123,23 @@ class TestMcastDesign:
         # 4 unicast copies (3 remote + 1 self loopback) collapse into one
         # multicast send plus the explicit self copy: ~2/4 of the bytes.
         assert mc < 0.65 * base
+
+    def test_disposed_stage_leaves_no_destroyed_qp_in_a_group(self):
+        """``ibv_destroy_qp`` refuses a QP still attached to a group; the
+        stage's teardown used to leave every membership behind, each
+        naming a destroyed QP."""
+        cluster = Cluster(ClusterConfig(network=EDR, num_nodes=4,
+                                        threads_per_node=2))
+        # Every node broadcasts to the other three (Figure 3c).
+        stage = cluster.shuffle_stage(
+            "MESQ/SR+MC",
+            lambda node: TransmissionGroups.broadcast(4, exclude=node))
+        cluster.run_process(stage.setup())
+        members = cluster.fabric.mcast_members
+        joined = [m for group in members.values() for m in group]
+        assert len(members) == 8 and len(joined) == 24
+        for node, qpn in joined:
+            cluster.contexts[node].qp(qpn)  # live
+        stage.dispose()
+        left = [m for group in members.values() for m in group]
+        assert left == []

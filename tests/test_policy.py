@@ -74,10 +74,6 @@ class TestParsePolicy:
         assert parse_policy("static:SEMQ/SR") == "SEMQ/SR"
         assert parse_policy("MESQ/SR") == "MESQ/SR"
 
-    def test_policy_object_passes_through(self):
-        policy = AdaptivePolicy()
-        assert parse_policy(policy) is policy
-
     def test_unknown_spec_lists_options(self):
         with pytest.raises(ValueError) as exc:
             parse_policy("bogus")
@@ -85,10 +81,6 @@ class TestParsePolicy:
         assert "adaptive" in message
         assert "static:<DESIGN>" in message
         assert "MESQ/SR" in message
-
-    def test_non_string_is_a_type_error(self):
-        with pytest.raises(TypeError):
-            parse_policy(42)
 
     def test_cli_rejects_bad_policy_before_running(self):
         from repro.bench.cli import main

@@ -151,7 +151,6 @@ class TestGroupProperties:
         g = TransmissionGroups.repartition(n)
         assert g.all_destinations == tuple(range(n))
         assert g.num_groups == n
-        assert g.fanout == 1
 
     @given(n=st.integers(2, 32), exclude=st.integers(0, 31))
     def test_broadcast_excludes_exactly_one(self, n, exclude):

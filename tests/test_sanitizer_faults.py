@@ -11,7 +11,7 @@ from types import SimpleNamespace
 import pytest
 
 from repro import ClusterConfig, EDR, EndpointConfig
-from repro.analysis import RUNTIME_RULES, Sanitizer, attach_sanitizer
+from repro.analysis import RUNTIME_RULES, Sanitizer
 from repro.core.designs import Design, EndpointKind
 from repro.core.sr_rc import SRRCReceiveEndpoint, SRRCSendEndpoint
 from repro.core.transport.connections import PeerConnection
@@ -47,7 +47,7 @@ def sanitized_cluster(sim, nodes=2):
     cluster = cluster.with_network(ud_jitter_ns=0)
     fabric = Fabric(sim, cluster)
     ctxs = [VerbsContext(sim, fabric, i) for i in range(nodes)]
-    san = attach_sanitizer(fabric, Sanitizer(sim))
+    san = fabric.telemetry.enable_sanitizer(Sanitizer(sim))
     return fabric, ctxs, san
 
 
@@ -228,7 +228,7 @@ class TestCreditOvergrantRule:
         conn.qp = qps[1]
         conn.credit_addr = word.addr
         conn.posted = 1
-        post_credit_word(conn)  # advertises exactly `posted`: clean
+        post_credit_word(conn, conn.posted)  # exactly `posted`: clean
         assert rules_of(san) == []
         # A receiver advertising credit it has no Receives behind would
         # let the sender overrun the receive queue (§4.4 invariant).

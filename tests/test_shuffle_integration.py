@@ -105,7 +105,7 @@ class TestPatterns:
     def test_multicast_reaches_group_members_only(self):
         nodes = 4
         # One group {1,2}, one group {3}: node 0..3 all shuffle.
-        groups = TransmissionGroups.multicast([(1, 2), (3,)])
+        groups = TransmissionGroups([(1, 2), (3,)])
         sent, sinks, _el, stage, _cl = run_shuffle_query(
             "MEMQ/SR", nodes=nodes, rows_per_node=2000, groups=groups)
         # Receivers exist only on nodes 1, 2, 3.

@@ -1,4 +1,4 @@
-"""Unit tests for simulation primitives (queues, semaphores, pipes)."""
+"""Unit tests for simulation primitives (queues, mutexes, pipes)."""
 
 import pytest
 
@@ -8,7 +8,6 @@ from repro.sim import (
     Notify,
     Queue,
     RatePipe,
-    Semaphore,
     SimError,
     Simulator,
 )
@@ -85,30 +84,16 @@ class TestQueue:
         assert len(q) == 0
 
 
-class TestSemaphore:
-    def test_acquire_release(self, sim):
-        sem = Semaphore(sim, 2)
-
-        def proc():
-            yield sem.acquire()
-            yield sem.acquire()
-            assert sem.value == 0
-            sem.release()
-            return sem.value
-
-        assert sim.run_process(proc()) == 1
-
-    def test_blocks_at_zero(self, sim):
-        sem = Semaphore(sim, 1)
+class TestMutex:
+    def test_contended_section_waits_for_the_holder(self, sim):
+        mutex = Mutex(sim)
         log = []
 
         def holder():
-            yield sem.acquire()
-            yield 100
-            sem.release()
+            yield from mutex.critical_section(100)
 
         def waiter():
-            yield sem.acquire()
+            yield from mutex.critical_section(0)
             log.append(sim.now)
 
         sim.process(holder())
@@ -116,33 +101,24 @@ class TestSemaphore:
         sim.run()
         assert log == [100]
 
-    def test_negative_initial_value_rejected(self, sim):
-        with pytest.raises(SimError):
-            Semaphore(sim, -1)
-
-    def test_fifo_wakeup(self, sim):
-        sem = Semaphore(sim, 0)
+    def test_waiters_take_the_lock_in_arrival_order(self, sim):
+        mutex = Mutex(sim)
         order = []
 
-        def waiter(name):
-            yield sem.acquire()
-            order.append(name)
+        def proc(name, start, hold):
+            yield start
+            yield from mutex.critical_section(hold)
+            order.append((name, sim.now))
 
-        sim.process(waiter("a"))
-        sim.process(waiter("b"))
-        sim.process(waiter("c"))
-
-        def releaser():
-            yield 1
-            for _ in range(3):
-                sem.release()
-
-        sim.process(releaser())
+        # The holder enters at 0; a, b and c queue behind it at 1, 2, 3
+        # and each takes the lock the instant its predecessor leaves.
+        sim.process(proc("holder", 0, 10))
+        sim.process(proc("a", 1, 5))
+        sim.process(proc("b", 2, 5))
+        sim.process(proc("c", 3, 0))
         sim.run()
-        assert order == ["a", "b", "c"]
+        assert order == [("holder", 10), ("a", 15), ("b", 20), ("c", 20)]
 
-
-class TestMutex:
     def test_critical_section_serializes(self, sim):
         mutex = Mutex(sim)
         spans = []

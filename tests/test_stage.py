@@ -4,7 +4,7 @@ import pytest
 
 from repro import Cluster, ClusterConfig, EDR, EndpointConfig, TransmissionGroups
 from repro.core.policy import StagePlan
-from repro.core.stage import ShuffleStage, get_context
+from repro.core.stage import ShuffleStage
 from repro.verbs.cm import EndpointRegistry
 from repro.verbs import VerbsError
 
@@ -113,13 +113,6 @@ class TestStageWiring:
                              config=cfg, registry=cluster.registry)
         assert stage.config.message_size == EDR.mtu
         assert stage.config.buffers_per_connection == 8
-
-    def test_get_context_is_idempotent(self):
-        cluster = make_cluster()
-        a = get_context(cluster.fabric, 0)
-        b = get_context(cluster.fabric, 0)
-        assert a is b
-        assert a is cluster.contexts[0]
 
     def test_unknown_design_rejected(self):
         cluster = make_cluster()

@@ -207,29 +207,43 @@ class TestCompletionQueue:
         sim.call_at(100, lambda: cq.push(late))
         assert sim.run_process(proc()) == (100, "late")
 
-    def test_subscribed_idle_push_is_in_place_and_backlog_per_dispatch(
-            self, sim):
-        """A push onto an idle subscribed CQ reaches the consumer inside
-        ``push``; pushes the consumer makes meanwhile form a backlog that
-        is delivered in FIFO order, one entry per kernel dispatch, so what
-        a consumer schedules lands before the next delivery."""
+    def test_subscribed_push_is_delivered_in_place(self, sim):
+        """A push onto a subscribed CQ reaches the consumer inside
+        ``push``, so what the consumer schedules lands before anything
+        a later push brings."""
         cq = CompletionQueue(sim, Telemetry(sim, 0))
         seen = []
 
         def consumer(wc):
             seen.append(wc.wr_id)
-            if wc.wr_id == 0:
-                for i in (1, 2):
-                    cq.push(WorkCompletion(wr_id=i, opcode=Opcode.SEND))
-                assert seen == [0], "a backlogged push must not re-enter"
             sim.call_soon(lambda: seen.append(f"after {wc.wr_id}"))
 
         cq.subscribe(consumer)
         cq.push(WorkCompletion(wr_id=0, opcode=Opcode.SEND))
         assert seen == [0]
+        sim.call_soon(lambda: cq.push(
+            WorkCompletion(wr_id=1, opcode=Opcode.SEND)))
         sim.run()
-        assert seen == [0, "after 0", 1, "after 1", 2, "after 2"]
-        assert cq.polled == 3 and len(cq) == 0
+        assert seen == [0, "after 0", 1, "after 1"]
+        assert cq.pushed == cq.polled == 2 and len(cq) == 0
+
+    def test_push_from_inside_the_consumer_raises(self, sim):
+        cq = CompletionQueue(sim, Telemetry(sim, 0))
+
+        def consumer(wc):
+            cq.push(WorkCompletion(wr_id=1, opcode=Opcode.SEND))
+
+        cq.subscribe(consumer)
+        with pytest.raises(VerbsError, match="inside its own consumer"):
+            cq.push(WorkCompletion(wr_id=0, opcode=Opcode.SEND))
+
+    def test_subscribing_a_cq_that_holds_completions_raises(self, sim):
+        cq = CompletionQueue(sim, Telemetry(sim, 0))
+        cq.push(WorkCompletion(wr_id=0, opcode=Opcode.SEND))
+        with pytest.raises(VerbsError, match="holds completions"):
+            cq.subscribe(lambda wc: None)
+        cq.poll()
+        cq.subscribe(lambda wc: None)
 
 
 class TestRCSendRecv:
