@@ -130,7 +130,7 @@ def _rule_vs101(rel: str, tree: ast.AST) -> Iterable[Tuple[int, str]]:
 
 
 _RECV_PROVISIONERS = frozenset(
-    {"post_recv", "post_recv_buffer", "post_recv_slots"})
+    {"post_recv", "post_recv_buffer", "post_recv_run", "post_recv_slots"})
 
 
 def _rule_vs102(rel: str, tree: ast.AST) -> Iterable[Tuple[int, str]]:

@@ -192,7 +192,7 @@ class Sanitizer:
             key = (tracked.mr.node_id, tracked.addr)
             self._inflight[key] = self._inflight.get(key, 0) + 1
 
-    def check_post_recv(self, qp, wr) -> None:
+    def check_post_recv(self, qp) -> None:
         if qp.state not in (QPState.INIT, QPState.RTS):
             self.record(
                 "qp-state",
@@ -204,6 +204,17 @@ class Sanitizer:
         if type(wr.buffer) is Buffer:
             key = (wr.buffer.mr.node_id, wr.buffer.addr)
             self._inflight[key] = self._inflight.get(key, 0) + 1
+
+    def track_post_recv_run(self, pool, slots: range) -> None:
+        """A run of a pool's ``slots`` posted as Receives: track each
+        slot's address as :meth:`track_post_recv` tracks one buffer,
+        without building the buffers."""
+        node = pool.mr.node_id
+        addrs = pool.addrs
+        inflight = self._inflight
+        for i in slots:
+            key = (node, addrs[i])
+            inflight[key] = inflight.get(key, 0) + 1
 
     # -- verbs hooks: completion queues ------------------------------------
 

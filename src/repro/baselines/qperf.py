@@ -12,7 +12,7 @@ from repro.cluster import Cluster
 from repro.fabric.config import ClusterConfig, NetworkConfig
 from repro.memory import BufferPool
 from repro.verbs.constants import AddressHandle, Opcode, QPType
-from repro.verbs.wr import RecvWR, SendWR
+from repro.verbs.wr import SendWR
 
 __all__ = ["run_qperf"]
 
@@ -39,10 +39,9 @@ def run_qperf(network: NetworkConfig, message_size: int = 64 * 1024,
     qp_r.connect(AddressHandle(0, qp_s.qpn))
     send_pool = BufferPool(ctx_s, 1, message_size)  # a single buffer
     recv_pool = BufferPool(ctx_r, outstanding, message_size)
-    the_buffer = send_pool.buffers[0]
+    the_buffer = send_pool.buffer(0)
     the_buffer.fill(None, message_size)
-    for buf in recv_pool.buffers:
-        qp_r.post_recv(RecvWR(wr_id=buf, buffer=buf, length=message_size))
+    qp_r.post_recv_run(recv_pool, message_size)
 
     received = {"count": 0, "first": None, "last": None}
 
@@ -66,8 +65,7 @@ def run_qperf(network: NetworkConfig, message_size: int = 64 * 1024,
             received["last"] = sim.now
             received["count"] += 1
             # Repost immediately; the data is never read.
-            buf = wc.wr_id
-            qp_r.post_recv(RecvWR(wr_id=buf, buffer=buf, length=message_size))
+            qp_r.post_recv_buffer(wc.wr_id, message_size)
 
     sim.process(sender(), name="qperf-send")
     done = sim.process(receiver(), name="qperf-recv")

@@ -77,9 +77,9 @@ class ReadRCSendEndpoint(SendEndpoint):
                                          tenant=self.config.tenant)
         # Reserve one extra buffer per destination for the final markers.
         yield from self.provision_send_pool(extra=len(self.destinations))
-        for dest, buf in zip(self.destinations,
-                             self.pool.buffers[self.send_pool_buffers:]):
-            self._final_bufs[dest] = buf
+        for i, dest in enumerate(self.destinations):
+            self._final_bufs[dest] = self.pool.buffer(
+                self.send_pool_buffers + i)
         self._final_addrs = {buf.addr for buf in self._final_bufs.values()}
         # FreeArr: one circular region per destination, written remotely.
         # A returned address must name a buffer this sender actually has
@@ -158,17 +158,14 @@ class ReadRCReceiveEndpoint(ReceiveEndpoint):
             self, [src_ep for _node, src_ep in self.sources],
             valid_cap, self._on_valid_value, min_one=True,
             name="validarr")
-        next_buffer = 0
-        for src_node, src_ep in self.sources:
+        for i, (src_node, src_ep) in enumerate(self.sources):
             conn = self.conns[src_ep] = PeerConnection(src_node, src_ep)
             conn.qp = self.ctx.create_qp(QPType.RC, self.cq, self.cq,
                                          tenant=self.config.tenant)
             #: LocalArr: unused registered destination buffers (a stack).
-            conn.local_arr = []
+            conn.local_arr = [self.pool.buffer(b) for b in
+                              range(i * per_link, (i + 1) * per_link)]
             conn.pending_remote = deque()
-            for _ in range(per_link):
-                conn.local_arr.append(self.pool.buffers[next_buffer])
-                next_buffer += 1
         registry.publish_endpoint(self.endpoint_id, {
             "qpn_by_source": {
                 src_ep: c.qp.qpn for src_ep, c in self.conns.items()

@@ -97,16 +97,14 @@ class SRRCReceiveEndpoint(CreditedReceiveEndpoint):
         self.cq = self.ctx.create_cq()
         per_link = self.buffers_per_link
         yield from self.provision_recv_pool()
-        next_buffer = 0
-        for src_node, src_ep in self.sources:
+        for i, (src_node, src_ep) in enumerate(self.sources):
             conn = self.conns[src_ep] = PeerConnection(src_node, src_ep)
             conn.qp = self.ctx.create_qp(QPType.RC, self.cq, self.cq,
                                          tenant=self.config.tenant)
-            for _ in range(per_link):
-                buf = self.pool.buffers[next_buffer]
-                next_buffer += 1
-                conn.qp.post_recv_buffer(buf, self.config.message_size)
-                conn.posted += 1
+            conn.qp.post_recv_run(
+                self.pool, self.config.message_size,
+                range(i * per_link, (i + 1) * per_link))
+            conn.posted = per_link
         registry.publish_endpoint(self.endpoint_id, {
             "qpn_by_source": {
                 src_ep: c.qp.qpn for src_ep, c in self.conns.items()

@@ -151,8 +151,7 @@ class SRUDReceiveEndpoint(CreditedReceiveEndpoint):
         yield from setup_ud_qp(self.ctx, self.qp)
         per_link = self.buffers_per_link
         yield from self.provision_recv_pool()
-        for buf in self.pool.buffers:
-            self.qp.post_recv_buffer(buf, self.config.message_size)
+        self.qp.post_recv_run(self.pool, self.config.message_size)
         for src_node, src_ep in self.sources:
             conn = self.conns[src_ep] = PeerConnection(src_node, src_ep)
             conn.posted = per_link

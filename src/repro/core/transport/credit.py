@@ -25,7 +25,7 @@ from typing import Any, Callable, List, Optional, Sequence, Tuple
 
 from repro.memory import BufferPool
 from repro.verbs.constants import Opcode
-from repro.verbs.wr import RecvWR, SendWR
+from repro.verbs.wr import SendWR
 
 from repro.core.endpoint import Frame, FrameCarrier
 from repro.core.transport.connections import PeerConnection
@@ -193,9 +193,13 @@ class CreditDatagramPort:
     """Both halves of the §4.4.2 scheme's buffering: a small rotating
     pool of header-sized buffers — receive slots for incoming credit on
     the sender, send slots for outgoing credit on the receiver (credit
-    datagrams complete fast, so a short rotation per peer suffices)."""
+    datagrams complete fast, so a short rotation per peer suffices).
 
-    __slots__ = ("qp", "endpoint_id", "pool", "_cursor")
+    On the receiver the pool is registered-memory accounting only: a
+    credit datagram carries its value in a :class:`FrameCarrier`, so that
+    side builds no :class:`~repro.memory.Buffer`."""
+
+    __slots__ = ("qp", "endpoint_id", "pool")
 
     def __init__(self, ep, peer_count: int):
         # The port keeps the endpoint's shared UD QP and id, not the
@@ -206,20 +210,16 @@ class CreditDatagramPort:
         slots = min(CREDIT_RECV_SLOTS * max(1, peer_count), CREDIT_SLOT_CAP)
         self.pool = BufferPool(ep.ctx, slots, CREDIT_MSG_BYTES,
                                tenant=ep.config.tenant)
-        self._cursor = 0
         ep.aux_pools.append(self.pool)
 
     def post_recv_slots(self) -> None:
         """Post every slot as a Receive for incoming credit datagrams."""
-        for buf in self.pool.buffers:
-            self.qp.post_recv(RecvWR(wr_id=buf, buffer=buf,
-                                     length=CREDIT_MSG_BYTES))
+        self.qp.post_recv_run(self.pool, CREDIT_MSG_BYTES)
 
     def repost(self, buf) -> None:
         """Recycle a consumed credit-receive slot."""
         buf.reset()
-        self.qp.post_recv(RecvWR(wr_id=buf, buffer=buf,
-                                 length=CREDIT_MSG_BYTES))
+        self.qp.post_recv_buffer(buf, CREDIT_MSG_BYTES)
 
     def post_credit(self, conn: PeerConnection,
                     value: Optional[int] = None) -> None:
@@ -231,7 +231,6 @@ class CreditDatagramPort:
         san = ctx.telemetry.sanitizer
         if san is not None:
             san.on_credit_issued(conn, value, node_id=ctx.node_id)
-        self._cursor += 1
         frame = Frame(kind="credit", src_endpoint=self.endpoint_id,
                       credit=value)
         self.qp.post_send(SendWR(

@@ -214,10 +214,10 @@ class SendEndpoint(_EndpointBase):
     def provision_send_pool(self, extra: int = 0):
         """Process fragment: charge registration, carve the transmission
         pool (plus ``extra`` reserved buffers, e.g. final markers), and
-        feed the non-reserved buffers to the GETFREE free list."""
+        feed the non-reserved slots to the GETFREE free list as one run
+        (a slot's Buffer is built when GETFREE first hands it out)."""
         pool = yield from self._provision_pool(self.send_pool_buffers + extra)
-        for buf in pool.buffers[:self.send_pool_buffers]:
-            self._free.put(buf)
+        self._free.put_run(self.send_pool_buffers, pool.buffer)
         return pool
 
     def recycle(self, buf: Buffer) -> None:

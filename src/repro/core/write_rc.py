@@ -165,22 +165,18 @@ class WriteRCReceiveEndpoint(ReceiveEndpoint):
         yield from self.provision_recv_pool()
         cap, _ = ring_caps(per_link)
         # A notified address must land inside this receiver's own pool.
-        pool_addrs = frozenset(buf.addr for buf in self.pool.buffers)
+        pool_addrs = self.pool.addrs
         valid_board = yield from RingBoard.install(
             self, [src_ep for _node, src_ep in self.sources], cap,
             self._on_valid_value, min_one=True, name="validarr",
             validator=lambda src_ep, value: value in pool_addrs)
         buffer_addrs = {}
-        next_buffer = 0
-        for src_node, src_ep in self.sources:
+        for i, (src_node, src_ep) in enumerate(self.sources):
             conn = self.conns[src_ep] = PeerConnection(src_node, src_ep)
             conn.qp = self.ctx.create_qp(QPType.RC, self.cq, self.cq,
                                          tenant=self.config.tenant)
-            addrs = []
-            for _ in range(per_link):
-                addrs.append(self.pool.buffers[next_buffer].addr)
-                next_buffer += 1
-            buffer_addrs[src_ep] = addrs
+            buffer_addrs[src_ep] = list(
+                pool_addrs[i * per_link:(i + 1) * per_link])
         registry.publish_endpoint(self.endpoint_id, {
             "qpn_by_source": {
                 src_ep: c.qp.qpn for src_ep, c in self.conns.items()

@@ -4,7 +4,8 @@ Endpoints own and register the memory used for RDMA operations (§4.2).
 A :class:`BufferPool` registers one contiguous memory region and carves it
 into fixed-size :class:`Buffer` slots — exactly how the C++ implementation
 lays out its transmission buffers, and what makes the registered-memory
-accounting of Fig 9(b) meaningful.
+accounting of Fig 9(b) meaningful.  The region is real from the start;
+a slot's :class:`Buffer` object exists only once the slot is used.
 """
 
 from __future__ import annotations
@@ -77,7 +78,15 @@ class Buffer:
 
 
 class BufferPool:
-    """A set of equal-size buffers carved from one registered region."""
+    """A set of equal-size buffers carved from one registered region.
+
+    The region is registered whole, up front (that is what Fig 9(b)
+    counts); a slot's :class:`Buffer` is built the first time
+    :meth:`buffer` or :meth:`at` asks for it and cached, so its identity
+    is stable and a slot nobody touches costs no Python object.
+    """
+
+    __slots__ = ("mr", "size", "count", "_slots")
 
     def __init__(self, ctx: VerbsContext, count: int, size: int,
                  tenant: Optional[str] = None):
@@ -85,21 +94,45 @@ class BufferPool:
             raise ValueError(f"buffer count must be >= 1, got {count}")
         if size < 1:
             raise ValueError(f"buffer size must be >= 1, got {size}")
-        self.ctx = ctx
         self.size = size
+        self.count = count
         self.mr = ctx.reg_mr(count * size, tenant=tenant)
-        self.buffers: List[Buffer] = [
-            Buffer(self.mr, self.mr.addr + i * size, size) for i in range(count)
-        ]
+        #: each slot's Buffer once used, ``None`` until then.
+        self._slots: List[Optional[Buffer]] = [None] * count
 
     def __len__(self) -> int:
-        return len(self.buffers)
+        return self.count
+
+    @property
+    def addrs(self) -> range:
+        """Every slot's start address, in slot order (no Buffer built)."""
+        base = self.mr.addr
+        return range(base, base + self.count * self.size, self.size)
+
+    def buffer(self, index: int) -> Buffer:
+        """Slot ``index``'s buffer, built on first use."""
+        if not 0 <= index < self.count:
+            raise IndexError(f"slot {index} outside a pool of {self.count}")
+        buf = self._slots[index]
+        if buf is None:
+            buf = self._slots[index] = Buffer(
+                self.mr, self.mr.addr + index * self.size, self.size)
+        return buf
+
+    @property
+    def buffers(self) -> List[Buffer]:
+        """Every slot's buffer, building the untouched ones: for callers
+        that take a whole pool at once (the MPI and IPoIB spare lists,
+        the ladder's verbs rungs).  Posting and the free lists take
+        slots one by one through :meth:`buffer`."""
+        return [self.buffer(i) for i in range(self.count)]
 
     def at(self, addr: int) -> Buffer:
         """Resolve a buffer by its registered address."""
         index, within = divmod(addr - self.mr.addr, self.size)
-        if within or not 0 <= index < len(self.buffers):
+        if within or not 0 <= index < self.count:
             raise ValueError(
                 f"address {addr:#x} is not a buffer start in this pool"
             )
-        return self.buffers[index]
+        buf = self._slots[index]
+        return self.buffer(index) if buf is None else buf

@@ -9,7 +9,7 @@ without per-packet events.
 from __future__ import annotations
 
 from collections import deque
-from typing import Any, Callable, Deque, Dict, List
+from typing import Any, Callable, Deque, Dict, List, Optional
 
 from repro.sim.kernel import Event, SimError, Simulator
 
@@ -21,15 +21,24 @@ class Queue:
 
     ``put`` never blocks; ``get`` returns an event that fires with the next
     item.  Items are delivered in FIFO order to getters in FIFO order.
+
+    An empty queue may be given a *run* (:meth:`put_run`): ``n`` items
+    that are made one at a time, ``make(k)`` for the ``k``-th, when they
+    are taken, and that stay ahead of anything put later — the same
+    order as ``n`` puts, without building the items nobody takes.
     """
 
     def __init__(self, sim: Simulator):
         self.sim = sim
         self._items: Deque[Any] = deque()
         self._getters: Deque[Event] = deque()
+        #: the pending run: items left, index of the next, and its maker.
+        self._run_left = 0
+        self._run_next = 0
+        self._run_make: Optional[Callable[[int], Any]] = None
 
     def __len__(self) -> int:
-        return len(self._items)
+        return self._run_left + len(self._items)
 
     def put(self, item: Any) -> None:
         """Deposit an item, waking the oldest waiting getter if any."""
@@ -38,10 +47,40 @@ class Queue:
         else:
             self._items.append(item)
 
+    def put_run(self, n: int, make: Callable[[int], Any]) -> None:
+        """Deposit ``n`` items, ``make(0) ... make(n - 1)``, as ``n`` puts
+        would: waiting getters take the first ones now, the rest are made
+        when taken.  The queue must hold no items.  ``make`` must not
+        reach back to whatever owns this queue: it lives as long as the
+        run does, and a reference back would be a cycle."""
+        if self._run_left or self._items:
+            raise SimError("put_run needs a queue that holds no items")
+        k = 0
+        while k < n and self._getters:
+            self._getters.popleft().succeed(make(k))
+            k += 1
+        if k < n:
+            self._run_left = n - k
+            self._run_next = k
+            self._run_make = make
+
+    def _take_run(self) -> Any:
+        """Make and remove the run's next item."""
+        make = self._run_make
+        assert make is not None  # callers checked _run_left
+        k = self._run_next
+        self._run_next = k + 1
+        self._run_left -= 1
+        if not self._run_left:
+            self._run_make = None
+        return make(k)
+
     def get(self) -> Event:
         """Return an event that fires with the next item."""
         event = Event(self.sim)
-        if self._items:
+        if self._run_left:
+            event.succeed(self._take_run())
+        elif self._items:
             event.succeed(self._items.popleft())
         else:
             self._getters.append(event)
@@ -49,6 +88,8 @@ class Queue:
 
     def try_get(self):
         """Non-blocking get; returns ``(True, item)`` or ``(False, None)``."""
+        if self._run_left:
+            return True, self._take_run()
         if self._items:
             return True, self._items.popleft()
         return False, None

@@ -122,12 +122,20 @@ class QueuePair:
         """``ibv_post_recv``: queue a receive buffer."""
         san = self.ctx.telemetry.sanitizer
         if san is not None:
-            san.check_post_recv(self, wr)
+            san.check_post_recv(self)
         if self.state not in (QPState.INIT, QPState.RTS):
             raise VerbsError(f"cannot post receive in state {self.state}")
         if self._recv_posted >= self.max_recv_wr:
             raise VerbsError(
                 f"receive queue full (max_recv_wr={self.max_recv_wr})"
+            )
+        buf = wr.buffer
+        if buf is not None and wr.length > buf.capacity:
+            # A local length error on real verbs: the NIC would write
+            # past the end of the registered buffer.
+            raise VerbsError(
+                f"receive of {wr.length} B posted into a {buf.capacity} B "
+                f"buffer"
             )
         if san is not None:
             san.track_post_recv(self, wr)
@@ -139,6 +147,45 @@ class QueuePair:
         """Post ``buf`` as a Receive identified by the buffer itself —
         the repost idiom of every endpoint's RELEASE path."""
         self.post_recv(RecvWR(wr_id=buf, buffer=buf, length=length))
+
+    def post_recv_run(self, pool, length: int,
+                      slots: Optional[range] = None) -> None:
+        """Post the ``slots`` of ``pool`` (all of it by default), in
+        order, as Receives of ``length`` bytes, each identified by its
+        buffer: what :meth:`post_recv_buffer` in slot order would post,
+        counted and checked the same way at once, but each slot's
+        :class:`~repro.memory.Buffer` and Receive are made only when a
+        message takes it.  The receive queue must be empty, and nothing
+        is posted if the run does not fit."""
+        if slots is None:
+            slots = range(len(pool))
+        san = self.ctx.telemetry.sanitizer
+        if san is not None:
+            san.check_post_recv(self)
+        if self.state not in (QPState.INIT, QPState.RTS):
+            raise VerbsError(f"cannot post receive in state {self.state}")
+        if self._recv_posted + len(slots) > self.max_recv_wr:
+            raise VerbsError(
+                f"receive queue full (max_recv_wr={self.max_recv_wr})"
+            )
+        if length > pool.size:
+            raise VerbsError(
+                f"receive of {length} B posted into a {pool.size} B buffer"
+            )
+        if len(self._recvs):
+            raise VerbsError("a run of Receives needs an empty receive queue")
+        if san is not None:
+            san.track_post_recv_run(pool, slots)
+        self._recv_posted += len(slots)
+        self.recvs_posted += len(slots)
+        # The maker holds the pool, never this QP (see Queue.put_run).
+        buffer = pool.buffer
+
+        def make(k: int) -> RecvWR:
+            buf = buffer(slots[k])
+            return RecvWR(wr_id=buf, buffer=buf, length=length)
+
+        self._recvs.put_run(len(slots), make)
 
     def post_send(self, wr: SendWR) -> None:
         """``ibv_post_send``: enqueue a Send / Read / Write work request.

@@ -18,6 +18,7 @@ from repro.core import ReceiveOperator, ShuffleOperator, TransmissionGroups
 from repro.core.designs import DESIGNS
 from repro.core.synthetic import SyntheticShuffle, make_template_batch
 from repro.engine import run_fragments
+from repro.memory import Buffer, BufferPool
 from repro.tpch.datagen import generate
 
 MIB = 1 << 20
@@ -39,6 +40,44 @@ def test_traced_peak_is_below_half_the_shuffled_volume(design):
     assert peak < 0.5 * shuffled, (
         f"{design}: traced peak {peak / MIB:.1f} MiB for "
         f"{shuffled / MIB:.0f} MiB shuffled")
+
+
+def test_a_repartition_builds_buffers_only_for_the_slots_it_takes(
+        monkeypatch):
+    """Every pool is registered whole, but a slot gets its Buffer only
+    when a message takes it.  A 16-node, 1-thread MESQ/SR repartition
+    registers 8,192 slots; it builds a Buffer for no slot it did not
+    take, leaves a quarter untouched, and posts the 10,486 Receives it
+    posted when every slot was built and posted one by one."""
+    pools, built, taken = [], [], set()
+    pool_init, buffer_init, take = (BufferPool.__init__, Buffer.__init__,
+                                    BufferPool.buffer)
+
+    def registering(pool, *args, **kwargs):
+        pool_init(pool, *args, **kwargs)
+        pools.append(pool)
+
+    def building(buf, mr, addr, capacity):
+        buffer_init(buf, mr, addr, capacity)
+        built.append((mr.node_id, addr))
+
+    def taking(pool, index):
+        taken.add((pool.mr.node_id, pool.addrs[index]))
+        return take(pool, index)
+
+    monkeypatch.setattr(BufferPool, "__init__", registering)
+    monkeypatch.setattr(Buffer, "__init__", building)
+    monkeypatch.setattr(BufferPool, "buffer", taking)
+    cluster = Cluster(ClusterConfig(network=EDR, num_nodes=16,
+                                    threads_per_node=1))
+    run_repartition(cluster, "MESQ/SR", bytes_per_node=1 * MIB)
+    slots = sum(len(pool) for pool in pools)
+    assert slots == 8192
+    assert set(built) <= taken and len(built) == len(set(built))
+    assert len(built) < 0.8 * slots
+    posted = sum(node["verbs.recvs_posted"]
+                 for node in cluster.metrics_snapshot()["nodes"].values())
+    assert posted == 10486
 
 
 @pytest.mark.parametrize("design", sorted(DESIGNS))

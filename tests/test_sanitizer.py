@@ -96,8 +96,30 @@ class TestWiring:
         san = cluster.enable_sanitizer()
         with pytest.raises(VerbsError):
             qp.post_send(SendWR(wr_id="x", opcode=Opcode.SEND,
-                                buffer=pool.buffers[0], length=64))
+                                buffer=pool.buffer(0), length=64))
         assert [v.rule for v in san.violations] == ["qp-state"]
+
+    @pytest.mark.parametrize("slots", [None, range(3, 7)])
+    def test_a_run_tracks_what_the_per_slot_loop_tracks(self, slots):
+        """Posting a pool's slots as one run leaves the sanitizer's
+        in-flight table exactly as posting them one by one does."""
+        def inflight(as_run):
+            cluster = make_cluster()
+            san = cluster.enable_sanitizer()
+            ctx = first_context(cluster)
+            cq = ctx.create_cq()
+            qp = ctx.create_qp(QPType.UD, cq, cq)
+            pool = BufferPool(ctx, 8, 64)
+            if as_run:
+                qp.post_recv_run(pool, 64, slots)
+            else:
+                for i in slots or range(len(pool)):
+                    qp.post_recv_buffer(pool.buffer(i), 64)
+            return san._inflight
+
+        run = inflight(as_run=True)
+        assert run == inflight(as_run=False)
+        assert len(run) == len(slots or range(8))
 
     def test_strict_mode_raises_at_first_violation(self):
         cluster = make_cluster()

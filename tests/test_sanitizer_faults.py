@@ -75,7 +75,7 @@ class TestQPStateRule:
         pool = BufferPool(ctxs[0], 1, 64)
         with pytest.raises(VerbsError):
             qp.post_send(SendWR(wr_id="x", opcode=Opcode.SEND,
-                                buffer=pool.buffers[0], length=64))
+                                buffer=pool.buffer(0), length=64))
         assert rules_of(san) == ["qp-state"]
         assert san.violations[0].details["state"] == "INIT"
 
@@ -96,7 +96,7 @@ class TestQPStateRule:
         pool = BufferPool(ctxs[0], 1, 64)
         qp.state = QPState.ERROR
         with pytest.raises(VerbsError):
-            qp.post_recv(RecvWR(wr_id="r", buffer=pool.buffers[0], length=64))
+            qp.post_recv(RecvWR(wr_id="r", buffer=pool.buffer(0), length=64))
         assert rules_of(san) == ["qp-state"]
 
 
@@ -135,7 +135,7 @@ class TestBufferReuseRule:
         qps, cqs = rc_pair(ctxs)
         spool = BufferPool(ctxs[0], 1, 256)
         rpool = BufferPool(ctxs[1], 1, 256)
-        buf, rbuf = spool.buffers[0], rpool.buffers[0]
+        buf, rbuf = spool.buffer(0), rpool.buffer(0)
 
         qps[1].post_recv(RecvWR(wr_id=rbuf, buffer=rbuf, length=256))
         buf.fill("payload", 128)  # legal: nothing in flight yet
@@ -166,7 +166,7 @@ class TestCQRules:
         qps, cqs = rc_pair(ctxs)
         spool = BufferPool(ctxs[0], 1, 256)
         rpool = BufferPool(ctxs[1], 1, 256)
-        buf, rbuf = spool.buffers[0], rpool.buffers[0]
+        buf, rbuf = spool.buffer(0), rpool.buffer(0)
 
         def proc():
             qps[1].post_recv(RecvWR(wr_id=rbuf, buffer=rbuf, length=256))

@@ -1,6 +1,8 @@
 """Unit tests for simulation primitives (queues, mutexes, pipes)."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.sim import (
     Event,
@@ -82,6 +84,73 @@ class TestQueue:
         q.put(7)
         assert q.try_get() == (True, 7)
         assert len(q) == 0
+
+
+_QUEUE_OPS = st.lists(st.one_of(
+    st.tuples(st.just("put"), st.integers(0, 99)),
+    st.tuples(st.sampled_from(["get", "try_get", "len"]), st.none()),
+), max_size=40)
+
+
+def _drive(run_items: int, waiting: int, ops, lazy: bool):
+    """Park ``waiting`` getters on a fresh queue, give it ``run_items``
+    items ``("run", k)`` (one run, or that many puts) and apply ``ops``.
+    Returns what every operation observed, the run items made by then,
+    and what is left in the queue."""
+    sim = Simulator()
+    q = Queue(sim)
+    made = []
+
+    def make(k):
+        made.append(k)
+        return ("run", k)
+
+    seen = [q.get() for _ in range(waiting)]
+    if lazy:
+        q.put_run(run_items, make)
+    else:
+        for k in range(run_items):
+            q.put(make(k))
+    for op, arg in ops:
+        if op == "put":
+            q.put(arg)
+        elif op == "get":
+            seen.append(q.get())
+        elif op == "try_get":
+            seen.append(q.try_get())
+        else:
+            seen.append(len(q))
+    sim.run()
+    observed = [(s.triggered, s.value if s.triggered else None)
+                if isinstance(s, Event) else s for s in seen]
+    taken = list(made)
+    left = []
+    while len(q):
+        left.append(q.try_get()[1])
+    return observed, taken, left
+
+
+class TestQueueRun:
+    @settings(max_examples=200, deadline=None)
+    @given(run_items=st.integers(0, 12), waiting=st.integers(0, 4),
+           ops=_QUEUE_OPS)
+    def test_run_matches_the_eager_puts(self, run_items, waiting, ops):
+        """A queue started with a run answers every put, get, try_get,
+        len and parked getter exactly as the same items put one by one,
+        and makes only the items that were taken, in order."""
+        lazy, made, lazy_left = _drive(run_items, waiting, ops, True)
+        eager, _made, eager_left = _drive(run_items, waiting, ops, False)
+        assert lazy == eager
+        assert lazy_left == eager_left
+        untaken = sum(1 for item in lazy_left
+                      if isinstance(item, tuple) and item[0] == "run")
+        assert made == list(range(run_items - untaken))
+
+    def test_run_needs_an_itemless_queue(self, sim):
+        q = Queue(sim)
+        q.put("x")
+        with pytest.raises(SimError):
+            q.put_run(2, lambda k: k)
 
 
 class TestMutex:

@@ -90,9 +90,8 @@ class TestSendPoolUnderSanitizer:
         rpool = BufferPool(ctxs[1], len(ops) + 1, 256)
 
         # GETFREE hands out every transmission buffer exactly once.
-        available = [ep._free.try_get()[1] for _ in ep.pool.buffers]
-        assert sorted(b.addr for b in available) == \
-            sorted(b.addr for b in ep.pool.buffers)
+        available = [ep._free.try_get()[1] for _ in range(len(ep.pool))]
+        assert sorted(b.addr for b in available) == list(ep.pool.addrs)
         assert ep._free.try_get() == (False, None)
         in_flight = 0
         recv_idx = 0
@@ -109,7 +108,7 @@ class TestSendPoolUnderSanitizer:
         for op in ops:
             if op == "post" and available:
                 buf = available.pop()
-                qps[1].post_recv_buffer(rpool.buffers[recv_idx], 256)
+                qps[1].post_recv_buffer(rpool.buffer(recv_idx), 256)
                 recv_idx += 1
                 buf.fill("x" * 8, 64)
                 qps[0].post_send(SendWR(wr_id=buf, opcode=Opcode.SEND,
@@ -121,6 +120,5 @@ class TestSendPoolUnderSanitizer:
 
         assert in_flight == 0
         assert sorted(b.addr for b in available) == \
-            sorted(b.addr for b in ep.pool.buffers), \
-            "buffer leaked or duplicated"
+            list(ep.pool.addrs), "buffer leaked or duplicated"
         assert san.violations == []

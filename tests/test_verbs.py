@@ -31,6 +31,11 @@ def make_cluster(sim, nodes=2, **net_overrides):
     return fabric, [VerbsContext(sim, fabric, i) for i in range(nodes)]
 
 
+def built(pool):
+    """The pool slots that have a Buffer so far."""
+    return [i for i, buf in enumerate(pool._slots) if buf is not None]
+
+
 def rc_pair(ctxs, a=0, b=1):
     """Create and connect an RC QP pair between two contexts."""
     cqs = []
@@ -135,14 +140,43 @@ class TestBufferPool:
     def test_pool_carves_distinct_buffers(self, sim):
         _, ctxs = make_cluster(sim)
         pool = BufferPool(ctxs[0], count=4, size=4096)
-        addrs = {buf.addr for buf in pool.buffers}
+        addrs = {pool.buffer(i).addr for i in range(4)}
         assert len(addrs) == 4
+        assert sorted(addrs) == list(pool.addrs)
         assert ctxs[0].registered_bytes == 4 * 4096
+        assert all(a is b for a, b in zip(
+            pool.buffers, [pool.buffer(i) for i in range(4)]))
+
+    def test_a_slot_is_built_on_first_use_and_cached(self, sim):
+        _, ctxs = make_cluster(sim)
+        pool = BufferPool(ctxs[0], count=1000, size=64)
+        assert pool.mr.length == 1000 * 64  # the region is whole at once
+        assert built(pool) == []
+        buf = pool.buffer(7)
+        assert pool.buffer(7) is buf
+        assert (buf.addr, buf.capacity) == (pool.mr.addr + 7 * 64, 64)
+        assert built(pool) == [7]
+        for index in (-1, 1000):
+            with pytest.raises(IndexError):
+                pool.buffer(index)
+
+    @pytest.mark.parametrize("at_first", [True, False])
+    def test_at_and_buffer_agree_whichever_comes_first(self, sim, at_first):
+        _, ctxs = make_cluster(sim)
+        pool = BufferPool(ctxs[0], count=8, size=64)
+        addr = pool.addrs[5]
+        if at_first:
+            first = pool.at(addr)
+            assert pool.buffer(5) is first
+        else:
+            first = pool.buffer(5)
+            assert pool.at(addr) is first
+        assert built(pool) == [5]
 
     def test_at_resolves_by_address(self, sim):
         _, ctxs = make_cluster(sim)
         pool = BufferPool(ctxs[0], count=2, size=64)
-        assert pool.at(pool.buffers[1].addr) is pool.buffers[1]
+        assert pool.at(pool.buffer(1).addr) is pool.buffer(1)
         with pytest.raises(ValueError):
             pool.at(12345)
 
@@ -150,19 +184,19 @@ class TestBufferPool:
         _, ctxs = make_cluster(sim)
         ahead = BufferPool(ctxs[0], count=1, size=64)
         pool = BufferPool(ctxs[0], count=3, size=64)
-        first, last = pool.buffers[0].addr, pool.buffers[-1].addr
-        assert pool.at(first) is pool.buffers[0]
-        assert pool.at(last) is pool.buffers[-1]
+        first, last = pool.buffer(0).addr, pool.buffer(2).addr
+        assert pool.at(first) is pool.buffer(0)
+        assert pool.at(last) is pool.buffer(2)
         for addr in (first + 1, last - 1,      # inside a buffer
                      first - 64, last + 64,    # one slot off either end
-                     ahead.buffers[0].addr):   # another pool's buffer
+                     ahead.buffer(0).addr):   # another pool's buffer
             with pytest.raises(ValueError, match="not a buffer start"):
                 pool.at(addr)
 
     def test_fill_publishes_for_rdma_read(self, sim):
         _, ctxs = make_cluster(sim)
         pool = BufferPool(ctxs[0], count=1, size=64)
-        buf = pool.buffers[0]
+        buf = pool.buffer(0)
         buf.fill("payload", 10)
         assert pool.mr.get_object(buf.addr) == "payload"
         buf.reset()
@@ -172,7 +206,62 @@ class TestBufferPool:
         _, ctxs = make_cluster(sim)
         pool = BufferPool(ctxs[0], count=1, size=64)
         with pytest.raises(ValueError):
-            pool.buffers[0].fill("x", 65)
+            pool.buffer(0).fill("x", 65)
+
+
+class TestRecvRun:
+    """``post_recv_run`` posts a pool's slots as ``post_recv_buffer`` in
+    slot order would, building each slot only when a message takes it."""
+
+    def test_run_delivers_into_slots_in_order_building_only_those(self, sim):
+        _, ctxs = make_cluster(sim)
+        (qp0, qp1), (_cq0, cq1) = rc_pair(ctxs)
+        rpool = BufferPool(ctxs[1], 6, 4096)
+        qp1.post_recv_run(rpool, 4096, range(2, 6))
+        assert (qp1.recvs_posted, qp1._recv_posted) == (4, 4)
+        assert built(rpool) == []
+        for i in range(3):
+            qp0.post_send(SendWR(wr_id=i, opcode=Opcode.SEND, length=100))
+
+        def proc():
+            taken = []
+            for _ in range(3):
+                taken.append((yield cq1.wait()).wr_id)
+            return taken
+
+        taken = sim.run_process(proc())
+        assert taken == [rpool.buffer(i) for i in (2, 3, 4)]
+        assert built(rpool) == [2, 3, 4]
+        assert qp1._recv_posted == 1
+
+    def test_run_longer_than_the_slots_is_rejected(self, sim):
+        _, ctxs = make_cluster(sim)
+        (_qp0, qp1), _cqs = rc_pair(ctxs)
+        with pytest.raises(VerbsError, match="into a 64 B buffer"):
+            qp1.post_recv_run(BufferPool(ctxs[1], 4, 64), 65536)
+        assert qp1.recvs_posted == 0
+
+    def test_run_past_the_queue_depth_posts_nothing(self, sim):
+        _, ctxs = make_cluster(sim)
+        cq = ctxs[0].create_cq()
+        qp = ctxs[0].create_qp(QPType.UD, cq, cq, max_recv_wr=4)
+        pool = BufferPool(ctxs[0], 5, 64)
+        with pytest.raises(VerbsError, match="receive queue full"):
+            qp.post_recv_run(pool, 64)
+        assert (qp.recvs_posted, len(qp._recvs)) == (0, 0)
+        qp.post_recv_run(pool, 64, range(1, 5))
+        assert (qp.recvs_posted, len(qp._recvs)) == (4, 4)
+        with pytest.raises(VerbsError, match="receive queue full"):
+            qp.post_recv(RecvWR(wr_id=0, buffer=None, length=64))
+
+    def test_run_goes_into_an_empty_receive_queue(self, sim):
+        _, ctxs = make_cluster(sim)
+        cq = ctxs[0].create_cq()
+        qp = ctxs[0].create_qp(QPType.UD, cq, cq)
+        qp.post_recv(RecvWR(wr_id=0, buffer=None, length=64))
+        with pytest.raises(VerbsError, match="empty receive queue"):
+            qp.post_recv_run(BufferPool(ctxs[0], 4, 64), 64)
+        assert qp.recvs_posted == 1
 
 
 class TestCompletionQueue:
@@ -252,7 +341,7 @@ class TestRCSendRecv:
         (qp0, qp1), (cq0, cq1) = rc_pair(ctxs)
         spool = BufferPool(ctxs[0], 1, 65536)
         rpool = BufferPool(ctxs[1], 1, 65536)
-        sbuf, rbuf = spool.buffers[0], rpool.buffers[0]
+        sbuf, rbuf = spool.buffer(0), rpool.buffer(0)
         sbuf.fill(["tuple1", "tuple2"], 4096)
         qp1.post_recv(RecvWR(wr_id="r", buffer=rbuf, length=65536))
         qp0.post_send(SendWR(wr_id="s", opcode=Opcode.SEND, buffer=sbuf, length=4096))
@@ -267,18 +356,31 @@ class TestRCSendRecv:
         assert rbuf.payload == ["tuple1", "tuple2"]
         assert send_wc.opcode is Opcode.SEND and send_wc.wr_id == "s"
 
+    def test_receive_longer_than_its_buffer_is_rejected(self, sim):
+        """A Receive may not claim more bytes than its buffer holds: the
+        NIC would deposit past the registered slot (a local length error
+        on real verbs), so a 4 KiB Send could land in a 64 B buffer."""
+        _, ctxs = make_cluster(sim)
+        (_qp0, qp1), _cqs = rc_pair(ctxs)
+        buf = BufferPool(ctxs[1], 4, 64).buffer(0)
+        with pytest.raises(VerbsError, match="into a 64 B buffer"):
+            qp1.post_recv(RecvWR(wr_id="r", buffer=buf, length=65536))
+        assert qp1.recvs_posted == 0
+        qp1.post_recv(RecvWR(wr_id="r", buffer=buf, length=64))
+        assert qp1.recvs_posted == 1
+
     def test_send_blocks_until_recv_posted(self, sim):
         _, ctxs = make_cluster(sim)
         (qp0, qp1), (cq0, cq1) = rc_pair(ctxs)
         spool = BufferPool(ctxs[0], 1, 4096)
         rpool = BufferPool(ctxs[1], 1, 4096)
-        spool.buffers[0].fill("x", 100)
+        spool.buffer(0).fill("x", 100)
         qp0.post_send(SendWR(wr_id="s", opcode=Opcode.SEND,
-                             buffer=spool.buffers[0], length=100))
+                             buffer=spool.buffer(0), length=100))
 
         def late_recv():
             yield 50_000
-            qp1.post_recv(RecvWR(wr_id="r", buffer=rpool.buffers[0], length=4096))
+            qp1.post_recv(RecvWR(wr_id="r", buffer=rpool.buffer(0), length=4096))
 
         sim.process(late_recv())
 
@@ -295,9 +397,11 @@ class TestRCSendRecv:
         (qp0, qp1), (cq0, cq1) = rc_pair(ctxs)
         spool = BufferPool(ctxs[0], 8, 4096)
         rpool = BufferPool(ctxs[1], 8, 4096)
-        for i, rbuf in enumerate(rpool.buffers):
+        for i in range(8):
+            rbuf = rpool.buffer(i)
             qp1.post_recv(RecvWR(wr_id=i, buffer=rbuf, length=4096))
-        for i, sbuf in enumerate(spool.buffers):
+        for i in range(8):
+            sbuf = spool.buffer(i)
             sbuf.fill(f"msg{i}", 4096)
             qp0.post_send(SendWR(wr_id=i, opcode=Opcode.SEND, buffer=sbuf, length=4096))
 
@@ -314,7 +418,7 @@ class TestRCSendRecv:
         _, ctxs = make_cluster(sim)
         (qp0, qp1), (cq0, cq1) = rc_pair(ctxs)
         rpool = BufferPool(ctxs[1], 1, 4096)
-        qp1.post_recv(RecvWR(wr_id="r", buffer=rpool.buffers[0], length=4096))
+        qp1.post_recv(RecvWR(wr_id="r", buffer=rpool.buffer(0), length=4096))
         qp0.post_send(SendWR(wr_id="s", opcode=Opcode.SEND, length=0, imm=77))
 
         def proc():
@@ -347,8 +451,8 @@ class TestReceiverNotReady:
         the receive completion, its time and the receive buffer."""
         _, ctxs = make_cluster(sim)
         (qp0, qp1), (_, cq1) = rc_pair(ctxs)
-        sbuf = BufferPool(ctxs[0], 1, 4096).buffers[0]
-        rbuf = BufferPool(ctxs[1], 1, 4096).buffers[0]
+        sbuf = BufferPool(ctxs[0], 1, 4096).buffer(0)
+        rbuf = BufferPool(ctxs[1], 1, 4096).buffer(0)
         sbuf.fill("payload", 100)
 
         def post_recv():
@@ -391,14 +495,17 @@ class TestReceiverNotReady:
         rpool = BufferPool(ctxs[1], 2, 4096)
 
         def post_recvs():
-            for i, rbuf in enumerate(rpool.buffers):
-                qp1.post_recv(RecvWR(wr_id=i, buffer=rbuf, length=4096))
+            for i in range(2):
+                qp1.post_recv(RecvWR(wr_id=i, buffer=rpool.buffer(i),
+                                     length=4096))
 
         if post_recvs_at is None:
             post_recvs()
         else:
             sim.call_at(post_recvs_at, post_recvs)
-        for i, sbuf in enumerate(BufferPool(ctxs[0], 2, 4096).buffers):
+        spool = BufferPool(ctxs[0], 2, 4096)
+        for i in range(2):
+            sbuf = spool.buffer(i)
             sbuf.fill(f"msg{i}", 100)
             qp0.post_send(SendWR(wr_id=i, opcode=Opcode.SEND, buffer=sbuf,
                                  length=100))
@@ -410,7 +517,8 @@ class TestReceiverNotReady:
                 seen.append((sim.now, wc.wr_id))
             return seen
 
-        return sim.run_process(proc()), [b.payload for b in rpool.buffers]
+        return sim.run_process(proc()), [rpool.buffer(i).payload
+                                         for i in range(2)]
 
     def test_a_send_behind_a_stalled_one_waits_its_turn(self, sim):
         """The Receives are posted at the instant the second Send
@@ -463,15 +571,15 @@ class TestRdmaRead:
         (qp0, qp1), (cq0, _) = rc_pair(ctxs)
         rpool = BufferPool(ctxs[1], 1, 65536)  # remote (passive) side
         lpool = BufferPool(ctxs[0], 1, 65536)  # local destination
-        rpool.buffers[0].fill({"rows": [1, 2, 3]}, 65536)
+        rpool.buffer(0).fill({"rows": [1, 2, 3]}, 65536)
         qp0.post_send(SendWR(wr_id="rd", opcode=Opcode.READ,
-                             buffer=lpool.buffers[0], length=65536,
-                             remote_addr=rpool.buffers[0].addr))
+                             buffer=lpool.buffer(0), length=65536,
+                             remote_addr=rpool.buffer(0).addr))
 
         def proc():
             wc = yield cq0.wait()
             # The completion follows the response: the data is local.
-            return wc, lpool.buffers[0].payload
+            return wc, lpool.buffer(0).payload
 
         wc, seen = sim.run_process(proc())
         assert wc.opcode is Opcode.READ and wc.ok
@@ -485,7 +593,7 @@ class TestRdmaRead:
         (qp0, _), (cq0, _) = rc_pair(ctxs)
         lpool = BufferPool(ctxs[0], 1, 4096)
         qp0.post_send(SendWR(wr_id="rd", opcode=Opcode.READ,
-                             buffer=lpool.buffers[0], length=4096,
+                             buffer=lpool.buffer(0), length=4096,
                              remote_addr=0xBAD))
         with pytest.raises(VerbsError):
             sim.run()
@@ -512,10 +620,10 @@ class TestUD:
         ctxs, (qp0, qp1), (cq0, cq1) = self.make_ud_pair(sim)
         spool = BufferPool(ctxs[0], 1, 4096)
         rpool = BufferPool(ctxs[1], 1, 4096)
-        spool.buffers[0].fill("datagram", 4096)
-        qp1.post_recv(RecvWR(wr_id="r", buffer=rpool.buffers[0], length=4096))
+        spool.buffer(0).fill("datagram", 4096)
+        qp1.post_recv(RecvWR(wr_id="r", buffer=rpool.buffer(0), length=4096))
         qp0.post_send(SendWR(wr_id="s", opcode=Opcode.SEND,
-                             buffer=spool.buffers[0], length=4096,
+                             buffer=spool.buffer(0), length=4096,
                              dest=AddressHandle(1, qp1.qpn)))
 
         def proc():
@@ -524,7 +632,7 @@ class TestUD:
 
         wc = sim.run_process(proc())
         assert wc.src_node == 0 and wc.src_qpn == qp0.qpn
-        assert rpool.buffers[0].payload == "datagram"
+        assert rpool.buffer(0).payload == "datagram"
 
     def test_send_completion_precedes_delivery(self, sim):
         ctxs, (qp0, qp1), (cq0, cq1) = self.make_ud_pair(sim)
@@ -552,7 +660,7 @@ class TestUD:
         pool = BufferPool(ctxs[0], 1, 4096)
         with pytest.raises(VerbsError, match="Send/Receive"):
             qp0.post_send(SendWR(wr_id=0, opcode=Opcode.READ,
-                                 buffer=pool.buffers[0], length=64,
+                                 buffer=pool.buffer(0), length=64,
                                  remote_addr=100,
                                  dest=AddressHandle(1, qp1.qpn)))
 
