@@ -26,26 +26,47 @@ class Queue:
     that are made one at a time, ``make(k)`` for the ``k``-th, when they
     are taken, and that stay ahead of anything put later — the same
     order as ``n`` puts, without building the items nobody takes.
+
+    Items and waiting getters never coexist — ``put`` hands its item to
+    a waiting getter, ``get`` takes a waiting item — so one deque, built
+    on first use, holds whichever there are; an idle queue holds none.
     """
+
+    __slots__ = ("sim", "_fifo", "_getting", "_run_left", "_run_next",
+                 "_run_make")
 
     def __init__(self, sim: Simulator):
         self.sim = sim
-        self._items: Deque[Any] = deque()
-        self._getters: Deque[Event] = deque()
+        #: waiting items, or waiting getters when ``_getting`` is set.
+        self._fifo: Optional[Deque[Any]] = None
+        self._getting = False
         #: the pending run: items left, index of the next, and its maker.
         self._run_left = 0
         self._run_next = 0
         self._run_make: Optional[Callable[[int], Any]] = None
 
     def __len__(self) -> int:
-        return self._run_left + len(self._items)
+        if self._getting or self._fifo is None:
+            return self._run_left
+        return self._run_left + len(self._fifo)
+
+    def _next_getter(self) -> Event:
+        """Remove and return the oldest waiting getter."""
+        fifo = self._fifo
+        assert fifo is not None  # callers checked _getting
+        event = fifo.popleft()
+        if not fifo:
+            self._getting = False
+        return event
 
     def put(self, item: Any) -> None:
         """Deposit an item, waking the oldest waiting getter if any."""
-        if self._getters:
-            self._getters.popleft().succeed(item)
+        if self._getting:
+            self._next_getter().succeed(item)
+        elif self._fifo is not None:
+            self._fifo.append(item)
         else:
-            self._items.append(item)
+            self._fifo = deque((item,))
 
     def put_run(self, n: int, make: Callable[[int], Any]) -> None:
         """Deposit ``n`` items, ``make(0) ... make(n - 1)``, as ``n`` puts
@@ -53,11 +74,11 @@ class Queue:
         when taken.  The queue must hold no items.  ``make`` must not
         reach back to whatever owns this queue: it lives as long as the
         run does, and a reference back would be a cycle."""
-        if self._run_left or self._items:
+        if len(self):
             raise SimError("put_run needs a queue that holds no items")
         k = 0
-        while k < n and self._getters:
-            self._getters.popleft().succeed(make(k))
+        while k < n and self._getting:
+            self._next_getter().succeed(make(k))
             k += 1
         if k < n:
             self._run_left = n - k
@@ -80,28 +101,44 @@ class Queue:
         event = Event(self.sim)
         if self._run_left:
             event.succeed(self._take_run())
-        elif self._items:
-            event.succeed(self._items.popleft())
+        elif self._fifo and not self._getting:
+            event.succeed(self._fifo.popleft())
         else:
-            self._getters.append(event)
+            if self._fifo is None:
+                self._fifo = deque()
+            self._fifo.append(event)
+            self._getting = True
         return event
 
     def try_get(self):
         """Non-blocking get; returns ``(True, item)`` or ``(False, None)``."""
         if self._run_left:
             return True, self._take_run()
-        if self._items:
-            return True, self._items.popleft()
+        if self._fifo and not self._getting:
+            return True, self._fifo.popleft()
         return False, None
+
+    def clear(self) -> None:
+        """Drop every waiting item, pending run item and waiting getter."""
+        self._fifo = None
+        self._getting = False
+        self._run_left = 0
+        self._run_next = 0
+        self._run_make = None
 
 
 class Mutex:
-    """A lock whose waiters take it in arrival order."""
+    """A lock whose waiters take it in arrival order.
+
+    The waiter deque is built on first contention; an uncontended lock
+    holds none."""
+
+    __slots__ = ("sim", "_held", "_waiters")
 
     def __init__(self, sim: Simulator):
         self.sim = sim
         self._held = False
-        self._waiters: Deque[Event] = deque()
+        self._waiters: Optional[Deque[Event]] = None
 
     def critical_section(self, hold_ns: int):
         """A process fragment: acquire, hold for ``hold_ns``, release.
@@ -114,7 +151,10 @@ class Mutex:
         """
         if self._held:
             event = Event(self.sim)
-            self._waiters.append(event)
+            waiters = self._waiters
+            if waiters is None:
+                waiters = self._waiters = deque()
+            waiters.append(event)
             yield event
         else:
             self._held = True
@@ -131,22 +171,34 @@ class Notify:
 
     Unlike :class:`Queue`, a notification wakes *every* current waiter
     and carries no value.  Used for condition-variable style "state
-    changed, re-check your predicate" wakeups.
+    changed, re-check your predicate" wakeups.  The waiter list is made
+    on the first ``wait`` after a notification; an idle signal holds
+    none.  ``len()`` is the number of current waiters.
     """
+
+    __slots__ = ("sim", "_waiters")
 
     def __init__(self, sim: Simulator):
         self.sim = sim
-        self._waiters: List[Event] = []
+        self._waiters: Optional[List[Event]] = None
+
+    def __len__(self) -> int:
+        waiters = self._waiters
+        return 0 if waiters is None else len(waiters)
 
     def wait(self) -> Event:
         event = Event(self.sim)
-        self._waiters.append(event)
+        waiters = self._waiters
+        if waiters is None:
+            waiters = self._waiters = []
+        waiters.append(event)
         return event
 
     def notify_all(self) -> None:
-        waiters, self._waiters = self._waiters, []
-        for event in waiters:
-            event.succeed()
+        waiters, self._waiters = self._waiters, None
+        if waiters:
+            for event in waiters:
+                event.succeed()
 
 
 class Barrier:

@@ -5,11 +5,12 @@ customers, 1 500 000·SF orders, 1–7 lineitems per order) and the value
 distributions that the Q3/Q4/Q10 predicates select on.  Tuples of every
 table are scattered to a uniformly random node, except NATION which is
 replicated to all nodes (§5.2) — REGION is not touched by these queries.
+Each table is held once, grouped by node; a node's partition is a view.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List
 
 import numpy as np
@@ -31,7 +32,13 @@ _MAX_ORDERDATE = date_to_days(1998, 8, 2)
 
 @dataclass
 class TPCHData:
-    """One generated database: whole tables plus per-node partitions."""
+    """One generated database: whole tables plus per-node partitions.
+
+    Each table is stored once, its rows grouped by node and in generation
+    order within a node; ``partitions[table][node]`` is a slice (a view)
+    of it.  ``copartition`` records the layout: ``True`` places rows by
+    key modulo ``num_nodes`` (§5.2.1), ``False`` on a random node.
+    """
 
     scale_factor: float
     num_nodes: int
@@ -39,18 +46,32 @@ class TPCHData:
     orders: np.ndarray
     lineitem: np.ndarray
     nation: np.ndarray
-    #: per-node random partitions, table name -> list of arrays.
-    partitions: Dict[str, List[np.ndarray]] = field(default_factory=dict)
+    copartition: bool
+    #: per-node partitions, table name -> list of views of the table.
+    partitions: Dict[str, List[np.ndarray]]
 
     def partition(self, table: str, node: int) -> np.ndarray:
         return self.partitions[table][node]
 
 
-def _scatter(rng: np.random.Generator, table: np.ndarray,
-             num_nodes: int) -> List[np.ndarray]:
-    """Distribute each tuple to a uniformly random node (§5.2)."""
-    assignment = rng.integers(0, num_nodes, len(table))
-    return [table[assignment == node] for node in range(num_nodes)]
+def _group_by_node(table: np.ndarray, node: np.ndarray,
+                   num_nodes: int) -> List[np.ndarray]:
+    """Reorder ``table`` in place so node ``n``'s rows (``node == n``)
+    are contiguous and keep their order, then freeze it; returns one
+    slice per node.
+
+    ``node`` holds small unsigned ints, so the stable argsort is a radix
+    sort; the rows move one column at a time, so the table is never
+    copied whole."""
+    order = np.argsort(node, kind="stable")
+    for column in table.dtype.names:
+        table[column] = table[column][order]
+    # Read-only: in-flight messages hold views of the partitions, so a
+    # write must raise rather than change tuples already on the wire.
+    # Views taken after this inherit the flag.
+    table.flags.writeable = False
+    ends = np.cumsum(np.bincount(node, minlength=num_nodes)).tolist()
+    return [table[lo:hi] for lo, hi in zip([0] + ends[:-1], ends)]
 
 
 def generate(scale_factor: float, num_nodes: int, seed: int = 2017,
@@ -63,6 +84,8 @@ def generate(scale_factor: float, num_nodes: int, seed: int = 2017,
     """
     if scale_factor <= 0:
         raise ValueError(f"scale factor must be positive: {scale_factor}")
+    if num_nodes < 1:
+        raise ValueError(f"num_nodes must be >= 1: {num_nodes}")
     rng = np.random.default_rng(seed)
 
     n_customer = max(1, int(150_000 * scale_factor))
@@ -100,31 +123,22 @@ def generate(scale_factor: float, num_nodes: int, seed: int = 2017,
     nation = np.empty(len(NATIONS), dtype=NATION_DTYPE)
     nation["n_nationkey"] = np.arange(len(NATIONS))
 
-    data = TPCHData(scale_factor=scale_factor, num_nodes=num_nodes,
-                    customer=customer, orders=orders, lineitem=lineitem,
-                    nation=nation)
-    if copartition:
-        data.partitions = {
-            "customer": [customer[customer["c_custkey"] % num_nodes == i]
-                         for i in range(num_nodes)],
-            "orders": [orders[orders["o_orderkey"] % num_nodes == i]
-                       for i in range(num_nodes)],
-            "lineitem": [lineitem[lineitem["l_orderkey"] % num_nodes == i]
-                         for i in range(num_nodes)],
-        }
-    else:
-        data.partitions = {
-            "customer": _scatter(rng, customer, num_nodes),
-            "orders": _scatter(rng, orders, num_nodes),
-            "lineitem": _scatter(rng, lineitem, num_nodes),
-        }
+    # Node ids as the smallest unsigned int that holds them.
+    small = np.min_scalar_type(num_nodes - 1)
+    partitions = {}
+    for name, table, key in (("customer", customer, "c_custkey"),
+                             ("orders", orders, "o_orderkey"),
+                             ("lineitem", lineitem, "l_orderkey")):
+        if copartition:
+            node = (table[key] % num_nodes).astype(small)
+        else:
+            # One uniformly random node per tuple (§5.2).
+            node = rng.integers(0, num_nodes, len(table)).astype(small)
+        partitions[name] = _group_by_node(table, node, num_nodes)
     # NATION is tiny (25 rows) and replicated to every node.
-    data.partitions["nation"] = [nation] * num_nodes
-    # Read-only: in-flight messages hold views of the partitions, so a
-    # write must raise rather than change tuples already on the wire.
-    for array in (customer, orders, lineitem, nation):
-        array.flags.writeable = False
-    for parts in data.partitions.values():
-        for array in parts:
-            array.flags.writeable = False
-    return data
+    nation.flags.writeable = False
+    partitions["nation"] = [nation] * num_nodes
+    return TPCHData(scale_factor=scale_factor, num_nodes=num_nodes,
+                    customer=customer, orders=orders, lineitem=lineitem,
+                    nation=nation, copartition=copartition,
+                    partitions=partitions)

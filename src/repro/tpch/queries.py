@@ -324,6 +324,7 @@ def run_query(cluster: Cluster, query: str, data: TPCHData,
               local_data: bool = False) -> QueryResult:
     """Execute one TPC-H query on a simulated cluster.
 
+    ``data`` must be generated for ``cluster.num_nodes`` nodes.
     ``local_data=True`` requires ``data`` generated with
     ``copartition=True`` and is only meaningful for Q4 (Q3/Q10 join on
     different attributes, making co-partitioning impossible, §5.2.2).
@@ -332,6 +333,13 @@ def run_query(cluster: Cluster, query: str, data: TPCHData,
         raise ValueError(f"unknown query {query!r}; pick Q3, Q4 or Q10")
     if local_data and query != "Q4":
         raise ValueError("the local-data plan exists only for Q4 (§5.2.2)")
+    if data.num_nodes != cluster.num_nodes:
+        raise ValueError(
+            f"the data was generated for {data.num_nodes} nodes but the "
+            f"cluster has {cluster.num_nodes}")
+    if local_data and not data.copartition:
+        raise ValueError("the local-data plan needs data generated with "
+                         "copartition=True")
     builder, extract = _BUILDERS[query]
     ctx = _PlanContext(cluster, design, data, config, local_data)
     builder(ctx)

@@ -3,6 +3,9 @@
 Pure-numpy computations over the whole (unpartitioned) tables; the
 distributed plans in :mod:`repro.tpch.queries` must produce identical
 answers.  Results are dictionaries keyed by group, with float aggregates.
+Each query gathers single columns at the rows its predicates keep, never
+whole rows: the cheapest predicate runs first, and ``np.isin`` and
+``tolist`` run on its survivors only.
 """
 
 from __future__ import annotations
@@ -37,33 +40,37 @@ Q10_PARAMS = {
 def _q4(data: TPCHData) -> Dict[int, float]:
     orders = data.orders
     lineitem = data.lineitem
-    omask = ((orders["o_orderdate"] >= Q4_PARAMS["date_lo"]) &
-             (orders["o_orderdate"] < Q4_PARAMS["date_hi"]))
-    late = lineitem[lineitem["l_commitdate"] < lineitem["l_receiptdate"]]
-    late_orders = np.unique(late["l_orderkey"])
-    sel = orders[omask]
-    exists = np.isin(sel["o_orderkey"], late_orders)
-    sel = sel[exists]
-    out: Dict[int, float] = {}
-    for prio in np.unique(sel["o_orderpriority"]):
-        out[int(prio)] = float(np.sum(sel["o_orderpriority"] == prio))
-    return out
+    odate = orders["o_orderdate"]
+    sel = np.flatnonzero((odate >= Q4_PARAMS["date_lo"]) &
+                         (odate < Q4_PARAMS["date_hi"]))
+    late = lineitem["l_commitdate"] < lineitem["l_receiptdate"]
+    late_orders = np.unique(lineitem["l_orderkey"][late])
+    sel = sel[np.isin(orders["o_orderkey"][sel], late_orders)]
+    prios, counts = np.unique(orders["o_orderpriority"][sel],
+                              return_counts=True)
+    return {int(prio): float(count)
+            for prio, count in zip(prios.tolist(), counts.tolist())}
+
+
+def _revenue(lineitem: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    return (lineitem["l_extendedprice"][rows] *
+            (1.0 - lineitem["l_discount"][rows]))
 
 
 def _q3(data: TPCHData) -> Dict[Tuple[int, int, int], float]:
     cust = data.customer
     orders = data.orders
     lineitem = data.lineitem
-    cust = cust[cust["c_mktsegment"] == Q3_PARAMS["segment"]]
-    orders = orders[orders["o_orderdate"] < Q3_PARAMS["date"]]
-    orders = orders[np.isin(orders["o_custkey"], cust["c_custkey"])]
-    li = lineitem[lineitem["l_shipdate"] > Q3_PARAMS["date"]]
-    li = li[np.isin(li["l_orderkey"], orders["o_orderkey"])]
-    odate = dict(zip(orders["o_orderkey"].tolist(),
-                     orders["o_orderdate"].tolist()))
+    custkeys = cust["c_custkey"][cust["c_mktsegment"] == Q3_PARAMS["segment"]]
+    osel = np.flatnonzero(orders["o_orderdate"] < Q3_PARAMS["date"])
+    osel = osel[np.isin(orders["o_custkey"][osel], custkeys)]
+    okeys = orders["o_orderkey"][osel]
+    lsel = np.flatnonzero(lineitem["l_shipdate"] > Q3_PARAMS["date"])
+    lsel = lsel[np.isin(lineitem["l_orderkey"][lsel], okeys)]
+    odate = dict(zip(okeys.tolist(), orders["o_orderdate"][osel].tolist()))
     out: Dict[Tuple[int, int, int], float] = {}
-    revenue = li["l_extendedprice"] * (1.0 - li["l_discount"])
-    for key, rev in zip(li["l_orderkey"].tolist(), revenue.tolist()):
+    for key, rev in zip(lineitem["l_orderkey"][lsel].tolist(),
+                        _revenue(lineitem, lsel).tolist()):
         group = (key, odate[key], 0)
         out[group] = out.get(group, 0.0) + rev
     return out
@@ -73,20 +80,23 @@ def _q10(data: TPCHData) -> Dict[Tuple[int, int], float]:
     cust = data.customer
     orders = data.orders
     lineitem = data.lineitem
-    omask = ((orders["o_orderdate"] >= Q10_PARAMS["date_lo"]) &
-             (orders["o_orderdate"] < Q10_PARAMS["date_hi"]))
-    orders = orders[omask]
-    li = lineitem[lineitem["l_returnflag"] == Q10_PARAMS["returnflag"]]
-    li = li[np.isin(li["l_orderkey"], orders["o_orderkey"])]
-    ocust = dict(zip(orders["o_orderkey"].tolist(),
-                     orders["o_custkey"].tolist()))
-    nation_of = dict(zip(cust["c_custkey"].tolist(),
-                         cust["c_nationkey"].tolist()))
-    revenue = li["l_extendedprice"] * (1.0 - li["l_discount"])
+    odate = orders["o_orderdate"]
+    osel = np.flatnonzero((odate >= Q10_PARAMS["date_lo"]) &
+                          (odate < Q10_PARAMS["date_hi"]))
+    okeys = orders["o_orderkey"][osel]
+    ocustkeys = orders["o_custkey"][osel]
+    lsel = np.flatnonzero(
+        lineitem["l_returnflag"] == Q10_PARAMS["returnflag"])
+    lsel = lsel[np.isin(lineitem["l_orderkey"][lsel], okeys)]
+    csel = np.flatnonzero(np.isin(cust["c_custkey"], ocustkeys))
+    ocust = dict(zip(okeys.tolist(), ocustkeys.tolist()))
+    nation_of = dict(zip(cust["c_custkey"][csel].tolist(),
+                         cust["c_nationkey"][csel].tolist()))
     out: Dict[Tuple[int, int], float] = {}
-    for okey, rev in zip(li["l_orderkey"].tolist(), revenue.tolist()):
+    for okey, rev in zip(lineitem["l_orderkey"][lsel].tolist(),
+                         _revenue(lineitem, lsel).tolist()):
         custkey = ocust[okey]
-        group = (custkey, int(nation_of[custkey]))
+        group = (custkey, nation_of[custkey])
         out[group] = out.get(group, 0.0) + rev
     return out
 

@@ -81,8 +81,7 @@ class CompletionQueue:
         CQ<->endpoint pair a reference cycle; teardown breaks it so a
         finished cluster can be reclaimed by reference counting."""
         self._subscriber = None
-        self._entries._items.clear()
-        self._entries._getters.clear()
+        self._entries.clear()
 
     def push(self, wc: WorkCompletion) -> None:
         """Deposit a completion (called by the simulated NIC)."""

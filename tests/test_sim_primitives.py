@@ -1,5 +1,8 @@
 """Unit tests for simulation primitives (queues, mutexes, pipes)."""
 
+import gc
+from collections import deque
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -128,6 +131,129 @@ def _drive(run_items: int, waiting: int, ops, lazy: bool):
     while len(q):
         left.append(q.try_get()[1])
     return observed, taken, left
+
+
+class _TwoDequeQueue:
+    """Reference: the queue as two deques, one of items and one of
+    waiting getters, each built with the queue.  ``clear`` drops both
+    and the pending run."""
+
+    def __init__(self, sim):
+        self.sim = sim
+        self._items = deque()
+        self._getters = deque()
+        self._run_left = 0
+        self._run_next = 0
+        self._run_make = None
+
+    def __len__(self):
+        return self._run_left + len(self._items)
+
+    def put(self, item):
+        if self._getters:
+            self._getters.popleft().succeed(item)
+        else:
+            self._items.append(item)
+
+    def put_run(self, n, make):
+        if self._run_left or self._items:
+            raise SimError("put_run needs a queue that holds no items")
+        k = 0
+        while k < n and self._getters:
+            self._getters.popleft().succeed(make(k))
+            k += 1
+        if k < n:
+            self._run_left = n - k
+            self._run_next = k
+            self._run_make = make
+
+    def _take_run(self):
+        k = self._run_next
+        self._run_next = k + 1
+        self._run_left -= 1
+        make = self._run_make
+        if not self._run_left:
+            self._run_make = None
+        return make(k)
+
+    def get(self):
+        event = Event(self.sim)
+        if self._run_left:
+            event.succeed(self._take_run())
+        elif self._items:
+            event.succeed(self._items.popleft())
+        else:
+            self._getters.append(event)
+        return event
+
+    def try_get(self):
+        if self._run_left:
+            return True, self._take_run()
+        if self._items:
+            return True, self._items.popleft()
+        return False, None
+
+    def clear(self):
+        self._items.clear()
+        self._getters.clear()
+        self._run_left = 0
+        self._run_make = None
+
+
+_ALL_QUEUE_OPS = st.lists(st.one_of(
+    st.tuples(st.sampled_from(["put", "put_run"]), st.integers(0, 6)),
+    st.tuples(st.sampled_from(["get", "try_get", "len", "clear"]),
+              st.none()),
+), max_size=60)
+
+
+def _replay(queue_cls, ops):
+    """Apply ``ops`` to a fresh ``queue_cls``; returns what every
+    operation observed and the order run items were made in."""
+    sim = Simulator()
+    q = queue_cls(sim)
+    made = []
+    seen = []
+
+    def make(k, tag):
+        made.append((tag, k))
+        return ("run", tag, k)
+
+    for step, (op, arg) in enumerate(ops):
+        if op == "put":
+            q.put(arg)
+        elif op == "put_run":
+            try:
+                q.put_run(arg, lambda k, tag=step: make(k, tag))
+            except SimError:
+                seen.append("refused")
+        elif op == "get":
+            seen.append(q.get())
+        elif op == "try_get":
+            seen.append(q.try_get())
+        elif op == "len":
+            seen.append(len(q))
+        else:
+            q.clear()
+    sim.run()
+    return [(s.triggered, s.value) if isinstance(s, Event) else s
+            for s in seen], made
+
+
+class TestQueueModel:
+    @settings(max_examples=300, deadline=None)
+    @given(ops=_ALL_QUEUE_OPS)
+    def test_one_deque_matches_two_deques(self, ops):
+        """Holding items and waiting getters in one deque answers every
+        put, put_run, get, try_get, len and clear as separate deques
+        do, and makes run items in the same order."""
+        assert _replay(Queue, ops) == _replay(_TwoDequeQueue, ops)
+
+
+@pytest.mark.parametrize("primitive", [Queue, Mutex, Notify])
+def test_idle_primitive_holds_no_container(sim, primitive):
+    held = gc.get_referents(primitive(sim))
+    assert not [obj for obj in held if isinstance(obj, (deque, list, dict))]
 
 
 class TestQueueRun:

@@ -1,11 +1,53 @@
 """TPC-H: generator invariants and distributed-vs-reference correctness."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
 from repro import Cluster, ClusterConfig, EDR
 from repro.tpch import generate, reference_answer, run_query
 from repro.tpch.schema import date_to_days
+
+#: sha256 of every partition's bytes, generate(0.005, 3, seed=4), pinned
+#: from the generator that copied each partition out by a boolean mask.
+PARTITION_SHA256 = {
+    False: {
+        "customer": (
+            "b0c3c0408524a59762c6a7971f2af2a129652871d3b4de49dd743e7756a26333",
+            "e7f46c65472268d11053ea6b6b1c15e269210de11f7a25eeac836b082e4003fb",
+            "e4b018a1eac2f13b0ec63fbcf8cd853023e32548ccd3f3fb1d25921cc001bc32",
+        ),
+        "orders": (
+            "7084fda2f2ba000468d5553ff4bf503897117aeaa3f426fc649ec021cc09bfe8",
+            "46e9eab57962b6946bea7273a8555fe599d197caf15d220b337c1a1fa57e9c72",
+            "6364b603d3dc2802995ccd08cdefc6c88b5d6faf7444fb0156c8a6f304510a47",
+        ),
+        "lineitem": (
+            "d97767f674e0eb56e81947e50e08dc04b91768ab3d0ed1de77fdc0cd247dac8a",
+            "60f4fe0c7d0a8e3befda42a0d1817181ce236f1eedaf6973b9880151048b2ccd",
+            "eb3b2af26cc8aef467690f12bb9eaa1d7f41ecb499081a0959a3cc16ec862c2c",
+        ),
+    },
+    True: {
+        "customer": (
+            "cf059831b58eced971794b6d6ee1fab71c0ae8a6c85b794a1c0340ebd73e141e",
+            "2419813ba3432487c9e81ef564d5423e9fceafe250ee286cde0fd15e2418129e",
+            "964b12cb999fb9ee52116a57738c005db235c8f0dc7be69604086788f3b47ac1",
+        ),
+        "orders": (
+            "bbe95683a5faef4a113d12dca61a34a2710a6b72e10a964c21da69ad04c259cf",
+            "cd3b3b439c38bc08b31895c340975bd53b0339285e937efae647dab78f32ca1a",
+            "3384ad9f4db2570d375b17415c361b78eb00016714912bc2645ef6a71b39b0a4",
+        ),
+        "lineitem": (
+            "930a6b84c73604feed07e1a8986a8cff932cd2c3e2d2ed728708ddc256d78c5f",
+            "78d8ed68ded9ce4a5a5f173c51e4bc619024ade8008175e5d1037ee3c27fcffa",
+            "dadcda3e44994daf9358845837c2ea1bbad460e82d4ab68bd5c6eb82d8e4cc89",
+        ),
+    },
+}
+NATION_SHA256 = "b729ce724d9a48d3884dbfcbee1d3793d922b29fa9d639e7290af4978263772b"
 
 
 @pytest.fixture(scope="module")
@@ -62,6 +104,36 @@ class TestDatagen:
     def test_invalid_scale_factor(self):
         with pytest.raises(ValueError):
             generate(0, 2)
+
+    @pytest.mark.parametrize("copartition", [False, True])
+    def test_invalid_node_count(self, copartition):
+        with pytest.raises(ValueError, match="num_nodes"):
+            generate(0.005, 0, copartition=copartition)
+
+    @pytest.mark.parametrize("copartition", [False, True])
+    def test_partitions_are_pinned_read_only_views(self, copartition):
+        """One copy per table: every partition is a read-only view of
+        its table, byte for byte the partition a per-node copy held."""
+        data = generate(0.005, 3, seed=4, copartition=copartition)
+        assert data.copartition is copartition
+        pinned = dict(PARTITION_SHA256[copartition],
+                      nation=(NATION_SHA256,) * 3)
+        for table, digests in pinned.items():
+            whole = getattr(data, table)
+            parts = data.partitions[table]
+            assert [hashlib.sha256(p.tobytes()).hexdigest()
+                    for p in parts] == list(digests), table
+            for part in parts:
+                assert np.shares_memory(part, whole), table
+                assert not part.flags.writeable, table
+                with pytest.raises(ValueError):
+                    part[:1] = part[:1]
+
+    def test_whole_tables_are_grouped_by_node(self, data):
+        for table in ("customer", "orders", "lineitem"):
+            np.testing.assert_array_equal(
+                np.concatenate(data.partitions[table]),
+                getattr(data, table))
 
     def test_date_mapping_monotone(self):
         assert date_to_days(1995, 3, 15) > date_to_days(1993, 7, 1)
@@ -138,6 +210,24 @@ class TestLocalDataPlan:
                                         threads_per_node=2))
         with pytest.raises(ValueError, match="unknown query"):
             run_query(cluster, "Q7", data)
+
+    def test_local_data_needs_copartitioned_data(self):
+        data = generate(0.002, 4, seed=1)
+        cluster = Cluster(ClusterConfig(network=EDR, num_nodes=4,
+                                        threads_per_node=2))
+        with pytest.raises(ValueError, match="copartition=True"):
+            run_query(cluster, "Q4", data, local_data=True)
+
+    @pytest.mark.parametrize("data_nodes, cluster_nodes", [(4, 2), (2, 4)])
+    def test_node_count_must_match_the_data(self, data_nodes,
+                                            cluster_nodes):
+        data = generate(0.002, data_nodes, seed=1)
+        cluster = Cluster(ClusterConfig(network=EDR,
+                                        num_nodes=cluster_nodes,
+                                        threads_per_node=2))
+        with pytest.raises(ValueError, match=f"{data_nodes} nodes.*"
+                                             f"{cluster_nodes}"):
+            run_query(cluster, "Q4", data)
 
 
 class TestScaling:

@@ -36,11 +36,11 @@ class TestCreditPolicyProperties:
             grant_credit(conn, value)
             assert conn.credit == max(before, value)
             if value > before:
-                assert not conn.notify._waiters, "increase must wake senders"
+                assert len(conn.notify) == 0, "increase must wake senders"
             else:
-                assert len(conn.notify._waiters) == 1, \
+                assert len(conn.notify) == 1, \
                     "stale grant must not wake senders"
-                conn.notify._waiters.clear()
+                conn.notify = Notify(sim)
         assert conn.credit == max([0] + grants)
 
 
