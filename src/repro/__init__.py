@@ -30,7 +30,6 @@ from repro.core import (
     design_properties,
 )
 from repro.fabric import (
-    DUAL_RAIL,
     EDR,
     FDR,
     LEAF_SPINE,
@@ -38,7 +37,6 @@ from repro.fabric import (
     ClusterConfig,
     NetworkConfig,
     TopologySpec,
-    parse_topology,
 )
 
 __version__ = "1.0.0"
@@ -47,7 +45,6 @@ __all__ = [
     "Cluster",
     "ClusterConfig",
     "DESIGNS",
-    "DUAL_RAIL",
     "DataState",
     "Design",
     "EDR",
@@ -57,7 +54,6 @@ __all__ = [
     "NetworkConfig",
     "SINGLE_SWITCH",
     "TopologySpec",
-    "parse_topology",
     "ReceiveOperator",
     "ShuffleNetworkError",
     "ShuffleOperator",

@@ -24,10 +24,13 @@ def run_qperf(network: NetworkConfig, message_size: int = 64 * 1024,
     """Peak RC Send/Receive throughput between two nodes, in GiB/s.
 
     ``outstanding`` models qperf's pipelining: completions are polled
-    only to repost, so the wire stays saturated.
+    only to repost, so the wire stays saturated.  The first message only
+    starts the timed span, so ``messages`` must be at least 2.
     """
-    if messages < 1:
-        raise ValueError(f"need at least one message, got {messages}")
+    if messages < 2:
+        raise ValueError(
+            f"messages must be >= 2 (the first one only starts the timed "
+            f"span), got {messages}")
     cluster = Cluster(ClusterConfig(network=network, num_nodes=2,
                                     threads_per_node=1))
     sim = cluster.sim

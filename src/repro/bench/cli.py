@@ -30,7 +30,8 @@ __all__ = ["main"]
 #: v5 records the ``--tenants`` override in the document header.
 #: v6 records the ``--policy`` selection in the document header.
 #: v7 records each experiment's ``peak_rss_mib``.
-RESULTS_SCHEMA_VERSION = 7
+#: v8 drops the ``topology`` field: every experiment names its own fabric.
+RESULTS_SCHEMA_VERSION = 8
 
 
 def _gc_passes() -> int:
@@ -72,11 +73,6 @@ def main(argv=None) -> int:
                         help="shuffle policy for the policy experiments: "
                              "adaptive, hierarchical, static:<DESIGN>, or "
                              "a bare design name (default adaptive)")
-    parser.add_argument("--topology", metavar="SPEC", default=None,
-                        help="switch topology for every simulated cluster: "
-                             "single-switch (default), leaf-spine[:K[:M]] "
-                             "(K:1 oversubscribed trunks, M nodes/leaf, "
-                             "e.g. leaf-spine:4), or dual-rail")
     parser.add_argument("--json", metavar="PATH",
                         help="additionally dump results as JSON")
     parser.add_argument("--metrics", metavar="PATH",
@@ -99,35 +95,15 @@ def main(argv=None) -> int:
                              "if any violation is detected")
     args = parser.parse_args(argv)
 
-    if not args.scale > 0:
-        parser.error(f"--scale must be positive, got {args.scale}")
-    if args.tenants < 2:
-        parser.error("--tenants must be >= 2 (a victim and an aggressor)")
     # Validate eagerly so a typo fails before any experiment runs.
     from repro.core.policy import parse_policy
     try:
+        opts = Options(scale=args.scale, nodes=args.nodes,
+                       tenants=args.tenants, policy=args.policy)
         parse_policy(args.policy)
     except ValueError as exc:
         parser.error(str(exc))
 
-    if args.topology:
-        from repro.fabric.config import parse_topology, set_default_topology
-        try:
-            spec = parse_topology(args.topology)
-        except ValueError as exc:
-            parser.error(str(exc))
-        print(f"topology: {spec.describe()}", file=sys.stderr)
-        # Scope the process-wide default to this invocation so repeated
-        # in-process main() calls (tests) cannot leak a topology.
-        previous = set_default_topology(spec)
-        try:
-            return _run(args, parser)
-        finally:
-            set_default_topology(previous)
-    return _run(args, parser)
-
-
-def _run(args, parser) -> int:
     names = list(ALL_EXPERIMENTS) if args.all else args.experiments
     if not names:
         parser.print_help()
@@ -135,8 +111,6 @@ def _run(args, parser) -> int:
     unknown = [n for n in names if n not in ALL_EXPERIMENTS]
     if unknown:
         parser.error(f"unknown experiments: {', '.join(unknown)}")
-    opts = Options(scale=args.scale, nodes=args.nodes,
-                   tenants=args.tenants, policy=args.policy)
     # Validate eagerly so a bad --nodes fails before any experiment runs.
     try:
         for name in names:
@@ -188,7 +162,6 @@ def _run(args, parser) -> int:
                 "nodes": args.nodes,
                 "tenants": args.tenants,
                 "policy": args.policy,
-                "topology": args.topology or "single-switch",
                 "experiments": experiments_out,
             }
             with open(args.json, "w") as fh:

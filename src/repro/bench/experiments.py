@@ -46,6 +46,7 @@ from repro.fabric.config import (
     EDR,
     FDR,
     LEAF_SPINE,
+    SINGLE_SWITCH,
     ClusterConfig,
     NetworkConfig,
     TopologySpec,
@@ -91,6 +92,13 @@ class Options:
     tenants: int = 3
     policy: str = "adaptive"
 
+    def __post_init__(self):
+        if not self.scale > 0:
+            raise ValueError(f"--scale must be positive, got {self.scale}")
+        if self.tenants < 2:
+            raise ValueError(
+                "--tenants must be >= 2 (a victim and an aggressor)")
+
 
 # -- one point ------------------------------------------------------------------------
 
@@ -109,8 +117,7 @@ class Point:
     nodes: int = 8
     #: 0: the network's cores per node.
     threads: int = 0
-    #: ``None``: the ambient default (single switch, or ``--topology``).
-    topology: Optional[TopologySpec] = None
+    topology: TopologySpec = SINGLE_SWITCH
     #: run every NIC with an unbounded QP-context cache (abl-qp-cache).
     disable_qp_cache: bool = False
     pattern: str = "repartition"
@@ -172,11 +179,9 @@ def measure(point: Point) -> Measurement:
 
     The only place an experiment builds a cluster for a shuffle point.
     """
-    config = ClusterConfig(network=point.network, num_nodes=point.nodes,
-                           threads_per_node=point.threads)
-    if point.topology is not None:
-        config = config.with_topology(point.topology)
-    cluster = Cluster(config)
+    cluster = Cluster(ClusterConfig(
+        network=point.network, num_nodes=point.nodes,
+        threads_per_node=point.threads, topology=point.topology))
     if point.disable_qp_cache:
         for node in cluster.nodes:
             node.nic.disable_qp_cache = True

@@ -122,28 +122,21 @@ class Design:
         per_endpoint = 1 if self.uses_ud else num_nodes
         return self.num_endpoints(threads) * per_endpoint
 
-    def stage_config(self, threads: int,
-                     num_endpoints: Optional[int] = None,
-                     base: Optional[EndpointConfig] = None,
-                     mtu: Optional[int] = None
+    def stage_config(self, threads: int, num_endpoints: Optional[int],
+                     base: EndpointConfig, mtu: int
                      ) -> Tuple[int, int, EndpointConfig]:
         """Endpoint count, threads per endpoint and effective endpoint
         config of one stage.
 
-        The one derivation the stage runs with and the footprint
-        estimate sizes from: the threads are split over the endpoints,
-        and UD caps the message size at the MTU (§2.2.2) and widens the
-        buffer window to keep comparable in-flight bytes per
-        connection.  ``mtu=None`` (network unknown) leaves the size
-        uncapped, which only makes an estimate more generous.
+        The threads are split over the endpoints, and UD caps the
+        message size at the MTU (§2.2.2) and widens the buffer window
+        to keep comparable in-flight bytes per connection.
         """
         k = num_endpoints or self.num_endpoints(threads)
-        base = base or EndpointConfig()
         message_size = base.message_size
         buffers = base.buffers_per_connection
         if self.uses_ud:
-            if mtu is not None:
-                message_size = min(message_size, mtu)
+            message_size = min(message_size, mtu)
             buffers *= base.ud_window_factor
         return k, -(-threads // k), dataclasses.replace(
             base, message_size=message_size, buffers_per_connection=buffers)

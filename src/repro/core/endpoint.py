@@ -72,10 +72,6 @@ class EndpointConfig:
     #: credit write-back frequency: the receiver returns credit after this
     #: many Receive requests have been reposted (§4.4.1, Fig 8).
     credit_frequency: int = 2
-    #: how long an Unreliable Datagram receiver waits for outstanding
-    #: packets after the sent/received totals disagree, before declaring a
-    #: network error and forcing a query restart (§4.4.2).
-    drain_timeout_ns: int = 50_000_000
     #: UD buffers-per-connection multiplier.  "Double buffering" refers to
     #: the 64 KiB RC buffers (§5.1.2); UD messages are MTU-sized, so the
     #: same *byte* window needs more buffers (the §5.1.1 experiments use
@@ -94,10 +90,9 @@ class EndpointConfig:
             raise ValueError("need at least one buffer per connection")
         if self.credit_frequency < 1:
             raise ValueError("credit frequency must be >= 1")
-        for field_name in ("drain_timeout_ns", "ud_window_factor"):
-            value = getattr(self, field_name)
-            if value < 1:
-                raise ValueError(f"{field_name} must be >= 1, not {value}")
+        if self.ud_window_factor < 1:
+            raise ValueError(
+                f"ud_window_factor must be >= 1, not {self.ud_window_factor}")
         if self.credit_frequency > self.buffers_per_connection:
             # Otherwise the final write-back never happens and the sender
             # can starve for credit at end of stream (§5.1.1 discussion).

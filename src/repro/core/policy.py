@@ -84,11 +84,8 @@ class StageContext:
     #: tenant quota caps (None: unlimited) — the clamping inputs that
     #: used to live in ``service/scheduler.py``.
     max_qps: Optional[int] = None
-    max_registered_bytes: Optional[int] = None
     #: caller's endpoint-count override (None: the design's natural k).
     num_endpoints: Optional[int] = None
-    #: caller's base endpoint configuration (None: defaults).
-    base_config: Optional[EndpointConfig] = None
     #: whether the runner can execute a two-phase (hierarchical) plan;
     #: only the repartition runner can, the broadcast runner and the
     #: service scheduler cannot.
@@ -100,7 +97,6 @@ class StageContext:
                      config: Optional[EndpointConfig] = None,
                      num_endpoints: Optional[int] = None,
                      max_qps: Optional[int] = None,
-                     max_registered_bytes: Optional[int] = None,
                      allow_hierarchical: bool = False,
                      ) -> "StageContext":
         """Build a context from a live :class:`~repro.cluster.Cluster`."""
@@ -117,9 +113,7 @@ class StageContext:
             oversubscription=spec.oversubscription,
             nodes_per_leaf=spec.nodes_per_leaf,
             max_qps=max_qps,
-            max_registered_bytes=max_registered_bytes,
             num_endpoints=num_endpoints,
-            base_config=config,
             allow_hierarchical=allow_hierarchical,
         )
 
@@ -131,8 +125,7 @@ class StageContext:
 
     @property
     def capped(self) -> bool:
-        return self.max_qps is not None or \
-            self.max_registered_bytes is not None
+        return self.max_qps is not None
 
 
 # ---------------------------------------------------------------------------
@@ -223,36 +216,29 @@ class Footprint(NamedTuple):
     """Estimated cluster-wide resource footprint of one job."""
 
     qps: int
-    registered_bytes: int
 
 
 def plan_footprint(design: Union[str, Design], nodes: int, threads: int,
-                   num_endpoints: Optional[int] = None,
-                   config: Optional[EndpointConfig] = None) -> Footprint:
+                   num_endpoints: Optional[int] = None) -> Footprint:
     """Generous cluster-wide footprint estimate for one shuffle job.
 
     The one formula admission (as ``service.estimate_footprint``),
-    policy clamping and planning share: it sizes from the config the
-    stage itself derives (:meth:`Design.stage_config`), then applies a
-    2x safety margin so admission — which compares this estimate
-    against a tenant's remaining headroom — over-rejects rather than
-    admitting a job the hard verbs-layer cap would kill halfway through
-    setup.  The conformance test asserts estimate >= actual for every
-    design.
+    policy clamping and planning share: it counts the QPs of the
+    endpoints the stage builds, then applies a 2x safety margin so
+    admission — which compares this estimate against a tenant's
+    remaining headroom — over-rejects rather than admitting a job the
+    hard verbs-layer cap would kill halfway through setup.  The
+    conformance test asserts estimate >= actual for every design.
     """
     d = resolve_design(design)
-    k, ep_threads, cfg = d.stage_config(threads, num_endpoints, config)
+    k = num_endpoints or d.num_endpoints(threads)
     per_ep_qps = 1 if d.uses_ud else nodes
     qps = 2 * nodes * k * per_ep_qps
-    window = cfg.buffers_per_connection * ep_threads * cfg.message_size
-    # send pool (window x groups) + recv pool (window x sources) per
-    # node, plus aux pools/boards absorbed by the margin.
-    registered = 2 * nodes * k * nodes * window
-    return Footprint(qps=2 * qps, registered_bytes=2 * registered)
+    return Footprint(qps=2 * qps)
 
 
 def _clamp_plan(plan: StagePlan, ctx: StageContext) -> StagePlan:
-    """Clamp a flat plan's endpoint count to fit the tenant's caps.
+    """Clamp a flat plan's endpoint count to fit the tenant's QP cap.
 
     The isolation lever of the svc-tenants ablation, moved here from
     ``ShuffleService._effective_endpoints``: under a quota the count is
@@ -264,15 +250,9 @@ def _clamp_plan(plan: StagePlan, ctx: StageContext) -> StagePlan:
     if not ctx.capped or plan.hierarchical:
         return plan
     natural = plan.num_endpoints or plan.design.num_endpoints(ctx.threads)
-    config = plan.apply(ctx.base_config)
     for candidate in range(natural, 0, -1):
-        qps, registered = plan_footprint(
-            plan.design, ctx.num_nodes, ctx.threads,
-            num_endpoints=candidate, config=config)
-        if ctx.max_qps is not None and qps > ctx.max_qps:
-            continue
-        if ctx.max_registered_bytes is not None and \
-                registered > ctx.max_registered_bytes:
+        if plan_footprint(plan.design, ctx.num_nodes, ctx.threads,
+                          num_endpoints=candidate).qps > ctx.max_qps:
             continue
         if candidate == natural and plan.num_endpoints is None:
             return plan

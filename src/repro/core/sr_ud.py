@@ -54,6 +54,12 @@ from repro.verbs.wr import SendWR
 
 __all__ = ["SRUDSendEndpoint", "SRUDReceiveEndpoint"]
 
+#: how long a receiver waits for outstanding datagrams after the
+#: sent/received totals disagree, before declaring a network error and
+#: forcing a query restart (§4.4.2).  The credit keepalive re-advertises
+#: every quarter of it.
+DRAIN_TIMEOUT_NS = 50_000_000
+
 
 class SRUDSendEndpoint(CreditedSendEndpoint):
     """SEND endpoint using RDMA Send over Unreliable Datagram."""
@@ -208,7 +214,7 @@ class SRUDReceiveEndpoint(CreditedReceiveEndpoint):
                 name=f"sr-ud-drain-{self.endpoint_id}-{conn.endpoint}")
 
     def _drain_watch(self, conn: PeerConnection):
-        yield self.config.drain_timeout_ns
+        yield DRAIN_TIMEOUT_NS
         if conn.expected is not None and conn.received < conn.expected:
             self._fail(ShuffleNetworkError(
                 f"endpoint {self.endpoint_id}: source {conn.endpoint} "
@@ -222,9 +228,8 @@ class SRUDReceiveEndpoint(CreditedReceiveEndpoint):
         Credit datagrams can be lost; because values are absolute this
         retransmission is idempotent and unwedges a starved sender.
         """
-        interval = max(1, self.config.drain_timeout_ns // 4)
         while self._active_sources:
-            yield interval
+            yield DRAIN_TIMEOUT_NS // 4
             # Wiring order, not set order: which credit datagram leaves
             # first must not depend on the integer values of endpoint ids.
             for _src_node, src_ep in self.sources:

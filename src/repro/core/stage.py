@@ -68,7 +68,7 @@ class ShuffleStage:
         self.threads = fabric.cluster.threads_per_node
         self.k, ep_threads, self.config = self.design.stage_config(
             self.threads, plan.num_endpoints, plan.apply(config),
-            mtu=fabric.config.mtu)
+            fabric.config.mtu)
         if self.k > self.threads:
             raise ValueError(
                 f"more endpoints ({self.k}) than threads ({self.threads})")

@@ -10,7 +10,7 @@ This package models the hardware substrate the paper's evaluation ran on:
 * :mod:`repro.fabric.topology` — the explicit switch graph: ports,
   switches, links and precomputed routes, built from a
   :class:`~repro.fabric.config.TopologySpec` preset (single-switch,
-  oversubscribed leaf-spine, dual-rail).
+  oversubscribed leaf-spine).
 * :mod:`repro.fabric.routing` — the generic path-walker executing a
   route's hop sequence as a flat callback chain.
 * :mod:`repro.fabric.network` — nodes and the switched fabric connecting
@@ -18,7 +18,6 @@ This package models the hardware substrate the paper's evaluation ran on:
 """
 
 from repro.fabric.config import (
-    DUAL_RAIL,
     EDR,
     FDR,
     LEAF_SPINE,
@@ -26,7 +25,6 @@ from repro.fabric.config import (
     ClusterConfig,
     NetworkConfig,
     TopologySpec,
-    parse_topology,
 )
 from repro.fabric.network import Fabric, Node
 from repro.fabric.nic import NIC, QPContextCache
@@ -34,7 +32,6 @@ from repro.fabric.packet import Packet
 from repro.fabric.topology import Topology
 
 __all__ = [
-    "DUAL_RAIL",
     "EDR",
     "FDR",
     "LEAF_SPINE",
@@ -48,5 +45,4 @@ __all__ = [
     "QPContextCache",
     "Topology",
     "TopologySpec",
-    "parse_topology",
 ]

@@ -15,12 +15,11 @@ in bytes per nanosecond, which is numerically identical to GB/s.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 __all__ = [
     "NetworkConfig", "ClusterConfig", "FDR", "EDR",
-    "TopologySpec", "SINGLE_SWITCH", "LEAF_SPINE", "DUAL_RAIL",
-    "parse_topology", "default_topology", "set_default_topology",
+    "TopologySpec", "SINGLE_SWITCH", "LEAF_SPINE",
 ]
 
 KIB = 1024
@@ -214,16 +213,12 @@ EDR = NetworkConfig(
 )
 
 
-#: independent switch planes of a ``dual-rail`` topology.
-RAILS = 2
-
-
 @dataclass(frozen=True)
 class TopologySpec:
     """How the cluster's switches are wired.
 
     A pure description — :class:`repro.fabric.topology.Topology` turns it
-    into a live Port/Switch/Link graph with precomputed routes.  Three
+    into a live Port/Switch/Link graph with precomputed routes.  Two
     kinds are supported:
 
     * ``single-switch`` — every node on one full-bisection switch; the
@@ -233,9 +228,6 @@ class TopologySpec:
       spine; each leaf's uplink/downlink trunks run at
       ``nodes_per_leaf * link_rate / oversubscription``, so
       ``oversubscription > 1`` starves cross-leaf traffic.
-    * ``dual-rail`` — :data:`RAILS` independent full-bisection planes
-      with per-destination output ports; traffic is striped over the
-      rails by ``(src + dst) % RAILS``, exposing output-port incast.
     """
 
     kind: str = "single-switch"
@@ -244,7 +236,7 @@ class TopologySpec:
     #: nodes attached to each leaf switch (leaf-spine only).
     nodes_per_leaf: int = 4
 
-    _KINDS = ("single-switch", "leaf-spine", "dual-rail")
+    _KINDS = ("single-switch", "leaf-spine")
 
     def __post_init__(self):
         if self.kind not in self._KINDS:
@@ -262,8 +254,6 @@ class TopologySpec:
         if self.kind == "leaf-spine":
             return (f"leaf-spine {self.oversubscription}:1, "
                     f"{self.nodes_per_leaf} nodes/leaf")
-        if self.kind == "dual-rail":
-            return f"dual-rail ({RAILS} planes)"
         return "single-switch (full bisection)"
 
 
@@ -278,55 +268,6 @@ def LEAF_SPINE(oversubscription: int = 1,
                         nodes_per_leaf=nodes_per_leaf)
 
 
-#: two independent full-bisection planes, striped by (src + dst) parity.
-DUAL_RAIL = TopologySpec("dual-rail")
-
-
-def parse_topology(text: str) -> TopologySpec:
-    """Parse a CLI topology spec.
-
-    Accepted forms: ``single-switch``, ``dual-rail``, ``leaf-spine``,
-    ``leaf-spine:K`` (K:1 oversubscription) and ``leaf-spine:K:M``
-    (M nodes per leaf).
-    """
-    accepted = "expected single-switch, leaf-spine[:K[:M]] or dual-rail"
-    parts = text.strip().split(":")
-    kind = parts[0]
-    if kind == "leaf-spine":
-        if len(parts) > 3 or not all(p.isdecimal() for p in parts[1:]):
-            raise ValueError(
-                f"bad leaf-spine topology {text!r}: K and M must be positive "
-                f"integers; {accepted}")
-        return LEAF_SPINE(*(int(p) for p in parts[1:]))
-    if len(parts) > 1:
-        raise ValueError(
-            f"topology {kind!r} takes no parameters: {text!r}; {accepted}")
-    if kind == "single-switch":
-        return SINGLE_SWITCH
-    if kind == "dual-rail":
-        return DUAL_RAIL
-    raise ValueError(f"unknown topology {text!r}; {accepted}")
-
-
-#: process-wide default for newly built ClusterConfigs; the
-#: ``repro-bench --topology`` knob retargets every experiment through it.
-_DEFAULT_TOPOLOGY = SINGLE_SWITCH
-
-
-def default_topology() -> TopologySpec:
-    """The topology newly built :class:`ClusterConfig` objects get."""
-    return _DEFAULT_TOPOLOGY
-
-
-def set_default_topology(spec: TopologySpec) -> TopologySpec:
-    """Replace the process-wide default topology; returns the previous
-    one so callers can restore it."""
-    global _DEFAULT_TOPOLOGY
-    previous = _DEFAULT_TOPOLOGY
-    _DEFAULT_TOPOLOGY = spec
-    return previous
-
-
 @dataclass(frozen=True)
 class ClusterConfig:
     """A concrete experiment platform: a network preset plus topology."""
@@ -335,9 +276,8 @@ class ClusterConfig:
     num_nodes: int
     threads_per_node: int = 0  # 0 => network.cores_per_node
     seed: int = 1
-    #: switch wiring; defaults to the ambient :func:`default_topology`
-    #: (normally SINGLE_SWITCH, the paper's platform).
-    topology: TopologySpec = field(default_factory=default_topology)
+    #: switch wiring; the paper's platform is one full-bisection switch.
+    topology: TopologySpec = SINGLE_SWITCH
 
     def __post_init__(self):
         if self.num_nodes < 1:

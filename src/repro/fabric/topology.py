@@ -4,7 +4,7 @@ The paper's clusters hang every node off one full-bisection switch, so
 the original fabric hard-coded a single ``switch_latency_ns`` hop.  This
 module makes the switching fabric explicit so the simulation can also
 model what the paper's platform could not exhibit: rack-scale fabrics
-with oversubscribed trunks and multi-plane (rail) wiring.
+with oversubscribed trunks.
 
 Structure
 ---------
@@ -21,10 +21,10 @@ Structure
 * :class:`Topology` — per-pair hop sequences
   (:meth:`Topology.route_hops`), derived on lookup from a
   :class:`~repro.fabric.config.TopologySpec`.  Hop tuples are shared
-  per *equivalence class* (same leaf pair, same rail and destination,
-  the one single-switch hop) instead of materialised per node pair, so
-  route state is O(switches), not O(nodes²) — the difference between 16
-  paper nodes and the 1024-node mesoscale sweep.
+  per *equivalence class* (same leaf pair, the one single-switch hop)
+  instead of materialised per node pair, so route state is
+  O(switches), not O(nodes²) — the difference between 16 paper nodes
+  and the 1024-node mesoscale sweep.
 
 The walkers in :mod:`repro.fabric.routing` execute these hop sequences;
 the :class:`~repro.fabric.network.Fabric` itself no longer knows what a
@@ -44,7 +44,7 @@ from __future__ import annotations
 
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from repro.fabric.config import RAILS, NetworkConfig, TopologySpec
+from repro.fabric.config import NetworkConfig, TopologySpec
 from repro.sim import Simulator
 from repro.sim.primitives import RatePipe
 
@@ -145,8 +145,6 @@ class Topology:
             Tuple[Tuple[Hop, ...], Dict[int, Tuple[Hop, ...]]]] = {}
         if spec.kind == "leaf-spine":
             self._build_leaf_spine()
-        elif spec.kind == "dual-rail":
-            self._build_dual_rail()
         else:
             self._build_single_switch()
 
@@ -209,31 +207,6 @@ class Topology:
                     pair[(sl, dl)] = (up_hop[sl], spine_hop, down_hop[dl])
         self._pair_hops = (
             lambda src, dst: pair[(src // per_leaf, dst // per_leaf)])
-
-    def _build_dual_rail(self) -> None:
-        """Independent full-bisection planes with per-destination output
-        ports; traffic is striped over the :data:`RAILS` rails by
-        ``(src + dst) % RAILS``.  The output port makes receiver incast
-        explicit: two senders converging on one destination over the
-        same rail serialize at its switch port before reaching the NIC.
-        """
-        net = self.network
-        latency = net.switch_latency_ns
-        rails = [self._add_switch(f"rail{r}") for r in range(RAILS)]
-        out_hop: List[List[Hop]] = []
-        for rail in rails:
-            hops_for_rail = []
-            for dst in range(self.num_nodes):
-                port = rail.add_port(self.sim, f"out{dst}",
-                                     net.link_bytes_per_ns)
-                hops_for_rail.append(Hop(port, latency))
-            out_hop.append(hops_for_rail)
-        # One shared 1-tuple per (rail, dst) output port — O(rails · n)
-        # route state instead of O(n²).
-        rail_hops = [tuple((hop,) for hop in hops_for_rail)
-                     for hops_for_rail in out_hop]
-        self._pair_hops = (
-            lambda src, dst: rail_hops[(src + dst) % RAILS][dst])
 
     # -- lookup ------------------------------------------------------------
 

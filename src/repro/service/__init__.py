@@ -2,8 +2,8 @@
 
 A job/scheduler layer above :class:`~repro.cluster.Cluster` that runs an
 open-loop stream of shuffle jobs from N tenants on one shared fabric,
-with pluggable admission policies and per-tenant QP / registered-memory
-quota caps enforced through the verbs layer.
+with pluggable admission policies and per-tenant QP quota caps
+enforced through the verbs layer.
 """
 
 from repro.service.jobs import Job, JobQueue, TenantSpec

@@ -10,7 +10,7 @@ everyone (the Fig 10/11 degradation mechanism, now cross-tenant).  The
 * it is installed on the fabric via ``Cluster.enable_quotas()`` and
   called by the verbs layer (duck-typed, like the sanitizer hook) for
   every tenant-tagged QP creation/destruction and MR (de)registration;
-* hard caps turn an over-budget creation into a
+* a hard QP cap turns an over-budget creation into a
   :class:`QuotaExceededError` *at the verbs layer* — the backstop;
 * admission control uses :func:`estimate_footprint` — a deliberately
   generous over-approximation of a job's cluster-wide footprint — so an
@@ -34,7 +34,7 @@ __all__ = [
 
 
 class QuotaExceededError(RuntimeError):
-    """A tenant attempted to exceed its QP or registered-memory cap."""
+    """A tenant attempted to exceed its QP cap."""
 
 
 @dataclass
@@ -48,7 +48,6 @@ class TenantUsage:
     peak_registered_bytes: int = 0
     #: creations refused by the hard cap.
     qp_denials: int = 0
-    mr_denials: int = 0
 
 
 @dataclass
@@ -56,11 +55,11 @@ class TenantQuota:
     """Caps for one tenant; ``None`` means unlimited."""
 
     max_qps: Optional[int] = None
-    max_registered_bytes: Optional[int] = None
 
 
 class QuotaManager:
-    """Cluster-wide per-tenant QP and registered-memory accounting.
+    """Cluster-wide per-tenant QP and registered-memory accounting;
+    only QPs are capped.
 
     Resources tagged with ``tenant=None`` (single-query benchmarks, the
     baselines) are never charged, so installing a manager on a fabric
@@ -73,10 +72,9 @@ class QuotaManager:
 
     # -- configuration -----------------------------------------------------
 
-    def set_quota(self, tenant: str, max_qps: Optional[int] = None,
-                  max_registered_bytes: Optional[int] = None) -> None:
-        """Cap ``tenant``'s cluster-wide QP count / registered bytes."""
-        self._quotas[tenant] = TenantQuota(max_qps, max_registered_bytes)
+    def set_quota(self, tenant: str, max_qps: Optional[int] = None) -> None:
+        """Cap ``tenant``'s cluster-wide QP count."""
+        self._quotas[tenant] = TenantQuota(max_qps)
 
     def quota(self, tenant: str) -> TenantQuota:
         return self._quotas.get(tenant, TenantQuota())
@@ -91,16 +89,9 @@ class QuotaManager:
 
     def can_admit(self, tenant: str, footprint: Footprint) -> bool:
         """Would ``footprint`` fit under ``tenant``'s caps right now?"""
-        quota = self.quota(tenant)
-        account = self.usage(tenant)
-        if quota.max_qps is not None and \
-                account.qps + footprint.qps > quota.max_qps:
-            return False
-        if quota.max_registered_bytes is not None and \
-                account.registered_bytes + footprint.registered_bytes \
-                > quota.max_registered_bytes:
-            return False
-        return True
+        max_qps = self.quota(tenant).max_qps
+        return max_qps is None or \
+            self.usage(tenant).qps + footprint.qps <= max_qps
 
     # -- verbs-layer hooks (duck-typed; see repro.verbs.device) -------------
 
@@ -128,15 +119,7 @@ class QuotaManager:
                          mr: Any) -> None:
         if tenant is None:
             return
-        quota = self.quota(tenant)
         account = self.usage(tenant)
-        if quota.max_registered_bytes is not None and \
-                account.registered_bytes + mr.length \
-                > quota.max_registered_bytes:
-            account.mr_denials += 1
-            raise QuotaExceededError(
-                f"tenant {tenant!r}: registered-memory cap "
-                f"{quota.max_registered_bytes} B reached (node {node_id})")
         account.registered_bytes += mr.length
         account.peak_registered_bytes = max(
             account.peak_registered_bytes, account.registered_bytes)
@@ -158,7 +141,6 @@ class QuotaManager:
                 "peak_qps": account.peak_qps,
                 "peak_registered_bytes": account.peak_registered_bytes,
                 "qp_denials": account.qp_denials,
-                "mr_denials": account.mr_denials,
             }
             for tenant, account in sorted(self._usage.items())
         }

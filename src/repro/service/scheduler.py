@@ -167,7 +167,6 @@ class ShuffleService:
             bytes_per_node=tenant.bytes_per_job,
             num_endpoints=tenant.num_endpoints,
             max_qps=quota.max_qps,
-            max_registered_bytes=quota.max_registered_bytes,
         )
 
     def plan_for(self, tenant: TenantSpec) -> StagePlan:
@@ -178,8 +177,7 @@ class ShuffleService:
         return estimate_footprint(
             plan.design, self.cluster.num_nodes,
             self.cluster.threads_per_node,
-            num_endpoints=plan.num_endpoints,
-            config=plan.apply())
+            num_endpoints=plan.num_endpoints)
 
     def headroom_ok(self, job: Job) -> bool:
         """May ``job`` be admitted right now under its tenant's caps?"""
@@ -191,11 +189,7 @@ class ShuffleService:
             return False
         fp = self.job_footprint(job, plan)
         reserved = self._reserved.get(tenant, [])
-        combined = Footprint(
-            qps=fp.qps + sum(r.qps for r in reserved),
-            registered_bytes=(fp.registered_bytes +
-                              sum(r.registered_bytes for r in reserved)),
-        )
+        combined = Footprint(qps=fp.qps + sum(r.qps for r in reserved))
         ok = self.quotas.can_admit(tenant, combined)
         if not ok:
             job.deferrals += 1

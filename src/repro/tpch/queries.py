@@ -18,7 +18,6 @@ from typing import Dict, List, Optional
 import numpy as np
 
 from repro.cluster import Cluster
-from repro.core.endpoint import EndpointConfig
 from repro.core.groups import TransmissionGroups
 from repro.core.policy import DesignLike, StageContext, resolve_plan
 from repro.core.receive import ReceiveOperator
@@ -60,13 +59,11 @@ class _PlanContext:
     """Carries everything the per-query builders need."""
 
     def __init__(self, cluster: Cluster, design: DesignLike, data: TPCHData,
-                 config: Optional[EndpointConfig], local_data: bool):
+                 local_data: bool):
         self.cluster = cluster
         self.data = data
-        self.config = config or EndpointConfig()
         #: the one plan every stage of the query runs.
-        self.plan = resolve_plan(design, StageContext.from_cluster(
-            cluster, config=self.config))
+        self.plan = resolve_plan(design, StageContext.from_cluster(cluster))
         self.local_data = local_data
         self.threads = cluster.threads_per_node
         self.n = cluster.num_nodes
@@ -77,7 +74,7 @@ class _PlanContext:
     # -- stage/operator helpers ------------------------------------------------
 
     def make_stage(self, groups) -> ShuffleStage:
-        stage = self.cluster.shuffle_stage(self.plan, groups, self.config)
+        stage = self.cluster.shuffle_stage(self.plan, groups)
         self.stages.append(stage)
         return stage
 
@@ -320,7 +317,6 @@ _BUILDERS = {
 
 def run_query(cluster: Cluster, query: str, data: TPCHData,
               design: DesignLike = "MESQ/SR",
-              config: Optional[EndpointConfig] = None,
               local_data: bool = False) -> QueryResult:
     """Execute one TPC-H query on a simulated cluster.
 
@@ -341,7 +337,7 @@ def run_query(cluster: Cluster, query: str, data: TPCHData,
         raise ValueError("the local-data plan needs data generated with "
                          "copartition=True")
     builder, extract = _BUILDERS[query]
-    ctx = _PlanContext(cluster, design, data, config, local_data)
+    ctx = _PlanContext(cluster, design, data, local_data)
     builder(ctx)
     setup_ns = 0
     for stage in ctx.stages:

@@ -28,8 +28,6 @@ class WorkCompletion:
     #: source node/QP for incoming messages (UD receive reports these).
     src_node: int = -1
     src_qpn: int = -1
-    #: immediate data, if the sender attached any.
-    imm: Optional[int] = None
     #: causal flow id of the message this completion closes (0 = untracked).
     flow: int = 0
 
@@ -42,7 +40,7 @@ class CompletionQueue:
     """A completion queue shared by any number of Queue Pairs.
 
     The paper associates all of an endpoint's QPs with a single CQ to
-    amortize polling (§4.4.1); this class supports that directly.  Two
+    amortize polling (§4.4.1); this class supports that directly.  Three
     consumption styles are offered:
 
     * :meth:`poll` — the non-blocking ``ibv_poll_cq`` equivalent;

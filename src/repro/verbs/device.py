@@ -157,19 +157,13 @@ class VerbsContext:
                tenant: Optional[str] = None) -> MemoryRegion:
         """Register ``length`` bytes (immediate; no time charged).
 
-        ``tenant`` tags the region for service-layer accounting; an
-        installed quota arbiter may refuse the registration by raising,
-        in which case the region is rolled back before propagating.
+        ``tenant`` tags the region for service-layer accounting.
         """
         mr = self.memory.register(length)
         mr.tenant = tenant
         quotas = self.fabric.quotas
         if quotas is not None:
-            try:
-                quotas.on_mr_registered(self.node_id, tenant, mr)
-            except Exception:
-                self.memory.deregister(mr)
-                raise
+            quotas.on_mr_registered(self.node_id, tenant, mr)
         return mr
 
     def charge_registration(self, length: int):

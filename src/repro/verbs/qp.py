@@ -288,7 +288,7 @@ class QueuePair:
         self.recv_cq.push(WorkCompletion(
             wr_id=rwr.wr_id, opcode=Opcode.RECV, byte_len=packet.length,
             qpn=self.qpn, src_node=packet.src_node, src_qpn=packet.src_qpn,
-            imm=packet.meta.get("imm"), flow=packet.flow,
+            flow=packet.flow,
         ))
 
     # -- Reliable Connection data paths -----------------------------------------
@@ -309,7 +309,7 @@ class QueuePair:
                 src_qpn=self.qpn, dst_qpn=peer.qpn, kind="SEND",
                 length=wr.length, transport="RC",
                 payload=None if wr.buffer is None else wr.buffer.payload,
-                meta={"imm": wr.imm}, flow=wr.flow,
+                flow=wr.flow,
             )
             ctx.fabric.route(packet, arrived)
 
@@ -462,7 +462,7 @@ class QueuePair:
                 src_qpn=self.qpn, dst_qpn=dest.qpn, kind="SEND",
                 length=wr.length, transport="UD",
                 payload=None if wr.buffer is None else wr.buffer.payload,
-                meta={"imm": wr.imm}, flow=wr.flow,
+                flow=wr.flow,
             )
             # No ack in UD: local completion (``on_egress``) once the NIC
             # drained the buffer.

@@ -17,8 +17,7 @@ class SendWR:
     Field usage per opcode:
 
     * ``SEND`` — ``buffer`` holds the data to transmit; ``dest`` names the
-      remote QP for UD (RC uses the connected peer); ``imm`` optionally
-      carries 32 bits of immediate data delivered with the message.
+      remote QP for UD (RC uses the connected peer).
     * ``READ`` — ``buffer`` is the *local destination*; ``remote_addr`` is
       the registered remote address to read ``length`` bytes from.
     * ``WRITE`` — ``remote_addr`` is the registered remote address to
@@ -32,7 +31,6 @@ class SendWR:
     length: int = 0
     remote_addr: int = 0
     dest: Optional[AddressHandle] = None
-    imm: Optional[int] = None
     value: Optional[int] = None
     #: request a completion entry for this WR (IBV_SEND_SIGNALED).
     signaled: bool = True

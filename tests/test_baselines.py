@@ -26,8 +26,11 @@ class TestQperf:
             0.5 * run_qperf(EDR, message_size=65536)
 
     def test_rejects_empty_run(self):
-        with pytest.raises(ValueError):
-            run_qperf(EDR, messages=0)
+        """One message times nothing: the first arrival only starts the
+        span, so ``messages=1`` used to return 0.0 GiB/s."""
+        for messages in (0, 1):
+            with pytest.raises(ValueError, match="^messages must be >= 2"):
+                run_qperf(EDR, messages=messages)
 
 
 class TestMPIRuntime:

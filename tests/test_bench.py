@@ -204,6 +204,16 @@ class TestExperiments:
             assert "--scale must be positive" in captured.err
             assert captured.out == ""
 
+    @pytest.mark.parametrize("bad, message", [
+        (dict(tenants=1), "--tenants must be >= 2"),
+        (dict(scale=0.0), "--scale must be positive"),
+    ], ids=["tenants", "scale"])
+    def test_options_reject_bad_values_at_construction(self, bad, message):
+        """svc-tenants with one tenant used to simulate for seconds and
+        then die on an empty aggressor list."""
+        with pytest.raises(ValueError, match=f"^{message}"):
+            Options(**bad)
+
     def test_cli_nodes_rejects_degenerate_cluster(self):
         with pytest.raises(SystemExit):
             cli_main(["fig12", "--nodes", "1"])

@@ -104,12 +104,10 @@ class TestCreditProtocol:
             EndpointConfig(buffers_per_connection=2, credit_frequency=3)
 
     @pytest.mark.parametrize("value", [0, -1])
-    @pytest.mark.parametrize("field", ["drain_timeout_ns", "ud_window_factor"])
+    @pytest.mark.parametrize("field", ["ud_window_factor"])
     def test_ud_knobs_below_one_rejected(self, field, value):
-        """Checked here, not at run time: a negative drain timeout would
-        clamp the UD keepalive interval to 1 ns and flood the send
-        queue, and a zero window factor would fail stage setup naming
-        buffers_per_connection."""
+        """Checked here, not at run time: a zero window factor would
+        fail stage setup naming buffers_per_connection."""
         with pytest.raises(ValueError,
                            match=f"^{field} must be >= 1, not {value}$"):
             EndpointConfig(**{field: value})
@@ -130,7 +128,7 @@ class TestUnreliableDatagram:
         """Lost datagrams leave received < expected; after the drain
         timeout the endpoint reports a network error (query restart)."""
         cluster = make_cluster(ud_loss_probability=0.05, ud_jitter_ns=0)
-        cfg = EndpointConfig(message_size=4096, drain_timeout_ns=2_000_000)
+        cfg = EndpointConfig(message_size=4096)
         run_stage_query(cluster, "MESQ/SR", rows_per_node=30000,
                         config=cfg, expect_error=True)
 
@@ -280,6 +278,6 @@ class TestEndpointConformance:
         if not design.uses_ud:
             pytest.skip("reliable transport: retransmission is in hardware")
         cluster = make_cluster(ud_loss_probability=0.05, ud_jitter_ns=0)
-        cfg = EndpointConfig(message_size=4096, drain_timeout_ns=2_000_000)
+        cfg = EndpointConfig(message_size=4096)
         run_stage_query(cluster, design, rows_per_node=30000,
                         config=cfg, expect_error=True)

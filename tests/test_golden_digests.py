@@ -38,7 +38,7 @@ from repro.core import ReceiveOperator, ShuffleOperator
 from repro.core.shuffle import striped_partitioner
 from repro.engine import CollectSink, QueryFragment, run_fragments
 from repro.engine.scan import ScanOperator
-from repro.fabric import DUAL_RAIL, LEAF_SPINE, SINGLE_SWITCH, Fabric, Packet
+from repro.fabric import LEAF_SPINE, SINGLE_SWITCH, Fabric, Packet
 from repro.sim import Simulator
 from tests.test_determinism import DESIGN_NAMES, _comparable
 
@@ -48,8 +48,8 @@ DTYPE = np.dtype([("a", np.int64), ("b", np.int64)])
 #: (16 MTU packets at the 4 KiB MTU).
 UD_DESIGNS = {"MESQ/SR", "MESQ/SR+MC"}
 
-TOPOLOGIES = [SINGLE_SWITCH, LEAF_SPINE(oversubscription=2), DUAL_RAIL]
-TOPOLOGY_IDS = ["single-switch", "leaf-spine", "dual-rail"]
+TOPOLOGIES = [SINGLE_SWITCH, LEAF_SPINE(oversubscription=2)]
+TOPOLOGY_IDS = ["single-switch", "leaf-spine"]
 
 #: the points of :func:`run_shuffle` at which the observers can be
 #: switched on; nothing simulated has happened before the last of them.

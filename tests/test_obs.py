@@ -20,9 +20,8 @@ import random
 
 import pytest
 
-from repro import Cluster, ClusterConfig, EDR, FDR, EndpointConfig
+from repro import Cluster, ClusterConfig, EDR, FDR, LEAF_SPINE, EndpointConfig
 from repro.bench.workloads import run_repartition
-from repro.fabric.config import parse_topology
 from repro.obs import (
     CATEGORIES,
     REPORT_SCHEMA,
@@ -161,7 +160,7 @@ class TestValidationMechanisms:
         must exceed the balanced 1:1 fabric's."""
         shares = {}
         for factor in (1, 4):
-            spec = parse_topology(f"leaf-spine:{factor}:4")
+            spec = LEAF_SPINE(oversubscription=factor, nodes_per_leaf=4)
             with session(report=True):
                 cluster = Cluster(ClusterConfig(network=EDR, num_nodes=8,
                                                 topology=spec))

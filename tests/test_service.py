@@ -61,23 +61,10 @@ class TestQuotaHooks:
         # The refused QP must not leak into the context.
         assert len(ctx._qps) == 1
 
-    def test_mr_cap_enforced_at_verbs_layer(self):
-        cluster = make_cluster(nodes=2)
-        quotas = QuotaManager()
-        quotas.set_quota("t", max_registered_bytes=4096)
-        cluster.enable_quotas(quotas)
-        ctx = cluster.contexts[0]
-        ctx.reg_mr(4096, tenant="t")
-        with pytest.raises(QuotaExceededError, match="registered-memory"):
-            ctx.reg_mr(1, tenant="t")
-        usage = quotas.usage("t")
-        assert usage.registered_bytes == 4096
-        assert usage.mr_denials == 1
-
     def test_untagged_resources_are_never_charged(self):
         cluster = make_cluster(nodes=2)
         quotas = QuotaManager()
-        quotas.set_quota("t", max_qps=0, max_registered_bytes=0)
+        quotas.set_quota("t", max_qps=0)
         cluster.enable_quotas(quotas)
         ctx = cluster.contexts[0]
         cq = ctx.create_cq()
@@ -120,8 +107,6 @@ class TestFootprintConformance:
         usage = quotas.usage("t")
         estimate = estimate_footprint(design, nodes, threads)
         assert usage.peak_qps <= estimate.qps, design
-        assert usage.peak_registered_bytes <= estimate.registered_bytes, \
-            design
         # Teardown returns the tenant's account to exactly zero.
         stage.dispose()
         assert usage.qps == 0

@@ -5,7 +5,6 @@ import pytest
 from repro.cluster import Cluster
 from repro.bench.workloads import run_repartition
 from repro.fabric import (
-    DUAL_RAIL,
     EDR,
     LEAF_SPINE,
     SINGLE_SWITCH,
@@ -13,9 +12,7 @@ from repro.fabric import (
     Fabric,
     Packet,
     TopologySpec,
-    parse_topology,
 )
-from repro.fabric.config import default_topology, set_default_topology
 from repro.fabric.topology import Hop, Topology
 from repro.sim import Simulator
 
@@ -40,48 +37,15 @@ class TestTopologySpec:
     def test_describe(self):
         assert "full bisection" in SINGLE_SWITCH.describe()
         assert "4:1" in LEAF_SPINE(oversubscription=4).describe()
-        assert "2 planes" in DUAL_RAIL.describe()
 
-    def test_parse_topology_forms(self):
-        assert parse_topology("single-switch") == SINGLE_SWITCH
-        assert parse_topology("dual-rail") == DUAL_RAIL
-        assert parse_topology("leaf-spine") == LEAF_SPINE()
-        assert parse_topology("leaf-spine:4") == LEAF_SPINE(oversubscription=4)
-        assert parse_topology("leaf-spine:2:8") == LEAF_SPINE(
-            oversubscription=2, nodes_per_leaf=8)
-
-    def test_parse_topology_rejects_garbage(self):
-        with pytest.raises(ValueError):
-            parse_topology("clos")
-        with pytest.raises(ValueError):
-            parse_topology("single-switch:2")
-        with pytest.raises(ValueError):
-            parse_topology("dual-rail:3")
-        for spec in ("leaf-spine:2:4:9", "leaf-spine:x"):
-            with pytest.raises(ValueError) as err:
-                parse_topology(spec)
-            assert spec in str(err.value)
-            assert "leaf-spine[:K[:M]]" in str(err.value)
-
-    def test_default_topology_is_single_switch(self):
-        assert default_topology() == SINGLE_SWITCH
-        assert ClusterConfig(network=EDR, num_nodes=2).topology == \
-            SINGLE_SWITCH
-
-    def test_set_default_topology_retargets_new_configs(self):
-        previous = set_default_topology(DUAL_RAIL)
-        try:
-            assert ClusterConfig(network=EDR, num_nodes=2).topology == \
-                DUAL_RAIL
-        finally:
-            set_default_topology(previous)
+    def test_cluster_config_defaults_to_single_switch(self):
         assert ClusterConfig(network=EDR, num_nodes=2).topology == \
             SINGLE_SWITCH
 
     def test_with_topology(self):
         config = ClusterConfig(network=EDR, num_nodes=4)
-        derived = config.with_topology(DUAL_RAIL)
-        assert derived.topology == DUAL_RAIL
+        derived = config.with_topology(LEAF_SPINE(oversubscription=2))
+        assert derived.topology == LEAF_SPINE(oversubscription=2)
         assert config.topology == SINGLE_SWITCH
 
 
@@ -159,27 +123,6 @@ class TestLeafSpine:
         assert hop.port is None
 
 
-class TestDualRail:
-    def test_rail_striping_by_parity(self):
-        topo = make_topology(DUAL_RAIL)
-        (even,) = topo.route_hops(0, 2)
-        (odd,) = topo.route_hops(0, 3)
-        assert even.port.name == "rail0.out2"
-        assert odd.port.name == "rail1.out3"
-
-    def test_loopback_route_is_empty(self):
-        topo = make_topology(DUAL_RAIL)
-        assert topo.route_hops(2, 2) == ()
-
-    def test_incast_converges_on_one_output_port(self):
-        # Two senders hitting one destination over the same rail
-        # serialize at its output port before reaching the NIC.
-        topo = make_topology(DUAL_RAIL)
-        (a,) = topo.route_hops(0, 2)
-        (b,) = topo.route_hops(4, 2)
-        assert a.port is b.port
-
-
 class TestMulticastRoute:
     def test_single_switch_replicates_at_the_switch(self):
         topo = make_topology(SINGLE_SWITCH)
@@ -223,16 +166,6 @@ class TestEndToEnd:
         # The trunks carried the cross-leaf share of the shuffle.
         assert all(p.pipe.total_units > 0
                    for p in cluster.fabric.topology.ports())
-
-    def test_repartition_completes_on_dual_rail(self):
-        cluster = Cluster(ClusterConfig(
-            network=EDR, num_nodes=4, topology=DUAL_RAIL))
-        result = run_repartition(cluster, "MEMQ/SR",
-                                 bytes_per_node=2 * MIB)
-        assert result.receive_throughput_gib_per_node() > 0
-        carried = [p for p in cluster.fabric.topology.ports()
-                   if p.pipe.total_units > 0]
-        assert carried  # striped traffic reached the rail output ports
 
     def test_oversubscription_slows_cross_leaf_traffic(self):
         def elapsed(k):

@@ -414,19 +414,6 @@ class TestRCSendRecv:
 
         assert sim.run_process(proc()) == list(range(8))
 
-    def test_imm_data_delivered(self, sim):
-        _, ctxs = make_cluster(sim)
-        (qp0, qp1), (cq0, cq1) = rc_pair(ctxs)
-        rpool = BufferPool(ctxs[1], 1, 4096)
-        qp1.post_recv(RecvWR(wr_id="r", buffer=rpool.buffer(0), length=4096))
-        qp0.post_send(SendWR(wr_id="s", opcode=Opcode.SEND, length=0, imm=77))
-
-        def proc():
-            wc = yield cq1.wait()
-            return wc.imm
-
-        assert sim.run_process(proc()) == 77
-
     def test_send_on_unconnected_qp_rejected(self, sim):
         _, ctxs = make_cluster(sim)
         cq = ctxs[0].create_cq()
