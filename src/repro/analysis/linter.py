@@ -60,10 +60,10 @@ STATIC_RULES: Dict[str, str] = {
         "(use fabric.packet.make_train so wire bytes are derived from "
         "the transport in one place)"),
     "VS109": (
-        "self-referential closure in simulation code (a nested "
-        "callback capturing itself or stored onto the object it "
-        "captures creates a reference cycle the event loop keeps "
-        "alive — the _HopWalk leak class)"),
+        "self-referential callback in simulation code (a nested "
+        "callback capturing itself, or a closure or bound method "
+        "stored onto the object it refers to, creates a reference "
+        "cycle the event loop keeps alive)"),
 }
 
 
@@ -355,11 +355,36 @@ def _rule_vs108(rel: str, tree: ast.AST) -> Iterable[Tuple[int, str]]:
 _VS109_EXEMPT: Tuple[str, ...] = ()
 
 
+def _self_attr(expr: ast.expr) -> bool:
+    return (isinstance(expr, ast.Attribute)
+            and isinstance(expr.value, ast.Name)
+            and expr.value.id == "self")
+
+
+def _stored_onto_self(node: ast.AST) -> List[ast.expr]:
+    """The values ``node`` stores onto ``self``: the right-hand side of
+    an attr or item assignment, or the arguments of an append/register
+    into one of ``self``'s containers."""
+    if isinstance(node, ast.Assign):
+        if any(_self_attr(t) or (isinstance(t, ast.Subscript)
+                                 and _self_attr(t.value))
+               for t in node.targets):
+            return [node.value]
+    elif (isinstance(node, ast.Call)
+          and isinstance(node.func, ast.Attribute)
+          and node.func.attr in ("append", "add", "insert", "register",
+                                 "on")
+          and _self_attr(node.func.value)):
+        return node.args
+    return []
+
+
 def _rule_vs109(rel: str, tree: ast.AST) -> Iterable[Tuple[int, str]]:
     """Self-referential closures in simulation code (VS109).
 
-    Two shapes of the ``_HopWalk`` leak class (a per-hop walker that
-    rescheduled itself held its whole capture set alive across the run):
+    Three shapes of one leak class (a per-hop route walker that
+    rescheduled itself once held its whole capture set alive across
+    the run):
 
     * a nested function that references *its own name* — the closure
       cell then points back at the function object, a cycle only the
@@ -369,10 +394,14 @@ def _rule_vs109(rel: str, tree: ast.AST) -> Iterable[Tuple[int, str]]:
       memory that grows for the length of the run;
     * a closure capturing ``self`` that is stored onto ``self`` (attr
       assignment, or appended/registered into one of ``self``'s
-      containers) — ``self -> attr -> closure -> self``.
+      containers) — ``self -> attr -> closure -> self``;
+    * a bound method of ``self`` stored onto ``self`` the same ways
+      (``self.step = self.advance``) — the bound method holds ``self``,
+      the same cycle without a closure.
 
-    Both are fixed the same way: capture exactly what the callback
-    needs (locals, not ``self``), or clear the stored reference when
+    All are fixed the same way: capture exactly what the callback
+    needs (locals, not ``self``), pass bound methods where they are
+    used instead of keeping them, or clear the stored reference when
     the protocol step retires.
     """
     if not _in_scope(rel, ("sim/", "fabric/", "core/"),
@@ -409,38 +438,38 @@ def _rule_vs109(rel: str, tree: ast.AST) -> Iterable[Tuple[int, str]]:
                         captures_self[inner.name] = inner.lineno
         if not captures_self:
             continue
-
-        def self_attr(expr: ast.expr) -> bool:
-            return (isinstance(expr, ast.Attribute)
-                    and isinstance(expr.value, ast.Name)
-                    and expr.value.id == "self")
-
         for node in ast.walk(meth):
-            stored: Optional[str] = None
-            if isinstance(node, ast.Assign):
-                if (isinstance(node.value, ast.Name)
-                        and node.value.id in captures_self
-                        and any(self_attr(t) or (
-                            isinstance(t, ast.Subscript)
-                            and self_attr(t.value))
-                            for t in node.targets)):
-                    stored = node.value.id
-            elif (isinstance(node, ast.Call)
-                  and isinstance(node.func, ast.Attribute)
-                  and node.func.attr in ("append", "add", "insert",
-                                         "register", "on")
-                  and self_attr(node.func.value)):
-                for arg in node.args:
-                    if (isinstance(arg, ast.Name)
-                            and arg.id in captures_self):
-                        stored = arg.id
+            for value in _stored_onto_self(node):
+                if isinstance(value, ast.Name) and value.id in captures_self:
+                    yield (node.lineno,
+                           f"closure {value.id}() captures self and is "
+                           f"stored back onto self (reference cycle: "
+                           f"self -> container -> closure -> self; "
+                           f"capture the fields the callback needs "
+                           f"instead)")
+                    break
+    for cls in ast.walk(tree):
+        if not isinstance(cls, ast.ClassDef):
+            continue
+        defs = [d for d in cls.body
+                if isinstance(d, (ast.FunctionDef, ast.AsyncFunctionDef))]
+        #: methods whose ``self.<name>`` is a bound method (not a static
+        #: or class method, and not a property's value).
+        bound = {d.name for d in defs
+                 if not any(isinstance(dec, ast.Name) and dec.id in (
+                     "staticmethod", "classmethod", "property")
+                     for dec in d.decorator_list)}
+        for meth in defs:
+            for node in ast.walk(meth):
+                for value in _stored_onto_self(node):
+                    if (isinstance(value, ast.Attribute)
+                            and _self_attr(value) and value.attr in bound):
+                        yield (node.lineno,
+                               f"bound method self.{value.attr} is stored "
+                               f"back onto self (reference cycle: self -> "
+                               f"container -> bound method -> self; pass "
+                               f"it where it is used instead)")
                         break
-            if stored is not None:
-                yield (node.lineno,
-                       f"closure {stored}() captures self and is stored "
-                       f"back onto self (reference cycle: self -> "
-                       f"container -> closure -> self; capture the "
-                       f"fields the callback needs instead)")
 
 
 _RULES: Dict[str, Callable[[str, ast.AST], Iterable[Tuple[int, str]]]] = {

@@ -33,16 +33,29 @@ __all__ = ["R_DTYPE", "SyntheticShuffle", "make_template_batch"]
 R_DTYPE = np.dtype([("a", np.int64), ("b", np.int64)])
 
 
-def make_template_batch(rows: int = 16 * 1024, seed: int = 7) -> np.ndarray:
-    """A read-only batch of R tuples with a uniformly random key column.
+#: odd multipliers of the closed-form keys, one per column (bits of the
+#: usual golden-ratio and sqrt(2) hashing constants, reduced mod 2**62).
+_KEY_STEPS = (0x1E3779B97F4A7C15, 0x3504F333F9DE6485)
+_KEY_MASK = (1 << 62) - 1
+
+
+def make_template_batch(rows: int = 16 * 1024) -> np.ndarray:
+    """A read-only batch of R tuples whose keys spread evenly.
+
+    Row ``i`` holds ``(i * step) mod 2**62`` in each column, with an
+    odd step per column: a multiplicative hash of the row index, so the
+    keys are distinct and lie in ``[0, 2**62)``.  The contents matter to
+    no simulated result -- the striped partitioner slices batches
+    without reading a key -- but a real hash partitioner would still
+    spread them evenly, and no random generator is needed to make them.
 
     Read-only because in-flight messages hold views of it: a write would
     otherwise change tuples already on the wire.
     """
-    rng = np.random.default_rng(seed)
+    index = np.arange(rows, dtype=np.uint64)
     batch = np.empty(rows, dtype=R_DTYPE)
-    batch["a"] = rng.integers(0, 1 << 62, rows)
-    batch["b"] = rng.integers(0, 1 << 62, rows)
+    for name, step in zip(R_DTYPE.names, _KEY_STEPS):
+        batch[name] = (index * np.uint64(step)) & np.uint64(_KEY_MASK)
     batch.flags.writeable = False
     return batch
 

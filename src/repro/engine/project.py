@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from numpy.lib import recfunctions as rfn
+import numpy as np
 
 from repro.engine.operator import Operator
 
@@ -29,5 +29,9 @@ class ProjectOperator(Operator):
             return (state, None)
         yield self.per_tuple_cost(len(batch),
                                   ns_per_tuple=PROJECT_NS_PER_TUPLE)
-        projected = rfn.repack_fields(batch[self.columns])
-        return (state, projected)
+        # The selected fields packed in selection order: the bytes and
+        # dtype numpy's ``repack_fields`` gives, without importing its
+        # module (which pulls in ``numpy.ma``).
+        fields = batch.dtype.fields
+        packed = np.dtype([(name, fields[name][0]) for name in self.columns])
+        return (state, batch[self.columns].astype(packed, copy=False))

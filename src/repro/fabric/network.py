@@ -5,8 +5,9 @@ The fabric is now three collaborating pieces:
 * :mod:`repro.fabric.topology` — the explicit switch graph: ports,
   links, precomputed per-pair routes (built from the cluster's
   :class:`~repro.fabric.config.TopologySpec`);
-* :mod:`repro.fabric.routing` — the generic flat-callback path-walker
-  executing a route's hop sequence;
+* :mod:`repro.fabric.routing` — the path-walker: one
+  :class:`~repro.fabric.routing.Flight` per train, walking a route's
+  hop sequence;
 * this module — NIC attachment, delivery accounting, and the loss and
   jitter policy (what *unordered*/*lossy* mean).
 
@@ -30,7 +31,7 @@ from typing import Any, Callable, Dict, List, Optional, Tuple
 from repro.fabric import routing
 from repro.fabric.config import ClusterConfig, NetworkConfig
 from repro.fabric.nic import NIC
-from repro.fabric.packet import Packet, clone_for_member
+from repro.fabric.packet import Packet
 from repro.fabric.topology import Topology
 from repro.sim import Simulator
 from repro.telemetry.core import Telemetry
@@ -174,9 +175,8 @@ class Fabric:
         if packet.src_node == packet.dst_node:  # loopback
             unordered = lossy = False
         hops = self.topology.route_hops(packet.src_node, packet.dst_node)
-        routing.flat_route(
-            self, packet, hops, unordered,
-            routing.ingress(self, packet, lossy, on_arrival), on_egress)
+        routing.Flight(self, packet, hops, unordered, lossy, on_arrival,
+                       on_egress).depart()
 
     def mcast_attach(self, mgid: int, node_id: int, qpn: int) -> None:
         """Attach a UD QP to a multicast group."""
@@ -205,15 +205,5 @@ class Fabric:
         ]
         trunk, leg_hops = self.topology.mcast_route(
             packet.src_node, tuple(m[0] for m in members))
-
-        def fan_out() -> None:
-            # Legs are datagrams (jitter and loss both apply).
-            for node_id, qpn in members:
-                key = (packet.src_node, node_id)
-                self.link_bytes[key] = \
-                    self.link_bytes.get(key, 0) + packet.wire_bytes
-                routing.flat_leg(
-                    self, clone_for_member(packet, node_id, qpn),
-                    leg_hops[node_id], on_arrival)
-
-        routing.flat_route(self, packet, trunk, False, fan_out, on_egress)
+        routing.TrunkFlight(self, packet, trunk, on_arrival, on_egress,
+                            members, leg_hops).depart()

@@ -13,7 +13,7 @@ this outside ``fabric/``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Optional
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -44,8 +44,9 @@ class Packet:
     wire_bytes: int
     #: opaque payload reference (a Buffer's content, or control words).
     payload: Any = None
-    #: extra verb-specific fields (remote addr, wr ids, immediate data).
-    meta: dict = field(default_factory=dict)
+    #: a dict of an emulated baseline's protocol fields (MPI tags, TCP
+    #: segment flags); ``None`` for verbs traffic, which carries none.
+    meta: Any = None
     #: set True by the fabric when loss injection dropped this packet.
     dropped: bool = False
     #: causal flow id (repro.telemetry.links); 0 when recording is off.
@@ -81,7 +82,7 @@ def make_train(config: "NetworkConfig", *, src_node: int, dst_node: int,
     return Packet(
         src_node=src_node, dst_node=dst_node, src_qpn=src_qpn,
         dst_qpn=dst_qpn, kind=kind, length=length, wire_bytes=wire_bytes,
-        payload=payload, meta=meta if meta is not None else {}, flow=flow,
+        payload=payload, meta=meta, flow=flow,
     )
 
 

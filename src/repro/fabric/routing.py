@@ -1,8 +1,8 @@
 """The generic path-walker: one pipeline for every routing shape.
 
 Unicast, loopback and the two halves of multicast (shared trunk,
-per-member legs) all run one flat-callback walker over a precomputed
-hop sequence (:meth:`~repro.fabric.topology.Topology.route_hops`):
+per-member legs) are all one :class:`Flight` walking a precomputed hop
+sequence (:meth:`~repro.fabric.topology.Topology.route_hops`):
 
     egress pipe → [port pipe?, forwarding latency]* → loss? → ingress
 
@@ -29,166 +29,140 @@ and trunk links records are per message too: exactly one per train.
 
 from __future__ import annotations
 
-from typing import Callable, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from repro.fabric.packet import Packet
+from repro.fabric.packet import Packet, clone_for_member
 from repro.fabric.topology import Hop
 
-__all__ = ["Arrival", "flat_route", "flat_leg", "ingress"]
+__all__ = ["Arrival", "Flight", "TrunkFlight"]
 
 #: the arrival continuation of a route: called with the packet once it
 #: has fully arrived (or been dropped; ``packet.dropped`` says which).
 Arrival = Callable[[Packet], None]
 
 
-class _HopWalk:
-    """The multi-hop walk of :func:`_flat_walk` as a slotted object.
+class Flight:
+    """One train in flight: the whole route of one message as a slotted
+    object.
 
-    Calling the instance starts the walk at hop 0; each hop schedules
-    ``_forward`` (after the port pipe, where there is one), which in
-    turn schedules ``_advance`` for the next hop after the forwarding
-    latency.  An object rather than a recursive closure: a closure
-    that schedules itself refers to its own cell, a reference cycle per
-    message; finished walks here are reclaimed by reference counting
-    alone.
+    Its stages are methods, scheduled as bound methods: the simulator's
+    queue holds the flight while it is in flight, and nothing else does,
+    so a delivered flight is reclaimed by reference counting alone.  No
+    bound method is ever stored on the flight (that would be a
+    ``self -> attr -> self`` cycle, linter rule VS109).  Once its last
+    hop is walked, a flight delivers: the loss draw, the destination's
+    ingress pipe, then ``on_arrival(packet)``.
     """
 
-    __slots__ = ("fabric", "sim", "config", "rng", "packet", "hops",
-                 "unordered", "finish", "index", "latency")
+    __slots__ = ("fabric", "packet", "hops", "unordered", "lossy",
+                 "on_arrival", "on_egress", "index", "latency")
 
-    def __init__(self, fabric, sim, config, rng, packet: Packet,
-                 hops: Sequence[Hop], unordered: bool,
-                 finish: Callable[[], None]):
+    def __init__(self, fabric, packet: Packet, hops: Sequence[Hop],
+                 unordered: bool, lossy: bool, on_arrival: Arrival,
+                 on_egress: Optional[Callable[[], None]] = None):
         self.fabric = fabric
-        self.sim = sim
-        self.config = config
-        self.rng = rng
         self.packet = packet
         self.hops = hops
         self.unordered = unordered
-        self.finish = finish
+        self.lossy = lossy
+        self.on_arrival = on_arrival
+        self.on_egress = on_egress
         self.index = 0
         self.latency = 0
 
-    def __call__(self) -> None:
-        self._advance()
+    def depart(self) -> None:
+        """Charge the sender's egress pipe; the walk starts at its
+        completion."""
+        packet = self.packet
+        self.fabric.nodes[packet.src_node].nic.submit_tx(
+            packet.wire_bytes, self._egressed, flow=packet.flow)
 
-    def _advance(self) -> None:
+    def _egressed(self) -> None:
+        # The first hop is scheduled before the sender hears of the
+        # egress completion.
+        self.advance()
+        if self.on_egress is not None:
+            self.on_egress()
+
+    def advance(self) -> None:
+        """Walk the next hop, or end the flight after the last one.
+
+        A multicast leg starts here, in place: the trunk already paid
+        the sender's port once for the whole group.
+        """
         index = self.index
-        if index == len(self.hops):
-            self.finish()
+        hops = self.hops
+        if index == len(hops):
+            self._finish()
             return
-        hop = self.hops[index]
+        hop = hops[index]
         latency = hop.latency_ns
-        if index == 0 and self.unordered and self.config.ud_jitter_ns:
-            latency += self.rng.randrange(self.config.ud_jitter_ns)
+        if index == 0 and self.unordered:
+            jitter = self.fabric.config.ud_jitter_ns
+            if jitter:
+                latency += self.fabric._rng.randrange(jitter)
         assert type(latency) is int, "hop latency must be integer ns"
         self.index = index + 1
-        self.latency = latency
         if hop.port is None:
-            self._forward()
-        else:
-            pipe = hop.port.pipe
-            wire_bytes = self.packet.wire_bytes
-            links = self.fabric.telemetry.links
-            if links is not None:
-                links.pipe("trunk", hop.port.name, pipe,
-                           pipe._serialization_ns(wire_bytes), 0, 0,
-                           self.packet.flow)
-            pipe.submit_train(wire_bytes, self._forward)
+            self.fabric.sim.call_later(latency, self.advance)
+            return
+        self.latency = latency
+        pipe = hop.port.pipe
+        wire_bytes = self.packet.wire_bytes
+        links = self.fabric.telemetry.links
+        if links is not None:
+            links.pipe("trunk", hop.port.name, pipe,
+                       pipe._serialization_ns(wire_bytes), 0, 0,
+                       self.packet.flow)
+        pipe.submit_train(wire_bytes, self._forward)
 
     def _forward(self) -> None:
-        self.sim.call_later(self.latency, self._advance)
+        self.fabric.sim.call_later(self.latency, self.advance)
 
-
-def ingress(fabric, packet: Packet, lossy: bool,
-            on_arrival: Arrival) -> Callable[[], None]:
-    """The end of a delivered walk: the loss draw, the destination's
-    ingress pipe, then ``on_arrival(packet)`` — called in place at the
-    ingress completion (or at the drop), no queue entry of its own.
-    """
-    config = fabric.config
-    rng = fabric._rng
-
-    def deliver() -> None:
-        fabric.delivered_messages += 1
-        on_arrival(packet)
-
-    def enter() -> None:
-        if lossy and config.ud_loss_probability > 0:
-            if rng.random() < config.ud_loss_probability:
+    def _finish(self) -> None:
+        """The loss draw, then the destination's ingress pipe."""
+        fabric = self.fabric
+        packet = self.packet
+        if self.lossy:
+            loss = fabric.config.ud_loss_probability
+            if loss > 0 and fabric._rng.random() < loss:
                 packet.dropped = True
                 fabric.dropped_messages += 1
-                on_arrival(packet)
+                self.on_arrival(packet)
                 return
         fabric.nodes[packet.dst_node].nic.submit_rx(
-            packet.wire_bytes, packet.dst_qpn, deliver, flow=packet.flow)
+            packet.wire_bytes, packet.dst_qpn, self._deliver,
+            flow=packet.flow)
 
-    return enter
-
-
-def _flat_walk(fabric, packet: Packet, hops: Sequence[Hop],
-               unordered: bool,
-               finish: Callable[[], None]) -> Callable[[], None]:
-    """Build the flat-callback hop walk; returns its entry point.
-
-    The walk ends in ``finish``: :func:`ingress` for a delivery, the
-    fan-out for a multicast trunk.
-    """
-    sim = fabric.sim
-    config = fabric.config
-    rng = fabric._rng
-
-    # Specialized shapes for the hot cases — the same heap entries and
-    # RNG draw positions as the generic walker, without its object.
-    # Latencies are already validated integers (the Hop constructor is
-    # the rounding boundary), so the invariant holds by construction.
-    if not hops:  # loopback: the HCA turns the packet around
-        return finish
-    if len(hops) == 1 and hops[0].port is None:
-        base = hops[0].latency_ns
-        if unordered and config.ud_jitter_ns:
-            jitter = config.ud_jitter_ns
-
-            def single_jittered() -> None:
-                sim.call_later(base + rng.randrange(jitter), finish)
-
-            return single_jittered
-
-        def single() -> None:
-            sim.call_later(base, finish)
-
-        return single
-
-    return _HopWalk(fabric, sim, config, rng, packet, hops, unordered,
-                    finish)
+    def _deliver(self) -> None:
+        self.fabric.delivered_messages += 1
+        self.on_arrival(self.packet)
 
 
-def flat_route(fabric, packet: Packet, hops: Tuple[Hop, ...],
-               unordered: bool, finish: Callable[[], None],
-               on_egress: Optional[Callable[[], None]] = None) -> None:
-    """Route one train: egress pipe, then the hop walk into ``finish``.
+class TrunkFlight(Flight):
+    """A multicast trunk: ordered and lossless, it ends at the last
+    common switch in the fan-out that starts one leg :class:`Flight`
+    per member there.  Legs are datagrams: unordered and lossy."""
 
-    The egress pipe is charged here, at the call; ``on_egress()`` runs
-    in place once the train has left the sender's port, right after the
-    walk's first hop is scheduled.  The only per-packet allocations are
-    the stage closures — no Process, no generator frame, no Event.
-    """
-    walk = _flat_walk(fabric, packet, hops, unordered, finish)
+    __slots__ = ("members", "leg_hops")
 
-    def after_egress() -> None:
-        walk()
-        if on_egress is not None:
-            on_egress()
+    def __init__(self, fabric, packet: Packet, hops: Sequence[Hop],
+                 on_arrival: Arrival,
+                 on_egress: Optional[Callable[[], None]],
+                 members: List[Tuple[int, int]],
+                 leg_hops: Dict[int, Tuple[Hop, ...]]):
+        super().__init__(fabric, packet, hops, False, False, on_arrival,
+                         on_egress)
+        self.members = members
+        self.leg_hops = leg_hops
 
-    fabric.nodes[packet.src_node].nic.submit_tx(
-        packet.wire_bytes, after_egress, flow=packet.flow)
-
-
-def flat_leg(fabric, packet: Packet, hops: Tuple[Hop, ...],
-             on_arrival: Arrival) -> None:
-    """One multicast leg: the walk without an egress stage (the trunk
-    already paid the sender's port once for the whole group).  Legs are
-    datagrams: always unordered and lossy.  The walk starts in place."""
-    _flat_walk(fabric, packet, hops, True,
-               ingress(fabric, packet, True, on_arrival))()
+    def _finish(self) -> None:
+        fabric = self.fabric
+        packet = self.packet
+        link_bytes = fabric.link_bytes
+        for node_id, qpn in self.members:
+            key = (packet.src_node, node_id)
+            link_bytes[key] = link_bytes.get(key, 0) + packet.wire_bytes
+            Flight(fabric, clone_for_member(packet, node_id, qpn),
+                   self.leg_hops[node_id], True, True,
+                   self.on_arrival).advance()

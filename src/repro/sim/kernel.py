@@ -301,7 +301,14 @@ class Simulator:
             bucket.append(func)
 
     def call_at(self, when: int, func: Callable[[], None]) -> None:
-        """Run ``func()`` at absolute simulated time ``when`` (>= now)."""
+        """Run ``func()`` at absolute simulated time ``when`` (>= now).
+
+        ``when`` must be an ``int``: simulated time is integer ns, and a
+        float here would become the clock once its entry runs.
+        """
+        if not isinstance(when, int):
+            raise SimError(f"simulated time must be integer ns, got "
+                           f"{when!r} ({type(when).__name__})")
         if when < self.now:
             raise SimError(
                 f"cannot schedule into the past (when={when} < now={self.now})"
@@ -434,8 +441,13 @@ class Simulator:
         early, and never moves backwards: ``until <= now`` processes
         nothing and leaves the clock unchanged.
 
+        ``until`` must be an ``int`` (or ``None``): the clock is set to it.
+
         Returns the simulated time at which the run stopped.
         """
+        if until is not None and not isinstance(until, int):
+            raise SimError(f"run(until=) must be integer ns, got "
+                           f"{until!r} ({type(until).__name__})")
         self._drain(until, None)
         if until is not None and until > self.now:
             self.now = until

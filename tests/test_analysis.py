@@ -277,7 +277,7 @@ class TestVS108DirectPacketConstruction:
 
 
 class TestVS109SelfReferentialClosures:
-    """The _HopWalk leak class: a callback that keeps itself (and its
+    """The per-train leak class: a callback that keeps itself (and its
     whole capture set) alive through a reference cycle."""
 
     def test_recursive_nested_function_flagged(self):
@@ -339,6 +339,47 @@ class TestVS109SelfReferentialClosures:
             "    def on_cqe():\n"
             "        self.poll()\n"
             "    sim.call_soon(on_cqe)\n"
+        )
+        assert lint_source("core/evil.py", source) == []
+
+    def test_bound_method_stored_onto_self_flagged(self):
+        # No closure at all: the bound method holds self, so keeping it
+        # on self is the same self -> attr -> self cycle.
+        source = (
+            "class Walker:\n"
+            "    def __init__(self, sim):\n"
+            "        self.step = self.advance\n"
+            "    def advance(self):\n"
+            "        pass\n"
+        )
+        violations = lint_source("fabric/evil.py", source)
+        assert rules_of(violations) == ["VS109"]
+        assert "bound method self.advance" in violations[0].message
+
+    def test_bound_method_appended_to_self_container_flagged(self):
+        source = (
+            "class Walker:\n"
+            "    def start(self):\n"
+            "        self.handlers.append(self.advance)\n"
+            "    def advance(self):\n"
+            "        pass\n"
+        )
+        assert rules_of(lint_source("sim/evil.py", source)) == ["VS109"]
+
+    def test_bound_method_passed_elsewhere_or_data_copied_is_clean(self):
+        # Scheduling a bound method is the fix; copying a data
+        # attribute or a property's value stores no method.
+        source = (
+            "class Walker:\n"
+            "    def start(self, sim):\n"
+            "        sim.call_later(1, self.advance)\n"
+            "        self.total = self.count\n"
+            "        self.size = self.width\n"
+            "    def advance(self):\n"
+            "        pass\n"
+            "    @property\n"
+            "    def width(self):\n"
+            "        return 1\n"
         )
         assert lint_source("core/evil.py", source) == []
 

@@ -20,6 +20,7 @@ from repro.bench.workloads import run_broadcast, run_repartition
 from repro.core.designs import DESIGNS
 from repro.core.policy import HierarchicalPolicy
 from repro.fabric.config import LEAF_SPINE
+from repro.fabric.packet import make_train
 from repro.service import FairSharePolicy, ShuffleService, TenantSpec
 from repro.sim import Simulator
 from repro.tpch import generate, run_query
@@ -52,7 +53,7 @@ def make_cluster(nodes=4, network=EDR, **kwargs):
 
 
 def test_helper_reports_a_planted_cycle():
-    """The ``_HopWalk`` shape gone wrong: a callback that reschedules
+    """The route-walker shape gone wrong: a callback that reschedules
     itself by name is a closure cell pointing at its own function.  The
     helper must see it, or a zero below proves nothing."""
     def run():
@@ -103,6 +104,29 @@ def mcast_loss_jitter_run():
     return cluster
 
 
+def mcast_leaf_spine_run():
+    """Multicast from leaf 0 to the members of leaf 1: the trunk's
+    flight crosses a switch port before it hands over to one leg
+    flight per member."""
+    cluster = Cluster(ClusterConfig(network=EDR, num_nodes=8,
+                                    topology=LEAF_SPINE(2.0, 4))
+                      .with_network(**MCAST_NETWORK))
+    fabric = cluster.fabric
+    members = range(4, 8)
+    for node in members:
+        fabric.mcast_attach(7, node, 200 + node)
+    outcomes = []
+    for _ in range(16):
+        fabric.route_mcast(
+            make_train(cluster.config.network, src_node=0, dst_node=0,
+                       src_qpn=11, dst_qpn=0, kind="SEND", length=2048,
+                       transport="UD"),
+            7, outcomes.append)
+    cluster.run()
+    assert len(outcomes) == 16 * len(members)
+    return cluster
+
+
 def tpch_run(design):
     cluster = make_cluster()
     run_query(cluster, "Q3", generate(0.01, 4, seed=42), design=design)
@@ -140,6 +164,7 @@ def observed_run():
 SCENARIOS = {
     "hierarchical": hierarchical_run,
     "mcast-loss-jitter": mcast_loss_jitter_run,
+    "mcast-leaf-spine": mcast_leaf_spine_run,
     "tpch-MESQ/SR": lambda: tpch_run("MESQ/SR"),
     "tpch-MPI": lambda: tpch_run("MPI"),
     "service": service_run,

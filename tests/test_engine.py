@@ -186,6 +186,27 @@ class TestFilterProjectMap:
         assert out.dtype.names == ("v",)
         assert out.dtype.itemsize == 8  # repacked, no padding
 
+    @pytest.mark.parametrize("columns", [["v"], ["w", "k"], ["k", "v", "w"],
+                                         ["s", "v"]])
+    def test_project_matches_repack_fields(self, cluster, columns):
+        # Mixed widths and a selection out of field order: the output
+        # has the dtype and bytes numpy's own repack would give.
+        dtype = np.dtype([("k", np.int64), ("w", np.int32),
+                          ("s", "S3"), ("v", np.float64)])
+        batch = np.zeros(7, dtype=dtype)
+        batch["k"] = np.arange(7)
+        batch["w"] = -np.arange(7)
+        batch["s"] = b"ab"
+        batch["v"] = np.arange(7) / 4
+        op = ProjectOperator(cluster.nodes[0],
+                             BatchSource(cluster.nodes[0], [[batch]]),
+                             columns)
+        _state, out = cluster.run_process(op.next(0))
+        expected = rfn.repack_fields(batch[columns])
+        assert out.dtype == expected.dtype
+        assert out.dtype.descr == expected.dtype.descr
+        assert out.tobytes() == expected.tobytes()
+
     def test_project_requires_columns(self, cluster):
         with pytest.raises(ValueError):
             ProjectOperator(cluster.nodes[0],

@@ -7,18 +7,27 @@ tuple counters of both operators agree with what the sinks received, for
 every design.
 """
 
+import gc
+import os
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
 import pytest
 
+import repro
 from repro import Cluster, ClusterConfig, EDR, EndpointConfig
 from repro.bench.workloads import run_repartition
 from repro.core import ReceiveOperator, ShuffleOperator, TransmissionGroups
 from repro.core.designs import DESIGNS
+from repro.core.shuffle import hash_partitioner
 from repro.core.synthetic import SyntheticShuffle, make_template_batch
 from repro.engine import run_fragments
+from repro.fabric.network import Fabric
+from repro.fabric.packet import make_train
 from repro.memory import Buffer, BufferPool
+from repro.sim import Simulator
 from repro.tpch.datagen import generate
 
 MIB = 1 << 20
@@ -112,3 +121,76 @@ class TestReadOnlyInputs:
         assert not any(a.flags.writeable for a in arrays)
         with pytest.raises(ValueError):
             data.partition("orders", 0)["o_custkey"][:1] = np.int64(0)
+
+
+class TestWhatARunImports:
+    def test_a_synthetic_repartition_loads_no_rng_or_masked_arrays(self):
+        # A fresh interpreter: numpy.random (the template's keys) and
+        # numpy.ma (pulled in by numpy.lib.recfunctions) cost megabytes
+        # of RSS that nothing in a synthetic run needs.
+        code = ("import sys\n"
+                "from repro import Cluster, ClusterConfig, EDR\n"
+                "from repro.bench.workloads import run_repartition\n"
+                "cluster = Cluster(ClusterConfig(network=EDR, "
+                "num_nodes=2))\n"
+                "run_repartition(cluster, 'MESQ/SR', bytes_per_node=1 << 20)\n"
+                "print(sorted(m for m in sys.modules if m in ("
+                "'numpy.random', 'numpy.ma', 'numpy.lib.recfunctions')))\n")
+        src = os.path.dirname(os.path.dirname(repro.__file__))
+        out = subprocess.run(
+            [sys.executable, "-c", code], check=True, capture_output=True,
+            text=True, env={**os.environ, "PYTHONPATH": src}).stdout
+        assert out.strip() == "[]"
+
+
+class TestTemplateKeys:
+    def test_keys_are_distinct_and_62_bit(self):
+        batch = make_template_batch()
+        for name in ("a", "b"):
+            keys = batch[name]
+            assert len(np.unique(keys)) == len(batch)
+            assert keys.min() >= 0 and keys.max() < 1 << 62
+
+    @pytest.mark.parametrize("groups", [2, 3, 8, 16, 64])
+    def test_hash_partitioning_the_key_spreads_evenly(self, groups):
+        batch = make_template_batch()
+        counts = np.bincount(
+            hash_partitioner(lambda b: b["a"], groups)(batch),
+            minlength=groups)
+        share = len(batch) / groups
+        assert np.abs(counts - share).max() <= 0.02 * share, counts
+
+
+def test_a_queued_train_holds_a_handful_of_blocks():
+    """Trains queued behind one busy egress pipe: each holds its packet,
+    its flight object and its queue entry, not a set of closures."""
+    sim = Simulator()
+    config = ClusterConfig(network=EDR, num_nodes=2)
+    fabric = Fabric(sim, config)
+    arrived = []
+
+    def send(n, transport):
+        for _ in range(n):
+            packet = make_train(config.network, src_node=0, dst_node=1,
+                                src_qpn=1, dst_qpn=2, kind="SEND",
+                                length=4096, transport=transport)
+            datagram = transport == "UD"
+            fabric.route(packet, arrived.append, unordered=datagram,
+                         lossy=datagram)
+
+    trains = 1000
+    for transport in ("RC", "UD"):
+        send(64, transport)  # warm the bucket dict and the heap
+        gc.collect()
+        was_enabled = gc.isenabled()
+        gc.disable()
+        try:
+            before = sys.getallocatedblocks()
+            send(trains, transport)
+            per_train = (sys.getallocatedblocks() - before) / trains
+        finally:
+            if was_enabled:
+                gc.enable()
+        assert per_train <= 12, (transport, per_train)
+    sim.run()
+    assert len(arrived) == 2 * (64 + trains)

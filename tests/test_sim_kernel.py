@@ -301,6 +301,28 @@ class TestRunUntil:
         sim.run()
         assert fired == [42]
 
+    def test_call_at_rejects_a_float_time(self, sim):
+        # The clock takes ``when`` as is once the entry runs: a float
+        # here would make simulated time a float.
+        with pytest.raises(SimError, match="10.7"):
+            sim.call_at(10.7, lambda: None)
+        assert sim.run() == 0
+
+    def test_run_until_rejects_a_float_bound(self, sim):
+        with pytest.raises(SimError, match="2.5"):
+            sim.run(until=2.5)
+        assert sim.now == 0
+        fired = []
+        sim.call_later(1, lambda: fired.append(sim.now))
+        sim.run()
+        assert fired == [1] and type(fired[0]) is int
+
+    def test_call_later_truncates_a_float_delay(self, sim):
+        fired = []
+        sim.call_later(1.9, lambda: fired.append(sim.now))
+        sim.run()
+        assert fired == [1] and type(fired[0]) is int
+
 
 # -- same-timestamp FIFO ----------------------------------------------------
 
