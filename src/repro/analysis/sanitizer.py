@@ -282,7 +282,7 @@ class Sanitizer:
         """Called when a receive endpoint advertises absolute credit
         ``value`` on ``conn`` (credit word or credit datagram)."""
         if value > conn.posted:
-            if node_id < 0 and conn.qp is not None:
+            if node_id < 0:  # a credit word: the record has its RC QP
                 node_id = conn.qp.ctx.node_id
             self.record(
                 "credit-overgrant",

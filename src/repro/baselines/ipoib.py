@@ -179,8 +179,8 @@ class IPoIBReceiveEndpoint(ReceiveEndpoint):
         if not packet.meta.get("last"):
             return  # only the final segment completes a message
         frame: Frame = packet.payload
-        if frame.kind == "final":
-            self._source_depleted(frame.src_endpoint)
+        if frame.kind == "final":  # TCP delivers each final once
+            self._one_source_done()
             return
         # The Frame doubles as the delivered "buffer": it carries .length.
         self._deliver(frame.src_endpoint, frame.remote_addr, frame)

@@ -346,7 +346,7 @@ class MPIReceiveEndpoint(ReceiveEndpoint):
 
     def get_data(self):
         t0 = self.sim.now
-        while self._active_sources:
+        while self._live_sources:
             src, frame, length = yield from self.runtime.mpi_recv(
                 self.endpoint_id)
             if frame.kind != "final":
@@ -359,8 +359,13 @@ class MPIReceiveEndpoint(ReceiveEndpoint):
                 # inbox never holds more than this one item.
                 self._deliver(frame.src_endpoint, frame.remote_addr, local)
                 return self._inbox.try_get()[1]
-            self._source_depleted(frame.src_endpoint)
-            if not self._active_sources:
+            # MPI threads each block in mpi_recv; no shared inbox
+            # sentinel is needed — every thread observes depletion
+            # independently (MPI delivers each final once; a sibling's
+            # wake-up below names no source).
+            if frame.src_endpoint >= 0:
+                self._live_sources -= 1
+            if not self._live_sources:
                 # Wake sibling threads parked in MPI_Recv on this tag.
                 parked = self.runtime._recvs.get(self.endpoint_id)
                 while parked:
@@ -369,11 +374,6 @@ class MPIReceiveEndpoint(ReceiveEndpoint):
                          Frame(kind="final", src_endpoint=-1), 0, False))
         self._account_data_wait(t0)
         return DEPLETED_SENTINEL
-
-    def _source_depleted(self, src_endpoint: int) -> None:
-        # MPI threads each block in mpi_recv; no shared inbox sentinel is
-        # needed — every thread observes depletion independently.
-        self._active_sources.discard(src_endpoint)
 
     def release(self, remote_addr: int, local: Buffer, src: int):
         local.reset()

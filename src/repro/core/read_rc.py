@@ -34,7 +34,8 @@ from repro.core.endpoint import (
     Frame,
 )
 from repro.core.transport.connections import (
-    PeerConnection,
+    ReadRingReceiver,
+    RingSender,
     rc_connect_receivers,
     rc_connect_senders,
 )
@@ -72,9 +73,8 @@ class ReadRCSendEndpoint(SendEndpoint):
     def setup(self, registry: EndpointRegistry):
         self.cq = self.ctx.create_cq()
         for dest in self.destinations:
-            conn = self.conns[dest] = PeerConnection(dest)
-            conn.qp = self.ctx.create_qp(QPType.RC, self.cq, self.cq,
-                                         tenant=self.config.tenant)
+            self.conns[dest] = RingSender(dest, self.ctx.create_qp(
+                QPType.RC, self.cq, self.cq, tenant=self.config.tenant))
         # Reserve one extra buffer per destination for the final markers.
         yield from self.provision_send_pool(extra=len(self.destinations))
         for i, dest in enumerate(self.destinations):
@@ -158,14 +158,14 @@ class ReadRCReceiveEndpoint(ReceiveEndpoint):
             self, [src_ep for _node, src_ep in self.sources],
             valid_cap, self._on_valid_value, min_one=True,
             name="validarr")
-        for i, (src_node, src_ep) in enumerate(self.sources):
-            conn = self.conns[src_ep] = PeerConnection(src_node, src_ep)
-            conn.qp = self.ctx.create_qp(QPType.RC, self.cq, self.cq,
-                                         tenant=self.config.tenant)
-            #: LocalArr: unused registered destination buffers (a stack).
-            conn.local_arr = [self.pool.buffer(b) for b in
-                              range(i * per_link, (i + 1) * per_link)]
-            conn.pending_remote = deque()
+        for i, (_src_node, src_ep) in enumerate(self.sources):
+            qp = self.ctx.create_qp(QPType.RC, self.cq, self.cq,
+                                    tenant=self.config.tenant)
+            self.conns[src_ep] = ReadRingReceiver(
+                src_ep, qp,
+                [self.pool.buffer(b)
+                 for b in range(i * per_link, (i + 1) * per_link)],
+                deque())
         registry.publish_endpoint(self.endpoint_id, {
             "qpn_by_source": {
                 src_ep: c.qp.qpn for src_ep, c in self.conns.items()
@@ -190,7 +190,7 @@ class ReadRCReceiveEndpoint(ReceiveEndpoint):
         conn.pending_remote.append(value)
         self._pump(conn)
 
-    def _pump(self, conn: PeerConnection) -> None:
+    def _pump(self, conn: ReadRingReceiver) -> None:
         """Issue RDMA Reads while remote addresses and local buffers last."""
         while conn.pending_remote and conn.local_arr:
             remote_addr = conn.pending_remote.popleft()
@@ -211,7 +211,7 @@ class ReadRCReceiveEndpoint(ReceiveEndpoint):
             local.reset()
             conn.local_arr.append(local)
             self._pump(conn)
-            self._source_depleted(src_ep)
+            self._source_depleted(conn)
         else:
             local.deposit(frame.payload, frame.length)
             self._deliver(src_ep, remote_addr, local, flow=wc.flow)

@@ -97,40 +97,25 @@ class striped_partitioner:
                 yield g, batch[lo:hi]
 
 
-class _GroupAccumulator:
-    """Per-(thread, group) staging area for tuples awaiting transmission."""
-
-    __slots__ = ("chunks", "rows")
-
-    def __init__(self):
-        self.chunks: List[np.ndarray] = []
-        self.rows = 0
-
-    def append(self, arr: np.ndarray) -> None:
-        if len(arr):
-            self.chunks.append(arr)
-            self.rows += len(arr)
-
-    def take(self, rows: int) -> Tuple[np.ndarray, ...]:
-        """Remove exactly ``rows`` tuples (caller checks rows) and return
-        them as views of the appended arrays, in order — no copy."""
-        chunks = self.chunks
-        taken: List[np.ndarray] = []
-        need = rows
-        used = 0  # whole chunks consumed from the front
-        while need > 0:
-            head = chunks[used]
-            if len(head) <= need:
-                taken.append(head)
-                need -= len(head)
-                used += 1
-            else:
-                taken.append(head[:need])
-                chunks[used] = head[need:]
-                need = 0
-        del chunks[:used]
-        self.rows -= rows
-        return tuple(taken)
+def _take(chunks: List[np.ndarray], rows: int) -> Tuple[np.ndarray, ...]:
+    """Remove exactly ``rows`` tuples from the front of a group's staged
+    ``chunks`` (the caller checks there are that many) and return them
+    as views of the staged arrays, in order — no copy."""
+    taken: List[np.ndarray] = []
+    need = rows
+    used = 0  # whole chunks consumed from the front
+    while need > 0:
+        head = chunks[used]
+        if len(head) <= need:
+            taken.append(head)
+            need -= len(head)
+            used += 1
+        else:
+            taken.append(head[:need])
+            chunks[used] = head[need:]
+            need = 0
+    del chunks[:used]
+    return tuple(taken)
 
 
 class ShuffleOperator(Operator):
@@ -154,10 +139,11 @@ class ShuffleOperator(Operator):
         self.endpoints = list(endpoints)
         self.groups = groups
         self.partition_fn = partition_fn
-        self._acc = [
-            [_GroupAccumulator() for _ in range(groups.num_groups)]
-            for _ in range(num_threads)
-        ]
+        # Per thread, tuples awaiting transmission: each group's staged
+        # arrays, and beside them each group's staged row count.
+        self._chunks = [[[] for _ in range(groups.num_groups)]
+                        for _ in range(num_threads)]
+        self._rows = [[0] * groups.num_groups for _ in range(num_threads)]
         for tid in range(num_threads):
             self.endpoints[tid % len(self.endpoints)].attach_thread()
         self.tuples_out = 0
@@ -178,7 +164,8 @@ class ShuffleOperator(Operator):
     def next(self, tid: int):
         target = self._endpoint(tid)
         net = self.node.config
-        acc = self._acc[tid]
+        chunks = self._chunks[tid]
+        rows = self._rows[tid]
         capacity_rows = None
         while True:
             state, batch = yield from self.child.next(tid)
@@ -192,7 +179,7 @@ class ShuffleOperator(Operator):
                     ns_per_tuple=net.hash_ns_per_tuple,
                     ns_per_byte=net.copy_ns_per_byte,
                 )
-                self._scatter(acc, batch)
+                self._scatter(chunks, rows, batch)
                 self.tuples_out += len(batch)
                 # Transmit every full buffer (Alg 1 l.11-13), interleaving
                 # destinations the way per-tuple hashing fills buffers in
@@ -200,31 +187,38 @@ class ShuffleOperator(Operator):
                 busy = True
                 while busy:
                     busy = False
-                    for g, bucket in enumerate(acc):
-                        if bucket.rows >= capacity_rows:
-                            parts = bucket.take(capacity_rows)
+                    for g in range(len(rows)):
+                        if rows[g] >= capacity_rows:
+                            rows[g] -= capacity_rows
+                            parts = _take(chunks[g], capacity_rows)
                             yield from self._transmit(target, parts, g)
-                            busy = busy or bucket.rows >= capacity_rows
+                            busy = busy or rows[g] >= capacity_rows
             if state == OpState.DEPLETED:
                 break
         # Flush partial buffers, then propagate end-of-stream; the
         # endpoint emits the Depleted markers once its last attached
         # thread finishes (Alg 1 l.14-17).
-        for g, bucket in enumerate(acc):
-            if bucket.rows:
-                parts = bucket.take(bucket.rows)
+        for g in range(len(rows)):
+            if rows[g]:
+                parts = _take(chunks[g], rows[g])
+                rows[g] = 0
                 yield from self._transmit(target, parts, g)
         yield from target.finish()
         return (OpState.DEPLETED, None)
 
-    def _scatter(self, acc, batch: np.ndarray) -> None:
+    def _scatter(self, chunks, rows, batch: np.ndarray) -> None:
+        """Stage the (non-empty) ``batch`` by group; no staged part is
+        empty."""
         if isinstance(self.partition_fn, striped_partitioner):
             for g, part in self.partition_fn.split(batch):
-                acc[g].append(part)
+                chunks[g].append(part)
+                rows[g] += len(part)
             return
         assignment = self.partition_fn(batch)
         if np.isscalar(assignment) or isinstance(assignment, (int, np.integer)):
-            acc[int(assignment)].append(batch)
+            g = int(assignment)
+            chunks[g].append(batch)
+            rows[g] += len(batch)
             return
         order = np.argsort(assignment, kind="stable")
         sorted_batch = batch[order]
@@ -234,7 +228,8 @@ class ShuffleOperator(Operator):
         for g in range(self.groups.num_groups):
             lo, hi = boundaries[g], boundaries[g + 1]
             if hi > lo:
-                acc[g].append(sorted_batch[lo:hi])
+                chunks[g].append(sorted_batch[lo:hi])
+                rows[g] += int(hi - lo)
 
     def _transmit(self, target: SendEndpoint, parts: Tuple[np.ndarray, ...],
                   g: int):

@@ -25,7 +25,8 @@ from __future__ import annotations
 
 from repro.core.endpoint import Frame, FrameCarrier
 from repro.core.transport.connections import (
-    PeerConnection,
+    RCCreditReceiver,
+    RCCreditSender,
     rc_connect_receivers,
     rc_connect_senders,
 )
@@ -39,7 +40,6 @@ from repro.core.transport.runtime import (
     CreditedSendEndpoint,
 )
 from repro.memory import Buffer
-from repro.sim import Notify
 from repro.verbs.cm import EndpointRegistry
 from repro.verbs.constants import Opcode, QPType
 from repro.verbs.wr import SendWR
@@ -53,10 +53,8 @@ class SRRCSendEndpoint(CreditedSendEndpoint):
     def setup(self, registry: EndpointRegistry):
         self.cq = self.ctx.create_cq()
         for dest in self.destinations:
-            conn = self.conns[dest] = PeerConnection(dest)
-            conn.notify = Notify(self.sim)
-            conn.qp = self.ctx.create_qp(QPType.RC, self.cq, self.cq,
-                                         tenant=self.config.tenant)
+            self.conns[dest] = RCCreditSender(dest, self.ctx.create_qp(
+                QPType.RC, self.cq, self.cq, tenant=self.config.tenant))
         yield from self.provision_send_pool()
         # One credit word per destination, written remotely by receivers.
         addr_by_dest = yield from CreditWordBoard.install(self)
@@ -75,14 +73,14 @@ class SRRCSendEndpoint(CreditedSendEndpoint):
 
     # -- RC posting policy -------------------------------------------------
 
-    def _post_data(self, conn: PeerConnection, buf: Buffer,
+    def _post_data(self, conn: RCCreditSender, buf: Buffer,
                    frame: Frame) -> None:
         conn.qp.post_send(SendWR(
             wr_id=("data", buf), opcode=Opcode.SEND,
             buffer=FrameCarrier(frame), length=buf.length,
         ))
 
-    def _post_final(self, conn: PeerConnection, dest: int,
+    def _post_final(self, conn: RCCreditSender, dest: int,
                     frame: Frame) -> None:
         conn.qp.post_send(SendWR(
             wr_id=("final", dest), opcode=Opcode.SEND,
@@ -97,14 +95,12 @@ class SRRCReceiveEndpoint(CreditedReceiveEndpoint):
         self.cq = self.ctx.create_cq()
         per_link = self.buffers_per_link
         yield from self.provision_recv_pool()
-        for i, (src_node, src_ep) in enumerate(self.sources):
-            conn = self.conns[src_ep] = PeerConnection(src_node, src_ep)
-            conn.qp = self.ctx.create_qp(QPType.RC, self.cq, self.cq,
-                                         tenant=self.config.tenant)
-            conn.qp.post_recv_run(
-                self.pool, self.config.message_size,
-                range(i * per_link, (i + 1) * per_link))
-            conn.posted = per_link
+        for i, (_src_node, src_ep) in enumerate(self.sources):
+            qp = self.ctx.create_qp(QPType.RC, self.cq, self.cq,
+                                    tenant=self.config.tenant)
+            qp.post_recv_run(self.pool, self.config.message_size,
+                             range(i * per_link, (i + 1) * per_link))
+            self.conns[src_ep] = RCCreditReceiver(src_ep, per_link, qp)
         registry.publish_endpoint(self.endpoint_id, {
             "qpn_by_source": {
                 src_ep: c.qp.qpn for src_ep, c in self.conns.items()
@@ -133,12 +129,12 @@ class SRRCReceiveEndpoint(CreditedReceiveEndpoint):
             conn = self.conns[frame.src_endpoint]
             buf.reset()
             conn.qp.post_recv_buffer(buf, self.config.message_size)
-            self._source_depleted(frame.src_endpoint)
+            self._source_depleted(conn)
 
     # -- RC posting policy -------------------------------------------------
 
-    def _repost(self, conn: PeerConnection, local: Buffer) -> None:
+    def _repost(self, conn: RCCreditReceiver, local: Buffer) -> None:
         conn.qp.post_recv_buffer(local, self.config.message_size)
 
-    def _return_credit(self, conn: PeerConnection, value: int) -> None:
+    def _return_credit(self, conn: RCCreditReceiver, value: int) -> None:
         post_credit_word(conn, value)

@@ -34,7 +34,10 @@ from repro.core.endpoint import (
     FrameCarrier,
     ShuffleNetworkError,
 )
-from repro.core.transport.connections import PeerConnection
+from repro.core.transport.connections import (
+    UDCreditReceiver,
+    UDCreditSender,
+)
 from repro.core.transport.credit import (
     CreditDatagramPort,
     grant_credit,
@@ -46,7 +49,6 @@ from repro.core.transport.runtime import (
     ensure_ud_message_size,
 )
 from repro.memory import Buffer
-from repro.sim import Notify
 from repro.verbs.cm import EndpointRegistry, create_ah, setup_ud_qp
 from repro.verbs.constants import Opcode, QPType
 from repro.verbs.device import VerbsContext
@@ -70,9 +72,6 @@ class SRUDSendEndpoint(CreditedSendEndpoint):
         ensure_ud_message_size(ctx, config)
         super().__init__(ctx, endpoint_id, config, destinations,
                          num_groups, peers, threads)
-        #: receiving endpoint id -> connection (credit datagrams carry the
-        #: receiver's endpoint id, not the node id).
-        self._conn_by_peer: Dict[int, PeerConnection] = {}
         self._credit_in: CreditDatagramPort = None
 
     def setup(self, registry: EndpointRegistry):
@@ -86,8 +85,7 @@ class SRUDSendEndpoint(CreditedSendEndpoint):
             tenant=self.config.tenant)
         yield from setup_ud_qp(self.ctx, self.qp)
         for dest in self.destinations:
-            conn = self.conns[dest] = PeerConnection(dest)
-            conn.notify = Notify(self.sim)
+            self.conns[dest] = UDCreditSender(dest)
         yield from self.provision_send_pool()
         # Small receive slots for incoming credit datagrams.
         self._credit_in = CreditDatagramPort(self, len(self.destinations))
@@ -102,7 +100,6 @@ class SRUDSendEndpoint(CreditedSendEndpoint):
             info = registry.lookup_endpoint(self.peers[dest])
             conn.ah = yield from create_ah(self.ctx, dest, info["qpn"])
             conn.credit = info["initial_credit"]
-            self._conn_by_peer[self.peers[dest]] = conn
         CompletionDispatcher(self) \
             .on(Opcode.SEND, self.data_recycler()) \
             .on(Opcode.RECV, self._on_credit) \
@@ -112,22 +109,23 @@ class SRUDSendEndpoint(CreditedSendEndpoint):
         """Apply a credit-datagram arrival and recycle its receive slot."""
         buf: Buffer = wc.wr_id
         frame: Frame = buf.payload
-        if frame.kind == "credit":
-            conn = self._conn_by_peer.get(frame.src_endpoint)
-            if conn is not None:
-                grant_credit(conn, frame.credit)
+        # A credit datagram names the receiving endpoint; it counts only
+        # if that is this sender's peer on the node it came from.
+        if frame.kind == "credit" and \
+                self.peers.get(wc.src_node) == frame.src_endpoint:
+            grant_credit(self.conns[wc.src_node], frame.credit)
         self._credit_in.repost(buf)
 
     # -- UD posting policy -------------------------------------------------
 
-    def _post_data(self, conn: PeerConnection, buf: Buffer,
+    def _post_data(self, conn: UDCreditSender, buf: Buffer,
                    frame: Frame) -> None:
         self.qp.post_send(SendWR(
             wr_id=("data", buf), opcode=Opcode.SEND,
             buffer=FrameCarrier(frame), length=buf.length, dest=conn.ah,
         ))
 
-    def _post_final(self, conn: PeerConnection, dest: int,
+    def _post_final(self, conn: UDCreditSender, dest: int,
                     frame: Frame) -> None:
         self.qp.post_send(SendWR(
             wr_id=("final", dest), opcode=Opcode.SEND,
@@ -158,9 +156,8 @@ class SRUDReceiveEndpoint(CreditedReceiveEndpoint):
         per_link = self.buffers_per_link
         yield from self.provision_recv_pool()
         self.qp.post_recv_run(self.pool, self.config.message_size)
-        for src_node, src_ep in self.sources:
-            conn = self.conns[src_ep] = PeerConnection(src_node, src_ep)
-            conn.posted = per_link
+        for _src_node, src_ep in self.sources:
+            self.conns[src_ep] = UDCreditReceiver(src_ep, per_link)
         # Tiny buffers for outgoing credit datagrams; they complete fast,
         # so a small rotation per source suffices.
         self._credit_out = CreditDatagramPort(self, len(self.sources))
@@ -200,11 +197,11 @@ class SRUDReceiveEndpoint(CreditedReceiveEndpoint):
             self.qp.post_recv_buffer(buf, self.config.message_size)
         self._check_link_complete(conn)
 
-    def _check_link_complete(self, conn: PeerConnection) -> None:
+    def _check_link_complete(self, conn: UDCreditReceiver) -> None:
         if conn.expected is None:
             return
         if conn.received >= conn.expected:
-            self._source_depleted(conn.endpoint)
+            self._source_depleted(conn)
         elif not conn.draining:
             # Out-of-order delivery means stragglers are *common* at end
             # of stream; give them the drain window before declaring loss.
@@ -213,7 +210,7 @@ class SRUDReceiveEndpoint(CreditedReceiveEndpoint):
                 self._drain_watch(conn),
                 name=f"sr-ud-drain-{self.endpoint_id}-{conn.endpoint}")
 
-    def _drain_watch(self, conn: PeerConnection):
+    def _drain_watch(self, conn: UDCreditReceiver):
         yield DRAIN_TIMEOUT_NS
         if conn.expected is not None and conn.received < conn.expected:
             self._fail(ShuffleNetworkError(
@@ -228,18 +225,19 @@ class SRUDReceiveEndpoint(CreditedReceiveEndpoint):
         Credit datagrams can be lost; because values are absolute this
         retransmission is idempotent and unwedges a starved sender.
         """
-        while self._active_sources:
+        while self._live_sources:
             yield DRAIN_TIMEOUT_NS // 4
-            # Wiring order, not set order: which credit datagram leaves
-            # first must not depend on the integer values of endpoint ids.
-            for _src_node, src_ep in self.sources:
-                if src_ep in self._active_sources:
-                    self._credit_out.post_credit(self.conns[src_ep])
+            # Wiring order (``conns`` was filled in source order): which
+            # credit datagram leaves first must not depend on the
+            # integer values of endpoint ids.
+            for conn in self.conns.values():
+                if not conn.depleted:
+                    self._credit_out.post_credit(conn)
 
     # -- UD posting policy -------------------------------------------------
 
-    def _repost(self, conn: PeerConnection, local: Buffer) -> None:
+    def _repost(self, conn: UDCreditReceiver, local: Buffer) -> None:
         self.qp.post_recv_buffer(local, self.config.message_size)
 
-    def _return_credit(self, conn: PeerConnection, value: int) -> None:
+    def _return_credit(self, conn: UDCreditReceiver, value: int) -> None:
         self._credit_out.post_credit(conn, value)

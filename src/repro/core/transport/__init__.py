@@ -21,8 +21,8 @@ runtime, so each design is a thin posting policy:
 
 Submodules:
 
-* :mod:`~repro.core.transport.connections` — :class:`PeerConnection`
-  and the RC connect loops.
+* :mod:`~repro.core.transport.connections` — the per-peer connection
+  records, one class per role, and the RC connect loops.
 * :mod:`~repro.core.transport.credit` — the §4.4 credit schemes as
   policy objects (credit words, credit datagrams, ring boards).
 * :mod:`~repro.core.transport.rings` — pending-buffer refcounts,
@@ -38,7 +38,6 @@ package and imports nothing from it.
 """
 
 from repro.core.transport.connections import (
-    PeerConnection,
     rc_connect_receivers,
     rc_connect_senders,
 )
@@ -51,7 +50,6 @@ from repro.core.transport.rings import (
 
 __all__ = [
     "CompletionDispatcher",
-    "PeerConnection",
     "PendingTable",
     "RingCursor",
     "post_ring_write",

@@ -1,67 +1,189 @@
-"""Per-peer connection state and the RC connect loops.
+"""Per-peer connection records and the RC connect loops.
 
 Every endpoint design keeps one record per peer — the Queue Pair (or UD
-address handle) plus whatever its flow-control scheme tracks.
-:class:`PeerConnection` is that record; an endpoint's ``conns`` is a
-plain dict of them, keyed by peer id.
+address handle) plus whatever its flow-control scheme tracks — in a
+plain ``conns`` dict keyed by peer id.  A cluster of ``n`` nodes holds
+``n²`` of them on each side, so a record carries only the fields of its
+role, and never one that another role needs:
+
+* credit senders (§4.4.1-2): :class:`RCCreditSender` and
+  :class:`UDCreditSender` — the sent count, the absolute credit and the
+  signal a stalled thread waits on;
+* credit receivers: :class:`RCCreditReceiver` and
+  :class:`UDCreditReceiver` — the posted Receives behind the credit,
+  and on UD the message counting of end of stream;
+* the one-sided ring sides (§4.4.3): :class:`RingSender` /
+  :class:`WriteRingSender` producing into a peer's ValidArr, and
+  :class:`RingReceiver` / :class:`ReadRingReceiver` producing into a
+  peer's FreeArr.
+
+Every receiver record carries its source's ``depleted`` flag, which the
+endpoint's live-source count is kept by.  A sender's ``notify`` is
+``None`` until a thread first waits on the connection.  A ring side's
+cursor (and WR/RC's remote free list) is set when the connection is
+made, from the peer's bootstrap info.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Optional
+from typing import TYPE_CHECKING, Callable, List, Optional
 
 from repro.verbs.cm import EndpointRegistry, connect_rc_pair
 from repro.verbs.constants import AddressHandle
-from repro.verbs.qp import QueuePair
+
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.core.transport.rings import RingCursor
+    from repro.sim import Notify
 
 __all__ = [
-    "PeerConnection",
+    "CreditReceiver",
+    "CreditSender",
+    "RCCreditReceiver",
+    "RCCreditSender",
+    "ReadRingReceiver",
+    "RingReceiver",
+    "RingSender",
+    "SourceRecord",
+    "UDCreditReceiver",
+    "UDCreditSender",
+    "WriteRingSender",
     "rc_connect_receivers",
     "rc_connect_senders",
 ]
 
 
-class PeerConnection:
-    """Transport state for one peer of an endpoint.
+# -- send side: keyed by destination node id -------------------------------
 
-    The runtime wires ``qp``/``ah``; each credit scheme attaches the
-    fields it needs (sender credit window, receiver posted count,
-    FreeArr/ValidArr cursors, UD message counting).  Unused fields stay
-    at their zero values.
-    """
+class CreditSender:
+    """A credit-synchronized destination (§4.4.1): the sender transmits
+    only while ``sent < credit``."""
 
-    __slots__ = (
-        # wiring
-        "node", "endpoint", "qp", "ah",
-        # sender-side credit window (§4.4.1)
-        "sent", "credit", "credit_addr", "notify",
-        # receiver-side credit issue (posted Receives)
-        "posted",
-        # one-sided circular queues (§4.4.3): producer cursors and state
-        "valid", "free", "local_arr", "pending_remote", "remote_free",
-        # UD message counting (§4.4.2)
-        "received", "expected", "draining",
-    )
+    __slots__ = ("node", "sent", "credit", "notify")
 
-    def __init__(self, node: int, endpoint: int = -1):
-        #: peer node id, and (where known) peer endpoint id.
+    def __init__(self, node: int):
+        #: destination node id.
         self.node = node
-        self.endpoint = endpoint
-        self.qp: Optional[QueuePair] = None
-        self.ah: Optional[AddressHandle] = None
         self.sent = 0
         self.credit = 0
+        #: wakes threads stalled for credit; built on the first wait.
+        self.notify: Optional[Notify] = None
+
+
+class RCCreditSender(CreditSender):
+    """SR/RC: the destination's own Queue Pair."""
+
+    __slots__ = ("qp",)
+
+    def __init__(self, node: int, qp):
+        super().__init__(node)
+        self.qp = qp
+
+
+class UDCreditSender(CreditSender):
+    """SR/UD: the destination's address handle on the shared QP."""
+
+    __slots__ = ("ah",)
+
+    def __init__(self, node: int):
+        super().__init__(node)
+        self.ah: Optional[AddressHandle] = None
+
+
+class RingSender:
+    """RD/RC: the destination's QP and its ValidArr producer cursor."""
+
+    __slots__ = ("node", "qp", "valid")
+
+    valid: RingCursor
+
+    def __init__(self, node: int, qp):
+        self.node = node
+        self.qp = qp
+
+
+class WriteRingSender(RingSender):
+    """WR/RC: also the destination's free remote buffers (a LIFO) and
+    the signal a thread waiting for one parks on (built on first wait)."""
+
+    __slots__ = ("remote_free", "notify")
+
+    remote_free: List[int]
+
+    def __init__(self, node: int, qp):
+        super().__init__(node, qp)
+        self.notify: Optional[Notify] = None
+
+
+# -- receive side: keyed by source endpoint id -----------------------------
+
+class SourceRecord:
+    """What every receiver record carries: the source endpoint id and
+    whether that source's end of stream has been seen."""
+
+    __slots__ = ("endpoint", "depleted")
+
+    def __init__(self, endpoint: int):
+        self.endpoint = endpoint
+        self.depleted = False
+
+
+class CreditReceiver(SourceRecord):
+    """A credit-issuing source: the Receives posted for it so far."""
+
+    __slots__ = ("posted",)
+
+    def __init__(self, endpoint: int, posted: int):
+        super().__init__(endpoint)
+        self.posted = posted
+
+
+class RCCreditReceiver(CreditReceiver):
+    """SR/RC: the source's QP and the credit word it is written into."""
+
+    __slots__ = ("qp", "credit_addr")
+
+    def __init__(self, endpoint: int, posted: int, qp):
+        super().__init__(endpoint, posted)
+        self.qp = qp
         self.credit_addr = 0
-        self.notify = None
-        self.posted = 0
-        self.valid = None
-        self.free = None
-        self.local_arr = None
-        self.pending_remote = None
-        self.remote_free = None
+
+
+class UDCreditReceiver(CreditReceiver):
+    """SR/UD: the source's address handle and the message counting of
+    end of stream (§4.4.2)."""
+
+    __slots__ = ("ah", "received", "expected", "draining")
+
+    def __init__(self, endpoint: int, posted: int):
+        super().__init__(endpoint, posted)
+        self.ah: Optional[AddressHandle] = None
         self.received = 0
         self.expected: Optional[int] = None
         self.draining = False
+
+
+class RingReceiver(SourceRecord):
+    """WR/RC: the source's QP and its FreeArr producer cursor."""
+
+    __slots__ = ("qp", "free")
+
+    free: RingCursor
+
+    def __init__(self, endpoint: int, qp):
+        super().__init__(endpoint)
+        self.qp = qp
+
+
+class ReadRingReceiver(RingReceiver):
+    """RD/RC: also LocalArr (unused local buffers, a stack) and the
+    announced remote addresses not yet read."""
+
+    __slots__ = ("local_arr", "pending_remote")
+
+    def __init__(self, endpoint: int, qp, local_arr, pending_remote):
+        super().__init__(endpoint, qp)
+        self.local_arr = local_arr
+        self.pending_remote = pending_remote
 
 
 def rc_connect_senders(ep, registry: EndpointRegistry,

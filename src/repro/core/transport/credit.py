@@ -28,7 +28,11 @@ from repro.verbs.constants import Opcode
 from repro.verbs.wr import SendWR
 
 from repro.core.endpoint import Frame, FrameCarrier
-from repro.core.transport.connections import PeerConnection
+from repro.core.transport.connections import (
+    CreditSender,
+    RCCreditReceiver,
+    UDCreditReceiver,
+)
 
 __all__ = [
     "CREDIT_MSG_BYTES",
@@ -72,15 +76,18 @@ def merge_credit(credit: int, value: int) -> int:
     return value if value > credit else credit
 
 
-def grant_credit(conn: PeerConnection, value: int) -> None:
-    """Apply an absolute credit value to a sender-side connection."""
+def grant_credit(conn: CreditSender, value: int) -> None:
+    """Apply an absolute credit value to a sender-side connection,
+    waking its stalled threads (a connection nobody waited on yet has
+    no signal to wake)."""
     credit = merge_credit(conn.credit, value)
     if credit != conn.credit:
         conn.credit = credit
-        conn.notify.notify_all()
+        if conn.notify is not None:
+            conn.notify.notify_all()
 
 
-def post_credit_word(conn: PeerConnection, value: int) -> None:
+def post_credit_word(conn: RCCreditReceiver, value: int) -> None:
     """Receiver half of the §4.4.1 scheme: write the absolute credit
     (Receives posted so far) into the sender's credit word, inlined into
     the WQE to save the payload DMA fetch [16].
@@ -115,10 +122,8 @@ class CreditWordBoard:
         addr_by_dest = {}
         conns = []
         for i, dest in enumerate(ep.destinations):
-            conn = ep.conns[dest]
-            conn.credit_addr = board.mr.addr + 8 * i
-            addr_by_dest[dest] = conn.credit_addr
-            conns.append(conn)
+            addr_by_dest[dest] = board.mr.addr + 8 * i
+            conns.append(ep.conns[dest])
 
         base = board.mr.addr
 
@@ -221,7 +226,7 @@ class CreditDatagramPort:
         buf.reset()
         self.qp.post_recv_buffer(buf, CREDIT_MSG_BYTES)
 
-    def post_credit(self, conn: PeerConnection,
+    def post_credit(self, conn: UDCreditReceiver,
                     value: Optional[int] = None) -> None:
         """Send ``conn.posted`` (or an explicit ``value``, which the
         sanitizer checks against it) as an absolute-credit datagram."""

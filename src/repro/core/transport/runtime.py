@@ -2,8 +2,8 @@
 
 :class:`SendEndpoint` / :class:`ReceiveEndpoint` implement the §4.2
 interface (:mod:`repro.core.endpoint` is its vocabulary) over the
-plumbing every implementation needs — the per-peer
-:class:`~.connections.PeerConnection` dict, the in-flight
+plumbing every implementation needs — the per-peer connection
+records (:mod:`~.connections`, one class per role), the in-flight
 :class:`~.rings.PendingTable`, pool provisioning sized by the §4.2
 rules (sender pools scale with transmission groups, receiver pools with
 sources), the GETFREE/GETDATA queues and the shared instrumentation
@@ -36,10 +36,10 @@ work completion.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Sequence, Tuple
 
 from repro.memory import Buffer, BufferPool
-from repro.sim import Mutex, Queue
+from repro.sim import Mutex, Notify, Queue
 from repro.verbs.cm import EndpointRegistry
 from repro.verbs.device import VerbsContext
 
@@ -51,7 +51,11 @@ from repro.core.endpoint import (
     ShuffleNetworkError,
 )
 from repro.core.transport import credit
-from repro.core.transport.connections import PeerConnection
+from repro.core.transport.connections import (
+    CreditReceiver,
+    CreditSender,
+    SourceRecord,
+)
 from repro.core.transport.rings import PendingTable
 
 __all__ = [
@@ -91,14 +95,16 @@ class _EndpointBase:
         self.net = ctx.config
         #: serializes bookkeeping when several threads share the endpoint.
         self.lock = Mutex(ctx.sim)
-        #: per-peer transport state.  SEND endpoints key by destination
-        #: node id, RECEIVE endpoints by source *endpoint* id (frames
-        #: and circular-queue updates carry endpoint ids).
-        self.conns: Dict[int, PeerConnection] = {}
+        #: per-peer transport state, one record of the design's role
+        #: class each.  SEND endpoints key by destination node id,
+        #: RECEIVE endpoints by source *endpoint* id (frames and
+        #: circular-queue updates carry endpoint ids).
+        self.conns: Dict[int, Any] = {}
         #: the completion queue, once ``setup`` created one.
         self.cq = None
         #: the one Queue Pair all peers share (UD designs); ``None``
-        #: where Queue Pairs are per peer (``conns``) or absent.
+        #: where Queue Pairs are per peer (each record's ``qp``) or
+        #: absent.
         self.qp = None
         #: the main registered transmission/receive buffer pool.
         self.pool = None
@@ -131,9 +137,9 @@ class _EndpointBase:
 
     def qps(self) -> List:
         """Queue Pairs owned by this endpoint (Table 1 accounting)."""
-        shared = [] if self.qp is None else [self.qp]
-        return shared + [c.qp for c in self.conns.values()
-                         if c.qp is not None]
+        if self.qp is not None:
+            return [self.qp]
+        return [c.qp for c in self.conns.values()]
 
     def registered_regions(self) -> List:
         """Registered memory regions pinned by this endpoint (Fig 9b)."""
@@ -188,8 +194,9 @@ class SendEndpoint(_EndpointBase):
         self.destinations = tuple(destinations)
         #: number of transmission groups (sizes the buffer pool).
         self.num_groups = num_groups
-        #: destination node id -> receiving endpoint id.
-        self.peers = dict(peers)
+        #: destination node id -> receiving endpoint id (the stage's
+        #: mapping, shared, not copied).
+        self.peers = peers
         #: buffers in flight, refcounted per destination (§5.1.3).
         self._pending = PendingTable()
         self._free = Queue(ctx.sim)
@@ -264,6 +271,8 @@ class SendEndpoint(_EndpointBase):
         """Block until the connection has credit, tracking stall time."""
         t0 = self.sim.now
         while conn.sent >= conn.credit:
+            if conn.notify is None:
+                conn.notify = Notify(self.sim)
             yield conn.notify.wait()
         waited = self.sim.now - t0
         if waited > 0:
@@ -288,7 +297,7 @@ class SendEndpoint(_EndpointBase):
 class CreditedSendEndpoint(SendEndpoint):
     """Two-sided SEND data path under stateless credit (§4.4.1-2)."""
 
-    def _consume_credit(self, conn: PeerConnection) -> None:
+    def _consume_credit(self, conn: CreditSender) -> None:
         """Account one message against ``conn``'s credit window.  Every
         send path must come through here so the sanitizer can observe
         credit underflow at the exact posting site."""
@@ -333,11 +342,11 @@ class CreditedSendEndpoint(SendEndpoint):
 
     # -- posting policy supplied by the design -----------------------------
 
-    def _post_data(self, conn: PeerConnection, buf: Buffer,
+    def _post_data(self, conn: CreditSender, buf: Buffer,
                    frame: Frame) -> None:
         raise NotImplementedError
 
-    def _post_final(self, conn: PeerConnection, dest: int,
+    def _post_final(self, conn: CreditSender, dest: int,
                     frame: Frame) -> None:
         raise NotImplementedError
 
@@ -353,7 +362,9 @@ class ReceiveEndpoint(_EndpointBase):
         self.sources = tuple(sources)
         #: delivered items: (state, src_endpoint, remote_addr, local Buffer).
         self._inbox = Queue(ctx.sim)
-        self._active_sources = {src_ep for _node, src_ep in self.sources}
+        #: sources whose end of stream has not arrived yet; each
+        #: record's ``depleted`` flag says which.
+        self._live_sources = len(self.sources)
         self.messages_received = 0
         self.bytes_received = 0
 
@@ -419,10 +430,18 @@ class ReceiveEndpoint(_EndpointBase):
         self._inbox.put((DataState.MORE_DATA, src_endpoint, remote_addr,
                          local))
 
-    def _source_depleted(self, src_endpoint: int) -> None:
-        """Mark one source finished; emit sentinels when all are done."""
-        self._active_sources.discard(src_endpoint)
-        if not self._active_sources:
+    def _source_depleted(self, conn: SourceRecord) -> None:
+        """Mark ``conn``'s source finished (again: a no-op)."""
+        if not conn.depleted:
+            conn.depleted = True
+            self._one_source_done()
+
+    def _one_source_done(self) -> None:
+        """Count one source finished; emit sentinels when all are done.
+        Transports that see each end of stream exactly once (the
+        baselines) call this directly."""
+        self._live_sources -= 1
+        if not self._live_sources:
             for _ in range(self.threads):
                 self._inbox.put(DEPLETED_SENTINEL)
 
@@ -455,8 +474,8 @@ class CreditedReceiveEndpoint(ReceiveEndpoint):
 
     # -- posting policy supplied by the design -----------------------------
 
-    def _repost(self, conn: PeerConnection, local: Buffer) -> None:
+    def _repost(self, conn: CreditReceiver, local: Buffer) -> None:
         raise NotImplementedError
 
-    def _return_credit(self, conn: PeerConnection, value: int) -> None:
+    def _return_credit(self, conn: CreditReceiver, value: int) -> None:
         raise NotImplementedError

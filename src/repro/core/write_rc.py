@@ -38,7 +38,8 @@ from repro.core.endpoint import (
     FrameCarrier,
 )
 from repro.core.transport.connections import (
-    PeerConnection,
+    RingReceiver,
+    WriteRingSender,
     rc_connect_receivers,
     rc_connect_senders,
 )
@@ -78,12 +79,8 @@ class WriteRCSendEndpoint(SendEndpoint):
     def setup(self, registry: EndpointRegistry):
         self.cq = self.ctx.create_cq()
         for dest in self.destinations:
-            conn = self.conns[dest] = PeerConnection(dest)
-            conn.qp = self.ctx.create_qp(QPType.RC, self.cq, self.cq,
-                                         tenant=self.config.tenant)
-            conn.notify = Notify(self.sim)
-            #: addresses of free buffers at the receiver (LIFO).
-            conn.remote_free = []
+            self.conns[dest] = WriteRingSender(dest, self.ctx.create_qp(
+                QPType.RC, self.cq, self.cq, tenant=self.config.tenant))
         yield from self.provision_send_pool()
         _, cap = ring_caps(self.buffers_per_link)
         # A returned address must be one of the receiver-side buffers this
@@ -117,12 +114,15 @@ class WriteRCSendEndpoint(SendEndpoint):
     def _on_free_value(self, dest: int, value: int) -> None:
         conn = self.conns[dest]
         conn.remote_free.append(value)
-        conn.notify.notify_all()
+        if conn.notify is not None:
+            conn.notify.notify_all()
 
-    def _push(self, conn: PeerConnection, frame: Frame, buf, length: int,
+    def _push(self, conn: WriteRingSender, frame: Frame, buf, length: int,
               signaled: bool):
         """Write data into a free remote buffer, then notify ValidArr."""
         while not conn.remote_free:
+            if conn.notify is None:
+                conn.notify = Notify(self.sim)
             yield conn.notify.wait()
         remote_addr = conn.remote_free.pop()
         frame.remote_addr = remote_addr
@@ -171,10 +171,9 @@ class WriteRCReceiveEndpoint(ReceiveEndpoint):
             self._on_valid_value, min_one=True, name="validarr",
             validator=lambda src_ep, value: value in pool_addrs)
         buffer_addrs = {}
-        for i, (src_node, src_ep) in enumerate(self.sources):
-            conn = self.conns[src_ep] = PeerConnection(src_node, src_ep)
-            conn.qp = self.ctx.create_qp(QPType.RC, self.cq, self.cq,
-                                         tenant=self.config.tenant)
+        for i, (_src_node, src_ep) in enumerate(self.sources):
+            self.conns[src_ep] = RingReceiver(src_ep, self.ctx.create_qp(
+                QPType.RC, self.cq, self.cq, tenant=self.config.tenant))
             buffer_addrs[src_ep] = list(
                 pool_addrs[i * per_link:(i + 1) * per_link])
         registry.publish_endpoint(self.endpoint_id, {
@@ -201,7 +200,7 @@ class WriteRCReceiveEndpoint(ReceiveEndpoint):
         if frame.kind == "final":
             # Return the buffer straight away; stream is over.
             post_ring_write(conn.qp, conn.free, value, ("free", src_ep))
-            self._source_depleted(src_ep)
+            self._source_depleted(conn)
             return
         buf.deposit(frame.payload, frame.length)
         self._deliver(src_ep, value, buf)

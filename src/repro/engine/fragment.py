@@ -70,6 +70,8 @@ class QueryFragment:
             state, batch = yield from self.root.next(tid)
             if self.sink is not None:
                 self.sink.consume(tid, batch)
+            # A thread waiting for its next batch holds no old one.
+            batch = None
             if state == OpState.DEPLETED:
                 return
 

@@ -41,9 +41,10 @@ def batch_nbytes(batch: Optional[np.ndarray]) -> int:
 def concat_batches(batches: List[np.ndarray]) -> Optional[np.ndarray]:
     """Concatenate batches, tolerating the empty list.
 
-    Batches of one record dtype are joined as raw bytes: numpy would
-    otherwise walk the fields to "promote" a dtype to itself on every
-    call.  Mixed dtypes still go through that promotion.
+    Batches of one record dtype are joined as raw bytes, in one copy
+    into a fresh (writable) buffer: numpy would otherwise walk the
+    fields to "promote" a dtype to itself on every call.  Mixed dtypes
+    and non-contiguous batches still go through that promotion.
     """
     if not batches:
         return None
@@ -53,8 +54,7 @@ def concat_batches(batches: List[np.ndarray]) -> Optional[np.ndarray]:
     if dtype.names is not None and not dtype.hasobject and all(
             b.dtype == dtype and b.ndim == 1 and b.flags.c_contiguous
             for b in batches):
-        raw = np.concatenate([b.view(np.uint8) for b in batches])
-        return raw.view(dtype)
+        return np.frombuffer(bytearray().join(batches), dtype)
     return np.concatenate(batches)
 
 

@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import itertools
 import random
+from array import array
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.fabric import routing
@@ -85,9 +86,12 @@ class Fabric:
         self._rng = random.Random(cluster.seed)
         self.delivered_messages = 0
         self.dropped_messages = 0
-        #: wire bytes carried per directed (src, dst) pair, including
-        #: loopback traffic; feeds the link-contention telemetry.
-        self.link_bytes: Dict[Tuple[int, int], int] = {}
+        #: wire bytes carried per directed pair, including loopback
+        #: traffic: ``link_bytes[src][dst]``, one row of integers per
+        #: source; feeds the link-contention telemetry.
+        n = cluster.num_nodes
+        self.link_bytes: List[array] = [
+            array("q", bytes(8 * n)) for _ in range(n)]
         self.telemetry.attach_fabric(self)
         #: verbs contexts register themselves here (node_id -> VerbsContext)
         #: so Queue Pairs can resolve their peers.
@@ -111,6 +115,9 @@ class Fabric:
         #: packet to every member at the last common switch, so the
         #: sender's port (and any shared trunk) is charged only once.
         self.mcast_members: Dict[int, Dict[Tuple[int, int], None]] = {}
+        #: the one UD address handle per ``(node_id, qpn)``, keyed by
+        #: itself (see :func:`repro.verbs.cm.create_ah`).
+        self.address_handles: Dict[Tuple[int, int], Any] = {}
 
     def dispose(self) -> None:
         """Release the fabric's node, context and service tables.
@@ -125,6 +132,7 @@ class Fabric:
         self.verbs_contexts.clear()
         self.node_services.clear()
         self.mcast_members.clear()
+        self.address_handles.clear()
         self.link_bytes.clear()
         self.nodes.clear()
 
@@ -170,8 +178,7 @@ class Fabric:
         out and back in, so both port pipes are charged, but the route
         has no hops — no switch latency, no jitter, no loss.
         """
-        key = (packet.src_node, packet.dst_node)
-        self.link_bytes[key] = self.link_bytes.get(key, 0) + packet.wire_bytes
+        self.link_bytes[packet.src_node][packet.dst_node] += packet.wire_bytes
         if packet.src_node == packet.dst_node:  # loopback
             unordered = lossy = False
         hops = self.topology.route_hops(packet.src_node, packet.dst_node)

@@ -159,10 +159,9 @@ class TrunkFlight(Flight):
     def _finish(self) -> None:
         fabric = self.fabric
         packet = self.packet
-        link_bytes = fabric.link_bytes
+        link_bytes = fabric.link_bytes[packet.src_node]
         for node_id, qpn in self.members:
-            key = (packet.src_node, node_id)
-            link_bytes[key] = link_bytes.get(key, 0) + packet.wire_bytes
+            link_bytes[node_id] += packet.wire_bytes
             Flight(fabric, clone_for_member(packet, node_id, qpn),
                    self.leg_hops[node_id], True, True,
                    self.on_arrival).advance()

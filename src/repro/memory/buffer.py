@@ -71,7 +71,7 @@ class Buffer:
             san.on_buffer_write(self, "reset")
         self.payload = None
         self.length = 0
-        self.mr.set_object(self.addr, None)
+        self.mr.clear_object(self.addr)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<Buffer @{self.addr:#x} {self.length}/{self.capacity}B>"
@@ -83,7 +83,8 @@ class BufferPool:
     The region is registered whole, up front (that is what Fig 9(b)
     counts); a slot's :class:`Buffer` is built the first time
     :meth:`buffer` or :meth:`at` asks for it and cached, so its identity
-    is stable and a slot nobody touches costs no Python object.
+    is stable and a slot nobody touches costs no Python object.  The
+    cache grows to the highest slot used, not to the pool's size.
     """
 
     __slots__ = ("mr", "size", "count", "_slots")
@@ -97,8 +98,9 @@ class BufferPool:
         self.size = size
         self.count = count
         self.mr = ctx.reg_mr(count * size, tenant=tenant)
-        #: each slot's Buffer once used, ``None`` until then.
-        self._slots: List[Optional[Buffer]] = [None] * count
+        #: each slot's Buffer once used, ``None`` until then; slots past
+        #: the highest one used have no entry.
+        self._slots: List[Optional[Buffer]] = []
 
     def __len__(self) -> int:
         return self.count
@@ -113,9 +115,12 @@ class BufferPool:
         """Slot ``index``'s buffer, built on first use."""
         if not 0 <= index < self.count:
             raise IndexError(f"slot {index} outside a pool of {self.count}")
-        buf = self._slots[index]
+        slots = self._slots
+        if index >= len(slots):
+            slots.extend([None] * (index + 1 - len(slots)))
+        buf = slots[index]
         if buf is None:
-            buf = self._slots[index] = Buffer(
+            buf = slots[index] = Buffer(
                 self.mr, self.mr.addr + index * self.size, self.size)
         return buf
 
@@ -134,5 +139,9 @@ class BufferPool:
             raise ValueError(
                 f"address {addr:#x} is not a buffer start in this pool"
             )
-        buf = self._slots[index]
-        return self.buffer(index) if buf is None else buf
+        slots = self._slots
+        if index < len(slots):
+            buf = slots[index]
+            if buf is not None:
+                return buf
+        return self.buffer(index)

@@ -197,7 +197,8 @@ class Telemetry:
             fabric["fabric.dropped_messages"] = fb.dropped_messages
             fabric["fabric.link_bytes"] = {
                 f"{s}->{d}": v
-                for (s, d), v in sorted(fb.link_bytes.items())
+                for s, row in enumerate(fb.link_bytes)
+                for d, v in enumerate(row) if v
             }
             fabric["topology.kind"] = fb.topology.spec.kind
             ports = {

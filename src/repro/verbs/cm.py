@@ -76,6 +76,12 @@ def setup_ud_qp(ctx: VerbsContext, qp: QueuePair):
 
 
 def create_ah(ctx: VerbsContext, node_id: int, qpn: int):
-    """Process fragment: create an address handle for a UD destination."""
+    """Process fragment: create an address handle for a UD destination.
+
+    Every call pays ``ah_create_ns``, as every ``ibv_create_ah`` does;
+    the handle it returns is the cluster's one for ``(node_id, qpn)``,
+    shared by every peer that addresses that QP.
+    """
     yield ctx.config.ah_create_ns
-    return AddressHandle(node_id, qpn)
+    ah = AddressHandle(node_id, qpn)
+    return ctx.fabric.address_handles.setdefault(ah, ah)

@@ -116,6 +116,8 @@ class VerbsContext:
         if qp.qp_type is QPType.UD:
             for mgid in self.fabric.mcast_members:
                 self.mcast_detach(mgid, qp)
+            # Its address handle goes with it (QPNs are never reused).
+            self.fabric.address_handles.pop((self.node_id, qp.qpn), None)
         self._qps.pop(qp.qpn, None)
         qp.send_cq = None
         qp.recv_cq = None

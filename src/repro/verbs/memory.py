@@ -93,6 +93,14 @@ class MemoryRegion:
         self._check(addr)
         return self._objects.get(addr)
 
+    def clear_object(self, addr: int) -> None:
+        """Forget the object at ``addr``: :meth:`get_object` answers
+        ``None`` again, and the table holds no entry for it."""
+        self._check(addr)
+        objects = self._objects
+        if addr in objects:
+            del objects[addr]
+
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"<MR node={self.node_id} [{self.addr:#x},"

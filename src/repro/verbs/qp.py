@@ -43,8 +43,34 @@ if TYPE_CHECKING:  # pragma: no cover
 __all__ = ["QueuePair"]
 
 
+class _RecvRun:
+    """The maker of one run of Receives (:meth:`QueuePair.post_recv_run`):
+    item ``k`` is slot ``slots[k]`` of ``pool`` as a Receive of ``length``
+    bytes identified by its buffer.  It holds the pool, never the QP
+    (see :meth:`~repro.sim.Queue.put_run`)."""
+
+    __slots__ = ("pool", "slots", "length")
+
+    def __init__(self, pool, slots: range, length: int):
+        self.pool = pool
+        self.slots = slots
+        self.length = length
+
+    def __call__(self, k: int) -> RecvWR:
+        buf = self.pool.buffer(self.slots[k])
+        return RecvWR(wr_id=buf, buffer=buf, length=self.length)
+
+
 class QueuePair:
     """One Queue Pair (send queue + receive queue)."""
+
+    __slots__ = (
+        "ctx", "qp_type", "send_cq", "recv_cq", "max_send_wr",
+        "max_recv_wr", "qpn", "tenant", "state", "_peer", "_recvs",
+        "_recv_posted", "_send_outstanding", "sends_posted",
+        "recvs_posted", "ud_drops", "rnr_events", "rnr_stall_ns",
+        "_rnr_waiting", "_last_flow",
+    )
 
     def __init__(self, ctx: "VerbsContext", qp_type: QPType,
                  send_cq: CompletionQueue, recv_cq: CompletionQueue,
@@ -61,8 +87,6 @@ class QueuePair:
         self.max_send_wr = max_send_wr
         self.max_recv_wr = max_recv_wr
         self.qpn = ctx._assign_qpn(self)
-        #: this QP's thread in the trace.
-        self.track = f"qp{self.qpn}"
         #: owning tenant (service-layer accounting); None outside the
         #: multi-tenant service.
         self.tenant: Optional[str] = None
@@ -90,6 +114,11 @@ class QueuePair:
         self._last_flow = 0
 
     # -- state transitions -------------------------------------------------
+
+    @property
+    def track(self) -> str:
+        """This QP's thread in the trace (only tracing asks for it)."""
+        return f"qp{self.qpn}"
 
     @property
     def peer(self) -> Optional[AddressHandle]:
@@ -178,14 +207,7 @@ class QueuePair:
             san.track_post_recv_run(pool, slots)
         self._recv_posted += len(slots)
         self.recvs_posted += len(slots)
-        # The maker holds the pool, never this QP (see Queue.put_run).
-        buffer = pool.buffer
-
-        def make(k: int) -> RecvWR:
-            buf = buffer(slots[k])
-            return RecvWR(wr_id=buf, buffer=buf, length=length)
-
-        self._recvs.put_run(len(slots), make)
+        self._recvs.put_run(len(slots), _RecvRun(pool, slots, length))
 
     def post_send(self, wr: SendWR) -> None:
         """``ibv_post_send``: enqueue a Send / Read / Write work request.

@@ -251,7 +251,8 @@ class TestEndpointConformance:
         for eps in stage.recv_endpoints.values():
             for ep in eps:
                 # The final/DEPLETED marker arrived from every source.
-                assert ep._active_sources == set()
+                assert ep._live_sources == 0
+                assert all(c.depleted for c in ep.conns.values())
 
     def test_getfree_blocks_until_release_recycles(self, kind):
         """With a single buffer per connection, forward progress is only

@@ -1,5 +1,7 @@
 """Unit tests for the query-engine operators."""
 
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -28,6 +30,7 @@ from repro.engine.operator import (
     pack_columns,
 )
 from repro.engine.scan import RepeatedSourceOperator
+from repro.sim import Event
 from repro.tpch import generate, run_query
 
 DTYPE = np.dtype([("k", np.int64), ("v", np.int64)])
@@ -99,6 +102,28 @@ class TestBatchHelpers:
                                       np.concatenate([t[::2], t]))
         np.testing.assert_array_equal(concat_batches([t["v"], t["v"]]),
                                       np.concatenate([t["v"], t["v"]]))
+
+    @pytest.mark.parametrize("rows", [(1, 1), (0, 5, 3), (7,) * 8,
+                                      (2048, 2048), (256,) * 8])
+    @pytest.mark.parametrize("fields", [
+        [("k", "<i8"), ("v", "<i8")],
+        [("k", "<i4"), ("f", "<f8"), ("s", "S3"), ("b", "?")],
+        [("d", "<M8[D]"), ("m", "<f4", (2,))],
+    ])
+    def test_concat_one_record_dtype_is_numpy_concatenate(self, rows, fields):
+        """One copy of the raw bytes gives what ``np.concatenate`` gives:
+        the same bytes and dtype, in a writable array (the parts here
+        are read-only, as RECEIVE's received views are)."""
+        dtype = np.dtype(fields)
+        raw = np.arange(sum(rows) * dtype.itemsize, dtype=np.uint8)
+        whole = np.frombuffer(raw.tobytes(), dtype)
+        bounds = np.cumsum((0,) + rows)
+        parts = [whole[lo:hi] for lo, hi in zip(bounds[:-1], bounds[1:])]
+        out = concat_batches(parts)
+        expected = np.concatenate(parts)
+        assert out.dtype == expected.dtype
+        assert out.tobytes() == expected.tobytes()
+        assert out.flags.writeable
 
     def test_pack_columns_is_packed_and_ordered(self):
         out = pack_columns([("a", np.arange(3, dtype=np.int8)),
@@ -384,6 +409,44 @@ class TestFragment:
         alone = run(fragment()) + run(fragment())
         # Concurrent, not sequential: total well under the sum.
         assert run(fragment(), fragment()) < alone
+
+    def test_a_waiting_worker_holds_no_consumed_batch(self, cluster):
+        """Once the sink consumed a batch, the worker waiting in the
+        next ``next()`` must not keep it alive: on a shuffle workload
+        that is one buffer-sized batch per thread for the whole wait."""
+        sim = cluster.sim
+        gate = Event(sim)
+
+        class OneThenWait(Operator):
+            calls = 0
+
+            def next(self, tid):
+                self.calls += 1
+                if self.calls == 1:
+                    return (OpState.MORE_DATA, make_table(2048))
+                yield gate
+                return (OpState.DEPLETED, None)
+
+        class WeakSink:
+            def consume(self, tid, batch):
+                if batch is not None:
+                    self.ref = weakref.ref(batch)
+                    sim.call_later(1_000, check)
+
+        alive = []
+
+        def check():
+            # The worker is parked on the gate, in its second next().
+            alive.append(sink.ref() is not None)
+            gate.succeed()
+
+        sink = WeakSink()
+        node = cluster.nodes[0]
+        frag = QueryFragment(node, OneThenWait(node), 1, sink=sink)
+        done = frag.start()
+        cluster.run()
+        assert done.processed
+        assert alive == [False]
 
 
 # -- differential oracle --------------------------------------------------------

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from repro.core.groups import TransmissionGroups
 from repro.core.shuffle import (
-    _GroupAccumulator,
+    _take,
     hash_partitioner,
     striped_partitioner,
 )
@@ -120,22 +120,24 @@ class TestPartitionerProperties:
     @given(appends=st.lists(st.integers(1, 100), min_size=1, max_size=30),
            chunk=st.integers(1, 64))
     def test_group_accumulator_take_preserves_order(self, appends, chunk):
-        acc = _GroupAccumulator()
+        staged, rows = [], 0
         appended = []
         counter = 0
         for n in appends:
             arr = np.arange(counter, counter + n, dtype=np.int64)
             counter += n
-            acc.append(arr)
+            staged.append(arr)
+            rows += n
             appended.append(arr)
         messages = []
-        while acc.rows >= chunk:
-            parts = acc.take(chunk)
+        while rows >= chunk:
+            parts = _take(staged, chunk)
+            rows -= chunk
             assert sum(len(p) for p in parts) == chunk
             messages.append(parts)
-        if acc.rows:
-            messages.append(acc.take(acc.rows))
-        assert acc.rows == 0
+        if rows:
+            messages.append(_take(staged, rows))
+        assert staged == []
         # The parts are views of the appended arrays (no host copy) and,
         # concatenated, give back every tuple in append order.
         for parts in messages:

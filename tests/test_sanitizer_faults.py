@@ -14,7 +14,7 @@ from repro import ClusterConfig, EDR, EndpointConfig
 from repro.analysis import RUNTIME_RULES, Sanitizer
 from repro.core.designs import Design, EndpointKind
 from repro.core.sr_rc import SRRCReceiveEndpoint, SRRCSendEndpoint
-from repro.core.transport.connections import PeerConnection
+from repro.core.transport.connections import RCCreditReceiver
 from repro.core.transport.credit import RingBoard, post_credit_word
 from repro.core.transport.rings import RingCursor, post_ring_write
 from repro.fabric import ClusterConfig as FabricClusterConfig
@@ -224,10 +224,8 @@ class TestCreditOvergrantRule:
         _, ctxs, san = sanitized_cluster(sim)
         qps, _ = rc_pair(ctxs)
         word = ctxs[0].reg_mr(8)  # the credit word lives at the sender
-        conn = PeerConnection(0, endpoint=7)
-        conn.qp = qps[1]
+        conn = RCCreditReceiver(7, 1, qps[1])
         conn.credit_addr = word.addr
-        conn.posted = 1
         post_credit_word(conn, conn.posted)  # exactly `posted`: clean
         assert rules_of(san) == []
         # A receiver advertising credit it has no Receives behind would

@@ -11,7 +11,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.core.endpoint import EndpointConfig
-from repro.core.transport.connections import PeerConnection
+from repro.core.transport.connections import UDCreditSender
 from repro.core.transport.credit import grant_credit
 from repro.core.transport.rings import PendingTable, RingCursor
 from repro.core.transport.runtime import SendEndpoint
@@ -28,7 +28,7 @@ class TestCreditPolicyProperties:
         """Absolute-credit semantics (§4.4.1-2): stale or duplicated
         grants are superseded; credit never decreases."""
         sim = Simulator()
-        conn = PeerConnection(1)
+        conn = UDCreditSender(1)
         conn.notify = Notify(sim)
         for value in grants:
             conn.notify.wait()  # a stalled sender, parked on the notify
