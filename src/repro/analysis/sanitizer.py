@@ -33,8 +33,9 @@ Enable with :meth:`repro.cluster.Cluster.enable_sanitizer` or
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Tuple
+from typing import Any, DefaultDict, Dict, List, Tuple
 
 from repro.memory import Buffer
 from repro.verbs.constants import QPState, QPType
@@ -121,7 +122,7 @@ class Sanitizer:
     layer and the transport runtime.
 
     One instance watches one simulation (one :class:`~repro.cluster.Cluster`).
-    All state is plain Python bookkeeping keyed by ``(node_id, addr)`` —
+    All state is plain Python bookkeeping keyed by node and address —
     addresses alone are *not* unique because every node's
     :class:`~repro.verbs.memory.AddressSpace` starts at the same base.
     """
@@ -133,10 +134,18 @@ class Sanitizer:
         #: raise ProtocolViolationError at the first violation.
         self.strict = strict
         self.violations: List[Violation] = []
-        #: signaled work requests in flight per (node_id, buffer addr).
-        self._inflight: Dict[Tuple[int, int], int] = {}
+        #: signaled work requests in flight: node_id -> buffer addr ->
+        #: count (an absent address is untracked, not zero).
+        self._by_node: DefaultDict[int, Dict[int, int]] = defaultdict(dict)
         #: produced-but-unconsumed slots per (consumer node, ring base).
         self._rings: Dict[Tuple[int, int], int] = {}
+
+    @property
+    def _inflight(self) -> Dict[Tuple[int, int], int]:
+        """The in-flight counts keyed ``(node_id, addr)``, built on read."""
+        return {(node, addr): count
+                for node, counts in self._by_node.items()
+                for addr, count in counts.items()}
 
     # -- reporting ---------------------------------------------------------
 
@@ -189,8 +198,8 @@ class Sanitizer:
         buf = wr.buffer
         bufs = (buf,) if type(buf) is Buffer else _wr_id_buffers(wr.wr_id)
         for tracked in bufs:
-            key = (tracked.mr.node_id, tracked.addr)
-            self._inflight[key] = self._inflight.get(key, 0) + 1
+            counts = self._by_node[tracked.mr.node_id]
+            counts[tracked.addr] = counts.get(tracked.addr, 0) + 1
 
     def check_post_recv(self, qp) -> None:
         if qp.state not in (QPState.INIT, QPState.RTS):
@@ -201,20 +210,20 @@ class Sanitizer:
 
     def track_post_recv(self, qp, wr) -> None:
         """Receives always complete signaled; track the posted buffer."""
-        if type(wr.buffer) is Buffer:
-            key = (wr.buffer.mr.node_id, wr.buffer.addr)
-            self._inflight[key] = self._inflight.get(key, 0) + 1
+        buf = wr.buffer
+        if type(buf) is Buffer:
+            counts = self._by_node[buf.mr.node_id]
+            counts[buf.addr] = counts.get(buf.addr, 0) + 1
 
     def track_post_recv_run(self, pool, slots: range) -> None:
         """A run of a pool's ``slots`` posted as Receives: track each
         slot's address as :meth:`track_post_recv` tracks one buffer,
         without building the buffers."""
-        node = pool.mr.node_id
+        counts = self._by_node[pool.mr.node_id]
         addrs = pool.addrs
-        inflight = self._inflight
         for i in slots:
-            key = (node, addrs[i])
-            inflight[key] = inflight.get(key, 0) + 1
+            addr = addrs[i]
+            counts[addr] = counts.get(addr, 0) + 1
 
     # -- verbs hooks: completion queues ------------------------------------
 
@@ -227,8 +236,7 @@ class Sanitizer:
                 f"completion pushed into full CQ (depth={cq.depth})",
                 node_id=cq.node_id, depth=cq.depth)
         for buf in _wr_id_buffers(wc.wr_id):
-            key = (buf.mr.node_id, buf.addr)
-            if self._inflight.get(key) == 0:
+            if self._by_node[buf.mr.node_id].get(buf.addr) == 0:
                 self.record(
                     "cq-double-completion",
                     f"completion for buffer {buf.addr:#x} with no work "
@@ -239,10 +247,10 @@ class Sanitizer:
         """Called when the application polls ``wc`` out of the CQ; the
         buffer becomes reusable."""
         for buf in _wr_id_buffers(wc.wr_id):
-            key = (buf.mr.node_id, buf.addr)
-            count = self._inflight.get(key)
+            counts = self._by_node[buf.mr.node_id]
+            count = counts.get(buf.addr)
             if count:  # untracked (posted before attach) stays untracked
-                self._inflight[key] = count - 1
+                counts[buf.addr] = count - 1
 
     # -- memory hooks ------------------------------------------------------
 
@@ -256,8 +264,7 @@ class Sanitizer:
     def on_buffer_write(self, buf, op: str) -> None:
         """The application rewrote ``buf`` (fill/reset); illegal while any
         signaled work request on it is still in flight."""
-        key = (buf.mr.node_id, buf.addr)
-        outstanding = self._inflight.get(key, 0)
+        outstanding = self._by_node[buf.mr.node_id].get(buf.addr, 0)
         if outstanding > 0:
             self.record(
                 "buffer-reuse",

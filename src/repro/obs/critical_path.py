@@ -7,14 +7,15 @@ attribution always conserves: ``sum(categories.values()) == t1 - t0``
 holds by construction, not by fixup.
 
 The algorithm is a single sweep over all recorded resource intervals
-and endpoint stalls (the pipe and stall tuples of
-:class:`~repro.telemetry.links.FlowRecorder`).  At any instant several
-explanations can be active at once — a QP-cache miss is being charged on
-one NIC while a trunk is congested and a sender sits in a credit stall.
-Ranking them would require a full causal closure; instead we impose a
-fixed *priority* order (hardware penalties beat wire time beats
-protocol stalls) and charge each elementary slice of the window to the
-highest-priority explanation active during it:
+and endpoint stalls (the pipe and stall rows of
+:class:`~repro.telemetry.links.FlowRecorder`, read as int64 columns in
+place through ``np.frombuffer``, kinds compared as their codes).  At any
+instant several explanations can be active at once — a QP-cache miss is
+being charged on one NIC while a trunk is congested and a sender sits in
+a credit stall.  Ranking them would require a full causal closure;
+instead we impose a fixed *priority* order (hardware penalties beat wire
+time beats protocol stalls) and charge each elementary slice of the
+window to the highest-priority explanation active during it:
 
 ======================  ====  ==========================================
 category                prio  meaning
@@ -105,30 +106,33 @@ def _intervals(recorder: FlowRecorder) -> np.ndarray:
     A pipe record charges its base part (wire, trunk or NIC processing
     time), then its QP-cache-miss penalty, then its payload-fetch extra,
     back to back; a stall charges its whole duration."""
+    codes = recorder.codes
     parts = [np.zeros((3, 0), dtype=np.int64)]
-    pipes = recorder.pipes
-    if pipes:
-        columns = list(zip(*pipes))
-        kind = np.array(columns[0])
-        start, base, penalty, extra, waited = (
-            np.fromiter(column, np.int64, len(pipes))
-            for column in columns[2:7])
+    pipes = recorder.pipes.columns()
+    if len(pipes):
+        kind = pipes[:, 0]
+        start, base, penalty, extra, waited = pipes[:, 2:7].T
         base_end = start + base
         penalty_end = base_end + penalty
         # A trunk hop that queued at least its own serialization time is
         # congestion; otherwise it is plain wire time, like the links.
-        base_prio = np.where(kind == "proc", 4,
-                             np.where((kind == "trunk") & (waited >= base),
-                                      2, 3))
+        base_prio = np.where(
+            kind == codes.get("proc", -1), 4,
+            np.where((kind == codes.get("trunk", -1)) & (waited >= base),
+                     2, 3))
         parts += [np.stack((start, base_end, base_prio)),
                   np.stack((base_end, penalty_end, np.zeros_like(start))),
                   np.stack((penalty_end, penalty_end + extra,
                             np.ones_like(start)))]
-    swept = [(start, start + duration, _STALL_PRIO[kind])
-             for _node, _ep, kind, start, duration in recorder.stalls
-             if kind in _STALL_PRIO]
-    if swept:
-        parts.append(np.array(swept, dtype=np.int64).T)
+    stalls = recorder.stalls.columns()
+    if len(stalls):
+        prio_of = np.array([_STALL_PRIO.get(name, -1) for name in codes.names],
+                           dtype=np.int64)
+        prio = prio_of[stalls[:, 2]]
+        swept = prio >= 0
+        start = stalls[swept, 3]
+        parts.append(np.stack((start, start + stalls[swept, 4],
+                               prio[swept])))
     return np.concatenate(parts, axis=1)
 
 

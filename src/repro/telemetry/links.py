@@ -11,7 +11,7 @@ of record accumulate:
   release produced it.  Posting and delivery timestamps give per-message
   latencies.
 * **pipe intervals** — every resource-occupancy interval of a NIC
-  processor, host link, or switch trunk, one flat tuple
+  processor, host link, or switch trunk, read as the tuple
   ``(kind, owner, start, base_ns, penalty_ns, extra_ns, waited_ns,
   flow)``: ``kind`` is ``proc`` (NIC WR processor), ``egress`` /
   ``ingress`` (host links) or ``trunk`` (switch port); the interval
@@ -19,10 +19,19 @@ of record accumulate:
   ``base_ns`` is serialization or baseline WR processing, ``penalty_ns``
   a QP-context-cache miss and ``extra_ns`` the payload DMA fetch of a
   non-inlined Write; ``waited_ns`` is how long the unit queued behind
-  the pipe's FIFO backlog before ``start``.
+  the pipe's FIFO backlog before ``start``; ``owner`` is the node id,
+  or a trunk's port name.
 * **stalls** — endpoint-visible waiting (``credit-stall``,
-  ``free-wait``, ``data-wait``, ``rnr-stall``), one flat tuple
+  ``free-wait``, ``data-wait``, ``rnr-stall``), read as the tuple
   ``(node, ep, kind, start, duration)``.
+
+Intervals and stalls are stored as :class:`RecordRows`: one flat
+``array("q")`` per stream, a fixed-width row of int64 fields per record
+(64 bytes an interval, 40 a stall), with each kind and owner stored as
+its code in the recorder's :class:`Codes`.  A hook appends its row in
+one call (``frombytes`` of a packed struct); reading the streams back
+builds the tuples, and :meth:`RecordRows.columns` gives the analyzer
+the numeric columns without copying.
 
 Recording is append-only and never touches the event heap, RNG, or any
 process state, so enabling it cannot perturb simulated time — the same
@@ -34,14 +43,24 @@ back as id ``0``) instead of raising, and the attribution in
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+import struct
+from array import array
+from collections.abc import Sequence
+from typing import Any, Dict, Iterable, Iterator, List, Optional, Tuple
+
+import numpy as np
 
 from repro.telemetry.trace import TraceBudget
 
-__all__ = ["FlowRecord", "FlowRecorder", "DEFAULT_LINK_RECORDS"]
+__all__ = ["Codes", "FlowRecord", "FlowRecorder", "RecordRows",
+           "DEFAULT_LINK_RECORDS"]
 
 #: default budget for link records (flows + intervals + stalls combined).
 DEFAULT_LINK_RECORDS = 2_000_000
+
+#: one interval / stall row as bytes, appended with ``data.frombytes``.
+_pipe_row = struct.Struct("8q").pack
+_stall_row = struct.Struct("5q").pack
 
 
 class FlowRecord:
@@ -65,6 +84,82 @@ class FlowRecord:
         self.trigger = trigger
 
 
+class Codes(Dict[Any, int]):
+    """Interns values to small ints in first-use order: ``codes[value]``
+    is the code, ``codes.names[code]`` the value back."""
+
+    __slots__ = ("names",)
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.names: List[Any] = []
+
+    def __missing__(self, name: Any) -> int:
+        code = self[name] = len(self.names)
+        self.names.append(name)
+        return code
+
+
+class RecordRows(Sequence):
+    """One append-only record stream as fixed-width int64 rows.
+
+    It reads as a sequence of tuples and :meth:`extend` takes the same
+    tuples; the fields at ``coded`` are stored as their :class:`Codes`
+    code.
+    """
+
+    __slots__ = ("data", "width", "_codes", "_coded")
+
+    def __init__(self, codes: Codes, width: int, coded: Tuple[int, ...]):
+        #: the rows, flat: record ``i`` is ``data[i * width:(i + 1) * width]``.
+        self.data = array("q")
+        self.width = width
+        self._codes = codes
+        self._coded = coded
+
+    def __len__(self) -> int:
+        return len(self.data) // self.width
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return [self[i] for i in range(*index.indices(len(self)))]
+        if index < 0:
+            index += len(self)
+        if not 0 <= index < len(self):
+            raise IndexError("record index out of range")
+        width = self.width
+        return self._decode(self.data[index * width:(index + 1) * width])
+
+    def __iter__(self) -> Iterator[tuple]:
+        rows = iter(self.data)
+        for row in zip(*[rows] * self.width):
+            yield self._decode(row)
+
+    def _decode(self, row) -> tuple:
+        names = self._codes.names
+        record = list(row)
+        for i in self._coded:
+            record[i] = names[record[i]]
+        return tuple(record)
+
+    def extend(self, records: Iterable[tuple]) -> None:
+        codes = self._codes
+        for record in records:
+            if len(record) != self.width:
+                raise ValueError(f"a record has {self.width} fields, "
+                                 f"got {len(record)}")
+            row = list(record)
+            for i in self._coded:
+                row[i] = codes[row[i]]
+            self.data.extend(row)
+
+    def columns(self) -> np.ndarray:
+        """The rows as an ``(n, width)`` int64 view of :attr:`data` (no
+        copy: drop it before the stream grows again)."""
+        return np.frombuffer(self.data, dtype=np.int64).reshape(
+            -1, self.width)
+
+
 class FlowRecorder:
     """Accumulates flow/interval/stall records for one cluster run."""
 
@@ -73,8 +168,10 @@ class FlowRecorder:
         self.budget = budget if budget is not None else TraceBudget(
             DEFAULT_LINK_RECORDS)
         self.flows: Dict[int, FlowRecord] = {}
-        self.pipes: List[tuple] = []
-        self.stalls: List[tuple] = []
+        #: the kinds and owners the records hold.
+        self.codes = Codes()
+        self.pipes = RecordRows(self.codes, 8, coded=(0, 1))
+        self.stalls = RecordRows(self.codes, 5, coded=(2,))
         #: set when the budget ran dry and records were dropped.
         self.truncated = False
         #: one-shot trigger edge: set by the receive endpoint immediately
@@ -117,7 +214,8 @@ class FlowRecorder:
 
     def pipe(self, kind: str, owner, pipe, base_ns: int,
              penalty_ns: int = 0, extra_ns: int = 0, flow: int = 0) -> None:
-        """Record the interval ``pipe`` is about to be charged with.
+        """Record the interval ``pipe`` is about to be charged with;
+        ``owner`` is a node id or a port name.
 
         Call immediately before the pipe entry: the pre-submit
         ``_busy_until`` gives the interval start and the queueing delay
@@ -129,8 +227,10 @@ class FlowRecorder:
         start = pipe._busy_until
         if start < now:
             start = now
-        self.pipes.append((kind, owner, start, base_ns, penalty_ns, extra_ns,
-                           start - now, flow))
+        codes = self.codes
+        self.pipes.data.frombytes(_pipe_row(
+            codes[kind], codes[owner], start, base_ns, penalty_ns, extra_ns,
+            start - now, flow))
 
     def stall(self, node: int, ep: int, kind: str, start: int,
               duration: int) -> None:
@@ -139,7 +239,8 @@ class FlowRecorder:
         if not self.budget.take(1):
             self.truncated = True
             return
-        self.stalls.append((node, ep, kind, start, duration))
+        self.stalls.data.frombytes(_stall_row(node, ep, self.codes[kind],
+                                              start, duration))
 
     # -- accounting --------------------------------------------------------
 

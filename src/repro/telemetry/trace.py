@@ -21,10 +21,14 @@ Two span styles are used deliberately:
   where operations on one track interleave freely) emits ``X``
   *complete* events carrying their own duration.
 
-Each call appends one record ``(ph, pid, tid, name, cat, ts_ns,
-dur_or_end_ns, args)``; ``ph`` ``"B"`` is a whole span, and ``args``
-is ``None``, a dict or a byte count (``{"bytes": n}``).  The Chrome
-dicts are built only when :attr:`Tracer.events` is read.
+Each call appends one fixed-width row of four int64 fields to one flat
+``array("q")``: ``series, ts_ns, dur_or_end_ns, args``.  ``series``
+names the call's ``(ph, pid, tid, name, cat)``, interned on first use,
+so a row costs 32 bytes however long its strings; ``ph`` ``"B"`` is a
+whole span.  ``args`` is ``-1`` for none, ``n >= 0`` for a byte count
+(rendered ``{"bytes": n}``) and ``-2 - i`` for the ``i``-th recorded
+dict.  The Chrome dicts are built only when :attr:`Tracer.events` is
+read; indexing it renders one row.
 
 A shared :class:`TraceBudget` bounds the total event count across every
 tracer of a session, so ``repro-bench --trace`` on a full-scale figure
@@ -35,9 +39,13 @@ are counted as dropped, not recorded.  A span counts as two events.
 from __future__ import annotations
 
 import json
+import struct
+from array import array
 from collections.abc import Sequence
 from typing import (TYPE_CHECKING, Any, Dict, Iterable, Iterator, List,
                     Optional, Tuple)
+
+import numpy as np
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.sim import Simulator
@@ -63,10 +71,16 @@ class TraceBudget:
         return False
 
 
+#: int64 fields per tracer row: series, ts_ns, dur_or_end_ns, args.
+_WIDTH = 4
+#: one row as bytes: ``rows.frombytes(_row(...))`` appends it in one call.
+_row = struct.Struct(f"{_WIDTH}q").pack
+
+
 class TraceEvents(Sequence):
     """A tracer's events, read-only: ``len()`` counts a span as two
-    events and builds nothing; iterating or indexing renders the Chrome
-    event dicts."""
+    events and builds nothing; iterating renders the Chrome event dicts,
+    indexing renders only the rows it selects."""
 
     __slots__ = ("_tracer",)
 
@@ -74,28 +88,34 @@ class TraceEvents(Sequence):
         self._tracer = tracer
 
     def __len__(self) -> int:
-        return len(self._tracer._records) + self._tracer._spans
+        return len(self._tracer._rows) // _WIDTH + self._tracer._spans
 
     def __getitem__(self, index):
-        return list(self)[index]
+        if isinstance(index, slice):
+            return [self[i] for i in range(*index.indices(len(self)))]
+        count = len(self)
+        if index < 0:
+            index += count
+        if not 0 <= index < count:
+            raise IndexError("trace event index out of range")
+        tracer = self._tracer
+        row, end = index, False
+        if tracer._spans:
+            firsts = tracer._first_events()
+            row = int(np.searchsorted(firsts, index, side="right")) - 1
+            end = index != firsts[row]
+        return tracer._event(*tracer._rows[row * _WIDTH:(row + 1) * _WIDTH],
+                             end=end)
 
     def __iter__(self) -> Iterator[Dict[str, Any]]:
-        for ph, pid, tid, name, cat, ts_ns, dur_or_end_ns, args in (
-                self._tracer._records):
-            event = {"ph": ph, "pid": pid, "tid": tid, "name": name,
-                     "cat": cat, "ts": ts_ns / 1000.0}
-            if ph == "X":
-                event["dur"] = dur_or_end_ns / 1000.0
-            elif ph == "i":
-                event["s"] = "t"
-            if args is not None and type(args) is not dict:
-                event["args"] = {"bytes": int(args)}
-            elif args:
-                event["args"] = args
-            yield event
-            if ph == "B":
-                yield {"ph": "E", "pid": pid, "tid": tid, "name": name,
-                       "cat": cat, "ts": dur_or_end_ns / 1000.0}
+        tracer = self._tracer
+        series = tracer._series_ids
+        event = tracer._event
+        rows = iter(tracer._rows)
+        for code, ts_ns, dur_or_end_ns, args in zip(rows, rows, rows, rows):
+            yield event(code, ts_ns, dur_or_end_ns, args)
+            if series[code][0] == "B":
+                yield event(code, ts_ns, dur_or_end_ns, args, end=True)
 
 
 class Tracer:
@@ -112,9 +132,18 @@ class Tracer:
         self.budget = budget if budget is not None else TraceBudget()
         self.pid_base = pid_base
         self.label = label
-        self._records: List[tuple] = []
+        #: one row of _WIDTH int64 fields per record (module docstring).
+        self._rows = array("q")
         #: how many records are spans (each is two events).
         self._spans = 0
+        #: (ph, node_id, track, name, cat) -> series code, first-use order.
+        self._series: Dict[tuple, int] = {}
+        #: series code -> (ph, pid, tid, name, cat).
+        self._series_ids: List[Tuple[str, int, int, str, str]] = []
+        #: the dict ``args`` recorded, by the index their rows encode.
+        self._arg_dicts: List[Dict[str, Any]] = []
+        #: (rows, first event index of each row) for indexing, cached.
+        self._firsts: Tuple[int, Optional[np.ndarray]] = (0, None)
         #: (node_id, track) -> (pid, tid); tids count up in first-use order.
         self._ids: Dict[Tuple[int, str], Tuple[int, int]] = {}
         self._pids: Dict[int, str] = {}
@@ -137,26 +166,48 @@ class Tracer:
         pid = self.pid_base + node_id
         self._pids[pid] = f"{self.label}/{name}" if self.label else name
 
-    def _resolve(self, node_id: int, track: str) -> Tuple[int, int]:
-        """Name ``node_id``'s process and ``track``'s thread on first use."""
-        pid = self.pid_base + node_id
-        if pid not in self._pids:
-            name = f"{self.label}/node{node_id}" if self.label else f"node{node_id}"
-            self._pids[pid] = name
-        ids = self._ids[(node_id, track)] = (pid, len(self._ids) + 1)
-        return ids
+    def _new_series(self, ph: str, node_id: int, track: str, name: str,
+                    cat: str) -> int:
+        """Intern a series, naming ``node_id``'s process and ``track``'s
+        thread on their first use."""
+        ids = self._ids.get((node_id, track))
+        if ids is None:
+            pid = self.pid_base + node_id
+            if pid not in self._pids:
+                self._pids[pid] = (f"{self.label}/node{node_id}"
+                                   if self.label else f"node{node_id}")
+            ids = self._ids[(node_id, track)] = (pid, len(self._ids) + 1)
+        code = self._series[(ph, node_id, track, name, cat)] = len(
+            self._series_ids)
+        self._series_ids.append((ph, ids[0], ids[1], name, cat))
+        return code
+
+    def _arg(self, args: Any) -> int:
+        """``args`` other than ``None`` or an int ``>= 0`` as its row
+        field (module docstring); a negative byte count is kept as the
+        dict it renders to."""
+        if type(args) is not dict:
+            count = int(args)
+            if count >= 0:
+                return count
+            args = {"bytes": count}
+        elif not args:
+            return -1
+        self._arg_dicts.append(args)
+        return -1 - len(self._arg_dicts)
 
     # -- emission ---------------------------------------------------------
 
     def complete(self, node_id: int, track: str, name: str, start_ns: int,
                  dur_ns: int, cat: str = "", args: Any = None) -> None:
         """One ``X`` span with explicit start and duration."""
-        ids = self._ids.get((node_id, track))
-        if ids is None:
-            ids = self._resolve(node_id, track)
+        code = self._series.get(("X", node_id, track, name, cat))
+        if code is None:
+            code = self._new_series("X", node_id, track, name, cat)
         if self.budget.take():
-            self._records.append(
-                ("X", ids[0], ids[1], name, cat, start_ns, dur_ns, args))
+            if type(args) is not int or args < 0:
+                args = -1 if args is None else self._arg(args)
+            self._rows.frombytes(_row(code, start_ns, dur_ns, args))
 
     def span(self, node_id: int, track: str, name: str, start_ns: int,
              end_ns: int, cat: str = "", args: Any = None) -> None:
@@ -168,23 +219,57 @@ class Tracer:
         """
         if not self.budget.take(2):
             return
-        ids = self._ids.get((node_id, track))
-        if ids is None:
-            ids = self._resolve(node_id, track)
+        code = self._series.get(("B", node_id, track, name, cat))
+        if code is None:
+            code = self._new_series("B", node_id, track, name, cat)
         self._spans += 1
-        self._records.append(
-            ("B", ids[0], ids[1], name, cat, start_ns, end_ns, args))
+        if type(args) is not int or args < 0:
+            args = -1 if args is None else self._arg(args)
+        self._rows.frombytes(_row(code, start_ns, end_ns, args))
 
     def instant(self, node_id: int, track: str, name: str,
                 ts_ns: Optional[int] = None, cat: str = "",
                 args: Any = None) -> None:
-        ids = self._ids.get((node_id, track))
-        if ids is None:
-            ids = self._resolve(node_id, track)
+        code = self._series.get(("i", node_id, track, name, cat))
+        if code is None:
+            code = self._new_series("i", node_id, track, name, cat)
         ts = self.sim.now if ts_ns is None else ts_ns
         if self.budget.take():
-            self._records.append(
-                ("i", ids[0], ids[1], name, cat, ts, None, args))
+            if type(args) is not int or args < 0:
+                args = -1 if args is None else self._arg(args)
+            self._rows.frombytes(_row(code, ts, 0, args))
+
+    # -- reading ----------------------------------------------------------
+
+    def _event(self, code: int, ts_ns: int, dur_or_end_ns: int, args: int,
+               end: bool = False) -> Dict[str, Any]:
+        """The Chrome dict of one row (of its ``E`` half when ``end``)."""
+        ph, pid, tid, name, cat = self._series_ids[code]
+        if end:
+            return {"ph": "E", "pid": pid, "tid": tid, "name": name,
+                    "cat": cat, "ts": dur_or_end_ns / 1000.0}
+        event = {"ph": ph, "pid": pid, "tid": tid, "name": name, "cat": cat,
+                 "ts": ts_ns / 1000.0}
+        if ph == "X":
+            event["dur"] = dur_or_end_ns / 1000.0
+        elif ph == "i":
+            event["s"] = "t"
+        if args >= 0:
+            event["args"] = {"bytes": args}
+        elif args != -1:
+            event["args"] = self._arg_dicts[-2 - args]
+        return event
+
+    def _first_events(self) -> np.ndarray:
+        """The event index of each row's first event (a span's ``B``)."""
+        rows, firsts = self._firsts
+        if firsts is None or rows != len(self._rows):
+            spans = np.array([ph == "B" for ph, *_ in self._series_ids],
+                             dtype=np.int64)
+            is_span = spans[np.frombuffer(self._rows, np.int64)[::_WIDTH]]
+            firsts = np.arange(len(is_span)) + np.cumsum(is_span) - is_span
+            self._firsts = (len(self._rows), firsts)
+        return firsts
 
     # -- export -----------------------------------------------------------
 

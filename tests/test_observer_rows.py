@@ -1,0 +1,171 @@
+"""An observed run stores its records as typed rows.
+
+The tracer and the link recorder keep each record as one fixed-width row
+of int64 fields, with every string interned to a small code, and build
+the Chrome dicts and the interval/stall tuples only when read.  These
+tests pin the byte budget of a record, that reading gives back exactly
+what was recorded, that indexing a trace renders only the rows it
+selects, and that the sanitizer's in-flight table is keyed per node.
+"""
+
+import tracemalloc
+
+import pytest
+
+from repro import Cluster, ClusterConfig, EDR
+from repro.bench.workloads import run_repartition
+from repro.sim import RatePipe, Simulator
+from repro.telemetry import TraceBudget, Tracer
+from repro.telemetry.links import FlowRecorder
+
+APPENDS = 20_000
+#: ns around one simulated second, so no value is a cached small int.
+T0 = 10**9
+
+
+def bytes_per_record(make, record):
+    """Traced bytes one more record costs, over :data:`APPENDS` calls
+    (after a first call, so interning a string is not counted)."""
+    sink = make()
+    record(sink, 0)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for i in range(1, APPENDS + 1):
+            record(sink, T0 + 1000 * i)
+        after = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    return (after - before) / APPENDS
+
+
+def tracer():
+    return Tracer(Simulator(), TraceBudget(10 * APPENDS))
+
+
+def recorder():
+    return FlowRecorder(Simulator(), TraceBudget(10 * APPENDS))
+
+
+PIPE = RatePipe(Simulator(), 1.0)
+
+
+def pipe_interval(links, t):
+    PIPE._busy_until = t
+    links.pipe("egress", 3, PIPE, 4096 + t % 5000, 0, 0, t // 1000)
+
+
+@pytest.mark.parametrize("make, record", [
+    (tracer, lambda tr, t: tr.span(0, "egress", "tx", t, t + 700, "fabric",
+                                   64 + t % 5000)),
+    (tracer, lambda tr, t: tr.complete(0, "qp1", "send", t, 700 + t % 5000,
+                                       "verbs", 64 + t % 5000)),
+    (recorder, pipe_interval),
+    (recorder, lambda links, t: links.stall(0, 1, "credit-stall", t,
+                                            700 + t % 5000)),
+], ids=["span", "complete", "pipe", "stall"])
+def test_a_record_costs_at_most_80_bytes(make, record):
+    """A tuple of boxed ints cost 152 to 240 B a record; a row of eight
+    int64 fields at most is 64."""
+    assert bytes_per_record(make, record) <= 80
+
+
+def test_trace_reads_back_what_was_recorded():
+    sim = Simulator()
+    # 7 slots: 2 spans (4), a complete, two instants; the third span
+    # lacks 2 slots and is refused whole.
+    tr = Tracer(sim, TraceBudget(7))
+    tr.name_process(5, "leaf0")
+    tr.span(0, "egress", "tx", T0, T0 + 700, "fabric", 4096)
+    tr.complete(1, "qp1", "send", T0 + 5, 300, "verbs", 65536.0)
+    tr.span(5, "p1", "hop", T0 + 10, T0 + 20, "fabric")
+    tr.instant(0, "sanitizer", "qp-state", cat="sanitizer",
+               args={"message": "m"})
+    tr.instant(1, "scheduler", "decision", ts_ns=T0 + 30, args={})
+    tr.span(0, "egress", "tx", T0 + 700, T0 + 900, "fabric", 64)
+    assert tr.budget.dropped == 2
+    assert list(tr.events) == [
+        {"ph": "B", "pid": 0, "tid": 1, "name": "tx", "cat": "fabric",
+         "ts": T0 / 1000, "args": {"bytes": 4096}},
+        {"ph": "E", "pid": 0, "tid": 1, "name": "tx", "cat": "fabric",
+         "ts": (T0 + 700) / 1000},
+        {"ph": "X", "pid": 1, "tid": 2, "name": "send", "cat": "verbs",
+         "ts": (T0 + 5) / 1000, "dur": 0.3, "args": {"bytes": 65536}},
+        {"ph": "B", "pid": 5, "tid": 3, "name": "hop", "cat": "fabric",
+         "ts": (T0 + 10) / 1000},
+        {"ph": "E", "pid": 5, "tid": 3, "name": "hop", "cat": "fabric",
+         "ts": (T0 + 20) / 1000},
+        {"ph": "i", "pid": 0, "tid": 4, "name": "qp-state",
+         "cat": "sanitizer", "ts": 0.0, "s": "t",
+         "args": {"message": "m"}},
+        {"ph": "i", "pid": 1, "tid": 5, "name": "decision", "cat": "",
+         "ts": (T0 + 30) / 1000, "s": "t"},
+    ]
+    assert len(tr.events) == 7
+    names = [e["args"]["name"] for e in tr.to_dict()["traceEvents"]
+             if e["ph"] == "M" and e["name"] == "process_name"]
+    assert names == ["node0", "node1", "leaf0"]
+
+
+def test_indexing_a_trace_renders_only_the_rows_it_selects():
+    tr = Tracer(Simulator(), TraceBudget(100_000))
+    for i in range(8_000):
+        if i % 3:
+            tr.complete(i % 4, "qp1", "send", T0 + i, 50, "verbs", i)
+        else:
+            tr.span(i % 4, "egress", "tx", T0 + i, T0 + i + 40, "fabric", i)
+    events = tr.events
+    whole = list(events)
+    assert len(whole) == len(events) >= 10_000
+    rendered = []
+    event = tr._event
+    tr._event = lambda *row, **kw: rendered.append(row) or event(*row, **kw)
+    assert events[-1] == whole[-1]
+    assert events[5:8] == whole[5:8]
+    assert events[-len(whole)] == whole[0]
+    assert [events[i] for i in range(0, len(whole), 997)] == whole[::997]
+    assert len(rendered) == 1 + 3 + 1 + len(whole[::997])
+    with pytest.raises(IndexError):
+        events[len(whole)]
+    with pytest.raises(IndexError):
+        events[-len(whole) - 1]
+
+
+def test_link_records_read_back_and_extend_as_tuples():
+    sim = Simulator()
+    links = FlowRecorder(sim, TraceBudget(4))
+    pipe = RatePipe(sim, 1.0)
+    pipe._busy_until = T0 + 40
+    links.pipe("proc", 2, pipe, 300, 2_000, 700, 11)
+    links.pipe("trunk", "leaf0:p1", pipe, 4096)
+    links.stall(2, 7, "credit-stall", T0, 500)
+    links.stall(2, -1, "rnr-stall", T0 + 9, 0)  # zero: not a record
+    links.stall(3, 1, "data-wait", T0 + 3, 60)
+    links.stall(3, 1, "free-wait", T0 + 4, 70)
+    links.pipe("egress", 0, pipe, 64)  # over budget
+    assert links.truncated and links.dropped_records == 2
+    pipes = [("proc", 2, T0 + 40, 300, 2_000, 700, T0 + 40, 11),
+             ("trunk", "leaf0:p1", T0 + 40, 4096, 0, 0, T0 + 40, 0)]
+    stalls = [(2, 7, "credit-stall", T0, 500), (3, 1, "data-wait", T0 + 3, 60)]
+    assert list(links.pipes) == pipes and list(links.stalls) == stalls
+    assert links.pipes[-1] == pipes[-1] and links.stalls[:1] == stalls[:1]
+
+    copy = FlowRecorder(sim)
+    copy.pipes.extend(links.pipes)
+    copy.stalls.extend(stalls + [(0, 0, "free-wait", 5, 6)])
+    copy.pipes.extend([("ingress", -4, 1, 2, 3, 4, 5, 6)])
+    assert list(copy.pipes) == pipes + [("ingress", -4, 1, 2, 3, 4, 5, 6)]
+    assert list(copy.stalls) == stalls + [(0, 0, "free-wait", 5, 6)]
+    with pytest.raises(ValueError):
+        copy.stalls.extend([(0, 0, "free-wait", 5)])
+
+
+def test_sanitizer_counts_in_flight_per_node_by_address():
+    cluster = Cluster(ClusterConfig(network=EDR, num_nodes=4))
+    san = cluster.enable_sanitizer()
+    run_repartition(cluster, "MESQ/SR", bytes_per_node=1 << 20)
+    assert not san.violations
+    assert san._by_node and all(
+        type(node) is int and all(type(addr) is int for addr in counts)
+        for node, counts in san._by_node.items())
+    assert len(san._inflight) == sum(map(len, san._by_node.values()))
