@@ -127,6 +127,15 @@ class Point:
     #: build the stage's connections and stop (fig12).
     setup_only: bool = False
 
+    def __post_init__(self):
+        if self.pattern not in ("repartition", "broadcast"):
+            raise ValueError(f"pattern must be 'repartition' or "
+                             f"'broadcast', got {self.pattern!r}")
+        if (not callable(self.volume) and self.volume <= 0
+                and not self.setup_only):
+            raise ValueError(f"volume must be positive bytes per node, "
+                             f"got {self.volume}")
+
 
 @dataclass(frozen=True)
 class Measurement:

@@ -123,6 +123,11 @@ class NetworkConfig:
     #: probability that a UD packet is lost (bit errors; rare, default 0).
     ud_loss_probability: float = 0.0
 
+    def __post_init__(self):
+        if not self.link_bytes_per_ns > 0:
+            raise ValueError(f"link_bytes_per_ns must be positive, "
+                             f"got {self.link_bytes_per_ns}")
+
     @property
     def page_size(self) -> int:
         return 4096

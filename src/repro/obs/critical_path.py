@@ -9,7 +9,9 @@ holds by construction, not by fixup.
 The algorithm is a single sweep over all recorded resource intervals
 and endpoint stalls (the pipe and stall rows of
 :class:`~repro.telemetry.links.FlowRecorder`, read as int64 columns in
-place through ``np.frombuffer``, kinds compared as their codes).  At any
+place through ``np.frombuffer``, kinds compared as their codes; the
+window's remainder bounds and :func:`critical_path` read the flow rows
+the same way).  At any
 instant several explanations can be active at once — a QP-cache miss is
 being charged on one NIC while a trunk is congested and a sender sits in
 a credit stall.  Ranking them would require a full causal closure;
@@ -43,7 +45,7 @@ slowing the sender down, and charging it would double-count the cause.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List
 
 import numpy as np
 
@@ -92,10 +94,13 @@ def _flow_bounds(recorder: FlowRecorder, t0: int, t1: int):
 
     With no WR ever posted the whole window is setup work (fig12-style
     connection-establishment runs)."""
-    flows = recorder.flows.values()
-    first_post = min((flow.posted_ns for flow in flows), default=t1)
-    last_delivery = max((flow.delivered_ns for flow in flows
-                         if flow.delivered_ns is not None), default=t1)
+    flows = recorder.flows.columns()
+    first_post = last_delivery = t1
+    if len(flows):
+        first_post = int(flows[:, 4].min())
+        delivered = int(flows[:, 5].max())
+        if delivered >= 0:
+            last_delivery = delivered
     return (max(t0, min(first_post, t1)),
             max(t0, min(last_delivery, t1)))
 
@@ -212,32 +217,29 @@ def critical_path(recorder: FlowRecorder) -> List[Dict[str, Any]]:
     run's critical path; the attribution above explains the time *between*
     its links.
     """
-    last: Optional[int] = None
-    last_t = -1
-    for flow in recorder.flows.values():
-        if flow.delivered_ns is not None and flow.delivered_ns > last_t:
-            last_t = flow.delivered_ns
-            last = flow.id
+    flows = recorder.flows.columns()
     chain: List[Dict[str, Any]] = []
+    if not len(flows) or flows[:, 5].max() < 0:
+        return chain
+    names = recorder.codes.names
     seen = set()
-    cursor = last
-    while cursor and cursor not in seen and len(chain) < CRITICAL_PATH_LINKS:
+    # argmax takes the first of equal delivery times, in id order.
+    cursor = int(flows[:, 5].argmax()) + 1
+    while (0 < cursor <= len(flows) and cursor not in seen
+           and len(chain) < CRITICAL_PATH_LINKS):
         seen.add(cursor)
-        flow = recorder.flows.get(cursor)
-        if flow is None:
-            break
-        nxt = flow.trigger or flow.prev
+        kind, src, dst, size, posted, delivered, prev, trigger = (
+            flows[cursor - 1].tolist())
         chain.append({
-            "flow": flow.id,
-            "kind": flow.kind,
-            "src": flow.src,
-            "dst": flow.dst,
-            "size": flow.size,
-            "posted_ns": flow.posted_ns,
-            "delivered_ns": flow.delivered_ns,
-            "edge": ("trigger" if flow.trigger and nxt == flow.trigger
-                     else "prev"),
+            "flow": cursor,
+            "kind": names[kind],
+            "src": src,
+            "dst": dst,
+            "size": size,
+            "posted_ns": posted,
+            "delivered_ns": None if delivered < 0 else delivered,
+            "edge": "trigger" if trigger else "prev",
         })
-        cursor = nxt
+        cursor = trigger or prev
     chain.reverse()
     return chain

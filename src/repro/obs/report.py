@@ -18,6 +18,8 @@ from __future__ import annotations
 
 from typing import Any, Dict, List
 
+import numpy as np
+
 from repro.obs.critical_path import CATEGORIES, attribute, critical_path
 from repro.telemetry.metrics import latency_summary
 
@@ -56,11 +58,10 @@ def build_run_report(telemetry) -> Dict[str, Any]:
             "Cluster.enable_reporting() (or Telemetry.enable_links()) "
             "before building endpoints")
 
-    latencies = [
-        flow.delivered_ns - flow.posted_ns
-        for flow in links.flows.values()
-        if flow.kind in _LATENCY_KINDS and flow.delivered_ns is not None
-    ]
+    flows = links.flows.columns()
+    kinds = [links.codes.get(kind, -1) for kind in _LATENCY_KINDS]
+    latency = np.isin(flows[:, 0], kinds) & (flows[:, 5] >= 0)
+    latencies = (flows[latency, 5] - flows[latency, 4]).tolist()
     snapshot = telemetry.snapshot()
     sanitizer = telemetry.sanitizer
     if sanitizer is None:

@@ -5,11 +5,14 @@ for what".  While a :class:`FlowRecorder` is installed (see
 ``Telemetry.enable_links`` / ``Cluster.enable_reporting``), three kinds
 of record accumulate:
 
-* **flows** — one per posted work request, forming the causal DAG: the
-  ``prev`` edge chains WRs on the same QP (FIFO order), the ``trigger``
-  edge points from a credit-return WR back to the data flow whose buffer
-  release produced it.  Posting and delivery timestamps give per-message
-  latencies.
+* **flows** — one per posted work request, forming the causal DAG, read
+  as the tuple ``(kind, src, dst, size, posted_ns, delivered_ns, prev,
+  trigger)``: flow id ``i`` is row ``i - 1``; the ``prev`` edge chains
+  WRs on the same QP (FIFO order), the ``trigger`` edge points from a
+  credit-return WR back to the data flow whose buffer release produced
+  it (``0``: no edge).  Posting and delivery timestamps give
+  per-message latencies; ``delivered_ns`` is ``-1`` until delivery
+  stamps it in place.
 * **pipe intervals** — every resource-occupancy interval of a NIC
   processor, host link, or switch trunk, read as the tuple
   ``(kind, owner, start, base_ns, penalty_ns, extra_ns, waited_ns,
@@ -25,13 +28,14 @@ of record accumulate:
   ``free-wait``, ``data-wait``, ``rnr-stall``), read as the tuple
   ``(node, ep, kind, start, duration)``.
 
-Intervals and stalls are stored as :class:`RecordRows`: one flat
-``array("q")`` per stream, a fixed-width row of int64 fields per record
-(64 bytes an interval, 40 a stall), with each kind and owner stored as
-its code in the recorder's :class:`Codes`.  A hook appends its row in
-one call (``frombytes`` of a packed struct); reading the streams back
-builds the tuples, and :meth:`RecordRows.columns` gives the analyzer
-the numeric columns without copying.
+Each stream is a :class:`RecordRows`: one flat ``array("q")``, a
+fixed-width row of int64 fields per record (64 bytes a flow or an
+interval, 40 a stall), with each kind and owner stored as its code in
+the recorder's :class:`Codes`.  A hook appends its row in one call
+(``frombytes`` of a packed struct).  The streams iterate as the tuples
+above and :meth:`RecordRows.extend` takes them;
+:meth:`RecordRows.columns` gives the analyzer the numeric columns
+without copying.
 
 Recording is append-only and never touches the event heap, RNG, or any
 process state, so enabling it cannot perturb simulated time — the same
@@ -45,43 +49,22 @@ from __future__ import annotations
 
 import struct
 from array import array
-from collections.abc import Sequence
 from typing import Any, Dict, Iterable, Iterator, List, Optional, Tuple
 
 import numpy as np
 
 from repro.telemetry.trace import TraceBudget
 
-__all__ = ["Codes", "FlowRecord", "FlowRecorder", "RecordRows",
+__all__ = ["Codes", "FlowRecorder", "RecordRows",
            "DEFAULT_LINK_RECORDS"]
 
 #: default budget for link records (flows + intervals + stalls combined).
 DEFAULT_LINK_RECORDS = 2_000_000
 
-#: one interval / stall row as bytes, appended with ``data.frombytes``.
-_pipe_row = struct.Struct("8q").pack
-_stall_row = struct.Struct("5q").pack
-
-
-class FlowRecord:
-    """One message lifecycle: WR post through delivery."""
-
-    __slots__ = ("id", "kind", "src", "dst", "size", "posted_ns",
-                 "delivered_ns", "prev", "trigger")
-
-    def __init__(self, flow_id: int, kind: str, src: int, dst: int,
-                 size: int, posted_ns: int, prev: int, trigger: int):
-        self.id = flow_id
-        self.kind = kind
-        self.src = src
-        self.dst = dst
-        self.size = size
-        self.posted_ns = posted_ns
-        self.delivered_ns: Optional[int] = None
-        #: previous flow posted on the same QP (FIFO predecessor).
-        self.prev = prev
-        #: data flow whose buffer release caused this (credit) flow.
-        self.trigger = trigger
+#: one flow or interval row / one stall row as bytes, appended with
+#: ``data.frombytes``.
+_row8 = struct.Struct("8q").pack
+_row5 = struct.Struct("5q").pack
 
 
 class Codes(Dict[Any, int]):
@@ -100,12 +83,11 @@ class Codes(Dict[Any, int]):
         return code
 
 
-class RecordRows(Sequence):
+class RecordRows:
     """One append-only record stream as fixed-width int64 rows.
 
-    It reads as a sequence of tuples and :meth:`extend` takes the same
-    tuples; the fields at ``coded`` are stored as their :class:`Codes`
-    code.
+    It iterates as tuples and :meth:`extend` takes the same tuples; the
+    fields at ``coded`` are stored as their :class:`Codes` code.
     """
 
     __slots__ = ("data", "width", "_codes", "_coded")
@@ -119,16 +101,6 @@ class RecordRows(Sequence):
 
     def __len__(self) -> int:
         return len(self.data) // self.width
-
-    def __getitem__(self, index):
-        if isinstance(index, slice):
-            return [self[i] for i in range(*index.indices(len(self)))]
-        if index < 0:
-            index += len(self)
-        if not 0 <= index < len(self):
-            raise IndexError("record index out of range")
-        width = self.width
-        return self._decode(self.data[index * width:(index + 1) * width])
 
     def __iter__(self) -> Iterator[tuple]:
         rows = iter(self.data)
@@ -167,9 +139,9 @@ class FlowRecorder:
         self.sim = sim
         self.budget = budget if budget is not None else TraceBudget(
             DEFAULT_LINK_RECORDS)
-        self.flows: Dict[int, FlowRecord] = {}
         #: the kinds and owners the records hold.
         self.codes = Codes()
+        self.flows = RecordRows(self.codes, 8, coded=(0,))
         self.pipes = RecordRows(self.codes, 8, coded=(0, 1))
         self.stalls = RecordRows(self.codes, 5, coded=(2,))
         #: set when the budget ran dry and records were dropped.
@@ -178,7 +150,6 @@ class FlowRecorder:
         #: before returning credit; consumed by the next new_flow() on the
         #: same synchronous call chain (release -> post credit -> post_send).
         self.pending_trigger = 0
-        self._next_flow = 1
         #: id(buffer) -> data flow last delivered into that buffer.
         self._buffer_flow: Dict[int, int] = {}
 
@@ -192,17 +163,15 @@ class FlowRecorder:
         if not self.budget.take(1):
             self.truncated = True
             return 0
-        flow_id = self._next_flow
-        self._next_flow += 1
-        self.flows[flow_id] = FlowRecord(flow_id, kind, src, dst, size,
-                                         self.sim.now, prev, trigger)
-        return flow_id
+        self.flows.data.frombytes(_row8(
+            self.codes[kind], src, dst, size, self.sim.now, -1, prev,
+            trigger))
+        return len(self.flows)
 
     def on_deliver(self, flow: int, buf=None) -> None:
-        """Stamp delivery time; remember which buffer now holds the flow."""
-        record = self.flows.get(flow)
-        if record is not None:
-            record.delivered_ns = self.sim.now
+        """Stamp delivery time of ``flow`` (an id :meth:`new_flow`
+        returned, not 0); remember which buffer now holds it."""
+        self.flows.data[(flow - 1) * 8 + 5] = self.sim.now
         if buf is not None:
             self._buffer_flow[id(buf)] = flow
 
@@ -228,7 +197,7 @@ class FlowRecorder:
         if start < now:
             start = now
         codes = self.codes
-        self.pipes.data.frombytes(_pipe_row(
+        self.pipes.data.frombytes(_row8(
             codes[kind], codes[owner], start, base_ns, penalty_ns, extra_ns,
             start - now, flow))
 
@@ -239,8 +208,8 @@ class FlowRecorder:
         if not self.budget.take(1):
             self.truncated = True
             return
-        self.stalls.data.frombytes(_stall_row(node, ep, self.codes[kind],
-                                              start, duration))
+        self.stalls.data.frombytes(_row5(node, ep, self.codes[kind],
+                                         start, duration))
 
     # -- accounting --------------------------------------------------------
 

@@ -28,7 +28,7 @@ so a row costs 32 bytes however long its strings; ``ph`` ``"B"`` is a
 whole span.  ``args`` is ``-1`` for none, ``n >= 0`` for a byte count
 (rendered ``{"bytes": n}``) and ``-2 - i`` for the ``i``-th recorded
 dict.  The Chrome dicts are built only when :attr:`Tracer.events` is
-read; indexing it renders one row.
+iterated.
 
 A shared :class:`TraceBudget` bounds the total event count across every
 tracer of a session, so ``repro-bench --trace`` on a full-scale figure
@@ -41,11 +41,8 @@ from __future__ import annotations
 import json
 import struct
 from array import array
-from collections.abc import Sequence
 from typing import (TYPE_CHECKING, Any, Dict, Iterable, Iterator, List,
                     Optional, Tuple)
-
-import numpy as np
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.sim import Simulator
@@ -77,10 +74,10 @@ _WIDTH = 4
 _row = struct.Struct(f"{_WIDTH}q").pack
 
 
-class TraceEvents(Sequence):
+class TraceEvents:
     """A tracer's events, read-only: ``len()`` counts a span as two
-    events and builds nothing; iterating renders the Chrome event dicts,
-    indexing renders only the rows it selects."""
+    events and builds nothing; iterating renders the Chrome event
+    dicts."""
 
     __slots__ = ("_tracer",)
 
@@ -89,23 +86,6 @@ class TraceEvents(Sequence):
 
     def __len__(self) -> int:
         return len(self._tracer._rows) // _WIDTH + self._tracer._spans
-
-    def __getitem__(self, index):
-        if isinstance(index, slice):
-            return [self[i] for i in range(*index.indices(len(self)))]
-        count = len(self)
-        if index < 0:
-            index += count
-        if not 0 <= index < count:
-            raise IndexError("trace event index out of range")
-        tracer = self._tracer
-        row, end = index, False
-        if tracer._spans:
-            firsts = tracer._first_events()
-            row = int(np.searchsorted(firsts, index, side="right")) - 1
-            end = index != firsts[row]
-        return tracer._event(*tracer._rows[row * _WIDTH:(row + 1) * _WIDTH],
-                             end=end)
 
     def __iter__(self) -> Iterator[Dict[str, Any]]:
         tracer = self._tracer
@@ -142,8 +122,6 @@ class Tracer:
         self._series_ids: List[Tuple[str, int, int, str, str]] = []
         #: the dict ``args`` recorded, by the index their rows encode.
         self._arg_dicts: List[Dict[str, Any]] = []
-        #: (rows, first event index of each row) for indexing, cached.
-        self._firsts: Tuple[int, Optional[np.ndarray]] = (0, None)
         #: (node_id, track) -> (pid, tid); tids count up in first-use order.
         self._ids: Dict[Tuple[int, str], Tuple[int, int]] = {}
         self._pids: Dict[int, str] = {}
@@ -259,17 +237,6 @@ class Tracer:
         elif args != -1:
             event["args"] = self._arg_dicts[-2 - args]
         return event
-
-    def _first_events(self) -> np.ndarray:
-        """The event index of each row's first event (a span's ``B``)."""
-        rows, firsts = self._firsts
-        if firsts is None or rows != len(self._rows):
-            spans = np.array([ph == "B" for ph, *_ in self._series_ids],
-                             dtype=np.int64)
-            is_span = spans[np.frombuffer(self._rows, np.int64)[::_WIDTH]]
-            firsts = np.arange(len(is_span)) + np.cumsum(is_span) - is_span
-            self._firsts = (len(self._rows), firsts)
-        return firsts
 
     # -- export -----------------------------------------------------------
 

@@ -1,5 +1,6 @@
 """Tests for the benchmark harness: workloads, report, experiments, CLI."""
 
+import dataclasses
 import inspect
 import json
 
@@ -21,6 +22,7 @@ from repro.bench.workloads import (
 from repro.bench.experiments import (
     ALL_EXPERIMENTS,
     Options,
+    Point,
     _scaleout_volume,
     table1,
 )
@@ -213,6 +215,25 @@ class TestExperiments:
         then die on an empty aggressor list."""
         with pytest.raises(ValueError, match=f"^{message}"):
             Options(**bad)
+
+    @pytest.mark.parametrize("build, field", [
+        (lambda: Point("MESQ/SR", MIB, pattern="bogus"), "pattern"),
+        (lambda: Point("MESQ/SR"), "volume"),
+        (lambda: Point("MESQ/SR", -MIB), "volume"),
+        (lambda: dataclasses.replace(EDR, link_bytes_per_ns=0.0),
+         "link_bytes_per_ns"),
+    ], ids=["pattern", "zero-volume", "negative-volume", "link-rate"])
+    def test_bad_point_fails_at_construction(self, build, field):
+        """An unknown pattern used to run a broadcast, a zero volume to
+        report GiB/s for no bytes, and a zero link rate to fail mid-run
+        with an error that named no field."""
+        with pytest.raises(ValueError, match=f"^{field} must be"):
+            build()
+
+    def test_point_volume_exceptions(self):
+        """fig12 builds connections only; a policy sizes its own run."""
+        assert Point("MESQ/SR", setup_only=True).volume == 0
+        assert Point("MESQ/SR", lambda cluster: MIB).volume(None) == MIB
 
     def test_cli_nodes_rejects_degenerate_cluster(self):
         with pytest.raises(SystemExit):

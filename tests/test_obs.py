@@ -242,16 +242,16 @@ class TestRecordingIsInvisible:
                              ud_window_factor=1)
         run_repartition(cluster, "MESQ/SR", bytes_per_node=8 << 20,
                         config=cfg)
-        links = cluster.telemetry.links
-        kinds = {f.kind for f in links.flows.values()}
+        flows = list(cluster.telemetry.links.flows)
+        kinds = {kind for kind, *_ in flows}
         assert "data" in kinds and "credit" in kinds
         # Credit flows carry a trigger edge back to the data flow whose
-        # buffer release produced them.
-        triggered = [f for f in links.flows.values()
-                     if f.kind == "credit" and f.trigger]
-        assert triggered
-        for flow in triggered:
-            assert links.flows[flow.trigger].kind == "data"
+        # buffer release produced them (flow id i is row i - 1).
+        triggers = [trigger for kind, *_, trigger in flows
+                    if kind == "credit" and trigger]
+        assert triggers
+        for trigger in triggers:
+            assert flows[trigger - 1][0] == "data"
 
     def test_critical_path_ends_at_last_delivery(self):
         cluster = Cluster(ClusterConfig(network=EDR, num_nodes=2))
@@ -260,8 +260,8 @@ class TestRecordingIsInvisible:
         links = cluster.telemetry.links
         chain = critical_path(links)
         assert chain
-        last_delivery = max(f.delivered_ns for f in links.flows.values()
-                            if f.delivered_ns is not None)
+        # delivered_ns is field 5, -1 for a flow never delivered.
+        last_delivery = max(flow[5] for flow in links.flows)
         assert chain[-1]["delivered_ns"] == last_delivery
         # Oldest-first: post times never move backwards along the chain.
         posts = [link["posted_ns"] for link in chain]

@@ -1,12 +1,14 @@
 """The flat observer records against the object-per-record originals.
 
-The tracer keeps one tuple per call and the link recorder one tuple per
-pipe interval or stall; Chrome event dicts and the attribution sweep are
-built from them only when read.  The reference functions below are the
-earlier implementations — a dict per trace event, an object per link
-record swept by a per-interval closure — kept, like
+The tracer keeps one row per call and the link recorder one row per
+flow, pipe interval or stall; Chrome event dicts, the attribution sweep,
+the critical path and the latency list are built from them only when
+read.  The reference functions below are the earlier implementations —
+a dict per trace event, an object per link record swept by a
+per-interval closure or walked in Python — kept, like
 ``tests/test_engine.py::TestKernelOracle`` keeps the row loops, so the
-exported trace and the attribution are required to be identical.
+exported trace, the attribution, the critical path and the latencies
+are required to be identical.
 """
 
 import json
@@ -16,10 +18,10 @@ from hypothesis import strategies as st
 
 from repro import Cluster, ClusterConfig, EDR
 from repro.bench.workloads import run_repartition
-from repro.obs.critical_path import CATEGORIES, attribute
+from repro.obs.critical_path import CATEGORIES, attribute, critical_path
+from repro.obs.report import build_run_report
 from repro.sim import Simulator
-from repro.telemetry import TraceBudget, Tracer
-from repro.telemetry.links import FlowRecord, FlowRecorder
+from repro.telemetry import Telemetry, TraceBudget, Tracer, latency_summary
 
 
 # -- reference tracer: one dict per event, built at emission --------------
@@ -168,6 +170,29 @@ class ReferenceStall:
         self.duration = duration
 
 
+class ReferenceFlow:
+    __slots__ = ("id", "kind", "src", "dst", "size", "posted_ns",
+                 "delivered_ns", "prev", "trigger")
+
+    def __init__(self, flow_id, kind, src, dst, size, posted_ns,
+                 delivered_ns, prev, trigger):
+        self.id = flow_id
+        self.kind = kind
+        self.src = src
+        self.dst = dst
+        self.size = size
+        self.posted_ns = posted_ns
+        self.delivered_ns = None if delivered_ns == -1 else delivered_ns
+        self.prev = prev
+        self.trigger = trigger
+
+
+def reference_flows(recorder):
+    """Flow id -> one object per flow, as the recorder kept them."""
+    return {i: ReferenceFlow(i, *flow)
+            for i, flow in enumerate(recorder.flows, start=1)}
+
+
 _STALL_PRIO = {"credit-stall": 5, "rnr-stall": 5, "free-wait": 6}
 _NUM_PRIOS = 7
 
@@ -177,7 +202,7 @@ def reference_flow_bounds(recorder, t0, t1):
     last_delivery = t0
     any_post = False
     any_delivery = False
-    for flow in recorder.flows.values():
+    for flow in reference_flows(recorder).values():
         any_post = True
         if flow.posted_ns < first_post:
             first_post = flow.posted_ns
@@ -276,6 +301,46 @@ def reference_attribute(recorder, t0, t1):
     }
 
 
+def reference_critical_path(recorder):
+    flows = reference_flows(recorder)
+    last = None
+    last_t = -1
+    for flow in flows.values():
+        if flow.delivered_ns is not None and flow.delivered_ns > last_t:
+            last_t = flow.delivered_ns
+            last = flow.id
+    chain = []
+    seen = set()
+    cursor = last
+    while cursor and cursor not in seen and len(chain) < 32:
+        seen.add(cursor)
+        flow = flows.get(cursor)
+        if flow is None:
+            break
+        nxt = flow.trigger or flow.prev
+        chain.append({
+            "flow": flow.id,
+            "kind": flow.kind,
+            "src": flow.src,
+            "dst": flow.dst,
+            "size": flow.size,
+            "posted_ns": flow.posted_ns,
+            "delivered_ns": flow.delivered_ns,
+            "edge": ("trigger" if flow.trigger and nxt == flow.trigger
+                     else "prev"),
+        })
+        cursor = nxt
+    chain.reverse()
+    return chain
+
+
+def reference_latencies(recorder):
+    return [flow.delivered_ns - flow.posted_ns
+            for flow in reference_flows(recorder).values()
+            if flow.kind in ("data", "read")
+            and flow.delivered_ns is not None]
+
+
 # -- tracer oracle ----------------------------------------------------------
 
 #: (method, tracer index, node, track, name, start, length, args); a span's
@@ -359,18 +424,36 @@ stall_records = st.lists(st.tuples(
 ), max_size=12)
 flow_records = st.lists(st.tuples(ns, st.one_of(st.none(), ns)),
                         max_size=6)
+#: (kind, src, dst, size, posted, delivered or None, prev, trigger): small
+#: ranges make delivery ties and edges to 0, to a flow itself, to a later
+#: flow (cycles) and past the last flow common.
+flow_dags = st.lists(st.tuples(
+    st.sampled_from(["data", "read", "credit"]), st.integers(0, 3),
+    st.integers(0, 3), st.sampled_from([0, 64, 4096]), st.integers(0, 9),
+    st.one_of(st.none(), st.integers(0, 12)), st.integers(0, 9),
+    st.sampled_from([0, 0, 1, 2, 5, 9]),
+), max_size=40)
 
 
-def recorder_of(pipes, stalls, flows):
-    recorder = FlowRecorder(Simulator())
+def telemetry_of(pipes, stalls, flows):
+    """A telemetry bundle whose link recorder holds exactly ``flows``
+    (delivered ``None``: never delivered) and the given records."""
+    telemetry = Telemetry(Simulator(), 0)
+    recorder = telemetry.enable_links()
     recorder.pipes.extend(pipes)
     recorder.stalls.extend((0, 0, kind, start, duration)
                            for kind, start, duration in stalls)
-    for i, (posted, delivered) in enumerate(flows, start=1):
-        flow = FlowRecord(i, "data", 0, 1, 64, posted, 0, 0)
-        flow.delivered_ns = delivered
-        recorder.flows[i] = flow
-    return recorder
+    recorder.flows.extend(
+        (kind, src, dst, size, posted, -1 if delivered is None else
+         delivered, prev, trigger)
+        for kind, src, dst, size, posted, delivered, prev, trigger in flows)
+    return telemetry
+
+
+def recorder_of(pipes, stalls, flows):
+    return telemetry_of(pipes, stalls, [
+        ("data", 0, 1, 64, posted, delivered, 0, 0)
+        for posted, delivered in flows]).links
 
 
 class TestAttributionOracle:
@@ -387,6 +470,27 @@ class TestAttributionOracle:
         recorder = recorder_of(pipes, stalls, flows)
         assert (attribute(recorder, t0, t0 + span)
                 == reference_attribute(recorder, t0, t0 + span))
+
+
+class TestFlowOracle:
+    @given(flows=flow_dags)
+    # A delivery tie (flows 2 and 4), a self edge, a never-delivered
+    # credit flow and a trigger cycle back to the start.
+    @example(flows=[("credit", 1, 0, 0, 1, None, 3, 2),
+                    ("data", 0, 1, 64, 0, 7, 2, 3),
+                    ("data", 0, 1, 64, 2, 5, 1, 0),
+                    ("read", 1, 0, 64, 3, 7, 2, 0)])
+    # A FIFO chain longer than the 32 links a path keeps.
+    @example(flows=[("data", 0, 1, 64, i, i, i, 0) for i in range(40)])
+    @settings(deadline=None, max_examples=300)
+    def test_chain_and_latencies_equal_object_walks(self, flows):
+        telemetry = telemetry_of([], [], flows)
+        links = telemetry.links
+        chain = critical_path(links)
+        assert chain == reference_critical_path(links)
+        latency = build_run_report(telemetry)["latency_ns"]
+        assert latency == latency_summary(reference_latencies(links))
+        assert json.dumps([chain, latency])  # Python values only
 
 
 # -- end to end: a traced, reported run matches both references -----------
@@ -415,5 +519,9 @@ def test_traced_run_matches_references():
         assert len(tracer.events) == len(data) == len(reference.events) > 0
         assert json.dumps(tracer.to_dict()) == json.dumps(reference.to_dict())
         links = cluster.telemetry.links
-        assert (cluster.run_report()["attribution"]
+        report = cluster.run_report()
+        assert (report["attribution"]
                 == reference_attribute(links, 0, cluster.sim.now))
+        assert report["critical_path"] == reference_critical_path(links)
+        assert report["latency_ns"] == latency_summary(
+            reference_latencies(links))

@@ -2,10 +2,10 @@
 
 The tracer and the link recorder keep each record as one fixed-width row
 of int64 fields, with every string interned to a small code, and build
-the Chrome dicts and the interval/stall tuples only when read.  These
-tests pin the byte budget of a record, that reading gives back exactly
-what was recorded, that indexing a trace renders only the rows it
-selects, and that the sanitizer's in-flight table is keyed per node.
+the Chrome dicts and the flow/interval/stall tuples only when read.
+These tests pin the byte budget of a record, that reading gives back
+exactly what was recorded, and that the sanitizer's in-flight table is
+keyed per node.
 """
 
 import tracemalloc
@@ -63,7 +63,9 @@ def pipe_interval(links, t):
     (recorder, pipe_interval),
     (recorder, lambda links, t: links.stall(0, 1, "credit-stall", t,
                                             700 + t % 5000)),
-], ids=["span", "complete", "pipe", "stall"])
+    (recorder, lambda links, t: links.new_flow("data", 0, 1, 64 + t % 5000,
+                                               prev=t // 1000)),
+], ids=["span", "complete", "pipe", "stall", "flow"])
 def test_a_record_costs_at_most_80_bytes(make, record):
     """A tuple of boxed ints cost 152 to 240 B a record; a row of eight
     int64 fields at most is 64."""
@@ -107,30 +109,6 @@ def test_trace_reads_back_what_was_recorded():
     assert names == ["node0", "node1", "leaf0"]
 
 
-def test_indexing_a_trace_renders_only_the_rows_it_selects():
-    tr = Tracer(Simulator(), TraceBudget(100_000))
-    for i in range(8_000):
-        if i % 3:
-            tr.complete(i % 4, "qp1", "send", T0 + i, 50, "verbs", i)
-        else:
-            tr.span(i % 4, "egress", "tx", T0 + i, T0 + i + 40, "fabric", i)
-    events = tr.events
-    whole = list(events)
-    assert len(whole) == len(events) >= 10_000
-    rendered = []
-    event = tr._event
-    tr._event = lambda *row, **kw: rendered.append(row) or event(*row, **kw)
-    assert events[-1] == whole[-1]
-    assert events[5:8] == whole[5:8]
-    assert events[-len(whole)] == whole[0]
-    assert [events[i] for i in range(0, len(whole), 997)] == whole[::997]
-    assert len(rendered) == 1 + 3 + 1 + len(whole[::997])
-    with pytest.raises(IndexError):
-        events[len(whole)]
-    with pytest.raises(IndexError):
-        events[-len(whole) - 1]
-
-
 def test_link_records_read_back_and_extend_as_tuples():
     sim = Simulator()
     links = FlowRecorder(sim, TraceBudget(4))
@@ -148,7 +126,6 @@ def test_link_records_read_back_and_extend_as_tuples():
              ("trunk", "leaf0:p1", T0 + 40, 4096, 0, 0, T0 + 40, 0)]
     stalls = [(2, 7, "credit-stall", T0, 500), (3, 1, "data-wait", T0 + 3, 60)]
     assert list(links.pipes) == pipes and list(links.stalls) == stalls
-    assert links.pipes[-1] == pipes[-1] and links.stalls[:1] == stalls[:1]
 
     copy = FlowRecorder(sim)
     copy.pipes.extend(links.pipes)
@@ -158,6 +135,25 @@ def test_link_records_read_back_and_extend_as_tuples():
     assert list(copy.stalls) == stalls + [(0, 0, "free-wait", 5, 6)]
     with pytest.raises(ValueError):
         copy.stalls.extend([(0, 0, "free-wait", 5)])
+
+
+def test_flows_read_back_with_delivery_stamped_in_place():
+    sim = Simulator()
+    links = FlowRecorder(sim, TraceBudget(3))
+    sim.now = T0
+    data = links.new_flow("data", 0, 1, 4096)
+    links.pending_trigger = data
+    credit = links.new_flow("credit", 1, 0, 0, prev=7)
+    sim.now = T0 + 900
+    links.on_deliver(data, buf="slot")
+    read = links.new_flow("read", 2, 3, 64, prev=credit)
+    assert links.new_flow("data", 0, 1, 64) == 0  # over budget
+    assert (data, credit, read) == (1, 2, 3) and links.truncated
+    assert links.buffer_flow("slot") == data
+    assert list(links.flows) == [
+        ("data", 0, 1, 4096, T0, T0 + 900, 0, 0),
+        ("credit", 1, 0, 0, T0, -1, 7, data),
+        ("read", 2, 3, 64, T0 + 900, -1, credit, 0)]
 
 
 def test_sanitizer_counts_in_flight_per_node_by_address():

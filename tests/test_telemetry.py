@@ -82,7 +82,7 @@ class TestTracer:
         sim = Simulator()
         tracer = Tracer(sim, pid_base=3000, label="run3")
         tracer.complete(2, "t", "n", 0, 1)
-        event = tracer.events[0]
+        event, = tracer.events
         assert event["pid"] == 3002
         meta = tracer._metadata_events()
         assert meta[0]["args"]["name"] == "run3/node2"
