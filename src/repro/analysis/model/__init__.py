@@ -38,10 +38,7 @@ from repro.analysis.model.protocols import (
     extract_model,
     modeled_kinds,
 )
-from repro.analysis.model.trace import (
-    render_counterexample,
-    write_counterexample,
-)
+from repro.analysis.model.trace import write_counterexample
 
 __all__ = [
     "Action",
@@ -61,6 +58,5 @@ __all__ = [
     "extract_model",
     "modeled_kinds",
     "parse_bound",
-    "render_counterexample",
     "write_counterexample",
 ]

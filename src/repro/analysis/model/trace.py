@@ -15,16 +15,14 @@ the full post-state; the final instant marks the violated property.
 
 from __future__ import annotations
 
-import json
 import os
-from typing import Any, Dict
 
-from repro.telemetry.trace import TraceBudget, Tracer
+from repro.telemetry.trace import TraceBudget, Tracer, write_trace
 
 from repro.analysis.model.checker import Witness
 from repro.analysis.model.core import ProtocolModel
 
-__all__ = ["render_counterexample", "write_counterexample"]
+__all__ = ["write_counterexample"]
 
 #: synthetic duration of one protocol step, in simulated nanoseconds.
 STEP_NS = 1000
@@ -40,9 +38,8 @@ class _Clock:
         self.now = 0
 
 
-def render_counterexample(model: ProtocolModel,
-                          witness: Witness) -> Dict[str, Any]:
-    """Build the Chrome trace dict for one counterexample."""
+def _replay(model: ProtocolModel, witness: Witness) -> Tracer:
+    """A tracer holding one counterexample's steps."""
     peers = model.bound.peers
     fabric_pid = peers + 1
     tracer = Tracer(_Clock(), TraceBudget(),
@@ -80,14 +77,7 @@ def render_counterexample(model: ProtocolModel,
                    ts_ns=end_ns, cat="violation",
                    args={"message": witness.message,
                          "steps": len(witness)})
-    trace = tracer.to_dict()
-    trace["otherData"].update({
-        "model": model.name,
-        "property": witness.property,
-        "message": witness.message,
-        "counterexample_steps": len(witness),
-    })
-    return trace
+    return tracer
 
 
 def write_counterexample(model: ProtocolModel, witness: Witness,
@@ -97,6 +87,9 @@ def write_counterexample(model: ProtocolModel, witness: Witness,
     os.makedirs(directory, exist_ok=True)
     prop = witness.property.replace("/", "-")
     path = os.path.join(directory, f"{model.name}.{prop}.trace.json")
+    tracer = _replay(model, witness)
     with open(path, "w") as fh:
-        json.dump(render_counterexample(model, witness), fh, indent=None)
+        write_trace(fh, [tracer], tracer.budget.dropped, model=model.name,
+                    property=witness.property, message=witness.message,
+                    counterexample_steps=len(witness))
     return path

@@ -35,7 +35,7 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass, field
-from typing import Any, DefaultDict, Dict, List, Tuple
+from typing import Any, DefaultDict, Dict, List, Optional, Tuple
 
 from repro.memory import Buffer
 from repro.verbs.constants import QPState, QPType
@@ -140,13 +140,6 @@ class Sanitizer:
         #: produced-but-unconsumed slots per (consumer node, ring base).
         self._rings: Dict[Tuple[int, int], int] = {}
 
-    @property
-    def _inflight(self) -> Dict[Tuple[int, int], int]:
-        """The in-flight counts keyed ``(node_id, addr)``, built on read."""
-        return {(node, addr): count
-                for node, counts in self._by_node.items()
-                for addr, count in counts.items()}
-
     # -- reporting ---------------------------------------------------------
 
     def record(self, rule: str, message: str, node_id: int = -1,
@@ -227,26 +220,33 @@ class Sanitizer:
 
     # -- verbs hooks: completion queues ------------------------------------
 
-    def on_cq_push(self, cq, wc) -> None:
+    def on_cq_push(self, cq, wc) -> Tuple[Buffer, ...]:
         """Called before the CQ accepts ``wc`` (so overruns are seen even
-        though the verbs layer raises on them)."""
+        though the verbs layer raises on them); returns the buffers
+        ``wc`` carries, for a push that consumes it in place."""
         if len(cq) >= cq.depth:
             self.record(
                 "cq-overflow",
                 f"completion pushed into full CQ (depth={cq.depth})",
                 node_id=cq.node_id, depth=cq.depth)
-        for buf in _wr_id_buffers(wc.wr_id):
+        bufs = _wr_id_buffers(wc.wr_id)
+        for buf in bufs:
             if self._by_node[buf.mr.node_id].get(buf.addr) == 0:
                 self.record(
                     "cq-double-completion",
                     f"completion for buffer {buf.addr:#x} with no work "
                     f"request in flight",
                     node_id=cq.node_id, addr=buf.addr, opcode=wc.opcode.name)
+        return bufs
 
-    def on_cq_consumed(self, cq, wc) -> None:
+    def on_cq_consumed(self, cq, wc,
+                       bufs: Optional[Tuple[Buffer, ...]] = None) -> None:
         """Called when the application polls ``wc`` out of the CQ; the
-        buffer becomes reusable."""
-        for buf in _wr_id_buffers(wc.wr_id):
+        buffer becomes reusable.  ``bufs`` is what :meth:`on_cq_push`
+        returned for ``wc``, when the push consumes it."""
+        if bufs is None:
+            bufs = _wr_id_buffers(wc.wr_id)
+        for buf in bufs:
             counts = self._by_node[buf.mr.node_id]
             count = counts.get(buf.addr)
             if count:  # untracked (posted before attach) stays untracked

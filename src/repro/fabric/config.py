@@ -123,10 +123,40 @@ class NetworkConfig:
     #: probability that a UD packet is lost (bit errors; rare, default 0).
     ud_loss_probability: float = 0.0
 
+    #: fields that are latencies, costs, sizes or jitter: at least 0.
+    _NON_NEGATIVE = (
+        "switch_latency_ns", "rc_header_bytes", "ud_header_bytes",
+        "rc_ack_bytes", "nic_wr_ns", "qp_cache_miss_ns", "rc_qp_connect_ns",
+        "ud_qp_setup_ns", "ah_create_ns", "mr_register_base_ns",
+        "mr_register_ns_per_page", "cpu_scale", "hash_ns_per_tuple",
+        "copy_ns_per_byte", "post_wr_ns", "poll_cq_ns", "endpoint_send_ns",
+        "tcp_ns_per_byte", "tcp_syscall_ns", "mpi_eager_threshold",
+        "mpi_overhead_ns", "mpi_copy_ns_per_byte", "ud_jitter_ns")
+    #: fields that count something: at least 1.
+    _COUNTS = ("qp_cache_entries", "max_qp_depth", "cores_per_node")
+
     def __post_init__(self):
+        """Reject a value the simulation would fail on mid-run, or never
+        finish with, naming the field."""
         if not self.link_bytes_per_ns > 0:
             raise ValueError(f"link_bytes_per_ns must be positive, "
                              f"got {self.link_bytes_per_ns}")
+        if not 0 <= self.ud_loss_probability <= 1:
+            raise ValueError(f"ud_loss_probability must be in [0, 1], "
+                             f"got {self.ud_loss_probability}")
+        if not 0 < self.ipoib_efficiency <= 1:
+            raise ValueError(f"ipoib_efficiency must be in (0, 1], "
+                             f"got {self.ipoib_efficiency}")
+        if self.mtu < 64:
+            raise ValueError(f"mtu must be >= 64, got {self.mtu}")
+        for name in self._NON_NEGATIVE:
+            if not getattr(self, name) >= 0:
+                raise ValueError(
+                    f"{name} must be >= 0, got {getattr(self, name)}")
+        for name in self._COUNTS:
+            if getattr(self, name) < 1:
+                raise ValueError(
+                    f"{name} must be >= 1, got {getattr(self, name)}")
 
     @property
     def page_size(self) -> int:

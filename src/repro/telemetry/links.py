@@ -28,13 +28,14 @@ of record accumulate:
   ``free-wait``, ``data-wait``, ``rnr-stall``), read as the tuple
   ``(node, ep, kind, start, duration)``.
 
-Each stream is a :class:`RecordRows`: one flat ``array("q")``, a
+Each stream is a :class:`~repro.telemetry.trace.RecordRows`, the row
+store the tracer keeps its records in too: one flat ``array("q")``, a
 fixed-width row of int64 fields per record (64 bytes a flow or an
 interval, 40 a stall), with each kind and owner stored as its code in
-the recorder's :class:`Codes`.  A hook appends its row in one call
-(``frombytes`` of a packed struct).  The streams iterate as the tuples
-above and :meth:`RecordRows.extend` takes them;
-:meth:`RecordRows.columns` gives the analyzer the numeric columns
+the recorder's :class:`~repro.telemetry.trace.Codes`.  A hook appends
+its row in one call (``frombytes`` of the stream's packed row).  The
+streams iterate as the tuples above and :meth:`RecordRows.extend` takes
+them; :meth:`RecordRows.columns` gives the analyzer the numeric columns
 without copying.
 
 Recording is append-only and never touches the event heap, RNG, or any
@@ -47,90 +48,14 @@ back as id ``0``) instead of raising, and the attribution in
 
 from __future__ import annotations
 
-import struct
-from array import array
-from typing import Any, Dict, Iterable, Iterator, List, Optional, Tuple
+from typing import Dict, Optional
 
-import numpy as np
+from repro.telemetry.trace import Codes, RecordRows, TraceBudget
 
-from repro.telemetry.trace import TraceBudget
-
-__all__ = ["Codes", "FlowRecorder", "RecordRows",
-           "DEFAULT_LINK_RECORDS"]
+__all__ = ["FlowRecorder", "DEFAULT_LINK_RECORDS"]
 
 #: default budget for link records (flows + intervals + stalls combined).
 DEFAULT_LINK_RECORDS = 2_000_000
-
-#: one flow or interval row / one stall row as bytes, appended with
-#: ``data.frombytes``.
-_row8 = struct.Struct("8q").pack
-_row5 = struct.Struct("5q").pack
-
-
-class Codes(Dict[Any, int]):
-    """Interns values to small ints in first-use order: ``codes[value]``
-    is the code, ``codes.names[code]`` the value back."""
-
-    __slots__ = ("names",)
-
-    def __init__(self) -> None:
-        super().__init__()
-        self.names: List[Any] = []
-
-    def __missing__(self, name: Any) -> int:
-        code = self[name] = len(self.names)
-        self.names.append(name)
-        return code
-
-
-class RecordRows:
-    """One append-only record stream as fixed-width int64 rows.
-
-    It iterates as tuples and :meth:`extend` takes the same tuples; the
-    fields at ``coded`` are stored as their :class:`Codes` code.
-    """
-
-    __slots__ = ("data", "width", "_codes", "_coded")
-
-    def __init__(self, codes: Codes, width: int, coded: Tuple[int, ...]):
-        #: the rows, flat: record ``i`` is ``data[i * width:(i + 1) * width]``.
-        self.data = array("q")
-        self.width = width
-        self._codes = codes
-        self._coded = coded
-
-    def __len__(self) -> int:
-        return len(self.data) // self.width
-
-    def __iter__(self) -> Iterator[tuple]:
-        rows = iter(self.data)
-        for row in zip(*[rows] * self.width):
-            yield self._decode(row)
-
-    def _decode(self, row) -> tuple:
-        names = self._codes.names
-        record = list(row)
-        for i in self._coded:
-            record[i] = names[record[i]]
-        return tuple(record)
-
-    def extend(self, records: Iterable[tuple]) -> None:
-        codes = self._codes
-        for record in records:
-            if len(record) != self.width:
-                raise ValueError(f"a record has {self.width} fields, "
-                                 f"got {len(record)}")
-            row = list(record)
-            for i in self._coded:
-                row[i] = codes[row[i]]
-            self.data.extend(row)
-
-    def columns(self) -> np.ndarray:
-        """The rows as an ``(n, width)`` int64 view of :attr:`data` (no
-        copy: drop it before the stream grows again)."""
-        return np.frombuffer(self.data, dtype=np.int64).reshape(
-            -1, self.width)
-
 
 class FlowRecorder:
     """Accumulates flow/interval/stall records for one cluster run."""
@@ -163,7 +88,7 @@ class FlowRecorder:
         if not self.budget.take(1):
             self.truncated = True
             return 0
-        self.flows.data.frombytes(_row8(
+        self.flows.data.frombytes(self.flows.pack(
             self.codes[kind], src, dst, size, self.sim.now, -1, prev,
             trigger))
         return len(self.flows)
@@ -197,7 +122,7 @@ class FlowRecorder:
         if start < now:
             start = now
         codes = self.codes
-        self.pipes.data.frombytes(_row8(
+        self.pipes.data.frombytes(self.pipes.pack(
             codes[kind], codes[owner], start, base_ns, penalty_ns, extra_ns,
             start - now, flow))
 
@@ -208,8 +133,8 @@ class FlowRecorder:
         if not self.budget.take(1):
             self.truncated = True
             return
-        self.stalls.data.frombytes(_row5(node, ep, self.codes[kind],
-                                         start, duration))
+        self.stalls.data.frombytes(self.stalls.pack(
+            node, ep, self.codes[kind], start, duration))
 
     # -- accounting --------------------------------------------------------
 

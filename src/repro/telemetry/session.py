@@ -23,7 +23,7 @@ from typing import Any, Dict, List, Optional
 
 from repro.telemetry.core import Telemetry
 from repro.telemetry.links import DEFAULT_LINK_RECORDS
-from repro.telemetry.trace import TraceBudget, Tracer, trace_document
+from repro.telemetry.trace import TraceBudget, Tracer, write_trace
 
 __all__ = [
     "TelemetrySession",
@@ -176,16 +176,12 @@ class TelemetrySession:
 
     # -- tracing -----------------------------------------------------------
 
-    def trace_document(self) -> Dict[str, Any]:
-        """Merge every run's trace into one Chrome trace-event document."""
-        return trace_document(self._tracers,
-                              self.budget.dropped if self.budget else 0,
-                              runs=len(self._tracers))
-
     def export_trace(self, path: str) -> None:
-        import json
+        """Write every run's trace as one Chrome trace-event document."""
         with open(path, "w") as fh:
-            json.dump(self.trace_document(), fh)
+            write_trace(fh, self._tracers,
+                        self.budget.dropped if self.budget else 0,
+                        runs=len(self._tracers))
 
 
 def digest_snapshots(snapshots: List[Dict[str, Any]]) -> Dict[str, Any]:

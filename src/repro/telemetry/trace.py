@@ -21,14 +21,16 @@ Two span styles are used deliberately:
   where operations on one track interleave freely) emits ``X``
   *complete* events carrying their own duration.
 
-Each call appends one fixed-width row of four int64 fields to one flat
-``array("q")``: ``series, ts_ns, dur_or_end_ns, args``.  ``series``
-names the call's ``(ph, pid, tid, name, cat)``, interned on first use,
-so a row costs 32 bytes however long its strings; ``ph`` ``"B"`` is a
-whole span.  ``args`` is ``-1`` for none, ``n >= 0`` for a byte count
-(rendered ``{"bytes": n}``) and ``-2 - i`` for the ``i``-th recorded
-dict.  The Chrome dicts are built only when :attr:`Tracer.events` is
-iterated.
+Every observer record is a row of a :class:`RecordRows` (the link
+recorder's too).  A tracer call appends one row of four int64 fields,
+``series, ts_ns, dur_or_end_ns, args``: ``series`` codes the call's
+``(ph, node_id, track, name, cat)`` in the tracer's :class:`Codes`, so
+a row costs 32 bytes; ``ph`` ``"B"`` is a whole span.  ``args`` is
+``-1`` for none, ``n >= 0`` for a byte count (rendered ``{"bytes":
+n}``) and ``-2 - i`` for the ``i``-th recorded dict.  Pids
+(``pid_base + node_id``) and tids (``(node_id, track)`` in first-use
+order) are derived from the series only when the trace is read;
+:func:`write_trace` writes a document one event at a time.
 
 A shared :class:`TraceBudget` bounds the total event count across every
 tracer of a session, so ``repro-bench --trace`` on a full-scale figure
@@ -42,12 +44,14 @@ import json
 import struct
 from array import array
 from typing import (TYPE_CHECKING, Any, Dict, Iterable, Iterator, List,
-                    Optional, Tuple)
+                    Optional, TextIO, Tuple)
+
+import numpy as np
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.sim import Simulator
 
-__all__ = ["TraceBudget", "Tracer", "trace_document"]
+__all__ = ["Codes", "RecordRows", "TraceBudget", "Tracer", "write_trace"]
 
 
 class TraceBudget:
@@ -68,16 +72,79 @@ class TraceBudget:
         return False
 
 
-#: int64 fields per tracer row: series, ts_ns, dur_or_end_ns, args.
-_WIDTH = 4
-#: one row as bytes: ``rows.frombytes(_row(...))`` appends it in one call.
-_row = struct.Struct(f"{_WIDTH}q").pack
+class Codes(Dict[Any, int]):
+    """Interns values to small ints in first-use order: ``codes[value]``
+    is the code, ``codes.names[code]`` the value back."""
+
+    __slots__ = ("names",)
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.names: List[Any] = []
+
+    def __missing__(self, name: Any) -> int:
+        code = self[name] = len(self.names)
+        self.names.append(name)
+        return code
+
+
+class RecordRows:
+    """One append-only record stream as fixed-width int64 rows.
+
+    A hook appends a row in one call, ``data.frombytes(pack(...))``.  It
+    iterates as tuples and :meth:`extend` takes the same tuples; the
+    fields at ``coded`` are stored as their :class:`Codes` code.
+    """
+
+    __slots__ = ("data", "width", "pack", "_codes", "_coded")
+
+    def __init__(self, codes: Codes, width: int, coded: Tuple[int, ...]):
+        #: the rows, flat: record ``i`` is ``data[i * width:(i + 1) * width]``.
+        self.data = array("q")
+        self.width = width
+        #: ``width`` int64 fields as the bytes of one row.
+        self.pack = struct.Struct(f"{width}q").pack
+        self._codes = codes
+        self._coded = coded
+
+    def __len__(self) -> int:
+        return len(self.data) // self.width
+
+    def __iter__(self) -> Iterator[tuple]:
+        rows = iter(self.data)
+        for row in zip(*[rows] * self.width):
+            yield self._decode(row)
+
+    def _decode(self, row) -> tuple:
+        names = self._codes.names
+        record = list(row)
+        for i in self._coded:
+            record[i] = names[record[i]]
+        return tuple(record)
+
+    def extend(self, records: Iterable[tuple]) -> None:
+        codes = self._codes
+        for record in records:
+            if len(record) != self.width:
+                raise ValueError(f"a record has {self.width} fields, "
+                                 f"got {len(record)}")
+            row = list(record)
+            for i in self._coded:
+                row[i] = codes[row[i]]
+            self.data.extend(row)
+
+    def columns(self) -> np.ndarray:
+        """The rows as an ``(n, width)`` int64 view of :attr:`data` (no
+        copy: drop it before the stream grows again)."""
+        return np.frombuffer(self.data, dtype=np.int64).reshape(
+            -1, self.width)
 
 
 class TraceEvents:
     """A tracer's events, read-only: ``len()`` counts a span as two
-    events and builds nothing; iterating renders the Chrome event
-    dicts."""
+    events and builds nothing; iterating yields each event's Chrome
+    dict in recording order (a span's ``E`` right after its ``B``),
+    parsed from the text :func:`write_trace` writes for it."""
 
     __slots__ = ("_tracer",)
 
@@ -85,17 +152,14 @@ class TraceEvents:
         self._tracer = tracer
 
     def __len__(self) -> int:
-        return len(self._tracer._rows) // _WIDTH + self._tracer._spans
+        return len(self._tracer.rows) + self._tracer._spans
 
     def __iter__(self) -> Iterator[Dict[str, Any]]:
-        tracer = self._tracer
-        series = tracer._series_ids
-        event = tracer._event
-        rows = iter(tracer._rows)
-        for code, ts_ns, dur_or_end_ns, args in zip(rows, rows, rows, rows):
-            yield event(code, ts_ns, dur_or_end_ns, args)
-            if series[code][0] == "B":
-                yield event(code, ts_ns, dur_or_end_ns, args, end=True)
+        events = _Events([self._tracer])
+        for row in events.rows.tolist():
+            yield json.loads(events.render(*row))
+            if events.series[row[0]][0] == "B":
+                yield json.loads(events.render(*row, end=True))
 
 
 class Tracer:
@@ -112,19 +176,16 @@ class Tracer:
         self.budget = budget if budget is not None else TraceBudget()
         self.pid_base = pid_base
         self.label = label
-        #: one row of _WIDTH int64 fields per record (module docstring).
-        self._rows = array("q")
+        #: (ph, node_id, track, name, cat) of each series, by its code.
+        self.series = Codes()
+        #: one row per record: series, ts_ns, dur_or_end_ns, args.
+        self.rows = RecordRows(self.series, 4, coded=(0,))
         #: how many records are spans (each is two events).
         self._spans = 0
-        #: (ph, node_id, track, name, cat) -> series code, first-use order.
-        self._series: Dict[tuple, int] = {}
-        #: series code -> (ph, pid, tid, name, cat).
-        self._series_ids: List[Tuple[str, int, int, str, str]] = []
         #: the dict ``args`` recorded, by the index their rows encode.
         self._arg_dicts: List[Dict[str, Any]] = []
-        #: (node_id, track) -> (pid, tid); tids count up in first-use order.
-        self._ids: Dict[Tuple[int, str], Tuple[int, int]] = {}
-        self._pids: Dict[int, str] = {}
+        #: pid -> the process name :meth:`name_process` gave it.
+        self._names: Dict[int, str] = {}
 
     @property
     def events(self) -> TraceEvents:
@@ -134,7 +195,7 @@ class Tracer:
     # -- identity ---------------------------------------------------------
 
     def name_process(self, node_id: int, name: str) -> None:
-        """Pre-name a trace process before any event lands on it.
+        """Name a trace process, whether or not an event lands on it.
 
         Used for pseudo-nodes that are not cluster machines — switches
         get pid ``num_nodes + switch_index`` with their graph name, so
@@ -142,23 +203,7 @@ class Tracer:
         phantom ``node9``.  A name set here wins over the ``node{id}``
         auto-naming."""
         pid = self.pid_base + node_id
-        self._pids[pid] = f"{self.label}/{name}" if self.label else name
-
-    def _new_series(self, ph: str, node_id: int, track: str, name: str,
-                    cat: str) -> int:
-        """Intern a series, naming ``node_id``'s process and ``track``'s
-        thread on their first use."""
-        ids = self._ids.get((node_id, track))
-        if ids is None:
-            pid = self.pid_base + node_id
-            if pid not in self._pids:
-                self._pids[pid] = (f"{self.label}/node{node_id}"
-                                   if self.label else f"node{node_id}")
-            ids = self._ids[(node_id, track)] = (pid, len(self._ids) + 1)
-        code = self._series[(ph, node_id, track, name, cat)] = len(
-            self._series_ids)
-        self._series_ids.append((ph, ids[0], ids[1], name, cat))
-        return code
+        self._names[pid] = f"{self.label}/{name}" if self.label else name
 
     def _arg(self, args: Any) -> int:
         """``args`` other than ``None`` or an int ``>= 0`` as its row
@@ -179,13 +224,12 @@ class Tracer:
     def complete(self, node_id: int, track: str, name: str, start_ns: int,
                  dur_ns: int, cat: str = "", args: Any = None) -> None:
         """One ``X`` span with explicit start and duration."""
-        code = self._series.get(("X", node_id, track, name, cat))
-        if code is None:
-            code = self._new_series("X", node_id, track, name, cat)
+        code = self.series["X", node_id, track, name, cat]
         if self.budget.take():
             if type(args) is not int or args < 0:
                 args = -1 if args is None else self._arg(args)
-            self._rows.frombytes(_row(code, start_ns, dur_ns, args))
+            rows = self.rows
+            rows.data.frombytes(rows.pack(code, start_ns, dur_ns, args))
 
     def span(self, node_id: int, track: str, name: str, start_ns: int,
              end_ns: int, cat: str = "", args: Any = None) -> None:
@@ -197,86 +241,128 @@ class Tracer:
         """
         if not self.budget.take(2):
             return
-        code = self._series.get(("B", node_id, track, name, cat))
-        if code is None:
-            code = self._new_series("B", node_id, track, name, cat)
+        code = self.series["B", node_id, track, name, cat]
         self._spans += 1
         if type(args) is not int or args < 0:
             args = -1 if args is None else self._arg(args)
-        self._rows.frombytes(_row(code, start_ns, end_ns, args))
+        self.rows.data.frombytes(self.rows.pack(code, start_ns, end_ns, args))
 
     def instant(self, node_id: int, track: str, name: str,
                 ts_ns: Optional[int] = None, cat: str = "",
                 args: Any = None) -> None:
-        code = self._series.get(("i", node_id, track, name, cat))
-        if code is None:
-            code = self._new_series("i", node_id, track, name, cat)
+        code = self.series["i", node_id, track, name, cat]
         ts = self.sim.now if ts_ns is None else ts_ns
         if self.budget.take():
             if type(args) is not int or args < 0:
                 args = -1 if args is None else self._arg(args)
-            self._rows.frombytes(_row(code, ts, 0, args))
-
-    # -- reading ----------------------------------------------------------
-
-    def _event(self, code: int, ts_ns: int, dur_or_end_ns: int, args: int,
-               end: bool = False) -> Dict[str, Any]:
-        """The Chrome dict of one row (of its ``E`` half when ``end``)."""
-        ph, pid, tid, name, cat = self._series_ids[code]
-        if end:
-            return {"ph": "E", "pid": pid, "tid": tid, "name": name,
-                    "cat": cat, "ts": dur_or_end_ns / 1000.0}
-        event = {"ph": ph, "pid": pid, "tid": tid, "name": name, "cat": cat,
-                 "ts": ts_ns / 1000.0}
-        if ph == "X":
-            event["dur"] = dur_or_end_ns / 1000.0
-        elif ph == "i":
-            event["s"] = "t"
-        if args >= 0:
-            event["args"] = {"bytes": args}
-        elif args != -1:
-            event["args"] = self._arg_dicts[-2 - args]
-        return event
+            self.rows.data.frombytes(self.rows.pack(code, ts, 0, args))
 
     # -- export -----------------------------------------------------------
 
-    def _metadata_events(self) -> List[Dict[str, Any]]:
-        meta: List[Dict[str, Any]] = []
-        for pid, name in sorted(self._pids.items()):
-            meta.append({"ph": "M", "pid": pid, "tid": 0, "ts": 0,
-                         "name": "process_name", "args": {"name": name}})
-        for pid, track, tid in sorted(
-                (pid, track, tid)
-                for (_node, track), (pid, tid) in self._ids.items()):
-            meta.append({"ph": "M", "pid": pid, "tid": tid, "ts": 0,
-                         "name": "thread_name", "args": {"name": track}})
-        return meta
-
-    def to_dict(self) -> Dict[str, Any]:
-        return trace_document([self], self.budget.dropped)
-
     def export(self, path: str) -> None:
         with open(path, "w") as fh:
-            json.dump(self.to_dict(), fh)
+            write_trace(fh, [self], self.budget.dropped)
 
 
-def trace_document(tracers: Iterable[Tracer], dropped: int,
-                   **other_data: Any) -> Dict[str, Any]:
-    """One Chrome trace-event document over ``tracers``: every tracer's
-    metadata events, then all their data events in non-decreasing ``ts``
-    order (stable).  ``other_data`` joins the ``otherData`` section."""
-    meta: List[Dict[str, Any]] = []
-    data: List[Dict[str, Any]] = []
-    for tracer in tracers:
-        meta.extend(tracer._metadata_events())
-        data.extend(tracer.events)
-    data.sort(key=lambda e: e["ts"])
-    return {
-        "traceEvents": meta + data,
-        "displayTimeUnit": "ns",
-        "otherData": {
-            "clock": "simulated nanoseconds (exported as microseconds)",
-            **other_data,
-            "dropped_events": dropped,
-        },
-    }
+class _Events:
+    """The events of ``tracers`` as one table: their metadata events,
+    and their rows renumbered so that one list of series and one of
+    dict args serve them all, each row rendered to JSON text on demand.
+    """
+
+    def __init__(self, tracers: List[Tracer]):
+        self.meta: List[Dict[str, Any]] = []
+        #: per series: its ph, and the JSON text of its event and of a
+        #: span's ``E`` up to the ``ts`` value.
+        self.series: List[Tuple[str, str, str]] = []
+        self.dicts: List[Dict[str, Any]] = []
+        views = [tracer.rows.columns() for tracer in tracers]
+        self.rows = (np.concatenate(views) if views
+                     else np.empty((0, 4), np.int64))
+        first = 0
+        for tracer, view in zip(tracers, views):
+            block = self.rows[first:first + len(view)]
+            first += len(view)
+            block[:, 0] += len(self.series)
+            block[block[:, 3] < -1, 3] -= len(self.dicts)
+            self.dicts.extend(tracer._arg_dicts)
+            self._add(tracer)
+
+    def _add(self, tracer: Tracer) -> None:
+        """``tracer``'s metadata and series; its tids count the
+        ``(node_id, track)`` pairs up in first-use order."""
+        tids: Dict[Tuple[int, str], int] = {}
+        for _ph, node_id, track, _name, _cat in tracer.series.names:
+            tids.setdefault((node_id, track), len(tids) + 1)
+        base = tracer.pid_base
+        label = f"{tracer.label}/" if tracer.label else ""
+        names = {base + node_id: f"{label}node{node_id}"
+                 for node_id, _track in tids}
+        names.update(tracer._names)
+        self.meta += [{"ph": "M", "pid": pid, "tid": 0, "ts": 0,
+                       "name": "process_name", "args": {"name": name}}
+                      for pid, name in sorted(names.items())]
+        self.meta += [{"ph": "M", "pid": pid, "tid": tid, "ts": 0,
+                       "name": "thread_name", "args": {"name": track}}
+                      for pid, track, tid in sorted(
+                          (base + node_id, track, tid)
+                          for (node_id, track), tid in tids.items())]
+        for ph, node_id, track, name, cat in tracer.series.names:
+            ident = {"pid": base + node_id, "tid": tids[node_id, track],
+                     "name": name, "cat": cat}
+            head, end = (json.dumps({"ph": p, **ident})[:-1] + ', "ts": '
+                         for p in (ph, "E"))
+            self.series.append((ph, head, end))
+
+    def render(self, code: int, ts_ns: int, dur_or_end_ns: int, args: int,
+               end: bool = False) -> str:
+        """The JSON text of one row's event (of its ``E`` when ``end``)."""
+        ph, head, end_head = self.series[code]
+        if end:
+            return f"{end_head}{dur_or_end_ns / 1000.0!r}}}"
+        text = f"{head}{ts_ns / 1000.0!r}"
+        if ph == "X":
+            text += f', "dur": {dur_or_end_ns / 1000.0!r}'
+        elif ph == "i":
+            text += ', "s": "t"'
+        if args >= 0:
+            text += f', "args": {{"bytes": {args}}}'
+        elif args != -1:
+            text += ', "args": ' + json.dumps(self.dicts[-2 - args])
+        return text + "}"
+
+
+#: rows :func:`write_trace` turns into Python values at a time, so that
+#: writing holds little beside the rows and their order.
+_CHUNK = 4096
+
+
+def write_trace(fh: TextIO, tracers: Iterable[Tracer], dropped: int,
+                **other_data: Any) -> None:
+    """Write one Chrome trace-event document over ``tracers`` to ``fh``,
+    one event at a time: every tracer's metadata, then all data events
+    by ``ts``, ties in recording order (a span's ``E`` keyed at its end,
+    right after its ``B``).  The text is what ``json.dump`` writes for
+    the document; ``other_data`` joins its ``otherData``."""
+    events = _Events(list(tracers))
+    fh.write('{"traceEvents": [')
+    sep = ""
+    for event in events.meta:
+        fh.write(sep + json.dumps(event))
+        sep = ", "
+    rows = events.rows
+    is_span = np.array([ph == "B" for ph, _, _ in events.series], dtype=bool)
+    spans = np.flatnonzero(is_span[rows[:, 0]])
+    # Event 2r is row r, 2r + 1 the E of a span at row r.
+    ids = np.concatenate((2 * np.arange(len(rows)), 2 * spans + 1))
+    ts = np.concatenate((rows[:, 1], rows[spans, 2]))
+    ids = ids[np.lexsort((ids, ts))]
+    for first in range(0, len(ids), _CHUNK):
+        chunk = ids[first:first + _CHUNK]
+        for row, end in zip(rows[chunk >> 1].tolist(), (chunk & 1).tolist()):
+            fh.write(sep + events.render(*row, end))
+            sep = ", "
+    fh.write('], "displayTimeUnit": "ns", "otherData": ')
+    json.dump({"clock": "simulated nanoseconds (exported as microseconds)",
+               **other_data, "dropped_events": dropped}, fh)
+    fh.write("}")

@@ -85,7 +85,7 @@ class CompletionQueue:
         """Deposit a completion (called by the simulated NIC)."""
         san = self.telemetry.sanitizer
         if san is not None:
-            san.on_cq_push(self, wc)
+            bufs = san.on_cq_push(self, wc)
         if len(self) >= self.depth:
             # A real adapter raises a fatal async "CQ overrun" event.
             raise VerbsError(f"CQ overrun (depth={self.depth})")
@@ -102,7 +102,7 @@ class CompletionQueue:
                 "own consumer")
         self.pushed += 1
         if san is not None:
-            san.on_cq_consumed(self, wc)
+            san.on_cq_consumed(self, wc, bufs)
         consumer(wc)
         self.polled += 1
 

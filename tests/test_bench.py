@@ -1,6 +1,7 @@
 """Tests for the benchmark harness: workloads, report, experiments, CLI."""
 
 import dataclasses
+import functools
 import inspect
 import json
 
@@ -30,6 +31,25 @@ from repro.bench.cli import main as cli_main
 from repro.core.synthetic import make_template_batch
 
 MIB = 1 << 20
+
+#: one bad value per checked NetworkConfig field.  On a 2-node 1 MiB
+#: point a loss probability of 1.5 never finished MESQ/SR, and a
+#: negative jitter, latency or copy cost, a zero MTU, a negative header
+#: or a zero queue depth each failed only mid-run or at setup.
+BAD_NETWORK = [
+    ("ud_loss_probability", 1.5), ("ud_loss_probability", -0.5),
+    ("ipoib_efficiency", 0.0), ("ipoib_efficiency", 1.5),
+    ("mtu", 0), ("mtu", 63),
+] + [(field, -1) for field in (
+    "switch_latency_ns", "rc_header_bytes", "ud_header_bytes",
+    "rc_ack_bytes", "nic_wr_ns", "qp_cache_miss_ns", "rc_qp_connect_ns",
+    "ud_qp_setup_ns", "ah_create_ns", "mr_register_base_ns",
+    "mr_register_ns_per_page", "cpu_scale", "hash_ns_per_tuple",
+    "copy_ns_per_byte", "post_wr_ns", "poll_cq_ns", "endpoint_send_ns",
+    "tcp_ns_per_byte", "tcp_syscall_ns", "mpi_eager_threshold",
+    "mpi_overhead_ns", "mpi_copy_ns_per_byte", "ud_jitter_ns",
+)] + [(field, 0) for field in (
+    "qp_cache_entries", "max_qp_depth", "cores_per_node")]
 
 
 def small_cluster(nodes=2, threads=2):
@@ -222,11 +242,16 @@ class TestExperiments:
         (lambda: Point("MESQ/SR", -MIB), "volume"),
         (lambda: dataclasses.replace(EDR, link_bytes_per_ns=0.0),
          "link_bytes_per_ns"),
-    ], ids=["pattern", "zero-volume", "negative-volume", "link-rate"])
+    ] + [
+        (functools.partial(dataclasses.replace, EDR, **{field: bad}), field)
+        for field, bad in BAD_NETWORK
+    ], ids=["pattern", "zero-volume", "negative-volume", "link-rate"] + [
+        f"{field}={bad}" for field, bad in BAD_NETWORK])
     def test_bad_point_fails_at_construction(self, build, field):
         """An unknown pattern used to run a broadcast, a zero volume to
         report GiB/s for no bytes, and a zero link rate to fail mid-run
-        with an error that named no field."""
+        with an error that named no field; so did each bad network
+        value (:data:`BAD_NETWORK`), or the run never finished."""
         with pytest.raises(ValueError, match=f"^{field} must be"):
             build()
 

@@ -28,7 +28,7 @@ from repro.analysis.model import (
     extract_model,
     modeled_kinds,
     parse_bound,
-    render_counterexample,
+    write_counterexample,
 )
 from repro.core.endpoint import EndpointConfig
 from repro.core.transport.credit import merge_credit
@@ -180,10 +180,12 @@ class TestBoundsAndExtraction:
 
 
 class TestCounterexampleTraces:
-    def test_trace_is_chrome_trace_shaped(self):
+    def test_trace_is_chrome_trace_shaped(self, tmp_path):
         result = check_kind("SR_RC", QP_ERROR)
         witness = result.status_of("deadlock-freedom").witness
-        trace = render_counterexample(result.model, witness)
+        path = write_counterexample(result.model, witness, str(tmp_path))
+        with open(path) as fh:
+            trace = json.load(fh)
         events = trace["traceEvents"]
         assert {e["ph"] for e in events} <= {"M", "X", "i"}
         spans = [e for e in events if e["ph"] == "X"]

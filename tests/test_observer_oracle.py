@@ -11,6 +11,7 @@ exported trace, the attribution, the critical path and the latencies
 are required to be identical.
 """
 
+import io
 import json
 
 from hypothesis import example, given, settings
@@ -22,6 +23,7 @@ from repro.obs.critical_path import CATEGORIES, attribute, critical_path
 from repro.obs.report import build_run_report
 from repro.sim import Simulator
 from repro.telemetry import Telemetry, TraceBudget, Tracer, latency_summary
+from repro.telemetry.trace import write_trace
 
 
 # -- reference tracer: one dict per event, built at emission --------------
@@ -116,6 +118,29 @@ class ReferenceTracer:
                 "dropped_events": self.budget.dropped,
             },
         }
+
+
+def reference_document(refs, dropped, **other_data):
+    """The session's merged document over reference tracers: all their
+    metadata, then all their events in one stable sort by ``ts``."""
+    return {
+        "traceEvents": ([e for ref in refs for e in ref._metadata_events()]
+                        + sorted((e for ref in refs for e in ref.events),
+                                 key=lambda e: e["ts"])),
+        "displayTimeUnit": "ns",
+        "otherData": {
+            "clock": "simulated nanoseconds (exported as microseconds)",
+            **other_data,
+            "dropped_events": dropped,
+        },
+    }
+
+
+def written(tracers, dropped, **other_data):
+    """The text :func:`write_trace` writes over ``tracers``."""
+    fh = io.StringIO()
+    write_trace(fh, tracers, dropped, **other_data)
+    return fh.getvalue()
 
 
 class CallSiteTracer(ReferenceTracer):
@@ -390,12 +415,16 @@ class TestTracerOracle:
     def test_export_equals_dict_per_event_reference(self, calls, max_events):
         flat = replay(Tracer, calls, max_events)
         reference = replay(CallSiteTracer, calls, max_events)
+        dropped = flat[0].budget.dropped
+        assert dropped == reference[0].budget.dropped
         for tracer, ref in zip(flat, reference):
             assert len(tracer.events) == len(ref.events)
             assert list(tracer.events) == ref.events
-            assert (json.dumps(tracer.to_dict())
+            assert (written([tracer], dropped)
                     == json.dumps(ref.to_dict()))
-        assert flat[0].budget.dropped == reference[0].budget.dropped
+        assert (written(flat, dropped, runs=2)
+                == json.dumps(reference_document(reference, dropped,
+                                                 runs=2)))
 
     def test_refused_span_takes_nothing(self):
         # 3 slots: a span takes 2, the next span lacks 2 and is refused
@@ -511,13 +540,15 @@ def traced_run(design, tracer_cls=None):
 
 
 def test_traced_run_matches_references():
+    runs = []
     for design in ("SEMQ/SR", "MESQ/SR", "MEMQ/RD"):
         cluster, tracer = traced_run(design)
         _, reference = traced_run(design, CallSiteTracer)
-        exported = tracer.to_dict()["traceEvents"]
-        data = [e for e in exported if e["ph"] != "M"]
+        runs.append((tracer, reference))
+        text = written([tracer], 0)
+        data = [e for e in json.loads(text)["traceEvents"] if e["ph"] != "M"]
         assert len(tracer.events) == len(data) == len(reference.events) > 0
-        assert json.dumps(tracer.to_dict()) == json.dumps(reference.to_dict())
+        assert text == json.dumps(reference.to_dict())
         links = cluster.telemetry.links
         report = cluster.run_report()
         assert (report["attribution"]
@@ -525,3 +556,8 @@ def test_traced_run_matches_references():
         assert report["critical_path"] == reference_critical_path(links)
         assert report["latency_ns"] == latency_summary(
             reference_latencies(links))
+    # Two runs in one document, as a session writes them: their events
+    # interleave by ts, ties in run order.
+    flat, reference = zip(*runs[:2])
+    assert (written(flat, 0, runs=2)
+            == json.dumps(reference_document(reference, 0, runs=2)))

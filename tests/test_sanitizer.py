@@ -10,12 +10,16 @@ Three guarantees, per design:
   and, when tracing, onto a per-node trace track.
 """
 
+import collections
+import sys
+
 import pytest
 
 from repro import Cluster, ClusterConfig, EDR
-from repro.analysis import ProtocolViolationError
+from repro.analysis import ProtocolViolationError, sanitizer as sanitizer_module
 from repro.bench import cli as bench_cli
 from repro.bench.experiments import FIXED, Entry
+from repro.bench.workloads import run_repartition
 from repro.telemetry.session import session
 from repro.memory import BufferPool
 from repro.verbs import Opcode, QPType, SendWR, VerbsError
@@ -50,6 +54,30 @@ def test_designs_are_clean_and_sanitizer_is_invisible(design):
     assert san.report() == "sanitizer: clean (0 violations)"
     assert now == plain_now, "sanitizer perturbed simulated time"
     assert snapshot == plain_snapshot, "sanitizer perturbed metrics"
+
+
+def test_a_completion_consumed_in_its_push_is_decoded_once(monkeypatch):
+    """A subscribed CQ consumes each completion inside the push that
+    deposits it; the push and the consume hooks used to decode its
+    ``wr_id`` one time each."""
+    decode = sanitizer_module._wr_id_buffers
+    callers = collections.Counter()
+
+    def counting(ref):
+        callers[sys._getframe(1).f_code.co_name] += 1
+        return decode(ref)
+
+    monkeypatch.setattr(sanitizer_module, "_wr_id_buffers", counting)
+    pushed = 0
+    for design in ("SEMQ/SR", "MESQ/SR"):
+        cluster = Cluster(ClusterConfig(network=EDR, num_nodes=4))
+        san = cluster.enable_sanitizer()
+        run_repartition(cluster, design, bytes_per_node=1 << 20)
+        assert not san.violations
+        pushed += sum(node["verbs.cqes_pushed"] for node in
+                      cluster.metrics_snapshot()["nodes"].values())
+    assert callers["on_cq_push"] == pushed > 0
+    assert callers["on_cq_consumed"] == 0
 
 
 class TestWiring:
@@ -115,11 +143,11 @@ class TestWiring:
             else:
                 for i in slots or range(len(pool)):
                     qp.post_recv_buffer(pool.buffer(i), 64)
-            return san._inflight
+            return san._by_node
 
         run = inflight(as_run=True)
         assert run == inflight(as_run=False)
-        assert len(run) == len(slots or range(8))
+        assert sum(map(len, run.values())) == len(slots or range(8))
 
     def test_strict_mode_raises_at_first_violation(self):
         cluster = make_cluster()

@@ -1,6 +1,7 @@
 """Tests for repro.telemetry: callbacks, tracer, harvesting,
 sessions."""
 
+import io
 import json
 
 import pytest
@@ -19,8 +20,23 @@ from repro.telemetry import (
     set_enabled,
 )
 from repro.sim import Simulator
+from repro.telemetry.trace import write_trace
 
 MIB = 1 << 20
+
+
+def written(tracer):
+    """The trace document ``tracer.export`` writes, parsed."""
+    fh = io.StringIO()
+    write_trace(fh, [tracer], tracer.budget.dropped)
+    return json.loads(fh.getvalue())
+
+
+def exported_session(sess, tmp_path):
+    """The trace document ``sess.export_trace`` writes, parsed."""
+    path = tmp_path / "session.json"
+    sess.export_trace(str(path))
+    return json.loads(path.read_text())
 
 
 class TestSnapshotCallbacks:
@@ -53,7 +69,7 @@ class TestTracer:
                         args={"bytes": 10})
         tracer.span(1, "egress", "tx", 10, 20, "fabric")
         tracer.instant(0, "qp1", "drop")
-        doc = tracer.to_dict()
+        doc = written(tracer)
         events = doc["traceEvents"]
         phases = [e["ph"] for e in events]
         assert "M" in phases and "X" in phases
@@ -84,8 +100,8 @@ class TestTracer:
         tracer.complete(2, "t", "n", 0, 1)
         event, = tracer.events
         assert event["pid"] == 3002
-        meta = tracer._metadata_events()
-        assert meta[0]["args"]["name"] == "run3/node2"
+        meta = written(tracer)["traceEvents"][0]
+        assert meta["args"]["name"] == "run3/node2"
 
 
 def _small_shuffle(qp_cache_entries=None, trace=False):
@@ -104,7 +120,7 @@ class TestIntegration:
         # One cache entry forces misses on every QP switch, so the NIC
         # counters must light up.
         cluster, _ = _small_shuffle(qp_cache_entries=1, trace=True)
-        doc = cluster.telemetry.tracer.to_dict()
+        doc = written(cluster.telemetry.tracer)
         data = [e for e in doc["traceEvents"] if e["ph"] != "M"]
         assert data
         # Timestamps non-decreasing after export sorting.
@@ -173,7 +189,7 @@ class TestIntegration:
 
 
 class TestSession:
-    def test_clusters_attach_and_checkpoint(self):
+    def test_clusters_attach_and_checkpoint(self, tmp_path):
         assert current_session() is None
         with session(trace=True) as sess:
             assert current_session() is sess
@@ -187,13 +203,14 @@ class TestSession:
         doc = sess.metrics_document()
         assert doc["schema"]["name"] == "repro-telemetry-metrics"
         assert [e["experiment"] for e in doc["experiments"]] == ["expA"]
-        trace_doc = sess.trace_document()
+        trace_doc = exported_session(sess, tmp_path)
         data = [e for e in trace_doc["traceEvents"] if e["ph"] != "M"]
         # The two runs occupy disjoint pid namespaces.
         pids = {e["pid"] for e in data}
         assert any(p < 1000 for p in pids) and any(p >= 1000 for p in pids)
 
-    def test_enable_tracing_under_trace_session_keeps_its_tracer(self):
+    def test_enable_tracing_under_trace_session_keeps_its_tracer(
+            self, tmp_path):
         # The session enabled tracing when the cluster attached; a later
         # cluster.enable_tracing() must hand back that tracer, not
         # replace it behind the session's back.
@@ -201,19 +218,19 @@ class TestSession:
             cluster = Cluster(ClusterConfig(network=EDR, num_nodes=2))
             cluster.enable_tracing()
             run_repartition(cluster, "SEMQ/SR", bytes_per_node=2 * MIB)
-        data = [e for e in sess.trace_document()["traceEvents"]
+        data = [e for e in exported_session(sess, tmp_path)["traceEvents"]
                 if e["ph"] != "M"]
         assert data
         assert len(data) == len(cluster.telemetry.tracer.events)
 
-    def test_one_run_session_document_equals_the_tracers(self):
-        # The session document and Tracer.to_dict() come from one
-        # builder: for a single run only otherData may differ.
+    def test_one_run_session_document_equals_the_tracers(self, tmp_path):
+        # The session and the tracer export through one writer: for a
+        # single run only otherData may differ.
         with session(trace=True) as sess:
             cluster = Cluster(ClusterConfig(network=EDR, num_nodes=2))
             run_repartition(cluster, "SEMQ/SR", bytes_per_node=2 * MIB)
-        merged = sess.trace_document()
-        own = cluster.telemetry.tracer.to_dict()
+        merged = exported_session(sess, tmp_path)
+        own = written(cluster.telemetry.tracer)
         assert len(merged["traceEvents"]) > 100
         assert merged["traceEvents"] == own["traceEvents"]
         assert merged["displayTimeUnit"] == own["displayTimeUnit"]

@@ -1,5 +1,7 @@
 """Unit tests for the explicit switch/route layer (fabric.topology)."""
 
+import json
+
 import pytest
 
 from repro.cluster import Cluster
@@ -202,17 +204,19 @@ class TestEndToEnd:
         assert fabric["topology.kind"] == "single-switch"
         assert "topology.ports" not in fabric
 
-    def test_trace_names_switches_as_pseudo_processes(self):
+    def test_trace_names_switches_as_pseudo_processes(self, tmp_path):
         cluster = Cluster(ClusterConfig(
             network=EDR, num_nodes=8,
             topology=LEAF_SPINE(oversubscription=2)))
         tracer = cluster.enable_tracing()
         run_repartition(cluster, "MESQ/SR", bytes_per_node=2 * MIB)
-        meta = {e["args"]["name"]: e["pid"]
-                for e in tracer.to_dict()["traceEvents"]
+        path = tmp_path / "trace.json"
+        tracer.export(str(path))
+        events = json.loads(path.read_text())["traceEvents"]
+        meta = {e["args"]["name"]: e["pid"] for e in events
                 if e["ph"] == "M" and e["name"] == "process_name"}
         # Switches trace under their graph names, after the real nodes.
         assert meta["leaf0"] == 8 and meta["spine0"] == 10
-        spans = [e for e in tracer.to_dict()["traceEvents"]
+        spans = [e for e in events
                  if e.get("pid") in (8, 9, 10) and e["ph"] == "B"]
         assert spans  # trunk forwarding was recorded
