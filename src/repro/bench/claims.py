@@ -271,7 +271,7 @@ def _claims() -> Iterator[Claim]:
           for label, *_ in ADAPTIVE_GRID))
     yield from _of(
         "abl-hierarchical-EDR", "EXPERIMENTS.md, abl-hierarchical",
-        "the two-phase plan beats the flat design under 4:1 oversubscription",
+        "the two-phase shuffle beats the flat design under 4:1 oversubscription",
         ("two-phase-wins", over("throughput", "hier 4:1", "throughput", "flat 4:1"),
          ">", 1.0))
     yield from _of(

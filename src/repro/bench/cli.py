@@ -70,9 +70,10 @@ def main(argv=None) -> int:
                              "one MESQ/SR victim plus N-1 MEMQ/SR "
                              "aggressors (default 3)")
     parser.add_argument("--policy", metavar="SPEC", default="adaptive",
-                        help="shuffle policy for the policy experiments: "
-                             "adaptive, hierarchical, static:<DESIGN>, or "
-                             "a bare design name (default adaptive)")
+                        help="design selector for abl-adaptive: "
+                             "adaptive, static:<DESIGN>, or a bare design "
+                             "name (default adaptive); the two-phase "
+                             "abl-hierarchical runs are fixed")
     parser.add_argument("--json", metavar="PATH",
                         help="additionally dump results as JSON")
     parser.add_argument("--metrics", metavar="PATH",

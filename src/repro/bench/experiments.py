@@ -31,17 +31,16 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.baselines.qperf import run_qperf
 from repro.bench.report import ExperimentResult, Series
-from repro.bench.workloads import run_broadcast, run_repartition
+from repro.bench.workloads import (
+    run_broadcast,
+    run_hierarchical,
+    run_repartition,
+)
 from repro.cluster import Cluster
 from repro.core.designs import PAPER_ORDER, design_properties
 from repro.core.endpoint import EndpointConfig
 from repro.core.groups import TransmissionGroups
-from repro.core.policy import (
-    HierarchicalPolicy,
-    StageContext,
-    parse_policy,
-    resolve_plan,
-)
+from repro.core.policy import StageContext, parse_policy, resolve_plan
 from repro.fabric.config import (
     EDR,
     FDR,
@@ -103,12 +102,17 @@ class Options:
 # -- one point ------------------------------------------------------------------------
 
 
+#: the runner behind each ``Point.pattern``.
+RUNNERS = {"repartition": run_repartition, "broadcast": run_broadcast,
+           "hierarchical": run_hierarchical}
+
+
 @dataclass(frozen=True)
 class Point:
     """Everything that varies between two shuffle measurements."""
 
-    #: a design name or a shuffle policy (anything ``run_repartition``
-    #: accepts).
+    #: a design name or the adaptive policy (anything ``run_repartition``
+    #: accepts); for the ``hierarchical`` pattern, the intra-leaf design.
     design: Any
     #: bytes per node; or, for a run sized by what a policy picks, a
     #: function of the built cluster (abl-adaptive).
@@ -120,6 +124,8 @@ class Point:
     topology: TopologySpec = SINGLE_SWITCH
     #: run every NIC with an unbounded QP-context cache (abl-qp-cache).
     disable_qp_cache: bool = False
+    #: ``repartition``, ``broadcast`` or ``hierarchical`` (the two-phase
+    #: leaf-spine repartition of :func:`run_hierarchical`).
     pattern: str = "repartition"
     config: Optional[EndpointConfig] = None
     num_endpoints: Optional[int] = None
@@ -128,9 +134,13 @@ class Point:
     setup_only: bool = False
 
     def __post_init__(self):
-        if self.pattern not in ("repartition", "broadcast"):
-            raise ValueError(f"pattern must be 'repartition' or "
-                             f"'broadcast', got {self.pattern!r}")
+        if self.pattern not in RUNNERS:
+            raise ValueError(f"pattern must be one of {', '.join(RUNNERS)}, "
+                             f"got {self.pattern!r}")
+        if self.pattern == "hierarchical" and self.num_endpoints is not None:
+            raise ValueError("num_endpoints must be None for the "
+                             "hierarchical pattern: its stages run their "
+                             "designs' natural endpoint counts")
         if (not callable(self.volume) and self.volume <= 0
                 and not self.setup_only):
             raise ValueError(f"volume must be positive bytes per node, "
@@ -149,7 +159,7 @@ class Measurement:
     credit_stall_ms: float = 0.0
     #: the slowest node's connection build time.
     setup_ns: int = 0
-    #: ``plan.describe()`` of what actually ran.
+    #: the design label of what actually ran (``ShuffleRunResult.design``).
     plan: str = ""
     #: peak switch-trunk utilization (0..1) over the transfer window.
     peak_trunk_util: float = 0.0
@@ -200,15 +210,15 @@ def measure(point: Point) -> Measurement:
         cluster.run_process(stage.setup())
         measurement = Measurement(setup_ns=stage.max_setup_ns)
     else:
-        run = (run_repartition if point.pattern == "repartition"
-               else run_broadcast)
         volume = point.volume
         if callable(volume):
             volume = volume(cluster)
-        result = run(cluster, point.design, bytes_per_node=volume,
-                     config=point.config,
-                     num_endpoints=point.num_endpoints,
-                     compute_ns_per_batch=point.compute_ns_per_batch)
+        counts = ({} if point.num_endpoints is None
+                  else {"num_endpoints": point.num_endpoints})
+        result = RUNNERS[point.pattern](
+            cluster, point.design, bytes_per_node=volume,
+            config=point.config,
+            compute_ns_per_batch=point.compute_ns_per_batch, **counts)
         cache = nic_cache_stats(cluster)
         measurement = Measurement(
             gib_s=result.receive_throughput_gib_per_node(),
@@ -804,27 +814,27 @@ def abl_hierarchical(opts: Options, nodes: int) -> ExperimentResult:
     window — the fig10-scaleout configuration, which is how a
     leaf-spine fabric is actually operated) three ways: the flat UD
     design on a 1:1 fabric, the same on a ``HIER_OVERSUBSCRIPTION``:1
-    fabric, and the :class:`~repro.core.policy.HierarchicalPolicy`
-    two-phase plan on the constrained fabric.
+    fabric, and the :func:`~repro.bench.workloads.run_hierarchical`
+    two-phase shuffle (intra-leaf MESQ/SR) on the constrained fabric.
 
     The notes decompose the flat design's oversubscription loss into
     the bisection-bound part — per-node throughput can never exceed
     ``link_rate * n / (k * (n - m))``, no matter the shuffle design
     (EXPERIMENTS.md, abl-oversub) — and the recoverable scheduling
-    part, and report how much of each the two-phase plan wins back.
+    part, and report how much of each the two-phase shuffle wins back.
     It needs more than one leaf (``nodes > HIER_NODES_PER_LEAF``): with
     one there is no inter-leaf traffic to schedule.
     """
     k, per_leaf = HIER_OVERSUBSCRIPTION, HIER_NODES_PER_LEAF
-    runs = {"flat 1:1": ("MESQ/SR", 1),
-            f"flat {k}:1": ("MESQ/SR", k),
-            f"hier {k}:1": (HierarchicalPolicy(), k)}
+    runs = {"flat 1:1": ("repartition", 1),
+            f"flat {k}:1": ("repartition", k),
+            f"hier {k}:1": ("hierarchical", k)}
 
     def point(_row: str, label: str) -> Point:
-        design, factor = runs[label]
-        return Point(design, _scaled(24, opts.scale), nodes=nodes,
+        pattern, factor = runs[label]
+        return Point("MESQ/SR", _scaled(24, opts.scale), nodes=nodes,
                      topology=LEAF_SPINE(factor, per_leaf),
-                     config=_mesoscale_config(4096))
+                     pattern=pattern, config=_mesoscale_config(4096))
 
     grid = sweep(["throughput"], runs, point)
     flat1, flat_k, hier = (m.gib_s for m in grid.row("throughput"))

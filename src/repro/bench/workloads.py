@@ -2,8 +2,12 @@
 
 The paper's receive-throughput experiments scan a replicated table R on
 every node and repartition or broadcast it; :mod:`repro.core.synthetic`
-builds those fragments, and the runners here set up the stage(s) a plan
-asks for, run the fragments, and report.
+builds those fragments, and the runners here set the stages up, run the
+fragments, and report.  Each runner owns its schedule:
+:func:`run_repartition` and :func:`run_broadcast` run one stage of the
+planned design, and :func:`run_hierarchical` splits a leaf-spine
+repartition into two flat stages — intra-leaf and inter-leaf — and
+paces the inter-leaf senders to the trunk rate.
 
 Absolute volumes are scaled down from the paper's 160 GiB per node — the
 simulation measures steady-state throughput, which converges within tens
@@ -19,12 +23,7 @@ from typing import List, Optional, Sequence
 from repro.cluster import Cluster
 from repro.core.endpoint import EndpointConfig
 from repro.core.groups import TransmissionGroups
-from repro.core.policy import (
-    DesignLike,
-    StageContext,
-    StagePlan,
-    resolve_plan,
-)
+from repro.core.policy import DesignLike, StageContext, resolve_plan
 from repro.core.stage import ShuffleStage
 from repro.core.synthetic import R_DTYPE, SyntheticShuffle
 from repro.engine.fragment import QueryFragment, run_fragments
@@ -81,7 +80,7 @@ class ShuffleRunResult:
         return max(0.0, 1.0 - self.recv_data_wait_ns / total)
 
 
-def _execute(cluster: Cluster, plan: StagePlan, pattern: str,
+def _execute(cluster: Cluster, design: str, pattern: str,
              bytes_per_node: int, stages: Sequence[ShuffleStage],
              shuffle: SyntheticShuffle, immediate: List[QueryFragment],
              chains: Sequence[List[QueryFragment]] = ()) -> ShuffleRunResult:
@@ -96,7 +95,7 @@ def _execute(cluster: Cluster, plan: StagePlan, pattern: str,
     n = cluster.num_nodes
     stats = [stage.stats() for stage in stages]
     return ShuffleRunResult(
-        design=plan.describe(),
+        design=design,
         pattern=pattern,
         network=cluster.config.network.name,
         num_nodes=n,
@@ -125,20 +124,11 @@ def _run_shuffle(cluster: Cluster, design: DesignLike, pattern: str,
                  compute_ns_per_batch: float) -> ShuffleRunResult:
     plan = resolve_plan(design, StageContext.from_cluster(
         cluster, config=config, bytes_per_node=bytes_per_node,
-        num_endpoints=num_endpoints,
-        allow_hierarchical=(pattern == "repartition")))
-    if plan.hierarchical:
-        if pattern != "repartition":
-            raise ValueError(
-                f"hierarchical plans only support repartition, "
-                f"not {pattern!r}")
-        return run_hierarchical(
-            cluster, plan, bytes_per_node=bytes_per_node, config=config,
-            compute_ns_per_batch=compute_ns_per_batch)
+        num_endpoints=num_endpoints))
     stage = cluster.shuffle_stage(plan, groups_for, config)
     shuffle = SyntheticShuffle(cluster, compute_ns_per_batch)
-    return _execute(cluster, plan, pattern, bytes_per_node, [stage],
-                    shuffle, shuffle.fragments(stage, bytes_per_node))
+    return _execute(cluster, plan.design.name, pattern, bytes_per_node,
+                    [stage], shuffle, shuffle.fragments(stage, bytes_per_node))
 
 
 def run_repartition(cluster: Cluster, design: DesignLike,
@@ -149,9 +139,8 @@ def run_repartition(cluster: Cluster, design: DesignLike,
     """Uniform repartition of table R across all nodes (§5.1, Fig 10a/c).
 
     ``design`` may be a design name, a :class:`Design`, a
-    :class:`StagePlan`, or a :class:`ShufflePolicy`; it is coerced once
-    to a plan (against the live cluster), and hierarchical plans run
-    via :func:`run_hierarchical`.
+    :class:`StagePlan`, or an :class:`AdaptivePolicy`; it is coerced
+    once to a plan (against the live cluster).
     """
     groups = TransmissionGroups.repartition(cluster.num_nodes)
     return _run_shuffle(cluster, design, "repartition", groups,
@@ -176,51 +165,62 @@ def run_broadcast(cluster: Cluster, design: DesignLike,
 
 
 # ---------------------------------------------------------------------------
-# two-phase (hierarchical) repartition for oversubscribed leaf-spine
+# two-phase repartition for oversubscribed leaf-spine fabrics
 # ---------------------------------------------------------------------------
 
+#: the inter-leaf stage of a two-phase repartition: deep-window RC at
+#: the Fig 9 sweet spot (64 KiB) or above.
+INTER_LEAF_DESIGN = "SEMQ/SR"
+INTER_LEAF_BUFFERS = 16
+INTER_LEAF_MIN_MESSAGE = 64 << 10
 
-def run_hierarchical(cluster: Cluster, plan: StagePlan,
+
+def run_hierarchical(cluster: Cluster, design: DesignLike,
                      bytes_per_node: int = 16 << 20,
                      config: Optional[EndpointConfig] = None,
                      compute_ns_per_batch: float = 0.0
                      ) -> ShuffleRunResult:
-    """Two-phase leaf-spine repartition from a hierarchical StagePlan.
+    """Two-phase leaf-spine repartition: two flat stages, one schedule.
 
-    Splits the uniform repartition by destination locality into two
-    concurrent single-phase shuffles:
+    The abl-oversub ablation shows MESQ/SR losing ~40% of its
+    repartition throughput at 4:1 trunk oversubscription with the
+    trunks only ~70% utilized: m uncoordinated senders per leaf, each
+    spraying shallow UD windows across every remote node, leave the
+    constrained trunk idle between bursts.  This runner splits the
+    repartition by destination locality into two concurrent stages:
 
-    * an **intra-leaf** stage (``plan.design``, typically UD) carrying
-      each node's share destined for its own leaf — never crosses a
-      trunk, runs at full parallelism;
-    * an **inter-leaf** stage (``plan.inter``, typically deep-window RC)
-      carrying the remaining share to every remote-leaf node.  The
-      senders of one source leaf are partitioned round-robin into
-      ``plan.inter_concurrency`` chains that each run their fragments
-      *sequentially*, keeping the aggregate injection rate of a leaf
-      near its trunk rate — each active stream fills the trunk instead
-      of queueing behind its leaf-mates' bursts.
+    * an **intra-leaf** stage of ``design`` carrying each node's share
+      destined for its own leaf — never crosses a trunk, runs at full
+      parallelism;
+    * an **inter-leaf** :data:`INTER_LEAF_DESIGN` stage with
+      :data:`INTER_LEAF_BUFFERS` buffers per connection and messages of
+      at least :data:`INTER_LEAF_MIN_MESSAGE`, carrying the remaining
+      share to every remote-leaf node.  The senders of one source leaf
+      are partitioned round-robin into ``c`` chains that each run their
+      fragments *sequentially*, where ``c = nodes_per_leaf /
+      oversubscription`` (at least 2, at most the leaf) matches the
+      senders' aggregate link rate to the trunk rate: each active
+      stream fills the trunk instead of queueing behind its leaf-mates'
+      bursts, and the floor of two keeps the trunk fed through any one
+      stream's per-destination stalls (one stream leaves ~8% idle).
 
     Every byte lands at its final destination (no gateway forwarding),
     so received-bytes throughput accounting is directly comparable to
-    the flat runner's.
+    the flat runner's.  Without leaf-spine locality to exploit — a
+    single-switch fabric or one leaf — it runs ``design`` flat.
     """
-    if plan.inter is None:
-        raise ValueError("run_hierarchical needs a plan with an inter-leaf "
-                         "sub-plan; use run_repartition for flat plans")
     n = cluster.num_nodes
-    per_leaf = cluster.config.topology.nodes_per_leaf
+    spec = cluster.config.topology
+    per_leaf = spec.nodes_per_leaf if spec.kind == "leaf-spine" else n
     leaves = [list(range(lo, min(lo + per_leaf, n)))
               for lo in range(0, n, per_leaf)]
     if len(leaves) < 2:
-        # A single leaf has no trunk to coordinate: run the intra design
-        # flat, preserving the plan's parameter overrides.
-        flat = dataclasses.replace(plan, inter=None, inter_concurrency=1)
         return run_repartition(
-            cluster, flat, bytes_per_node=bytes_per_node, config=config,
+            cluster, design, bytes_per_node=bytes_per_node, config=config,
             compute_ns_per_batch=compute_ns_per_batch)
     leaf_of = {node: i for i, members in enumerate(leaves)
                for node in members}
+    concurrency = min(per_leaf, max(2, per_leaf // spec.oversubscription))
 
     def intra_groups(node: int) -> TransmissionGroups:
         return TransmissionGroups(
@@ -230,9 +230,13 @@ def run_hierarchical(cluster: Cluster, plan: StagePlan,
         return TransmissionGroups(
             [(dest,) for dest in range(n) if leaf_of[dest] != leaf_of[node]])
 
-    intra_stage = cluster.shuffle_stage(
-        dataclasses.replace(plan, inter=None), intra_groups, config)
-    inter_stage = cluster.shuffle_stage(plan.inter, inter_groups, config)
+    base = config if config is not None else EndpointConfig()
+    inter_config = dataclasses.replace(
+        base, buffers_per_connection=INTER_LEAF_BUFFERS,
+        message_size=max(base.message_size, INTER_LEAF_MIN_MESSAGE))
+    intra_stage = cluster.shuffle_stage(design, intra_groups, config)
+    inter_stage = cluster.shuffle_stage(
+        INTER_LEAF_DESIGN, inter_groups, inter_config)
     shuffle = SyntheticShuffle(cluster, compute_ns_per_batch)
     immediate: List[QueryFragment] = []
     inter_senders: List[QueryFragment] = []
@@ -249,7 +253,6 @@ def run_hierarchical(cluster: Cluster, plan: StagePlan,
     # Round-robin each leaf's inter-leaf senders into c sequential
     # chains: at most c senders per source leaf are active at any time.
     chains: List[List[QueryFragment]] = []
-    concurrency = plan.inter_concurrency
     for members in leaves:
         leaf_chains: List[List[QueryFragment]] = [
             [] for _ in range(concurrency)]
@@ -257,5 +260,7 @@ def run_hierarchical(cluster: Cluster, plan: StagePlan,
             leaf_chains[slot % concurrency].append(inter_senders[node_id])
         chains.extend(chain for chain in leaf_chains if chain)
 
-    return _execute(cluster, plan, "repartition", bytes_per_node,
+    label = (f"{intra_stage.design.name}+{inter_stage.design.name}"
+             f"/hier(x{concurrency})")
+    return _execute(cluster, label, "repartition", bytes_per_node,
                     (intra_stage, inter_stage), shuffle, immediate, chains)

@@ -162,9 +162,9 @@ class Cluster:
         wired to the cluster-wide endpoint registry.
 
         This is the API boundary for stage construction: ``design`` may
-        be a design name, a :class:`~repro.core.designs.Design`, a flat
-        :class:`~repro.core.policy.StagePlan`, or a
-        :class:`~repro.core.policy.ShufflePolicy`, and is coerced here,
+        be a design name, a :class:`~repro.core.designs.Design`, a
+        :class:`~repro.core.policy.StagePlan`, or an
+        :class:`~repro.core.policy.AdaptivePolicy`, and is coerced here,
         once, to the plan the stage runs (a policy plans against a
         context built from this cluster; an endpoint-count override rides
         on the plan).  Validation is *eager*:

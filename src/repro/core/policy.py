@@ -1,32 +1,25 @@
-"""Per-stage shuffle policies: choosing an endpoint design from context.
+"""Per-stage shuffle policy: choosing an endpoint design from context.
 
 The paper's central result is that *no single endpoint design wins
 everywhere* (§5, Table 1): the MQ designs dominate while their Queue
 Pair working set fits the NIC's context cache and collapse beyond it
 (Fig 10/11), RC needs large messages to amortize round trips (Fig 9),
-and a single UD Queue Pair serializes under thread contention.  The
-bench drivers and the multi-tenant service used to hard-wire a design
-*string* through ``Cluster.shuffle_stage`` / ``ShuffleStage`` /
-``service.scheduler``; this module turns that choice into a first-class
-object:
+and a single UD Queue Pair serializes under thread contention.  This
+module turns that choice into a first-class object:
 
 * :class:`StageContext` — everything known about a stage before it
-  runs: cluster shape, message-size estimate, topology and
-  oversubscription, tenant quota caps.
-* :class:`StagePlan` — what a policy decides: the design (endpoint
-  kind + endpoint count) plus optional credit/window parameter
-  overrides, and, for two-phase leaf-spine shuffles, a nested
-  inter-leaf plan.
-* :class:`ShufflePolicy` — ``plan(ctx) -> StagePlan``, a function of
-  the context alone.
+  runs: cluster shape, message-size estimate, tenant quota caps.
+* :class:`StagePlan` — what a stage runs: the design (endpoint kind +
+  endpoint count), whether the tenant's caps clamped or forbid it, and
+  why.
+* :class:`AdaptivePolicy` — ``plan(ctx) -> StagePlan``, the fig8–fig11
+  measurement grid as a rule table, a function of the context alone.
 
 A design name or :class:`Design` plans as itself: the fixed design
-with the caller's endpoint count and the tenant's quota clamp.  Two
-built-in policies choose instead: :class:`AdaptivePolicy` encodes the
-fig8–fig11 measurement grid as a rule table, and
-:class:`HierarchicalPolicy` decomposes a repartition on an
-oversubscribed leaf-spine fabric into an intra-leaf exchange plus
-coordinated inter-leaf streams (one active stream per leaf pair).
+with the caller's endpoint count and the tenant's quota clamp.  How a
+stage's traffic is scheduled is not an endpoint choice and lives with
+the runners: the two-phase leaf-spine shuffle is
+:func:`repro.bench.workloads.run_hierarchical`, two flat stages.
 
 This module (with :mod:`repro.core.designs`) is the only place that
 dispatches on raw design strings.  The boundary rule: public entry
@@ -38,8 +31,9 @@ policy) once, through :func:`resolve_plan`; below them only a
 from __future__ import annotations
 
 import dataclasses
+import numbers
 from dataclasses import dataclass
-from typing import Any, Dict, List, NamedTuple, Optional, Tuple, Union
+from typing import Any, NamedTuple, Optional, Tuple, Union
 
 from repro.core.designs import DESIGNS, Design, resolve_design
 from repro.core.endpoint import EndpointConfig
@@ -47,12 +41,9 @@ from repro.core.endpoint import EndpointConfig
 __all__ = [
     "StageContext",
     "StagePlan",
-    "ShufflePolicy",
     "AdaptivePolicy",
-    "HierarchicalPolicy",
     "DesignLike",
     "Footprint",
-    "SHUFFLE_POLICIES",
     "parse_policy",
     "plan_footprint",
     "resolve_plan",
@@ -77,19 +68,11 @@ class StageContext:
     #: network parameters the rule table keys on.
     mtu: int = 4096
     qp_cache_entries: int = 1024
-    #: switch wiring (matches :class:`repro.fabric.config.TopologySpec`).
-    topology_kind: str = "single-switch"
-    oversubscription: int = 1
-    nodes_per_leaf: int = 4
     #: tenant quota caps (None: unlimited) — the clamping inputs that
     #: used to live in ``service/scheduler.py``.
     max_qps: Optional[int] = None
     #: caller's endpoint-count override (None: the design's natural k).
     num_endpoints: Optional[int] = None
-    #: whether the runner can execute a two-phase (hierarchical) plan;
-    #: only the repartition runner can, the broadcast runner and the
-    #: service scheduler cannot.
-    allow_hierarchical: bool = False
 
     @classmethod
     def from_cluster(cls, cluster: Any, *,
@@ -97,11 +80,9 @@ class StageContext:
                      config: Optional[EndpointConfig] = None,
                      num_endpoints: Optional[int] = None,
                      max_qps: Optional[int] = None,
-                     allow_hierarchical: bool = False,
                      ) -> "StageContext":
         """Build a context from a live :class:`~repro.cluster.Cluster`."""
         net = cluster.config.network
-        spec = cluster.config.topology
         return cls(
             num_nodes=cluster.num_nodes,
             threads=cluster.threads_per_node,
@@ -109,19 +90,9 @@ class StageContext:
             bytes_per_node=bytes_per_node,
             mtu=net.mtu,
             qp_cache_entries=net.qp_cache_entries,
-            topology_kind=spec.kind,
-            oversubscription=spec.oversubscription,
-            nodes_per_leaf=spec.nodes_per_leaf,
             max_qps=max_qps,
             num_endpoints=num_endpoints,
-            allow_hierarchical=allow_hierarchical,
         )
-
-    @property
-    def num_leaves(self) -> int:
-        if self.topology_kind != "leaf-spine":
-            return 1
-        return -(-self.num_nodes // self.nodes_per_leaf)
 
     @property
     def capped(self) -> bool:
@@ -135,29 +106,18 @@ class StageContext:
 
 @dataclass(frozen=True)
 class StagePlan:
-    """A policy's decision for one stage.
+    """What one stage runs.
 
     ``design`` is the resolved :class:`~repro.core.designs.Design` (the
     endpoint kind + endpoint-multiplicity pair); a registered name is
     accepted and resolved — eagerly, once — at construction.  The
-    optional fields override the workload's base
-    :class:`EndpointConfig` only where set, so an all-``None`` plan
-    runs exactly like the bare design.
+    workload's :class:`EndpointConfig` travels beside the plan, never
+    inside it.
     """
 
     design: Design
     #: endpoint count (None: the design's natural count).
     num_endpoints: Optional[int] = None
-    #: window parameter overrides (None: keep the caller's).
-    buffers_per_connection: Optional[int] = None
-    message_size: Optional[int] = None
-    #: two-phase leaf-spine decomposition: when set, the stage runs as
-    #: an intra-leaf exchange (this plan's design) plus coordinated
-    #: inter-leaf streams described by this nested flat plan.
-    inter: Optional["StagePlan"] = None
-    #: concurrently active inter-leaf senders per source leaf (matches
-    #: the trunk rate: ~nodes_per_leaf / oversubscription).
-    inter_concurrency: int = 1
     #: False: even a single-endpoint stage exceeds the tenant's caps.
     runnable: bool = True
     #: True: ``num_endpoints`` was clamped below the natural count to
@@ -168,42 +128,12 @@ class StagePlan:
 
     def __post_init__(self):
         object.__setattr__(self, "design", resolve_design(self.design))
-        if self.num_endpoints is not None and self.num_endpoints < 1:
+        k = self.num_endpoints
+        if k is not None and (isinstance(k, bool) or not isinstance(
+                k, numbers.Integral) or k < 1):
             raise ValueError(
                 f"num_endpoints must be None (the design's natural "
-                f"count) or >= 1, not {self.num_endpoints}")
-        if self.inter_concurrency < 1:
-            raise ValueError(
-                f"inter_concurrency must be >= 1, not "
-                f"{self.inter_concurrency}")
-        if self.inter is not None and self.inter.inter is not None:
-            raise ValueError("inter-leaf plans cannot nest further")
-
-    @property
-    def hierarchical(self) -> bool:
-        return self.inter is not None
-
-    def apply(self, base: Optional[EndpointConfig] = None) -> EndpointConfig:
-        """Overlay this plan's parameter overrides on ``base``.
-
-        Returns ``base`` unchanged (identity) when the plan overrides
-        nothing — so a plan of a bare design name runs bit-identically.
-        """
-        config = base if base is not None else EndpointConfig()
-        changes: Dict[str, Any] = {}
-        if self.buffers_per_connection is not None:
-            changes["buffers_per_connection"] = self.buffers_per_connection
-        if self.message_size is not None:
-            changes["message_size"] = self.message_size
-        if not changes:
-            return config
-        return dataclasses.replace(config, **changes)
-
-    def describe(self) -> str:
-        if self.inter is not None:
-            return (f"{self.design.name}+{self.inter.design.name}/hier"
-                    f"(x{self.inter_concurrency})")
-        return self.design.name
+                f"count) or an int >= 1, got {k!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -238,7 +168,7 @@ def plan_footprint(design: Union[str, Design], nodes: int, threads: int,
 
 
 def _clamp_plan(plan: StagePlan, ctx: StageContext) -> StagePlan:
-    """Clamp a flat plan's endpoint count to fit the tenant's QP cap.
+    """Clamp a plan's endpoint count to fit the tenant's QP cap.
 
     The isolation lever of the svc-tenants ablation, moved here from
     ``ShuffleService._effective_endpoints``: under a quota the count is
@@ -247,7 +177,7 @@ def _clamp_plan(plan: StagePlan, ctx: StageContext) -> StagePlan:
     instead of monopolizing the NIC context cache).  Marks the plan
     ``runnable=False`` when even a single-endpoint job cannot fit.
     """
-    if not ctx.capped or plan.hierarchical:
+    if not ctx.capped:
         return plan
     natural = plan.num_endpoints or plan.design.num_endpoints(ctx.threads)
     for candidate in range(natural, 0, -1):
@@ -268,27 +198,17 @@ def _clamp_plan(plan: StagePlan, ctx: StageContext) -> StagePlan:
 
 
 # ---------------------------------------------------------------------------
-# policies
+# the policy
 # ---------------------------------------------------------------------------
 
 
-class ShufflePolicy:
-    """Base class: map a :class:`StageContext` to a :class:`StagePlan`.
+class AdaptivePolicy:
+    """Rule-table design selection from the fig8–fig11 measurement grid.
 
     ``plan`` is a function of the context alone — the same context
     always yields the same plan, which the policy-determinism tests
-    assert.
-    """
-
-    def plan(self, ctx: StageContext) -> StagePlan:
-        raise NotImplementedError
-
-
-class AdaptivePolicy(ShufflePolicy):
-    """Rule-table design selection from the fig8–fig11 measurement grid.
-
-    The predictive rules (applied in order; EXPERIMENTS.md records the
-    measurements they are fitted to):
+    assert.  The predictive rules (applied in order; EXPERIMENTS.md
+    records the measurements they are fitted to):
 
     1. *Datagram-sized messages* → ``MESQ/SR``.  At or below the MTU,
        RC pays a round trip per message with nothing to amortize it
@@ -311,9 +231,6 @@ class AdaptivePolicy(ShufflePolicy):
        hardware flow control and big messages win (fig8/fig10 at EDR
        n≤8: 10.5–11.0 GiB/s, ahead of or tied with every alternative)
        at moderate resource cost (Table 1).
-
-    On an oversubscribed leaf-spine fabric (and a runner that supports
-    two-phase plans) it delegates to :class:`HierarchicalPolicy`.
     """
 
     #: fraction of the QP context cache an MQ working set may use
@@ -345,81 +262,18 @@ class AdaptivePolicy(ShufflePolicy):
             f"{budget:.0f}); hardware flow control at moderate cost")
 
     def plan(self, ctx: StageContext) -> StagePlan:
-        if ctx.allow_hierarchical and ctx.topology_kind == "leaf-spine" \
-                and ctx.oversubscription > 1 and ctx.num_leaves > 1:
-            return HierarchicalPolicy().plan(ctx)
         design, reason = self._rule_pick(ctx)
         plan = StagePlan(design=resolve_design(design),
                          num_endpoints=ctx.num_endpoints, reason=reason)
         return _clamp_plan(plan, ctx)
 
 
-class HierarchicalPolicy(ShufflePolicy):
-    """Two-phase leaf-spine shuffle: intra-leaf exchange + coordinated
-    inter-leaf streams.
-
-    The abl-oversub ablation shows MESQ/SR losing ~40% of its
-    repartition throughput at 4:1 trunk oversubscription with the
-    trunks only ~70% utilized — the collapse is not pure bandwidth
-    starvation but *interference*: m uncoordinated senders per leaf,
-    each spraying shallow UD windows across every remote node, leave
-    the constrained trunk idle between bursts.  The two-phase plan
-    splits the repartition by destination locality:
-
-    * **intra-leaf** traffic (never crosses a trunk) runs the UD design
-      at full parallelism;
-    * **inter-leaf** traffic runs a deep-window RC design at 64 KiB+
-      messages (the Fig 9 sweet spot), with roughly
-      ``nodes_per_leaf / oversubscription`` senders per source leaf
-      active at a time — matching the senders' aggregate link rate to
-      the trunk rate so each active stream can fill the trunk instead
-      of queueing against its leaf-mates.  A floor of two concurrent
-      streams per leaf keeps the trunk fed through any single stream's
-      per-destination stalls (measured: one stream leaves ~8% of the
-      trunk idle).
-
-    On a non-leaf-spine fabric (or a runner that cannot execute
-    two-phase plans) it degrades to a flat plan of the intra design.
-    """
-
-    intra = resolve_design("MESQ/SR")
-    inter = resolve_design("SEMQ/SR")
-    inter_buffers = 16
-
-    def plan(self, ctx: StageContext) -> StagePlan:
-        if not ctx.allow_hierarchical or ctx.topology_kind != "leaf-spine" \
-                or ctx.num_leaves < 2:
-            plan = StagePlan(
-                design=self.intra, num_endpoints=ctx.num_endpoints,
-                reason="hierarchical: flat fallback (no leaf-spine "
-                       "locality to exploit here)")
-            return _clamp_plan(plan, ctx)
-        concurrency = min(
-            ctx.nodes_per_leaf,
-            max(2, ctx.nodes_per_leaf // ctx.oversubscription))
-        inter = StagePlan(
-            design=self.inter,
-            buffers_per_connection=self.inter_buffers,
-            message_size=max(ctx.message_size, 64 * 1024),
-            reason=f"inter-leaf: deep-window {self.inter.name}")
-        plan = StagePlan(
-            design=self.intra,
-            num_endpoints=ctx.num_endpoints,
-            inter=inter,
-            inter_concurrency=concurrency,
-            reason=(f"hierarchical: intra-leaf {self.intra.name} + "
-                    f"{concurrency} concurrent inter-leaf "
-                    f"{self.inter.name} stream(s) per leaf on the "
-                    f"{ctx.oversubscription}:1 fabric"))
-        return _clamp_plan(plan, ctx)
-
-
 # ---------------------------------------------------------------------------
-# the API-boundary resolver, registry, CLI parsing
+# the API-boundary resolver and CLI parsing
 # ---------------------------------------------------------------------------
 
 #: what the public entry points accept as a design selector.
-DesignLike = Union[str, Design, StagePlan, ShufflePolicy]
+DesignLike = Union[str, Design, StagePlan, AdaptivePolicy]
 
 
 def resolve_plan(selector: DesignLike, ctx: StageContext) -> StagePlan:
@@ -428,12 +282,12 @@ def resolve_plan(selector: DesignLike, ctx: StageContext) -> StagePlan:
     The single coercion behind ``Cluster.shuffle_stage``, the workload
     runners, ``run_query`` and the service's tenants: a ready plan is
     taken as is (the caller's endpoint count fills in only where the
-    plan names none), a policy plans against ``ctx``, and a design name
-    or :class:`Design` plans as itself — no parameter overrides, only
-    the caller's endpoint count and the tenant's quota clamp.  An
-    unknown design name raises :class:`UnknownDesignError` here.
+    plan names none), the policy plans against ``ctx``, and a design
+    name or :class:`Design` plans as itself — only the caller's endpoint
+    count and the tenant's quota clamp.  An unknown design name raises
+    :class:`UnknownDesignError` here.
     """
-    if isinstance(selector, ShufflePolicy):
+    if isinstance(selector, AdaptivePolicy):
         return selector.plan(ctx)
     if isinstance(selector, StagePlan):
         if selector.num_endpoints is None and ctx.num_endpoints is not None:
@@ -446,26 +300,17 @@ def resolve_plan(selector: DesignLike, ctx: StageContext) -> StagePlan:
         reason=f"static: fixed design {design.name}"), ctx)
 
 
-SHUFFLE_POLICIES = {
-    "adaptive": AdaptivePolicy,
-    "hierarchical": HierarchicalPolicy,
-}
-
-
-def parse_policy(spec: str) -> Union[str, ShufflePolicy]:
+def parse_policy(spec: str) -> Union[str, AdaptivePolicy]:
     """Turn a ``--policy`` argument into a design selector.
 
-    Accepts a registered policy name (``adaptive``, ``hierarchical``; a
-    fresh instance), or ``static:<DESIGN>`` or a bare design name (the
-    design name).
+    Accepts ``adaptive`` (a fresh :class:`AdaptivePolicy`), or
+    ``static:<DESIGN>`` or a bare design name (the design name).
     """
-    factory = SHUFFLE_POLICIES.get(spec)
-    if factory is not None:
-        return factory()
+    if spec == "adaptive":
+        return AdaptivePolicy()
     name = spec[len("static:"):] if spec.startswith("static:") else spec
     if name in DESIGNS:
         return name
-    known: List[str] = sorted(SHUFFLE_POLICIES) + ["static:<DESIGN>"]
     raise ValueError(
-        f"unknown policy {spec!r}; expected one of {', '.join(known)} "
+        f"unknown policy {spec!r}; expected adaptive, static:<DESIGN> "
         f"or a design name ({', '.join(sorted(DESIGNS))})")

@@ -56,18 +56,14 @@ class ShuffleStage:
                 f"ShuffleStage runs a StagePlan, not {plan!r}: build stages "
                 f"with Cluster.shuffle_stage(design, groups), which resolves "
                 f"design names, Designs and policies to a plan")
-        if plan.hierarchical:
-            raise ValueError(
-                f"plan {plan.describe()!r} is hierarchical; a single "
-                f"ShuffleStage runs flat plans only — use the "
-                f"two-phase runner in repro.bench.workloads")
         self.fabric = fabric
-        #: the flat plan this stage executes.
+        #: the plan this stage executes.
         self.plan = plan
         self.design = plan.design
         self.threads = fabric.cluster.threads_per_node
         self.k, ep_threads, self.config = self.design.stage_config(
-            self.threads, plan.num_endpoints, plan.apply(config),
+            self.threads, plan.num_endpoints,
+            config if config is not None else EndpointConfig(),
             fabric.config.mtu)
         if self.k > self.threads:
             raise ValueError(

@@ -15,11 +15,12 @@ in bytes per nanosecond, which is numerically identical to GB/s.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, replace
 
 __all__ = [
     "NetworkConfig", "ClusterConfig", "FDR", "EDR",
-    "TopologySpec", "SINGLE_SWITCH", "LEAF_SPINE",
+    "TopologySpec", "SINGLE_SWITCH", "LEAF_SPINE", "check_count",
 ]
 
 KIB = 1024
@@ -248,6 +249,16 @@ EDR = NetworkConfig(
 )
 
 
+def check_count(name: str, value: object, minimum: int = 1) -> None:
+    """Raise ``ValueError`` naming ``name`` unless ``value`` is an int
+    (not a bool) of at least ``minimum`` -- a float or a string count
+    otherwise constructs and fails mid-run, naming nothing."""
+    if (isinstance(value, bool) or not isinstance(value, numbers.Integral)
+            or value < minimum):
+        raise ValueError(
+            f"{name} must be an int >= {minimum}, got {value!r}")
+
+
 @dataclass(frozen=True)
 class TopologySpec:
     """How the cluster's switches are wired.
@@ -278,12 +289,8 @@ class TopologySpec:
             raise ValueError(
                 f"unknown topology kind {self.kind!r}; "
                 f"expected one of {', '.join(self._KINDS)}")
-        if self.oversubscription < 1:
-            raise ValueError(
-                f"oversubscription must be >= 1, got {self.oversubscription}")
-        if self.nodes_per_leaf < 1:
-            raise ValueError(
-                f"nodes_per_leaf must be >= 1, got {self.nodes_per_leaf}")
+        check_count("oversubscription", self.oversubscription)
+        check_count("nodes_per_leaf", self.nodes_per_leaf)
 
     def describe(self) -> str:
         if self.kind == "leaf-spine":
@@ -315,15 +322,11 @@ class ClusterConfig:
     topology: TopologySpec = SINGLE_SWITCH
 
     def __post_init__(self):
-        if self.num_nodes < 1:
-            raise ValueError(f"num_nodes must be >= 1, got {self.num_nodes}")
+        check_count("num_nodes", self.num_nodes)
+        check_count("threads_per_node", self.threads_per_node, minimum=0)
         if self.threads_per_node == 0:
             object.__setattr__(
                 self, "threads_per_node", self.network.cores_per_node
-            )
-        if self.threads_per_node < 1:
-            raise ValueError(
-                f"threads_per_node must be >= 1, got {self.threads_per_node}"
             )
 
     def with_network(self, **changes) -> "ClusterConfig":

@@ -9,7 +9,7 @@ scheduler admits, places, runs, and accounts.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List
 
 from repro.core.policy import DesignLike
 from repro.sim import Notify, Simulator
@@ -23,7 +23,7 @@ class TenantSpec:
 
     name: str
     #: what plans this tenant's queries: a design name, a ``Design``, a
-    #: ``StagePlan`` or a ``ShufflePolicy`` (coerced per job through
+    #: ``StagePlan`` or an ``AdaptivePolicy`` (coerced per job through
     #: :func:`~repro.core.policy.resolve_plan`).
     design: DesignLike = "MESQ/SR"
     #: per-node shuffle volume of one job.
@@ -33,8 +33,6 @@ class TenantSpec:
     mean_interarrival_ns: int = 3_000_000
     #: jobs this tenant submits over the run.
     jobs: int = 4
-    #: endpoint-count override (None: the design's natural count).
-    num_endpoints: Optional[int] = None
 
     def __post_init__(self):
         for field_name, minimum in (("bytes_per_job", 1),
@@ -45,10 +43,6 @@ class TenantSpec:
                 raise ValueError(
                     f"TenantSpec {self.name!r}: {field_name} must be "
                     f">= {minimum}, not {value}")
-        if self.num_endpoints is not None and self.num_endpoints < 1:
-            raise ValueError(
-                f"TenantSpec {self.name!r}: num_endpoints must be >= 1, "
-                f"not {self.num_endpoints}")
 
 
 @dataclass

@@ -14,7 +14,7 @@ tenants on one fabric.  :class:`ShuffleService` closes that gap:
   headroom is exhausted);
 * each job is *planned* at admission from its tenant's ``design``
   (a design name, ``Design``, ``StagePlan`` or
-  :class:`~repro.core.policy.ShufflePolicy`) and a
+  :class:`~repro.core.policy.AdaptivePolicy`) and a
   :class:`~repro.core.policy.StageContext` of the cluster and the
   tenant's caps: the plan names the design and clamps the endpoint
   count under the caps (an MQ tenant degrades toward SQ rather than
@@ -165,7 +165,6 @@ class ShuffleService:
         return StageContext.from_cluster(
             self.cluster,
             bytes_per_node=tenant.bytes_per_job,
-            num_endpoints=tenant.num_endpoints,
             max_qps=quota.max_qps,
         )
 
@@ -271,7 +270,7 @@ class ShuffleService:
         if tracer is not None:
             tracer.instant(
                 0, "scheduler", "policy-decision",
-                args={"job": job.name, "design": plan.describe(),
+                args={"job": job.name, "design": plan.design.name,
                       "reason": plan.reason})
 
     def _run_job(self, job: Job, plan: StagePlan):

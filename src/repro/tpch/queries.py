@@ -346,7 +346,7 @@ def run_query(cluster: Cluster, query: str, data: TPCHData,
     elapsed = cluster.run_process(
         run_fragments(cluster.sim, ctx.fragments), name=f"tpch-{query}")
     return QueryResult(
-        query=query, design=ctx.plan.describe(),
+        query=query, design=ctx.plan.design.name,
         num_nodes=cluster.num_nodes,
         answer=extract(ctx.sink.result()), response_time_ns=elapsed,
         setup_ns=setup_ns,

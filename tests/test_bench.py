@@ -240,12 +240,15 @@ class TestExperiments:
         (lambda: Point("MESQ/SR", MIB, pattern="bogus"), "pattern"),
         (lambda: Point("MESQ/SR"), "volume"),
         (lambda: Point("MESQ/SR", -MIB), "volume"),
+        (lambda: Point("MESQ/SR", MIB, pattern="hierarchical",
+                       num_endpoints=2), "num_endpoints"),
         (lambda: dataclasses.replace(EDR, link_bytes_per_ns=0.0),
          "link_bytes_per_ns"),
     ] + [
         (functools.partial(dataclasses.replace, EDR, **{field: bad}), field)
         for field, bad in BAD_NETWORK
-    ], ids=["pattern", "zero-volume", "negative-volume", "link-rate"] + [
+    ], ids=["pattern", "zero-volume", "negative-volume",
+            "hierarchical-endpoints", "link-rate"] + [
         f"{field}={bad}" for field, bad in BAD_NETWORK])
     def test_bad_point_fails_at_construction(self, build, field):
         """An unknown pattern used to run a broadcast, a zero volume to

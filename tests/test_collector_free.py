@@ -16,9 +16,12 @@ import pytest
 
 from repro import Cluster, ClusterConfig, EDR, FDR
 from repro.bench.experiments import _mesoscale_config
-from repro.bench.workloads import run_broadcast, run_repartition
+from repro.bench.workloads import (
+    run_broadcast,
+    run_hierarchical,
+    run_repartition,
+)
 from repro.core.designs import DESIGNS
-from repro.core.policy import HierarchicalPolicy
 from repro.fabric.config import LEAF_SPINE
 from repro.fabric.packet import make_train
 from repro.service import FairSharePolicy, ShuffleService, TenantSpec
@@ -88,10 +91,9 @@ def test_cycle_count_does_not_depend_on_volume(design):
 
 
 def hierarchical_run():
-    cluster = make_cluster(nodes=8, topology=LEAF_SPINE(2.0, 4))
-    result = run_repartition(cluster, HierarchicalPolicy(),
-                             bytes_per_node=2 << 20,
-                             config=_mesoscale_config(4096))
+    cluster = make_cluster(nodes=8, topology=LEAF_SPINE(2, 4))
+    result = run_hierarchical(cluster, "MESQ/SR", bytes_per_node=2 << 20,
+                              config=_mesoscale_config(4096))
     assert result.design.endswith("/hier(x2)"), result.design
     return cluster
 
@@ -109,7 +111,7 @@ def mcast_leaf_spine_run():
     flight crosses a switch port before it hands over to one leg
     flight per member."""
     cluster = Cluster(ClusterConfig(network=EDR, num_nodes=8,
-                                    topology=LEAF_SPINE(2.0, 4))
+                                    topology=LEAF_SPINE(2, 4))
                       .with_network(**MCAST_NETWORK))
     fabric = cluster.fabric
     members = range(4, 8)

@@ -26,9 +26,8 @@ from repro.bench.experiments import (
     HIER_OVERSUBSCRIPTION,
     _mesoscale_config,
 )
-from repro.bench.workloads import run_repartition
+from repro.bench.workloads import run_hierarchical, run_repartition
 from repro.core import ReceiveOperator, ShuffleOperator
-from repro.core.policy import HierarchicalPolicy
 from repro.core.shuffle import striped_partitioner
 from repro.engine import CollectSink, QueryFragment, run_fragments
 from repro.engine.scan import ScanOperator
@@ -121,8 +120,8 @@ def _hierarchical_point(first_id=1):
     cluster = Cluster(ClusterConfig(network=EDR, num_nodes=8).with_topology(
         LEAF_SPINE(HIER_OVERSUBSCRIPTION, HIER_NODES_PER_LEAF)))
     cluster.fabric.endpoint_ids = itertools.count(first_id)
-    result = run_repartition(
-        cluster, HierarchicalPolicy(), bytes_per_node=2 << 20,
+    result = run_hierarchical(
+        cluster, "MESQ/SR", bytes_per_node=2 << 20,
         config=_mesoscale_config(4096))
     cluster.dispose()
     return result.elapsed_ns

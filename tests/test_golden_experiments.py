@@ -29,8 +29,18 @@ import sys
 
 import pytest
 
-from repro import EndpointConfig
-from repro.bench.experiments import ALL_EXPERIMENTS, Options, Point, _volume, measure
+from repro import LEAF_SPINE, EndpointConfig
+from repro.bench.experiments import (
+    ALL_EXPERIMENTS,
+    HIER_NODES_PER_LEAF,
+    HIER_OVERSUBSCRIPTION,
+    Options,
+    Point,
+    _mesoscale_config,
+    _scaled,
+    _volume,
+    measure,
+)
 
 GOLDEN_PATH = os.path.join(os.path.dirname(__file__), "golden",
                            "experiments.json")
@@ -77,6 +87,23 @@ def test_fig9_read_point_matches_golden(design):
     got = measure(Point(design, _volume(design, scale, nodes), nodes=nodes,
                         config=EndpointConfig(message_size=size)))
     assert got.gib_s == want
+
+
+def test_hierarchical_point_matches_golden():
+    """The two-phase cell of ``abl-adaptive``; the entry itself is too
+    slow for tier-1."""
+    golden = _load()["abl-adaptive"]
+    hier = golden["results"][1]
+    assert hier["experiment"] == "abl-hierarchical-EDR"
+    k = HIER_OVERSUBSCRIPTION
+    want = hier["series"][0]["y"][hier["x"].index(f"hier {k}:1")]
+    got = measure(Point("MESQ/SR", _scaled(24, golden["scale"]),
+                        nodes=golden["nodes"],
+                        topology=LEAF_SPINE(k, HIER_NODES_PER_LEAF),
+                        pattern="hierarchical",
+                        config=_mesoscale_config(4096)))
+    assert got.gib_s == want
+    assert hier["notes"].startswith(f"{got.plan}; ")
 
 
 def test_golden_covers_the_registry():

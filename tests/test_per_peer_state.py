@@ -195,7 +195,7 @@ def test_link_bytes_equal_a_tuple_keyed_reference(monkeypatch):
     def count(src, dst, nbytes):
         reference[(src, dst)] = reference.get((src, dst), 0) + nbytes
 
-    cluster = make_cluster(8, threads=2, topology=LEAF_SPINE(2.0, 4))
+    cluster = make_cluster(8, threads=2, topology=LEAF_SPINE(2, 4))
     fabric = cluster.fabric
     route, clone = fabric.route, routing.clone_for_member
 

@@ -3,8 +3,8 @@
 Covers the policy-layer guarantees: plans are deterministic functions
 of their context, a design name plans bit-identically to the bare
 design, design/kind validation is eager with actionable errors, the
-adaptive rule table fires as documented, the hierarchical plan/runner
-pair round-trips every byte, and the quota clamp lives behind
+adaptive rule table fires as documented, the two-phase runner
+round-trips every byte, and the quota clamp lives behind
 ``resolve_plan``.
 """
 
@@ -14,18 +14,11 @@ import pytest
 
 from repro import Cluster, ClusterConfig, EDR, FDR, LEAF_SPINE, \
     TransmissionGroups
-from repro.bench.workloads import (
-    run_broadcast,
-    run_hierarchical,
-    run_repartition,
-)
+from repro.bench.workloads import run_hierarchical, run_repartition
 from repro.core.designs import DESIGNS, UnknownDesignError, resolve_design
 from repro.core.endpoint import EndpointConfig
 from repro.core.policy import (
     AdaptivePolicy,
-    HierarchicalPolicy,
-    SHUFFLE_POLICIES,
-    ShufflePolicy,
     StageContext,
     StagePlan,
     parse_policy,
@@ -66,9 +59,11 @@ def make_context(nodes=8, threads=8, message_size=64 * 1024,
 
 class TestParsePolicy:
     def test_registered_names(self):
+        """``adaptive`` is the one policy; the two-phase shuffle is a
+        runner, not a design selector."""
         assert isinstance(parse_policy("adaptive"), AdaptivePolicy)
-        assert isinstance(parse_policy("hierarchical"), HierarchicalPolicy)
-        assert set(SHUFFLE_POLICIES) == {"adaptive", "hierarchical"}
+        with pytest.raises(ValueError, match="unknown policy"):
+            parse_policy("hierarchical")
 
     def test_static_prefix_and_bare_design(self):
         assert parse_policy("static:SEMQ/SR") == "SEMQ/SR"
@@ -86,6 +81,13 @@ class TestParsePolicy:
         from repro.bench.cli import main
         with pytest.raises(SystemExit):
             main(["fig8", "--policy", "bogus"])
+
+    def test_cli_rejects_hierarchical_policy(self, capsys):
+        from repro.bench.cli import main
+        with pytest.raises(SystemExit) as exc:
+            main(["abl-adaptive", "--policy", "hierarchical"])
+        assert exc.value.code == 2
+        assert "unknown policy 'hierarchical'" in capsys.readouterr().err
 
 
 class TestEagerValidation:
@@ -105,12 +107,6 @@ class TestEagerValidation:
         with pytest.raises(UnknownDesignError):
             StagePlan(design="NOPE/XX")
 
-    def test_inter_plans_cannot_nest(self):
-        inner = StagePlan(design="SEMQ/SR")
-        mid = StagePlan(design="SEMQ/SR", inter=inner)
-        with pytest.raises(ValueError, match="nest"):
-            StagePlan(design="MESQ/SR", inter=mid)
-
     @pytest.mark.parametrize("bad", [0, -1, -2])
     def test_bad_endpoint_counts_name_the_field(self, bad):
         """A non-positive count fails at the plan, naming num_endpoints —
@@ -120,17 +116,9 @@ class TestEagerValidation:
         with pytest.raises(ValueError, match="num_endpoints"):
             StagePlan("MESQ/SR", num_endpoints=bad)
         with pytest.raises(ValueError, match="num_endpoints"):
-            TenantSpec("t", design="MEMQ/SR", num_endpoints=bad)
+            TenantSpec("t", design=StagePlan("MEMQ/SR", num_endpoints=bad))
         with pytest.raises(ValueError, match="num_endpoints"):
             run_repartition(cluster, "MESQ/SR", num_endpoints=bad)
-
-    def test_shuffle_stage_rejects_hierarchical_plans(self):
-        cluster = make_cluster(nodes=2)
-        plan = StagePlan(design="MESQ/SR",
-                         inter=StagePlan(design="SEMQ/SR"))
-        with pytest.raises(ValueError, match="hierarchical"):
-            cluster.shuffle_stage(
-                plan, TransmissionGroups.repartition(2))
 
 
 # ---------------------------------------------------------------------------
@@ -145,8 +133,7 @@ class TestPlanDeterminism:
     def context_pair(self, **kwargs):
         a = make_cluster(**kwargs)
         b = make_cluster(**kwargs)
-        return (StageContext.from_cluster(a, allow_hierarchical=True),
-                StageContext.from_cluster(b, allow_hierarchical=True))
+        return StageContext.from_cluster(a), StageContext.from_cluster(b)
 
     def test_contexts_from_identical_clusters_are_equal(self):
         ctx_a, ctx_b = self.context_pair(nodes=4, threads=2)
@@ -155,7 +142,6 @@ class TestPlanDeterminism:
     @pytest.mark.parametrize("policy_factory", [
         lambda: "SEMQ/SR",
         AdaptivePolicy,
-        HierarchicalPolicy,
     ])
     def test_same_context_same_plan(self, policy_factory):
         ctx_a, ctx_b = self.context_pair(nodes=4, threads=2,
@@ -178,8 +164,8 @@ class TestPlanDeterminism:
     def test_hierarchical_run_digest_is_bit_identical(self):
         def digest():
             cluster = make_cluster(nodes=4, threads=2, topology=LEAF4X2)
-            result = run_repartition(cluster, HierarchicalPolicy(),
-                                     bytes_per_node=2 << 20)
+            result = run_hierarchical(cluster, "MESQ/SR",
+                                      bytes_per_node=2 << 20)
             return dataclasses.asdict(result)
         assert digest() == digest()
 
@@ -235,10 +221,6 @@ class TestStaticBitIdentity:
         for name in ("MPI", "IPoIB", "MESQ/SR", "IPOIB", "SR_UD"):
             assert name in out
 
-    def test_empty_plan_apply_is_identity(self):
-        base = EndpointConfig(message_size=4096)
-        assert StagePlan(design="SEMQ/SR").apply(base) is base
-
 
 # ---------------------------------------------------------------------------
 # the adaptive rule table
@@ -271,44 +253,56 @@ class TestAdaptiveRules:
         plan = AdaptivePolicy().plan(make_context())
         assert plan.design.name == "SEMQ/SR"
 
-    def test_oversubscribed_leaf_spine_delegates_to_hierarchical(self):
-        ctx = make_context(topology_kind="leaf-spine", oversubscription=4,
-                           nodes_per_leaf=4, allow_hierarchical=True)
-        plan = AdaptivePolicy().plan(ctx)
-        assert plan.hierarchical
-        # ...but only where the runner can execute a two-phase plan.
-        flat = AdaptivePolicy().plan(
-            dataclasses.replace(ctx, allow_hierarchical=False))
-        assert not flat.hierarchical
+
+def spy_stages(cluster):
+    """Record every stage ``cluster.shuffle_stage`` builds."""
+    built = []
+    build = cluster.shuffle_stage
+
+    def recording(*args, **kwargs):
+        built.append(build(*args, **kwargs))
+        return built[-1]
+
+    cluster.shuffle_stage = recording
+    return built
 
 
 class TestHierarchicalPolicy:
+    """The two-phase schedule :func:`run_hierarchical` derives from the
+    cluster's topology."""
+
     def test_flat_fallback_off_leaf_spine(self):
-        plan = HierarchicalPolicy().plan(
-            make_context(allow_hierarchical=True))
-        assert not plan.hierarchical
-        assert plan.design.name == "MESQ/SR"
-        assert "fallback" in plan.reason
+        cluster = make_cluster(nodes=4, threads=2)
+        built = spy_stages(cluster)
+        result = run_hierarchical(cluster, "MESQ/SR",
+                                  bytes_per_node=1 << 20)
+        assert result.design == "MESQ/SR"
+        assert [stage.design.name for stage in built] == ["MESQ/SR"]
 
     def test_two_phase_plan_shape(self):
-        ctx = make_context(topology_kind="leaf-spine", oversubscription=4,
-                           nodes_per_leaf=4, allow_hierarchical=True)
-        plan = HierarchicalPolicy().plan(ctx)
-        assert plan.design.name == "MESQ/SR"
-        assert plan.inter is not None
-        assert plan.inter.design.name == "SEMQ/SR"
-        assert plan.inter.buffers_per_connection == 16
+        cluster = make_cluster(
+            nodes=8, threads=2,
+            topology=LEAF_SPINE(oversubscription=4, nodes_per_leaf=4))
+        built = spy_stages(cluster)
+        base = EndpointConfig(message_size=4096)
+        result = run_hierarchical(cluster, "MESQ/SR",
+                                  bytes_per_node=1 << 20, config=base)
+        intra, inter = built
+        assert intra.design.name == "MESQ/SR"
+        assert inter.design.name == "SEMQ/SR"
+        assert inter.config.buffers_per_connection == 16
         # Inter-leaf streams run at the Fig 9 sweet spot or above.
-        assert plan.inter.message_size >= 64 * 1024
+        assert inter.config.message_size == 64 * 1024
         # 4 nodes/leaf at 4:1 -> the floor of two concurrent streams.
-        assert plan.inter_concurrency == 2
-        assert "hier" in plan.describe()
+        assert result.design == "MESQ/SR+SEMQ/SR/hier(x2)"
 
     def test_concurrency_matches_trunk_rate(self):
-        ctx = make_context(nodes=16, topology_kind="leaf-spine",
-                           oversubscription=2, nodes_per_leaf=8,
-                           allow_hierarchical=True)
-        assert HierarchicalPolicy().plan(ctx).inter_concurrency == 4
+        cluster = make_cluster(
+            nodes=16, threads=1,
+            topology=LEAF_SPINE(oversubscription=2, nodes_per_leaf=8))
+        result = run_hierarchical(cluster, "MESQ/SR",
+                                  bytes_per_node=256 << 10)
+        assert result.design.endswith("/hier(x4)")
 
 
 # ---------------------------------------------------------------------------
@@ -346,19 +340,17 @@ class TestQuotaClamp:
         assert "unrunnable" in plan.reason
 
     def test_plan_footprint_covers_stage_with_overrides(self):
-        # The conformance guarantee must survive a plan's parameter
-        # overrides (the deep-window path), not just defaults.
+        # The conformance guarantee must survive a deep-window config
+        # (the inter-leaf stage's), not just defaults.
         nodes, threads = 3, 2
         cluster = make_cluster(nodes=nodes, threads=threads)
         quotas = QuotaManager()
         cluster.enable_quotas(quotas)
-        plan = StagePlan(design="SEMQ/SR", buffers_per_connection=16)
-        config = dataclasses.replace(plan.apply(EndpointConfig()),
-                                     tenant="t")
+        config = EndpointConfig(buffers_per_connection=16, tenant="t")
         stage = cluster.shuffle_stage(
-            plan, TransmissionGroups.repartition(nodes), config=config)
+            "SEMQ/SR", TransmissionGroups.repartition(nodes), config=config)
         cluster.run_process(stage.setup(), name="setup")
-        qps = plan_footprint(plan.design, nodes, threads).qps
+        qps = plan_footprint("SEMQ/SR", nodes, threads).qps
         assert quotas.usage("t").peak_qps <= qps
         stage.dispose()
 
@@ -372,8 +364,7 @@ class TestHierarchicalRunner:
     def test_every_byte_lands(self):
         cluster = make_cluster(nodes=4, threads=2, topology=LEAF4X2)
         volume = 2 << 20
-        result = run_repartition(cluster, HierarchicalPolicy(),
-                                 bytes_per_node=volume)
+        result = run_hierarchical(cluster, "MESQ/SR", bytes_per_node=volume)
         assert "hier" in result.design
         assert result.elapsed_ns > 0
         # Per-thread volumes floor up to the template batch, so received
@@ -384,30 +375,15 @@ class TestHierarchicalRunner:
         assert result.qps_per_node > 0
         assert result.registered_bytes_per_node > 0
 
-    def test_flat_plan_is_rejected(self):
-        cluster = make_cluster(nodes=4, threads=2, topology=LEAF4X2)
-        with pytest.raises(ValueError, match="inter-leaf"):
-            run_hierarchical(cluster, StagePlan(design="MESQ/SR"))
-
     def test_single_leaf_falls_back_to_flat(self):
-        # All four nodes share one leaf: no trunk, so a hierarchical
-        # plan degrades to the intra design run flat.
+        # All four nodes share one leaf: no trunk, so the two-phase
+        # runner runs the intra design flat.
         cluster = make_cluster(
             nodes=4, threads=2,
             topology=LEAF_SPINE(oversubscription=2, nodes_per_leaf=4))
-        plan = StagePlan(design="MESQ/SR",
-                         inter=StagePlan(design="SEMQ/SR"),
-                         inter_concurrency=2)
-        result = run_hierarchical(cluster, plan, bytes_per_node=1 << 20)
+        result = run_hierarchical(cluster, "MESQ/SR", bytes_per_node=1 << 20)
         assert result.design == "MESQ/SR"
         assert result.total_received_bytes >= 4 * (1 << 20)
-
-    def test_broadcast_never_goes_hierarchical(self):
-        cluster = make_cluster(nodes=4, threads=2, topology=LEAF4X2)
-        result = run_broadcast(cluster, HierarchicalPolicy(),
-                               bytes_per_node=1 << 20)
-        assert result.design == "MESQ/SR"
-        assert result.pattern == "broadcast"
 
 
 # ---------------------------------------------------------------------------
@@ -448,8 +424,3 @@ class TestServiceAdaptiveSwitch:
         assert [j.meta["design"] for j in service.completed] == \
             ["SEMQ/SR", "SEMQ/SR"]
 
-
-class TestPolicyProtocol:
-    def test_base_policy_is_abstract(self):
-        with pytest.raises(NotImplementedError):
-            ShufflePolicy().plan(make_context())

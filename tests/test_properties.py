@@ -1,16 +1,18 @@
 """Property-based tests (hypothesis) for core data structures & invariants."""
 
 import numpy as np
-from hypothesis import given
+import pytest
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.groups import TransmissionGroups
+from repro.core.policy import StagePlan
 from repro.core.shuffle import (
     _take,
     hash_partitioner,
     striped_partitioner,
 )
-from repro.fabric import EDR, FDR, QPContextCache
+from repro.fabric import EDR, FDR, ClusterConfig, QPContextCache, TopologySpec
 from repro.sim import AllOf, Barrier, RatePipe, Simulator
 from repro.telemetry import Telemetry
 from repro.verbs.memory import AddressSpace
@@ -208,3 +210,41 @@ class TestWireBytesProperties:
             if payload <= net.mtu:
                 ud = net.wire_bytes(payload, "UD")
                 assert ud == payload + net.ud_header_bytes
+
+
+#: edge values for a count field: 0, -1, valid ints, a huge value, a
+#: float where an int belongs and a string.
+EDGE_COUNTS = st.sampled_from([0, -1, 1, 3, 1 << 40, 1.5, "2"])
+
+#: constructor -> its count fields and each field's minimum.
+COUNT_FIELDS = {
+    "TopologySpec": (lambda **kw: TopologySpec("leaf-spine", **kw),
+                     {"oversubscription": 1, "nodes_per_leaf": 1}),
+    "ClusterConfig": (lambda **kw: ClusterConfig(network=EDR, **kw),
+                      {"num_nodes": 1, "threads_per_node": 0}),
+    "StagePlan": (lambda **kw: StagePlan("MESQ/SR", **kw),
+                  {"num_endpoints": 1}),
+}
+
+
+class TestConstructionProperties:
+    @pytest.mark.parametrize("name", sorted(COUNT_FIELDS))
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_a_count_constructs_or_is_rejected_by_name(self, name, data):
+        """A count that is not an int at or above its minimum raises
+        ``ValueError`` naming the field; every other draw constructs
+        and keeps the value (ClusterConfig's 0 threads: the cores)."""
+        build, minimums = COUNT_FIELDS[name]
+        values = {field: data.draw(EDGE_COUNTS, label=field)
+                  for field in minimums}
+        bad = [field for field, value in values.items()
+               if not (type(value) is int and value >= minimums[field])]
+        if bad:
+            with pytest.raises(ValueError) as exc:
+                build(**values)
+            assert str(exc.value).split(" ")[0] in bad, str(exc.value)
+            return
+        built = build(**values)
+        for field, value in values.items():
+            assert getattr(built, field) == (value or EDR.cores_per_node)

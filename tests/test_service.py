@@ -166,12 +166,12 @@ class TestServiceRuns:
          "mean_interarrival_ns"),
         (lambda: TenantSpec("t", bytes_per_job=-5), "bytes_per_job"),
         (lambda: TenantSpec("t", jobs=-1), "jobs"),
-        (lambda: TenantSpec("t", num_endpoints=0), "num_endpoints"),
+        (lambda: TenantSpec("t", design=StagePlan("MEMQ/SR",
+                                                  num_endpoints=0)),
+         "num_endpoints"),
         (lambda: ServiceConfig(max_concurrent=0), "max_concurrent"),
-        (lambda: StagePlan("MESQ/SR", inter_concurrency=0),
-         "inter_concurrency"),
     ], ids=["interarrival", "bytes", "jobs", "num_endpoints",
-            "max_concurrent", "inter_concurrency"])
+            "max_concurrent"])
     def test_bad_inputs_rejected_at_construction(self, build, field):
         """Out-of-range inputs fail where they are given, naming the
         field — not mid-run, silently or behind a later clamp."""
