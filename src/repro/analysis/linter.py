@@ -304,8 +304,8 @@ def _rule_vs107(rel: str, tree: ast.AST) -> Iterable[Tuple[int, str]]:
     the default silently stamps those at emission time, which skews the
     causal record the ``repro.obs`` critical-path analyzer consumes.
     Sites must pass the timestamp explicitly — positionally (the 4th
-    argument) or as ``ts_ns=`` — or use ``complete``/``span``, whose
-    start times are always explicit.
+    argument) or as ``ts_ns=`` — or use ``complete``, whose start time
+    is always explicit.
     """
     if not _in_scope(rel, _SIM_ORDERED):
         return

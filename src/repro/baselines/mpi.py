@@ -131,7 +131,7 @@ class MPIRuntime:
             done.succeed(packet)
 
         # NIC doorbell + WQE processing, then the wire.
-        self.node.nic.processor.submit_occupy(self.net.nic_wr_ns, after_wr)
+        self.node.nic.submit_wr(None, after_wr)
         return done
 
     # -- receive-side handling (progress engine) ---------------------------------------

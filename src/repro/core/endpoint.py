@@ -37,6 +37,8 @@ import enum
 from dataclasses import dataclass
 from typing import Any, Optional
 
+from repro.checks import check_count
+
 __all__ = [
     "DataState",
     "ShuffleNetworkError",
@@ -84,15 +86,10 @@ class EndpointConfig:
     tenant: Optional[str] = None
 
     def __post_init__(self):
-        if self.message_size < 64:
-            raise ValueError(f"message size too small: {self.message_size}")
-        if self.buffers_per_connection < 1:
-            raise ValueError("need at least one buffer per connection")
-        if self.credit_frequency < 1:
-            raise ValueError("credit frequency must be >= 1")
-        if self.ud_window_factor < 1:
-            raise ValueError(
-                f"ud_window_factor must be >= 1, not {self.ud_window_factor}")
+        check_count("message_size", self.message_size, minimum=64)
+        check_count("buffers_per_connection", self.buffers_per_connection)
+        check_count("credit_frequency", self.credit_frequency)
+        check_count("ud_window_factor", self.ud_window_factor)
         if self.credit_frequency > self.buffers_per_connection:
             # Otherwise the final write-back never happens and the sender
             # can starve for credit at end of stream (§5.1.1 discussion).

@@ -15,12 +15,13 @@ in bytes per nanosecond, which is numerically identical to GB/s.
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass, replace
+
+from repro.checks import check_count
 
 __all__ = [
     "NetworkConfig", "ClusterConfig", "FDR", "EDR",
-    "TopologySpec", "SINGLE_SWITCH", "LEAF_SPINE", "check_count",
+    "TopologySpec", "SINGLE_SWITCH", "LEAF_SPINE",
 ]
 
 KIB = 1024
@@ -133,7 +134,7 @@ class NetworkConfig:
         "copy_ns_per_byte", "post_wr_ns", "poll_cq_ns", "endpoint_send_ns",
         "tcp_ns_per_byte", "tcp_syscall_ns", "mpi_eager_threshold",
         "mpi_overhead_ns", "mpi_copy_ns_per_byte", "ud_jitter_ns")
-    #: fields that count something: at least 1.
+    #: fields that count something: ints, at least 1.
     _COUNTS = ("qp_cache_entries", "max_qp_depth", "cores_per_node")
 
     def __post_init__(self):
@@ -148,16 +149,13 @@ class NetworkConfig:
         if not 0 < self.ipoib_efficiency <= 1:
             raise ValueError(f"ipoib_efficiency must be in (0, 1], "
                              f"got {self.ipoib_efficiency}")
-        if self.mtu < 64:
-            raise ValueError(f"mtu must be >= 64, got {self.mtu}")
+        check_count("mtu", self.mtu, minimum=64)
+        for name in self._COUNTS:
+            check_count(name, getattr(self, name))
         for name in self._NON_NEGATIVE:
             if not getattr(self, name) >= 0:
                 raise ValueError(
                     f"{name} must be >= 0, got {getattr(self, name)}")
-        for name in self._COUNTS:
-            if getattr(self, name) < 1:
-                raise ValueError(
-                    f"{name} must be >= 1, got {getattr(self, name)}")
 
     @property
     def page_size(self) -> int:
@@ -247,16 +245,6 @@ EDR = NetworkConfig(
     mpi_copy_ns_per_byte=0.10,
     ud_jitter_ns=2200,
 )
-
-
-def check_count(name: str, value: object, minimum: int = 1) -> None:
-    """Raise ``ValueError`` naming ``name`` unless ``value`` is an int
-    (not a bool) of at least ``minimum`` -- a float or a string count
-    otherwise constructs and fails mid-run, naming nothing."""
-    if (isinstance(value, bool) or not isinstance(value, numbers.Integral)
-            or value < minimum):
-        raise ValueError(
-            f"{name} must be an int >= {minimum}, got {value!r}")
 
 
 @dataclass(frozen=True)

@@ -20,17 +20,19 @@ The QP-context cache and the PCIe miss penalty are charged once per
 message too — real NICs hold the QP context across a message's
 back-to-back packets.
 
-While ``telemetry.links`` holds a
-:class:`~repro.telemetry.links.FlowRecorder`, every occupancy interval
-is recorded with its base / cache-penalty / DMA-extra decomposition
-before entering the pipe; recording only reads pipe state, so it cannot
-perturb event order.
+Every charge of the three pipes goes through :meth:`NIC.submit_wr`,
+:meth:`NIC.submit_tx` or :meth:`NIC.submit_rx` — MPI's runtime too,
+whose work requests touch no QP context.  While the tracer or the link
+recorder is on, each makes one call, ``telemetry.pipe``, with the
+interval's base / cache-penalty / DMA-extra decomposition before the
+charge; it becomes a link-recorder row and a trace span, and recording
+only reads pipe state, so it cannot perturb event order.
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import TYPE_CHECKING, Callable
+from typing import TYPE_CHECKING, Callable, Optional
 
 from repro.sim import RatePipe, Simulator
 
@@ -110,8 +112,8 @@ class NIC:
         #: for cold QP contexts (the Fig 10/11 degradation mechanism).
         self.pcie_stall_ns = 0
 
-    def _qp_touch_penalty(self, qpn: int) -> int:
-        if self.disable_qp_cache:
+    def _qp_touch_penalty(self, qpn: Optional[int]) -> int:
+        if self.disable_qp_cache or qpn is None:
             return 0
         if self.qp_cache.touch(qpn):
             return 0
@@ -121,31 +123,30 @@ class NIC:
         self.pcie_stall_ns += self.config.qp_cache_miss_ns
         return self.config.qp_cache_miss_ns
 
-    def _wr_ns(self, qpn: int, extra_ns: int, flow: int) -> int:
-        """Touch ``qpn``'s context and price one work request on it."""
-        penalty = self._qp_touch_penalty(qpn)
-        links = self.telemetry.links
-        if links is not None:
-            links.pipe("proc", self.node_id, self.processor,
-                       self.config.nic_wr_ns, penalty, extra_ns, flow)
-        return self.config.nic_wr_ns + penalty + extra_ns
-
-    def submit_wr(self, qpn: int, func: "Callable[[], None]",
+    def submit_wr(self, qpn: Optional[int], func: "Callable[[], None]",
                   extra_ns: int = 0, flow: int = 0) -> None:
-        """Occupy the processing engine for one work request on ``qpn``;
-        runs ``func()`` once the NIC has finished processing (the point
-        at which the message starts serializing onto the wire)."""
-        self.processor.submit_occupy(self._wr_ns(qpn, extra_ns, flow), func)
+        """Occupy the processing engine for one work request on ``qpn``
+        (``None``: on no QP context, as MPI's runtime posts them); runs
+        ``func()`` once the NIC has finished processing (the point at
+        which the message starts serializing onto the wire)."""
+        penalty = self._qp_touch_penalty(qpn)
+        wr_ns = self.config.nic_wr_ns
+        telemetry = self.telemetry
+        if telemetry.pipes_observed:
+            telemetry.pipe("proc", self.node_id, self.processor, wr_ns,
+                           penalty, extra_ns, flow)
+        self.processor.submit_occupy(wr_ns + penalty + extra_ns, func)
 
     def submit_tx(self, wire_bytes: int, func: "Callable[[], None]",
                   flow: int = 0) -> None:
         """Serialize a message of ``wire_bytes`` onto the outbound link;
         runs ``func()`` once it has fully left the NIC."""
         self.tx_messages += 1
-        links = self.telemetry.links
-        if links is not None:
-            links.pipe("egress", self.node_id, self.egress,
-                       self.egress._serialization_ns(wire_bytes), 0, 0, flow)
+        telemetry = self.telemetry
+        if telemetry.pipes_observed:
+            telemetry.pipe("egress", self.node_id, self.egress,
+                           self.egress._serialization_ns(wire_bytes), 0, 0,
+                           flow, wire_bytes)
         self.egress.submit_train(wire_bytes, func)
 
     def submit_rx(self, wire_bytes: int, qpn: int,
@@ -161,9 +162,9 @@ class NIC:
         """
         self.rx_messages += 1
         penalty = self._qp_touch_penalty(qpn)
-        links = self.telemetry.links
-        if links is not None:
-            links.pipe("ingress", self.node_id, self.ingress,
-                       self.ingress._serialization_ns(wire_bytes), penalty,
-                       0, flow)
+        telemetry = self.telemetry
+        if telemetry.pipes_observed:
+            telemetry.pipe("ingress", self.node_id, self.ingress,
+                           self.ingress._serialization_ns(wire_bytes),
+                           penalty, 0, flow, wire_bytes)
         self.ingress.submit_train(wire_bytes, func, extra_ns=penalty)

@@ -109,11 +109,11 @@ class Flight:
         self.latency = latency
         pipe = hop.port.pipe
         wire_bytes = self.packet.wire_bytes
-        links = self.fabric.telemetry.links
-        if links is not None:
-            links.pipe("trunk", hop.port.name, pipe,
-                       pipe._serialization_ns(wire_bytes), 0, 0,
-                       self.packet.flow)
+        telemetry = self.fabric.telemetry
+        if telemetry.pipes_observed:
+            telemetry.pipe("trunk", hop.port.name, pipe,
+                           pipe._serialization_ns(wire_bytes), 0, 0,
+                           self.packet.flow, wire_bytes)
         pipe.submit_train(wire_bytes, self._forward)
 
     def _forward(self) -> None:

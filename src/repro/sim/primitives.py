@@ -4,6 +4,11 @@ These are the concurrency building blocks the fabric, verbs layer and
 shuffle endpoints are written against: FIFO queues, mutexes, broadcast
 signals, barriers, and rate-limited pipes that model link serialization
 without per-packet events.
+
+Nothing here holds or reads an observer.  A site that charges a pipe
+and wants the interval recorded (the NIC and the switch trunks) hands
+it to the telemetry bundle just before the charge; the interval starts
+at the pipe's ``_busy_until`` or now, whichever is later.
 """
 
 from __future__ import annotations
@@ -255,21 +260,6 @@ class RatePipe:
         self.total_units: float = 0.0
         #: cumulative occupied time (drives utilization telemetry).
         self.busy_ns: int = 0
-        # Optional tracing hook (see bind_trace).  Because the pipe is
-        # FIFO-serial, its occupancy intervals never overlap and can be
-        # emitted as well-formed B/E span pairs.
-        self._trace_obs = None
-        self._trace_node = 0
-        self._trace_track = ""
-        self._trace_name = ""
-
-    def bind_trace(self, obs, node_id: int, track: str, name: str) -> None:
-        """Record every occupancy interval as a span on ``node/track``
-        of ``obs.tracer``, read per interval: ``None`` means off."""
-        self._trace_obs = obs
-        self._trace_node = node_id
-        self._trace_track = track
-        self._trace_name = name
 
     def _serialization_ns(self, units: float) -> int:
         cache = self._ser_cache
@@ -290,13 +280,6 @@ class RatePipe:
         end = self._busy_until = start + duration
         self.total_units += units
         self.busy_ns += duration
-        obs = self._trace_obs
-        if obs is not None and duration > 0:
-            tracer = obs.tracer
-            if tracer is not None:
-                tracer.span(self._trace_node, self._trace_track,
-                            self._trace_name, start, end, "fabric",
-                            units or None)
         return end - now
 
     def submit_train(self, units: float, func: Callable[[], None],

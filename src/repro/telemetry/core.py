@@ -20,7 +20,7 @@ layers — harvesting is duck-typed over the objects handed to
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional
+from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Tuple
 
 from repro.telemetry.links import FlowRecorder
 from repro.telemetry.trace import TraceBudget, Tracer
@@ -37,6 +37,10 @@ __all__ = [
 
 #: global default for newly created Telemetry objects (the no-op mode).
 _ENABLED = True
+
+#: (pipe kind, trace track, span name) of the three pipes of a NIC.
+_NIC_PIPES = (("proc", "nicproc", "wr"), ("egress", "egress", "tx"),
+              ("ingress", "ingress", "rx"))
 
 
 def set_enabled(flag: bool) -> None:
@@ -63,6 +67,9 @@ class Telemetry:
     stored: ``tracer``, ``links``, ``sanitizer`` and ``qp_miss_by_qpn``
     are ``None`` when off, each site reads the field where it uses it,
     and enabling one — at any time — sets that one field.
+
+    A pipe charge makes one observer call, :meth:`pipe`, and only while
+    ``pipes_observed`` says the tracer or the link recorder is on.
     """
 
     def __init__(self, sim: "Simulator", num_nodes: int):
@@ -84,6 +91,11 @@ class Telemetry:
         #: attribution.  QPNs are cluster-unique and never reused, so a
         #: job's misses are the sum over its own QPNs after the fact.
         self.qp_miss_by_qpn: Optional[Dict[int, int]] = None
+        #: set once the tracer or the link recorder is on.
+        self.pipes_observed = False
+        #: (kind, owner) of each fabric pipe -> its trace node, track
+        #: and span name.
+        self._pipe_tracks: Dict[Tuple[str, Any], Tuple[int, str, str]] = {}
         #: the final snapshot, once the cluster has been disposed.
         self._sealed: Optional[Dict[str, Any]] = None
 
@@ -95,15 +107,14 @@ class Telemetry:
         real nodes — one pseudo-node per switch with a thread per trunk
         port."""
         self._fabric = fabric
+        tracks = self._pipe_tracks
         for node in fabric.nodes:
-            nic = node.nic
-            nic.egress.bind_trace(self, node.id, "egress", "tx")
-            nic.ingress.bind_trace(self, node.id, "ingress", "rx")
-            nic.processor.bind_trace(self, node.id, "nicproc", "wr")
+            for kind, track, name in _NIC_PIPES:
+                tracks[kind, node.id] = (node.id, track, name)
         for switch in fabric.topology.switches:
             for port in switch.ports:
-                port.pipe.bind_trace(self, self.num_nodes + switch.index,
-                                     port.local_name, "fwd")
+                tracks["trunk", port.name] = (self.num_nodes + switch.index,
+                                              port.local_name, "fwd")
         if self.tracer is not None:
             self._name_switches()
 
@@ -130,6 +141,7 @@ class Telemetry:
         if self.tracer is None:
             self.tracer = Tracer(self.sim, budget=budget,
                                  pid_base=pid_base, label=label)
+            self.pipes_observed = True
             if self._fabric is not None:
                 self._name_switches()
         return self.tracer
@@ -144,7 +156,35 @@ class Telemetry:
         """
         if self.links is None:
             self.links = FlowRecorder(self.sim, budget=budget)
+            self.pipes_observed = True
         return self.links
+
+    def pipe(self, kind: str, owner: Any, pipe, base_ns: int,
+             penalty_ns: int, extra_ns: int, flow: int,
+             size: Optional[int] = None) -> None:
+        """Record the interval ``pipe`` is about to be charged with in
+        every observer that is on: the link recorder's row (see
+        :mod:`repro.telemetry.links`) and an ``X`` span on the pipe's
+        trace track, with ``size`` as its byte count.  ``owner`` is a
+        node id or a trunk's port name.  Call while
+        :attr:`pipes_observed`, immediately before the charge: the
+        pipe's ``_busy_until`` then gives the interval's start and its
+        wait behind the FIFO backlog without touching simulation
+        state."""
+        now = self.sim.now
+        start = pipe._busy_until
+        if start < now:
+            start = now
+        links = self.links
+        if links is not None:
+            links.pipe(kind, owner, start, base_ns, penalty_ns, extra_ns,
+                       start - now, flow)
+        tracer = self.tracer
+        duration = base_ns + penalty_ns + extra_ns
+        if tracer is not None and duration > 0:
+            node, track, name = self._pipe_tracks[kind, owner]
+            tracer.complete(node, track, name, start, duration, "fabric",
+                            size)
 
     def enable_sanitizer(self, sanitizer):
         """Install the runtime protocol sanitizer; returns it."""

@@ -85,7 +85,7 @@ class FlowRecorder:
         """Allocate a flow id for a freshly posted WR; 0 when over budget."""
         trigger = self.pending_trigger
         self.pending_trigger = 0
-        if not self.budget.take(1):
+        if not self.budget.take():
             self.truncated = True
             return 0
         self.flows.data.frombytes(self.flows.pack(
@@ -106,31 +106,24 @@ class FlowRecorder:
 
     # -- intervals ---------------------------------------------------------
 
-    def pipe(self, kind: str, owner, pipe, base_ns: int,
-             penalty_ns: int = 0, extra_ns: int = 0, flow: int = 0) -> None:
-        """Record the interval ``pipe`` is about to be charged with;
-        ``owner`` is a node id or a port name.
-
-        Call immediately before the pipe entry: the pre-submit
-        ``_busy_until`` gives the interval start and the queueing delay
-        without touching simulation state."""
-        if not self.budget.take(1):
+    def pipe(self, kind: str, owner, start: int, base_ns: int,
+             penalty_ns: int, extra_ns: int, waited_ns: int,
+             flow: int) -> None:
+        """Record one pipe interval, its fields in row order (module
+        docstring); ``Telemetry.pipe`` reads them off the pipe."""
+        if not self.budget.take():
             self.truncated = True
             return
-        now = self.sim.now
-        start = pipe._busy_until
-        if start < now:
-            start = now
         codes = self.codes
         self.pipes.data.frombytes(self.pipes.pack(
             codes[kind], codes[owner], start, base_ns, penalty_ns, extra_ns,
-            start - now, flow))
+            waited_ns, flow))
 
     def stall(self, node: int, ep: int, kind: str, start: int,
               duration: int) -> None:
         if duration <= 0:
             return
-        if not self.budget.take(1):
+        if not self.budget.take():
             self.truncated = True
             return
         self.stalls.data.frombytes(self.stalls.pack(

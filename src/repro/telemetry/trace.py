@@ -11,31 +11,26 @@ hardware structure of the simulation:
   an endpoint, a NIC pipe (``egress``/``ingress``/``nicproc``), or a
   switch trunk port.
 
-Two span styles are used deliberately:
-
-* resources that are serial by construction (the NIC's FIFO
-  :class:`~repro.sim.primitives.RatePipe` pipes) emit paired ``B``/``E``
-  events with explicit timestamps — their occupancy intervals never
-  overlap, so the begin/end stack discipline always holds;
-* everything else (per-message verbs state machines, endpoint stalls,
-  where operations on one track interleave freely) emits ``X``
-  *complete* events carrying their own duration.
+A span is one ``X`` *complete* event carrying its own duration,
+whether it is a pipe's occupancy interval (recorded through
+``Telemetry.pipe`` by the site that charges the pipe), a verbs state
+machine step or an endpoint stall; an instant is an ``i`` event.
 
 Every observer record is a row of a :class:`RecordRows` (the link
 recorder's too).  A tracer call appends one row of four int64 fields,
-``series, ts_ns, dur_or_end_ns, args``: ``series`` codes the call's
-``(ph, node_id, track, name, cat)`` in the tracer's :class:`Codes`, so
-a row costs 32 bytes; ``ph`` ``"B"`` is a whole span.  ``args`` is
-``-1`` for none, ``n >= 0`` for a byte count (rendered ``{"bytes":
-n}``) and ``-2 - i`` for the ``i``-th recorded dict.  Pids
-(``pid_base + node_id``) and tids (``(node_id, track)`` in first-use
-order) are derived from the series only when the trace is read;
-:func:`write_trace` writes a document one event at a time.
+``series, ts_ns, dur_ns, args``: ``series`` codes the call's ``(ph,
+node_id, track, name, cat)`` in the tracer's :class:`Codes`, so a row
+costs 32 bytes and is one event.  ``args`` is ``-1`` for none, ``n >=
+0`` for a byte count (rendered ``{"bytes": n}``) and ``-2 - i`` for the
+``i``-th recorded dict.  Pids (``pid_base + node_id``) and tids
+(``(node_id, track)`` in first-use order) are derived from the series
+only when the trace is read; :func:`write_trace` writes a document one
+event at a time.
 
 A shared :class:`TraceBudget` bounds the total event count across every
 tracer of a session, so ``repro-bench --trace`` on a full-scale figure
 produces a file a browser can still open; once exhausted, further events
-are counted as dropped, not recorded.  A span counts as two events.
+are counted as dropped, not recorded.
 """
 
 from __future__ import annotations
@@ -63,12 +58,12 @@ class TraceBudget:
         self.remaining = max_events
         self.dropped = 0
 
-    def take(self, count: int = 1) -> bool:
-        """Reserve ``count`` events atomically (all or none)."""
-        if self.remaining >= count:
-            self.remaining -= count
+    def take(self) -> bool:
+        """Reserve one event; count it as dropped if none is left."""
+        if self.remaining > 0:
+            self.remaining -= 1
             return True
-        self.dropped += count
+        self.dropped += 1
         return False
 
 
@@ -141,10 +136,9 @@ class RecordRows:
 
 
 class TraceEvents:
-    """A tracer's events, read-only: ``len()`` counts a span as two
-    events and builds nothing; iterating yields each event's Chrome
-    dict in recording order (a span's ``E`` right after its ``B``),
-    parsed from the text :func:`write_trace` writes for it."""
+    """A tracer's events, read-only: ``len()`` builds nothing; iterating
+    yields each event's Chrome dict in recording order, parsed from the
+    text :func:`write_trace` writes for it."""
 
     __slots__ = ("_tracer",)
 
@@ -152,14 +146,12 @@ class TraceEvents:
         self._tracer = tracer
 
     def __len__(self) -> int:
-        return len(self._tracer.rows) + self._tracer._spans
+        return len(self._tracer.rows)
 
     def __iter__(self) -> Iterator[Dict[str, Any]]:
         events = _Events([self._tracer])
         for row in events.rows.tolist():
             yield json.loads(events.render(*row))
-            if events.series[row[0]][0] == "B":
-                yield json.loads(events.render(*row, end=True))
 
 
 class Tracer:
@@ -178,10 +170,8 @@ class Tracer:
         self.label = label
         #: (ph, node_id, track, name, cat) of each series, by its code.
         self.series = Codes()
-        #: one row per record: series, ts_ns, dur_or_end_ns, args.
+        #: one row per event: series, ts_ns, dur_ns, args.
         self.rows = RecordRows(self.series, 4, coded=(0,))
-        #: how many records are spans (each is two events).
-        self._spans = 0
         #: the dict ``args`` recorded, by the index their rows encode.
         self._arg_dicts: List[Dict[str, Any]] = []
         #: pid -> the process name :meth:`name_process` gave it.
@@ -231,22 +221,6 @@ class Tracer:
             rows = self.rows
             rows.data.frombytes(rows.pack(code, start_ns, dur_ns, args))
 
-    def span(self, node_id: int, track: str, name: str, start_ns: int,
-             end_ns: int, cat: str = "", args: Any = None) -> None:
-        """A ``B``/``E`` pair with both timestamps known up front.
-
-        Budgeted atomically so a trace never ends on an unmatched begin.
-        Only valid on tracks whose spans never nest or overlap (the FIFO
-        RatePipes); interleaving operations must use :meth:`complete`.
-        """
-        if not self.budget.take(2):
-            return
-        code = self.series["B", node_id, track, name, cat]
-        self._spans += 1
-        if type(args) is not int or args < 0:
-            args = -1 if args is None else self._arg(args)
-        self.rows.data.frombytes(self.rows.pack(code, start_ns, end_ns, args))
-
     def instant(self, node_id: int, track: str, name: str,
                 ts_ns: Optional[int] = None, cat: str = "",
                 args: Any = None) -> None:
@@ -272,9 +246,9 @@ class _Events:
 
     def __init__(self, tracers: List[Tracer]):
         self.meta: List[Dict[str, Any]] = []
-        #: per series: its ph, and the JSON text of its event and of a
-        #: span's ``E`` up to the ``ts`` value.
-        self.series: List[Tuple[str, str, str]] = []
+        #: per series: its ph, and the JSON text of its event up to the
+        #: ``ts`` value.
+        self.series: List[Tuple[str, str]] = []
         self.dicts: List[Dict[str, Any]] = []
         views = [tracer.rows.columns() for tracer in tracers]
         self.rows = (np.concatenate(views) if views
@@ -308,21 +282,17 @@ class _Events:
                           (base + node_id, track, tid)
                           for (node_id, track), tid in tids.items())]
         for ph, node_id, track, name, cat in tracer.series.names:
-            ident = {"pid": base + node_id, "tid": tids[node_id, track],
-                     "name": name, "cat": cat}
-            head, end = (json.dumps({"ph": p, **ident})[:-1] + ', "ts": '
-                         for p in (ph, "E"))
-            self.series.append((ph, head, end))
+            head = json.dumps({"ph": ph, "pid": base + node_id,
+                               "tid": tids[node_id, track], "name": name,
+                               "cat": cat})[:-1] + ', "ts": '
+            self.series.append((ph, head))
 
-    def render(self, code: int, ts_ns: int, dur_or_end_ns: int, args: int,
-               end: bool = False) -> str:
-        """The JSON text of one row's event (of its ``E`` when ``end``)."""
-        ph, head, end_head = self.series[code]
-        if end:
-            return f"{end_head}{dur_or_end_ns / 1000.0!r}}}"
+    def render(self, code: int, ts_ns: int, dur_ns: int, args: int) -> str:
+        """The JSON text of one row's event."""
+        ph, head = self.series[code]
         text = f"{head}{ts_ns / 1000.0!r}"
         if ph == "X":
-            text += f', "dur": {dur_or_end_ns / 1000.0!r}'
+            text += f', "dur": {dur_ns / 1000.0!r}'
         elif ph == "i":
             text += ', "s": "t"'
         if args >= 0:
@@ -341,9 +311,9 @@ def write_trace(fh: TextIO, tracers: Iterable[Tracer], dropped: int,
                 **other_data: Any) -> None:
     """Write one Chrome trace-event document over ``tracers`` to ``fh``,
     one event at a time: every tracer's metadata, then all data events
-    by ``ts``, ties in recording order (a span's ``E`` keyed at its end,
-    right after its ``B``).  The text is what ``json.dump`` writes for
-    the document; ``other_data`` joins its ``otherData``."""
+    in one stable sort by ``ts`` (ties in recording order).  The text is
+    what ``json.dump`` writes for the document; ``other_data`` joins its
+    ``otherData``."""
     events = _Events(list(tracers))
     fh.write('{"traceEvents": [')
     sep = ""
@@ -351,16 +321,10 @@ def write_trace(fh: TextIO, tracers: Iterable[Tracer], dropped: int,
         fh.write(sep + json.dumps(event))
         sep = ", "
     rows = events.rows
-    is_span = np.array([ph == "B" for ph, _, _ in events.series], dtype=bool)
-    spans = np.flatnonzero(is_span[rows[:, 0]])
-    # Event 2r is row r, 2r + 1 the E of a span at row r.
-    ids = np.concatenate((2 * np.arange(len(rows)), 2 * spans + 1))
-    ts = np.concatenate((rows[:, 1], rows[spans, 2]))
-    ids = ids[np.lexsort((ids, ts))]
-    for first in range(0, len(ids), _CHUNK):
-        chunk = ids[first:first + _CHUNK]
-        for row, end in zip(rows[chunk >> 1].tolist(), (chunk & 1).tolist()):
-            fh.write(sep + events.render(*row, end))
+    order = np.argsort(rows[:, 1], kind="stable")
+    for first in range(0, len(order), _CHUNK):
+        for row in rows[order[first:first + _CHUNK]].tolist():
+            fh.write(sep + events.render(*row))
             sep = ", "
     fh.write('], "displayTimeUnit": "ns", "otherData": ')
     json.dump({"clock": "simulated nanoseconds (exported as microseconds)",

@@ -109,7 +109,7 @@ class TestCreditProtocol:
         """Checked here, not at run time: a zero window factor would
         fail stage setup naming buffers_per_connection."""
         with pytest.raises(ValueError,
-                           match=f"^{field} must be >= 1, not {value}$"):
+                           match=f"^{field} must be an int >= 1, got {value}$"):
             EndpointConfig(**{field: value})
         assert getattr(EndpointConfig(**{field: 1}), field) == 1
 

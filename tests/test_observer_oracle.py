@@ -73,20 +73,6 @@ class ReferenceTracer:
             event["args"] = args
         self._emit(event)
 
-    def span(self, node_id, track, name, start_ns, end_ns, cat="",
-             args=None):
-        if not self.budget.take(2):
-            return
-        pid = self._pid(node_id)
-        tid = self._tid(pid, track)
-        begin = {"ph": "B", "pid": pid, "tid": tid, "name": name,
-                 "cat": cat, "ts": start_ns / 1000.0}
-        if args:
-            begin["args"] = args
-        self.events.append(begin)
-        self.events.append({"ph": "E", "pid": pid, "tid": tid, "name": name,
-                            "cat": cat, "ts": end_ns / 1000.0})
-
     def instant(self, node_id, track, name, ts_ns=None, cat="", args=None):
         pid = self._pid(node_id)
         ts = self.sim.now if ts_ns is None else ts_ns
@@ -145,8 +131,8 @@ def written(tracers, dropped, **other_data):
 
 class CallSiteTracer(ReferenceTracer):
     """The reference fed by today's hook sites: a bare byte count in
-    ``args`` is what the sites used to wrap as ``{"bytes": n}`` (the
-    RatePipe passes ``units or None``, a QP its ``wr.length``)."""
+    ``args`` is what the sites used to wrap as ``{"bytes": n}`` (a pipe
+    span passes its wire bytes, a QP its ``wr.length``)."""
 
     @staticmethod
     def _args(args):
@@ -158,11 +144,6 @@ class CallSiteTracer(ReferenceTracer):
                  args=None):
         super().complete(node_id, track, name, start_ns, dur_ns, cat,
                          self._args(args))
-
-    def span(self, node_id, track, name, start_ns, end_ns, cat="",
-             args=None):
-        super().span(node_id, track, name, start_ns, end_ns, cat,
-                     self._args(args))
 
 
 # -- reference attribution: an object per record, a closure per add -------
@@ -368,10 +349,10 @@ def reference_latencies(recorder):
 
 # -- tracer oracle ----------------------------------------------------------
 
-#: (method, tracer index, node, track, name, start, length, args); a span's
-#: args are RatePipe units, a complete's a QP byte count or a dict.
+#: (method, tracer index, node, track, name, start, length, args); a
+#: complete's args are a byte count or a dict.
 trace_calls = st.lists(st.tuples(
-    st.sampled_from(["complete", "span", "instant", "instant-now"]),
+    st.sampled_from(["complete", "instant", "instant-now"]),
     st.integers(0, 1), st.integers(0, 2),
     st.sampled_from(["qp1", "egress", "ep0"]), st.sampled_from(["a", "b"]),
     st.integers(0, 3000), st.integers(0, 400),
@@ -392,11 +373,6 @@ def replay(cls, calls, max_events):
             if type(args) is float:
                 args = int(args)
             tracer.complete(node, track, name, start, length, "verbs", args)
-        elif method == "span":
-            if type(args) is dict:
-                args = None
-            tracer.span(node, track, name, start, start + length, "fabric",
-                        args or None)
         elif method == "instant":
             tracer.instant(node, track, name, start, cat="sanitizer",
                            args=args if type(args) is dict else None)
@@ -407,9 +383,10 @@ def replay(cls, calls, max_events):
 
 class TestTracerOracle:
     @given(calls=trace_calls, max_events=st.integers(0, 12))
-    @example(calls=[("span", 0, 0, "egress", "a", 0, 10, 64),
-                    ("span", 0, 0, "egress", "a", 10, 10, 64),
-                    ("complete", 0, 1, "qp1", "b", 5, 5, 8)],
+    @example(calls=[("complete", 0, 0, "egress", "a", 0, 10, 64),
+                    ("complete", 0, 0, "egress", "a", 10, 10, 64),
+                    ("complete", 0, 1, "qp1", "b", 5, 5, 8),
+                    ("instant", 1, 0, "ep0", "a", 5, 0, None)],
              max_events=3)
     @settings(deadline=None, max_examples=300)
     def test_export_equals_dict_per_event_reference(self, calls, max_events):
@@ -427,15 +404,15 @@ class TestTracerOracle:
                                                  runs=2)))
 
     def test_refused_span_takes_nothing(self):
-        # 3 slots: a span takes 2, the next span lacks 2 and is refused
-        # whole, a complete still fits in the last one.
-        tracer = Tracer(Simulator(), TraceBudget(3))
-        tracer.span(0, "egress", "tx", 0, 10, "fabric", 64)
-        tracer.span(0, "egress", "tx", 10, 20, "fabric", 64)
+        # 2 slots: a span takes 1 whatever its track, the third call is
+        # refused and leaves no row and no args dict behind.
+        tracer = Tracer(Simulator(), TraceBudget(2))
+        tracer.complete(0, "egress", "tx", 0, 10, "fabric", 64)
         tracer.complete(0, "qp1", "send", 5, 5, "verbs", 8)
-        assert len(tracer.events) == 3
-        assert [e["ph"] for e in tracer.events] == ["B", "E", "X"]
-        assert tracer.budget.dropped == 2
+        tracer.complete(0, "egress", "tx", 10, 10, "fabric", {"m": 1})
+        assert [e["ph"] for e in tracer.events] == ["X", "X"]
+        assert len(tracer.rows) == 2 and tracer._arg_dicts == []
+        assert tracer.budget.dropped == 1
 
 
 # -- attribution oracle -----------------------------------------------------

@@ -16,7 +16,7 @@ import pytest
 from repro import Cluster, ClusterConfig, EDR
 from repro.bench.workloads import run_repartition
 from repro.sim import RatePipe, Simulator
-from repro.telemetry import TraceBudget, Tracer
+from repro.telemetry import Telemetry, TraceBudget, Tracer
 from repro.telemetry.links import FlowRecorder
 
 APPENDS = 20_000
@@ -52,13 +52,24 @@ PIPE = RatePipe(Simulator(), 1.0)
 
 
 def pipe_interval(links, t):
+    links.pipe("egress", 3, t, 4096 + t % 5000, 0, 0, 0, t // 1000)
+
+
+def pipe_tracer():
+    """A bundle whose one pipe-observer call lands in the tracer only."""
+    telemetry = Telemetry(Simulator(), 4)
+    telemetry._pipe_tracks["egress", 0] = (0, "egress", "tx")
+    telemetry.enable_tracing(TraceBudget(10 * APPENDS))
+    return telemetry
+
+
+def pipe_span(telemetry, t):
     PIPE._busy_until = t
-    links.pipe("egress", 3, PIPE, 4096 + t % 5000, 0, 0, t // 1000)
+    telemetry.pipe("egress", 0, PIPE, 700 + t % 5000, 0, 0, 0, 64 + t % 5000)
 
 
 @pytest.mark.parametrize("make, record", [
-    (tracer, lambda tr, t: tr.span(0, "egress", "tx", t, t + 700, "fabric",
-                                   64 + t % 5000)),
+    (pipe_tracer, pipe_span),
     (tracer, lambda tr, t: tr.complete(0, "qp1", "send", t, 700 + t % 5000,
                                        "verbs", 64 + t % 5000)),
     (recorder, pipe_interval),
@@ -75,36 +86,31 @@ def test_a_record_costs_at_most_80_bytes(make, record):
 
 def test_trace_reads_back_what_was_recorded(tmp_path):
     sim = Simulator()
-    # 7 slots: 2 spans (4), a complete, two instants; the third span
-    # lacks 2 slots and is refused whole.
-    tr = Tracer(sim, TraceBudget(7))
+    # 5 slots: three spans and two instants; the fourth span is refused.
+    tr = Tracer(sim, TraceBudget(5))
     tr.name_process(5, "leaf0")
-    tr.span(0, "egress", "tx", T0, T0 + 700, "fabric", 4096)
+    tr.complete(0, "egress", "tx", T0, 700, "fabric", 4096)
     tr.complete(1, "qp1", "send", T0 + 5, 300, "verbs", 65536.0)
-    tr.span(5, "p1", "hop", T0 + 10, T0 + 20, "fabric")
+    tr.complete(5, "p1", "hop", T0 + 10, 10, "fabric")
     tr.instant(0, "sanitizer", "qp-state", cat="sanitizer",
                args={"message": "m"})
     tr.instant(1, "scheduler", "decision", ts_ns=T0 + 30, args={})
-    tr.span(0, "egress", "tx", T0 + 700, T0 + 900, "fabric", 64)
-    assert tr.budget.dropped == 2
+    tr.complete(0, "egress", "tx", T0 + 700, 200, "fabric", 64)
+    assert tr.budget.dropped == 1
     assert list(tr.events) == [
-        {"ph": "B", "pid": 0, "tid": 1, "name": "tx", "cat": "fabric",
-         "ts": T0 / 1000, "args": {"bytes": 4096}},
-        {"ph": "E", "pid": 0, "tid": 1, "name": "tx", "cat": "fabric",
-         "ts": (T0 + 700) / 1000},
+        {"ph": "X", "pid": 0, "tid": 1, "name": "tx", "cat": "fabric",
+         "ts": T0 / 1000, "dur": 0.7, "args": {"bytes": 4096}},
         {"ph": "X", "pid": 1, "tid": 2, "name": "send", "cat": "verbs",
          "ts": (T0 + 5) / 1000, "dur": 0.3, "args": {"bytes": 65536}},
-        {"ph": "B", "pid": 5, "tid": 3, "name": "hop", "cat": "fabric",
-         "ts": (T0 + 10) / 1000},
-        {"ph": "E", "pid": 5, "tid": 3, "name": "hop", "cat": "fabric",
-         "ts": (T0 + 20) / 1000},
+        {"ph": "X", "pid": 5, "tid": 3, "name": "hop", "cat": "fabric",
+         "ts": (T0 + 10) / 1000, "dur": 0.01},
         {"ph": "i", "pid": 0, "tid": 4, "name": "qp-state",
          "cat": "sanitizer", "ts": 0.0, "s": "t",
          "args": {"message": "m"}},
         {"ph": "i", "pid": 1, "tid": 5, "name": "decision", "cat": "",
          "ts": (T0 + 30) / 1000, "s": "t"},
     ]
-    assert len(tr.events) == 7
+    assert len(tr.events) == 5
     path = tmp_path / "trace.json"
     tr.export(str(path))
     names = [e["args"]["name"]
@@ -114,13 +120,14 @@ def test_trace_reads_back_what_was_recorded(tmp_path):
 
 
 def test_writing_a_trace_holds_no_event_list(tmp_path):
-    """Exporting 96,270 events built and sorted a dict per event, a
+    """Exporting this run (96,270 events when a pipe span was a B/E
+    pair, 57,873 X events now) built and sorted a dict per event, a
     37.0 MiB peak; rendering them one at a time in the order of a sort
     of the rows' ts column needs the rows and that order."""
     cluster = Cluster(ClusterConfig(network=EDR, num_nodes=8))
     tracer = cluster.enable_tracing()
     run_repartition(cluster, "MESQ/SR", bytes_per_node=4 << 20)
-    assert len(tracer.events) == 96_270
+    assert len(tracer.events) == 57_873
     tracemalloc.start()
     try:
         tracer.export(str(tmp_path / "trace.json"))
@@ -133,15 +140,13 @@ def test_writing_a_trace_holds_no_event_list(tmp_path):
 def test_link_records_read_back_and_extend_as_tuples():
     sim = Simulator()
     links = FlowRecorder(sim, TraceBudget(4))
-    pipe = RatePipe(sim, 1.0)
-    pipe._busy_until = T0 + 40
-    links.pipe("proc", 2, pipe, 300, 2_000, 700, 11)
-    links.pipe("trunk", "leaf0:p1", pipe, 4096)
+    links.pipe("proc", 2, T0 + 40, 300, 2_000, 700, T0 + 40, 11)
+    links.pipe("trunk", "leaf0:p1", T0 + 40, 4096, 0, 0, T0 + 40, 0)
     links.stall(2, 7, "credit-stall", T0, 500)
     links.stall(2, -1, "rnr-stall", T0 + 9, 0)  # zero: not a record
     links.stall(3, 1, "data-wait", T0 + 3, 60)
     links.stall(3, 1, "free-wait", T0 + 4, 70)
-    links.pipe("egress", 0, pipe, 64)  # over budget
+    links.pipe("egress", 0, T0, 64, 0, 0, 0, 0)  # over budget
     assert links.truncated and links.dropped_records == 2
     pipes = [("proc", 2, T0 + 40, 300, 2_000, 700, T0 + 40, 11),
              ("trunk", "leaf0:p1", T0 + 40, 4096, 0, 0, T0 + 40, 0)]

@@ -1,10 +1,13 @@
 """Property-based tests (hypothesis) for core data structures & invariants."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.endpoint import EndpointConfig
 from repro.core.groups import TransmissionGroups
 from repro.core.policy import StagePlan
 from repro.core.shuffle import (
@@ -224,6 +227,18 @@ COUNT_FIELDS = {
                       {"num_nodes": 1, "threads_per_node": 0}),
     "StagePlan": (lambda **kw: StagePlan("MESQ/SR", **kw),
                   {"num_endpoints": 1}),
+    "NetworkConfig": (lambda **kw: dataclasses.replace(EDR, **kw),
+                      {"mtu": 64, "qp_cache_entries": 1, "max_qp_depth": 1,
+                       "cores_per_node": 1}),
+    # credit_frequency may not exceed buffers_per_connection, so each
+    # entry holds the other one where every drawn value satisfies that.
+    "EndpointConfig": (
+        lambda **kw: EndpointConfig(credit_frequency=1, **kw),
+        {"message_size": 64, "buffers_per_connection": 1,
+         "ud_window_factor": 1}),
+    "EndpointConfig.credit_frequency": (
+        lambda **kw: EndpointConfig(buffers_per_connection=1 << 41, **kw),
+        {"credit_frequency": 1}),
 }
 
 

@@ -67,13 +67,11 @@ class TestTracer:
         tracer = Tracer(sim)
         tracer.complete(0, "qp1", "send", 100, 50, "verbs",
                         args={"bytes": 10})
-        tracer.span(1, "egress", "tx", 10, 20, "fabric")
+        tracer.complete(1, "egress", "tx", 10, 10, "fabric", 64)
         tracer.instant(0, "qp1", "drop")
         doc = written(tracer)
         events = doc["traceEvents"]
-        phases = [e["ph"] for e in events]
-        assert "M" in phases and "X" in phases
-        assert "B" in phases and "E" in phases
+        assert {e["ph"] for e in events} == {"M", "X", "i"}
         names = {e["args"]["name"] for e in events if e["ph"] == "M"
                  and e["name"] == "process_name"}
         assert names == {"node0", "node1"}
@@ -81,18 +79,16 @@ class TestTracer:
         tracer.export(str(path))
         assert json.loads(path.read_text()) == doc
 
-    def test_budget_caps_events_and_keeps_pairs_atomic(self):
+    def test_budget_caps_events_one_slot_each(self):
         sim = Simulator()
         tracer = Tracer(sim, budget=TraceBudget(3))
-        tracer.span(0, "a", "s", 0, 1)   # takes 2
-        tracer.span(0, "a", "s", 1, 2)   # needs 2, only 1 left -> dropped
+        tracer.complete(0, "a", "s", 0, 1)
+        tracer.instant(0, "a", "i", 1)
         tracer.complete(0, "a", "x", 2, 1)  # takes the last slot
         tracer.complete(0, "a", "x", 3, 1)  # dropped
-        assert len(tracer.events) == 3
-        assert tracer.budget.dropped == 3
-        begins = sum(1 for e in tracer.events if e["ph"] == "B")
-        ends = sum(1 for e in tracer.events if e["ph"] == "E")
-        assert begins == ends == 1
+        tracer.instant(0, "a", "i", 4)      # dropped
+        assert [e["ph"] for e in tracer.events] == ["X", "i", "X"]
+        assert tracer.budget.dropped == 2
 
     def test_pid_base_offsets_processes(self):
         sim = Simulator()
@@ -126,16 +122,19 @@ class TestIntegration:
         # Timestamps non-decreasing after export sorting.
         ts = [e["ts"] for e in data]
         assert ts == sorted(ts)
-        # B/E pairs balance per (pid, tid) and never go negative.
-        depth = {}
+        # Every event is a span or an instant; a pipe's spans (one
+        # fabric track each) never overlap, compared in integer ns.
+        assert {e["ph"] for e in data} <= {"X", "i"}
+        busy_until = {}
         for e in data:
-            key = (e["pid"], e["tid"])
-            if e["ph"] == "B":
-                depth[key] = depth.get(key, 0) + 1
-            elif e["ph"] == "E":
-                depth[key] = depth.get(key, 0) - 1
-                assert depth[key] >= 0
-        assert all(v == 0 for v in depth.values())
+            if e["ph"] == "X":
+                assert e["dur"] >= 0
+            if e.get("cat") == "fabric":
+                key = (e["pid"], e["tid"])
+                start = round(e["ts"] * 1000)
+                assert start >= busy_until.get(key, 0), key
+                busy_until[key] = start + round(e["dur"] * 1000)
+        assert busy_until
         # pids map onto simulated nodes.
         assert {e["pid"] for e in data} <= set(range(cluster.num_nodes))
         # Spans from at least three layers of the stack.

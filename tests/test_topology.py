@@ -218,5 +218,5 @@ class TestEndToEnd:
         # Switches trace under their graph names, after the real nodes.
         assert meta["leaf0"] == 8 and meta["spine0"] == 10
         spans = [e for e in events
-                 if e.get("pid") in (8, 9, 10) and e["ph"] == "B"]
+                 if e.get("pid") in (8, 9, 10) and e["ph"] == "X"]
         assert spans  # trunk forwarding was recorded
