@@ -17,9 +17,20 @@ Run with ``python -m repro.analysis``.
 from __future__ import annotations
 
 import ast
+import functools
+import re
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import (
+    Callable,
+    Dict,
+    FrozenSet,
+    Iterable,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
 __all__ = [
     "LintViolation",
@@ -64,6 +75,11 @@ STATIC_RULES: Dict[str, str] = {
         "callback capturing itself, or a closure or bound method "
         "stored onto the object it refers to, creates a reference "
         "cycle the event loop keeps alive)"),
+    "VS110": (
+        "enum member loaded through its class inside a function in "
+        "simulation or engine code (Opcode.SEND goes through "
+        "EnumType.__getattr__'s slow path, ~10x a global load: import "
+        "the member's module-global alias, e.g. OP_SEND)"),
 }
 
 
@@ -472,6 +488,81 @@ def _rule_vs109(rel: str, tree: ast.AST) -> Iterable[Tuple[int, str]]:
                         break
 
 
+#: where VS110 applies: code that runs per message, per completion or
+#: per batch.
+_VS110_SCOPE = _SIM_ORDERED + ("engine/", "baselines/")
+
+#: the base classes that make a class an enum.
+_ENUM_BASES = frozenset(("Enum", "IntEnum", "StrEnum", "Flag", "IntFlag"))
+
+#: a member name: enum members here are UPPER_CASE.
+_MEMBER = re.compile(r"[A-Z][A-Z0-9_]*$")
+
+
+def _enum_classes(tree: ast.AST) -> Iterable[str]:
+    """Names of the classes ``tree`` defines on an enum base."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ClassDef):
+            for base in node.bases:
+                name = (base.attr if isinstance(base, ast.Attribute)
+                        else getattr(base, "id", None))
+                if name in _ENUM_BASES:
+                    yield node.name
+                    break
+
+
+@functools.lru_cache(maxsize=1)
+def _package_enums() -> FrozenSet[str]:
+    """Every enum class the package defines (read once per process)."""
+    names = set()
+    for file in sorted(package_root().rglob("*.py")):
+        try:
+            tree = ast.parse(file.read_text(encoding="utf-8"))
+        except SyntaxError:
+            continue
+        names.update(_enum_classes(tree))
+    return frozenset(names)
+
+
+def _rule_vs110(rel: str, tree: ast.AST) -> Iterable[Tuple[int, str]]:
+    """Enum member loads inside functions of per-message code (VS110).
+
+    ``enum.EnumType`` defines ``__getattr__``, so every attribute load
+    on an enum class — ``Opcode.SEND``, ``QPState.RTS`` — takes
+    CPython's slow class-attribute path: about 160 ns against 15 ns for
+    a module global on 3.11.  A simulated message made one or two such
+    loads per event.  A member loaded at module level (an alias, a
+    class-body default) costs that once; inside a function it costs it
+    per call, so the hot packages import each member's alias
+    (``verbs.constants.OP_SEND``, ``core.endpoint.MORE_DATA``...).
+    """
+    if not _in_scope(rel, _VS110_SCOPE):
+        return
+    enums = _package_enums().union(_enum_classes(tree))
+    seen = set()
+    for func in ast.walk(tree):
+        if isinstance(func, ast.Lambda):
+            body: Sequence[ast.AST] = (func.body,)
+        elif isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            body = func.body
+        else:
+            continue
+        for stmt in body:
+            for node in ast.walk(stmt):
+                if (isinstance(node, ast.Attribute)
+                        and isinstance(node.ctx, ast.Load)
+                        and isinstance(node.value, ast.Name)
+                        and node.value.id in enums
+                        and _MEMBER.match(node.attr)
+                        and id(node) not in seen):
+                    seen.add(id(node))
+                    yield (node.lineno,
+                           f"{node.value.id}.{node.attr} loads an enum "
+                           f"member through its class on every call "
+                           f"(bind it once as a module global and use "
+                           f"that)")
+
+
 _RULES: Dict[str, Callable[[str, ast.AST], Iterable[Tuple[int, str]]]] = {
     "VS101": _rule_vs101,
     "VS102": _rule_vs102,
@@ -482,6 +573,7 @@ _RULES: Dict[str, Callable[[str, ast.AST], Iterable[Tuple[int, str]]]] = {
     "VS107": _rule_vs107,
     "VS108": _rule_vs108,
     "VS109": _rule_vs109,
+    "VS110": _rule_vs110,
 }
 
 

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from typing import Any, Callable, Dict, List, Sequence
 
-from repro.core.endpoint import DataState, Frame
+from repro.core.endpoint import DEPLETED, DataState, Frame
 from repro.core.transport.runtime import ReceiveEndpoint, SendEndpoint
 from repro.fabric.packet import Packet, make_train
 from repro.memory import Buffer
@@ -80,7 +80,7 @@ class TcpConnection:
         Charges the kernel copy to the calling thread, segments the
         message, and respects the socket window.
         """
-        yield self.ctx.node.cpu_delay(
+        yield self.net.cpu(
             self.net.tcp_syscall_ns + length * self.net.tcp_ns_per_byte)
         remaining = length
         while True:  # at least one segment: a final marker has no bytes
@@ -153,7 +153,7 @@ class IPoIBSendEndpoint(SendEndpoint):
 
     def _send_finals(self):
         for dest in self.destinations:
-            frame = Frame(kind="final", state=DataState.DEPLETED,
+            frame = Frame(kind="final", state=DEPLETED,
                           src_endpoint=self.endpoint_id)
             yield from self._sockets[dest].send(frame, 0)
 
@@ -195,7 +195,7 @@ class IPoIBReceiveEndpoint(ReceiveEndpoint):
         state, src, remote, frame = item
         if frame is None:
             return item
-        yield self.ctx.node.cpu_delay(
+        yield self.net.cpu(
             self.net.tcp_syscall_ns
             + frame.length * self.net.tcp_ns_per_byte)
         local = self._avail.pop() if self._avail else Buffer(

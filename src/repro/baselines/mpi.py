@@ -38,6 +38,7 @@ from typing import Any, Deque, Dict, Sequence, Tuple
 from collections import deque
 
 from repro.core.endpoint import (
+    DEPLETED,
     DEPLETED_SENTINEL,
     DataState,
     EndpointConfig,
@@ -214,7 +215,7 @@ class MPIRuntime:
         yield from self._enter()
         try:
             meta = {"bcast": True, "members": members, "tags": tags}
-            yield self.node.cpu_delay(length * self.net.mpi_copy_ns_per_byte)
+            yield self.net.cpu(length * self.net.mpi_copy_ns_per_byte)
             if deliver_self:
                 self._deliver(tags[self.ctx.node_id], self.ctx.node_id,
                               payload, length, eager=False)
@@ -238,7 +239,7 @@ class MPIRuntime:
             meta = {"tag": tag}
             if length <= self.net.mpi_eager_threshold:
                 # Copy into the internal eager buffer, then ship.
-                yield self.node.cpu_delay(length * self.net.mpi_copy_ns_per_byte)
+                yield self.net.cpu(length * self.net.mpi_copy_ns_per_byte)
                 yield self._transmit(dest, "MPI_EAGER", length, payload, meta)
             else:
                 req = next(self._rndv_ids)
@@ -264,7 +265,7 @@ class MPIRuntime:
             unexpected = self._unexpected.get(tag)
             if unexpected:
                 src, payload, length = unexpected.popleft()
-                yield self.node.cpu_delay(
+                yield self.net.cpu(
                     min(length, self.net.mpi_eager_threshold)
                     * self.net.mpi_copy_ns_per_byte)
                 return (src, payload, length)
@@ -276,7 +277,7 @@ class MPIRuntime:
                 self._try_cts(parked.popleft())
             src, payload, length, eager = yield event
             if eager:
-                yield self.node.cpu_delay(length * self.net.mpi_copy_ns_per_byte)
+                yield self.net.cpu(length * self.net.mpi_copy_ns_per_byte)
             return (src, payload, length)
         finally:
             self._exit()
@@ -322,7 +323,7 @@ class MPISendEndpoint(SendEndpoint):
 
     def _send_finals(self):
         for dest in self.destinations:
-            frame = Frame(kind="final", state=DataState.DEPLETED,
+            frame = Frame(kind="final", state=DEPLETED,
                           src_endpoint=self.endpoint_id)
             yield from self.runtime.mpi_send(dest, self.peers[dest], frame, 0)
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 from repro.cluster import Cluster
 from repro.fabric.config import ClusterConfig, NetworkConfig
 from repro.memory import BufferPool
-from repro.verbs.constants import AddressHandle, Opcode, QPType
+from repro.verbs.constants import OP_SEND, QPT_RC, AddressHandle
 from repro.verbs.wr import SendWR
 
 __all__ = ["run_qperf"]
@@ -36,8 +36,8 @@ def run_qperf(network: NetworkConfig, message_size: int = 64 * 1024,
     sim = cluster.sim
     ctx_s, ctx_r = cluster.contexts
     cq_s, cq_r = ctx_s.create_cq(), ctx_r.create_cq()
-    qp_s = ctx_s.create_qp(QPType.RC, cq_s, cq_s)
-    qp_r = ctx_r.create_qp(QPType.RC, cq_r, cq_r)
+    qp_s = ctx_s.create_qp(QPT_RC, cq_s, cq_s)
+    qp_r = ctx_r.create_qp(QPT_RC, cq_r, cq_r)
     qp_s.connect(AddressHandle(1, qp_r.qpn))
     qp_r.connect(AddressHandle(0, qp_s.qpn))
     send_pool = BufferPool(ctx_s, 1, message_size)  # a single buffer
@@ -53,7 +53,7 @@ def run_qperf(network: NetworkConfig, message_size: int = 64 * 1024,
         sent = 0
         while sent < messages:
             while inflight < outstanding and sent < messages:
-                qp_s.post_send(SendWR(wr_id=sent, opcode=Opcode.SEND,
+                qp_s.post_send(SendWR(wr_id=sent, opcode=OP_SEND,
                                       buffer=the_buffer, length=message_size))
                 inflight += 1
                 sent += 1

@@ -41,6 +41,8 @@ from repro.checks import check_count
 
 __all__ = [
     "DataState",
+    "MORE_DATA",
+    "DEPLETED",
     "ShuffleNetworkError",
     "EndpointConfig",
     "Frame",
@@ -54,6 +56,11 @@ class DataState(enum.IntEnum):
 
     MORE_DATA = 0
     DEPLETED = 1
+
+
+#: the members as module globals, for per-message code (linter rule
+#: VS110; see :mod:`repro.verbs.constants`).
+MORE_DATA, DEPLETED = DataState.MORE_DATA, DataState.DEPLETED
 
 
 class ShuffleNetworkError(Exception):
@@ -104,7 +111,9 @@ class Frame:
 
     The real implementation encodes this in the first bytes of the
     registered buffer (Algorithm 3 line 2); the simulation carries it as
-    the buffer payload.
+    the buffer payload.  The per-message data and credit frames are
+    built positionally, in field order: keywords cost more (DESIGN.md,
+    "Execution path").
     """
 
     #: "data" for application buffers, "final" for end-of-stream markers,

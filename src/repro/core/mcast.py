@@ -32,7 +32,7 @@ from repro.core.endpoint import DataState, Frame, FrameCarrier
 from repro.core.sr_ud import SRUDReceiveEndpoint, SRUDSendEndpoint
 from repro.memory import Buffer
 from repro.verbs.cm import EndpointRegistry
-from repro.verbs.constants import Opcode, mcast_ah
+from repro.verbs.constants import OP_SEND, mcast_ah
 from repro.verbs.wr import SendWR
 
 __all__ = ["McastSRUDSendEndpoint", "McastSRUDReceiveEndpoint"]
@@ -51,25 +51,18 @@ class McastSRUDSendEndpoint(SRUDSendEndpoint):
         if len(others) < 2:
             yield from super().send(buf, dests, state)
             return
-        yield from self.lock.critical_section(
-            self.net.cpu(self.net.endpoint_send_ns))
+        yield from self.lock.critical_section(self.send_call_cost)
         self._pending.add(buf, 1 + (1 if me in dests else 0))
         # Per-member flow control: every destination must have credit.
         for dest in dests:
             yield from self._wait_credit(self.conns[dest])
         for dest in dests:
             self._consume_credit(self.conns[dest])
-        frame = Frame(
-            kind="data", state=state, src_endpoint=self.endpoint_id,
-            seq=0, payload=buf.payload, length=buf.length,
-            remote_addr=buf.addr,
-        )
-        yield self._cpu(self.net.post_wr_ns)
-        self.qp.post_send(SendWR(
-            wr_id=("data", buf), opcode=Opcode.SEND,
-            buffer=FrameCarrier(frame), length=buf.length,
-            dest=mcast_ah(self.endpoint_id),
-        ))
+        frame = Frame("data", state, self.endpoint_id, 0, None, buf.payload,
+                      buf.length, buf.addr)
+        yield self.post_wr_cost
+        self.qp.post_send(SendWR(("data", buf), OP_SEND, FrameCarrier(frame),
+                                 buf.length, 0, mcast_ah(self.endpoint_id)))
         # One multicast packet serves every remote member; attribute the
         # bytes to each destination for the skew telemetry.
         self.messages_sent += 1
@@ -78,12 +71,10 @@ class McastSRUDSendEndpoint(SRUDSendEndpoint):
             self.bytes_by_dest[dest] = \
                 self.bytes_by_dest.get(dest, 0) + buf.length
         if me in dests:
-            yield self._cpu(self.net.post_wr_ns)
-            self.qp.post_send(SendWR(
-                wr_id=("data", buf), opcode=Opcode.SEND,
-                buffer=FrameCarrier(frame), length=buf.length,
-                dest=self.conns[me].ah,
-            ))
+            yield self.post_wr_cost
+            self.qp.post_send(SendWR(("data", buf), OP_SEND,
+                                     FrameCarrier(frame), buf.length, 0,
+                                     self.conns[me].ah))
             self.record_send(me, buf.length)
 
 

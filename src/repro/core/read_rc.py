@@ -28,11 +28,7 @@ from __future__ import annotations
 from collections import deque
 from typing import Dict, Sequence, Tuple
 
-from repro.core.endpoint import (
-    DataState,
-    EndpointConfig,
-    Frame,
-)
+from repro.core.endpoint import DEPLETED, DataState, EndpointConfig, Frame
 from repro.core.transport.connections import (
     ReadRingReceiver,
     RingSender,
@@ -45,7 +41,7 @@ from repro.core.transport.rings import RingCursor, post_ring_write
 from repro.core.transport.runtime import ReceiveEndpoint, SendEndpoint
 from repro.memory import Buffer
 from repro.verbs.cm import EndpointRegistry
-from repro.verbs.constants import Opcode, QPType
+from repro.verbs.constants import OP_READ, QPT_RC
 from repro.verbs.device import VerbsContext
 from repro.verbs.wr import SendWR
 
@@ -74,7 +70,7 @@ class ReadRCSendEndpoint(SendEndpoint):
         self.cq = self.ctx.create_cq()
         for dest in self.destinations:
             self.conns[dest] = RingSender(dest, self.ctx.create_qp(
-                QPType.RC, self.cq, self.cq, tenant=self.config.tenant))
+                QPT_RC, self.cq, self.cq, tenant=self.config.tenant))
         # Reserve one extra buffer per destination for the final markers.
         yield from self.provision_send_pool(extra=len(self.destinations))
         for i, dest in enumerate(self.destinations):
@@ -114,19 +110,16 @@ class ReadRCSendEndpoint(SendEndpoint):
     # -- SEND (Alg 3, lines 1-5) ------------------------------------------------
 
     def send(self, buf: Buffer, dests: Sequence[int], state: DataState):
-        yield from self.lock.critical_section(
-            self.net.cpu(self.net.endpoint_send_ns))
-        frame = Frame(
-            kind="data", state=state, src_endpoint=self.endpoint_id,
-            payload=buf.payload, length=buf.length, remote_addr=buf.addr,
-        )
+        yield from self.lock.critical_section(self.send_call_cost)
+        frame = Frame("data", state, self.endpoint_id, 0, None, buf.payload,
+                      buf.length, buf.addr)
         # Encode the metadata in the buffer itself (Alg 3 line 2): a
         # remote RDMA Read of buf.addr observes the frame.
         buf.mr.set_object(buf.addr, frame)
         self._pending.add(buf.addr, len(dests))
         for dest in dests:
             conn = self.conns[dest]
-            yield self._cpu(self.net.post_wr_ns)
+            yield self.post_wr_cost
             post_ring_write(conn.qp, conn.valid, buf.addr, ("valid", dest))
             self.record_send(dest, buf.length)
 
@@ -134,11 +127,11 @@ class ReadRCSendEndpoint(SendEndpoint):
         for dest in self.destinations:
             conn = self.conns[dest]
             buf = self._final_bufs[dest]
-            frame = Frame(kind="final", state=DataState.DEPLETED,
+            frame = Frame(kind="final", state=DEPLETED,
                           src_endpoint=self.endpoint_id, remote_addr=buf.addr)
             buf.mr.set_object(buf.addr, frame)
             self._pending.add(buf.addr, 1)
-            yield self._cpu(self.net.post_wr_ns)
+            yield self.post_wr_cost
             post_ring_write(conn.qp, conn.valid, buf.addr, ("valid", dest))
 
 
@@ -159,7 +152,7 @@ class ReadRCReceiveEndpoint(ReceiveEndpoint):
             valid_cap, self._on_valid_value, min_one=True,
             name="validarr")
         for i, (_src_node, src_ep) in enumerate(self.sources):
-            qp = self.ctx.create_qp(QPType.RC, self.cq, self.cq,
+            qp = self.ctx.create_qp(QPT_RC, self.cq, self.cq,
                                     tenant=self.config.tenant)
             self.conns[src_ep] = ReadRingReceiver(
                 src_ep, qp,
@@ -181,7 +174,7 @@ class ReadRCReceiveEndpoint(ReceiveEndpoint):
                 info["freearr_cap"])
 
         yield from rc_connect_receivers(self, registry, bind)
-        CompletionDispatcher(self).on(Opcode.READ, self._on_read).start()
+        CompletionDispatcher(self).on(OP_READ, self._on_read).start()
 
     # -- the read pump (Alg 3, GETDATA lines 19-25) ------------------------------
 
@@ -196,10 +189,8 @@ class ReadRCReceiveEndpoint(ReceiveEndpoint):
             remote_addr = conn.pending_remote.popleft()
             local = conn.local_arr.pop()
             conn.qp.post_send(SendWR(
-                wr_id=("read", conn.endpoint, remote_addr, local),
-                opcode=Opcode.READ, buffer=local,
-                length=self.config.message_size, remote_addr=remote_addr,
-            ))
+                ("read", conn.endpoint, remote_addr, local), OP_READ, local,
+                self.config.message_size, remote_addr))
 
     def _on_read(self, wc) -> None:
         _tag, src_ep, remote_addr, local = wc.wr_id
@@ -219,10 +210,9 @@ class ReadRCReceiveEndpoint(ReceiveEndpoint):
     # -- RELEASE (Alg 3, lines 16-18) ----------------------------------------------
 
     def release(self, remote_addr: int, local: Buffer, src: int):
-        yield from self.lock.critical_section(
-            self.net.cpu(self.net.post_wr_ns))
+        yield from self.lock.critical_section(self.post_wr_cost)
         conn = self.conns[src]
-        yield self._cpu(self.net.post_wr_ns)
+        yield self.post_wr_cost
         post_ring_write(conn.qp, conn.free, remote_addr, ("free", src))
         local.reset()
         conn.local_arr.append(local)

@@ -16,7 +16,12 @@ from typing import List, Sequence
 import numpy as np
 
 from repro.core.transport.runtime import ReceiveEndpoint
-from repro.engine.operator import Operator, OpState, concat_batches
+from repro.engine.operator import (
+    OPS_DEPLETED,
+    OPS_MORE_DATA,
+    Operator,
+    concat_batches,
+)
 
 __all__ = ["OUTPUT_BATCH_BYTES", "ReceiveOperator"]
 
@@ -54,7 +59,7 @@ class ReceiveOperator(Operator):
             state, src, remote, local = yield from target.get_data()
             if local is None:
                 # End-of-stream sentinel: every source is depleted.
-                return (OpState.DEPLETED, self._emit(acc))
+                return (OPS_DEPLETED, self._emit(acc))
             payload, length = local.payload, local.length
             # Copy out of the registered buffer (Alg 2 l.8) and return it
             # to the endpoint (l.9).
@@ -65,4 +70,4 @@ class ReceiveOperator(Operator):
                 acc_bytes += length
             yield from target.release(remote, local, src)
             if acc_bytes >= OUTPUT_BATCH_BYTES:
-                return (OpState.MORE_DATA, self._emit(acc))
+                return (OPS_MORE_DATA, self._emit(acc))

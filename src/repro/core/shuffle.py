@@ -26,10 +26,10 @@ from typing import Callable, List, Sequence, Tuple
 
 import numpy as np
 
-from repro.core.endpoint import DataState
+from repro.core.endpoint import MORE_DATA
 from repro.core.groups import TransmissionGroups
 from repro.core.transport.runtime import SendEndpoint
-from repro.engine.operator import Operator, OpState
+from repro.engine.operator import OPS_DEPLETED, Operator
 
 __all__ = [
     "ShuffleOperator",
@@ -193,7 +193,7 @@ class ShuffleOperator(Operator):
                             parts = _take(chunks[g], capacity_rows)
                             yield from self._transmit(target, parts, g)
                             busy = busy or rows[g] >= capacity_rows
-            if state == OpState.DEPLETED:
+            if state == OPS_DEPLETED:
                 break
         # Flush partial buffers, then propagate end-of-stream; the
         # endpoint emits the Depleted markers once its last attached
@@ -204,7 +204,7 @@ class ShuffleOperator(Operator):
                 rows[g] = 0
                 yield from self._transmit(target, parts, g)
         yield from target.finish()
-        return (OpState.DEPLETED, None)
+        return (OPS_DEPLETED, None)
 
     def _scatter(self, chunks, rows, batch: np.ndarray) -> None:
         """Stage the (non-empty) ``batch`` by group; no staged part is
@@ -235,4 +235,4 @@ class ShuffleOperator(Operator):
                   g: int):
         buf = yield from target.get_free()
         buf.fill(parts, sum(part.nbytes for part in parts))
-        yield from target.send(buf, self.groups[g], DataState.MORE_DATA)
+        yield from target.send(buf, self.groups[g], MORE_DATA)

@@ -41,7 +41,7 @@ from repro.core.transport.runtime import (
 )
 from repro.memory import Buffer
 from repro.verbs.cm import EndpointRegistry
-from repro.verbs.constants import Opcode, QPType
+from repro.verbs.constants import OP_RECV, OP_SEND, QPT_RC
 from repro.verbs.wr import SendWR
 
 __all__ = ["SRRCSendEndpoint", "SRRCReceiveEndpoint"]
@@ -54,7 +54,7 @@ class SRRCSendEndpoint(CreditedSendEndpoint):
         self.cq = self.ctx.create_cq()
         for dest in self.destinations:
             self.conns[dest] = RCCreditSender(dest, self.ctx.create_qp(
-                QPType.RC, self.cq, self.cq, tenant=self.config.tenant))
+                QPT_RC, self.cq, self.cq, tenant=self.config.tenant))
         yield from self.provision_send_pool()
         # One credit word per destination, written remotely by receivers.
         addr_by_dest = yield from CreditWordBoard.install(self)
@@ -68,22 +68,20 @@ class SRRCSendEndpoint(CreditedSendEndpoint):
             conn.credit = info["initial_credit"]
 
         yield from rc_connect_senders(self, registry, bind)
-        CompletionDispatcher(self).on(Opcode.SEND, self.data_recycler()) \
+        CompletionDispatcher(self).on(OP_SEND, self.data_recycler()) \
             .start()
 
     # -- RC posting policy -------------------------------------------------
 
     def _post_data(self, conn: RCCreditSender, buf: Buffer,
                    frame: Frame) -> None:
-        conn.qp.post_send(SendWR(
-            wr_id=("data", buf), opcode=Opcode.SEND,
-            buffer=FrameCarrier(frame), length=buf.length,
-        ))
+        conn.qp.post_send(SendWR(("data", buf), OP_SEND, FrameCarrier(frame),
+                                 buf.length))
 
     def _post_final(self, conn: RCCreditSender, dest: int,
                     frame: Frame) -> None:
         conn.qp.post_send(SendWR(
-            wr_id=("final", dest), opcode=Opcode.SEND,
+            wr_id=("final", dest), opcode=OP_SEND,
             buffer=FrameCarrier(frame), length=0, signaled=False,
         ))
 
@@ -96,7 +94,7 @@ class SRRCReceiveEndpoint(CreditedReceiveEndpoint):
         per_link = self.buffers_per_link
         yield from self.provision_recv_pool()
         for i, (_src_node, src_ep) in enumerate(self.sources):
-            qp = self.ctx.create_qp(QPType.RC, self.cq, self.cq,
+            qp = self.ctx.create_qp(QPT_RC, self.cq, self.cq,
                                     tenant=self.config.tenant)
             qp.post_recv_run(self.pool, self.config.message_size,
                              range(i * per_link, (i + 1) * per_link))
@@ -113,7 +111,7 @@ class SRRCReceiveEndpoint(CreditedReceiveEndpoint):
             conn.credit_addr = info["credit_addr_by_dest"][self.ctx.node_id]
 
         yield from rc_connect_receivers(self, registry, bind)
-        CompletionDispatcher(self).on(Opcode.RECV, self._on_receive).start()
+        CompletionDispatcher(self).on(OP_RECV, self._on_receive).start()
 
     def _on_receive(self, wc) -> None:
         """Route one receive completion into the application inbox."""

@@ -50,7 +50,7 @@ from repro.core.transport.runtime import (
 )
 from repro.memory import Buffer
 from repro.verbs.cm import EndpointRegistry, create_ah, setup_ud_qp
-from repro.verbs.constants import Opcode, QPType
+from repro.verbs.constants import OP_RECV, OP_SEND, QPT_UD
 from repro.verbs.device import VerbsContext
 from repro.verbs.wr import SendWR
 
@@ -80,7 +80,7 @@ class SRUDSendEndpoint(CreditedSendEndpoint):
         # slots, so size it to the device limit rather than the default
         # (8 slots x 1023 peers overflows 4096 at mesoscale).
         self.qp = self.ctx.create_qp(
-            QPType.UD, self.cq, self.cq,
+            QPT_UD, self.cq, self.cq,
             max_recv_wr=self.ctx.config.max_qp_depth,
             tenant=self.config.tenant)
         yield from setup_ud_qp(self.ctx, self.qp)
@@ -101,8 +101,8 @@ class SRUDSendEndpoint(CreditedSendEndpoint):
             conn.ah = yield from create_ah(self.ctx, dest, info["qpn"])
             conn.credit = info["initial_credit"]
         CompletionDispatcher(self) \
-            .on(Opcode.SEND, self.data_recycler()) \
-            .on(Opcode.RECV, self._on_credit) \
+            .on(OP_SEND, self.data_recycler()) \
+            .on(OP_RECV, self._on_credit) \
             .start()
 
     def _on_credit(self, wc) -> None:
@@ -120,15 +120,13 @@ class SRUDSendEndpoint(CreditedSendEndpoint):
 
     def _post_data(self, conn: UDCreditSender, buf: Buffer,
                    frame: Frame) -> None:
-        self.qp.post_send(SendWR(
-            wr_id=("data", buf), opcode=Opcode.SEND,
-            buffer=FrameCarrier(frame), length=buf.length, dest=conn.ah,
-        ))
+        self.qp.post_send(SendWR(("data", buf), OP_SEND, FrameCarrier(frame),
+                                 buf.length, 0, conn.ah))
 
     def _post_final(self, conn: UDCreditSender, dest: int,
                     frame: Frame) -> None:
         self.qp.post_send(SendWR(
-            wr_id=("final", dest), opcode=Opcode.SEND,
+            wr_id=("final", dest), opcode=OP_SEND,
             buffer=FrameCarrier(frame), length=0, dest=conn.ah,
             signaled=False,
         ))
@@ -149,7 +147,7 @@ class SRUDReceiveEndpoint(CreditedReceiveEndpoint):
         # One shared queue holds every source's posted data buffers; use
         # the device-limit depth so mesoscale source counts fit.
         self.qp = self.ctx.create_qp(
-            QPType.UD, self.cq, self.cq,
+            QPT_UD, self.cq, self.cq,
             max_recv_wr=self.ctx.config.max_qp_depth,
             tenant=self.config.tenant)
         yield from setup_ud_qp(self.ctx, self.qp)
@@ -171,7 +169,7 @@ class SRUDReceiveEndpoint(CreditedReceiveEndpoint):
             conn = self.conns[src_ep]
             info = registry.lookup_endpoint(src_ep)
             conn.ah = yield from create_ah(self.ctx, src_node, info["qpn"])
-        CompletionDispatcher(self).on(Opcode.RECV, self._on_receive).start()
+        CompletionDispatcher(self).on(OP_RECV, self._on_receive).start()
         self.sim.process(
             self._credit_keepalive(), name=f"sr-ud-keepalive-{self.endpoint_id}")
 

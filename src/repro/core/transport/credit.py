@@ -24,10 +24,10 @@ from __future__ import annotations
 from typing import Any, Callable, List, Optional, Sequence, Tuple
 
 from repro.memory import BufferPool
-from repro.verbs.constants import Opcode
+from repro.verbs.constants import OP_SEND, OP_WRITE
 from repro.verbs.wr import SendWR
 
-from repro.core.endpoint import Frame, FrameCarrier
+from repro.core.endpoint import MORE_DATA, Frame, FrameCarrier
 from repro.core.transport.connections import (
     CreditSender,
     RCCreditReceiver,
@@ -98,11 +98,8 @@ def post_credit_word(conn: RCCreditReceiver, value: int) -> None:
     san = conn.qp.ctx.telemetry.sanitizer
     if san is not None:
         san.on_credit_issued(conn, value)
-    conn.qp.post_send(SendWR(
-        wr_id=("credit", conn.endpoint), opcode=Opcode.WRITE,
-        remote_addr=conn.credit_addr, value=value,
-        inline=True, signaled=False,
-    ))
+    conn.qp.post_send(SendWR(("credit", conn.endpoint), OP_WRITE, None, 0,
+                             conn.credit_addr, None, value, False, True))
 
 
 class CreditWordBoard:
@@ -236,10 +233,8 @@ class CreditDatagramPort:
         san = ctx.telemetry.sanitizer
         if san is not None:
             san.on_credit_issued(conn, value, node_id=ctx.node_id)
-        frame = Frame(kind="credit", src_endpoint=self.endpoint_id,
-                      credit=value)
-        self.qp.post_send(SendWR(
-            wr_id=("credit", conn.endpoint), opcode=Opcode.SEND,
-            buffer=FrameCarrier(frame), length=CREDIT_MSG_BYTES,
-            dest=conn.ah, signaled=False,
-        ))
+        frame = Frame("credit", MORE_DATA, self.endpoint_id, 0, None, None,
+                      0, 0, value)
+        self.qp.post_send(SendWR(("credit", conn.endpoint), OP_SEND,
+                                 FrameCarrier(frame), CREDIT_MSG_BYTES, 0,
+                                 conn.ah, None, False))

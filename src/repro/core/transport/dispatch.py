@@ -22,17 +22,22 @@ __all__ = ["CompletionDispatcher"]
 
 
 class CompletionDispatcher:
-    """Routes work completions of one CQ to per-opcode handlers."""
+    """Routes work completions of one CQ to per-opcode handlers.
+
+    Handlers are keyed by the opcode's name: a string hashes in C, while
+    hashing the :class:`Opcode` member itself runs ``Enum.__hash__`` in
+    Python once per completion.
+    """
 
     __slots__ = ("cq", "_handlers")
 
     def __init__(self, ep):
         self.cq = ep.cq
-        self._handlers: Dict[Opcode, Callable] = {}
+        self._handlers: Dict[str, Callable] = {}
 
     def on(self, opcode: Opcode, handler: Callable) -> "CompletionDispatcher":
         """Register ``handler(wc)`` for completions of ``opcode``."""
-        self._handlers[opcode] = handler
+        self._handlers[opcode._name_] = handler
         return self
 
     def start(self) -> "CompletionDispatcher":
@@ -43,6 +48,6 @@ class CompletionDispatcher:
         return self
 
     def _dispatch(self, wc) -> None:
-        handler = self._handlers.get(wc.opcode)
+        handler = self._handlers.get(wc.opcode._name_)
         if handler is not None:
             handler(wc)

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from typing import Any, Dict
 
-from repro.verbs.constants import Opcode
+from repro.verbs.constants import OP_WRITE
 from repro.verbs.wr import SendWR
 
 __all__ = [
@@ -80,8 +80,5 @@ def post_ring_write(qp, cursor: RingCursor, value: int, wr_id: Any) -> None:
     san = qp.ctx.telemetry.sanitizer
     if san is not None:
         san.on_ring_produce(qp, cursor)
-    qp.post_send(SendWR(
-        wr_id=wr_id, opcode=Opcode.WRITE,
-        remote_addr=cursor.next_slot(), value=value,
-        inline=True, signaled=False,
-    ))
+    qp.post_send(SendWR(wr_id, OP_WRITE, None, 0, cursor.next_slot(), None,
+                        value, False, True))

@@ -44,7 +44,9 @@ from repro.verbs.cm import EndpointRegistry
 from repro.verbs.device import VerbsContext
 
 from repro.core.endpoint import (
+    DEPLETED,
     DEPLETED_SENTINEL,
+    MORE_DATA,
     DataState,
     EndpointConfig,
     Frame,
@@ -92,7 +94,13 @@ class _EndpointBase:
         self.threads = threads
         #: registered buffers provisioned per connection on each side.
         self.buffers_per_link = config.buffers_per_connection * threads
-        self.net = ctx.config
+        net = self.net = ctx.config
+        # Fixed CPU costs, scaled once per endpoint (NetworkConfig.cpu is
+        # the one rounding rule): what a thread yields per work request
+        # posted, per CQ poll and per SEND call.
+        self.post_wr_cost = net.cpu(net.post_wr_ns)
+        self.poll_cq_cost = net.cpu(net.poll_cq_ns)
+        self.send_call_cost = net.cpu(net.endpoint_send_ns)
         #: serializes bookkeeping when several threads share the endpoint.
         self.lock = Mutex(ctx.sim)
         #: per-peer transport state, one record of the design's role
@@ -149,10 +157,6 @@ class _EndpointBase:
         regions.extend(self.aux_mrs)
         regions.extend(pool.mr for pool in self.aux_pools)
         return regions
-
-    def _cpu(self, ns: float) -> int:
-        """Scaled CPU time to charge the calling thread (``yield`` it)."""
-        return self.node.cpu_delay(ns)
 
     def _trace_stall(self, name: str, t0: int) -> None:
         """Emit a stall span on this endpoint's track if time elapsed."""
@@ -264,7 +268,7 @@ class SendEndpoint(_EndpointBase):
             buf = yield self._free.get()
         self.free_wait_ns += self.sim.now - t0
         self._trace_stall("free-wait", t0)
-        yield self._cpu(self.net.poll_cq_ns)
+        yield self.poll_cq_cost
         return buf
 
     def _wait_credit(self, conn):
@@ -309,19 +313,15 @@ class CreditedSendEndpoint(SendEndpoint):
     def send(self, buf: Buffer, dests: Sequence[int], state: DataState):
         # Per-call bookkeeping is serialized: this is the shared-endpoint
         # contention the SE configurations pay for.
-        yield from self.lock.critical_section(
-            self.net.cpu(self.net.endpoint_send_ns))
+        yield from self.lock.critical_section(self.send_call_cost)
         self._pending.add(buf, len(dests))
         for dest in dests:
             conn = self.conns[dest]
             yield from self._wait_credit(conn)
             self._consume_credit(conn)
-            frame = Frame(
-                kind="data", state=state, src_endpoint=self.endpoint_id,
-                seq=conn.sent, payload=buf.payload, length=buf.length,
-                remote_addr=buf.addr,
-            )
-            yield self._cpu(self.net.post_wr_ns)
+            frame = Frame("data", state, self.endpoint_id, conn.sent, None,
+                          buf.payload, buf.length, buf.addr)
+            yield self.post_wr_cost
             self._post_data(conn, buf, frame)
             self.record_send(dest, buf.length)
 
@@ -333,11 +333,11 @@ class CreditedSendEndpoint(SendEndpoint):
             yield from self._wait_credit(conn)
             self._consume_credit(conn)
             frame = Frame(
-                kind="final", state=DataState.DEPLETED,
+                kind="final", state=DEPLETED,
                 src_endpoint=self.endpoint_id, seq=conn.sent,
                 total=conn.sent,
             )
-            yield self._cpu(self.net.post_wr_ns)
+            yield self.post_wr_cost
             self._post_final(conn, dest, frame)
 
     # -- posting policy supplied by the design -----------------------------
@@ -391,7 +391,7 @@ class ReceiveEndpoint(_EndpointBase):
         if not ok:
             item = yield self._inbox.get()
         self._account_data_wait(t0)
-        yield self._cpu(self.net.poll_cq_ns)
+        yield self.poll_cq_cost
         if isinstance(item, ShuffleNetworkError):
             # Leave the error visible for the other consumer threads too.
             self._inbox.put(item)
@@ -427,7 +427,7 @@ class ReceiveEndpoint(_EndpointBase):
             links = self.ctx.telemetry.links
             if links is not None:
                 links.on_deliver(flow, local)
-        self._inbox.put((DataState.MORE_DATA, src_endpoint, remote_addr,
+        self._inbox.put((MORE_DATA, src_endpoint, remote_addr,
                          local))
 
     def _source_depleted(self, conn: SourceRecord) -> None:
@@ -453,8 +453,7 @@ class CreditedReceiveEndpoint(ReceiveEndpoint):
     """Two-sided RELEASE path issuing stateless credit (§4.4.1-2)."""
 
     def release(self, remote_addr: int, local: Buffer, src: int):
-        yield from self.lock.critical_section(
-            self.net.cpu(self.net.post_wr_ns))
+        yield from self.lock.critical_section(self.post_wr_cost)
         conn = self.conns[src]
         local.reset()
         self._repost(conn, local)
@@ -464,7 +463,7 @@ class CreditedReceiveEndpoint(ReceiveEndpoint):
         value = credit.release_credit(conn.posted,
                                       self.config.credit_frequency)
         if value is not None:
-            yield self._cpu(self.net.post_wr_ns)
+            yield self.post_wr_cost
             links = self.ctx.telemetry.links
             if links is not None:
                 # Causal edge: the credit WR posted synchronously below is

@@ -32,6 +32,7 @@ from __future__ import annotations
 from typing import Dict, Sequence, Tuple
 
 from repro.core.endpoint import (
+    DEPLETED,
     DataState,
     EndpointConfig,
     Frame,
@@ -50,7 +51,7 @@ from repro.core.transport.runtime import ReceiveEndpoint, SendEndpoint
 from repro.memory import Buffer
 from repro.sim import Notify
 from repro.verbs.cm import EndpointRegistry
-from repro.verbs.constants import Opcode, QPType
+from repro.verbs.constants import OP_WRITE, QPT_RC
 from repro.verbs.device import VerbsContext
 from repro.verbs.wr import SendWR
 
@@ -80,7 +81,7 @@ class WriteRCSendEndpoint(SendEndpoint):
         self.cq = self.ctx.create_cq()
         for dest in self.destinations:
             self.conns[dest] = WriteRingSender(dest, self.ctx.create_qp(
-                QPType.RC, self.cq, self.cq, tenant=self.config.tenant))
+                QPT_RC, self.cq, self.cq, tenant=self.config.tenant))
         yield from self.provision_send_pool()
         _, cap = ring_caps(self.buffers_per_link)
         # A returned address must be one of the receiver-side buffers this
@@ -108,7 +109,7 @@ class WriteRCSendEndpoint(SendEndpoint):
         yield from rc_connect_senders(self, registry, bind)
         # Local buffers recycle once their data Writes complete.
         CompletionDispatcher(self) \
-            .on(Opcode.WRITE, self.data_recycler("wdata")) \
+            .on(OP_WRITE, self.data_recycler("wdata")) \
             .start()
 
     def _on_free_value(self, dest: int, value: int) -> None:
@@ -126,31 +127,26 @@ class WriteRCSendEndpoint(SendEndpoint):
             yield conn.notify.wait()
         remote_addr = conn.remote_free.pop()
         frame.remote_addr = remote_addr
-        yield self._cpu(self.net.post_wr_ns)
-        conn.qp.post_send(SendWR(
-            wr_id=("wdata", buf), opcode=Opcode.WRITE,
-            buffer=FrameCarrier(frame), length=length,
-            remote_addr=remote_addr, signaled=signaled,
-        ))
-        yield self._cpu(self.net.post_wr_ns)
+        yield self.post_wr_cost
+        conn.qp.post_send(SendWR(("wdata", buf), OP_WRITE, FrameCarrier(frame),
+                                 length, remote_addr, None, None, signaled))
+        yield self.post_wr_cost
         post_ring_write(conn.qp, conn.valid, remote_addr,
                         ("valid", conn.node))
 
     def send(self, buf: Buffer, dests: Sequence[int], state: DataState):
-        yield from self.lock.critical_section(
-            self.net.cpu(self.net.endpoint_send_ns))
+        yield from self.lock.critical_section(self.send_call_cost)
         self._pending.add(buf, len(dests))
         for dest in dests:
-            frame = Frame(kind="data", state=state,
-                          src_endpoint=self.endpoint_id,
-                          payload=buf.payload, length=buf.length)
+            frame = Frame("data", state, self.endpoint_id, 0, None,
+                          buf.payload, buf.length)
             yield from self._push(self.conns[dest], frame, buf,
                                   buf.length, signaled=True)
             self.record_send(dest, buf.length)
 
     def _send_finals(self):
         for dest in self.destinations:
-            frame = Frame(kind="final", state=DataState.DEPLETED,
+            frame = Frame(kind="final", state=DEPLETED,
                           src_endpoint=self.endpoint_id)
             yield from self._push(self.conns[dest], frame, None, 0,
                                   signaled=False)
@@ -173,7 +169,7 @@ class WriteRCReceiveEndpoint(ReceiveEndpoint):
         buffer_addrs = {}
         for i, (_src_node, src_ep) in enumerate(self.sources):
             self.conns[src_ep] = RingReceiver(src_ep, self.ctx.create_qp(
-                QPType.RC, self.cq, self.cq, tenant=self.config.tenant))
+                QPT_RC, self.cq, self.cq, tenant=self.config.tenant))
             buffer_addrs[src_ep] = list(
                 pool_addrs[i * per_link:(i + 1) * per_link])
         registry.publish_endpoint(self.endpoint_id, {
@@ -206,9 +202,8 @@ class WriteRCReceiveEndpoint(ReceiveEndpoint):
         self._deliver(src_ep, value, buf)
 
     def release(self, remote_addr: int, local: Buffer, src: int):
-        yield from self.lock.critical_section(
-            self.net.cpu(self.net.post_wr_ns))
+        yield from self.lock.critical_section(self.post_wr_cost)
         conn = self.conns[src]
         local.reset()
-        yield self._cpu(self.net.post_wr_ns)
+        yield self.post_wr_cost
         post_ring_write(conn.qp, conn.free, remote_addr, ("free", src))

@@ -16,7 +16,7 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.engine.operator import Operator, OpState, pack_columns
+from repro.engine.operator import OPS_DEPLETED, Operator, pack_columns
 from repro.sim import Barrier
 
 __all__ = ["HashAggregateOperator"]
@@ -77,7 +77,7 @@ class HashAggregateOperator(Operator):
 
     def next(self, tid: int):
         if self._done[tid]:
-            return (OpState.DEPLETED, None)
+            return (OPS_DEPLETED, None)
             yield  # pragma: no cover
         while True:
             state, batch = yield from self.child.next(tid)
@@ -85,13 +85,13 @@ class HashAggregateOperator(Operator):
                 yield self.per_tuple_cost(len(batch),
                                           ns_per_tuple=AGG_NS_PER_TUPLE)
                 self._accumulate(tid, batch)
-            if state == OpState.DEPLETED:
+            if state == OPS_DEPLETED:
                 break
         yield self._barrier.arrive()
         self._done[tid] = True
         if tid != 0:
-            return (OpState.DEPLETED, None)
-        return (OpState.DEPLETED, self._merge())
+            return (OPS_DEPLETED, None)
+        return (OPS_DEPLETED, self._merge())
 
     def _accumulate(self, tid: int, batch: np.ndarray) -> None:
         keys = []

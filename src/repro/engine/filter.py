@@ -6,7 +6,7 @@ from typing import Callable
 
 import numpy as np
 
-from repro.engine.operator import Operator, OpState
+from repro.engine.operator import OPS_DEPLETED, Operator
 
 __all__ = ["FilterOperator"]
 
@@ -30,12 +30,12 @@ class FilterOperator(Operator):
         while True:
             state, batch = yield from self.child.next(tid)
             if batch is None or not len(batch):
-                if state == OpState.DEPLETED:
-                    return (OpState.DEPLETED, None)
+                if state == OPS_DEPLETED:
+                    return (OPS_DEPLETED, None)
                 continue
             yield self.per_tuple_cost(len(batch),
                                       ns_per_tuple=FILTER_NS_PER_TUPLE)
             mask = self.predicate(batch)
             kept = batch[mask]
-            if len(kept) or state == OpState.DEPLETED:
+            if len(kept) or state == OPS_DEPLETED:
                 return (state, kept if len(kept) else None)

@@ -13,7 +13,7 @@ from typing import Any, List, Optional, Sequence
 
 import numpy as np
 
-from repro.engine.operator import Operator, OpState, concat_batches
+from repro.engine.operator import OPS_DEPLETED, Operator, concat_batches
 from repro.sim import AllOf, Event, Simulator
 
 __all__ = ["CollectSink", "CountSink", "QueryFragment", "run_fragments"]
@@ -72,7 +72,7 @@ class QueryFragment:
                 self.sink.consume(tid, batch)
             # A thread waiting for its next batch holds no old one.
             batch = None
-            if state == OpState.DEPLETED:
+            if state == OPS_DEPLETED:
                 return
 
 

@@ -19,8 +19,8 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from repro.engine.operator import (
+    OPS_DEPLETED,
     Operator,
-    OpState,
     concat_batches,
     pack_columns,
 )
@@ -73,7 +73,7 @@ class HashJoinOperator(Operator):
                 # No thread can interleave with an append that has no
                 # yield inside it, so it needs no lock.
                 self._build_rows.append(batch)
-            if state == OpState.DEPLETED:
+            if state == OPS_DEPLETED:
                 break
         yield self._barrier.arrive()
         # Thread 0 finalizes the table; everyone else waits at a second
@@ -114,13 +114,13 @@ class HashJoinOperator(Operator):
         while True:
             state, batch = yield from self.probe.next(tid)
             if batch is None or not len(batch):
-                if state == OpState.DEPLETED:
-                    return (OpState.DEPLETED, None)
+                if state == OPS_DEPLETED:
+                    return (OPS_DEPLETED, None)
                 continue
             yield self.per_tuple_cost(len(batch),
                                       ns_per_tuple=PROBE_NS_PER_TUPLE)
             joined = self._probe_batch(batch)
-            if joined is not None or state == OpState.DEPLETED:
+            if joined is not None or state == OPS_DEPLETED:
                 return (state, joined)
 
     def _probe_batch(self, batch: np.ndarray) -> Optional[np.ndarray]:

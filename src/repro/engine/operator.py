@@ -19,6 +19,8 @@ import numpy as np
 
 __all__ = [
     "OpState",
+    "OPS_MORE_DATA",
+    "OPS_DEPLETED",
     "Operator",
     "batch_nbytes",
     "concat_batches",
@@ -31,6 +33,11 @@ class OpState(enum.IntEnum):
 
     MORE_DATA = 0
     DEPLETED = 1
+
+
+#: the members as module globals, for per-batch code (linter rule VS110;
+#: see :mod:`repro.verbs.constants`).
+OPS_MORE_DATA, OPS_DEPLETED = OpState.MORE_DATA, OpState.DEPLETED
 
 
 def batch_nbytes(batch: Optional[np.ndarray]) -> int:
@@ -109,10 +116,11 @@ class Operator:
 
     def cpu(self, ns: float) -> int:
         """CPU time to charge the calling worker thread (``yield`` it)."""
-        return self.node.cpu_delay(ns)
+        return self.node.config.cpu(ns)
 
     def per_tuple_cost(self, rows: int, nbytes: int = 0,
                        ns_per_tuple: float = 0.0,
                        ns_per_byte: float = 0.0) -> int:
         """A vectorized per-batch cost as one CPU sleep (``yield`` it)."""
-        return self.node.cpu_delay(rows * ns_per_tuple + nbytes * ns_per_byte)
+        return self.node.config.cpu(rows * ns_per_tuple
+                                    + nbytes * ns_per_byte)

@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.engine.operator import Operator, OpState
+from repro.engine.operator import OPS_DEPLETED, OPS_MORE_DATA, Operator
 
 __all__ = ["ScanOperator", "RepeatedSourceOperator"]
 
@@ -35,12 +35,12 @@ class ScanOperator(Operator):
         lo = self._cursor[tid]
         hi = min(lo + self.batch_rows, self._end[tid])
         if lo >= hi:
-            return (OpState.DEPLETED, None)
+            return (OPS_DEPLETED, None)
             yield  # pragma: no cover
         batch = self.table[lo:hi]
         self._cursor[tid] = hi
         yield self.per_tuple_cost(len(batch), ns_per_tuple=SCAN_NS_PER_TUPLE)
-        state = OpState.DEPLETED if hi >= self._end[tid] else OpState.MORE_DATA
+        state = OPS_DEPLETED if hi >= self._end[tid] else OPS_MORE_DATA
         return (state, batch)
 
 
@@ -64,7 +64,7 @@ class RepeatedSourceOperator(Operator):
     def next(self, tid: int):
         remaining = self._remaining[tid]
         if remaining <= 0:
-            return (OpState.DEPLETED, None)
+            return (OPS_DEPLETED, None)
             yield  # pragma: no cover
         batch = self.template
         if batch.nbytes > remaining:
@@ -72,6 +72,6 @@ class RepeatedSourceOperator(Operator):
             batch = batch[:rows]
         self._remaining[tid] = remaining - batch.nbytes
         yield self.per_tuple_cost(len(batch), ns_per_tuple=SCAN_NS_PER_TUPLE)
-        state = (OpState.DEPLETED if self._remaining[tid] <= 0
-                 else OpState.MORE_DATA)
+        state = (OPS_DEPLETED if self._remaining[tid] <= 0
+                 else OPS_MORE_DATA)
         return (state, batch)

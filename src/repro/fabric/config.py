@@ -162,7 +162,10 @@ class NetworkConfig:
         return 4096
 
     def cpu(self, ns: float) -> int:
-        """Scale a CPU-side cost by this cluster's core speed."""
+        """Scale a CPU-side cost by this cluster's core speed, in integer
+        ns: what a thread yields to spend it.  ``ns`` may be fractional
+        (per-tuple cost models multiply); this is the one place it is
+        rounded, at the simulation boundary."""
         return int(ns * self.cpu_scale)
 
     def wire_bytes(self, payload: int, transport: str) -> int:

@@ -41,7 +41,8 @@ __all__ = ["Node", "Fabric"]
 
 
 class Node:
-    """One cluster machine: an adapter plus CPU cost helpers."""
+    """One cluster machine: an adapter.  A thread's CPU cost is
+    ``config.cpu(ns)``, what it yields to spend it."""
 
     def __init__(self, sim: Simulator, node_id: int, config: NetworkConfig,
                  telemetry: Telemetry):
@@ -49,16 +50,6 @@ class Node:
         self.id = node_id
         self.config = config
         self.nic = NIC(sim, node_id, config, telemetry)
-
-    def cpu_delay(self, ns: float) -> int:
-        """A CPU sleep scaled by this node's CPU speed, in integer ns —
-        what a thread yields to spend it (``yield node.cpu_delay(ns)``).
-
-        ``ns`` may be fractional (per-tuple cost models multiply);
-        :meth:`NetworkConfig.cpu` rounds to integer nanoseconds exactly
-        once, here at the simulation boundary.
-        """
-        return self.config.cpu(ns)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<Node {self.id} ({self.config.name})>"

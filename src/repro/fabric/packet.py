@@ -79,11 +79,10 @@ def make_train(config: "NetworkConfig", *, src_node: int, dst_node: int,
         if transport is None:
             raise ValueError("make_train needs transport= or wire_bytes=")
         wire_bytes = config.wire_bytes(length, transport)
-    return Packet(
-        src_node=src_node, dst_node=dst_node, src_qpn=src_qpn,
-        dst_qpn=dst_qpn, kind=kind, length=length, wire_bytes=wire_bytes,
-        payload=payload, meta=meta, flow=flow,
-    )
+    # Positional: every message is built here, and a dataclass built by
+    # keywords costs about twice as much (DESIGN.md, "Execution path").
+    return Packet(src_node, dst_node, src_qpn, dst_qpn, kind, length,
+                  wire_bytes, payload, meta, False, flow)
 
 
 def clone_for_member(packet: Packet, node_id: int, qpn: int) -> Packet:
@@ -93,9 +92,6 @@ def clone_for_member(packet: Packet, node_id: int, qpn: int) -> Packet:
     identically to the trunk; ``dropped`` is reset — loss is drawn per
     leg.
     """
-    return Packet(
-        src_node=packet.src_node, dst_node=node_id,
-        src_qpn=packet.src_qpn, dst_qpn=qpn, kind=packet.kind,
-        length=packet.length, wire_bytes=packet.wire_bytes,
-        payload=packet.payload, meta=packet.meta, flow=packet.flow,
-    )
+    return Packet(packet.src_node, node_id, packet.src_qpn, qpn,
+                  packet.kind, packet.length, packet.wire_bytes,
+                  packet.payload, packet.meta, False, packet.flow)

@@ -112,16 +112,23 @@ class BufferPool:
         return range(base, base + self.count * self.size, self.size)
 
     def buffer(self, index: int) -> Buffer:
-        """Slot ``index``'s buffer, built on first use."""
+        """Slot ``index``'s buffer, built on first use.
+
+        A slot already built is returned first, before any check: a
+        non-negative index below the cache's length is inside the pool.
+        """
+        slots = self._slots
+        cached = len(slots)
+        if 0 <= index < cached:
+            buf = slots[index]
+            if buf is not None:
+                return buf
         if not 0 <= index < self.count:
             raise IndexError(f"slot {index} outside a pool of {self.count}")
-        slots = self._slots
-        if index >= len(slots):
-            slots.extend([None] * (index + 1 - len(slots)))
-        buf = slots[index]
-        if buf is None:
-            buf = slots[index] = Buffer(
-                self.mr, self.mr.addr + index * self.size, self.size)
+        if index >= cached:
+            slots.extend([None] * (index + 1 - cached))
+        buf = slots[index] = Buffer(
+            self.mr, self.mr.addr + index * self.size, self.size)
         return buf
 
     @property

@@ -9,6 +9,12 @@ Nothing here holds or reads an observer.  A site that charges a pipe
 and wants the interval recorded (the NIC and the switch trunks) hands
 it to the telemetry bundle just before the charge; the interval starts
 at the pipe's ``_busy_until`` or now, whichever is later.
+
+A pipe charge is one call: :meth:`RatePipe.submit_train` (a train's
+duration comes from the pipe's per-size cache) and
+:meth:`RatePipe.submit_occupy` (a fixed duration) queue the duration
+behind the pipe's backlog and schedule the completion in place, since
+every message crosses three to five pipes.
 """
 
 from __future__ import annotations
@@ -253,15 +259,16 @@ class RatePipe:
         self.name = name
         self._busy_until: int = 0
         # Serialization delays by unit count.  Real traffic uses a handful
-        # of distinct message sizes, so the division in the hot path is
-        # almost always a dict hit; bounded so adversarial size mixes
-        # cannot grow it without limit.
+        # of distinct message sizes, so the division (and the slow
+        # ``int()`` of a float) is almost always a dict hit instead;
+        # bounded so adversarial size mixes cannot grow it without limit.
         self._ser_cache: Dict[float, int] = {}
         self.total_units: float = 0.0
         #: cumulative occupied time (drives utilization telemetry).
         self.busy_ns: int = 0
 
     def _serialization_ns(self, units: float) -> int:
+        """The time ``units`` occupy the pipe, in integer ns."""
         cache = self._ser_cache
         duration = cache.get(units)
         if duration is None:
@@ -270,34 +277,42 @@ class RatePipe:
                 cache[units] = duration
         return duration
 
-    def _charge(self, units: float, duration: int) -> int:
-        """Queue ``duration`` ns carrying ``units`` behind everything
-        already submitted; returns the delay until it completes."""
-        now = self.sim.now
-        start = self._busy_until
-        if start < now:
-            start = now
-        end = self._busy_until = start + duration
-        self.total_units += units
-        self.busy_ns += duration
-        return end - now
-
     def submit_train(self, units: float, func: Callable[[], None],
                      extra_ns: int = 0) -> None:
         """Charge one message's train; runs ``func()`` at train arrival.
 
         A train *is* one ``units``-sized transfer: one charge, one
         completion.  ``extra_ns`` adds fixed per-item overhead that also
-        occupies the pipe (e.g. per-work-request processing time).
+        occupies the pipe (e.g. per-work-request processing time).  The
+        transfer starts once everything submitted before it has drained.
         """
         if units < 0:
             raise SimError(f"cannot transmit negative units: {units}")
-        delay = self._charge(units,
-                             self._serialization_ns(units) + int(extra_ns))
-        self.sim.call_later(delay, func)
+        duration = self._ser_cache.get(units)
+        if duration is None:
+            duration = self._serialization_ns(units)
+        if extra_ns:
+            duration += int(extra_ns)
+        sim = self.sim
+        now = sim.now
+        start = self._busy_until
+        if start < now:
+            start = now
+        self._busy_until = start + duration
+        self.total_units += units
+        self.busy_ns += duration
+        sim.call_later(start + duration - now, func)
 
     def submit_occupy(self, duration_ns: int,
                       func: Callable[[], None]) -> None:
-        """Occupy the pipe for a fixed duration (rate-independent work);
-        runs ``func()`` at completion."""
-        self.sim.call_later(self._charge(0, int(duration_ns)), func)
+        """Occupy the pipe for a fixed duration (rate-independent work),
+        queued like a train; runs ``func()`` at completion."""
+        duration = int(duration_ns)
+        sim = self.sim
+        now = sim.now
+        start = self._busy_until
+        if start < now:
+            start = now
+        self._busy_until = start + duration
+        self.busy_ns += duration
+        sim.call_later(start + duration - now, func)

@@ -15,6 +15,15 @@ __all__ = [
     "WCStatus",
     "AddressHandle",
     "MAX_RC_MSG",
+    "QPT_RC",
+    "QPT_UD",
+    "QPS_INIT",
+    "QPS_RTS",
+    "OP_SEND",
+    "OP_RECV",
+    "OP_READ",
+    "OP_WRITE",
+    "WC_SUCCESS",
 ]
 
 #: Maximum Reliable Connection message size per the InfiniBand spec (§2.2.2).
@@ -67,6 +76,19 @@ class WCStatus(enum.Enum):
     REM_ACCESS_ERR = "remote_access_error"
     RNR_RETRY_EXC_ERR = "rnr_retry_exceeded"
     WR_FLUSH_ERR = "flushed"
+
+
+# The members that code in functions compares against, as module
+# globals named after the ``ibv_*`` enumerators.  A member loaded
+# through its class, ``Opcode.SEND``, takes the slow attribute path
+# that ``EnumType.__getattr__`` gives every class lookup, about ten
+# times a global load; code that runs per message or per call imports
+# these instead (linter rule VS110).
+QPT_RC, QPT_UD = QPType.RC, QPType.UD
+QPS_INIT, QPS_RTS = QPState.INIT, QPState.RTS
+OP_SEND, OP_RECV, OP_READ, OP_WRITE = (
+    Opcode.SEND, Opcode.RECV, Opcode.READ, Opcode.WRITE)
+WC_SUCCESS = WCStatus.SUCCESS
 
 
 class AddressHandle(NamedTuple):

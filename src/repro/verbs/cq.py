@@ -7,7 +7,7 @@ from typing import Any, Callable, List, Optional
 
 from repro.sim import Event, Queue, Simulator
 from repro.telemetry.core import Telemetry
-from repro.verbs.constants import Opcode, VerbsError, WCStatus
+from repro.verbs.constants import WC_SUCCESS, Opcode, VerbsError, WCStatus
 
 __all__ = ["WorkCompletion", "CompletionQueue"]
 
@@ -18,6 +18,8 @@ class WorkCompletion:
 
     ``wr_id`` is the opaque value the application attached to the work
     request — the endpoints use it to map completions back to buffers.
+    The verbs layer builds one per message, positionally: keywords cost
+    more (DESIGN.md, "Execution path").
     """
 
     wr_id: Any
@@ -33,7 +35,7 @@ class WorkCompletion:
 
     @property
     def ok(self) -> bool:
-        return self.status is WCStatus.SUCCESS
+        return self.status is WC_SUCCESS
 
 
 class CompletionQueue:

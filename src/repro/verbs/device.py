@@ -12,7 +12,7 @@ from typing import Dict, List, Optional
 
 from repro.fabric.network import Fabric
 from repro.sim import Simulator
-from repro.verbs.constants import QPType, VerbsError
+from repro.verbs.constants import QPT_UD, QPType, VerbsError
 from repro.verbs.cq import CompletionQueue
 from repro.verbs.memory import AddressSpace, MemoryRegion
 from repro.verbs.qp import QueuePair
@@ -113,7 +113,7 @@ class VerbsContext:
         refuses to destroy a QP still attached to a group, so the QP is
         detached from every group it joined first.
         """
-        if qp.qp_type is QPType.UD:
+        if qp.qp_type is QPT_UD:
             for mgid in self.fabric.mcast_members:
                 self.mcast_detach(mgid, qp)
             # Its address handle goes with it (QPNs are never reused).
@@ -140,7 +140,7 @@ class VerbsContext:
 
     def mcast_attach(self, mgid: int, qp: QueuePair) -> None:
         """``ibv_attach_mcast``: join a UD QP to a multicast group."""
-        if qp.qp_type is not QPType.UD:
+        if qp.qp_type is not QPT_UD:
             raise VerbsError("only UD QPs can join multicast groups")
         self.fabric.mcast_attach(mgid, self.node_id, qp.qpn)
 

@@ -16,6 +16,15 @@ The semantics follow §2.2 of the paper:
 All data movement costs flow through the NIC model (processing engine with
 the QP-context cache, egress/ingress serialization) so every design
 trade-off in the paper's Figure 2 is exercised by these code paths.
+
+A posted work request in flight is one slotted record — :class:`_UDSend`,
+:class:`_RCSend`, :class:`_RCRead` or :class:`_RCWrite` — holding the QP,
+the request and its post time.  Its stages (NIC processing done, the
+message arrived, the ack returned...) are methods, scheduled as bound
+methods: the NIC engine, the fabric or the receive queue holds the
+record while it waits there, and nothing else does, so a retired request
+is reclaimed by reference counting alone.  No bound method is stored on
+a record (linter rule VS109).
 """
 
 from __future__ import annotations
@@ -27,12 +36,18 @@ from repro.sim import Event, Queue
 from repro.verbs.constants import (
     MAX_RC_MSG,
     MCAST_NODE,
+    OP_READ,
+    OP_RECV,
+    OP_SEND,
+    OP_WRITE,
+    QPS_INIT,
+    QPS_RTS,
+    QPT_RC,
+    QPT_UD,
+    WC_SUCCESS,
     AddressHandle,
-    Opcode,
-    QPState,
     QPType,
     VerbsError,
-    WCStatus,
 )
 from repro.verbs.cq import CompletionQueue, WorkCompletion
 from repro.verbs.wr import RecvWR, SendWR
@@ -58,7 +73,226 @@ class _RecvRun:
 
     def __call__(self, k: int) -> RecvWR:
         buf = self.pool.buffer(self.slots[k])
-        return RecvWR(wr_id=buf, buffer=buf, length=self.length)
+        return RecvWR(buf, buf, self.length)
+
+
+class _Posted:
+    """One posted work request in flight: the QP it was posted on, the
+    request and its post time.  A subclass per kind supplies
+    :meth:`issue`, the stage that runs once the NIC has processed the
+    request, and the stages after it; :meth:`_acked` retires it, at the
+    ack's arrival or, for a datagram, at egress."""
+
+    __slots__ = ("qp", "wr", "t0")
+
+    #: the request's trace span name.
+    span = ""
+
+    def __init__(self, qp: "QueuePair", wr: SendWR, now: int):
+        self.qp = qp
+        self.wr = wr
+        self.t0 = now
+
+    def issue(self) -> None:
+        raise NotImplementedError
+
+    def _acked(self, _ack: Optional[Packet] = None) -> None:
+        self.qp._complete_send(self.wr, self.span, self.t0)
+
+
+class _UDSend(_Posted):
+    """One UD Send: NIC processing, route (unicast or multicast fan-out),
+    completion at egress; delivery is :meth:`QueuePair._ud_deliver`, run
+    once per receiving member."""
+
+    __slots__ = ()
+    span = "ud-send"
+
+    def issue(self) -> None:
+        qp = self.qp
+        ctx = qp.ctx
+        wr = self.wr
+        dest = wr.dest
+        packet = make_train(
+            ctx.config, src_node=ctx.node_id, dst_node=max(dest.node_id, 0),
+            src_qpn=qp.qpn, dst_qpn=dest.qpn, kind="SEND",
+            length=wr.length, transport="UD",
+            payload=None if wr.buffer is None else wr.buffer.payload,
+            flow=wr.flow,
+        )
+        # No ack in UD: local completion (``on_egress``) once the NIC
+        # drained the buffer.
+        if dest.node_id == MCAST_NODE:
+            # InfiniBand multicast: the switch replicates the datagram
+            # to every attached QP; the sender's port is charged once.
+            ctx.fabric.route_mcast(packet, dest.qpn, qp._ud_deliver,
+                                   on_egress=self._acked)
+        else:
+            ctx.fabric.route(packet, qp._ud_deliver, unordered=True,
+                             lossy=True, on_egress=self._acked)
+
+
+class _RCSend(_Posted):
+    """One RC Send: NIC processing, route, the receive-queue get (RNR
+    stall), deposit, ack, completion.  The stall's start and the waiting
+    message are kept only while a Send waits for a Receive."""
+
+    __slots__ = ("remote_qp", "packet", "rnr_t0")
+    span = "rc-send"
+
+    def issue(self) -> None:
+        qp = self.qp
+        ctx = qp.ctx
+        wr = self.wr
+        peer = qp._peer
+        packet = make_train(
+            ctx.config, src_node=ctx.node_id, dst_node=peer.node_id,
+            src_qpn=qp.qpn, dst_qpn=peer.qpn, kind="SEND",
+            length=wr.length, transport="RC",
+            payload=None if wr.buffer is None else wr.buffer.payload,
+            flow=wr.flow,
+        )
+        ctx.fabric.route(packet, self._arrived)
+
+    def _arrived(self, packet: Packet) -> None:
+        qp = self.qp
+        peer = qp._peer
+        remote_qp = qp.ctx.peer_context(peer.node_id).qp(peer.qpn)
+        recvs = remote_qp._recvs
+        # A posted Receive is taken at once, unless an earlier Send is
+        # still stalled on this QP (RC delivers in order).
+        if not remote_qp._rnr_waiting:
+            ok, rwr = recvs.try_get()
+            if ok:
+                self._received(remote_qp, rwr, packet)
+                return
+        # Receiver-not-ready: stall until a Receive is posted.  (The
+        # paper's credit protocol exists precisely so this never happens.)
+        self.remote_qp = remote_qp
+        self.packet = packet
+        self.rnr_t0 = qp.ctx.sim.now
+        remote_qp._rnr_waiting += 1
+        recvs.get().add_callback(self._got_recv)
+
+    def _got_recv(self, evt: Event) -> None:
+        qp = self.qp
+        ctx = qp.ctx
+        remote_qp = self.remote_qp
+        rnr_t0 = self.rnr_t0
+        remote_qp._rnr_waiting -= 1
+        stalled = ctx.sim.now - rnr_t0
+        if stalled:
+            remote_qp.rnr_events += 1
+            remote_qp.rnr_stall_ns += stalled
+            node_id = qp._peer.node_id
+            tracer = ctx.telemetry.tracer
+            if tracer is not None:
+                tracer.complete(node_id, remote_qp.track, "rnr-stall",
+                                rnr_t0, stalled, "verbs")
+            links = ctx.telemetry.links
+            if links is not None:
+                links.stall(node_id, -1, "rnr-stall", rnr_t0, stalled)
+        self._received(remote_qp, evt.value, self.packet)
+
+    def _received(self, remote_qp: "QueuePair", rwr: RecvWR,
+                  packet: Packet) -> None:
+        qp = self.qp
+        ctx = qp.ctx
+        peer = qp._peer
+        remote_qp._recv_posted -= 1
+        remote_qp._deposit(rwr, packet)
+        ack = make_train(
+            ctx.config, src_node=peer.node_id, dst_node=ctx.node_id,
+            src_qpn=peer.qpn, dst_qpn=qp.qpn, kind="ACK",
+            length=0, wire_bytes=ctx.config.rc_ack_bytes, flow=self.wr.flow,
+        )
+        ctx.fabric.route(ack, self._acked)
+
+
+class _RCRead(_Posted):
+    """One RDMA Read: NIC processing, the request route, the remote NIC
+    serving it, the response route, deposit, completion."""
+
+    __slots__ = ()
+    span = "rc-read"
+
+    def issue(self) -> None:
+        qp = self.qp
+        ctx = qp.ctx
+        peer = qp._peer
+        request = make_train(
+            ctx.config, src_node=ctx.node_id, dst_node=peer.node_id,
+            src_qpn=qp.qpn, dst_qpn=peer.qpn, kind="READ_REQ",
+            length=0, wire_bytes=ctx.config.rc_header_bytes,
+            flow=self.wr.flow,
+        )
+        ctx.fabric.route(request, self._requested)
+
+    def _requested(self, _request: Packet) -> None:
+        # The remote CPU stays passive: the remote *NIC* serves the read.
+        peer = self.qp._peer
+        self.qp.ctx.peer_context(peer.node_id).nic.submit_wr(
+            peer.qpn, self._served, 0, self.wr.flow)
+
+    def _served(self) -> None:
+        qp = self.qp
+        ctx = qp.ctx
+        wr = self.wr
+        peer = qp._peer
+        mr = ctx.peer_context(peer.node_id).memory.resolve(wr.remote_addr)
+        response = make_train(
+            ctx.config, src_node=peer.node_id, dst_node=ctx.node_id,
+            src_qpn=peer.qpn, dst_qpn=qp.qpn, kind="READ_RESP",
+            length=wr.length, transport="RC",
+            payload=mr.get_object(wr.remote_addr), flow=wr.flow,
+        )
+        ctx.fabric.route(response, self._responded)
+
+    def _responded(self, response: Packet) -> None:
+        wr = self.wr
+        if wr.buffer is not None:
+            wr.buffer.deposit(response.payload, wr.length)
+        self.qp._complete_send(wr, self.span, self.t0)
+
+
+class _RCWrite(_Posted):
+    """One RDMA Write: NIC processing, route, the remote memory update,
+    ack, completion."""
+
+    __slots__ = ()
+    span = "rc-write"
+
+    def issue(self) -> None:
+        qp = self.qp
+        ctx = qp.ctx
+        wr = self.wr
+        peer = qp._peer
+        packet = make_train(
+            ctx.config, src_node=ctx.node_id, dst_node=peer.node_id,
+            src_qpn=qp.qpn, dst_qpn=peer.qpn, kind="WRITE",
+            length=max(wr.length, 8 if wr.value is not None else 0),
+            transport="RC",
+            payload=None if wr.buffer is None else wr.buffer.payload,
+            flow=wr.flow,
+        )
+        ctx.fabric.route(packet, self._arrived)
+
+    def _arrived(self, packet: Packet) -> None:
+        qp = self.qp
+        ctx = qp.ctx
+        wr = self.wr
+        peer = qp._peer
+        mr = ctx.peer_context(peer.node_id).memory.resolve(wr.remote_addr)
+        if wr.value is not None:
+            mr.write_u64(wr.remote_addr, wr.value)
+        else:
+            mr.set_object(wr.remote_addr, packet.payload)
+        ack = make_train(
+            ctx.config, src_node=peer.node_id, dst_node=ctx.node_id,
+            src_qpn=peer.qpn, dst_qpn=qp.qpn, kind="ACK",
+            length=0, wire_bytes=ctx.config.rc_ack_bytes, flow=wr.flow,
+        )
+        ctx.fabric.route(ack, self._acked)
 
 
 class QueuePair:
@@ -90,7 +324,7 @@ class QueuePair:
         #: owning tenant (service-layer accounting); None outside the
         #: multi-tenant service.
         self.tenant: Optional[str] = None
-        self.state = QPState.INIT
+        self.state = QPS_INIT
         self._peer: Optional[AddressHandle] = None
         # Posted receives.  RC Sends block on them (RNR), and the FIFO
         # getter order of Queue preserves in-order delivery; UD Sends
@@ -130,20 +364,20 @@ class QueuePair:
         Timing for the out-of-band handshake is charged by the connection
         manager (:mod:`repro.verbs.cm`), not here.
         """
-        if self.qp_type is not QPType.RC:
+        if self.qp_type is not QPT_RC:
             raise VerbsError("connect() applies to Reliable Connection QPs only")
-        if self.state is not QPState.INIT:
+        if self.state is not QPS_INIT:
             raise VerbsError(f"cannot connect QP in state {self.state}")
         self._peer = remote
-        self.state = QPState.RTS
+        self.state = QPS_RTS
 
     def activate(self) -> None:
         """Transition a UD QP to ready-to-send (no peer binding)."""
-        if self.qp_type is not QPType.UD:
+        if self.qp_type is not QPT_UD:
             raise VerbsError("activate() applies to Unreliable Datagram QPs only")
-        if self.state is not QPState.INIT:
+        if self.state is not QPS_INIT:
             raise VerbsError(f"cannot activate QP in state {self.state}")
-        self.state = QPState.RTS
+        self.state = QPS_RTS
 
     # -- posting -------------------------------------------------------------
 
@@ -152,8 +386,9 @@ class QueuePair:
         san = self.ctx.telemetry.sanitizer
         if san is not None:
             san.check_post_recv(self)
-        if self.state not in (QPState.INIT, QPState.RTS):
-            raise VerbsError(f"cannot post receive in state {self.state}")
+        state = self.state
+        if state is not QPS_RTS and state is not QPS_INIT:
+            raise VerbsError(f"cannot post receive in state {state}")
         if self._recv_posted >= self.max_recv_wr:
             raise VerbsError(
                 f"receive queue full (max_recv_wr={self.max_recv_wr})"
@@ -175,7 +410,7 @@ class QueuePair:
     def post_recv_buffer(self, buf, length: int) -> None:
         """Post ``buf`` as a Receive identified by the buffer itself —
         the repost idiom of every endpoint's RELEASE path."""
-        self.post_recv(RecvWR(wr_id=buf, buffer=buf, length=length))
+        self.post_recv(RecvWR(buf, buf, length))
 
     def post_recv_run(self, pool, length: int,
                       slots: Optional[range] = None) -> None:
@@ -191,8 +426,9 @@ class QueuePair:
         san = self.ctx.telemetry.sanitizer
         if san is not None:
             san.check_post_recv(self)
-        if self.state not in (QPState.INIT, QPState.RTS):
-            raise VerbsError(f"cannot post receive in state {self.state}")
+        state = self.state
+        if state is not QPS_RTS and state is not QPS_INIT:
+            raise VerbsError(f"cannot post receive in state {state}")
         if self._recv_posted + len(slots) > self.max_recv_wr:
             raise VerbsError(
                 f"receive queue full (max_recv_wr={self.max_recv_wr})"
@@ -215,25 +451,28 @@ class QueuePair:
         Returns immediately (the verb is asynchronous); completion is
         reported through the send CQ if ``wr.signaled``.
         """
-        telemetry = self.ctx.telemetry
+        ctx = self.ctx
+        telemetry = ctx.telemetry
         san = telemetry.sanitizer
         if san is not None:
             san.check_post_send(self, wr)
-        if self.state is not QPState.RTS:
+        if self.state is not QPS_RTS:
             raise VerbsError(f"cannot post send in state {self.state}")
         if self._send_outstanding >= self.max_send_wr:
             raise VerbsError(f"send queue full (max_send_wr={self.max_send_wr})")
-        if self.qp_type is QPType.UD:
-            if wr.opcode is not Opcode.SEND:
+        opcode = wr.opcode
+        datagram = self.qp_type is QPT_UD
+        if datagram:
+            if opcode is not OP_SEND:
                 raise VerbsError(
                     "Unreliable Datagram supports only Send/Receive (§2.2.2)"
                 )
             if wr.dest is None:
                 raise VerbsError("UD Send requires a destination address handle")
-            if wr.length > self.ctx.config.mtu:
+            if wr.length > ctx.config.mtu:
                 raise VerbsError(
                     f"UD message of {wr.length} B exceeds MTU "
-                    f"{self.ctx.config.mtu}"
+                    f"{ctx.config.mtu}"
                 )
         else:
             if self._peer is None:
@@ -247,19 +486,24 @@ class QueuePair:
         links = telemetry.links
         if links is not None:
             wr.flow = self._new_flow(links, wr)
-        # Every work request runs as a flat callback chain: the QP state
-        # machine is hardware, not a CPU thread (DESIGN.md, "Execution
-        # path").
-        if self.qp_type is QPType.UD:
-            self._ud_send(wr)
-        elif wr.opcode is Opcode.SEND:
-            self._rc_send(wr)
-        elif wr.opcode is Opcode.READ:
-            self._rc_read(wr)
-        elif wr.opcode is Opcode.WRITE:
-            self._rc_write(wr)
+        # Every work request runs as one in-flight record whose stages
+        # are flat callbacks: the QP state machine is hardware, not a CPU
+        # thread (DESIGN.md, "Execution path").
+        extra = 0
+        if datagram:
+            posted: _Posted = _UDSend(self, wr, ctx.sim.now)
+        elif opcode is OP_SEND:
+            posted = _RCSend(self, wr, ctx.sim.now)
+        elif opcode is OP_READ:
+            posted = _RCRead(self, wr, ctx.sim.now)
+        elif opcode is OP_WRITE:
+            posted = _RCWrite(self, wr, ctx.sim.now)
+            # Inlined payloads skip the extra DMA fetch of the payload [16].
+            if not wr.inline:
+                extra = ctx.config.nic_wr_ns
         else:
-            raise VerbsError(f"cannot post {wr.opcode} to a send queue")
+            raise VerbsError(f"cannot post {opcode} to a send queue")
+        ctx.nic.submit_wr(self.qpn, posted.issue, extra, wr.flow)
 
     def _new_flow(self, links, wr: SendWR) -> int:
         """Allocate a causal flow id for a freshly posted work request.
@@ -273,7 +517,7 @@ class QueuePair:
             kind = wid[0]
         else:
             kind = str(wr.opcode.value)
-        if self.qp_type is QPType.RC:
+        if self.qp_type is QPT_RC:
             dst = self._peer.node_id
         else:
             dst = max(wr.dest.node_id, 0)
@@ -290,9 +534,8 @@ class QueuePair:
         self._send_outstanding -= 1
         if wr.signaled:
             self.send_cq.push(WorkCompletion(
-                wr_id=wr.wr_id, opcode=wr.opcode, byte_len=wr.length,
-                qpn=self.qpn, flow=wr.flow,
-            ))
+                wr.wr_id, wr.opcode, WC_SUCCESS, wr.length, self.qpn, -1,
+                -1, wr.flow))
         tracer = self.ctx.telemetry.tracer
         if tracer is not None:
             tracer.complete(self.ctx.node_id, self.track, name, t0,
@@ -308,199 +551,8 @@ class QueuePair:
         if rwr.buffer is not None:
             rwr.buffer.deposit(packet.payload, packet.length)
         self.recv_cq.push(WorkCompletion(
-            wr_id=rwr.wr_id, opcode=Opcode.RECV, byte_len=packet.length,
-            qpn=self.qpn, src_node=packet.src_node, src_qpn=packet.src_qpn,
-            flow=packet.flow,
-        ))
-
-    # -- Reliable Connection data paths -----------------------------------------
-
-    def _rc_send(self, wr: SendWR) -> None:
-        """One RC Send as a flat callback chain: NIC processing, route,
-        the receive-queue get (RNR stall), deposit, ack, completion."""
-        ctx = self.ctx
-        sim = ctx.sim
-        config = ctx.config
-        peer = self._peer
-        assert peer is not None  # post_send validated the connection
-        t0 = sim.now
-
-        def after_wr() -> None:
-            packet = make_train(
-                config, src_node=ctx.node_id, dst_node=peer.node_id,
-                src_qpn=self.qpn, dst_qpn=peer.qpn, kind="SEND",
-                length=wr.length, transport="RC",
-                payload=None if wr.buffer is None else wr.buffer.payload,
-                flow=wr.flow,
-            )
-            ctx.fabric.route(packet, arrived)
-
-        def arrived(packet: Packet) -> None:
-            remote_qp = ctx.peer_context(peer.node_id).qp(peer.qpn)
-            recvs = remote_qp._recvs
-            # A posted Receive is taken at once, unless an earlier Send
-            # is still stalled on this QP (RC delivers in order).
-            if not remote_qp._rnr_waiting:
-                ok, rwr = recvs.try_get()
-                if ok:
-                    received(remote_qp, rwr, packet)
-                    return
-            # Receiver-not-ready: stall until a Receive is posted.  (The
-            # paper's credit protocol exists precisely so this never
-            # happens.)
-            rnr_t0 = sim.now
-            remote_qp._rnr_waiting += 1
-
-            def got_recv(evt: Event) -> None:
-                remote_qp._rnr_waiting -= 1
-                stalled = sim.now - rnr_t0
-                if stalled:
-                    remote_qp.rnr_events += 1
-                    remote_qp.rnr_stall_ns += stalled
-                    tracer = ctx.telemetry.tracer
-                    if tracer is not None:
-                        tracer.complete(peer.node_id, remote_qp.track,
-                                        "rnr-stall", rnr_t0, stalled, "verbs")
-                    links = ctx.telemetry.links
-                    if links is not None:
-                        links.stall(peer.node_id, -1, "rnr-stall",
-                                    rnr_t0, stalled)
-                received(remote_qp, evt.value, packet)
-
-            recvs.get().add_callback(got_recv)
-
-        def received(remote_qp: "QueuePair", rwr: RecvWR,
-                     packet: Packet) -> None:
-            remote_qp._recv_posted -= 1
-            remote_qp._deposit(rwr, packet)
-            ack = make_train(
-                config, src_node=peer.node_id, dst_node=ctx.node_id,
-                src_qpn=peer.qpn, dst_qpn=self.qpn, kind="ACK",
-                length=0, wire_bytes=config.rc_ack_bytes, flow=wr.flow,
-            )
-            ctx.fabric.route(ack, acked)
-
-        def acked(_ack: Packet) -> None:
-            self._complete_send(wr, "rc-send", t0)
-
-        ctx.nic.submit_wr(self.qpn, after_wr, flow=wr.flow)
-
-    def _rc_read(self, wr: SendWR) -> None:
-        """One RDMA Read as a flat callback chain: NIC processing, the
-        request route, the remote NIC serving it, the response route,
-        deposit, completion."""
-        ctx = self.ctx
-        config = ctx.config
-        peer = self._peer
-        assert peer is not None  # post_send validated the connection
-        t0 = ctx.sim.now
-
-        def after_wr() -> None:
-            request = make_train(
-                config, src_node=ctx.node_id, dst_node=peer.node_id,
-                src_qpn=self.qpn, dst_qpn=peer.qpn, kind="READ_REQ",
-                length=0, wire_bytes=config.rc_header_bytes, flow=wr.flow,
-            )
-            ctx.fabric.route(request, requested)
-
-        def requested(_request: Packet) -> None:
-            # The remote CPU stays passive: the remote *NIC* serves the read.
-            ctx.peer_context(peer.node_id).nic.submit_wr(
-                peer.qpn, served, flow=wr.flow)
-
-        def served() -> None:
-            mr = ctx.peer_context(peer.node_id).memory.resolve(wr.remote_addr)
-            response = make_train(
-                config, src_node=peer.node_id, dst_node=ctx.node_id,
-                src_qpn=peer.qpn, dst_qpn=self.qpn, kind="READ_RESP",
-                length=wr.length, transport="RC",
-                payload=mr.get_object(wr.remote_addr), flow=wr.flow,
-            )
-            ctx.fabric.route(response, responded)
-
-        def responded(response: Packet) -> None:
-            if wr.buffer is not None:
-                wr.buffer.deposit(response.payload, wr.length)
-            self._complete_send(wr, "rc-read", t0)
-
-        ctx.nic.submit_wr(self.qpn, after_wr, flow=wr.flow)
-
-    def _rc_write(self, wr: SendWR) -> None:
-        """One RDMA Write as a flat callback chain: NIC processing, route,
-        the remote memory update, ack, completion."""
-        ctx = self.ctx
-        config = ctx.config
-        peer = self._peer
-        assert peer is not None  # post_send validated the connection
-        t0 = ctx.sim.now
-
-        def after_wr() -> None:
-            packet = make_train(
-                config, src_node=ctx.node_id, dst_node=peer.node_id,
-                src_qpn=self.qpn, dst_qpn=peer.qpn, kind="WRITE",
-                length=max(wr.length, 8 if wr.value is not None else 0),
-                transport="RC",
-                payload=None if wr.buffer is None else wr.buffer.payload,
-                flow=wr.flow,
-            )
-            ctx.fabric.route(packet, arrived)
-
-        def arrived(packet: Packet) -> None:
-            mr = ctx.peer_context(peer.node_id).memory.resolve(wr.remote_addr)
-            if wr.value is not None:
-                mr.write_u64(wr.remote_addr, wr.value)
-            else:
-                mr.set_object(wr.remote_addr, packet.payload)
-            ack = make_train(
-                config, src_node=peer.node_id, dst_node=ctx.node_id,
-                src_qpn=peer.qpn, dst_qpn=self.qpn, kind="ACK",
-                length=0, wire_bytes=config.rc_ack_bytes, flow=wr.flow,
-            )
-            ctx.fabric.route(ack, acked)
-
-        def acked(_ack: Packet) -> None:
-            self._complete_send(wr, "rc-write", t0)
-
-        # Inlined payloads skip the extra DMA fetch of the payload [16].
-        extra = 0 if wr.inline else config.nic_wr_ns
-        ctx.nic.submit_wr(self.qpn, after_wr, extra_ns=extra, flow=wr.flow)
-
-    # -- Unreliable Datagram data path ---------------------------------------
-
-    def _ud_send(self, wr: SendWR) -> None:
-        """One UD Send as a flat callback chain: NIC processing, route
-        (unicast or multicast fan-out), completion at egress; delivery
-        is the arrival continuation, run once per receiving member."""
-        ctx = self.ctx
-        sim = ctx.sim
-        config = ctx.config
-        dest = wr.dest
-        assert dest is not None  # post_send validated the destination
-        t0 = sim.now
-
-        def after_wr() -> None:
-            packet = make_train(
-                config, src_node=ctx.node_id, dst_node=max(dest.node_id, 0),
-                src_qpn=self.qpn, dst_qpn=dest.qpn, kind="SEND",
-                length=wr.length, transport="UD",
-                payload=None if wr.buffer is None else wr.buffer.payload,
-                flow=wr.flow,
-            )
-            # No ack in UD: local completion (``on_egress``) once the NIC
-            # drained the buffer.
-            if dest.node_id == MCAST_NODE:
-                # InfiniBand multicast: the switch replicates the datagram
-                # to every attached QP; the sender's port is charged once.
-                ctx.fabric.route_mcast(packet, dest.qpn, self._ud_deliver,
-                                       on_egress=complete)
-            else:
-                ctx.fabric.route(packet, self._ud_deliver, unordered=True,
-                                 lossy=True, on_egress=complete)
-
-        def complete() -> None:
-            self._complete_send(wr, "ud-send", t0)
-
-        ctx.nic.submit_wr(self.qpn, after_wr, flow=wr.flow)
+            rwr.wr_id, OP_RECV, WC_SUCCESS, packet.length, self.qpn,
+            packet.src_node, packet.src_qpn, packet.flow))
 
     def _ud_deliver(self, packet: Packet) -> None:
         if packet.dropped:
@@ -510,7 +562,7 @@ class QueuePair:
             remote_qp = remote.qp(packet.dst_qpn)
         except VerbsError:
             return  # destination QP vanished; datagram evaporates
-        if remote_qp.qp_type is not QPType.UD:
+        if remote_qp.qp_type is not QPT_UD:
             return
         ok, rwr = remote_qp._recvs.try_get()
         if not ok:

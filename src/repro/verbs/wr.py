@@ -5,7 +5,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Optional
 
-from repro.verbs.constants import AddressHandle, Opcode, VerbsError
+from repro.verbs.constants import (
+    OP_READ,
+    OP_RECV,
+    OP_WRITE,
+    AddressHandle,
+    Opcode,
+    VerbsError,
+)
 
 __all__ = ["SendWR", "RecvWR"]
 
@@ -23,6 +30,10 @@ class SendWR:
     * ``WRITE`` — ``remote_addr`` is the registered remote address to
       write to.  A small control write carries ``value`` (one 64-bit
       word); a bulk write carries ``buffer``.
+
+    The endpoints' per-message requests (data, credit and ring writes)
+    are built positionally, in field order: keywords cost more
+    (DESIGN.md, "Execution path").
     """
 
     wr_id: Any
@@ -42,14 +53,16 @@ class SendWR:
     flow: int = 0
 
     def __post_init__(self):
-        if self.opcode is Opcode.RECV:
+        opcode = self.opcode
+        if opcode is OP_RECV:
             raise VerbsError("RECV is not a send-queue opcode; use RecvWR")
         if self.length < 0:
             raise VerbsError(f"negative WR length: {self.length}")
-        if self.opcode is Opcode.WRITE and self.value is None and self.buffer is None:
-            raise VerbsError("WRITE needs either a value or a buffer")
-        if self.opcode is Opcode.READ and self.buffer is None:
-            raise VerbsError("READ needs a local destination buffer")
+        if self.buffer is None:
+            if opcode is OP_WRITE and self.value is None:
+                raise VerbsError("WRITE needs either a value or a buffer")
+            if opcode is OP_READ:
+                raise VerbsError("READ needs a local destination buffer")
 
 
 @dataclass(slots=True)

@@ -393,6 +393,42 @@ class TestVS109SelfReferentialClosures:
         assert lint_source("telemetry/evil.py", source) == []
 
 
+class TestVS110EnumMemberLoads:
+    """A member loaded through its enum class inside a function pays the
+    enum metaclass's slow attribute path on every call."""
+
+    def test_member_loads_in_function_bodies_flagged(self):
+        source = (
+            "from repro.verbs.constants import Opcode, QPState\n"
+            "class Mode(enum.Enum):\n"
+            "    FAST = 1\n"
+            "def post(self, wr):\n"
+            "    if self.state is not QPState.RTS:\n"
+            "        raise VerbsError('not ready')\n"
+            "    handler = lambda wc: wc.opcode is Opcode.RECV\n"
+            "    return wr.opcode is Opcode.SEND and self.mode is Mode.FAST\n"
+        )
+        violations = lint_source("verbs/evil.py", source)
+        assert rules_of(violations) == ["VS110"] * 4
+        assert [v.line for v in violations] == [5, 7, 8, 8]
+        assert "QPState.RTS" in violations[0].message
+
+    def test_module_aliases_and_class_defaults_are_clean(self):
+        source = (
+            "from repro.verbs.constants import OP_SEND, Opcode, WCStatus\n"
+            "SEND = Opcode.SEND\n"
+            "class Completion:\n"
+            "    status: WCStatus = WCStatus.SUCCESS\n"
+            "    def is_send(self, opcode=Opcode.SEND):\n"
+            "        return self.opcode is OP_SEND and Opcode.__members__\n"
+        )
+        assert lint_source("core/transport/evil.py", source) == []
+        loads_in_a_function = "def f(wc):\n    return wc.op is Opcode.SEND\n"
+        assert lint_source("bench/evil.py", loads_in_a_function) == []
+        assert rules_of(lint_source("engine/evil.py", loads_in_a_function)) \
+            == ["VS110"]
+
+
 class TestSelectValidation:
     """parse_select is the single gate for --select: a typo'd rule id
     must error, not lint nothing and exit green."""

@@ -250,11 +250,9 @@ class TestCpuScaling:
     def test_fdr_cpu_slower_than_edr(self):
         assert FDR.cpu(1000) > EDR.cpu(1000)
 
-    def test_node_cpu_delay(self, sim):
-        fabric = make_fabric(sim, network=FDR)
-
+    def test_a_thread_sleeps_the_scaled_cost(self, sim):
         def proc():
-            yield fabric.node(0).cpu_delay(1000)
+            yield FDR.cpu(1000)
             return sim.now
 
-        assert sim.run_process(proc()) == FDR.cpu(1000)
+        assert sim.run_process(proc()) == FDR.cpu(1000) == 1400

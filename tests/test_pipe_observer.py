@@ -27,19 +27,23 @@ NIC_KINDS = {"nicproc": "proc", "egress": "egress", "ingress": "ingress"}
 
 
 def count_calls(monkeypatch):
-    """Count pipe charges and observer calls, per pipe."""
+    """Count pipe charges (a train or an occupation, each one call) and
+    observer calls, per pipe."""
     charges, calls = Counter(), Counter()
-    charge, observe = RatePipe._charge, Telemetry.pipe
+    observe = Telemetry.pipe
 
-    def counted_charge(pipe, units, duration):
-        charges[id(pipe)] += 1
-        return charge(pipe, units, duration)
+    def counted(charge):
+        def counted_charge(pipe, *args, **kwargs):
+            charges[id(pipe)] += 1
+            charge(pipe, *args, **kwargs)
+        return counted_charge
 
     def counted_observe(telemetry, kind, owner, pipe, *args):
         calls[id(pipe)] += 1
         observe(telemetry, kind, owner, pipe, *args)
 
-    monkeypatch.setattr(RatePipe, "_charge", counted_charge)
+    for name in ("submit_train", "submit_occupy"):
+        monkeypatch.setattr(RatePipe, name, counted(getattr(RatePipe, name)))
     monkeypatch.setattr(Telemetry, "pipe", counted_observe)
     return charges, calls
 

@@ -16,8 +16,10 @@ from repro.core.shuffle import (
     striped_partitioner,
 )
 from repro.fabric import EDR, FDR, ClusterConfig, QPContextCache, TopologySpec
+from repro.fabric.packet import make_train
 from repro.sim import AllOf, Barrier, RatePipe, Simulator
 from repro.telemetry import Telemetry
+from repro.verbs import Opcode, RecvWR, SendWR, VerbsError
 from repro.verbs.memory import AddressSpace
 
 
@@ -263,3 +265,66 @@ class TestConstructionProperties:
         built = build(**values)
         for field, value in values.items():
             assert getattr(built, field) == (value or EDR.cores_per_node)
+
+    @settings(max_examples=80, deadline=None)
+    @given(length=st.integers(-(1 << 20), 1 << 20),
+           transport=st.sampled_from([None, "RC", "UD"]),
+           wire_bytes=st.none() | st.integers(-(1 << 20), 1 << 21))
+    def test_a_train_builds_or_is_rejected(self, length, transport,
+                                           wire_bytes):
+        """``make_train`` needs ``transport`` or ``wire_bytes``; a
+        negative length, or wire bytes below the length, raise
+        ``ValueError``.  Every other draw builds that message."""
+        def build():
+            return make_train(EDR, src_node=0, dst_node=1, src_qpn=2,
+                              dst_qpn=3, kind="SEND", length=length,
+                              transport=transport, wire_bytes=wire_bytes)
+
+        if wire_bytes is None and transport is None:
+            with pytest.raises(ValueError, match="transport= or wire_bytes="):
+                build()
+            return
+        wire = (EDR.wire_bytes(length, transport) if wire_bytes is None
+                else wire_bytes)
+        if length < 0 or wire < length:
+            with pytest.raises(ValueError):
+                build()
+            return
+        packet = build()
+        assert (packet.length, packet.wire_bytes) == (length, wire)
+        assert (packet.kind, packet.dst_qpn, packet.dropped) == \
+            ("SEND", 3, False)
+
+    @settings(max_examples=80, deadline=None)
+    @given(opcode=st.sampled_from(list(Opcode)),
+           length=st.integers(-4, 1 << 20),
+           buffer=st.sampled_from([None, object()]),
+           value=st.none() | st.integers(0, (1 << 64) - 1))
+    def test_a_send_wr_builds_or_is_rejected(self, opcode, length, buffer,
+                                             value):
+        """A RECV opcode, a negative length, a WRITE with neither value
+        nor buffer and a READ without a buffer raise ``VerbsError``;
+        every other draw builds, by keywords or by position alike."""
+        bad = (opcode is Opcode.RECV or length < 0
+               or (opcode is Opcode.WRITE and value is None
+                   and buffer is None)
+               or (opcode is Opcode.READ and buffer is None))
+        if bad:
+            with pytest.raises(VerbsError):
+                SendWR(wr_id=1, opcode=opcode, buffer=buffer,
+                       length=length, value=value)
+            with pytest.raises(VerbsError):
+                SendWR(1, opcode, buffer, length, 0, None, value)
+            return
+        wr = SendWR(wr_id=1, opcode=opcode, buffer=buffer, length=length,
+                    value=value)
+        assert wr == SendWR(1, opcode, buffer, length, 0, None, value)
+
+    @settings(max_examples=40, deadline=None)
+    @given(length=st.integers(-(1 << 20), 1 << 20))
+    def test_a_recv_wr_needs_a_positive_length(self, length):
+        if length <= 0:
+            with pytest.raises(VerbsError, match="must be positive"):
+                RecvWR(1, None, length)
+            return
+        assert RecvWR(wr_id=1, buffer=None, length=length).length == length

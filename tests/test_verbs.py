@@ -1,7 +1,10 @@
 """Unit tests for the verbs layer (QPs, CQs, MRs, transports)."""
 
+from types import SimpleNamespace
+
 import pytest
 
+from repro.core.transport.dispatch import CompletionDispatcher
 from repro.fabric import EDR, ClusterConfig, Fabric
 from repro.memory import BufferPool
 from repro.sim import Simulator
@@ -159,6 +162,20 @@ class TestBufferPool:
         for index in (-1, 1000):
             with pytest.raises(IndexError):
                 pool.buffer(index)
+
+    def test_a_built_pool_still_rejects_an_index_outside_it(self, sim):
+        """A built slot is returned before the range check; a negative
+        index or one at ``count`` or past it still raises, however much
+        of the pool is built."""
+        _, ctxs = make_cluster(sim)
+        pool = BufferPool(ctxs[0], count=4, size=64)
+        for built_up_to in (0, 1, 4):
+            for i in range(built_up_to):
+                assert pool.buffer(i) is pool.buffer(i)
+            for index in (-1, -4, -5, 4, 5):
+                with pytest.raises(IndexError, match="outside a pool of 4"):
+                    pool.buffer(index)
+        assert built(pool) == [0, 1, 2, 3]
 
     @pytest.mark.parametrize("at_first", [True, False])
     def test_at_and_buffer_agree_whichever_comes_first(self, sim, at_first):
@@ -333,6 +350,27 @@ class TestCompletionQueue:
             cq.subscribe(lambda wc: None)
         cq.poll()
         cq.subscribe(lambda wc: None)
+
+    def test_dispatcher_routes_by_opcode_and_hashes_no_enum(
+            self, sim, monkeypatch):
+        """Handlers are found per opcode, an opcode with none is drained,
+        and no completion hashes its ``Opcode`` member on the way."""
+        cq = CompletionQueue(sim, Telemetry(sim, 0))
+        seen = []
+        CompletionDispatcher(SimpleNamespace(cq=cq)) \
+            .on(Opcode.RECV, lambda wc: seen.append(("recv", wc.wr_id))) \
+            .on(Opcode.WRITE, lambda wc: seen.append(("write", wc.wr_id))) \
+            .start()
+
+        def unhashable(member):
+            raise AssertionError(f"hashed {member!r}")
+
+        monkeypatch.setattr(Opcode, "__hash__", unhashable)
+        for wr_id, opcode in enumerate((Opcode.RECV, Opcode.SEND,
+                                        Opcode.WRITE, Opcode.READ)):
+            cq.push(WorkCompletion(wr_id, opcode))
+        assert seen == [("recv", 0), ("write", 2)]
+        assert cq.pushed == cq.polled == 4
 
 
 class TestRCSendRecv:
