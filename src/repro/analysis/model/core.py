@@ -13,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, fields, replace
 from typing import Any, Dict, List, NamedTuple, Optional, Tuple
 
+from repro.checks import count, validate
 from repro.core.endpoint import EndpointConfig
 
 __all__ = [
@@ -21,12 +22,6 @@ __all__ = [
     "ProtocolModel",
     "parse_bound",
 ]
-
-
-#: bound fields where 0 is a legal instance (no messages, no faults);
-#: every other field needs at least 1.
-_MAY_BE_ZERO = frozenset({"messages", "data_loss", "credit_loss",
-                          "final_loss", "qp_errors"})
 
 
 @dataclass(frozen=True)
@@ -47,35 +42,30 @@ class ModelBound:
     """
 
     #: receive-side peers the sender fans out to.
-    peers: int = 2
+    peers: int = count(1, default=2)
     #: data messages per peer-stream (plus one final marker each).
-    messages: int = 2
+    messages: int = count(0, default=2)
     #: receiver window: Receives initially posted = initial credit (the
     #: endpoints' ``buffers_per_connection`` at one thread per endpoint).
-    window: int = 2
+    window: int = count(1, default=2)
     #: Receives per credit write-back (§5.1.1).
-    credit_frequency: int = 2
+    credit_frequency: int = count(1, default=2)
     #: sender transmission-pool buffers shared across peers (§4.2).
-    sender_buffers: int = 2
+    sender_buffers: int = count(1, default=2)
     #: lossy transports only: data datagrams that may be dropped.
-    data_loss: int = 1
+    data_loss: int = count(0, default=1)
     #: lossy transports only: credit datagrams that may be dropped.
-    credit_loss: int = 1
+    credit_loss: int = count(0, default=1)
     #: lossy transports only: final markers that may be dropped (default
-    #: 0 — see DESIGN.md: a lost final is an *undetected* wedge).
-    final_loss: int = 0
+    #: 0 keeps the default instance small; the sender re-sends one).
+    final_loss: int = count(0, default=0)
     #: QP-error faults (RC: one connection; UD: the one shared QP).
-    qp_errors: int = 0
+    qp_errors: int = count(0, default=0)
     #: explorer cap on distinct states before giving up (incomplete).
-    max_states: int = 500_000
+    max_states: int = count(1, default=500_000)
 
     def __post_init__(self) -> None:
-        for f in fields(self):
-            least = 0 if f.name in _MAY_BE_ZERO else 1
-            value = getattr(self, f.name)
-            if value < least:
-                raise ValueError(
-                    f"bound {f.name} must be >= {least}, got {value}")
+        validate(self)
         # The runtime's window rule: no bound the endpoints refuse.
         EndpointConfig(buffers_per_connection=self.window,
                        credit_frequency=self.credit_frequency)

@@ -281,6 +281,18 @@ class CreditProtocolModel(ProtocolModel):
                     emit("keepalive", i, "receiver", False,
                          sh, with_peer(i, q))
 
+                # sender: with nothing in flight, a credit datagram
+                # reports fewer messages than were sent; the lost ones'
+                # credit comes back, and a lost final is sent again
+                if (not flags and p[CP_SENT] > p[CP_CONSUMED]
+                        and p[CP_DATA_FLY] == 0 and p[CP_FINAL] != F_FLY):
+                    q = list(p)
+                    q[CP_SENT] = p[CP_CONSUMED]
+                    if p[CP_FINAL] == F_LOST:
+                        q[CP_FINAL] = F_UNSENT
+                    emit("recover_lost", i, "sender", False,
+                         sh, with_peer(i, q))
+
                 # receiver: drain timeout fires -> detected failure
                 # (message counting: total known, stragglers impossible)
                 if (p[CP_FINAL] == F_SEEN

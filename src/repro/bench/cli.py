@@ -97,11 +97,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     # Validate eagerly so a typo fails before any experiment runs.
-    from repro.core.policy import parse_policy
     try:
         opts = Options(scale=args.scale, nodes=args.nodes,
                        tenants=args.tenants, policy=args.policy)
-        parse_policy(args.policy)
     except ValueError as exc:
         parser.error(str(exc))
 

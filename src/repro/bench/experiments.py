@@ -36,6 +36,7 @@ from repro.bench.workloads import (
     run_hierarchical,
     run_repartition,
 )
+from repro.checks import count, non_negative, one_of, positive, validate
 from repro.cluster import Cluster
 from repro.core.designs import PAPER_ORDER, design_properties
 from repro.core.endpoint import EndpointConfig
@@ -85,18 +86,16 @@ def _trunk_util_pct(m: Measurement) -> float:
 class Options:
     """What the CLI knows; every figure function is called with one."""
 
-    scale: float = 1.0
+    scale: float = positive(default=1.0)
     #: the ``--nodes`` override (``None``: each entry's paper default).
-    nodes: Optional[int] = None
-    tenants: int = 3
+    nodes: Optional[int] = count(1, default=None)
+    #: a victim and at least one aggressor.
+    tenants: int = count(2, default=3)
     policy: str = "adaptive"
 
     def __post_init__(self):
-        if not self.scale > 0:
-            raise ValueError(f"--scale must be positive, got {self.scale}")
-        if self.tenants < 2:
-            raise ValueError(
-                "--tenants must be >= 2 (a victim and an aggressor)")
+        validate(self)
+        parse_policy(self.policy)  # static:<DESIGN> is no fixed choice set
 
 
 # -- one point ------------------------------------------------------------------------
@@ -116,35 +115,31 @@ class Point:
     design: Any
     #: bytes per node; or, for a run sized by what a policy picks, a
     #: function of the built cluster (abl-adaptive).
-    volume: Union[int, Callable[[Cluster], int]] = 0
+    volume: Union[int, Callable[[Cluster], int]] = count(1, default=0)
     network: NetworkConfig = EDR
-    nodes: int = 8
+    nodes: int = count(1, default=8)
     #: 0: the network's cores per node.
-    threads: int = 0
+    threads: int = count(0, default=0)
     topology: TopologySpec = SINGLE_SWITCH
     #: run every NIC with an unbounded QP-context cache (abl-qp-cache).
     disable_qp_cache: bool = False
     #: ``repartition``, ``broadcast`` or ``hierarchical`` (the two-phase
     #: leaf-spine repartition of :func:`run_hierarchical`).
-    pattern: str = "repartition"
+    pattern: str = one_of(*RUNNERS, default="repartition")
     config: Optional[EndpointConfig] = None
-    num_endpoints: Optional[int] = None
-    compute_ns_per_batch: float = 0.0
+    num_endpoints: Optional[int] = count(1, default=None)
+    compute_ns_per_batch: float = non_negative(default=0.0)
     #: build the stage's connections and stop (fig12).
     setup_only: bool = False
 
     def __post_init__(self):
-        if self.pattern not in RUNNERS:
-            raise ValueError(f"pattern must be one of {', '.join(RUNNERS)}, "
-                             f"got {self.pattern!r}")
+        # A callable volume sizes its own run; a setup-only point sends none.
+        validate(self, skip=("volume",) if callable(self.volume)
+                 or self.setup_only else ())
         if self.pattern == "hierarchical" and self.num_endpoints is not None:
             raise ValueError("num_endpoints must be None for the "
                              "hierarchical pattern: its stages run their "
                              "designs' natural endpoint counts")
-        if (not callable(self.volume) and self.volume <= 0
-                and not self.setup_only):
-            raise ValueError(f"volume must be positive bytes per node, "
-                             f"got {self.volume}")
 
 
 @dataclass(frozen=True)

@@ -37,7 +37,7 @@ import enum
 from dataclasses import dataclass
 from typing import Any, Optional
 
-from repro.checks import check_count
+from repro.checks import count, validate
 
 __all__ = [
     "DataState",
@@ -74,29 +74,26 @@ class EndpointConfig:
 
     #: RDMA message size == transmission buffer size.  Capped at the MTU
     #: for Unreliable Datagram endpoints (§2.2.2).
-    message_size: int = 64 * 1024
+    message_size: int = count(64, default=64 * 1024)
     #: transmission buffers per connection per thread ("double buffering"
     #: by default, §5.1.2; the flow-control experiment of §5.1.1 uses 16).
-    buffers_per_connection: int = 2
+    buffers_per_connection: int = count(1, default=2)
     #: credit write-back frequency: the receiver returns credit after this
     #: many Receive requests have been reposted (§4.4.1, Fig 8).
-    credit_frequency: int = 2
+    credit_frequency: int = count(1, default=2)
     #: UD buffers-per-connection multiplier.  "Double buffering" refers to
     #: the 64 KiB RC buffers (§5.1.2); UD messages are MTU-sized, so the
     #: same *byte* window needs more buffers (the §5.1.1 experiments use
     #: 16 per remote node).  The stage multiplies buffers_per_connection
     #: by this factor for UD endpoints; pinned memory stays far below the
     #: RC designs' (Fig 9b).
-    ud_window_factor: int = 4
+    ud_window_factor: int = count(1, default=4)
     #: owning tenant of this endpoint's resources (multi-tenant service
     #: accounting and quota enforcement); None outside the service.
     tenant: Optional[str] = None
 
     def __post_init__(self):
-        check_count("message_size", self.message_size, minimum=64)
-        check_count("buffers_per_connection", self.buffers_per_connection)
-        check_count("credit_frequency", self.credit_frequency)
-        check_count("ud_window_factor", self.ud_window_factor)
+        validate(self)
         if self.credit_frequency > self.buffers_per_connection:
             # Otherwise the final write-back never happens and the sender
             # can starve for credit at end of stream (§5.1.1 discussion).

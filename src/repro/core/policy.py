@@ -31,10 +31,10 @@ policy) once, through :func:`resolve_plan`; below them only a
 from __future__ import annotations
 
 import dataclasses
-import numbers
 from dataclasses import dataclass
 from typing import Any, NamedTuple, Optional, Tuple, Union
 
+from repro.checks import count, validate
 from repro.core.designs import DESIGNS, Design, resolve_design
 from repro.core.endpoint import EndpointConfig
 
@@ -117,7 +117,7 @@ class StagePlan:
 
     design: Design
     #: endpoint count (None: the design's natural count).
-    num_endpoints: Optional[int] = None
+    num_endpoints: Optional[int] = count(1, default=None)
     #: False: even a single-endpoint stage exceeds the tenant's caps.
     runnable: bool = True
     #: True: ``num_endpoints`` was clamped below the natural count to
@@ -128,12 +128,7 @@ class StagePlan:
 
     def __post_init__(self):
         object.__setattr__(self, "design", resolve_design(self.design))
-        k = self.num_endpoints
-        if k is not None and (isinstance(k, bool) or not isinstance(
-                k, numbers.Integral) or k < 1):
-            raise ValueError(
-                f"num_endpoints must be None (the design's natural "
-                f"count) or an int >= 1, got {k!r}")
+        validate(self)
 
 
 # ---------------------------------------------------------------------------

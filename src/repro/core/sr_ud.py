@@ -10,7 +10,8 @@ scale (Table 1, Figs 10-11).  The price is software error handling:
   small datagrams carrying the absolute credit value.  Because the value
   is absolute, reordered or lost credit messages are superseded by the
   next one (the receiver additionally re-advertises credit on a slow
-  keepalive so a lost final credit cannot wedge the sender).
+  keepalive so a lost final credit cannot wedge the sender).  It also
+  reports what has arrived, so the sender can recover lost datagrams.
 * End of stream is detected by *message counting*: the sender counts
   datagrams per destination and ships the total in a final marker; the
   receiver compares totals with its own counts, waits up to the drain
@@ -106,17 +107,38 @@ class SRUDSendEndpoint(CreditedSendEndpoint):
             .start()
 
     def _on_credit(self, wc) -> None:
-        """Apply a credit-datagram arrival and recycle its receive slot."""
+        """Apply a credit-datagram arrival and recycle its receive slot.
+
+        The datagram also reports what the receiver holds (``seq``) and
+        whether it saw the final (``total``).  Short of what was sent a
+        keepalive period after the last post means lost, as no datagram
+        is in flight that long.  A lost datagram took no Receive, so its
+        credit comes back (the final's total still counts it, for
+        message counting to detect), and a lost final is sent again."""
         buf: Buffer = wc.wr_id
         frame: Frame = buf.payload
         # A credit datagram names the receiving endpoint; it counts only
         # if that is this sender's peer on the node it came from.
         if frame.kind == "credit" and \
                 self.peers.get(wc.src_node) == frame.src_endpoint:
-            grant_credit(self.conns[wc.src_node], frame.credit)
+            conn = self.conns[wc.src_node]
+            grant_credit(conn, frame.credit)
+            if frame.seq < conn.sent and \
+                    self.sim.now - conn.last_post >= DRAIN_TIMEOUT_NS // 4:
+                resend = conn.final_sent and frame.total is None
+                conn.lost += conn.sent - frame.seq - resend
+                conn.sent = frame.seq
+                if resend:
+                    self.sim.process(self._send_final(conn.node))
+                elif conn.notify is not None:
+                    conn.notify.notify_all()
         self._credit_in.repost(buf)
 
     # -- UD posting policy -------------------------------------------------
+
+    def _consume_credit(self, conn: UDCreditSender) -> None:
+        super()._consume_credit(conn)
+        conn.last_post = self.sim.now
 
     def _post_data(self, conn: UDCreditSender, buf: Buffer,
                    frame: Frame) -> None:
@@ -125,6 +147,7 @@ class SRUDSendEndpoint(CreditedSendEndpoint):
 
     def _post_final(self, conn: UDCreditSender, dest: int,
                     frame: Frame) -> None:
+        conn.final_sent = True
         self.qp.post_send(SendWR(
             wr_id=("final", dest), opcode=OP_SEND,
             buffer=FrameCarrier(frame), length=0, dest=conn.ah,

@@ -58,12 +58,15 @@ class CreditSender:
     """A credit-synchronized destination (§4.4.1): the sender transmits
     only while ``sent < credit``."""
 
-    __slots__ = ("node", "sent", "credit", "notify")
+    __slots__ = ("node", "sent", "lost", "credit", "notify")
 
     def __init__(self, node: int):
         #: destination node id.
         self.node = node
         self.sent = 0
+        #: messages taken back from ``sent`` as lost (UD; the final's
+        #: total still counts them).
+        self.lost = 0
         self.credit = 0
         #: wakes threads stalled for credit; built on the first wait.
         self.notify: Optional[Notify] = None
@@ -80,13 +83,16 @@ class RCCreditSender(CreditSender):
 
 
 class UDCreditSender(CreditSender):
-    """SR/UD: the destination's address handle on the shared QP."""
+    """SR/UD: the destination's address handle on the shared QP, when
+    the last message was posted to it, and whether that was the final."""
 
-    __slots__ = ("ah",)
+    __slots__ = ("ah", "last_post", "final_sent")
 
     def __init__(self, node: int):
         super().__init__(node)
         self.ah: Optional[AddressHandle] = None
+        self.last_post = 0
+        self.final_sent = False
 
 
 class RingSender:

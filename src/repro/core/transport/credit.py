@@ -226,15 +226,17 @@ class CreditDatagramPort:
     def post_credit(self, conn: UDCreditReceiver,
                     value: Optional[int] = None) -> None:
         """Send ``conn.posted`` (or an explicit ``value``, which the
-        sanitizer checks against it) as an absolute-credit datagram."""
+        sanitizer checks against it) as an absolute-credit datagram; it
+        also reports the messages received and the final's total, if
+        seen, so the sender can tell what was lost."""
         if value is None:
             value = conn.posted
         ctx = self.qp.ctx
         san = ctx.telemetry.sanitizer
         if san is not None:
             san.on_credit_issued(conn, value, node_id=ctx.node_id)
-        frame = Frame("credit", MORE_DATA, self.endpoint_id, 0, None, None,
-                      0, 0, value)
+        frame = Frame("credit", MORE_DATA, self.endpoint_id, conn.received,
+                      conn.expected, None, 0, 0, value)
         self.qp.post_send(SendWR(("credit", conn.endpoint), OP_SEND,
                                  FrameCarrier(frame), CREDIT_MSG_BYTES, 0,
                                  conn.ah, None, False))

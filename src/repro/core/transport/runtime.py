@@ -326,19 +326,22 @@ class CreditedSendEndpoint(SendEndpoint):
             self.record_send(dest, buf.length)
 
     def _send_finals(self):
+        for dest in self.destinations:
+            yield from self._send_final(dest)
+
+    def _send_final(self, dest: int):
         # End-of-stream markers carry the per-connection send total
         # (message counting, §4.4.2; harmless extra state under RC).
-        for dest in self.destinations:
-            conn = self.conns[dest]
-            yield from self._wait_credit(conn)
-            self._consume_credit(conn)
-            frame = Frame(
-                kind="final", state=DEPLETED,
-                src_endpoint=self.endpoint_id, seq=conn.sent,
-                total=conn.sent,
-            )
-            yield self.post_wr_cost
-            self._post_final(conn, dest, frame)
+        conn = self.conns[dest]
+        yield from self._wait_credit(conn)
+        self._consume_credit(conn)
+        frame = Frame(
+            kind="final", state=DEPLETED,
+            src_endpoint=self.endpoint_id, seq=conn.sent,
+            total=conn.sent + conn.lost,
+        )
+        yield self.post_wr_cost
+        self._post_final(conn, dest, frame)
 
     # -- posting policy supplied by the design -----------------------------
 

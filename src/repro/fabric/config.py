@@ -17,7 +17,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
-from repro.checks import check_count
+from repro.checks import (
+    count, non_negative, one_of, positive, probability, validate)
 
 __all__ = [
     "NetworkConfig", "ClusterConfig", "FDR", "EDR",
@@ -40,122 +41,92 @@ class NetworkConfig:
 
     # ---- link ----------------------------------------------------------
     #: effective data rate of one port after 64b/66b encoding, bytes/ns.
-    link_bytes_per_ns: float
+    link_bytes_per_ns: float = positive()
     #: one-way propagation + switch forwarding latency.
-    switch_latency_ns: int
+    switch_latency_ns: int = count(0)
     #: path MTU; also the maximum Unreliable Datagram message size (§2.2.2).
-    mtu: int
+    mtu: int = count(64)
 
     # ---- per-message wire overheads -------------------------------------
     #: LRH+BTH+ICRC framing for an RC packet.
-    rc_header_bytes: int
+    rc_header_bytes: int = count(0)
     #: GRH(40)+LRH+BTH+DETH framing for a UD packet.
-    ud_header_bytes: int
+    ud_header_bytes: int = count(0)
     #: size of an RC acknowledgment on the reverse path.
-    rc_ack_bytes: int
+    rc_ack_bytes: int = count(0)
 
     # ---- NIC ------------------------------------------------------------
     #: NIC processing time per work request (doorbell + WQE fetch + DMA
     #: setup); occupies the NIC processing engine.
-    nic_wr_ns: int
+    nic_wr_ns: int = count(0)
     #: number of Queue Pair contexts the NIC caches on-chip.  When the
     #: working set exceeds this, every touch of a cold QP pays
     #: ``qp_cache_miss_ns`` for a PCIe fetch — the mechanism behind the
     #: MQ-design degradation on FDR at 16 nodes (Figs 10, 11; [8,16,17]).
-    qp_cache_entries: int
+    qp_cache_entries: int = count(1)
     #: penalty per QP-context cache miss.
-    qp_cache_miss_ns: int
+    qp_cache_miss_ns: int = count(0)
     #: maximum work-queue depth supported by the hardware.
-    max_qp_depth: int
+    max_qp_depth: int = count(1)
 
     # ---- RDMA control-path costs ----------------------------------------
     #: time to create + transition one RC QP to RTS, including the
     #: out-of-band exchange of routing information (Fig 12).
-    rc_qp_connect_ns: int
+    rc_qp_connect_ns: int = count(0)
     #: time to create one UD QP (no per-peer handshake).
-    ud_qp_setup_ns: int
+    ud_qp_setup_ns: int = count(0)
     #: time to create one address handle for a UD destination.
-    ah_create_ns: int
+    ah_create_ns: int = count(0)
     #: memory registration: fixed cost plus per-4KiB-page pinning cost.
-    mr_register_base_ns: int
-    mr_register_ns_per_page: int
+    mr_register_base_ns: int = count(0)
+    mr_register_ns_per_page: int = count(0)
 
     # ---- CPU cost model ---------------------------------------------------
     #: multiplier on all CPU-side costs (FDR cluster has older, slower
     #: cores; the paper notes local processing is ~50% faster on EDR).
-    cpu_scale: float
+    cpu_scale: float = non_negative()
     #: worker threads available per query fragment (cores are exclusively
     #: bound; paper uses one thread per core).
-    cores_per_node: int
+    cores_per_node: int = count(1)
     #: hash + branch cost per tuple during partitioning (Alg. 1 line 8).
-    hash_ns_per_tuple: float
+    hash_ns_per_tuple: float = non_negative()
     #: memcpy cost per byte when copying tuples into registered buffers.
-    copy_ns_per_byte: float
+    copy_ns_per_byte: float = non_negative()
     #: CPU time to post one send/recv work request (ibv_post_send /
     #: ibv_post_recv), charged to the calling thread.
-    post_wr_ns: int
+    post_wr_ns: int = count(0)
     #: CPU time for one ibv_poll_cq invocation.
-    poll_cq_ns: int
+    poll_cq_ns: int = count(0)
     #: extra serialized bookkeeping (credit check, state update) an
     #: endpoint performs per SEND under its lock; this is what makes the
     #: shared single-QP design (SESQ/SR) contend (§5.1.3 profiling).
-    endpoint_send_ns: int
+    endpoint_send_ns: int = count(0)
 
     # ---- TCP/IP over InfiniBand (the IPoIB baseline) ---------------------
     #: per-byte CPU cost of the kernel TCP stack (each side); the paper's
     #: profiling shows ~2/3 of cycles inside send()/recv().
-    tcp_ns_per_byte: float
+    tcp_ns_per_byte: float = non_negative()
     #: per-call overhead of send()/recv()/select().
-    tcp_syscall_ns: int
+    tcp_syscall_ns: int = count(0)
     #: fraction of the link rate IPoIB can drive at best.
-    ipoib_efficiency: float
+    ipoib_efficiency: float = positive(at_most=1.0)
 
     # ---- MPI (the MVAPICH baseline) ---------------------------------------
     #: eager/rendezvous switchover threshold.
-    mpi_eager_threshold: int
+    mpi_eager_threshold: int = count(0)
     #: per-message MPI software overhead (matching, tag lookup).
-    mpi_overhead_ns: int
+    mpi_overhead_ns: int = count(0)
     #: per-byte copy cost through MPI internal buffers (eager path).
-    mpi_copy_ns_per_byte: float
+    mpi_copy_ns_per_byte: float = non_negative()
 
     # ---- unreliable datagram behaviour ------------------------------------
     #: max extra random delay a UD packet may see (drives out-of-order
     #: delivery; InfiniBand is lossless but unordered for UD, §4.4.2).
-    ud_jitter_ns: int
+    ud_jitter_ns: int = count(0)
     #: probability that a UD packet is lost (bit errors; rare, default 0).
-    ud_loss_probability: float = 0.0
+    ud_loss_probability: float = probability(default=0.0)
 
-    #: fields that are latencies, costs, sizes or jitter: at least 0.
-    _NON_NEGATIVE = (
-        "switch_latency_ns", "rc_header_bytes", "ud_header_bytes",
-        "rc_ack_bytes", "nic_wr_ns", "qp_cache_miss_ns", "rc_qp_connect_ns",
-        "ud_qp_setup_ns", "ah_create_ns", "mr_register_base_ns",
-        "mr_register_ns_per_page", "cpu_scale", "hash_ns_per_tuple",
-        "copy_ns_per_byte", "post_wr_ns", "poll_cq_ns", "endpoint_send_ns",
-        "tcp_ns_per_byte", "tcp_syscall_ns", "mpi_eager_threshold",
-        "mpi_overhead_ns", "mpi_copy_ns_per_byte", "ud_jitter_ns")
-    #: fields that count something: ints, at least 1.
-    _COUNTS = ("qp_cache_entries", "max_qp_depth", "cores_per_node")
-
-    def __post_init__(self):
-        """Reject a value the simulation would fail on mid-run, or never
-        finish with, naming the field."""
-        if not self.link_bytes_per_ns > 0:
-            raise ValueError(f"link_bytes_per_ns must be positive, "
-                             f"got {self.link_bytes_per_ns}")
-        if not 0 <= self.ud_loss_probability <= 1:
-            raise ValueError(f"ud_loss_probability must be in [0, 1], "
-                             f"got {self.ud_loss_probability}")
-        if not 0 < self.ipoib_efficiency <= 1:
-            raise ValueError(f"ipoib_efficiency must be in (0, 1], "
-                             f"got {self.ipoib_efficiency}")
-        check_count("mtu", self.mtu, minimum=64)
-        for name in self._COUNTS:
-            check_count(name, getattr(self, name))
-        for name in self._NON_NEGATIVE:
-            if not getattr(self, name) >= 0:
-                raise ValueError(
-                    f"{name} must be >= 0, got {getattr(self, name)}")
+    __post_init__ = validate
 
     @property
     def page_size(self) -> int:
@@ -267,21 +238,14 @@ class TopologySpec:
       ``oversubscription > 1`` starves cross-leaf traffic.
     """
 
-    kind: str = "single-switch"
+    kind: str = one_of("single-switch", "leaf-spine",
+                       default="single-switch")
     #: trunk oversubscription factor k in a k:1 leaf-spine fabric.
-    oversubscription: int = 1
+    oversubscription: int = count(1, default=1)
     #: nodes attached to each leaf switch (leaf-spine only).
-    nodes_per_leaf: int = 4
+    nodes_per_leaf: int = count(1, default=4)
 
-    _KINDS = ("single-switch", "leaf-spine")
-
-    def __post_init__(self):
-        if self.kind not in self._KINDS:
-            raise ValueError(
-                f"unknown topology kind {self.kind!r}; "
-                f"expected one of {', '.join(self._KINDS)}")
-        check_count("oversubscription", self.oversubscription)
-        check_count("nodes_per_leaf", self.nodes_per_leaf)
+    __post_init__ = validate
 
     def describe(self) -> str:
         if self.kind == "leaf-spine":
@@ -306,15 +270,15 @@ class ClusterConfig:
     """A concrete experiment platform: a network preset plus topology."""
 
     network: NetworkConfig
-    num_nodes: int
-    threads_per_node: int = 0  # 0 => network.cores_per_node
-    seed: int = 1
+    num_nodes: int = count(1)
+    threads_per_node: int = count(0, default=0)
+    seed: int = count(0, default=1)
     #: switch wiring; the paper's platform is one full-bisection switch.
     topology: TopologySpec = SINGLE_SWITCH
 
     def __post_init__(self):
-        check_count("num_nodes", self.num_nodes)
-        check_count("threads_per_node", self.threads_per_node, minimum=0)
+        validate(self)
+        # 0 threads: the network's cores per node.
         if self.threads_per_node == 0:
             object.__setattr__(
                 self, "threads_per_node", self.network.cores_per_node

@@ -11,6 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Dict, List
 
+from repro.checks import count, validate
 from repro.core.policy import DesignLike
 from repro.sim import Notify, Simulator
 
@@ -27,22 +28,14 @@ class TenantSpec:
     #: :func:`~repro.core.policy.resolve_plan`).
     design: DesignLike = "MESQ/SR"
     #: per-node shuffle volume of one job.
-    bytes_per_job: int = 2 << 20
+    bytes_per_job: int = count(1, default=2 << 20)
     #: open-loop mean inter-arrival gap (exponential); the offered-load
     #: knob of the svc-tenants ablation.
-    mean_interarrival_ns: int = 3_000_000
+    mean_interarrival_ns: int = count(1, default=3_000_000)
     #: jobs this tenant submits over the run.
-    jobs: int = 4
+    jobs: int = count(0, default=4)
 
-    def __post_init__(self):
-        for field_name, minimum in (("bytes_per_job", 1),
-                                    ("mean_interarrival_ns", 1),
-                                    ("jobs", 0)):
-            value = getattr(self, field_name)
-            if value < minimum:
-                raise ValueError(
-                    f"TenantSpec {self.name!r}: {field_name} must be "
-                    f">= {minimum}, not {value}")
+    __post_init__ = validate
 
 
 @dataclass

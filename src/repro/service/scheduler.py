@@ -35,6 +35,7 @@ import random
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional
 
+from repro.checks import count, validate
 from repro.cluster import Cluster
 from repro.core.endpoint import EndpointConfig
 from repro.core.groups import TransmissionGroups
@@ -72,14 +73,11 @@ class ServiceConfig:
     """Scheduler tunables."""
 
     #: jobs allowed in flight simultaneously (placement slots).
-    max_concurrent: int = 2
+    max_concurrent: int = count(1, default=2)
     #: seed for the per-tenant arrival processes.
-    seed: int = 1
+    seed: int = count(0, default=1)
 
-    def __post_init__(self):
-        if self.max_concurrent < 1:
-            raise ValueError(
-                f"max_concurrent must be >= 1, not {self.max_concurrent}")
+    __post_init__ = validate
 
 
 class FifoPolicy:

@@ -223,16 +223,18 @@ class TestExperiments:
                 cli_main(["table1", "fig14a", "--scale", scale])
             assert exc.value.code == 2
             captured = capsys.readouterr()
-            assert "--scale must be positive" in captured.err
+            assert "scale must be a finite real > 0" in captured.err
             assert captured.out == ""
 
     @pytest.mark.parametrize("bad, message", [
-        (dict(tenants=1), "--tenants must be >= 2"),
-        (dict(scale=0.0), "--scale must be positive"),
-    ], ids=["tenants", "scale"])
+        (dict(tenants=1), "tenants must be an int >= 2"),
+        (dict(scale=0.0), "scale must be a finite real > 0"),
+        (dict(policy="zzz"), "unknown policy 'zzz'"),
+    ], ids=["tenants", "scale", "policy"])
     def test_options_reject_bad_values_at_construction(self, bad, message):
         """svc-tenants with one tenant used to simulate for seconds and
-        then die on an empty aggressor list."""
+        then die on an empty aggressor list, and an unknown policy
+        constructed."""
         with pytest.raises(ValueError, match=f"^{message}"):
             Options(**bad)
 

@@ -19,6 +19,7 @@ from repro import (
 )
 from repro.core import ReceiveOperator, ShuffleOperator
 from repro.core.shuffle import striped_partitioner
+from repro.core.sr_ud import SRUDSendEndpoint
 from repro.engine import CollectSink, QueryFragment, run_fragments
 from repro.engine.scan import ScanOperator
 
@@ -131,6 +132,57 @@ class TestUnreliableDatagram:
         cfg = EndpointConfig(message_size=4096)
         run_stage_query(cluster, "MESQ/SR", rows_per_node=30000,
                         config=cfg, expect_error=True)
+
+    @staticmethod
+    def _watchdog(cluster):
+        """Fail, instead of hang, a run whose keepalive would go on
+        forever: a wedged UD stream never empties the event queue."""
+        def expire():
+            raise AssertionError("still running after 1 s simulated")
+        cluster.sim.call_later(1_000_000_000, expire)
+
+    def test_lost_final_is_sent_again(self, monkeypatch):
+        """A final marker lost in the network used to leave its source
+        live forever; the receiver's keepalive now reports it missing,
+        the sender re-sends it, and every tuple arrives."""
+        lost = []
+        post_final = SRUDSendEndpoint._post_final
+
+        def lose_first(ep, conn, dest, frame):
+            if lost:
+                return post_final(ep, conn, dest, frame)
+            lost.append(frame.total)
+            conn.final_sent = True
+
+        monkeypatch.setattr(SRUDSendEndpoint, "_post_final", lose_first)
+        cluster = make_cluster()
+        self._watchdog(cluster)
+        _, sinks, _ = run_stage_query(cluster, "MESQ/SR")
+        assert lost
+        assert sum(len(s.result()) for s in sinks) == 2 * 3000
+
+    def test_lost_datagram_holding_the_only_credit_is_detected(
+            self, monkeypatch):
+        """At a window of one, a lost datagram took the only credit, so
+        the final never went and nothing timed out; its credit now comes
+        back, the final goes, and message counting reports the loss."""
+        lost = []
+        post_data = SRUDSendEndpoint._post_data
+
+        def lose_first(ep, conn, buf, frame):
+            if lost:
+                return post_data(ep, conn, buf, frame)
+            lost.append(buf)
+            if ep._pending.complete(buf):  # UD completes at send time
+                ep.recycle(buf)
+
+        monkeypatch.setattr(SRUDSendEndpoint, "_post_data", lose_first)
+        cluster = make_cluster()
+        self._watchdog(cluster)
+        cfg = EndpointConfig(message_size=4096, buffers_per_connection=1,
+                             credit_frequency=1, ud_window_factor=1)
+        run_stage_query(cluster, "MESQ/SR", config=cfg, expect_error=True)
+        assert lost
 
     def test_zero_loss_zero_drops(self):
         cluster = make_cluster()

@@ -9,9 +9,9 @@ facts it proves about the real designs:
   can starve the sender at end of stream, so a bound takes the
   endpoints' own guard and refuses it; below that rule every lossless
   stream verifies;
-* a lost final-credit datagram silently wedges SR/UD (caught by
-  eventual-delivery, not deadlock-freedom: keepalive cycles keep the
-  system live but never delivering);
+* SR/UD recovers a lost final and a lost datagram that held the only
+  credit (eventual-delivery used to fail on both: keepalive cycles kept
+  the system live but never delivering);
 * a QP error is terminal for SR/RC at this layer (no recovery path —
   the ROADMAP direction-1(d) gate).
 """
@@ -41,7 +41,7 @@ FAST = {"SR_UD": parse_bound("peers=1"), "SR_UD_MC": parse_bound("peers=1")}
 #: (states, transitions) of each kind's full state graph at its bound
 #: above: a change to how a model is built must not change what it
 #: explores.
-SIZES = {"SR_UD": (720, 2738), "SR_UD_MC": (720, 2794),
+SIZES = {"SR_UD": (1004, 3650), "SR_UD_MC": (1004, 3850),
          "RD_RC": (2080, 6226), "SR_RC": (562, 1548), "WR_RC": (3121, 11812)}
 
 #: §4.4.1 starvation instance: 4 messages, window 2, write-back only
@@ -113,9 +113,20 @@ class TestStarvationLaw:
 
 
 class TestFaultBudgets:
-    def test_sr_ud_lost_final_credit_wedges_silently(self):
-        result = check_kind("SR_UD", parse_bound("peers=1,final_loss=1"))
-        assert result.status_of("eventual-delivery").status == "fail"
+    @pytest.mark.parametrize("kind", ["SR_UD", "SR_UD_MC"])
+    @pytest.mark.parametrize("spec", [
+        "peers=1,final_loss=1",
+        "peers=1,window=1,credit_frequency=1,data_loss=1,credit_loss=0",
+    ], ids=["final-loss", "window-1-data-loss"])
+    def test_sr_ud_lost_final_is_recovered(self, kind, spec):
+        """A lost final, or a lost datagram holding the only credit,
+        used to wedge the stream silently: the sender now takes back a
+        lost datagram's credit and re-sends a lost final once the
+        receiver's credit report shows them missing."""
+        result = check_kind(kind, parse_bound(spec))
+        assert result.explored.complete
+        assert result.passed, [
+            (p.name, p.status, p.detail) for p in result.properties]
 
     def test_sr_rc_qp_error_is_terminal(self):
         result = check_kind("SR_RC", QP_ERROR)
@@ -156,7 +167,7 @@ class TestBoundsAndExtraction:
         with pytest.raises(SystemExit) as exit_info:
             main(["model", "--kind", "SR_RC", "--bound", spec])
         assert exit_info.value.code == 2
-        assert f"{field} must be >=" in capsys.readouterr().err
+        assert f"{field} must be an int >=" in capsys.readouterr().err
 
     def test_zero_messages_is_a_legal_bound(self):
         assert check_kind("SR_RC", parse_bound("messages=0")).passed

@@ -12,8 +12,7 @@ import dataclasses
 
 import pytest
 
-from repro import Cluster, ClusterConfig, EDR, FDR, LEAF_SPINE, \
-    TransmissionGroups
+from repro import Cluster, ClusterConfig, EDR, LEAF_SPINE, TransmissionGroups
 from repro.bench.workloads import run_hierarchical, run_repartition
 from repro.core.designs import DESIGNS, UnknownDesignError, resolve_design
 from repro.core.endpoint import EndpointConfig

@@ -1,12 +1,16 @@
 """Property-based tests (hypothesis) for core data structures & invariants."""
 
 import dataclasses
+import math
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.analysis.model.core import ModelBound
+from repro.bench.experiments import Options, Point
+from repro.checks import CHECK
 from repro.core.endpoint import EndpointConfig
 from repro.core.groups import TransmissionGroups
 from repro.core.policy import StagePlan
@@ -15,8 +19,16 @@ from repro.core.shuffle import (
     hash_partitioner,
     striped_partitioner,
 )
-from repro.fabric import EDR, FDR, ClusterConfig, QPContextCache, TopologySpec
+from repro.fabric import (
+    EDR,
+    FDR,
+    ClusterConfig,
+    NetworkConfig,
+    QPContextCache,
+    TopologySpec,
+)
 from repro.fabric.packet import make_train
+from repro.service import ServiceConfig, TenantSpec
 from repro.sim import AllOf, Barrier, RatePipe, Simulator
 from repro.telemetry import Telemetry
 from repro.verbs import Opcode, RecvWR, SendWR, VerbsError
@@ -217,54 +229,77 @@ class TestWireBytesProperties:
                 assert ud == payload + net.ud_header_bytes
 
 
-#: edge values for a count field: 0, -1, valid ints, a huge value, a
-#: float where an int belongs and a string.
-EDGE_COUNTS = st.sampled_from([0, -1, 1, 3, 1 << 40, 1.5, "2"])
+#: edge values every checked field is drawn from: 0, -1, 1, a huge
+#: value, inf, NaN, a float where an int belongs and an unknown string.
+EDGE_VALUES = (0, -1, 1, 1 << 40, math.inf, math.nan, 1.5, "x")
 
-#: constructor -> its count fields and each field's minimum.
-COUNT_FIELDS = {
-    "TopologySpec": (lambda **kw: TopologySpec("leaf-spine", **kw),
-                     {"oversubscription": 1, "nodes_per_leaf": 1}),
-    "ClusterConfig": (lambda **kw: ClusterConfig(network=EDR, **kw),
-                      {"num_nodes": 1, "threads_per_node": 0}),
-    "StagePlan": (lambda **kw: StagePlan("MESQ/SR", **kw),
-                  {"num_endpoints": 1}),
-    "NetworkConfig": (lambda **kw: dataclasses.replace(EDR, **kw),
-                      {"mtu": 64, "qp_cache_entries": 1, "max_qp_depth": 1,
-                       "cores_per_node": 1}),
-    # credit_frequency may not exceed buffers_per_connection, so each
-    # entry holds the other one where every drawn value satisfies that.
-    "EndpointConfig": (
-        lambda **kw: EndpointConfig(credit_frequency=1, **kw),
-        {"message_size": 64, "buffers_per_connection": 1,
-         "ud_window_factor": 1}),
-    "EndpointConfig.credit_frequency": (
-        lambda **kw: EndpointConfig(buffers_per_connection=1 << 41, **kw),
-        {"credit_frequency": 1}),
+#: the public configuration records, each built with one drawn field set
+#: and the others at values that keep its cross-field rules whatever is
+#: drawn: a window no credit frequency exceeds, a plain volume.
+RECORDS = {
+    "NetworkConfig": (NetworkConfig,
+                      lambda **kw: dataclasses.replace(EDR, **kw)),
+    "TopologySpec": (TopologySpec, TopologySpec),
+    "ClusterConfig": (ClusterConfig, lambda **kw: ClusterConfig(
+        **{"network": EDR, "num_nodes": 2, **kw})),
+    "EndpointConfig": (EndpointConfig, lambda **kw: EndpointConfig(
+        **{"buffers_per_connection": 1 << 41, "credit_frequency": 1, **kw})),
+    "StagePlan": (StagePlan, lambda **kw: StagePlan("MESQ/SR", **kw)),
+    "TenantSpec": (TenantSpec, lambda **kw: TenantSpec("t", **kw)),
+    "ServiceConfig": (ServiceConfig, ServiceConfig),
+    "Options": (Options, Options),
+    "Point": (Point, lambda **kw: Point("MESQ/SR", **{"volume": 1, **kw})),
+    "ModelBound": (ModelBound, lambda **kw: ModelBound(
+        **{"window": 1 << 41, "credit_frequency": 1, **kw})),
 }
 
 
+#: values no checked field takes: an unknown string, NaN, inf and -1.
+NEVER = ("x", math.nan, math.inf, -1)
+
+
 class TestConstructionProperties:
-    @pytest.mark.parametrize("name", sorted(COUNT_FIELDS))
-    @settings(max_examples=40, deadline=None)
+    def test_every_number_field_declares_its_check(self):
+        """An int-, float- or ``Optional[int]``-annotated field of a
+        public record must say what values it takes."""
+        unchecked = [f"{cls.__name__}.{f.name}"
+                     for cls, _build in RECORDS.values()
+                     for f in dataclasses.fields(cls)
+                     if f.type in ("int", "float", "Optional[int]")
+                     and CHECK not in f.metadata]
+        assert not unchecked
+
+    @pytest.mark.parametrize("name", sorted(RECORDS))
+    @settings(max_examples=60, deadline=None)
     @given(data=st.data())
     def test_a_count_constructs_or_is_rejected_by_name(self, name, data):
-        """A count that is not an int at or above its minimum raises
-        ``ValueError`` naming the field; every other draw constructs
-        and keeps the value (ClusterConfig's 0 threads: the cores)."""
-        build, minimums = COUNT_FIELDS[name]
-        values = {field: data.draw(EDGE_COUNTS, label=field)
-                  for field in minimums}
-        bad = [field for field, value in values.items()
-               if not (type(value) is int and value >= minimums[field])]
-        if bad:
-            with pytest.raises(ValueError) as exc:
-                build(**values)
-            assert str(exc.value).split(" ")[0] in bad, str(exc.value)
+        """Any checked field (a count, a real or a choice) set to an edge
+        value, its value in a valid record, or ``None`` where that is its
+        default, either constructs and keeps the value, or raises
+        ``ValueError`` starting with the field's name.  :data:`NEVER`
+        and a float where no float belongs are always refused; a valid
+        record's value and a ``None`` default are always kept
+        (ClusterConfig's 0 threads: the network's cores)."""
+        cls, build = RECORDS[name]
+        checked = {f.name: f for f in dataclasses.fields(cls)
+                   if CHECK in f.metadata}
+        f = checked[data.draw(st.sampled_from(sorted(checked)),
+                              label="field")]
+        valid = (getattr(build(), f.name),) + (
+            (None,) if f.default is None else ())
+        value = data.draw(st.sampled_from(EDGE_VALUES + valid),
+                          label="value")
+        try:
+            built = build(**{f.name: value})
+        except ValueError as exc:
+            assert str(exc).startswith(f"{f.name} "), str(exc)
+            assert value not in valid
             return
-        built = build(**values)
-        for field, value in values.items():
-            assert getattr(built, field) == (value or EDR.cores_per_node)
+        assert value not in NEVER
+        assert not (value == 1.5 and f.type != "float")
+        expected = (EDR.cores_per_node if (name, f.name, value) ==
+                    ("ClusterConfig", "threads_per_node", 0) else value)
+        assert getattr(built, f.name) == expected
 
     @settings(max_examples=80, deadline=None)
     @given(length=st.integers(-(1 << 20), 1 << 20),

@@ -10,7 +10,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from repro import ClusterConfig, EDR, EndpointConfig
+from repro import EDR, EndpointConfig
 from repro.analysis import RUNTIME_RULES, Sanitizer
 from repro.core.designs import Design, EndpointKind
 from repro.core.sr_rc import SRRCReceiveEndpoint, SRRCSendEndpoint
