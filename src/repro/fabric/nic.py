@@ -25,7 +25,7 @@ Every charge of the three pipes goes through :meth:`NIC.submit_wr`,
 whose work requests touch no QP context.  While the tracer or the link
 recorder is on, each makes one call, ``telemetry.pipe``, with the
 interval's base / cache-penalty / DMA-extra decomposition before the
-charge; it becomes a link-recorder row and a trace span, and recording
+charge; it becomes one row of the pipe store both read, and recording
 only reads pipe state, so it cannot perturb event order.
 """
 
@@ -124,7 +124,7 @@ class NIC:
         return self.config.qp_cache_miss_ns
 
     def submit_wr(self, qpn: Optional[int], func: "Callable[[], None]",
-                  extra_ns: int = 0, flow: int = 0) -> None:
+                  extra_ns: int = 0) -> None:
         """Occupy the processing engine for one work request on ``qpn``
         (``None``: on no QP context, as MPI's runtime posts them); runs
         ``func()`` once the NIC has finished processing (the point at
@@ -134,11 +134,10 @@ class NIC:
         telemetry = self.telemetry
         if telemetry.pipes_observed:
             telemetry.pipe("proc", self.node_id, self.processor, wr_ns,
-                           penalty, extra_ns, flow)
+                           penalty, extra_ns)
         self.processor.submit_occupy(wr_ns + penalty + extra_ns, func)
 
-    def submit_tx(self, wire_bytes: int, func: "Callable[[], None]",
-                  flow: int = 0) -> None:
+    def submit_tx(self, wire_bytes: int, func: "Callable[[], None]") -> None:
         """Serialize a message of ``wire_bytes`` onto the outbound link;
         runs ``func()`` once it has fully left the NIC."""
         self.tx_messages += 1
@@ -146,11 +145,11 @@ class NIC:
         if telemetry.pipes_observed:
             telemetry.pipe("egress", self.node_id, self.egress,
                            self.egress._serialization_ns(wire_bytes), 0, 0,
-                           flow, wire_bytes)
+                           wire_bytes)
         self.egress.submit_train(wire_bytes, func)
 
     def submit_rx(self, wire_bytes: int, qpn: int,
-                  func: "Callable[[], None]", flow: int = 0) -> None:
+                  func: "Callable[[], None]") -> None:
         """Serialize a message of ``wire_bytes`` off the inbound link into
         ``qpn``; runs ``func()`` once it has fully arrived.
 
@@ -166,5 +165,5 @@ class NIC:
         if telemetry.pipes_observed:
             telemetry.pipe("ingress", self.node_id, self.ingress,
                            self.ingress._serialization_ns(wire_bytes),
-                           penalty, 0, flow, wire_bytes)
+                           penalty, 0, wire_bytes)
         self.ingress.submit_train(wire_bytes, func, extra_ns=penalty)

@@ -75,7 +75,7 @@ class Flight:
         completion."""
         packet = self.packet
         self.fabric.nodes[packet.src_node].nic.submit_tx(
-            packet.wire_bytes, self._egressed, flow=packet.flow)
+            packet.wire_bytes, self._egressed)
 
     def _egressed(self) -> None:
         # The first hop is scheduled before the sender hears of the
@@ -113,7 +113,7 @@ class Flight:
         if telemetry.pipes_observed:
             telemetry.pipe("trunk", hop.port.name, pipe,
                            pipe._serialization_ns(wire_bytes), 0, 0,
-                           self.packet.flow, wire_bytes)
+                           wire_bytes)
         pipe.submit_train(wire_bytes, self._forward)
 
     def _forward(self) -> None:
@@ -131,8 +131,7 @@ class Flight:
                 self.on_arrival(packet)
                 return
         fabric.nodes[packet.dst_node].nic.submit_rx(
-            packet.wire_bytes, packet.dst_qpn, self._deliver,
-            flow=packet.flow)
+            packet.wire_bytes, packet.dst_qpn, self._deliver)
 
     def _deliver(self) -> None:
         self.fabric.delivered_messages += 1

@@ -22,23 +22,20 @@ the kind of behavioral drift a throughput number can hide.
 
 from __future__ import annotations
 
-import argparse
-import json
-import sys
 from typing import Any, Dict, List, Optional
 
 from repro.obs.critical_path import CATEGORIES
 from repro.obs.report import REPORT_SCHEMA
 
-__all__ = ["diff", "main"]
+__all__ = ["check_schema", "diff", "summary_line"]
 
 #: aggregate latency percentiles whose change a difference reports.
 PERCENTILE_KEYS = ("p50", "p90", "p99")
 
 
-def _check_schema(document: Dict[str, Any], label: str) -> List[str]:
-    schema = document.get("schema", {})
-    if schema.get("name") != REPORT_SCHEMA["name"]:
+def check_schema(document: Any, label: str) -> List[str]:
+    schema = document.get("schema", {}) if type(document) is dict else {}
+    if type(schema) is not dict or schema.get("name") != REPORT_SCHEMA["name"]:
         return [f"{label}: not a {REPORT_SCHEMA['name']} document "
                 f"(schema {schema!r})"]
     if schema.get("version") != REPORT_SCHEMA["version"]:
@@ -89,7 +86,7 @@ def diff(baseline: Dict[str, Any], fresh: Dict[str, Any]) -> List[str]:
     lines (empty = the gate passes).  A differing experiment contributes
     ``"<name>: <first differing key> differs from the baseline"``
     followed by its :func:`_changes` lines."""
-    failures = _check_schema(baseline, "baseline") + _check_schema(
+    failures = check_schema(baseline, "baseline") + check_schema(
         fresh, "fresh")
     if failures:
         return failures
@@ -110,7 +107,7 @@ def diff(baseline: Dict[str, Any], fresh: Dict[str, Any]) -> List[str]:
     return failures
 
 
-def _summary_line(name: str, entry: Dict[str, Any]) -> str:
+def summary_line(name: str, entry: Dict[str, Any]) -> str:
     agg = entry.get("aggregate") or {}
     attribution = agg.get("attribution", {})
     latency = agg.get("latency_ns", {})
@@ -118,33 +115,3 @@ def _summary_line(name: str, entry: Dict[str, Any]) -> str:
     p99 = latency.get("p99")
     p99_txt = f"{p99:,.0f}ns" if p99 is not None else "n/a"
     return f"{name}: top={top} p99={p99_txt} runs={agg.get('runs', 0)}"
-
-
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.obs diff",
-        description="Fail unless every experiment's aggregate in a fresh "
-                    "obs report equals the committed baseline's.",
-    )
-    parser.add_argument("baseline", help="committed baseline report JSON")
-    parser.add_argument("fresh", help="freshly generated report JSON")
-    args = parser.parse_args(argv)
-
-    with open(args.baseline) as fh:
-        baseline = json.load(fh)
-    with open(args.fresh) as fh:
-        fresh = json.load(fh)
-
-    for entry in fresh.get("experiments", []):
-        print(_summary_line(entry["name"], entry))
-
-    failures = diff(baseline, fresh)
-    if failures:
-        print(*failures, sep="\n", file=sys.stderr)
-        return 1
-    print("obs diff: every experiment equals the baseline")
-    return 0
-
-
-if __name__ == "__main__":  # pragma: no cover
-    sys.exit(main())

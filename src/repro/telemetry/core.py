@@ -20,10 +20,10 @@ layers — harvesting is duck-typed over the objects handed to
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional
 
 from repro.telemetry.links import FlowRecorder
-from repro.telemetry.trace import TraceBudget, Tracer
+from repro.telemetry.trace import PipeRows, TraceBudget, Tracer
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.sim import Simulator
@@ -93,9 +93,8 @@ class Telemetry:
         self.qp_miss_by_qpn: Optional[Dict[int, int]] = None
         #: set once the tracer or the link recorder is on.
         self.pipes_observed = False
-        #: (kind, owner) of each fabric pipe -> its trace node, track
-        #: and span name.
-        self._pipe_tracks: Dict[Tuple[str, Any], Tuple[int, str, str]] = {}
+        #: the pipe charges the tracer or the link recorder kept.
+        self.pipe_rows = PipeRows()
         #: the final snapshot, once the cluster has been disposed.
         self._sealed: Optional[Dict[str, Any]] = None
 
@@ -107,22 +106,15 @@ class Telemetry:
         real nodes — one pseudo-node per switch with a thread per trunk
         port."""
         self._fabric = fabric
-        tracks = self._pipe_tracks
+        tracks = self.pipe_rows.tracks
         for node in fabric.nodes:
             for kind, track, name in _NIC_PIPES:
                 tracks[kind, node.id] = (node.id, track, name)
         for switch in fabric.topology.switches:
+            node = self.num_nodes + switch.index
             for port in switch.ports:
-                tracks["trunk", port.name] = (self.num_nodes + switch.index,
-                                              port.local_name, "fwd")
-        if self.tracer is not None:
-            self._name_switches()
-
-    def _name_switches(self) -> None:
-        for switch in self._fabric.topology.switches:
-            if switch.ports:
-                self.tracer.name_process(self.num_nodes + switch.index,
-                                         switch.name)
+                tracks["trunk", port.name] = (node, port.local_name, "fwd")
+                self.pipe_rows.names[node] = switch.name
 
     def register_endpoint(self, endpoint) -> None:
         """Called by endpoint constructors so stalls/skew can be harvested."""
@@ -139,11 +131,9 @@ class Telemetry:
         namespace stand).
         """
         if self.tracer is None:
-            self.tracer = Tracer(self.sim, budget=budget,
-                                 pid_base=pid_base, label=label)
+            self.tracer = Tracer(self.sim, budget=budget, pid_base=pid_base,
+                                 label=label, pipes=self.pipe_rows)
             self.pipes_observed = True
-            if self._fabric is not None:
-                self._name_switches()
         return self.tracer
 
     def enable_links(self, budget: Optional[TraceBudget] = None
@@ -155,36 +145,44 @@ class Telemetry:
         simulation; the shared ``budget`` caps memory across a session.
         """
         if self.links is None:
-            self.links = FlowRecorder(self.sim, budget=budget)
+            self.links = FlowRecorder(self.sim, budget=budget,
+                                      pipes=self.pipe_rows)
             self.pipes_observed = True
         return self.links
 
     def pipe(self, kind: str, owner: Any, pipe, base_ns: int,
-             penalty_ns: int, extra_ns: int, flow: int,
-             size: Optional[int] = None) -> None:
-        """Record the interval ``pipe`` is about to be charged with in
-        every observer that is on: the link recorder's row (see
-        :mod:`repro.telemetry.links`) and an ``X`` span on the pipe's
-        trace track, with ``size`` as its byte count.  ``owner`` is a
-        node id or a trunk's port name.  Call while
-        :attr:`pipes_observed`, immediately before the charge: the
-        pipe's ``_busy_until`` then gives the interval's start and its
-        wait behind the FIFO backlog without touching simulation
-        state."""
+             penalty_ns: int, extra_ns: int, size: int = -1) -> None:
+        """Store the interval ``pipe`` is about to be charged with as one
+        :class:`PipeRows` row if the link recorder or, as an ``X`` span
+        of ``size`` bytes, the tracer keeps it.  ``owner`` is a node id
+        or a trunk's port name.  Call while :attr:`pipes_observed`,
+        immediately before the charge: the pipe's ``_busy_until`` then
+        gives the interval's start and its wait behind the FIFO backlog
+        without touching simulation state."""
         now = self.sim.now
         start = pipe._busy_until
         if start < now:
             start = now
+        rows = self.pipe_rows
+        kept, seq = False, 0
+        tracer = self.tracer
+        if tracer is not None and base_ns + penalty_ns + extra_ns > 0:
+            # Interned before the budget test: tids go by first use.
+            node, track, name = rows.tracks[kind, owner]
+            tracer.series["X", node, track, name, "fabric"]
+            seq = len(tracer.rows)
+            kept = tracer.pipes.take(tracer.budget)
         links = self.links
         if links is not None:
-            links.pipe(kind, owner, start, base_ns, penalty_ns, extra_ns,
-                       start - now, flow)
-        tracer = self.tracer
-        duration = base_ns + penalty_ns + extra_ns
-        if tracer is not None and duration > 0:
-            node, track, name = self._pipe_tracks[kind, owner]
-            tracer.complete(node, track, name, start, duration, "fabric",
-                            size)
+            if links.pipes.take(links.budget):
+                kept = True
+            else:
+                links.truncated = True
+        if kept:
+            codes = rows.codes
+            rows.data.frombytes(rows.pack(
+                codes[kind], codes[owner], start, base_ns, penalty_ns,
+                extra_ns, start - now, size, seq))
 
     def enable_sanitizer(self, sanitizer):
         """Install the runtime protocol sanitizer; returns it."""

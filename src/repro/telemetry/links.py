@@ -16,27 +16,24 @@ of record accumulate:
 * **pipe intervals** — every resource-occupancy interval of a NIC
   processor, host link, or switch trunk, read as the tuple
   ``(kind, owner, start, base_ns, penalty_ns, extra_ns, waited_ns,
-  flow)``: ``kind`` is ``proc`` (NIC WR processor), ``egress`` /
+  size, seq)``: ``kind`` is ``proc`` (NIC WR processor), ``egress`` /
   ``ingress`` (host links) or ``trunk`` (switch port); the interval
   spans ``[start, start + base_ns + penalty_ns + extra_ns)``, where
   ``base_ns`` is serialization or baseline WR processing, ``penalty_ns``
   a QP-context-cache miss and ``extra_ns`` the payload DMA fetch of a
   non-inlined Write; ``waited_ns`` is how long the unit queued behind
   the pipe's FIFO backlog before ``start``; ``owner`` is the node id,
-  or a trunk's port name.
+  or a trunk's port name; ``size`` and ``seq`` serve the tracer, which
+  shares these rows (:class:`~repro.telemetry.trace.PipeRows`).
 * **stalls** — endpoint-visible waiting (``credit-stall``,
   ``free-wait``, ``data-wait``, ``rnr-stall``), read as the tuple
   ``(node, ep, kind, start, duration)``.
 
-Each stream is a :class:`~repro.telemetry.trace.RecordRows`, the row
-store the tracer keeps its records in too: one flat ``array("q")``, a
-fixed-width row of int64 fields per record (64 bytes a flow or an
-interval, 40 a stall), with each kind and owner stored as its code in
-the recorder's :class:`~repro.telemetry.trace.Codes`.  A hook appends
-its row in one call (``frombytes`` of the stream's packed row).  The
-streams iterate as the tuples above and :meth:`RecordRows.extend` takes
-them; :meth:`RecordRows.columns` gives the analyzer the numeric columns
-without copying.
+Each stream is a :class:`~repro.telemetry.trace.RecordRows`: one flat
+``array("q")`` of int64 rows (64 bytes a flow, 72 an interval, 40 a
+stall), each kind and owner stored as its code.  The streams iterate as
+the tuples above, and ``columns()`` gives the analyzer the numeric
+columns without copying.
 
 Recording is append-only and never touches the event heap, RNG, or any
 process state, so enabling it cannot perturb simulated time — the same
@@ -50,7 +47,7 @@ from __future__ import annotations
 
 from typing import Dict, Optional
 
-from repro.telemetry.trace import Codes, RecordRows, TraceBudget
+from repro.telemetry.trace import KeptRows, PipeRows, RecordRows, TraceBudget
 
 __all__ = ["FlowRecorder", "DEFAULT_LINK_RECORDS"]
 
@@ -60,14 +57,16 @@ DEFAULT_LINK_RECORDS = 2_000_000
 class FlowRecorder:
     """Accumulates flow/interval/stall records for one cluster run."""
 
-    def __init__(self, sim, budget: Optional[TraceBudget] = None):
+    def __init__(self, sim, budget: Optional[TraceBudget] = None,
+                 pipes: Optional[PipeRows] = None):
         self.sim = sim
         self.budget = budget if budget is not None else TraceBudget(
             DEFAULT_LINK_RECORDS)
+        #: the pipe intervals this recorder kept.
+        self.pipes = KeptRows(pipes if pipes is not None else PipeRows())
         #: the kinds and owners the records hold.
-        self.codes = Codes()
+        self.codes = self.pipes.codes
         self.flows = RecordRows(self.codes, 8, coded=(0,))
-        self.pipes = RecordRows(self.codes, 8, coded=(0, 1))
         self.stalls = RecordRows(self.codes, 5, coded=(2,))
         #: set when the budget ran dry and records were dropped.
         self.truncated = False
@@ -105,19 +104,6 @@ class FlowRecorder:
         return self._buffer_flow.get(id(buf), 0)
 
     # -- intervals ---------------------------------------------------------
-
-    def pipe(self, kind: str, owner, start: int, base_ns: int,
-             penalty_ns: int, extra_ns: int, waited_ns: int,
-             flow: int) -> None:
-        """Record one pipe interval, its fields in row order (module
-        docstring); ``Telemetry.pipe`` reads them off the pipe."""
-        if not self.budget.take():
-            self.truncated = True
-            return
-        codes = self.codes
-        self.pipes.data.frombytes(self.pipes.pack(
-            codes[kind], codes[owner], start, base_ns, penalty_ns, extra_ns,
-            waited_ns, flow))
 
     def stall(self, node: int, ep: int, kind: str, start: int,
               duration: int) -> None:

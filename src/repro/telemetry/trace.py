@@ -12,9 +12,8 @@ hardware structure of the simulation:
   switch trunk port.
 
 A span is one ``X`` *complete* event carrying its own duration,
-whether it is a pipe's occupancy interval (recorded through
-``Telemetry.pipe`` by the site that charges the pipe), a verbs state
-machine step or an endpoint stall; an instant is an ``i`` event.
+whether it is a pipe's occupancy interval, a verbs state machine step
+or an endpoint stall; an instant is an ``i`` event.
 
 Every observer record is a row of a :class:`RecordRows` (the link
 recorder's too).  A tracer call appends one row of four int64 fields,
@@ -22,10 +21,12 @@ recorder's too).  A tracer call appends one row of four int64 fields,
 node_id, track, name, cat)`` in the tracer's :class:`Codes`, so a row
 costs 32 bytes and is one event.  ``args`` is ``-1`` for none, ``n >=
 0`` for a byte count (rendered ``{"bytes": n}``) and ``-2 - i`` for the
-``i``-th recorded dict.  Pids (``pid_base + node_id``) and tids
-(``(node_id, track)`` in first-use order) are derived from the series
-only when the trace is read; :func:`write_trace` writes a document one
-event at a time.
+``i``-th recorded dict.  A pipe charge is a row of the cluster's
+:class:`PipeRows` instead, which the link recorder reads too; its span
+is rendered from it when the trace is read.  Pids (``pid_base +
+node_id``) and tids (``(node_id, track)`` in first-use order) are
+derived from the series only then; :func:`write_trace` writes a
+document one event at a time.
 
 A shared :class:`TraceBudget` bounds the total event count across every
 tracer of a session, so ``repro-bench --trace`` on a full-scale figure
@@ -91,7 +92,7 @@ class RecordRows:
     fields at ``coded`` are stored as their :class:`Codes` code.
     """
 
-    __slots__ = ("data", "width", "pack", "_codes", "_coded")
+    __slots__ = ("data", "width", "pack", "codes", "_coded")
 
     def __init__(self, codes: Codes, width: int, coded: Tuple[int, ...]):
         #: the rows, flat: record ``i`` is ``data[i * width:(i + 1) * width]``.
@@ -99,26 +100,24 @@ class RecordRows:
         self.width = width
         #: ``width`` int64 fields as the bytes of one row.
         self.pack = struct.Struct(f"{width}q").pack
-        self._codes = codes
+        self.codes = codes
         self._coded = coded
 
     def __len__(self) -> int:
         return len(self.data) // self.width
 
     def __iter__(self) -> Iterator[tuple]:
-        rows = iter(self.data)
-        for row in zip(*[rows] * self.width):
-            yield self._decode(row)
+        return map(self._decode, self.columns().tolist())
 
     def _decode(self, row) -> tuple:
-        names = self._codes.names
+        names = self.codes.names
         record = list(row)
         for i in self._coded:
             record[i] = names[record[i]]
         return tuple(record)
 
     def extend(self, records: Iterable[tuple]) -> None:
-        codes = self._codes
+        codes = self.codes
         for record in records:
             if len(record) != self.width:
                 raise ValueError(f"a record has {self.width} fields, "
@@ -135,23 +134,46 @@ class RecordRows:
             -1, self.width)
 
 
-class TraceEvents:
-    """A tracer's events, read-only: ``len()`` builds nothing; iterating
-    yields each event's Chrome dict in recording order, parsed from the
-    text :func:`write_trace` writes for it."""
+class PipeRows(RecordRows):
+    """A cluster's pipe charges (``Telemetry.pipe``), a 72-byte row each:
+    ``kind, owner, start, base_ns, penalty_ns, extra_ns, waited_ns, size,
+    seq``.  The tracer and the link recorder each read the rows they
+    kept as a :class:`KeptRows`.  ``tracks`` gives a pipe's trace node,
+    track and span name; ``names`` a switch node's process name."""
 
-    __slots__ = ("_tracer",)
+    __slots__ = ("tracks", "names")
 
-    def __init__(self, tracer: "Tracer"):
-        self._tracer = tracer
+    def __init__(self) -> None:
+        super().__init__(Codes(), 9, coded=(0, 1))
+        self.tracks: Dict[Tuple[str, Any], Tuple[int, str, str]] = {}
+        self.names: Dict[int, str] = {}
+
+
+class KeptRows(RecordRows):
+    """The rows of ``store`` one observer kept, read in place: ``part``,
+    from the row count when it was enabled."""
+
+    __slots__ = ("store", "part")
+
+    def __init__(self, store: PipeRows):
+        super().__init__(store.codes, store.width, store._coded)
+        self.data, self.store = store.data, store
+        self.part = slice(len(store), None)
+
+    def take(self, budget: TraceBudget) -> bool:
+        """One slot of ``budget`` for the charge about to be stored; a
+        budget never refills, so a refusal ends the rows kept."""
+        if budget.take():
+            return True
+        if self.part.stop is None:
+            self.part = slice(self.part.start, len(self.store))
+        return False
 
     def __len__(self) -> int:
-        return len(self._tracer.rows)
+        return len(self.columns())
 
-    def __iter__(self) -> Iterator[Dict[str, Any]]:
-        events = _Events([self._tracer])
-        for row in events.rows.tolist():
-            yield json.loads(events.render(*row))
+    def columns(self) -> np.ndarray:
+        return super().columns()[self.part]
 
 
 class Tracer:
@@ -163,7 +185,8 @@ class Tracer:
     """
 
     def __init__(self, sim: "Simulator", budget: Optional[TraceBudget] = None,
-                 pid_base: int = 0, label: str = ""):
+                 pid_base: int = 0, label: str = "",
+                 pipes: Optional[PipeRows] = None):
         self.sim = sim
         self.budget = budget if budget is not None else TraceBudget()
         self.pid_base = pid_base
@@ -176,22 +199,19 @@ class Tracer:
         self._arg_dicts: List[Dict[str, Any]] = []
         #: pid -> the process name :meth:`name_process` gave it.
         self._names: Dict[int, str] = {}
+        #: the pipe charges this tracer kept.
+        self.pipes = KeptRows(pipes if pipes is not None else PipeRows())
 
     @property
-    def events(self) -> TraceEvents:
-        """Every recorded event, in recording order (read-only)."""
-        return TraceEvents(self)
+    def events(self) -> "_Events":
+        """Every recorded event, as Chrome dicts in recording order."""
+        return _Events([self])
 
     # -- identity ---------------------------------------------------------
 
     def name_process(self, node_id: int, name: str) -> None:
-        """Name a trace process, whether or not an event lands on it.
-
-        Used for pseudo-nodes that are not cluster machines — switches
-        get pid ``num_nodes + switch_index`` with their graph name, so
-        trunk-port spans group under e.g. ``leaf0`` instead of a
-        phantom ``node9``.  A name set here wins over the ``node{id}``
-        auto-naming."""
+        """Name a trace process, whether or not an event lands on it; the
+        name wins over ``node{id}`` and over the pipe store's names."""
         pid = self.pid_base + node_id
         self._names[pid] = f"{self.label}/{name}" if self.label else name
 
@@ -233,6 +253,22 @@ class Tracer:
 
     # -- export -----------------------------------------------------------
 
+    def table(self) -> np.ndarray:
+        """Every event as a row ``series, ts_ns, dur_ns, args``: the
+        tracer's rows, and a span per pipe row it kept, put back at its
+        ``seq`` (recording order) if it occupies the pipe."""
+        pipes = self.pipes.columns()
+        dur = pipes[:, 3:6].sum(axis=1)
+        span = dur > 0
+        pairs, which = np.unique(pipes[span, :2], axis=0, return_inverse=True)
+        names, tracks = self.pipes.codes.names, self.pipes.store.tracks
+        series = np.array(
+            [self.series[("X", *tracks[names[kind], names[owner]], "fabric")]
+             for kind, owner in pairs.tolist()], dtype=np.int64)
+        spans = np.column_stack((series[which.reshape(-1)], pipes[span, 2],
+                                 dur[span], pipes[span, 7]))
+        return np.insert(self.rows.columns(), pipes[span, 8], spans, axis=0)
+
     def export(self, path: str) -> None:
         with open(path, "w") as fh:
             write_trace(fh, [self], self.budget.dropped)
@@ -250,17 +286,26 @@ class _Events:
         #: ``ts`` value.
         self.series: List[Tuple[str, str]] = []
         self.dicts: List[Dict[str, Any]] = []
-        views = [tracer.rows.columns() for tracer in tracers]
-        self.rows = (np.concatenate(views) if views
-                     else np.empty((0, 4), np.int64))
-        first = 0
-        for tracer, view in zip(tracers, views):
-            block = self.rows[first:first + len(view)]
-            first += len(view)
-            block[:, 0] += len(self.series)
-            block[block[:, 3] < -1, 3] -= len(self.dicts)
+        # One tracer's table at a time, into room for every row kept.
+        rows = np.empty((sum(len(tracer.rows) + len(tracer.pipes)
+                             for tracer in tracers), 4), np.int64)
+        end = 0
+        for tracer in tracers:
+            table = tracer.table()
+            table[:, 0] += len(self.series)
+            table[table[:, 3] < -1, 3] -= len(self.dicts)
+            rows[end:end + len(table)] = table
+            end += len(table)
             self.dicts.extend(tracer._arg_dicts)
             self._add(tracer)
+        self.rows = rows[:end]
+
+    def __len__(self) -> int:
+        return len(self.rows)
+
+    def __iter__(self) -> Iterator[Dict[str, Any]]:
+        for row in self.rows.tolist():
+            yield json.loads(self.render(*row))
 
     def _add(self, tracer: Tracer) -> None:
         """``tracer``'s metadata and series; its tids count the
@@ -272,6 +317,8 @@ class _Events:
         label = f"{tracer.label}/" if tracer.label else ""
         names = {base + node_id: f"{label}node{node_id}"
                  for node_id, _track in tids}
+        names.update((base + node_id, label + name)
+                     for node_id, name in tracer.pipes.store.names.items())
         names.update(tracer._names)
         self.meta += [{"ph": "M", "pid": pid, "tid": 0, "ts": 0,
                        "name": "process_name", "args": {"name": name}}

@@ -232,7 +232,7 @@ class _RCRead(_Posted):
         # The remote CPU stays passive: the remote *NIC* serves the read.
         peer = self.qp._peer
         self.qp.ctx.peer_context(peer.node_id).nic.submit_wr(
-            peer.qpn, self._served, 0, self.wr.flow)
+            peer.qpn, self._served)
 
     def _served(self) -> None:
         qp = self.qp
@@ -503,7 +503,7 @@ class QueuePair:
                 extra = ctx.config.nic_wr_ns
         else:
             raise VerbsError(f"cannot post {opcode} to a send queue")
-        ctx.nic.submit_wr(self.qpn, posted.issue, extra, wr.flow)
+        ctx.nic.submit_wr(self.qpn, posted.issue, extra)
 
     def _new_flow(self, links, wr: SendWR) -> int:
         """Allocate a causal flow id for a freshly posted work request.

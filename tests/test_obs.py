@@ -31,7 +31,7 @@ from repro.obs import (
     critical_path,
     render_markdown,
 )
-from repro.obs.diff import diff, main as diff_main
+from repro.obs.diff import diff
 from repro.obs.__main__ import main as obs_main
 from repro.telemetry import FlowRecorder, TraceBudget, latency_summary, percentile
 from repro.telemetry.session import session
@@ -430,7 +430,7 @@ class TestDiffGate:
     def test_cli_passes_identical_reports(self, tmp_path, capsys):
         base = self.write(tmp_path, "base.json", _document())
         fresh = self.write(tmp_path, "fresh.json", _document())
-        assert diff_main([base, fresh]) == 0
+        assert obs_main(["diff", base, fresh]) == 0
         out = capsys.readouterr().out
         assert "fig8: top=wire_serialization p99=1,000ns runs=1" in out
         assert "equals the baseline" in out
@@ -439,7 +439,7 @@ class TestDiffGate:
                                                       capsys):
         base = self.write(tmp_path, "base.json", _document())
         fresh = self.write(tmp_path, "fresh.json", _shifted())
-        assert diff_main([base, fresh]) == 1
+        assert obs_main(["diff", base, fresh]) == 1
         err = capsys.readouterr().err
         assert "aggregate.attribution.categories.wire_serialization" in err
         assert "p99 +20.0%" in err
@@ -449,7 +449,7 @@ class TestDiffGate:
         base = self.write(tmp_path, "base.json", _document())
         fresh = self.write(tmp_path, "fresh.json", _shifted())
         with pytest.raises(SystemExit) as exit_info:
-            diff_main([base, fresh, "--warn-only"])
+            obs_main(["diff", base, fresh, "--warn-only"])
         assert exit_info.value.code == 2
 
     def test_module_entry_point_dispatches_diff(self, tmp_path):
@@ -461,6 +461,24 @@ class TestDiffGate:
         report = self.write(tmp_path, "report.json", _document())
         assert obs_main(["render", report]) == 0
         assert "## fig8" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("command, text", [
+        ("diff", None), ("render", "not json"), ("render", "{}"),
+    ], ids=["diff-missing", "render-not-json", "render-not-a-report"])
+    def test_cli_exits_2_naming_a_file_that_is_not_a_report(
+            self, tmp_path, capsys, command, text):
+        """Exit 1 says the reports differ; a file that is missing, not
+        JSON or not a report is a usage error instead."""
+        path = tmp_path / "bad.json"
+        if text is not None:
+            path.write_text(text)
+        args = [command, str(path)]
+        if command == "diff":
+            args.append(self.write(tmp_path, "fresh.json", _document()))
+        with pytest.raises(SystemExit) as exit_info:
+            obs_main(args)
+        assert exit_info.value.code == 2
+        assert str(path) in capsys.readouterr().err
 
 
 # -- repro-bench integration -----------------------------------------------

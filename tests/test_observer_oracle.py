@@ -1,11 +1,12 @@
 """The flat observer records against the object-per-record originals.
 
-The tracer keeps one row per call and the link recorder one row per
-flow, pipe interval or stall; Chrome event dicts, the attribution sweep,
-the critical path and the latency list are built from them only when
-read.  The reference functions below are the earlier implementations —
-a dict per trace event, an object per link record swept by a
-per-interval closure or walked in Python — kept, like
+The tracer keeps one row per call, the link recorder one per flow or
+stall, and one store serves both with a row per pipe charge; Chrome
+event dicts, the attribution sweep, the critical path and the latency
+list are built from them only when read.  The reference functions below
+are the earlier implementations — a dict per trace event, an object per
+link record swept by a per-interval closure or walked in Python, a row
+store per observer fed at ``Telemetry.pipe`` — kept, like
 ``tests/test_engine.py::TestKernelOracle`` keeps the row loops, so the
 exported trace, the attribution, the critical path and the latencies
 are required to be identical.
@@ -13,7 +14,9 @@ are required to be identical.
 
 import io
 import json
+from functools import partial
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -21,7 +24,7 @@ from repro import Cluster, ClusterConfig, EDR
 from repro.bench.workloads import run_repartition
 from repro.obs.critical_path import CATEGORIES, attribute, critical_path
 from repro.obs.report import build_run_report
-from repro.sim import Simulator
+from repro.sim import RatePipe, Simulator
 from repro.telemetry import Telemetry, TraceBudget, Tracer, latency_summary
 from repro.telemetry.trace import write_trace
 
@@ -151,10 +154,10 @@ class CallSiteTracer(ReferenceTracer):
 
 class ReferencePipe:
     __slots__ = ("kind", "owner", "start", "base_ns", "penalty_ns",
-                 "extra_ns", "waited_ns", "flow")
+                 "extra_ns", "waited_ns", "size", "seq")
 
     def __init__(self, kind, owner, start, base_ns, penalty_ns, extra_ns,
-                 waited_ns, flow):
+                 waited_ns, size, seq):
         self.kind = kind
         self.owner = owner
         self.start = start
@@ -162,7 +165,8 @@ class ReferencePipe:
         self.penalty_ns = penalty_ns
         self.extra_ns = extra_ns
         self.waited_ns = waited_ns
-        self.flow = flow
+        self.size = size
+        self.seq = seq
 
 
 class ReferenceStall:
@@ -422,7 +426,7 @@ pipe_records = st.lists(st.tuples(
     st.sampled_from(["proc", "egress", "ingress", "trunk"]),
     st.sampled_from([0, "leaf0:p1"]), ns, st.integers(0, 60),
     st.sampled_from([0, 0, 7, 40]), st.sampled_from([0, 0, 5, 33]),
-    st.integers(0, 80), st.integers(0, 9),
+    st.integers(0, 80), st.integers(-1, 9), st.integers(0, 9),
 ), max_size=30)
 stall_records = st.lists(st.tuples(
     st.sampled_from(["credit-stall", "rnr-stall", "free-wait", "data-wait"]),
@@ -446,7 +450,7 @@ def telemetry_of(pipes, stalls, flows):
     (delivered ``None``: never delivered) and the given records."""
     telemetry = Telemetry(Simulator(), 0)
     recorder = telemetry.enable_links()
-    recorder.pipes.extend(pipes)
+    telemetry.pipe_rows.extend(pipes)
     recorder.stalls.extend((0, 0, kind, start, duration)
                            for kind, start, duration in stalls)
     recorder.flows.extend(
@@ -465,9 +469,9 @@ def recorder_of(pipes, stalls, flows):
 class TestAttributionOracle:
     @given(pipes=pipe_records, stalls=stall_records, flows=flow_records,
            t0=st.integers(0, 150), span=st.integers(0, 400))
-    @example(pipes=[("trunk", "leaf0:p1", 10, 20, 0, 0, 20, 1),
-                    ("trunk", "leaf0:p1", 30, 20, 0, 0, 19, 2),
-                    ("proc", 0, 0, 0, 7, 5, 0, 3)],
+    @example(pipes=[("trunk", "leaf0:p1", 10, 20, 0, 0, 20, 1, 0),
+                    ("trunk", "leaf0:p1", 30, 20, 0, 0, 19, 2, 0),
+                    ("proc", 0, 0, 0, 7, 5, 0, -1, 0)],
              stalls=[("free-wait", 5, 100)], flows=[(8, 90)], t0=12,
              span=60)
     @settings(deadline=None, max_examples=300)
@@ -499,28 +503,201 @@ class TestFlowOracle:
         assert json.dumps([chain, latency])  # Python values only
 
 
+# -- pipe charges: the one store against one row store per observer -------
+
+
+def reference_pipe(telemetry, kind, owner, pipe, base_ns, penalty_ns,
+                   extra_ns, size=-1):
+    """``Telemetry.pipe`` as it was before the pipe store, feeding the
+    references: the link recorder's row, less the flow id it carried,
+    into ``telemetry.reference_pipes``, and the tracer's ``X`` span,
+    each on its own budget; ``telemetry.reference_kept`` counts the
+    charges either observer kept."""
+    now = telemetry.sim.now
+    start = max(pipe._busy_until, now)
+    kept = False
+    links = telemetry.links
+    if links is not None:
+        if links.budget.take():
+            kept = True
+            telemetry.reference_pipes.append(
+                (kind, owner, start, base_ns, penalty_ns, extra_ns,
+                 start - now))
+        else:
+            links.truncated = True
+    duration = base_ns + penalty_ns + extra_ns
+    tracer = telemetry.tracer
+    if tracer is not None and duration > 0:
+        kept = kept or tracer.budget.remaining > 0
+        node, track, name = telemetry.pipe_rows.tracks[kind, owner]
+        tracer.complete(node, track, name, start, duration, "fabric",
+                        None if size < 0 else size)
+    telemetry.reference_kept += kept
+
+
+def referenced(telemetry):
+    """Route ``telemetry``'s pipe charges to :func:`reference_pipe`."""
+    telemetry.pipe = partial(reference_pipe, telemetry)
+    telemetry.reference_pipes, telemetry.reference_kept = [], 0
+    return telemetry
+
+
+def reference_tracing(telemetry, budget, switches=()):
+    """A :class:`CallSiteTracer` on ``budget`` as the bundle's tracer."""
+    tracer = telemetry.tracer = CallSiteTracer(telemetry.sim, budget)
+    telemetry.pipes_observed = True
+    for switch in switches:
+        if switch.ports:
+            tracer.name_process(telemetry.num_nodes + switch.index,
+                                switch.name)
+    return tracer
+
+
+def assert_pipes_match(telemetry, reference):
+    """The trace, the link recorder's pipe rows and the drop counts of
+    ``telemetry`` equal those of a ``referenced`` bundle, and the pipe
+    store holds one row per charge either observer kept."""
+    tracer, ref = telemetry.tracer, reference.tracer
+    if ref is not None:
+        dropped = ref.budget.dropped
+        assert tracer.budget.dropped == dropped
+        assert written([tracer], dropped) == json.dumps(ref.to_dict())
+        assert "fabric" not in {tracer.series.names[code][4]
+                                for code in tracer.rows.columns()[:, 0]}
+    links, ref_links = telemetry.links, reference.links
+    if ref_links is not None:
+        assert ([row[:7] for row in links.pipes]
+                == reference.reference_pipes)
+        assert ((links.dropped_records, links.truncated)
+                == (ref_links.dropped_records, ref_links.truncated))
+    assert len(telemetry.pipe_rows) == reference.reference_kept
+
+
+#: one step of a bundle's life: a pipe charge (pipe, base, penalty, its
+#: backlog, size), a verbs span, enabling the tracer or the link
+#: recorder with a budget of that many slots, or time moving on.
+pipe_steps = st.lists(st.one_of(
+    st.tuples(st.just("pipe"), st.integers(0, 1), st.sampled_from([0, 3, 9]),
+              st.sampled_from([0, 0, 7]), st.sampled_from([0, 0, 4, 20]),
+              st.sampled_from([-1, 64])),
+    st.tuples(st.just("span"), st.integers(0, 20)),
+    st.tuples(st.just("tracer"), st.integers(0, 12)),
+    st.tuples(st.just("links"), st.integers(0, 12)),
+    st.tuples(st.just("advance"), st.integers(0, 10)),
+), max_size=40)
+PIPES = (("egress", 0), ("trunk", "leaf0:p1"))
+
+
+def replay_pipes(steps, reference):
+    telemetry = Telemetry(Simulator(), 2)
+    telemetry.pipe_rows.tracks.update({("egress", 0): (0, "egress", "tx"),
+                                       ("trunk", "leaf0:p1"): (2, "p1", "fwd")})
+    if reference:
+        referenced(telemetry)
+    pipe = RatePipe(telemetry.sim, 1.0)
+    for step, *args in steps:
+        if step == "pipe":
+            which, base, penalty, backlog, size = args
+            pipe._busy_until = telemetry.sim.now + backlog
+            telemetry.pipe(*PIPES[which], pipe, base, penalty, 0, size)
+        elif step == "span" and telemetry.tracer is not None:
+            telemetry.tracer.complete(1, "qp1", "send", telemetry.sim.now,
+                                      args[0], "verbs", 8)
+        elif step == "tracer" and telemetry.tracer is None:
+            if reference:
+                reference_tracing(telemetry, TraceBudget(args[0]))
+            else:
+                telemetry.enable_tracing(TraceBudget(args[0]))
+        elif step == "links":
+            telemetry.enable_links(TraceBudget(args[0]))
+        elif step == "advance":
+            telemetry.sim.now += args[0]
+    return telemetry
+
+
+class TestPipeStoreOracle:
+    @given(steps=pipe_steps)
+    # Each observer enabled mid-run, a zero-length charge only the link
+    # recorder keeps, and spans at the instant of a pipe charge, before
+    # and after it.
+    @example(steps=[("links", 4), ("pipe", 0, 0, 0, 0, 64),
+                    ("tracer", 4), ("span", 5), ("pipe", 1, 3, 7, 0, 64),
+                    ("span", 0), ("pipe", 0, 9, 0, 4, -1),
+                    ("pipe", 0, 9, 0, 4, 64), ("pipe", 1, 3, 0, 0, 64)])
+    @settings(deadline=None, max_examples=300)
+    def test_store_equals_a_row_store_per_observer(self, steps):
+        assert_pipes_match(replay_pipes(steps, False),
+                           replay_pipes(steps, True))
+
+
 # -- end to end: a traced, reported run matches both references -----------
 
+#: the default budgets of a tracer and a link recorder, from the start.
+UNCAPPED = {"tracer": (500_000, 0), "links": (2_000_000, 0)}
 
-def traced_run(design, tracer_cls=None):
+
+def observed_run(design, tracer=None, links=None, reference=False):
+    """A 4-node run of ``design``.  ``tracer`` and ``links`` are each
+    ``(slots, at_ns)``: that observer's budget and the simulated time it
+    is enabled at (0: before the run; None: off).  With ``reference``,
+    pipe charges go to :func:`reference_pipe` and the tracer is a
+    :class:`CallSiteTracer`."""
     cluster = Cluster(ClusterConfig(network=EDR, num_nodes=4))
-    if tracer_cls is None:
-        tracer = cluster.enable_tracing()
-    else:
-        tracer = cluster.telemetry.tracer = tracer_cls(cluster.sim)
-        for switch in cluster.fabric.topology.switches:
-            if switch.ports:
-                tracer.name_process(4 + switch.index, switch.name)
-    cluster.enable_reporting()
+    telemetry = cluster.telemetry
+    if reference:
+        referenced(telemetry)
+
+    def enable_tracer(slots):
+        if reference:
+            reference_tracing(telemetry, TraceBudget(slots),
+                              cluster.fabric.topology.switches)
+        else:
+            telemetry.enable_tracing(TraceBudget(slots))
+
+    def enable_links(slots):
+        telemetry.enable_links(TraceBudget(slots))
+
+    for enable, setting in ((enable_tracer, tracer), (enable_links, links)):
+        if setting is not None:
+            slots, at_ns = setting
+            if at_ns:
+                cluster.sim.call_later(at_ns, partial(enable, slots))
+            else:
+                enable(slots)
     run_repartition(cluster, design, bytes_per_node=1 << 20)
-    return cluster, tracer
+    return cluster
+
+
+@pytest.mark.parametrize("tracer, links, premise", [
+    ((600, 0), (1000, 0),
+     lambda tr, links: tr.pipes.part.stop < links.pipes.part.stop),
+    ((1000, 0), (600, 0),
+     lambda tr, links: links.pipes.part.stop < tr.pipes.part.stop),
+    # Data moves from 10.27 ms on, after connection setup.
+    ((300, 10_400_000), (1000, 0), lambda tr, links: tr.pipes.part.start),
+    ((900, 0), (300, 10_400_000), lambda tr, links: links.pipes.part.start),
+], ids=["tracer-dry-first", "links-dry-first", "tracer-later",
+        "links-later"])
+def test_each_observer_keeps_one_range_of_the_pipe_store(tracer, links,
+                                                         premise):
+    telemetry = observed_run("SEMQ/SR", tracer, links).telemetry
+    reference = observed_run("SEMQ/SR", tracer, links, True).telemetry
+    assert premise(telemetry.tracer, telemetry.links)
+    assert telemetry.tracer.budget.dropped and telemetry.links.truncated
+    assert_pipes_match(telemetry, reference)
+    # The links change nothing in the trace.
+    alone = observed_run("SEMQ/SR", tracer).telemetry.tracer
+    assert (written([alone], alone.budget.dropped)
+            == written([telemetry.tracer], telemetry.tracer.budget.dropped))
 
 
 def test_traced_run_matches_references():
     runs = []
     for design in ("SEMQ/SR", "MESQ/SR", "MEMQ/RD"):
-        cluster, tracer = traced_run(design)
-        _, reference = traced_run(design, CallSiteTracer)
+        cluster = observed_run(design, **UNCAPPED)
+        tracer = cluster.telemetry.tracer
+        reference = observed_run(design, reference=True,
+                                 **UNCAPPED).telemetry.tracer
         runs.append((tracer, reference))
         text = written([tracer], 0)
         data = [e for e in json.loads(text)["traceEvents"] if e["ph"] != "M"]

@@ -51,36 +51,39 @@ def recorder():
 PIPE = RatePipe(Simulator(), 1.0)
 
 
-def pipe_interval(links, t):
-    links.pipe("egress", 3, t, 4096 + t % 5000, 0, 0, 0, t // 1000)
+def pipe_observers(*enable):
+    """A bundle whose one pipe-observer call lands in the observers
+    ``enable`` turns on, and in the one pipe store."""
+    def make():
+        telemetry = Telemetry(Simulator(), 4)
+        telemetry.pipe_rows.tracks["egress", 0] = (0, "egress", "tx")
+        for on in enable:
+            on(telemetry, TraceBudget(10 * APPENDS))
+        return telemetry
+    return make
 
 
-def pipe_tracer():
-    """A bundle whose one pipe-observer call lands in the tracer only."""
-    telemetry = Telemetry(Simulator(), 4)
-    telemetry._pipe_tracks["egress", 0] = (0, "egress", "tx")
-    telemetry.enable_tracing(TraceBudget(10 * APPENDS))
-    return telemetry
-
-
-def pipe_span(telemetry, t):
+def pipe_charge(telemetry, t):
     PIPE._busy_until = t
-    telemetry.pipe("egress", 0, PIPE, 700 + t % 5000, 0, 0, 0, 64 + t % 5000)
+    telemetry.pipe("egress", 0, PIPE, 700 + t % 5000, 0, 0, 64 + t % 5000)
 
 
 @pytest.mark.parametrize("make, record", [
-    (pipe_tracer, pipe_span),
+    (pipe_observers(Telemetry.enable_tracing), pipe_charge),
     (tracer, lambda tr, t: tr.complete(0, "qp1", "send", t, 700 + t % 5000,
                                        "verbs", 64 + t % 5000)),
-    (recorder, pipe_interval),
+    (pipe_observers(Telemetry.enable_links), pipe_charge),
+    (pipe_observers(Telemetry.enable_tracing, Telemetry.enable_links),
+     pipe_charge),
     (recorder, lambda links, t: links.stall(0, 1, "credit-stall", t,
                                             700 + t % 5000)),
     (recorder, lambda links, t: links.new_flow("data", 0, 1, 64 + t % 5000,
                                                prev=t // 1000)),
-], ids=["span", "complete", "pipe", "stall", "flow"])
+], ids=["span", "complete", "pipe", "pipe-and-span", "stall", "flow"])
 def test_a_record_costs_at_most_80_bytes(make, record):
-    """A tuple of boxed ints cost 152 to 240 B a record; a row of eight
-    int64 fields at most is 64."""
+    """A tuple of boxed ints cost 152 to 240 B a record; a row of nine
+    int64 fields at most is 72, and a pipe charge both observers keep is
+    one row."""
     assert bytes_per_record(make, record) <= 80
 
 
@@ -138,26 +141,28 @@ def test_writing_a_trace_holds_no_event_list(tmp_path):
 
 
 def test_link_records_read_back_and_extend_as_tuples():
-    sim = Simulator()
-    links = FlowRecorder(sim, TraceBudget(4))
-    links.pipe("proc", 2, T0 + 40, 300, 2_000, 700, T0 + 40, 11)
-    links.pipe("trunk", "leaf0:p1", T0 + 40, 4096, 0, 0, T0 + 40, 0)
+    telemetry = Telemetry(Simulator(), 4)
+    links = telemetry.enable_links(TraceBudget(4))
+    PIPE._busy_until = T0 + 40
+    telemetry.pipe("proc", 2, PIPE, 300, 2_000, 700)
+    telemetry.pipe("trunk", "leaf0:p1", PIPE, 4096, 0, 0, 4160)
     links.stall(2, 7, "credit-stall", T0, 500)
     links.stall(2, -1, "rnr-stall", T0 + 9, 0)  # zero: not a record
     links.stall(3, 1, "data-wait", T0 + 3, 60)
     links.stall(3, 1, "free-wait", T0 + 4, 70)
-    links.pipe("egress", 0, T0, 64, 0, 0, 0, 0)  # over budget
+    telemetry.pipe("egress", 0, PIPE, 64, 0, 0, 64)  # over budget
     assert links.truncated and links.dropped_records == 2
-    pipes = [("proc", 2, T0 + 40, 300, 2_000, 700, T0 + 40, 11),
-             ("trunk", "leaf0:p1", T0 + 40, 4096, 0, 0, T0 + 40, 0)]
+    pipes = [("proc", 2, T0 + 40, 300, 2_000, 700, T0 + 40, -1, 0),
+             ("trunk", "leaf0:p1", T0 + 40, 4096, 0, 0, T0 + 40, 4160, 0)]
     stalls = [(2, 7, "credit-stall", T0, 500), (3, 1, "data-wait", T0 + 3, 60)]
     assert list(links.pipes) == pipes and list(links.stalls) == stalls
+    assert list(telemetry.pipe_rows) == pipes  # a refused charge: no row
 
-    copy = FlowRecorder(sim)
+    copy = FlowRecorder(telemetry.sim)
     copy.pipes.extend(links.pipes)
     copy.stalls.extend(stalls + [(0, 0, "free-wait", 5, 6)])
-    copy.pipes.extend([("ingress", -4, 1, 2, 3, 4, 5, 6)])
-    assert list(copy.pipes) == pipes + [("ingress", -4, 1, 2, 3, 4, 5, 6)]
+    copy.pipes.extend([("ingress", -4, 1, 2, 3, 4, 5, 6, 7)])
+    assert list(copy.pipes) == pipes + [("ingress", -4, 1, 2, 3, 4, 5, 6, 7)]
     assert list(copy.stalls) == stalls + [(0, 0, "free-wait", 5, 6)]
     with pytest.raises(ValueError):
         copy.stalls.extend([(0, 0, "free-wait", 5)])

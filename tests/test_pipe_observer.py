@@ -80,7 +80,7 @@ def link_intervals(links):
     """(kind, owner) -> the ``[start, start + base + penalty + extra)``
     ns of its link-recorder rows that occupy the pipe at all."""
     intervals = defaultdict(list)
-    for kind, owner, start, base, penalty, extra, _waited, _flow \
+    for kind, owner, start, base, penalty, extra, _waited, _size, _seq \
             in links.pipes:
         if base + penalty + extra > 0:
             intervals[kind, owner].append(
