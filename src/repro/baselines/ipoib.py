@@ -20,6 +20,8 @@ thread; a segment's trip through softirq pipe, wire and softirq pipe is
 not a thread's work and runs as a flat callback chain.  The endpoints
 stand on the shared ``SendEndpoint`` / ``ReceiveEndpoint`` base; what
 sockets change is that their malloc'd buffers cost no registration.
+The observers see IPoIB as they see the RDMA designs: a message posts
+one flow, and the stack pipes are charged through ``Telemetry.pipe``.
 """
 
 from __future__ import annotations
@@ -45,7 +47,8 @@ WINDOW_BYTES = 1 << 20
 
 
 class TcpStack:
-    """Per-node kernel TCP state: the rate-capped softirq path."""
+    """Per-node kernel TCP state: the rate-capped softirq path, whose
+    two pipes are charged as the pipe kinds ``stack.tx`` and ``stack.rx``."""
 
     @classmethod
     def get(cls, ctx: VerbsContext) -> "TcpStack":
@@ -54,10 +57,24 @@ class TcpStack:
 
     def __init__(self, ctx: VerbsContext):
         rate = ctx.config.link_bytes_per_ns * ctx.config.ipoib_efficiency
+        self.ctx = ctx
         self.tx = RatePipe(ctx.sim, rate, f"ipoib-tx[{ctx.node_id}]")
         self.rx = RatePipe(ctx.sim, rate, f"ipoib-rx[{ctx.node_id}]")
+        for way in ("tx", "rx"):
+            ctx.telemetry.pipe_rows.tracks[f"stack.{way}", ctx.node_id] = (
+                ctx.node_id, f"ipoib-{way}", way)
         #: connection key -> the receiving endpoint's segment handler.
         self.listeners: Dict[Any, Callable[[Packet], None]] = {}
+
+    def charge(self, kind: str, wire_bytes: int,
+               func: Callable[[], None]) -> None:
+        """Pass a segment through the ``kind`` pipe, then run ``func()``."""
+        pipe = self.tx if kind == "stack.tx" else self.rx
+        telemetry = self.ctx.telemetry
+        if telemetry.pipes_observed:
+            telemetry.pipe(kind, self.ctx.node_id, pipe,
+                           pipe._serialization_ns(wire_bytes), 0, 0, wire_bytes)
+        pipe.submit_train(wire_bytes, func)
 
 
 class TcpConnection:
@@ -73,15 +90,24 @@ class TcpConnection:
         self.remote = TcpStack.get(ctx.peer_context(dst_node))
         self._in_flight = 0
         self._window_open = Notify(ctx.sim)
+        #: the last flow posted on this connection (the ``prev`` edge).
+        self._last_flow = 0
 
-    def send(self, payload: Any, length: int):
+    def send(self, payload: Frame, length: int):
         """Process fragment: blocking socket send of one message.
 
         Charges the kernel copy to the calling thread, segments the
-        message, and respects the socket window.
+        message, and respects the socket window.  The message is one
+        flow, which its last segment carries.
         """
         yield self.net.cpu(
             self.net.tcp_syscall_ns + length * self.net.tcp_ns_per_byte)
+        flow = 0
+        links = self.ctx.telemetry.links
+        if links is not None:
+            flow = self._last_flow = links.new_flow(
+                payload.kind, self.ctx.node_id, self.dst_node, length,
+                self._last_flow)
         remaining = length
         while True:  # at least one segment: a final marker has no bytes
             seg = min(SEGMENT_BYTES, remaining)
@@ -89,26 +115,26 @@ class TcpConnection:
                 yield self._window_open.wait()
             self._in_flight += seg
             remaining -= seg
-            self._transmit_segment(seg, payload, last=not remaining)
+            self._transmit_segment(seg, payload, not remaining, flow)
             if not remaining:
                 break
 
-    def _transmit_segment(self, seg: int, payload: Any, last: bool) -> None:
+    def _transmit_segment(self, seg: int, payload: Any, last: bool,
+                          flow: int) -> None:
         # One TCP segment is one wire unit: the stack's own
         # segmentation already runs at MTU-or-smaller granularity.
         packet = make_train(
             self.net, src_node=self.ctx.node_id, dst_node=self.dst_node,
             src_qpn=0, dst_qpn=0, kind="TCP",
             length=seg, wire_bytes=seg + HEADER_BYTES,
-            payload=payload if last else None,
-            meta={"last": last},
+            payload=payload if last else None, flow=flow if last else 0,
         )
 
         def after_tx() -> None:
             self.ctx.fabric.route(packet, arrived)
 
         def arrived(_packet: Packet) -> None:
-            self.remote.rx.submit_train(packet.wire_bytes, delivered)
+            self.remote.charge("stack.rx", packet.wire_bytes, delivered)
 
         def delivered() -> None:
             self._in_flight -= seg
@@ -117,7 +143,7 @@ class TcpConnection:
             if listener is not None:
                 listener(packet)
 
-        self.stack.tx.submit_train(packet.wire_bytes, after_tx)
+        self.stack.charge("stack.tx", packet.wire_bytes, after_tx)
 
 
 def _no_registration(self, nbytes: int):
@@ -176,14 +202,15 @@ class IPoIBReceiveEndpoint(ReceiveEndpoint):
         yield  # pragma: no cover - accept() side is passive
 
     def _on_segment(self, packet: Packet) -> None:
-        if not packet.meta.get("last"):
-            return  # only the final segment completes a message
+        if packet.payload is None:
+            return  # only the last segment carries the message
         frame: Frame = packet.payload
         if frame.kind == "final":  # TCP delivers each final once
             self._one_source_done()
             return
         # The Frame doubles as the delivered "buffer": it carries .length.
-        self._deliver(frame.src_endpoint, frame.remote_addr, frame)
+        self._deliver(frame.src_endpoint, frame.remote_addr, frame,
+                      packet.flow)
 
     def get_data(self):
         t0 = self.sim.now

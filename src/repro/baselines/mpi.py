@@ -28,7 +28,10 @@ The MPI *calls* are process fragments run by the calling CPU thread;
 everything below ``_transmit`` — doorbell, wire, deposit at the peer —
 is a flat callback chain like the verbs work requests.  The endpoints
 stand on the shared ``SendEndpoint`` / ``ReceiveEndpoint`` base and
-inherit pool provisioning, recycling and accounting from it.
+inherit pool provisioning, recycling and accounting from it.  The
+observers see MPI as they see the RDMA designs: each runtime message
+posts one flow, ``mpi_recv`` stamps a data flow delivered, and a
+rendezvous sender's wait for clear-to-send is a ``rndv-wait`` stall.
 """
 
 from __future__ import annotations
@@ -70,8 +73,8 @@ class MPIRuntime:
         self.lock = Mutex(ctx.sim)
         #: threads currently blocked inside an MPI call.
         self.in_mpi = 0
-        #: eager/unexpected messages ``(src, payload, length)`` awaiting a
-        #: matching receive, per tag; parked RTS packets per ("rts", tag).
+        #: eager/unexpected messages ``(src, payload, length, flow)`` per
+        #: tag, awaiting a receive; parked RTS packets per ("rts", tag).
         self._unexpected: Dict[Any, Deque[Any]] = {}
         #: posted receives (the wake event of each outstanding
         #: MPI_Irecv) not yet matched, per tag (FIFO).
@@ -83,6 +86,8 @@ class MPIRuntime:
         #: rendezvous request ids of this node; a receiver keys them
         #: with the source node, so two senders cannot collide.
         self._rndv_ids = itertools.count(1)
+        #: destination node -> the last flow posted to it (``prev``).
+        self._last_flow: Dict[int, int] = {}
         # Internal eager buffers: a fixed registered region, as MVAPICH
         # pre-registers its eager RDMA buffers.
         self._eager_mr = ctx.reg_mr(64 * self.net.mpi_eager_threshold)
@@ -116,11 +121,20 @@ class MPIRuntime:
         """Ship one runtime message as a flat callback chain (the NIC and
         the wire are hardware, not a CPU thread); returns the event an
         MPI call may block on until the message has been deposited."""
+        flow = 0
+        links = self.ctx.telemetry.links
+        if links is not None:
+            what = getattr(payload, "kind", kind)  # a frame's kind, or ours
+            flow = self._last_flow[dest] = links.new_flow(
+                what, self.ctx.node_id, dest, length,
+                self._last_flow.get(dest, 0))
+            if what != "data":
+                flow = 0  # only data is stamped delivered, as elsewhere
         packet = make_train(
             self.net, src_node=self.ctx.node_id, dst_node=dest,
             src_qpn=0, dst_qpn=0, kind=kind, length=length,
             wire_bytes=self.net.wire_bytes(max(length, 16), "RC"),
-            payload=payload, meta=meta,
+            payload=payload, meta=meta, flow=flow,
         )
         done = Event(self.sim)
 
@@ -144,11 +158,11 @@ class MPIRuntime:
             if meta.get("bcast"):
                 tag = meta["tags"][self.ctx.node_id]
                 self._deliver(tag, packet.src_node, packet.payload,
-                              packet.length, eager=True)
+                              packet.length, True, packet.flow)
                 self._forward_bcast(packet)
             else:
                 self._deliver(meta["tag"], packet.src_node, packet.payload,
-                              packet.length, eager=True)
+                              packet.length, True, packet.flow)
         elif kind == "MPI_RTS":
             # Clear-to-send only once a matching receive exists.
             self._try_cts(packet)
@@ -158,7 +172,7 @@ class MPIRuntime:
                 waiter.succeed()
         elif kind == "MPI_DATA":
             self._deliver(meta["tag"], packet.src_node, packet.payload,
-                          packet.length, eager=False)
+                          packet.length, False, packet.flow)
 
     def _try_cts(self, rts: Packet) -> None:
         tag = rts.meta["tag"]
@@ -175,13 +189,13 @@ class MPIRuntime:
             self._unexpected.setdefault(("rts", tag), deque()).append(rts)
 
     def _deliver(self, tag, src: int, payload: Any, length: int,
-                 eager: bool) -> None:
+                 eager: bool, flow: int = 0) -> None:
         queue = self._recvs.get(tag)
         if queue:
-            queue.popleft().succeed((src, payload, length, eager))
+            queue.popleft().succeed((src, payload, length, eager, flow))
         else:
             self._unexpected.setdefault(tag, deque()).append(
-                (src, payload, length))
+                (src, payload, length, flow))
 
     def _forward_bcast(self, packet: Packet) -> None:
         """Binomial-tree forwarding of a broadcast message."""
@@ -245,9 +259,14 @@ class MPIRuntime:
                 req = next(self._rndv_ids)
                 cts = Event(self.sim)
                 self._rndv_waiting[req] = cts
+                t0 = self.sim.now
                 self._transmit(dest, "MPI_RTS", 0, None,
                                {"tag": tag, "req": req})
                 yield cts
+                telemetry = self.ctx.telemetry
+                if telemetry.pipes_observed:
+                    telemetry.stall(self.ctx.node_id, -1, "mpi", "mpi",
+                                    "rndv-wait", t0, self.sim.now - t0)
                 meta["tag"] = ("rndv", self.ctx.node_id, req)
                 yield self._transmit(dest, "MPI_DATA", length, payload, meta)
         finally:
@@ -264,10 +283,12 @@ class MPIRuntime:
         try:
             unexpected = self._unexpected.get(tag)
             if unexpected:
-                src, payload, length = unexpected.popleft()
+                src, payload, length, flow = unexpected.popleft()
                 yield self.net.cpu(
                     min(length, self.net.mpi_eager_threshold)
                     * self.net.mpi_copy_ns_per_byte)
+                if flow:
+                    self.ctx.telemetry.links.on_deliver(flow)
                 return (src, payload, length)
             event = Event(self.sim)
             self._recvs.setdefault(tag, deque()).append(event)
@@ -275,9 +296,11 @@ class MPIRuntime:
             parked = self._unexpected.get(("rts", tag))
             if parked:
                 self._try_cts(parked.popleft())
-            src, payload, length, eager = yield event
+            src, payload, length, eager, flow = yield event
             if eager:
                 yield self.net.cpu(length * self.net.mpi_copy_ns_per_byte)
+            if flow:
+                self.ctx.telemetry.links.on_deliver(flow)
             return (src, payload, length)
         finally:
             self._exit()
@@ -372,7 +395,7 @@ class MPIReceiveEndpoint(ReceiveEndpoint):
                 while parked:
                     parked.popleft().succeed(
                         (self.ctx.node_id,
-                         Frame(kind="final", src_endpoint=-1), 0, False))
+                         Frame(kind="final", src_endpoint=-1), 0, False, 0))
         self._account_data_wait(t0)
         return DEPLETED_SENTINEL
 

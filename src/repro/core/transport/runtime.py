@@ -163,15 +163,10 @@ class _EndpointBase:
         waited = self.sim.now - t0
         if waited > 0:
             telemetry = self.ctx.telemetry
-            tracer = telemetry.tracer
-            if tracer is not None:
-                tracer.complete(
-                    self.ctx.node_id, f"ep{self.endpoint_id}", name, t0,
-                    waited, "endpoint")
-            links = telemetry.links
-            if links is not None:
-                links.stall(self.ctx.node_id, self.endpoint_id, name, t0,
-                            waited)
+            if telemetry.pipes_observed:
+                telemetry.stall(self.ctx.node_id, self.endpoint_id,
+                                f"ep{self.endpoint_id}", "endpoint", name,
+                                t0, waited)
 
     def _charge_registration(self, nbytes: int):
         """Process fragment: what pinning ``nbytes`` of pool costs this
@@ -426,10 +421,8 @@ class ReceiveEndpoint(_EndpointBase):
         """
         self.messages_received += 1
         self.bytes_received += local.length
-        if flow:
-            links = self.ctx.telemetry.links
-            if links is not None:
-                links.on_deliver(flow, local)
+        if flow:  # only posted while the link recorder is on
+            self.ctx.telemetry.links.on_deliver(flow, local)
         self._inbox.put((MORE_DATA, src_endpoint, remote_addr,
                          local))
 

@@ -26,8 +26,10 @@ category                prio  meaning
 ``pcie_stall``           1    payload DMA fetch of a non-inlined Write
 ``trunk_queueing``       2    switch trunk serialization while congested
 ``wire_serialization``   3    host-link / uncongested-trunk wire time
-``nic_processing``       4    baseline NIC WR processing
-``credit_stall``         5    sender blocked on credit (incl. RNR)
+``nic_processing``       4    baseline NIC WR processing; the kernel
+                              stack is IPoIB's packet processor
+``credit_stall``         5    sender blocked on credit (incl. RNR and
+                              MPI's rendezvous wait for clear-to-send)
 ``buffer_stall``         6    sender blocked on a free buffer
 ======================  ====  ==========================================
 
@@ -81,6 +83,7 @@ _NUM_PRIOS = 7
 _STALL_PRIO = {
     "credit-stall": 5,
     "rnr-stall": 5,
+    "rndv-wait": 5,
     "free-wait": 6,
 }
 
@@ -122,7 +125,8 @@ def _intervals(recorder: FlowRecorder) -> np.ndarray:
         # A trunk hop that queued at least its own serialization time is
         # congestion; otherwise it is plain wire time, like the links.
         base_prio = np.where(
-            kind == codes.get("proc", -1), 4,
+            np.isin(kind, [codes.get(name, -1) for name in
+                           ("proc", "stack.tx", "stack.rx")]), 4,
             np.where((kind == codes.get("trunk", -1)) & (waited >= base),
                      2, 3))
         parts += [np.stack((start, base_end, base_prio)),

@@ -68,8 +68,8 @@ class Telemetry:
     are ``None`` when off, each site reads the field where it uses it,
     and enabling one — at any time — sets that one field.
 
-    A pipe charge makes one observer call, :meth:`pipe`, and only while
-    ``pipes_observed`` says the tracer or the link recorder is on.
+    A pipe charge makes one observer call, :meth:`pipe`, and a stall
+    one, :meth:`stall`, each only while :attr:`pipes_observed` is set.
     """
 
     def __init__(self, sim: "Simulator", num_nodes: int):
@@ -183,6 +183,17 @@ class Telemetry:
             rows.data.frombytes(rows.pack(
                 codes[kind], codes[owner], start, base_ns, penalty_ns,
                 extra_ns, start - now, size, seq))
+
+    def stall(self, node: int, ep: int, track: str, cat: str, name: str,
+              start: int, dur: int) -> None:
+        """One stall of ``dur > 0`` ns (``ep`` ``-1``: no endpoint's) as a
+        tracer span and a link-recorder row; call while observed."""
+        tracer = self.tracer
+        if tracer is not None:
+            tracer.complete(node, track, name, start, dur, cat)
+        links = self.links
+        if links is not None:
+            links.stall(node, ep, name, start, dur)
 
     def enable_sanitizer(self, sanitizer):
         """Install the runtime protocol sanitizer; returns it."""

@@ -5,20 +5,22 @@ for what".  While a :class:`FlowRecorder` is installed (see
 ``Telemetry.enable_links`` / ``Cluster.enable_reporting``), three kinds
 of record accumulate:
 
-* **flows** — one per posted work request, forming the causal DAG, read
-  as the tuple ``(kind, src, dst, size, posted_ns, delivered_ns, prev,
-  trigger)``: flow id ``i`` is row ``i - 1``; the ``prev`` edge chains
-  WRs on the same QP (FIFO order), the ``trigger`` edge points from a
-  credit-return WR back to the data flow whose buffer release produced
-  it (``0``: no edge).  Posting and delivery timestamps give
-  per-message latencies; ``delivered_ns`` is ``-1`` until delivery
-  stamps it in place.
+* **flows** — one per posted work request, MPI runtime message or
+  IPoIB socket message, forming the causal DAG, read as the tuple
+  ``(kind, src, dst, size, posted_ns, delivered_ns, prev, trigger)``:
+  flow id ``i`` is row ``i - 1``; the ``prev`` edge chains flows on the
+  same QP, MPI destination or TCP connection (FIFO order), the
+  ``trigger`` edge points from a credit-return WR back to the data flow
+  whose buffer release produced it (``0``: no edge).  Posting and
+  delivery timestamps give per-message latencies; ``delivered_ns`` is
+  ``-1`` until the delivery of data stamps it in place.
 * **pipe intervals** — every resource-occupancy interval of a NIC
-  processor, host link, or switch trunk, read as the tuple
-  ``(kind, owner, start, base_ns, penalty_ns, extra_ns, waited_ns,
-  size, seq)``: ``kind`` is ``proc`` (NIC WR processor), ``egress`` /
-  ``ingress`` (host links) or ``trunk`` (switch port); the interval
-  spans ``[start, start + base_ns + penalty_ns + extra_ns)``, where
+  processor, host link, switch trunk or IPoIB kernel stack, read as the
+  tuple ``(kind, owner, start, base_ns, penalty_ns, extra_ns,
+  waited_ns, size, seq)``: ``kind`` is ``proc`` (NIC WR processor),
+  ``egress`` / ``ingress`` (host links), ``trunk`` (switch port) or
+  ``stack.tx`` / ``stack.rx`` (kernel stack); the interval spans
+  ``[start, start + base_ns + penalty_ns + extra_ns)``, where
   ``base_ns`` is serialization or baseline WR processing, ``penalty_ns``
   a QP-context-cache miss and ``extra_ns`` the payload DMA fetch of a
   non-inlined Write; ``waited_ns`` is how long the unit queued behind
@@ -26,7 +28,8 @@ of record accumulate:
   or a trunk's port name; ``size`` and ``seq`` serve the tracer, which
   shares these rows (:class:`~repro.telemetry.trace.PipeRows`).
 * **stalls** — endpoint-visible waiting (``credit-stall``,
-  ``free-wait``, ``data-wait``, ``rnr-stall``), read as the tuple
+  ``free-wait``, ``data-wait``, ``rnr-stall``, MPI's ``rndv-wait``),
+  each one ``Telemetry.stall`` call, read as the tuple
   ``(node, ep, kind, start, duration)``.
 
 Each stream is a :class:`~repro.telemetry.trace.RecordRows`: one flat

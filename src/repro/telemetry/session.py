@@ -126,6 +126,11 @@ class TelemetrySession:
                 "runs": runs,
                 "aggregate": aggregate_reports(runs),
             })
+            for tel in self.telemetries:
+                # Past the tracer's last row, the rows were the report's.
+                stop = tel.tracer and tel.tracer.pipes.part.stop
+                if stop is not None:
+                    del tel.pipe_rows.data[stop * tel.pipe_rows.width:]
         snapshots = [tel.snapshot() for tel in self.telemetries]
         digest = digest_snapshots(snapshots)
         self.records.append({

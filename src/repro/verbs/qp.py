@@ -184,14 +184,10 @@ class _RCSend(_Posted):
         if stalled:
             remote_qp.rnr_events += 1
             remote_qp.rnr_stall_ns += stalled
-            node_id = qp._peer.node_id
-            tracer = ctx.telemetry.tracer
-            if tracer is not None:
-                tracer.complete(node_id, remote_qp.track, "rnr-stall",
-                                rnr_t0, stalled, "verbs")
-            links = ctx.telemetry.links
-            if links is not None:
-                links.stall(node_id, -1, "rnr-stall", rnr_t0, stalled)
+            telemetry = ctx.telemetry
+            if telemetry.pipes_observed:
+                telemetry.stall(qp._peer.node_id, -1, remote_qp.track,
+                                "verbs", "rnr-stall", rnr_t0, stalled)
         self._received(remote_qp, evt.value, self.packet)
 
     def _received(self, remote_qp: "QueuePair", rwr: RecvWR,
@@ -204,7 +200,7 @@ class _RCSend(_Posted):
         ack = make_train(
             ctx.config, src_node=peer.node_id, dst_node=ctx.node_id,
             src_qpn=peer.qpn, dst_qpn=qp.qpn, kind="ACK",
-            length=0, wire_bytes=ctx.config.rc_ack_bytes, flow=self.wr.flow,
+            length=0, wire_bytes=ctx.config.rc_ack_bytes,
         )
         ctx.fabric.route(ack, self._acked)
 
@@ -224,7 +220,6 @@ class _RCRead(_Posted):
             ctx.config, src_node=ctx.node_id, dst_node=peer.node_id,
             src_qpn=qp.qpn, dst_qpn=peer.qpn, kind="READ_REQ",
             length=0, wire_bytes=ctx.config.rc_header_bytes,
-            flow=self.wr.flow,
         )
         ctx.fabric.route(request, self._requested)
 
@@ -244,7 +239,7 @@ class _RCRead(_Posted):
             ctx.config, src_node=peer.node_id, dst_node=ctx.node_id,
             src_qpn=peer.qpn, dst_qpn=qp.qpn, kind="READ_RESP",
             length=wr.length, transport="RC",
-            payload=mr.get_object(wr.remote_addr), flow=wr.flow,
+            payload=mr.get_object(wr.remote_addr),
         )
         ctx.fabric.route(response, self._responded)
 
@@ -273,7 +268,6 @@ class _RCWrite(_Posted):
             length=max(wr.length, 8 if wr.value is not None else 0),
             transport="RC",
             payload=None if wr.buffer is None else wr.buffer.payload,
-            flow=wr.flow,
         )
         ctx.fabric.route(packet, self._arrived)
 
@@ -290,7 +284,7 @@ class _RCWrite(_Posted):
         ack = make_train(
             ctx.config, src_node=peer.node_id, dst_node=ctx.node_id,
             src_qpn=peer.qpn, dst_qpn=qp.qpn, kind="ACK",
-            length=0, wire_bytes=ctx.config.rc_ack_bytes, flow=wr.flow,
+            length=0, wire_bytes=ctx.config.rc_ack_bytes,
         )
         ctx.fabric.route(ack, self._acked)
 

@@ -206,17 +206,20 @@ class TestValidationMechanisms:
 
 
 class TestRecordingIsInvisible:
-    @pytest.mark.parametrize("design", ["MESQ/SR", "MEMQ/RD", "MEMQ/WR"])
+    @pytest.mark.parametrize(
+        "design", ["MESQ/SR", "MEMQ/RD", "MEMQ/WR", "MPI", "IPoIB"])
     def test_link_recording_does_not_move_simulated_time(self, design):
         def run(report):
             cluster = Cluster(ClusterConfig(network=EDR, num_nodes=4))
             if report:
+                cluster.enable_tracing()
                 cluster.enable_reporting()
             result = run_repartition(cluster, design,
                                      bytes_per_node=2 << 20)
             return (cluster.sim.now, result.elapsed_ns,
                     result.total_received_bytes,
-                    cluster.sim.events_dispatched)
+                    cluster.sim.events_dispatched,
+                    cluster.fabric.delivered_messages)
 
         assert run(False) == run(True)
 
@@ -266,6 +269,26 @@ class TestRecordingIsInvisible:
         # Oldest-first: post times never move backwards along the chain.
         posts = [link["posted_ns"] for link in chain]
         assert posts == sorted(posts)
+
+
+class TestBaselinesRecordLikeTheDesigns:
+    """MPI and IPoIB post flows, charge pipes and record stalls through
+    the calls the RDMA endpoints use."""
+
+    @pytest.mark.parametrize("design", ["MPI", "IPoIB"])
+    def test_flows_latencies_and_setup_until_the_first_post(self, design):
+        cluster = Cluster(ClusterConfig(network=EDR, num_nodes=4))
+        cluster.enable_reporting()
+        run_repartition(cluster, design, bytes_per_node=1 << 20)
+        report = cluster.run_report()
+        attribution = report["attribution"]
+        first_post = next(iter(cluster.telemetry.links.flows))[4]
+        assert report["records"]["flows"] > 0
+        assert report["latency_ns"]["count"] > 0
+        assert attribution["categories"]["setup"] == first_post
+        assert_conserved(attribution)
+        if design == "IPoIB":  # the kernel stack is its packet processor
+            assert attribution["categories"]["nic_processing"] > 0
 
 
 # -- reports ---------------------------------------------------------------

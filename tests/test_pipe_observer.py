@@ -1,10 +1,11 @@
 """One observer call per pipe charge feeds the tracer and the link recorder.
 
-The NIC's three pipes and the switch trunks hold no observer; the site
-that charges one makes a single ``Telemetry.pipe`` call first, while
-either observer is on.  So every endpoint kind, the MPI runtime's
-work requests included, leaves a trace span for each link-recorder
-interval, and the two agree to the nanosecond.
+The NIC's three pipes, the switch trunks and IPoIB's kernel-stack pipes
+hold no observer; the site that charges one makes a single
+``Telemetry.pipe`` call first, while either observer is on.  So every
+endpoint kind, the MPI runtime's work requests included, leaves a trace
+span for each link-recorder interval, and the two agree to the
+nanosecond.
 """
 
 import io
@@ -14,6 +15,7 @@ from collections import Counter, defaultdict
 import pytest
 
 from repro import Cluster, ClusterConfig, EDR
+from repro.baselines.ipoib import TcpStack
 from repro.bench.workloads import run_repartition
 from repro.core.designs import ENDPOINT_KINDS, Design
 from repro.fabric import LEAF_SPINE
@@ -22,8 +24,9 @@ from repro.telemetry import Telemetry
 from repro.telemetry.trace import write_trace
 
 NODES = 4
-#: trace track of a NIC pipe -> the link recorder's kind for it.
-NIC_KINDS = {"nicproc": "proc", "egress": "egress", "ingress": "ingress"}
+#: trace track of a node's pipe -> the link recorder's kind for it.
+NIC_KINDS = {"nicproc": "proc", "egress": "egress", "ingress": "ingress",
+             "ipoib-tx": "stack.tx", "ipoib-rx": "stack.rx"}
 
 
 def count_calls(monkeypatch):
@@ -49,10 +52,15 @@ def count_calls(monkeypatch):
 
 
 def fabric_pipes(cluster):
+    """Every pipe of the cluster: the NICs', the trunks' and the kernel
+    stacks' of the nodes that run one."""
     fabric = cluster.fabric
     pipes = [pipe for node in fabric.nodes
              for pipe in (node.nic.processor, node.nic.egress,
                           node.nic.ingress)]
+    pipes += [pipe for service in fabric.node_services.values()
+              if isinstance(service, TcpStack)
+              for pipe in (service.tx, service.rx)]
     return pipes + [port.pipe for port in fabric.topology.ports()]
 
 
@@ -104,19 +112,20 @@ def test_each_charge_makes_one_call_and_spans_equal_rows(kind,
     intervals = link_intervals(cluster.telemetry.links)
     assert spans == intervals
     # Every kind crosses both directions of the links and the
-    # leaf-spine trunks; all but IPoIB's kernel stack post NIC work
-    # requests, MPI's runtime too.
+    # leaf-spine trunks; IPoIB's kernel stack processes its packets, and
+    # every other kind posts NIC work requests, MPI's runtime too.
     kinds = {"egress", "ingress", "trunk"} | (
-        set() if kind == "IPOIB" else {"proc"})
+        {"stack.tx", "stack.rx"} if kind == "IPOIB" else {"proc"})
     assert {k for k, _owner in spans} == kinds
 
 
 def test_no_observer_no_call(monkeypatch):
     charges, calls = count_calls(monkeypatch)
-    cluster = Cluster(ClusterConfig(network=EDR, num_nodes=NODES,
-                                    topology=LEAF_SPINE(2, 2)))
-    run_repartition(cluster, "MPI", bytes_per_node=64 << 10)
-    assert sum(charges[id(p)] for p in fabric_pipes(cluster)) > 0
+    for design in ("MPI", "IPoIB"):
+        cluster = Cluster(ClusterConfig(network=EDR, num_nodes=NODES,
+                                        topology=LEAF_SPINE(2, 2)))
+        run_repartition(cluster, design, bytes_per_node=64 << 10)
+        assert sum(charges[id(p)] for p in fabric_pipes(cluster)) > 0
     assert not calls
 
 

@@ -235,6 +235,24 @@ class TestSession:
         assert merged["displayTimeUnit"] == own["displayTimeUnit"]
         assert merged["otherData"] == dict(own["otherData"], runs=1)
 
+    def test_checkpoint_lets_go_of_the_rows_past_the_tracers(
+            self, tmp_path):
+        # A trace budget that runs dry mid-run: the pipe rows past the
+        # tracer's last one are the link recorder's alone, and the trace
+        # reads the same once checkpoint has cut them.
+        with session(trace=True, report=True) as sess:
+            sess.budget = TraceBudget(300)
+            cluster = Cluster(ClusterConfig(network=EDR, num_nodes=2))
+            run_repartition(cluster, "SEMQ/SR", bytes_per_node=2 * MIB)
+            rows = cluster.telemetry.pipe_rows
+            stop = cluster.telemetry.tracer.pipes.part.stop
+            assert stop is not None and len(rows) > stop
+            before = exported_session(sess, tmp_path)
+            sess.checkpoint("exp")
+        assert len(rows) == stop
+        assert exported_session(sess, tmp_path) == before
+        assert sess.reports[0]["runs"][0]["records"]["pipe_intervals"] > stop
+
     def test_digest_of_nothing(self):
         digest = digest_snapshots([])
         assert digest["runs"] == 0
