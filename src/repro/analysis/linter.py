@@ -80,6 +80,10 @@ STATIC_RULES: Dict[str, str] = {
         "simulation or engine code (Opcode.SEND goes through "
         "EnumType.__getattr__'s slow path, ~10x a global load: import "
         "the member's module-global alias, e.g. OP_SEND)"),
+    "VS111": (
+        "the simulator's event queue (Simulator._heap / _buckets) read "
+        "or written outside sim/ (schedule through call_soon/call_at/"
+        "call_later: in-place scheduling stays inside the kernel)"),
 }
 
 
@@ -563,6 +567,28 @@ def _rule_vs110(rel: str, tree: ast.AST) -> Iterable[Tuple[int, str]]:
                            f"that)")
 
 
+#: the simulator's private queue: one heap of timestamps, one dict of
+#: each timestamp's entries.
+_QUEUE_ATTRS = frozenset(("_heap", "_buckets"))
+
+
+def _rule_vs111(rel: str, tree: ast.AST) -> Iterable[Tuple[int, str]]:
+    """The event queue touched outside the kernel's package (VS111).
+
+    The per-message schedulers in ``sim/`` append to a timestamp's
+    bucket in place; anywhere else, an entry written past
+    ``call_later``'s checks (no past, integer ns) would be a second,
+    unchecked way into the queue.
+    """
+    if _in_scope(rel, ("sim/",)):
+        return
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and node.attr in _QUEUE_ATTRS:
+            yield (node.lineno,
+                   f"touches .{node.attr}, the simulator's event queue "
+                   f"(schedule through call_soon/call_at/call_later)")
+
+
 _RULES: Dict[str, Callable[[str, ast.AST], Iterable[Tuple[int, str]]]] = {
     "VS101": _rule_vs101,
     "VS102": _rule_vs102,
@@ -574,6 +600,7 @@ _RULES: Dict[str, Callable[[str, ast.AST], Iterable[Tuple[int, str]]]] = {
     "VS108": _rule_vs108,
     "VS109": _rule_vs109,
     "VS110": _rule_vs110,
+    "VS111": _rule_vs111,
 }
 
 

@@ -96,8 +96,11 @@ class MPIRuntime:
 
     def _enter(self):
         """Process fragment: enter the MPI library (charges the lock)."""
-        yield from self.lock.critical_section(
-            self.net.cpu(self.net.mpi_overhead_ns))
+        wait = self.lock.acquire()
+        if wait is not None:
+            yield wait
+        yield self.net.cpu(self.net.mpi_overhead_ns)
+        self.lock.release()
         self.in_mpi += 1
         self._drain_backlog()
 

@@ -51,11 +51,17 @@ class McastSRUDSendEndpoint(SRUDSendEndpoint):
         if len(others) < 2:
             yield from super().send(buf, dests, state)
             return
-        yield from self.lock.critical_section(self.send_call_cost)
+        wait = self.lock.acquire()
+        if wait is not None:
+            yield wait
+        yield self.send_call_cost
+        self.lock.release()
         self._pending.add(buf, 1 + (1 if me in dests else 0))
         # Per-member flow control: every destination must have credit.
         for dest in dests:
-            yield from self._wait_credit(self.conns[dest])
+            conn = self.conns[dest]
+            if conn.sent >= conn.credit:
+                yield from self._wait_credit(conn)
         for dest in dests:
             self._consume_credit(self.conns[dest])
         frame = Frame("data", state, self.endpoint_id, 0, None, buf.payload,

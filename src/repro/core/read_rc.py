@@ -110,7 +110,11 @@ class ReadRCSendEndpoint(SendEndpoint):
     # -- SEND (Alg 3, lines 1-5) ------------------------------------------------
 
     def send(self, buf: Buffer, dests: Sequence[int], state: DataState):
-        yield from self.lock.critical_section(self.send_call_cost)
+        wait = self.lock.acquire()
+        if wait is not None:
+            yield wait
+        yield self.send_call_cost
+        self.lock.release()
         frame = Frame("data", state, self.endpoint_id, 0, None, buf.payload,
                       buf.length, buf.addr)
         # Encode the metadata in the buffer itself (Alg 3 line 2): a
@@ -210,7 +214,11 @@ class ReadRCReceiveEndpoint(ReceiveEndpoint):
     # -- RELEASE (Alg 3, lines 16-18) ----------------------------------------------
 
     def release(self, remote_addr: int, local: Buffer, src: int):
-        yield from self.lock.critical_section(self.post_wr_cost)
+        wait = self.lock.acquire()
+        if wait is not None:
+            yield wait
+        yield self.post_wr_cost
+        self.lock.release()
         conn = self.conns[src]
         yield self.post_wr_cost
         post_ring_write(conn.qp, conn.free, remote_addr, ("free", src))

@@ -62,9 +62,8 @@ class ReceiveOperator(Operator):
                 return (OPS_DEPLETED, self._emit(acc))
             payload, length = local.payload, local.length
             # Copy out of the registered buffer (Alg 2 l.8) and return it
-            # to the endpoint (l.9).
-            yield self.per_tuple_cost(0, length,
-                                      ns_per_byte=net.copy_ns_per_byte)
+            # to the endpoint (l.9): a per-byte cost, one CPU charge.
+            yield net.cpu(length * net.copy_ns_per_byte)
             if payload:
                 acc.extend(payload)
                 acc_bytes += length

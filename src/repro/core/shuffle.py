@@ -164,11 +164,16 @@ class ShuffleOperator(Operator):
     def next(self, tid: int):
         target = self._endpoint(tid)
         net = self.node.config
+        groups = tuple(self.groups)
         chunks = self._chunks[tid]
         rows = self._rows[tid]
         capacity_rows = None
-        while True:
+        depleted = False
+        while not depleted:
             state, batch = yield from self.child.next(tid)
+            depleted = state == OPS_DEPLETED
+            # (group, parts) of each buffer to transmit, in order.
+            ready = []
             if batch is not None and len(batch):
                 if capacity_rows is None:
                     capacity_rows = self._capacity_rows(batch)
@@ -181,7 +186,7 @@ class ShuffleOperator(Operator):
                 )
                 self._scatter(chunks, rows, batch)
                 self.tuples_out += len(batch)
-                # Transmit every full buffer (Alg 1 l.11-13), interleaving
+                # Every full buffer (Alg 1 l.11-13), interleaving
                 # destinations the way per-tuple hashing fills buffers in
                 # lockstep — one full buffer per group per pass.
                 busy = True
@@ -190,19 +195,26 @@ class ShuffleOperator(Operator):
                     for g in range(len(rows)):
                         if rows[g] >= capacity_rows:
                             rows[g] -= capacity_rows
-                            parts = _take(chunks[g], capacity_rows)
-                            yield from self._transmit(target, parts, g)
+                            ready.append((g, _take(chunks[g],
+                                                   capacity_rows)))
                             busy = busy or rows[g] >= capacity_rows
-            if state == OPS_DEPLETED:
-                break
-        # Flush partial buffers, then propagate end-of-stream; the
-        # endpoint emits the Depleted markers once its last attached
-        # thread finishes (Alg 1 l.14-17).
-        for g in range(len(rows)):
-            if rows[g]:
-                parts = _take(chunks[g], rows[g])
-                rows[g] = 0
-                yield from self._transmit(target, parts, g)
+            if depleted:
+                # Then flush the partial buffers (Alg 1 l.14-17).
+                for g in range(len(rows)):
+                    if rows[g]:
+                        ready.append((g, _take(chunks[g], rows[g])))
+                        rows[g] = 0
+            # Staging is this thread's own, so taking the parts before
+            # transmitting them moves nothing simulated.
+            for g, parts in ready:
+                buf = yield from target.get_free()
+                nbytes = 0
+                for part in parts:
+                    nbytes += part.nbytes
+                buf.fill(parts, nbytes)
+                yield from target.send(buf, groups[g], MORE_DATA)
+        # Propagate end-of-stream; the endpoint emits the Depleted
+        # markers once its last attached thread finishes.
         yield from target.finish()
         return (OPS_DEPLETED, None)
 
@@ -230,9 +242,3 @@ class ShuffleOperator(Operator):
             if hi > lo:
                 chunks[g].append(sorted_batch[lo:hi])
                 rows[g] += int(hi - lo)
-
-    def _transmit(self, target: SendEndpoint, parts: Tuple[np.ndarray, ...],
-                  g: int):
-        buf = yield from target.get_free()
-        buf.fill(parts, sum(part.nbytes for part in parts))
-        yield from target.send(buf, self.groups[g], MORE_DATA)

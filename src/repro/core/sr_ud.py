@@ -137,7 +137,7 @@ class SRUDSendEndpoint(CreditedSendEndpoint):
     # -- UD posting policy -------------------------------------------------
 
     def _consume_credit(self, conn: UDCreditSender) -> None:
-        super()._consume_credit(conn)
+        CreditedSendEndpoint._consume_credit(self, conn)
         conn.last_post = self.sim.now
 
     def _post_data(self, conn: UDCreditSender, buf: Buffer,
@@ -216,11 +216,11 @@ class SRUDReceiveEndpoint(CreditedReceiveEndpoint):
             conn.expected = frame.total
             buf.reset()
             self.qp.post_recv_buffer(buf, self.config.message_size)
-        self._check_link_complete(conn)
+        if conn.expected is not None:
+            self._check_link_complete(conn)
 
     def _check_link_complete(self, conn: UDCreditReceiver) -> None:
-        if conn.expected is None:
-            return
+        """Once the final's total is known: done, or wait for stragglers."""
         if conn.received >= conn.expected:
             self._source_depleted(conn)
         elif not conn.draining:

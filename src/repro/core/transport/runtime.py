@@ -257,17 +257,19 @@ class SendEndpoint(_EndpointBase):
 
     def get_free(self):
         """Process fragment implementing GETFREE; returns a Buffer."""
-        t0 = self.sim.now
         ok, buf = self._free.try_get()
         if not ok:
+            t0 = self.sim.now
             buf = yield self._free.get()
-        self.free_wait_ns += self.sim.now - t0
-        self._trace_stall("free-wait", t0)
+            self.free_wait_ns += self.sim.now - t0
+            self._trace_stall("free-wait", t0)
         yield self.poll_cq_cost
         return buf
 
     def _wait_credit(self, conn):
-        """Block until the connection has credit, tracking stall time."""
+        """Block until the connection has credit, tracking stall time.
+        Callers enter it only when credit is short (``conn.sent >=
+        conn.credit``): with credit in hand it waits for nothing."""
         t0 = self.sim.now
         while conn.sent >= conn.credit:
             if conn.notify is None:
@@ -308,11 +310,16 @@ class CreditedSendEndpoint(SendEndpoint):
     def send(self, buf: Buffer, dests: Sequence[int], state: DataState):
         # Per-call bookkeeping is serialized: this is the shared-endpoint
         # contention the SE configurations pay for.
-        yield from self.lock.critical_section(self.send_call_cost)
+        wait = self.lock.acquire()
+        if wait is not None:
+            yield wait
+        yield self.send_call_cost
+        self.lock.release()
         self._pending.add(buf, len(dests))
         for dest in dests:
             conn = self.conns[dest]
-            yield from self._wait_credit(conn)
+            if conn.sent >= conn.credit:
+                yield from self._wait_credit(conn)
             self._consume_credit(conn)
             frame = Frame("data", state, self.endpoint_id, conn.sent, None,
                           buf.payload, buf.length, buf.addr)
@@ -328,7 +335,8 @@ class CreditedSendEndpoint(SendEndpoint):
         # End-of-stream markers carry the per-connection send total
         # (message counting, §4.4.2; harmless extra state under RC).
         conn = self.conns[dest]
-        yield from self._wait_credit(conn)
+        if conn.sent >= conn.credit:
+            yield from self._wait_credit(conn)
         self._consume_credit(conn)
         frame = Frame(
             kind="final", state=DEPLETED,
@@ -384,11 +392,11 @@ class ReceiveEndpoint(_EndpointBase):
         end-of-stream sentinel.  Raises :class:`ShuffleNetworkError` if
         unreliable delivery lost data beyond the drain timeout.
         """
-        t0 = self.sim.now
         ok, item = self._inbox.try_get()
         if not ok:
+            t0 = self.sim.now
             item = yield self._inbox.get()
-        self._account_data_wait(t0)
+            self._account_data_wait(t0)
         yield self.poll_cq_cost
         if isinstance(item, ShuffleNetworkError):
             # Leave the error visible for the other consumer threads too.
@@ -415,14 +423,17 @@ class ReceiveEndpoint(_EndpointBase):
         The single receive-side instrumentation point: every transport
         routes arriving data through here, so message/byte accounting is
         uniform across designs.  ``flow`` closes the causal DAG edge when
-        link recording is on: the flow's delivery time is stamped and the
-        buffer remembered, so a later credit return can name the data
-        message that freed it.
+        link recording is on: the flow's delivery time is stamped and a
+        registered buffer remembered, so a later credit return can name
+        the data message that freed it.  IPoIB delivers its ``Frame``
+        itself, which no release reads and which dies once read, so it is
+        not remembered.
         """
         self.messages_received += 1
         self.bytes_received += local.length
         if flow:  # only posted while the link recorder is on
-            self.ctx.telemetry.links.on_deliver(flow, local)
+            self.ctx.telemetry.links.on_deliver(
+                flow, local if isinstance(local, Buffer) else None)
         self._inbox.put((MORE_DATA, src_endpoint, remote_addr,
                          local))
 
@@ -449,7 +460,11 @@ class CreditedReceiveEndpoint(ReceiveEndpoint):
     """Two-sided RELEASE path issuing stateless credit (§4.4.1-2)."""
 
     def release(self, remote_addr: int, local: Buffer, src: int):
-        yield from self.lock.critical_section(self.post_wr_cost)
+        wait = self.lock.acquire()
+        if wait is not None:
+            yield wait
+        yield self.post_wr_cost
+        self.lock.release()
         conn = self.conns[src]
         local.reset()
         self._repost(conn, local)

@@ -135,7 +135,11 @@ class WriteRCSendEndpoint(SendEndpoint):
                         ("valid", conn.node))
 
     def send(self, buf: Buffer, dests: Sequence[int], state: DataState):
-        yield from self.lock.critical_section(self.send_call_cost)
+        wait = self.lock.acquire()
+        if wait is not None:
+            yield wait
+        yield self.send_call_cost
+        self.lock.release()
         self._pending.add(buf, len(dests))
         for dest in dests:
             frame = Frame("data", state, self.endpoint_id, 0, None,
@@ -202,7 +206,11 @@ class WriteRCReceiveEndpoint(ReceiveEndpoint):
         self._deliver(src_ep, value, buf)
 
     def release(self, remote_addr: int, local: Buffer, src: int):
-        yield from self.lock.critical_section(self.post_wr_cost)
+        wait = self.lock.acquire()
+        if wait is not None:
+            yield wait
+        yield self.post_wr_cost
+        self.lock.release()
         conn = self.conns[src]
         local.reset()
         yield self.post_wr_cost

@@ -66,12 +66,13 @@ class Buffer:
 
     def reset(self) -> None:
         """Clear the buffer for reuse."""
-        san = self.mr.telemetry.sanitizer
+        mr = self.mr
+        san = mr.telemetry.sanitizer
         if san is not None:
             san.on_buffer_write(self, "reset")
         self.payload = None
         self.length = 0
-        self.mr.clear_object(self.addr)
+        mr.clear_object(self.addr)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<Buffer @{self.addr:#x} {self.length}/{self.capacity}B>"
@@ -116,19 +117,27 @@ class BufferPool:
 
         A slot already built is returned first, before any check: a
         non-negative index below the cache's length is inside the pool.
+        The next slot past the cache (a run takes the slots in order)
+        is built by appending it.
         """
         slots = self._slots
         cached = len(slots)
-        if 0 <= index < cached:
-            buf = slots[index]
-            if buf is not None:
-                return buf
+        if index < cached:
+            if index >= 0:
+                buf = slots[index]
+                if buf is not None:
+                    return buf
         if not 0 <= index < self.count:
             raise IndexError(f"slot {index} outside a pool of {self.count}")
-        if index >= cached:
-            slots.extend([None] * (index + 1 - cached))
-        buf = slots[index] = Buffer(
-            self.mr, self.mr.addr + index * self.size, self.size)
+        mr = self.mr
+        size = self.size
+        buf = Buffer(mr, mr.addr + index * size, size)
+        if index < cached:
+            slots[index] = buf
+        else:
+            if index > cached:
+                slots.extend([None] * (index - cached))
+            slots.append(buf)
         return buf
 
     @property

@@ -23,10 +23,14 @@ Hot-path notes (see DESIGN.md, "Execution path"):
   :meth:`Simulator.call_at` / :meth:`Simulator.call_later`) — no carrier
   object, no callback list — and the drain loop calls each one.  A
   triggered :class:`Event` queues its bound ``_run_callbacks``.
-* A CPU sleep (``yield n``) is one such bare entry, ``call_later(n,
-  process._wake)`` — the one way to wait for time to pass.  Starting a
-  :class:`Process` schedules the same ``_wake`` instead of allocating a
-  bootstrap :class:`Event`.
+* A CPU sleep (``yield n``) is one such bare entry, the process's bound
+  ``_step`` appended to the bucket of ``now + n`` in place — the one way
+  to wait for time to pass.  Starting a :class:`Process` schedules the
+  same ``_step`` instead of allocating a bootstrap :class:`Event`.  The
+  per-message schedulers (that sleep and the two :class:`RatePipe`
+  charges) write the calendar insert out where they run instead of
+  calling :meth:`Simulator.call_later`; nothing outside this package
+  touches the queue (lint rule VS111).
 * The drain pauses CPython's cyclic garbage collector and restores the
   state it found: a run creates no reference cycles, so reference
   counting frees everything and a collector pass only traverses.
@@ -167,18 +171,15 @@ class Process(Event):
         self.name = name or getattr(generator, "__name__", "process")
         sim.processes_started += 1
         # The first resumption is a bare entry at the current time.
-        sim.call_soon(self._wake)
+        sim.call_soon(self._step)
 
     def _resume(self, event: Event) -> None:
         self._step(event._ok, event._value)
 
-    def _wake(self) -> None:
-        self._step(True, None)
-
-    def _step(self, ok: bool, value: Any) -> None:
+    def _step(self, ok: bool = True, value: Any = None) -> None:
         # Only what the generator last yielded holds a way back here
         # (the event's callback or the sleep's entry), so every call is
-        # a live wakeup.
+        # a live wakeup.  A queue entry calls it bare: resume with None.
         sim = self.sim
         sim.process_wakeups += 1
         while True:
@@ -193,15 +194,23 @@ class Process(Event):
             except BaseException as exc:
                 self.fail(exc)
                 return
-            if type(target) is int and target >= 0:
-                if target:
-                    sim.call_later(target, self._wake)
+            if type(target) is int:
+                if target > 0:
+                    # call_later(target, self._step), written in place.
+                    when = sim.now + target
+                    bucket = sim._buckets.get(when)
+                    if bucket is None:
+                        sim._buckets[when] = [self._step]
+                        _heappush(sim._heap, when)
+                    else:
+                        bucket.append(self._step)
                     return
-                # A zero sleep lets no time pass: continue in place.
-                ok = True
-                value = None
-                continue
-            if isinstance(target, Event):
+                if target == 0:
+                    # A zero sleep lets no time pass: continue in place.
+                    ok = True
+                    value = None
+                    continue
+            elif isinstance(target, Event):
                 target.add_callback(self._resume)
                 return
             ok = False
@@ -213,6 +222,16 @@ class Process(Event):
     def add_callback(self, callback: Callable[["Event"], None]) -> None:
         self._observed = True
         super().add_callback(callback)
+
+    # A failed process, and the one ``run_process`` waits for, join the
+    # simulator's defunct list when they end; the drain reaps each once
+    # its end event has run.
+    def succeed(self, value: Any = None) -> "Event":
+        super().succeed(value)
+        sim = self.sim
+        if sim._awaited is self:
+            sim._defunct.append(self)
+        return self
 
     def fail(self, exc: BaseException) -> "Event":
         super().fail(exc)
@@ -264,6 +283,8 @@ class Simulator:
         self._heap: List[int] = []
         self._buckets: Dict[int, List] = {}
         self._defunct: List[Process] = []
+        #: the process ``run_process`` is waiting for, while it waits.
+        self._awaited: Optional[Process] = None
         # Telemetry counters, harvested lazily by repro.telemetry (the
         # kernel stays dependency-free): plain int adds per event.  The
         # batched drain loop accumulates them locally and flushes once per
@@ -321,10 +342,13 @@ class Simulator:
             bucket.append(func)
 
     def call_later(self, delay: int, func: Callable[[], None]) -> None:
-        """Run ``func()`` after ``delay`` ns of simulated time."""
+        """Run ``func()`` after ``delay`` ns of simulated time; a float
+        ``delay`` is truncated to integer ns."""
         if delay < 0:
             raise SimError(f"cannot schedule into the past (delay={delay})")
-        when = self.now + int(delay)
+        if type(delay) is not int:
+            delay = int(delay)
+        when = self.now + delay
         bucket = self._buckets.get(when)
         if bucket is None:
             self._buckets[when] = [func]
@@ -342,9 +366,9 @@ class Simulator:
 
     def _reap_defunct(self) -> None:
         # Surface exceptions from processes nobody waits on, so bugs do not
-        # vanish silently.  A failed process stays on the defunct list until
+        # vanish silently.  An ended process stays on the defunct list until
         # its own termination event has been processed; if no waiter
-        # consumed the failure by then, re-raise it here.
+        # consumed its failure by then, re-raise it here.
         # Mutated in place: _drain holds a reference to the same list.
         defunct = self._defunct
         still_pending = []
@@ -356,15 +380,20 @@ class Simulator:
                 raise proc.value
         defunct[:] = still_pending
 
-    def _drain(self, until: Optional[int], stop: Optional[Event]) -> None:
+    def _drain(self, until: Optional[int], stop: Optional[Process]) -> None:
         """The shared hot loop: dispatch entries in (time, sequence) order.
 
-        ``until`` bounds simulated time (exclusive); ``stop`` halts the
-        loop once that event has been processed.  All entries of one
+        ``until`` bounds simulated time (exclusive); ``stop`` (the
+        awaited process) halts the loop once its end event has been
+        processed, which can only happen while it is on the defunct
+        list, so an entry after which the list is empty needs no
+        further test.  All entries of one
         timestamp are popped in the inner loop so the time comparison and
         attribute loads happen once per timestamp, not once per event.
         Telemetry counters are accumulated in locals and flushed on exit
-        (including on exceptions).
+        (including on exceptions); dispatched entries are counted once
+        per bucket, and a stop or an exception mid-bucket counts the
+        entries it ran.
 
         The cyclic garbage collector is paused for the drain and left as
         it was found on every exit: a run creates no reference cycles
@@ -377,7 +406,11 @@ class Simulator:
         buckets = self._buckets
         pop = _heappop
         defunct = self._defunct
+        # Entries of finished buckets; ``i`` is the index of the last
+        # entry run in the bucket being dispatched (-1 between buckets),
+        # so a stop or an exception mid-bucket counts exactly those run.
         dispatched = 0
+        i = -1
         max_depth = self.max_queue_depth
         sample = 0
         gc_was_enabled = gc.isenabled()
@@ -407,27 +440,28 @@ class Simulator:
                 # this bucket cannot grow under us.
                 bucket = buckets.pop(when)
                 for i, entry in enumerate(bucket):
-                    dispatched += 1
                     entry()
                     if defunct:
                         self._reap_defunct()
-                    if stop is not None and stop._state == _PROCESSED:
-                        # Preserve the rest of the batch for a later
-                        # run; mid-batch entries at ``when`` may have
-                        # re-created the bucket and must come after.
-                        rest = bucket[i + 1:]
-                        if rest:
-                            existing = buckets.get(when)
-                            if existing is None:
-                                buckets[when] = rest
-                                _heappush(heap, when)
-                            else:
-                                existing[:0] = rest
-                        return
+                        if stop is not None and stop._state == _PROCESSED:
+                            # Preserve the rest of the batch for a later
+                            # run; mid-batch entries at ``when`` may have
+                            # re-created the bucket and must come after.
+                            rest = bucket[i + 1:]
+                            if rest:
+                                existing = buckets.get(when)
+                                if existing is None:
+                                    buckets[when] = rest
+                                    _heappush(heap, when)
+                                else:
+                                    existing[:0] = rest
+                            return
+                dispatched += i + 1
+                i = -1
         finally:
             if gc_was_enabled:
                 gc.enable()
-            self.events_dispatched += dispatched
+            self.events_dispatched += dispatched + i + 1
             self.max_queue_depth = max_depth
 
     def run(self, until: Optional[int] = None) -> int:
@@ -460,7 +494,11 @@ class Simulator:
         failure.  Other already-scheduled activities keep running alongside.
         """
         proc = self.process(generator, name=name)
-        self._drain(None, proc)
+        awaited, self._awaited = self._awaited, proc
+        try:
+            self._drain(None, proc)
+        finally:
+            self._awaited = awaited
         if proc._state != _PROCESSED:
             raise SimError(f"process {proc.name!r} deadlocked (event queue empty)")
         if not proc.ok:

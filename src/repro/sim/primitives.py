@@ -13,13 +13,15 @@ at the pipe's ``_busy_until`` or now, whichever is later.
 A pipe charge is one call: :meth:`RatePipe.submit_train` (a train's
 duration comes from the pipe's per-size cache) and
 :meth:`RatePipe.submit_occupy` (a fixed duration) queue the duration
-behind the pipe's backlog and schedule the completion in place, since
-every message crosses three to five pipes.
+behind the pipe's backlog and append the completion to the simulator's
+timestamp bucket in place, since every message crosses three to five
+pipes.
 """
 
 from __future__ import annotations
 
 from collections import deque
+from heapq import heappush as _heappush
 from typing import Any, Callable, Deque, Dict, List, Optional
 
 from repro.sim.kernel import Event, SimError, Simulator
@@ -96,24 +98,12 @@ class Queue:
             self._run_next = k
             self._run_make = make
 
-    def _take_run(self) -> Any:
-        """Make and remove the run's next item."""
-        make = self._run_make
-        assert make is not None  # callers checked _run_left
-        k = self._run_next
-        self._run_next = k + 1
-        self._run_left -= 1
-        if not self._run_left:
-            self._run_make = None
-        return make(k)
-
     def get(self) -> Event:
         """Return an event that fires with the next item."""
         event = Event(self.sim)
-        if self._run_left:
-            event.succeed(self._take_run())
-        elif self._fifo and not self._getting:
-            event.succeed(self._fifo.popleft())
+        ok, item = self.try_get()
+        if ok:
+            event.succeed(item)
         else:
             if self._fifo is None:
                 self._fifo = deque()
@@ -122,9 +112,17 @@ class Queue:
         return event
 
     def try_get(self):
-        """Non-blocking get; returns ``(True, item)`` or ``(False, None)``."""
-        if self._run_left:
-            return True, self._take_run()
+        """Non-blocking get; returns ``(True, item)`` or ``(False, None)``.
+        A pending run's next item is made and removed first."""
+        left = self._run_left
+        if left:
+            k = self._run_next
+            self._run_next = k + 1
+            self._run_left = left - 1
+            make = self._run_make
+            if left == 1:
+                self._run_make = None
+            return True, make(k)
         if self._fifo and not self._getting:
             return True, self._fifo.popleft()
         return False, None
@@ -151,26 +149,34 @@ class Mutex:
         self._held = False
         self._waiters: Optional[Deque[Event]] = None
 
-    def critical_section(self, hold_ns: int):
-        """A process fragment: acquire, hold for ``hold_ns``, release.
+    def acquire(self) -> Optional[Event]:
+        """Take the lock: ``None`` when it was free (taken in place), else
+        an event that fires once the holder hands the lock straight to
+        this waiter, the oldest first.
 
-        Usage: ``yield from mutex.critical_section(250)``.  Models a short
-        serialized critical section such as posting to a shared Queue Pair.
-        An uncontended acquire takes the lock in place; a contended one
-        blocks until the holder hands the lock straight to the oldest
-        waiter.
-        """
-        if self._held:
-            event = Event(self.sim)
-            waiters = self._waiters
-            if waiters is None:
-                waiters = self._waiters = deque()
-            waiters.append(event)
-            yield event
-        else:
-            self._held = True
-        if hold_ns:
+        A critical section is ``acquire``, the hold, ``release``::
+
+            wait = mutex.acquire()
+            if wait is not None:
+                yield wait
             yield hold_ns
+            mutex.release()
+
+        It models a short serialized section such as posting to a shared
+        Queue Pair; an uncontended one costs no event and no generator.
+        """
+        if not self._held:
+            self._held = True
+            return None
+        event = Event(self.sim)
+        waiters = self._waiters
+        if waiters is None:
+            waiters = self._waiters = deque()
+        waiters.append(event)
+        return event
+
+    def release(self) -> None:
+        """Hand the lock to the oldest waiter, or free it."""
         if self._waiters:
             self._waiters.popleft().succeed()
         else:
@@ -292,27 +298,50 @@ class RatePipe:
         if duration is None:
             duration = self._serialization_ns(units)
         if extra_ns:
-            duration += int(extra_ns)
+            if type(extra_ns) is not int:
+                extra_ns = int(extra_ns)
+            duration += extra_ns
         sim = self.sim
         now = sim.now
         start = self._busy_until
         if start < now:
             start = now
-        self._busy_until = start + duration
+        when = self._busy_until = start + duration
         self.total_units += units
         self.busy_ns += duration
-        sim.call_later(start + duration - now, func)
+        if duration < 0:
+            # Only a negative ``extra_ns`` gets here: call_later checks it.
+            sim.call_later(when - now, func)
+            return
+        # call_later(when - now, func), written in place.
+        bucket = sim._buckets.get(when)
+        if bucket is None:
+            sim._buckets[when] = [func]
+            _heappush(sim._heap, when)
+        else:
+            bucket.append(func)
 
     def submit_occupy(self, duration_ns: int,
                       func: Callable[[], None]) -> None:
         """Occupy the pipe for a fixed duration (rate-independent work),
-        queued like a train; runs ``func()`` at completion."""
-        duration = int(duration_ns)
+        queued like a train; runs ``func()`` at completion.  A float
+        duration is truncated to integer ns, as ``call_later`` does."""
+        if type(duration_ns) is not int:
+            duration_ns = int(duration_ns)
         sim = self.sim
         now = sim.now
         start = self._busy_until
         if start < now:
             start = now
-        self._busy_until = start + duration
-        self.busy_ns += duration
-        sim.call_later(start + duration - now, func)
+        when = self._busy_until = start + duration_ns
+        self.busy_ns += duration_ns
+        if duration_ns < 0:
+            sim.call_later(when - now, func)
+            return
+        # call_later(when - now, func), written in place.
+        bucket = sim._buckets.get(when)
+        if bucket is None:
+            sim._buckets[when] = [func]
+            _heappush(sim._heap, when)
+        else:
+            bucket.append(func)

@@ -88,14 +88,16 @@ class CompletionQueue:
         san = self.telemetry.sanitizer
         if san is not None:
             bufs = san.on_cq_push(self, wc)
-        if len(self) >= self.depth:
-            # A real adapter raises a fatal async "CQ overrun" event.
-            raise VerbsError(f"CQ overrun (depth={self.depth})")
         consumer = self._subscriber
         if consumer is None:
+            if len(self._entries) >= self.depth:
+                # A real adapter raises a fatal async "CQ overrun" event.
+                raise VerbsError(f"CQ overrun (depth={self.depth})")
             self.pushed += 1
             self._entries.put(wc)
             return
+        # A subscribed CQ holds nothing (the consumer takes each
+        # completion inside this push), so it cannot overrun.
         # ``polled`` counts deliveries the consumer has returned from, so
         # the two counters differ only while the consumer is running.
         if self.polled != self.pushed:

@@ -113,8 +113,11 @@ class _UDSend(_Posted):
         ctx = qp.ctx
         wr = self.wr
         dest = wr.dest
+        # A multicast address handle names node -1: the trunk's
+        # ``dst_node`` is 0 until the fan-out.
+        dst_node = dest.node_id if dest.node_id > 0 else 0
         packet = make_train(
-            ctx.config, src_node=ctx.node_id, dst_node=max(dest.node_id, 0),
+            ctx.config, src_node=ctx.node_id, dst_node=dst_node,
             src_qpn=qp.qpn, dst_qpn=dest.qpn, kind="SEND",
             length=wr.length, transport="UD",
             payload=None if wr.buffer is None else wr.buffer.payload,

@@ -429,6 +429,31 @@ class TestVS110EnumMemberLoads:
             == ["VS110"]
 
 
+class TestVS111EventQueueOutsideTheKernel:
+    """Only ``sim/`` may append to a timestamp's bucket in place."""
+
+    def test_queue_touched_outside_sim_flagged(self):
+        source = (
+            "def schedule(sim, when, func):\n"
+            "    bucket = sim._buckets.get(when)\n"
+            "    if bucket is None:\n"
+            "        sim._buckets[when] = [func]\n"
+            "        heapq.heappush(sim._heap, when)\n"
+            "    else:\n"
+            "        bucket.append(func)\n"
+        )
+        violations = lint_source("fabric/evil.py", source)
+        assert rules_of(violations) == ["VS111"] * 3
+        assert [v.line for v in violations] == [2, 4, 5]
+        assert "._heap" in violations[2].message
+        assert rules_of(lint_source("bench/evil.py", source)) == ["VS111"] * 3
+
+    def test_the_kernel_package_may_schedule_in_place(self):
+        source = "def f(sim):\n    return len(sim._heap), sim._buckets\n"
+        assert lint_source("sim/primitives.py", source) == []
+        assert lint_source("sim/kernel.py", source) == []
+
+
 class TestSelectValidation:
     """parse_select is the single gate for --select: a typo'd rule id
     must error, not lint nothing and exit green."""

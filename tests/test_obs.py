@@ -290,6 +290,21 @@ class TestBaselinesRecordLikeTheDesigns:
         if design == "IPoIB":  # the kernel stack is its packet processor
             assert attribution["categories"]["nic_processing"] > 0
 
+    def test_only_registered_buffers_are_remembered_for_credit(self):
+        """IPoIB delivers its ``Frame``: no release reads which flow it
+        carried, and a dead frame's id is reused, so the recorder keeps
+        none; a credited design remembers its registered buffers."""
+        cluster = Cluster(ClusterConfig(network=EDR, num_nodes=4))
+        cluster.enable_reporting()
+        run_repartition(cluster, "IPoIB", bytes_per_node=4 << 20)
+        links = cluster.telemetry.links
+        assert any(flow[5] >= 0 for flow in links.flows)
+        assert len(links._buffer_flow) == 0
+        cluster = Cluster(ClusterConfig(network=EDR, num_nodes=4))
+        cluster.enable_reporting()
+        run_repartition(cluster, "MESQ/SR", bytes_per_node=1 << 20)
+        assert len(cluster.telemetry.links._buffer_flow) > 0
+
 
 # -- reports ---------------------------------------------------------------
 

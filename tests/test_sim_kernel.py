@@ -1,6 +1,7 @@
 """Unit tests for the discrete-event simulation kernel."""
 
 import gc
+import itertools
 
 import pytest
 from hypothesis import given
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 from repro.sim import (
     AllOf,
     Event,
+    RatePipe,
     SimError,
     Simulator,
 )
@@ -379,6 +381,153 @@ def test_run_process_preserves_rest_of_final_batch():
     sim.run()
     assert fired == ["tail"]
     assert sim.now == 5
+
+
+# -- in-place scheduling -------------------------------------------------------
+
+#: the per-message schedulers that append to a bucket in place, and the
+#: two kernel calls beside them.
+_FUTURE_KINDS = ("sleep", "train", "occupy", "later")
+_NOW_KINDS = ("soon", "train", "occupy", "later")
+
+
+@pytest.mark.parametrize("order", list(itertools.permutations(_FUTURE_KINDS)))
+def test_in_place_entries_for_a_later_instant_keep_schedule_order(order):
+    """A CPU sleep, a pipe train, an engine occupancy and a
+    ``call_later`` all due at t=10 run in the order they were
+    scheduled, followed by what is scheduled at t=10 itself."""
+    sim = Simulator()
+    fired = []
+    link, engine = RatePipe(sim, 1.0), RatePipe(sim, 1.0)
+
+    def note(what):
+        return lambda: fired.append((sim.now, what))
+
+    def act(kind):
+        if kind == "sleep":
+            yield 10
+            fired.append((sim.now, "sleep"))
+            return
+        if kind == "train":
+            link.submit_train(10, note("train"))
+        elif kind == "occupy":
+            engine.submit_occupy(10, note("occupy"))
+        else:
+            sim.call_later(10, note("later"))
+        yield 0
+
+    for kind in order:
+        sim.process(act(kind))
+    sim.call_at(10, lambda: sim.call_soon(note("soon")))
+    sim.run()
+    assert fired == [(10, kind) for kind in order] + [(10, "soon")]
+    # Four first steps, three ends at t=0; at t=10 the four entries,
+    # the sleeper's end, the call_at entry and its call_soon.
+    assert sim.events_dispatched == 14
+
+
+@pytest.mark.parametrize("order", list(itertools.permutations(_NOW_KINDS)))
+def test_in_place_entries_for_the_current_instant_keep_schedule_order(order):
+    """Zero-length pipe charges on idle pipes, ``call_later(0)`` and
+    ``call_soon`` made by one entry run after the entries already queued
+    for that instant, in the order they were made."""
+    sim = Simulator()
+    fired = []
+    link, engine = RatePipe(sim, 1.0), RatePipe(sim, 1.0)
+
+    def note(what):
+        return lambda: fired.append((sim.now, what))
+
+    def schedule():
+        for kind in order:
+            if kind == "soon":
+                sim.call_soon(note("soon"))
+            elif kind == "train":
+                link.submit_train(0, note("train"))
+            elif kind == "occupy":
+                engine.submit_occupy(0, note("occupy"))
+            else:
+                sim.call_later(0, note("later"))
+
+    sim.call_at(3, schedule)
+    sim.call_at(3, note("queued"))
+    sim.run()
+    assert fired == [(3, "queued")] + [(3, kind) for kind in order]
+
+
+def test_submit_occupy_truncates_a_float_duration(sim):
+    engine = RatePipe(sim, 1.0)
+    fired = []
+    engine.submit_occupy(1.9, lambda: fired.append(sim.now))
+    engine.submit_occupy(2, lambda: fired.append(sim.now))
+    sim.run()
+    assert fired == [1, 3] and all(type(t) is int for t in fired)
+    assert engine.busy_ns == 3 and type(engine.busy_ns) is int
+
+
+def test_a_pipe_charge_into_the_past_is_refused(sim):
+    """A negative duration on an idle pipe schedules into the past,
+    which ``call_later`` refuses for a pipe charge too."""
+    with pytest.raises(SimError, match="into the past"):
+        RatePipe(sim, 1.0).submit_occupy(-5, lambda: None)
+    with pytest.raises(SimError, match="into the past"):
+        RatePipe(sim, 1.0).submit_train(4, lambda: None, extra_ns=-9)
+
+
+def test_events_dispatched_counts_a_stop_mid_bucket():
+    """``run_process`` stopping inside a bucket counts the entries it
+    ran, not the ones it leaves queued for the next run."""
+    sim = Simulator()
+    fired = []
+
+    def helper():
+        yield 1
+        # Due at t=5 right behind main's wakeup.
+        sim.call_later(4, lambda: sim.call_soon(lambda: fired.append("h")))
+
+    def main():
+        yield 5
+
+    sim.process(helper())
+    sim.run_process(main())
+    # t=0: both first steps; t=1: helper's wakeup and end event; t=5:
+    # main's wakeup, the helper's entry, then main's end event, where
+    # the run stops with the helper's call_soon still queued.
+    assert sim.events_dispatched == 7
+    assert fired == []
+    sim.run()
+    assert fired == ["h"]
+    assert sim.events_dispatched == 8
+
+
+def test_events_dispatched_counts_an_entry_that_raises_mid_bucket(sim):
+    fired = []
+
+    def boom():
+        raise RuntimeError("boom")
+
+    sim.call_at(5, lambda: fired.append("a"))
+    sim.call_at(5, boom)
+    sim.call_at(5, lambda: fired.append("c"))
+    with pytest.raises(RuntimeError, match="boom"):
+        sim.run()
+    assert fired == ["a"]
+    assert sim.events_dispatched == 2
+
+
+def test_an_unobserved_failure_surfaces_mid_bucket(sim):
+    """A process that fails with nobody waiting raises out of the run
+    once its end event has run, and the count includes that entry."""
+    def bad():
+        yield 2
+        raise ValueError("bad")
+
+    sim.process(bad())
+    sim.call_at(2, lambda: None)
+    with pytest.raises(ValueError, match="bad"):
+        sim.run()
+    # t=0: first step; t=2: the wakeup, the callback, the end event.
+    assert sim.events_dispatched == 4
 
 
 # -- run(until=...) boundary ------------------------------------------------

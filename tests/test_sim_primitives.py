@@ -279,16 +279,25 @@ class TestQueueRun:
             q.put_run(2, lambda k: k)
 
 
+def critical_section(mutex, hold_ns):
+    """The acquire / hold / release protocol every lock user writes out."""
+    wait = mutex.acquire()
+    if wait is not None:
+        yield wait
+    yield hold_ns
+    mutex.release()
+
+
 class TestMutex:
     def test_contended_section_waits_for_the_holder(self, sim):
         mutex = Mutex(sim)
         log = []
 
         def holder():
-            yield from mutex.critical_section(100)
+            yield from critical_section(mutex, 100)
 
         def waiter():
-            yield from mutex.critical_section(0)
+            yield from critical_section(mutex, 0)
             log.append(sim.now)
 
         sim.process(holder())
@@ -302,7 +311,7 @@ class TestMutex:
 
         def proc(name, start, hold):
             yield start
-            yield from mutex.critical_section(hold)
+            yield from critical_section(mutex, hold)
             order.append((name, sim.now))
 
         # The holder enters at 0; a, b and c queue behind it at 1, 2, 3
@@ -320,7 +329,7 @@ class TestMutex:
 
         def proc(name):
             start = sim.now
-            yield from mutex.critical_section(100)
+            yield from critical_section(mutex, 100)
             spans.append((name, start, sim.now))
 
         sim.process(proc("a"))
@@ -328,6 +337,19 @@ class TestMutex:
         sim.run()
         # b cannot finish its critical section before a releases.
         assert spans == [("a", 0, 100), ("b", 0, 200)]
+
+    def test_an_uncontended_acquire_takes_the_lock_in_place(self, sim):
+        mutex = Mutex(sim)
+        assert mutex.acquire() is None
+        wait = mutex.acquire()
+        assert wait is not None and not wait.triggered
+        mutex.release()  # handed straight to the waiter
+        assert wait.triggered
+        assert mutex.acquire() is not None
+        mutex.release()
+        mutex.release()
+        assert mutex.acquire() is None
+        assert sim.events_dispatched == 0
 
 
 class TestNotify:

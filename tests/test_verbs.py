@@ -302,6 +302,24 @@ class TestCompletionQueue:
         with pytest.raises(VerbsError):
             cq.push(WorkCompletion(wr_id=1, opcode=Opcode.SEND))
 
+    def test_polled_cq_at_its_depth_overruns(self, sim):
+        cq = CompletionQueue(sim, Telemetry(sim, 0), depth=3)
+        for i in range(3):
+            cq.push(WorkCompletion(wr_id=i, opcode=Opcode.SEND))
+        with pytest.raises(VerbsError, match="CQ overrun"):
+            cq.push(WorkCompletion(wr_id=3, opcode=Opcode.SEND))
+        assert len(cq.poll()) == 3
+        cq.push(WorkCompletion(wr_id=4, opcode=Opcode.SEND))
+
+    def test_subscribed_cq_holds_nothing_to_overrun(self, sim):
+        cq = CompletionQueue(sim, Telemetry(sim, 0), depth=1)
+        seen = []
+        cq.subscribe(lambda wc: seen.append(wc.wr_id))
+        for i in range(5):
+            cq.push(WorkCompletion(wr_id=i, opcode=Opcode.SEND))
+        assert seen == [0, 1, 2, 3, 4]
+        assert len(cq) == 0
+
     def test_blocking_wait(self, sim):
         cq = CompletionQueue(sim, Telemetry(sim, 0))
 
