@@ -13,14 +13,6 @@ checking"):
   small instance sizes.
 """
 
-from repro.analysis.linter import (
-    STATIC_RULES,
-    LintViolation,
-    lint_paths,
-    lint_source,
-    package_root,
-    parse_select,
-)
 from repro.analysis.sanitizer import (
     RUNTIME_RULES,
     ProtocolViolationError,
@@ -40,3 +32,15 @@ __all__ = [
     "package_root",
     "parse_select",
 ]
+
+#: the static lint's names, imported from :mod:`repro.analysis.linter`
+#: on first use: the runtime sanitizer needs none of them.
+_LINTER_NAMES = ("LintViolation", "STATIC_RULES", "lint_paths",
+                 "lint_source", "package_root", "parse_select")
+
+
+def __getattr__(name: str):
+    if name in _LINTER_NAMES:
+        from repro.analysis import linter
+        return getattr(linter, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -35,7 +35,7 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass, field
-from typing import Any, DefaultDict, Dict, List, Optional, Tuple
+from typing import Any, DefaultDict, Dict, List, Tuple
 
 from repro.memory import Buffer
 from repro.verbs.constants import QPState, QPType
@@ -171,8 +171,8 @@ class Sanitizer:
     # -- verbs hooks: queue pairs ------------------------------------------
 
     def check_post_send(self, qp, wr) -> None:
-        """Pre-validation send check (records what post_send will reject,
-        plus protocol states the verbs layer itself tolerates)."""
+        """A ``post_send`` the verbs layer rejects: record a QP outside
+        RTS or an unconnected RC QP (called only before that raise)."""
         if qp.state is not QPState.RTS:
             self.record(
                 "qp-state",
@@ -195,6 +195,8 @@ class Sanitizer:
             counts[tracked.addr] = counts.get(tracked.addr, 0) + 1
 
     def check_post_recv(self, qp) -> None:
+        """A Receive posted outside INIT/RTS, called only before the verbs
+        layer raises on it."""
         if qp.state not in (QPState.INIT, QPState.RTS):
             self.record(
                 "qp-state",
@@ -220,37 +222,53 @@ class Sanitizer:
 
     # -- verbs hooks: completion queues ------------------------------------
 
-    def on_cq_push(self, cq, wc) -> Tuple[Buffer, ...]:
-        """Called before the CQ accepts ``wc`` (so overruns are seen even
-        though the verbs layer raises on them); returns the buffers
-        ``wc`` carries, for a push that consumes it in place."""
+    def on_cq_push(self, cq, wc) -> None:
+        """Called before a polled or waited CQ accepts ``wc``, and before
+        a subscribed one refuses it (so overruns are seen even though the
+        verbs layer raises on them)."""
         if len(cq) >= cq.depth:
             self.record(
                 "cq-overflow",
                 f"completion pushed into full CQ (depth={cq.depth})",
                 node_id=cq.node_id, depth=cq.depth)
-        bufs = _wr_id_buffers(wc.wr_id)
-        for buf in bufs:
-            if self._by_node[buf.mr.node_id].get(buf.addr) == 0:
-                self.record(
-                    "cq-double-completion",
-                    f"completion for buffer {buf.addr:#x} with no work "
-                    f"request in flight",
-                    node_id=cq.node_id, addr=buf.addr, opcode=wc.opcode.name)
-        return bufs
+        by_node = self._by_node
+        for buf in _wr_id_buffers(wc.wr_id):
+            if by_node[buf.mr.node_id].get(buf.addr) == 0:
+                self._double_completion(cq, wc, buf)
 
-    def on_cq_consumed(self, cq, wc,
-                       bufs: Optional[Tuple[Buffer, ...]] = None) -> None:
+    def on_cq_consumed(self, cq, wc) -> None:
         """Called when the application polls ``wc`` out of the CQ; the
-        buffer becomes reusable.  ``bufs`` is what :meth:`on_cq_push`
-        returned for ``wc``, when the push consumes it."""
-        if bufs is None:
-            bufs = _wr_id_buffers(wc.wr_id)
-        for buf in bufs:
-            counts = self._by_node[buf.mr.node_id]
+        buffer becomes reusable."""
+        by_node = self._by_node
+        for buf in _wr_id_buffers(wc.wr_id):
+            counts = by_node[buf.mr.node_id]
             count = counts.get(buf.addr)
             if count:  # untracked (posted before attach) stays untracked
                 counts[buf.addr] = count - 1
+
+    def on_cq_delivered(self, cq, wc) -> None:
+        """A subscribed CQ's push, which its consumer takes in place:
+        :meth:`on_cq_push` then :meth:`on_cq_consumed` in one call, with
+        ``wc`` decoded once.  Such a CQ holds nothing, so it cannot
+        overflow."""
+        ref = wc.wr_id
+        bufs = (ref,) if type(ref) is Buffer else _wr_id_buffers(ref)
+        by_node = self._by_node
+        for buf in bufs:
+            if by_node[buf.mr.node_id].get(buf.addr) == 0:
+                self._double_completion(cq, wc, buf)
+        for buf in bufs:
+            counts = by_node[buf.mr.node_id]
+            count = counts.get(buf.addr)
+            if count:
+                counts[buf.addr] = count - 1
+
+    def _double_completion(self, cq, wc, buf: Buffer) -> None:
+        self.record(
+            "cq-double-completion",
+            f"completion for buffer {buf.addr:#x} with no work "
+            f"request in flight",
+            node_id=cq.node_id, addr=buf.addr, opcode=wc.opcode.name)
 
     # -- memory hooks ------------------------------------------------------
 

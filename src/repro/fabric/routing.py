@@ -100,7 +100,14 @@ class Flight:
         if index == 0 and self.unordered:
             jitter = self.fabric.config.ud_jitter_ns
             if jitter:
-                latency += self.fabric._rng.randrange(jitter)
+                # ``randrange(jitter)`` without its two frames: the same
+                # rejection draw, so the same stream (CPython 3.10-3.12).
+                getrandbits = self.fabric._rng.getrandbits
+                bits = jitter.bit_length()
+                draw = getrandbits(bits)
+                while draw >= jitter:
+                    draw = getrandbits(bits)
+                latency += draw
         assert type(latency) is int, "hop latency must be integer ns"
         self.index = index + 1
         if hop.port is None:

@@ -167,16 +167,29 @@ class Telemetry:
         kept, seq = False, 0
         tracer = self.tracer
         if tracer is not None and base_ns + penalty_ns + extra_ns > 0:
-            # Interned before the budget test: tids go by first use.
-            node, track, name = rows.tracks[kind, owner]
-            tracer.series["X", node, track, name, "fabric"]
-            seq = len(tracer.rows)
-            kept = tracer.pipes.take(tracer.budget)
-        links = self.links
-        if links is not None:
-            if links.pipes.take(links.budget):
+            if (kind, owner) not in tracer.pipe_series:
+                # Interned before the budget test: tids go by first use.
+                tracer.pipe_series.add((kind, owner))
+                node, track, name = rows.tracks[kind, owner]
+                tracer.series["X", node, track, name, "fabric"]
+            events = tracer.rows
+            seq = len(events.data) // events.width
+            budget = tracer.budget
+            if budget.remaining > 0:
+                budget.remaining -= 1
                 kept = True
             else:
+                budget.dropped += 1
+                tracer.pipes.end()
+        links = self.links
+        if links is not None:
+            budget = links.budget
+            if budget.remaining > 0:
+                budget.remaining -= 1
+                kept = True
+            else:
+                budget.dropped += 1
+                links.pipes.end()
                 links.truncated = True
         if kept:
             codes = rows.codes

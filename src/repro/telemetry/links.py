@@ -87,13 +87,17 @@ class FlowRecorder:
         """Allocate a flow id for a freshly posted WR; 0 when over budget."""
         trigger = self.pending_trigger
         self.pending_trigger = 0
-        if not self.budget.take():
+        budget = self.budget
+        if budget.remaining <= 0:
+            budget.dropped += 1
             self.truncated = True
             return 0
-        self.flows.data.frombytes(self.flows.pack(
-            self.codes[kind], src, dst, size, self.sim.now, -1, prev,
-            trigger))
-        return len(self.flows)
+        budget.remaining -= 1
+        flows = self.flows
+        data = flows.data
+        data.frombytes(flows.pack(self.codes[kind], src, dst, size,
+                                  self.sim.now, -1, prev, trigger))
+        return len(data) // 8
 
     def on_deliver(self, flow: int, buf=None) -> None:
         """Stamp delivery time of ``flow`` (an id :meth:`new_flow`
@@ -112,9 +116,12 @@ class FlowRecorder:
               duration: int) -> None:
         if duration <= 0:
             return
-        if not self.budget.take():
+        budget = self.budget
+        if budget.remaining <= 0:
+            budget.dropped += 1
             self.truncated = True
             return
+        budget.remaining -= 1
         self.stalls.data.frombytes(self.stalls.pack(
             node, ep, self.codes[kind], start, duration))
 

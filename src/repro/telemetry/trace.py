@@ -40,7 +40,7 @@ import json
 import struct
 from array import array
 from typing import (TYPE_CHECKING, Any, Dict, Iterable, Iterator, List,
-                    Optional, TextIO, Tuple)
+                    Optional, Set, TextIO, Tuple)
 
 import numpy as np
 
@@ -51,7 +51,10 @@ __all__ = ["Codes", "RecordRows", "TraceBudget", "Tracer", "write_trace"]
 
 
 class TraceBudget:
-    """A shared cap on recorded events (one per session, many tracers)."""
+    """A shared cap on recorded events (one per session, many tracers).
+
+    The per-message hooks write :meth:`take` in place: a compare on
+    ``remaining``, and ``dropped`` counted on a refusal."""
 
     __slots__ = ("remaining", "dropped")
 
@@ -160,14 +163,11 @@ class KeptRows(RecordRows):
         self.data, self.store = store.data, store
         self.part = slice(len(store), None)
 
-    def take(self, budget: TraceBudget) -> bool:
-        """One slot of ``budget`` for the charge about to be stored; a
-        budget never refills, so a refusal ends the rows kept."""
-        if budget.take():
-            return True
+    def end(self) -> None:
+        """The observer's budget refused a charge; a budget never
+        refills, so the rows kept end at the store's row count."""
         if self.part.stop is None:
             self.part = slice(self.part.start, len(self.store))
-        return False
 
     def __len__(self) -> int:
         return len(self.columns())
@@ -201,6 +201,10 @@ class Tracer:
         self._names: Dict[int, str] = {}
         #: the pipe charges this tracer kept.
         self.pipes = KeptRows(pipes if pipes is not None else PipeRows())
+        #: the ``(kind, owner)`` of every pipe whose series is interned.
+        self.pipe_series: Set[Tuple[str, Any]] = set()
+        #: a QP's work-request span series, by ``(qpn, span name)``.
+        self._wr_series: Dict[Tuple[int, str], int] = {}
 
     @property
     def events(self) -> "_Events":
@@ -235,11 +239,33 @@ class Tracer:
                  dur_ns: int, cat: str = "", args: Any = None) -> None:
         """One ``X`` span with explicit start and duration."""
         code = self.series["X", node_id, track, name, cat]
-        if self.budget.take():
-            if type(args) is not int or args < 0:
-                args = -1 if args is None else self._arg(args)
-            rows = self.rows
-            rows.data.frombytes(rows.pack(code, start_ns, dur_ns, args))
+        budget = self.budget
+        if budget.remaining <= 0:
+            budget.dropped += 1
+            return
+        budget.remaining -= 1
+        if type(args) is not int or args < 0:
+            args = -1 if args is None else self._arg(args)
+        rows = self.rows
+        rows.data.frombytes(rows.pack(code, start_ns, dur_ns, args))
+
+    def work_request(self, qp, name: str, start_ns: int, size: int) -> None:
+        """The ``verbs`` span ``name`` of a work request on ``qp``, from
+        ``start_ns`` to now: :meth:`complete` on the QP's track, with the
+        series interned once per ``(qpn, name)``."""
+        try:
+            code = self._wr_series[qp.qpn, name]
+        except KeyError:
+            code = self._wr_series[qp.qpn, name] = self.series[
+                "X", qp.ctx.node_id, qp.track, name, "verbs"]
+        budget = self.budget
+        if budget.remaining <= 0:
+            budget.dropped += 1
+            return
+        budget.remaining -= 1
+        rows = self.rows
+        rows.data.frombytes(rows.pack(code, start_ns, self.sim.now - start_ns,
+                                      size))
 
     def instant(self, node_id: int, track: str, name: str,
                 ts_ns: Optional[int] = None, cat: str = "",

@@ -86,10 +86,10 @@ class CompletionQueue:
     def push(self, wc: WorkCompletion) -> None:
         """Deposit a completion (called by the simulated NIC)."""
         san = self.telemetry.sanitizer
-        if san is not None:
-            bufs = san.on_cq_push(self, wc)
         consumer = self._subscriber
         if consumer is None:
+            if san is not None:
+                san.on_cq_push(self, wc)
             if len(self._entries) >= self.depth:
                 # A real adapter raises a fatal async "CQ overrun" event.
                 raise VerbsError(f"CQ overrun (depth={self.depth})")
@@ -101,12 +101,14 @@ class CompletionQueue:
         # ``polled`` counts deliveries the consumer has returned from, so
         # the two counters differ only while the consumer is running.
         if self.polled != self.pushed:
+            if san is not None:
+                san.on_cq_push(self, wc)
             raise VerbsError(
                 "completion pushed onto a subscribed CQ from inside its "
                 "own consumer")
         self.pushed += 1
         if san is not None:
-            san.on_cq_consumed(self, wc, bufs)
+            san.on_cq_delivered(self, wc)
         consumer(wc)
         self.polled += 1
 

@@ -380,12 +380,9 @@ class QueuePair:
 
     def post_recv(self, wr: RecvWR) -> None:
         """``ibv_post_recv``: queue a receive buffer."""
-        san = self.ctx.telemetry.sanitizer
-        if san is not None:
-            san.check_post_recv(self)
         state = self.state
         if state is not QPS_RTS and state is not QPS_INIT:
-            raise VerbsError(f"cannot post receive in state {state}")
+            raise self._rejected_recv()
         if self._recv_posted >= self.max_recv_wr:
             raise VerbsError(
                 f"receive queue full (max_recv_wr={self.max_recv_wr})"
@@ -398,6 +395,7 @@ class QueuePair:
                 f"receive of {wr.length} B posted into a {buf.capacity} B "
                 f"buffer"
             )
+        san = self.ctx.telemetry.sanitizer
         if san is not None:
             san.track_post_recv(self, wr)
         self._recv_posted += 1
@@ -420,12 +418,9 @@ class QueuePair:
         is posted if the run does not fit."""
         if slots is None:
             slots = range(len(pool))
-        san = self.ctx.telemetry.sanitizer
-        if san is not None:
-            san.check_post_recv(self)
         state = self.state
         if state is not QPS_RTS and state is not QPS_INIT:
-            raise VerbsError(f"cannot post receive in state {state}")
+            raise self._rejected_recv()
         if self._recv_posted + len(slots) > self.max_recv_wr:
             raise VerbsError(
                 f"receive queue full (max_recv_wr={self.max_recv_wr})"
@@ -436,6 +431,7 @@ class QueuePair:
             )
         if len(self._recvs):
             raise VerbsError("a run of Receives needs an empty receive queue")
+        san = self.ctx.telemetry.sanitizer
         if san is not None:
             san.track_post_recv_run(pool, slots)
         self._recv_posted += len(slots)
@@ -449,14 +445,12 @@ class QueuePair:
         reported through the send CQ if ``wr.signaled``.
         """
         ctx = self.ctx
-        telemetry = ctx.telemetry
-        san = telemetry.sanitizer
-        if san is not None:
-            san.check_post_send(self, wr)
         if self.state is not QPS_RTS:
-            raise VerbsError(f"cannot post send in state {self.state}")
+            raise self._rejected_send(
+                wr, f"cannot post send in state {self.state}")
         if self._send_outstanding >= self.max_send_wr:
-            raise VerbsError(f"send queue full (max_send_wr={self.max_send_wr})")
+            raise self._rejected_send(
+                wr, f"send queue full (max_send_wr={self.max_send_wr})")
         opcode = wr.opcode
         datagram = self.qp_type is QPT_UD
         if datagram:
@@ -473,16 +467,31 @@ class QueuePair:
                 )
         else:
             if self._peer is None:
-                raise VerbsError("RC QP is not connected")
+                raise self._rejected_send(wr, "RC QP is not connected")
             if wr.length > MAX_RC_MSG:
                 raise VerbsError(f"RC message of {wr.length} B exceeds 1 GiB")
+        telemetry = ctx.telemetry
+        san = telemetry.sanitizer
         if san is not None:
             san.track_post_send(self, wr)
         self._send_outstanding += 1
         self.sends_posted += 1
         links = telemetry.links
         if links is not None:
-            wr.flow = self._new_flow(links, wr)
+            # A causal flow for the WR, chained to the QP's last one; its
+            # kind is the endpoint-protocol tag of a tuple ``wr_id``
+            # ("data", "final", "credit", "read", "valid", "free"...),
+            # else the verb opcode.
+            wid = wr.wr_id
+            if type(wid) is tuple and wid and isinstance(wid[0], str):
+                kind = wid[0]
+            else:
+                kind = str(opcode.value)
+            dst = max(wr.dest.node_id, 0) if datagram else self._peer.node_id
+            flow = wr.flow = links.new_flow(kind, ctx.node_id, dst, wr.length,
+                                            self._last_flow)
+            if flow:
+                self._last_flow = flow
         # Every work request runs as one in-flight record whose stages
         # are flat callbacks: the QP state machine is hardware, not a CPU
         # thread (DESIGN.md, "Execution path").
@@ -502,27 +511,22 @@ class QueuePair:
             raise VerbsError(f"cannot post {opcode} to a send queue")
         ctx.nic.submit_wr(self.qpn, posted.issue, extra)
 
-    def _new_flow(self, links, wr: SendWR) -> int:
-        """Allocate a causal flow id for a freshly posted work request.
+    def _rejected_recv(self) -> VerbsError:
+        """The error a Receive posted outside INIT/RTS raises, once the
+        sanitizer, if on, has recorded it."""
+        san = self.ctx.telemetry.sanitizer
+        if san is not None:
+            san.check_post_recv(self)
+        return VerbsError(f"cannot post receive in state {self.state}")
 
-        The flow kind is the endpoint-protocol tag carried in tuple
-        ``wr_id``\\ s ("data", "final", "credit", "read", "valid",
-        "free"...), falling back to the verb opcode.
-        """
-        wid = wr.wr_id
-        if type(wid) is tuple and wid and isinstance(wid[0], str):
-            kind = wid[0]
-        else:
-            kind = str(wr.opcode.value)
-        if self.qp_type is QPT_RC:
-            dst = self._peer.node_id
-        else:
-            dst = max(wr.dest.node_id, 0)
-        flow = links.new_flow(kind, self.ctx.node_id, dst, wr.length,
-                              prev=self._last_flow)
-        if flow:
-            self._last_flow = flow
-        return flow
+    def _rejected_send(self, wr: SendWR, message: str) -> VerbsError:
+        """The error ``message`` a rejected ``post_send`` of ``wr`` raises,
+        once the sanitizer, if on, has recorded what it sees wrong with
+        the QP (only a QP outside RTS, or an unconnected RC QP, is)."""
+        san = self.ctx.telemetry.sanitizer
+        if san is not None:
+            san.check_post_send(self, wr)
+        return VerbsError(message)
 
     # -- completion helpers ----------------------------------------------------
 
@@ -535,8 +539,7 @@ class QueuePair:
                 -1, wr.flow))
         tracer = self.ctx.telemetry.tracer
         if tracer is not None:
-            tracer.complete(self.ctx.node_id, self.track, name, t0,
-                            self.ctx.sim.now - t0, "verbs", wr.length)
+            tracer.work_request(self, name, t0, wr.length)
 
     def _deposit(self, rwr: RecvWR, packet: Packet) -> None:
         """Copy an arriving message into the posted receive buffer."""

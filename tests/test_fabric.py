@@ -1,9 +1,14 @@
 """Unit tests for the simulated fabric (NIC, links, routing)."""
 
+import random
+from types import SimpleNamespace
+
 import pytest
 
 from repro.fabric import EDR, FDR, ClusterConfig, Fabric, Packet, QPContextCache
 from repro.fabric.packet import make_train
+from repro.fabric.routing import Flight
+from repro.fabric.topology import Hop
 from repro.sim import Event, RatePipe, Simulator
 
 
@@ -244,6 +249,26 @@ class TestRouting:
     def test_threads_default_to_cores(self):
         cluster = ClusterConfig(network=FDR, num_nodes=2)
         assert cluster.threads_per_node == FDR.cores_per_node
+
+
+@pytest.mark.parametrize("jitter", [1, 2, 3, 7, 1000, 2048, 2200, 2600,
+                                    4097])
+def test_jitter_draws_are_randrange(jitter):
+    """A datagram's first-hop jitter, drawn in place from the fabric's
+    generator, is the value and leaves the stream where
+    ``Random.randrange(jitter)`` would, seed by seed."""
+    for seed in range(100):
+        delays = []
+        fabric = SimpleNamespace(
+            config=SimpleNamespace(ud_jitter_ns=jitter),
+            _rng=random.Random(seed),
+            sim=SimpleNamespace(
+                call_later=lambda delay, _step: delays.append(delay)))
+        for _ in range(4):
+            Flight(fabric, None, [Hop(None, 0)], True, False, None).advance()
+        reference = random.Random(seed)
+        assert delays == [reference.randrange(jitter) for _ in range(4)]
+        assert fabric._rng.random() == reference.random()
 
 
 class TestCpuScaling:

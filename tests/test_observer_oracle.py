@@ -148,6 +148,11 @@ class CallSiteTracer(ReferenceTracer):
         super().complete(node_id, track, name, start_ns, dur_ns, cat,
                          self._args(args))
 
+    def work_request(self, qp, name, start_ns, size):
+        """A QP's work-request span, as the QP used to pass it."""
+        self.complete(qp.ctx.node_id, f"qp{qp.qpn}", name, start_ns,
+                      self.sim.now - start_ns, "verbs", size)
+
 
 # -- reference attribution: an object per record, a closure per add -------
 

@@ -58,16 +58,26 @@ def test_designs_are_clean_and_sanitizer_is_invisible(design):
 
 def test_a_completion_consumed_in_its_push_is_decoded_once(monkeypatch):
     """A subscribed CQ consumes each completion inside the push that
-    deposits it; the push and the consume hooks used to decode its
-    ``wr_id`` one time each."""
+    deposits it, so the sanitizer sees it in one call, which decodes its
+    ``wr_id`` at most once (a bare buffer needs no decoding); the push
+    and the consume hooks used to decode it one time each."""
     decode = sanitizer_module._wr_id_buffers
+    deliver = sanitizer_module.Sanitizer.on_cq_delivered
     callers = collections.Counter()
+    decodes_per_push = collections.Counter()
 
     def counting(ref):
         callers[sys._getframe(1).f_code.co_name] += 1
         return decode(ref)
 
+    def counting_delivery(san, cq, wc):
+        before = callers["on_cq_delivered"]
+        deliver(san, cq, wc)
+        decodes_per_push[callers["on_cq_delivered"] - before] += 1
+
     monkeypatch.setattr(sanitizer_module, "_wr_id_buffers", counting)
+    monkeypatch.setattr(sanitizer_module.Sanitizer, "on_cq_delivered",
+                        counting_delivery)
     pushed = 0
     for design in ("SEMQ/SR", "MESQ/SR"):
         cluster = Cluster(ClusterConfig(network=EDR, num_nodes=4))
@@ -76,8 +86,11 @@ def test_a_completion_consumed_in_its_push_is_decoded_once(monkeypatch):
         assert not san.violations
         pushed += sum(node["verbs.cqes_pushed"] for node in
                       cluster.metrics_snapshot()["nodes"].values())
-    assert callers["on_cq_push"] == pushed > 0
-    assert callers["on_cq_consumed"] == 0
+    assert sum(decodes_per_push.values()) == pushed > 0
+    # Both kinds of ``wr_id`` occur: a bare buffer and a tag tuple.
+    assert decodes_per_push[0] > 0 and decodes_per_push[1] > 0
+    assert set(decodes_per_push) == {0, 1}
+    assert callers["on_cq_push"] == callers["on_cq_consumed"] == 0
 
 
 class TestWiring:

@@ -99,6 +99,31 @@ class TestQPStateRule:
             qp.post_recv(RecvWR(wr_id="r", buffer=pool.buffer(0), length=64))
         assert rules_of(san) == ["qp-state"]
 
+    def test_post_recv_run_in_error_state(self, sim):
+        _, ctxs, san = sanitized_cluster(sim)
+        cq = ctxs[0].create_cq()
+        qp = ctxs[0].create_qp(QPType.RC, cq, cq)
+        pool = BufferPool(ctxs[0], 4, 64)
+        qp.state = QPState.ERROR
+        with pytest.raises(VerbsError, match="ERROR"):
+            qp.post_recv_run(pool, 64)
+        assert rules_of(san) == ["qp-state"]
+        assert san.violations[0].details["state"] == "ERROR"
+        assert qp.recvs_posted == 0
+
+    def test_full_send_queue_on_unconnected_rts_qp(self, sim):
+        """The queue-full error comes first, and the sanitizer still
+        records the missing peer."""
+        _, ctxs, san = sanitized_cluster(sim)
+        cq = ctxs[0].create_cq()
+        qp = ctxs[0].create_qp(QPType.RC, cq, cq, max_send_wr=1)
+        qp.state = QPState.RTS  # forged transition: RTS with no peer
+        qp._send_outstanding = 1  # forged: the one slot is taken
+        with pytest.raises(VerbsError, match="send queue full"):
+            qp.post_send(SendWR(wr_id="x", opcode=Opcode.SEND, length=16))
+        assert rules_of(san) == ["qp-state"]
+        assert "unconnected" in san.violations[0].message
+
 
 class TestMRLifetimeRule:
     def test_use_after_deregister(self, sim):
@@ -182,6 +207,33 @@ class TestCQRules:
         cqs[0].push(WorkCompletion(wr_id=buf, opcode=Opcode.SEND))
         assert rules_of(san) == ["cq-double-completion"]
         assert san.violations[0].details["addr"] == buf.addr
+
+    @pytest.mark.parametrize("tagged", [False, True])
+    def test_double_completion_on_a_subscribed_cq(self, sim, tagged):
+        """A subscribed CQ's consumer takes each completion inside its
+        push, and the sanitizer still sees the second one for an idle
+        buffer, whether the ``wr_id`` is the buffer or a tag tuple."""
+        _, ctxs, san = sanitized_cluster(sim)
+        qps, cqs = rc_pair(ctxs)
+        consumed = []
+        cqs[0].subscribe(consumed.append)
+        spool = BufferPool(ctxs[0], 1, 256)
+        rpool = BufferPool(ctxs[1], 1, 256)
+        buf, rbuf = spool.buffer(0), rpool.buffer(0)
+        wr_id = ("data", buf) if tagged else buf
+        qps[1].post_recv(RecvWR(wr_id=rbuf, buffer=rbuf, length=256))
+        buf.fill("payload", 128)
+        qps[0].post_send(SendWR(wr_id=wr_id, opcode=Opcode.SEND,
+                                buffer=buf, length=128))
+        sim.run()
+        assert [wc.wr_id for wc in consumed] == [wr_id]
+        assert rules_of(san) == []
+        buf.fill("legal again", 128)  # the completion released it
+        assert rules_of(san) == []
+        cqs[0].push(WorkCompletion(wr_id=wr_id, opcode=Opcode.SEND))
+        assert rules_of(san) == ["cq-double-completion"]
+        assert san.violations[0].details["addr"] == buf.addr
+        assert len(consumed) == 2
 
 
 # A send endpoint that skips the credit gate: the planted bug for the

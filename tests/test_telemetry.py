@@ -1,8 +1,11 @@
 """Tests for repro.telemetry: callbacks, tracer, harvesting,
 sessions."""
 
+import collections
 import io
 import json
+import os
+import sys
 
 import pytest
 
@@ -37,6 +40,45 @@ def exported_session(sess, tmp_path):
     path = tmp_path / "session.json"
     sess.export_trace(str(path))
     return json.loads(path.read_text())
+
+
+#: design -> (Python calls into repro/telemetry, into repro/analysis,
+#: messages delivered) of a 4-node 1 MiB/node repartition with the
+#: tracer, the link recorder and the sanitizer on.
+OBSERVER_CALLS = {
+    "SEMQ/SR": (2167, 1504, 414),
+    "MESQ/SR": (24841, 26298, 3198),
+}
+
+
+@pytest.mark.parametrize("design", sorted(OBSERVER_CALLS))
+def test_observer_calls_per_message(design):
+    """What an observed message costs the observers, in Python frames:
+    each record is one hook call (its budget test written in place),
+    and a subscribed CQ makes one sanitizer call per completion."""
+    cluster = Cluster(ClusterConfig(network=EDR, num_nodes=4))
+    cluster.enable_tracing()
+    cluster.enable_reporting()
+    cluster.enable_sanitizer()
+    packages = [os.path.join("repro", name, "")
+                for name in ("telemetry", "analysis")]
+    calls = collections.Counter()
+
+    def count(frame, event, _arg):
+        if event == "call":
+            path = frame.f_code.co_filename
+            for package in packages:
+                if package in path:
+                    calls[package] += 1
+
+    sys.setprofile(count)
+    try:
+        run_repartition(cluster, design, bytes_per_node=MIB)
+    finally:
+        sys.setprofile(None)
+    assert not cluster.sanitizer.violations
+    assert (*[calls[package] for package in packages],
+            cluster.fabric.delivered_messages) == OBSERVER_CALLS[design]
 
 
 class TestSnapshotCallbacks:
