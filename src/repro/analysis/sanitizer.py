@@ -204,11 +204,15 @@ class Sanitizer:
                 node_id=qp.ctx.node_id, qpn=qp.qpn, state=qp.state.name)
 
     def track_post_recv(self, qp, wr) -> None:
-        """Receives always complete signaled; track the posted buffer."""
+        """Receives always complete signaled; track the posted buffer,
+        which a post rewrites (this checks a repost's reset too)."""
         buf = wr.buffer
         if type(buf) is Buffer:
             counts = self._by_node[buf.mr.node_id]
-            counts[buf.addr] = counts.get(buf.addr, 0) + 1
+            outstanding = counts.get(buf.addr, 0)
+            if outstanding > 0:
+                self.on_buffer_write(buf, "post_recv")
+            counts[buf.addr] = outstanding + 1
 
     def track_post_recv_run(self, pool, slots: range) -> None:
         """A run of a pool's ``slots`` posted as Receives: track each

@@ -73,7 +73,7 @@ class TcpStack:
         telemetry = self.ctx.telemetry
         if telemetry.pipes_observed:
             telemetry.pipe(kind, self.ctx.node_id, pipe,
-                           pipe._serialization_ns(wire_bytes), 0, 0, wire_bytes)
+                           pipe.durations[wire_bytes], 0, 0, wire_bytes)
         pipe.submit_train(wire_bytes, func)
 
 

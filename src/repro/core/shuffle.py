@@ -46,13 +46,17 @@ def hash_partitioner(key_of: Callable[[np.ndarray], np.ndarray],
     """Partition by multiplicative hash of ``key_of(batch)`` (Alg 1 l.8).
 
     ``key_of`` extracts an integer key array from a batch (e.g.
-    ``lambda b: b["orderkey"]``).
+    ``lambda b: b["orderkey"]``).  Hashed in ``uint32`` (the product's
+    low 32 bits depend only on the key's); groups come back in the
+    smallest unsigned dtype, so staging them by group is a radix sort.
     """
+    multiplier = np.uint32(_HASH_MULTIPLIER)
+    groups = np.uint32(num_groups)
+    dtype = np.min_scalar_type(num_groups - 1)
 
     def partition(batch: np.ndarray) -> np.ndarray:
-        keys = key_of(batch).astype(np.uint64, copy=False)
-        return ((keys * np.uint64(_HASH_MULTIPLIER)) % np.uint64(1 << 32)
-                % np.uint64(num_groups)).astype(np.int64)
+        keys = key_of(batch).astype(np.uint32)
+        return (keys * multiplier % groups).astype(dtype, copy=False)
 
     return partition
 

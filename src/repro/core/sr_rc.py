@@ -125,7 +125,6 @@ class SRRCReceiveEndpoint(CreditedReceiveEndpoint):
             # Repost the consumed Receive, without issuing credit: the
             # stream has ended and the sender needs none.
             conn = self.conns[frame.src_endpoint]
-            buf.reset()
             conn.qp.post_recv_buffer(buf, self.config.message_size)
             self._source_depleted(conn)
 

@@ -204,7 +204,6 @@ class SRUDReceiveEndpoint(CreditedReceiveEndpoint):
         conn = self.conns.get(frame.src_endpoint)
         if conn is None:
             # Stray datagram from an unknown endpoint: drop it.
-            buf.reset()
             self.qp.post_recv_buffer(buf, self.config.message_size)
             return
         conn.received += 1
@@ -214,7 +213,6 @@ class SRUDReceiveEndpoint(CreditedReceiveEndpoint):
                           flow=wc.flow)
         elif frame.kind == "final":
             conn.expected = frame.total
-            buf.reset()
             self.qp.post_recv_buffer(buf, self.config.message_size)
         if conn.expected is not None:
             self._check_link_complete(conn)

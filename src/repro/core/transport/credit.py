@@ -21,7 +21,7 @@ a datagram) and a host-side hook reacts:
 
 from __future__ import annotations
 
-from typing import Any, Callable, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Optional, Sequence
 
 from repro.memory import BufferPool
 from repro.verbs.constants import OP_SEND, OP_WRITE
@@ -136,13 +136,14 @@ class RingBoard:
     """Consumer side of per-peer circular message queues (FreeArr or
     ValidArr): one registered region carved into ``cap``-slot rings, one
     per peer, updated by inlined remote Writes.  Every write of a
-    non-zero value is routed to ``on_value(key, value)``.
+    non-zero value is routed to ``on_value(key, value)``; the rings lie
+    in key order, so a write finds its ring by division.
 
     The region's write hook owns the board; the endpoint it routes to
     must not keep it, or the two form a cycle no ``dispose()`` sees."""
 
-    __slots__ = ("mr", "cap", "base_by_key", "_regions", "_on_value",
-                 "_ep", "name", "validator")
+    __slots__ = ("mr", "cap", "base_by_key", "_keys", "_ring_bytes",
+                 "_on_value", "_ep", "name", "validator")
 
     @classmethod
     def install(cls, ep, keys: Sequence[Any], cap: int,
@@ -169,12 +170,10 @@ class RingBoard:
         tenant = getattr(getattr(ep, "config", None), "tenant", None)
         board.mr = yield from ep.ctx.reg_mr_timed(
             8 * cap * count, tenant=tenant)
-        board.base_by_key = {}
-        board._regions: List[Tuple[int, int, Any]] = []
-        for i, key in enumerate(keys):
-            base = board.mr.addr + 8 * cap * i
-            board.base_by_key[key] = base
-            board._regions.append((base, base + 8 * cap, key))
+        board._keys = list(keys)
+        board._ring_bytes = 8 * cap
+        board.base_by_key = {key: board.mr.addr + 8 * cap * i
+                             for i, key in enumerate(keys)}
         board.mr.on_write.append(board._route)
         ep.aux_mrs.append(board.mr)
         return board
@@ -182,13 +181,15 @@ class RingBoard:
     def _route(self, addr: int, value: int) -> None:
         if value == 0:
             return
-        for lo, hi, key in self._regions:
-            if lo <= addr < hi:
-                san = self._ep.ctx.telemetry.sanitizer
-                if san is not None:
-                    san.on_ring_consume(self, lo, key, value)
-                self._on_value(key, value)
-                return
+        base = self.mr.addr
+        ring = (addr - base) // self._ring_bytes
+        if 0 <= ring < len(self._keys):
+            key = self._keys[ring]
+            san = self._ep.ctx.telemetry.sanitizer
+            if san is not None:
+                san.on_ring_consume(self, base + ring * self._ring_bytes,
+                                    key, value)
+            self._on_value(key, value)
 
 
 class CreditDatagramPort:
@@ -220,7 +221,6 @@ class CreditDatagramPort:
 
     def repost(self, buf) -> None:
         """Recycle a consumed credit-receive slot."""
-        buf.reset()
         self.qp.post_recv_buffer(buf, CREDIT_MSG_BYTES)
 
     def post_credit(self, conn: UDCreditReceiver,

@@ -466,7 +466,6 @@ class CreditedReceiveEndpoint(ReceiveEndpoint):
         yield self.post_wr_cost
         self.lock.release()
         conn = self.conns[src]
-        local.reset()
         self._repost(conn, local)
         conn.posted += 1
         # Credit is issued strictly after the Receive is reposted; the
@@ -485,6 +484,7 @@ class CreditedReceiveEndpoint(ReceiveEndpoint):
     # -- posting policy supplied by the design -----------------------------
 
     def _repost(self, conn: CreditReceiver, local: Buffer) -> None:
+        """Reset ``local`` and post it as a Receive again."""
         raise NotImplementedError
 
     def _return_credit(self, conn: CreditReceiver, value: int) -> None:

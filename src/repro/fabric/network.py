@@ -169,12 +169,28 @@ class Fabric:
         out and back in, so both port pipes are charged, but the route
         has no hops — no switch latency, no jitter, no loss.
         """
-        self.link_bytes[packet.src_node][packet.dst_node] += packet.wire_bytes
-        if packet.src_node == packet.dst_node:  # loopback
+        src = packet.src_node
+        dst = packet.dst_node
+        wire_bytes = packet.wire_bytes
+        self.link_bytes[src][dst] += wire_bytes
+        if src != dst:
+            # Topology.route_hops(src, dst), read in place.
+            topology = self.topology
+            leaf = topology.leaf_of
+            hops = topology.leaf_hops[leaf[src]][leaf[dst]]
+        else:  # loopback
             unordered = lossy = False
-        hops = self.topology.route_hops(packet.src_node, packet.dst_node)
-        routing.Flight(self, packet, hops, unordered, lossy, on_arrival,
-                       on_egress).depart()
+            hops = ()
+        flight = routing.Flight(self, packet, hops, unordered, lossy,
+                                on_arrival, on_egress)
+        # flight.depart(), written in place.
+        nic = self.nodes[src].nic
+        nic.tx_messages += 1
+        if self.telemetry.pipes_observed:
+            self.telemetry.pipe("egress", src, nic.egress,
+                                nic.egress.durations[wire_bytes], 0, 0,
+                                wire_bytes)
+        nic.egress.submit_train(wire_bytes, flight._egressed)
 
     def mcast_attach(self, mgid: int, node_id: int, qpn: int) -> None:
         """Attach a UD QP to a multicast group."""

@@ -22,14 +22,14 @@ if TYPE_CHECKING:  # pragma: no cover
 __all__ = ["Packet", "make_train", "clone_for_member"]
 
 
-@dataclass(slots=True)
+@dataclass(slots=True, init=False)
 class Packet:
     """One message travelling through the fabric, ``wire_bytes`` on
     the wire.
 
     The message is the unit the fabric charges pipes with, and the
     unit of every per-message count (credits, CQEs, delivery
-    accounting, links records).
+    accounting, links records).  It validates in its own ``__init__``.
     """
 
     src_node: int
@@ -43,26 +43,40 @@ class Packet:
     #: total bytes on the wire including per-packet headers.
     wire_bytes: int
     #: opaque payload reference (a Buffer's content, or control words).
-    payload: Any = None
+    payload: Any
     #: a dict of an emulated baseline's protocol fields (MPI tags, TCP
     #: segment flags); ``None`` for verbs traffic, which carries none.
-    meta: Any = None
+    meta: Any
     #: set True by the fabric when loss injection dropped this packet.
-    dropped: bool = False
+    dropped: bool
     #: causal flow id (repro.telemetry.links); 0 when recording is off.
-    flow: int = 0
+    flow: int
 
-    def __post_init__(self):
-        if self.length < 0:
-            raise ValueError(f"negative packet length: {self.length}")
-        if self.wire_bytes < self.length:
+    def __init__(self, src_node: int, dst_node: int, src_qpn: int,
+                 dst_qpn: int, kind: str, length: int, wire_bytes: int,
+                 payload: Any = None, meta: Any = None,
+                 dropped: bool = False, flow: int = 0):
+        if length < 0:
+            raise ValueError(f"negative packet length: {length}")
+        if wire_bytes < length:
             raise ValueError(
-                f"wire bytes ({self.wire_bytes}) smaller than payload "
-                f"({self.length})"
+                f"wire bytes ({wire_bytes}) smaller than payload "
+                f"({length})"
             )
+        self.src_node = src_node
+        self.dst_node = dst_node
+        self.src_qpn = src_qpn
+        self.dst_qpn = dst_qpn
+        self.kind = kind
+        self.length = length
+        self.wire_bytes = wire_bytes
+        self.payload = payload
+        self.meta = meta
+        self.dropped = dropped
+        self.flow = flow
 
 
-def make_train(config: "NetworkConfig", *, src_node: int, dst_node: int,
+def make_train(config: "NetworkConfig", src_node: int, dst_node: int,
                src_qpn: int, dst_qpn: int, kind: str, length: int = 0,
                transport: Optional[str] = None,
                wire_bytes: Optional[int] = None, payload: Any = None,
@@ -73,7 +87,8 @@ def make_train(config: "NetworkConfig", *, src_node: int, dst_node: int,
     With ``transport`` given ("RC" or "UD"), wire bytes are derived from
     ``config`` by :meth:`NetworkConfig.wire_bytes`; control messages
     (ACKs, read requests, emulated-protocol frames) pass an explicit
-    ``wire_bytes`` instead.
+    ``wire_bytes`` instead.  The verbs layer's per-message trains pass
+    the fields positionally, in this order: keywords cost more.
     """
     if wire_bytes is None:
         if transport is None:

@@ -68,33 +68,45 @@ class Flight:
         self.on_arrival = on_arrival
         self.on_egress = on_egress
         self.index = 0
-        self.latency = 0
+        # ``latency`` is set by the port hop whose ``_forward`` reads it.
 
     def depart(self) -> None:
         """Charge the sender's egress pipe; the walk starts at its
-        completion."""
-        packet = self.packet
-        self.fabric.nodes[packet.src_node].nic.submit_tx(
-            packet.wire_bytes, self._egressed)
+        completion (:meth:`Fabric.route` writes this in place)."""
+        src, wire_bytes = self.packet.src_node, self.packet.wire_bytes
+        nic = self.fabric.nodes[src].nic
+        nic.tx_messages += 1
+        if self.fabric.telemetry.pipes_observed:
+            self.fabric.telemetry.pipe("egress", src, nic.egress,
+                                       nic.egress.durations[wire_bytes],
+                                       0, 0, wire_bytes)
+        nic.egress.submit_train(wire_bytes, self._egressed)
 
     def _egressed(self) -> None:
         # The first hop is scheduled before the sender hears of the
-        # egress completion.
-        self.advance()
-        if self.on_egress is not None:
-            self.on_egress()
+        # egress completion.  An empty route ends here, and an ordered
+        # train over one portless hop (every pair on one switch) draws
+        # nothing, so that hop's latency leads straight to the end.
+        hops = self.hops
+        if not hops:
+            self._finish()
+        elif len(hops) == 1 and not self.unordered and hops[0].port is None:
+            self.fabric.sim.call_later(hops[0].latency_ns, self._finish)
+        else:
+            self.advance()
+        on_egress = self.on_egress
+        if on_egress is not None:
+            on_egress()
 
     def advance(self) -> None:
-        """Walk the next hop, or end the flight after the last one.
+        """Walk the next hop; the last one's latency schedules
+        :meth:`_finish`.
 
         A multicast leg starts here, in place: the trunk already paid
         the sender's port once for the whole group.
         """
         index = self.index
         hops = self.hops
-        if index == len(hops):
-            self._finish()
-            return
         hop = hops[index]
         latency = hop.latency_ns
         if index == 0 and self.unordered:
@@ -109,9 +121,11 @@ class Flight:
                     draw = getrandbits(bits)
                 latency += draw
         assert type(latency) is int, "hop latency must be integer ns"
-        self.index = index + 1
+        index += 1
+        self.index = index
         if hop.port is None:
-            self.fabric.sim.call_later(latency, self.advance)
+            then = self._finish if index == len(hops) else self.advance
+            self.fabric.sim.call_later(latency, then)
             return
         self.latency = latency
         pipe = hop.port.pipe
@@ -119,15 +133,18 @@ class Flight:
         telemetry = self.fabric.telemetry
         if telemetry.pipes_observed:
             telemetry.pipe("trunk", hop.port.name, pipe,
-                           pipe._serialization_ns(wire_bytes), 0, 0,
-                           wire_bytes)
+                           pipe.durations[wire_bytes], 0, 0, wire_bytes)
         pipe.submit_train(wire_bytes, self._forward)
 
     def _forward(self) -> None:
-        self.fabric.sim.call_later(self.latency, self.advance)
+        last = self.index == len(self.hops)
+        self.fabric.sim.call_later(
+            self.latency, self._finish if last else self.advance)
 
     def _finish(self) -> None:
-        """The loss draw, then the destination's ingress pipe."""
+        """The loss draw, then the destination's ingress pipe, whose
+        charge carries the miss penalty of the destination QP's context
+        (touched once per train, as on the send path)."""
         fabric = self.fabric
         packet = self.packet
         if self.lossy:
@@ -137,8 +154,17 @@ class Flight:
                 fabric.dropped_messages += 1
                 self.on_arrival(packet)
                 return
-        fabric.nodes[packet.dst_node].nic.submit_rx(
-            packet.wire_bytes, packet.dst_qpn, self._deliver)
+        nic = fabric.nodes[packet.dst_node].nic
+        nic.rx_messages += 1
+        penalty = (0 if nic.disable_qp_cache
+                   or nic.qp_cache.touch(packet.dst_qpn)
+                   else nic.config.qp_cache_miss_ns)
+        if fabric.telemetry.pipes_observed:
+            fabric.telemetry.pipe(
+                "ingress", packet.dst_node, nic.ingress,
+                nic.ingress.durations[packet.wire_bytes], penalty, 0,
+                packet.wire_bytes)
+        nic.ingress.submit_train(packet.wire_bytes, self._deliver, penalty)
 
     def _deliver(self) -> None:
         self.fabric.delivered_messages += 1

@@ -19,12 +19,13 @@ Structure
   the same Hop object, which is what lets multicast find the last
   common switch by comparing hops.
 * :class:`Topology` — per-pair hop sequences
-  (:meth:`Topology.route_hops`), derived on lookup from a
-  :class:`~repro.fabric.config.TopologySpec`.  Hop tuples are shared
-  per *equivalence class* (same leaf pair, the one single-switch hop)
-  instead of materialised per node pair, so route state is
-  O(switches), not O(nodes²) — the difference between 16 paper nodes
-  and the 1024-node mesoscale sweep.
+  (:meth:`Topology.route_hops`), two table reads built from a
+  :class:`~repro.fabric.config.TopologySpec`: a node's leaf, then the
+  leaf pair's hop tuple.  Hop tuples are shared per *equivalence
+  class* (same leaf pair, the one single-switch hop) instead of
+  materialised per node pair, so route state is O(nodes + leaves²),
+  not O(nodes²) — the difference between 16 paper nodes and the
+  1024-node mesoscale sweep.
 
 The walkers in :mod:`repro.fabric.routing` execute these hop sequences;
 the :class:`~repro.fabric.network.Fabric` itself no longer knows what a
@@ -42,7 +43,7 @@ nanoseconds instead of rounding per packet.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.fabric.config import NetworkConfig, TopologySpec
 from repro.sim import Simulator
@@ -136,9 +137,10 @@ class Topology:
         self.network = network
         self.num_nodes = num_nodes
         self.switches: List[Switch] = []
-        #: per-kind lookup of the (shared) hop tuple for a non-loopback
-        #: pair; assigned by the builder below.
-        self._pair_hops: "Callable[[int, int], Tuple[Hop, ...]]"
+        #: a non-loopback pair's shared hop tuple is ``leaf_hops[leaf_of
+        #: [src]][leaf_of[dst]]`` (the builders fill both tables).
+        self.leaf_of: List[int] = []
+        self.leaf_hops: List[List[Tuple[Hop, ...]]] = []
         #: multicast trunk/leg split per (src, member-tuple) group.
         self._mcast_cache: Dict[
             Tuple[int, Tuple[int, ...]],
@@ -163,8 +165,8 @@ class Topology:
         bit-identical heap entries and RNG draws.
         """
         self._add_switch("sw0")
-        shared = (Hop(None, self.network.switch_latency_ns),)
-        self._pair_hops = lambda src, dst: shared
+        self.leaf_of = [0] * self.num_nodes
+        self.leaf_hops = [[(Hop(None, self.network.switch_latency_ns),)]]
 
     def _build_leaf_spine(self) -> None:
         """Two tiers: leaves of ``nodes_per_leaf`` nodes under one spine.
@@ -198,15 +200,12 @@ class Topology:
 
         # One shared hop tuple per (src leaf, dst leaf) pair — O(leaves²)
         # route state regardless of node count.
-        pair: Dict[Tuple[int, int], Tuple[Hop, ...]] = {}
-        for sl in range(num_leaves):
-            for dl in range(num_leaves):
-                if sl == dl:
-                    pair[(sl, dl)] = (local_hop[sl],)
-                else:
-                    pair[(sl, dl)] = (up_hop[sl], spine_hop, down_hop[dl])
-        self._pair_hops = (
-            lambda src, dst: pair[(src // per_leaf, dst // per_leaf)])
+        self.leaf_of = [node // per_leaf for node in range(self.num_nodes)]
+        self.leaf_hops = [
+            [(local_hop[sl],) if sl == dl
+             else (up_hop[sl], spine_hop, down_hop[dl])
+             for dl in range(num_leaves)]
+            for sl in range(num_leaves)]
 
     # -- lookup ------------------------------------------------------------
 
@@ -220,7 +219,8 @@ class Topology:
         """
         if src == dst:
             return ()
-        return self._pair_hops(src, dst)
+        leaf = self.leaf_of
+        return self.leaf_hops[leaf[src]][leaf[dst]]
 
     def mcast_route(self, src: int, members: Sequence[int]
                     ) -> Tuple[Tuple[Hop, ...], Dict[int, Tuple[Hop, ...]]]:

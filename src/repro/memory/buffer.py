@@ -64,12 +64,15 @@ class Buffer:
         self.payload = payload
         self.length = length
 
-    def reset(self) -> None:
-        """Clear the buffer for reuse."""
+    def reset(self, check: bool = True) -> None:
+        """Clear the buffer for reuse.  ``check=False`` leaves the
+        sanitizer's buffer-reuse check to a repost, which makes it as
+        it tracks the Receive (``QueuePair.post_recv_buffer``)."""
         mr = self.mr
-        san = mr.telemetry.sanitizer
-        if san is not None:
-            san.on_buffer_write(self, "reset")
+        if check:
+            san = mr.telemetry.sanitizer
+            if san is not None:
+                san.on_buffer_write(self, "reset")
         self.payload = None
         self.length = 0
         mr.clear_object(self.addr)

@@ -40,6 +40,7 @@ from __future__ import annotations
 
 import gc
 import heapq
+from operator import length_hint as _length_hint
 from typing import Any, Callable, Dict, Generator, Iterable, List, Optional
 
 _heappush = heapq.heappush
@@ -392,8 +393,8 @@ class Simulator:
         attribute loads happen once per timestamp, not once per event.
         Telemetry counters are accumulated in locals and flushed on exit
         (including on exceptions); dispatched entries are counted once
-        per bucket, and a stop or an exception mid-bucket counts the
-        entries it ran.
+        per bucket, and a stop or an exception mid-bucket takes back the
+        entries it left unrun.
 
         The cyclic garbage collector is paused for the drain and left as
         it was found on every exit: a run creates no reference cycles
@@ -406,21 +407,25 @@ class Simulator:
         buckets = self._buckets
         pop = _heappop
         defunct = self._defunct
-        # Entries of finished buckets; ``i`` is the index of the last
-        # entry run in the bucket being dispatched (-1 between buckets),
-        # so a stop or an exception mid-bucket counts exactly those run.
+        # Entries of the buckets taken so far; ``entries`` iterates the
+        # bucket being dispatched, so what a stop or an exception leaves
+        # in it is exactly what did not run.
         dispatched = 0
-        i = -1
+        entries: Any = iter(())
         max_depth = self.max_queue_depth
-        sample = 0
+        # Batches until the next depth sample: this one.
+        sample = 1
         gc_was_enabled = gc.isenabled()
         gc.disable()
         try:
             while heap:
-                when = heap[0]
-                if until is not None and when >= until:
-                    break
-                pop(heap)
+                if until is None:
+                    when = pop(heap)
+                else:
+                    when = heap[0]
+                    if when >= until:
+                        break
+                    pop(heap)
                 self.now = when
                 # Queue depth is sampled every 64th timestamp batch (not
                 # before every pop) and counts distinct pending
@@ -428,9 +433,8 @@ class Simulator:
                 # deterministic but is an approximation — it is one of
                 # the interpreter self-counters the golden digests
                 # exclude (see DESIGN.md).
-                sample -= 1
-                if sample < 0:
-                    sample = 63
+                if not (sample := sample - 1):
+                    sample = 64
                     depth = len(heap)
                     if depth > max_depth:
                         max_depth = depth
@@ -439,7 +443,9 @@ class Simulator:
                 # where their sequence numbers would have placed them;
                 # this bucket cannot grow under us.
                 bucket = buckets.pop(when)
-                for i, entry in enumerate(bucket):
+                dispatched += len(bucket)
+                entries = iter(bucket)
+                for entry in entries:
                     entry()
                     if defunct:
                         self._reap_defunct()
@@ -447,8 +453,9 @@ class Simulator:
                             # Preserve the rest of the batch for a later
                             # run; mid-batch entries at ``when`` may have
                             # re-created the bucket and must come after.
-                            rest = bucket[i + 1:]
+                            rest = list(entries)
                             if rest:
+                                dispatched -= len(rest)
                                 existing = buckets.get(when)
                                 if existing is None:
                                     buckets[when] = rest
@@ -456,12 +463,13 @@ class Simulator:
                                 else:
                                     existing[:0] = rest
                             return
-                dispatched += i + 1
-                i = -1
+        except BaseException:
+            dispatched -= _length_hint(entries)
+            raise
         finally:
             if gc_was_enabled:
                 gc.enable()
-            self.events_dispatched += dispatched + i + 1
+            self.events_dispatched += dispatched
             self.max_queue_depth = max_depth
 
     def run(self, until: Optional[int] = None) -> int:

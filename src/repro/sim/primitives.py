@@ -6,12 +6,13 @@ signals, barriers, and rate-limited pipes that model link serialization
 without per-packet events.
 
 Nothing here holds or reads an observer.  A site that charges a pipe
-and wants the interval recorded (the NIC and the switch trunks) hands
-it to the telemetry bundle just before the charge; the interval starts
-at the pipe's ``_busy_until`` or now, whichever is later.
+and wants the interval recorded (the NIC, the fabric walk, the kernel
+stacks) hands it to the telemetry bundle just before the charge; the
+interval starts at the pipe's ``_busy_until`` or now, whichever is
+later.
 
 A pipe charge is one call: :meth:`RatePipe.submit_train` (a train's
-duration comes from the pipe's per-size cache) and
+duration is a hit in the pipe's :class:`Durations` table) and
 :meth:`RatePipe.submit_occupy` (a fixed duration) queue the duration
 behind the pipe's backlog and append the completion to the simulator's
 timestamp bucket in place, since every message crosses three to five
@@ -22,11 +23,11 @@ from __future__ import annotations
 
 from collections import deque
 from heapq import heappush as _heappush
-from typing import Any, Callable, Deque, Dict, List, Optional
+from typing import Any, Callable, Deque, List, Optional
 
 from repro.sim.kernel import Event, SimError, Simulator
 
-__all__ = ["Queue", "Mutex", "Notify", "Barrier", "RatePipe"]
+__all__ = ["Queue", "Mutex", "Notify", "Barrier", "Durations", "RatePipe"]
 
 
 class Queue:
@@ -242,6 +243,26 @@ class Barrier:
         return event
 
 
+class Durations(dict):
+    """A pipe's serialization time by unit count, in integer ns: traffic
+    has few sizes, so ``int(units / rate)`` runs once per size (at most
+    1024 are kept) and a charge is a dict hit.  Refuses negative units."""
+
+    __slots__ = ("rate",)
+
+    def __init__(self, rate: float):
+        super().__init__()
+        self.rate = rate
+
+    def __missing__(self, units: float) -> int:
+        if units < 0:
+            raise SimError(f"cannot transmit negative units: {units}")
+        duration = int(units / self.rate)
+        if len(self) < 1024:
+            self[units] = duration
+        return duration
+
+
 class RatePipe:
     """A FIFO, rate-limited transmission resource.
 
@@ -264,24 +285,11 @@ class RatePipe:
         self.rate = rate
         self.name = name
         self._busy_until: int = 0
-        # Serialization delays by unit count.  Real traffic uses a handful
-        # of distinct message sizes, so the division (and the slow
-        # ``int()`` of a float) is almost always a dict hit instead;
-        # bounded so adversarial size mixes cannot grow it without limit.
-        self._ser_cache: Dict[float, int] = {}
+        #: ``durations[units]``, read by a charge and by its observer.
+        self.durations = Durations(rate)
         self.total_units: float = 0.0
         #: cumulative occupied time (drives utilization telemetry).
         self.busy_ns: int = 0
-
-    def _serialization_ns(self, units: float) -> int:
-        """The time ``units`` occupy the pipe, in integer ns."""
-        cache = self._ser_cache
-        duration = cache.get(units)
-        if duration is None:
-            duration = int(units / self.rate)
-            if len(cache) < 1024:
-                cache[units] = duration
-        return duration
 
     def submit_train(self, units: float, func: Callable[[], None],
                      extra_ns: int = 0) -> None:
@@ -291,16 +299,17 @@ class RatePipe:
         completion.  ``extra_ns`` adds fixed per-item overhead that also
         occupies the pipe (e.g. per-work-request processing time).  The
         transfer starts once everything submitted before it has drained.
+        Negative ``units``, or an ``extra_ns`` that makes the charge
+        negative, raise :class:`SimError` before anything is charged.
         """
-        if units < 0:
-            raise SimError(f"cannot transmit negative units: {units}")
-        duration = self._ser_cache.get(units)
-        if duration is None:
-            duration = self._serialization_ns(units)
+        duration = self.durations[units]
         if extra_ns:
             if type(extra_ns) is not int:
                 extra_ns = int(extra_ns)
             duration += extra_ns
+            if duration < 0:
+                raise SimError(f"cannot schedule into the past (a charge "
+                               f"of {duration} ns)")
         sim = self.sim
         now = sim.now
         start = self._busy_until
@@ -309,10 +318,6 @@ class RatePipe:
         when = self._busy_until = start + duration
         self.total_units += units
         self.busy_ns += duration
-        if duration < 0:
-            # Only a negative ``extra_ns`` gets here: call_later checks it.
-            sim.call_later(when - now, func)
-            return
         # call_later(when - now, func), written in place.
         bucket = sim._buckets.get(when)
         if bucket is None:
@@ -325,9 +330,14 @@ class RatePipe:
                       func: Callable[[], None]) -> None:
         """Occupy the pipe for a fixed duration (rate-independent work),
         queued like a train; runs ``func()`` at completion.  A float
-        duration is truncated to integer ns, as ``call_later`` does."""
+        duration is truncated to integer ns, as ``call_later`` does; a
+        negative one raises :class:`SimError` before anything is
+        charged."""
         if type(duration_ns) is not int:
             duration_ns = int(duration_ns)
+        if duration_ns < 0:
+            raise SimError(f"cannot schedule into the past (a charge of "
+                           f"{duration_ns} ns)")
         sim = self.sim
         now = sim.now
         start = self._busy_until
@@ -335,9 +345,6 @@ class RatePipe:
             start = now
         when = self._busy_until = start + duration_ns
         self.busy_ns += duration_ns
-        if duration_ns < 0:
-            sim.call_later(when - now, func)
-            return
         # call_later(when - now, func), written in place.
         bucket = sim._buckets.get(when)
         if bucket is None:

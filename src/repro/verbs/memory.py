@@ -180,7 +180,7 @@ class AddressSpace:
         i = bisect_right(self._bases, addr) - 1
         if i >= 0:
             mr = self._regions[i]
-            if mr.contains(addr):
+            if addr < mr.addr + mr.length:  # bisect gave mr.addr <= addr
                 return mr
         raise VerbsError(
             f"address {addr:#x} not in any registered region of node "

@@ -117,12 +117,9 @@ class _UDSend(_Posted):
         # ``dst_node`` is 0 until the fan-out.
         dst_node = dest.node_id if dest.node_id > 0 else 0
         packet = make_train(
-            ctx.config, src_node=ctx.node_id, dst_node=dst_node,
-            src_qpn=qp.qpn, dst_qpn=dest.qpn, kind="SEND",
-            length=wr.length, transport="UD",
-            payload=None if wr.buffer is None else wr.buffer.payload,
-            flow=wr.flow,
-        )
+            ctx.config, ctx.node_id, dst_node, qp.qpn, dest.qpn, "SEND",
+            wr.length, "UD", None,
+            None if wr.buffer is None else wr.buffer.payload, None, wr.flow)
         # No ack in UD: local completion (``on_egress``) once the NIC
         # drained the buffer.
         if dest.node_id == MCAST_NODE:
@@ -149,12 +146,9 @@ class _RCSend(_Posted):
         wr = self.wr
         peer = qp._peer
         packet = make_train(
-            ctx.config, src_node=ctx.node_id, dst_node=peer.node_id,
-            src_qpn=qp.qpn, dst_qpn=peer.qpn, kind="SEND",
-            length=wr.length, transport="RC",
-            payload=None if wr.buffer is None else wr.buffer.payload,
-            flow=wr.flow,
-        )
+            ctx.config, ctx.node_id, peer.node_id, qp.qpn, peer.qpn, "SEND",
+            wr.length, "RC", None,
+            None if wr.buffer is None else wr.buffer.payload, None, wr.flow)
         ctx.fabric.route(packet, self._arrived)
 
     def _arrived(self, packet: Packet) -> None:
@@ -200,11 +194,8 @@ class _RCSend(_Posted):
         peer = qp._peer
         remote_qp._recv_posted -= 1
         remote_qp._deposit(rwr, packet)
-        ack = make_train(
-            ctx.config, src_node=peer.node_id, dst_node=ctx.node_id,
-            src_qpn=peer.qpn, dst_qpn=qp.qpn, kind="ACK",
-            length=0, wire_bytes=ctx.config.rc_ack_bytes,
-        )
+        ack = make_train(ctx.config, peer.node_id, ctx.node_id, peer.qpn,
+                         qp.qpn, "ACK", 0, None, ctx.config.rc_ack_bytes)
         ctx.fabric.route(ack, self._acked)
 
 
@@ -220,10 +211,8 @@ class _RCRead(_Posted):
         ctx = qp.ctx
         peer = qp._peer
         request = make_train(
-            ctx.config, src_node=ctx.node_id, dst_node=peer.node_id,
-            src_qpn=qp.qpn, dst_qpn=peer.qpn, kind="READ_REQ",
-            length=0, wire_bytes=ctx.config.rc_header_bytes,
-        )
+            ctx.config, ctx.node_id, peer.node_id, qp.qpn, peer.qpn,
+            "READ_REQ", 0, None, ctx.config.rc_header_bytes)
         ctx.fabric.route(request, self._requested)
 
     def _requested(self, _request: Packet) -> None:
@@ -239,11 +228,9 @@ class _RCRead(_Posted):
         peer = qp._peer
         mr = ctx.peer_context(peer.node_id).memory.resolve(wr.remote_addr)
         response = make_train(
-            ctx.config, src_node=peer.node_id, dst_node=ctx.node_id,
-            src_qpn=peer.qpn, dst_qpn=qp.qpn, kind="READ_RESP",
-            length=wr.length, transport="RC",
-            payload=mr.get_object(wr.remote_addr),
-        )
+            ctx.config, peer.node_id, ctx.node_id, peer.qpn, qp.qpn,
+            "READ_RESP", wr.length, "RC", None,
+            mr.get_object(wr.remote_addr))
         ctx.fabric.route(response, self._responded)
 
     def _responded(self, response: Packet) -> None:
@@ -266,12 +253,9 @@ class _RCWrite(_Posted):
         wr = self.wr
         peer = qp._peer
         packet = make_train(
-            ctx.config, src_node=ctx.node_id, dst_node=peer.node_id,
-            src_qpn=qp.qpn, dst_qpn=peer.qpn, kind="WRITE",
-            length=max(wr.length, 8 if wr.value is not None else 0),
-            transport="RC",
-            payload=None if wr.buffer is None else wr.buffer.payload,
-        )
+            ctx.config, ctx.node_id, peer.node_id, qp.qpn, peer.qpn, "WRITE",
+            max(wr.length, 8 if wr.value is not None else 0), "RC", None,
+            None if wr.buffer is None else wr.buffer.payload)
         ctx.fabric.route(packet, self._arrived)
 
     def _arrived(self, packet: Packet) -> None:
@@ -284,11 +268,8 @@ class _RCWrite(_Posted):
             mr.write_u64(wr.remote_addr, wr.value)
         else:
             mr.set_object(wr.remote_addr, packet.payload)
-        ack = make_train(
-            ctx.config, src_node=peer.node_id, dst_node=ctx.node_id,
-            src_qpn=peer.qpn, dst_qpn=qp.qpn, kind="ACK",
-            length=0, wire_bytes=ctx.config.rc_ack_bytes,
-        )
+        ack = make_train(ctx.config, peer.node_id, ctx.node_id, peer.qpn,
+                         qp.qpn, "ACK", 0, None, ctx.config.rc_ack_bytes)
         ctx.fabric.route(ack, self._acked)
 
 
@@ -403,8 +384,11 @@ class QueuePair:
         self._recvs.put(wr)
 
     def post_recv_buffer(self, buf, length: int) -> None:
-        """Post ``buf`` as a Receive identified by the buffer itself —
-        the repost idiom of every endpoint's RELEASE path."""
+        """Reset ``buf`` and post it as a Receive identified by the
+        buffer itself — the repost idiom of every endpoint's RELEASE
+        path.  The sanitizer checks the reset when it tracks the post,
+        so a repost makes one sanitizer call."""
+        buf.reset(False)
         self.post_recv(RecvWR(buf, buf, length))
 
     def post_recv_run(self, pool, length: int,

@@ -17,7 +17,7 @@ from repro.verbs.constants import (
 __all__ = ["SendWR", "RecvWR"]
 
 
-@dataclass(slots=True)
+@dataclass(slots=True, init=False)
 class SendWR:
     """A work request for the send queue (Send, RDMA Read, RDMA Write).
 
@@ -33,39 +33,52 @@ class SendWR:
 
     The endpoints' per-message requests (data, credit and ring writes)
     are built positionally, in field order: keywords cost more
-    (DESIGN.md, "Execution path").
+    (DESIGN.md, "Execution path").  It validates in its own ``__init__``.
     """
 
     wr_id: Any
     opcode: Opcode
-    buffer: Any = None
-    length: int = 0
-    remote_addr: int = 0
-    dest: Optional[AddressHandle] = None
-    value: Optional[int] = None
+    buffer: Any
+    length: int
+    remote_addr: int
+    dest: Optional[AddressHandle]
+    value: Optional[int]
     #: request a completion entry for this WR (IBV_SEND_SIGNALED).
-    signaled: bool = True
+    signaled: bool
     #: small payloads may be inlined into the WQE, saving a DMA fetch —
     #: the paper uses this for credit writes (§4.4.1, [16]).
-    inline: bool = False
+    inline: bool
     #: causal flow id stamped by QueuePair.post_send when link recording
     #: is on (repro.telemetry.links); 0 otherwise.
-    flow: int = 0
+    flow: int
 
-    def __post_init__(self):
-        opcode = self.opcode
+    def __init__(self, wr_id: Any, opcode: Opcode, buffer: Any = None,
+                 length: int = 0, remote_addr: int = 0,
+                 dest: Optional[AddressHandle] = None,
+                 value: Optional[int] = None, signaled: bool = True,
+                 inline: bool = False, flow: int = 0):
         if opcode is OP_RECV:
             raise VerbsError("RECV is not a send-queue opcode; use RecvWR")
-        if self.length < 0:
-            raise VerbsError(f"negative WR length: {self.length}")
-        if self.buffer is None:
-            if opcode is OP_WRITE and self.value is None:
+        if length < 0:
+            raise VerbsError(f"negative WR length: {length}")
+        if buffer is None:
+            if opcode is OP_WRITE and value is None:
                 raise VerbsError("WRITE needs either a value or a buffer")
             if opcode is OP_READ:
                 raise VerbsError("READ needs a local destination buffer")
+        self.wr_id = wr_id
+        self.opcode = opcode
+        self.buffer = buffer
+        self.length = length
+        self.remote_addr = remote_addr
+        self.dest = dest
+        self.value = value
+        self.signaled = signaled
+        self.inline = inline
+        self.flow = flow
 
 
-@dataclass(slots=True)
+@dataclass(slots=True, init=False)
 class RecvWR:
     """A work request for the receive queue.
 
@@ -78,6 +91,9 @@ class RecvWR:
     buffer: Any
     length: int
 
-    def __post_init__(self):
-        if self.length <= 0:
-            raise VerbsError(f"receive buffer length must be positive: {self.length}")
+    def __init__(self, wr_id: Any, buffer: Any, length: int):
+        if length <= 0:
+            raise VerbsError(f"receive buffer length must be positive: {length}")
+        self.wr_id = wr_id
+        self.buffer = buffer
+        self.length = length

@@ -3,13 +3,15 @@
 The file gates nothing (``benchmarks/host_row.py`` measures a row); this
 checks that every row has the shape later rows are compared in, and,
 where the commits are in local history, that each row's commit is an
-ancestor of the next row's and of ``HEAD``.
+ancestor of the next row's and of ``HEAD``.  ``benchmarks/opcodes.py``,
+the deterministic bytecode count beside it, gets a smoke run.
 """
 
 import datetime
 import json
 import re
 import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -75,3 +77,23 @@ def test_rows_are_ancestors_in_order():
     for older, newer in zip(commits, commits[1:] + ["HEAD"]):
         assert _git("merge-base", "--is-ancestor", older,
                     newer).returncode == 0, f"{older} is not before {newer}"
+
+
+def test_opcode_count_smoke():
+    """``benchmarks/opcodes.py`` on ``rc_stream`` at 1/16 scale: one JSON
+    line whose layers add up to the per-message total."""
+    out = subprocess.run(
+        [sys.executable, str(ROOT / "benchmarks" / "opcodes.py"),
+         "rc_stream", "--scale", "0.0625", "--top", "5"],
+        cwd=ROOT, capture_output=True, text=True, check=True).stdout
+    result = json.loads(out.strip().splitlines()[-1])
+    assert (result["workload"], result["seed"]) == ("rc_stream", 1)
+    assert result["fabric_messages"] > 0 and result["bytecodes"] > 0
+    assert result["per_message"] == round(
+        result["bytecodes"] / result["fabric_messages"], 1)
+    assert sum(result["by_layer"].values()) == pytest.approx(
+        result["per_message"], abs=1.0)
+    assert {"sim", "fabric", "verbs"} <= set(result["by_layer"])
+    assert len(result["by_function"]) == 5
+    assert all(re.fullmatch(r"\S+:\d+ \S+", name)
+               for name in result["by_function"])

@@ -1,6 +1,8 @@
 """Unit tests for the simulated fabric (NIC, links, routing)."""
 
 import random
+import sys
+from collections import Counter
 from types import SimpleNamespace
 
 import pytest
@@ -269,6 +271,55 @@ def test_jitter_draws_are_randrange(jitter):
         reference = random.Random(seed)
         assert delays == [reference.randrange(jitter) for _ in range(4)]
         assert fabric._rng.random() == reference.random()
+
+
+def stage_calls(unordered):
+    """The Python calls one warm 2-node train makes from ``Packet`` to
+    its arrival, by function: a second train on a pair whose QP context
+    is cached, with the drain loop and the caller's callbacks left out."""
+    sim = Simulator()
+    fabric = make_fabric(sim)
+    arrived = []
+
+    def route():
+        fabric.route(Packet(0, 1, 1, 2, "SEND", 4096, 4160), arrived.append,
+                     unordered=unordered, lossy=unordered,
+                     on_egress=(lambda: None) if unordered else None)
+        sim.run()
+
+    route()
+    calls = Counter()
+
+    def profile(frame, event, _arg):
+        if event == "call" and "/repro/" in frame.f_code.co_filename:
+            calls[frame.f_code.co_qualname] += 1
+
+    sys.setprofile(profile)
+    try:
+        route()
+    finally:
+        sys.setprofile(None)
+    assert len(arrived) == 2
+    del calls["Simulator.run"], calls["Simulator._drain"]
+    return calls
+
+
+#: every stage of a train is a call that does work: no frame only passes
+#: the train along (route lookup, NIC wrappers, a hop that only walks on).
+TRAIN_STAGES = Counter({
+    "Packet.__init__": 1, "Fabric.route": 1, "Flight.__init__": 1,
+    "RatePipe.submit_train": 2, "Flight._egressed": 1,
+    "Simulator.call_later": 1, "Flight._finish": 1, "QPContextCache.touch": 1,
+    "Flight._deliver": 1})
+
+
+def test_an_ordered_one_hop_train_makes_ten_calls():
+    assert stage_calls(unordered=False) == TRAIN_STAGES
+
+
+def test_a_datagram_adds_only_its_jitter_hop():
+    assert stage_calls(unordered=True) == TRAIN_STAGES + Counter(
+        {"Flight.advance": 1})
 
 
 class TestCpuScaling:

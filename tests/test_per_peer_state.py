@@ -5,11 +5,14 @@ references, link counters and peer-map entries, so the host memory a
 node pair costs decides how far the scale-out sweep can go.  These tests
 pin that budget and the representations behind it: records by role, one
 address handle per UD QP, signals built on the first wait, MR table
-entries only for slots that hold an object, and link bytes in rows.
+entries only for slots that hold an object, link bytes in rows, and
+ring boards that find a write's ring by division, not by a scan over
+every peer's ring.
 """
 
 import gc
 import tracemalloc
+from types import SimpleNamespace
 
 import pytest
 
@@ -18,9 +21,12 @@ from repro import Cluster, ClusterConfig, EDR
 from repro.bench.workloads import run_broadcast, run_repartition
 from repro.core.groups import TransmissionGroups
 from repro.core.transport import connections
-from repro.core.transport.credit import grant_credit
+from repro.core.transport.credit import RingBoard, grant_credit
+from repro.fabric import Fabric
 from repro.fabric.config import LEAF_SPINE
 from repro.memory import BufferPool
+from repro.sim import Simulator
+from repro.verbs import VerbsContext
 from repro.verbs.qp import QueuePair
 
 
@@ -215,3 +221,50 @@ def test_link_bytes_equal_a_tuple_keyed_reference(monkeypatch):
     assert snapshot == {f"{s}->{d}": v
                         for (s, d), v in sorted(reference.items())}
     assert any(s // 4 != d // 4 for s, d in reference)  # trunks crossed
+
+
+def installed_board(keys, cap, min_one):
+    """A ring board of ``cap`` slots per key on a one-node context; the
+    ``(key, value)`` pairs it routes land in the returned list."""
+    sim = Simulator()
+    fabric = Fabric(sim, ClusterConfig(network=EDR, num_nodes=1))
+    ep = SimpleNamespace(ctx=VerbsContext(sim, fabric, 0), aux_mrs=[])
+    routed = []
+    board = sim.run_process(RingBoard.install(
+        ep, keys, cap, lambda key, value: routed.append((key, value)),
+        min_one=min_one))
+    return board, routed
+
+
+@pytest.mark.parametrize("min_one", [False, True])
+@pytest.mark.parametrize("keys", [["a"], ["a", "b", "c"]])
+def test_a_ring_write_reaches_its_rings_key(keys, min_one):
+    """Writes at each ring's first and last slot go to that ring's key."""
+    cap = 5
+    board, routed = installed_board(keys, cap, min_one)
+    for value, key in enumerate(keys, 1):
+        base = board.base_by_key[key]
+        board.mr.write_u64(base, value)
+        board.mr.write_u64(base + 8 * (cap - 1), 10 * value)
+    assert routed == [(key, v) for value, key in enumerate(keys, 1)
+                      for v in (value, 10 * value)]
+
+
+@pytest.mark.parametrize("keys, min_one", [
+    (["a", "b"], False), (["a", "b"], True), ([], True)])
+def test_a_ring_board_ignores_what_is_in_no_ring(keys, min_one):
+    """A zero value, and a write in the guard gap before or after the
+    region or past the last ring, route to nothing (with ``min_one`` and
+    no key, the region's one ring belongs to nobody)."""
+    cap = 4
+    board, routed = installed_board(keys, cap, min_one)
+    mr = board.mr
+    for key in keys:
+        mr.write_u64(board.base_by_key[key], 0)
+    past_last_ring = mr.addr + 8 * cap * len(keys)
+    if past_last_ring < mr.addr + mr.length:  # min_one's keyless ring
+        mr.write_u64(past_last_ring, 7)
+    board._route(mr.addr - 8, 7)
+    board._route(mr.addr + mr.length, 7)
+    board._route(past_last_ring + 8 * cap, 7)
+    assert routed == []

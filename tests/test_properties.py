@@ -112,8 +112,10 @@ class TestQPCacheProperties:
 
 
 class TestPartitionerProperties:
-    @given(keys=st.lists(st.integers(0, 1 << 60), min_size=1, max_size=500),
-           groups=st.integers(1, 16))
+    @given(keys=st.lists(st.one_of(st.integers(0, 1 << 60),
+                                   st.integers(-(1 << 63), (1 << 63) - 1)),
+                         min_size=1, max_size=500),
+           groups=st.one_of(st.integers(1, 16), st.integers(17, 70_000)))
     def test_hash_partitioner_range_and_determinism(self, keys, groups):
         batch = np.array(keys, dtype=np.int64)
         part = hash_partitioner(lambda b: b, groups)
@@ -121,6 +123,13 @@ class TestPartitionerProperties:
         b = part(batch)
         np.testing.assert_array_equal(a, b)
         assert ((a >= 0) & (a < groups)).all()
+        # The groups' dtype is the smallest that holds them (a radix
+        # sort stages them), and the uint32 hash is exactly the uint64
+        # formula, negative keys and keys of 2**32 and more included.
+        assert a.dtype == np.min_scalar_type(groups - 1)
+        reference = (batch.astype(np.uint64) * np.uint64(2654435761)
+                     % np.uint64(1 << 32) % np.uint64(groups))
+        np.testing.assert_array_equal(a.astype(np.uint64), reference)
 
     @given(rows=st.integers(1, 2000), groups=st.integers(1, 16),
            calls=st.integers(1, 5))

@@ -176,6 +176,26 @@ class TestBufferReuseRule:
         buf.fill("now legal", 128)
         assert rules_of(san) == ["buffer-reuse"]
 
+    def test_repost_while_receive_in_flight(self, sim, monkeypatch):
+        """A repost resets its buffer and tracks the Receive in one
+        sanitizer call, which flags a buffer still posted."""
+        _, ctxs, san = sanitized_cluster(sim)
+        qps, _ = rc_pair(ctxs)
+        rbuf = BufferPool(ctxs[1], 1, 256).buffer(0)
+        calls = []
+        for name in ("on_buffer_write", "track_post_recv"):
+            hook = getattr(san, name)
+            monkeypatch.setattr(
+                san, name,
+                lambda *args, _name=name, _hook=hook: (
+                    calls.append(_name), _hook(*args)))
+        qps[1].post_recv_buffer(rbuf, 256)  # legal: nothing in flight
+        assert calls == ["track_post_recv"] and rules_of(san) == []
+        qps[1].post_recv_buffer(rbuf, 256)  # the first is still posted
+        assert rules_of(san) == ["buffer-reuse"]
+        assert san.violations[0].details["op"] == "post_recv"
+        assert san.violations[0].details["outstanding"] == 1
+
 
 class TestCQRules:
     def test_cq_overflow(self, sim):

@@ -46,8 +46,8 @@ def exported_session(sess, tmp_path):
 #: messages delivered) of a 4-node 1 MiB/node repartition with the
 #: tracer, the link recorder and the sanitizer on.
 OBSERVER_CALLS = {
-    "SEMQ/SR": (2167, 1504, 414),
-    "MESQ/SR": (24841, 26298, 3198),
+    "SEMQ/SR": (2167, 1360, 414),
+    "MESQ/SR": (24841, 23100, 3198),
 }
 
 
@@ -55,7 +55,8 @@ OBSERVER_CALLS = {
 def test_observer_calls_per_message(design):
     """What an observed message costs the observers, in Python frames:
     each record is one hook call (its budget test written in place),
-    and a subscribed CQ makes one sanitizer call per completion."""
+    a subscribed CQ makes one sanitizer call per completion, and a
+    repost one for its reset and its Receive."""
     cluster = Cluster(ClusterConfig(network=EDR, num_nodes=4))
     cluster.enable_tracing()
     cluster.enable_reporting()
