@@ -46,6 +46,7 @@ from repro.fabric.config import (
     EDR,
     FDR,
     LEAF_SPINE,
+    MAX_THREADS_PER_NODE,
     SINGLE_SWITCH,
     ClusterConfig,
     NetworkConfig,
@@ -119,7 +120,7 @@ class Point:
     network: NetworkConfig = EDR
     nodes: int = count(1, default=8)
     #: 0: the network's cores per node.
-    threads: int = count(0, default=0)
+    threads: int = count(0, default=0, maximum=MAX_THREADS_PER_NODE)
     topology: TopologySpec = SINGLE_SWITCH
     #: run every NIC with an unbounded QP-context cache (abl-qp-cache).
     disable_qp_cache: bool = False

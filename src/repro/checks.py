@@ -33,11 +33,16 @@ def _real(value: Any) -> bool:
             and math.isfinite(value))
 
 
-def count(minimum: int = 1, default: Any = _MISSING) -> Any:
-    """An int of at least ``minimum``: a float or a string count would
-    construct, then fail mid-run naming nothing."""
-    return _field(default, f"an int >= {minimum}", lambda v: isinstance(
-        v, numbers.Integral) and not isinstance(v, bool) and v >= minimum)
+def count(minimum: int = 1, default: Any = _MISSING,
+          maximum: float = math.inf) -> Any:
+    """An int of at least ``minimum`` and at most ``maximum``: a float or
+    a string count would construct, then fail mid-run naming nothing,
+    and a count that sizes what a run starts needs a ceiling."""
+    text = (f"an int >= {minimum}" if maximum == math.inf
+            else f"an int in [{minimum}, {maximum}]")
+    return _field(default, text, lambda v: isinstance(
+        v, numbers.Integral) and not isinstance(v, bool)
+        and minimum <= v <= maximum)
 
 
 def non_negative(default: Any = _MISSING) -> Any:

@@ -49,14 +49,21 @@ def hash_partitioner(key_of: Callable[[np.ndarray], np.ndarray],
     ``lambda b: b["orderkey"]``).  Hashed in ``uint32`` (the product's
     low 32 bits depend only on the key's); groups come back in the
     smallest unsigned dtype, so staging them by group is a radix sort.
+    A power-of-two group count takes the low bits with a mask, which is
+    the same remainder at a third of the cost of a division.
     """
+    if num_groups < 1:
+        raise ValueError(f"num_groups must be >= 1, got {num_groups}")
     multiplier = np.uint32(_HASH_MULTIPLIER)
-    groups = np.uint32(num_groups)
     dtype = np.min_scalar_type(num_groups - 1)
+    if num_groups & (num_groups - 1) == 0:
+        reduce, operand = np.bitwise_and, np.uint32(num_groups - 1)
+    else:
+        reduce, operand = np.remainder, np.uint32(num_groups)
 
     def partition(batch: np.ndarray) -> np.ndarray:
         keys = key_of(batch).astype(np.uint32)
-        return (keys * multiplier % groups).astype(dtype, copy=False)
+        return reduce(keys * multiplier, operand).astype(dtype, copy=False)
 
     return partition
 
@@ -236,13 +243,14 @@ class ShuffleOperator(Operator):
             chunks[g].append(batch)
             rows[g] += len(batch)
             return
-        order = np.argsort(assignment, kind="stable")
-        sorted_batch = batch[order]
-        sorted_groups = assignment[order]
-        boundaries = np.searchsorted(
-            sorted_groups, np.arange(self.groups.num_groups + 1))
-        for g in range(self.groups.num_groups):
-            lo, hi = boundaries[g], boundaries[g + 1]
-            if hi > lo:
-                chunks[g].append(sorted_batch[lo:hi])
-                rows[g] += int(hi - lo)
+        # ``take``, not ``batch[order]``: numpy's fancy indexing copies a
+        # record dtype item by item.
+        sorted_batch = batch.take(np.argsort(assignment, kind="stable"))
+        sizes = np.bincount(assignment,
+                            minlength=self.groups.num_groups).tolist()
+        lo = 0
+        for g, size in enumerate(sizes):
+            if size:
+                chunks[g].append(sorted_batch[lo:lo + size])
+                rows[g] += size
+                lo += size

@@ -36,6 +36,14 @@ class FilterOperator(Operator):
             yield self.per_tuple_cost(len(batch),
                                       ns_per_tuple=FILTER_NS_PER_TUPLE)
             mask = self.predicate(batch)
-            kept = batch[mask]
+            # ``compress`` would keep a short mask's prefix silently,
+            # where ``batch[mask]`` raised.
+            if len(mask) != len(batch):
+                raise ValueError(
+                    f"{type(self).__name__}: the predicate returned "
+                    f"{len(mask)} flags for a batch of {len(batch)} rows")
+            # ``compress``, not ``batch[mask]``: numpy's boolean indexing
+            # copies a record dtype item by item.
+            kept = batch.compress(mask)
             if len(kept) or state == OPS_DEPLETED:
                 return (state, kept if len(kept) else None)

@@ -7,9 +7,12 @@ batches independently — the standard parallel hash-join structure of
 in-memory engines [20].
 
 That is the *simulated* operator, and what the per-tuple build and probe
-costs charge for.  On the host the table is the build keys in sorted
-order (one stable ``argsort``) and a probe is two ``searchsorted`` calls
-per batch: whole-column numpy passes, no per-row Python.
+costs charge for.  On the host the table is the build side in key order
+(one stable ``argsort``) with its distinct keys, each key's run start
+and run length; a probe is one ``searchsorted`` into the distinct keys
+and an equality test per batch: whole-column numpy passes, no per-row
+Python.  Records move with ``take`` and ``compress``: for a record
+dtype, numpy's fancy and boolean indexing copy item by item.
 """
 
 from __future__ import annotations
@@ -57,9 +60,12 @@ class HashJoinOperator(Operator):
         self._build_rows: List[np.ndarray] = []
         self._barrier = Barrier(node.sim, num_threads)
         self._built = [False] * num_threads
-        #: the build keys in sorted order (None while the side is empty)
-        #: and the build columns carried to the output, in that same order.
-        self._sorted_keys: Optional[np.ndarray] = None
+        #: the distinct build keys in sorted order (None while the side
+        #: is empty), where each key's run starts in the build side sorted
+        #: by key, and how many rows it holds.
+        self._keys: Optional[np.ndarray] = None
+        self._starts = self._lengths = np.empty(0, dtype=np.intp)
+        #: the build columns carried to the output, sorted by key.
         self._payload: List[Tuple[str, np.ndarray]] = []
 
     # -- build phase ---------------------------------------------------------
@@ -101,9 +107,16 @@ class HashJoinOperator(Operator):
         # A stable sort keeps equal keys in insertion order, which is the
         # order their matches are emitted in.
         order = np.argsort(keys, kind="stable")
-        self._sorted_keys = keys[order]
+        keys = keys.take(order)
+        opens = np.empty(len(keys), dtype=bool)
+        opens[0] = True
+        np.not_equal(keys[1:], keys[:-1], out=opens[1:])
+        starts = np.flatnonzero(opens)
+        self._keys = keys.take(starts)
+        self._starts = starts
+        self._lengths = np.diff(starts, append=len(keys))
         if not self.semi:
-            self._payload = [(c, array[c][order]) for c in payload]
+            self._payload = [(c, array[c].take(order)) for c in payload]
 
     # -- probe phase -----------------------------------------------------------
 
@@ -126,24 +139,28 @@ class HashJoinOperator(Operator):
     def _probe_batch(self, batch: np.ndarray) -> Optional[np.ndarray]:
         """Matches in probe-row order, then build insertion order."""
         keys = self.column(batch, self.probe_key, "probe_key")
-        if self._sorted_keys is None:
+        if self._keys is None:
             return None
-        lo = np.searchsorted(self._sorted_keys, keys, side="left")
-        hi = np.searchsorted(self._sorted_keys, keys, side="right")
-        counts = hi - lo
+        run = self._keys.searchsorted(keys)
+        # A key above the largest build key searches to one past the
+        # last run; clipped, the equality test turns it away.
+        np.minimum(run, len(self._keys) - 1, out=run)
+        hit = self._keys.take(run) == keys
         if self.semi:
-            kept = batch[counts > 0]
+            kept = batch.compress(hit)
             return kept if len(kept) else None
+        counts = self._lengths.take(run) * hit
         ends = np.cumsum(counts)
         total = int(ends[-1])
         if not total:
             return None
         probe_idx = np.repeat(np.arange(len(keys)), counts)
         if not self._payload:
-            return batch[probe_idx]
-        # Where each match sits in the sorted build side: the start of
-        # its key's run plus its rank within the run.
-        match = np.arange(total) + np.repeat(lo - (ends - counts), counts)
+            return batch.take(probe_idx)
+        # Where each match sits in the build side sorted by key: the
+        # start of its key's run plus its rank within the run.
+        match = np.arange(total) + np.repeat(
+            self._starts.take(run) - (ends - counts), counts)
         return pack_columns(
-            [(c, batch[c][probe_idx]) for c in batch.dtype.names]
-            + [(c, values[match]) for c, values in self._payload])
+            [(c, batch[c].take(probe_idx)) for c in batch.dtype.names]
+            + [(c, values.take(match)) for c, values in self._payload])

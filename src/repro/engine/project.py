@@ -4,9 +4,7 @@ from __future__ import annotations
 
 from typing import Sequence
 
-import numpy as np
-
-from repro.engine.operator import Operator
+from repro.engine.operator import Operator, pack_columns
 
 __all__ = ["ProjectOperator"]
 
@@ -30,8 +28,7 @@ class ProjectOperator(Operator):
         yield self.per_tuple_cost(len(batch),
                                   ns_per_tuple=PROJECT_NS_PER_TUPLE)
         # The selected fields packed in selection order: the bytes and
-        # dtype numpy's ``repack_fields`` gives, without importing its
-        # module (which pulls in ``numpy.ma``).
-        fields = batch.dtype.fields
-        packed = np.dtype([(name, fields[name][0]) for name in self.columns])
-        return (state, batch[self.columns].astype(packed, copy=False))
+        # dtype numpy's ``repack_fields`` gives.
+        return (state, pack_columns([
+            (name, self.column(batch, name, "projected"))
+            for name in self.columns]))

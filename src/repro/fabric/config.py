@@ -22,7 +22,7 @@ from repro.checks import (
 
 __all__ = [
     "NetworkConfig", "ClusterConfig", "FDR", "EDR",
-    "TopologySpec", "SINGLE_SWITCH", "LEAF_SPINE",
+    "TopologySpec", "SINGLE_SWITCH", "LEAF_SPINE", "MAX_THREADS_PER_NODE",
 ]
 
 KIB = 1024
@@ -31,6 +31,11 @@ GIB = 1024 * 1024 * 1024
 
 US = 1_000  # nanoseconds per microsecond
 MS = 1_000_000  # nanoseconds per millisecond
+
+#: the most worker threads a node runs.  Both platforms have 8 cores per
+#: node; the ceiling sits well above that and below a count whose
+#: simulated threads and per-thread state a run could not hold.
+MAX_THREADS_PER_NODE = 256
 
 
 @dataclass(frozen=True)
@@ -87,7 +92,7 @@ class NetworkConfig:
     cpu_scale: float = non_negative()
     #: worker threads available per query fragment (cores are exclusively
     #: bound; paper uses one thread per core).
-    cores_per_node: int = count(1)
+    cores_per_node: int = count(1, maximum=MAX_THREADS_PER_NODE)
     #: hash + branch cost per tuple during partitioning (Alg. 1 line 8).
     hash_ns_per_tuple: float = non_negative()
     #: memcpy cost per byte when copying tuples into registered buffers.
@@ -271,7 +276,8 @@ class ClusterConfig:
 
     network: NetworkConfig
     num_nodes: int = count(1)
-    threads_per_node: int = count(0, default=0)
+    threads_per_node: int = count(0, default=0,
+                                  maximum=MAX_THREADS_PER_NODE)
     seed: int = count(0, default=1)
     #: switch wiring; the paper's platform is one full-bisection switch.
     topology: TopologySpec = SINGLE_SWITCH

@@ -172,8 +172,8 @@ def _build_q4(ctx: _PlanContext) -> None:
 def _q4_answer(batch: Optional[np.ndarray]) -> Dict:
     if batch is None:
         return {}
-    return {int(r["o_orderpriority"]): float(r["order_count"])
-            for r in batch}
+    return dict(zip(batch["o_orderpriority"].tolist(),
+                    batch["order_count"].tolist()))
 
 
 # -- Q3 -------------------------------------------------------------------------
@@ -233,11 +233,10 @@ def _build_q3(ctx: _PlanContext) -> None:
 def _q3_answer(batch: Optional[np.ndarray]) -> Dict:
     if batch is None:
         return {}
-    return {
-        (int(r["l_orderkey"]), int(r["o_orderdate"]),
-         int(r["o_shippriority"])): float(r["revenue"])
-        for r in batch
-    }
+    return dict(zip(zip(batch["l_orderkey"].tolist(),
+                        batch["o_orderdate"].tolist(),
+                        batch["o_shippriority"].tolist()),
+                    batch["revenue"].tolist()))
 
 
 # -- Q10 ------------------------------------------------------------------------
@@ -302,10 +301,9 @@ def _build_q10(ctx: _PlanContext) -> None:
 def _q10_answer(batch: Optional[np.ndarray]) -> Dict:
     if batch is None:
         return {}
-    return {
-        (int(r["o_custkey"]), int(r["c_nationkey"])): float(r["revenue"])
-        for r in batch
-    }
+    return dict(zip(zip(batch["o_custkey"].tolist(),
+                        batch["c_nationkey"].tolist()),
+                    batch["revenue"].tolist()))
 
 
 _BUILDERS = {

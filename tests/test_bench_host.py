@@ -80,11 +80,12 @@ def test_rows_are_ancestors_in_order():
 
 
 def test_opcode_count_smoke():
-    """``benchmarks/opcodes.py`` on ``rc_stream`` at 1/16 scale: one JSON
-    line whose layers add up to the per-message total."""
+    """``benchmarks/opcodes.py --c-calls`` on ``rc_stream`` at 1/16
+    scale: one JSON line whose layers add up to the per-message total,
+    and whose calls into C, by name, add up to theirs."""
     out = subprocess.run(
         [sys.executable, str(ROOT / "benchmarks" / "opcodes.py"),
-         "rc_stream", "--scale", "0.0625", "--top", "5"],
+         "rc_stream", "--scale", "0.0625", "--top", "5", "--c-calls"],
         cwd=ROOT, capture_output=True, text=True, check=True).stdout
     result = json.loads(out.strip().splitlines()[-1])
     assert (result["workload"], result["seed"]) == ("rc_stream", 1)
@@ -97,3 +98,9 @@ def test_opcode_count_smoke():
     assert len(result["by_function"]) == 5
     assert all(re.fullmatch(r"\S+:\d+ \S+", name)
                for name in result["by_function"])
+    assert result["c_calls_per_message"] == round(
+        result["c_calls"] / result["fabric_messages"], 2)
+    assert len(result["by_c_function"]) == 5
+    assert "len" in result["by_c_function"]
+    assert sum(result["by_c_function"].values()) <= (
+        result["c_calls_per_message"])

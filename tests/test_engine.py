@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from numpy.lib import recfunctions as rfn
 
 from repro import Cluster, ClusterConfig, EDR
+from repro.core.shuffle import ShuffleOperator, hash_partitioner
 from repro.engine import (
     CollectSink,
     ComputeOperator,
@@ -32,6 +33,7 @@ from repro.engine.operator import (
 from repro.engine.scan import RepeatedSourceOperator
 from repro.sim import Event
 from repro.tpch import generate, run_query
+from repro.tpch.schema import LINEITEM_DTYPE
 
 DTYPE = np.dtype([("k", np.int64), ("v", np.int64)])
 
@@ -203,6 +205,17 @@ class TestFilterProjectMap:
                             lambda b: b["k"] < 0)
         assert drain(cluster, op) is None
 
+    @pytest.mark.parametrize("flags", [99, 101])
+    def test_filter_mask_of_another_length_is_an_error(self, cluster, flags):
+        table = make_table(100)
+        op = FilterOperator(cluster.nodes[0],
+                            BatchSource(cluster.nodes[0], [[table]]),
+                            lambda b: np.ones(flags, dtype=bool))
+        with pytest.raises(ValueError, match=f"FilterOperator: the predicate "
+                                             f"returned {flags} flags for a "
+                                             f"batch of 100 rows"):
+            cluster.run_process(op.next(0))
+
     def test_project_keeps_columns(self, cluster):
         table = make_table(50)
         op = ProjectOperator(cluster.nodes[0],
@@ -231,6 +244,14 @@ class TestFilterProjectMap:
         assert out.dtype == expected.dtype
         assert out.dtype.descr == expected.dtype.descr
         assert out.tobytes() == expected.tobytes()
+
+    def test_project_of_an_unknown_column_names_the_operator(self, cluster):
+        op = ProjectOperator(cluster.nodes[0],
+                             BatchSource(cluster.nodes[0], [[make_table(5)]]),
+                             ["v", "nope"])
+        with pytest.raises(ValueError, match="ProjectOperator: projected "
+                                             "column 'nope'"):
+            cluster.run_process(op.next(0))
 
     def test_project_requires_columns(self, cluster):
         with pytest.raises(ValueError):
@@ -529,6 +550,34 @@ def reference_aggregate(per_thread, group_cols, aggregates):
     return out
 
 
+def reference_filter(batch, mask):
+    """Boolean indexing, as the filter moved records before ``compress``."""
+    kept = batch[mask]
+    return kept if len(kept) else None
+
+
+def reference_project(batch, columns):
+    """A multi-field view cast to the packed dtype of the selection."""
+    fields = batch.dtype.fields
+    packed = np.dtype([(name, fields[name][0]) for name in columns])
+    return batch[columns].astype(packed, copy=False)
+
+
+def reference_scatter(batch, assignment, num_groups):
+    """Each group's rows, in batch order: fancy indexing by a stable
+    argsort, cut where ``searchsorted`` finds each group's start."""
+    order = np.argsort(assignment, kind="stable")
+    sorted_batch = batch[order]
+    bounds = np.searchsorted(assignment[order], np.arange(num_groups + 1))
+    return [sorted_batch[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
+
+
+def reference_hash(keys, num_groups):
+    """Knuth's multiplicative hash in ``uint64``, reduced mod 2**32."""
+    return (keys.astype(np.uint64) * np.uint64(2654435761)
+            % np.uint64(1 << 32) % np.uint64(num_groups))
+
+
 def assert_identical(actual, expected):
     if expected is None:
         assert actual is None
@@ -549,6 +598,9 @@ BUILD_DTYPE = np.dtype([("bk", np.int64), ("b1", np.int32),
                         ("b2", np.float64), ("b3", np.int8)])
 PROBE_DTYPE = np.dtype([("pk", np.int64), ("p1", np.float64),
                         ("p2", np.int8)])
+#: packed records of odd itemsize: 17 B, and lineitem's 37 B.
+ODD_DTYPES = (np.dtype([("k", np.int64), ("v", np.float64), ("f", np.int8)]),
+              LINEITEM_DTYPE)
 GROUPED_DTYPE = np.dtype([("g8", np.int8), ("g32", np.int32),
                           ("g64", np.int64), ("gf", np.float64),
                           ("v", np.float64), ("w", np.int32)])
@@ -611,6 +663,111 @@ class TestKernelOracle:
         out = drain(cluster, join)
         assert out.dtype.names == ("pk", "p1", "p2", "b3", "b2")
         assert out.dtype.itemsize == 17 + 1 + 8
+
+    @given(seed=st.integers(0, 2 ** 32 - 1), rows=st.integers(1, 200),
+           dtype=st.sampled_from(ODD_DTYPES), keep=st.floats(0, 1),
+           groups=st.integers(1, 17), data=st.data())
+    @settings(deadline=None, max_examples=100)
+    def test_record_moves_equal_the_indexing_forms(
+            self, seed, rows, dtype, keep, groups, data):
+        """Filter, project and the hash scatter move records with
+        ``compress``/``take``; the bytes are those of ``batch[mask]``,
+        ``batch[columns]`` and ``batch[order]``."""
+        rng = np.random.default_rng(seed)
+        batch = np.frombuffer(bytearray(rng.bytes(rows * dtype.itemsize)),
+                              dtype)
+        key = dtype.names[0]
+        batch[key] = rng.integers(-(1 << 40), 1 << 40, rows)
+        mask = rng.random(rows) < keep
+        columns = data.draw(st.permutations(dtype.names).flatmap(
+            lambda names: st.integers(1, len(names)).map(
+                lambda n: list(names[:n]))), label="columns")
+        cluster = Cluster(ClusterConfig(network=EDR, num_nodes=1,
+                                        threads_per_node=1))
+        node = cluster.nodes[0]
+
+        kept = cluster.run_process(FilterOperator(
+            node, BatchSource(node, [[batch]]),
+            lambda b: mask).next(0))[1]
+        assert_identical(kept, reference_filter(batch, mask))
+
+        projected = cluster.run_process(ProjectOperator(
+            node, BatchSource(node, [[batch]]), columns).next(0))[1]
+        assert_identical(projected, reference_project(batch, columns))
+
+        partition = hash_partitioner(lambda b: b[key], groups)
+        chunks, staged = [[] for _ in range(groups)], [0] * groups
+        shuffle = ShuffleOperator.__new__(ShuffleOperator)
+        shuffle.partition_fn = partition
+        shuffle.groups = type("Groups", (), {"num_groups": groups})
+        shuffle._scatter(chunks, staged, batch)
+        expected = reference_scatter(batch, partition(batch), groups)
+        for g in range(groups):
+            assert all(len(part) for part in chunks[g])
+            assert staged[g] == len(expected[g])
+            assert_identical(concat_batches(chunks[g]) if chunks[g]
+                             else expected[g][:0], expected[g])
+
+    @pytest.mark.parametrize("groups", range(1, 18))
+    def test_hash_partitioner_equals_the_uint64_formula(self, groups):
+        rng = np.random.default_rng(groups)
+        keys = np.concatenate([
+            rng.integers(-(1 << 63), (1 << 63) - 1, 500, dtype=np.int64),
+            rng.integers(0, 1 << 20, 500), [0, -1, (1 << 32) - 1, 1 << 32]])
+        assigned = hash_partitioner(lambda b: b, groups)(keys)
+        assert assigned.dtype == np.min_scalar_type(groups - 1)
+        np.testing.assert_array_equal(assigned.astype(np.uint64),
+                                      reference_hash(keys, groups))
+
+    def test_hash_partitioner_needs_a_group(self):
+        with pytest.raises(ValueError, match="num_groups must be >= 1"):
+            hash_partitioner(lambda b: b, 0)
+
+    @pytest.mark.parametrize("semi", [False, True])
+    @pytest.mark.parametrize("build_keys, probe_batches", [
+        # Below the smallest and above the largest build key: the
+        # search index of the largest is clipped to the last run.
+        ([5, 5, 7, 9], [[-3, 0, 5, 9, 10, 1 << 40, 7, 4, 6, 8]]),
+        # One build key, repeated.
+        ([4] * 6, [[4, 3, 4, 5], [4]]),
+        # Empty probe batches around a full one, and only empty ones.
+        ([1, 2, 3], [[], [3, 1, 0], []]),
+        ([1, 2, 3], [[], []]),
+    ])
+    def test_join_edge_cases_equal_the_reference(self, semi, build_keys,
+                                                 probe_batches):
+        rng = np.random.default_rng(len(build_keys))
+        build = random_rows(rng, len(build_keys), BUILD_DTYPE, 1)
+        build["bk"] = build_keys
+        batches = []
+        for keys in probe_batches:
+            batch = random_rows(rng, len(keys), PROBE_DTYPE, 1)
+            batch["pk"] = keys
+            batches.append(batch)
+        cluster = Cluster(ClusterConfig(network=EDR, num_nodes=1,
+                                        threads_per_node=1))
+        node = cluster.nodes[0]
+        join = HashJoinOperator(
+            node, BatchSource(node, [[build]]), BatchSource(node, [batches]),
+            build_key="bk", probe_key="pk", num_threads=1, semi=semi)
+        expected = reference_join(build, batches, "bk", "pk", semi, None)
+        assert_identical(
+            drain(cluster, join, threads=1),
+            concat_batches([b for b in expected if b is not None]))
+
+    def test_misspelt_probe_key_raises_with_an_empty_build_side(self):
+        """The probe column is looked up before the empty table is."""
+        cluster = Cluster(ClusterConfig(network=EDR, num_nodes=1,
+                                        threads_per_node=1))
+        node = cluster.nodes[0]
+        probe = random_rows(np.random.default_rng(0), 5, PROBE_DTYPE, 3)
+        join = HashJoinOperator(
+            node, BatchSource(node, [[np.empty(0, BUILD_DTYPE)]]),
+            BatchSource(node, [[probe]]), build_key="bk",
+            probe_key="nope", num_threads=1)
+        with pytest.raises(ValueError, match="HashJoinOperator: probe_key "
+                                             "column 'nope'"):
+            drain(cluster, join, threads=1)
 
     @given(seed=st.integers(0, 2 ** 32 - 1),
            rows=st.lists(st.integers(0, 80), min_size=1, max_size=3),

@@ -27,6 +27,7 @@ from repro.fabric import (
     QPContextCache,
     TopologySpec,
 )
+from repro.fabric.config import MAX_THREADS_PER_NODE
 from repro.fabric.packet import make_train
 from repro.service import ServiceConfig, TenantSpec
 from repro.sim import AllOf, Barrier, RatePipe, Simulator
@@ -309,6 +310,26 @@ class TestConstructionProperties:
         expected = (EDR.cores_per_node if (name, f.name, value) ==
                     ("ClusterConfig", "threads_per_node", 0) else value)
         assert getattr(built, f.name) == expected
+
+    @pytest.mark.parametrize("name, field", [
+        ("NetworkConfig", "cores_per_node"),
+        ("ClusterConfig", "threads_per_node"),
+        ("Point", "threads"),
+    ])
+    @settings(max_examples=20, deadline=None)
+    @given(excess=st.integers(1, 1 << 62))
+    def test_a_thread_count_above_the_ceiling_fails_by_name(
+            self, name, field, excess):
+        """A count of threads sizes what a run starts, so it has a
+        ceiling: one above it fails at construction, naming the field
+        and the ceiling; the ceiling itself constructs.  Neither is run."""
+        _cls, build = RECORDS[name]
+        assert getattr(build(**{field: MAX_THREADS_PER_NODE}),
+                       field) == MAX_THREADS_PER_NODE
+        with pytest.raises(ValueError) as err:
+            build(**{field: MAX_THREADS_PER_NODE + excess})
+        assert str(err.value).startswith(f"{field} must be an int in [")
+        assert f", {MAX_THREADS_PER_NODE}]" in str(err.value)
 
     @settings(max_examples=80, deadline=None)
     @given(length=st.integers(-(1 << 20), 1 << 20),
